@@ -5,6 +5,15 @@ current logical-to-physical mapping, applies a migration transform when the
 policy asks for one, charges the migration's cycles and energy, and keeps the
 I/O address translation up to date so the outside world never notices that
 the workload moved.
+
+The controller's native state is a node-id array, ``task -> node``.  The
+paper's migration functions are bijections of the mesh, so each transform is
+one node permutation (:meth:`MigrationTransform.node_permutation`): a sudden
+migration is the gather ``transform_permutation[mapping]``, an executed plan
+stage is the gather of one precomputed step array, and an epoch's power row is
+a scatter of the per-task watts plus a stored migration-energy vector.  The
+:class:`~repro.placement.mapping.Mapping` view (:attr:`current_mapping`) is
+built only when something reads it.
 """
 
 from __future__ import annotations
@@ -54,13 +63,14 @@ class StageCost:
 
     Duck-typed like :class:`repro.migration.unit.MigrationCost` where the
     epoch accounting needs it (``cycles``, ``total_energy_j``,
-    ``energy_per_unit_j``); ``cycles`` is the NoC-priced (congestion
-    inflated) transfer time of the stage.
+    ``energy_vector``); ``cycles`` is the NoC-priced (congestion inflated)
+    transfer time of the stage.
     """
 
     cycles: int
     total_energy_j: float
-    energy_per_unit_j: Dict[Coordinate, float]
+    #: The stage's per-node energy (J), row-major and read-only.
+    energy_vector: np.ndarray = field(compare=False, repr=False)
     transform_name: str
     stage_index: int
     stage_count: int
@@ -70,8 +80,31 @@ class StageCost:
         return self.stage_index + 1 == self.stage_count
 
 
+@dataclass(frozen=True)
+class _StageStep:
+    """A plan stage as arrays: the node step it applies and its energy."""
+
+    #: ``step[node]`` = node after the stage (identity outside its moves).
+    step: np.ndarray
+    #: Per-node energy of the stage (J), row-major.
+    energy: np.ndarray
+    #: PEs that change node in the stage.
+    moved: int
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class RuntimeReconfigurationController:
     """Tracks mapping state and executes migrations for one chip.
+
+    A migration's cost is a pure function of which transform is applied to
+    which mapping, and periodic policies cycle one transform around a short
+    orbit, so the controller memoizes the cost (and each lowered plan) per
+    (transform, mapping) pair: a long experiment computes only ``orbit
+    length`` distinct costs.
 
     Parameters
     ----------
@@ -85,14 +118,6 @@ class RuntimeReconfigurationController:
         When False the controller reports zero migration energy — the
         ablation the paper implicitly performs when it notes that rotation's
         energy penalty raises the average temperature by 0.3 °C.
-    cache_migration_costs:
-        Memoize the migration cost per (transform, mapping) pair (the
-        default).  A migration's cost is a pure function of which transform
-        is applied to which mapping, and periodic policies cycle one
-        transform around a short orbit, so a long experiment computes only
-        ``orbit length`` distinct costs instead of rebuilding the
-        ``tanner_nodes_per_pe`` dict and the congestion-free schedule every
-        epoch.  Disable only to time the uncached reference behaviour.
     """
 
     def __init__(
@@ -100,7 +125,6 @@ class RuntimeReconfigurationController:
         configuration: ChipConfiguration,
         migration_unit: Optional[MigrationUnit] = None,
         include_migration_energy: bool = True,
-        cache_migration_costs: bool = True,
     ):
         self.configuration = configuration
         self.topology = configuration.topology
@@ -108,9 +132,22 @@ class RuntimeReconfigurationController:
             self.topology, library=configuration.library
         )
         self.include_migration_energy = include_migration_energy
-        self.cache_migration_costs = cache_migration_costs
 
-        self.current_mapping: Mapping = configuration.static_mapping.copy()
+        num_units = self.topology.num_nodes
+        self._coords: List[Coordinate] = list(self.topology.coordinates())
+        self._identity = _read_only(np.arange(num_units, dtype=np.intp))
+        #: task -> node of the static (design-time) mapping.
+        self._static_nodes = _read_only(
+            np.array(configuration.static_mapping.to_permutation(), dtype=np.intp)
+        )
+        per_task_power = configuration.per_task_power()
+        self._task_watts = np.array([per_task_power[task] for task in range(num_units)])
+        task_sizes = configuration.tanner_nodes_per_task()
+        self._task_tanner_nodes = [task_sizes[task] for task in range(num_units)]
+
+        #: task -> node of the current mapping (never mutated in place).
+        self._nodes = self._static_nodes
+        self._mapping_view: Optional[Mapping] = None
         self.io_translator = IoAddressTranslator(self.topology)
         self.events: List[MigrationEvent] = []
         self._epoch_index = 0
@@ -120,28 +157,27 @@ class RuntimeReconfigurationController:
         self._migration_count = 0
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
-        #: (transform key, mapping permutation) -> (cost, resulting mapping,
-        #: moved-task count).  Mappings are treated as immutable everywhere
-        #: (mutation goes through ``apply_transform``, which returns a new
-        #: one), so the cached result mapping is safe to share.  The cache
-        #: survives :meth:`reset` — costs are independent of history.
+        #: (transform permutation bytes, mapping bytes) -> (cost, resulting
+        #: task -> node array, moved-task count).  The arrays are read-only,
+        #: so cached results are safe to share.  The cache survives
+        #: :meth:`reset` — costs are independent of history.
         self._migration_cache: Dict[
-            Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[MigrationCost, Mapping, int]
+            Tuple[bytes, bytes], Tuple[MigrationCost, np.ndarray, int]
         ] = {}
-        #: Transform instance -> node-id permutation key (holds a strong
-        #: reference so an ``id()`` is never reused while cached).
-        self._transform_keys: Dict[int, Tuple[MigrationTransform, Tuple[int, ...]]] = {}
         #: Number of full migration-cost computations (cache misses).
         self.migration_cost_computations = 0
         #: Number of migrations served from the cache.
         self.migration_cache_hits = 0
-        # Staged-plan execution state: the in-flight plan (None when idle)
-        # and the index of the next stage to execute.  Like the cost cache,
-        # lowered plans are memoized per (transform, mapping, style, units)
-        # — plans are immutable, so sharing the cached object is safe.
+        # Staged-plan execution state: the in-flight plan (None when idle),
+        # its stages as arrays, and the index of the next stage to execute.
+        # Lowered plans are memoized per (transform, mapping, style, units)
+        # like costs — plans are immutable, so sharing them is safe.
         self._active_plan: Optional[MigrationPlan] = None
+        self._active_steps: Tuple[_StageStep, ...] = ()
         self._plan_next_stage = 0
-        self._plan_cache: Dict[Tuple, MigrationPlan] = {}
+        self._plan_cache: Dict[
+            Tuple[bytes, bytes, str, int], Tuple[MigrationPlan, Tuple[_StageStep, ...]]
+        ] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -155,6 +191,21 @@ class RuntimeReconfigurationController:
     @property
     def total_migration_energy_j(self) -> float:
         return self._migration_energy_j
+
+    @property
+    def current_mapping(self) -> Mapping:
+        """The current task -> coordinate :class:`Mapping` (built on read)."""
+        if self._mapping_view is None:
+            coords = self._coords
+            self._mapping_view = Mapping(
+                self.topology,
+                {task: coords[node] for task, node in enumerate(self._nodes.tolist())},
+            )
+        return self._mapping_view
+
+    def _set_nodes(self, nodes: np.ndarray) -> None:
+        self._nodes = nodes
+        self._mapping_view = None
 
     def drain_events(self) -> List[MigrationEvent]:
         """Return and clear the per-migration event log.
@@ -171,15 +222,14 @@ class RuntimeReconfigurationController:
 
     def reset(self) -> None:
         """Return to the static mapping and forget all history."""
-        self.current_mapping = self.configuration.static_mapping.copy()
+        self._set_nodes(self._static_nodes)
         self.io_translator.reset()
         self.events.clear()
         self._epoch_index = 0
         self._migration_count = 0
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
-        self._active_plan = None
-        self._plan_next_stage = 0
+        self._arm(None, ())
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -192,7 +242,7 @@ class RuntimeReconfigurationController:
         drained state, not carried state).
         """
         state: Dict[str, object] = {
-            "mapping": self.current_mapping.to_permutation(),
+            "mapping": self._nodes.tolist(),
             "epoch_index": self._epoch_index,
             "migrations": self._migration_count,
             "migration_cycles": self._migration_cycles,
@@ -210,64 +260,62 @@ class RuntimeReconfigurationController:
         return state
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`state_dict`."""
-        self.current_mapping = Mapping.from_permutation(
-            self.topology, [int(node) for node in state["mapping"]]  # type: ignore[union-attr]
-        )
+        """Inverse of :meth:`state_dict`.
+
+        Raises ``ValueError`` for a mapping that is not a permutation of the
+        node ids, an in-flight plan whose stages are not closed relocations,
+        or a next stage outside the plan.
+        """
+        nodes = [int(node) for node in state["mapping"]]  # type: ignore[union-attr]
+        if sorted(nodes) != list(range(self.topology.num_nodes)):
+            raise ValueError("permutation must be a rearrangement of all node ids")
+        plan_state = state.get("plan")
+        plan: Optional[MigrationPlan] = None
+        next_stage = 0
+        if plan_state is not None:
+            plan = MigrationPlan.from_dict(plan_state["plan"], self.topology)  # type: ignore[index]
+            next_stage = int(plan_state["next_stage"])  # type: ignore[index]
+            if not 0 <= next_stage < plan.num_stages:
+                raise ValueError(
+                    f"next stage {next_stage} outside a {plan.num_stages}-stage plan"
+                )
+        self._set_nodes(_read_only(np.array(nodes, dtype=np.intp)))
         self._epoch_index = int(state["epoch_index"])  # type: ignore[arg-type]
         self._migration_count = int(state["migrations"])  # type: ignore[arg-type]
         self._migration_cycles = int(state["migration_cycles"])  # type: ignore[arg-type]
         self._migration_energy_j = float(state["migration_energy_j"])  # type: ignore[arg-type]
         self.io_translator.restore_state(state["io"])  # type: ignore[arg-type]
         self.events.clear()
-        plan_state = state.get("plan")
-        if plan_state is None:
-            self._active_plan = None
-            self._plan_next_stage = 0
+        if plan is None:
+            self._arm(None, ())
         else:
-            self._active_plan = MigrationPlan.from_dict(
-                plan_state["plan"], self.topology  # type: ignore[index]
-            )
-            self._plan_next_stage = int(plan_state["next_stage"])  # type: ignore[index]
+            self._arm(plan, self._stage_steps(plan), next_stage)
 
     # ------------------------------------------------------------------
-    def _transform_key(self, transform: MigrationTransform) -> Tuple[int, ...]:
-        """Node-id permutation identifying a transform (memoized by instance)."""
-        entry = self._transform_keys.get(id(transform))
-        if entry is not None and entry[0] is transform:
-            return entry[1]
-        topology = self.topology
-        key = tuple(
-            topology.node_id(transform(coord)) for coord in topology.coordinates()
-        )
-        self._transform_keys[id(transform)] = (transform, key)
-        return key
+    def _tanner_nodes_per_pe(self) -> Dict[Coordinate, int]:
+        """Tanner nodes hosted at each PE under the current mapping."""
+        coords = self._coords
+        return {
+            coords[node]: count
+            for node, count in zip(self._nodes.tolist(), self._task_tanner_nodes)
+        }
 
     def _migration_outcome(
         self, transform: MigrationTransform
-    ) -> Tuple[MigrationCost, Mapping, int]:
-        """(cost, new mapping, moved tasks) of applying ``transform`` now.
-
-        The triple is a pure function of (transform, current mapping); with
-        caching enabled a repeated pair skips the ``tanner_nodes_per_pe``
-        rebuild and the scheduler entirely.
-        """
-        key = (
-            self._transform_key(transform),
-            tuple(self.current_mapping.to_permutation()),
-        )
-        cached = self._migration_cache.get(key) if self.cache_migration_costs else None
+    ) -> Tuple[MigrationCost, np.ndarray, int]:
+        """(cost, new task -> node array, moved tasks) of applying ``transform`` now."""
+        permutation = transform.node_permutation()
+        key = (permutation.tobytes(), self._nodes.tobytes())
+        cached = self._migration_cache.get(key)
         if cached is not None:
             self.migration_cache_hits += 1
             return cached
-        nodes_per_pe = self.configuration.tanner_nodes_per_pe(self.current_mapping)
-        cost = self.migration_unit.migration_cost(transform, nodes_per_pe)
-        new_mapping = self.current_mapping.apply_transform(transform)
-        moved = len(self.current_mapping.moved_tasks(new_mapping))
+        cost = self.migration_unit.migration_cost(transform, self._tanner_nodes_per_pe())
+        nodes = _read_only(permutation[self._nodes])
+        moved = int(np.count_nonzero(nodes != self._nodes))
         self.migration_cost_computations += 1
-        outcome = (cost, new_mapping, moved)
-        if self.cache_migration_costs:
-            self._migration_cache[key] = outcome
+        outcome = (cost, nodes, moved)
+        self._migration_cache[key] = outcome
         return outcome
 
     def apply_migration(
@@ -276,9 +324,11 @@ class RuntimeReconfigurationController:
         """Apply ``transform`` to the current mapping and account its cost."""
         if epoch_index is None:
             epoch_index = self._epoch_index
-        cost, new_mapping, moved = self._migration_outcome(transform)
-        self.current_mapping = new_mapping
-        self.io_translator.record_migration(transform)
+        cost, nodes, moved = self._migration_outcome(transform)
+        self._set_nodes(nodes)
+        self.io_translator.record_permutation(
+            transform.node_permutation(), transform.name
+        )
 
         energy = cost.total_energy_j if self.include_migration_energy else 0.0
         self.events.append(
@@ -311,19 +361,44 @@ class RuntimeReconfigurationController:
     def plan_next_stage(self) -> int:
         return self._plan_next_stage
 
+    def _arm(
+        self,
+        plan: Optional[MigrationPlan],
+        steps: Tuple[_StageStep, ...],
+        next_stage: int = 0,
+    ) -> None:
+        self._active_plan = plan
+        self._active_steps = steps
+        self._plan_next_stage = next_stage
+
+    def _stage_steps(self, plan: MigrationPlan) -> Tuple[_StageStep, ...]:
+        """Each stage of ``plan`` as a step array (one scatter) and energy vector."""
+        node_id = self.topology.node_id
+        steps = []
+        for stage in plan.stages:
+            moves = stage.mapping_moves()
+            step = self._identity.copy()
+            step[[node_id(source) for source in moves]] = [
+                node_id(destination) for destination in moves.values()
+            ]
+            energy = np.array(
+                [stage.energy_per_unit_j.get(coord, 0.0) for coord in self._coords]
+            )
+            steps.append(_StageStep(_read_only(step), _read_only(energy), len(moves)))
+        return tuple(steps)
+
     def _lowered_plan(
         self, transform: MigrationTransform, style: str, units_per_epoch: int
-    ) -> MigrationPlan:
+    ) -> Tuple[MigrationPlan, Tuple[_StageStep, ...]]:
         key = (
-            self._transform_key(transform),
-            tuple(self.current_mapping.to_permutation()),
+            transform.node_permutation().tobytes(),
+            self._nodes.tobytes(),
             style,
             units_per_epoch,
         )
-        cached = self._plan_cache.get(key) if self.cache_migration_costs else None
+        cached = self._plan_cache.get(key)
         if cached is not None:
             return cached
-        nodes_per_pe = self.configuration.tanner_nodes_per_pe(self.current_mapping)
         with _obs_span(
             "migration.plan",
             transform=transform.name,
@@ -333,13 +408,13 @@ class RuntimeReconfigurationController:
             plan = lower_transform(
                 transform,
                 self.migration_unit,
-                nodes_per_pe,
+                self._tanner_nodes_per_pe(),
                 style=style,
                 units_per_epoch=units_per_epoch,
             )
-        if self.cache_migration_costs:
-            self._plan_cache[key] = plan
-        return plan
+        lowered = (plan, self._stage_steps(plan))
+        self._plan_cache[key] = lowered
+        return lowered
 
     def begin_plan(
         self,
@@ -358,9 +433,8 @@ class RuntimeReconfigurationController:
                 "a migration plan is already in progress; "
                 "advance it to completion before beginning another"
             )
-        plan = self._lowered_plan(transform, style, units_per_epoch)
-        self._active_plan = plan
-        self._plan_next_stage = 0
+        plan, steps = self._lowered_plan(transform, style, units_per_epoch)
+        self._arm(plan, steps)
         self._migration_count += 1
         _OBS_PLANS.add()
         return plan
@@ -385,18 +459,12 @@ class RuntimeReconfigurationController:
             epoch_index = self._epoch_index
         index = self._plan_next_stage
         stage = plan.stages[index]
+        step = self._active_steps[index]
         cycles = priced_stage_cycles(stage, congestion)
-        moves = stage.mapping_moves()
-        if moves:
-            self.current_mapping = Mapping(
-                self.topology,
-                {
-                    task: moves.get(coord, coord)
-                    for task, coord in self.current_mapping.physical_of_task.items()
-                },
-            )
-            self.io_translator.record_moves(
-                moves, f"{plan.transform_name}[{index + 1}/{plan.num_stages}]"
+        if step.moved:
+            self._set_nodes(_read_only(step.step[self._nodes]))
+            self.io_translator.record_permutation(
+                step.step, f"{plan.transform_name}[{index + 1}/{plan.num_stages}]"
             )
         energy = stage.energy_j if self.include_migration_energy else 0.0
         self.events.append(
@@ -405,7 +473,7 @@ class RuntimeReconfigurationController:
                 transform_name=plan.transform_name,
                 cycles=cycles,
                 energy_j=energy,
-                moved_tasks=len(moves),
+                moved_tasks=step.moved,
                 stage_index=index,
                 stage_count=plan.num_stages,
             )
@@ -413,14 +481,14 @@ class RuntimeReconfigurationController:
         self._migration_cycles += cycles
         self._migration_energy_j += energy
         _OBS_STAGES.add()
-        self._plan_next_stage = index + 1
-        if self._plan_next_stage >= plan.num_stages:
-            self._active_plan = None
-            self._plan_next_stage = 0
+        if index + 1 >= plan.num_stages:
+            self._arm(None, ())
+        else:
+            self._plan_next_stage = index + 1
         return StageCost(
             cycles=cycles,
             total_energy_j=energy,
-            energy_per_unit_j=dict(stage.energy_per_unit_j),
+            energy_vector=step.energy,
             transform_name=plan.transform_name,
             stage_index=index,
             stage_count=plan.num_stages,
@@ -432,6 +500,11 @@ class RuntimeReconfigurationController:
         return self._epoch_index
 
     # ------------------------------------------------------------------
+    def _power_of(self, nodes: np.ndarray) -> np.ndarray:
+        power = np.empty(len(nodes))
+        power[nodes] = self._task_watts
+        return power
+
     def epoch_power_vector(
         self,
         period_s: float,
@@ -439,21 +512,18 @@ class RuntimeReconfigurationController:
     ) -> np.ndarray:
         """Row-major per-PE power over one epoch under the current mapping.
 
-        Workload power follows the tasks to their current locations; if a
-        migration happened at the start of the epoch its energy is amortised
-        over the epoch and charged to the units it touched.  This is the
-        native representation: one such vector per epoch forms a row of the
-        experiment's :class:`repro.power.trace.PowerTrace`.
+        Workload power follows the tasks to their current locations (one
+        scatter of the per-task watts); if a migration happened at the start
+        of the epoch its energy vector is amortised over the epoch and
+        charged to the units it touched.  This is the native representation:
+        one such vector per epoch forms a row of the experiment's
+        :class:`repro.power.trace.PowerTrace`.
         """
         if period_s <= 0:
             raise ValueError("epoch period must be positive")
-        power = self.configuration.power_vector(self.current_mapping)
+        power = self._power_of(self._nodes)
         if migration_cost is not None and self.include_migration_energy:
-            topology = self.topology
-            for coord, energy in migration_cost.energy_per_unit_j.items():
-                if energy == 0.0:
-                    continue
-                power[topology.node_id(coord)] += energy / period_s
+            power += migration_cost.energy_vector / period_s
         return power
 
     def epoch_power_map(
@@ -468,7 +538,7 @@ class RuntimeReconfigurationController:
 
     def static_power_vector(self) -> np.ndarray:
         """Power vector of the unmigrated (static) mapping — the baseline."""
-        return self.configuration.power_vector(self.configuration.static_mapping)
+        return self._power_of(self._static_nodes)
 
     def static_power_map(self) -> Dict[Coordinate, float]:
         """Power map of the unmigrated (static) mapping — the baseline."""

@@ -799,8 +799,8 @@ class ThermalExperiment:
         dropped and counted as a stalled epoch.  The sudden default takes
         the legacy one-shot path untouched, bit for bit.  The cost list
         then holds :class:`~repro.core.controller.StageCost` entries, which
-        expose the same ``cycles`` / ``total_energy_j`` /
-        ``energy_per_unit_j`` surface as :class:`MigrationCost`.
+        expose the same ``cycles`` / ``total_energy_j`` / ``energy_vector``
+        surface as :class:`MigrationCost`.
         """
         configuration = self.configuration
         controller = self.controller
@@ -946,16 +946,19 @@ class ThermalExperiment:
         epoch_metrics: List[ThermalMetrics],
         start_epoch: int = 0,
     ) -> List[EpochRecord]:
-        """Per-epoch records (dict views of the trace at the report edge)."""
+        """Per-epoch records (dict views of the trace built on first read)."""
+        topology = self.configuration.topology
+        powers = trace.powers
         return [
-            EpochRecord(
+            EpochRecord.from_power_row(
+                topology,
+                powers[idx],
                 epoch_index=start_epoch + idx,
                 mapping_permutation=[],
                 transform_applied=names[idx],
                 migration_cycles=costs[idx].cycles if costs[idx] else 0,
                 migration_energy_j=costs[idx].total_energy_j if costs[idx] else 0.0,
                 thermal=epoch_metrics[idx],
-                power_map=trace.power_map(idx),
             )
             for idx in range(len(trace))
         ]

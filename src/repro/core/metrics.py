@@ -8,7 +8,7 @@ three plus the per-epoch detail needed to plot time series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -16,14 +16,68 @@ import numpy as np
 from ..noc.topology import Coordinate
 
 
-@dataclass
-class ThermalMetrics:
-    """Spatial temperature summary at one instant (or steady state)."""
+def _row_view(topology, row: np.ndarray) -> Dict[Coordinate, float]:
+    """Per-coordinate dict of a row-major vector (the report-edge view)."""
+    return dict(zip(topology.coordinates(), row.tolist()))
 
-    peak_celsius: float
-    mean_celsius: float
-    min_celsius: float
-    per_unit_celsius: Dict[Coordinate, float] = field(default_factory=dict)
+
+class _Record:
+    """Dataclass-style ``==`` and ``repr`` over the names in ``_FIELDS``.
+
+    The two record types below are plain classes rather than dataclasses so
+    one of their fields can be a dict view built on first read.
+    """
+
+    _FIELDS: Tuple[str, ...] = ()
+
+    def _values(self) -> Tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        body = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values())
+        )
+        return f"{type(self).__name__}({body})"
+
+
+class ThermalMetrics(_Record):
+    """Spatial temperature summary at one instant (or steady state).
+
+    Metrics built by :meth:`from_vector` (the batched pipeline) keep a
+    private copy of the temperature row and build the ``per_unit_celsius``
+    dict only when something reads it; the summary scalars never need it.
+    """
+
+    _FIELDS = ("peak_celsius", "mean_celsius", "min_celsius", "per_unit_celsius")
+
+    def __init__(
+        self,
+        peak_celsius: float,
+        mean_celsius: float,
+        min_celsius: float,
+        per_unit_celsius: Optional[Dict[Coordinate, float]] = None,
+    ):
+        self.peak_celsius = peak_celsius
+        self.mean_celsius = mean_celsius
+        self.min_celsius = min_celsius
+        self._per_unit: Optional[Dict[Coordinate, float]] = (
+            {} if per_unit_celsius is None else per_unit_celsius
+        )
+        self._topology = None
+        self._row: Optional[np.ndarray] = None
+
+    @property
+    def per_unit_celsius(self) -> Dict[Coordinate, float]:
+        if self._per_unit is None:
+            self._per_unit = _row_view(self._topology, self._row)
+        return self._per_unit
 
     @property
     def spread_celsius(self) -> float:
@@ -56,24 +110,25 @@ class ThermalMetrics:
     def from_vector(cls, topology, per_unit_celsius: np.ndarray) -> "ThermalMetrics":
         """Metrics from one row of a batched temperature array.
 
-        The vector follows the topology's row-major coordinate index; the
-        per-unit dict view is kept so reports and policies see the same shape
-        as :meth:`from_map` produces.
+        The vector follows the topology's row-major coordinate index.  The
+        metrics keep a private copy of it; ``per_unit_celsius`` is built from
+        that copy on first read, with the same keys and values
+        :meth:`from_map` would hold.
         """
-        values = np.asarray(per_unit_celsius, dtype=float)
+        values = np.array(per_unit_celsius, dtype=float)
         if values.shape != (topology.num_nodes,):
             raise ValueError(
                 f"expected {topology.num_nodes} unit temperatures, got shape {values.shape}"
             )
-        return cls(
+        metrics = cls(
             peak_celsius=float(values.max()),
             mean_celsius=float(values.mean()),
             min_celsius=float(values.min()),
-            per_unit_celsius={
-                coord: float(values[idx])
-                for idx, coord in enumerate(topology.coordinates())
-            },
         )
+        metrics._per_unit = None
+        metrics._topology = topology
+        metrics._row = values
+        return metrics
 
 
 @dataclass
@@ -107,17 +162,62 @@ class PerformanceMetrics:
         return 1.0 - self.throughput_penalty
 
 
-@dataclass
-class EpochRecord:
-    """One migration period of an experiment."""
+class EpochRecord(_Record):
+    """One migration period of an experiment.
 
-    epoch_index: int
-    mapping_permutation: List[int]
-    transform_applied: Optional[str]
-    migration_cycles: int
-    migration_energy_j: float
-    thermal: ThermalMetrics
-    power_map: Dict[Coordinate, float] = field(default_factory=dict)
+    Like :class:`ThermalMetrics`, a record built from a power row
+    (:meth:`from_power_row`, the experiment driver's path) keeps a private
+    copy of the row and builds the ``power_map`` dict on first read.
+    """
+
+    _FIELDS = (
+        "epoch_index",
+        "mapping_permutation",
+        "transform_applied",
+        "migration_cycles",
+        "migration_energy_j",
+        "thermal",
+        "power_map",
+    )
+
+    def __init__(
+        self,
+        epoch_index: int,
+        mapping_permutation: List[int],
+        transform_applied: Optional[str],
+        migration_cycles: int,
+        migration_energy_j: float,
+        thermal: ThermalMetrics,
+        power_map: Optional[Dict[Coordinate, float]] = None,
+    ):
+        self.epoch_index = epoch_index
+        self.mapping_permutation = mapping_permutation
+        self.transform_applied = transform_applied
+        self.migration_cycles = migration_cycles
+        self.migration_energy_j = migration_energy_j
+        self.thermal = thermal
+        self._power_map: Optional[Dict[Coordinate, float]] = (
+            {} if power_map is None else power_map
+        )
+        self._topology = None
+        self._power_row: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_power_row(
+        cls, topology, power_row: np.ndarray, **fields: object
+    ) -> "EpochRecord":
+        """A record whose ``power_map`` is a lazy view of ``power_row``."""
+        record = cls(**fields)  # type: ignore[arg-type]
+        record._power_map = None
+        record._topology = topology
+        record._power_row = np.array(power_row, dtype=float)
+        return record
+
+    @property
+    def power_map(self) -> Dict[Coordinate, float]:
+        if self._power_map is None:
+            self._power_map = _row_view(self._topology, self._power_row)
+        return self._power_map
 
     @property
     def migrated(self) -> bool:

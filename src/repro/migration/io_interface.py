@@ -11,12 +11,16 @@ totally transparent to the outside world."
 so far.  External agents always address PEs by their *original* (design-time)
 coordinates; the translator rewrites those to the current physical location
 on ingress and back to the original view on egress.
+
+The cumulative map is a node-id permutation array (and its inverse), so
+composing a migration is one gather and a lookup is two index operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
+
+import numpy as np
 
 from ..noc.flit import Packet, PacketClass
 from ..noc.topology import Coordinate, MeshTopology
@@ -28,10 +32,11 @@ class IoAddressTranslator:
 
     def __init__(self, topology: MeshTopology):
         self.topology = topology
-        #: original (design-time) coordinate -> current physical coordinate
-        self._current_of_original: Dict[Coordinate, Coordinate] = {
-            coord: coord for coord in topology.coordinates()
-        }
+        self._identity = np.arange(topology.num_nodes, dtype=np.intp)
+        self._coords = list(topology.coordinates())
+        #: original node id -> current node id, and its inverse
+        self._current = self._identity
+        self._original = self._identity
         self._history: List[str] = []
         self._applied = 0
 
@@ -47,36 +52,25 @@ class IoAddressTranslator:
 
     def record_migration(self, transform: MigrationTransform) -> None:
         """Compose ``transform`` onto the cumulative map."""
-        self._current_of_original = {
-            original: transform(current)
-            for original, current in self._current_of_original.items()
-        }
-        self._history.append(transform.name)
-        self._applied += 1
+        self.record_permutation(transform.node_permutation(), transform.name)
 
-    def record_moves(
-        self, moves: Dict[Coordinate, Coordinate], label: str
-    ) -> None:
-        """Compose a *partial* relocation onto the cumulative map.
+    def record_permutation(self, step: np.ndarray, label: str) -> None:
+        """Compose a node permutation (``step[i]`` = new node of node ``i``).
 
-        ``moves`` maps source -> destination for the coordinates one
-        migration stage relocates; everything else stays put.  Staged plans
-        (:mod:`repro.migration.plan`) call this once per executed stage so
-        the I/O interface follows the mixed mid-plan mapping.  The source
-        set must equal the destination set (stages are unions of whole
-        permutation cycles), keeping the cumulative map a bijection.
+        The controller records every sudden migration (the transform's
+        permutation) and every executed plan stage (a partial relocation,
+        identity outside the stage's moves) through it.  ``step`` must be a
+        permutation of the node ids; it is not copied or modified.
         """
-        if set(moves) != set(moves.values()):
-            raise ValueError(
-                "stage moves must be a closed relocation "
-                "(source set must equal destination set)"
-            )
-        self._current_of_original = {
-            original: moves.get(current, current)
-            for original, current in self._current_of_original.items()
-        }
+        self._set_current(step[self._current])
         self._history.append(label)
         self._applied += 1
+
+    def _set_current(self, current: np.ndarray) -> None:
+        original = np.empty_like(current)
+        original[current] = self._identity
+        self._current = current
+        self._original = original
 
     def compact_history(self) -> None:
         """Drop the per-migration name log, keeping the cumulative map.
@@ -90,48 +84,33 @@ class IoAddressTranslator:
 
     def reset(self) -> None:
         """Forget all migrations (chip returns to the design-time layout)."""
-        self._current_of_original = {
-            coord: coord for coord in self.topology.coordinates()
-        }
+        self._current = self._identity
+        self._original = self._identity
         self._history.clear()
         self._applied = 0
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot (cumulative map as a permutation)."""
-        return {
-            "permutation": [
-                self.topology.node_id(self._current_of_original[coord])
-                for coord in self.topology.coordinates()
-            ],
-            "applied": self._applied,
-        }
+        return {"permutation": self._current.tolist(), "applied": self._applied}
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Inverse of :meth:`state_dict` (the name log is not restored)."""
-        coords = list(self.topology.coordinates())
         permutation = [int(node) for node in state["permutation"]]  # type: ignore[union-attr]
-        if sorted(permutation) != list(range(len(coords))):
+        if sorted(permutation) != list(range(self.topology.num_nodes)):
             raise ValueError("translator permutation must cover every node id")
-        self._current_of_original = {
-            coords[index]: coords[node] for index, node in enumerate(permutation)
-        }
+        self._set_current(np.array(permutation, dtype=np.intp))
         self._history = []
         self._applied = int(state["applied"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     def current_location(self, original: Coordinate) -> Coordinate:
         """Where the workload originally at ``original`` currently lives."""
-        if original not in self._current_of_original:
-            raise ValueError(f"coordinate {original} outside mesh")
-        return self._current_of_original[original]
+        return self._coords[self._current[self.topology.node_id(original)]]
 
     def original_location(self, current: Coordinate) -> Coordinate:
         """The design-time coordinate of the workload now at ``current``."""
-        for original, location in self._current_of_original.items():
-            if location == current:
-                return original
-        raise ValueError(f"coordinate {current} outside mesh")
+        return self._coords[self._original[self.topology.node_id(current)]]
 
     # ------------------------------------------------------------------
     def translate_incoming(self, packet: Packet) -> Packet:

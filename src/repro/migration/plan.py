@@ -119,18 +119,32 @@ class MigrationStage:
     def from_dict(
         cls, state: Dict[str, object], topology: MeshTopology
     ) -> "MigrationStage":
+        """Inverse of :meth:`to_dict`.
+
+        Raises ``ValueError`` unless the stage's remote moves form a closed
+        relocation (distinct sources whose set equals the destination set),
+        so a tampered checkpoint fails at restore rather than mid-stream.
+        """
         energy_per_unit = {coord: 0.0 for coord in topology.coordinates()}
         for node_id, energy in state["energy_per_unit"].items():  # type: ignore[union-attr]
             energy_per_unit[topology.coordinate(int(node_id))] = float(energy)
+        moves = tuple(
+            PeMove(
+                source=topology.coordinate(int(source)),
+                destination=topology.coordinate(int(destination)),
+                payload_flits=int(flits),
+            )
+            for source, destination, flits in state["moves"]  # type: ignore[union-attr]
+        )
+        sources = [move.source for move in moves if not move.is_local]
+        destinations = {move.destination for move in moves if not move.is_local}
+        if len(set(sources)) != len(sources) or set(sources) != destinations:
+            raise ValueError(
+                "migration stage moves must be a closed relocation "
+                "(distinct sources, source set equal to destination set)"
+            )
         return cls(
-            moves=tuple(
-                PeMove(
-                    source=topology.coordinate(int(source)),
-                    destination=topology.coordinate(int(destination)),
-                    payload_flits=int(flits),
-                )
-                for source, destination, flits in state["moves"]  # type: ignore[union-attr]
-            ),
+            moves=moves,
             cycles=int(state["cycles"]),  # type: ignore[arg-type]
             energy_j=float(state["energy_j"]),  # type: ignore[arg-type]
             energy_per_unit_j=energy_per_unit,
@@ -263,7 +277,7 @@ def _batched_groups(
         links: set = set()
         for move in cycle:
             links |= _links_of_route(
-                unit.routing.path(move.source, move.destination)
+                unit.scheduler.path(move.source, move.destination)
             )
         placed = False
         for idx, used in enumerate(group_links):
@@ -344,8 +358,8 @@ def congestion_factor(noc_model, injection_rate: Optional[float]) -> float:
     """Latency inflation of migration traffic under the epoch's NoC load.
 
     The analytic wormhole model's average latency at the epoch's injection
-    rate, relative to zero load.  Rates at or past saturation price at the
-    last validated point (the same capping as
+    rate, relative to its zero-load latency (a model constant).  Rates at or
+    past saturation price at the last validated point (the same capping as
     :func:`repro.scenarios.noc_cost.rate_noc_latencies`).  Returns ``1.0``
     when no pricing model or rate is available, so unpriced runs keep the
     deterministic congestion-free cycle counts.
@@ -358,7 +372,7 @@ def congestion_factor(noc_model, injection_rate: Optional[float]) -> float:
     saturation = float(noc_model.saturation_rate)
     capped = min(rate, math.nextafter(saturation, 0.0))
     loaded = float(noc_model.probe(capped).avg_latency)
-    base = float(noc_model.probe(0.0).avg_latency)
+    base = float(noc_model.zero_load_latency)
     if not (base > 0.0) or not math.isfinite(loaded):
         return 1.0
     return max(1.0, loaded / base)

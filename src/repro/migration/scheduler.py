@@ -91,6 +91,20 @@ class MigrationScheduler:
         if router_pipeline_cycles < 1:
             raise ValueError("router pipeline must be at least one cycle per hop")
         self.router_pipeline_cycles = router_pipeline_cycles
+        self._paths: Dict[Tuple[Coordinate, Coordinate], Tuple[Coordinate, ...]] = {}
+
+    def path(self, source: Coordinate, destination: Coordinate) -> Tuple[Coordinate, ...]:
+        """Deterministic route of one move, walked once per (source, destination).
+
+        The schedule's link sets and the per-router energy charges of
+        :class:`repro.migration.unit.MigrationUnit` read the same memoized
+        route, so a migration's cost walks each route once.
+        """
+        key = (source, destination)
+        route = self._paths.get(key)
+        if route is None:
+            route = self._paths[key] = tuple(self.routing.path(source, destination))
+        return route
 
     # ------------------------------------------------------------------
     def moves_for_transform(
@@ -130,8 +144,7 @@ class MigrationScheduler:
         phases: List[List[PeMove]] = []
         phase_links: List[Set[Tuple[Coordinate, Coordinate]]] = []
         for move in remote_sorted:
-            route = self.routing.path(move.source, move.destination)
-            links = _links_of_route(route)
+            links = _links_of_route(self.path(move.source, move.destination))
             placed = False
             for idx, used in enumerate(phase_links):
                 if not (links & used):

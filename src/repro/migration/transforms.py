@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..noc.topology import Coordinate, MeshTopology
 
@@ -39,6 +41,7 @@ class MigrationTransform(ABC):
 
     def __init__(self, topology: MeshTopology):
         self.topology = topology
+        self._node_permutation: Optional[np.ndarray] = None
 
     @abstractmethod
     def apply(self, coord: Coordinate) -> Coordinate:
@@ -57,13 +60,36 @@ class MigrationTransform(ABC):
         """The full old-coordinate -> new-coordinate map."""
         return {coord: self(coord) for coord in self.topology.coordinates()}
 
+    def node_permutation(self) -> np.ndarray:
+        """The transform as a read-only node-id array (``perm[i]`` = image of node ``i``).
+
+        Built once per instance (a transform is a fixed bijection of its
+        mesh), so applying the migration to a whole task -> node mapping is
+        one gather, ``node_permutation()[mapping]``.  Raises ``ValueError``
+        if the transform is not a bijection.
+        """
+        if self._node_permutation is None:
+            topology = self.topology
+            perm = np.fromiter(
+                (topology.node_id(self(coord)) for coord in topology.coordinates()),
+                dtype=np.intp,
+                count=topology.num_nodes,
+            )
+            if np.unique(perm).size != perm.size:
+                raise ValueError(f"{self.name} transform is not a bijection of the mesh")
+            perm.flags.writeable = False
+            self._node_permutation = perm
+        return self._node_permutation
+
     def fixed_points(self) -> List[Coordinate]:
         """Coordinates whose workload does not move under this transform.
 
         The paper attributes the weakness of rotation/mirroring on the 5x5
         chips to the central PE being such a fixed point.
         """
-        return [coord for coord in self.topology.coordinates() if self(coord) == coord]
+        perm = self.node_permutation()
+        fixed = np.flatnonzero(perm == np.arange(perm.size))
+        return [self.topology.coordinate(int(node)) for node in fixed]
 
     def order(self, limit: int = 1024) -> int:
         """Number of applications after which every workload is back home."""

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..noc.flit import Packet, PacketClass
 from ..noc.routing import RoutingAlgorithm, XYRouting
 from ..noc.topology import Coordinate, MeshTopology
@@ -83,12 +85,18 @@ class MoveEnergy:
 
 @dataclass
 class MigrationCost:
-    """Cycles and energy of one full-chip migration."""
+    """Cycles and energy of one full-chip migration.
+
+    ``energy_vector`` holds ``energy_per_unit_j`` as a read-only row-major
+    array (entry ``topology.node_id(coord)``), the form the controller adds
+    to its epoch power rows.
+    """
 
     cycles: int
     total_energy_j: float
     energy_per_unit_j: Dict[Coordinate, float]
     schedule: MigrationSchedule
+    energy_vector: np.ndarray = field(compare=False, repr=False)
 
     @property
     def num_phases(self) -> int:
@@ -158,12 +166,12 @@ class MigrationUnit:
         if move.is_local:
             return MoveEnergy(move=move, conversion_j=conversion)
         flits = move.payload_flits + 1  # head flit included for transport
-        route = self.routing.path(move.source, move.destination)
+        route = self.scheduler.path(move.source, move.destination)
         hop_count = len(route) - 1
         return MoveEnergy(
             move=move,
             conversion_j=conversion,
-            route=tuple(route),
+            route=route,
             router_energy_j=flits * self.library.router_energy_per_flit_j,
             link_energy_j=flits * hop_count * self.library.link_energy_per_flit_j,
         )
@@ -191,15 +199,24 @@ class MigrationUnit:
         transform: MigrationTransform,
         tanner_nodes_per_pe: Optional[Dict[Coordinate, int]] = None,
     ) -> MigrationCost:
-        """Cycles and per-unit energy of applying ``transform`` once."""
+        """Cycles and per-unit energy of applying ``transform`` once.
+
+        Each move's route is walked once (:meth:`MigrationScheduler.path`),
+        shared by the phase colouring and the per-router energy charges.
+        """
         moves = self.scheduler.moves_for_transform(transform, tanner_nodes_per_pe)
         schedule = self.scheduler.schedule(moves)
         total, energy_per_unit = self.moves_energy(moves)
+        energy_vector = np.fromiter(
+            energy_per_unit.values(), dtype=float, count=len(energy_per_unit)
+        )
+        energy_vector.flags.writeable = False
         return MigrationCost(
             cycles=schedule.total_cycles,
             total_energy_j=total,
             energy_per_unit_j=energy_per_unit,
             schedule=schedule,
+            energy_vector=energy_vector,
         )
 
     # ------------------------------------------------------------------

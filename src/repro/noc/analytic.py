@@ -178,7 +178,16 @@ class AnalyticPoint:
 
 
 class _AnalyticModel:
-    """Pattern/topology-specific pieces that do not depend on the rate."""
+    """Pattern/topology-specific pieces that do not depend on the rate.
+
+    The flow-weighted mean latency ``sum_f p_f (H_f + L + 1 + sum_{c in f}
+    W_c) / sum_f p_f`` needs no per-flow state at evaluation time: the
+    channel-wait term regroups by channel as ``unit_loads . W`` because
+    ``unit_loads[c]`` is exactly the probability mass of the flows crossing
+    ``c``.  The model therefore keeps the channel loads plus two scalars,
+    ``sum p`` and ``sum p * hops``, and every rate costs a few array
+    operations over the ``5 * num_nodes`` channels.
+    """
 
     def __init__(
         self,
@@ -194,21 +203,25 @@ class _AnalyticModel:
         n = topology.num_nodes
         # Per-unit-rate packet load on every channel.
         loads = np.zeros(n * 5, dtype=np.float64)
-        self.flow_probs: List[float] = []
-        self.flow_channels: List[np.ndarray] = []
-        self.flow_hops: List[int] = []
+        total_probability = weighted_hops = 0.0
         for (s, d), channels in flows.items():
             p = probs[s, d]
             if p <= 0.0:
                 continue
-            idx = np.asarray(channels, dtype=np.int64)
-            loads[idx] += p
-            self.flow_probs.append(p)
-            self.flow_channels.append(idx)
-            self.flow_hops.append(len(channels) - 1)  # last entry is ejection
-        if not self.flow_probs:
+            loads[channels] += p
+            total_probability += p
+            weighted_hops += p * (len(channels) - 1)  # last entry is ejection
+        if total_probability <= 0.0:
             raise ValueError("traffic pattern generates no packets on this mesh")
         self.unit_loads = loads
+        #: ``sum_f p_f`` and ``sum_f p_f * hops_f`` over the flows that send.
+        self.total_probability = total_probability
+        self.weighted_hops = weighted_hops
+        #: Flow-weighted mean latency at vanishing load (what ``evaluate(0)``
+        #: returns); the denominator of every congestion factor.
+        self.zero_load_latency = (
+            weighted_hops + (packet_size_flits + 1) * total_probability
+        ) / total_probability
         self.capacity_rate = 1.0 / (packet_size_flits * float(loads.max()))
         self.saturation_rate = WORMHOLE_BLOCKING_FACTOR * self.capacity_rate
 
@@ -228,13 +241,12 @@ class _AnalyticModel:
         # M/D/1 waiting time per channel, deterministic service of L cycles,
         # scaled for the discrete (sub-Poisson) arrival process.
         wait = ARRIVAL_DISCRETISATION * util * size / (2.0 * (1.0 - util))
-        total_p = total_latency = 0.0
-        for p, channels, hops in zip(
-            self.flow_probs, self.flow_channels, self.flow_hops
-        ):
-            zero_load = hops + size + 1
-            total_latency += p * (zero_load + float(wait[channels].sum()))
-            total_p += p
+        total_p = self.total_probability
+        total_latency = (
+            self.weighted_hops
+            + (size + 1) * total_p
+            + float(self.unit_loads @ wait)
+        )
         return AnalyticPoint(
             injection_rate=injection_rate,
             avg_latency=total_latency / total_p,

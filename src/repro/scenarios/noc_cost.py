@@ -131,8 +131,7 @@ class NocCostModel:
     routing: str = "xy"
     pattern_kwargs: dict = field(default_factory=dict)
 
-    @property
-    def saturation_rate(self) -> float:
+    def _model(self) -> _AnalyticModel:
         return _get_model(
             self.width,
             self.height,
@@ -140,18 +139,19 @@ class NocCostModel:
             self.routing,
             self.packet_size_flits,
             self.pattern_kwargs,
-        ).saturation_rate
+        )
+
+    @property
+    def saturation_rate(self) -> float:
+        return self._model().saturation_rate
+
+    @property
+    def zero_load_latency(self) -> float:
+        """Mean latency at vanishing load (``probe(0.0).avg_latency``)."""
+        return self._model().zero_load_latency
 
     def probe(self, injection_rate: float) -> AnalyticPoint:
-        return noc_cost_probe(
-            self.width,
-            self.height,
-            self.pattern,
-            injection_rate,
-            packet_size_flits=self.packet_size_flits,
-            routing=self.routing,
-            **self.pattern_kwargs,
-        )
+        return self._model().evaluate(float(injection_rate))
 
 
 def epoch_noc_latencies(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.controller import RuntimeReconfigurationController
 from repro.migration.transforms import RotationTransform, XYShiftTransform, make_transform
+from repro.migration.unit import MigrationUnit
 
 
 @pytest.fixture
@@ -80,19 +81,22 @@ class TestMigrationCostCache:
         assert controller_a.migration_cost_computations == computed
 
     def test_cached_results_match_uncached(self, chip_a):
+        """Cached costs equal the uncached oracle: ``MigrationUnit.migration_cost``
+        and ``Mapping.apply_transform`` called directly, step after step."""
         cached = RuntimeReconfigurationController(chip_a)
-        uncached = RuntimeReconfigurationController(chip_a, cache_migration_costs=False)
+        unit = MigrationUnit(chip_a.topology, library=chip_a.library)
         transform = XYShiftTransform(chip_a.topology)
+        mapping = chip_a.static_mapping
         for _ in range(8):
-            cost_cached = cached.apply_migration(transform)
-            cost_uncached = uncached.apply_migration(transform)
-            assert cost_cached.cycles == cost_uncached.cycles
-            assert cost_cached.total_energy_j == cost_uncached.total_energy_j
-            assert cost_cached.energy_per_unit_j == cost_uncached.energy_per_unit_j
-            assert cached.current_mapping == uncached.current_mapping
-        assert uncached.migration_cache_hits == 0
-        assert uncached.migration_cost_computations == 8
+            expected = unit.migration_cost(transform, chip_a.tanner_nodes_per_pe(mapping))
+            mapping = mapping.apply_transform(transform)
+            cost = cached.apply_migration(transform)
+            assert cost.cycles == expected.cycles
+            assert cost.total_energy_j == expected.total_energy_j
+            assert cost.energy_per_unit_j == expected.energy_per_unit_j
+            assert cached.current_mapping == mapping
         assert cached.migration_cost_computations == 4
+        assert cached.migration_cache_hits == 4
 
     def test_distinct_transforms_not_conflated(self, controller_a, chip_a):
         """Two transforms from the same mapping must cache separately."""
@@ -105,6 +109,24 @@ class TestMigrationCostCache:
         assert cost_shift.cycles != cost_rotation.cycles or (
             cost_shift.total_energy_j != cost_rotation.total_energy_j
         )
+
+
+class TestCheckpointValidation:
+    def test_restore_rejects_a_mapping_that_is_not_a_permutation(self, controller_a):
+        state = controller_a.state_dict()
+        state["mapping"][0] = state["mapping"][1]
+        with pytest.raises(ValueError, match="rearrangement"):
+            RuntimeReconfigurationController(controller_a.configuration).restore_state(state)
+
+    def test_restore_rejects_a_next_stage_outside_the_plan(self, controller_a, chip_a):
+        plan = controller_a.begin_plan(
+            RotationTransform(chip_a.topology), style="fluid", units_per_epoch=1
+        )
+        controller_a.advance_plan()
+        state = controller_a.state_dict()
+        state["plan"]["next_stage"] = plan.num_stages
+        with pytest.raises(ValueError, match="next stage"):
+            RuntimeReconfigurationController(chip_a).restore_state(state)
 
 
 class TestEnergyAccounting:

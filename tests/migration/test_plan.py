@@ -249,6 +249,23 @@ class TestPlanCodec:
         restored = MigrationPlan.from_dict(plan.to_dict(mesh5), mesh5)
         assert restored == plan
 
+    def test_rejects_open_or_repeated_moves(self, unit5, mesh5):
+        plan = lower_transform(
+            RotationTransform(mesh5), unit5, style="fluid", units_per_epoch=4
+        )
+        state = plan.to_dict(mesh5)
+        stage = state["stages"][0]
+        # A repeated source (the source and destination sets still match).
+        stage["moves"].append(list(stage["moves"][0]))
+        with pytest.raises(ValueError, match="closed relocation"):
+            MigrationPlan.from_dict(state, mesh5)
+        # An open relocation: a destination outside the stage's sources.
+        stage["moves"].pop()
+        sources = {move[0] for move in stage["moves"] if move[0] != move[1]}
+        stage["moves"][0][1] = min(set(range(mesh5.num_nodes)) - sources)
+        with pytest.raises(ValueError, match="closed relocation"):
+            MigrationPlan.from_dict(state, mesh5)
+
 
 class TestCongestionPricing:
     def test_unpriced_is_unity(self):

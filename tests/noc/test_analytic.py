@@ -1,10 +1,17 @@
 """Validation of the analytic wormhole latency model against the event engine."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.migration.plan import congestion_factor
 from repro.noc.analytic import (
+    ARRIVAL_DISCRETISATION,
     AnalyticPoint,
+    _AnalyticModel,
+    _flow_channels,
     analytic_curve,
     analytic_latency,
     destination_probabilities,
@@ -12,6 +19,7 @@ from repro.noc.analytic import (
 )
 from repro.noc.batch import latency_curve
 from repro.noc.topology import MeshTopology
+from repro.scenarios.noc_cost import NocCostModel
 
 AGREEMENT_CONFIGS = [
     (4, "uniform", {}),
@@ -147,3 +155,88 @@ class TestDestinationProbabilities:
     def test_hotspot_requires_spots(self):
         with pytest.raises(ValueError, match="hotspot"):
             destination_probabilities("hotspot", MeshTopology(4, 4))
+
+
+# ----------------------------------------------------------------------
+# The closed form against the per-flow loop it replaced
+# ----------------------------------------------------------------------
+def per_flow_latency(topology, pattern, rate, packet_size, routing, **kwargs):
+    """The per-flow reference: ``sum_f p_f (H_f + L + 1 + sum_{c in f} W_c) / sum_f p_f``.
+
+    Walks every flow and sums its channels' M/D/1 waits one by one, exactly
+    as the model evaluated before the sum was regrouped by channel.
+    """
+    probs = destination_probabilities(pattern, topology, **kwargs)
+    flows = [
+        (probs[s, d], channels)
+        for (s, d), channels in _flow_channels(topology, routing).items()
+        if probs[s, d] > 0.0
+    ]
+    loads = np.zeros(topology.num_nodes * 5)
+    for p, channels in flows:
+        loads[channels] += p
+    util = rate * packet_size * loads
+    if util.max() >= 1.0:
+        return math.inf
+    wait = ARRIVAL_DISCRETISATION * util * packet_size / (2.0 * (1.0 - util))
+    total_p = total_latency = 0.0
+    for p, channels in flows:
+        zero_load = len(channels) - 1 + packet_size + 1
+        total_latency += p * (zero_load + float(wait[channels].sum()))
+        total_p += p
+    return total_latency / total_p
+
+
+@st.composite
+def traffic(draw):
+    width = draw(st.integers(2, 6))
+    height = draw(st.integers(2, 6))
+    topology = MeshTopology(width, height)
+    pattern = draw(
+        st.sampled_from(["uniform", "transpose", "bit-complement", "neighbor", "hotspot"])
+    )
+    kwargs = {}
+    if pattern == "hotspot":
+        coords = list(topology.coordinates())
+        kwargs["hotspots"] = draw(
+            st.lists(st.sampled_from(coords), min_size=1, max_size=3, unique=True)
+        )
+        kwargs["hotspot_fraction"] = draw(st.floats(0.05, 1.0))
+    routing = draw(st.sampled_from(["xy", "yx"]))
+    packet_size = draw(st.integers(1, 8))
+    return topology, pattern, routing, packet_size, kwargs
+
+
+class TestClosedFormMatchesPerFlowLoop:
+    @given(case=traffic(), fraction=st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=80, deadline=None)
+    def test_evaluate_and_congestion_factor(self, case, fraction):
+        topology, pattern, routing, packet_size, kwargs = case
+        try:
+            model = _AnalyticModel(topology, pattern, packet_size, routing, **kwargs)
+        except ValueError as error:
+            assert "generates no packets" in str(error)
+            return
+        rate = fraction * model.capacity_rate
+        expected = per_flow_latency(topology, pattern, rate, packet_size, routing, **kwargs)
+        assert model.evaluate(rate).avg_latency == pytest.approx(expected, rel=1e-12)
+        zero_load = per_flow_latency(topology, pattern, 0.0, packet_size, routing, **kwargs)
+        assert model.zero_load_latency == pytest.approx(zero_load, rel=1e-12)
+        assert model.evaluate(0.0).avg_latency == model.zero_load_latency
+
+        noc_model = NocCostModel(
+            width=topology.width,
+            height=topology.height,
+            pattern=pattern,
+            packet_size_flits=packet_size,
+            routing=routing,
+            pattern_kwargs=kwargs,
+        )
+        capped = min(rate, math.nextafter(model.saturation_rate, 0.0))
+        ratio = per_flow_latency(
+            topology, pattern, capped, packet_size, routing, **kwargs
+        ) / zero_load
+        expected_factor = max(1.0, ratio) if rate > 0.0 else 1.0
+        assert congestion_factor(noc_model, rate) == pytest.approx(
+            expected_factor, rel=1e-12
+        )

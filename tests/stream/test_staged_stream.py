@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.patterns import BurstPattern, ConstantPattern
 from repro.scenarios.spec import ScenarioSpec
@@ -20,6 +21,7 @@ from repro.stream import (
     StreamingExperiment,
     scenario_windows,
 )
+from repro.stream.checkpoint import CHECKPOINT_JOURNAL
 
 
 def _staged_spec(**kwargs):
@@ -100,6 +102,30 @@ class TestMidPlanResume:
             resumed_engine.experiment.controller.current_mapping.to_permutation()
             == reference_engine.experiment.controller.current_mapping.to_permutation()
         )
+
+    def test_tampered_stage_is_rejected_at_restore(self, tmp_path, capsys):
+        """A checkpointed stage whose moves are not a closed relocation must
+        fail the resume when the checkpoint is restored, not at that stage's
+        epoch mid-stream."""
+        checkpoint = tmp_path / "ck"
+        argv = ["serve", "fluid-under-burst", "--window", "4",
+                "--checkpoint", str(checkpoint)]
+        # The 6-epoch cap bisects the 4-stage xy-shift plan armed at epoch 5.
+        assert main(argv + ["--max-epochs", "6"]) == 0
+        journal = checkpoint / CHECKPOINT_JOURNAL
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        payload = json.loads(lines[-1])
+        plan_state = payload["experiment"]["controller"]["plan"]
+        stage = plan_state["plan"]["stages"][plan_state["next_stage"]]
+        remote = [move for move in stage["moves"] if move[0] != move[1]]
+        sources = {move[0] for move in remote}
+        remote[0][1] = min(set(range(16)) - sources)  # now lands outside the cycle
+        lines[-1] = json.dumps(payload, separators=(",", ":"))
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+
+        with pytest.raises(ValueError, match="closed relocation"):
+            main(argv)
 
     def test_staged_stream_matches_batch_run(self):
         """Window boundaries are invisible: the streamed staged run equals
