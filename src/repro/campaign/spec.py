@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core.policy import policy_family
 from ..scenarios.compile import run_scenario
 from ..scenarios.registry import get_scenario
 from ..scenarios.spec import ScenarioSpec
@@ -187,6 +188,12 @@ class CampaignSpec:
                 derived = (
                     dataclasses.replace(base, **overrides) if overrides else base
                 )
+                if base.policy_params and policy_family(
+                    derived.scheme
+                ) != policy_family(base.scheme):
+                    # The base's policy arguments fit its own policy class,
+                    # not the one the overriding scheme builds.
+                    derived = dataclasses.replace(derived, policy_params=None)
                 style = values[-1]
                 for window in windows:
                     axes = {
@@ -341,7 +348,7 @@ def _evaluate_streaming_job(job: CampaignJob, compiled) -> JobResult:
         pass
     experiment = engine.finalize()
     summary = engine.summary
-    offsets = compiled.ambient_offsets
+    offsets = compiled.window.ambient_offsets
     nominal = compiled.configuration.workload.parameters.iterations_per_block
     mean_iterations = summary.decoder_mean_iterations
     num_windows = -(-job.spec.num_epochs // window)

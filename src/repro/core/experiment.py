@@ -35,7 +35,7 @@ window, thermal state, feedback state and the settled-regime rings carried
 across window boundaries in constant memory), and
 :meth:`ThermalExperiment.finalize` assembles the
 :class:`repro.core.metrics.ExperimentResult`.  The classic whole-horizon
-:meth:`run` is literally one window — ``prepare(); step_window(num_epochs,
+:meth:`run` is literally one window — ``prepare(); step_window(schedule,
 is_last=True); finalize()`` — so batch and streaming
 (:mod:`repro.stream`) share one code path and one set of numbers.
 """
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +58,9 @@ from ..thermal.model import ThermalModel
 from .controller import RuntimeReconfigurationController
 from .metrics import EpochRecord, ExperimentResult, PerformanceMetrics, ThermalMetrics
 from .policy import PolicyContext, ReconfigurationPolicy
+
+if TYPE_CHECKING:
+    from ..stream.window import EpochWindow
 
 #: Policy decisions dropped because a staged migration was still unfolding.
 _OBS_STALLED = _obs_counter("migration.stalled_epochs")
@@ -175,11 +178,10 @@ class FeedbackPlan:
     seed per-epoch path produced (to solver precision), because each
     refresh then solves precisely the one previous-epoch row.
 
-    Ambient offsets come either as a whole-horizon array
-    (``ambient_offsets``, the direct-construction path) or incrementally per
-    epoch window via :meth:`add_offsets` — the windowed driver feeds each
-    window's offsets as it arrives, so the plan never needs the horizon up
-    front and its offset map stays bounded by the refresh lookback.
+    Ambient offsets arrive per epoch window via :meth:`add_offsets` — the
+    experiment's epoch loop feeds each window's offsets as it arrives, so the
+    plan never needs the horizon up front and its offset map stays bounded
+    by the refresh lookback.
     """
 
     #: Queue tag for the pre-experiment static power (the epoch-0 probe);
@@ -191,7 +193,6 @@ class FeedbackPlan:
         thermal_model: ThermalModel,
         topology,
         stride: int,
-        ambient_offsets: Optional[np.ndarray] = None,
         predictor: str = "hold",
     ):
         if stride < 1:
@@ -202,7 +203,6 @@ class FeedbackPlan:
         self.topology = topology
         self.stride = stride
         self.predictor = predictor
-        self.ambient_offsets = ambient_offsets
         #: Number of multi-RHS feedback batches solved so far.
         self.batch_solves = 0
         #: Total power rows evaluated across those batches.
@@ -234,7 +234,6 @@ class FeedbackPlan:
     def add_offsets(self, start_epoch: int, offsets: Optional[np.ndarray]) -> None:
         """Register the ambient offsets of epochs ``start_epoch + i``.
 
-        The windowed counterpart of the constructor's whole-horizon array.
         Entries older than two refresh strides before ``start_epoch`` can no
         longer be read by any future refresh (a refresh at epoch ``e`` only
         flushes rows observed since the previous one, i.e. tags ``>= e -
@@ -253,8 +252,6 @@ class FeedbackPlan:
     # ------------------------------------------------------------------
     def _offset_for(self, epoch_tag: int) -> float:
         index = 0 if epoch_tag == self.PROBE else epoch_tag
-        if self.ambient_offsets is not None:
-            return float(self.ambient_offsets[index])
         return self._offset_map.get(index, 0.0)
 
     def _refresh(self) -> None:
@@ -378,20 +375,21 @@ class ThermalExperiment:
     :class:`repro.thermal.grid.GridThermalModel` for the resolution
     ablation); the batched pipeline is identical either way.
 
-    ``power_modulation`` and ``ambient_offsets_celsius`` are the scenario
-    hooks (see :mod:`repro.scenarios`): the modulation matrix scales each
-    epoch's power row as the controller emits it (so feedback policies see
-    the modulated chip), and the ambient offsets shift each epoch's ambient
-    boundary.  Both modes are exact.  In steady mode the RC network's
-    conduction block conserves energy, so a uniform ambient change moves
-    every steady temperature by exactly that amount — the per-epoch offsets
-    are added after the one batched solve.  In transient mode the ambient
-    forcing ``G_amb * T_amb(t)`` is affine in the RHS, so the offsets ride
-    into the single ``transient_sequence`` call as a per-interval boundary
-    term (and the warm start uses the epoch-0 ambient): the RC network
-    actually integrates the time-varying ambient, at no extra solves.  The
-    static baseline is always reported at the nominal ambient with
-    unmodulated load.
+    ``schedule`` is the scenario hook (see :mod:`repro.scenarios`): an
+    :class:`repro.stream.window.EpochWindow` of ``settings.num_epochs``
+    epochs whose channels :meth:`run` steps through.  Its load modulation
+    scales each epoch's power row as the controller emits it (so feedback
+    policies see the modulated chip), and its ambient offsets shift each
+    epoch's ambient boundary.  Both modes are exact.  In steady mode the RC
+    network's conduction block conserves energy, so a uniform ambient change
+    moves every steady temperature by exactly that amount — the per-epoch
+    offsets are added after the one batched solve.  In transient mode the
+    ambient forcing ``G_amb * T_amb(t)`` is affine in the RHS, so the offsets
+    ride into the single ``transient_sequence`` call as a per-interval
+    boundary term (and the warm start uses the epoch-0 ambient): the RC
+    network actually integrates the time-varying ambient, at no extra
+    solves.  The static baseline is always reported at the nominal ambient
+    with unmodulated load.
 
     Besides the whole-horizon :meth:`run`, the experiment exposes the
     windowed lifecycle it is built from: :meth:`prepare` /
@@ -407,11 +405,8 @@ class ThermalExperiment:
         settings: Optional[ExperimentSettings] = None,
         migration_unit: Optional[MigrationUnit] = None,
         thermal_model: Optional[ThermalModel] = None,
-        power_modulation: Optional[np.ndarray] = None,
-        ambient_offsets_celsius: Optional[np.ndarray] = None,
-        period_scale: Optional[np.ndarray] = None,
+        schedule: Optional[EpochWindow] = None,
         noc_model=None,
-        noc_rates: Optional[np.ndarray] = None,
     ):
         self.configuration = configuration
         self.policy = policy
@@ -422,62 +417,24 @@ class ThermalExperiment:
             migration_unit=migration_unit,
             include_migration_energy=self.settings.include_migration_energy,
         )
-        num_epochs = self.settings.num_epochs
-        num_units = configuration.topology.num_nodes
-        self.power_modulation: Optional[np.ndarray] = None
-        if power_modulation is not None:
-            modulation = np.asarray(power_modulation, dtype=float)
-            if modulation.shape != (num_epochs, num_units):
-                raise ValueError(
-                    f"power_modulation must be ({num_epochs}, {num_units}), "
-                    f"got shape {modulation.shape}"
-                )
-            if not np.all(np.isfinite(modulation)) or modulation.min() < 0:
-                raise ValueError("power_modulation must be finite and non-negative")
-            self.power_modulation = modulation
-        self.ambient_offsets: Optional[np.ndarray] = None
-        if ambient_offsets_celsius is not None:
-            offsets = np.asarray(ambient_offsets_celsius, dtype=float)
-            if offsets.shape != (num_epochs,):
-                raise ValueError(
-                    f"ambient_offsets_celsius must have {num_epochs} entries, "
-                    f"got shape {offsets.shape}"
-                )
-            if not np.all(np.isfinite(offsets)):
-                raise ValueError("ambient offsets must be finite")
-            self.ambient_offsets = offsets
-        #: Per-epoch migration-period multipliers (the scenario ``period``
-        #: channel): epoch ``i`` lasts ``period_us * period_scale[i]``.
-        #: Power rows, energy amortisation and the performance cycle count
-        #: all follow the scaled epoch length; None keeps the fixed period.
-        self.period_scale: Optional[np.ndarray] = None
-        if period_scale is not None:
-            scale = np.asarray(period_scale, dtype=float)
-            if scale.shape != (num_epochs,):
-                raise ValueError(
-                    f"period_scale must have {num_epochs} entries, "
-                    f"got shape {scale.shape}"
-                )
-            if not np.all(np.isfinite(scale)) or scale.min() <= 0:
-                raise ValueError("period_scale must be finite and positive")
-            self.period_scale = scale
-        #: Optional NoC pricing hooks for staged migrations: the analytic
-        #: cost model (:class:`repro.scenarios.noc_cost.NocCostModel`) and
-        #: per-epoch injection rates.  When both are present, each executed
-        #: plan stage's transfer cycles are inflated by the epoch's
-        #: congestion factor.
+        if schedule is None:
+            # Imported here because the repro.stream package imports this module.
+            from ..stream.window import EpochWindow
+
+            schedule = EpochWindow(num_epochs=self.settings.num_epochs)
+        elif schedule.num_epochs != self.settings.num_epochs:
+            raise ValueError(
+                f"schedule covers {schedule.num_epochs} epochs, settings run "
+                f"{self.settings.num_epochs}"
+            )
+        #: The whole run's per-epoch channels; epoch ``i`` of a
+        #: ``period_scale`` channel lasts ``period_us * period_scale[i]``.
+        self.schedule: EpochWindow = schedule
+        #: Optional NoC pricing model
+        #: (:class:`repro.scenarios.noc_cost.NocCostModel`): with a window's
+        #: ``noc_rates``, each executed plan stage's transfer cycles are
+        #: inflated by the epoch's congestion factor.
         self.noc_model = noc_model
-        self.noc_rates: Optional[np.ndarray] = None
-        if noc_rates is not None:
-            rates = np.asarray(noc_rates, dtype=float)
-            if rates.shape != (num_epochs,):
-                raise ValueError(
-                    f"noc_rates must have {num_epochs} entries, "
-                    f"got shape {rates.shape}"
-                )
-            if not np.all(np.isfinite(rates)) or rates.min() < 0:
-                raise ValueError("noc_rates must be finite and non-negative")
-            self.noc_rates = rates
         #: The chunked feedback evaluator of the most recent run (None for
         #: feedback-free policies); exposes batch/row counters for tests.
         self.feedback_plan: Optional[FeedbackPlan] = None
@@ -511,14 +468,7 @@ class ThermalExperiment:
             epochs=self.settings.num_epochs,
         ):
             self.prepare(total_epochs=self.settings.num_epochs, collect_records=True)
-            self.step_window(
-                self.settings.num_epochs,
-                power_modulation=self.power_modulation,
-                ambient_offsets=self.ambient_offsets,
-                period_scale=self.period_scale,
-                noc_rates=self.noc_rates,
-                is_last=True,
-            )
+            self.step_window(self.schedule, is_last=True)
             return self.finalize()
 
     # ------------------------------------------------------------------
@@ -623,82 +573,28 @@ class ThermalExperiment:
         self._active = True
 
     def step_window(
-        self,
-        num_epochs: int,
-        power_modulation: Optional[np.ndarray] = None,
-        ambient_offsets: Optional[np.ndarray] = None,
-        *,
-        period_scale: Optional[np.ndarray] = None,
-        noc_rates: Optional[np.ndarray] = None,
-        is_last: bool = False,
+        self, window: EpochWindow, *, is_last: bool = False
     ) -> WindowOutcome:
-        """Advance the run by ``num_epochs`` epochs as one batched window.
+        """Advance the run by ``window.num_epochs`` epochs as one batched window.
 
         Runs the policy/controller loop over the window, then evaluates it
         with exactly one multi-RHS steady solve (steady mode; the static
         baseline rides the first window's batch and the settled-regime
         average rides the last's) or one ``transient_sequence`` call
         (transient mode; thermal state carried across window boundaries).
-        ``power_modulation`` is ``(num_epochs, num_units)`` and
-        ``ambient_offsets``, ``period_scale`` (per-epoch migration-period
-        multipliers) and ``noc_rates`` (per-epoch NoC injection rates used
-        to congestion-price staged migrations) ``(num_epochs,)``, all
-        window-local.  ``is_last`` folds the settled-regime evaluation into
-        this window's batch; a stream that simply stops computes it in
-        :meth:`finalize` instead (one extra solve in steady mode).
+        The window's channels are window-local: load modulation scales the
+        power rows, ambient offsets shift the ambient boundary,
+        ``period_scale`` multiplies each epoch's migration period and
+        ``noc_rates`` congestion-price staged migrations.  ``is_last`` folds
+        the settled-regime evaluation into this window's batch; a stream that
+        simply stops computes it in :meth:`finalize` instead (one extra
+        solve in steady mode).
         """
         if not self._active:
             raise RuntimeError("call prepare() before step_window()")
-        if num_epochs < 1:
-            raise ValueError("a window must contain at least one epoch")
-        num_units = self.configuration.topology.num_nodes
-        modulation: Optional[np.ndarray] = None
-        if power_modulation is not None:
-            modulation = np.asarray(power_modulation, dtype=float)
-            if modulation.shape != (num_epochs, num_units):
-                raise ValueError(
-                    f"window power_modulation must be ({num_epochs}, {num_units}), "
-                    f"got shape {modulation.shape}"
-                )
-            if not np.all(np.isfinite(modulation)) or modulation.min() < 0:
-                raise ValueError("power_modulation must be finite and non-negative")
-        offsets: Optional[np.ndarray] = None
-        if ambient_offsets is not None:
-            offsets = np.asarray(ambient_offsets, dtype=float)
-            if offsets.shape != (num_epochs,):
-                raise ValueError(
-                    f"window ambient_offsets must have {num_epochs} entries, "
-                    f"got shape {offsets.shape}"
-                )
-            if not np.all(np.isfinite(offsets)):
-                raise ValueError("ambient offsets must be finite")
-        scale: Optional[np.ndarray] = None
-        if period_scale is not None:
-            scale = np.asarray(period_scale, dtype=float)
-            if scale.shape != (num_epochs,):
-                raise ValueError(
-                    f"window period_scale must have {num_epochs} entries, "
-                    f"got shape {scale.shape}"
-                )
-            if not np.all(np.isfinite(scale)) or scale.min() <= 0:
-                raise ValueError("period_scale must be finite and positive")
-        rates: Optional[np.ndarray] = None
-        if noc_rates is not None:
-            rates = np.asarray(noc_rates, dtype=float)
-            if rates.shape != (num_epochs,):
-                raise ValueError(
-                    f"window noc_rates must have {num_epochs} entries, "
-                    f"got shape {rates.shape}"
-                )
-            if not np.all(np.isfinite(rates)) or rates.min() < 0:
-                raise ValueError("noc_rates must be finite and non-negative")
-
+        offsets = window.ambient_offsets
         start_epoch = self._next_epoch
-        if self.feedback_plan is not None:
-            self.feedback_plan.add_offsets(start_epoch, offsets)
-        trace, costs, names = self._loop_window(
-            num_epochs, modulation, offsets, scale, rates
-        )
+        trace, costs, names = self._loop_window(window)
         if offsets is not None:
             self._had_offsets = True
         if self.settings.mode == "steady":
@@ -775,12 +671,7 @@ class ThermalExperiment:
     # Shared epoch loop
     # ------------------------------------------------------------------
     def _loop_window(
-        self,
-        num_epochs: int,
-        power_modulation: Optional[np.ndarray],
-        ambient_offsets: Optional[np.ndarray],
-        period_scale: Optional[np.ndarray] = None,
-        noc_rates: Optional[np.ndarray] = None,
+        self, window: EpochWindow
     ) -> Tuple[PowerTrace, List[Optional[MigrationCost]], List[Optional[str]]]:
         """Run the policy/controller loop for one window of epochs.
 
@@ -793,10 +684,10 @@ class ThermalExperiment:
 
         With ``migration_style != "sudden"`` a policy decision is lowered
         into a :class:`~repro.migration.plan.MigrationPlan` and one stage
-        executes per epoch (priced under the epoch's NoC load when
-        ``noc_rates`` is given); while the plan unfolds the policy is told
-        via ``migration_in_progress`` and any transform it still returns is
-        dropped and counted as a stalled epoch.  The sudden default takes
+        executes per epoch (priced under the epoch's NoC load when the
+        window carries ``noc_rates``); while the plan unfolds the policy is
+        told via ``migration_in_progress`` and any transform it still returns
+        is dropped and counted as a stalled epoch.  The sudden default takes
         the legacy one-shot path untouched, bit for bit.  The cost list
         then holds :class:`~repro.core.controller.StageCost` entries, which
         expose the same ``cycles`` / ``total_energy_j`` / ``energy_vector``
@@ -807,8 +698,13 @@ class ThermalExperiment:
         base_period_us = self.policy.period_us
         period_s = base_period_us * 1e-6
         topology = configuration.topology
+        power_modulation = window.modulation_matrix(topology.num_nodes)
+        period_scale = window.period_scale
+        noc_rates = window.noc_rates
         thermal_feedback = self._thermal_feedback
         plan = self.feedback_plan
+        if plan is not None:
+            plan.add_offsets(self._next_epoch, window.ambient_offsets)
         style = self.settings.migration_style
         staged = style != "sudden"
 
@@ -817,7 +713,7 @@ class ThermalExperiment:
         names: List[Optional[str]] = []
         previous_power = self._previous_power
 
-        for local_index in range(num_epochs):
+        for local_index in range(window.num_epochs):
             epoch_index = self._next_epoch + local_index
             if period_scale is not None:
                 period_us = base_period_us * float(period_scale[local_index])
@@ -887,7 +783,7 @@ class ThermalExperiment:
             previous_power = power
             controller.advance_epoch()
         self._previous_power = previous_power
-        self._next_epoch += num_epochs
+        self._next_epoch += window.num_epochs
         return trace, costs, names
 
     def _epoch_sequence(
@@ -907,15 +803,7 @@ class ThermalExperiment:
             warm_power=None,
             thermal_feedback=thermal_feedback,
         )
-        if self.feedback_plan is not None:
-            self.feedback_plan.add_offsets(0, self.ambient_offsets)
-        return self._loop_window(
-            self.settings.num_epochs,
-            self.power_modulation,
-            self.ambient_offsets,
-            self.period_scale,
-            self.noc_rates,
-        )
+        return self._loop_window(self.schedule)
 
     def _needs_thermal_feedback(self) -> bool:
         """Whether the policy declared it reads feedback temperatures.

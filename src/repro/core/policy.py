@@ -292,6 +292,19 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
         self.choices = []
 
 
+def policy_family(name: str) -> str:
+    """The policy class :func:`make_policy` builds for ``name``.
+
+    ``"threshold"``, ``"adaptive"`` or ``"periodic"`` — static shares the
+    periodic family.  A scheme's keyword arguments fit only its own family.
+    """
+    if name == "adaptive":
+        return "adaptive"
+    if name.startswith("threshold-"):
+        return "threshold"
+    return "periodic"
+
+
 def make_policy(
     name: str,
     topology: MeshTopology,

@@ -1,9 +1,12 @@
 """Compile declarative scenarios onto the batched epoch pipeline.
 
 :func:`compile_scenario` turns a :class:`repro.scenarios.spec.ScenarioSpec`
-into concrete arrays: the ``(num_epochs, num_units)`` **load modulation** of
-the controller's power rows, the ``(num_epochs,)`` **ambient offset** and
-**SNR** schedules.  :func:`run_scenario` threads those through
+into one :class:`repro.stream.window.EpochWindow` over the whole horizon: the
+``(num_epochs, num_units)`` **load modulation** of the controller's power
+rows, the ``(num_epochs,)`` **ambient offset**, **SNR**, NoC-rate and period
+schedules.  :func:`compile_window` evaluates the same channels over any
+``[start, end)`` window through the patterns' cursors, so a stream never
+materialises the horizon.  :func:`run_scenario` threads the window through
 :class:`repro.core.experiment.ThermalExperiment` — the modulation scales each
 epoch's power row as it is emitted, and the ambient schedule is exact in
 *both* modes: steady mode adds the offsets after its one multi-RHS solve
@@ -24,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +43,9 @@ from ..thermal.model import ThermalModel
 from .noc_cost import NocCostModel, rate_noc_latencies
 from .spec import ScenarioSpec
 
+if TYPE_CHECKING:
+    from ..stream.window import EpochWindow
+
 #: SNR schedules are quantized to this grid (dB) before the decoder-effort
 #: measurement, so a smooth drift costs a handful of decode batches, not one
 #: per epoch.
@@ -54,25 +60,17 @@ DECODER_PROBE_MAX_ITERATIONS = 25
 
 @dataclass
 class CompiledScenario:
-    """A spec resolved against a real chip: policy, settings and schedules."""
+    """A spec resolved against a real chip: policy, settings and channels."""
 
     spec: ScenarioSpec
     configuration: ChipConfiguration
     policy: ReconfigurationPolicy
     settings: ExperimentSettings
-    #: ``(num_epochs, num_units)`` multiplier of the per-epoch power rows,
-    #: or None when the scenario leaves the load untouched.
-    load_modulation: Optional[np.ndarray]
-    #: ``(num_epochs,)`` ambient offsets in deg C, or None.
-    ambient_offsets: Optional[np.ndarray]
-    #: ``(num_epochs,)`` absolute channel SNR in dB, or None.
-    snr_schedule: Optional[np.ndarray]
+    #: The whole horizon's per-epoch channels, load modulation broadcast to
+    #: ``(num_epochs, num_units)``; a channel the spec leaves undriven is None.
+    window: EpochWindow
     #: Pricing model for the spec's ``noc`` channel, or None.
     noc_model: Optional[NocCostModel] = None
-    #: ``(num_epochs,)`` absolute per-node injection rates, or None.
-    noc_rates: Optional[np.ndarray] = None
-    #: ``(num_epochs,)`` migration-period multipliers, or None.
-    period_schedule: Optional[np.ndarray] = None
 
     def experiment(self, thermal_model: Optional[ThermalModel] = None) -> ThermalExperiment:
         """The fully-wired experiment this scenario compiles to."""
@@ -81,11 +79,8 @@ class CompiledScenario:
             self.policy,
             settings=self.settings,
             thermal_model=thermal_model,
-            power_modulation=self.load_modulation,
-            ambient_offsets_celsius=self.ambient_offsets,
-            period_scale=self.period_schedule,
+            schedule=self.window,
             noc_model=self.noc_model,
-            noc_rates=self.noc_rates,
         )
 
     @property
@@ -198,23 +193,61 @@ def _epoch_duration_s(spec: ScenarioSpec) -> float:
     return spec.period_us * 1e-6
 
 
-def _temporal_schedule(spec: ScenarioSpec, channel: str) -> Optional[np.ndarray]:
-    """Evaluate a chip-global channel's pattern to a ``(num_epochs,)`` array."""
-    pattern = getattr(spec, channel)
-    if pattern is None:
-        return None
-    pattern = pattern.bind_time(_epoch_duration_s(spec))
-    values = np.asarray(pattern.evaluate(spec.num_epochs), dtype=float)
-    if values.shape != (spec.num_epochs,):
-        raise ValueError(
-            f"{channel} pattern produced shape {values.shape}, "
-            f"expected ({spec.num_epochs},)"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{channel} pattern produced non-finite values")
-    if channel == "period" and values.min() <= 0:
-        raise ValueError("period multipliers must be positive")
-    return values
+def _channel_window(
+    spec: ScenarioSpec,
+    configuration: ChipConfiguration,
+    start_epoch: int,
+    end_epoch: int,
+    whole_horizon: bool = False,
+) -> EpochWindow:
+    """Evaluate every channel pattern of ``spec`` over ``[start_epoch, end_epoch)``.
+
+    The one channel evaluator behind :func:`compile_scenario` and
+    :func:`compile_window`; the returned window validates the channels.
+    ``whole_horizon`` evaluates ``[0, end_epoch)`` with
+    :meth:`Pattern.evaluate`, so patterns that need the horizon (an
+    open-ended ramp) see it; otherwise the :meth:`Pattern.evaluate_window`
+    cursor evaluates the window without materialising its prefix.
+    """
+    # Imported here because the repro.stream package imports this module.
+    from ..stream.window import EpochWindow
+
+    duration_s = _epoch_duration_s(spec)
+    topology = configuration.topology
+    num_epochs = end_epoch - start_epoch
+
+    def evaluate(pattern, spatial_topology=None) -> Optional[np.ndarray]:
+        if pattern is None:
+            return None
+        bound = pattern.bind_time(duration_s)
+        if whole_horizon:
+            values = bound.evaluate(end_epoch, spatial_topology)
+        else:
+            values = bound.evaluate_window(start_epoch, end_epoch, spatial_topology)
+        return np.asarray(values, dtype=float)
+
+    load = evaluate(spec.load, topology)
+    if load is not None and load.ndim == 1:
+        load = np.broadcast_to(
+            load[:, np.newaxis], (num_epochs, topology.num_nodes)
+        ).copy()
+    noc_rates: Optional[np.ndarray] = None
+    if spec.noc is not None:
+        factors = evaluate(spec.noc.rate_pattern)
+        if factors is None:
+            # No explicit rate schedule: the network tracks the compute
+            # load, each epoch's mean modulation scaling the base rate.
+            factors = load.mean(axis=1) if load is not None else np.ones(num_epochs)
+        noc_rates = np.clip(factors, 0.0, None) * spec.noc.injection_rate
+    return EpochWindow(
+        num_epochs=num_epochs,
+        start_epoch=start_epoch,
+        load_modulation=load,
+        ambient_offsets=evaluate(spec.ambient_celsius),
+        snr_schedule=evaluate(spec.snr_db),
+        noc_rates=noc_rates,
+        period_scale=evaluate(spec.period),
+    )
 
 
 def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
@@ -238,31 +271,7 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         migration_style=spec.migration_style,
         units_per_epoch=spec.units_per_epoch,
     )
-
-    modulation: Optional[np.ndarray] = None
-    if spec.load is not None:
-        load_pattern = spec.load.bind_time(_epoch_duration_s(spec))
-        values = np.asarray(
-            load_pattern.evaluate(spec.num_epochs, configuration.topology),
-            dtype=float,
-        )
-        if values.ndim == 1:
-            values = np.broadcast_to(
-                values[:, np.newaxis], (spec.num_epochs, configuration.num_units)
-            ).copy()
-        if values.shape != (spec.num_epochs, configuration.num_units):
-            raise ValueError(
-                f"load pattern produced shape {values.shape}, expected "
-                f"({spec.num_epochs}, {configuration.num_units})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("load pattern produced non-finite values")
-        if values.min() < 0:
-            raise ValueError("load modulation must be non-negative")
-        modulation = values
-
     noc_model: Optional[NocCostModel] = None
-    noc_rates: Optional[np.ndarray] = None
     if spec.noc is not None:
         channel = spec.noc
         topology = configuration.topology
@@ -275,148 +284,31 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
             routing=channel.routing,
             pattern_kwargs=dict(channel.traffic_kwargs or {}),
         )
-        if channel.rate_pattern is not None:
-            rate_pattern = channel.rate_pattern.bind_time(_epoch_duration_s(spec))
-            factors = np.asarray(
-                rate_pattern.evaluate(spec.num_epochs), dtype=float
-            )
-            if factors.shape != (spec.num_epochs,):
-                raise ValueError(
-                    f"noc rate pattern produced shape {factors.shape}, "
-                    f"expected ({spec.num_epochs},)"
-                )
-            if not np.all(np.isfinite(factors)):
-                raise ValueError("noc rate pattern produced non-finite values")
-        elif modulation is not None:
-            # No explicit rate schedule: the network tracks the compute
-            # load, each epoch's mean modulation scaling the base rate.
-            factors = modulation.mean(axis=1)
-        else:
-            factors = np.ones(spec.num_epochs, dtype=float)
-        noc_rates = np.clip(factors, 0.0, None) * channel.injection_rate
-
     return CompiledScenario(
         spec=spec,
         configuration=configuration,
         policy=policy,
         settings=settings,
-        load_modulation=modulation,
-        ambient_offsets=_temporal_schedule(spec, "ambient_celsius"),
-        snr_schedule=_temporal_schedule(spec, "snr_db"),
+        window=_channel_window(
+            spec, configuration, 0, spec.num_epochs, whole_horizon=True
+        ),
         noc_model=noc_model,
-        noc_rates=noc_rates,
-        period_schedule=_temporal_schedule(spec, "period"),
     )
 
 
 def compile_window(
     compiled: CompiledScenario, start_epoch: int, end_epoch: int
-) -> Tuple[
-    Optional[np.ndarray],
-    Optional[np.ndarray],
-    Optional[np.ndarray],
-    Optional[np.ndarray],
-    Optional[np.ndarray],
-]:
+) -> EpochWindow:
     """Evaluate a compiled scenario's patterns over ``[start_epoch, end_epoch)``.
 
-    Returns ``(load_modulation, ambient_offsets, snr_schedule, noc_rates,
-    period_scale)`` window arrays (each None when the scenario does not
-    drive that channel).  The patterns are evaluated lazily via their window
-    cursors, so a stream can walk epochs far beyond ``spec.num_epochs``
-    without ever materialising a whole-horizon array — and inside the
-    horizon the values are exactly the slices :func:`compile_scenario` would
-    have produced.
+    The patterns are evaluated lazily via their window cursors, so a stream
+    can walk epochs far beyond ``spec.num_epochs`` without ever
+    materialising a whole-horizon array — and inside the horizon the
+    channels are exactly the slices of :attr:`CompiledScenario.window`.
     """
-    if end_epoch <= start_epoch:
-        raise ValueError("compile_window needs a non-empty [start, end) window")
-    spec = compiled.spec
-    configuration = compiled.configuration
-    duration_s = _epoch_duration_s(spec)
-    num = end_epoch - start_epoch
-
-    modulation: Optional[np.ndarray] = None
-    if spec.load is not None:
-        values = np.asarray(
-            spec.load.bind_time(duration_s).evaluate_window(
-                start_epoch, end_epoch, configuration.topology
-            ),
-            dtype=float,
-        )
-        if values.ndim == 1:
-            values = np.broadcast_to(
-                values[:, np.newaxis], (num, configuration.num_units)
-            ).copy()
-        if values.shape != (num, configuration.num_units):
-            raise ValueError(
-                f"load pattern produced shape {values.shape}, expected "
-                f"({num}, {configuration.num_units})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("load pattern produced non-finite values")
-        if values.min() < 0:
-            raise ValueError("load modulation must be non-negative")
-        modulation = values
-
-    ambient: Optional[np.ndarray] = None
-    if spec.ambient_celsius is not None:
-        ambient = np.asarray(
-            spec.ambient_celsius.bind_time(duration_s).evaluate_window(
-                start_epoch, end_epoch
-            ),
-            dtype=float,
-        )
-    snr: Optional[np.ndarray] = None
-    if spec.snr_db is not None:
-        snr = np.asarray(
-            spec.snr_db.bind_time(duration_s).evaluate_window(
-                start_epoch, end_epoch
-            ),
-            dtype=float,
-        )
-    period: Optional[np.ndarray] = None
-    if spec.period is not None:
-        period = np.asarray(
-            spec.period.bind_time(duration_s).evaluate_window(
-                start_epoch, end_epoch
-            ),
-            dtype=float,
-        )
-
-    noc_rates: Optional[np.ndarray] = None
-    if spec.noc is not None:
-        channel = spec.noc
-        if channel.rate_pattern is not None:
-            factors = np.asarray(
-                channel.rate_pattern.bind_time(duration_s).evaluate_window(
-                    start_epoch, end_epoch
-                ),
-                dtype=float,
-            )
-        elif modulation is not None:
-            factors = modulation.mean(axis=1)
-        else:
-            factors = np.ones(num, dtype=float)
-        noc_rates = np.clip(factors, 0.0, None) * channel.injection_rate
-
-    for name, values in (
-        ("ambient", ambient),
-        ("snr", snr),
-        ("noc rate", noc_rates),
-        ("period", period),
-    ):
-        if values is None:
-            continue
-        if values.shape != (num,):
-            raise ValueError(
-                f"{name} pattern produced shape {values.shape}, expected ({num},)"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} pattern produced non-finite values")
-    if period is not None and period.min() <= 0:
-        raise ValueError("period multipliers must be positive")
-
-    return modulation, ambient, snr, noc_rates, period
+    return _channel_window(
+        compiled.spec, compiled.configuration, start_epoch, end_epoch
+    )
 
 
 # ----------------------------------------------------------------------
@@ -543,23 +435,24 @@ def run_scenario(
             _OBS_SCENARIOS.add()
             result = compiled.experiment(thermal_model=thermal_model).run()
 
-            offsets = compiled.ambient_offsets
+            window = compiled.window
+            offsets = window.ambient_offsets
             effort = (
-                decoder_effort(compiled.configuration, compiled.snr_schedule)
-                if compiled.snr_schedule is not None
+                decoder_effort(compiled.configuration, window.snr_schedule)
+                if window.snr_schedule is not None
                 else None
             )
             noc_summary: Optional[NocSummary] = None
-            if compiled.noc_model is not None and compiled.noc_rates is not None:
+            if compiled.noc_model is not None and window.noc_rates is not None:
                 latencies, saturated = rate_noc_latencies(
-                    compiled.noc_model, compiled.noc_rates
+                    compiled.noc_model, window.noc_rates
                 )
                 noc_summary = NocSummary(
                     mean_latency_cycles=float(latencies.mean()),
                     peak_latency_cycles=float(latencies.max()),
                     saturated_epochs=int(saturated.sum()),
                     saturation_rate=float(compiled.noc_model.saturation_rate),
-                    peak_injection_rate=float(compiled.noc_rates.max()),
+                    peak_injection_rate=float(window.noc_rates.max()),
                 )
         finally:
             if scope_ctx is not None:

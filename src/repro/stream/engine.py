@@ -223,7 +223,6 @@ class StreamingExperiment:
         if not self._prepared:
             self.prepare()
         experiment = self.experiment
-        num_units = experiment.configuration.topology.num_nodes
         iterator = iter(windows)
         pending = next(iterator, None)
         while pending is not None:
@@ -257,16 +256,7 @@ class StreamingExperiment:
         with _obs_span(
             "stream.window", start_epoch=start_epoch, epochs=window.num_epochs
         ):
-            outcome = experiment.step_window(
-                window.num_epochs,
-                power_modulation=window.modulation_matrix(
-                    experiment.configuration.topology.num_nodes
-                ),
-                ambient_offsets=window.ambient_offsets,
-                period_scale=window.period_scale,
-                noc_rates=window.noc_rates,
-                is_last=is_last,
-            )
+            outcome = experiment.step_window(window, is_last=is_last)
             events = experiment.controller.drain_events()
             # Constant-memory invariant: fold per-epoch logs into counters
             # every window so no component's state grows with the stream.

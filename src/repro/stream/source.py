@@ -45,18 +45,7 @@ def scenario_windows(
         end = cursor + window_epochs
         if max_epochs is not None:
             end = min(end, max_epochs)
-        modulation, ambient, snr, noc_rates, period = compile_window(
-            compiled, cursor, end
-        )
-        yield EpochWindow(
-            num_epochs=end - cursor,
-            start_epoch=cursor,
-            load_modulation=modulation,
-            ambient_offsets=ambient,
-            snr_schedule=snr,
-            noc_rates=noc_rates,
-            period_scale=period,
-        )
+        yield compile_window(compiled, cursor, end)
         cursor = end
 
 

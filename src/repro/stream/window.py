@@ -4,29 +4,53 @@ An :class:`EpochWindow` carries everything the experiment driver needs to
 advance by ``num_epochs`` epochs: the optional load modulation (per-unit or
 chip-global), the ambient-offset schedule and the channel SNR schedule,
 plus the optional NoC injection rates for the pricing model and the
-per-epoch migration-period multipliers.  Windows are the
-wire format of ``repro serve`` — one JSON object per line — so a producer
-can feed an unbounded co-simulation over a pipe, and the scenario source
-(:mod:`repro.stream.source`) emits the same records from pattern cursors.
+per-epoch migration-period multipliers.  It is the one carrier of these
+channels and their one validator: the scenario compiler emits windows
+(:func:`repro.scenarios.compile.compile_window`), the experiment's epoch loop
+consumes them (:meth:`repro.core.experiment.ThermalExperiment.step_window`),
+and they are the wire format of ``repro serve`` — one JSON object per line —
+so a producer can feed an unbounded co-simulation over a pipe.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
+#: The per-epoch channel fields, in wire-format order.
+CHANNELS = (
+    "load_modulation",
+    "ambient_offsets",
+    "snr_schedule",
+    "noc_rates",
+    "period_scale",
+)
 
-def _as_schedule(values, name: str, num_epochs: int) -> Optional[np.ndarray]:
-    """Coerce an optional ``(num_epochs,)`` float schedule, validating it."""
+
+def _as_count(value, name: str) -> int:
+    """An integer field: JSON floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_schedule(
+    values, name: str, num_epochs: int, ndims=(1,)
+) -> Optional[np.ndarray]:
+    """Coerce an optional per-epoch float schedule, validating it."""
     if values is None:
         return None
-    array = np.asarray(values, dtype=float)
-    if array.shape != (num_epochs,):
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be numeric")
+    array = array.astype(float, copy=False)
+    if array.ndim not in ndims or array.shape[0] != num_epochs:
         raise ValueError(
-            f"{name} must have shape ({num_epochs},), got {array.shape}"
+            f"{name} must have {num_epochs} epochs, got shape {array.shape}"
         )
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{name} must be finite")
@@ -52,20 +76,18 @@ class EpochWindow:
     period_scale: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        self.num_epochs = _as_count(self.num_epochs, "num_epochs")
         if self.num_epochs < 1:
             raise ValueError("a window must contain at least one epoch")
-        if self.start_epoch is not None and self.start_epoch < 0:
-            raise ValueError("start_epoch must be non-negative")
-        if self.load_modulation is not None:
-            values = np.asarray(self.load_modulation, dtype=float)
-            if values.ndim not in (1, 2) or values.shape[0] != self.num_epochs:
-                raise ValueError(
-                    "load_modulation must be (num_epochs,) or "
-                    f"(num_epochs, num_units), got {values.shape}"
-                )
-            if not np.all(np.isfinite(values)) or values.min() < 0:
-                raise ValueError("load_modulation must be finite and non-negative")
-            self.load_modulation = values
+        if self.start_epoch is not None:
+            self.start_epoch = _as_count(self.start_epoch, "start_epoch")
+            if self.start_epoch < 0:
+                raise ValueError("start_epoch must be non-negative")
+        self.load_modulation = _as_schedule(
+            self.load_modulation, "load_modulation", self.num_epochs, ndims=(1, 2)
+        )
+        if self.load_modulation is not None and np.any(self.load_modulation < 0):
+            raise ValueError("load_modulation must be non-negative")
         self.ambient_offsets = _as_schedule(
             self.ambient_offsets, "ambient_offsets", self.num_epochs
         )
@@ -73,12 +95,12 @@ class EpochWindow:
             self.snr_schedule, "snr_schedule", self.num_epochs
         )
         self.noc_rates = _as_schedule(self.noc_rates, "noc_rates", self.num_epochs)
-        if self.noc_rates is not None and self.noc_rates.min() < 0:
+        if self.noc_rates is not None and np.any(self.noc_rates < 0):
             raise ValueError("noc_rates must be non-negative")
         self.period_scale = _as_schedule(
             self.period_scale, "period_scale", self.num_epochs
         )
-        if self.period_scale is not None and self.period_scale.min() <= 0:
+        if self.period_scale is not None and np.any(self.period_scale <= 0):
             raise ValueError("period_scale must be positive")
 
     # ------------------------------------------------------------------
@@ -103,32 +125,13 @@ class EpochWindow:
             raise ValueError("head() needs 1 <= num_epochs <= window size")
         if num_epochs == self.num_epochs:
             return self
+        channels = {}
+        for name in CHANNELS:
+            values = getattr(self, name)
+            if values is not None:
+                channels[name] = values[:num_epochs]
         return EpochWindow(
-            num_epochs=num_epochs,
-            start_epoch=self.start_epoch,
-            load_modulation=(
-                self.load_modulation[:num_epochs]
-                if self.load_modulation is not None
-                else None
-            ),
-            ambient_offsets=(
-                self.ambient_offsets[:num_epochs]
-                if self.ambient_offsets is not None
-                else None
-            ),
-            snr_schedule=(
-                self.snr_schedule[:num_epochs]
-                if self.snr_schedule is not None
-                else None
-            ),
-            noc_rates=(
-                self.noc_rates[:num_epochs] if self.noc_rates is not None else None
-            ),
-            period_scale=(
-                self.period_scale[:num_epochs]
-                if self.period_scale is not None
-                else None
-            ),
+            num_epochs=num_epochs, start_epoch=self.start_epoch, **channels
         )
 
     # ------------------------------------------------------------------
@@ -138,43 +141,20 @@ class EpochWindow:
         record: Dict[str, object] = {"num_epochs": self.num_epochs}
         if self.start_epoch is not None:
             record["start_epoch"] = self.start_epoch
-        if self.load_modulation is not None:
-            record["load_modulation"] = self.load_modulation.tolist()
-        if self.ambient_offsets is not None:
-            record["ambient_offsets"] = self.ambient_offsets.tolist()
-        if self.snr_schedule is not None:
-            record["snr_schedule"] = self.snr_schedule.tolist()
-        if self.noc_rates is not None:
-            record["noc_rates"] = self.noc_rates.tolist()
-        if self.period_scale is not None:
-            record["period_scale"] = self.period_scale.tolist()
+        for name in CHANNELS:
+            values = getattr(self, name)
+            if values is not None:
+                record[name] = values.tolist()
         return record
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "EpochWindow":
-        unknown = set(record) - {
-            "num_epochs",
-            "start_epoch",
-            "load_modulation",
-            "ambient_offsets",
-            "snr_schedule",
-            "noc_rates",
-            "period_scale",
-        }
+        unknown = set(record) - {"num_epochs", "start_epoch", *CHANNELS}
         if unknown:
             raise ValueError(f"unknown EpochWindow fields: {sorted(unknown)}")
         if "num_epochs" not in record:
             raise ValueError("EpochWindow record needs num_epochs")
-        start = record.get("start_epoch")
-        return cls(
-            num_epochs=int(record["num_epochs"]),  # type: ignore[arg-type]
-            start_epoch=int(start) if start is not None else None,  # type: ignore[arg-type]
-            load_modulation=record.get("load_modulation"),
-            ambient_offsets=record.get("ambient_offsets"),
-            snr_schedule=record.get("snr_schedule"),
-            noc_rates=record.get("noc_rates"),
-            period_scale=record.get("period_scale"),
-        )
+        return cls(**record)  # type: ignore[arg-type]
 
     def to_json_line(self) -> str:
         """One JSONL record (no trailing newline)."""

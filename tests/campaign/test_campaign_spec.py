@@ -102,6 +102,25 @@ class TestCampaignSpec:
         jobs = CampaignSpec(name="reg", scenarios=("steady-baseline",)).expand()
         assert jobs[0].spec.num_epochs == 41
 
+    def test_scheme_override_drops_foreign_policy_params(self):
+        # threshold-under-burst carries trigger_celsius, which only the
+        # threshold policy class accepts.
+        jobs = CampaignSpec(
+            name="override",
+            scenarios=("threshold-under-burst",),
+            schemes=("xy-shift", "threshold-rotation"),
+        ).expand()
+        assert [job.job_id for job in jobs] == [
+            "threshold-under-burst@B/xy-shift/fs4/euler",
+            "threshold-under-burst@B/threshold-rotation/fs4/euler",
+        ]
+        assert [job.spec.policy_params for job in jobs] == [
+            None,
+            {"trigger_celsius": 90.0},
+        ]
+        for job in jobs:
+            assert evaluate_job(job).job_id == job.job_id
+
 
 class TestJobResult:
     def test_round_trips_exactly(self):

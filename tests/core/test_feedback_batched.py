@@ -26,6 +26,7 @@ from repro.core.policy import (
     ThresholdMigrationPolicy,
 )
 from repro.power.trace import vector_to_map
+from repro.stream import EpochWindow
 from repro.thermal.grid import GridThermalModel
 
 EPOCHS = 11
@@ -222,7 +223,10 @@ class TestK1AmbientParity:
         make = lambda: _threshold(chip, trigger=nominal_peak + 2.5)
 
         result = ThermalExperiment(
-            chip, make(), settings=STEADY, ambient_offsets_celsius=ambient
+            chip,
+            make(),
+            settings=STEADY,
+            schedule=EpochWindow(num_epochs=EPOCHS, ambient_offsets=ambient),
         ).run()
         reference_epochs, _per_epoch, _settled = reference_steady_feedback(
             chip, make(), STEADY, chip.thermal_model, ambient=ambient

@@ -21,6 +21,7 @@ from repro.core.policy import (
     PolicyContext,
     ThresholdMigrationPolicy,
 )
+from repro.stream import EpochWindow
 from repro.thermal.grid import GridThermalModel
 
 STEADY = dict(num_epochs=13, mode="steady", settle_epochs=10)
@@ -231,7 +232,7 @@ class TestCyclesRunCheckpoint:
         settings = ExperimentSettings(num_epochs=12, settle_epochs=6)
         experiment = ThermalExperiment(chip_a, policy, settings=settings)
         experiment.prepare(collect_records=False)
-        experiment.step_window(6)
+        experiment.step_window(EpochWindow(num_epochs=6))
         state = experiment.state_dict()
         assert state["cycles_run"] == experiment._cycles_run
         assert state["cycles_run"] > 0
@@ -250,7 +251,7 @@ class TestCyclesRunCheckpoint:
         settings = ExperimentSettings(num_epochs=12, settle_epochs=6)
         experiment = ThermalExperiment(chip_a, policy, settings=settings)
         experiment.prepare(collect_records=False)
-        experiment.step_window(6)
+        experiment.step_window(EpochWindow(num_epochs=6))
         state = experiment.state_dict()
         del state["cycles_run"]
 
@@ -267,20 +268,17 @@ class TestCyclesRunCheckpoint:
 
 class TestPeriodSchedule:
     def test_period_scale_shapes_validated(self, chip_a):
-        settings = ExperimentSettings(num_epochs=4, settle_epochs=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="period_scale"):
+            EpochWindow(num_epochs=4, period_scale=np.ones(3))
+        with pytest.raises(ValueError, match="period_scale"):
+            EpochWindow(num_epochs=4, period_scale=np.array([1.0, 0.0, 1.0, 1.0]))
+        # A schedule must cover exactly the run's horizon.
+        with pytest.raises(ValueError, match="schedule covers 3 epochs"):
             ThermalExperiment(
                 chip_a,
                 PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0),
-                settings=settings,
-                period_scale=np.ones(3),
-            )
-        with pytest.raises(ValueError):
-            ThermalExperiment(
-                chip_a,
-                PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0),
-                settings=settings,
-                period_scale=np.array([1.0, 0.0, 1.0, 1.0]),
+                settings=ExperimentSettings(num_epochs=4, settle_epochs=2),
+                schedule=EpochWindow(num_epochs=3, period_scale=np.ones(3)),
             )
 
     def test_unit_schedule_matches_unscheduled_run(self, chip_a):
@@ -292,7 +290,10 @@ class TestPeriodSchedule:
             settings=settings,
         )
         scheduled = ThermalExperiment(
-            chip_a, policy, settings=settings, period_scale=np.ones(8)
+            chip_a,
+            policy,
+            settings=settings,
+            schedule=EpochWindow(num_epochs=8, period_scale=np.ones(8)),
         )
         plain_result = plain.run()
         scheduled_result = scheduled.run()
@@ -311,7 +312,7 @@ class TestPeriodSchedule:
             settings = ExperimentSettings(num_epochs=8, settle_epochs=4)
             experiment = ThermalExperiment(
                 chip_a, policy, settings=settings,
-                period_scale=np.full(8, scale),
+                schedule=EpochWindow(num_epochs=8, period_scale=np.full(8, scale)),
             )
             return experiment.run().throughput_penalty
 

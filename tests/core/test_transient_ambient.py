@@ -19,6 +19,7 @@ from repro.chips import get_configuration
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
 from repro.core.metrics import ThermalMetrics
 from repro.core.policy import PeriodicMigrationPolicy
+from repro.stream import EpochWindow
 from repro.thermal.grid import GridThermalModel
 from repro.thermal.hotspot import HotSpotModel
 
@@ -114,7 +115,7 @@ class TestExactAmbientTransient:
             _policy(chip),
             settings=_settings(method),
             thermal_model=_experiment_model(chip, kind),
-            ambient_offsets_celsius=OFFSETS,
+            schedule=EpochWindow(num_epochs=NUM_EPOCHS, ambient_offsets=OFFSETS),
         ).run()
 
         per_epoch, settled_peak, settled_mean = _reference_rebuilt_networks(
@@ -148,7 +149,7 @@ class TestExactAmbientTransient:
             _policy(chip),
             settings=_settings(method),
             thermal_model=model,
-            ambient_offsets_celsius=OFFSETS,
+            schedule=EpochWindow(num_epochs=NUM_EPOCHS, ambient_offsets=OFFSETS),
         ).run()
         # The boundary term is free: baseline + warm start (steady solves),
         # one sequence, zero per-epoch transients — identical counts to an
@@ -180,7 +181,7 @@ class TestQuasiStaticIsGone:
             chip,
             _policy(chip),
             settings=_settings("euler"),
-            ambient_offsets_celsius=step,
+            schedule=EpochWindow(num_epochs=NUM_EPOCHS, ambient_offsets=step),
         ).run()
 
         quasi_static_peak = nominal.epochs[4].thermal.peak_celsius + 10.0
@@ -204,7 +205,9 @@ class TestQuasiStaticIsGone:
             chip,
             _policy(chip),
             settings=_settings("spectral"),
-            ambient_offsets_celsius=np.full(NUM_EPOCHS, offset),
+            schedule=EpochWindow(
+                num_epochs=NUM_EPOCHS, ambient_offsets=np.full(NUM_EPOCHS, offset)
+            ),
         ).run()
         assert exact.settled_peak_celsius == pytest.approx(
             reference.settled_peak_celsius, abs=1e-9

@@ -26,6 +26,7 @@ from repro.scenarios.patterns import (
 )
 from repro.scenarios.registry import all_scenarios, get_scenario
 from repro.scenarios.spec import ScenarioSpec
+from repro.stream.window import CHANNELS, EpochWindow
 from repro.thermal.hotspot import HotSpotModel
 
 PARITY_CONFIGURATIONS = ("A", "C", "E")
@@ -101,9 +102,10 @@ class TestCompilation:
             load=StepPattern(before=1.0, after=0.5, step_epoch=3),
         )
         compiled = compile_scenario(spec)
-        assert compiled.load_modulation.shape == (6, 16)
-        assert np.all(compiled.load_modulation[0] == 1.0)
-        assert np.all(compiled.load_modulation[5] == 0.5)
+        load = compiled.window.load_modulation
+        assert load.shape == (6, 16)
+        assert np.all(load[0] == 1.0)
+        assert np.all(load[5] == 0.5)
 
     def test_negative_load_rejected(self):
         spec = ScenarioSpec(
@@ -115,9 +117,10 @@ class TestCompilation:
 
     def test_channels_default_to_none(self):
         compiled = compile_scenario(ScenarioSpec(name="x", configuration="A"))
-        assert compiled.load_modulation is None
-        assert compiled.ambient_offsets is None
-        assert compiled.snr_schedule is None
+        window = compiled.window
+        assert window.num_epochs == compiled.spec.num_epochs
+        for name in CHANNELS:
+            assert getattr(window, name) is None
 
     def test_policy_and_settings_follow_spec(self):
         spec = ScenarioSpec(
@@ -164,7 +167,10 @@ class TestModulationSemantics:
 
         policy = PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0)
         modulated = ThermalExperiment(
-            chip, policy, settings=settings, power_modulation=modulation
+            chip,
+            policy,
+            settings=settings,
+            schedule=EpochWindow(num_epochs=8, load_modulation=modulation),
         )
         modulated_trace, _costs, _names = modulated._epoch_sequence(
             thermal_feedback=False
@@ -252,7 +258,7 @@ class TestAmbientOffsets:
             )
             ThermalExperiment(
                 chip, policy, settings=settings,
-                ambient_offsets_celsius=offsets_or_none,
+                schedule=EpochWindow(num_epochs=4, ambient_offsets=offsets_or_none),
             ).run()
             return policy.migrations_triggered
 

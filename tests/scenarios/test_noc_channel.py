@@ -79,21 +79,21 @@ class TestNocCompilation:
         compiled = compile_scenario(spec)
         assert compiled.noc_model is not None
         expected = 0.01 * np.asarray([1, 1, 3, 3, 1, 1, 1, 1], dtype=float)
-        np.testing.assert_allclose(compiled.noc_rates, expected)
+        np.testing.assert_allclose(compiled.window.noc_rates, expected)
 
     def test_without_rate_pattern_noc_tracks_load(self):
         spec = dataclasses.replace(noc_spec(), load=ConstantPattern(1.5))
         compiled = compile_scenario(spec)
-        np.testing.assert_allclose(compiled.noc_rates, np.full(8, 0.015))
+        np.testing.assert_allclose(compiled.window.noc_rates, np.full(8, 0.015))
 
     def test_flat_scenario_uses_base_rate(self):
         compiled = compile_scenario(noc_spec())
-        np.testing.assert_allclose(compiled.noc_rates, np.full(8, 0.01))
+        np.testing.assert_allclose(compiled.window.noc_rates, np.full(8, 0.01))
 
     def test_no_channel_compiles_to_none(self):
         spec = dataclasses.replace(noc_spec(), noc=None)
         compiled = compile_scenario(spec)
-        assert compiled.noc_model is None and compiled.noc_rates is None
+        assert compiled.noc_model is None and compiled.window.noc_rates is None
 
     def test_mesh_comes_from_the_configuration(self):
         spec = dataclasses.replace(noc_spec(), configuration="C")  # 5x5 chip

@@ -56,12 +56,7 @@ def _batch_warm_power(compiled, thermal_model=None):
     """
     probe = compiled.experiment(thermal_model=thermal_model)
     probe.prepare(total_epochs=compiled.spec.num_epochs)
-    outcome = probe.step_window(
-        compiled.spec.num_epochs,
-        power_modulation=compiled.load_modulation,
-        ambient_offsets=compiled.ambient_offsets,
-        is_last=True,
-    )
+    outcome = probe.step_window(compiled.window, is_last=True)
     return outcome.trace.average_vector()
 
 

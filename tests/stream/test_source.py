@@ -1,5 +1,6 @@
 """Window sources: scenario pattern cursors and the JSONL wire format."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.patterns import DiurnalPattern, RampPattern
+from repro.scenarios.registry import all_scenarios, get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.stream import EpochWindow, jsonl_windows, scenario_windows
+from repro.stream.window import CHANNELS
 
 
 def _compiled(num_epochs=12):
@@ -24,6 +27,11 @@ def _compiled(num_epochs=12):
     return compile_scenario(spec)
 
 
+@functools.lru_cache(maxsize=None)
+def _compiled_registry(name):
+    return compile_scenario(get_scenario(name))
+
+
 class TestScenarioWindows:
     def test_covers_horizon_with_trimmed_tail(self):
         compiled = _compiled()
@@ -31,15 +39,28 @@ class TestScenarioWindows:
         assert [w.num_epochs for w in windows] == [5, 5, 2]
         assert [w.start_epoch for w in windows] == [0, 5, 10]
 
-    def test_windows_match_batch_schedules(self):
-        compiled = _compiled()
-        windows = list(scenario_windows(compiled, 5, max_epochs=12))
-        stitched = np.concatenate(
-            [w.modulation_matrix(compiled.load_modulation.shape[1]) for w in windows]
-        )
-        assert np.array_equal(stitched, compiled.load_modulation)
-        offsets = np.concatenate([w.ambient_offsets for w in windows])
-        assert np.array_equal(offsets, compiled.ambient_offsets)
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize("spec", all_scenarios(), ids=lambda spec: spec.name)
+    def test_windows_match_batch_schedules(self, spec, channel):
+        # 7-epoch windows divide none of the registry horizons, so every
+        # stitch also crosses a trimmed tail window.
+        compiled = _compiled_registry(spec.name)
+        windows = scenario_windows(compiled, 7, max_epochs=spec.num_epochs)
+        parts = [getattr(window, channel) for window in windows]
+        expected = getattr(compiled.window, channel)
+        if expected is None:
+            assert all(part is None for part in parts)
+        else:
+            assert np.array_equal(np.concatenate(parts), expected)
+
+    def test_registry_drives_every_channel(self):
+        driven = {
+            channel
+            for spec in all_scenarios()
+            for channel in CHANNELS
+            if getattr(_compiled_registry(spec.name).window, channel) is not None
+        }
+        assert driven == set(CHANNELS)
 
     def test_unbounded_stream_keeps_producing(self):
         compiled = _compiled()

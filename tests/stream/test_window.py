@@ -1,4 +1,8 @@
-"""EpochWindow: validation, broadcasting, trimming and the JSONL codec."""
+"""EpochWindow: validation, broadcasting, trimming and the JSONL codec.
+
+Channel validation over generated windows lives in
+``tests/property/test_property_window.py``.
+"""
 
 import numpy as np
 import pytest
@@ -15,22 +19,6 @@ class TestValidation:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError, match="start_epoch"):
             EpochWindow(num_epochs=3, start_epoch=-1)
-
-    def test_rejects_wrong_length_schedule(self):
-        with pytest.raises(ValueError, match="ambient_offsets"):
-            EpochWindow(num_epochs=3, ambient_offsets=[0.0, 1.0])
-
-    def test_rejects_non_finite_modulation(self):
-        with pytest.raises(ValueError, match="finite"):
-            EpochWindow(num_epochs=2, load_modulation=[1.0, np.nan])
-
-    def test_rejects_negative_modulation(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            EpochWindow(num_epochs=2, load_modulation=[1.0, -0.1])
-
-    def test_rejects_negative_noc_rates(self):
-        with pytest.raises(ValueError, match="noc_rates"):
-            EpochWindow(num_epochs=2, noc_rates=[0.1, -0.1])
 
     def test_schedule_helper_passes_none(self):
         assert _as_schedule(None, "x", 4) is None

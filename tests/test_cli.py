@@ -400,6 +400,30 @@ class TestServeCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert _json.loads(out[-1])["final"] is True
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"num_epochs": 2.5}',
+            '{"num_epochs": 2, "start_epoch": 1.9}',
+            '{"num_epochs": true}',
+            '{"num_epochs": 1, "start_epoch": true}',
+            '{"num_epochs": null}',
+            '{"num_epochs": [2]}',
+            '{"num_epochs": {"a": 1}}',
+            '{"num_epochs": 2, "ambient_offsets": {"a": 1}}',
+            '{"num_epochs": 2, "noc_rates": ["0.1", "0.2"]}',
+            '{"num_epochs": 2, "period_scale": [true, true]}',
+        ],
+    )
+    def test_malformed_window_is_one_line_error(self, tmp_path, capsys, line):
+        path = tmp_path / "windows.jsonl"
+        path.write_text(line + "\n")
+        assert main(["serve", "--input", str(path), "-c", "A",
+                     "-s", "xy-shift"]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_threshold_scheme_without_trigger_is_one_line_error(
         self, tmp_path, capsys
     ):
