@@ -9,9 +9,9 @@ A 100+-job campaign (2 cheap steady scenarios x all 5 chips x 5 schemes x
   (guarded by the run's own counter *and* the shared thermal solvers'
   solve counters, which must not move), and the acceptance floor asserts
   the warm run is at least 20x faster (``campaign.sweep.warm``);
-* **sharded** — a fresh directory sharing the cold run's cache root,
-  executed with a forced 2-way fan-out: bit-identical results to the
-  serial run (``campaign.sweep.sharded``).
+* **sharded** — a fresh directory with its own cache, evaluated on 2
+  worker processes: bit-identical results to the serial run
+  (``campaign.sweep.sharded``).
 
 Structural guards (zero evaluations, bit-identical payloads, resume
 exactness) hold in ``--smoke`` mode too; only wall-clock floors are waived.
@@ -140,28 +140,15 @@ def test_cold_warm_campaign(workdir):
     )
 
 
-def test_sharded_campaign_bit_identical(workdir, monkeypatch):
-    """A forced 2-way fan-out produces byte-for-byte the serial results."""
+def test_sharded_campaign_bit_identical(workdir):
+    """Two worker processes produce byte-for-byte the serial results."""
     spec = _fleet_spec()
     serial = run_campaign(spec, workdir / "fleet", n_jobs=1)  # cached by now
 
-    # Force genuine thread fan-out regardless of host CPU count and the
-    # cost-aware downgrade (these jobs are a few milliseconds each).
-    monkeypatch.setattr(
-        "repro.analysis.runner.plan_execution",
-        lambda n_jobs, num_tasks, est_task_seconds=None, executor="process": (
-            2,
-            "thread",
-        ),
-    )
     with perf_utils.timed() as sharded_timer:
-        sharded = run_campaign(
-            spec,
-            workdir / "fleet-sharded",
-            n_jobs=2,
-            executor="thread",
-        )
-    assert sharded.evaluated + sharded.cache_hits == len(sharded.jobs)
+        sharded = run_campaign(spec, workdir / "fleet-sharded", n_jobs=2)
+    assert sharded.workers == 2
+    assert sharded.evaluated == len(sharded.jobs)
     assert [r.to_dict() for r in sharded.results] == [
         r.to_dict() for r in serial.results
     ]
@@ -175,7 +162,7 @@ def test_sharded_campaign_bit_identical(workdir, monkeypatch):
         evaluated=sharded.evaluated,
         cache_hits=sharded.cache_hits,
         n_jobs=2,
-        executor="thread",
+        executor="process",
     )
 
 

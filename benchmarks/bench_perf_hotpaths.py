@@ -16,10 +16,10 @@ of the array-native pipeline, and records everything in ``BENCH_perf.json``:
 * **The sequenced transient experiment** (one ``transient_sequence`` call,
   zero per-epoch ``transient()`` round-trips);
 * **The grid-model steady batch** vs. per-map solves on the 3x3-refined
-  floorplan — the resolution ablation now rides the same fast paths;
-* **The 3-period migration sweep** through the parallel runner with
-  ``n_jobs > 1`` vs. the serial path (identical points required), with the
-  steady sweep guarded to one batched solve per experiment.
+  floorplan — the resolution ablation now rides the same fast paths.
+
+The 3-period migration sweep, guarded to one batched solve per experiment,
+lives in ``bench_period_sweep.py``.
 """
 
 import numpy as np
@@ -456,7 +456,3 @@ def test_sparse_syndrome_precompute(benchmark):
         ],
     )
 
-
-# The parallel 3-period sweep (analysis.period_sweep.n_jobs3) moved to
-# bench_period_sweep.py, where the cost-aware execution plan is asserted to
-# never ship a parallel path slower than serial.

@@ -27,6 +27,9 @@ def sweep_steady(chip_a):
 
 def test_period_sweep_throughput_penalty(benchmark, chip_a):
     """Benchmark the steady-mode sweep and check the penalty column's shape."""
+    solver = chip_a.thermal_model.solver
+    solves_before = solver.steady_solve_count
+    factorizations_before = solver.step_factorization_count
     with perf_utils.timed() as timer:
         sweep = benchmark.pedantic(
             run_period_sweep,
@@ -40,6 +43,11 @@ def test_period_sweep_throughput_penalty(benchmark, chip_a):
             rounds=1,
             iterations=1,
         )
+    # Regression guard: a steady sweep performs one batched solve per
+    # experiment against the single construction-time factorisation — no
+    # per-epoch solves, no step-matrix factorisations.
+    assert solver.steady_solve_count - solves_before == len(PAPER_PERIODS_US)
+    assert solver.step_factorization_count == factorizations_before
     perf_utils.record_perf(
         "analysis.period_sweep.steady",
         timer.seconds,
@@ -101,100 +109,6 @@ def test_period_sweep_peak_ripple_transient(benchmark, chip_a):
     # ripple is larger but still well under a degree.  See EXPERIMENTS.md.
     assert abs(rises[437.2]) < 1.0
     assert abs(rises[874.4]) < 2.0
-
-
-def test_parallel_period_sweep_never_slower_than_serial(benchmark, chip_a):
-    """Experiment E4b — the n_jobs>1 sweep through the cost-aware planner.
-
-    BENCH_perf.json once recorded ``analysis.period_sweep.n_jobs3`` at
-    speedup 0.25: three ~5 ms batched sweep points fanned out to a process
-    pool, where pickling and IPC swamped the now-cheap per-period cost.
-    ``run_period_sweep`` now passes a per-point cost hint and
-    :func:`repro.analysis.runner.plan_execution` downgrades cheap task sets
-    (process -> thread -> serial), so asking for parallelism can never again
-    ship a slower path than serial — asserted here both structurally (the
-    plan itself) and on the wall clock.
-    """
-    from repro.analysis.runner import plan_execution
-    from repro.analysis.sweep import experiment_cost_hint_s
-
-    kwargs = {
-        "scheme": "xy-shift",
-        "periods_us": PAPER_PERIODS_US,
-        "mode": "steady",
-        "num_epochs": 41,
-    }
-    solver = chip_a.thermal_model.solver
-    solves_before = solver.steady_solve_count
-    factorizations_before = solver.step_factorization_count
-
-    # Structural guard: a 3-point sweep of ~5 ms tasks must not plan a
-    # process pool, whatever the host looks like.
-    hint = experiment_cost_hint_s("steady", 41)
-    workers, executor = plan_execution(3, len(PAPER_PERIODS_US), hint, "process")
-    assert executor != "process"
-
-    serial_s = _timed_sweep(chip_a, kwargs)
-    # Regression guard: a steady sweep performs one batched solve per
-    # experiment against the single construction-time factorisation — no
-    # per-epoch solves, no step-matrix factorisations.
-    assert solver.steady_solve_count - solves_before == len(PAPER_PERIODS_US)
-    assert solver.step_factorization_count == factorizations_before
-
-    serial = run_period_sweep(chip_a, **kwargs)
-    parallel = benchmark.pedantic(
-        run_period_sweep,
-        args=(chip_a,),
-        kwargs={**kwargs, "n_jobs": 3},
-        rounds=1,
-        iterations=1,
-    )
-    # Interleaved best-of-5 on both sides: at the ~10 ms scale, run-order
-    # drift (frequency scaling, cache state) would otherwise dwarf the real
-    # difference between two near-identical paths.
-    parallel_s = float("inf")
-    for _ in range(5):
-        serial_s = min(serial_s, _timed_sweep(chip_a, kwargs))
-        parallel_s = min(parallel_s, _timed_sweep(chip_a, kwargs, n_jobs=3))
-
-    assert [p.period_us for p in parallel.points] == [p.period_us for p in serial.points]
-    for serial_point, parallel_point in zip(serial.points, parallel.points):
-        assert parallel_point.throughput_penalty == serial_point.throughput_penalty
-        assert parallel_point.settled_peak_celsius == serial_point.settled_peak_celsius
-
-    speedup = serial_s / parallel_s
-    perf_utils.record_perf(
-        "analysis.period_sweep.n_jobs3",
-        parallel_s,
-        throughput=len(PAPER_PERIODS_US) / parallel_s,
-        throughput_unit="periods/s",
-        baseline_wall_s=serial_s,
-        baseline="serial sweep (seed)",
-        n_jobs=3,
-        planned_executor=executor,
-        planned_workers=workers,
-    )
-    print_rows(
-        "3-period sweep: serial vs n_jobs=3 (cost-aware plan)",
-        [
-            {
-                "serial_ms": round(1e3 * serial_s, 2),
-                "n_jobs3_ms": round(1e3 * parallel_s, 2),
-                "speedup": round(speedup, 2),
-                "plan": f"{executor} x{workers}",
-            }
-        ],
-    )
-    # The headline fix: the parallel path may not be slower than serial.
-    # (Best-of-3 on both sides keeps scheduler noise out; smoke mode waives
-    # the wall-clock floor but the structural plan assert above stays.)
-    assert speedup >= perf_utils.speedup_floor(1.0)
-
-
-def _timed_sweep(chip, kwargs, n_jobs=None):
-    with perf_utils.timed() as timer:
-        run_period_sweep(chip, **kwargs, n_jobs=n_jobs)
-    return timer.seconds
 
 
 def test_penalty_scales_inversely_with_period(sweep_steady):

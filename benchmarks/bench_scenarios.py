@@ -8,12 +8,9 @@ the warm start) in transient mode, ``ceil(num_epochs / feedback_stride)``
 chunked feedback batches on top for thermal-feedback policies, and never a
 per-epoch ``transient()`` round-trip or per-epoch feedback solve.  Also
 benchmarks the chunked feedback loop against the seed per-epoch reference
-(``feedback.batched``), times the whole-registry comparison serially and
-across every core, and checks the controller's migration-cost cache is
-engaged across the suite.
+(``feedback.batched``), times the whole-registry comparison, and checks
+the controller's migration-cost cache is engaged across the suite.
 """
-
-import os
 
 import pytest
 
@@ -240,60 +237,6 @@ def test_batched_feedback_loop(benchmark, chip_a):
     # feedback loop: must at least break even, and the structural guard
     # above is the real regression fence.
     assert speedup >= perf_utils.speedup_floor(1.0)
-
-
-def test_scenario_suite_multicore(benchmark):
-    """Experiment S4 — the registry suite across every core (thread pool).
-
-    The ROADMAP's multi-core record: scenario tasks are GIL-releasing
-    multi-RHS solves and batched decodes, so the thread pool (now the
-    ScenarioRunner default) can use the host's cores without pickling.
-    Recorded against the serial suite from ``scenarios.compare.registry``;
-    on 1-CPU hosts this honestly records ~1x.
-    """
-    specs = all_scenarios()
-    # Warm the process-wide caches (chip builds, decoder probes, solver
-    # factorisations) outside the timers so the serial/parallel comparison
-    # measures parallelism, not first-touch warm-up.
-    compare_scenarios(specs)
-    with perf_utils.timed() as serial_timer:
-        serial = compare_scenarios(specs)
-    with perf_utils.timed() as parallel_timer:
-        parallel = benchmark.pedantic(
-            compare_scenarios, args=(specs,), kwargs={"n_jobs": -1}, rounds=1,
-            iterations=1,
-        )
-    assert parallel.names() == serial.names()
-    for serial_result, parallel_result in zip(serial.results, parallel.results):
-        assert parallel_result.experiment.settled_peak_celsius == pytest.approx(
-            serial_result.experiment.settled_peak_celsius, abs=1e-12
-        )
-
-    cpu_count = os.cpu_count() or 1
-    speedup = serial_timer.seconds / parallel_timer.seconds
-    perf_utils.record_perf(
-        "analysis.scenario_suite.multicore",
-        parallel_timer.seconds,
-        throughput=len(specs) / parallel_timer.seconds,
-        throughput_unit="scenarios/s",
-        baseline_wall_s=serial_timer.seconds,
-        baseline="serial scenario suite (same process)",
-        scenarios=len(specs),
-        n_jobs=cpu_count,
-        executor="thread",
-    )
-    print_rows(
-        f"Registry suite serial vs thread pool across {cpu_count} CPU(s)",
-        [
-            {
-                "scenarios": len(specs),
-                "serial_ms": round(1e3 * serial_timer.seconds, 1),
-                "all_cores_ms": round(1e3 * parallel_timer.seconds, 1),
-                "cpus": cpu_count,
-                "speedup": round(speedup, 2),
-            }
-        ],
-    )
 
 
 def test_scenario_compare_registry(benchmark):

@@ -7,12 +7,7 @@ from .export import (
     figure1_to_json,
     period_sweep_to_csv,
 )
-from .runner import (
-    resolve_jobs,
-    run_experiment_grid,
-    run_parallel,
-    run_single_experiment,
-)
+from .runner import run_experiment_grid, run_single_experiment
 from .report import (
     FIGURE1_SETTINGS,
     Figure1Cell,
@@ -51,9 +46,7 @@ __all__ = [
     "PeriodSweepResult",
     "run_energy_ablation",
     "run_period_sweep",
-    "resolve_jobs",
     "run_experiment_grid",
-    "run_parallel",
     "run_single_experiment",
     "difference_map",
     "render_grid",

@@ -237,17 +237,12 @@ class ScenarioComparison:
 
 def compare_scenarios(
     specs: Optional[Sequence[ScenarioSpec]] = None,
-    n_jobs: Optional[int] = None,
-    executor: str = "thread",
     feedback_stride: Optional[int] = None,
     feedback_predictor: Optional[str] = None,
 ) -> ScenarioComparison:
     """Run a scenario suite (default: the whole registry) and collect rows.
 
-    The suite fans out across the persistent worker pools when ``n_jobs``
-    asks for parallelism (GIL-releasing thread workers by default — see
-    :class:`repro.analysis.runner.ScenarioRunner`); results keep suite
-    order either way.  ``feedback_stride`` / ``feedback_predictor``
+    Results keep suite order.  ``feedback_stride`` / ``feedback_predictor``
     override every spec's feedback refresh settings for the whole suite.
     """
     from .runner import ScenarioRunner
@@ -255,8 +250,6 @@ def compare_scenarios(
     if specs is None:
         specs = all_scenarios()
     runner = ScenarioRunner(
-        n_jobs=n_jobs,
-        executor=executor,
         feedback_stride=feedback_stride,
         feedback_predictor=feedback_predictor,
     )

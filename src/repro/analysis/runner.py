@@ -1,354 +1,29 @@
-"""Parallel experiment runner for sweeps, ablations and comparisons.
+"""Serial experiment helpers for grids, scenario suites and streamed suites.
 
-The sweep layer used to execute every (configuration, scheme, period)
-experiment strictly serially.  This module provides:
+* :func:`run_experiment_grid` — the cross product of configurations x
+  schemes x periods, returned in grid order;
+* :class:`ScenarioRunner` — a scenario suite run end to end, in suite
+  order, optionally with the suite-wide feedback overrides;
+* :func:`run_streaming_scenario` — one scenario driven window by window
+  through the streaming engine.
 
-* :func:`run_parallel` — run a list of zero-argument tasks across worker
-  processes (or threads) and return their results in **task order**, so
-  callers get deterministic output regardless of completion order;
-* :func:`run_experiment_grid` — the parameterized-runner shape: the cross
-  product of configurations x schemes x periods, fanned out over workers and
-  returned in grid order.
-
-``n_jobs`` semantics (shared by every call site): ``None`` or ``1`` runs
-serially in-process (no executor involved), ``-1`` uses every CPU, and any
-other positive integer caps the worker count.  Tasks submitted to the
-process executor must be picklable, which is why the sweep/ablation/DTM
-workers are module-level functions.
-
-Call sites that know roughly how expensive one task is pass
-``est_task_seconds`` and :func:`plan_execution` picks the execution tier
-honestly: process pools only for tasks heavy enough to amortise pickling and
-IPC, the GIL-releasing thread pool for mid-weight numeric tasks, and plain
-serial execution when the tasks are so cheap that any fan-out overhead
-swamps them (or the host has a single CPU, where CPU-bound fan-out cannot
-win).  The recorded ``analysis.period_sweep.n_jobs3`` regression — a
-3-point steady sweep running 4x *slower* through the process pool than
-serially — is exactly what this guards against: asking for parallelism can
-no longer ship a slower path than serial.
-
-Worker pools are **persistent**: the first parallel call spawns the pool and
-later calls with the same (executor kind, worker count) reuse it, so sweeps
-made of many small parallel calls pay process spawn + interpreter start-up
-once instead of per call (on fork-based platforms the workers also inherit
-already-built :class:`ChipConfiguration` caches).  ``reuse_pool=False``
-restores the old one-shot behaviour, and :func:`shutdown_executors` tears the
-cached pools down explicitly (they are also closed at interpreter exit).
-The serial default on 1-CPU hosts is unchanged — parallelism stays opt-in.
+Everything here runs in the calling thread.  The one place that fans work
+out is :func:`repro.campaign.run_campaign`, which shards a campaign's jobs
+over worker processes; a grid or suite that should run in parallel is
+written as a campaign.
 """
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
-import os
-import threading
-import time
-from collections import namedtuple
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
-from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..chips.configurations import ChipConfiguration
 from ..core.experiment import ExperimentSettings, ThermalExperiment
 from ..core.metrics import ExperimentResult
 from ..core.policy import make_policy
-from ..obs import counter as _obs_counter
-from ..obs import enabled as _obs_enabled
-from ..obs import gauge as _obs_gauge
-from ..obs import get_tracer as _obs_tracer
-from ..obs import timer as _obs_timer
-from ..obs import tracing_enabled as _obs_tracing
 from ..scenarios.compile import ScenarioResult, run_scenario
 from ..scenarios.spec import ScenarioSpec
-
-T = TypeVar("T")
-
-# Pool telemetry: tasks completed, time spent queued before a worker picked
-# the task up, and time spent executing.  ``runner.pool_workers`` is the
-# window size of the most recent parallel call.
-_OBS_TASKS = _obs_counter("runner.tasks")
-_OBS_QUEUE_WAIT = _obs_timer("runner.queue_wait")
-_OBS_TASK_TIME = _obs_timer("runner.task")
-_OBS_WORKERS = _obs_gauge("runner.pool_workers")
-
-#: Worker-side timing envelope around a task's result.  A plain namedtuple so
-#: process-pool workers can pickle it back; timestamps are wall-clock seconds
-#: (one shared clock across processes).
-_TaskOutcome = namedtuple(
-    "_TaskOutcome", ("result", "submitted_s", "started_s", "ended_s", "pid", "tid")
-)
-
-
-def _observed_task(task: Callable[[], T], submitted_s: float) -> "_TaskOutcome":
-    """Run ``task`` in the worker, capturing its timing envelope."""
-    started = time.time()
-    result = task()
-    return _TaskOutcome(
-        result=result,
-        submitted_s=submitted_s,
-        started_s=started,
-        ended_s=time.time(),
-        pid=os.getpid(),
-        tid=threading.get_native_id(),
-    )
-
-
-def _record_outcome(outcome: "_TaskOutcome", index: int) -> object:
-    """Fold a worker's timing envelope into the registry (and the tracer)."""
-    _OBS_TASKS.add()
-    _OBS_QUEUE_WAIT.record(max(0.0, outcome.started_s - outcome.submitted_s))
-    _OBS_TASK_TIME.record(max(0.0, outcome.ended_s - outcome.started_s))
-    if _obs_tracing():
-        _obs_tracer().add_raw(
-            name="runner.task",
-            ts_us=outcome.started_s * 1e6,
-            dur_us=max(0.0, outcome.ended_s - outcome.started_s) * 1e6,
-            pid=outcome.pid,
-            tid=outcome.tid,
-            args={
-                "index": index,
-                "queue_wait_ms": round(
-                    max(0.0, outcome.started_s - outcome.submitted_s) * 1e3, 3
-                ),
-            },
-        )
-    return outcome.result
-
-#: Executor kinds accepted by :func:`run_parallel`.
-EXECUTORS = ("process", "thread")
-
-#: One cached executor per kind, stored with its worker count; guarded by
-#: _POOL_LOCK.  A pool serves any call needing at most that many workers
-#: (the per-call ``n_jobs`` cap is enforced by windowed submission, not by
-#: pool size), so differently sized sweeps share one pool instead of
-#: accumulating several.
-_POOLS: Dict[str, Tuple[int, Executor]] = {}
-#: Pools replaced by a larger request.  They may still be executing another
-#: caller's tasks, so they are parked here (idle, not running new work)
-#: rather than shut down out from under that caller; growth events are
-#: bounded by the number of distinct worker counts seen.
-_RETIRED_POOLS: list = []
-_POOL_LOCK = threading.Lock()
-
-
-def shutdown_executors(wait_for_tasks: bool = True) -> None:
-    """Shut down every cached (and retired) worker pool (idempotent)."""
-    with _POOL_LOCK:
-        pools = [pool for _workers, pool in _POOLS.values()] + _RETIRED_POOLS
-        _POOLS.clear()
-        _RETIRED_POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=wait_for_tasks)
-
-
-atexit.register(shutdown_executors)
-
-
-def _persistent_executor(executor: str, workers: int) -> Executor:
-    """Cached executor of the given kind with at least ``workers`` workers.
-
-    A larger cached pool is reused as-is; a bigger request replaces the
-    cached pool (the outgrown one is parked until :func:`shutdown_executors`
-    so concurrent users are never cut off mid-submission).
-    """
-    with _POOL_LOCK:
-        entry = _POOLS.get(executor)
-        if entry is not None and entry[0] >= workers:
-            return entry[1]
-        if entry is not None:
-            _RETIRED_POOLS.append(entry[1])
-        pool = _make_executor(executor, workers)
-        _POOLS[executor] = (workers, pool)
-        return pool
-
-
-def _evict_executor(pool: Executor) -> None:
-    """Drop a broken pool from the cache so the next call gets a fresh one."""
-    with _POOL_LOCK:
-        for key, (_workers, cached) in list(_POOLS.items()):
-            if cached is pool:
-                del _POOLS[key]
-    pool.shutdown(wait=False)
-
-
-def resolve_jobs(n_jobs: Optional[int], num_tasks: int) -> int:
-    """Translate an ``n_jobs`` argument into a concrete worker count."""
-    if num_tasks <= 0:
-        return 1
-    if n_jobs is None:
-        return 1
-    if n_jobs == -1:
-        return min(os.cpu_count() or 1, num_tasks)
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be a positive integer, -1, or None")
-    return min(n_jobs, num_tasks)
-
-
-#: Tasks cheaper than this cannot amortise pickling + IPC to a process
-#: worker; requests for a process pool are downgraded to the thread pool.
-#: (The recorded regression: 5 ms sweep points lost 4x through processes.)
-PROCESS_TASK_FLOOR_S = 0.05
-
-#: Tasks cheaper than this cannot amortise even a thread-pool dispatch;
-#: the plan falls back to plain serial execution.
-SERIAL_TASK_FLOOR_S = 0.002
-
-
-def plan_execution(
-    n_jobs: Optional[int],
-    num_tasks: int,
-    est_task_seconds: Optional[float] = None,
-    executor: str = "process",
-) -> Tuple[int, str]:
-    """Cost-aware ``(workers, executor)`` plan for a parallel call.
-
-    Without a cost estimate this is exactly :func:`resolve_jobs` — the
-    caller's request stands.  With one, cheap task sets are downgraded so a
-    parallel request can never run slower than serial: sub-``50 ms`` tasks
-    skip the process pool (pickling + IPC dominates; the thread pool shares
-    the process-wide caches and the hot paths release the GIL), sub-``2 ms``
-    tasks run serially outright, and any downgraded-to-thread plan on a
-    single-CPU host runs serially too (CPU-bound fan-out cannot win there).
-    """
-    workers = resolve_jobs(n_jobs, num_tasks)
-    if workers <= 1 or est_task_seconds is None:
-        return workers, executor
-    if executor == "process" and est_task_seconds < PROCESS_TASK_FLOOR_S:
-        executor = "thread"
-    if executor == "thread" and (
-        est_task_seconds < SERIAL_TASK_FLOOR_S or (os.cpu_count() or 1) < 2
-    ):
-        return 1, executor
-    return workers, executor
-
-
-def _make_executor(executor: str, workers: int) -> Executor:
-    if executor == "process":
-        return ProcessPoolExecutor(max_workers=workers)
-    if executor == "thread":
-        return ThreadPoolExecutor(max_workers=workers)
-    raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
-
-
-def run_parallel_iter(
-    tasks: Sequence[Callable[[], T]],
-    n_jobs: Optional[int] = None,
-    executor: str = "process",
-    reuse_pool: bool = True,
-    est_task_seconds: Optional[float] = None,
-):
-    """Run zero-argument tasks, yielding ``(index, result)`` as each completes.
-
-    The streaming counterpart of :func:`run_parallel`: results arrive in
-    **completion order**, tagged with their task index, so callers that
-    checkpoint incrementally (the campaign journal) can persist each result
-    the moment it exists instead of waiting for the whole batch.  The serial
-    plan yields in task order; parallel plans keep at most ``workers`` tasks
-    in flight (windowed submission against the possibly-larger shared pool).
-
-    Abandoning the generator mid-iteration triggers the same cleanup as a
-    task failure: pending futures are cancelled and running ones drained, so
-    the shared persistent pool is never left executing orphaned work.
-    """
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
-    workers, executor = plan_execution(n_jobs, len(tasks), est_task_seconds, executor)
-    if workers <= 1 or len(tasks) <= 1:
-        for index, task in enumerate(tasks):
-            yield index, task()
-        return
-    if reuse_pool:
-        pool = _persistent_executor(executor, workers)
-    else:
-        pool = _make_executor(executor, workers)
-    observe = _obs_enabled()
-    if observe:
-        _OBS_WORKERS.set(workers)
-    in_flight: Dict[Future, int] = {}
-    try:
-        # The cached pool may be larger than this call's n_jobs; windowed
-        # submission keeps at most ``workers`` tasks in flight so the
-        # caller's concurrency cap holds regardless of pool size.
-        next_index = 0
-        while next_index < len(tasks) or in_flight:
-            while next_index < len(tasks) and len(in_flight) < workers:
-                task = tasks[next_index]
-                if observe:
-                    task = partial(_observed_task, task, time.time())
-                in_flight[pool.submit(task)] = next_index
-                next_index += 1
-            done, _pending = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = in_flight.pop(future)
-                value = future.result()
-                if observe and isinstance(value, _TaskOutcome):
-                    value = _record_outcome(value, index)
-                yield index, value
-    except BrokenProcessPool:
-        # A dead worker poisons the whole pool; evict it so later calls
-        # start from a fresh one, then surface the failure.
-        _evict_executor(pool)
-        raise
-    except (Exception, GeneratorExit):
-        # The pool may be persistent and shared: a raising task (or an
-        # abandoned generator, which arrives here as GeneratorExit) must not
-        # leave this call's siblings running in it, where they would
-        # interleave with the next caller's work.  Cancel whatever has not
-        # started and drain whatever has, then surface the original failure.
-        # Only ordinary failures drain: KeyboardInterrupt stays uncaught so
-        # it keeps propagating immediately instead of blocking on running
-        # tasks.
-        for future in in_flight:
-            future.cancel()
-        if in_flight:
-            wait(list(in_flight))
-        raise
-    finally:
-        if not reuse_pool:
-            pool.shutdown(wait=True)
-
-
-def run_parallel(
-    tasks: Sequence[Callable[[], T]],
-    n_jobs: Optional[int] = None,
-    executor: str = "process",
-    reuse_pool: bool = True,
-    est_task_seconds: Optional[float] = None,
-) -> List[T]:
-    """Run zero-argument tasks, returning results in task order.
-
-    With ``n_jobs`` of ``None``/``1`` (or a single task) the tasks run
-    serially in-process, which keeps the default path identical to the
-    pre-runner behaviour.  Worker exceptions propagate to the caller.
-
-    ``reuse_pool`` (the default) keeps the worker pool alive between calls so
-    repeated sweeps amortise process spawn and start-up cost; pass ``False``
-    for a one-shot pool that is torn down before returning.
-
-    ``est_task_seconds`` is the caller's rough per-task cost estimate; when
-    given, :func:`plan_execution` may downgrade the execution tier (process
-    -> thread -> serial) so a parallel request on cheap tasks never runs
-    slower than serial.
-    """
-    results: List[T] = [None] * len(tasks)  # type: ignore[list-item]
-    for index, result in run_parallel_iter(
-        tasks,
-        n_jobs=n_jobs,
-        executor=executor,
-        reuse_pool=reuse_pool,
-        est_task_seconds=est_task_seconds,
-    ):
-        results[index] = result
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +37,7 @@ def run_single_experiment(
     num_epochs: int = 41,
     settings: Optional[ExperimentSettings] = None,
 ) -> ExperimentResult:
-    """One (configuration, scheme, period) experiment — the grid worker.
+    """One (configuration, scheme, period) experiment — one grid cell.
 
     When ``settings`` is omitted, the sweep defaults are used: settle over
     everything after the first epoch.
@@ -381,8 +56,6 @@ def run_experiment_grid(
     periods_us: Sequence[float],
     mode: str = "steady",
     num_epochs: int = 41,
-    n_jobs: Optional[int] = None,
-    executor: str = "process",
 ) -> List[ExperimentResult]:
     """Every (configuration, scheme, period) combination, in grid order.
 
@@ -390,13 +63,12 @@ def run_experiment_grid(
     ``schemes``, then configurations — the iteration order of the
     corresponding nested loops.
     """
-    tasks = [
-        partial(run_single_experiment, configuration, scheme, period, mode, num_epochs)
+    return [
+        run_single_experiment(configuration, scheme, period, mode, num_epochs)
         for configuration in configurations
         for scheme in schemes
         for period in periods_us
     ]
-    return run_parallel(tasks, n_jobs=n_jobs, executor=executor)
 
 
 # ----------------------------------------------------------------------
@@ -420,12 +92,12 @@ def run_streaming_scenario(
     window_epochs: int,
     max_epochs: Optional[int] = None,
 ) -> StreamedScenarioResult:
-    """Run one scenario through the streaming engine (module-level worker).
+    """Run one scenario through the streaming engine.
 
     Streams the scenario's own pattern cursors in ``window_epochs``-sized
     windows up to ``max_epochs`` (the spec's horizon by default — which
     reproduces the batch result), returning the finalized experiment result
-    plus the rolling summary.  Picklable, so process-pool fan-out works.
+    plus the rolling summary.
     """
     from ..stream import StreamingExperiment, scenario_windows
     from ..scenarios.compile import compile_scenario
@@ -450,19 +122,10 @@ def run_streaming_scenario(
 # Scenario suites
 # ----------------------------------------------------------------------
 class ScenarioRunner:
-    """Fans a scenario suite across the persistent worker pools.
+    """Runs a scenario suite, one scenario after another, in suite order.
 
-    Each task compiles and runs one :class:`repro.scenarios.spec.ScenarioSpec`
-    end to end.  Results come back in suite order.
-
-    The default executor is the **thread** pool: the scenario hot paths are
-    multi-RHS LAPACK solves and batched decodes that release the GIL, thread
-    workers share the process-wide decoder-probe and chip-configuration
-    caches instead of rebuilding them per worker, and nothing is pickled.
-    The honest BENCH_perf.json record showed process fan-out losing to
-    serial on small suites even with persistent pools (spawn is amortised,
-    pickling is not); pass ``executor="process"`` to opt back in for suites
-    whose per-task Python overhead dominates.
+    Each scenario compiles and runs one :class:`repro.scenarios.spec.ScenarioSpec`
+    end to end.
 
     ``feedback_stride`` / ``feedback_predictor`` override the corresponding
     spec fields for the whole suite (e.g. the CLI's ``--feedback-stride``),
@@ -472,15 +135,9 @@ class ScenarioRunner:
 
     def __init__(
         self,
-        n_jobs: Optional[int] = None,
-        executor: str = "thread",
-        reuse_pool: bool = True,
         feedback_stride: Optional[int] = None,
         feedback_predictor: Optional[str] = None,
     ):
-        self.n_jobs = n_jobs
-        self.executor = executor
-        self.reuse_pool = reuse_pool
         self.feedback_stride = feedback_stride
         self.feedback_predictor = feedback_predictor
 
@@ -495,13 +152,7 @@ class ScenarioRunner:
         return dataclasses.replace(spec, **overrides)
 
     def run(self, specs: Sequence[ScenarioSpec]) -> List[ScenarioResult]:
-        tasks = [partial(run_scenario, self._apply_overrides(spec)) for spec in specs]
-        return run_parallel(
-            tasks,
-            n_jobs=self.n_jobs,
-            executor=self.executor,
-            reuse_pool=self.reuse_pool,
-        )
+        return [run_scenario(self._apply_overrides(spec)) for spec in specs]
 
     def run_streaming(
         self,
@@ -516,18 +167,9 @@ class ScenarioRunner:
         fleet counterpart of ``repro serve`` for suites whose members should
         all stream the same way.
         """
-        tasks = [
-            partial(
-                run_streaming_scenario,
-                self._apply_overrides(spec),
-                window_epochs,
-                max_epochs,
+        return [
+            run_streaming_scenario(
+                self._apply_overrides(spec), window_epochs, max_epochs
             )
             for spec in specs
         ]
-        return run_parallel(
-            tasks,
-            n_jobs=self.n_jobs,
-            executor=self.executor,
-            reuse_pool=self.reuse_pool,
-        )

@@ -8,31 +8,18 @@ temperature (the paper's 0.3 °C note about rotation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..chips.configurations import ChipConfiguration
 from ..core.experiment import ExperimentSettings
 from ..core.metrics import ExperimentResult
-from .runner import run_parallel, run_single_experiment
+from .runner import run_single_experiment
 
 #: The three migration periods evaluated in the paper (microseconds).
 PAPER_PERIODS_US = (109.0, 437.2, 874.4)
-
-
-def experiment_cost_hint_s(mode: str, num_epochs: int) -> float:
-    """Rough wall-clock of one batched experiment, for execution planning.
-
-    Calibrated against the recorded hot paths (``experiment.steady.batched``
-    ~0.7 ms / 41 epochs plus controller overhead, transient roughly double):
-    the point is the order of magnitude, which decides process vs thread vs
-    serial in :func:`repro.analysis.runner.plan_execution`, not the digit.
-    """
-    per_epoch = 2.5e-4 if mode == "transient" else 1.2e-4
-    return num_epochs * per_epoch
 
 #: Paper-reported throughput penalties for those periods (upper bounds).
 PAPER_PENALTIES = {109.0: 0.016, 437.2: 0.004, 874.4: 0.002}
@@ -105,7 +92,7 @@ def _sweep_point(
     mode: str,
     num_epochs: int,
 ) -> PeriodSweepPoint:
-    """Run one migration period (module-level so worker processes can run it)."""
+    """Run one migration period."""
     result = run_single_experiment(
         configuration, scheme, period_us, mode=mode, num_epochs=num_epochs
     )
@@ -125,27 +112,15 @@ def run_period_sweep(
     periods_us: Sequence[float] = PAPER_PERIODS_US,
     mode: str = "transient",
     num_epochs: int = 41,
-    n_jobs: Optional[int] = None,
-    executor: str = "process",
 ) -> PeriodSweepResult:
     """Sweep the migration period for one configuration and scheme.
 
-    ``n_jobs`` fans the periods out over workers (see
-    :func:`repro.analysis.runner.run_parallel`); point order always follows
-    ``periods_us``.  The per-point cost hint lets the runner downgrade cheap
-    sweeps to thread or serial execution — a batched 41-epoch point is a few
-    milliseconds, which a process pool can only make slower.
+    Point order follows ``periods_us``.
     """
-    tasks = [
-        partial(_sweep_point, configuration, scheme, period, mode, num_epochs)
+    points = [
+        _sweep_point(configuration, scheme, period, mode, num_epochs)
         for period in periods_us
     ]
-    points = run_parallel(
-        tasks,
-        n_jobs=n_jobs,
-        executor=executor,
-        est_task_seconds=experiment_cost_hint_s(mode, num_epochs),
-    )
     return PeriodSweepResult(
         configuration=configuration.name, scheme=scheme, points=points
     )
@@ -183,7 +158,7 @@ def _ablation_case(
     num_epochs: int,
     include_energy: bool,
 ) -> ExperimentResult:
-    """One arm of the migration-energy ablation (picklable worker)."""
+    """One arm of the migration-energy ablation."""
     settings = ExperimentSettings(
         num_epochs=num_epochs,
         mode="steady",
@@ -200,26 +175,15 @@ def run_energy_ablation(
     scheme: str = "rotation",
     period_us: float = 109.0,
     num_epochs: int = 41,
-    n_jobs: Optional[int] = None,
-    executor: str = "process",
 ) -> EnergyAblationResult:
-    """Compare an experiment with and without migration-energy accounting.
-
-    The two arms are independent, so ``n_jobs`` can run them concurrently.
-    """
-    tasks = [
-        partial(_ablation_case, configuration, scheme, period_us, num_epochs, include)
-        for include in (True, False)
-    ]
-    with_energy, without_energy = run_parallel(
-        tasks,
-        n_jobs=n_jobs,
-        executor=executor,
-        est_task_seconds=experiment_cost_hint_s("steady", num_epochs),
-    )
+    """Compare an experiment with and without migration-energy accounting."""
     return EnergyAblationResult(
         configuration=configuration.name,
         scheme=scheme,
-        with_energy=with_energy,
-        without_energy=without_energy,
+        with_energy=_ablation_case(
+            configuration, scheme, period_us, num_epochs, include_energy=True
+        ),
+        without_energy=_ablation_case(
+            configuration, scheme, period_us, num_epochs, include_energy=False
+        ),
     )

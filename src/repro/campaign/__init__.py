@@ -14,16 +14,15 @@ system rather than a benchmark script:
 * :mod:`repro.campaign.manifest` — the campaign directory: spec binding,
   append-only completion journal (resume-after-kill), report file;
 * :mod:`repro.campaign.executor` — :func:`run_campaign`: journal replay,
-  cache probing, key-deduplicated sharded evaluation through the
-  persistent worker pools, evidence-based ``n_jobs="auto"`` sizing, dry-run
-  forecasting;
+  cache probing, key-deduplicated evaluation (inline, or sharded over
+  worker processes with ``n_jobs``), dry-run forecasting;
 * :mod:`repro.campaign.report` — per-axis marginal aggregation.
 
 The CLI surface is ``python -m repro campaign run|list|status|report``.
 """
 
 from .cache import ResultCache, code_fingerprint, job_cache_key, modules_for_spec
-from .executor import CampaignRun, auto_plan, campaign_status, run_campaign
+from .executor import CampaignRun, campaign_status, run_campaign
 from .report import AxisMarginal, CampaignReport, build_report
 from .spec import CampaignJob, CampaignSpec, JobResult, evaluate_job
 
@@ -35,7 +34,6 @@ __all__ = [
     "CampaignSpec",
     "JobResult",
     "ResultCache",
-    "auto_plan",
     "build_report",
     "campaign_status",
     "code_fingerprint",

@@ -11,34 +11,28 @@
 3. **Probe the cache** for the remainder: warm re-runs of unchanged
    campaigns are pure cache lookups, performing *zero* scenario
    evaluations.
-4. **Evaluate** the misses — deduplicated by key, fanned across the
-   persistent worker pools via the streaming
-   :func:`~repro.analysis.runner.run_parallel_iter`, each result journaled
-   and published to the cache the moment it completes (so a kill at any
-   point loses at most the in-flight jobs).
+4. **Evaluate** the misses — deduplicated by key, inline or sharded over
+   worker processes, each result journaled and published to the cache the
+   moment it completes (so a kill at any point loses at most the in-flight
+   jobs).
 5. **Report**: per-axis marginals, written to ``report.json``.
 
-``n_jobs="auto"`` sizes the shard from recorded evidence rather than
-optimism: the ``analysis.scenario_suite.multicore`` entry in
-``BENCH_perf.json`` says what fan-out actually bought on this machine the
-last time the benchmark ran, and the campaign only fans out when that
-recorded speedup cleared 1.05x.  Everything still flows through
-:func:`~repro.analysis.runner.plan_execution`, so cheap grids degrade to
-serial instead of paying dispatch overhead.
+``n_jobs`` is 1 (the default: jobs run inline, in grid order), a worker
+count N, or -1 for every CPU.  Sharded jobs run in a one-shot process pool
+and come back as JSON payloads, so their results are bit-identical to the
+inline run's.  This is the package's only fan-out: a campaign grid is the
+one workload whose independent jobs have been measured to gain from it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.runner import run_parallel_iter
-from ..analysis.sweep import experiment_cost_hint_s
 from ..obs import counter as _obs_counter
 from ..obs import enable as _obs_enable
 from ..obs import enabled as _obs_enabled
@@ -52,9 +46,6 @@ from . import manifest
 from .cache import ResultCache, code_fingerprint, job_cache_key, modules_for_spec
 from .report import CampaignReport, build_report
 from .spec import CampaignJob, CampaignSpec, JobResult, evaluate_job
-
-#: Minimum recorded multicore speedup before "auto" fans a campaign out.
-AUTO_SPEEDUP_GATE = 1.05
 
 _LOG = get_logger("campaign")
 
@@ -87,8 +78,8 @@ class CampaignRun:
     dry_run: bool
     wall_s: float
     report: Optional[CampaignReport] = None
-    #: The (workers, executor) plan the run settled on.
-    plan: Tuple[int, str] = field(default=(1, "thread"))
+    #: Worker processes the evaluations ran on (1: inline).
+    workers: int = 1
     #: Registry snapshot (``TelemetrySummary.to_dict()``) taken at the end of
     #: the run; None while telemetry is disabled.
     telemetry: Optional[Dict[str, object]] = None
@@ -96,49 +87,6 @@ class CampaignRun:
     @property
     def completed(self) -> int:
         return sum(1 for result in self.results if result is not None)
-
-
-def _perf_record(path: Optional[Path] = None) -> Optional[Dict[str, object]]:
-    """The recorded scenario-suite multicore entry, if the repo has one."""
-    if path is None:
-        candidate = Path(__file__).resolve()
-        for parent in candidate.parents:
-            if (parent / "BENCH_perf.json").exists():
-                path = parent / "BENCH_perf.json"
-                break
-        else:
-            return None
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    entry = payload.get("hot_paths", {}).get("analysis.scenario_suite.multicore")
-    return entry if isinstance(entry, dict) else None
-
-
-def auto_plan(num_pending: int) -> Tuple[Optional[int], str]:
-    """(n_jobs, executor) sized from recorded multicore evidence.
-
-    No evidence, a single-CPU host, or a recorded speedup below
-    :data:`AUTO_SPEEDUP_GATE` all mean serial — the benchmark history says
-    fan-out does not pay here.  Otherwise the recorded shape (worker count
-    and executor kind) is reused, capped by the pending job count.
-    """
-    cpus = os.cpu_count() or 1
-    if cpus < 2 or num_pending <= 1:
-        return 1, "thread"
-    record = _perf_record()
-    if record is None:
-        # No history yet: fan out over the CPUs and let plan_execution's
-        # cost floors catch degenerate grids.
-        return min(cpus, num_pending), "thread"
-    if float(record.get("speedup", 0.0) or 0.0) < AUTO_SPEEDUP_GATE:
-        return 1, "thread"
-    executor = str(record.get("executor") or "thread")
-    workers = int(record.get("n_jobs") or 0) or cpus
-    if workers < 2:
-        workers = cpus
-    return min(workers, num_pending), executor
 
 
 def _evaluate_payload(
@@ -153,17 +101,17 @@ def _evaluate_payload(
     """Worker: rebuild the job from plain JSON data, run it, time it.
 
     Takes only JSON-serialisable arguments so the same callable crosses
-    process boundaries (sharded execution) and runs inline (serial plan)
-    identically — which is what makes sharded output bit-identical to
-    serial: both paths produce the result *as its JSON payload*.
+    process boundaries (sharded execution) and runs inline identically —
+    which is what makes sharded output bit-identical to serial: both paths
+    produce the result *as its JSON payload*.
 
     With ``collect_telemetry`` the worker also returns a meta dict: its pid,
-    the job's counter/timer deltas (a thread-local scope, correct under both
-    thread and process pools), and — only when running in a *different*
-    process than ``parent_pid``, whose registry/tracer state the fork or
-    spawn did not share — the span events recorded during the job, serialised
-    so the parent can merge them onto the shared timeline.  Thread workers
-    skip the event capture: their spans already land in the parent's tracer.
+    the job's counter/timer deltas (a scope over this job alone), and — only
+    when running in a *different* process than ``parent_pid``, whose
+    registry/tracer state the fork or spawn did not share — the span events
+    recorded during the job, serialised so the parent can merge them onto
+    the shared timeline.  Inline jobs skip the event capture: their spans
+    already land in the parent's tracer.
     """
     from ..scenarios.spec import ScenarioSpec
 
@@ -191,8 +139,8 @@ def _evaluate_payload(
             meta["events"] = [
                 event.to_dict() for event in tracer.events_since(mark)
             ]
-            # Process workers persist across jobs and never export; drop the
-            # captured events so the worker-side buffer stays bounded.
+            # Workers run many jobs and never export; drop the captured
+            # events so the worker-side buffer stays bounded.
             tracer.clear()
     else:
         result = evaluate_job(job)
@@ -234,15 +182,59 @@ def compute_job_keys(jobs: List[CampaignJob]) -> Dict[str, str]:
     return keys
 
 
+def _worker_count(n_jobs: int) -> int:
+    """Worker processes for an ``n_jobs`` request: N >= 1, or -1 for all CPUs."""
+    valid = isinstance(n_jobs, int) and not isinstance(n_jobs, bool)
+    if not valid or (n_jobs < 1 and n_jobs != -1):
+        raise ValueError(
+            f"n_jobs must be a positive worker count or -1 (all CPUs), not {n_jobs!r}"
+        )
+    return (os.cpu_count() or 1) if n_jobs == -1 else n_jobs
+
+
+def _completed(
+    tasks: Sequence[Callable[[], Any]], workers: int
+) -> Iterator[Tuple[int, Any]]:
+    """Run ``tasks``, yielding ``(index, result)`` as each one completes.
+
+    One worker runs them inline, in order.  More share a one-shot process
+    pool.  When a task raises, every task that has not started is cancelled,
+    the running ones finish, and the task's own exception reaches the caller.
+    """
+    if workers == 1:
+        for index, task in enumerate(tasks):
+            yield index, task()
+        return
+    # Imported here so the inline path never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    # The platform's default start method: on Linux, forked workers inherit
+    # the imported package and built chip configurations, while spawned
+    # ones re-import both and made a 100-job campaign twice as slow as
+    # inline (docs/performance.md).  The package runs no work on threads of
+    # its own; a threaded caller can pick "spawn" with
+    # multiprocessing.set_start_method.
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = {pool.submit(task): index for index, task in enumerate(tasks)}
+        for future in as_completed(futures):
+            yield futures[future], future.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_campaign(
     spec: CampaignSpec,
     directory: Union[str, Path],
-    n_jobs: Union[int, str, None] = "auto",
-    executor: Optional[str] = None,
+    n_jobs: int = 1,
     cache_root: Optional[Union[str, Path]] = None,
     dry_run: bool = False,
 ) -> CampaignRun:
     """Execute (or forecast, with ``dry_run``) a campaign in a directory.
+
+    ``n_jobs`` is 1 to evaluate inline, N to shard the evaluations over N
+    worker processes, or -1 for one worker per CPU; anything else raises
+    :class:`ValueError` before the directory is touched.
 
     ``cache_root`` defaults to ``<directory>/cache``; pointing several
     campaign directories at one shared cache root lets overlapping grids
@@ -250,24 +242,17 @@ def run_campaign(
     expands the grid, replays the journal read-only and probes the cache,
     returning the exact evaluation forecast a real run would execute.
     """
+    workers = _worker_count(n_jobs)
     with _obs_span("campaign.run", campaign=spec.name, dry_run=dry_run):
-        return _run_campaign(
-            spec,
-            directory,
-            n_jobs=n_jobs,
-            executor=executor,
-            cache_root=cache_root,
-            dry_run=dry_run,
-        )
+        return _run_campaign(spec, directory, workers, cache_root, dry_run)
 
 
 def _run_campaign(
     spec: CampaignSpec,
     directory: Union[str, Path],
-    n_jobs: Union[int, str, None] = "auto",
-    executor: Optional[str] = None,
-    cache_root: Optional[Union[str, Path]] = None,
-    dry_run: bool = False,
+    workers: int,
+    cache_root: Optional[Union[str, Path]],
+    dry_run: bool,
 ) -> CampaignRun:
     started = time.perf_counter()
     directory = Path(directory)
@@ -326,23 +311,15 @@ def _run_campaign(
     unique = [group[0] for group in by_key.values()]
 
     evaluated = 0
-    if not dry_run and unique:
-        if n_jobs == "auto":
-            workers, executor_kind = auto_plan(len(unique))
-        else:
-            workers = n_jobs  # type: ignore[assignment]
-            executor_kind = executor or "thread"
-        if executor is not None:
-            executor_kind = executor
-        hint = sum(
-            experiment_cost_hint_s(job.spec.mode, job.spec.num_epochs) for job in unique
-        ) / len(unique)
+    if dry_run or not unique:
+        workers = 1
+    else:
+        workers = min(workers, len(unique))
         collect = _obs_enabled()
         _LOG.info(
-            "campaign %s: evaluating %d job(s) on %s x%s",
+            "campaign %s: evaluating %d job(s) on %d worker(s)",
             spec.name,
             len(unique),
-            executor_kind,
             workers,
         )
         tasks = [
@@ -358,12 +335,7 @@ def _run_campaign(
             )
             for job in unique
         ]
-        for index, (payload, wall_s, meta) in run_parallel_iter(
-            tasks,
-            n_jobs=workers,
-            executor=executor_kind,
-            est_task_seconds=hint,
-        ):
+        for index, (payload, wall_s, meta) in _completed(tasks, workers):
             evaluated += 1
             _OBS_EVALUATIONS.add()
             _OBS_JOB_TIME.record(wall_s)
@@ -388,9 +360,6 @@ def _run_campaign(
                 if job_telemetry:
                     entry["telemetry"] = job_telemetry
                 manifest.append_journal_entry(directory, entry)
-        plan = (workers if isinstance(workers, int) else 1, executor_kind)
-    else:
-        plan = (1, executor or "thread")
 
     ordered: List[Optional[JobResult]] = [results.get(job.job_id) for job in jobs]
     telemetry: Optional[Dict[str, object]] = None
@@ -419,7 +388,7 @@ def _run_campaign(
         dry_run=dry_run,
         wall_s=time.perf_counter() - started,
         report=report,
-        plan=plan,
+        workers=workers,
         telemetry=telemetry,
     )
 

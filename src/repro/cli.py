@@ -174,7 +174,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         periods_us=periods,
         mode=args.mode,
         num_epochs=args.epochs,
-        n_jobs=args.n_jobs,
     )
     rows = [
         {
@@ -196,7 +195,6 @@ def cmd_ablation(args: argparse.Namespace) -> int:
         scheme=args.scheme,
         period_us=args.period,
         num_epochs=args.epochs,
-        n_jobs=args.n_jobs,
     )
     rows = [
         {
@@ -227,7 +225,6 @@ def cmd_dtm(args: argparse.Namespace) -> int:
         scheme=args.scheme,
         period_us=args.period,
         num_epochs=args.epochs,
-        n_jobs=args.n_jobs,
     )
     _print_rows(comparison.to_rows(), args.csv)
     return 0
@@ -342,7 +339,6 @@ def cmd_scenario_compare(args: argparse.Namespace) -> int:
         specs = [get_scenario(name) for name in args.names]
     comparison = compare_scenarios(
         specs,
-        n_jobs=args.n_jobs,
         feedback_stride=args.feedback_stride,
         feedback_predictor=args.feedback_predictor,
     )
@@ -361,8 +357,7 @@ def _campaign_summary_rows(run) -> List[dict]:
             "evaluated": run.evaluated,
             "cache_hits": run.cache_hits,
             "resumed": run.resumed,
-            "workers": run.plan[0],
-            "executor": run.plan[1],
+            "workers": run.workers,
             "wall_s": round(run.wall_s, 3),
         }
     ]
@@ -378,7 +373,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         run = run_campaign(
             spec,
             Path(args.directory),
-            n_jobs=args.n_jobs if args.n_jobs is not None else "auto",
+            n_jobs=args.n_jobs,
             cache_root=Path(args.cache) if args.cache else None,
             dry_run=args.dry_run,
         )
@@ -667,10 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="migration period in us")
         sub_parser.add_argument("--epochs", type=int, default=41, help="number of epochs")
 
-    def add_jobs(sub_parser):
-        sub_parser.add_argument("--n-jobs", type=int, default=None,
-                                help="parallel workers (-1 = all CPUs; default serial)")
-
     sub = subparsers.add_parser("experiment", help="run a single experiment")
     add_common(sub)
     sub.add_argument("--mode", choices=("steady", "transient"), default="steady")
@@ -703,19 +694,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("sweep", help="migration period sweep")
     add_common(sub)
-    add_jobs(sub)
     sub.add_argument("--periods", type=float, nargs="*", help="periods in us")
     sub.add_argument("--mode", choices=("steady", "transient"), default="steady")
     sub.set_defaults(func=cmd_sweep)
 
     sub = subparsers.add_parser("ablation", help="migration-energy ablation")
     add_common(sub, default_scheme="rotation")
-    add_jobs(sub)
     sub.set_defaults(func=cmd_ablation)
 
     sub = subparsers.add_parser("dtm", help="compare against stop-go / DVFS throttling")
     add_common(sub)
-    add_jobs(sub)
     sub.set_defaults(func=cmd_dtm)
 
     sub = subparsers.add_parser(
@@ -749,7 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scen.add_argument("names", nargs="*",
                       help="scenario names (default: the whole registry)")
-    add_jobs(scen)
     scen.add_argument("--feedback-stride", type=int, default=None, metavar="K",
                       help="override every spec's feedback refresh stride")
     scen.add_argument("--feedback-predictor", choices=("hold", "previous"),
@@ -770,9 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="campaign directory (journal, cache, report)")
     camp.add_argument("--cache", default=None,
                       help="shared cache root (default: <directory>/cache)")
-    camp.add_argument("--n-jobs", type=int, default=None,
-                      help="parallel workers (-1 = all CPUs; default: auto from "
-                           "recorded benchmark history)")
+    camp.add_argument("--n-jobs", type=int, default=1,
+                      help="worker processes (-1 = all CPUs; default 1)")
     camp.add_argument("--dry-run", action="store_true",
                       help="print the expansion and cache-hit forecast, run nothing")
     camp.set_defaults(func=cmd_campaign_run)

@@ -25,7 +25,7 @@ chip configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -249,54 +249,26 @@ class DtmComparison:
         ]
 
 
-def _stop_go_throughput(configuration: ChipConfiguration, target_peak: float) -> float:
-    """Duty cycle reaching ``target_peak`` (picklable parallel worker)."""
-    return StopGoThrottling(configuration).duty_cycle_for_peak(target_peak)
-
-
-def _dvfs_throughput(configuration: ChipConfiguration, target_peak: float) -> float:
-    """Frequency ratio reaching ``target_peak`` (picklable parallel worker)."""
-    return DvfsThrottling(configuration).frequency_for_peak(target_peak)
-
-
 def compare_with_migration(
     configuration: ChipConfiguration,
     scheme: str = "xy-shift",
     period_us: float = 109.0,
     num_epochs: int = 41,
-    n_jobs: Optional[int] = None,
-    executor: str = "process",
 ) -> DtmComparison:
     """Make the paper's implicit comparison explicit.
 
     Runs the migration experiment, takes the peak temperature it achieves,
     and asks what global stop-go or DVFS throttling would cost in throughput
-    to reach the *same* peak on the *same* chip.  The two throttling searches
-    depend only on that target peak, so ``n_jobs`` runs them concurrently.
+    to reach the *same* peak on the *same* chip.
     """
-    from functools import partial
-
-    from ..analysis.runner import run_parallel
-
     policy = PeriodicMigrationPolicy(configuration.topology, scheme, period_us=period_us)
     settings = ExperimentSettings(
         num_epochs=num_epochs, mode="steady", settle_epochs=num_epochs - 1
     )
     migration = ThermalExperiment(configuration, policy, settings=settings).run()
     target_peak = migration.settled_peak_celsius
-
-    # The two throttling searches are batched single-solve bisections — a
-    # few milliseconds each.  The cost hint lets the runner drop a process
-    # request down to thread/serial execution instead of paying pickling.
-    duty, frequency = run_parallel(
-        [
-            partial(_stop_go_throughput, configuration, target_peak),
-            partial(_dvfs_throughput, configuration, target_peak),
-        ],
-        n_jobs=n_jobs,
-        executor=executor,
-        est_task_seconds=5e-3,
-    )
+    duty = StopGoThrottling(configuration).duty_cycle_for_peak(target_peak)
+    frequency = DvfsThrottling(configuration).frequency_for_peak(target_peak)
 
     return DtmComparison(
         configuration=configuration.name,

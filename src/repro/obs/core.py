@@ -11,22 +11,21 @@ hold module-level instrument objects created at import time::
 and pay **one attribute load plus one branch** per call while telemetry is
 disabled (the default) — no locks, no dict lookups, no allocation.  When
 enabled (``repro --trace``, ``repro.obs.enable()``), increments take the
-registry lock so concurrent threads from the persistent worker pools never
-lose updates.
+registry lock so concurrent threads never lose updates.
 
 Three instrument kinds:
 
 * :class:`Counter` — monotonically accumulating count (solves, cache hits,
   decoded blocks).
-* :class:`Gauge` — last-written value (current worker count, batch size).
+* :class:`Gauge` — last-written value (the stream engine's window lag).
 * :class:`TimerStat` — aggregate of observed durations: count / total /
   min / max (and derived mean), recorded directly or via ``with t.time():``.
 
 **Scopes** give callers per-task attribution without a second registry:
 ``with registry.scoped() as scope:`` pushes a *thread-local* collector, and
 every counter increment and timer record made on that thread while the scope
-is active is mirrored into it.  Scopes nest, are per-thread (so the thread
-pool's concurrent jobs do not bleed into each other's deltas), and their
+is active is mirrored into it.  Scopes nest, are per-thread (so jobs on
+concurrent threads do not bleed into each other's deltas), and their
 :meth:`TelemetryScope.to_dict` is what gets attached to scenario results and
 campaign journal entries.
 

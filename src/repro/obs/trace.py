@@ -4,13 +4,13 @@
 tracing is enabled, records one **complete event** ("ph": "X" in the Chrome
 trace-event format): wall-clock begin, duration, process id, thread id and
 the caller's attributes.  Spans nest per thread — a thread-local stack tags
-each event with its parent span's name — and carry the native thread id, so
-a sharded campaign traced through the persistent pools renders as parallel
-tracks (one per worker thread or process) in Perfetto / ``chrome://tracing``.
+each event with its parent span's name — and carry the process and native
+thread ids, so a sharded campaign renders as parallel tracks (one per worker
+process) in Perfetto / ``chrome://tracing``.
 
 Timebase: all timestamps are **wall-clock epoch microseconds**, derived from
 one ``(time.time, perf_counter)`` anchor captured at import.  Every process
-anchors against the same system clock, so events collected in pool workers
+anchors against the same system clock, so events collected in worker processes
 and merged into the parent tracer (see :mod:`repro.campaign.executor`) land
 on a common timeline.
 
@@ -118,7 +118,7 @@ class Tracer:
         tid: Optional[int] = None,
         args: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Record an externally timed event (e.g. a pool worker's task)."""
+        """Record an externally timed event."""
         self.add(
             SpanEvent(
                 name=name,

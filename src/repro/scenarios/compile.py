@@ -317,7 +317,7 @@ def compile_window(
 #: (parity-matrix digest, quantized SNR) -> (mean iterations, success rate).
 #: Keyed by the code itself, not the configuration name, so custom chip
 #: variants are probed correctly and identical codes share probes.  The cache
-#: is process-wide and ``ScenarioRunner(executor="thread")`` suites probe
+#: is process-wide, so callers running scenarios on several threads probe it
 #: concurrently: :data:`_PROBE_CACHE_LOCK` guards the dicts themselves, and a
 #: short-lived per-key lock in :data:`_PROBE_KEY_LOCKS` serializes threads
 #: asking for the *same* (code, SNR) — distinct keys still probe in parallel

@@ -162,15 +162,14 @@ class ThermalSolver:
         #: for the fast path staying engaged on shared-dt traces).
         self.spectral_jump_count = 0
         self._spectral_basis: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        # Solvers are shared across the thread executor of the parallel
-        # runner; guard the lazily-built caches.
+        # A chip configuration, and so its solver, may be shared by callers
+        # on several threads; guard the lazily-built caches.
         self._cache_lock = threading.Lock()
         self._thread_factors = threading.local()
 
     def __getstate__(self):
-        # Locks and thread-local stores cannot cross process boundaries (the
-        # parallel runner pickles configurations, which carry a solver);
-        # recreate them on unpickling.
+        # Locks and thread-local stores cannot be pickled (configurations,
+        # which carry a solver, can be); recreate them on unpickling.
         state = self.__dict__.copy()
         del state["_cache_lock"]
         del state["_thread_factors"]

@@ -1,245 +1,33 @@
-"""Tests for the parallel experiment runner and its n_jobs wiring."""
+"""Tests for the serial experiment helpers, alone and on shared chips.
+
+The helpers run in the calling thread, but a caller may run several of them
+on threads of its own against one shared chip configuration; the parallel
+cases check that such runs reproduce the serial results exactly.
+"""
 
 import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import pytest
 
-from repro.analysis.runner import (
-    _POOLS,
-    PROCESS_TASK_FLOOR_S,
-    SERIAL_TASK_FLOOR_S,
-    _persistent_executor,
-    plan_execution,
-    resolve_jobs,
-    run_experiment_grid,
-    run_parallel,
-    run_parallel_iter,
-    run_single_experiment,
-    shutdown_executors,
-)
+from repro.analysis.runner import run_experiment_grid, run_single_experiment
 from repro.analysis.sweep import run_energy_ablation, run_period_sweep
 from repro.chips import get_configuration
 from repro.core.dtm import compare_with_migration
 
 
-def _square(value):
-    return value * value
+def _on_threads(task, count=2):
+    """Run ``task`` on ``count`` threads released together; their results."""
+    barrier = threading.Barrier(count)
 
+    def run():
+        barrier.wait()
+        return task()
 
-def _fail():
-    raise RuntimeError("worker failure")
-
-
-class TestResolveJobs:
-    def test_serial_defaults(self):
-        assert resolve_jobs(None, 10) == 1
-        assert resolve_jobs(1, 10) == 1
-
-    def test_capped_by_tasks(self):
-        assert resolve_jobs(8, 3) == 3
-
-    def test_all_cpus(self):
-        assert resolve_jobs(-1, 100) >= 1
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            resolve_jobs(0, 4)
-        with pytest.raises(ValueError):
-            resolve_jobs(-2, 4)
-
-
-class TestPlanExecution:
-    def test_no_estimate_keeps_the_request(self):
-        assert plan_execution(4, 8) == (4, "process")
-        assert plan_execution(4, 8, None, "thread") == (4, "thread")
-
-    def test_serial_requests_pass_through(self):
-        assert plan_execution(None, 8, 1e-6) == (1, "process")
-        assert plan_execution(1, 8, 1e-6) == (1, "process")
-
-    def test_cheap_tasks_skip_the_process_pool(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        cheap = PROCESS_TASK_FLOOR_S / 2
-        assert plan_execution(4, 8, cheap, "process") == (4, "thread")
-
-    def test_trivial_tasks_run_serially(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        trivial = SERIAL_TASK_FLOOR_S / 2
-        workers, _executor = plan_execution(4, 8, trivial, "process")
-        assert workers == 1
-        workers, _executor = plan_execution(4, 8, trivial, "thread")
-        assert workers == 1
-
-    def test_single_cpu_hosts_downgrade_threads_to_serial(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        workers, _executor = plan_execution(4, 8, 1.0, "thread")
-        assert workers == 1
-
-    def test_expensive_tasks_keep_the_process_pool(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        assert plan_execution(4, 8, PROCESS_TASK_FLOOR_S * 2, "process") == (
-            4,
-            "process",
-        )
-
-
-class TestRunParallelIter:
-    def test_serial_plan_yields_in_task_order(self):
-        tasks = [partial(_square, value) for value in range(5)]
-        assert list(run_parallel_iter(tasks)) == [
-            (index, index * index) for index in range(5)
-        ]
-
-    def test_parallel_yields_every_result_with_its_index(self):
-        tasks = [partial(_square, value) for value in range(8)]
-        seen = dict(run_parallel_iter(tasks, n_jobs=4, executor="thread"))
-        assert seen == {index: index * index for index in range(8)}
-
-    def test_failure_propagates_and_pool_survives(self):
-        with pytest.raises(RuntimeError, match="worker failure"):
-            list(
-                run_parallel_iter(
-                    [partial(_square, 1), _fail, partial(_square, 2)],
-                    n_jobs=2,
-                    executor="thread",
-                )
-            )
-        # The shared pool still works afterwards.
-        assert run_parallel(
-            [partial(_square, 3)] * 2, n_jobs=2, executor="thread"
-        ) == [9, 9]
-
-    def test_abandoned_generator_cleans_up(self):
-        tasks = [partial(_square, value) for value in range(16)]
-        iterator = run_parallel_iter(tasks, n_jobs=2, executor="thread")
-        next(iterator)
-        iterator.close()  # must cancel/drain, not raise
-        assert run_parallel(
-            [partial(_square, 5)], n_jobs=2, executor="thread"
-        ) == [25]
-
-
-class TestRunParallel:
-    def test_serial_path_preserves_order(self):
-        tasks = [partial(_square, value) for value in range(6)]
-        assert run_parallel(tasks) == [0, 1, 4, 9, 16, 25]
-
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_parallel_results_in_task_order(self, executor):
-        tasks = [partial(_square, value) for value in range(8)]
-        assert run_parallel(tasks, n_jobs=4, executor=executor) == [
-            value * value for value in range(8)
-        ]
-
-    def test_worker_exception_propagates(self):
-        with pytest.raises(RuntimeError, match="worker failure"):
-            run_parallel([_fail, _fail], n_jobs=2, executor="thread")
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            run_parallel([partial(_square, 2)], n_jobs=2, executor="mpi")
-
-    def test_empty_task_list(self):
-        assert run_parallel([], n_jobs=4) == []
-
-
-class TestPersistentPools:
-    def test_pool_is_reused_across_calls(self):
-        shutdown_executors()
-        tasks = [partial(_square, value) for value in range(4)]
-        run_parallel(tasks, n_jobs=2, executor="thread")
-        first = _persistent_executor("thread", 2)
-        run_parallel(tasks, n_jobs=2, executor="thread")
-        assert _persistent_executor("thread", 2) is first
-        shutdown_executors()
-
-    def test_larger_pool_serves_smaller_requests(self):
-        shutdown_executors()
-        big = _persistent_executor("thread", 4)
-        # A smaller request reuses the big pool; only one pool per kind.
-        assert _persistent_executor("thread", 2) is big
-        assert len(_POOLS) == 1
-        # A bigger request replaces it.
-        bigger = _persistent_executor("thread", 6)
-        assert bigger is not big
-        assert _persistent_executor("thread", 3) is bigger
-        assert len(_POOLS) == 1
-        shutdown_executors()
-
-    def test_one_shot_pool_not_cached(self):
-        shutdown_executors()
-        tasks = [partial(_square, value) for value in range(4)]
-        assert run_parallel(
-            tasks, n_jobs=2, executor="thread", reuse_pool=False
-        ) == [0, 1, 4, 9]
-        assert _POOLS == {}
-
-    def test_shutdown_is_idempotent(self):
-        run_parallel(
-            [partial(_square, value) for value in range(4)],
-            n_jobs=2,
-            executor="thread",
-        )
-        shutdown_executors()
-        shutdown_executors()
-        assert _POOLS == {}
-
-    def test_failure_drains_in_flight_siblings(self):
-        """A raising task must not leave siblings running in the shared pool.
-
-        The pool is persistent: if the failure propagated while a sibling was
-        still executing, that sibling would keep running and interleave with
-        the next caller's work.  The failure path cancels pending futures and
-        drains running ones before re-raising, so by the time the caller sees
-        the exception nothing of this call is in flight — and the tasks the
-        window never submitted must not run afterwards either.
-        """
-        shutdown_executors()
-        sibling_started = threading.Event()
-        finished = []
-
-        def slow(idx):
-            sibling_started.set()
-            time.sleep(0.25)
-            finished.append(idx)
-            return idx
-
-        def fail_once_sibling_runs():
-            # Guarantee the sibling is mid-execution when the failure
-            # surfaces, so the drain (not just the cancel) is exercised.
-            assert sibling_started.wait(timeout=5)
-            raise RuntimeError("worker failure")
-
-        tasks = [
-            fail_once_sibling_runs,
-            partial(slow, 0),
-            partial(slow, 1),
-            partial(slow, 2),
-        ]
-        with pytest.raises(RuntimeError, match="worker failure"):
-            run_parallel(tasks, n_jobs=2, executor="thread")
-        # The sibling submitted alongside the failing task (window of 2) was
-        # drained before the raise; the unsubmitted tail never entered the
-        # pool.
-        drained = list(finished)
-        assert drained == [0]
-        time.sleep(0.4)
-        assert finished == drained
-        shutdown_executors()
-
-    def test_pool_usable_after_task_exception(self):
-        shutdown_executors()
-        with pytest.raises(RuntimeError, match="worker failure"):
-            run_parallel([_fail, _fail], n_jobs=2, executor="thread")
-        # An ordinary task exception must not poison the cached pool.
-        assert run_parallel(
-            [partial(_square, value) for value in range(4)],
-            n_jobs=2,
-            executor="thread",
-        ) == [0, 1, 4, 9]
-        shutdown_executors()
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        futures = [pool.submit(run) for _ in range(count)]
+        return [future.result() for future in futures]
 
 
 class TestExperimentHelpers:
@@ -269,30 +57,32 @@ class TestExperimentHelpers:
     def test_parallel_sweep_matches_serial(self, chip):
         kwargs = {"periods_us": (109.0, 437.2), "mode": "steady", "num_epochs": 5}
         serial = run_period_sweep(chip, **kwargs)
-        parallel = run_period_sweep(chip, n_jobs=2, executor="thread", **kwargs)
-        assert [point.period_us for point in parallel.points] == [
-            point.period_us for point in serial.points
-        ]
-        for expected, actual in zip(serial.points, parallel.points):
-            assert actual.throughput_penalty == expected.throughput_penalty
-            assert actual.settled_peak_celsius == expected.settled_peak_celsius
-            assert actual.peak_reduction_celsius == expected.peak_reduction_celsius
+        for parallel in _on_threads(partial(run_period_sweep, chip, **kwargs)):
+            assert [point.period_us for point in parallel.points] == [
+                point.period_us for point in serial.points
+            ]
+            for expected, actual in zip(serial.points, parallel.points):
+                assert actual.throughput_penalty == expected.throughput_penalty
+                assert actual.settled_peak_celsius == expected.settled_peak_celsius
+                assert (
+                    actual.peak_reduction_celsius == expected.peak_reduction_celsius
+                )
 
     def test_parallel_ablation_matches_serial(self, chip):
         serial = run_energy_ablation(chip, num_epochs=5)
-        parallel = run_energy_ablation(chip, num_epochs=5, n_jobs=2, executor="thread")
-        assert (
-            parallel.mean_temperature_penalty_celsius
-            == serial.mean_temperature_penalty_celsius
-        )
-        assert (
-            parallel.peak_temperature_penalty_celsius
-            == serial.peak_temperature_penalty_celsius
-        )
+        for parallel in _on_threads(partial(run_energy_ablation, chip, num_epochs=5)):
+            assert (
+                parallel.mean_temperature_penalty_celsius
+                == serial.mean_temperature_penalty_celsius
+            )
+            assert (
+                parallel.peak_temperature_penalty_celsius
+                == serial.peak_temperature_penalty_celsius
+            )
 
     def test_parallel_dtm_matches_serial(self, chip):
         serial = compare_with_migration(chip, num_epochs=5)
-        parallel = compare_with_migration(chip, num_epochs=5, n_jobs=2, executor="thread")
-        assert parallel.stop_go_penalty == serial.stop_go_penalty
-        assert parallel.dvfs_penalty == serial.dvfs_penalty
-        assert parallel.migration_penalty == serial.migration_penalty
+        for parallel in _on_threads(partial(compare_with_migration, chip, num_epochs=5)):
+            assert parallel.stop_go_penalty == serial.stop_go_penalty
+            assert parallel.dvfs_penalty == serial.dvfs_penalty
+            assert parallel.migration_penalty == serial.migration_penalty

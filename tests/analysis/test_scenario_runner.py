@@ -1,5 +1,7 @@
 """Tests for the scenario suite runner and the comparison report."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.analysis.report import ScenarioComparison, compare_scenarios
@@ -30,20 +32,18 @@ class TestScenarioRunner:
         assert results[1].experiment.migrations_performed == 0
 
     def test_thread_pool_matches_serial(self):
+        # A caller may run scenarios on threads of its own; the process-wide
+        # probe, NoC-model and LU-factor caches they share must keep every
+        # result equal to the serial run's.
         specs = [_tiny_spec("a"), _tiny_spec("b", configuration="C")]
         serial = ScenarioRunner().run(specs)
-        threaded = ScenarioRunner(n_jobs=2, executor="thread").run(specs)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda spec: ScenarioRunner().run([spec])[0], specs))
         for s, t in zip(serial, threaded):
             assert t.spec.name == s.spec.name
             assert t.experiment.settled_peak_celsius == pytest.approx(
                 s.experiment.settled_peak_celsius, abs=1e-12
             )
-
-    def test_default_executor_is_thread(self):
-        # The scenario hot paths release the GIL and share process-wide
-        # caches; the honest perf record showed process fan-out losing on
-        # small suites, so threads are the default.
-        assert ScenarioRunner().executor == "thread"
 
     def test_feedback_stride_override(self):
         spec = _tiny_spec(
@@ -95,6 +95,20 @@ class TestScenarioComparison:
         table = comparison.format_table()
         assert "cool" in table and "warm" in table
         assert "hottest" in table
+
+    def test_feedback_overrides_reach_every_scenario(self):
+        spec = _tiny_spec(
+            "fb", scheme="threshold-xy-shift",
+            policy_params={"trigger_celsius": 70.0},
+        )
+        comparison = compare_scenarios(
+            [spec, _tiny_spec("plain")],
+            feedback_stride=5,
+            feedback_predictor="previous",
+        )
+        for name in ("fb", "plain"):
+            assert comparison.result(name).spec.feedback_stride == 5
+            assert comparison.result(name).spec.feedback_predictor == "previous"
 
     def test_registry_default_uses_named_scenario(self):
         comparison = compare_scenarios([get_scenario("steady-baseline")])

@@ -50,6 +50,28 @@ class TestPeriodSweep:
         assert "109.0" in text
         assert "874.4" in text
 
+    def test_steady_sweep_makes_one_solve_per_period(self):
+        """One batched steady solve per period, no step factorisations."""
+        from repro.chips import get_configuration
+
+        chip = get_configuration("A")
+        solver = chip.thermal_model.solver
+        solves_before = solver.steady_solve_count
+        factorizations_before = solver.step_factorization_count
+        run_period_sweep(chip, periods_us=PAPER_PERIODS_US, mode="steady", num_epochs=9)
+        assert solver.steady_solve_count - solves_before == len(PAPER_PERIODS_US)
+        assert solver.step_factorization_count == factorizations_before
+
+    def test_points_follow_the_requested_order(self):
+        from repro.chips import get_configuration
+
+        periods = (874.4, 109.0, 437.2)
+        sweep = run_period_sweep(
+            get_configuration("A"), periods_us=periods, mode="steady", num_epochs=5
+        )
+        assert [point.period_us for point in sweep.points] == list(periods)
+        assert list(sweep.as_arrays()["period_us"]) == sorted(periods)
+
 
 class TestEnergyAblation:
     @pytest.fixture(scope="class")

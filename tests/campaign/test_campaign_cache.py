@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,29 @@ class TestCodeFingerprint:
         assert len(fingerprint) == 64
         # Memoized: the second call must agree.
         assert code_fingerprint(("core", "ldpc", "noc")) == fingerprint
+
+
+    def test_concurrent_callers_share_one_memoized_digest(self, monkeypatch):
+        from repro.campaign import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_FINGERPRINT_CACHE", {})
+        barrier = threading.Barrier(8)
+        digests = []
+
+        def worker():
+            barrier.wait()
+            digests.append(code_fingerprint(("core", "noc")))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(digests) == 8 and len(set(digests)) == 1
+        assert list(cache_module._FINGERPRINT_CACHE.values()) == digests[:1]
+        # The memoized digest is the one a fresh, unmemoized hash computes.
+        root = cache_module._package_root()
+        assert code_fingerprint(("core", "noc"), root) == digests[0]
 
 
 class TestJobCacheKey:

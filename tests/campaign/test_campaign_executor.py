@@ -4,15 +4,55 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from functools import partial
+from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignSpec, auto_plan, campaign_status, run_campaign
+from repro import obs
+from repro.campaign import CampaignSpec, campaign_status, run_campaign
 from repro.campaign import executor as executor_module
 from repro.campaign import manifest
 from repro.chips import get_configuration
 
 from test_campaign_spec import cheap_scenario
+
+#: The real job evaluation, captured before any test patches the module.
+_EVALUATE = executor_module._evaluate_payload
+
+
+def _fail_first_job(workdir, spec_payload, job_id, axes, index, **kwargs):
+    """Campaign task that fails grid job 0 once two other jobs are journaled.
+
+    Module level, so worker processes can unpickle it under both the fork
+    and the spawn start method.  Every call first leaves a marker file
+    named after its job in ``workdir``, which tells the test which jobs
+    ever started; the campaign directory is ``workdir / "camp"``.
+    """
+    (workdir / "started" / str(index)).touch()
+    if index != 0:
+        time.sleep(0.1)
+        return _EVALUATE(spec_payload, job_id, axes, index, **kwargs)
+    journal = manifest.journal_path(workdir / "camp")
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        if journal.exists() and journal.read_text().count("\n") >= 2:
+            break
+        time.sleep(0.01)
+    raise RuntimeError("injected worker failure")
+
+
+def _square(value):
+    return value * value
+
+
+def _reject(value):
+    raise ValueError(f"rejected {value}")
 
 
 def grid_spec(name="grid", scenarios=None, **overrides):
@@ -160,34 +200,213 @@ class TestResume:
         assert status["pending"] == 3
 
 
+def journal_results(directory):
+    """The journal's result payloads as a multiset (canonical JSON, sorted)."""
+    return sorted(
+        json.dumps(entry["result"], sort_keys=True)
+        for entry in manifest.load_journal(directory)
+    )
+
+
 class TestSharding:
-    def test_sharded_results_bit_identical_to_serial(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def tracer(self):
+        obs.enable()
+        obs.start_tracing(clear=True)
+        yield obs.get_tracer()
+        obs.disable()
+        obs.stop_tracing()
+        obs.get_registry().reset()
+        obs.get_tracer().clear()
+
+    def test_sharded_results_bit_identical_to_serial(self, tmp_path, tracer):
         spec = grid_spec()
         serial = run_campaign(spec, tmp_path / "serial", n_jobs=1)
-        # Force a genuine 2-worker thread fan-out regardless of host CPUs
-        # or the cost-aware downgrade (the jobs here are tiny).
-        monkeypatch.setattr(
-            "repro.analysis.runner.plan_execution",
-            lambda n_jobs, num_tasks, est_task_seconds=None, executor="process": (
-                2,
-                "thread",
-            ),
-        )
-        sharded = run_campaign(
-            spec, tmp_path / "sharded", n_jobs=2, executor="thread"
-        )
+        tracer.clear()
+        sharded = run_campaign(spec, tmp_path / "sharded", n_jobs=2)
+        assert sharded.workers == 2
+        assert sharded.evaluated == len(sharded.jobs)
         assert result_payloads(sharded) == result_payloads(serial)
-        # And the journals carry the same payloads (completion order may
-        # differ; compare as sets of canonical lines).
-        def journal_results(directory):
-            return sorted(
-                json.dumps(entry["result"], sort_keys=True)
-                for entry in manifest.load_journal(directory)
-            )
-
+        # Completion order may differ between the two journals.
         assert journal_results(tmp_path / "sharded") == journal_results(
             tmp_path / "serial"
         )
+        # Worker spans were merged onto the parent's timeline.
+        job_spans = [e for e in tracer.events() if e.name == "campaign.job"]
+        assert len(job_spans) == sharded.evaluated
+        assert all(span.pid != os.getpid() for span in job_spans)
+        entries = manifest.load_journal(tmp_path / "sharded")
+        assert all("telemetry" in entry for entry in entries)
+
+    def test_worker_failure_cancels_pending_jobs_and_keeps_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        spec = grid_spec(feedback_strides=(1, 2))
+        total = len(spec.expand())
+        (tmp_path / "started").mkdir()
+        monkeypatch.setattr(
+            executor_module, "_evaluate_payload", partial(_fail_first_job, tmp_path)
+        )
+        with pytest.raises(RuntimeError, match="injected worker failure") as failure:
+            run_campaign(spec, tmp_path / "camp", n_jobs=2)
+        # The task's own exception, not a BrokenProcessPool (a RuntimeError
+        # subclass).
+        assert type(failure.value) is RuntimeError
+        # Jobs still queued when the failure surfaced never started.
+        assert len(list((tmp_path / "started").iterdir())) < total
+        journaled = manifest.load_journal(tmp_path / "camp")
+        assert len(journaled) >= 2
+
+        monkeypatch.undo()
+        rerun = run_campaign(spec, tmp_path / "camp")
+        assert rerun.resumed == len(journaled)
+        assert rerun.evaluated == total - len(journaled)
+        serial = run_campaign(spec, tmp_path / "serial")
+        assert result_payloads(rerun) == result_payloads(serial)
+
+    @pytest.mark.parametrize("n_jobs", [0, -2, "auto", None, 2.0, True, "2"])
+    def test_invalid_n_jobs_rejected_before_touching_disk(self, tmp_path, n_jobs):
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_campaign(grid_spec(), tmp_path / "camp", n_jobs=n_jobs)
+        assert not (tmp_path / "camp").exists()
+
+    def test_all_cpus_request_takes_one_worker_per_cpu(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run = run_campaign(grid_spec(), tmp_path / "camp", n_jobs=-1)
+        assert run.workers == 2
+        assert run.evaluated == len(run.jobs)
+
+    def test_workers_capped_by_pending_evaluations(self, tmp_path):
+        spec = grid_spec(configurations=("A",), schemes=("xy-shift",))
+        run = run_campaign(spec, tmp_path / "camp", n_jobs=8)
+        assert run.evaluated == len(run.jobs) == 2
+        assert run.workers == 2
+
+    def test_single_pending_job_runs_inline(self, tmp_path, tracer):
+        spec = grid_spec(
+            scenarios=(cheap_scenario("s1"),),
+            configurations=("A",),
+            schemes=("xy-shift",),
+        )
+        run = run_campaign(spec, tmp_path / "camp", n_jobs=4)
+        assert run.workers == 1
+        job_spans = [e for e in tracer.events() if e.name == "campaign.job"]
+        assert [span.pid for span in job_spans] == [os.getpid()]
+
+    def test_warm_rerun_starts_no_workers(self, tmp_path):
+        spec = grid_spec()
+        cold = run_campaign(spec, tmp_path / "camp")
+        warm = run_campaign(spec, tmp_path / "camp", n_jobs=2)
+        assert warm.evaluated == 0
+        assert warm.resumed == len(warm.jobs)
+        assert warm.workers == 1
+        assert result_payloads(warm) == result_payloads(cold)
+
+    def test_sharded_run_resumes_a_killed_campaign(self, tmp_path):
+        spec = grid_spec()
+        complete = run_campaign(spec, tmp_path / "full")
+        lines = manifest.journal_path(tmp_path / "full").read_text().splitlines(
+            keepends=True
+        )
+        interrupted = tmp_path / "killed"
+        manifest.bind_directory(interrupted, spec)
+        manifest.journal_path(interrupted).write_text("".join(lines[:3]))
+        resumed = run_campaign(spec, interrupted, n_jobs=2)
+        assert resumed.resumed == 3
+        assert resumed.evaluated == len(resumed.jobs) - 3
+        assert resumed.workers == 2
+        assert result_payloads(resumed) == result_payloads(complete)
+        assert journal_results(interrupted) == journal_results(tmp_path / "full")
+
+    def test_sharded_duplicate_cells_evaluate_once(self, tmp_path):
+        twin = cheap_scenario("twin")
+        spec = CampaignSpec(
+            name="twins", scenarios=(twin, twin), configurations=("A", "B")
+        )
+        run = run_campaign(spec, tmp_path / "camp", n_jobs=2)
+        assert len(run.jobs) == 4
+        assert run.evaluated == 2
+        assert run.workers == 2
+        assert run.results[0] == run.results[2]
+        assert run.results[1] == run.results[3]
+        serial = run_campaign(spec, tmp_path / "serial")
+        assert result_payloads(run) == result_payloads(serial)
+
+    def test_sharded_run_without_telemetry_journals_none(self, tmp_path):
+        obs.disable()
+        run = run_campaign(grid_spec(), tmp_path / "camp", n_jobs=2)
+        assert run.workers == 2
+        assert run.telemetry is None
+        entries = manifest.load_journal(tmp_path / "camp")
+        assert len(entries) == len(run.jobs)
+        assert not any("telemetry" in entry for entry in entries)
+
+
+class TestCompleted:
+    """The fan-out under ``run_campaign``: inline in order, or a process pool."""
+
+    def test_inline_yields_in_task_order(self):
+        tasks = [partial(_square, value) for value in range(5)]
+        assert list(executor_module._completed(tasks, 1)) == [
+            (index, index * index) for index in range(5)
+        ]
+
+    def test_inline_failure_runs_nothing_after_it(self):
+        ran = []
+
+        def record(value):
+            ran.append(value)
+            return value
+
+        tasks = [partial(record, 0), partial(_reject, 1), partial(record, 2)]
+        with pytest.raises(ValueError, match="rejected 1"):
+            list(executor_module._completed(tasks, 1))
+        assert ran == [0]
+
+    def test_pool_yields_every_index_once(self):
+        tasks = [partial(_square, value) for value in range(6)]
+        pairs = list(executor_module._completed(tasks, 2))
+        assert sorted(pairs) == [(index, index * index) for index in range(6)]
+        assert multiprocessing.active_children() == []
+
+    def test_pool_reraises_the_task_exception_and_reaps_workers(self):
+        tasks = [partial(_square, 0), partial(_reject, 1), partial(_square, 2)]
+        with pytest.raises(ValueError, match="rejected 1") as failure:
+            list(executor_module._completed(tasks, 2))
+        assert type(failure.value) is ValueError
+        assert multiprocessing.active_children() == []
+
+    def test_closed_iterator_shuts_the_pool_down(self):
+        tasks = [partial(_square, value) for value in range(8)]
+        iterator = executor_module._completed(tasks, 2)
+        next(iterator)
+        iterator.close()
+        assert multiprocessing.active_children() == []
+
+
+class TestImports:
+    def test_inline_campaign_never_loads_multiprocessing(self, tmp_path):
+        """Only a sharded run pays for importing the process pool."""
+        script = (
+            "import sys\n"
+            "from repro.campaign import CampaignSpec, run_campaign\n"
+            "from repro.scenarios import ScenarioSpec\n"
+            "scenario = ScenarioSpec(name='s', configuration='A', "
+            "scheme='xy-shift', mode='steady', num_epochs=4, settle_epochs=2)\n"
+            "run = run_campaign(CampaignSpec(name='c', scenarios=(scenario,)), "
+            "sys.argv[1])\n"
+            "assert run.evaluated == 1\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "camp")],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+            check=True,
+        )
+        assert completed.stdout.strip() == "[]"
 
 
 class TestDryRun:
@@ -198,6 +417,12 @@ class TestDryRun:
         assert forecast.forecast_evaluations == len(forecast.jobs)
         assert forecast.evaluated == 0
         assert not directory.exists()
+
+    def test_dry_run_starts_no_workers(self, tmp_path):
+        forecast = run_campaign(grid_spec(), tmp_path / "camp", n_jobs=2, dry_run=True)
+        assert forecast.workers == 1
+        assert forecast.forecast_evaluations == len(forecast.jobs)
+        assert not (tmp_path / "camp").exists()
 
     def test_dry_run_forecasts_cache_hits(self, tmp_path):
         spec = grid_spec()
@@ -213,38 +438,3 @@ class TestDryRun:
         # Read-only: journal and spec file untouched.
         assert manifest.journal_path(directory).read_text() == journal_before
         assert manifest.load_spec(directory) == spec
-
-
-class TestAutoPlan:
-    def test_single_cpu_hosts_stay_serial(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        assert auto_plan(100) == (1, "thread")
-
-    def test_single_pending_job_stays_serial(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        assert auto_plan(1) == (1, "thread")
-
-    def test_weak_recorded_speedup_stays_serial(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setattr(
-            executor_module,
-            "_perf_record",
-            lambda path=None: {"speedup": 1.01, "n_jobs": 4, "executor": "thread"},
-        )
-        assert auto_plan(100) == (1, "thread")
-
-    def test_strong_recorded_speedup_reuses_the_shape(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setattr(
-            executor_module,
-            "_perf_record",
-            lambda path=None: {"speedup": 2.4, "n_jobs": 4, "executor": "thread"},
-        )
-        assert auto_plan(100) == (4, "thread")
-        # Capped by the pending job count.
-        assert auto_plan(3) == (3, "thread")
-
-    def test_no_history_fans_over_cpus(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setattr(executor_module, "_perf_record", lambda path=None: None)
-        assert auto_plan(100) == (4, "thread")

@@ -9,7 +9,7 @@ matches its batch twin to streaming-parity tolerance.
 
 import pytest
 
-from repro.campaign import CampaignSpec, evaluate_job
+from repro.campaign import CampaignSpec, evaluate_job, run_campaign
 from repro.campaign.cache import code_fingerprint, job_cache_key, modules_for_spec
 from repro.campaign.executor import compute_job_keys
 from repro.scenarios import ScenarioSpec
@@ -136,3 +136,18 @@ class TestStreamedEvaluation:
         from repro.campaign import JobResult
 
         assert JobResult.from_dict(result.to_dict()) == result
+
+    def test_sharded_streamed_jobs_match_serial(self, tmp_path):
+        spec = CampaignSpec(
+            name="s",
+            scenarios=(cheap_scenario(),),
+            configurations=("A", "B"),
+            stream_windows=(2, 3),
+        )
+        serial = run_campaign(spec, tmp_path / "serial")
+        sharded = run_campaign(spec, tmp_path / "sharded", n_jobs=2)
+        assert sharded.workers == 2
+        assert sharded.evaluated == len(sharded.jobs) == 4
+        assert [result.to_dict() for result in sharded.results] == [
+            result.to_dict() for result in serial.results
+        ]

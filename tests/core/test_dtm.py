@@ -117,6 +117,20 @@ class TestComparisonWithMigration:
         assert comparison.stop_go_penalty > 3 * comparison.migration_penalty
         assert comparison.dvfs_penalty > comparison.migration_penalty
 
+    def test_throttling_penalties_reach_the_migrated_peak(self, comparison):
+        from repro.chips import get_configuration
+
+        chip = get_configuration("A")
+        assert comparison.target_peak_celsius == comparison.migration_peak_celsius
+        stop_go = StopGoThrottling(chip).operating_point(
+            1.0 - comparison.stop_go_penalty
+        )
+        assert stop_go.peak_celsius == pytest.approx(
+            comparison.target_peak_celsius, abs=0.2
+        )
+        dvfs = DvfsThrottling(chip).operating_point(1.0 - comparison.dvfs_penalty)
+        assert dvfs.peak_celsius <= comparison.target_peak_celsius + 1e-6
+
     def test_penalties_in_unit_interval(self, comparison):
         for value in (
             comparison.migration_penalty,

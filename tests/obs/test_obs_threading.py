@@ -1,10 +1,9 @@
-"""Telemetry under concurrency: persistent pools, scopes, span tracks.
+"""Telemetry under concurrency: counters, scopes, span tracks.
 
-The registry and tracer are process-wide singletons shared by the persistent
-worker pools in :mod:`repro.analysis.runner`; these tests drive them from
-many threads at once and demand exact totals (lost updates would show up as
-undercounts) and correct per-thread attribution (scopes and span stacks are
-thread-local).
+The registry and tracer are process-wide singletons that any caller may
+share across threads; these tests drive them from many threads at once and
+demand exact totals (lost updates would show up as undercounts) and correct
+per-thread attribution (scopes and span stacks are thread-local).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
-from repro.analysis.runner import run_parallel
 
 
 class TestConcurrentCounters:
@@ -83,40 +81,21 @@ class TestSpansFromPools:
         assert all(e.args["parent"] == "outer" for e in inner)
         assert len({e.tid for e in events}) == 3
 
-    def test_persistent_runner_pool_produces_distinct_tracks(self, enabled):
+    def test_pool_tasks_land_on_distinct_tracks(self, enabled):
+        barrier = threading.Barrier(3)
+
         def job(index):
-            def run():
-                with obs.span("test.thread.task", index=index):
-                    obs.counter("test.thread.pool").add()
-                    threading.Event().wait(0.02)
-                return index
+            if index < 3:
+                barrier.wait()  # the first three tasks overlap in time
+            with obs.span("test.thread.task", index=index):
+                obs.counter("test.thread.pool").add()
+            return index
 
-            return run
-
-        results = run_parallel([job(i) for i in range(6)], n_jobs=3,
-                               executor="thread")
-        assert results == list(range(6))
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            assert list(pool.map(job, range(6))) == list(range(6))
         assert obs.counter("test.thread.pool").value == 6
         spans = [
             e for e in obs.get_tracer().events() if e.name == "test.thread.task"
         ]
         assert sorted(e.args["index"] for e in spans) == list(range(6))
-        assert len({e.tid for e in spans}) > 1  # genuinely parallel tracks
-
-    def test_runner_pool_telemetry_instruments(self, enabled):
-        def task():
-            threading.Event().wait(0.01)
-            return 1
-
-        results = run_parallel([task] * 4, n_jobs=2, executor="thread")
-        assert results == [1] * 4
-        snapshot = obs.get_registry().snapshot()
-        assert snapshot.counters.get("runner.tasks") == 4
-        assert snapshot.gauges.get("runner.pool_workers") == 2
-        assert snapshot.timers["runner.task"]["count"] == 4
-        assert snapshot.timers["runner.queue_wait"]["count"] == 4
-        tracks = [
-            e for e in obs.get_tracer().events() if e.name == "runner.task"
-        ]
-        assert len(tracks) == 4
-        assert all("queue_wait_ms" in e.args for e in tracks)
+        assert len({e.tid for e in spans}) == 3  # one track per pool thread

@@ -322,8 +322,8 @@ class TestDecoderEffort:
     def test_concurrent_probes_share_one_decode(self, monkeypatch):
         """Threads probing the same (code, SNR) must run ONE decode batch.
 
-        The probe cache is process-wide and ``ScenarioRunner(executor=
-        "thread")`` suites probe concurrently; without the lock, threads that
+        The probe cache is process-wide, so callers running scenarios on
+        several threads probe it concurrently; without the lock, threads that
         miss simultaneously each run the probe batch and write the cache over
         one another.  Four threads released together must produce exactly one
         ``make_decoder`` call.

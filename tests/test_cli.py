@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -19,6 +24,32 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "command", [["sweep"], ["ablation"], ["dtm"], ["scenario", "compare"]]
+    )
+    def test_n_jobs_only_on_campaign_run(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--n-jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --n-jobs" in capsys.readouterr().err
+
+    def test_import_does_not_load_multiprocessing(self):
+        """The process pool is imported only by a sharded campaign run."""
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+            check=True,
+        )
+        assert completed.stdout.strip() == "[]"
 
 
 class TestChipsCommand:
@@ -259,6 +290,63 @@ class TestCampaignCommand:
     def test_report_before_run_is_clean_error(self, capsys, tmp_path):
         assert main(["campaign", "report", "-d", str(tmp_path)]) == 1
         assert "no report.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_jobs", ["0", "-2"])
+    def test_bad_worker_count_is_one_line_error(self, capsys, tmp_path, n_jobs):
+        directory = tmp_path / "camp"
+        code = main(
+            ["campaign", "run", "-S", self._spec_file(tmp_path),
+             "-d", str(directory), "--n-jobs", n_jobs]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "n_jobs" in captured.err
+        assert not directory.exists()
+
+    def test_n_jobs_help_names_worker_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "run", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "worker processes (-1 = all CPUs; default 1)" in out
+
+    def test_default_run_is_serial(self, capsys, tmp_path):
+        spec = self._spec_file(tmp_path)
+        directory = str(tmp_path / "camp")
+        assert main(["--csv", "campaign", "run", "-S", spec, "-d", directory]) == 0
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        summary = dict(zip(header.split(","), row.split(",")))
+        assert summary["workers"] == "1"
+        assert summary["evaluated"] == "2"
+        assert "executor" not in summary
+
+    def test_sharded_run_writes_the_serial_report(self, capsys, tmp_path):
+        spec = self._spec_file(tmp_path)
+        serial, sharded = tmp_path / "serial", tmp_path / "sharded"
+        assert main(["campaign", "run", "-S", spec, "-d", str(serial)]) == 0
+        capsys.readouterr()
+        assert main(
+            ["--csv", "campaign", "run", "-S", spec, "-d", str(sharded),
+             "--n-jobs", "2"]
+        ) == 0
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        assert dict(zip(header.split(","), row.split(",")))["workers"] == "2"
+        assert json.loads((sharded / "report.json").read_text()) == json.loads(
+            (serial / "report.json").read_text()
+        )
+
+    def test_all_cpus_request_is_accepted(self, capsys, tmp_path):
+        directory = tmp_path / "camp"
+        code = main(
+            ["campaign", "run", "-S", self._spec_file(tmp_path),
+             "-d", str(directory), "--n-jobs", "-1", "--dry-run"]
+        )
+        assert code == 0
+        assert "would_evaluate" in capsys.readouterr().out
+        assert not directory.exists()
 
 
 class TestPerfTrendCommand:
