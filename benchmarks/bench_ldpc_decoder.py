@@ -53,7 +53,7 @@ def test_decoder_ber_vs_snr(benchmark):
     with perf_utils.timed() as timer:
         table = benchmark.pedantic(sweep, rounds=1, iterations=1)
     perf_utils.record_perf(
-        "ldpc.ber_sweep.dense_min_sum",
+        "ldpc.ber_sweep.min_sum",
         timer.seconds,
         throughput=blocks * len(snrs) / timer.seconds,
         throughput_unit="codewords/s",

@@ -9,6 +9,7 @@ resulting downtime as a fraction of the 109 us period.
 
 import pytest
 
+import object_engine
 import perf_utils
 from conftest import print_rows
 
@@ -71,9 +72,11 @@ def test_schedule_bound_vs_cycle_accurate_replay(benchmark, chip_e):
 
     # Baseline: the seed object engine draining the same packet batch.
     with perf_utils.timed() as baseline_timer:
-        object_sim = NocSimulator(chip_e.topology, buffer_depth=8, engine="object")
-        object_result = object_sim.run_packets(
-            unit.migration_packets(transform, nodes), drain_limit=1_000_000
+        object_result = object_engine.run_packets(
+            chip_e.topology,
+            unit.migration_packets(transform, nodes),
+            buffer_depth=8,
+            drain_limit=1_000_000,
         )
     assert result.cycles == object_result.cycles
     assert result.stats.latency == object_result.stats.latency

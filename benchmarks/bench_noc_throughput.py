@@ -7,8 +7,9 @@ comparisons.
 
 The curve is produced by the batched vector engine — every injection rate is
 a lane of one :class:`repro.noc.vector.VectorNetwork` run — and timed against
-the seed object engine replaying *identical* schedules, with an in-bench
-exact-parity check so the speedup is never bought with accuracy.  A second
+the seed object engine (the test oracle ``tests/noc/object_engine.py``)
+replaying *identical* schedules, with an in-bench exact-parity check so the
+speedup is never bought with accuracy.  A second
 guard compares the measured curve against the closed-form analytic model
 below saturation.
 """
@@ -16,13 +17,13 @@ below saturation.
 import numpy as np
 import pytest
 
+import object_engine
 import perf_utils
 from conftest import print_rows
 
 from repro.noc import (
     MeshTopology,
     NocSimulator,
-    TraceTraffic,
     analytic_curve,
     default_rate_grid,
     make_traffic,
@@ -60,16 +61,16 @@ def test_uniform_traffic_latency_curve(benchmark, size):
 
     # Baseline: the seed object engine replaying the IDENTICAL schedules.
     with perf_utils.timed() as baseline_timer:
-        baseline = []
-        for schedule in schedules:
-            simulator = NocSimulator(topology, buffer_depth=4, engine="object")
-            baseline.append(
-                simulator.run_traffic(
-                    TraceTraffic(schedule.trace_tuples(topology)),
-                    cycles=MEASURE_CYCLES,
-                    warmup_cycles=WARMUP_CYCLES,
-                )
+        baseline = [
+            object_engine.run_traffic(
+                topology,
+                schedule,
+                cycles=MEASURE_CYCLES,
+                warmup_cycles=WARMUP_CYCLES,
+                buffer_depth=4,
             )
+            for schedule in schedules
+        ]
 
     # Exact parity on identical traffic: same latency stats, same counters.
     for vec, obj in zip(results, baseline):

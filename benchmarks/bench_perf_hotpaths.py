@@ -4,9 +4,9 @@ Times the vectorised hot paths against their seed-equivalent reference
 implementations, asserts the speedups and the structural regression guards
 of the array-native pipeline, and records everything in ``BENCH_perf.json``:
 
-* **Batched sparse LDPC decoding** vs. the dense decoder looping over the
-  same codewords (bit-identical outputs required), plus the per-iteration
-  saving of the construction-time ``reduceat`` index precomputation;
+* **Batched edge-list LDPC decoding** vs. the seed dense decoder (the test
+  oracle ``tests/ldpc/dense_decoder.py``) looping over the same codewords
+  (bit-identical outputs required);
 * **``ThermalSolver.transient_sequence``** on a 41-epoch piecewise-constant
   power trace: cached-propagator Euler and spectral sampling vs. the
   uncached per-interval-refactorising reference (node temperatures within
@@ -25,6 +25,7 @@ lives in ``bench_period_sweep.py``.
 import numpy as np
 import pytest
 
+import dense_decoder
 import perf_utils
 from conftest import print_rows
 
@@ -38,7 +39,6 @@ from repro.ldpc import (
     array_code_parity_matrix,
     make_decoder,
 )
-from repro.ldpc.sparse import SparseMinSumDecoder
 from repro.noc import MeshTopology
 from repro.thermal.floorplan import mesh_floorplan
 from repro.thermal.grid import GridThermalModel
@@ -47,7 +47,7 @@ from repro.thermal.solver import ThermalSolver
 
 
 def test_batched_sparse_ldpc_vs_dense_loop(benchmark):
-    """Sparse decode_batch must beat the seed's dense per-codeword loop 5x."""
+    """Batched decode_batch must beat the seed's dense per-codeword loop."""
     H = array_code_parity_matrix(p=17, j=3, k=6)
     graph = TannerGraph(H)
     encoder = LdpcEncoder(H)
@@ -55,8 +55,8 @@ def test_batched_sparse_ldpc_vs_dense_loop(benchmark):
     codewords = [encoder.random_codeword(seed=seed) for seed in range(64)]
     llrs = np.stack([channel.transmit_llr(word) for word in codewords])
 
-    dense = make_decoder("min-sum", graph, max_iterations=25)
-    sparse = make_decoder("min-sum", graph, max_iterations=25, backend="sparse")
+    dense = dense_decoder.make_decoder("min-sum", graph, max_iterations=25)
+    sparse = make_decoder("min-sum", graph, max_iterations=25)
 
     with perf_utils.timed() as dense_timer:
         dense_result = dense.decode_batch(llrs)
@@ -405,54 +405,3 @@ def test_grid_model_steady_batch(benchmark, chip_a):
     )
     # The refined model must ride the same multi-RHS path as the block model.
     assert speedup >= perf_utils.speedup_floor(2.0)
-
-
-def test_sparse_syndrome_precompute(benchmark):
-    """Per-iteration saving of the construction-time index precomputation."""
-    H = array_code_parity_matrix(p=17, j=3, k=6)
-    graph = TannerGraph(H)
-    decoder = SparseMinSumDecoder(graph, max_iterations=25)
-    edges = decoder.edges
-    rng = np.random.default_rng(11)
-    hard = (rng.random((64, graph.n)) < 0.5).astype(np.uint8)
-    iterations = 200
-
-    # Seed-equivalent per-iteration syndrome: gather every edge's bit and
-    # rebuild the segment reduction from the raw index arrays each time.
-    with perf_utils.timed() as reference_timer:
-        for _ in range(iterations):
-            reference = (
-                np.add.reduceat(
-                    hard[:, edges.edge_var].astype(np.int64), edges.check_ptr, axis=1
-                )
-                & 1
-            )
-    with perf_utils.timed() as precomputed_timer:
-        for _ in range(iterations):
-            precomputed = edges.syndrome(hard)
-    benchmark.pedantic(edges.syndrome, args=(hard,), rounds=1, iterations=1)
-
-    assert np.array_equal(reference, precomputed)
-
-    speedup = reference_timer.seconds / precomputed_timer.seconds
-    perf_utils.record_perf(
-        "ldpc.sparse.syndrome_precomputed",
-        precomputed_timer.seconds / iterations,
-        throughput=iterations / precomputed_timer.seconds,
-        throughput_unit="iterations/s",
-        baseline_wall_s=reference_timer.seconds / iterations,
-        baseline="per-iteration gather + reduceat (seed)",
-        blocks=hard.shape[0],
-        code_n=graph.n,
-    )
-    print_rows(
-        "Sparse syndrome: precomputed CSR parity vs per-iteration reduceat",
-        [
-            {
-                "reduceat_us": round(1e6 * reference_timer.seconds / iterations, 1),
-                "csr_us": round(1e6 * precomputed_timer.seconds / iterations, 1),
-                "speedup": round(speedup, 2),
-            }
-        ],
-    )
-

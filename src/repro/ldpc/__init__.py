@@ -2,9 +2,10 @@
 
 The paper evaluates runtime reconfiguration on a Low Density Parity Check
 (LDPC) decoder implemented on a mesh NoC.  This package provides the code
-constructions, a functional min-sum/sum-product decoder, the Tanner-graph
-partitioning onto processing elements, and the workload adapter that turns
-decoding iterations into NoC traffic and per-PE computation activity.
+constructions, functional min-sum/sum-product decoders (edge-list messages,
+whole batches of codewords at once), the Tanner-graph partitioning onto
+processing elements, and the workload adapter that turns decoding iterations
+into NoC traffic and per-PE computation activity.
 """
 
 from .channel import BinarySymmetricChannel, BpskAwgnChannel, count_bit_errors
@@ -32,7 +33,7 @@ from .partition import (
     striped_partition,
     weighted_partition,
 )
-from .sparse import EdgeStructure, SparseMinSumDecoder, SparseSumProductDecoder
+from .sparse import EdgeStructure
 from .tanner import TannerGraph, TannerNode
 from .workload import LdpcNocWorkload, WorkloadParameters
 
@@ -44,8 +45,6 @@ __all__ = [
     "DecodeResult",
     "EdgeStructure",
     "MinSumDecoder",
-    "SparseMinSumDecoder",
-    "SparseSumProductDecoder",
     "SumProductDecoder",
     "make_decoder",
     "LdpcEncoder",

@@ -10,21 +10,31 @@ Both operate on log-likelihood ratios (positive LLR = bit 0 more likely) and
 expose per-iteration message counts, which is what the NoC workload adapter
 (:mod:`repro.ldpc.workload`) converts into on-chip traffic and per-PE
 computation activity.
+
+Messages live on the Tanner edges (:class:`~repro.ldpc.sparse.EdgeStructure`),
+so per-iteration work scales with the number of edges rather than ``m * n``,
+and :meth:`~MinSumDecoder.decode_batch` runs a whole ``(num_blocks, n)``
+batch of codewords at once with per-block early termination: blocks drop out
+of the active set as soon as their syndrome clears, so each block's decisions
+and iteration count are those of decoding it alone.  The seed dense-matrix
+decoders they reproduce bit for bit are kept as the test oracle in
+``tests/ldpc/dense_decoder.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
+from .sparse import EdgeStructure
 from .tanner import TannerGraph
 
-# Registry counters shared by every decoder backend (no-ops while telemetry
-# is disabled): batches decoded, blocks in them, total iterations spent.
+# Registry counters for every decode batch (no-ops while telemetry is
+# disabled): batches decoded, blocks in them, total iterations spent.
 _OBS_BATCHES = _obs_counter("ldpc.decode_batches")
 _OBS_BLOCKS = _obs_counter("ldpc.decode_blocks")
 _OBS_ITERATIONS = _obs_counter("ldpc.decode_iterations")
@@ -53,9 +63,9 @@ class DecodeResult:
 class BatchDecodeResult:
     """Outcome of decoding a batch of received blocks.
 
-    Stores the per-block fields of :class:`DecodeResult` as arrays so batched
-    backends can fill them without materialising one object per block; index
-    with ``batch[i]`` (or :meth:`as_results`) to recover plain results.
+    Stores the per-block fields of :class:`DecodeResult` as arrays so the
+    batched decoder fills them without materialising one object per block;
+    index with ``batch[i]`` (or :meth:`as_results`) to recover plain results.
     """
 
     decoded_bits: np.ndarray  #: ``(num_blocks, n)`` hard decisions.
@@ -90,44 +100,29 @@ class BatchDecodeResult:
     def total_messages(self) -> int:
         return int(np.sum(self.messages_exchanged))
 
-    @classmethod
-    def from_results(
-        cls, results: List[DecodeResult], n: Optional[int] = None
-    ) -> "BatchDecodeResult":
-        if not results:
-            return cls(
-                decoded_bits=np.empty((0, n or 0), dtype=np.uint8),
-                success=np.zeros(0, dtype=bool),
-                iterations=np.zeros(0, dtype=np.int64),
-                messages_exchanged=np.zeros(0, dtype=np.int64),
-                per_iteration_errors=None,
-            )
-        per_iteration = [list(result.per_iteration_errors) for result in results]
-        return cls(
-            decoded_bits=np.stack([result.decoded_bits for result in results]),
-            success=np.array([result.success for result in results], dtype=bool),
-            iterations=np.array([result.iterations for result in results], dtype=np.int64),
-            messages_exchanged=np.array(
-                [result.messages_exchanged for result in results], dtype=np.int64
-            ),
-            per_iteration_errors=per_iteration if any(per_iteration) else None,
-        )
-
 
 class _MessagePassingDecoder:
     """Shared structure of the sum-product and min-sum decoders."""
-
-    backend = "dense"
 
     def __init__(self, graph: TannerGraph, max_iterations: int = 20):
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         self.graph = graph
         self.max_iterations = max_iterations
-        self.H = graph.H.astype(bool)
-        self.m, self.n = self.H.shape
-        #: messages per full iteration = 2 edges traversals (v->c and c->v)
+        self.edges = EdgeStructure(graph)
+        self.m = graph.m
+        self.n = graph.n
+        #: messages per full iteration = 2 edge traversals (v->c and c->v)
         self.messages_per_iteration = 2 * graph.num_edges
+        # Row-index ladder reused by per-iteration fancy indexing; grown on
+        # demand so no batch size rebuilds it inside the decoding loop.
+        self._row_index = np.arange(0, dtype=np.int64)
+
+    def _rows(self, count: int) -> np.ndarray:
+        """Cached ``arange(count)`` column vector for batched masking."""
+        if self._row_index.size < count:
+            self._row_index = np.arange(count, dtype=np.int64)
+        return self._row_index[:count, np.newaxis]
 
     # ------------------------------------------------------------------
     def decode(
@@ -135,7 +130,7 @@ class _MessagePassingDecoder:
         channel_llr: np.ndarray,
         reference_bits: Optional[np.ndarray] = None,
     ) -> DecodeResult:
-        """Decode one block of channel LLRs.
+        """Decode one block of channel LLRs (a batch of one).
 
         Parameters
         ----------
@@ -148,38 +143,10 @@ class _MessagePassingDecoder:
         llr = np.asarray(channel_llr, dtype=np.float64)
         if llr.shape != (self.n,):
             raise ValueError(f"expected {self.n} LLRs, got shape {llr.shape}")
-
-        # v->c messages, initialised to the channel LLRs on every edge.
-        v_to_c = np.where(self.H, llr[np.newaxis, :], 0.0)
-        c_to_v = np.zeros_like(v_to_c)
-        per_iteration_errors: List[int] = []
-        messages = 0
-
-        hard = (llr < 0).astype(np.uint8)
-        for iteration in range(1, self.max_iterations + 1):
-            c_to_v = self._check_node_update(v_to_c)
-            v_to_c, posterior = self._variable_node_update(llr, c_to_v)
-            messages += self.messages_per_iteration
-
-            hard = (posterior < 0).astype(np.uint8)
-            if reference_bits is not None:
-                per_iteration_errors.append(int(np.sum(hard != reference_bits)))
-            if self.graph.is_codeword(hard):
-                return DecodeResult(
-                    decoded_bits=hard,
-                    success=True,
-                    iterations=iteration,
-                    messages_exchanged=messages,
-                    per_iteration_errors=per_iteration_errors,
-                )
-
-        return DecodeResult(
-            decoded_bits=hard,
-            success=False,
-            iterations=self.max_iterations,
-            messages_exchanged=messages,
-            per_iteration_errors=per_iteration_errors,
-        )
+        references = None
+        if reference_bits is not None:
+            references = np.asarray(reference_bits)[np.newaxis, :]
+        return self.decode_batch(llr[np.newaxis, :], reference_bits=references)[0]
 
     # ------------------------------------------------------------------
     def decode_batch(
@@ -187,45 +154,88 @@ class _MessagePassingDecoder:
         llr_matrix: np.ndarray,
         reference_bits: Optional[np.ndarray] = None,
     ) -> BatchDecodeResult:
-        """Decode ``(num_blocks, n)`` LLRs, one block at a time.
+        """Decode ``(num_blocks, n)`` channel LLRs in one vectorised pass.
 
-        The dense decoders have no vectorised batch path; this reference loop
-        exists so every backend shares the same batch API (the sparse backend
-        in :mod:`repro.ldpc.sparse` decodes the whole batch at once).
+        Parameters
+        ----------
+        llr_matrix:
+            One row of channel log-likelihood ratios per codeword.
+        reference_bits:
+            Optional transmitted codewords of the same shape; when provided,
+            per-iteration bit-error counts are recorded per block.
         """
         llr = np.asarray(llr_matrix, dtype=np.float64)
         if llr.ndim != 2 or llr.shape[1] != self.n:
             raise ValueError(f"expected (num_blocks, {self.n}) LLRs, got shape {llr.shape}")
         references: Optional[np.ndarray] = None
         if reference_bits is not None:
-            references = np.asarray(reference_bits)
+            references = np.asarray(reference_bits, dtype=np.uint8)
             if references.shape != llr.shape:
                 raise ValueError("reference_bits must match the LLR batch shape")
-        with _obs_span(
-            "ldpc.decode_batch", blocks=int(llr.shape[0]), backend=self.backend
-        ):
-            results = [
-                self.decode(
-                    llr[block],
-                    reference_bits=None if references is None else references[block],
-                )
-                for block in range(llr.shape[0])
-            ]
-            batch = BatchDecodeResult.from_results(results, n=self.n)
+
+        with _obs_span("ldpc.decode_batch", blocks=int(llr.shape[0])):
+            batch = self._decode_batch(llr, references)
         _observe_batch(batch)
         return batch
 
+    def _decode_batch(
+        self,
+        llr: np.ndarray,
+        references: Optional[np.ndarray],
+    ) -> BatchDecodeResult:
+        edges = self.edges
+        num_blocks = llr.shape[0]
+        decoded = np.empty((num_blocks, self.n), dtype=np.uint8)
+        success = np.zeros(num_blocks, dtype=bool)
+        iterations = np.zeros(num_blocks, dtype=np.int64)
+        messages = np.zeros(num_blocks, dtype=np.int64)
+        per_iteration: Optional[List[List[int]]] = (
+            [[] for _ in range(num_blocks)] if references is not None else None
+        )
+        if num_blocks == 0:
+            return BatchDecodeResult(decoded, success, iterations, messages, per_iteration)
+
+        #: Blocks still decoding; rows are dropped as syndromes clear.
+        active = np.arange(num_blocks)
+        llr_active = llr
+        v_to_c = llr[:, edges.edge_var]
+        for iteration in range(1, self.max_iterations + 1):
+            c_to_v = self._check_node_update(v_to_c)
+            extrinsic = np.add.reduceat(c_to_v[:, edges.var_order], edges.var_ptr, axis=1)
+            posterior = llr_active + extrinsic
+            v_to_c = posterior[:, edges.edge_var] - c_to_v
+            messages[active] += self.messages_per_iteration
+
+            hard = (posterior < 0).astype(np.uint8)
+            if per_iteration is not None:
+                for row, block in enumerate(active):
+                    per_iteration[block].append(
+                        int(np.sum(hard[row] != references[block]))
+                    )
+            syndrome = edges.syndrome(hard)
+            converged = ~syndrome.any(axis=1)
+            if converged.any():
+                done = active[converged]
+                decoded[done] = hard[converged]
+                success[done] = True
+                iterations[done] = iteration
+            remaining = ~converged
+            active = active[remaining]
+            if active.size == 0:
+                break
+            if iteration == self.max_iterations:
+                decoded[active] = hard[remaining]
+                iterations[active] = iteration
+                break
+            llr_active = llr_active[remaining]
+            v_to_c = v_to_c[remaining]
+
+        return BatchDecodeResult(decoded, success, iterations, messages, per_iteration)
+
     # ------------------------------------------------------------------
     def _check_node_update(self, v_to_c: np.ndarray) -> np.ndarray:
+        """Edge messages c->v for a ``(num_blocks, num_edges)`` v->c array."""
         raise NotImplementedError
-
-    def _variable_node_update(
-        self, llr: np.ndarray, c_to_v: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Common variable-node rule: sum of channel and extrinsic messages."""
-        totals = llr + c_to_v.sum(axis=0)
-        v_to_c = np.where(self.H, totals[np.newaxis, :] - c_to_v, 0.0)
-        return v_to_c, totals
 
 
 class SumProductDecoder(_MessagePassingDecoder):
@@ -236,19 +246,36 @@ class SumProductDecoder(_MessagePassingDecoder):
     def _check_node_update(self, v_to_c: np.ndarray) -> np.ndarray:
         # tanh-rule: the outgoing message on edge (i, j) is
         # 2 * atanh( prod_{j' != j} tanh(v_to_c[i, j'] / 2) ).
-        tanh_half = np.where(self.H, np.tanh(np.clip(v_to_c, -30, 30) / 2.0), 1.0)
-        # Product over each row, then divide out the target edge.
-        row_product = np.prod(tanh_half, axis=1, keepdims=True)
+        edges = self.edges
+        tanh_half = np.tanh(np.clip(v_to_c, -30, 30) / 2.0)
+        degree = edges.uniform_check_degree
+        if degree is not None:
+            # Check-major edges are contiguous per check: reshape to
+            # (blocks, checks, degree) and reduce the trailing axis — same
+            # sequential multiply order as ``reduceat``, without the segment
+            # pointer indirection.
+            segment_product = tanh_half.reshape(
+                v_to_c.shape[0], self.m, degree
+            ).prod(axis=2)
+        else:
+            segment_product = np.multiply.reduceat(
+                tanh_half, edges.check_ptr, axis=1
+            )
+        # Divide the target edge back out of its check's product.
         with np.errstate(divide="ignore", invalid="ignore"):
-            extrinsic = row_product / tanh_half
+            extrinsic = segment_product[:, edges.edge_check] / tanh_half
         extrinsic = np.where(np.isfinite(extrinsic), extrinsic, 0.0)
         extrinsic = np.clip(extrinsic, -0.999999, 0.999999)
-        messages = 2.0 * np.arctanh(extrinsic)
-        return np.where(self.H, messages, 0.0)
+        return 2.0 * np.arctanh(extrinsic)
 
 
 class MinSumDecoder(_MessagePassingDecoder):
-    """Normalised min-sum decoder (the hardware-friendly approximation)."""
+    """Normalised min-sum decoder (the hardware-friendly approximation).
+
+    The "exclude self" minimum per check needs only the two smallest
+    magnitudes: the segment minimum, then the minimum with the first
+    occurrence of the minimum masked out (duplicates included).
+    """
 
     name = "min-sum"
 
@@ -264,54 +291,56 @@ class MinSumDecoder(_MessagePassingDecoder):
         self.normalization = normalization
 
     def _check_node_update(self, v_to_c: np.ndarray) -> np.ndarray:
-        magnitudes = np.where(self.H, np.abs(v_to_c), np.inf)
-        signs = np.where(self.H, np.sign(v_to_c), 1.0)
+        edges = self.edges
+        magnitudes = np.abs(v_to_c)
         # Treat exact zeros as positive to keep the sign product defined.
-        signs = np.where(signs == 0.0, 1.0, signs)
+        signs = np.where(v_to_c < 0, -1.0, 1.0)
 
-        row_sign = np.prod(signs, axis=1, keepdims=True)
-        extrinsic_sign = row_sign * signs  # dividing out +/-1 equals multiplying
+        segment_sign = edges.segment_signs(v_to_c)
+        extrinsic_sign = segment_sign[:, edges.edge_check] * signs
 
-        # Min and second-min per row for the "exclude self" minimum; only the
-        # two smallest magnitudes are needed, so partial selection beats a
-        # full row sort.
-        partitioned = np.partition(magnitudes, 1, axis=1)
-        min1 = partitioned[:, 0][:, np.newaxis]
-        min2 = partitioned[:, 1][:, np.newaxis]
-        use_second = np.isclose(magnitudes, min1)
-        extrinsic_mag = np.where(use_second, min2, min1)
+        degree = edges.uniform_check_degree
+        if degree is not None:
+            # Fused path for check-regular codes: one partial sort of the
+            # (blocks, checks, degree) view yields both the minimum and the
+            # second minimum (duplicates included).
+            partitioned = np.partition(
+                magnitudes.reshape(v_to_c.shape[0], self.m, degree), 1, axis=2
+            )
+            min1 = partitioned[:, :, 0]
+            min2 = partitioned[:, :, 1]
+        else:
+            min1 = np.minimum.reduceat(magnitudes, edges.check_ptr, axis=1)
+            # Mask exactly one occurrence of the minimum per segment, then
+            # reduce again for the second minimum.
+            candidates = np.where(
+                magnitudes == min1[:, edges.edge_check],
+                edges._edge_index,
+                edges.num_edges,
+            )
+            first_min = np.minimum.reduceat(candidates, edges.check_ptr, axis=1)
+            masked = magnitudes.copy()
+            masked[self._rows(masked.shape[0]), first_min] = np.inf
+            min2 = np.minimum.reduceat(masked, edges.check_ptr, axis=1)
 
-        messages = self.normalization * extrinsic_sign * extrinsic_mag
-        return np.where(self.H, messages, 0.0)
+        min1_edges = min1[:, edges.edge_check]
+        use_second = np.isclose(magnitudes, min1_edges)
+        extrinsic_mag = np.where(use_second, min2[:, edges.edge_check], min1_edges)
+        return self.normalization * extrinsic_sign * extrinsic_mag
 
 
 def make_decoder(
     name: str,
     graph: TannerGraph,
     max_iterations: int = 20,
-    backend: str = "dense",
-    **kwargs,
+    **decoder_kwargs,
 ):
-    """Factory: ``"min-sum"`` or ``"sum-product"``.
-
-    ``backend="dense"`` returns the reference decoders above; ``"sparse"``
-    returns the edge-list decoders from :mod:`repro.ldpc.sparse`, which decode
-    batches of codewords at once and avoid the dense ``m x n`` message
-    matrices.
-    """
-    from .sparse import SparseMinSumDecoder, SparseSumProductDecoder
-
-    backends = {
-        "dense": {"min-sum": MinSumDecoder, "sum-product": SumProductDecoder},
-        "sparse": {"min-sum": SparseMinSumDecoder, "sum-product": SparseSumProductDecoder},
-    }
-    if backend not in backends:
-        raise ValueError(f"unknown backend {backend!r}; choose from {sorted(backends)}")
-    decoders = backends[backend]
+    """Factory: ``"min-sum"`` or ``"sum-product"``."""
+    decoders = {"min-sum": MinSumDecoder, "sum-product": SumProductDecoder}
     try:
         cls = decoders[name]
     except KeyError:
         raise ValueError(
             f"unknown decoder {name!r}; choose from {sorted(decoders)}"
         ) from None
-    return cls(graph, max_iterations=max_iterations, **kwargs)
+    return cls(graph, max_iterations=max_iterations, **decoder_kwargs)

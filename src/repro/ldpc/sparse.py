@@ -1,30 +1,19 @@
-"""Sparse (edge-list) LDPC message-passing decoders with batched decoding.
+"""Edge-list (CSR-style) layout of a Tanner graph for message passing.
 
-The dense decoders in :mod:`repro.ldpc.decoder` carry an ``m x n`` message
-matrix even though the parity-check matrix has only ``E = H.sum()`` nonzeros
-(for the paper's (3, 6) array codes ``E = 3n`` while ``m * n = n**2 / 2``).
-This module stores one message per Tanner edge and performs the check-node
-reductions with segment operations (``np.minimum.reduceat`` and friends) over
-a CSR-style edge layout, so the per-iteration work scales with the number of
-edges rather than with ``m * n``.
-
-The decoders also expose :meth:`decode_batch`, which runs message passing on
-``(num_blocks, num_edges)`` arrays for a whole batch of codewords at once —
-the shape the BER sweeps and the NoC workload generator actually need — with
-per-block early termination: blocks drop out of the active set as soon as
-their syndrome clears, exactly matching the sequential decoder's iteration
-counts and decisions.
+A parity-check matrix has only ``E = H.sum()`` nonzeros (for the paper's
+(3, 6) array codes ``E = 3n`` while ``m * n = n**2 / 2``), so the decoders in
+:mod:`repro.ldpc.decoder` keep one message per Tanner edge rather than an
+``m x n`` matrix.  :class:`EdgeStructure` holds the index arrays that makes
+possible: edges in check-major order with segment pointers for the
+check-node reductions (``np.minimum.reduceat`` and friends), the permutation
+to variable-major order for the variable-node sums, and the two parity
+reductions — syndrome and check-node sign product — as integer segment sums.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from ..obs import span as _obs_span
-from .decoder import BatchDecodeResult, DecodeResult, _observe_batch
 from .tanner import TannerGraph
 
 
@@ -36,11 +25,8 @@ class EdgeStructure:
     the check-node update reduces over.  ``var_order`` permutes edges into
     variable-major order for the variable-node accumulation.
 
-    All index arithmetic the per-iteration reductions need is built once
-    here: the segment pointers, the edge-index ladder the min-sum masking
-    compares against, and a sparse integer parity operator that replaces the
-    per-iteration gather-and-``reduceat`` syndrome computation with one CSR
-    matmul (integer addition, so the result is exactly the segment sums).
+    The segment reductions need every check to own at least one edge;
+    :class:`~repro.ldpc.tanner.TannerGraph` rejects empty checks.
     """
 
     def __init__(self, graph: TannerGraph):
@@ -62,25 +48,6 @@ class EdgeStructure:
             ([0], np.cumsum(H.sum(axis=0))[:-1])
         ).astype(np.int64)
         self._edge_index = np.arange(self.num_edges, dtype=np.int64)
-        #: Sparse parity operator: ``hard @ parity_T`` gives the per-check
-        #: bit sums for a ``(num_blocks, n)`` hard-decision matrix.
-        self.parity_T = csr_matrix(
-            (
-                np.ones(self.num_edges, dtype=np.int64),
-                (self.edge_var, self.edge_check),
-            ),
-            shape=(graph.n, graph.m),
-        )
-        #: Edge-to-check incidence: ``negatives @ check_incidence_T`` counts
-        #: per-check negative messages — the CSR-syndrome trick applied to
-        #: the check-node sign product (a parity of sign bits).
-        self.check_incidence_T = csr_matrix(
-            (
-                np.ones(self.num_edges, dtype=np.int64),
-                (self._edge_index, self.edge_check),
-            ),
-            shape=(self.num_edges, graph.m),
-        )
         degrees = np.diff(np.append(self.check_ptr, self.num_edges))
         #: Common check degree when the code is check-regular, else ``None``.
         #: Regular codes (the paper's (3, 6) arrays) take the fused reshape
@@ -89,246 +56,19 @@ class EdgeStructure:
             int(degrees[0]) if degrees.size and (degrees == degrees[0]).all() else None
         )
 
+    def _segment_parity(self, bits: np.ndarray) -> np.ndarray:
+        """Per-check parity of a ``(num_blocks, num_edges)`` 0/1 array."""
+        return np.add.reduceat(bits, self.check_ptr, axis=1, dtype=np.int64) & 1
+
     def segment_signs(self, v_to_c: np.ndarray) -> np.ndarray:
         """Per-check sign products of a ``(num_blocks, num_edges)`` array.
 
-        The product of ``+-1`` signs is the parity of the negative count, so
-        one integer CSR matmul replaces the float ``multiply.reduceat`` —
-        exactly, since no rounding is involved.  Zeros count as positive,
-        matching the dense decoder.
+        The product of ``+-1`` signs is the parity of the negative count, an
+        integer segment sum — exact, since no rounding is involved.  Zeros
+        count as positive, matching the min-sum sign rule.
         """
-        negatives = (v_to_c < 0).astype(np.int64)
-        counts = np.asarray(negatives @ self.check_incidence_T)
-        return 1.0 - 2.0 * (counts & 1)
+        return 1.0 - 2.0 * self._segment_parity(v_to_c < 0)
 
     def syndrome(self, hard: np.ndarray) -> np.ndarray:
-        """Per-check parity sums (mod 2) of hard decisions, batched.
-
-        Equivalent to gathering each check's bits and segment-summing them,
-        but the gather/reduction structure lives in the precomputed CSR
-        operator instead of being rebuilt every iteration.
-        """
-        return np.asarray(hard.astype(np.int64) @ self.parity_T) & 1
-
-
-class _SparseMessagePassingDecoder:
-    """Shared structure of the sparse sum-product and min-sum decoders."""
-
-    backend = "sparse"
-
-    def __init__(self, graph: TannerGraph, max_iterations: int = 20):
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        self.graph = graph
-        self.max_iterations = max_iterations
-        self.edges = EdgeStructure(graph)
-        self.m = graph.m
-        self.n = graph.n
-        #: messages per full iteration = 2 edge traversals (v->c and c->v)
-        self.messages_per_iteration = 2 * graph.num_edges
-        # Row-index ladder reused by per-iteration fancy indexing; grown on
-        # demand so no batch size rebuilds it inside the decoding loop.
-        self._row_index = np.arange(0, dtype=np.int64)
-
-    def _rows(self, count: int) -> np.ndarray:
-        """Cached ``arange(count)`` column vector for batched masking."""
-        if self._row_index.size < count:
-            self._row_index = np.arange(count, dtype=np.int64)
-        return self._row_index[:count, np.newaxis]
-
-    # ------------------------------------------------------------------
-    def decode(
-        self,
-        channel_llr: np.ndarray,
-        reference_bits: Optional[np.ndarray] = None,
-    ) -> DecodeResult:
-        """Decode one block of channel LLRs (a batch of one)."""
-        llr = np.asarray(channel_llr, dtype=np.float64)
-        if llr.shape != (self.n,):
-            raise ValueError(f"expected {self.n} LLRs, got shape {llr.shape}")
-        references = None
-        if reference_bits is not None:
-            references = np.asarray(reference_bits)[np.newaxis, :]
-        return self.decode_batch(llr[np.newaxis, :], reference_bits=references)[0]
-
-    # ------------------------------------------------------------------
-    def decode_batch(
-        self,
-        llr_matrix: np.ndarray,
-        reference_bits: Optional[np.ndarray] = None,
-    ) -> BatchDecodeResult:
-        """Decode ``(num_blocks, n)`` channel LLRs in one vectorised pass.
-
-        Parameters
-        ----------
-        llr_matrix:
-            One row of channel log-likelihood ratios per codeword.
-        reference_bits:
-            Optional transmitted codewords of the same shape; when provided,
-            per-iteration bit-error counts are recorded per block.
-        """
-        llr = np.asarray(llr_matrix, dtype=np.float64)
-        if llr.ndim != 2 or llr.shape[1] != self.n:
-            raise ValueError(f"expected (num_blocks, {self.n}) LLRs, got shape {llr.shape}")
-        references: Optional[np.ndarray] = None
-        if reference_bits is not None:
-            references = np.asarray(reference_bits, dtype=np.uint8)
-            if references.shape != llr.shape:
-                raise ValueError("reference_bits must match the LLR batch shape")
-
-        with _obs_span(
-            "ldpc.decode_batch", blocks=int(llr.shape[0]), backend=self.backend
-        ):
-            batch = self._decode_batch(llr, references)
-        _observe_batch(batch)
-        return batch
-
-    def _decode_batch(
-        self,
-        llr: np.ndarray,
-        references: Optional[np.ndarray],
-    ) -> BatchDecodeResult:
-        edges = self.edges
-        num_blocks = llr.shape[0]
-        decoded = np.empty((num_blocks, self.n), dtype=np.uint8)
-        success = np.zeros(num_blocks, dtype=bool)
-        iterations = np.zeros(num_blocks, dtype=np.int64)
-        messages = np.zeros(num_blocks, dtype=np.int64)
-        per_iteration: Optional[List[List[int]]] = (
-            [[] for _ in range(num_blocks)] if references is not None else None
-        )
-        if num_blocks == 0:
-            return BatchDecodeResult(decoded, success, iterations, messages, per_iteration)
-
-        #: Blocks still decoding; rows are dropped as syndromes clear.
-        active = np.arange(num_blocks)
-        llr_active = llr
-        v_to_c = llr[:, edges.edge_var]
-        for iteration in range(1, self.max_iterations + 1):
-            c_to_v = self._check_node_update(v_to_c)
-            extrinsic = np.add.reduceat(c_to_v[:, edges.var_order], edges.var_ptr, axis=1)
-            posterior = llr_active + extrinsic
-            v_to_c = posterior[:, edges.edge_var] - c_to_v
-            messages[active] += self.messages_per_iteration
-
-            hard = (posterior < 0).astype(np.uint8)
-            if per_iteration is not None:
-                for row, block in enumerate(active):
-                    per_iteration[block].append(
-                        int(np.sum(hard[row] != references[block]))
-                    )
-            syndrome = edges.syndrome(hard)
-            converged = ~syndrome.any(axis=1)
-            if converged.any():
-                done = active[converged]
-                decoded[done] = hard[converged]
-                success[done] = True
-                iterations[done] = iteration
-            remaining = ~converged
-            active = active[remaining]
-            if active.size == 0:
-                break
-            if iteration == self.max_iterations:
-                decoded[active] = hard[remaining]
-                iterations[active] = iteration
-                break
-            llr_active = llr_active[remaining]
-            v_to_c = v_to_c[remaining]
-
-        return BatchDecodeResult(decoded, success, iterations, messages, per_iteration)
-
-    # ------------------------------------------------------------------
-    def _check_node_update(self, v_to_c: np.ndarray) -> np.ndarray:
-        """Edge messages c->v for a ``(num_blocks, num_edges)`` v->c array."""
-        raise NotImplementedError
-
-
-class SparseSumProductDecoder(_SparseMessagePassingDecoder):
-    """Edge-list sum-product decoder (tanh rule over edge segments)."""
-
-    name = "sum-product"
-
-    def _check_node_update(self, v_to_c: np.ndarray) -> np.ndarray:
-        edges = self.edges
-        tanh_half = np.tanh(np.clip(v_to_c, -30, 30) / 2.0)
-        degree = edges.uniform_check_degree
-        if degree is not None:
-            # Check-major edges are contiguous per check: reshape to
-            # (blocks, checks, degree) and reduce the trailing axis — same
-            # sequential multiply order as ``reduceat``, without the segment
-            # pointer indirection.
-            segment_product = tanh_half.reshape(
-                v_to_c.shape[0], self.m, degree
-            ).prod(axis=2)
-        else:
-            segment_product = np.multiply.reduceat(
-                tanh_half, edges.check_ptr, axis=1
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            extrinsic = segment_product[:, edges.edge_check] / tanh_half
-        extrinsic = np.where(np.isfinite(extrinsic), extrinsic, 0.0)
-        extrinsic = np.clip(extrinsic, -0.999999, 0.999999)
-        return 2.0 * np.arctanh(extrinsic)
-
-
-class SparseMinSumDecoder(_SparseMessagePassingDecoder):
-    """Edge-list normalised min-sum decoder.
-
-    The "exclude self" minimum per check uses two segment reductions: the
-    segment minimum, then the minimum with the first occurrence of the
-    minimum masked out (which is exactly the dense decoder's second-smallest
-    row element, duplicates included).
-    """
-
-    name = "min-sum"
-
-    def __init__(
-        self,
-        graph: TannerGraph,
-        max_iterations: int = 20,
-        normalization: float = 0.75,
-    ):
-        super().__init__(graph, max_iterations)
-        if not 0.0 < normalization <= 1.0:
-            raise ValueError("normalization factor must be in (0, 1]")
-        self.normalization = normalization
-
-    def _check_node_update(self, v_to_c: np.ndarray) -> np.ndarray:
-        edges = self.edges
-        magnitudes = np.abs(v_to_c)
-        # Zero messages count as positive, matching the dense decoder.
-        signs = np.where(v_to_c < 0, -1.0, 1.0)
-
-        segment_sign = edges.segment_signs(v_to_c)
-        extrinsic_sign = segment_sign[:, edges.edge_check] * signs
-
-        degree = edges.uniform_check_degree
-        if degree is not None:
-            # Fused path for check-regular codes: one partial sort of the
-            # (blocks, checks, degree) view yields both the minimum and the
-            # second minimum (duplicates included) — the same selection
-            # ``np.partition`` performs in the dense decoder, so the values
-            # are bit-identical by construction.
-            partitioned = np.partition(
-                magnitudes.reshape(v_to_c.shape[0], self.m, degree), 1, axis=2
-            )
-            min1 = partitioned[:, :, 0]
-            min2 = partitioned[:, :, 1]
-        else:
-            min1 = np.minimum.reduceat(magnitudes, edges.check_ptr, axis=1)
-            # Mask exactly one occurrence of the minimum per segment, then
-            # reduce again for the second minimum.
-            candidates = np.where(
-                magnitudes == min1[:, edges.edge_check],
-                edges._edge_index,
-                edges.num_edges,
-            )
-            first_min = np.minimum.reduceat(candidates, edges.check_ptr, axis=1)
-            masked = magnitudes.copy()
-            masked[self._rows(masked.shape[0]), first_min] = np.inf
-            min2 = np.minimum.reduceat(masked, edges.check_ptr, axis=1)
-
-        min1_edges = min1[:, edges.edge_check]
-        use_second = np.isclose(magnitudes, min1_edges)
-        extrinsic_mag = np.where(use_second, min2[:, edges.edge_check], min1_edges)
-        return self.normalization * extrinsic_sign * extrinsic_mag
+        """Per-check parity sums (mod 2) of ``(num_blocks, n)`` hard decisions."""
+        return self._segment_parity(hard[:, self.edge_var])

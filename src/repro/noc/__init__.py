@@ -1,19 +1,20 @@
 """Cycle-accurate 2-D mesh Network-on-Chip simulator.
 
 This package is the substrate the paper's evaluation runs on: a wormhole,
-credit-flow-controlled mesh NoC with dimension-ordered routing, synthetic and
-trace-driven traffic, and per-router switching-activity counters that feed
-the power and thermal models.
+credit-flow-controlled mesh NoC with dimension-ordered routing, synthetic
+traffic and explicit packet batches, and per-router switching-activity
+counters that feed the power and thermal models.
 
-Three evaluation tiers, fastest first:
+Two evaluation tiers, fastest first:
 
 * :mod:`repro.noc.analytic` — closed-form M/D/1-style wormhole model
   (microseconds per point, validated below saturation);
 * :mod:`repro.noc.vector` — the array-native cycle kernel, batched over
-  many independent lanes (:mod:`repro.noc.batch` runs whole latency curves
-  as one run);
-* :class:`Network` — the seed object-graph engine, kept as the behavioural
-  specification the vector kernel reproduces exactly.
+  many independent lanes (:class:`NocSimulator` runs one lane;
+  :mod:`repro.noc.batch` runs whole latency curves as one run).
+
+The seed object-graph engine the cycle kernel reproduces exactly lives in
+the test suite as its oracle (``tests/noc/object_engine.py``).
 """
 
 from .analytic import (
@@ -23,13 +24,9 @@ from .analytic import (
     destination_probabilities,
     saturation_rate,
 )
-from .batch import LatencyCurve, default_rate_grid, latency_curve, run_schedules
-from .buffer import BufferOverflowError, CreditCounter, FlitBuffer
-from .engine import EventQueue, SimulationClock
-from .flit import Flit, FlitType, Packet, PacketClass, reset_packet_ids
-from .link import Link, LinkTable
-from .network import Network
-from .router import Router, RouterActivity
+from .batch import LatencyCurve, default_rate_grid, latency_curve
+from .engine import SimulationClock
+from .flit import Packet, PacketClass, reset_packet_ids
 from .routing import (
     OddEvenRouting,
     RoutingAlgorithm,
@@ -40,14 +37,13 @@ from .routing import (
     make_routing,
 )
 from .schedule import TrafficSchedule
-from .simulator import ENGINES, NocSimulator, SimulationResult
-from .stats import LatencyStats, NetworkStats
+from .simulator import NocSimulator, SimulationResult, run_schedules
+from .stats import LatencyStats, NetworkStats, RouterActivity
 from .topology import Coordinate, Direction, MeshTopology
 from .traffic import (
     BitComplementTraffic,
     HotspotTraffic,
     NeighborTraffic,
-    TraceTraffic,
     TrafficGenerator,
     TransposeTraffic,
     UniformRandomTraffic,
@@ -67,21 +63,10 @@ __all__ = [
     "run_schedules",
     "TrafficSchedule",
     "VectorNetwork",
-    "ENGINES",
-    "BufferOverflowError",
-    "CreditCounter",
-    "FlitBuffer",
-    "EventQueue",
     "SimulationClock",
-    "Flit",
-    "FlitType",
     "Packet",
     "PacketClass",
     "reset_packet_ids",
-    "Link",
-    "LinkTable",
-    "Network",
-    "Router",
     "RouterActivity",
     "RoutingAlgorithm",
     "XYRouting",
@@ -103,6 +88,5 @@ __all__ = [
     "BitComplementTraffic",
     "NeighborTraffic",
     "HotspotTraffic",
-    "TraceTraffic",
     "make_traffic",
 ]

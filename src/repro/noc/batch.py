@@ -9,10 +9,12 @@ together, and the marginal cost of an extra point is a slightly larger
 array operation instead of a whole extra simulation.
 
 :func:`latency_curve` is the high-level entry point (used by
-``benchmarks/bench_noc_throughput.py`` and the scenario cost hooks);
-:func:`run_schedules` is the lane-level primitive for callers that already
-hold :class:`~repro.noc.schedule.TrafficSchedule` arrays — e.g. sweeping
-*patterns* at a fixed rate, or replaying many migration windows at once.
+``benchmarks/bench_noc_throughput.py`` and the scenario cost hooks); it
+builds one :class:`~repro.noc.schedule.TrafficSchedule` per rate and hands
+them to the lane-level primitive
+:func:`~repro.noc.simulator.run_schedules`, which callers already holding
+schedules use directly — e.g. sweeping *patterns* at a fixed rate, or
+replaying many migration windows at once.
 
 The default rate grid spans up to ~1.3x the analytic
 :func:`~repro.noc.analytic.saturation_rate`: dense enough to resolve the
@@ -28,58 +30,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .analytic import saturation_rate
-from .schedule import TrafficSchedule
-from .simulator import SimulationResult
+from .simulator import SimulationResult, run_schedules
 from .topology import MeshTopology
 from .traffic import make_traffic
-from .vector import VectorNetwork
 
-__all__ = ["LatencyCurve", "default_rate_grid", "latency_curve", "run_schedules"]
-
-
-def run_schedules(
-    topology: MeshTopology,
-    schedules: Sequence[TrafficSchedule],
-    *,
-    routing: str = "xy",
-    buffer_depth: int = 4,
-    cycles: int,
-    warmup_cycles: int = 0,
-    drain: bool = True,
-    drain_limit: int = 200_000,
-) -> List[SimulationResult]:
-    """Run many schedules as lanes of one vector engine, one result each.
-
-    Semantics per lane match ``NocSimulator.run_traffic`` exactly: warm-up,
-    measurement reset, ``cycles`` measured cycles, then a drain during
-    which each lane's cycle counter freezes as soon as it empties.
-    """
-    horizon = warmup_cycles + cycles
-    net = VectorNetwork(
-        topology,
-        [schedule.limited_to(horizon) for schedule in schedules],
-        routing=routing,
-        buffer_depth=buffer_depth,
-    )
-    net.run(warmup_cycles)
-    net.reset_measurement()
-    net.run(cycles)
-    if drain:
-        net.drain(max_cycles=drain_limit)
-    net.write_back_packets()
-    results = []
-    for lane in range(len(schedules)):
-        stats = net.lane_stats(lane)
-        results.append(
-            SimulationResult(
-                cycles=stats.cycles,
-                stats=stats,
-                router_activity=net.lane_activity(lane),
-                link_flits=net.lane_link_flits(lane),
-                drained=drain,
-            )
-        )
-    return results
+__all__ = ["LatencyCurve", "default_rate_grid", "latency_curve"]
 
 
 @dataclass

@@ -1,22 +1,14 @@
-"""A small discrete-event engine used above the cycle-accurate network.
+"""Cycle / wall-clock conversion for the NoC.
 
-The NoC itself advances in lockstep cycles, but the layers above it —
-workload iteration boundaries, migration triggers, thermal sampling — are
-naturally expressed as timed events.  :class:`EventQueue` provides a
-deterministic priority queue of ``(time, sequence, callback)`` entries, and
-:class:`SimulationClock` converts between cycles and seconds at a given clock
-frequency (the paper's periods of 109/437.2/874.4 microseconds are specified
-in wall-clock time, not cycles).
+The NoC advances in lockstep cycles, but the paper specifies its migration
+periods (109/437.2/874.4 microseconds) in wall-clock time.
+:class:`SimulationClock` converts between the two at a given clock frequency;
+each chip configuration carries one.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
-
-EventCallback = Callable[[], None]
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -54,75 +46,3 @@ class SimulationClock:
 
     def cycles_to_microseconds(self, cycles: float) -> float:
         return self.cycles_to_seconds(cycles) * 1e6
-
-
-class EventQueue:
-    """Deterministic time-ordered event queue.
-
-    Events scheduled for the same time fire in insertion order, so replays
-    with the same seed are bit-identical.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, EventCallback]] = []
-        self._sequence = itertools.count()
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Time of the most recently executed event."""
-        return self._now
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._heap
-
-    def schedule(self, time: float, callback: EventCallback) -> None:
-        """Schedule ``callback`` to run at absolute ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule event in the past ({time} < {self._now})")
-        heapq.heappush(self._heap, (time, next(self._sequence), callback))
-
-    def schedule_after(self, delay: float, callback: EventCallback) -> None:
-        """Schedule ``callback`` to run ``delay`` after the current time."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self.schedule(self._now + delay, callback)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def run_next(self) -> bool:
-        """Execute the next event; returns False when the queue is empty."""
-        if not self._heap:
-            return False
-        time, _, callback = heapq.heappop(self._heap)
-        self._now = time
-        callback()
-        return True
-
-    def run_until(self, time: float) -> int:
-        """Run all events scheduled at or before ``time``; returns the count."""
-        executed = 0
-        while self._heap and self._heap[0][0] <= time:
-            self.run_next()
-            executed += 1
-        if time > self._now:
-            self._now = time
-        return executed
-
-    def run_all(self, max_events: int = 1_000_000) -> int:
-        """Drain the queue completely; returns the number of events run."""
-        executed = 0
-        while self._heap:
-            if executed >= max_events:
-                raise RuntimeError(f"event queue did not drain within {max_events} events")
-            self.run_next()
-            executed += 1
-        return executed

@@ -1,9 +1,10 @@
-"""Packets and flits for the wormhole-switched NoC.
+"""Packets for the wormhole-switched NoC.
 
 Packets carry LDPC messages (and, during migration, PE configuration/state)
-between PEs.  Each packet is segmented into flits: one head flit carrying the
-route information, zero or more body flits, and a tail flit that releases the
-wormhole path.  Single-flit packets use the ``HEAD_TAIL`` type.
+between PEs.  The cycle engine segments each packet into ``size_flits``
+flits — a head flit that opens the wormhole path, body flits, and a tail flit
+that releases it — tracked as flit indices inside
+:class:`~repro.noc.vector.VectorNetwork`'s buffers.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 Coordinate = Tuple[int, int]
 
@@ -22,23 +23,6 @@ def reset_packet_ids() -> None:
     """Reset the global packet id counter (used by tests for determinism)."""
     global _packet_counter
     _packet_counter = itertools.count()
-
-
-class FlitType(Enum):
-    """Position of a flit within its packet."""
-
-    HEAD = auto()
-    BODY = auto()
-    TAIL = auto()
-    HEAD_TAIL = auto()
-
-    @property
-    def is_head(self) -> bool:
-        return self in (FlitType.HEAD, FlitType.HEAD_TAIL)
-
-    @property
-    def is_tail(self) -> bool:
-        return self in (FlitType.TAIL, FlitType.HEAD_TAIL)
 
 
 class PacketClass(Enum):
@@ -101,45 +85,4 @@ class Packet:
         """Manhattan distance between source and destination."""
         return abs(self.source[0] - self.destination[0]) + abs(
             self.source[1] - self.destination[1]
-        )
-
-    def make_flits(self) -> List["Flit"]:
-        """Segment the packet into its flit sequence."""
-        if self.size_flits == 1:
-            return [Flit(packet=self, flit_type=FlitType.HEAD_TAIL, index=0)]
-        flits = [Flit(packet=self, flit_type=FlitType.HEAD, index=0)]
-        for i in range(1, self.size_flits - 1):
-            flits.append(Flit(packet=self, flit_type=FlitType.BODY, index=i))
-        flits.append(Flit(packet=self, flit_type=FlitType.TAIL, index=self.size_flits - 1))
-        return flits
-
-
-@dataclass
-class Flit:
-    """A single flow-control unit of a packet."""
-
-    packet: Packet
-    flit_type: FlitType
-    index: int
-
-    @property
-    def destination(self) -> Coordinate:
-        return self.packet.destination
-
-    @property
-    def source(self) -> Coordinate:
-        return self.packet.source
-
-    @property
-    def is_head(self) -> bool:
-        return self.flit_type.is_head
-
-    @property
-    def is_tail(self) -> bool:
-        return self.flit_type.is_tail
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Flit(pkt={self.packet.packet_id}, {self.flit_type.name}, "
-            f"{self.source}->{self.destination})"
         )

@@ -6,20 +6,16 @@ offer cycle, source/destination node ids, flit count and traffic class.  It
 is the interchange format between traffic generation and the
 :class:`~repro.noc.vector.VectorNetwork` cycle kernel — generators
 pregenerate their whole schedule once per run instead of materialising
-Packet/Flit objects cycle by cycle.
+packets cycle by cycle.
 
-Schedules can be built three ways:
+Schedules are built two ways:
 
+* ``generator.schedule(cycles)`` — synthetic traffic, pregenerated with
+  vectorized draws (see :mod:`repro.noc.traffic`);
 * :meth:`TrafficSchedule.from_packets` — from explicit ``Packet`` objects
   (the LDPC workload adapter and migration replay path).  The original
   objects are retained so the engine can write ``injection_cycle`` /
   ``ejection_cycle`` back after a run.
-* :meth:`TrafficSchedule.from_generator` — exact replay of a seed
-  per-cycle :class:`~repro.noc.traffic.TrafficGenerator`: the generator's
-  RNG is consumed in the identical order, so the schedule matches the
-  object engine's traffic packet for packet.
-* ``generator.schedule(cycles)`` — the numpy-native fast path (one RNG
-  construction per run; see :mod:`repro.noc.traffic`).
 """
 
 from __future__ import annotations
@@ -102,38 +98,6 @@ class TrafficSchedule:
             packets=packets,
         )
 
-    def to_packets(self, topology: MeshTopology) -> List[Packet]:
-        """Materialise ``Packet`` objects (for driving the object engine)."""
-        return [
-            Packet(
-                source=topology.coordinate(int(s)),
-                destination=topology.coordinate(int(d)),
-                size_flits=int(z),
-                packet_class=PACKET_CLASS_FROM_CODE[int(c)],
-                injection_cycle=int(t),
-            )
-            for t, s, d, z, c in zip(self.cycle, self.src, self.dst, self.size, self.pclass)
-        ]
-
-    def trace_tuples(self, topology: MeshTopology) -> "list[tuple]":
-        """Rows as ``(cycle, src_coord, dst_coord, size)`` tuples.
-
-        Feed these to :class:`~repro.noc.traffic.TraceTraffic` to replay the
-        exact same traffic through the object engine — the basis of the
-        engine-parity tests and the benchmark baseline timing.
-        """
-        return [
-            (int(t), topology.coordinate(int(s)), topology.coordinate(int(d)), int(z))
-            for t, s, d, z in zip(self.cycle, self.src, self.dst, self.size)
-        ]
-
-    def packets_for_cycle_lists(self) -> "dict[int, list]":
-        """Packets grouped by offer cycle (drives TraceTraffic-style replay)."""
-        groups: "dict[int, list]" = {}
-        for index in range(self.num_packets):
-            groups.setdefault(int(self.cycle[index]), []).append(index)
-        return groups
-
     # ------------------------------------------------------------------
     @classmethod
     def from_packets(
@@ -161,17 +125,3 @@ class TrafficSchedule:
             size[index] = packet.size_flits
             pclass[index] = PACKET_CLASS_CODES[packet.packet_class]
         return cls(cycles, src, dst, size, pclass, packets=list(packets))
-
-    @classmethod
-    def from_generator(cls, traffic, topology: MeshTopology, cycles: int) -> "TrafficSchedule":
-        """Exact pregeneration from a per-cycle traffic source.
-
-        Calls ``packets_for_cycle`` for every cycle in order, consuming the
-        source's RNG in the identical sequence the object engine would, so
-        the resulting schedule is packet-for-packet identical to what the
-        seed simulator sees.
-        """
-        packets: List[Packet] = []
-        for cycle in range(cycles):
-            packets.extend(traffic.packets_for_cycle(cycle))
-        return cls.from_packets(packets, topology)

@@ -1,48 +1,31 @@
 """High-level cycle-accurate simulation driver.
 
-:class:`NocSimulator` couples a mesh network engine with a traffic source
-(synthetic generator, trace, or the LDPC workload adapter) and runs warm-up /
-measurement phases, reporting a :class:`SimulationResult` that bundles the
-performance statistics and the per-router activity counters the power model
-consumes.
+:func:`run_schedules` runs :class:`~repro.noc.schedule.TrafficSchedule`
+arrays as the lanes of one :class:`~repro.noc.vector.VectorNetwork`: warm-up,
+measurement reset, measured cycles, drain, and write-back of the packet
+cycles.  :class:`NocSimulator` runs one lane through it for a traffic source
+— a synthetic generator's pregenerated schedule (``run_traffic``) or an
+explicit packet batch offered at cycle zero, like one LDPC sub-iteration or
+a migration's CONFIG packets (``run_packets``) — and reports a
+:class:`SimulationResult` bundling the performance statistics and the
+per-router activity counters the power model consumes.
 
-Two engines are available, mirroring ``make_decoder(backend=)`` on the LDPC
-side:
-
-* ``engine="vector"`` (default) — the array-native
-  :class:`~repro.noc.vector.VectorNetwork` cycle kernel.  Traffic is
-  pregenerated into a :class:`~repro.noc.schedule.TrafficSchedule` (via the
-  generator's numpy-native ``schedule()`` when available, else by exact
-  replay of ``packets_for_cycle``) and the whole run advances with NumPy
-  array operations.
-* ``engine="object"`` — the seed per-cycle object loop
-  (:class:`~repro.noc.network.Network`), kept as the behavioural
-  specification.  The vector engine reproduces its statistics exactly on
-  identical traffic (see ``tests/noc/test_vector_engine.py``).
+The seed object-graph engine the kernel reproduces exactly is kept as the
+test oracle in ``tests/noc/object_engine.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
-from .engine import SimulationClock
 from .flit import Packet
-from .network import Network
-from .router import RouterActivity
+from .routing import make_routing
 from .schedule import TrafficSchedule
-from .stats import NetworkStats
+from .stats import NetworkStats, RouterActivity
 from .topology import Coordinate, MeshTopology
+from .traffic import TrafficGenerator
 from .vector import VectorNetwork
-
-ENGINES = ("object", "vector")
-
-
-class TrafficSource(Protocol):
-    """Anything that can offer packets for a given cycle."""
-
-    def packets_for_cycle(self, cycle: int) -> "list[Packet]":  # pragma: no cover
-        ...
 
 
 @dataclass
@@ -76,30 +59,88 @@ class SimulationResult:
         return result
 
 
+def _check_cycle_counts(cycles: int, warmup_cycles: int) -> None:
+    for name, value in (("cycles", cycles), ("warmup_cycles", warmup_cycles)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def run_schedules(
+    topology: MeshTopology,
+    schedules: Sequence[TrafficSchedule],
+    *,
+    routing: str = "xy",
+    buffer_depth: int = 4,
+    cycles: int,
+    warmup_cycles: int = 0,
+    drain: bool = True,
+    drain_limit: int = 200_000,
+) -> List[SimulationResult]:
+    """Run many schedules as lanes of one vector engine, one result each.
+
+    Each lane runs ``warmup_cycles``, resets its measurement (keeping
+    traffic in flight), runs ``cycles`` measured cycles, then — when
+    ``drain`` is true — drains, its cycle counter freezing as soon as it
+    empties.  Packets offered at or after ``warmup_cycles + cycles`` are
+    dropped.
+    """
+    _check_cycle_counts(cycles, warmup_cycles)
+    horizon = warmup_cycles + cycles
+    net = VectorNetwork(
+        topology,
+        [schedule.limited_to(horizon) for schedule in schedules],
+        routing=routing,
+        buffer_depth=buffer_depth,
+    )
+    net.run(warmup_cycles)
+    net.reset_measurement()
+    net.run(cycles)
+    if drain:
+        net.drain(max_cycles=drain_limit)
+    net.write_back_packets()
+    results = []
+    for lane in range(len(schedules)):
+        stats = net.lane_stats(lane)
+        results.append(
+            SimulationResult(
+                cycles=stats.cycles,
+                stats=stats,
+                router_activity=net.lane_activity(lane),
+                link_flits=net.lane_link_flits(lane),
+                drained=drain,
+            )
+        )
+    return results
+
+
 class NocSimulator:
-    """Runs a network against a traffic source for a bounded interval."""
+    """Runs one traffic source through the mesh for a bounded interval."""
 
     def __init__(
         self,
         topology: MeshTopology,
         routing: str = "xy",
         buffer_depth: int = 4,
-        clock: Optional[SimulationClock] = None,
-        engine: str = "vector",
     ):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+        if buffer_depth < 1:
+            raise ValueError("buffer depth must be at least one flit")
+        make_routing(routing, topology)  # unknown names fail here, not mid-run
         self.topology = topology
         self.routing = routing
         self.buffer_depth = buffer_depth
-        self.engine = engine
-        self.network = Network(topology, routing=routing, buffer_depth=buffer_depth)
-        self.clock = clock or SimulationClock()
 
-    # ------------------------------------------------------------------
+    def _run(self, schedule: TrafficSchedule, **phases) -> SimulationResult:
+        return run_schedules(
+            self.topology,
+            [schedule],
+            routing=self.routing,
+            buffer_depth=self.buffer_depth,
+            **phases,
+        )[0]
+
     def run_traffic(
         self,
-        traffic: TrafficSource,
+        traffic: TrafficGenerator,
         cycles: int,
         warmup_cycles: int = 0,
         drain: bool = True,
@@ -114,78 +155,15 @@ class NocSimulator:
         are simulated — an iteration is complete only when all its messages
         have been delivered.
         """
-        if self.engine == "vector":
-            return self._run_traffic_vector(
-                traffic, cycles, warmup_cycles, drain, drain_limit
-            )
-        network = self.network
-        for cycle in range(warmup_cycles):
-            for packet in traffic.packets_for_cycle(cycle):
-                network.inject(packet)
-            network.step()
-        # Reset measurement state after warm-up but keep in-flight traffic.
-        network.stats.reset()
-        network.reset_activity()
-
-        for offset in range(cycles):
-            cycle = warmup_cycles + offset
-            for packet in traffic.packets_for_cycle(cycle):
-                network.inject(packet)
-            network.step()
-
-        drained = False
-        if drain:
-            network.drain(max_cycles=drain_limit)
-            drained = True
-
-        return SimulationResult(
-            cycles=network.stats.cycles,
-            stats=network.stats,
-            router_activity=network.router_activity(),
-            link_flits=network.links.total_flits(),
-            drained=drained,
+        _check_cycle_counts(cycles, warmup_cycles)
+        return self._run(
+            traffic.schedule(warmup_cycles + cycles),
+            cycles=cycles,
+            warmup_cycles=warmup_cycles,
+            drain=drain,
+            drain_limit=drain_limit,
         )
 
-    def _run_traffic_vector(
-        self,
-        traffic: TrafficSource,
-        cycles: int,
-        warmup_cycles: int,
-        drain: bool,
-        drain_limit: int,
-    ) -> SimulationResult:
-        horizon = warmup_cycles + cycles
-        schedule_fn = getattr(traffic, "schedule", None)
-        if callable(schedule_fn):
-            schedule = schedule_fn(horizon)
-        else:
-            schedule = TrafficSchedule.from_generator(traffic, self.topology, horizon)
-        schedule = schedule.limited_to(horizon)
-
-        net = VectorNetwork(
-            self.topology,
-            [schedule],
-            routing=self.routing,
-            buffer_depth=self.buffer_depth,
-        )
-        net.run(warmup_cycles)
-        net.reset_measurement()
-        net.run(cycles)
-        drained = False
-        if drain:
-            net.drain(max_cycles=drain_limit)
-            drained = True
-        net.write_back_packets()
-        stats = net.lane_stats(0)
-        return SimulationResult(
-            cycles=stats.cycles,
-            stats=stats,
-            router_activity=net.lane_activity(0),
-            link_flits=net.lane_link_flits(0),
-            drained=drained,
-        )
-
-    # ------------------------------------------------------------------
     def run_packets(
         self,
         packets: "list[Packet]",
@@ -196,44 +174,11 @@ class NocSimulator:
         The batch abstraction matches one LDPC decoding sub-iteration: all
         variable-to-check (or check-to-variable) messages are produced
         together, and the sub-iteration ends when the last one is delivered.
+        Every packet needs distinct source and destination nodes.
         """
-        if self.engine == "vector":
-            schedule = TrafficSchedule.from_packets(packets, self.topology, cycle=0)
-            net = VectorNetwork(
-                self.topology,
-                [schedule],
-                routing=self.routing,
-                buffer_depth=self.buffer_depth,
-            )
-            run_cycles = net.drain(max_cycles=drain_limit)
-            net.write_back_packets()
-            stats = net.lane_stats(0)
-            return SimulationResult(
-                cycles=run_cycles,
-                stats=stats,
-                router_activity=net.lane_activity(0),
-                link_flits=net.lane_link_flits(0),
-                drained=True,
-            )
-        network = self.network
-        network.stats.reset()
-        network.reset_activity()
-        for packet in packets:
-            network.inject(packet)
-        run_cycles = network.drain(max_cycles=drain_limit)
-        # ``drain`` already stepped the network; stats.cycles tracked them.
-        return SimulationResult(
-            cycles=run_cycles,
-            stats=network.stats,
-            router_activity=network.router_activity(),
-            link_flits=network.links.total_flits(),
-            drained=True,
+        # Cycle-0 offers need a one-cycle horizon; an empty batch runs none.
+        return self._run(
+            TrafficSchedule.from_packets(packets, self.topology, cycle=0),
+            cycles=1 if packets else 0,
+            drain_limit=drain_limit,
         )
-
-    def reset(self) -> None:
-        """Reset the underlying network to a pristine state.
-
-        The vector engine builds fresh state for every run, so this only
-        touches the persistent object network.
-        """
-        self.network.reset()

@@ -19,6 +19,19 @@ Coordinate = Tuple[int, int]
 
 
 @dataclass
+class RouterActivity:
+    """Per-router switching-activity counters consumed by the power model."""
+
+    flits_routed: int = 0
+    headers_decoded: int = 0
+    buffer_reads: int = 0
+    buffer_writes: int = 0
+    crossbar_traversals: int = 0
+    link_traversals: int = 0
+    arbitration_rounds: int = 0
+
+
+@dataclass
 class LatencyStats:
     """Streaming mean/max/min accumulator for packet latencies."""
 

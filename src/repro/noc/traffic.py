@@ -3,38 +3,28 @@
 The main workload of the reproduction is the LDPC decoder
 (:mod:`repro.ldpc.workload`), but the NoC characterisation benchmark
 (experiment E6 in DESIGN.md) and many unit tests use the classic synthetic
-patterns below.  Each generator produces, per cycle, the set of packets to
-offer to the network.
+patterns below.
 
-Two generation paths exist:
-
-* ``packets_for_cycle(cycle)`` — the seed per-cycle path consuming a
-  ``random.Random`` stream node by node.  This is what the object engine
-  drives, and what :meth:`~repro.noc.schedule.TrafficSchedule.from_generator`
-  replays exactly for engine-parity tests.
-* ``schedule(cycles)`` — the array-native path: the whole packet schedule is
-  pregenerated with a handful of vectorized draws from one
-  ``numpy.random.default_rng(seed)`` per run.  Same-seed calls reproduce the
-  identical schedule (pinned by ``tests/noc/test_traffic_schedule.py``), but
-  the stream intentionally differs from the ``random.Random`` one — exact
-  replay of the per-cycle path is what ``from_generator`` is for.
+A generator pregenerates a whole run with ``schedule(cycles)``: a handful of
+vectorized draws from one ``numpy.random.default_rng(seed)`` per run yield a
+:class:`~repro.noc.schedule.TrafficSchedule`.  Same-seed calls reproduce the
+identical schedule (pinned by ``tests/noc/test_traffic_schedule.py``).
 """
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .flit import Packet, PacketClass
+from .flit import PacketClass
 from .schedule import PACKET_CLASS_CODES, TrafficSchedule
 from .topology import Coordinate, MeshTopology
 
 
 class TrafficGenerator(ABC):
-    """Base class: produces packets to inject at each cycle."""
+    """Base class: pregenerates the packets offered over a run."""
 
     def __init__(
         self,
@@ -51,15 +41,7 @@ class TrafficGenerator(ABC):
         self.injection_rate = injection_rate
         self.packet_size_flits = packet_size_flits
         self.seed = seed
-        self.rng = random.Random(seed)
 
-    @abstractmethod
-    def destination_for(self, source: Coordinate) -> Optional[Coordinate]:
-        """Destination of a packet injected at ``source`` (None = no packet)."""
-
-    # ------------------------------------------------------------------
-    # Array-native schedule pregeneration
-    # ------------------------------------------------------------------
     def schedule(self, cycles: int) -> TrafficSchedule:
         """Pregenerate the whole packet schedule as arrays.
 
@@ -67,7 +49,7 @@ class TrafficGenerator(ABC):
         single ``(cycles, nodes)`` Bernoulli draw decides the injection
         slots, then each pattern fills the destinations with a few
         vectorized draws.  Packets come out ordered by (cycle, node)
-        row-major, the same offer order the per-cycle path produces.
+        row-major.
         """
         n = self.topology.num_nodes
         rng = np.random.default_rng(self.seed)
@@ -88,13 +70,11 @@ class TrafficGenerator(ABC):
             pclass=pclass,
         )
 
+    @abstractmethod
     def _schedule_destinations(
         self, rng: "np.random.Generator", src: np.ndarray
     ) -> np.ndarray:
         """Vectorized destinations per injection slot (-1 = drop the slot)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no array-native schedule path"
-        )
 
     def _uniform_destinations(
         self, rng: "np.random.Generator", src: np.ndarray
@@ -108,37 +88,9 @@ class TrafficGenerator(ABC):
             bad = dst == src
         return dst
 
-    def packets_for_cycle(self, cycle: int) -> List[Packet]:
-        """Packets offered to the network in the given cycle."""
-        packets: List[Packet] = []
-        for source in self.topology.coordinates():
-            if self.rng.random() >= self.injection_rate:
-                continue
-            destination = self.destination_for(source)
-            if destination is None or destination == source:
-                continue
-            packets.append(
-                Packet(
-                    source=source,
-                    destination=destination,
-                    size_flits=self.packet_size_flits,
-                    packet_class=PacketClass.DATA,
-                    injection_cycle=cycle,
-                )
-            )
-        return packets
-
 
 class UniformRandomTraffic(TrafficGenerator):
     """Each packet goes to a uniformly random other node."""
-
-    def destination_for(self, source: Coordinate) -> Optional[Coordinate]:
-        nodes = self.topology.num_nodes
-        while True:
-            dest_id = self.rng.randrange(nodes)
-            dest = self.topology.coordinate(dest_id)
-            if dest != source:
-                return dest
 
     def _schedule_destinations(self, rng, src):
         return self._uniform_destinations(rng, src)
@@ -157,23 +109,12 @@ def _destination_map(topology: MeshTopology, fn) -> np.ndarray:
 class TransposeTraffic(TrafficGenerator):
     """Node (x, y) sends to (y, x); meaningful on square meshes."""
 
-    def destination_for(self, source: Coordinate) -> Optional[Coordinate]:
-        x, y = source
-        dest = (y, x)
-        if not self.topology.contains(dest):
-            return None
-        return dest
-
     def _schedule_destinations(self, rng, src):
         return _destination_map(self.topology, lambda c: (c[1], c[0]))[src]
 
 
 class BitComplementTraffic(TrafficGenerator):
     """Node (x, y) sends to (W-1-x, H-1-y)."""
-
-    def destination_for(self, source: Coordinate) -> Optional[Coordinate]:
-        x, y = source
-        return (self.topology.width - 1 - x, self.topology.height - 1 - y)
 
     def _schedule_destinations(self, rng, src):
         topo = self.topology
@@ -210,17 +151,6 @@ class HotspotTraffic(TrafficGenerator):
         self.hotspots = list(hotspots)
         self.hotspot_fraction = hotspot_fraction
 
-    def destination_for(self, source: Coordinate) -> Optional[Coordinate]:
-        if self.rng.random() < self.hotspot_fraction:
-            candidates = [spot for spot in self.hotspots if spot != source]
-            if candidates:
-                return self.rng.choice(candidates)
-        nodes = self.topology.num_nodes
-        while True:
-            dest = self.topology.coordinate(self.rng.randrange(nodes))
-            if dest != source:
-                return dest
-
     def _schedule_destinations(self, rng, src):
         topo = self.topology
         spots = np.array([topo.node_id(s) for s in self.hotspots], dtype=np.int64)
@@ -246,12 +176,6 @@ class NeighborTraffic(TrafficGenerator):
     kind of near-neighbour communication.
     """
 
-    def destination_for(self, source: Coordinate) -> Optional[Coordinate]:
-        neighbors = list(self.topology.neighbors(source).values())
-        if not neighbors:
-            return None
-        return self.rng.choice(neighbors)
-
     def _schedule_destinations(self, rng, src):
         topo = self.topology
         max_deg = 4
@@ -264,37 +188,6 @@ class NeighborTraffic(TrafficGenerator):
             degree[node] = topo.degree(coord)
         pick = (rng.random(src.size) * degree[src]).astype(np.int64)
         return table[src, pick]
-
-
-class TraceTraffic:
-    """Replays an explicit list of (cycle, source, destination, size) tuples.
-
-    Used by the LDPC workload adapter and by regression tests that need a
-    fully deterministic traffic sequence.
-    """
-
-    def __init__(self, trace: Iterable[Tuple[int, Coordinate, Coordinate, int]]):
-        self._by_cycle: Dict[int, List[Tuple[Coordinate, Coordinate, int]]] = {}
-        for cycle, source, destination, size in trace:
-            self._by_cycle.setdefault(cycle, []).append((source, destination, size))
-
-    def packets_for_cycle(self, cycle: int) -> List[Packet]:
-        entries = self._by_cycle.get(cycle, [])
-        return [
-            Packet(
-                source=source,
-                destination=destination,
-                size_flits=size,
-                packet_class=PacketClass.DATA,
-                injection_cycle=cycle,
-            )
-            for source, destination, size in entries
-        ]
-
-    @property
-    def last_cycle(self) -> int:
-        """Largest cycle index present in the trace."""
-        return max(self._by_cycle) if self._by_cycle else 0
 
 
 def make_traffic(

@@ -1,8 +1,8 @@
 """Array-native cycle kernel for the wormhole mesh NoC.
 
-:class:`VectorNetwork` advances the same credit-flow wormhole mesh as
-:class:`~repro.noc.network.Network`, but holds *all* router state as
-struct-of-arrays and advances a whole cycle — for a whole **batch of
+:class:`VectorNetwork` is the cycle-accurate engine: a credit-flow wormhole
+mesh with round-robin switch allocation whose router state is held as
+struct-of-arrays.  It advances a whole cycle — for a whole **batch of
 independent simulations** ("lanes") of the same mesh — with NumPy array
 operations:
 
@@ -25,16 +25,17 @@ not touched inside the cycle loop at all — each cycle appends its winner /
 writer / ejection index arrays to event logs that are reduced with a single
 ``bincount`` pass when results are read.
 
-The seed :class:`~repro.noc.network.Network` remains the behavioural
-specification: the kernel reproduces its per-cycle semantics *exactly* —
-same round-robin pointer updates (the pointer only advances when an output
-port actually saw contention), same credit timing, same injection
-bookkeeping (a packet is dequeued before the buffer-space check, so a full
-local buffer stalls the same packet the object engine stalls), same
-ejection order (routers in row-major order within a cycle).  The parity
-suite in ``tests/noc/test_vector_engine.py`` pins per-packet latencies,
-ejection order, router activity counters and stalled-injection counts
-against the object engine on identical traffic.
+The seed object-graph engine (one object per router, buffer and flit) is
+the behavioural specification, kept as the test oracle in
+``tests/noc/object_engine.py``: the kernel reproduces its per-cycle
+semantics *exactly* — same round-robin pointer updates (the pointer only
+advances when an output port actually saw contention), same credit timing,
+same injection bookkeeping (a packet is dequeued before the buffer-space
+check, so a full local buffer stalls that packet), same ejection order
+(routers in row-major order within a cycle).  The parity suite in
+``tests/noc/test_vector_engine.py`` pins per-packet latencies, ejection
+order, router activity counters and stalled-injection counts against the
+oracle on identical traffic.
 
 Traffic enters as :class:`~repro.noc.schedule.TrafficSchedule` arrays, one
 schedule per lane.  Multi-lane batches are how the latency curve becomes
@@ -50,10 +51,9 @@ import numpy as np
 
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
-from .router import RouterActivity
 from .routing import RoutingAlgorithm, make_routing
 from .schedule import PACKET_CLASS_FROM_CODE, TrafficSchedule
-from .stats import LatencyStats, NetworkStats
+from .stats import LatencyStats, NetworkStats, RouterActivity
 from .topology import Coordinate, Direction, MeshTopology
 
 #: Number of router ports (LOCAL, EAST, WEST, NORTH, SOUTH).
@@ -115,7 +115,7 @@ class VectorNetwork:
         simulations advanced in lockstep.
     routing:
         Routing algorithm name or instance (deterministic first-candidate
-        decision, like the object engine).
+        decision).
     buffer_depth:
         Input FIFO depth per router port, in flits.
     """
@@ -191,8 +191,7 @@ class VectorNetwork:
         self.buf_head = np.zeros((B, N, P), dtype=np.int64)
         self.buf_len = np.zeros((B, N, P), dtype=np.int64)
         # Credits for every output port; unconnected ports keep zero credits
-        # and are never routed toward, matching the object router which does
-        # not instantiate them at all.
+        # and are never routed toward.
         connected = self.tables.port_pos >= 0
         self.credits = np.where(connected, D, 0).astype(np.int64)[None].repeat(B, axis=0)
         self.owner = np.full((B, N, P), -1, dtype=np.int64)
@@ -229,8 +228,7 @@ class VectorNetwork:
     def reset_measurement(self) -> None:
         """Zero statistics and activity counters, keeping traffic in flight.
 
-        Equivalent to ``network.stats.reset()`` + ``network.reset_activity()``
-        at the warmup/measurement boundary of the object engine.
+        Called at the warm-up/measurement boundary.
         """
         self.cycles.fill(0)
         for log in (
@@ -457,9 +455,9 @@ class VectorNetwork:
     def drain(self, max_cycles: int = 1_000_000) -> int:
         """Step until every lane is idle; returns the cycles used.
 
-        Per-lane cycle counters freeze as soon as that lane drains, matching
-        per-network ``Network.drain`` runs.  Raises ``RuntimeError`` when any
-        lane fails to drain within ``max_cycles``.
+        Per-lane cycle counters freeze as soon as that lane drains, so each
+        lane reports what a drain of it alone would.  Raises
+        ``RuntimeError`` when any lane fails to drain within ``max_cycles``.
         """
         used = 0
         with _obs_span("noc.vector.drain", lanes=self.num_lanes) as drain_span:
@@ -532,14 +530,13 @@ class VectorNetwork:
     def ejection_order(self, lane: int) -> np.ndarray:
         """Packet-table indices in ejection order for one lane.
 
-        Within a cycle the order is row-major over routers, exactly like the
-        object network's traversal-application order.
+        Within a cycle the order is row-major over routers.
         """
         pkts = self._aggregate()["ej_order"]
         return pkts[self.pkt_lane[pkts] == lane]
 
     def lane_stats(self, lane: int) -> NetworkStats:
-        """Assemble a :class:`NetworkStats` identical to the object engine's."""
+        """Assemble the :class:`NetworkStats` of one lane."""
         agg = self._aggregate()
         stats = NetworkStats()
         stats.cycles = int(self.cycles[lane])
@@ -582,9 +579,9 @@ class VectorNetwork:
         """Per-router activity counters for one lane.
 
         ``flits_routed``, ``buffer_reads``, ``crossbar_traversals`` and
-        ``arbitration_rounds`` always advance together in the object router
-        (every arbitrated output pops exactly one flit), so all four map to
-        the switch-winner count.
+        ``arbitration_rounds`` always advance together (every arbitrated
+        output pops exactly one flit), so all four map to the switch-winner
+        count.
         """
         agg = self._aggregate()
         result: Dict[Coordinate, RouterActivity] = {}

@@ -2,8 +2,9 @@
 
 Two paths produce per-unit activity for a power interval:
 
-* the **simulated path** reads the per-router counters the cycle-accurate
-  network collected (:meth:`repro.noc.network.Network.router_activity`), and
+* the **simulated path** reads the per-router counters a cycle-accurate
+  run collected (:attr:`repro.noc.simulator.SimulationResult.router_activity`),
+  and
 * the **analytic path** walks the deterministic XY route of every traffic
   flow and charges its flits to each router on the path.  Because XY routing
   is deterministic, both paths agree on which routers carry which flits; the

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..noc.router import RouterActivity
+from ..noc.stats import RouterActivity
 from .library import DEFAULT_LIBRARY, TechnologyLibrary
 
 Coordinate = Tuple[int, int]

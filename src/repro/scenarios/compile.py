@@ -336,7 +336,7 @@ _OBS_SCENARIOS = _obs_counter("scenario.runs")
 def _decode_probe(graph, code_digest: str, snr_q: float) -> Tuple[float, float]:
     """(mean iterations, success rate) of one LDPC code at one SNR.
 
-    Decodes :data:`DECODER_PROBE_BLOCKS` random codewords through the sparse
+    Decodes :data:`DECODER_PROBE_BLOCKS` random codewords through the
     batched decoder; cached process-wide so drifting schedules and whole
     scenario suites share probes.  Concurrent threads asking for the same
     (code, SNR) block on that key's lock and find the cache filled, so a
@@ -366,10 +366,7 @@ def _decode_probe(graph, code_digest: str, snr_q: float) -> Tuple[float, float]:
             ]
             llrs = np.stack([channel.transmit_llr(word) for word in codewords])
             decoder = make_decoder(
-                "min-sum",
-                graph,
-                max_iterations=DECODER_PROBE_MAX_ITERATIONS,
-                backend="sparse",
+                "min-sum", graph, max_iterations=DECODER_PROBE_MAX_ITERATIONS
             )
             result = decoder.decode_batch(llrs)
         outcome = (float(result.iterations.mean()), float(result.success.mean()))

@@ -1,19 +1,21 @@
-"""Parity tests: the sparse/batched decoders must match the dense reference.
+"""Parity tests: the edge-list/batched decoders must match the dense oracle.
 
-The dense decoders in :mod:`repro.ldpc.decoder` are the behavioural
-specification; the edge-list backend must reproduce their decoded bits,
-success flags, iteration counts, message counts and per-iteration error
-traces bit-for-bit, across variants, seeds and SNRs.
+The seed dense decoders (``dense_decoder.py`` next to this file) are the
+behavioural specification; the edge-list decoders in
+:mod:`repro.ldpc.decoder` must reproduce their decoded bits, success flags,
+iteration counts, message counts and per-iteration error traces bit-for-bit,
+across variants, seeds and SNRs.
 """
 
 import numpy as np
 import pytest
 
+import dense_decoder
 from repro.ldpc import (
     BpskAwgnChannel,
     LdpcEncoder,
-    SparseMinSumDecoder,
-    SparseSumProductDecoder,
+    MinSumDecoder,
+    SumProductDecoder,
     TannerGraph,
     array_code_parity_matrix,
     gallager_parity_matrix,
@@ -53,30 +55,31 @@ class TestEdgeStructure:
         # In variable-major order the variable indices are non-decreasing.
         assert np.all(np.diff(edges.edge_var[edges.var_order]) >= 0)
 
-
-class TestBackendFactory:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_sparse_backend_classes(self, code, variant):
+    def test_syndrome_matches_dense_parity(self, code):
         graph, _ = code
-        decoder = make_decoder(variant, graph, backend="sparse")
-        expected = {
-            "min-sum": SparseMinSumDecoder,
-            "sum-product": SparseSumProductDecoder,
-        }[variant]
+        edges = EdgeStructure(graph)
+        rng = np.random.default_rng(3)
+        hard = (rng.random((7, graph.n)) < 0.5).astype(np.uint8)
+        expected = (hard.astype(np.int64) @ graph.H.T.astype(np.int64)) & 1
+        assert np.array_equal(edges.syndrome(hard), expected)
+        assert not edges.syndrome(np.zeros((2, graph.n), dtype=np.uint8)).any()
+
+
+class TestFactory:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_factory_classes(self, code, variant):
+        graph, _ = code
+        decoder = make_decoder(variant, graph)
+        expected = {"min-sum": MinSumDecoder, "sum-product": SumProductDecoder}[variant]
         assert isinstance(decoder, expected)
         assert decoder.name == variant
-
-    def test_unknown_backend_rejected(self, code):
-        graph, _ = code
-        with pytest.raises(ValueError, match="backend"):
-            make_decoder("min-sum", graph, backend="gpu")
 
     def test_invalid_parameters_rejected(self, code):
         graph, _ = code
         with pytest.raises(ValueError):
-            make_decoder("min-sum", graph, backend="sparse", max_iterations=0)
+            make_decoder("min-sum", graph, max_iterations=0)
         with pytest.raises(ValueError):
-            make_decoder("min-sum", graph, backend="sparse", normalization=1.5)
+            make_decoder("min-sum", graph, normalization=1.5)
 
 
 class TestParityWithDense:
@@ -84,8 +87,8 @@ class TestParityWithDense:
     @pytest.mark.parametrize("snr_db", (1.0, 2.5, 4.0))
     def test_single_block_parity(self, code, variant, snr_db):
         graph, encoder = code
-        dense = make_decoder(variant, graph, max_iterations=20)
-        sparse = make_decoder(variant, graph, max_iterations=20, backend="sparse")
+        dense = dense_decoder.make_decoder(variant, graph, max_iterations=20)
+        sparse = make_decoder(variant, graph, max_iterations=20)
         codewords, llrs = _llr_batch(encoder, snr_db, seeds=range(6), channel_seed=31)
         for index in range(len(codewords)):
             expected = dense.decode(llrs[index], reference_bits=codewords[index])
@@ -100,8 +103,8 @@ class TestParityWithDense:
     @pytest.mark.parametrize("channel_seed", (7, 19))
     def test_batch_parity(self, code, variant, channel_seed):
         graph, encoder = code
-        dense = make_decoder(variant, graph, max_iterations=15)
-        sparse = make_decoder(variant, graph, max_iterations=15, backend="sparse")
+        dense = dense_decoder.make_decoder(variant, graph, max_iterations=15)
+        sparse = make_decoder(variant, graph, max_iterations=15)
         codewords, llrs = _llr_batch(
             encoder, snr_db=2.0, seeds=range(10), channel_seed=channel_seed
         )
@@ -117,8 +120,8 @@ class TestParityWithDense:
     def test_parity_on_gallager_code(self, variant):
         """The irregular row layout of a Gallager code must decode identically."""
         graph = TannerGraph(gallager_parity_matrix(n=48, wc=3, wr=6, seed=5))
-        dense = make_decoder(variant, graph, max_iterations=12)
-        sparse = make_decoder(variant, graph, max_iterations=12, backend="sparse")
+        dense = dense_decoder.make_decoder(variant, graph, max_iterations=12)
+        sparse = make_decoder(variant, graph, max_iterations=12)
         rng = np.random.default_rng(99)
         llrs = rng.normal(loc=1.0, scale=2.0, size=(8, graph.n))
         expected = dense.decode_batch(llrs)
@@ -139,8 +142,9 @@ class TestFusedCheckNodeKernels:
         H = self._irregular_matrix()
         assert EdgeStructure(TannerGraph(H)).uniform_check_degree is None
 
-    def test_segment_signs_match_float_reduceat(self):
-        graph = TannerGraph(self._irregular_matrix())
+    @pytest.mark.parametrize("regular", [True, False], ids=["regular", "irregular"])
+    def test_segment_signs_match_float_reduceat(self, code, regular):
+        graph = code[0] if regular else TannerGraph(self._irregular_matrix())
         edges = EdgeStructure(graph)
         rng = np.random.default_rng(7)
         v_to_c = rng.normal(size=(6, edges.num_edges))
@@ -153,8 +157,8 @@ class TestFusedCheckNodeKernels:
     def test_irregular_fallback_matches_dense(self, variant):
         """Mixed row weights force the reduceat path; parity must hold."""
         graph = TannerGraph(self._irregular_matrix())
-        dense = make_decoder(variant, graph, max_iterations=10)
-        sparse = make_decoder(variant, graph, max_iterations=10, backend="sparse")
+        dense = dense_decoder.make_decoder(variant, graph, max_iterations=10)
+        sparse = make_decoder(variant, graph, max_iterations=10)
         rng = np.random.default_rng(41)
         llrs = rng.normal(loc=0.8, scale=1.5, size=(12, graph.n))
         expected = dense.decode_batch(llrs)
@@ -180,7 +184,7 @@ class TestFusedCheckNodeKernels:
 class TestBatchSemantics:
     def test_batch_indexing_and_aggregates(self, code):
         graph, encoder = code
-        sparse = make_decoder("min-sum", graph, backend="sparse")
+        sparse = make_decoder("min-sum", graph)
         codewords, llrs = _llr_batch(encoder, snr_db=3.0, seeds=range(5), channel_seed=3)
         batch = sparse.decode_batch(llrs)
         assert len(batch) == 5
@@ -191,7 +195,7 @@ class TestBatchSemantics:
 
     def test_shape_validation(self, code):
         graph, _ = code
-        sparse = make_decoder("min-sum", graph, backend="sparse")
+        sparse = make_decoder("min-sum", graph)
         with pytest.raises(ValueError):
             sparse.decode(np.zeros(graph.n + 1))
         with pytest.raises(ValueError):
@@ -201,22 +205,22 @@ class TestBatchSemantics:
                 np.zeros((2, graph.n)), reference_bits=np.zeros((3, graph.n))
             )
 
-    @pytest.mark.parametrize("backend", ("dense", "sparse"))
-    def test_empty_batch(self, code, backend):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_empty_batch(self, code, variant):
         graph, _ = code
-        decoder = make_decoder("min-sum", graph, backend=backend)
+        decoder = make_decoder(variant, graph)
         batch = decoder.decode_batch(np.zeros((0, graph.n)))
         assert len(batch) == 0
         assert batch.decoded_bits.shape == (0, graph.n)
         assert batch.success_rate == 0.0
 
-    def test_dense_decode_batch_matches_loop(self, code):
-        """The dense reference loop produces the same aggregate shapes."""
+    def test_decode_batch_matches_loop(self, code):
+        """A batch decodes each block exactly as decoding it alone would."""
         graph, encoder = code
-        dense = make_decoder("min-sum", graph)
+        decoder = make_decoder("min-sum", graph)
         codewords, llrs = _llr_batch(encoder, snr_db=3.0, seeds=range(4), channel_seed=13)
-        batch = dense.decode_batch(llrs, reference_bits=codewords)
+        batch = decoder.decode_batch(llrs, reference_bits=codewords)
         for index in range(4):
-            single = dense.decode(llrs[index], reference_bits=codewords[index])
+            single = decoder.decode(llrs[index], reference_bits=codewords[index])
             assert np.array_equal(batch.decoded_bits[index], single.decoded_bits)
             assert batch[index].per_iteration_errors == single.per_iteration_errors

@@ -10,7 +10,7 @@ from repro.migration.transforms import (
 )
 from repro.migration.unit import MigrationUnit
 from repro.noc.flit import PacketClass
-from repro.noc.network import Network
+from repro.noc.simulator import NocSimulator
 
 
 @pytest.fixture
@@ -108,9 +108,8 @@ class TestMigrationPackets:
         """The migration's CONFIG packets must actually be deliverable by the
         cycle-accurate network (integration of migration with the NoC)."""
         packets = unit4.migration_packets(XYShiftTransform(mesh4))
-        network = Network(mesh4, buffer_depth=8)
-        for packet in packets:
-            network.inject(packet)
-        cycles = network.drain(max_cycles=500_000)
-        assert network.stats.packets_ejected == len(packets)
-        assert cycles > 0
+        result = NocSimulator(mesh4, buffer_depth=8).run_packets(
+            packets, drain_limit=500_000
+        )
+        assert result.stats.packets_ejected == len(packets)
+        assert result.cycles > 0

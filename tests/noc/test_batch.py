@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.noc.analytic import saturation_rate
-from repro.noc.batch import default_rate_grid, latency_curve, run_schedules
-from repro.noc.simulator import NocSimulator
+from repro.noc.batch import default_rate_grid, latency_curve
+from repro.noc.simulator import NocSimulator, run_schedules
 from repro.noc.topology import MeshTopology
 from repro.noc.traffic import make_traffic
 
@@ -22,7 +22,7 @@ class TestRunSchedules:
             topology, schedules, cycles=200, warmup_cycles=50
         )
         for schedule, result in zip(schedules, batched):
-            single = NocSimulator(topology, engine="vector").run_traffic(
+            single = NocSimulator(topology).run_traffic(
                 _Replay(schedule), cycles=200, warmup_cycles=50
             )
             assert result.cycles == single.cycles
@@ -42,7 +42,7 @@ class TestRunSchedules:
 
 
 class _Replay:
-    """Traffic source that hands a fixed schedule to the vector engine."""
+    """Traffic source that hands a fixed schedule to ``run_traffic``."""
 
     def __init__(self, schedule):
         self._schedule = schedule

@@ -1,13 +1,13 @@
-"""Tests for flit buffers and credit counters."""
+"""Tests for the object oracle's flit buffers and credit counters."""
 
 import pytest
 
-from repro.noc.buffer import BufferOverflowError, CreditCounter, FlitBuffer
+from object_engine import BufferOverflowError, CreditCounter, FlitBuffer, make_flits
 from repro.noc.flit import Packet
 
 
 def _flit():
-    return Packet(source=(0, 0), destination=(1, 1), size_flits=1).make_flits()[0]
+    return make_flits(Packet(source=(0, 0), destination=(1, 1), size_flits=1))[0]
 
 
 class TestFlitBuffer:

@@ -1,8 +1,8 @@
-"""Tests for the event queue and simulation clock."""
+"""Tests for the simulation clock."""
 
 import pytest
 
-from repro.noc.engine import EventQueue, SimulationClock
+from repro.noc.engine import SimulationClock
 
 
 class TestSimulationClock:
@@ -26,70 +26,3 @@ class TestSimulationClock:
         cycles = clock.seconds_to_cycles(1e-6)
         assert clock.cycles_to_seconds(cycles) == pytest.approx(1e-6)
         assert clock.cycles_to_microseconds(cycles) == pytest.approx(1.0)
-
-
-class TestEventQueue:
-    def test_runs_in_time_order(self):
-        queue = EventQueue()
-        order = []
-        queue.schedule(3.0, lambda: order.append("c"))
-        queue.schedule(1.0, lambda: order.append("a"))
-        queue.schedule(2.0, lambda: order.append("b"))
-        queue.run_all()
-        assert order == ["a", "b", "c"]
-
-    def test_same_time_insertion_order(self):
-        queue = EventQueue()
-        order = []
-        for name in "abcd":
-            queue.schedule(1.0, lambda n=name: order.append(n))
-        queue.run_all()
-        assert order == ["a", "b", "c", "d"]
-
-    def test_schedule_after(self):
-        queue = EventQueue()
-        hits = []
-        queue.schedule(1.0, lambda: queue.schedule_after(0.5, lambda: hits.append(queue.now)))
-        queue.run_all()
-        assert hits == [1.5]
-
-    def test_cannot_schedule_in_past(self):
-        queue = EventQueue()
-        queue.schedule(5.0, lambda: None)
-        queue.run_all()
-        with pytest.raises(ValueError):
-            queue.schedule(1.0, lambda: None)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule_after(-1.0, lambda: None)
-
-    def test_run_until(self):
-        queue = EventQueue()
-        hits = []
-        for t in (1.0, 2.0, 3.0):
-            queue.schedule(t, lambda t=t: hits.append(t))
-        executed = queue.run_until(2.0)
-        assert executed == 2
-        assert hits == [1.0, 2.0]
-        assert len(queue) == 1
-        assert queue.now == 2.0
-
-    def test_run_next_on_empty(self):
-        assert EventQueue().run_next() is False
-
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.schedule(4.0, lambda: None)
-        assert queue.peek_time() == 4.0
-
-    def test_run_all_guard(self):
-        queue = EventQueue()
-
-        def reschedule():
-            queue.schedule_after(1.0, reschedule)
-
-        queue.schedule(0.0, reschedule)
-        with pytest.raises(RuntimeError):
-            queue.run_all(max_events=100)

@@ -1,8 +1,9 @@
-"""Tests for packets and flits."""
+"""Tests for packets and the object oracle's flit segmentation."""
 
 import pytest
 
-from repro.noc.flit import Flit, FlitType, Packet, PacketClass, reset_packet_ids
+from object_engine import FlitType, make_flits
+from repro.noc.flit import Packet, PacketClass, reset_packet_ids
 
 
 class TestPacket:
@@ -40,19 +41,19 @@ class TestPacket:
 class TestFlitSegmentation:
     def test_single_flit_packet(self):
         packet = Packet(source=(0, 0), destination=(1, 1), size_flits=1)
-        flits = packet.make_flits()
+        flits = make_flits(packet)
         assert len(flits) == 1
         assert flits[0].flit_type == FlitType.HEAD_TAIL
         assert flits[0].is_head and flits[0].is_tail
 
     def test_two_flit_packet(self):
         packet = Packet(source=(0, 0), destination=(1, 1), size_flits=2)
-        flits = packet.make_flits()
+        flits = make_flits(packet)
         assert [f.flit_type for f in flits] == [FlitType.HEAD, FlitType.TAIL]
 
     def test_multi_flit_packet_structure(self):
         packet = Packet(source=(0, 0), destination=(1, 1), size_flits=5)
-        flits = packet.make_flits()
+        flits = make_flits(packet)
         assert len(flits) == 5
         assert flits[0].flit_type == FlitType.HEAD
         assert flits[-1].flit_type == FlitType.TAIL
@@ -61,7 +62,7 @@ class TestFlitSegmentation:
 
     def test_flits_reference_packet(self):
         packet = Packet(source=(2, 2), destination=(0, 1), size_flits=3)
-        for flit in packet.make_flits():
+        for flit in make_flits(packet):
             assert flit.packet is packet
             assert flit.source == (2, 2)
             assert flit.destination == (0, 1)

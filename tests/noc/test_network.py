@@ -1,10 +1,16 @@
-"""Tests for the network assembly and cycle-accurate packet delivery."""
+"""Tests for the object-oracle network assembly and packet delivery."""
 
 import pytest
 
+from object_engine import Network
 from repro.noc.flit import Packet, PacketClass
-from repro.noc.network import Network
 from repro.noc.topology import Direction, MeshTopology
+
+
+@pytest.fixture
+def network4(mesh4) -> Network:
+    """An XY-routed 4x4 oracle network."""
+    return Network(mesh4, routing="xy", buffer_depth=4)
 
 
 class TestConstruction:
@@ -131,6 +137,13 @@ class TestActivityCounters:
         network4.reset_activity()
         assert all(a.flits_routed == 0 for a in network4.router_activity().values())
         assert network4.links.total_flits() == 0
+
+    def test_router_activity_is_a_snapshot(self, network4):
+        network4.inject(Packet(source=(0, 0), destination=(1, 0), size_flits=1))
+        network4.drain()
+        snapshot = network4.router_activity()
+        network4.routers[(0, 0)].activity.flits_routed += 5
+        assert snapshot[(0, 0)].flits_routed == 1
 
     def test_link_counts_flits(self, network4):
         network4.inject(Packet(source=(0, 0), destination=(1, 0), size_flits=3))

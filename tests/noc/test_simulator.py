@@ -3,7 +3,7 @@
 import pytest
 
 from repro.noc.flit import Packet
-from repro.noc.simulator import NocSimulator
+from repro.noc.simulator import NocSimulator, run_schedules
 from repro.noc.stats import LatencyStats, NetworkStats
 from repro.noc.traffic import UniformRandomTraffic
 
@@ -59,16 +59,76 @@ class TestRunPackets:
         assert result.stats.packets_ejected == 2
         assert result.cycles > 0
 
-    def test_reset_between_batches(self, simulator4):
+    def test_batches_are_independent(self, simulator4):
         first = simulator4.run_packets(
             [Packet(source=(0, 0), destination=(1, 0), size_flits=2)]
         )
-        simulator4.reset()
         second = simulator4.run_packets(
             [Packet(source=(0, 0), destination=(1, 0), size_flits=2)]
         )
         assert first.cycles == second.cycles
         assert second.stats.packets_ejected == 1
+        assert second.router_activity == first.router_activity
+
+    def test_empty_batch_runs_no_cycles(self, simulator4):
+        result = simulator4.run_packets([])
+        assert result.cycles == 0
+        assert result.stats.packets_ejected == 0
+        assert result.link_flits == 0
+
+    def test_writes_cycles_back_to_packets(self, simulator4):
+        """The run ends on the cycle the last tail ejects: the one-cycle
+        offer horizon adds no idle cycle."""
+        packet = Packet(source=(0, 0), destination=(2, 0), size_flits=3)
+        result = simulator4.run_packets([packet])
+        assert packet.injection_cycle == 0
+        assert packet.ejection_cycle == result.cycles
+
+    def test_self_addressed_packet_rejected(self, simulator4):
+        # No runtime caller produces one: the LDPC workload and migration
+        # replay only send between distinct PEs.
+        with pytest.raises(ValueError, match="source == destination"):
+            simulator4.run_packets([Packet(source=(2, 2), destination=(2, 2), size_flits=1)])
+
+
+class TestInputChecks:
+    def test_rejects_bad_buffer_depth(self, mesh4):
+        with pytest.raises(ValueError, match="buffer depth"):
+            NocSimulator(mesh4, buffer_depth=0)
+
+    def test_rejects_unknown_routing(self, mesh4):
+        with pytest.raises(ValueError, match="bogus"):
+            NocSimulator(mesh4, routing="bogus")
+
+    @pytest.mark.parametrize(
+        "phases,name",
+        [
+            ({"cycles": -5}, "cycles"),
+            ({"cycles": 10, "warmup_cycles": -3}, "warmup_cycles"),
+        ],
+    )
+    def test_run_traffic_rejects_negative_phases(self, simulator4, mesh4, phases, name):
+        traffic = UniformRandomTraffic(mesh4, injection_rate=0.05, seed=2)
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+            simulator4.run_traffic(traffic, **phases)
+
+    @pytest.mark.parametrize(
+        "phases,name",
+        [
+            ({"cycles": -1}, "cycles"),
+            ({"cycles": 10, "warmup_cycles": -1}, "warmup_cycles"),
+        ],
+    )
+    def test_run_schedules_rejects_negative_phases(self, mesh4, phases, name):
+        schedule = UniformRandomTraffic(mesh4, injection_rate=0.05, seed=2).schedule(10)
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+            run_schedules(mesh4, [schedule], **phases)
+
+    def test_zero_cycles_is_an_empty_run(self, simulator4, mesh4):
+        traffic = UniformRandomTraffic(mesh4, injection_rate=0.5, seed=2)
+        result = simulator4.run_traffic(traffic, cycles=0)
+        assert result.cycles == 0
+        assert result.stats.packets_injected == 0
 
 
 class TestLatencyStats:

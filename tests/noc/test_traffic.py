@@ -3,11 +3,12 @@
 import pytest
 
 from repro.noc.flit import PacketClass
+from repro.noc.schedule import PACKET_CLASS_CODES
 from repro.noc.traffic import (
     BitComplementTraffic,
     HotspotTraffic,
     NeighborTraffic,
-    TraceTraffic,
+    TrafficGenerator,
     TransposeTraffic,
     UniformRandomTraffic,
     make_traffic,
@@ -31,78 +32,62 @@ class TestValidation:
         with pytest.raises(ValueError):
             HotspotTraffic(mesh4, 0.1, hotspots=[])
 
+    def test_base_class_has_no_pattern(self, mesh4):
+        with pytest.raises(TypeError):
+            TrafficGenerator(mesh4, injection_rate=0.1)
+
+
+def _pairs(traffic, cycles):
+    """(source, destination) coordinates of every scheduled packet."""
+    sched = traffic.schedule(cycles)
+    coord = traffic.topology.coordinate
+    return [(coord(int(s)), coord(int(d))) for s, d in zip(sched.src, sched.dst)]
+
 
 class TestPatterns:
     def test_uniform_never_self(self, mesh4):
         traffic = UniformRandomTraffic(mesh4, injection_rate=1.0, seed=3)
-        for _ in range(20):
-            for packet in traffic.packets_for_cycle(0):
-                assert packet.source != packet.destination
+        pairs = _pairs(traffic, 20)
+        assert len(pairs) == 20 * mesh4.num_nodes
+        for source, destination in pairs:
+            assert source != destination
 
     def test_transpose_destination(self, mesh4):
         traffic = TransposeTraffic(mesh4, injection_rate=1.0, seed=1)
-        packets = traffic.packets_for_cycle(0)
-        for packet in packets:
-            x, y = packet.source
-            assert packet.destination == (y, x)
+        pairs = _pairs(traffic, 1)
+        assert pairs
+        for (x, y), destination in pairs:
+            assert destination == (y, x)
 
     def test_bit_complement_destination(self, mesh4):
         traffic = BitComplementTraffic(mesh4, injection_rate=1.0, seed=1)
-        for packet in traffic.packets_for_cycle(0):
-            x, y = packet.source
-            assert packet.destination == (3 - x, 3 - y)
+        for (x, y), destination in _pairs(traffic, 1):
+            assert destination == (3 - x, 3 - y)
 
     def test_neighbor_traffic_one_hop(self, mesh5):
         traffic = NeighborTraffic(mesh5, injection_rate=1.0, seed=5)
-        for packet in traffic.packets_for_cycle(0):
-            assert mesh5.manhattan_distance(packet.source, packet.destination) == 1
+        for source, destination in _pairs(traffic, 1):
+            assert mesh5.manhattan_distance(source, destination) == 1
 
     def test_hotspot_bias(self, mesh4):
         hotspot = (2, 2)
         traffic = HotspotTraffic(
             mesh4, injection_rate=1.0, hotspots=[hotspot], hotspot_fraction=0.9, seed=7
         )
-        packets = []
-        for cycle in range(30):
-            packets.extend(traffic.packets_for_cycle(cycle))
-        to_hotspot = sum(1 for p in packets if p.destination == hotspot)
-        assert to_hotspot > len(packets) * 0.5
+        pairs = _pairs(traffic, 30)
+        to_hotspot = sum(1 for _, destination in pairs if destination == hotspot)
+        assert to_hotspot > len(pairs) * 0.5
 
     def test_injection_rate_controls_volume(self, mesh4):
         low = UniformRandomTraffic(mesh4, injection_rate=0.05, seed=1)
         high = UniformRandomTraffic(mesh4, injection_rate=0.8, seed=1)
-        low_count = sum(len(low.packets_for_cycle(c)) for c in range(50))
-        high_count = sum(len(high.packets_for_cycle(c)) for c in range(50))
-        assert high_count > low_count * 3
+        assert high.schedule(50).num_packets > low.schedule(50).num_packets * 3
 
     def test_seeded_reproducibility(self, mesh4):
         a = UniformRandomTraffic(mesh4, injection_rate=0.3, seed=42)
         b = UniformRandomTraffic(mesh4, injection_rate=0.3, seed=42)
-        for cycle in range(10):
-            pa = [(p.source, p.destination) for p in a.packets_for_cycle(cycle)]
-            pb = [(p.source, p.destination) for p in b.packets_for_cycle(cycle)]
-            assert pa == pb
-
-
-class TestTraceTraffic:
-    def test_replay(self):
-        trace = TraceTraffic(
-            [
-                (0, (0, 0), (1, 1), 2),
-                (0, (1, 0), (0, 1), 3),
-                (5, (2, 2), (0, 0), 1),
-            ]
-        )
-        cycle0 = trace.packets_for_cycle(0)
-        assert len(cycle0) == 2
-        assert trace.packets_for_cycle(1) == []
-        assert len(trace.packets_for_cycle(5)) == 1
-        assert trace.last_cycle == 5
-
-    def test_empty_trace(self):
-        trace = TraceTraffic([])
-        assert trace.packets_for_cycle(0) == []
-        assert trace.last_cycle == 0
+        assert _pairs(a, 10) == _pairs(b, 10)
+        assert a.schedule(10).cycle.tolist() == b.schedule(10).cycle.tolist()
 
 
 class TestFactory:
@@ -123,5 +108,6 @@ class TestFactory:
 
     def test_packets_are_data_class(self, mesh4):
         generator = make_traffic("uniform", mesh4, injection_rate=1.0, seed=2)
-        for packet in generator.packets_for_cycle(0):
-            assert packet.packet_class == PacketClass.DATA
+        sched = generator.schedule(1)
+        assert sched.num_packets == mesh4.num_nodes
+        assert set(sched.pclass.tolist()) == {PACKET_CLASS_CODES[PacketClass.DATA]}

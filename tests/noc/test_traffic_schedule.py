@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import object_engine
 from repro.noc.flit import PacketClass
 from repro.noc.schedule import PACKET_CLASS_CODES, TrafficSchedule
 from repro.noc.topology import MeshTopology
@@ -40,7 +41,7 @@ class TestNumpySchedulePath:
         assert sched.cycle.min() >= 0 and sched.cycle.max() < 300
         assert np.all(sched.size == 4)
         assert np.all(sched.pclass == PACKET_CLASS_CODES[PacketClass.DATA])
-        # Offer order is (cycle, node) row-major, like the per-cycle path.
+        # Offer order is (cycle, node) row-major.
         keys = sched.cycle * n + sched.src
         assert np.all(np.diff(keys) >= 0)
 
@@ -104,36 +105,10 @@ class TestScheduleContainer:
                 cycle=[0, 1], src=[0], dst=[1], size=[4], pclass=[1]
             )
 
-    def test_to_packets_round_trip(self):
+    def test_packets_round_trip(self):
         topology, sched = self.make()
-        packets = sched.to_packets(topology)
+        packets = object_engine.to_packets(sched, topology)
         rebuilt = TrafficSchedule.from_packets(packets, topology)
         for column in COLUMNS:
             assert np.array_equal(getattr(rebuilt, column), getattr(sched, column))
         assert rebuilt.packets is not None
-
-    def test_trace_tuples_replay_exactly(self):
-        """trace_tuples -> TraceTraffic -> from_generator is the identity."""
-        from repro.noc.traffic import TraceTraffic
-
-        topology, sched = self.make()
-        trace = TraceTraffic(sched.trace_tuples(topology))
-        rebuilt = TrafficSchedule.from_generator(trace, topology, 100)
-        for column in ("cycle", "src", "dst", "size"):
-            assert np.array_equal(getattr(rebuilt, column), getattr(sched, column))
-
-    def test_from_generator_matches_per_cycle_path(self):
-        """Exact replay: same packets the object engine would see."""
-        topology = MeshTopology(4, 4)
-        replayed = TrafficSchedule.from_generator(
-            make_traffic("uniform", topology, 0.2, seed=8), topology, 80
-        )
-        manual = []
-        gen = make_traffic("uniform", topology, 0.2, seed=8)
-        for cycle in range(80):
-            manual.extend(gen.packets_for_cycle(cycle))
-        assert replayed.num_packets == len(manual)
-        for index, packet in enumerate(manual):
-            assert replayed.cycle[index] == packet.injection_cycle
-            assert replayed.src[index] == topology.node_id(packet.source)
-            assert replayed.dst[index] == topology.node_id(packet.destination)

@@ -1,26 +1,28 @@
-"""Engine parity: the vector kernel must reproduce the object engine exactly.
+"""Engine parity: the vector kernel must reproduce the object oracle exactly.
 
-The object-graph :class:`~repro.noc.network.Network` is the behavioural
-specification; :class:`~repro.noc.vector.VectorNetwork` is the array-native
-rewrite.  On identical traffic the two must agree on *everything* the
+The seed object-graph engine (``object_engine.py`` next to this file) is the
+behavioural specification; :class:`~repro.noc.vector.VectorNetwork` is the
+runtime engine.  On identical traffic the two must agree on *everything* the
 simulator reports: per-packet injection/ejection cycles, latency statistics
 (including the per-class split), throughput, per-node counters, stalled
 injections and the full per-router activity dictionaries.
 
-Both engines are driven from one pregenerated
-:class:`~repro.noc.schedule.TrafficSchedule` (the generators' numpy
-``schedule()`` path intentionally uses a different RNG stream, so parity
-comparisons always go through an explicit shared schedule).
+Both engines replay one pregenerated
+:class:`~repro.noc.schedule.TrafficSchedule`: ``NocSimulator.run_traffic``
+asks the seeded generator for it, and the oracle replays the identical
+``generator.schedule(horizon)``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import object_engine
+from repro.noc.routing import available_algorithms
 from repro.noc.schedule import TrafficSchedule
 from repro.noc.simulator import NocSimulator
 from repro.noc.topology import MeshTopology
-from repro.noc.traffic import TraceTraffic, make_traffic
+from repro.noc.traffic import make_traffic
 from repro.noc.vector import VectorNetwork
 
 PARITY_CONFIGS = [
@@ -37,28 +39,23 @@ PARITY_CONFIGS = [
     (5, "uniform", 0.10, 250, 30, "odd-even", 2, {}),
 ]
 
+def run_both(topology, generator, cycles, warmup, routing="xy", depth=4):
+    """(vector, oracle) results of one generator's traffic."""
+    vec = NocSimulator(topology, routing=routing, buffer_depth=depth).run_traffic(
+        generator, cycles=cycles, warmup_cycles=warmup
+    )
+    obj = object_engine.run_traffic(
+        topology,
+        generator.schedule(warmup + cycles),
+        cycles=cycles,
+        warmup_cycles=warmup,
+        routing=routing,
+        buffer_depth=depth,
+    )
+    return vec, obj
 
-def shared_trace(size, pattern, rate, horizon, seed=7, **kwargs):
-    """One schedule both engines replay exactly."""
-    topology = MeshTopology(size, size)
-    generator = make_traffic(pattern, topology, injection_rate=rate, seed=seed, **kwargs)
-    schedule = TrafficSchedule.from_generator(generator, topology, horizon)
-    return topology, schedule, TraceTraffic(schedule.trace_tuples(topology))
 
-
-@pytest.mark.parametrize(
-    "size,pattern,rate,cycles,warmup,routing,depth,kwargs",
-    PARITY_CONFIGS,
-    ids=[f"{c[0]}x{c[0]}-{c[1]}-{c[5]}" for c in PARITY_CONFIGS],
-)
-def test_engines_agree_exactly(size, pattern, rate, cycles, warmup, routing, depth, kwargs):
-    topology, _, trace = shared_trace(size, pattern, rate, cycles + warmup, **kwargs)
-    results = {}
-    for engine in ("object", "vector"):
-        sim = NocSimulator(topology, routing=routing, buffer_depth=depth, engine=engine)
-        results[engine] = sim.run_traffic(trace, cycles=cycles, warmup_cycles=warmup)
-    obj, vec = results["object"], results["vector"]
-
+def assert_same_result(vec, obj):
     assert vec.cycles == obj.cycles
     assert vec.link_flits == obj.link_flits
     for field in (
@@ -77,22 +74,64 @@ def test_engines_agree_exactly(size, pattern, rate, cycles, warmup, routing, dep
     assert vec.router_activity == obj.router_activity
 
 
+@pytest.mark.parametrize(
+    "size,pattern,rate,cycles,warmup,routing,depth,kwargs",
+    PARITY_CONFIGS,
+    ids=[f"{c[0]}x{c[0]}-{c[1]}-{c[5]}" for c in PARITY_CONFIGS],
+)
+def test_engines_agree_exactly(size, pattern, rate, cycles, warmup, routing, depth, kwargs):
+    topology = MeshTopology(size, size)
+    generator = make_traffic(pattern, topology, injection_rate=rate, seed=7, **kwargs)
+    assert_same_result(*run_both(topology, generator, cycles, warmup, routing, depth))
+
+
+@given(
+    width=st.integers(2, 5),
+    height=st.integers(2, 5),
+    pattern=st.sampled_from(
+        ["uniform", "transpose", "bit-complement", "neighbor", "hotspot"]
+    ),
+    routing=st.sampled_from(available_algorithms()),
+    depth=st.integers(1, 4),
+    rate=st.floats(0.02, 0.25),
+    cycles=st.integers(1, 120),
+    warmup=st.integers(0, 30),
+    seed=st.integers(0, 2**20),
+    data=st.data(),
+)
+@settings(max_examples=20, deadline=None)
+def test_engines_agree_on_generated_configs(
+    width, height, pattern, routing, depth, rate, cycles, warmup, seed, data
+):
+    """Exact parity over meshes, patterns, routings, depths and warm-ups."""
+    topology = MeshTopology(width, height)
+    kwargs = {}
+    if pattern == "hotspot":
+        spot = data.draw(
+            st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+        )
+        kwargs["hotspots"] = [spot]
+    generator = make_traffic(pattern, topology, injection_rate=rate, seed=seed, **kwargs)
+    assert_same_result(*run_both(topology, generator, cycles, warmup, routing, depth))
+
+
 def test_per_packet_cycles_and_ejection_order_match():
     """Injection/ejection cycles agree packet by packet, not just on average."""
-    topology, schedule, _ = shared_trace(4, "uniform", 0.20, 200)
+    topology = MeshTopology(4, 4)
+    schedule = make_traffic("uniform", topology, injection_rate=0.20, seed=7).schedule(200)
 
-    object_packets = schedule.to_packets(topology)
+    object_packets = object_engine.to_packets(schedule, topology)
     by_cycle = {}
     for packet in object_packets:
         by_cycle.setdefault(packet.injection_cycle, []).append(packet)
-    sim = NocSimulator(topology, engine="object")
+    network = object_engine.Network(topology)
     for cycle in range(max(by_cycle) + 1):
         for packet in by_cycle.get(cycle, []):
-            sim.network.inject(packet)
-        sim.network.step()
-    sim.network.drain(max_cycles=50_000)
+            network.inject(packet)
+        network.step()
+    network.drain(max_cycles=50_000)
 
-    vector_packets = schedule.to_packets(topology)
+    vector_packets = object_engine.to_packets(schedule, topology)
     net = VectorNetwork(
         topology, [TrafficSchedule.from_packets(vector_packets, topology)]
     )
@@ -104,7 +143,7 @@ def test_per_packet_cycles_and_ejection_order_match():
         assert actual.ejection_cycle == expected.ejection_cycle
 
     # The engine's ejection log is ordered by (cycle, node row-major) —
-    # the order the object engine's per-router loop ejects within a cycle.
+    # the order the oracle's per-router loop ejects within a cycle.
     order = net.ejection_order(0)
     eject = net.pkt_eject[order]
     node = net.pkt_dst[order]
@@ -112,41 +151,31 @@ def test_per_packet_cycles_and_ejection_order_match():
     assert np.all(np.diff(keys) >= 0)
 
 
-def test_stalled_injections_match_with_tiny_buffers():
+@pytest.mark.parametrize("depth", [1, 2])
+def test_stalled_injections_match_with_tiny_buffers(depth):
     """Back-pressure bookkeeping matches when local buffers overflow."""
-    topology, _, trace = shared_trace(4, "uniform", 0.6, 120)
-    results = {}
-    for engine in ("object", "vector"):
-        sim = NocSimulator(topology, buffer_depth=2, engine=engine)
-        results[engine] = sim.run_traffic(trace, cycles=120, warmup_cycles=0)
-    assert results["vector"].stats.stalled_injections > 0
-    assert (
-        results["vector"].stats.stalled_injections
-        == results["object"].stats.stalled_injections
-    )
+    topology = MeshTopology(4, 4)
+    generator = make_traffic("uniform", topology, injection_rate=0.6, seed=7)
+    vec, obj = run_both(topology, generator, cycles=120, warmup=0, depth=depth)
+    assert vec.stats.stalled_injections > 0
+    assert vec.stats.stalled_injections == obj.stats.stalled_injections
 
 
 def test_run_packets_parity():
     topology = MeshTopology(4, 4)
-    generator = make_traffic("uniform", topology, injection_rate=0.3, seed=3)
-    packets = TrafficSchedule.from_generator(generator, topology, 60).to_packets(topology)
-    res = {}
-    for engine in ("object", "vector"):
-        sim = NocSimulator(topology, engine=engine)
-        batch = [
-            p.__class__(
-                source=p.source,
-                destination=p.destination,
-                size_flits=p.size_flits,
-                packet_class=p.packet_class,
-                injection_cycle=0,
-            )
-            for p in packets
-        ]
-        res[engine] = sim.run_packets(batch)
-    assert res["vector"].cycles == res["object"].cycles
-    assert res["vector"].stats.latency == res["object"].stats.latency
-    assert res["vector"].router_activity == res["object"].router_activity
+    schedule = make_traffic("uniform", topology, injection_rate=0.3, seed=3).schedule(60)
+
+    def batch():
+        packets = object_engine.to_packets(schedule, topology)
+        for packet in packets:
+            packet.injection_cycle = 0
+        return packets
+
+    vec = NocSimulator(topology).run_packets(batch())
+    obj = object_engine.run_packets(topology, batch())
+    assert vec.cycles == obj.cycles
+    assert vec.stats.latency == obj.stats.latency
+    assert vec.router_activity == obj.router_activity
 
 
 class TestConservation:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.noc.flit import Packet
-from repro.noc.network import Network
 from repro.noc.routing import XYRouting
+from repro.noc.simulator import NocSimulator
 from repro.power.activity import (
     ActivityMap,
     UnitActivity,
@@ -91,13 +91,11 @@ class TestAnalyticRouterFlits:
     def test_matches_simulation_for_single_packet(self, mesh4):
         """The analytic estimator and the cycle-accurate simulator agree on
         which routers a flow's flits visit."""
-        network = Network(mesh4)
         packet = Packet(source=(0, 0), destination=(2, 1), size_flits=4)
-        network.inject(packet)
-        network.drain()
+        result = NocSimulator(mesh4).run_packets([packet])
         simulated = {
             coord: activity.flits_routed
-            for coord, activity in network.router_activity().items()
+            for coord, activity in result.router_activity.items()
         }
         analytic = analytic_router_flits(mesh4, {((0, 0), (2, 1)): 4.0})
         for coord in mesh4.coordinates():
@@ -106,11 +104,11 @@ class TestAnalyticRouterFlits:
 
 class TestActivityFromSimulation:
     def test_collects_router_counters(self, mesh4):
-        network = Network(mesh4)
-        network.inject(Packet(source=(0, 0), destination=(3, 3), size_flits=2))
-        network.drain()
+        result = NocSimulator(mesh4).run_packets(
+            [Packet(source=(0, 0), destination=(3, 3), size_flits=2)]
+        )
         amap = activity_from_simulation(
-            mesh4, network.router_activity(), computation_ops={(0, 0): 99.0}
+            mesh4, result.router_activity, computation_ops={(0, 0): 99.0}
         )
         assert amap.units[(0, 0)].computation_ops == 99.0
         assert amap.total_router_flits() > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc.router import RouterActivity
+from repro.noc.stats import RouterActivity
 from repro.power.library import TechnologyLibrary
 from repro.power.models import PePowerModel, RouterPowerModel, UnitPowerModel
 

@@ -3,8 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.flit import Packet
-from repro.noc.network import Network
 from repro.noc.routing import available_algorithms, make_routing
+from repro.noc.simulator import NocSimulator
 from repro.noc.topology import MeshTopology
 
 dims = st.tuples(st.integers(2, 6), st.integers(2, 6))
@@ -35,6 +35,13 @@ class TestRoutingProperties:
             assert topology.manhattan_distance(a, b) == 1
 
 
+def distinct_pair(data, width, height):
+    """Source and destination coordinates that differ."""
+    src = data.draw(coords_for(width, height))
+    dst = data.draw(coords_for(width, height).filter(lambda c: c != src))
+    return src, dst
+
+
 class TestDeliveryProperties:
     @given(
         dims=dims,
@@ -48,32 +55,28 @@ class TestDeliveryProperties:
     ):
         width, height = dims
         topology = MeshTopology(width, height)
-        network = Network(topology, buffer_depth=4)
-        packets = []
-        for _ in range(num_packets):
-            src = data.draw(coords_for(width, height))
-            dst = data.draw(coords_for(width, height))
-            packet = Packet(source=src, destination=dst, size_flits=size)
-            packets.append(packet)
-            network.inject(packet)
-        network.drain(max_cycles=200_000)
-        assert network.stats.packets_ejected == num_packets
-        assert network.stats.flits_ejected == num_packets * size
-        assert len(network.ejected_packets) == num_packets
-        assert {p.packet_id for p in network.ejected_packets} == {
-            p.packet_id for p in packets
-        }
+        packets = [
+            Packet(*distinct_pair(data, width, height), size_flits=size)
+            for _ in range(num_packets)
+        ]
+        result = NocSimulator(topology, buffer_depth=4).run_packets(
+            packets, drain_limit=200_000
+        )
+        assert result.stats.packets_injected == num_packets
+        assert result.stats.packets_ejected == num_packets
+        assert result.stats.flits_ejected == num_packets * size
+        assert sum(result.stats.ejected_per_node.values()) == num_packets
+        assert all(
+            0 <= p.injection_cycle < p.ejection_cycle <= result.cycles for p in packets
+        )
 
     @given(dims=dims, data=st.data(), size=st.integers(1, 8))
     @settings(max_examples=25, deadline=None)
     def test_latency_at_least_hop_count_plus_serialization(self, dims, data, size):
         width, height = dims
         topology = MeshTopology(width, height)
-        network = Network(topology, buffer_depth=4)
-        src = data.draw(coords_for(width, height))
-        dst = data.draw(coords_for(width, height))
+        src, dst = distinct_pair(data, width, height)
         packet = Packet(source=src, destination=dst, size_flits=size)
-        network.inject(packet)
-        network.drain(max_cycles=100_000)
+        NocSimulator(topology, buffer_depth=4).run_packets([packet], drain_limit=100_000)
         hops = topology.manhattan_distance(src, dst)
         assert packet.latency >= hops + size - 1

@@ -34,13 +34,10 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --n-jobs" in capsys.readouterr().err
 
-    def test_import_does_not_load_multiprocessing(self):
-        """The process pool is imported only by a sharded campaign run."""
-        script = (
-            "import sys\n"
-            "import repro.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
-        )
+    @pytest.fixture(scope="class")
+    def cli_modules(self):
+        """Modules a fresh interpreter has loaded after ``import repro.cli``."""
+        script = "import json, sys\nimport repro.cli\nprint(json.dumps(sorted(sys.modules)))\n"
         src = Path(__file__).resolve().parents[1] / "src"
         completed = subprocess.run(
             [sys.executable, "-c", script],
@@ -49,7 +46,16 @@ class TestParser:
             env={"PYTHONPATH": str(src)},
             check=True,
         )
-        assert completed.stdout.strip() == "[]"
+        return json.loads(completed.stdout)
+
+    def test_import_does_not_load_multiprocessing(self, cli_modules):
+        """The process pool is imported only by a sharded campaign run."""
+        assert [m for m in cli_modules if m.startswith("multiprocessing")] == []
+
+    def test_import_does_not_load_scipy_sparse(self, cli_modules):
+        """The decoders' segment sums need no sparse-matrix operators."""
+        assert "repro.ldpc" in cli_modules
+        assert [m for m in cli_modules if m.startswith("scipy.sparse")] == []
 
 
 class TestChipsCommand:
