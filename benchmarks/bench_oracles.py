@@ -1,0 +1,196 @@
+"""Each runtime engine against the reference implementation it replaced.
+
+The seed engines live on in ``tests/`` as oracles.  For every pair this
+script runs the runtime engine and its oracle on the same work, in the shape
+the real paths use, checks once that they agree, then times alternating
+runtime/oracle runs and prints the median and interquartile range of
+oracle time / runtime time.
+
+It exits 1 when a pair disagrees or when a median is below 1x: no
+optimisation stays in the tree while its own benchmark records a slowdown.
+End-to-end speed is perfbench's job (``perfbench/run.py``); this script only
+keeps each engine honest against its oracle.  Like perfbench, it pins the
+BLAS thread pools to one thread: on small multi-right-hand-side solves a
+multi-threaded OpenBLAS spends far longer waking threads than computing.
+
+Run from the repository root::
+
+    PYTHONPATH=src python benchmarks/bench_oracles.py
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+from pathlib import Path
+
+os.environ.update(
+    dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+)
+
+import numpy as np  # noqa: E402
+
+# The oracles are test modules: ``object_engine`` (NoC), ``dense_decoder``
+# (LDPC) and the per-flow latency loop in ``test_analytic``.
+sys.path[:0] = [
+    str(Path(__file__).resolve().parent.parent / "tests" / package)
+    for package in ("noc", "ldpc")
+]
+
+import dense_decoder  # noqa: E402
+import object_engine  # noqa: E402
+from test_analytic import per_flow_latency  # noqa: E402
+
+from repro.chips import get_configuration  # noqa: E402
+from repro.ldpc import (  # noqa: E402
+    BpskAwgnChannel,
+    LdpcEncoder,
+    TannerGraph,
+    array_code_parity_matrix,
+    make_decoder,
+)
+from repro.noc import (  # noqa: E402
+    MeshTopology,
+    default_rate_grid,
+    make_traffic,
+    run_schedules,
+)
+from repro.noc.analytic import _AnalyticModel  # noqa: E402
+
+
+def vector_noc():
+    """A 4x4 uniform latency curve: 8 rates, 600 cycles after 100 warm-up."""
+    topology = MeshTopology(4, 4)
+    rates = default_rate_grid(topology, num_points=8)
+    schedules = [
+        make_traffic(
+            "uniform", topology, injection_rate=float(rate), seed=11 + index
+        ).schedule(700)
+        for index, rate in enumerate(rates)
+    ]
+
+    def runtime():
+        return run_schedules(topology, schedules, cycles=600, warmup_cycles=100)
+
+    def oracle():
+        return [
+            object_engine.run_traffic(
+                topology, schedule, cycles=600, warmup_cycles=100
+            )
+            for schedule in schedules
+        ]
+
+    def agree(fast, slow):
+        return all(
+            a.stats.latency == b.stats.latency and a.link_flits == b.link_flits
+            for a, b in zip(fast, slow)
+        )
+
+    return runtime, oracle, agree
+
+
+def edge_list_decoder():
+    """The scenario decoder probe: p=13 (n=78), 24 blocks, 25 iterations."""
+    graph = TannerGraph(array_code_parity_matrix(p=13, j=3, k=6))
+    encoder = LdpcEncoder(graph.H)
+    channel = BpskAwgnChannel(snr_db=2.0, rate=encoder.rate, seed=97)
+    llrs = np.stack(
+        [
+            channel.transmit_llr(encoder.random_codeword(seed=seed))
+            for seed in range(24)
+        ]
+    )
+    fast = make_decoder("min-sum", graph, max_iterations=25)
+    slow = dense_decoder.make_decoder("min-sum", graph, max_iterations=25)
+
+    def agree(a, b):
+        return np.array_equal(a.decoded_bits, b.decoded_bits) and np.array_equal(
+            a.iterations, b.iterations
+        )
+
+    return (
+        lambda: fast.decode_batch(llrs),
+        lambda: slow.decode_batch(llrs),
+        agree,
+    )
+
+
+def closed_form_noc():
+    """4x4 uniform, 4-flit packets, XY: 40 rates up to 0.95 x capacity."""
+    topology = MeshTopology(4, 4)
+    model = _AnalyticModel(topology, "uniform", 4, "xy")
+    rates = np.linspace(0.0, 0.95, 40) * model.capacity_rate
+
+    def runtime():
+        return [model.evaluate(rate).avg_latency for rate in rates]
+
+    def oracle():
+        return [
+            per_flow_latency(topology, "uniform", rate, 4, "xy") for rate in rates
+        ]
+
+    return runtime, oracle, lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+def spectral_transient():
+    """A served window on chip A: 8 epochs x 8 steps of 109 us."""
+    chip = get_configuration("A")
+    model = chip.thermal_model
+    loads = np.linspace(0.6, 1.4, 8)
+    rows = model.node_power_matrix(loads[:, np.newaxis] * chip.power_vector())
+    intervals = [(109e-6, row) for row in rows]
+    offsets = np.linspace(-5.0, 5.0, 8)
+    warm = model.warm_state(chip.power_vector(), ambient_offset_kelvin=-5.0)
+
+    def run(method):
+        return model.solver.transient_sequence(
+            intervals,
+            initial_state=warm,
+            time_step_s=109e-6 / 8,
+            method=method,
+            ambient_offsets_kelvin=offsets,
+        )
+
+    def agree(a, b):
+        return np.abs(a.final_state_kelvin - b.final_state_kelvin).max() <= 1e-9
+
+    return lambda: run("spectral"), lambda: run("euler"), agree
+
+
+def speedups(runtime, oracle, pairs):
+    """oracle / runtime wall-clock ratio of ``pairs`` alternating runs."""
+    ratios = []
+    for _ in range(pairs):
+        start = time.perf_counter()
+        runtime()
+        middle = time.perf_counter()
+        oracle()
+        ratios.append((time.perf_counter() - middle) / (middle - start))
+    return np.array(ratios)
+
+
+def main() -> int:
+    benches = {
+        "vector NoC vs object engine": vector_noc,
+        "edge-list vs dense decoder": edge_list_decoder,
+        "closed-form vs per-flow NoC": closed_form_noc,
+        "spectral vs Euler transient": spectral_transient,
+    }
+    failed = False
+    print(f"{'pair':<30} {'parity':>6} {'median':>8} {'IQR':>6} {'min':>6}")
+    for name, build in benches.items():
+        runtime, oracle, agree = build()
+        parity = bool(agree(runtime(), oracle()))
+        ratios = speedups(runtime, oracle, pairs=10)
+        q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+        failed |= not parity or median < 1.0
+        print(
+            f"{name:<30} {'ok' if parity else 'FAIL':>6} {median:>7.1f}x "
+            f"{q3 - q1:>6.2f} {ratios.min():>5.1f}x"
+        )
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

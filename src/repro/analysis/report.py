@@ -1,8 +1,8 @@
 """Report generation: the Figure 1 table and the in-text result summaries.
 
 These helpers run the experiments behind each of the paper's results and
-format them as plain-text tables (and CSV rows) so the benchmark harness and
-the examples can print exactly what the paper plots.
+format them as plain-text tables (and CSV rows) so the CLI and the examples
+can print exactly what the paper plots.
 
 :func:`format_rows` is the shared table renderer for every layer above —
 the CLI's scenario/sweep tables and the campaign engine's per-axis marginal

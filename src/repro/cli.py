@@ -16,7 +16,6 @@ Gives downstream users a no-code path to every experiment::
     python -m repro serve diurnal-load --window 8    # stream a scenario
     python -m repro serve --input windows.jsonl -c A # serve external windows
     python -m repro serve diurnal-load --checkpoint ckpt/  # resumable stream
-    python -m repro perf-trend                 # BENCH_perf.json history
     python -m repro obs summary trace.json     # telemetry table from a trace
     python -m repro obs validate trace.json    # Chrome trace-event schema check
 
@@ -40,7 +39,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .analysis.perf_trend import format_trend, load_perf_history, trend_rows
 from .analysis.report import (
     FIGURE1_SETTINGS,
     compare_scenarios,
@@ -272,7 +270,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         spec = _load_scenario(args)
     except (OSError, ValueError) as error:
         # Unknown name, missing/unreadable spec file, malformed JSON or an
-        # invalid spec — a one-line error, matching perf-trend.
+        # invalid spec — a one-line error.
         print(error, file=sys.stderr)
         return 1
     if args.show_spec:
@@ -615,19 +613,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             handle.close()
 
 
-def cmd_perf_trend(args: argparse.Namespace) -> int:
-    try:
-        payload = load_perf_history(Path(args.path))
-        if args.csv:
-            _print_rows(trend_rows(payload, args.benchmark), True)
-        else:
-            print(format_trend(payload, args.benchmark))
-    except (FileNotFoundError, ValueError) as error:
-        print(error, file=sys.stderr)
-        return 1
-    return 0
-
-
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -838,15 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument("path", help="trace JSON file to validate")
     obs.set_defaults(func=cmd_obs_validate)
-
-    sub = subparsers.add_parser(
-        "perf-trend", help="per-benchmark trend table from BENCH_perf.json history"
-    )
-    sub.add_argument("--path", default="BENCH_perf.json",
-                     help="benchmark record to read (default: ./BENCH_perf.json)")
-    sub.add_argument("-b", "--benchmark", default=None,
-                     help="only hot paths whose name contains this substring")
-    sub.set_defaults(func=cmd_perf_trend)
 
     return parser
 

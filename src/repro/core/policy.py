@@ -4,7 +4,7 @@ The paper evaluates *periodic* migration with a fixed transform (one curve
 per transform in Figure 1, one period per point in the Section 3 sweep).  The
 policy abstraction also provides two natural extensions the conclusions hint
 at — temperature-threshold triggering and an adaptive transform choice —
-which are exercised by the extension benchmarks and examples.
+which are exercised by the tests, the scenario registry and the examples.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Channel models for exercising the LDPC decoder.
 
 The decoder itself (and the traffic it generates on the NoC) is independent
-of the channel, but the substrate-sanity benchmark (experiment E7) checks the
-decoder's bit-error-rate behaviour on a binary-input AWGN channel, and the
-unit tests use the simpler binary symmetric channel.
+of the channel, but the decoder's bit-error-rate behaviour is checked on a
+binary-input AWGN channel, and the unit tests also use the simpler binary
+symmetric channel.
 """
 
 from __future__ import annotations

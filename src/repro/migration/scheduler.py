@@ -200,8 +200,8 @@ class MigrationScheduler:
     def naive_cycles(self, moves: Sequence[PeMove]) -> int:
         """Duration of an un-phased, fully serialised migration (baseline).
 
-        The ablation benchmark compares this against the phased schedule to
-        quantify the benefit of congestion-free grouping.
+        The tests compare this against the phased schedule to quantify the
+        benefit of congestion-free grouping.
         """
         return sum(
             self.move_cycles(move) for move in moves if not move.is_local

@@ -228,9 +228,9 @@ class MigrationUnit:
     ) -> List[Packet]:
         """CONFIG packets that would carry the migration over the real NoC.
 
-        Used by the integration tests and the migration-schedule benchmark to
-        replay a migration through the cycle-accurate network and check that
-        the analytic schedule's cycle count is an upper bound on reality.
+        Used by the integration tests to replay a migration through the
+        cycle-accurate network and check that the analytic schedule's cycle
+        count is an upper bound on reality.
         """
         packets = []
         for move in self.scheduler.moves_for_transform(transform, tanner_nodes_per_pe):

@@ -8,13 +8,11 @@ injection rate becomes a lane, the cycle kernel advances all of them
 together, and the marginal cost of an extra point is a slightly larger
 array operation instead of a whole extra simulation.
 
-:func:`latency_curve` is the high-level entry point (used by
-``benchmarks/bench_noc_throughput.py`` and the scenario cost hooks); it
-builds one :class:`~repro.noc.schedule.TrafficSchedule` per rate and hands
-them to the lane-level primitive
-:func:`~repro.noc.simulator.run_schedules`, which callers already holding
-schedules use directly — e.g. sweeping *patterns* at a fixed rate, or
-replaying many migration windows at once.
+:func:`latency_curve` is the high-level entry point; it builds one
+:class:`~repro.noc.schedule.TrafficSchedule` per rate and hands them to the
+lane-level primitive :func:`~repro.noc.simulator.run_schedules`, which
+callers already holding schedules use directly — e.g. sweeping *patterns*
+at a fixed rate, or replaying many migration windows at once.
 
 The default rate grid spans up to ~1.3x the analytic
 :func:`~repro.noc.analytic.saturation_rate`: dense enough to resolve the

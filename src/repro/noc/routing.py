@@ -3,8 +3,8 @@
 The paper's platform uses deterministic dimension-ordered routing (the usual
 choice for LDPC-on-NoC designs and the one that makes the migration traffic
 pattern predictable).  We provide XY and YX dimension-ordered routing plus
-two classic partially-adaptive algorithms (west-first and odd-even) that are
-used as substrate baselines in the NoC characterisation benchmark.
+two classic partially-adaptive algorithms (west-first and odd-even) as
+substrate baselines.
 
 A routing function maps ``(current, destination)`` to the output
 :class:`~repro.noc.topology.Direction` a head flit should take.  Adaptive

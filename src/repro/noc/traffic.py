@@ -1,9 +1,8 @@
 """Synthetic traffic generators for the NoC substrate.
 
 The main workload of the reproduction is the LDPC decoder
-(:mod:`repro.ldpc.workload`), but the NoC characterisation benchmark
-(experiment E6 in DESIGN.md) and many unit tests use the classic synthetic
-patterns below.
+(:mod:`repro.ldpc.workload`), but the NoC latency curves and many unit
+tests use the classic synthetic patterns below.
 
 A generator pregenerates a whole run with ``schedule(cycles)``: a handful of
 vectorized draws from one ``numpy.random.default_rng(seed)`` per run yield a

@@ -1,9 +1,9 @@
 """Baseline placement strategies.
 
-These exist for the placement ablation benchmark (experiment E5 in
-DESIGN.md): the paper's argument is that migration helps *even when* the
-starting point is the best static placement, so we need the non-thermal
-baselines to quantify how good the annealed starting point actually is.
+These exist for the placement comparison: the paper's argument is that
+migration helps *even when* the starting point is the best static placement,
+so we need the non-thermal baselines to quantify how good the annealed
+starting point actually is.
 """
 
 from __future__ import annotations

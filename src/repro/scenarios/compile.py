@@ -89,7 +89,7 @@ class CompiledScenario:
         return bool(getattr(self.policy, "requires_thermal_feedback", False))
 
     def expected_steady_solves(self, windows: Optional[int] = None) -> int:
-        """Steady solves one run of this scenario performs — the bench guard.
+        """Steady solves one run of this scenario performs — the test guard.
 
         Feedback-free scenarios cost one batched solve in steady mode and
         two (baseline + warm start) in transient mode.  Feedback policies

@@ -6,10 +6,11 @@ modes and every pattern family.  Thirteen use feedback-free policies
 or one ``transient_sequence`` call; ``threshold-under-burst`` and
 ``adaptive-diurnal`` exercise the chunked feedback loop — thermal-feedback
 policies riding the scenario engine at ``ceil(num_epochs/feedback_stride)``
-batched solves instead of one per epoch.  The scenario benchmark guards
-both properties; ``ambient-swing-transient`` additionally pins the exact
-time-varying-ambient boundary term riding the whole-trace spectral jump,
-and ``noc-congestion-burst`` exercises the first-class ``noc`` channel —
+batched solves instead of one per epoch.
+``tests/scenarios/test_compile.py`` guards both properties;
+``ambient-swing-transient`` additionally pins the exact time-varying-ambient
+boundary term riding the whole-trace spectral jump, and
+``noc-congestion-burst`` exercises the first-class ``noc`` channel —
 per-epoch network pricing through the cached analytic wormhole model at
 zero extra thermal solves.  ``fluid-under-burst`` runs the staged
 migration engine (fluid plans congestion-priced by the ``noc`` channel)

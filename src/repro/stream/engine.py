@@ -220,6 +220,8 @@ class StreamingExperiment:
         straddles).  Windows without ``start_epoch`` are taken on faith as
         the next chunk.
         """
+        if max_epochs is not None and max_epochs < 0:
+            raise ValueError("max_epochs must be non-negative")
         if not self._prepared:
             self.prepare()
         experiment = self.experiment

@@ -38,6 +38,8 @@ def scenario_windows(
         raise ValueError("window_epochs must be at least 1")
     if start_epoch < 0:
         raise ValueError("start_epoch must be non-negative")
+    if max_epochs is not None and max_epochs < 0:
+        raise ValueError("max_epochs must be non-negative")
     if max_epochs is not None and max_epochs <= start_epoch:
         return
     cursor = start_epoch

@@ -39,8 +39,8 @@ from .rc_model import ThermalNetwork
 # Registry view of the solver counters: each increment of the per-solver
 # attributes below also bumps the matching process-wide counter (a no-op
 # while telemetry is disabled).  The attributes stay plain ints — they are
-# the per-instance live views the bench guards and tests pin against; the
-# registry aggregates across every solver in the process.
+# the per-instance live views the tests pin against; the registry
+# aggregates across every solver in the process.
 _OBS_STEADY_SOLVES = _obs_counter("thermal.steady_solves")
 _OBS_FACTORIZATIONS = _obs_counter("thermal.step_factorizations")
 _OBS_TRANSIENTS = _obs_counter("thermal.transients")
@@ -129,23 +129,18 @@ class _StepPropagator:
 class ThermalSolver:
     """Solves the RC network produced by :func:`build_thermal_network`.
 
-    Parameters
-    ----------
-    cache_propagators:
-        Keep the LU factorisation of ``C/dt + A`` per distinct time step
-        (the default).  Disable only to reproduce the uncached reference
-        behaviour in benchmarks.
+    The LU factorisation of ``C/dt + A`` is kept per distinct time step
+    (up to :data:`MAX_CACHED_PROPAGATORS`, evicted first-in first-out).
     """
 
-    def __init__(self, network: ThermalNetwork, cache_propagators: bool = True):
+    def __init__(self, network: ThermalNetwork):
         self.network = network
         self._A = network.system_matrix()
         self._A_factor = lu_factor(self._A)
         self._boundary = network.ambient_conductance * network.ambient_kelvin
-        self.cache_propagators = cache_propagators
         self._step_cache: Dict[float, _StepPropagator] = {}
         #: Number of step-matrix LU factorisations performed (regression
-        #: guard: one per distinct time step when caching is enabled).
+        #: guard: one per distinct time step while it stays cached).
         self.step_factorization_count = 0
         #: Number of solves against the steady-state factorisation.  A
         #: multi-RHS batch counts once, so a fully batched steady experiment
@@ -219,11 +214,10 @@ class ThermalSolver:
             self.step_factorization_count += 1
             _OBS_FACTORIZATIONS.add()
             propagator = _StepPropagator(time_step_s, c_over_dt, factor)
-            if self.cache_propagators:
-                if len(self._step_cache) >= MAX_CACHED_PROPAGATORS:
-                    # FIFO eviction (dict preserves insertion order).
-                    self._step_cache.pop(next(iter(self._step_cache)))
-                self._step_cache[time_step_s] = propagator
+            if len(self._step_cache) >= MAX_CACHED_PROPAGATORS:
+                # FIFO eviction (dict preserves insertion order).
+                self._step_cache.pop(next(iter(self._step_cache)))
+            self._step_cache[time_step_s] = propagator
             return propagator
 
     def _spectral(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -56,6 +56,20 @@ class TestStopGoThrottling:
             dtm.power_map(1.5)
 
 
+class TestOperatingCurves:
+    def test_curves_are_monotone_and_dvfs_cools_faster(self, chip_a):
+        """Less throughput, lower peak, for both global mechanisms; DVFS
+        (with voltage scaling) reaches a lower peak at half throughput."""
+        levels = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5)
+        stop_go = StopGoThrottling(chip_a)
+        dvfs = DvfsThrottling(chip_a)
+        stop_peaks = [stop_go.operating_point(level).peak_celsius for level in levels]
+        dvfs_peaks = [dvfs.operating_point(level).peak_celsius for level in levels]
+        assert stop_peaks == sorted(stop_peaks, reverse=True)
+        assert dvfs_peaks == sorted(dvfs_peaks, reverse=True)
+        assert dvfs_peaks[-1] <= stop_peaks[-1]
+
+
 class TestDvfsThrottling:
     def test_full_frequency_is_baseline(self, chip_a):
         dvfs = DvfsThrottling(chip_a)
@@ -130,6 +144,17 @@ class TestComparisonWithMigration:
         )
         dvfs = DvfsThrottling(chip).operating_point(1.0 - comparison.dvfs_penalty)
         assert dvfs.peak_celsius <= comparison.target_peak_celsius + 1e-6
+
+    def test_migration_cheapest_on_every_configuration(self):
+        from repro.chips import all_configurations
+
+        for chip in all_configurations():
+            comparison = compare_with_migration(
+                chip, scheme="xy-shift", num_epochs=41
+            )
+            assert comparison.migration_penalty < 0.05, chip.name
+            assert comparison.stop_go_penalty > comparison.migration_penalty
+            assert comparison.dvfs_penalty > comparison.migration_penalty
 
     def test_penalties_in_unit_interval(self, comparison):
         for value in (

@@ -215,11 +215,12 @@ class TestTransientGuards:
         experiment = ThermalExperiment(chip_a, policy, settings=TRANSIENT)
         transients_before = solver.transient_count
         sequences_before = solver.transient_sequence_count
-        experiment.run()
+        result = experiment.run()
         # The whole trace goes through one transient_sequence call; the
         # experiment layer issues zero per-epoch transient() round-trips.
         assert solver.transient_count == transients_before
         assert solver.transient_sequence_count - sequences_before == 1
+        assert len(result.epochs) == TRANSIENT.num_epochs
 
 
 class TestGridModelExperiment:

@@ -211,6 +211,29 @@ class TestStagedExecution:
         finally:
             obs.disable()
 
+    def test_fluid_plans_span_epochs(self, chip_a):
+        """Rotation on the 4x4 mesh lowers to eight 2-cycles, so a
+        one-cycle-per-epoch fluid plan spans 8 epochs: fewer plans fit 64
+        epochs than sudden's one migration per epoch, and each style's run
+        is still one batched steady solve."""
+        solver = chip_a.thermal_model.solver
+        migrations = {}
+        for style in ("sudden", "fluid"):
+            policy = PeriodicMigrationPolicy(
+                chip_a.topology, "rotation", period_us=109.0
+            )
+            settings = ExperimentSettings(
+                num_epochs=64,
+                settle_epochs=32,
+                migration_style=style,
+                units_per_epoch=1,
+            )
+            before = solver.steady_solve_count
+            result = ThermalExperiment(chip_a, policy, settings=settings).run()
+            assert solver.steady_solve_count - before == 1
+            migrations[style] = result.migrations_performed
+        assert 0 < migrations["fluid"] < migrations["sudden"]
+
     def test_staged_steady_run_is_one_batched_solve(self, chip_a):
         solver = chip_a.thermal_model.solver
         policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)

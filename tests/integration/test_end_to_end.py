@@ -1,8 +1,8 @@
 """Integration tests across the whole stack.
 
-These exercise the same paths the benchmarks use, but at reduced scale, and
-assert the qualitative results the paper reports (the shapes, not the exact
-degrees).
+These exercise the paper's experiments end to end, at reduced epoch counts,
+and assert the qualitative results the paper reports (the shapes, not the
+exact degrees).
 """
 
 import pytest
@@ -39,6 +39,13 @@ class TestFigure1Shapes:
         assert best == "xy-shift"
         assert figure1.average_reduction("xy-shift") > 2.0
 
+    def test_rotation_second_on_average(self, figure1):
+        """Paper: rotation follows X-Y shift, ahead of the single-direction
+        X mirror and right shift."""
+        rotation = figure1.average_reduction("rotation")
+        assert rotation > figure1.average_reduction("x-mirror")
+        assert rotation > figure1.average_reduction("right-shift")
+
     def test_maximum_reduction_several_degrees(self, figure1):
         """Paper: peak temperature reduced by up to ~8 degC."""
         assert 4.0 < figure1.max_reduction() < 12.0
@@ -57,6 +64,9 @@ class TestFigure1Shapes:
             + figure1.reduction("E", "xy-mirror")
         ) / 3
         assert even_avg > odd_avg + 1.0
+        rotation_even = sum(figure1.reduction(c, "rotation") for c in "AB") / 2
+        rotation_odd = sum(figure1.reduction(c, "rotation") for c in "CDE") / 3
+        assert rotation_even > rotation_odd
 
     def test_right_shift_poor_where_hot_row_exists(self, figure1):
         """The warm band means right-shifting alone cannot balance heat."""

@@ -109,13 +109,19 @@ class TestBerBehaviour:
         encoder = LdpcEncoder(H)
         decoder = MinSumDecoder(graph, max_iterations=25)
         errors_by_snr = {}
+        iterations_by_snr = {}
         for snr_db in (0.0, 4.0):
             channel = BpskAwgnChannel(snr_db=snr_db, rate=encoder.rate, seed=17)
             errors = 0
+            iterations = 0
             for trial in range(6):
                 codeword = encoder.random_codeword(seed=trial)
                 llr = channel.transmit_llr(codeword)
                 result = decoder.decode(llr)
                 errors += count_bit_errors(codeword, result.decoded_bits)
+                iterations += result.iterations
             errors_by_snr[snr_db] = errors
+            iterations_by_snr[snr_db] = iterations
         assert errors_by_snr[4.0] <= errors_by_snr[0.0]
+        # ... and converges in no more iterations.
+        assert iterations_by_snr[4.0] <= iterations_by_snr[0.0]

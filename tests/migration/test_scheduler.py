@@ -5,6 +5,7 @@ import pytest
 from repro.migration.scheduler import MigrationScheduler, PeMove
 from repro.migration.state_transfer import StateTransferModel
 from repro.migration.transforms import (
+    FIGURE1_SCHEMES,
     RightShiftTransform,
     RotationTransform,
     XYShiftTransform,
@@ -110,6 +111,23 @@ class TestPhasedVersusNaive:
         schedule = scheduler5.schedule_for_transform(XYShiftTransform(mesh5), nodes)
         period_cycles = chip_e.block_period_cycles(109.0)
         assert schedule.total_cycles < 0.2 * period_cycles
+
+    def test_every_scheme_phased_and_deterministic_on_e(self, chip_e):
+        """Every Figure 1 scheme on configuration E: phasing never loses to
+        serialisation, the downtime stays under a fifth of the 109 us
+        period, and a rebuilt schedule is identical."""
+        scheduler = MigrationScheduler(chip_e.topology)
+        nodes = chip_e.tanner_nodes_per_pe()
+        period_cycles = chip_e.block_period_cycles(109.0)
+        for scheme in FIGURE1_SCHEMES:
+            transform = make_transform(scheme, chip_e.topology)
+            moves = scheduler.moves_for_transform(transform, nodes)
+            schedule = scheduler.schedule(moves)
+            assert schedule.total_cycles <= scheduler.naive_cycles(moves)
+            assert schedule.total_cycles < 0.2 * period_cycles
+            again = scheduler.schedule_for_transform(transform, nodes)
+            assert again.total_cycles == schedule.total_cycles
+            assert again.num_phases == schedule.num_phases
 
 
 class TestPeMove:

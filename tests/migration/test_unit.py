@@ -7,6 +7,7 @@ from repro.migration.transforms import (
     RightShiftTransform,
     RotationTransform,
     XYShiftTransform,
+    make_transform,
 )
 from repro.migration.unit import MigrationUnit
 from repro.noc.flit import PacketClass
@@ -41,6 +42,18 @@ class TestMigrationCost:
         rotation = unit5.migration_cost(RotationTransform(mesh5))
         shift = unit5.migration_cost(RightShiftTransform(mesh5))
         assert rotation.total_energy_j > shift.total_energy_j
+
+    def test_rotation_costs_more_than_single_direction_schemes_on_e(self, chip_e):
+        unit = MigrationUnit(chip_e.topology, library=chip_e.library)
+        nodes = chip_e.tanner_nodes_per_pe()
+        energy = {
+            scheme: unit.migration_cost(
+                make_transform(scheme, chip_e.topology), nodes
+            ).total_energy_j
+            for scheme in ("rotation", "right-shift", "x-mirror")
+        }
+        assert energy["rotation"] > energy["right-shift"]
+        assert energy["rotation"] > energy["x-mirror"]
 
     def test_identity_transform_costs_only_fixed_overhead(self, unit4, mesh4):
         cost = unit4.migration_cost(IdentityTransform(mesh4))

@@ -60,9 +60,13 @@ class TestLatencyCurve:
         assert curve.num_points == curve.injection_rates.size
         assert curve.avg_latency.shape == curve.injection_rates.shape
         assert len(curve.results) == curve.num_points
-        # Latency grows toward saturation.
+        # Latency and delivered throughput grow toward saturation.
         assert curve.avg_latency[-1] > 1.5 * curve.avg_latency[0]
         assert np.all(curve.throughput_flits_per_cycle >= 0)
+        assert (
+            curve.throughput_flits_per_cycle[0]
+            < curve.throughput_flits_per_cycle[-1]
+        )
 
     def test_explicit_rates_and_pattern_kwargs(self):
         topology = MeshTopology(4, 4)

@@ -5,7 +5,7 @@ import pytest
 from repro.noc.flit import Packet
 from repro.noc.simulator import NocSimulator, run_schedules
 from repro.noc.stats import LatencyStats, NetworkStats
-from repro.noc.traffic import UniformRandomTraffic
+from repro.noc.traffic import UniformRandomTraffic, make_traffic
 
 
 class TestRunTraffic:
@@ -40,6 +40,27 @@ class TestRunTraffic:
             UniformRandomTraffic(mesh4, injection_rate=0.25, seed=4), cycles=400
         )
         assert high.average_latency > low.average_latency
+
+    def test_hotspot_congests_more_than_uniform(self, mesh4):
+        """At the same injection rate, traffic converging on one node waits
+        longer and concentrates switching activity on its router — why a
+        thermal hotspot forms there."""
+        results = {}
+        for pattern, kwargs in (
+            ("uniform", {}),
+            ("hotspot", {"hotspots": [(2, 2)], "hotspot_fraction": 0.6}),
+        ):
+            traffic = make_traffic(
+                pattern, mesh4, injection_rate=0.12, seed=3, **kwargs
+            )
+            results[pattern] = NocSimulator(mesh4, buffer_depth=4).run_traffic(
+                traffic, cycles=150, warmup_cycles=30
+            )
+        uniform, hotspot = results["uniform"], results["hotspot"]
+        assert hotspot.average_latency >= uniform.average_latency
+        assert max(hotspot.activity_per_node().values()) > max(
+            uniform.activity_per_node().values()
+        )
 
     def test_activity_collected(self, simulator4, mesh4):
         traffic = UniformRandomTraffic(mesh4, injection_rate=0.1, seed=5)

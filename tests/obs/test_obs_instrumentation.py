@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.analysis.report import compare_scenarios
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.manifest import journal_path, report_path
 from repro.ldpc import TannerGraph, array_code_parity_matrix, make_decoder
 from repro.noc.topology import MeshTopology
 from repro.noc.traffic import make_traffic
 from repro.noc.vector import VectorNetwork
-from repro.scenarios import ScenarioSpec, run_scenario
+from repro.scenarios import ScenarioSpec, all_scenarios, run_scenario
 from repro.scenarios import compile as compile_module
 from repro.thermal.floorplan import mesh_floorplan
 from repro.thermal.rc_model import build_thermal_network
@@ -144,6 +145,22 @@ class TestScenarioTelemetry:
         result = run_scenario(cheap_spec())
         assert result.telemetry is None
         assert obs.get_registry().snapshot().empty
+
+    def test_registry_pass_off_then_on(self):
+        """A whole registry pass leaves no trace while telemetry is off and
+        records every scenario once it is on."""
+        specs = all_scenarios()
+        compare_scenarios(specs)
+        assert obs.get_registry().snapshot().empty
+        assert len(obs.get_tracer()) == 0
+
+        obs.enable()
+        obs.start_tracing(clear=True)
+        compare_scenarios(specs)
+        snapshot = obs.get_registry().snapshot()
+        assert snapshot.counters["scenario.runs"] == len(specs) == 15
+        assert snapshot.counters["thermal.steady_solves"] > 0
+        assert len(obs.get_tracer()) > 0
 
 
 class TestCampaignTelemetry:

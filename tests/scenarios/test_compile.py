@@ -367,7 +367,8 @@ class TestSingleSolveGuarantee:
     one ``transient_sequence`` plus the baseline/warm-start solves
     (transient mode).  Feedback scenarios add exactly
     ``ceil(num_epochs / feedback_stride)`` chunked feedback batches — never
-    a per-epoch solve.
+    a per-epoch solve.  Spectral transients stay on the whole-trace jump,
+    ambient-scheduled or not: one jump per scenario.
     """
 
     @pytest.mark.parametrize(
@@ -379,6 +380,7 @@ class TestSingleSolveGuarantee:
         steady_before = solver.steady_solve_count
         transients_before = solver.transient_count
         sequences_before = solver.transient_sequence_count
+        jumps_before = solver.spectral_jump_count
 
         run_scenario(compiled)
 
@@ -392,6 +394,24 @@ class TestSingleSolveGuarantee:
             solver.transient_sequence_count - sequences_before
             == expected_sequences
         )
+        spectral = spec.mode == "transient" and spec.thermal_method == "spectral"
+        assert solver.spectral_jump_count - jumps_before == int(spectral)
+
+    def test_ambient_swing_follows_the_schedule_in_one_jump(self):
+        """The ~11 C ambient schedule moves the die by more than a degree,
+        through one sequence and one spectral jump."""
+        spec = get_scenario("ambient-swing-transient")
+        assert spec.mode == "transient" and spec.thermal_method == "spectral"
+        solver = get_configuration(spec.configuration).thermal_model.solver
+        sequences_before = solver.transient_sequence_count
+        jumps_before = solver.spectral_jump_count
+
+        result = run_scenario(spec)
+
+        assert solver.transient_sequence_count - sequences_before == 1
+        assert solver.spectral_jump_count - jumps_before == 1
+        peaks = [record.thermal.peak_celsius for record in result.experiment.epochs]
+        assert max(peaks) - min(peaks) > 1.0
 
     def test_registry_covers_feedback_policies(self):
         compiled = [compile_scenario(spec) for spec in all_scenarios()]

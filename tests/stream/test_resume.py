@@ -6,6 +6,8 @@ experiment, restores the newest intact checkpoint and replays the producer —
 and the final numbers are *bit-identical* to the uninterrupted run.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,12 @@ class TestStreamSemantics:
         with pytest.raises(ValueError, match="cursor is at 6"):
             list(engine.process(iter(windows)))
 
+    def test_negative_max_epochs_raises(self):
+        compiled = compile_scenario(_spec())
+        engine = StreamingExperiment.from_scenario(compiled)
+        with pytest.raises(ValueError, match="max_epochs"):
+            next(engine.process(scenario_windows(compiled, 4), max_epochs=-1))
+
     def test_max_epochs_trims_final_window(self):
         compiled = compile_scenario(_spec())
         engine = StreamingExperiment.from_scenario(compiled)
@@ -167,3 +175,29 @@ class TestStreamSemantics:
         for _update in engine.process(scenario_windows(compiled, 4), max_epochs=24):
             assert experiment.controller.events == []
             assert experiment.controller.io_translator.history == []
+
+    def test_allocation_watermark_flat_over_a_10x_stream(self):
+        # Every per-epoch structure is windowed, drained or folded into
+        # rolling aggregates, so a stream 10x longer must not raise the
+        # traced allocation peak while streaming; a per-epoch leak would
+        # grow it ~10x.
+        compiled = compile_scenario(
+            _spec(scheme="xy-shift", policy_params={}, num_epochs=48,
+                  settle_epochs=8)
+        )
+
+        def streaming_peak(total_epochs):
+            engine = StreamingExperiment.from_scenario(compiled)
+            engine.prepare()
+            windows = scenario_windows(compiled, 8, max_epochs=total_epochs)
+            tracemalloc.start()
+            try:
+                for _update in engine.process(windows, max_epochs=total_epochs):
+                    pass
+                engine.finalize()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        streaming_peak(48)  # warm the chip's lazy caches outside the trace
+        assert streaming_peak(480) < 2 * streaming_peak(48)

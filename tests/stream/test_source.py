@@ -88,6 +88,8 @@ class TestScenarioWindows:
             next(scenario_windows(compiled, 0))
         with pytest.raises(ValueError):
             next(scenario_windows(compiled, 4, start_epoch=-1))
+        with pytest.raises(ValueError, match="max_epochs"):
+            next(scenario_windows(compiled, 4, max_epochs=-1))
 
 
 class TestJsonlWindows:

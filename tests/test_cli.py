@@ -355,60 +355,6 @@ class TestCampaignCommand:
         assert not directory.exists()
 
 
-class TestPerfTrendCommand:
-    PAYLOAD = {
-        "schema": 2,
-        "hot_paths": {"x.y": {"wall_s": 0.01}},
-        "history": [
-            {
-                "git_sha": "aaa111",
-                "timestamp_utc": "2026-01-01T00:00:00Z",
-                "hot_paths": {
-                    "x.y": {"wall_s": 0.02, "throughput": 50.0,
-                            "throughput_unit": "items/s"}
-                },
-            },
-            {
-                "git_sha": "bbb222",
-                "timestamp_utc": "2026-02-01T00:00:00Z",
-                "hot_paths": {"x.y": {"wall_s": 0.01, "speedup": 2.0}},
-            },
-        ],
-    }
-
-    def test_renders_history(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps(self.PAYLOAD))
-        assert main(["perf-trend", "--path", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "x.y" in out
-        assert "aaa111" in out and "bbb222" in out
-        assert "-50%" in out  # 20 ms -> 10 ms between snapshots
-
-    def test_missing_file_is_an_error(self, capsys, tmp_path):
-        assert main(["perf-trend", "--path", str(tmp_path / "nope.json")]) == 1
-        assert "run `pytest benchmarks/`" in capsys.readouterr().err
-
-    def test_benchmark_filter_unknown(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps(self.PAYLOAD))
-        assert main(["perf-trend", "--path", str(path), "-b", "zzz"]) == 1
-        assert "no benchmark matching" in capsys.readouterr().err
-
-    def test_csv_rows(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps(self.PAYLOAD))
-        assert main(["--csv", "perf-trend", "--path", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("benchmark,")
-
-
 class TestServeCommand:
     def test_scenario_stream_emits_jsonl(self, capsys):
         assert main(["serve", "steady-baseline", "--window", "20"]) == 0
@@ -517,6 +463,18 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert "line 1" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_negative_max_epochs_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "windows.jsonl"
+        path.write_text('{"num_epochs": 2}\n')
+        for argv in (
+            ["serve", "diurnal-load"],
+            ["serve", "--input", str(path), "-c", "A", "-s", "xy-shift"],
+        ):
+            assert main(argv + ["--max-epochs", "-1"]) == 1
+            err = capsys.readouterr().err
+            assert err.strip() == "max_epochs must be non-negative"
+            assert "Traceback" not in err
 
     def test_threshold_scheme_without_trigger_is_one_line_error(
         self, tmp_path, capsys

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.chips import all_configurations
+from repro.migration.transforms import XYShiftTransform
 from repro.thermal.floorplan import mesh_floorplan
 from repro.thermal.grid import GridThermalModel, parent_block_name, refine_floorplan
 from repro.thermal.hotspot import HotSpotModel
@@ -76,6 +78,32 @@ class TestGridThermalModel:
         grid_means = grid_model.steady_state_by_coord(power, statistic="mean")
         for coord in mesh4.coordinates():
             assert grid_means[coord] == pytest.approx(block_temps[coord], abs=2.5)
+
+    def test_migration_benefit_is_resolution_independent(self):
+        """On chips A-E the 3x3-refined grid agrees with the block model on
+        the static peak within 1 C and on the X-Y shift reduction (orbit-
+        averaged power, migration energy excluded) within 1.5 C."""
+        for chip in all_configurations():
+            transform = XYShiftTransform(chip.topology)
+            mapping = chip.static_mapping
+            migrated = dict.fromkeys(chip.topology.coordinates(), 0.0)
+            for _ in range(transform.order()):
+                mapping = mapping.apply_transform(transform)
+                for coord, watts in chip.power_map(mapping).items():
+                    migrated[coord] += watts / transform.order()
+            static = chip.power_map()
+            block = chip.thermal_model
+            grid = GridThermalModel(
+                chip.topology, resolution=3, package=block.package
+            )
+            block_peak = block.peak_temperature(static)
+            grid_peak = grid.peak_temperature(static)
+            block_reduction = block_peak - block.peak_temperature(migrated)
+            grid_reduction = grid_peak - grid.peak_temperature(migrated)
+            assert grid_peak == pytest.approx(block_peak, abs=1.0), chip.name
+            assert grid_reduction == pytest.approx(block_reduction, abs=1.5)
+            if block_reduction > 1.0:
+                assert grid_reduction > 0.5, chip.name
 
     def test_grid_reveals_intra_block_gradient(self, mesh4):
         """A hot unit next to cool neighbours shows an internal gradient: its

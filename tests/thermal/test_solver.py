@@ -138,22 +138,27 @@ class TestPropagatorCache:
     def test_cached_matches_uncached_reference(self, mesh4):
         """Caching must not change the integrated temperatures at all.
 
-        The uncached solver refactorises the step matrix on every call — the
-        seed behaviour — so agreement within 1e-9 kelvin on every node state
-        is the regression bar for the cache.
+        The reference integrates every interval on a fresh solver — one
+        step-matrix factorisation per interval, the seed behaviour — with the
+        state carried by hand, so agreement within 1e-9 kelvin on every node
+        state is the regression bar for the cache.
         """
         network = build_thermal_network(mesh_floorplan(mesh4))
-        reference = ThermalSolver(network, cache_propagators=False)
-        cached = ThermalSolver(network)
         intervals = _alternating_intervals(mesh4)
-        expected = reference.transient_sequence(intervals)
-        actual = cached.transient_sequence(intervals)
-        assert np.allclose(
-            expected.final_state_kelvin, actual.final_state_kelvin, atol=1e-9
-        )
-        for name in expected.block_celsius:
+        state = None
+        series = {name: [] for name in network.block_node_index}
+        for duration, power in intervals:
+            step = ThermalSolver(network).transient(
+                power, duration, initial_state=state
+            )
+            state = step.final_state_kelvin
+            for name, values in step.block_celsius.items():
+                series[name].append(values)
+        actual = ThermalSolver(network).transient_sequence(intervals)
+        assert np.allclose(state, actual.final_state_kelvin, atol=1e-9)
+        for name, chunks in series.items():
             assert np.allclose(
-                expected.block_celsius[name], actual.block_celsius[name], atol=1e-9
+                np.concatenate(chunks), actual.block_celsius[name], atol=1e-9
             )
 
     def test_one_factorization_per_distinct_time_step(self, solver4, mesh4):
@@ -167,13 +172,6 @@ class TestPropagatorCache:
         # A second distinct dt adds exactly one more.
         solver4.transient(_uniform_power(mesh4, 2.0), duration_s=1e-3, time_step_s=1e-5)
         assert solver4.step_factorization_count == 2
-
-    def test_uncached_solver_counts_every_factorization(self, mesh4):
-        network = build_thermal_network(mesh_floorplan(mesh4))
-        solver = ThermalSolver(network, cache_propagators=False)
-        intervals = _alternating_intervals(mesh4, epochs=5)
-        solver.transient_sequence(intervals, time_step_s=5e-6)
-        assert solver.step_factorization_count == 5
 
 
 class TestSpectralMethod:
