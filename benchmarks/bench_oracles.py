@@ -139,13 +139,14 @@ def spectral_transient():
     model = chip.thermal_model
     loads = np.linspace(0.6, 1.4, 8)
     rows = model.node_power_matrix(loads[:, np.newaxis] * chip.power_vector())
-    intervals = [(109e-6, row) for row in rows]
+    durations = np.full(len(rows), 109e-6)
     offsets = np.linspace(-5.0, 5.0, 8)
     warm = model.warm_state(chip.power_vector(), ambient_offset_kelvin=-5.0)
 
     def run(method):
         return model.solver.transient_sequence(
-            intervals,
+            durations,
+            rows,
             initial_state=warm,
             time_step_s=109e-6 / 8,
             method=method,

@@ -45,7 +45,7 @@ def run_single_experiment(
     policy = make_policy(scheme, configuration.topology, period_us=period_us)
     if settings is None:
         settings = ExperimentSettings(
-            num_epochs=num_epochs, mode=mode, settle_epochs=num_epochs - 1
+            num_epochs=num_epochs, mode=mode, settle_epochs=max(1, num_epochs - 1)
         )
     return ThermalExperiment(configuration, policy, settings=settings).run()
 

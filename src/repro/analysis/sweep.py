@@ -162,7 +162,7 @@ def _ablation_case(
     settings = ExperimentSettings(
         num_epochs=num_epochs,
         mode="steady",
-        settle_epochs=num_epochs - 1,
+        settle_epochs=max(1, num_epochs - 1),
         include_migration_energy=include_energy,
     )
     return run_single_experiment(

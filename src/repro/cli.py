@@ -65,7 +65,7 @@ from .obs import enable as obs_enable
 from .obs import get_registry as obs_registry
 from .obs import start_tracing as obs_start_tracing
 from .scenarios import ScenarioSpec, all_scenarios, get_scenario, run_scenario
-from .thermal.grid import GridThermalModel
+from .thermal.hotspot import HotSpotModel
 
 
 def _rows_to_csv(rows: List[dict]) -> str:
@@ -129,7 +129,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     settings = ExperimentSettings(
         num_epochs=args.epochs,
         mode=args.mode,
-        settle_epochs=args.epochs - 1,
+        settle_epochs=max(1, args.epochs - 1),
         include_migration_energy=not args.no_migration_energy,
         thermal_method=args.thermal_method,
         feedback_stride=args.feedback_stride,
@@ -139,10 +139,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     thermal_model = None
     if args.grid is not None:
-        # The refined grid model implements the same ThermalModel protocol,
-        # so the batched pipeline runs unchanged at grid resolution.  Reuse
-        # the chip's floorplan so both resolutions model the same die.
-        thermal_model = GridThermalModel(
+        # The batched pipeline runs unchanged at grid resolution.  Reuse the
+        # chip's floorplan so both resolutions model the same die.
+        thermal_model = HotSpotModel(
             chip.topology,
             resolution=args.grid,
             package=chip.thermal_model.package,
@@ -664,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="fluid style: permutation cycles moved per epoch")
     sub.add_argument("--grid", type=int, default=None, metavar="N",
-                     help="use the grid thermal model at NxN cells per unit "
-                          "(default: block-level model)")
+                     help="mesh each unit into NxN thermal cells and read "
+                          "its hottest one (default: the block model, N=1)")
     sub.add_argument("--feedback-stride", type=int, default=1, metavar="K",
                      help="refresh feedback temperatures every K epochs with "
                           "one batched solve (threshold/adaptive schemes; "

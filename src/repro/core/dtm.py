@@ -263,7 +263,7 @@ def compare_with_migration(
     """
     policy = PeriodicMigrationPolicy(configuration.topology, scheme, period_us=period_us)
     settings = ExperimentSettings(
-        num_epochs=num_epochs, mode="steady", settle_epochs=num_epochs - 1
+        num_epochs=num_epochs, mode="steady", settle_epochs=max(1, num_epochs - 1)
     )
     migration = ThermalExperiment(configuration, policy, settings=settings).run()
     target_peak = migration.settled_peak_celsius

@@ -24,9 +24,8 @@ views and the per-epoch records).  Policies that declare
 ``requires_thermal_feedback`` (threshold/adaptive) get their temperature
 estimates from a :class:`FeedbackPlan`: one multi-RHS steady batch per
 ``feedback_stride`` epochs instead of a dict-round-tripped solve per epoch.
-Any :class:`repro.thermal.model.ThermalModel` — the
-block-level :class:`repro.thermal.hotspot.HotSpotModel` or the refined
-:class:`repro.thermal.grid.GridThermalModel` — can drive the experiment.
+The :class:`repro.thermal.hotspot.HotSpotModel` drives the experiment at
+any resolution: block (one cell per unit) or grid (``N x N`` cells).
 
 The driver is **window-native**: :meth:`ThermalExperiment.prepare` arms the
 run, :meth:`ThermalExperiment.step_window` advances it by any number of
@@ -54,7 +53,7 @@ from ..migration.unit import MigrationCost, MigrationUnit
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 from ..power.trace import PowerTrace
-from ..thermal.model import ThermalModel
+from ..thermal.hotspot import HotSpotModel
 from .controller import RuntimeReconfigurationController
 from .metrics import EpochRecord, ExperimentResult, PerformanceMetrics, ThermalMetrics
 from .policy import PolicyContext, ReconfigurationPolicy
@@ -160,7 +159,7 @@ class FeedbackPlan:
     * power rows are queued as the controller emits them
       (:meth:`observe`);
     * at every ``stride``-th epoch boundary the queue is flushed through
-      **one** multi-RHS :meth:`ThermalModel.steady_temperatures` batch
+      **one** multi-RHS :meth:`HotSpotModel.steady_temperatures` batch
       against the model's cached factorisation (:meth:`thermal_for`), the
       per-epoch ambient offsets added to the solved rows — the epoch-0
       probe of the static power is just the first batch's row, not a
@@ -190,7 +189,7 @@ class FeedbackPlan:
 
     def __init__(
         self,
-        thermal_model: ThermalModel,
+        thermal_model: HotSpotModel,
         topology,
         stride: int,
         predictor: str = "hold",
@@ -371,9 +370,9 @@ class ThermalExperiment:
     """Runs one (configuration, policy) experiment.
 
     ``thermal_model`` overrides the configuration's default block-level model
-    with any other :class:`repro.thermal.model.ThermalModel` (e.g. a
-    :class:`repro.thermal.grid.GridThermalModel` for the resolution
-    ablation); the batched pipeline is identical either way.
+    with another :class:`repro.thermal.hotspot.HotSpotModel` (e.g. one at
+    ``resolution=3`` for the grid ablation); the batched pipeline is
+    identical either way.
 
     ``schedule`` is the scenario hook (see :mod:`repro.scenarios`): an
     :class:`repro.stream.window.EpochWindow` of ``settings.num_epochs``
@@ -404,14 +403,14 @@ class ThermalExperiment:
         policy: ReconfigurationPolicy,
         settings: Optional[ExperimentSettings] = None,
         migration_unit: Optional[MigrationUnit] = None,
-        thermal_model: Optional[ThermalModel] = None,
+        thermal_model: Optional[HotSpotModel] = None,
         schedule: Optional[EpochWindow] = None,
         noc_model=None,
     ):
         self.configuration = configuration
         self.policy = policy
         self.settings = settings or ExperimentSettings()
-        self.thermal_model: ThermalModel = thermal_model or configuration.thermal_model
+        self.thermal_model: HotSpotModel = thermal_model or configuration.thermal_model
         self.controller = RuntimeReconfigurationController(
             configuration,
             migration_unit=migration_unit,
@@ -988,12 +987,6 @@ class ThermalExperiment:
         # concatenated series: each epoch's peak is the maximum over its
         # sample range (initial instant included, matching the per-epoch
         # reference), and its spatial metrics come from its final instant.
-        if result.interval_ranges is None:
-            raise ValueError(
-                "the thermal model's transient_sequence must populate "
-                "TransientResult.interval_ranges (one (start, stop) sample "
-                "range per epoch) for the batched pipeline"
-            )
         series = thermal_model.unit_series(result)
         starts = np.array([start for start, _stop in result.interval_ranges])
         ends = np.array([stop for _start, stop in result.interval_ranges])

@@ -321,7 +321,7 @@ class PowerTrace:
         return tuple(self.sample(index) for index in range(self._length))
 
     def intervals(self) -> List[Tuple[float, Dict[Coordinate, float]]]:
-        """(duration, per-unit power dict) pairs for the transient solvers."""
+        """(duration, per-unit power dict) pairs: the trace's dict edge view."""
         return [
             (float(self.durations[index]), self.power_map(index))
             for index in range(self._length)

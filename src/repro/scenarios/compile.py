@@ -39,7 +39,7 @@ from ..ldpc import BpskAwgnChannel, LdpcEncoder, make_decoder
 from ..obs import counter as _obs_counter
 from ..obs import get_registry as _obs_registry
 from ..obs import span as _obs_span
-from ..thermal.model import ThermalModel
+from ..thermal.hotspot import HotSpotModel
 from .noc_cost import NocCostModel, rate_noc_latencies
 from .spec import ScenarioSpec
 
@@ -72,7 +72,7 @@ class CompiledScenario:
     #: Pricing model for the spec's ``noc`` channel, or None.
     noc_model: Optional[NocCostModel] = None
 
-    def experiment(self, thermal_model: Optional[ThermalModel] = None) -> ThermalExperiment:
+    def experiment(self, thermal_model: Optional[HotSpotModel] = None) -> ThermalExperiment:
         """The fully-wired experiment this scenario compiles to."""
         return ThermalExperiment(
             self.configuration,
@@ -416,7 +416,7 @@ def decoder_effort(
 # ----------------------------------------------------------------------
 def run_scenario(
     scenario: "ScenarioSpec | CompiledScenario",
-    thermal_model: Optional[ThermalModel] = None,
+    thermal_model: Optional[HotSpotModel] = None,
 ) -> ScenarioResult:
     """Compile (if needed) and run one scenario end to end."""
     compiled = (

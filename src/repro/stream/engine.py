@@ -38,7 +38,7 @@ from ..scenarios.compile import (
 )
 from ..scenarios.noc_cost import NocCostModel, rate_noc_latencies
 from ..scenarios.spec import ScenarioSpec
-from ..thermal.model import ThermalModel
+from ..thermal.hotspot import HotSpotModel
 from .checkpoint import CheckpointStore
 from .summary import RollingSummary
 from .window import EpochWindow
@@ -122,7 +122,7 @@ class StreamingExperiment:
         settled_capacity: Optional[int] = None,
         warm_power: Optional[np.ndarray] = None,
         checkpoint: Optional[CheckpointStore] = None,
-        thermal_model: Optional[ThermalModel] = None,
+        thermal_model: Optional[HotSpotModel] = None,
         price_decoder: bool = True,
     ) -> "StreamingExperiment":
         """Wire a streaming engine from a (compiled) scenario spec.
@@ -164,6 +164,10 @@ class StreamingExperiment:
             f"stride{experiment.settings.feedback_stride}",
             type(experiment.thermal_model).__name__,
         ]
+        # A grid resolution changes the carried thermal state; the block
+        # resolution adds nothing so existing journals keep their identity.
+        if experiment.thermal_model.resolution != 1:
+            parts.append(f"grid{experiment.thermal_model.resolution}")
         # Staged styles change the carried controller state (a mid-plan
         # checkpoint is meaningless under another style); the sudden default
         # adds nothing so existing journals keep their identity.

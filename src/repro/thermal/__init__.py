@@ -1,27 +1,22 @@
 """HotSpot-style thermal modelling: floorplans, RC networks and solvers.
 
 This package substitutes the HotSpot thermal library the paper uses: the
-same block-level lumped-RC abstraction (die, interface material, spreader,
-sink, convection to a 40 °C ambient), with steady-state and transient solvers
-built on numpy/scipy.
+same lumped-RC abstraction (die, interface material, spreader, sink,
+convection to a 40 °C ambient) at block or grid resolution, with
+steady-state and transient solvers built on numpy/scipy.
 """
 
-from .floorplan import Block, Floorplan, block_name_for, mesh_floorplan
-from .grid import GridTemperatureMap, GridThermalModel, refine_floorplan
+from .floorplan import Block, Floorplan, block_name_for, mesh_floorplan, refine_floorplan
 from .hotspot import HotSpotModel
-from .model import ThermalModel
 from .package import DEFAULT_PACKAGE, KELVIN_OFFSET, ThermalPackage
 from .rc_model import ThermalNetwork, build_thermal_network
-from .solver import TemperatureMap, ThermalSolver, TransientResult
+from .solver import ThermalSolver, TransientResult
 
 __all__ = [
-    "ThermalModel",
     "Block",
     "Floorplan",
     "block_name_for",
     "mesh_floorplan",
-    "GridTemperatureMap",
-    "GridThermalModel",
     "refine_floorplan",
     "HotSpotModel",
     "DEFAULT_PACKAGE",
@@ -29,7 +24,6 @@ __all__ = [
     "ThermalPackage",
     "ThermalNetwork",
     "build_thermal_network",
-    "TemperatureMap",
     "ThermalSolver",
     "TransientResult",
 ]

@@ -2,9 +2,11 @@
 
 The paper takes its floorplans "directly from the layout of our sample
 chips": a regular grid of functional units, each 4.36 mm^2, one per mesh
-node.  :func:`mesh_floorplan` builds exactly that; the generic
-:class:`Floorplan` also supports irregular block lists so the thermal model
-can be exercised on non-mesh layouts in tests.
+node.  :func:`mesh_floorplan` builds exactly that, and
+:func:`refine_floorplan` meshes every block into finer cells for the
+thermal model's grid resolutions; the generic :class:`Floorplan` also
+supports irregular block lists so the thermal model can be exercised on
+non-mesh layouts in tests.
 """
 
 from __future__ import annotations
@@ -172,3 +174,39 @@ def mesh_floorplan(
     plan = Floorplan(blocks)
     plan.validate_no_overlap()
     return plan
+
+
+def refine_floorplan(floorplan: Floorplan, resolution: int) -> Floorplan:
+    """Split every block into ``resolution`` x ``resolution`` equal sub-cells.
+
+    Sub-cells are named ``<block>::<i>_<j>`` with ``i`` the column and ``j``
+    the row inside the parent block, so the parent is recoverable by
+    splitting the name on ``"::"``.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    if resolution == 1:
+        return Floorplan(list(floorplan))
+    cells = []
+    for block in floorplan:
+        cell_width = block.width / resolution
+        cell_height = block.height / resolution
+        for j in range(resolution):
+            for i in range(resolution):
+                cells.append(
+                    Block(
+                        name=f"{block.name}::{i}_{j}",
+                        x=block.x + i * cell_width,
+                        y=block.y + j * cell_height,
+                        width=cell_width,
+                        height=cell_height,
+                    )
+                )
+    refined = Floorplan(cells)
+    refined.validate_no_overlap()
+    return refined
+
+
+def parent_block_name(cell_name: str) -> str:
+    """Parent block of a refined cell (identity for unrefined names)."""
+    return cell_name.split("::", 1)[0]

@@ -1,24 +1,36 @@
-"""HotSpot-style facade over the RC thermal model.
+"""HotSpot-style thermal model of one chip configuration.
 
 The rest of the system talks to :class:`HotSpotModel`: give it a floorplan
-(or a mesh topology) and per-unit power in watts keyed by mesh coordinate,
-and it returns block temperatures in Celsius.  Defaults reproduce the paper's
-setup: HotSpot-like default package, 40 °C ambient, 4.36 mm² functional units.
+(or a mesh topology) and per-unit power in watts, and it returns per-unit
+temperatures in Celsius.  Defaults reproduce the paper's setup: HotSpot-like
+default package, 40 °C ambient, 4.36 mm² functional units.
+
+HotSpot's block and grid modes differ only in how finely the floorplan is
+meshed, and so does this model: at ``resolution=N`` every unit is split into
+``N x N`` cells, each unit's power is spread evenly over its cells, and each
+unit reads as its hottest cell.  Resolution 1 is the block model (one cell
+per unit); finer resolutions expose the intra-unit gradient, since the true
+peak sits at the centre of a hot unit, slightly above its average.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..noc.topology import Coordinate, MeshTopology
-from .floorplan import Floorplan, block_name_for, mesh_floorplan
-from .model import as_solver_intervals, as_solver_power, die_time_constant_s
+from ..power.trace import PowerTrace, map_to_vector, vector_to_map
+from .floorplan import (
+    Floorplan,
+    block_name_for,
+    mesh_floorplan,
+    parent_block_name,
+    refine_floorplan,
+)
 from .package import KELVIN_OFFSET, DEFAULT_PACKAGE, ThermalPackage
 from .rc_model import ThermalNetwork, build_thermal_network
-from .solver import TemperatureMap, ThermalSolver, TransientResult
+from .solver import ThermalSolver, TransientResult
 
 
 class HotSpotModel:
@@ -34,6 +46,14 @@ class HotSpotModel:
         a 40 °C ambient).
     unit_area_mm2:
         Area of one functional unit when generating the mesh floorplan.
+    resolution:
+        Cells per unit along each side: the RC network has ``resolution**2``
+        die nodes per unit (1 is the block model).
+
+    Power and temperatures are ``(num_rows, num_units)`` arrays in the
+    topology's row-major coordinate order (the index shared with
+    :class:`repro.power.trace.PowerTrace`); ``steady_state_by_coord`` and
+    ``peak_temperature`` are the per-coordinate dict views.
     """
 
     def __init__(
@@ -42,106 +62,68 @@ class HotSpotModel:
         package: ThermalPackage = DEFAULT_PACKAGE,
         unit_area_mm2: float = 4.36,
         floorplan: Optional[Floorplan] = None,
+        resolution: int = 1,
     ):
         self.topology = topology
         self.package = package
+        self.resolution = resolution
         self.floorplan = floorplan or mesh_floorplan(topology, unit_area_mm2)
-        self.network: ThermalNetwork = build_thermal_network(self.floorplan, package)
+        cells = refine_floorplan(self.floorplan, resolution)
+        self.network: ThermalNetwork = build_thermal_network(cells, package)
         self.solver = ThermalSolver(self.network)
-        #: Die node carrying each unit's power, in row-major coordinate order
-        #: (the coordinate index shared with :class:`repro.power.trace.PowerTrace`).
+        nodes_of_unit: Dict[str, list] = {}
+        for cell in cells:
+            nodes_of_unit.setdefault(parent_block_name(cell.name), []).append(
+                self.network.block_node_index[cell.name]
+            )
+        #: ``(num_units, resolution**2)`` die nodes of each unit's cells, in
+        #: row-major coordinate order.
         self.unit_nodes = np.array(
-            [
-                self.network.block_node_index[block_name_for(coord)]
-                for coord in topology.coordinates()
-            ],
+            [nodes_of_unit[block_name_for(coord)] for coord in topology.coordinates()],
             dtype=np.int64,
         )
 
     # ------------------------------------------------------------------
-    def _to_block_power(self, power_by_coord: Dict[Coordinate, float]) -> Dict[str, float]:
-        block_power: Dict[str, float] = {}
-        for coord, watts in power_by_coord.items():
-            if not self.topology.contains(coord):
-                raise ValueError(f"coordinate {coord} outside mesh")
-            block_power[block_name_for(coord)] = watts
-        return block_power
-
-    def _map_by_coord(self, temperature_map: TemperatureMap) -> Dict[Coordinate, float]:
-        result: Dict[Coordinate, float] = {}
-        for coord in self.topology.coordinates():
-            result[coord] = temperature_map.block_celsius[block_name_for(coord)]
-        return result
-
-    # ------------------------------------------------------------------
-    def steady_state(self, power_by_coord: Dict[Coordinate, float]) -> TemperatureMap:
-        """Steady-state block temperatures for a per-unit power map."""
-        return self.solver.steady_state(self._to_block_power(power_by_coord))
-
-    def steady_state_by_coord(
-        self, power_by_coord: Dict[Coordinate, float]
-    ) -> Dict[Coordinate, float]:
-        """Steady-state temperatures keyed by mesh coordinate."""
-        return self._map_by_coord(self.steady_state(power_by_coord))
-
-    def peak_temperature(self, power_by_coord: Dict[Coordinate, float]) -> float:
-        """Peak steady-state temperature (Celsius) for a power map."""
-        return self.steady_state(power_by_coord).peak_celsius
-
-    # ------------------------------------------------------------------
-    # Array-native batch paths
-    # ------------------------------------------------------------------
     def node_power_matrix(self, power_rows: np.ndarray) -> np.ndarray:
-        """Scatter ``(num_rows, num_units)`` power rows into node space."""
+        """Scatter ``(num_rows, num_units)`` power rows evenly over each unit's cells."""
         rows = np.atleast_2d(np.asarray(power_rows, dtype=float))
         if rows.shape[1] != self.topology.num_nodes:
             raise ValueError(
                 f"expected {self.topology.num_nodes} units per row, "
                 f"got shape {rows.shape}"
             )
+        cells_per_unit = self.unit_nodes.shape[1]
         matrix = np.zeros((rows.shape[0], self.network.num_nodes))
-        matrix[:, self.unit_nodes] = rows
+        matrix[:, self.unit_nodes.ravel()] = np.repeat(
+            rows / cells_per_unit, cells_per_unit, axis=1
+        )
         return matrix
 
     def steady_temperatures(self, power_rows: np.ndarray) -> np.ndarray:
         """Per-unit steady temperatures (Celsius) for many power rows at once.
 
         One multi-RHS solve against the cached factorisation evaluates every
-        row — the batch path behind the array-native steady experiment.
+        row; each unit reads as its hottest cell.
         """
         kelvin = self.solver.steady_state_batch(self.node_power_matrix(power_rows))
-        return kelvin[:, self.unit_nodes] - KELVIN_OFFSET
+        return kelvin[:, self.unit_nodes].max(axis=-1) - KELVIN_OFFSET
 
-    def unit_series(self, result: TransientResult) -> np.ndarray:
-        """``(num_units, num_samples)`` per-unit Celsius series of a transient."""
-        return np.vstack(
-            [
-                result.block_celsius[block_name_for(coord)]
-                for coord in self.topology.coordinates()
-            ]
-        )
+    def steady_state_by_coord(
+        self, power_by_coord: Dict[Coordinate, float]
+    ) -> Dict[Coordinate, float]:
+        """Steady-state temperatures keyed by mesh coordinate."""
+        temps = self.steady_temperatures(map_to_vector(self.topology, power_by_coord))
+        return vector_to_map(self.topology, temps[0])
+
+    def peak_temperature(self, power_by_coord: Dict[Coordinate, float]) -> float:
+        """Peak steady-state temperature (Celsius) for a power map."""
+        temps = self.steady_temperatures(map_to_vector(self.topology, power_by_coord))
+        return float(temps.max())
 
     # ------------------------------------------------------------------
-    def transient(
-        self,
-        power_by_coord: Dict[Coordinate, float],
-        duration_s: float,
-        initial_state: Optional[np.ndarray] = None,
-        time_step_s: Optional[float] = None,
-        method: str = "euler",
-    ) -> TransientResult:
-        """Transient evolution under constant power for ``duration_s``."""
-        return self.solver.transient(
-            self._to_block_power(power_by_coord),
-            duration_s,
-            initial_state=initial_state,
-            time_step_s=time_step_s,
-            method=method,
-        )
-
     def transient_sequence(
         self,
-        intervals,
+        trace: PowerTrace,
         initial_state: Optional[np.ndarray] = None,
         time_step_s: Optional[float] = None,
         method: str = "euler",
@@ -149,28 +131,34 @@ class HotSpotModel:
     ) -> TransientResult:
         """Transient evolution under a piecewise-constant power trace.
 
-        ``intervals`` is a :class:`repro.power.trace.PowerTrace` (the
-        array-native path: one scatter builds every node power vector) or a
-        list of (duration, per-unit dict) pairs.  ``ambient_offsets_kelvin``
-        shifts the ambient boundary per interval (exact time-varying
-        ambient; see :meth:`repro.thermal.solver.ThermalSolver.transient_sequence`).
+        One scatter builds every interval's node power; ``initial_state`` is
+        a node vector in kelvin (see :meth:`warm_state`), and
+        ``ambient_offsets_kelvin`` shifts the ambient boundary per interval
+        (exact time-varying ambient; see
+        :meth:`repro.thermal.solver.ThermalSolver.transient_sequence`).
         """
         return self.solver.transient_sequence(
-            as_solver_intervals(self, intervals, self._to_block_power),
+            trace.durations,
+            self.node_power_matrix(trace.powers),
             initial_state=initial_state,
             time_step_s=time_step_s,
             method=method,
             ambient_offsets_kelvin=ambient_offsets_kelvin,
         )
 
-    def warm_state(self, power, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
+    def unit_series(self, result: TransientResult) -> np.ndarray:
+        """``(num_units, num_samples)`` per-unit Celsius series of a transient."""
+        cells = result.node_kelvin.T[self.unit_nodes]
+        return cells.max(axis=1) - KELVIN_OFFSET
+
+    def warm_state(self, power_row: np.ndarray, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
         """Steady-state node vector used to start transients already warm.
 
-        Accepts a per-coordinate dict or a row-major per-unit power vector;
+        ``power_row`` is a row-major per-unit power vector;
         ``ambient_offset_kelvin`` shifts the ambient boundary of the solve.
         """
         return self.solver.warm_state(
-            as_solver_power(self, power, self._to_block_power),
+            self.node_power_matrix(power_row)[0],
             ambient_offset_kelvin=ambient_offset_kelvin,
         )
 
@@ -178,10 +166,3 @@ class HotSpotModel:
     @property
     def ambient_celsius(self) -> float:
         return self.package.ambient_celsius
-
-    def thermal_time_constant_s(self) -> float:
-        """Rough dominant time constant of the die nodes (C/G of one block).
-
-        Used by the experiment driver to choose sensible transient horizons.
-        """
-        return die_time_constant_s(self.network, len(self.floorplan))

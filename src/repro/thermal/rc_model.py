@@ -69,17 +69,6 @@ class ThermalNetwork:
         np.fill_diagonal(A, self.conductance.sum(axis=1) + self.ambient_conductance)
         return A
 
-    def power_vector(self, block_power_w: Dict[str, float]) -> np.ndarray:
-        """Expand per-block power into the full node-power vector."""
-        power = np.zeros(self.num_nodes)
-        for name, watts in block_power_w.items():
-            if name not in self.block_node_index:
-                raise KeyError(f"unknown floorplan block {name!r}")
-            if watts < 0:
-                raise ValueError(f"negative power for block {name}")
-            power[self.block_node_index[name]] = watts
-        return power
-
 
 def _lateral_resistance(
     a: Block, b: Block, shared_length: float, thickness: float, conductivity: float

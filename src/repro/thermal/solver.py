@@ -1,15 +1,22 @@
 """Steady-state and transient solvers for the RC thermal network.
 
-* :meth:`ThermalSolver.steady_state` solves ``A T = P + G_amb T_amb`` directly.
-* :meth:`ThermalSolver.transient` integrates ``C dT/dt = P - A T + G_amb T_amb``
+The solver works in node space only: power comes in as node-space vectors
+or ``(rows, num_nodes)`` matrices and temperatures go out as kelvin arrays.
+Mapping functional units onto nodes is the model's job
+(:class:`repro.thermal.hotspot.HotSpotModel`).
+
+* :meth:`ThermalSolver.steady_state_batch` solves ``A T = P + G_amb T_amb``
+  for many power rows with one multi-RHS solve.
+* :meth:`ThermalSolver.transient_sequence` integrates
+  ``C dT/dt = P - A T + G_amb T_amb`` over a piecewise-constant power trace
   with an unconditionally stable implicit-Euler scheme.  The step matrix
   ``C/dt + A`` is factorised once per *distinct* time step and cached on the
-  solver, so piecewise-constant traces (:meth:`ThermalSolver.transient_sequence`)
-  and long migration-period sweeps reuse a single factorisation.
+  solver, so every interval sharing a step, and every later trace, reuses a
+  single factorisation.
 * ``method="spectral"`` evaluates the *same* implicit-Euler recurrence in
   closed form through the generalized eigendecomposition of ``(A, C)`` and
   jumps directly to the sampled instants, replacing the per-step Python loop
-  with two matrix multiplies per power interval.
+  with a few matrix multiplies per trace.
 * Time-varying ambient is exact, not quasi-static: the ambient forcing
   ``G_amb * T_amb(t)`` is affine in the RHS, so a per-interval offset
   ``dT_i`` simply turns each interval's constant RHS into
@@ -18,14 +25,14 @@
   path they only move the per-interval fixed points (already one multi-RHS
   solve) and the boundary-jump recurrence — zero extra solves.
 
-Temperatures are handled internally in kelvin; the :class:`TemperatureMap`
-results report degrees Celsius, matching the paper's figures.
+Temperatures are kelvin throughout; the model converts its per-unit
+readings to degrees Celsius, matching the paper's figures.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +40,6 @@ from scipy.linalg import eigh, lu_factor, lu_solve
 
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
-from .package import KELVIN_OFFSET
 from .rc_model import ThermalNetwork
 
 # Registry view of the solver counters: each increment of the per-solver
@@ -43,7 +49,6 @@ from .rc_model import ThermalNetwork
 # aggregates across every solver in the process.
 _OBS_STEADY_SOLVES = _obs_counter("thermal.steady_solves")
 _OBS_FACTORIZATIONS = _obs_counter("thermal.step_factorizations")
-_OBS_TRANSIENTS = _obs_counter("thermal.transients")
 _OBS_SEQUENCES = _obs_counter("thermal.transient_sequences")
 _OBS_SPECTRAL_JUMPS = _obs_counter("thermal.spectral_jumps")
 
@@ -56,65 +61,18 @@ MAX_CACHED_PROPAGATORS = 32
 
 
 @dataclass
-class TemperatureMap:
-    """Per-block temperatures (Celsius) at one instant or steady state."""
-
-    block_celsius: Dict[str, float]
-    node_kelvin: np.ndarray
-
-    @property
-    def peak_celsius(self) -> float:
-        return max(self.block_celsius.values())
-
-    @property
-    def min_celsius(self) -> float:
-        return min(self.block_celsius.values())
-
-    @property
-    def mean_celsius(self) -> float:
-        return float(np.mean(list(self.block_celsius.values())))
-
-    @property
-    def spread_celsius(self) -> float:
-        """Peak-to-minimum spatial temperature spread."""
-        return self.peak_celsius - self.min_celsius
-
-    def hottest_block(self) -> str:
-        return max(self.block_celsius, key=self.block_celsius.get)
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.block_celsius)
-
-
-@dataclass
 class TransientResult:
-    """Temperature evolution over a simulated interval."""
+    """Temperature evolution over a piecewise-constant power trace."""
 
     times_s: np.ndarray
-    block_celsius: Dict[str, np.ndarray]
+    #: ``(num_samples, num_nodes)`` node temperatures in kelvin: each
+    #: interval's start state followed by every implicit-Euler step in it.
+    node_kelvin: np.ndarray
     final_state_kelvin: np.ndarray
-    #: Sample-row ranges ``[start, stop)`` of each power interval, populated
-    #: by :meth:`ThermalSolver.transient_sequence` so callers can reduce
-    #: per-interval metrics straight from the concatenated arrays.
-    interval_ranges: Optional[List[Tuple[int, int]]] = None
-
-    @property
-    def peak_celsius(self) -> float:
-        """Hottest block temperature reached at any sampled instant."""
-        return max(float(np.max(series)) for series in self.block_celsius.values())
-
-    def peak_series(self) -> np.ndarray:
-        """Per-instant maximum over blocks."""
-        stacked = np.vstack(list(self.block_celsius.values()))
-        return stacked.max(axis=0)
-
-    def final_map(self) -> TemperatureMap:
-        return TemperatureMap(
-            block_celsius={
-                name: float(series[-1]) for name, series in self.block_celsius.items()
-            },
-            node_kelvin=self.final_state_kelvin,
-        )
+    #: Sample-row ranges ``[start, stop)`` of each power interval, so
+    #: callers can reduce per-interval metrics straight from the
+    #: concatenated samples.
+    interval_ranges: List[Tuple[int, int]]
 
 
 @dataclass
@@ -146,10 +104,6 @@ class ThermalSolver:
         #: multi-RHS batch counts once, so a fully batched steady experiment
         #: shows exactly one solve (regression guard for the epoch pipeline).
         self.steady_solve_count = 0
-        #: Number of *external* ``transient()`` calls (the per-epoch Python
-        #: round-trip the array-native pipeline retires; intervals stepped
-        #: inside ``transient_sequence`` do not count).
-        self.transient_count = 0
         #: Number of ``transient_sequence()`` calls.
         self.transient_sequence_count = 0
         #: Number of sequences served by the vectorised spectral jump (one
@@ -274,34 +228,18 @@ class ThermalSolver:
             raise ValueError("ambient offsets must be finite")
         return offsets
 
-    # ------------------------------------------------------------------
-    def _power_vector_of(self, block_power_w) -> np.ndarray:
-        """Node-space power vector from a per-block dict or a node vector."""
-        if isinstance(block_power_w, dict):
-            return self.network.power_vector(block_power_w)
-        power = np.asarray(block_power_w, dtype=float)
-        if power.shape != (self.network.num_nodes,):
+    def _node_powers(self, node_powers, shape: Tuple[int, ...]) -> np.ndarray:
+        """``node_powers`` as a float array of ``shape``, checked non-negative."""
+        power = np.asarray(node_powers, dtype=float)
+        if power.shape != shape:
             raise ValueError(
-                f"expected a node power vector of {self.network.num_nodes} entries, "
-                f"got shape {power.shape}"
+                f"expected node power of shape {shape}, got shape {power.shape}"
             )
         if power.size and power.min() < 0:
-            raise ValueError("negative power in node vector")
+            raise ValueError("negative node power")
         return power
 
     # ------------------------------------------------------------------
-    def steady_state(self, block_power_w) -> TemperatureMap:
-        """Steady-state temperatures for a constant power assignment.
-
-        ``block_power_w`` is a per-block dict or a node-space power vector.
-        """
-        power = self._power_vector_of(block_power_w)
-        rhs = power + self._boundary
-        self.steady_solve_count += 1
-        _OBS_STEADY_SOLVES.add()
-        temps_kelvin = lu_solve(self._a_factor(), rhs)
-        return self._to_map(temps_kelvin)
-
     def steady_state_batch(self, node_power_matrix: np.ndarray) -> np.ndarray:
         """Steady-state node temperatures for many power vectors at once.
 
@@ -323,148 +261,48 @@ class ThermalSolver:
         with _obs_span("thermal.steady_batch", rows=int(power.shape[0])):
             return lu_solve(self._a_factor(), rhs.T).T
 
-    # ------------------------------------------------------------------
-    def transient(
-        self,
-        block_power_w,
-        duration_s: float,
-        initial_state: Optional[np.ndarray] = None,
-        time_step_s: Optional[float] = None,
-        record_every: int = 1,
-        method: str = "euler",
-        ambient_offset_kelvin: float = 0.0,
-    ) -> TransientResult:
-        """Integrate the network under constant power for ``duration_s``.
+    def warm_state(self, node_power, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
+        """Node state (kelvin) corresponding to steady state under one power vector.
 
-        Parameters
-        ----------
-        block_power_w:
-            Per-block power dict, or a node-space power vector.
-        initial_state:
-            Node temperatures in kelvin to start from; defaults to ambient
-            everywhere (a cold chip).
-        time_step_s:
-            Implicit-Euler step; defaults to ``duration_s / 200`` bounded to
-            at most 1 ms, which resolves the die-level time constants.
-        record_every:
-            Store every k-th step in the result (the final step is always
-            recorded).
-        method:
-            ``"euler"`` steps the cached LU factorisation; ``"spectral"``
-            evaluates the same recurrence through the eigenbasis, jumping
-            straight to the recorded instants (identical trajectory up to
-            floating-point roundoff, no per-step loop).
-        ambient_offset_kelvin:
-            Shift of the ambient boundary temperature for this interval; the
-            forcing is affine, so the RHS gains ``G_amb * offset`` and the
-            trajectory is exactly the one a network rebuilt at the shifted
-            ambient would produce.
+        Useful as the initial condition of transient runs so experiments do
+        not spend simulated seconds heating a cold chip.
+        ``ambient_offset_kelvin`` shifts the ambient boundary (e.g. to
+        warm-start an ambient-scheduled transient at the first interval's
+        ambient).
         """
-        self.transient_count += 1
-        _OBS_TRANSIENTS.add()
-        return self._transient(
-            block_power_w,
-            duration_s,
-            initial_state=initial_state,
-            time_step_s=time_step_s,
-            record_every=record_every,
-            method=method,
-            ambient_offset_kelvin=ambient_offset_kelvin,
-        )
-
-    def _transient(
-        self,
-        block_power_w,
-        duration_s: float,
-        initial_state: Optional[np.ndarray] = None,
-        time_step_s: Optional[float] = None,
-        record_every: int = 1,
-        method: str = "euler",
-        ambient_offset_kelvin: float = 0.0,
-    ) -> TransientResult:
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        if record_every < 1:
-            raise ValueError("record_every must be at least 1")
-        if method not in TRANSIENT_METHODS:
-            raise ValueError(f"method must be one of {TRANSIENT_METHODS}")
-        network = self.network
-        power = self._power_vector_of(block_power_w)
-        rhs_const = power + self._boundary
+        power = self._node_powers(node_power, (self.network.num_nodes,))
+        rhs = power + self._boundary
         if ambient_offset_kelvin:
-            rhs_const = rhs_const + ambient_offset_kelvin * network.ambient_conductance
-
-        if initial_state is None:
-            state = np.full(network.num_nodes, network.ambient_kelvin, dtype=float)
-        else:
-            state = np.asarray(initial_state, dtype=float).copy()
-            if state.shape != (network.num_nodes,):
-                raise ValueError("initial state has wrong number of nodes")
-
-        if time_step_s is None:
-            time_step_s = min(duration_s / 200.0, 1e-3)
-        time_step_s = min(time_step_s, duration_s)
-
-        steps = max(1, int(round(duration_s / time_step_s)))
-        # Steps whose post-update state is recorded (the last one always is).
-        recorded = np.arange(record_every - 1, steps, record_every, dtype=np.int64)
-        if recorded.size == 0 or recorded[-1] != steps - 1:
-            recorded = np.append(recorded, steps - 1)
-        times = np.concatenate(([0.0], (recorded + 1) * time_step_s))
-        history = np.empty((recorded.size + 1, network.num_nodes))
-        history[0] = state
-
-        if method == "spectral":
-            history[1:] = self._spectral_samples(
-                state, rhs_const, time_step_s, recorded + 1
-            )
-            state = history[-1].copy()
-        else:
-            # Implicit Euler: (C/dt + A) T_{k+1} = C/dt T_k + P
-            propagator = self._step_propagator(time_step_s)
-            factor = self._private_factor(
-                ("step", propagator.time_step_s), propagator.factor
-            )
-            record_mask = np.zeros(steps, dtype=bool)
-            record_mask[recorded] = True
-            row = 1
-            for k in range(steps):
-                rhs = propagator.c_over_dt * state + rhs_const
-                state = lu_solve(factor, rhs)
-                if record_mask[k]:
-                    history[row] = state
-                    row += 1
-
-        block_series = {
-            name: history[:, idx] - KELVIN_OFFSET
-            for name, idx in network.block_node_index.items()
-        }
-        return TransientResult(
-            times_s=times,
-            block_celsius=block_series,
-            final_state_kelvin=state,
-        )
+            rhs = rhs + ambient_offset_kelvin * self.network.ambient_conductance
+        self.steady_solve_count += 1
+        _OBS_STEADY_SOLVES.add()
+        return lu_solve(self._a_factor(), rhs)
 
     # ------------------------------------------------------------------
     def transient_sequence(
         self,
-        intervals: List[Tuple[float, Dict[str, float]]],
+        durations_s,
+        node_powers,
         initial_state: Optional[np.ndarray] = None,
         time_step_s: Optional[float] = None,
-        record_every: int = 1,
         method: str = "euler",
         ambient_offsets_kelvin=None,
     ) -> TransientResult:
         """Integrate a piecewise-constant power trace.
 
-        ``intervals`` is a list of (duration, power) pairs where each power is
-        a per-block dict or a node-space vector — exactly the shape of a
-        :class:`repro.power.trace.PowerTrace`.  All intervals sharing a time
-        step reuse one cached factorisation (``"euler"``) or one
-        eigendecomposition (``"spectral"``); thermal state is carried across
-        interval boundaries.  The result's :attr:`TransientResult.interval_ranges`
-        records each interval's sample-row range so per-interval metrics can
-        be reduced from the concatenated series without re-integrating.
+        Interval ``i`` lasts ``durations_s[i]`` seconds under the node-space
+        power ``node_powers[i]`` (a ``(num_intervals, num_nodes)`` matrix).
+        All intervals sharing a time step reuse one cached factorisation
+        (``"euler"``) or one eigendecomposition (``"spectral"``); thermal
+        state is carried across interval boundaries.  The result's
+        :attr:`TransientResult.interval_ranges` records each interval's
+        sample-row range so per-interval metrics can be reduced from the
+        concatenated samples without re-integrating.
+
+        ``initial_state`` is a node vector in kelvin (default: ambient
+        everywhere, a cold chip).  ``time_step_s`` is the implicit-Euler step;
+        by default each interval uses ``duration / 200`` bounded to at most
+        1 ms, which resolves the die-level time constants.
 
         ``ambient_offsets_kelvin`` (optional, one entry per interval) shifts
         the ambient boundary temperature per interval: interval ``i`` is
@@ -484,92 +322,128 @@ class ThermalSolver:
         ride that path for free: they only move the per-interval fixed points
         (already one multi-RHS solve) and the boundary-jump recurrence.
         """
-        if not intervals:
+        durations = np.asarray(durations_s, dtype=float)
+        if durations.ndim != 1 or durations.size == 0:
             raise ValueError("at least one interval is required")
+        if durations.min() <= 0:
+            raise ValueError("duration must be positive")
+        if method not in TRANSIENT_METHODS:
+            raise ValueError(f"method must be one of {TRANSIENT_METHODS}")
+        powers = self._node_powers(
+            node_powers, (durations.size, self.network.num_nodes)
+        )
         self.transient_sequence_count += 1
         _OBS_SEQUENCES.add()
         with _obs_span(
-            "thermal.transient_sequence", intervals=len(intervals), method=method
+            "thermal.transient_sequence", intervals=durations.size, method=method
         ):
             return self._transient_sequence(
-                intervals,
+                durations.tolist(),
+                powers,
                 initial_state=initial_state,
                 time_step_s=time_step_s,
-                record_every=record_every,
                 method=method,
                 ambient_offsets_kelvin=ambient_offsets_kelvin,
             )
 
     def _transient_sequence(
         self,
-        intervals: List[Tuple[float, Dict[str, float]]],
-        initial_state: Optional[np.ndarray] = None,
-        time_step_s: Optional[float] = None,
-        record_every: int = 1,
-        method: str = "euler",
-        ambient_offsets_kelvin=None,
+        durations: List[float],
+        powers: np.ndarray,
+        initial_state: Optional[np.ndarray],
+        time_step_s: Optional[float],
+        method: str,
+        ambient_offsets_kelvin,
     ) -> TransientResult:
-        offsets = self._ambient_offsets_of(ambient_offsets_kelvin, len(intervals))
-        if offsets is not None and initial_state is None:
-            initial_state = np.full(
-                self.network.num_nodes, self.network.ambient_kelvin + offsets[0]
-            )
+        network = self.network
+        offsets = self._ambient_offsets_of(ambient_offsets_kelvin, len(durations))
+        if initial_state is None:
+            # A cold chip, at the first interval's ambient.
+            ambient = network.ambient_kelvin
+            if offsets is not None:
+                ambient = ambient + offsets[0]
+            state = np.full(network.num_nodes, ambient, dtype=float)
+        else:
+            state = np.asarray(initial_state, dtype=float).copy()
+            if state.shape != (network.num_nodes,):
+                raise ValueError("initial state has wrong number of nodes")
         if method == "spectral":
             jumped = self._spectral_sequence_jump(
-                intervals,
-                initial_state=initial_state,
-                time_step_s=time_step_s,
-                record_every=record_every,
-                ambient_offsets=offsets,
+                durations, powers, state, time_step_s, ambient_offsets=offsets
             )
             if jumped is not None:
                 return jumped
-        state = initial_state
         all_times: List[np.ndarray] = []
-        series: Dict[str, List[np.ndarray]] = {
-            name: [] for name in self.network.block_node_index
-        }
+        histories: List[np.ndarray] = []
         offset = 0.0
         row_offset = 0
         ranges: List[Tuple[int, int]] = []
-        for index, (duration, power) in enumerate(intervals):
-            result = self._transient(
-                power,
-                duration,
-                initial_state=state,
-                time_step_s=time_step_s,
-                record_every=record_every,
-                method=method,
-                ambient_offset_kelvin=float(offsets[index]) if offsets is not None else 0.0,
+        for index, duration in enumerate(durations):
+            rhs_const = powers[index] + self._boundary
+            if offsets is not None and offsets[index]:
+                rhs_const = rhs_const + float(offsets[index]) * network.ambient_conductance
+            times, history = self._integrate_interval(
+                state, rhs_const, duration, time_step_s, method
             )
-            state = result.final_state_kelvin
-            all_times.append(result.times_s + offset)
+            state = history[-1]
+            all_times.append(times + offset)
             # Advance by the integrated span (steps * dt), not the nominal
             # duration: when the duration is not an integer multiple of the
             # step the two differ, and stamping the next interval's origin at
             # the nominal duration would let sample times overlap it.
-            offset += result.times_s[-1]
-            num_rows = result.times_s.size
-            ranges.append((row_offset, row_offset + num_rows))
-            row_offset += num_rows
-            for name, values in result.block_celsius.items():
-                series[name].append(values)
-        times = np.concatenate(all_times)
-        block_series = {name: np.concatenate(chunks) for name, chunks in series.items()}
+            offset += times[-1]
+            ranges.append((row_offset, row_offset + times.size))
+            row_offset += times.size
+            histories.append(history)
         return TransientResult(
-            times_s=times,
-            block_celsius=block_series,
-            final_state_kelvin=state,
+            times_s=np.concatenate(all_times),
+            node_kelvin=np.concatenate(histories),
+            final_state_kelvin=state.copy(),
             interval_ranges=ranges,
         )
+
+    def _integrate_interval(
+        self,
+        state: np.ndarray,
+        rhs_const: np.ndarray,
+        duration_s: float,
+        time_step_s: Optional[float],
+        method: str,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sample times and ``(steps + 1, num_nodes)`` history of one interval.
+
+        Row 0 is ``state``; row ``k`` is the state after ``k`` implicit-Euler
+        steps of ``(C/dt + A) T_{k+1} = C/dt T_k + rhs_const``.
+        """
+        if time_step_s is None:
+            time_step_s = min(duration_s / 200.0, 1e-3)
+        time_step_s = min(time_step_s, duration_s)
+        steps = max(1, int(round(duration_s / time_step_s)))
+        step_numbers = np.arange(1, steps + 1, dtype=np.int64)
+        times = np.concatenate(([0.0], step_numbers * time_step_s))
+        history = np.empty((steps + 1, self.network.num_nodes))
+        history[0] = state
+        if method == "spectral":
+            history[1:] = self._spectral_samples(
+                state, rhs_const, time_step_s, step_numbers
+            )
+            return times, history
+        propagator = self._step_propagator(time_step_s)
+        factor = self._private_factor(
+            ("step", propagator.time_step_s), propagator.factor
+        )
+        for k in range(steps):
+            state = lu_solve(factor, propagator.c_over_dt * state + rhs_const)
+            history[k + 1] = state
+        return times, history
 
     # ------------------------------------------------------------------
     def _spectral_sequence_jump(
         self,
-        intervals: List[Tuple[float, Dict[str, float]]],
-        initial_state: Optional[np.ndarray],
+        durations: List[float],
+        powers: np.ndarray,
+        state: np.ndarray,
         time_step_s: Optional[float],
-        record_every: int,
         ambient_offsets: Optional[np.ndarray] = None,
     ) -> Optional[TransientResult]:
         """Whole-trace spectral evaluation when every interval shares one dt.
@@ -585,39 +459,28 @@ class ThermalSolver:
         (``mu = 1/(1 + dt lambda)``, ``n_i`` steps in interval ``i``), so one
         multi-RHS solve yields every fixed point, one short recurrence
         propagates the modal state across interval boundaries, and one matrix
-        multiply evaluates every recorded instant of every interval.
+        multiply evaluates every step of every interval.
 
         Per-interval ambient offsets are affine in the RHS, so they fold into
         the fixed points (``T*_i`` solves ``P_i + G_amb (T_amb + dT_i)``) and
         flow through the same recurrence — no extra solves.
         """
-        if record_every < 1:
-            raise ValueError("record_every must be at least 1")
         network = self.network
 
         steps_list = []
-        recorded_list = []
         shared_dt: Optional[float] = None
-        for duration, _power in intervals:
-            if duration <= 0:
-                raise ValueError("duration must be positive")
+        for duration in durations:
             dt = time_step_s if time_step_s is not None else min(duration / 200.0, 1e-3)
             dt = min(dt, duration)
             if shared_dt is None:
                 shared_dt = dt
             elif dt != shared_dt:
                 return None
-            steps = max(1, int(round(duration / dt)))
-            recorded = np.arange(record_every - 1, steps, record_every, dtype=np.int64)
-            if recorded.size == 0 or recorded[-1] != steps - 1:
-                recorded = np.append(recorded, steps - 1)
-            steps_list.append(steps)
-            recorded_list.append(recorded)
+            steps_list.append(max(1, int(round(duration / dt))))
         assert shared_dt is not None
         self.spectral_jump_count += 1
         _OBS_SPECTRAL_JUMPS.add()
 
-        powers = np.vstack([self._power_vector_of(power) for _dur, power in intervals])
         rhs = powers + self._boundary[np.newaxis, :]
         if ambient_offsets is not None:
             # The affine ambient boundary term: each interval's RHS becomes
@@ -625,16 +488,9 @@ class ThermalSolver:
             rhs = rhs + ambient_offsets[:, np.newaxis] * network.ambient_conductance[np.newaxis, :]
         fixed_points = lu_solve(self._a_factor(), rhs.T).T  # (num_intervals, n)
 
-        if initial_state is None:
-            state = np.full(network.num_nodes, network.ambient_kelvin, dtype=float)
-        else:
-            state = np.asarray(initial_state, dtype=float).copy()
-            if state.shape != (network.num_nodes,):
-                raise ValueError("initial state has wrong number of nodes")
-
         c_sqrt, eigenvalues, eigenvectors = self._spectral()
         decay = 1.0 / (1.0 + shared_dt * eigenvalues)
-        num_intervals = len(intervals)
+        num_intervals = len(durations)
         steps_arr = np.asarray(steps_list, dtype=np.int64)
         # Modal decay over each interval's full step count, and the modal
         # jumps induced by the fixed point changing at each boundary.
@@ -650,85 +506,49 @@ class ThermalSolver:
             if index + 1 < num_intervals:
                 z = z * interval_decay[index] + boundary_jumps[index]
 
-        # Every recorded instant of every interval in one matrix multiply.
-        # Equal-duration traces (the migration-epoch case) share one recorded
-        # step structure, so the modal decay powers are computed once and
-        # broadcast across intervals instead of materialised per sample row.
-        counts = np.array([recorded.size for recorded in recorded_list])
-        first = recorded_list[0]
-        uniform = all(
-            np.array_equal(recorded, first) for recorded in recorded_list[1:]
-        )
-        if uniform:
-            base_pow = decay[np.newaxis, :] ** (first + 1)[:, np.newaxis]
+        # Every step of every interval in one matrix multiply.  Equal-duration
+        # traces (the migration-epoch case) share one step count, so the
+        # modal decay powers are computed once and broadcast across intervals
+        # instead of materialised per sample row.
+        step_numbers = [np.arange(1, steps + 1, dtype=np.int64) for steps in steps_list]
+        if (steps_arr == steps_arr[0]).all():
+            base_pow = decay[np.newaxis, :] ** step_numbers[0][:, np.newaxis]
             modal = base_pow[np.newaxis, :, :] * z_starts[:, np.newaxis, :]
         else:
-            step_numbers = np.concatenate(recorded_list) + 1
             modal = (
-                decay[np.newaxis, :] ** step_numbers[:, np.newaxis]
-            ) * np.repeat(z_starts, counts, axis=0)
-        recorded_temps = np.repeat(fixed_points, counts, axis=0) + (
+                decay[np.newaxis, :] ** np.concatenate(step_numbers)[:, np.newaxis]
+            ) * np.repeat(z_starts, steps_arr, axis=0)
+        stepped_temps = np.repeat(fixed_points, steps_arr, axis=0) + (
             modal.reshape(-1, network.num_nodes) @ eigenvectors.T
         ) / c_sqrt[np.newaxis, :]
 
         # Assemble per-interval blocks: the interval's t=0 row is the carried
         # state (exactly the previous interval's final sample), then its
-        # recorded rows — the same layout the per-interval loop produces.
-        total_rows = int(counts.sum()) + num_intervals
-        history = np.empty((total_rows, network.num_nodes))
+        # stepped rows — the same layout the per-interval loop produces.
+        history = np.empty((int(steps_arr.sum()) + num_intervals, network.num_nodes))
         all_times: List[np.ndarray] = []
         ranges: List[Tuple[int, int]] = []
         offset = 0.0
         row = 0
         sample_row = 0
-        for index in range(num_intervals):
-            block = recorded_temps[sample_row : sample_row + counts[index]]
+        for index, steps in enumerate(steps_list):
+            block = stepped_temps[sample_row : sample_row + steps]
             history[row] = state
-            history[row + 1 : row + 1 + counts[index]] = block
+            history[row + 1 : row + 1 + steps] = block
             state = block[-1]
-            times = np.concatenate(
-                ([0.0], (recorded_list[index] + 1) * shared_dt)
-            )
+            times = np.concatenate(([0.0], step_numbers[index] * shared_dt))
             all_times.append(times + offset)
             # Match the per-interval path: the next interval starts where the
             # integrated samples end (steps * dt), not at the nominal
             # duration, so sample times never overlap the next origin.
-            offset += steps_list[index] * shared_dt
-            ranges.append((row, row + counts[index] + 1))
-            row += counts[index] + 1
-            sample_row += counts[index]
+            offset += steps * shared_dt
+            ranges.append((row, row + steps + 1))
+            row += steps + 1
+            sample_row += steps
 
-        block_series = {
-            name: history[:, idx] - KELVIN_OFFSET
-            for name, idx in network.block_node_index.items()
-        }
         return TransientResult(
             times_s=np.concatenate(all_times),
-            block_celsius=block_series,
+            node_kelvin=history,
             final_state_kelvin=state.copy(),
             interval_ranges=ranges,
         )
-
-    # ------------------------------------------------------------------
-    def warm_state(self, block_power_w, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
-        """Node state (kelvin) corresponding to steady state under a power map.
-
-        Useful as the initial condition of transient runs so experiments do
-        not spend simulated seconds heating a cold chip.  Accepts a per-block
-        dict or a node-space power vector; ``ambient_offset_kelvin`` shifts
-        the ambient boundary (e.g. to warm-start an ambient-scheduled
-        transient at the first interval's ambient).
-        """
-        power = self._power_vector_of(block_power_w)
-        rhs = power + self._boundary
-        if ambient_offset_kelvin:
-            rhs = rhs + ambient_offset_kelvin * self.network.ambient_conductance
-        self.steady_solve_count += 1
-        return lu_solve(self._a_factor(), rhs)
-
-    def _to_map(self, temps_kelvin: np.ndarray) -> TemperatureMap:
-        block_celsius = {
-            name: float(temps_kelvin[idx]) - KELVIN_OFFSET
-            for name, idx in self.network.block_node_index.items()
-        }
-        return TemperatureMap(block_celsius=block_celsius, node_kelvin=temps_kelvin)

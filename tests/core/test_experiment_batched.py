@@ -2,10 +2,10 @@
 
 The seed experiment driver shuttled one ``Dict[Coordinate, float]`` power map
 per epoch into the thermal model (one solve per epoch in steady mode, one
-``transient()`` call per epoch in transient mode).  The batched pipeline must
-reproduce those numbers to <1e-9 K on the paper's chip configurations; the
-reference implementations below replicate the seed loops verbatim on top of
-the public dict-view APIs.
+one-interval transient per epoch in transient mode).  The batched pipeline
+must reproduce those numbers to <1e-9 K on the paper's chip configurations;
+the reference implementations below replicate the seed loops on top of the
+public dict views and one-interval ``transient_sequence`` calls.
 """
 
 import numpy as np
@@ -16,8 +16,8 @@ from repro.core.controller import RuntimeReconfigurationController
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
 from repro.core.metrics import ThermalMetrics
 from repro.core.policy import PeriodicMigrationPolicy, PolicyContext
-from repro.thermal.grid import GridThermalModel
-from repro.thermal.model import ThermalModel
+from repro.power.trace import PowerTrace, map_to_vector
+from repro.thermal.hotspot import HotSpotModel
 
 #: Configurations the parity suite pins (both mesh sizes plus the
 #: centre-hotspot case where rotation's energy penalty matters).
@@ -82,24 +82,26 @@ def reference_steady(chip, policy, settings, thermal_model=None):
 
 
 def reference_transient(chip, policy, settings, thermal_model=None):
-    """The seed transient mode: one ``transient()`` call per epoch."""
+    """The seed transient mode: one one-interval transient per epoch."""
     model = thermal_model or chip.thermal_model
+    topology = chip.topology
     period_s = policy.period_us * 1e-6
     time_step = period_s / settings.transient_steps_per_epoch
     epochs = _reference_epochs(chip, policy, settings)
 
-    averaged = {coord: 0.0 for coord in chip.topology.coordinates()}
+    averaged = {coord: 0.0 for coord in topology.coordinates()}
     for power, _cost, _name in epochs:
         for coord, watts in power.items():
             averaged[coord] += watts / len(epochs)
-    state = model.warm_state(averaged)
+    state = model.warm_state(map_to_vector(topology, averaged))
 
     peak_by_epoch = []
     per_epoch = []
     for power, _cost, _name in epochs:
-        result = model.transient(
-            power,
-            period_s,
+        result = model.transient_sequence(
+            PowerTrace.from_arrays(
+                topology, [period_s], [map_to_vector(topology, power)]
+            ),
             initial_state=state,
             time_step_s=time_step,
             method=settings.thermal_method,
@@ -213,26 +215,18 @@ class TestTransientGuards:
         solver = chip_a.thermal_model.solver
         policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)
         experiment = ThermalExperiment(chip_a, policy, settings=TRANSIENT)
-        transients_before = solver.transient_count
         sequences_before = solver.transient_sequence_count
         result = experiment.run()
-        # The whole trace goes through one transient_sequence call; the
-        # experiment layer issues zero per-epoch transient() round-trips.
-        assert solver.transient_count == transients_before
+        # The whole trace goes through one transient_sequence call.
         assert solver.transient_sequence_count - sequences_before == 1
         assert len(result.epochs) == TRANSIENT.num_epochs
 
 
 class TestGridModelExperiment:
-    """The refined model satisfies the protocol and drives the experiment."""
-
-    def test_models_satisfy_protocol(self, chip_a):
-        grid = GridThermalModel(chip_a.topology, resolution=2)
-        assert isinstance(chip_a.thermal_model, ThermalModel)
-        assert isinstance(grid, ThermalModel)
+    """The model at grid resolution drives the experiment."""
 
     def test_steady_experiment_on_grid_model(self, chip_a):
-        grid = GridThermalModel(
+        grid = HotSpotModel(
             chip_a.topology, resolution=2, package=chip_a.thermal_model.package
         )
         policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)
@@ -264,7 +258,7 @@ class TestGridModelExperiment:
         )
 
     def test_transient_experiment_on_grid_model(self, chip_a):
-        grid = GridThermalModel(
+        grid = HotSpotModel(
             chip_a.topology, resolution=2, package=chip_a.thermal_model.package
         )
         policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)
@@ -273,5 +267,4 @@ class TestGridModelExperiment:
         ).run()
         assert len(result.epochs) == TRANSIENT.num_epochs
         assert all(e.thermal.peak_celsius > 40.0 for e in result.epochs)
-        assert grid.solver.transient_count == 0
         assert grid.solver.transient_sequence_count == 1

@@ -25,9 +25,9 @@ from repro.core.policy import (
     ReconfigurationPolicy,
     ThresholdMigrationPolicy,
 )
-from repro.power.trace import vector_to_map
+from repro.power.trace import PowerTrace, vector_to_map
 from repro.stream import EpochWindow
-from repro.thermal.grid import GridThermalModel
+from repro.thermal.hotspot import HotSpotModel
 
 EPOCHS = 11
 
@@ -48,7 +48,7 @@ def _adaptive(chip):
 
 
 def _grid_model(chip):
-    return GridThermalModel(
+    return HotSpotModel(
         chip.topology,
         resolution=2,
         package=chip.thermal_model.package,
@@ -124,14 +124,13 @@ def reference_transient_feedback(chip, policy, settings, model):
     period_s = policy.period_us * 1e-6
     time_step = period_s / settings.transient_steps_per_epoch
     averaged = np.mean([power for power, _c, _n in epochs], axis=0)
-    state = model.warm_state(vector_to_map(chip.topology, averaged))
+    state = model.warm_state(averaged)
 
     peak_by_epoch = []
     per_epoch = []
     for power, _cost, _name in epochs:
-        result = model.transient(
-            vector_to_map(chip.topology, power),
-            period_s,
+        result = model.transient_sequence(
+            PowerTrace.from_arrays(chip.topology, [period_s], [power]),
             initial_state=state,
             time_step_s=time_step,
             method=settings.thermal_method,
@@ -321,14 +320,12 @@ class TestSolveCounts:
             feedback_stride=stride,
         )
         steady_before = solver.steady_solve_count
-        transients_before = solver.transient_count
         sequences_before = solver.transient_sequence_count
         ThermalExperiment(chip, _threshold(chip), settings=settings).run()
         chunks = -(-EPOCHS // stride)
         # Feedback chunks + baseline + warm start; still exactly one
-        # sequenced integration and zero per-epoch transient() round-trips.
+        # sequenced integration.
         assert solver.steady_solve_count - steady_before == chunks + 2
-        assert solver.transient_count == transients_before
         assert solver.transient_sequence_count - sequences_before == 1
 
     def test_probe_rides_the_batch_not_the_dict_path(self, monkeypatch):

@@ -22,7 +22,7 @@ from repro.core.policy import (
     ThresholdMigrationPolicy,
 )
 from repro.stream import EpochWindow
-from repro.thermal.grid import GridThermalModel
+from repro.thermal.hotspot import HotSpotModel
 
 STEADY = dict(num_epochs=13, mode="steady", settle_epochs=10)
 TRANSIENT = dict(
@@ -92,7 +92,7 @@ class TestSingleStageParity:
 
     def test_grid_model_parity(self, config_name, policy_kind):
         chip = get_configuration(config_name)
-        model = GridThermalModel(chip.topology, resolution=2)
+        model = HotSpotModel(chip.topology, resolution=2)
         _, sudden = _run(chip, policy_kind, STEADY, thermal_model=model)
         _, staged = _run(
             chip,

@@ -3,11 +3,11 @@
 The reference implementation is the bluntest possible one: for every epoch,
 rebuild the whole thermal network with that epoch's ambient baked into the
 package (``ambient_celsius + offset``) and integrate the epoch with a
-per-interval ``transient()`` call, carrying the state by hand.  The batched
-pipeline — one ``transient_sequence`` call with the per-interval affine
-boundary term ``G_amb * (T_amb + dT_i)`` — must reproduce those trajectories
-to <1e-9 on both integration methods and both thermal models, while issuing
-zero extra solves.
+one-interval ``transient_sequence`` call, carrying the state by hand.  The
+batched pipeline — one ``transient_sequence`` call with the per-interval
+affine boundary term ``G_amb * (T_amb + dT_i)`` — must reproduce those
+trajectories to <1e-9 on both integration methods and at block and grid
+resolution, while issuing zero extra solves.
 """
 
 import dataclasses
@@ -19,8 +19,8 @@ from repro.chips import get_configuration
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
 from repro.core.metrics import ThermalMetrics
 from repro.core.policy import PeriodicMigrationPolicy
+from repro.power.trace import PowerTrace, map_to_vector
 from repro.stream import EpochWindow
-from repro.thermal.grid import GridThermalModel
 from repro.thermal.hotspot import HotSpotModel
 
 NUM_EPOCHS = 8
@@ -57,13 +57,13 @@ def _model_at_offset(chip, kind: str, offset: float):
         return HotSpotModel(
             chip.topology, package=package, floorplan=chip.thermal_model.floorplan
         )
-    return GridThermalModel(chip.topology, resolution=2, package=package)
+    return HotSpotModel(chip.topology, resolution=2, package=package)
 
 
 def _experiment_model(chip, kind: str):
     if kind == "hotspot":
         return chip.thermal_model
-    return GridThermalModel(
+    return HotSpotModel(
         chip.topology, resolution=2, package=chip.thermal_model.package
     )
 
@@ -79,14 +79,21 @@ def _reference_rebuilt_networks(chip, kind: str, epoch_power_maps, method: str):
         for coord, watts in power.items():
             averaged[coord] += watts / len(epoch_power_maps)
     # Warm start at the epoch-0 ambient: the settled regime the run enters at.
-    state = _model_at_offset(chip, kind, float(OFFSETS[0])).warm_state(averaged)
+    state = _model_at_offset(chip, kind, float(OFFSETS[0])).warm_state(
+        map_to_vector(chip.topology, averaged)
+    )
 
     peak_by_epoch = []
     per_epoch = []
     for power, offset in zip(epoch_power_maps, OFFSETS):
         model = _model_at_offset(chip, kind, float(offset))
-        result = model.transient(
-            power, period_s, initial_state=state, time_step_s=time_step, method=method
+        result = model.transient_sequence(
+            PowerTrace.from_arrays(
+                chip.topology, [period_s], [map_to_vector(chip.topology, power)]
+            ),
+            initial_state=state,
+            time_step_s=time_step,
+            method=method,
         )
         state = result.final_state_kelvin
         series = model.unit_series(result)
@@ -141,7 +148,6 @@ class TestExactAmbientTransient:
         model = _experiment_model(chip, kind)
         solver = model.solver
         sequences_before = solver.transient_sequence_count
-        transients_before = solver.transient_count
         steady_before = solver.steady_solve_count
         jumps_before = solver.spectral_jump_count
         ThermalExperiment(
@@ -151,11 +157,10 @@ class TestExactAmbientTransient:
             thermal_model=model,
             schedule=EpochWindow(num_epochs=NUM_EPOCHS, ambient_offsets=OFFSETS),
         ).run()
-        # The boundary term is free: baseline + warm start (steady solves),
-        # one sequence, zero per-epoch transients — identical counts to an
-        # ambient-free run, and the spectral jump stays engaged.
+        # The boundary term is free: baseline + warm start (steady solves)
+        # and one sequence — identical counts to an ambient-free run, and
+        # the spectral jump stays engaged.
         assert solver.transient_sequence_count - sequences_before == 1
-        assert solver.transient_count == transients_before
         assert solver.steady_solve_count - steady_before == 2
         expected_jumps = 1 if method == "spectral" else 0
         assert solver.spectral_jump_count - jumps_before == expected_jumps

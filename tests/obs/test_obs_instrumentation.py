@@ -21,7 +21,7 @@ from repro.ldpc import TannerGraph, array_code_parity_matrix, make_decoder
 from repro.noc.topology import MeshTopology
 from repro.noc.traffic import make_traffic
 from repro.noc.vector import VectorNetwork
-from repro.scenarios import ScenarioSpec, all_scenarios, run_scenario
+from repro.scenarios import ScenarioSpec, all_scenarios, get_scenario, run_scenario
 from repro.scenarios import compile as compile_module
 from repro.thermal.floorplan import mesh_floorplan
 from repro.thermal.rc_model import build_thermal_network
@@ -46,23 +46,40 @@ class TestThermalSolver:
     def solver(self, mesh4):
         return ThermalSolver(build_thermal_network(mesh_floorplan(mesh4)))
 
-    def _power(self, mesh4):
-        return {f"PE_{x}_{y}": 0.5 for (x, y) in mesh4.coordinates()}
+    def _power(self, solver):
+        return np.full((1, solver.network.num_nodes), 0.5)
 
-    def test_instance_counters_work_with_telemetry_disabled(self, solver, mesh4):
-        solver.steady_state(self._power(mesh4))
+    def test_instance_counters_work_with_telemetry_disabled(self, solver):
+        solver.steady_state_batch(self._power(solver))
         assert solver.steady_solve_count == 1
         assert obs.get_registry().snapshot().empty
 
-    def test_registry_mirrors_instance_counters(self, enabled, solver, mesh4):
-        solver.steady_state(self._power(mesh4))
-        solver.transient(self._power(mesh4), duration_s=1e-5, time_step_s=1e-6)
+    def test_registry_mirrors_instance_counters(self, enabled, solver):
+        solver.steady_state_batch(self._power(solver))
+        solver.warm_state(self._power(solver)[0])
+        solver.transient_sequence([1e-5], self._power(solver), time_step_s=1e-6)
         snapshot = obs.get_registry().snapshot()
-        assert snapshot.counters["thermal.steady_solves"] == 1
-        assert snapshot.counters["thermal.transients"] == 1
+        assert snapshot.counters["thermal.steady_solves"] == 2
+        assert snapshot.counters["thermal.transient_sequences"] == 1
         assert snapshot.counters["thermal.step_factorizations"] >= 1
-        assert solver.steady_solve_count == 1
-        assert solver.transient_count == 1
+        assert solver.steady_solve_count == 2
+        assert solver.transient_sequence_count == 1
+
+    @pytest.mark.parametrize("name", ["steady-baseline", "pe-fault-transient"])
+    def test_scenario_steady_solves_match_the_solver(self, enabled, name):
+        """Every steady solve of a run reaches the registry, warm starts too."""
+        compiled = compile_module.compile_scenario(get_scenario(name))
+        solver = compiled.configuration.thermal_model.solver
+        solver_before = solver.steady_solve_count
+        registry_before = obs.get_registry().snapshot().counters.get(
+            "thermal.steady_solves", 0
+        )
+        run_scenario(compiled)
+        registry_delta = (
+            obs.get_registry().snapshot().counters["thermal.steady_solves"]
+            - registry_before
+        )
+        assert registry_delta == solver.steady_solve_count - solver_before
 
 
 class TestLdpcDecoders:

@@ -1,13 +1,16 @@
 """Property-based tests for the thermal model (hypothesis)."""
 
+from functools import lru_cache
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.chips import get_configuration
 from repro.noc.topology import MeshTopology
-from repro.thermal.floorplan import mesh_floorplan
+from repro.power.trace import PowerTrace
 from repro.thermal.hotspot import HotSpotModel
-from repro.thermal.rc_model import build_thermal_network
-from repro.thermal.solver import ThermalSolver
+from repro.thermal.package import KELVIN_OFFSET
 
 # Shared 4x4 model: building the RC network is the expensive part, the solves
 # are cheap, so hypothesis examples reuse one instance.
@@ -65,14 +68,11 @@ class TestEnergyConservation:
     def test_heat_flow_to_ambient_matches_input_power(self, values):
         """In steady state, all dissipated power leaves through the sink's
         convection resistance: (T_sink - T_amb) / R_conv == total power."""
-        power = _to_map(values)
-        total_power = sum(power.values())
+        total_power = sum(values)
         network = _MODEL.network
-        solver = ThermalSolver(network)
-        block_power = {f"PE_{x}_{y}": w for (x, y), w in power.items()}
-        temps = solver.steady_state(block_power)
+        node_kelvin = _MODEL.solver.steady_state_batch(_MODEL.node_power_matrix(values))[0]
         sink_index = network.num_nodes - 1
-        sink_kelvin = temps.node_kelvin[sink_index]
+        sink_kelvin = node_kelvin[sink_index]
         conduction = network.ambient_conductance[sink_index] * (
             sink_kelvin - network.ambient_kelvin
         )
@@ -97,3 +97,107 @@ class TestPermutationInvariance:
             np.mean(list(perm_temps.values())),
             atol=1.5,
         )
+
+
+# ----------------------------------------------------------------------
+# Generated-input oracle: the model at every resolution against a dense
+# solve and against the implicit-Euler loop.
+# ----------------------------------------------------------------------
+#: The paper's migration periods: mixed interval durations drawn from a
+#: small set keep each cached model's step-factorisation cache small.
+_PERIODS_S = (109e-6, 437.2e-6, 874.4e-6)
+
+
+@lru_cache(maxsize=None)
+def _chip_model(chip_name, resolution):
+    """One model per (chip, resolution), shared across examples."""
+    chip = get_configuration(chip_name)
+    return HotSpotModel(
+        chip.topology,
+        package=chip.thermal_model.package,
+        floorplan=chip.thermal_model.floorplan,
+        resolution=resolution,
+    )
+
+
+chip_resolutions = st.tuples(st.sampled_from("ABCDE"), st.integers(1, 4))
+
+
+def _power_rows(data, model, count):
+    """``(count, num_units)`` generated non-negative power rows."""
+    return data.draw(arrays(float, (count, model.topology.num_nodes), elements=power_values))
+
+
+class TestModelOracle:
+    @given(key=chip_resolutions, count=st.integers(1, 4), data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_steady_matches_dense_solve(self, key, count, data):
+        model = _chip_model(*key)
+        rows = _power_rows(data, model, count)
+        network = model.network
+        rhs = model.node_power_matrix(rows) + network.ambient_conductance * network.ambient_kelvin
+        dense = np.linalg.solve(network.system_matrix(), rhs.T).T
+        expected = dense[:, model.unit_nodes].max(axis=-1) - KELVIN_OFFSET
+        assert np.allclose(model.steady_temperatures(rows), expected, rtol=1e-10, atol=0.0)
+
+    @given(key=chip_resolutions, data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_dict_views_are_the_array_row(self, key, data):
+        model = _chip_model(*key)
+        row = _power_rows(data, model, 1)[0]
+        temps = model.steady_temperatures(row)[0]
+        power = dict(zip(model.topology.coordinates(), row.tolist()))
+        assert model.peak_temperature(power) == temps.max()
+        by_coord = model.steady_state_by_coord(power)
+        assert list(by_coord) == list(model.topology.coordinates())
+        assert list(by_coord.values()) == temps.tolist()
+
+    def _euler_and_spectral(self, key, data, durations, time_step_s):
+        model = _chip_model(*key)
+        powers = _power_rows(data, model, len(durations))
+        offsets = data.draw(arrays(float, len(durations), elements=st.floats(-10.0, 10.0)))
+        trace = PowerTrace.from_arrays(model.topology, durations, powers)
+        warm = model.warm_state(powers.mean(axis=0), ambient_offset_kelvin=offsets[0])
+        results = {}
+        jumps = {}
+        for method in ("euler", "spectral"):
+            before = model.solver.spectral_jump_count
+            results[method] = model.transient_sequence(
+                trace,
+                initial_state=warm,
+                time_step_s=time_step_s,
+                method=method,
+                ambient_offsets_kelvin=offsets,
+            )
+            jumps[method] = model.solver.spectral_jump_count - before
+        euler, spectral = results["euler"], results["spectral"]
+        assert np.allclose(
+            spectral.final_state_kelvin, euler.final_state_kelvin, rtol=0.0, atol=1e-9
+        )
+        assert np.allclose(
+            model.unit_series(spectral), model.unit_series(euler), rtol=0.0, atol=1e-9
+        )
+        assert spectral.interval_ranges == euler.interval_ranges
+        return jumps
+
+    @given(
+        key=chip_resolutions,
+        durations=st.lists(st.sampled_from(_PERIODS_S), min_size=2, max_size=3, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_spectral_fallback_matches_euler(self, key, durations, data):
+        """Default steps differ per duration: spectral takes the per-interval loop."""
+        jumps = self._euler_and_spectral(key, data, durations, time_step_s=None)
+        assert jumps == {"euler": 0, "spectral": 0}
+
+    @given(
+        key=chip_resolutions,
+        durations=st.lists(st.sampled_from(_PERIODS_S), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_spectral_jump_matches_euler(self, key, durations, data):
+        """One fixed step for every interval: spectral takes the whole-trace jump."""
+        jumps = self._euler_and_spectral(key, data, durations, time_step_s=_PERIODS_S[0] / 4)
+        assert jumps == {"euler": 0, "spectral": 1}

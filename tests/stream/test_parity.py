@@ -21,7 +21,7 @@ from repro.scenarios.compile import compile_scenario
 from repro.scenarios.patterns import DiurnalPattern, RampPattern
 from repro.scenarios.spec import ScenarioSpec
 from repro.stream import StreamingExperiment, scenario_windows
-from repro.thermal.grid import GridThermalModel
+from repro.thermal.hotspot import HotSpotModel
 
 
 def _spec(name, **kwargs):
@@ -40,7 +40,7 @@ def _spec(name, **kwargs):
 
 def _grid_model(spec):
     chip = get_configuration(spec.configuration)
-    return GridThermalModel(
+    return HotSpotModel(
         chip.topology,
         resolution=2,
         package=chip.thermal_model.package,

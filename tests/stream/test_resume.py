@@ -14,6 +14,7 @@ import pytest
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.patterns import DiurnalPattern
 from repro.scenarios.spec import ScenarioSpec
+from repro.thermal.hotspot import HotSpotModel
 from repro.stream import (
     CheckpointStore,
     EpochWindow,
@@ -135,6 +136,20 @@ class TestCrashResume:
         )
         with pytest.raises(ValueError, match="identity mismatch"):
             stranger.prepare()
+
+    def test_identity_distinguishes_grid_resolution(self):
+        compiled = compile_scenario(_spec())
+        model = compiled.configuration.thermal_model
+        grid = HotSpotModel(
+            model.topology, package=model.package, floorplan=model.floorplan, resolution=2
+        )
+        block_identity = StreamingExperiment.from_scenario(compiled).identity
+        grid_identity = StreamingExperiment.from_scenario(
+            compiled, thermal_model=grid
+        ).identity
+        # Block journals keep their key; a grid stream cannot resume them.
+        assert "/grid2/" in grid_identity
+        assert grid_identity.replace("/grid2", "") == block_identity
 
 
 class TestStreamSemantics:

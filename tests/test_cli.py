@@ -147,6 +147,13 @@ class TestDtmCommand:
         assert "DVFS" in out
 
 
+@pytest.mark.parametrize("command", ["experiment", "sweep", "ablation", "dtm"])
+def test_single_epoch_run(command, capsys):
+    """A 1-epoch run settles over its only epoch instead of over none."""
+    assert main([command, "-c", "A", "--epochs", "1"]) == 0
+    assert capsys.readouterr().out
+
+
 class TestFigure1Command:
     def test_subset_of_configurations(self, capsys):
         assert main(["figure1", "-C", "A"]) == 0

@@ -1,12 +1,21 @@
-"""Tests for the grid-mode (refined) thermal model."""
+"""Tests for the thermal model at grid resolution (units meshed into cells)."""
 
+import numpy as np
 import pytest
 
 from repro.chips import all_configurations
 from repro.migration.transforms import XYShiftTransform
-from repro.thermal.floorplan import mesh_floorplan
-from repro.thermal.grid import GridThermalModel, parent_block_name, refine_floorplan
+from repro.power.trace import map_to_vector
+from repro.thermal.floorplan import mesh_floorplan, parent_block_name, refine_floorplan
 from repro.thermal.hotspot import HotSpotModel
+from repro.thermal.package import KELVIN_OFFSET
+
+
+def _cell_celsius(model, power_by_coord):
+    """``(num_units, resolution**2)`` steady cell temperatures in Celsius."""
+    row = map_to_vector(model.topology, power_by_coord)
+    kelvin = model.solver.steady_state_batch(model.node_power_matrix(row))[0]
+    return kelvin[model.unit_nodes] - KELVIN_OFFSET
 
 
 class TestRefineFloorplan:
@@ -39,45 +48,48 @@ class TestRefineFloorplan:
             refine_floorplan(mesh_floorplan(mesh4), resolution=0)
 
 
-class TestGridThermalModel:
+class TestGridResolution:
     @pytest.fixture(scope="class")
     def grid3(self):
         from repro.noc.topology import MeshTopology
 
-        return GridThermalModel(MeshTopology(4, 4), resolution=3)
+        return HotSpotModel(MeshTopology(4, 4), resolution=3)
 
     def test_num_cells(self, grid3):
-        assert grid3.num_cells == 16 * 9
+        assert grid3.unit_nodes.shape == (16, 9)
+        assert len(set(grid3.unit_nodes.ravel())) == 16 * 9
 
     def test_uniform_power_nearly_uniform_temperature(self, grid3, mesh4):
         power = {coord: 2.0 for coord in mesh4.coordinates()}
-        result = grid3.steady_state(power)
-        assert result.peak_celsius - min(result.block_mean_celsius.values()) < 2.0
+        cells = _cell_celsius(grid3, power)
+        assert cells.max() - cells.mean(axis=1).min() < 2.0
 
     def test_hotspot_block_is_hottest(self, grid3, mesh4):
         power = {coord: 1.0 for coord in mesh4.coordinates()}
         power[(2, 1)] = 6.0
-        result = grid3.steady_state(power)
-        assert result.hottest_block() == "PE_2_1"
+        temps = grid3.steady_state_by_coord(power)
+        assert max(temps, key=temps.get) == (2, 1)
 
     def test_peak_at_least_block_mean(self, grid3, mesh4):
+        """Each unit reads as its hottest cell, never below its cell mean."""
         power = {coord: 1.0 for coord in mesh4.coordinates()}
         power[(1, 1)] = 5.0
-        result = grid3.steady_state(power)
-        for block in result.block_peak_celsius:
-            assert result.block_peak_celsius[block] >= result.block_mean_celsius[block] - 1e-9
+        cells = _cell_celsius(grid3, power)
+        peaks = grid3.steady_temperatures(map_to_vector(mesh4, power))[0]
+        assert np.array_equal(peaks, cells.max(axis=1))
+        assert (peaks >= cells.mean(axis=1) - 1e-9).all()
 
     def test_close_to_block_model(self, mesh4):
-        """The grid model's block means track the block model's temperatures
+        """The grid model's cell means track the block model's temperatures
         (same physics, finer discretisation)."""
         power = {coord: 1.5 for coord in mesh4.coordinates()}
         power[(3, 2)] = 4.0
         block_model = HotSpotModel(mesh4)
-        grid_model = GridThermalModel(mesh4, resolution=2)
+        grid_model = HotSpotModel(mesh4, resolution=2)
         block_temps = block_model.steady_state_by_coord(power)
-        grid_means = grid_model.steady_state_by_coord(power, statistic="mean")
-        for coord in mesh4.coordinates():
-            assert grid_means[coord] == pytest.approx(block_temps[coord], abs=2.5)
+        grid_means = _cell_celsius(grid_model, power).mean(axis=1)
+        for unit, coord in enumerate(mesh4.coordinates()):
+            assert grid_means[unit] == pytest.approx(block_temps[coord], abs=2.5)
 
     def test_migration_benefit_is_resolution_independent(self):
         """On chips A-E the 3x3-refined grid agrees with the block model on
@@ -93,9 +105,7 @@ class TestGridThermalModel:
                     migrated[coord] += watts / transform.order()
             static = chip.power_map()
             block = chip.thermal_model
-            grid = GridThermalModel(
-                chip.topology, resolution=3, package=block.package
-            )
+            grid = HotSpotModel(chip.topology, resolution=3, package=block.package)
             block_peak = block.peak_temperature(static)
             grid_peak = grid.peak_temperature(static)
             block_reduction = block_peak - block.peak_temperature(migrated)
@@ -108,26 +118,17 @@ class TestGridThermalModel:
     def test_grid_reveals_intra_block_gradient(self, mesh4):
         """A hot unit next to cool neighbours shows an internal gradient: its
         peak cell is hotter than its mean."""
-        grid_model = GridThermalModel(mesh4, resolution=3)
+        grid_model = HotSpotModel(mesh4, resolution=3)
         power = {coord: 0.5 for coord in mesh4.coordinates()}
         power[(1, 2)] = 6.0
-        result = grid_model.steady_state(power)
-        assert result.block_peak_celsius["PE_1_2"] > result.block_mean_celsius["PE_1_2"] + 0.05
-
-    def test_by_coord_statistics(self, mesh4):
-        grid_model = GridThermalModel(mesh4, resolution=2)
-        power = {coord: 2.0 for coord in mesh4.coordinates()}
-        peaks = grid_model.steady_state_by_coord(power, statistic="peak")
-        means = grid_model.steady_state_by_coord(power, statistic="mean")
-        assert set(peaks) == set(mesh4.coordinates())
-        for coord in mesh4.coordinates():
-            assert peaks[coord] >= means[coord] - 1e-9
+        hot = _cell_celsius(grid_model, power)[mesh4.node_id((1, 2))]
+        assert hot.max() > hot.mean() + 0.05
 
     def test_input_validation(self, mesh4):
-        grid_model = GridThermalModel(mesh4, resolution=2)
+        grid_model = HotSpotModel(mesh4, resolution=2)
         with pytest.raises(ValueError):
-            grid_model.steady_state({(9, 9): 1.0})
+            grid_model.steady_state_by_coord({(9, 9): 1.0})
         with pytest.raises(ValueError):
-            grid_model.steady_state({(0, 0): -1.0})
+            grid_model.steady_state_by_coord({(0, 0): -1.0})
         with pytest.raises(ValueError):
-            GridThermalModel(mesh4, resolution=0)
+            HotSpotModel(mesh4, resolution=0)

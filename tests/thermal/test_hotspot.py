@@ -1,11 +1,21 @@
-"""Tests for the HotSpot-style facade."""
+"""Tests for the HotSpot-style model at block resolution."""
 
 import numpy as np
 import pytest
 
 from repro.noc.topology import MeshTopology
+from repro.power.trace import PowerTrace, map_to_vector
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.package import ThermalPackage
+
+
+def _trace(mesh, *intervals):
+    """A PowerTrace from (duration, per-coordinate power dict) pairs."""
+    return PowerTrace.from_arrays(
+        mesh,
+        [duration for duration, _power in intervals],
+        [map_to_vector(mesh, power) for _duration, power in intervals],
+    )
 
 
 class TestSteadyStateFacade:
@@ -18,12 +28,12 @@ class TestSteadyStateFacade:
         assert all(t > 40.0 for t in temps.values())
 
     def test_peak_temperature_shortcut(self, thermal4, uniform_power4):
-        full = thermal4.steady_state(uniform_power4)
-        assert thermal4.peak_temperature(uniform_power4) == pytest.approx(full.peak_celsius)
+        full = thermal4.steady_state_by_coord(uniform_power4)
+        assert thermal4.peak_temperature(uniform_power4) == pytest.approx(max(full.values()))
 
     def test_rejects_outside_coordinates(self, thermal4):
         with pytest.raises(ValueError):
-            thermal4.steady_state({(9, 9): 1.0})
+            thermal4.steady_state_by_coord({(9, 9): 1.0})
 
     def test_hotspot_location_matches_power(self, thermal4, uniform_power4):
         power = dict(uniform_power4)
@@ -44,25 +54,27 @@ class TestSteadyStateFacade:
 
 
 class TestTransientFacade:
-    def test_transient_by_coordinate_power(self, thermal4, uniform_power4):
-        result = thermal4.transient(uniform_power4, duration_s=1e-3)
+    def test_transient_by_coordinate_power(self, thermal4, uniform_power4, mesh4):
+        result = thermal4.transient_sequence(_trace(mesh4, (1e-3, uniform_power4)))
         assert result.times_s[-1] == pytest.approx(1e-3, rel=1e-6)
-        assert result.peak_celsius >= 40.0
+        assert thermal4.unit_series(result).max() >= 40.0
 
-    def test_warm_state_round_trip(self, thermal4, uniform_power4):
-        warm = thermal4.warm_state(uniform_power4)
-        steady = thermal4.steady_state(uniform_power4)
-        result = thermal4.transient(uniform_power4, duration_s=1e-3, initial_state=warm)
-        assert result.final_map().peak_celsius == pytest.approx(steady.peak_celsius, abs=0.01)
+    def test_warm_state_round_trip(self, thermal4, uniform_power4, mesh4):
+        power = map_to_vector(mesh4, uniform_power4)
+        warm = thermal4.warm_state(power)
+        steady = thermal4.steady_temperatures(power)
+        result = thermal4.transient_sequence(
+            _trace(mesh4, (1e-3, uniform_power4)), initial_state=warm
+        )
+        final = thermal4.unit_series(result)[:, -1]
+        assert final.max() == pytest.approx(steady.max(), abs=0.01)
 
-    def test_transient_sequence_facade(self, thermal4, uniform_power4):
+    def test_transient_sequence_facade(self, thermal4, uniform_power4, mesh4):
         hot = {c: 3.0 for c in uniform_power4}
-        result = thermal4.transient_sequence([(5e-4, uniform_power4), (5e-4, hot)])
+        result = thermal4.transient_sequence(
+            _trace(mesh4, (5e-4, uniform_power4), (5e-4, hot))
+        )
         assert result.times_s[-1] == pytest.approx(1e-3, rel=1e-6)
-
-    def test_time_constant_positive(self, thermal4):
-        tau = thermal4.thermal_time_constant_s()
-        assert 1e-5 < tau < 1.0
 
 
 class TestMeshSizes:

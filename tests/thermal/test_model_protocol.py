@@ -1,10 +1,10 @@
-"""Tests for the shared ThermalModel protocol and the batch fast paths.
+"""Tests for the thermal model's array API at block and grid resolution.
 
-``HotSpotModel`` and ``GridThermalModel`` implement the same array-native
-interface: multi-RHS steady batches against the cached factorisation, and
-sequenced transients with the propagator cache and the spectral sampler.
-The grid model must pass the same cache/spectral parity guards as the block
-model — the resolution ablation has no physical reason to be slower.
+``HotSpotModel`` has one array-native interface at every resolution:
+multi-RHS steady batches against the cached factorisation, and sequenced
+transients with the propagator cache and the spectral sampler.  The grid
+resolution must pass the same cache/spectral parity guards as the block
+resolution — the resolution ablation has no physical reason to be slower.
 """
 
 import numpy as np
@@ -12,9 +12,8 @@ import pytest
 
 from repro.noc.topology import MeshTopology
 from repro.power.trace import PowerTrace
-from repro.thermal.grid import GridThermalModel
 from repro.thermal.hotspot import HotSpotModel
-from repro.thermal.model import ThermalModel
+from repro.thermal.package import KELVIN_OFFSET
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +28,7 @@ def block_model(mesh):
 
 @pytest.fixture(scope="module")
 def grid_model(mesh):
-    return GridThermalModel(mesh, resolution=3)
+    return HotSpotModel(mesh, resolution=3)
 
 
 def _power_rows(mesh, count=5):
@@ -44,10 +43,37 @@ def _trace(mesh, count=5, duration=1e-3):
     return PowerTrace.from_arrays(mesh, np.full(count, duration), rows)
 
 
-class TestProtocolConformance:
-    def test_both_models_satisfy_protocol(self, block_model, grid_model):
-        assert isinstance(block_model, ThermalModel)
-        assert isinstance(grid_model, ThermalModel)
+class TestPowerVector:
+    """Per-unit power lands on the unit's die cells (``node_power_matrix``)."""
+
+    def test_known_block(self, block_model, mesh):
+        row = np.zeros(mesh.num_nodes)
+        row[mesh.node_id((0, 0))] = 2.5
+        power = block_model.node_power_matrix(row)[0]
+        assert power[block_model.network.block_node_index["PE_0_0"]] == 2.5
+        assert power.sum() == pytest.approx(2.5)
+
+    def test_grid_cells_share_unit_power(self, grid_model, mesh):
+        rows = _power_rows(mesh)
+        power = grid_model.node_power_matrix(rows)
+        cells_per_unit = grid_model.resolution**2
+        assert np.array_equal(
+            power[:, grid_model.unit_nodes],
+            np.repeat(rows[:, :, np.newaxis] / cells_per_unit, cells_per_unit, axis=2),
+        )
+        assert np.allclose(power.sum(axis=1), rows.sum(axis=1), rtol=1e-12)
+
+    def test_unknown_block_rejected(self, block_model, mesh):
+        with pytest.raises(ValueError):
+            block_model.node_power_matrix(np.ones(mesh.num_nodes + 1))
+
+    @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
+    def test_negative_power_rejected(self, model_fixture, mesh, request):
+        model = request.getfixturevalue(model_fixture)
+        row = np.ones(mesh.num_nodes)
+        row[mesh.node_id((2, 1))] = -1.0
+        with pytest.raises(ValueError):
+            model.warm_state(row)
 
 
 class TestSteadyBatch:
@@ -78,37 +104,13 @@ class TestSteadyBatch:
         with pytest.raises(ValueError):
             block_model.steady_temperatures(rows)
 
-    def test_grid_statistics_ordering(self, grid_model, mesh):
-        rows = _power_rows(mesh)
-        peaks = grid_model.steady_temperatures(rows, statistic="peak")
-        means = grid_model.steady_temperatures(rows, statistic="mean")
-        assert (peaks >= means - 1e-9).all()
-
 
 class TestSequencedTransient:
-    @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
-    def test_trace_equals_dict_intervals(self, model_fixture, mesh, request):
-        """The PowerTrace fast path and the dict-interval edge agree exactly."""
-        model = request.getfixturevalue(model_fixture)
-        trace = _trace(mesh)
-        state = model.warm_state(trace.powers.mean(axis=0))
-        from_trace = model.transient_sequence(
-            trace, initial_state=state, time_step_s=2e-4
-        )
-        from_dicts = model.transient_sequence(
-            trace.intervals(), initial_state=state, time_step_s=2e-4
-        )
-        assert from_trace.interval_ranges == from_dicts.interval_ranges
-        for name in from_trace.block_celsius:
-            assert np.array_equal(
-                from_trace.block_celsius[name], from_dicts.block_celsius[name]
-            )
-
     def test_grid_propagator_cache_single_factorisation(self, mesh):
-        """The grid model inherits the propagator cache: one factorisation
-        for a whole multi-interval trace (the solver-level regression guard
-        the block model already has)."""
-        model = GridThermalModel(mesh, resolution=3)
+        """The grid resolution inherits the propagator cache: one
+        factorisation for a whole multi-interval trace (the solver-level
+        regression guard the block resolution already has)."""
+        model = HotSpotModel(mesh, resolution=3)
         trace = _trace(mesh, count=8)
         model.transient_sequence(trace, time_step_s=2e-4)
         assert model.solver.step_factorization_count == 1
@@ -118,7 +120,7 @@ class TestSequencedTransient:
     def test_grid_spectral_matches_euler(self, mesh):
         """Spectral sampling on the refined network reproduces the stepped
         implicit-Euler trajectory to <1e-9 (the block-solver parity bar)."""
-        model = GridThermalModel(mesh, resolution=2)
+        model = HotSpotModel(mesh, resolution=2)
         trace = _trace(mesh, count=6)
         state = model.warm_state(trace.powers.mean(axis=0))
         euler = model.transient_sequence(
@@ -127,10 +129,9 @@ class TestSequencedTransient:
         spectral = model.transient_sequence(
             trace, initial_state=state, time_step_s=2e-4, method="spectral"
         )
-        for name in euler.block_celsius:
-            assert np.allclose(
-                euler.block_celsius[name], spectral.block_celsius[name], atol=1e-9
-            )
+        assert np.allclose(
+            model.unit_series(euler), model.unit_series(spectral), atol=1e-9
+        )
 
     @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
     def test_interval_ranges_partition_samples(self, model_fixture, mesh, request):
@@ -151,13 +152,17 @@ class TestSequencedTransient:
         series = model.unit_series(result)
         assert series.shape == (mesh.num_nodes, result.times_s.size)
         assert np.isfinite(series).all()
+        assert np.array_equal(result.node_kelvin[-1], result.final_state_kelvin)
 
-    def test_grid_warm_state_accepts_vector_and_dict(self, grid_model, mesh):
-        vector = np.full(mesh.num_nodes, 2.0)
-        as_dict = {coord: 2.0 for coord in mesh.coordinates()}
-        assert np.allclose(
-            grid_model.warm_state(vector), grid_model.warm_state(as_dict)
-        )
+    def test_grid_warm_state_is_the_steady_state(self, grid_model, mesh):
+        """The warm start's hottest cell per unit is the steady unit reading."""
+        row = _power_rows(mesh)[2]
+        warm = grid_model.warm_state(row)
+        units = warm[grid_model.unit_nodes].max(axis=1) - KELVIN_OFFSET
+        assert np.allclose(units, grid_model.steady_temperatures(row)[0], atol=1e-9)
 
-    def test_grid_time_constant_positive(self, grid_model):
-        assert grid_model.thermal_time_constant_s() > 0
+    def test_grid_warm_state_ambient_offset_shifts_every_node(self, grid_model, mesh):
+        """``A @ 1 = G_amb``: an ambient offset raises every node by itself."""
+        row = _power_rows(mesh)[2]
+        shifted = grid_model.warm_state(row, ambient_offset_kelvin=3.0)
+        assert np.allclose(shifted, grid_model.warm_state(row) + 3.0, atol=1e-9)

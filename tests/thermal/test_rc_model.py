@@ -65,21 +65,6 @@ class TestStructure:
         assert np.linalg.cond(A) < 1e12
 
 
-class TestPowerVector:
-    def test_known_block(self, network4):
-        power = network4.power_vector({"PE_0_0": 2.5})
-        assert power[network4.block_node_index["PE_0_0"]] == 2.5
-        assert power.sum() == pytest.approx(2.5)
-
-    def test_unknown_block_rejected(self, network4):
-        with pytest.raises(KeyError):
-            network4.power_vector({"PE_9_9": 1.0})
-
-    def test_negative_power_rejected(self, network4):
-        with pytest.raises(ValueError):
-            network4.power_vector({"PE_0_0": -1.0})
-
-
 class TestPackageValidation:
     def test_default_ambient_is_40C(self):
         assert DEFAULT_PACKAGE.ambient_celsius == 40.0
