@@ -661,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "or batched (link-disjoint groups, one per epoch)")
     sub.add_argument("--migration-units-per-epoch", type=int, default=2,
                      metavar="N",
-                     help="fluid style: permutation cycles moved per epoch")
+                     help="fluid style: PEs per epoch (whole permutation "
+                          "cycles; a longer cycle still moves in one epoch)")
     sub.add_argument("--grid", type=int, default=None, metavar="N",
                      help="mesh each unit into NxN thermal cells and read "
                           "its hottest one (default: the block model, N=1)")
@@ -713,7 +714,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override the spec's migration style")
     scen.add_argument("--migration-units-per-epoch", type=int, default=None,
                       metavar="N",
-                      help="override the spec's fluid cycles-per-epoch budget")
+                      help="override the spec's fluid budget: PEs per epoch "
+                           "(whole permutation cycles; a longer cycle still "
+                           "moves in one epoch)")
     scen.set_defaults(func=cmd_scenario_run)
 
     scen = scenario_subparsers.add_parser(
@@ -803,7 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "scenario's style; default sudden for --input)")
     sub.add_argument("--migration-units-per-epoch", type=int, default=None,
                      metavar="N",
-                     help="fluid style: permutation cycles moved per epoch")
+                     help="fluid style: PEs per epoch (whole permutation "
+                          "cycles; a longer cycle still moves in one epoch)")
     sub.set_defaults(func=cmd_serve)
 
     sub = subparsers.add_parser(

@@ -6,12 +6,12 @@ policy asks for one, charges the migration's cycles and energy, and keeps the
 I/O address translation up to date so the outside world never notices that
 the workload moved.
 
-The controller's native state is a node-id array, ``task -> node``.  The
-paper's migration functions are bijections of the mesh, so each transform is
-one node permutation (:meth:`MigrationTransform.node_permutation`): a sudden
-migration is the gather ``transform_permutation[mapping]``, an executed plan
-stage is the gather of one precomputed step array, and an epoch's power row is
-a scatter of the per-task watts plus a stored migration-energy vector.  The
+The controller's native state is a node-id array, ``task -> node``.  Every
+migration runs as a :class:`~repro.migration.plan.MigrationPlan`: a sudden
+migration is a one-stage plan, a fluid or batched one unfolds over several
+epochs.  Each stage is precomputed as a node step array, so executing it is
+the gather ``step[mapping]``, and an epoch's power row is a scatter of the
+per-task watts plus the stage's stored energy vector.  The
 :class:`~repro.placement.mapping.Mapping` view (:attr:`current_mapping`) is
 built only when something reads it.
 """
@@ -19,7 +19,7 @@ built only when something reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..chips.configurations import ChipConfiguration
 from ..migration.io_interface import IoAddressTranslator
 from ..migration.plan import MigrationPlan, lower_transform, priced_stage_cycles
 from ..migration.transforms import MigrationTransform
-from ..migration.unit import MigrationCost, MigrationUnit
+from ..migration.unit import MigrationUnit
 from ..noc.topology import Coordinate
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
@@ -40,12 +40,14 @@ _OBS_STAGES = _obs_counter("migration.stages")
 
 @dataclass
 class MigrationEvent:
-    """Record of one applied migration (or one stage of a staged plan).
+    """Record of one executed migration stage.
 
-    Legacy sudden migrations are single-stage events (``stage_index=0``,
-    ``stage_count=1``); a staged plan emits one event per executed stage.
-    Aggregators count a *migration* only at ``stage_index == 0`` while
-    cycles/energy sum over every event.
+    A sudden migration is a one-stage plan (``stage_index=0``,
+    ``stage_count=1``); a fluid or batched plan emits one event per executed
+    stage.  Aggregators count a *migration* only at ``stage_index == 0``
+    while cycles/energy sum over every event.  ``cycles`` is the stage's
+    NoC-priced transfer time; ``energy_j`` is 0.0 when the controller
+    excludes migration energy.
     """
 
     epoch_index: int
@@ -55,34 +57,14 @@ class MigrationEvent:
     moved_tasks: int
     stage_index: int = 0
     stage_count: int = 1
-
-
-@dataclass(frozen=True)
-class StageCost:
-    """Per-epoch cost of one executed plan stage.
-
-    Duck-typed like :class:`repro.migration.unit.MigrationCost` where the
-    epoch accounting needs it (``cycles``, ``total_energy_j``,
-    ``energy_vector``); ``cycles`` is the NoC-priced (congestion inflated)
-    transfer time of the stage.
-    """
-
-    cycles: int
-    total_energy_j: float
     #: The stage's per-node energy (J), row-major and read-only.
-    energy_vector: np.ndarray = field(compare=False, repr=False)
-    transform_name: str
-    stage_index: int
-    stage_count: int
-
-    @property
-    def completes_plan(self) -> bool:
-        return self.stage_index + 1 == self.stage_count
+    energy_vector: Optional[np.ndarray] = field(
+        default=None, compare=False, repr=False
+    )
 
 
-@dataclass(frozen=True)
-class _StageStep:
-    """A plan stage as arrays: the node step it applies and its energy."""
+class _StageStep(NamedTuple):
+    """A plan stage as the controller executes it."""
 
     #: ``step[node]`` = node after the stage (identity outside its moves).
     step: np.ndarray
@@ -90,6 +72,8 @@ class _StageStep:
     energy: np.ndarray
     #: PEs that change node in the stage.
     moved: int
+    #: The I/O translator's history name of the stage.
+    label: str
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -100,11 +84,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class RuntimeReconfigurationController:
     """Tracks mapping state and executes migrations for one chip.
 
-    A migration's cost is a pure function of which transform is applied to
-    which mapping, and periodic policies cycle one transform around a short
-    orbit, so the controller memoizes the cost (and each lowered plan) per
-    (transform, mapping) pair: a long experiment computes only ``orbit
-    length`` distinct costs.
+    A lowered plan is a pure function of which transform is applied to which
+    mapping (and of the style and budget), and periodic policies cycle one
+    transform around a short orbit, so the controller memoizes the plans: a
+    long experiment lowers only ``orbit length`` distinct plans.
 
     Parameters
     ----------
@@ -135,6 +118,7 @@ class RuntimeReconfigurationController:
 
         num_units = self.topology.num_nodes
         self._coords: List[Coordinate] = list(self.topology.coordinates())
+        self._node_of = {coord: node for node, coord in enumerate(self._coords)}
         self._identity = _read_only(np.arange(num_units, dtype=np.intp))
         #: task -> node of the static (design-time) mapping.
         self._static_nodes = _read_only(
@@ -157,27 +141,23 @@ class RuntimeReconfigurationController:
         self._migration_count = 0
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
-        #: (transform permutation bytes, mapping bytes) -> (cost, resulting
-        #: task -> node array, moved-task count).  The arrays are read-only,
-        #: so cached results are safe to share.  The cache survives
-        #: :meth:`reset` — costs are independent of history.
-        self._migration_cache: Dict[
-            Tuple[bytes, bytes], Tuple[MigrationCost, np.ndarray, int]
-        ] = {}
-        #: Number of full migration-cost computations (cache misses).
-        self.migration_cost_computations = 0
-        #: Number of migrations served from the cache.
-        self.migration_cache_hits = 0
-        # Staged-plan execution state: the in-flight plan (None when idle),
-        # its stages as arrays, and the index of the next stage to execute.
-        # Lowered plans are memoized per (transform, mapping, style, units)
-        # like costs — plans are immutable, so sharing them is safe.
+        # Plan execution state: the in-flight plan (None when idle), its
+        # stages as arrays, and the index of the next stage to execute (the
+        # last two mean nothing while idle).
         self._active_plan: Optional[MigrationPlan] = None
         self._active_steps: Tuple[_StageStep, ...] = ()
         self._plan_next_stage = 0
+        #: (transform permutation bytes, mapping bytes, style, units per
+        #: epoch) -> (plan, its stages as arrays).  Plans and arrays are
+        #: immutable, so cached results are safe to share.  The cache
+        #: survives :meth:`reset` — plans are independent of history.
         self._plan_cache: Dict[
             Tuple[bytes, bytes, str, int], Tuple[MigrationPlan, Tuple[_StageStep, ...]]
         ] = {}
+        #: Number of plan lowerings (cache misses).
+        self.migration_cost_computations = 0
+        #: Number of migrations whose plan came from the cache.
+        self.migration_cache_hits = 0
 
     # ------------------------------------------------------------------
     @property
@@ -229,7 +209,7 @@ class RuntimeReconfigurationController:
         self._migration_count = 0
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
-        self._arm(None, ())
+        self._active_plan = None
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -286,10 +266,10 @@ class RuntimeReconfigurationController:
         self._migration_energy_j = float(state["migration_energy_j"])  # type: ignore[arg-type]
         self.io_translator.restore_state(state["io"])  # type: ignore[arg-type]
         self.events.clear()
-        if plan is None:
-            self._arm(None, ())
-        else:
-            self._arm(plan, self._stage_steps(plan), next_stage)
+        self._active_plan = plan
+        if plan is not None:
+            self._active_steps = self._stage_steps(plan)
+            self._plan_next_stage = next_stage
 
     # ------------------------------------------------------------------
     def _tanner_nodes_per_pe(self) -> Dict[Coordinate, int]:
@@ -300,105 +280,53 @@ class RuntimeReconfigurationController:
             for node, count in zip(self._nodes.tolist(), self._task_tanner_nodes)
         }
 
-    def _migration_outcome(
-        self, transform: MigrationTransform
-    ) -> Tuple[MigrationCost, np.ndarray, int]:
-        """(cost, new task -> node array, moved tasks) of applying ``transform`` now."""
-        permutation = transform.node_permutation()
-        key = (permutation.tobytes(), self._nodes.tobytes())
-        cached = self._migration_cache.get(key)
-        if cached is not None:
-            self.migration_cache_hits += 1
-            return cached
-        cost = self.migration_unit.migration_cost(transform, self._tanner_nodes_per_pe())
-        nodes = _read_only(permutation[self._nodes])
-        moved = int(np.count_nonzero(nodes != self._nodes))
-        self.migration_cost_computations += 1
-        outcome = (cost, nodes, moved)
-        self._migration_cache[key] = outcome
-        return outcome
-
-    def apply_migration(
-        self, transform: MigrationTransform, epoch_index: Optional[int] = None
-    ) -> MigrationCost:
-        """Apply ``transform`` to the current mapping and account its cost."""
-        if epoch_index is None:
-            epoch_index = self._epoch_index
-        cost, nodes, moved = self._migration_outcome(transform)
-        self._set_nodes(nodes)
-        self.io_translator.record_permutation(
-            transform.node_permutation(), transform.name
-        )
-
-        energy = cost.total_energy_j if self.include_migration_energy else 0.0
-        self.events.append(
-            MigrationEvent(
-                epoch_index=epoch_index,
-                transform_name=transform.name,
-                cycles=cost.cycles,
-                energy_j=energy,
-                moved_tasks=moved,
-            )
-        )
-        self._migration_count += 1
-        self._migration_cycles += cost.cycles
-        self._migration_energy_j += energy
-        return cost
-
-    # ------------------------------------------------------------------
-    # Staged-plan execution
-    # ------------------------------------------------------------------
     @property
     def migration_in_progress(self) -> bool:
-        """True while a staged plan still has stages to execute."""
+        """True while a fluid or batched plan still has stages to execute."""
         return self._active_plan is not None
 
-    @property
-    def active_plan(self) -> Optional[MigrationPlan]:
-        return self._active_plan
+    def _stage_steps(
+        self, plan: MigrationPlan, permutation: Optional[np.ndarray] = None
+    ) -> Tuple[_StageStep, ...]:
+        """Each stage of ``plan`` as a step array and an energy vector.
 
-    @property
-    def plan_next_stage(self) -> int:
-        return self._plan_next_stage
-
-    def _arm(
-        self,
-        plan: Optional[MigrationPlan],
-        steps: Tuple[_StageStep, ...],
-        next_stage: int = 0,
-    ) -> None:
-        self._active_plan = plan
-        self._active_steps = steps
-        self._plan_next_stage = next_stage
-
-    def _stage_steps(self, plan: MigrationPlan) -> Tuple[_StageStep, ...]:
-        """Each stage of ``plan`` as a step array (one scatter) and energy vector."""
-        node_id = self.topology.node_id
+        ``permutation`` is the node permutation of the transform ``plan`` was
+        just lowered from; a one-stage plan's step is that array itself.
+        """
+        node_of = self._node_of
+        identity = self._identity
+        name = plan.transform_name
+        num_stages = plan.num_stages
         steps = []
-        for stage in plan.stages:
-            moves = stage.mapping_moves()
-            step = self._identity.copy()
-            step[[node_id(source) for source in moves]] = [
-                node_id(destination) for destination in moves.values()
-            ]
-            energy = np.array(
-                [stage.energy_per_unit_j.get(coord, 0.0) for coord in self._coords]
+        for index, stage in enumerate(plan.stages):
+            if num_stages == 1 and permutation is not None:
+                step = permutation
+            else:
+                # Local moves scatter a node onto itself, so all moves go in.
+                step = identity.copy()
+                step[[node_of[move.source] for move in stage.moves]] = [
+                    node_of[move.destination] for move in stage.moves
+                ]
+            # Lowered and restored stages both key their energy by every
+            # coordinate in row-major order.
+            energy = np.fromiter(
+                stage.energy_per_unit_j.values(), dtype=float, count=identity.size
             )
-            steps.append(_StageStep(_read_only(step), _read_only(energy), len(moves)))
+            steps.append(
+                _StageStep(
+                    _read_only(step),
+                    _read_only(energy),
+                    int(np.count_nonzero(step != identity)),
+                    name if num_stages == 1 else f"{name}[{index + 1}/{num_stages}]",
+                )
+            )
         return tuple(steps)
 
-    def _lowered_plan(
+    def _lower(
         self, transform: MigrationTransform, style: str, units_per_epoch: int
     ) -> Tuple[MigrationPlan, Tuple[_StageStep, ...]]:
-        key = (
-            transform.node_permutation().tobytes(),
-            self._nodes.tobytes(),
-            style,
-            units_per_epoch,
-        )
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            return cached
+        """Lower ``transform`` from the current mapping (a memo miss)."""
+        self.migration_cost_computations += 1
         with _obs_span(
             "migration.plan",
             transform=transform.name,
@@ -412,87 +340,98 @@ class RuntimeReconfigurationController:
                 style=style,
                 units_per_epoch=units_per_epoch,
             )
-        lowered = (plan, self._stage_steps(plan))
-        self._plan_cache[key] = lowered
-        return lowered
+        return plan, self._stage_steps(plan, transform.node_permutation())
 
-    def begin_plan(
+    def apply_migration(
         self,
         transform: MigrationTransform,
+        epoch_index: Optional[int] = None,
         *,
-        style: str,
+        style: str = "sudden",
         units_per_epoch: int = 2,
-    ) -> MigrationPlan:
-        """Lower ``transform`` into a staged plan and arm it for execution.
+        congestion: float = 1.0,
+    ) -> MigrationEvent:
+        """Lower ``transform`` into a plan, arm it and execute its first stage.
 
-        The plan counts as ONE migration (however many stages it unfolds
-        over); call :meth:`advance_plan` once per epoch to execute stages.
+        The plan counts as ONE migration however many stages it unfolds
+        over.  A sudden plan has one stage, so it completes here; call
+        :meth:`advance_plan` once per later epoch to execute the rest of a
+        fluid or batched plan.  ``congestion`` prices the first stage as
+        :meth:`advance_plan` prices the others.  Raises ``RuntimeError``
+        while a plan is still in flight.
         """
         if self._active_plan is not None:
             raise RuntimeError(
                 "a migration plan is already in progress; "
                 "advance it to completion before beginning another"
             )
-        plan, steps = self._lowered_plan(transform, style, units_per_epoch)
-        self._arm(plan, steps)
+        key = (
+            transform.node_permutation().tobytes(),
+            self._nodes.tobytes(),
+            style,
+            units_per_epoch,
+        )
+        lowered = self._plan_cache.get(key)
+        if lowered is None:
+            lowered = self._plan_cache[key] = self._lower(
+                transform, style, units_per_epoch
+            )
+        else:
+            self.migration_cache_hits += 1
+        self._active_plan, self._active_steps = lowered
+        self._plan_next_stage = 0
         self._migration_count += 1
         _OBS_PLANS.add()
-        return plan
+        return self._execute_stage(epoch_index, congestion)
 
     def advance_plan(
         self,
         epoch_index: Optional[int] = None,
         congestion: float = 1.0,
-    ) -> Optional[StageCost]:
+    ) -> Optional[MigrationEvent]:
         """Execute the next stage of the in-flight plan (None when idle).
 
-        Applies the stage's partial relocation to the mapping and the I/O
-        translator, logs a per-stage :class:`MigrationEvent`, and returns
-        the stage's :class:`StageCost` with its transfer cycles inflated by
-        ``congestion`` (the epoch's NoC load factor, see
-        :func:`repro.migration.plan.congestion_factor`).
+        ``congestion`` is the epoch's NoC load factor (see
+        :func:`repro.migration.plan.congestion_factor`); it inflates the
+        stage's transfer cycles.
         """
-        plan = self._active_plan
-        if plan is None:
+        if self._active_plan is None:
             return None
-        if epoch_index is None:
-            epoch_index = self._epoch_index
+        return self._execute_stage(epoch_index, congestion)
+
+    def _execute_stage(
+        self, epoch_index: Optional[int], congestion: float
+    ) -> MigrationEvent:
+        """Apply the next stage to the mapping and the I/O translator, and
+        log and return its :class:`MigrationEvent`."""
+        plan = self._active_plan
+        steps = self._active_steps
         index = self._plan_next_stage
         stage = plan.stages[index]
-        step = self._active_steps[index]
+        step = steps[index]
         cycles = priced_stage_cycles(stage, congestion)
         if step.moved:
-            self._set_nodes(_read_only(step.step[self._nodes]))
-            self.io_translator.record_permutation(
-                step.step, f"{plan.transform_name}[{index + 1}/{plan.num_stages}]"
-            )
+            self._set_nodes(step.step[self._nodes])
+            self.io_translator.record_permutation(step.step, step.label)
         energy = stage.energy_j if self.include_migration_energy else 0.0
-        self.events.append(
-            MigrationEvent(
-                epoch_index=epoch_index,
-                transform_name=plan.transform_name,
-                cycles=cycles,
-                energy_j=energy,
-                moved_tasks=step.moved,
-                stage_index=index,
-                stage_count=plan.num_stages,
-            )
+        event = MigrationEvent(
+            self._epoch_index if epoch_index is None else epoch_index,
+            plan.transform_name,
+            cycles,
+            energy,
+            step.moved,
+            index,
+            len(steps),
+            step.energy,
         )
+        self.events.append(event)
         self._migration_cycles += cycles
         self._migration_energy_j += energy
         _OBS_STAGES.add()
-        if index + 1 >= plan.num_stages:
-            self._arm(None, ())
-        else:
-            self._plan_next_stage = index + 1
-        return StageCost(
-            cycles=cycles,
-            total_energy_j=energy,
-            energy_vector=step.energy,
-            transform_name=plan.transform_name,
-            stage_index=index,
-            stage_count=plan.num_stages,
-        )
+        self._plan_next_stage = index + 1
+        if self._plan_next_stage == len(steps):
+            self._active_plan = None
+        return event
 
     def advance_epoch(self) -> int:
         """Mark the end of an epoch; returns the new epoch index."""
@@ -508,33 +447,31 @@ class RuntimeReconfigurationController:
     def epoch_power_vector(
         self,
         period_s: float,
-        migration_cost: Optional[MigrationCost] = None,
+        event: Optional[MigrationEvent] = None,
     ) -> np.ndarray:
         """Row-major per-PE power over one epoch under the current mapping.
 
         Workload power follows the tasks to their current locations (one
-        scatter of the per-task watts); if a migration happened at the start
-        of the epoch its energy vector is amortised over the epoch and
-        charged to the units it touched.  This is the native representation:
-        one such vector per epoch forms a row of the experiment's
-        :class:`repro.power.trace.PowerTrace`.
+        scatter of the per-task watts); if a migration stage ran at the start
+        of the epoch (``event``), its energy vector is amortised over the
+        epoch and charged to the units it touched.  This is the native
+        representation: one such vector per epoch forms a row of the
+        experiment's :class:`repro.power.trace.PowerTrace`.
         """
         if period_s <= 0:
             raise ValueError("epoch period must be positive")
         power = self._power_of(self._nodes)
-        if migration_cost is not None and self.include_migration_energy:
-            power += migration_cost.energy_vector / period_s
+        if event is not None and self.include_migration_energy:
+            power += event.energy_vector / period_s
         return power
 
     def epoch_power_map(
         self,
         period_s: float,
-        migration_cost: Optional[MigrationCost] = None,
+        event: Optional[MigrationEvent] = None,
     ) -> Dict[Coordinate, float]:
         """Dict view of :meth:`epoch_power_vector` (for policies/reports)."""
-        return vector_to_map(
-            self.topology, self.epoch_power_vector(period_s, migration_cost)
-        )
+        return vector_to_map(self.topology, self.epoch_power_vector(period_s, event))
 
     def static_power_vector(self) -> np.ndarray:
         """Power vector of the unmigrated (static) mapping — the baseline."""

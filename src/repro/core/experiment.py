@@ -49,12 +49,12 @@ import numpy as np
 
 from ..chips.configurations import ChipConfiguration
 from ..migration.plan import MIGRATION_STYLES, congestion_factor
-from ..migration.unit import MigrationCost, MigrationUnit
+from ..migration.unit import MigrationUnit
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 from ..power.trace import PowerTrace
 from ..thermal.hotspot import HotSpotModel
-from .controller import RuntimeReconfigurationController
+from .controller import MigrationEvent, RuntimeReconfigurationController
 from .metrics import EpochRecord, ExperimentResult, PerformanceMetrics, ThermalMetrics
 from .policy import PolicyContext, ReconfigurationPolicy
 
@@ -106,10 +106,10 @@ class ExperimentSettings:
     #: transform orbit).
     feedback_predictor: str = "hold"
     #: How a migration unfolds: "sudden" applies the whole transform in the
-    #: deciding epoch (the seed behaviour, bit-identical); "fluid" moves
-    #: ~``units_per_epoch`` PEs per epoch (whole permutation cycles, so the
-    #: mid-plan mapping stays a valid permutation); "batched" executes one
-    #: link-disjoint phase group per epoch.  See :mod:`repro.migration.plan`.
+    #: deciding epoch (a one-stage plan); "fluid" moves ~``units_per_epoch``
+    #: PEs per epoch (whole permutation cycles, so the mid-plan mapping stays
+    #: a valid permutation); "batched" executes one link-disjoint phase group
+    #: per epoch.  See :mod:`repro.migration.plan`.
     migration_style: str = "sudden"
     #: Per-epoch PE budget of a "fluid" plan (cycles are atomic, so a cycle
     #: longer than the budget still runs in one epoch).
@@ -357,8 +357,7 @@ class WindowOutcome:
     start_epoch: int
     num_epochs: int
     trace: PowerTrace
-    costs: List[Optional[MigrationCost]]
-    names: List[Optional[str]]
+    costs: List[Optional[MigrationEvent]]
     epoch_metrics: List[ThermalMetrics]
     peak_by_epoch: np.ndarray
     mean_by_epoch: np.ndarray
@@ -593,7 +592,7 @@ class ThermalExperiment:
             raise RuntimeError("call prepare() before step_window()")
         offsets = window.ambient_offsets
         start_epoch = self._next_epoch
-        trace, costs, names = self._loop_window(window)
+        trace, costs = self._loop_window(window)
         if offsets is not None:
             self._had_offsets = True
         if self.settings.mode == "steady":
@@ -603,14 +602,14 @@ class ThermalExperiment:
                 self._offset_ring.append(
                     float(offsets[index]) if offsets is not None else 0.0
                 )
-            outcome = self._step_steady(trace, costs, names, offsets, start_epoch, is_last)
+            outcome = self._step_steady(trace, costs, offsets, start_epoch, is_last)
         else:
             outcome = self._step_transient(
-                trace, costs, names, offsets, start_epoch, is_last
+                trace, costs, offsets, start_epoch, is_last
             )
         if self._collect_records:
             self._records_acc.extend(
-                self._records(trace, costs, names, outcome.epoch_metrics, start_epoch)
+                self._records(trace, costs, outcome.epoch_metrics, start_epoch)
             )
         return outcome
 
@@ -671,7 +670,7 @@ class ThermalExperiment:
     # ------------------------------------------------------------------
     def _loop_window(
         self, window: EpochWindow
-    ) -> Tuple[PowerTrace, List[Optional[MigrationCost]], List[Optional[str]]]:
+    ) -> Tuple[PowerTrace, List[Optional[MigrationEvent]]]:
         """Run the policy/controller loop for one window of epochs.
 
         Epoch indices are **global** (``self._next_epoch + local``), so
@@ -681,16 +680,16 @@ class ThermalExperiment:
         previous power row as a vector (the dict view is built lazily only
         if a policy reads it).
 
-        With ``migration_style != "sudden"`` a policy decision is lowered
-        into a :class:`~repro.migration.plan.MigrationPlan` and one stage
-        executes per epoch (priced under the epoch's NoC load when the
-        window carries ``noc_rates``); while the plan unfolds the policy is
-        told via ``migration_in_progress`` and any transform it still returns
-        is dropped and counted as a stalled epoch.  The sudden default takes
-        the legacy one-shot path untouched, bit for bit.  The cost list
-        then holds :class:`~repro.core.controller.StageCost` entries, which
-        expose the same ``cycles`` / ``total_energy_j`` / ``energy_vector``
-        surface as :class:`MigrationCost`.
+        A policy decision is lowered into a
+        :class:`~repro.migration.plan.MigrationPlan` under
+        ``settings.migration_style`` and one stage executes per epoch; a
+        sudden plan has one stage, so it completes in its own epoch.  While a
+        fluid or batched plan unfolds the policy is told via
+        ``migration_in_progress`` and any transform it still returns is
+        dropped and counted as a stalled epoch.  The cost list holds each
+        epoch's executed stage as a
+        :class:`~repro.core.controller.MigrationEvent` (None when no stage
+        ran).
         """
         configuration = self.configuration
         controller = self.controller
@@ -705,11 +704,11 @@ class ThermalExperiment:
         if plan is not None:
             plan.add_offsets(self._next_epoch, window.ambient_offsets)
         style = self.settings.migration_style
+        units_per_epoch = self.settings.units_per_epoch
         staged = style != "sudden"
 
         trace = PowerTrace(topology)
-        costs: List[Optional[MigrationCost]] = []
-        names: List[Optional[str]] = []
+        costs: List[Optional[MigrationEvent]] = []
         previous_power = self._previous_power
 
         for local_index in range(window.num_epochs):
@@ -720,7 +719,7 @@ class ThermalExperiment:
                 self._cycles_run += configuration.block_period_cycles(period_us)
             else:
                 self._cycles_run += self._period_cycles
-            in_progress = staged and controller.migration_in_progress
+            in_progress = controller.migration_in_progress
             context = PolicyContext(
                 epoch_index=epoch_index,
                 current_thermal=(
@@ -732,41 +731,33 @@ class ThermalExperiment:
             )
             transform = self.policy.decide(context)
             wants = transform is not None and transform.name != "identity"
-            cost: Optional[MigrationCost] = None
-            name: Optional[str] = None
-            if in_progress:
-                if wants:
-                    _OBS_STALLED.add()
-                rate = (
-                    float(noc_rates[local_index])
-                    if noc_rates is not None
-                    else None
-                )
-                stage = controller.advance_plan(
-                    epoch_index, congestion_factor(self.noc_model, rate)
-                )
-                if stage is not None:
-                    cost = stage
-                    name = stage.transform_name
-            elif wants:
+            cost: Optional[MigrationEvent] = None
+            if in_progress or wants:
+                # A sudden plan halts the whole array, so no application
+                # traffic shares the NoC with it: the paper's phased schedule
+                # is congestion-free with deterministic migration times.
+                # Fluid and batched stages run while the chip keeps working,
+                # so only they are priced under the epoch's NoC load.
+                congestion = 1.0
                 if staged:
-                    controller.begin_plan(
-                        transform,
-                        style=style,
-                        units_per_epoch=self.settings.units_per_epoch,
-                    )
                     rate = (
                         float(noc_rates[local_index])
                         if noc_rates is not None
                         else None
                     )
-                    cost = controller.advance_plan(
-                        epoch_index, congestion_factor(self.noc_model, rate)
-                    )
-                    name = transform.name
+                    congestion = congestion_factor(self.noc_model, rate)
+                if in_progress:
+                    if wants:
+                        _OBS_STALLED.add()
+                    cost = controller.advance_plan(epoch_index, congestion)
                 else:
-                    cost = controller.apply_migration(transform, epoch_index)
-                    name = transform.name
+                    cost = controller.apply_migration(
+                        transform,
+                        epoch_index,
+                        style=style,
+                        units_per_epoch=units_per_epoch,
+                        congestion=congestion,
+                    )
             power = controller.epoch_power_vector(period_s, cost)
             if power_modulation is not None:
                 # Scenario hook: scale this epoch's row as it is emitted, so
@@ -775,7 +766,6 @@ class ThermalExperiment:
                 power = power * power_modulation[local_index]
             trace.add_interval(period_s, power)
             costs.append(cost)
-            names.append(name)
 
             if plan is not None:
                 plan.observe(epoch_index, power)
@@ -783,17 +773,16 @@ class ThermalExperiment:
             controller.advance_epoch()
         self._previous_power = previous_power
         self._next_epoch += window.num_epochs
-        return trace, costs, names
+        return trace, costs
 
     def _epoch_sequence(
         self, thermal_feedback: bool
-    ) -> Tuple[PowerTrace, List[Optional[MigrationCost]], List[Optional[str]]]:
+    ) -> Tuple[PowerTrace, List[Optional[MigrationEvent]]]:
         """Run the whole-horizon policy/controller loop (test/diagnostic hook).
 
         Initialises the windowed state without resetting the policy or
         controller (the historical contract) and runs one horizon-sized
-        window, returning the trace plus per-epoch migration costs and
-        transform names.
+        window, returning the trace plus the per-epoch migration events.
         """
         self._init_stream_state(
             total_epochs=self.settings.num_epochs,
@@ -828,8 +817,7 @@ class ThermalExperiment:
     def _records(
         self,
         trace: PowerTrace,
-        costs: List[Optional[MigrationCost]],
-        names: List[Optional[str]],
+        costs: List[Optional[MigrationEvent]],
         epoch_metrics: List[ThermalMetrics],
         start_epoch: int = 0,
     ) -> List[EpochRecord]:
@@ -841,21 +829,19 @@ class ThermalExperiment:
                 topology,
                 powers[idx],
                 epoch_index=start_epoch + idx,
-                mapping_permutation=[],
-                transform_applied=names[idx],
-                migration_cycles=costs[idx].cycles if costs[idx] else 0,
-                migration_energy_j=costs[idx].total_energy_j if costs[idx] else 0.0,
+                transform_applied=event.transform_name if event else None,
+                migration_cycles=event.cycles if event else 0,
+                migration_energy_j=event.energy_j if event else 0.0,
                 thermal=epoch_metrics[idx],
             )
-            for idx in range(len(trace))
+            for idx, event in enumerate(costs)
         ]
 
     # ------------------------------------------------------------------
     def _step_steady(
         self,
         trace: PowerTrace,
-        costs: List[Optional[MigrationCost]],
-        names: List[Optional[str]],
+        costs: List[Optional[MigrationEvent]],
         offsets: Optional[np.ndarray],
         start_epoch: int,
         is_last: bool,
@@ -917,7 +903,6 @@ class ThermalExperiment:
             num_epochs=len(trace),
             trace=trace,
             costs=costs,
-            names=names,
             epoch_metrics=epoch_metrics,
             peak_by_epoch=np.array([m.peak_celsius for m in epoch_metrics]),
             mean_by_epoch=np.array([m.mean_celsius for m in epoch_metrics]),
@@ -928,8 +913,7 @@ class ThermalExperiment:
     def _step_transient(
         self,
         trace: PowerTrace,
-        costs: List[Optional[MigrationCost]],
-        names: List[Optional[str]],
+        costs: List[Optional[MigrationEvent]],
         offsets: Optional[np.ndarray],
         start_epoch: int,
         is_last: bool,
@@ -1013,7 +997,6 @@ class ThermalExperiment:
             num_epochs=len(trace),
             trace=trace,
             costs=costs,
-            names=names,
             epoch_metrics=epoch_metrics,
             peak_by_epoch=np.asarray(peak_by_epoch, dtype=float),
             mean_by_epoch=mean_by_epoch,

@@ -172,7 +172,6 @@ class EpochRecord(_Record):
 
     _FIELDS = (
         "epoch_index",
-        "mapping_permutation",
         "transform_applied",
         "migration_cycles",
         "migration_energy_j",
@@ -183,7 +182,6 @@ class EpochRecord(_Record):
     def __init__(
         self,
         epoch_index: int,
-        mapping_permutation: List[int],
         transform_applied: Optional[str],
         migration_cycles: int,
         migration_energy_j: float,
@@ -191,7 +189,6 @@ class EpochRecord(_Record):
         power_map: Optional[Dict[Coordinate, float]] = None,
     ):
         self.epoch_index = epoch_index
-        self.mapping_permutation = mapping_permutation
         self.transform_applied = transform_applied
         self.migration_cycles = migration_cycles
         self.migration_energy_j = migration_energy_j

@@ -31,7 +31,7 @@ from .transforms import (
     available_transforms,
     make_transform,
 )
-from .unit import MigrationCost, MigrationUnit
+from .unit import MigrationUnit
 
 __all__ = [
     "IoAddressTranslator",
@@ -55,6 +55,5 @@ __all__ = [
     "YMirrorTransform",
     "available_transforms",
     "make_transform",
-    "MigrationCost",
     "MigrationUnit",
 ]

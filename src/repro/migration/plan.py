@@ -1,11 +1,11 @@
 """Staged migration plans: a migration as an object that unfolds over epochs.
 
-The seed modelled every migration the way the paper's Section 2.2 describes
-the *sudden* style: the whole mapping permutes in one epoch and the cost is
-charged as one lump.  Megaphone's migration pattern taxonomy (sudden /
-fluid / batched-fluid) generalises this: a reconfiguration can be *staged*,
-moving a few PEs per epoch so the chip keeps working while state drains
-through the NoC.
+The paper's Section 2.2 describes the *sudden* style: the whole mapping
+permutes in one epoch and the cost is charged as one lump.  Megaphone's
+migration pattern taxonomy (sudden / fluid / batched-fluid) generalises this:
+a reconfiguration can be *staged*, moving a few PEs per epoch so the chip
+keeps working while state drains through the NoC.  Every migration is a plan;
+a sudden migration is the one-stage plan.
 
 This module lowers a :class:`repro.migration.transforms.MigrationTransform`
 into a :class:`MigrationPlan` — an ordered tuple of :class:`MigrationStage`
@@ -21,8 +21,8 @@ applying a whole cycle's moves simultaneously relocates a closed set of PEs
 onto itself, which is exactly the condition for the mid-plan mapping to stay
 bijective.  Styles differ only in how cycles are grouped into stages:
 
-* ``sudden`` — one stage holding every move (bit-identical to the seed path:
-  same schedule, same energy accumulation order);
+* ``sudden`` — one stage holding every move, in
+  :meth:`MigrationScheduler.moves_for_transform` order;
 * ``fluid`` — cycles are packed into stages under a ``units_per_epoch``
   budget (a cycle longer than the budget still occupies one stage — cycles
   are atomic);
@@ -34,7 +34,9 @@ bijective.  Styles differ only in how cycles are grouped into stages:
 Congestion pricing: plans carry congestion-free cycle counts; when the
 epoch's NoC load is known, :func:`congestion_factor` scales a stage's
 transfer time by the analytic wormhole model's loaded/zero-load latency
-ratio (:mod:`repro.scenarios.noc_cost`).
+ratio (:mod:`repro.scenarios.noc_cost`).  The epoch loop prices only fluid
+and batched stages: a sudden plan halts the whole array, so no application
+traffic shares the NoC with it.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class MigrationStage:
     — fixed points that only pay the halt/reconfigure cost — ride the first
     stage).  ``cycles`` is the congestion-free phased duration of the
     stage's remote moves; ``energy_per_unit_j`` charges the stage's energy
-    to the coordinates where the heat lands, exactly as the legacy
-    whole-transform :class:`repro.migration.unit.MigrationCost` does.
+    to the coordinates where the heat lands
+    (:meth:`repro.migration.unit.MigrationUnit.moves_energy`).
     """
 
     moves: Tuple[PeMove, ...]
@@ -302,11 +304,10 @@ def lower_transform(
 ) -> MigrationPlan:
     """Lower a transform into a staged :class:`MigrationPlan`.
 
-    ``tanner_nodes_per_pe`` sizes each PE's live state exactly as the legacy
-    :meth:`MigrationUnit.migration_cost` does.  The stages' moves partition
-    the transform's move set, every stage is a union of whole permutation
-    cycles, and a ``sudden`` plan's single stage reproduces the legacy
-    whole-transform cost bit-for-bit.
+    ``tanner_nodes_per_pe`` sizes each PE's live state
+    (:meth:`MigrationScheduler.moves_for_transform`).  The stages' moves
+    partition the transform's move set and every stage is a union of whole
+    permutation cycles; a ``sudden`` plan's single stage holds every move.
     """
     if style not in MIGRATION_STYLES:
         raise ValueError(

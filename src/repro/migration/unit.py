@@ -1,4 +1,4 @@
-"""The migration unit: hardware cost model and migration execution.
+"""The migration unit: the per-move hardware cost model.
 
 Section 2.3 of the paper: the migration functions "are mathematically quite
 simple, and require little hardware to properly implement ... only 3-bit
@@ -9,10 +9,14 @@ migration is transparent to the outside world.
 This module models what a migration *costs*:
 
 * cycles — the deterministic duration of the phased, congestion-free
-  schedule, which is what reduces workload throughput;
+  schedule (:class:`~repro.migration.scheduler.MigrationScheduler`), which is
+  what reduces workload throughput;
 * energy — serialising each PE's configuration/state through the conversion
   unit and carrying it across the network, charged to the routers it passes
   through so the thermal model sees where the heat lands.
+
+:func:`repro.migration.plan.lower_transform` folds these per-move accounts
+into the stages of a migration plan; a sudden migration is a one-stage plan.
 
 Because energy grows with the distance each payload travels, rotation (whose
 corner payloads cross most of the chip) is the most expensive scheme and the
@@ -22,16 +26,14 @@ rotational migration raises average chip temperature by ~0.3 °C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..noc.flit import Packet, PacketClass
 from ..noc.routing import RoutingAlgorithm, XYRouting
 from ..noc.topology import Coordinate, MeshTopology
 from ..power.library import DEFAULT_LIBRARY, TechnologyLibrary
-from .scheduler import MigrationSchedule, MigrationScheduler, PeMove
+from .scheduler import MigrationScheduler, PeMove
 from .state_transfer import StateTransferModel
 from .transforms import MigrationTransform
 
@@ -41,9 +43,9 @@ class MoveEnergy:
     """Energy terms of one :class:`PeMove` (the shared per-move account).
 
     ``route`` is empty for local moves (fixed points pay only the conversion
-    and halt/restart cost).  The charge/term orders below replicate the
-    original whole-transform accumulation exactly, so folding every move of
-    a transform reproduces the legacy :class:`MigrationCost` bit-for-bit.
+    and halt/restart cost).  The charge/term orders below are the canonical
+    accumulation order, so folding the same moves always gives bit-identical
+    sums.
     """
 
     move: PeMove
@@ -83,28 +85,8 @@ class MoveEnergy:
         return terms
 
 
-@dataclass
-class MigrationCost:
-    """Cycles and energy of one full-chip migration.
-
-    ``energy_vector`` holds ``energy_per_unit_j`` as a read-only row-major
-    array (entry ``topology.node_id(coord)``), the form the controller adds
-    to its epoch power rows.
-    """
-
-    cycles: int
-    total_energy_j: float
-    energy_per_unit_j: Dict[Coordinate, float]
-    schedule: MigrationSchedule
-    energy_vector: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def num_phases(self) -> int:
-        return self.schedule.num_phases
-
-
 class MigrationUnit:
-    """Executes migrations and accounts their cost.
+    """Accounts the cost of migration moves.
 
     Parameters
     ----------
@@ -150,14 +132,12 @@ class MigrationUnit:
 
     # ------------------------------------------------------------------
     def move_energy(self, move: PeMove) -> MoveEnergy:
-        """The per-move energy account, shared by every cost path.
+        """The per-move energy account.
 
         Conversion-unit serialization plus the fixed halt/reconfigure/restart
         cost at the source, router energy at every router the payload passes
-        through, and link energy split evenly between the endpoints.  Both
-        the whole-transform :meth:`migration_cost` and the staged
-        :mod:`repro.migration.plan` stage costs fold these same terms so the
-        two accounts cannot drift.
+        through, and link energy split evenly between the endpoints.  Every
+        :mod:`repro.migration.plan` stage cost folds these terms.
         """
         conversion = (
             move.payload_flits * self.conversion_energy_per_flit_j
@@ -179,8 +159,8 @@ class MigrationUnit:
     def moves_energy(
         self, moves: List[PeMove]
     ) -> Tuple[float, Dict[Coordinate, float]]:
-        """Total and per-unit energy of a set of moves (accumulation order
-        matches :meth:`migration_cost` for bit-identical whole-chip sums)."""
+        """Total and per-unit energy of a set of moves, accumulated in move
+        order (the per-unit dict keys every coordinate, row-major)."""
         energy_per_unit: Dict[Coordinate, float] = {
             coord: 0.0 for coord in self.topology.coordinates()
         }
@@ -192,32 +172,6 @@ class MigrationUnit:
             for term in account.total_terms():
                 total += term
         return total, energy_per_unit
-
-    # ------------------------------------------------------------------
-    def migration_cost(
-        self,
-        transform: MigrationTransform,
-        tanner_nodes_per_pe: Optional[Dict[Coordinate, int]] = None,
-    ) -> MigrationCost:
-        """Cycles and per-unit energy of applying ``transform`` once.
-
-        Each move's route is walked once (:meth:`MigrationScheduler.path`),
-        shared by the phase colouring and the per-router energy charges.
-        """
-        moves = self.scheduler.moves_for_transform(transform, tanner_nodes_per_pe)
-        schedule = self.scheduler.schedule(moves)
-        total, energy_per_unit = self.moves_energy(moves)
-        energy_vector = np.fromiter(
-            energy_per_unit.values(), dtype=float, count=len(energy_per_unit)
-        )
-        energy_vector.flags.writeable = False
-        return MigrationCost(
-            cycles=schedule.total_cycles,
-            total_energy_j=total,
-            energy_per_unit_j=energy_per_unit,
-            schedule=schedule,
-            energy_vector=energy_vector,
-        )
 
     # ------------------------------------------------------------------
     def migration_packets(
@@ -247,20 +201,3 @@ class MigrationUnit:
                 )
             )
         return packets
-
-    # ------------------------------------------------------------------
-    def throughput_penalty(
-        self,
-        transform: MigrationTransform,
-        period_cycles: int,
-        tanner_nodes_per_pe: Optional[Dict[Coordinate, int]] = None,
-    ) -> float:
-        """Fraction of workload throughput lost to migration downtime.
-
-        The PEs are halted for the duration of the migration, so the penalty
-        is ``migration_cycles / (migration_cycles + period_cycles)``.
-        """
-        if period_cycles <= 0:
-            raise ValueError("migration period must be positive")
-        cost = self.migration_cost(transform, tanner_nodes_per_pe)
-        return cost.cycles / (cost.cycles + period_cycles)

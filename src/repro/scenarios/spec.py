@@ -167,7 +167,8 @@ class ScenarioSpec:
     #: swap), ``"fluid"`` (a few permutation cycles per epoch) or
     #: ``"batched"`` (link-disjoint phase groups, one per epoch).
     migration_style: str = "sudden"
-    #: Fluid-style budget: permutation cycles relocated per epoch.
+    #: Fluid-style budget: PEs per epoch (whole permutation cycles; a longer
+    #: cycle still moves in one epoch).
     units_per_epoch: int = 2
     load: Optional[Pattern] = None
     ambient_celsius: Optional[Pattern] = None

@@ -91,7 +91,7 @@ class RollingSummary:
             # A staged plan emits one event per stage; the plan counts as a
             # single migration (its opening stage) while cycles and energy
             # sum over every stage.
-            if getattr(event, "stage_index", 0) == 0:
+            if event.stage_index == 0:
                 self.migrations += 1
                 self.transform_counts[event.transform_name] = (
                     self.transform_counts.get(event.transform_name, 0) + 1

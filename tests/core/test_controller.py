@@ -1,8 +1,10 @@
 """Tests for the runtime reconfiguration controller."""
 
+import numpy as np
 import pytest
 
 from repro.core.controller import RuntimeReconfigurationController
+from repro.migration.plan import lower_transform
 from repro.migration.transforms import RotationTransform, XYShiftTransform, make_transform
 from repro.migration.unit import MigrationUnit
 
@@ -57,7 +59,7 @@ class TestMigrationApplication:
 
 class TestMigrationCostCache:
     def test_orbit_computes_each_mapping_once(self, controller_a, chip_a):
-        """A periodic transform revisits its orbit: one computation per step.
+        """A periodic transform revisits its orbit: one lowering per step.
 
         xy-shift on the 4x4 mesh has order 4, so 12 applications see only 4
         distinct (transform, mapping) pairs — the rest are cache hits.
@@ -70,7 +72,7 @@ class TestMigrationCostCache:
         assert controller_a.migrations_performed == 12
 
     def test_cache_survives_reset(self, controller_a, chip_a):
-        """Costs are pure functions of (transform, mapping): reuse across runs."""
+        """Plans are pure functions of (transform, mapping): reuse across runs."""
         transform = XYShiftTransform(chip_a.topology)
         for _ in range(4):
             controller_a.apply_migration(transform)
@@ -81,19 +83,27 @@ class TestMigrationCostCache:
         assert controller_a.migration_cost_computations == computed
 
     def test_cached_results_match_uncached(self, chip_a):
-        """Cached costs equal the uncached oracle: ``MigrationUnit.migration_cost``
-        and ``Mapping.apply_transform`` called directly, step after step."""
+        """Cached events equal a fresh lowering: ``lower_transform`` and
+        ``Mapping.apply_transform`` called directly, step after step."""
         cached = RuntimeReconfigurationController(chip_a)
         unit = MigrationUnit(chip_a.topology, library=chip_a.library)
         transform = XYShiftTransform(chip_a.topology)
         mapping = chip_a.static_mapping
+        coords = list(chip_a.topology.coordinates())
         for _ in range(8):
-            expected = unit.migration_cost(transform, chip_a.tanner_nodes_per_pe(mapping))
+            (stage,) = lower_transform(
+                transform, unit, chip_a.tanner_nodes_per_pe(mapping)
+            ).stages
             mapping = mapping.apply_transform(transform)
-            cost = cached.apply_migration(transform)
-            assert cost.cycles == expected.cycles
-            assert cost.total_energy_j == expected.total_energy_j
-            assert cost.energy_per_unit_j == expected.energy_per_unit_j
+            event = cached.apply_migration(transform)
+            assert (event.stage_index, event.stage_count) == (0, 1)
+            assert event.cycles == stage.cycles
+            assert event.energy_j == stage.energy_j
+            assert event.moved_tasks == stage.moved
+            assert np.array_equal(
+                event.energy_vector,
+                [stage.energy_per_unit_j[coord] for coord in coords],
+            )
             assert cached.current_mapping == mapping
         assert cached.migration_cost_computations == 4
         assert cached.migration_cache_hits == 4
@@ -102,13 +112,24 @@ class TestMigrationCostCache:
         """Two transforms from the same mapping must cache separately."""
         shift = XYShiftTransform(chip_a.topology)
         rotation = RotationTransform(chip_a.topology)
-        cost_shift = controller_a.apply_migration(shift)
+        event_shift = controller_a.apply_migration(shift)
         controller_a.reset()
-        cost_rotation = controller_a.apply_migration(rotation)
+        event_rotation = controller_a.apply_migration(rotation)
         assert controller_a.migration_cost_computations == 2
-        assert cost_shift.cycles != cost_rotation.cycles or (
-            cost_shift.total_energy_j != cost_rotation.total_energy_j
+        assert event_shift.cycles != event_rotation.cycles or (
+            event_shift.energy_j != event_rotation.energy_j
         )
+
+    def test_styles_cache_separately(self, controller_a, chip_a):
+        """The memo keys the style and budget: every style lowers once."""
+        rotation = RotationTransform(chip_a.topology)
+        for style in ("sudden", "fluid", "batched"):
+            controller_a.reset()
+            controller_a.apply_migration(rotation, style=style)
+            while controller_a.migration_in_progress:
+                controller_a.advance_plan()
+        assert controller_a.migration_cost_computations == 3
+        assert controller_a.migration_cache_hits == 0
 
 
 class TestCheckpointValidation:
@@ -119,12 +140,11 @@ class TestCheckpointValidation:
             RuntimeReconfigurationController(controller_a.configuration).restore_state(state)
 
     def test_restore_rejects_a_next_stage_outside_the_plan(self, controller_a, chip_a):
-        plan = controller_a.begin_plan(
+        event = controller_a.apply_migration(
             RotationTransform(chip_a.topology), style="fluid", units_per_epoch=1
         )
-        controller_a.advance_plan()
         state = controller_a.state_dict()
-        state["plan"]["next_stage"] = plan.num_stages
+        state["plan"]["next_stage"] = event.stage_count
         with pytest.raises(ValueError, match="next stage"):
             RuntimeReconfigurationController(chip_a).restore_state(state)
 
@@ -137,13 +157,14 @@ class TestEnergyAccounting:
 
     def test_epoch_power_map_adds_migration_energy(self, controller_a, chip_a):
         transform = XYShiftTransform(chip_a.topology)
-        cost = controller_a.apply_migration(transform)
+        event = controller_a.apply_migration(transform)
         period_s = 109e-6
-        with_energy = controller_a.epoch_power_map(period_s, cost)
+        with_energy = controller_a.epoch_power_map(period_s, event)
         without_energy = controller_a.epoch_power_map(period_s, None)
         assert sum(with_energy.values()) > sum(without_energy.values())
         extra = sum(with_energy.values()) - sum(without_energy.values())
-        assert extra == pytest.approx(cost.total_energy_j / period_s, rel=1e-6)
+        assert extra == pytest.approx(event.energy_vector.sum() / period_s, rel=1e-6)
+        assert event.energy_vector.sum() == pytest.approx(event.energy_j, rel=1e-12)
 
     def test_epoch_power_map_moves_with_tasks(self, controller_a, chip_a):
         static_power = controller_a.epoch_power_map(109e-6)

@@ -2,16 +2,18 @@
 
 The oracle below implements the controller's semantics on the seed's data
 structures: a :class:`Mapping` moved by ``apply_transform`` or by a stage's
-coordinate moves, a dict-composed I/O translator, uncached costs straight
-from :class:`MigrationUnit`, and power rows built per task from the
-configuration.  Hypothesis drives both through the same random sequences of
-sudden migrations, fluid and batched plan stages, resets and checkpoint round
-trips on chips A-E; everything observable must be ``==``.
+coordinate moves, a dict-composed I/O translator, uncached costs (a sudden
+migration priced whole by :func:`migration_cost`, independently of the plan
+lowering), and power rows built per task from the configuration.
+Hypothesis drives both through the same random sequences of sudden
+migrations, fluid and batched plan stages, resets and checkpoint round trips
+on chips A-E; everything observable must be ``==``.
 """
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.chips import get_configuration
@@ -22,6 +24,18 @@ from repro.migration.unit import MigrationUnit
 from repro.placement.mapping import Mapping
 
 PERIOD_S = 109e-6
+
+
+def migration_cost(unit, transform, tanner_nodes_per_pe=None):
+    """Whole-transform ``(cycles, energy_j, energy_per_unit_j)`` of one migration.
+
+    Every move of the transform, one phased congestion-free schedule, and
+    the per-move energy account folded in move order.
+    """
+    moves = unit.scheduler.moves_for_transform(transform, tanner_nodes_per_pe)
+    schedule = unit.scheduler.schedule(moves)
+    energy_j, energy_per_unit = unit.moves_energy(moves)
+    return schedule.total_cycles, energy_j, energy_per_unit
 
 
 class SeedController:
@@ -47,7 +61,7 @@ class SeedController:
     # -- migrations ------------------------------------------------------
     def apply_migration(self, transform):
         nodes = self.chip.tanner_nodes_per_pe(self.mapping)
-        cost = self.unit.migration_cost(transform, nodes)
+        cycles, energy_j, energy_per_unit = migration_cost(self.unit, transform, nodes)
         self.mapping = self.mapping.apply_transform(transform)
         self.current_of_original = {
             original: transform(current)
@@ -55,11 +69,11 @@ class SeedController:
         }
         self.applied += 1
         self.migrations += 1
-        self.cycles += cost.cycles
-        self.energy_j += cost.total_energy_j
-        return cost.cycles, cost.total_energy_j, cost.energy_per_unit_j
+        self.cycles += cycles
+        self.energy_j += energy_j
+        return cycles, energy_j, energy_per_unit
 
-    def begin_plan(self, transform, style, units):
+    def apply_plan(self, transform, style, units, congestion):
         self.plan = lower_transform(
             transform,
             self.unit,
@@ -69,6 +83,7 @@ class SeedController:
         )
         self.next_stage = 0
         self.migrations += 1
+        return self.advance_plan(congestion)
 
     def advance_plan(self, congestion):
         if self.plan is None:
@@ -135,7 +150,7 @@ class SeedController:
         return state
 
 
-def assert_agree(controller, cost, oracle, energy_per_unit):
+def assert_agree(controller, event, oracle, energy_per_unit):
     """Mapping, translator lookups, checkpoint JSON and power row all equal."""
     assert controller.current_mapping == oracle.mapping
     for coord in oracle.topology.coordinates():
@@ -147,7 +162,17 @@ def assert_agree(controller, cost, oracle, energy_per_unit):
         )
     assert json.dumps(controller.state_dict()) == json.dumps(oracle.state_dict())
     expected = oracle.epoch_power_vector(energy_per_unit)
-    assert np.array_equal(controller.epoch_power_vector(PERIOD_S, cost), expected)
+    assert np.array_equal(controller.epoch_power_vector(PERIOD_S, event), expected)
+
+
+def assert_event(event, expected, topology):
+    """An executed stage's event equals the oracle's (cycles, J, per-unit J)."""
+    cycles, energy_j, energy_per_unit = expected
+    assert (event.cycles, event.energy_j) == (cycles, energy_j)
+    assert np.array_equal(
+        event.energy_vector,
+        [energy_per_unit[coord] for coord in topology.coordinates()],
+    )
 
 
 advance = st.tuples(st.just("advance"), st.floats(0.5, 3.0))
@@ -159,6 +184,7 @@ actions = st.lists(
             st.sampled_from(FIGURE1_SCHEMES),
             st.sampled_from(["fluid", "batched"]),
             st.integers(1, 6),
+            st.floats(0.5, 3.0),
         ),
         advance,
         advance,  # plans span several stages: advance twice as often
@@ -176,16 +202,21 @@ class TestArrayControllerMatchesSeedSemantics:
     # it, so composing in the wrong order shows in the mapping.
     @example(
         chip_name="A",
-        steps=[("sudden", "xy-shift"), ("plan", "rotation", "fluid", 1), ("advance", 1.0)],
+        steps=[
+            ("sudden", "xy-shift"),
+            ("plan", "rotation", "fluid", 1, 1.0),
+            ("advance", 1.0),
+        ],
     )
+    # A checkpoint round trip in the middle of a two-stage plan.
     @example(
         chip_name="E",
         steps=[
-            ("plan", "x-mirror", "batched", 2),
+            ("plan", "x-mirror", "batched", 2, 2.0),
             ("roundtrip",),
+            ("advance", 2.0),
+            ("advance", 2.0),
             ("sudden", "rotation"),
-            ("advance", 2.0),
-            ("advance", 2.0),
         ],
     )
     @settings(max_examples=80, deadline=None)
@@ -196,39 +227,62 @@ class TestArrayControllerMatchesSeedSemantics:
         transforms = {
             scheme: make_transform(scheme, chip.topology) for scheme in FIGURE1_SCHEMES
         }
-        # The most recent migration's cost on each side (what the epoch
+        # The most recent stage's event and per-unit energy (what the epoch
         # loop charges to that epoch's power row).
-        cost = energy_per_unit = None
+        event = energy_per_unit = None
         for step in steps:
             kind = step[0]
+            if kind in ("sudden", "plan") and controller.migration_in_progress:
+                continue  # the epoch loop only migrates once a plan drains
             if kind == "sudden":
-                cost = controller.apply_migration(transforms[step[1]])
+                event = controller.apply_migration(transforms[step[1]])
                 expected = oracle.apply_migration(transforms[step[1]])
-                assert (cost.cycles, cost.total_energy_j, cost.energy_per_unit_j) == expected
+                assert_event(event, expected, chip.topology)
                 energy_per_unit = expected[2]
             elif kind == "plan":
-                if controller.migration_in_progress:
-                    continue
-                controller.begin_plan(
-                    transforms[step[1]], style=step[2], units_per_epoch=step[3]
+                event = controller.apply_migration(
+                    transforms[step[1]],
+                    style=step[2],
+                    units_per_epoch=step[3],
+                    congestion=step[4],
                 )
-                oracle.begin_plan(transforms[step[1]], step[2], step[3])
+                expected = oracle.apply_plan(transforms[step[1]], *step[2:])
+                assert_event(event, expected, chip.topology)
+                energy_per_unit = expected[2]
             elif kind == "advance":
                 stage = controller.advance_plan(congestion=step[1])
                 expected = oracle.advance_plan(step[1])
                 if expected is None:
                     assert stage is None
                     continue
-                assert (stage.cycles, stage.total_energy_j) == expected[:2]
-                cost, energy_per_unit = stage, expected[2]
+                assert_event(stage, expected, chip.topology)
+                event, energy_per_unit = stage, expected[2]
             elif kind == "reset":
                 controller.reset()
                 oracle.reset()
-                cost = energy_per_unit = None
+                event = energy_per_unit = None
             else:
                 state = json.loads(json.dumps(controller.state_dict()))
                 controller = RuntimeReconfigurationController(chip)
                 controller.restore_state(state)
             controller.advance_epoch()
             oracle.epoch_index += 1
-            assert_agree(controller, cost, oracle, energy_per_unit)
+            assert_agree(controller, event, oracle, energy_per_unit)
+
+
+@pytest.mark.parametrize("chip_name", ["A", "E"])
+def test_apply_migration_during_a_plan_changes_nothing(chip_name):
+    """A second migration while a plan is in flight raises and leaves the
+    mapping, the translator, the totals and the event log as they were."""
+    chip = get_configuration(chip_name)
+    controller = RuntimeReconfigurationController(chip)
+    transform = make_transform("rotation", chip.topology)
+    controller.apply_migration(transform, style="fluid", units_per_epoch=1)
+    assert controller.migration_in_progress
+    state = json.dumps(controller.state_dict())
+    events = list(controller.events)
+    with pytest.raises(RuntimeError, match="in progress"):
+        controller.apply_migration(make_transform("xy-shift", chip.topology))
+    assert json.dumps(controller.state_dict()) == state
+    assert controller.events == events
+    assert controller.migrations_performed == 1

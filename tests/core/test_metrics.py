@@ -53,7 +53,6 @@ def _result(baseline_peak=85.0, settled_peak=80.0, baseline_mean=70.0, settled_m
     epochs = [
         EpochRecord(
             epoch_index=0,
-            mapping_permutation=[],
             transform_applied="xy-shift",
             migration_cycles=100,
             migration_energy_j=1e-6,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ldpc import striped_partition
 from repro.ldpc.workload import LdpcNocWorkload, WorkloadParameters
-from repro.migration import MigrationUnit, make_transform
+from repro.migration import MigrationUnit, lower_transform, make_transform
 from repro.noc import MeshTopology, NocSimulator
 from repro.placement import Mapping
 from repro.power.activity import activity_from_simulation, analytic_router_flits
@@ -76,14 +76,14 @@ class TestMigrationTrafficOnNetwork:
         mesh = MeshTopology(5, 5)
         unit = MigrationUnit(mesh)
         transform = make_transform("xy-shift", mesh)
-        cost = unit.migration_cost(transform)
+        (stage,) = lower_transform(transform, unit).stages
         packets = unit.migration_packets(transform)
         simulator = NocSimulator(mesh, buffer_depth=8)
         result = simulator.run_packets(packets, drain_limit=500_000)
         assert result.stats.packets_ejected == len(packets)
         # The analytic schedule serialises phases, the real network overlaps
         # them, so reality should not be slower than ~3x the schedule bound.
-        assert result.cycles < 3 * max(cost.cycles, 1)
+        assert result.cycles < 3 * max(stage.cycles, 1)
 
     def test_workload_and_migration_traffic_coexist(self, workload16):
         """Workload DATA packets and migration CONFIG packets injected together

@@ -1,6 +1,8 @@
 """Tests for staged migration plans (lowering, invariants, pricing)."""
 
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,10 @@ from repro.migration.unit import MigrationUnit
 from repro.noc.topology import MeshTopology
 from repro.placement.mapping import Mapping
 from repro.scenarios.noc_cost import NocCostModel
+
+# The whole-transform cost of the controller oracle, independent of lowering.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from test_controller_oracle import migration_cost  # noqa: E402
 
 
 @pytest.fixture
@@ -54,7 +60,7 @@ class PermutationTransform(MigrationTransform):
 
 
 class TestSuddenLowering:
-    """A sudden plan is the legacy whole-transform cost, restaged as 1 stage."""
+    """A sudden plan is the whole-transform cost, staged as 1 stage."""
 
     def test_single_stage(self, unit4, mesh4):
         plan = lower_transform(XYShiftTransform(mesh4), unit4, style="sudden")
@@ -68,12 +74,12 @@ class TestSuddenLowering:
         approx (the satellite regression for the shared move_cycles path)."""
         transform = make_transform(scheme, mesh4)
         nodes = {coord: 7 for coord in mesh4.coordinates()}
-        legacy = unit4.migration_cost(transform, nodes)
+        cycles, energy_j, energy_per_unit = migration_cost(unit4, transform, nodes)
         plan = lower_transform(transform, unit4, nodes, style="sudden")
         stage = plan.stages[0]
-        assert stage.cycles == legacy.cycles
-        assert stage.energy_j == legacy.total_energy_j
-        assert dict(stage.energy_per_unit_j) == legacy.energy_per_unit_j
+        assert stage.cycles == cycles
+        assert stage.energy_j == energy_j
+        assert dict(stage.energy_per_unit_j) == energy_per_unit
 
     def test_identity_transform_is_cost_only(self, unit4, mesh4):
         plan = lower_transform(IdentityTransform(mesh4), unit4, style="sudden")
@@ -363,7 +369,7 @@ class TestPlanProperties:
         topology, permutation = data
         unit = MigrationUnit(topology)
         transform = PermutationTransform(topology, permutation)
-        legacy = unit.migration_cost(transform)
+        cycles, energy_j, _ = migration_cost(unit, transform)
         plan = lower_transform(transform, unit, style="sudden")
-        assert plan.stages[0].cycles == legacy.cycles
-        assert plan.stages[0].energy_j == legacy.total_energy_j
+        assert plan.stages[0].cycles == cycles
+        assert plan.stages[0].energy_j == energy_j

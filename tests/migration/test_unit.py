@@ -1,7 +1,12 @@
-"""Tests for the migration unit cost model."""
+"""Tests for the migration unit cost model.
+
+A migration's cost is its plan's: a sudden migration is the one-stage plan
+``lower_transform(transform, unit, nodes).stages[0]``.
+"""
 
 import pytest
 
+from repro.migration.plan import lower_transform
 from repro.migration.transforms import (
     IdentityTransform,
     RightShiftTransform,
@@ -24,52 +29,65 @@ def unit5(mesh5):
     return MigrationUnit(mesh5)
 
 
+def sudden_stage(unit, transform, nodes=None):
+    """The single stage of ``transform``'s sudden plan."""
+    (stage,) = lower_transform(transform, unit, nodes).stages
+    return stage
+
+
+def throughput_penalty(unit, transform, period_cycles, nodes=None):
+    """Fraction of cycles lost when the array halts for one sudden migration
+    per period: ``migration_cycles / (migration_cycles + period_cycles)``."""
+    cycles = sudden_stage(unit, transform, nodes).cycles
+    return cycles / (cycles + period_cycles)
+
+
 class TestMigrationCost:
     def test_cost_components_positive(self, unit4, mesh4):
-        cost = unit4.migration_cost(XYShiftTransform(mesh4))
-        assert cost.cycles > 0
-        assert cost.total_energy_j > 0
-        assert cost.num_phases >= 1
+        stage = sudden_stage(unit4, XYShiftTransform(mesh4))
+        assert stage.cycles > 0
+        assert stage.energy_j > 0
+        assert unit4.scheduler.schedule(list(stage.moves)).num_phases >= 1
 
     def test_energy_distributed_over_units(self, unit4, mesh4):
-        cost = unit4.migration_cost(XYShiftTransform(mesh4))
-        assert set(cost.energy_per_unit_j) == set(mesh4.coordinates())
-        assert sum(cost.energy_per_unit_j.values()) == pytest.approx(cost.total_energy_j)
+        stage = sudden_stage(unit4, XYShiftTransform(mesh4))
+        assert set(stage.energy_per_unit_j) == set(mesh4.coordinates())
+        assert sum(stage.energy_per_unit_j.values()) == pytest.approx(stage.energy_j)
 
     def test_rotation_costs_more_energy_than_shift(self, unit5, mesh5):
         """Rotation moves payloads the furthest, giving it the largest energy
         penalty — the mechanism behind the paper's 0.3 degC observation."""
-        rotation = unit5.migration_cost(RotationTransform(mesh5))
-        shift = unit5.migration_cost(RightShiftTransform(mesh5))
-        assert rotation.total_energy_j > shift.total_energy_j
+        rotation = sudden_stage(unit5, RotationTransform(mesh5))
+        shift = sudden_stage(unit5, RightShiftTransform(mesh5))
+        assert rotation.energy_j > shift.energy_j
 
     def test_rotation_costs_more_than_single_direction_schemes_on_e(self, chip_e):
         unit = MigrationUnit(chip_e.topology, library=chip_e.library)
         nodes = chip_e.tanner_nodes_per_pe()
         energy = {
-            scheme: unit.migration_cost(
-                make_transform(scheme, chip_e.topology), nodes
-            ).total_energy_j
+            scheme: sudden_stage(
+                unit, make_transform(scheme, chip_e.topology), nodes
+            ).energy_j
             for scheme in ("rotation", "right-shift", "x-mirror")
         }
         assert energy["rotation"] > energy["right-shift"]
         assert energy["rotation"] > energy["x-mirror"]
 
     def test_identity_transform_costs_only_fixed_overhead(self, unit4, mesh4):
-        cost = unit4.migration_cost(IdentityTransform(mesh4))
+        stage = sudden_stage(unit4, IdentityTransform(mesh4))
         # No transport, no phases; only the per-PE fixed/conversion terms.
-        assert cost.cycles == 0
+        assert stage.cycles == 0
         transport_free = 16 * (
             unit4.fixed_energy_per_pe_j
             + unit4.state_model.payload_flits(0) * unit4.conversion_energy_per_flit_j
         )
-        assert cost.total_energy_j == pytest.approx(transport_free)
+        assert stage.energy_j == pytest.approx(transport_free)
 
     def test_state_size_increases_cost(self, unit4, mesh4):
-        small = unit4.migration_cost(XYShiftTransform(mesh4))
+        small = sudden_stage(unit4, XYShiftTransform(mesh4))
         nodes = {coord: 50 for coord in mesh4.coordinates()}
-        large = unit4.migration_cost(XYShiftTransform(mesh4), nodes)
-        assert large.total_energy_j > small.total_energy_j
+        large = sudden_stage(unit4, XYShiftTransform(mesh4), nodes)
+        assert large.energy_j > small.energy_j
         assert large.cycles >= small.cycles
 
     def test_negative_conversion_energy_rejected(self, mesh4):
@@ -81,7 +99,7 @@ class TestMigrationCost:
 
 class TestThroughputPenalty:
     def test_penalty_in_unit_interval(self, unit5, mesh5):
-        penalty = unit5.throughput_penalty(XYShiftTransform(mesh5), period_cycles=54500)
+        penalty = throughput_penalty(unit5, XYShiftTransform(mesh5), 54500)
         assert 0.0 < penalty < 1.0
 
     def test_penalty_decreases_with_period(self, unit5, mesh5, chip_e):
@@ -90,9 +108,12 @@ class TestThroughputPenalty:
         roughly four."""
         transform = XYShiftTransform(mesh5)
         nodes = chip_e.tanner_nodes_per_pe()
-        p109 = unit5.throughput_penalty(transform, chip_e.block_period_cycles(109.0), nodes)
-        p437 = unit5.throughput_penalty(transform, chip_e.block_period_cycles(437.2), nodes)
-        p874 = unit5.throughput_penalty(transform, chip_e.block_period_cycles(874.4), nodes)
+        p109, p437, p874 = (
+            throughput_penalty(
+                unit5, transform, chip_e.block_period_cycles(period_us), nodes
+            )
+            for period_us in (109.0, 437.2, 874.4)
+        )
         assert p109 > p437 > p874
         assert p437 == pytest.approx(p109 / 4.0, rel=0.1)
         assert p874 == pytest.approx(p109 / 8.0, rel=0.1)
@@ -100,14 +121,10 @@ class TestThroughputPenalty:
     def test_penalty_magnitude_near_paper(self, unit4, mesh4, chip_a):
         """At the 109 us period the penalty should be a few percent at most."""
         nodes = chip_a.tanner_nodes_per_pe()
-        penalty = unit4.throughput_penalty(
-            XYShiftTransform(mesh4), chip_a.block_period_cycles(109.0), nodes
+        penalty = throughput_penalty(
+            unit4, XYShiftTransform(mesh4), chip_a.block_period_cycles(109.0), nodes
         )
         assert 0.001 < penalty < 0.05
-
-    def test_invalid_period_rejected(self, unit4, mesh4):
-        with pytest.raises(ValueError):
-            unit4.throughput_penalty(XYShiftTransform(mesh4), period_cycles=0)
 
 
 class TestMigrationPackets:

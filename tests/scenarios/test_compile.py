@@ -163,7 +163,7 @@ class TestModulationSemantics:
 
         policy = PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0)
         plain = ThermalExperiment(chip, policy, settings=settings)
-        plain_trace, _costs, _names = plain._epoch_sequence(thermal_feedback=False)
+        plain_trace, _events = plain._epoch_sequence(thermal_feedback=False)
 
         policy = PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0)
         modulated = ThermalExperiment(
@@ -172,7 +172,7 @@ class TestModulationSemantics:
             settings=settings,
             schedule=EpochWindow(num_epochs=8, load_modulation=modulation),
         )
-        modulated_trace, _costs, _names = modulated._epoch_sequence(
+        modulated_trace, _events = modulated._epoch_sequence(
             thermal_feedback=False
         )
 

@@ -18,7 +18,6 @@ def _outcome(start, peaks, means):
         num_epochs=peaks.size,
         trace=None,
         costs=[None] * peaks.size,
-        names=[None] * peaks.size,
         epoch_metrics=[],
         peak_by_epoch=peaks,
         mean_by_epoch=means,
