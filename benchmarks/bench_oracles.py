@@ -10,8 +10,9 @@ It exits 1 when a pair disagrees or when a median is below 1x: no
 optimisation stays in the tree while its own benchmark records a slowdown.
 End-to-end speed is perfbench's job (``perfbench/run.py``); this script only
 keeps each engine honest against its oracle.  Like perfbench, it pins the
-BLAS thread pools to one thread: on small multi-right-hand-side solves a
-multi-threaded OpenBLAS spends far longer waking threads than computing.
+BLAS thread pools to one thread: on small multi-right-hand-side LU solves
+(the thermal oracle's) a multi-threaded OpenBLAS spends far longer waking
+threads than computing.
 
 Run from the repository root::
 
@@ -32,13 +33,15 @@ os.environ.update(
 import numpy as np  # noqa: E402
 
 # The oracles are test modules: ``object_engine`` (NoC), ``dense_decoder``
-# (LDPC) and the per-flow latency loop in ``test_analytic``.
+# (LDPC), the per-flow latency loop in ``test_analytic`` and ``lu_oracle``
+# (thermal).
 sys.path[:0] = [
     str(Path(__file__).resolve().parent.parent / "tests" / package)
-    for package in ("noc", "ldpc")
+    for package in ("noc", "ldpc", "thermal")
 ]
 
 import dense_decoder  # noqa: E402
+import lu_oracle  # noqa: E402
 import object_engine  # noqa: E402
 from test_analytic import per_flow_latency  # noqa: E402
 
@@ -57,6 +60,7 @@ from repro.noc import (  # noqa: E402
     run_schedules,
 )
 from repro.noc.analytic import _AnalyticModel  # noqa: E402
+from repro.thermal.package import KELVIN_OFFSET  # noqa: E402
 
 
 def vector_noc():
@@ -133,30 +137,65 @@ def closed_form_noc():
     return runtime, oracle, lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
-def spectral_transient():
-    """A served window on chip A: 8 epochs x 8 steps of 109 us."""
+def _served_window():
+    """A served window on chip A: 8 epochs x 8 steps of 109 us, ambient +-5 K.
+
+    Returns the model, the ``(8, units)`` power rows (loads 0.6-1.4), the
+    interval durations and the transient keyword arguments.
+    """
     chip = get_configuration("A")
     model = chip.thermal_model
-    loads = np.linspace(0.6, 1.4, 8)
-    rows = model.node_power_matrix(loads[:, np.newaxis] * chip.power_vector())
-    durations = np.full(len(rows), 109e-6)
-    offsets = np.linspace(-5.0, 5.0, 8)
-    warm = model.warm_state(chip.power_vector(), ambient_offset_kelvin=-5.0)
+    rows = np.linspace(0.6, 1.4, 8)[:, np.newaxis] * chip.power_vector()
+    window = dict(
+        initial_state=model.warm_state(chip.power_vector(), ambient_offset_kelvin=-5.0),
+        time_step_s=109e-6 / 8,
+        ambient_offsets_kelvin=np.linspace(-5.0, 5.0, 8),
+    )
+    return model, rows, np.full(len(rows), 109e-6), window
+
+
+def spectral_transient():
+    """The served window's transient, spectral against Euler."""
+    model, rows, durations, window = _served_window()
+    node_rows = model.node_power_matrix(rows)
 
     def run(method):
         return model.solver.transient_sequence(
-            durations,
-            rows,
-            initial_state=warm,
-            time_step_s=109e-6 / 8,
-            method=method,
-            ambient_offsets_kelvin=offsets,
+            durations, node_rows, method=method, **window
         )
 
     def agree(a, b):
         return np.abs(a.final_state_kelvin - b.final_state_kelvin).max() <= 1e-9
 
     return lambda: run("spectral"), lambda: run("euler"), agree
+
+
+def dense_thermal():
+    """The served window: 8 one-row feedback solves, then the Euler transient."""
+    model, rows, durations, window = _served_window()
+    node_rows = model.node_power_matrix(rows)
+    lu = lu_oracle.LuSolver(model.network)
+
+    def runtime():
+        feedback = [model.steady_temperatures(row) for row in rows]
+        result = model.solver.transient_sequence(durations, node_rows, **window)
+        return np.vstack(feedback), result.node_kelvin
+
+    def oracle():
+        feedback = [
+            lu.steady_state_batch(model.node_power_matrix(row))[:, model.unit_nodes].max(axis=-1)
+            - KELVIN_OFFSET
+            for row in rows
+        ]
+        result = lu.transient_sequence(durations, node_rows, **window)
+        return np.vstack(feedback), result.node_kelvin
+
+    def agree(fast, slow):
+        return all(
+            np.allclose(a, b, rtol=1e-10, atol=0.0) for a, b in zip(fast, slow)
+        )
+
+    return runtime, oracle, agree
 
 
 def speedups(runtime, oracle, pairs):
@@ -177,6 +216,7 @@ def main() -> int:
         "edge-list vs dense decoder": edge_list_decoder,
         "closed-form vs per-flow NoC": closed_form_noc,
         "spectral vs Euler transient": spectral_transient,
+        "dense vs LU thermal": dense_thermal,
     }
     failed = False
     print(f"{'pair':<30} {'parity':>6} {'median':>8} {'IQR':>6} {'min':>6}")

@@ -16,11 +16,11 @@ numbers the paper reports:
 The pipeline is array-native end to end: the policy/controller loop emits a
 :class:`repro.power.trace.PowerTrace` (one row per epoch, row-major
 coordinate index), steady mode evaluates the baseline, every epoch and the
-settled-regime average with **one** multi-RHS solve against the cached
-factorisation, and transient mode routes the whole piecewise-constant trace
-through **one** ``transient_sequence`` call with thermal state carried across
-epochs.  Dict views survive only at the edges (lazily-built policy-context
-views and the per-epoch records).  Policies that declare
+settled-regime average with **one** product against the solver's
+precomputed inverse, and transient mode routes the whole piecewise-constant
+trace through **one** ``transient_sequence`` call with thermal state carried
+across epochs.  Dict views survive only at the edges (lazily-built
+policy-context views and the per-epoch records).  Policies that declare
 ``requires_thermal_feedback`` (threshold/adaptive) get their temperature
 estimates from a :class:`FeedbackPlan`: one multi-RHS steady batch per
 ``feedback_stride`` epochs instead of a dict-round-tripped solve per epoch.
@@ -87,8 +87,9 @@ class ExperimentSettings:
     settle_epochs: Optional[int] = None
     #: Implicit-Euler steps per epoch in transient mode.
     transient_steps_per_epoch: int = 8
-    #: Transient integration method: "euler" steps the cached factorisation,
-    #: "spectral" jumps to the sampled instants through the eigenbasis.
+    #: Transient integration method: "euler" steps the cached step inverse
+    #: (one matrix-vector product per step), "spectral" jumps to the sampled
+    #: instants through the eigenbasis.
     thermal_method: str = "euler"
     #: Feedback refresh stride *k*: policies that require thermal feedback
     #: see temperatures re-evaluated every ``k`` epochs with one multi-RHS
@@ -160,7 +161,7 @@ class FeedbackPlan:
       (:meth:`observe`);
     * at every ``stride``-th epoch boundary the queue is flushed through
       **one** multi-RHS :meth:`HotSpotModel.steady_temperatures` batch
-      against the model's cached factorisation (:meth:`thermal_for`), the
+      against the solver's precomputed inverse (:meth:`thermal_for`), the
       per-epoch ambient offsets added to the solved rows — the epoch-0
       probe of the static power is just the first batch's row, not a
       standalone dict-path solve;

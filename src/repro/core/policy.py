@@ -241,6 +241,13 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
                 continue
         if not self.candidates:
             raise ValueError("no valid candidate transforms for this topology")
+        # Secondary criterion: prefer transforms with fewer fixed points
+        # (they leave nothing pinned on a hotspot).  A transform is a fixed
+        # bijection, so each candidate's penalty is computed once.
+        self._scored = [
+            (transform, len(transform.fixed_points()) * 0.25)
+            for transform in self.candidates
+        ]
         self.name = "adaptive"
         self.choices: List[str] = []
         #: transform name -> times chosen, including compacted-away entries.
@@ -258,12 +265,9 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
 
         best = None
         best_score = None
-        for transform in self.candidates:
+        for transform, fixed_penalty in self._scored:
             displaced = transform(hottest)
             distance = self.topology.manhattan_distance(hottest, displaced)
-            # Secondary criterion: prefer transforms with fewer fixed points
-            # (they leave nothing pinned on a hotspot).
-            fixed_penalty = len(transform.fixed_points()) * 0.25
             score = distance - fixed_penalty
             if best_score is None or score > best_score:
                 best_score = score

@@ -102,7 +102,7 @@ class HotSpotModel:
     def steady_temperatures(self, power_rows: np.ndarray) -> np.ndarray:
         """Per-unit steady temperatures (Celsius) for many power rows at once.
 
-        One multi-RHS solve against the cached factorisation evaluates every
+        One product with the solver's precomputed ``A^-T`` evaluates every
         row; each unit reads as its hottest cell.
         """
         kelvin = self.solver.steady_state_batch(self.node_power_matrix(power_rows))

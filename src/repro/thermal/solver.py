@@ -5,14 +5,19 @@ or ``(rows, num_nodes)`` matrices and temperatures go out as kelvin arrays.
 Mapping functional units onto nodes is the model's job
 (:class:`repro.thermal.hotspot.HotSpotModel`).
 
+* Every solve is a matrix product with a precomputed dense inverse.  An
+  inverse holds the same ``n**2`` floats as an LU factor, and on these
+  small networks (34-802 nodes) a product skips the per-call validation
+  overhead of a LAPACK solve wrapper, which outweighs the arithmetic.
 * :meth:`ThermalSolver.steady_state_batch` solves ``A T = P + G_amb T_amb``
-  for many power rows with one multi-RHS solve.
+  for many power rows with one product, ``rhs @ A^-T``; ``A^-1`` is built
+  when the solver is constructed.
 * :meth:`ThermalSolver.transient_sequence` integrates
   ``C dT/dt = P - A T + G_amb T_amb`` over a piecewise-constant power trace
   with an unconditionally stable implicit-Euler scheme.  The step matrix
-  ``C/dt + A`` is factorised once per *distinct* time step and cached on the
-  solver, so every interval sharing a step, and every later trace, reuses a
-  single factorisation.
+  ``C/dt + A`` is inverted once per *distinct* time step and cached on the
+  solver, so each step is one matrix-vector product and every interval
+  sharing a step, and every later trace, reuses a single inverse.
 * ``method="spectral"`` evaluates the *same* implicit-Euler recurrence in
   closed form through the generalized eigendecomposition of ``(A, C)`` and
   jumps directly to the sampled instants, replacing the per-step Python loop
@@ -22,8 +27,10 @@ Mapping functional units onto nodes is the model's job
   ``dT_i`` simply turns each interval's constant RHS into
   ``P_i + G_amb * (T_amb + dT_i)``.  :meth:`ThermalSolver.transient_sequence`
   accepts the offsets as a ``(num_intervals,)`` array; in the spectral-jump
-  path they only move the per-interval fixed points (already one multi-RHS
-  solve) and the boundary-jump recurrence — zero extra solves.
+  path they only move the per-interval fixed points (already one product
+  with ``A^-T``) and the boundary-jump recurrence — zero extra solves.
+* Nothing writes to an operator once it is built, and a matrix product only
+  reads it, so one solver can serve several threads at once.
 
 Temperatures are kelvin throughout; the model converts its per-unit
 readings to degrees Celsius, matching the paper's figures.
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigh, lu_factor, lu_solve
+from scipy.linalg import eigh
 
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
@@ -55,7 +62,7 @@ _OBS_SPECTRAL_JUMPS = _obs_counter("thermal.spectral_jumps")
 #: Transient integration methods accepted by the solver.
 TRANSIENT_METHODS = ("euler", "spectral")
 
-#: Cap on cached step-matrix factorisations: traces with many distinct
+#: Cap on cached step-matrix inverses: traces with many distinct
 #: (e.g. duration-derived) time steps must not grow the cache unboundedly.
 MAX_CACHED_PROPAGATORS = 32
 
@@ -77,32 +84,41 @@ class TransientResult:
 
 @dataclass
 class _StepPropagator:
-    """Implicit-Euler operator ``(C/dt + A)`` factorised for one time step."""
+    """Implicit-Euler operator ``(C/dt + A)^-1`` for one time step."""
 
-    time_step_s: float
     c_over_dt: np.ndarray
-    factor: Tuple[np.ndarray, np.ndarray]
+    inverse: np.ndarray
+
+
+def _check_power(power: np.ndarray) -> None:
+    """Reject NaN, infinite or negative node power."""
+    if not np.isfinite(power).all():
+        raise ValueError("node power must be finite (no NaN or inf)")
+    if power.size and power.min() < 0:
+        raise ValueError("negative node power")
 
 
 class ThermalSolver:
     """Solves the RC network produced by :func:`build_thermal_network`.
 
-    The LU factorisation of ``C/dt + A`` is kept per distinct time step
-    (up to :data:`MAX_CACHED_PROPAGATORS`, evicted first-in first-out).
+    ``A^-1`` is computed once, at construction; the inverse of ``C/dt + A``
+    once per distinct time step, on first use (up to
+    :data:`MAX_CACHED_PROPAGATORS`, evicted first-in first-out).
     """
 
     def __init__(self, network: ThermalNetwork):
         self.network = network
         self._A = network.system_matrix()
-        self._A_factor = lu_factor(self._A)
+        #: ``A^-T``: ``rhs_rows @ _steady_operator`` solves ``A T = rhs`` per row.
+        self._steady_operator = np.linalg.inv(self._A).T
         self._boundary = network.ambient_conductance * network.ambient_kelvin
         self._step_cache: Dict[float, _StepPropagator] = {}
-        #: Number of step-matrix LU factorisations performed (regression
-        #: guard: one per distinct time step while it stays cached).
+        #: Number of step-matrix inverses built (regression guard: one per
+        #: distinct time step while it stays cached).
         self.step_factorization_count = 0
-        #: Number of solves against the steady-state factorisation.  A
-        #: multi-RHS batch counts once, so a fully batched steady experiment
-        #: shows exactly one solve (regression guard for the epoch pipeline).
+        #: Number of steady solves.  A multi-RHS batch counts once, so a
+        #: fully batched steady experiment shows exactly one solve
+        #: (regression guard for the epoch pipeline).
         self.steady_solve_count = 0
         #: Number of ``transient_sequence()`` calls.
         self.transient_sequence_count = 0
@@ -114,48 +130,17 @@ class ThermalSolver:
         # A chip configuration, and so its solver, may be shared by callers
         # on several threads; guard the lazily-built caches.
         self._cache_lock = threading.Lock()
-        self._thread_factors = threading.local()
 
     def __getstate__(self):
-        # Locks and thread-local stores cannot be pickled (configurations,
-        # which carry a solver, can be); recreate them on unpickling.
+        # Locks cannot be pickled (configurations, which carry a solver,
+        # can be); recreate it on unpickling.
         state = self.__dict__.copy()
         del state["_cache_lock"]
-        del state["_thread_factors"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._cache_lock = threading.Lock()
-        self._thread_factors = threading.local()
-
-    # ------------------------------------------------------------------
-    def _private_factor(self, key, factor: Tuple[np.ndarray, np.ndarray]):
-        """Per-thread private copy of an LU factorisation.
-
-        LAPACK ``getrs`` via :func:`scipy.linalg.lu_solve` is not reentrant
-        against *shared* ``(lu, piv)`` arrays on every BLAS build: two
-        threads solving concurrently against the same factor memory can
-        return corrupted temperatures, while solves against per-thread
-        copies are exact.  Copies are cached per (thread, key) and refreshed
-        whenever the underlying factor object changes (step-cache eviction
-        rebuilds propagators).
-        """
-        store = getattr(self._thread_factors, "store", None)
-        if store is None:
-            store = self._thread_factors.store = {}
-        entry = store.get(key)
-        if entry is None or entry[0] is not factor:
-            lu, piv = factor
-            entry = (factor, (lu.copy(order="F"), piv.copy()))
-            if len(store) > MAX_CACHED_PROPAGATORS:
-                store.pop(next(iter(store)))
-            store[key] = entry
-        return entry[1]
-
-    def _a_factor(self) -> Tuple[np.ndarray, np.ndarray]:
-        """This thread's copy of the steady-state factorisation."""
-        return self._private_factor("A", self._A_factor)
 
     # ------------------------------------------------------------------
     def _step_propagator(self, time_step_s: float) -> _StepPropagator:
@@ -164,10 +149,11 @@ class ThermalSolver:
             if cached is not None:
                 return cached
             c_over_dt = self.network.capacitance / time_step_s
-            factor = lu_factor(np.diag(c_over_dt) + self._A)
+            propagator = _StepPropagator(
+                c_over_dt, np.linalg.inv(np.diag(c_over_dt) + self._A)
+            )
             self.step_factorization_count += 1
             _OBS_FACTORIZATIONS.add()
-            propagator = _StepPropagator(time_step_s, c_over_dt, factor)
             if len(self._step_cache) >= MAX_CACHED_PROPAGATORS:
                 # FIFO eviction (dict preserves insertion order).
                 self._step_cache.pop(next(iter(self._step_cache)))
@@ -205,7 +191,7 @@ class ThermalSolver:
         sampled instants come out of one pair of matrix multiplies.
         """
         c_sqrt, eigenvalues, eigenvectors = self._spectral()
-        fixed_point = lu_solve(self._a_factor(), rhs_const)
+        fixed_point = rhs_const @ self._steady_operator
         weights = eigenvectors.T @ (c_sqrt * (state - fixed_point))
         decay = 1.0 / (1.0 + time_step_s * eigenvalues)
         powers = decay[np.newaxis, :] ** step_counts[:, np.newaxis]
@@ -229,14 +215,13 @@ class ThermalSolver:
         return offsets
 
     def _node_powers(self, node_powers, shape: Tuple[int, ...]) -> np.ndarray:
-        """``node_powers`` as a float array of ``shape``, checked non-negative."""
+        """``node_powers`` as a float array of ``shape``, checked finite and non-negative."""
         power = np.asarray(node_powers, dtype=float)
         if power.shape != shape:
             raise ValueError(
                 f"expected node power of shape {shape}, got shape {power.shape}"
             )
-        if power.size and power.min() < 0:
-            raise ValueError("negative node power")
+        _check_power(power)
         return power
 
     # ------------------------------------------------------------------
@@ -245,7 +230,7 @@ class ThermalSolver:
 
         ``node_power_matrix`` has one node-space power vector per row; the
         result is a matching ``(num_rows, num_nodes)`` kelvin array computed
-        with a single multi-RHS solve against the cached factorisation.
+        with a single product against the precomputed ``A^-T``.
         """
         power = np.asarray(node_power_matrix, dtype=float)
         if power.ndim != 2 or power.shape[1] != self.network.num_nodes:
@@ -253,13 +238,12 @@ class ThermalSolver:
                 f"expected a (num_rows, {self.network.num_nodes}) power matrix, "
                 f"got shape {power.shape}"
             )
-        if power.size and power.min() < 0:
-            raise ValueError("negative power in batch")
+        _check_power(power)
         rhs = power + self._boundary[np.newaxis, :]
         self.steady_solve_count += 1
         _OBS_STEADY_SOLVES.add()
         with _obs_span("thermal.steady_batch", rows=int(power.shape[0])):
-            return lu_solve(self._a_factor(), rhs.T).T
+            return rhs @ self._steady_operator
 
     def warm_state(self, node_power, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
         """Node state (kelvin) corresponding to steady state under one power vector.
@@ -271,12 +255,14 @@ class ThermalSolver:
         ambient).
         """
         power = self._node_powers(node_power, (self.network.num_nodes,))
+        if not np.isfinite(ambient_offset_kelvin):
+            raise ValueError("ambient offset must be finite (no NaN or inf)")
         rhs = power + self._boundary
         if ambient_offset_kelvin:
             rhs = rhs + ambient_offset_kelvin * self.network.ambient_conductance
         self.steady_solve_count += 1
         _OBS_STEADY_SOLVES.add()
-        return lu_solve(self._a_factor(), rhs)
+        return rhs @ self._steady_operator
 
     # ------------------------------------------------------------------
     def transient_sequence(
@@ -292,7 +278,7 @@ class ThermalSolver:
 
         Interval ``i`` lasts ``durations_s[i]`` seconds under the node-space
         power ``node_powers[i]`` (a ``(num_intervals, num_nodes)`` matrix).
-        All intervals sharing a time step reuse one cached factorisation
+        All intervals sharing a time step reuse one cached step inverse
         (``"euler"``) or one eigendecomposition (``"spectral"``); thermal
         state is carried across interval boundaries.  The result's
         :attr:`TransientResult.interval_ranges` records each interval's
@@ -320,7 +306,7 @@ class ThermalSolver:
         multiply over all sampled instants — identical trajectory to the
         per-interval path up to floating-point roundoff.  Ambient offsets
         ride that path for free: they only move the per-interval fixed points
-        (already one multi-RHS solve) and the boundary-jump recurrence.
+        (already one product with ``A^-T``) and the boundary-jump recurrence.
         """
         durations = np.asarray(durations_s, dtype=float)
         if durations.ndim != 1 or durations.size == 0:
@@ -367,6 +353,8 @@ class ThermalSolver:
             state = np.asarray(initial_state, dtype=float).copy()
             if state.shape != (network.num_nodes,):
                 raise ValueError("initial state has wrong number of nodes")
+            if not np.isfinite(state).all():
+                raise ValueError("initial state must be finite (no NaN or inf)")
         if method == "spectral":
             jumped = self._spectral_sequence_jump(
                 durations, powers, state, time_step_s, ambient_offsets=offsets
@@ -429,11 +417,9 @@ class ThermalSolver:
             )
             return times, history
         propagator = self._step_propagator(time_step_s)
-        factor = self._private_factor(
-            ("step", propagator.time_step_s), propagator.factor
-        )
+        inverse, c_over_dt = propagator.inverse, propagator.c_over_dt
         for k in range(steps):
-            state = lu_solve(factor, propagator.c_over_dt * state + rhs_const)
+            state = inverse @ (c_over_dt * state + rhs_const)
             history[k + 1] = state
         return times, history
 
@@ -457,7 +443,7 @@ class ThermalSolver:
         ``z_{i+1} = mu^{n_i} z_i + U^T C^{1/2} (T*_i - T*_{i+1})``
 
         (``mu = 1/(1 + dt lambda)``, ``n_i`` steps in interval ``i``), so one
-        multi-RHS solve yields every fixed point, one short recurrence
+        product with ``A^-T`` yields every fixed point, one short recurrence
         propagates the modal state across interval boundaries, and one matrix
         multiply evaluates every step of every interval.
 
@@ -484,9 +470,9 @@ class ThermalSolver:
         rhs = powers + self._boundary[np.newaxis, :]
         if ambient_offsets is not None:
             # The affine ambient boundary term: each interval's RHS becomes
-            # P_i + G_amb (T_amb + dT_i).  Same single multi-RHS solve.
+            # P_i + G_amb (T_amb + dT_i).  Same single product.
             rhs = rhs + ambient_offsets[:, np.newaxis] * network.ambient_conductance[np.newaxis, :]
-        fixed_points = lu_solve(self._a_factor(), rhs.T).T  # (num_intervals, n)
+        fixed_points = rhs @ self._steady_operator  # (num_intervals, n)
 
         c_sqrt, eigenvalues, eigenvectors = self._spectral()
         decay = 1.0 / (1.0 + shared_dt * eigenvalues)

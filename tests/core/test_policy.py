@@ -1,7 +1,9 @@
 """Tests for the reconfiguration policies."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.chips import get_configuration
 from repro.core.metrics import ThermalMetrics
 from repro.core.policy import (
     AdaptiveMigrationPolicy,
@@ -11,6 +13,7 @@ from repro.core.policy import (
     ThresholdMigrationPolicy,
     make_policy,
 )
+from repro.migration.transforms import MigrationTransform
 
 
 def _context(mesh, epoch=1, peak=90.0, hottest=(2, 2)):
@@ -116,6 +119,41 @@ class TestAdaptive:
     def test_requires_candidates(self, mesh3x2):
         with pytest.raises(ValueError):
             AdaptiveMigrationPolicy(mesh3x2, candidate_schemes=["rotation"])
+
+    @given(chip=st.sampled_from("ABCDE"), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_choices_match_per_decision_fixed_points(self, chip, data):
+        """Precomputed penalties choose exactly what per-decision scoring chose."""
+        mesh = get_configuration(chip).topology
+        hottest = data.draw(
+            st.lists(st.sampled_from(list(mesh.coordinates())), min_size=1, max_size=20)
+        )
+        policy = AdaptiveMigrationPolicy(mesh)
+        chosen = [policy.decide(_context(mesh, hottest=unit)).name for unit in hottest]
+        assert chosen == [_reference_choice(policy.candidates, unit) for unit in hottest]
+        assert policy.choices == chosen
+
+    def test_decide_makes_no_fixed_points_call(self, mesh5, monkeypatch):
+        policy = AdaptiveMigrationPolicy(mesh5)
+
+        def forbidden(self):
+            raise AssertionError("fixed_points() called while deciding")
+
+        monkeypatch.setattr(MigrationTransform, "fixed_points", forbidden)
+        for unit in mesh5.coordinates():
+            policy.decide(_context(mesh5, hottest=unit))
+        assert len(policy.choices) == mesh5.num_nodes
+
+
+def _reference_choice(candidates, hottest):
+    """The adaptive score with each candidate's fixed points recomputed."""
+    best, best_score = None, None
+    for transform in candidates:
+        distance = transform.topology.manhattan_distance(hottest, transform(hottest))
+        score = distance - len(transform.fixed_points()) * 0.25
+        if best_score is None or score > best_score:
+            best, best_score = transform, score
+    return best.name
 
 
 class TestFactory:

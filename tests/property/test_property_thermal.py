@@ -1,6 +1,8 @@
 """Property-based tests for the thermal model (hypothesis)."""
 
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,10 @@ from repro.noc.topology import MeshTopology
 from repro.power.trace import PowerTrace
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.package import KELVIN_OFFSET
+
+# The LU-factorisation solves the dense operators replaced.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "thermal"))
+from lu_oracle import LuSolver  # noqa: E402
 
 # Shared 4x4 model: building the RC network is the expensive part, the solves
 # are cheap, so hypothesis examples reuse one instance.
@@ -100,11 +106,11 @@ class TestPermutationInvariance:
 
 
 # ----------------------------------------------------------------------
-# Generated-input oracle: the model at every resolution against a dense
-# solve and against the implicit-Euler loop.
+# Generated-input oracle: the model at every resolution against the LU
+# solves and against the implicit-Euler loop.
 # ----------------------------------------------------------------------
 #: The paper's migration periods: mixed interval durations drawn from a
-#: small set keep each cached model's step-factorisation cache small.
+#: small set keep each cached model's step-inverse cache small.
 _PERIODS_S = (109e-6, 437.2e-6, 874.4e-6)
 
 
@@ -120,6 +126,11 @@ def _chip_model(chip_name, resolution):
     )
 
 
+@lru_cache(maxsize=None)
+def _lu_oracle(chip_name, resolution):
+    return LuSolver(_chip_model(chip_name, resolution).network)
+
+
 chip_resolutions = st.tuples(st.sampled_from("ABCDE"), st.integers(1, 4))
 
 
@@ -129,16 +140,57 @@ def _power_rows(data, model, count):
 
 
 class TestModelOracle:
-    @given(key=chip_resolutions, count=st.integers(1, 4), data=st.data())
+    @given(
+        key=chip_resolutions,
+        count=st.integers(1, 4),
+        offset=st.floats(-10.0, 10.0),
+        data=st.data(),
+    )
     @settings(max_examples=15, deadline=None)
-    def test_steady_matches_dense_solve(self, key, count, data):
+    def test_steady_matches_lu_oracle(self, key, count, offset, data):
         model = _chip_model(*key)
+        oracle = _lu_oracle(*key)
         rows = _power_rows(data, model, count)
-        network = model.network
-        rhs = model.node_power_matrix(rows) + network.ambient_conductance * network.ambient_kelvin
-        dense = np.linalg.solve(network.system_matrix(), rhs.T).T
-        expected = dense[:, model.unit_nodes].max(axis=-1) - KELVIN_OFFSET
+        node_rows = model.node_power_matrix(rows)
+        kelvin = oracle.steady_state_batch(node_rows)
+        expected = kelvin[:, model.unit_nodes].max(axis=-1) - KELVIN_OFFSET
         assert np.allclose(model.steady_temperatures(rows), expected, rtol=1e-10, atol=0.0)
+        # The warm state's ambient offset is the same affine boundary term.
+        shifted = node_rows[0] + offset * model.network.ambient_conductance
+        assert np.allclose(
+            model.warm_state(rows[0], ambient_offset_kelvin=offset),
+            oracle.steady_state_batch(shifted[np.newaxis, :])[0],
+            rtol=1e-10,
+            atol=0.0,
+        )
+
+    @given(
+        key=chip_resolutions,
+        durations=st.lists(st.sampled_from(_PERIODS_S), min_size=1, max_size=4),
+        warm=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_euler_matches_lu_oracle(self, key, durations, warm, data):
+        """Mixed default steps, ambient offsets, cold or warm start."""
+        model = _chip_model(*key)
+        node_powers = model.node_power_matrix(_power_rows(data, model, len(durations)))
+        offsets = data.draw(arrays(float, len(durations), elements=st.floats(-10.0, 10.0)))
+        initial = (
+            model.solver.warm_state(node_powers.mean(axis=0), ambient_offset_kelvin=offsets[0])
+            if warm
+            else None
+        )
+        runs = [
+            solver.transient_sequence(
+                durations, node_powers, initial_state=initial, ambient_offsets_kelvin=offsets
+            )
+            for solver in (model.solver, _lu_oracle(*key))
+        ]
+        result, expected = runs
+        assert np.allclose(result.node_kelvin, expected.node_kelvin, rtol=1e-10, atol=0.0)
+        assert np.array_equal(result.times_s, expected.times_s)
+        assert result.interval_ranges == expected.interval_ranges
 
     @given(key=chip_resolutions, data=st.data())
     @settings(max_examples=10, deadline=None)

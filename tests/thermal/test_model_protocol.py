@@ -1,7 +1,7 @@
 """Tests for the thermal model's array API at block and grid resolution.
 
 ``HotSpotModel`` has one array-native interface at every resolution:
-multi-RHS steady batches against the cached factorisation, and sequenced
+multi-RHS steady batches against the precomputed inverse, and sequenced
 transients with the propagator cache and the spectral sampler.  The grid
 resolution must pass the same cache/spectral parity guards as the block
 resolution — the resolution ablation has no physical reason to be slower.
@@ -107,8 +107,8 @@ class TestSteadyBatch:
 
 class TestSequencedTransient:
     def test_grid_propagator_cache_single_factorisation(self, mesh):
-        """The grid resolution inherits the propagator cache: one
-        factorisation for a whole multi-interval trace (the solver-level
+        """The grid resolution inherits the propagator cache: one step
+        inverse for a whole multi-interval trace (the solver-level
         regression guard the block resolution already has)."""
         model = HotSpotModel(mesh, resolution=3)
         trace = _trace(mesh, count=8)

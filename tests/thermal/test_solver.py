@@ -6,7 +6,9 @@ import pytest
 from repro.thermal.floorplan import mesh_floorplan
 from repro.thermal.package import KELVIN_OFFSET
 from repro.thermal.rc_model import build_thermal_network
-from repro.thermal.solver import ThermalSolver
+from repro.thermal.solver import MAX_CACHED_PROPAGATORS, TRANSIENT_METHODS, ThermalSolver
+
+from lu_oracle import LuSolver
 
 
 @pytest.fixture
@@ -150,6 +152,41 @@ class TestTransient:
             solver4.transient_sequence([1e-3, 1e-3], np.zeros((1, solver4.network.num_nodes)))
 
 
+def _nan_power(network):
+    power = np.ones(network.num_nodes)
+    power[3] = np.nan
+    return power
+
+
+_NON_FINITE_CALLS = {
+    "steady": lambda solver: solver.steady_state_batch(_nan_power(solver.network)[np.newaxis]),
+    "warm state": lambda solver: solver.warm_state(_nan_power(solver.network)),
+    "warm state ambient offset": lambda solver: solver.warm_state(
+        np.ones(solver.network.num_nodes), ambient_offset_kelvin=np.nan
+    ),
+    "euler": lambda solver: _transient(solver, _nan_power(solver.network), 1e-3),
+    "spectral": lambda solver: _transient(
+        solver, _nan_power(solver.network), 1e-3, method="spectral"
+    ),
+    "nan initial state": lambda solver: _transient(
+        solver,
+        np.ones(solver.network.num_nodes),
+        1e-3,
+        initial_state=np.full(solver.network.num_nodes, np.nan),
+    ),
+    "inf power": lambda solver: solver.steady_state_batch(
+        np.full((1, solver.network.num_nodes), np.inf)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_CALLS))
+def test_rejects_non_finite_input(solver4, case):
+    """NaN or inf input raises instead of yielding NaN temperatures."""
+    with pytest.raises(ValueError, match="NaN"):
+        _NON_FINITE_CALLS[case](solver4)
+
+
 def _alternating_intervals(mesh, network, epochs=41, duration=1e-3):
     hot = _uniform_power(mesh, network, 3.0)
     cool = _uniform_power(mesh, network, 1.0)
@@ -162,9 +199,9 @@ class TestPropagatorCache:
         """Caching must not change the integrated temperatures at all.
 
         The reference integrates every interval on a fresh solver — one
-        step-matrix factorisation per interval, the seed behaviour — with the
-        state carried by hand, so agreement within 1e-9 kelvin on every node
-        state is the regression bar for the cache.
+        step-matrix inverse per interval — with the state carried by hand,
+        so agreement within 1e-9 kelvin on every node state is the
+        regression bar for the cache.
         """
         network = build_thermal_network(mesh_floorplan(mesh4))
         durations, powers = _alternating_intervals(mesh4, network)
@@ -179,18 +216,40 @@ class TestPropagatorCache:
         assert np.allclose(np.concatenate(chunks), actual.node_kelvin, atol=1e-9)
 
     def test_one_factorization_per_distinct_time_step(self, solver4, mesh4):
-        """Regression: a 41-interval sequence with one dt factorises once."""
+        """Regression: a 41-interval sequence with one dt inverts its step matrix once."""
         network = solver4.network
         assert solver4.step_factorization_count == 0
         solver4.transient_sequence(*_alternating_intervals(mesh4, network), time_step_s=5e-6)
         assert solver4.step_factorization_count == 1
-        # Same dt again: still one factorisation.
+        # Same dt again: still one step inverse.
         power = _uniform_power(mesh4, network, 2.0)
         _transient(solver4, power, 1e-3, time_step_s=5e-6)
         assert solver4.step_factorization_count == 1
         # A second distinct dt adds exactly one more.
         _transient(solver4, power, 1e-3, time_step_s=1e-5)
         assert solver4.step_factorization_count == 2
+
+    def test_step_cache_stays_bounded(self, solver4, mesh4):
+        """More distinct steps than the cache holds: FIFO eviction, exact results."""
+        network = solver4.network
+        oracle = LuSolver(network)
+        power = _uniform_power(mesh4, network, 2.0)[np.newaxis, :]
+        warm = solver4.warm_state(_uniform_power(mesh4, network, 1.0))
+        time_steps = [1e-3 / steps for steps in range(2, MAX_CACHED_PROPAGATORS + 10)]
+        for time_step in time_steps:
+            result = solver4.transient_sequence(
+                [1e-3], power, initial_state=warm, time_step_s=time_step
+            )
+            expected = oracle.transient_sequence(
+                [1e-3], power, initial_state=warm, time_step_s=time_step
+            )
+            assert np.allclose(result.node_kelvin, expected.node_kelvin, rtol=1e-10, atol=0)
+            assert len(solver4._step_cache) <= MAX_CACHED_PROPAGATORS
+        assert len(solver4._step_cache) == MAX_CACHED_PROPAGATORS
+        assert solver4.step_factorization_count == len(time_steps)
+        # The first step was evicted: reusing it builds its inverse again.
+        _transient(solver4, power[0], 1e-3, time_step_s=time_steps[0])
+        assert solver4.step_factorization_count == len(time_steps) + 1
 
 
 class TestSpectralMethod:
@@ -297,50 +356,13 @@ class TestSpectralSequenceJump:
         assert np.allclose(jumped.node_kelvin, euler.node_kelvin, atol=1e-9)
 
 
-class TestThreadPrivateFactors:
-    """Concurrent solves must never share LU factor memory.
+class TestSharedSolverThreads:
+    """Concurrent solves on one shared solver equal serial solves.
 
-    ``lu_solve`` against shared ``(lu, piv)`` arrays is not reentrant on
-    every BLAS build: two threads solving the same chip's factorisation
-    concurrently returned corrupted temperatures.  Every solve therefore
-    goes through a per-thread private copy of the factor.
+    A chip configuration, and so its solver, may be shared across threads.
+    Every solve is a matrix product that only reads the solver's operators,
+    and the lazily built step inverses are cached under a lock.
     """
-
-    def test_solves_use_a_private_copy(self, solver4):
-        private = solver4._a_factor()
-        assert private[0] is not solver4._A_factor[0]
-        assert private[1] is not solver4._A_factor[1]
-        assert np.array_equal(private[0], solver4._A_factor[0])
-        assert np.array_equal(private[1], solver4._A_factor[1])
-
-    def test_copy_is_cached_per_thread(self, solver4):
-        assert solver4._a_factor()[0] is solver4._a_factor()[0]
-
-    def test_each_thread_gets_its_own_copy(self, solver4):
-        import threading
-
-        seen = {}
-
-        def grab(name):
-            seen[name] = solver4._a_factor()
-
-        threads = [
-            threading.Thread(target=grab, args=(index,)) for index in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert seen[0][0] is not seen[1][0]
-        assert np.array_equal(seen[0][0], seen[1][0])
-
-    def test_replaced_factor_refreshes_the_copy(self, solver4):
-        stale = solver4._a_factor()
-        from scipy.linalg import lu_factor
-
-        solver4._A_factor = lu_factor(solver4._A)
-        fresh = solver4._a_factor()
-        assert fresh[0] is not stale[0]
 
     def test_concurrent_batches_match_serial(self, solver4, mesh4):
         import concurrent.futures as cf
@@ -356,9 +378,48 @@ class TestThreadPrivateFactors:
             for out in outs:
                 assert np.array_equal(out, expected)
 
-    def test_pickled_solver_recreates_the_thread_store(self, solver4):
+    def test_concurrent_euler_sequences_match_serial(self, mesh4):
+        """More threads than cores, fast switching, one cold shared solver."""
+        import concurrent.futures as cf
+        import sys
+
+        network = build_thermal_network(mesh_floorplan(mesh4))
+        durations, powers = _alternating_intervals(mesh4, network, epochs=6)
+        traces = [
+            (durations * stretch, powers * scale)
+            for stretch in (1.0, 2.0)
+            for scale in (0.5, 1.0, 1.5, 2.0)
+        ]
+        serial = ThermalSolver(network)
+        expected = [serial.transient_sequence(*trace).node_kelvin for trace in traces]
+        shared = ThermalSolver(network)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with cf.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(shared.transient_sequence, *trace) for trace in traces
+                ]
+                outs = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for out, want in zip(outs, expected):
+            assert np.array_equal(out.node_kelvin, want)
+        # Two distinct steps, each inverted once despite the race.
+        assert shared.step_factorization_count == 2
+
+    def test_pickled_solver_gives_identical_results(self, solver4, mesh4):
         import pickle
 
         clone = pickle.loads(pickle.dumps(solver4))
-        private = clone._a_factor()
-        assert np.array_equal(private[0], solver4._A_factor[0])
+        network = solver4.network
+        batch = np.vstack([_uniform_power(mesh4, network, watts) for watts in (0.5, 2.0)])
+        assert np.array_equal(
+            clone.steady_state_batch(batch), solver4.steady_state_batch(batch)
+        )
+        intervals = _alternating_intervals(mesh4, network, epochs=5)
+        for method in TRANSIENT_METHODS:
+            assert np.array_equal(
+                clone.transient_sequence(*intervals, method=method).node_kelvin,
+                solver4.transient_sequence(*intervals, method=method).node_kelvin,
+            )
