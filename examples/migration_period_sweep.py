@@ -18,10 +18,8 @@ from __future__ import annotations
 import sys
 
 from repro import get_configuration
-from repro.analysis import run_period_sweep
-from repro.analysis.report import FIGURE1_SETTINGS, run_figure1_cell
+from repro.analysis import generate_figure1, run_period_sweep
 from repro.analysis.sweep import PAPER_PENALTIES, PAPER_PERIODS_US
-from repro.migration import FIGURE1_SCHEMES
 
 
 def main() -> None:
@@ -33,14 +31,13 @@ def main() -> None:
 
     # Scheme comparison at the paper's base period.
     print("Peak-temperature reduction per migration scheme (109 us period):")
-    for scheme in FIGURE1_SCHEMES:
-        result = run_figure1_cell(chip, scheme, period_us=109.0, settings=FIGURE1_SETTINGS)
-        print(f"  {scheme:<12} {result.peak_reduction_celsius:+6.2f} C "
-              f"(throughput penalty {100 * result.throughput_penalty:.2f} %)")
+    for cell in generate_figure1(configurations=[name], period_us=109.0).cells:
+        print(f"  {cell.scheme:<12} {cell.reduction_celsius:+6.2f} C "
+              f"(throughput penalty {100 * cell.throughput_penalty:.2f} %)")
     print()
 
     # Period sweep with the best scheme.
-    sweep = run_period_sweep(chip, scheme="xy-shift", periods_us=PAPER_PERIODS_US,
+    sweep = run_period_sweep(name, scheme="xy-shift", periods_us=PAPER_PERIODS_US,
                              mode="steady", num_epochs=41)
     print(f"{'period (us)':>12} {'penalty %':>10} {'paper %':>9} "
           f"{'peak (C)':>9} {'reduction (C)':>14}")

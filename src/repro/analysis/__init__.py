@@ -1,19 +1,12 @@
 """Reporting and sweep utilities that regenerate the paper's tables/figures."""
 
-from .export import (
-    experiment_result_to_dict,
-    experiment_result_to_json,
-    figure1_to_csv,
-    figure1_to_json,
-    period_sweep_to_csv,
-)
-from .runner import run_experiment_grid, run_single_experiment
 from .report import (
-    FIGURE1_SETTINGS,
+    DtmComparison,
     Figure1Cell,
     Figure1Report,
+    compare_with_migration,
     generate_figure1,
-    run_figure1_cell,
+    paper_spec,
     table1_rows,
 )
 from .sweep import (
@@ -25,19 +18,15 @@ from .sweep import (
     run_energy_ablation,
     run_period_sweep,
 )
-from .thermal_map import difference_map, render_grid, render_heat_bar, to_csv
+from .thermal_map import render_grid, render_heat_bar
 
 __all__ = [
-    "experiment_result_to_dict",
-    "experiment_result_to_json",
-    "figure1_to_csv",
-    "figure1_to_json",
-    "period_sweep_to_csv",
-    "FIGURE1_SETTINGS",
+    "DtmComparison",
     "Figure1Cell",
     "Figure1Report",
+    "compare_with_migration",
     "generate_figure1",
-    "run_figure1_cell",
+    "paper_spec",
     "table1_rows",
     "PAPER_PENALTIES",
     "PAPER_PERIODS_US",
@@ -46,10 +35,6 @@ __all__ = [
     "PeriodSweepResult",
     "run_energy_ablation",
     "run_period_sweep",
-    "run_experiment_grid",
-    "run_single_experiment",
-    "difference_map",
     "render_grid",
     "render_heat_bar",
-    "to_csv",
 ]

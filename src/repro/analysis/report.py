@@ -1,8 +1,11 @@
 """Report generation: the Figure 1 table and the in-text result summaries.
 
-These helpers run the experiments behind each of the paper's results and
-format them as plain-text tables (and CSV rows) so the CLI and the examples
-can print exactly what the paper plots.
+Every paper experiment is a :class:`~repro.scenarios.spec.ScenarioSpec` built
+by :func:`paper_spec` and run through
+:func:`~repro.scenarios.compile.run_scenario`, the same path that scenario
+suites and campaigns take.  The helpers here loop over those runs and format
+the results as plain-text tables (and CSV rows), so the CLI and the examples
+print exactly what the paper plots.
 
 :func:`format_rows` is the shared table renderer for every layer above —
 the CLI's scenario/sweep tables and the campaign engine's per-axis marginal
@@ -12,24 +15,45 @@ output lines up column-for-column with single-run output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..chips.configurations import ChipConfiguration, all_configurations, get_configuration
-from ..core.experiment import ExperimentSettings, ThermalExperiment
-from ..core.metrics import ExperimentResult
-from ..core.policy import NoMigrationPolicy, PeriodicMigrationPolicy
+from ..chips.configurations import configuration_names, get_configuration
+from ..core.dtm import DvfsThrottling, StopGoThrottling
 from ..migration.transforms import FIGURE1_SCHEMES
-from ..scenarios.compile import ScenarioResult
-from ..scenarios.registry import all_scenarios
+from ..scenarios.compile import ScenarioResult, run_scenario
 from ..scenarios.spec import ScenarioSpec
 
-#: Experiment settings used for the Figure 1 reproduction: one static epoch
-#: followed by 40 migrated epochs (40 divides the orbit length of every
-#: Figure 1 transform on both the 4x4 and 5x5 meshes).
-FIGURE1_SETTINGS = ExperimentSettings(num_epochs=41, mode="steady", settle_epochs=40)
+
+def paper_spec(
+    configuration: str,
+    scheme: str,
+    *,
+    period_us: float = 109.0,
+    mode: str = "steady",
+    num_epochs: int = 41,
+    **fields: object,
+) -> ScenarioSpec:
+    """The scenario behind one of the paper's experiments.
+
+    This is the one place that states the paper's settle rule: every epoch
+    after the first (static) one is settled.  At the default 41 epochs that
+    is 40, which divides the orbit length of every Figure 1 transform on
+    both the 4x4 and 5x5 meshes.  ``fields`` sets any other
+    :class:`ScenarioSpec` field (e.g. ``include_migration_energy``).
+    """
+    return ScenarioSpec(
+        name=f"paper@{configuration}/{scheme}",
+        configuration=configuration,
+        scheme=scheme,
+        period_us=period_us,
+        mode=mode,
+        num_epochs=num_epochs,
+        settle_epochs=max(1, num_epochs - 1),
+        **fields,  # type: ignore[arg-type]
+    )
 
 
 def format_rows(rows: List[Dict[str, object]]) -> str:
@@ -151,36 +175,27 @@ class Figure1Report:
         raise KeyError(configuration)
 
 
-def run_figure1_cell(
-    configuration: ChipConfiguration,
-    scheme: str,
-    period_us: float = 109.0,
-    settings: Optional[ExperimentSettings] = None,
-) -> ExperimentResult:
-    """Run a single configuration/scheme experiment (one bar of Figure 1)."""
-    policy = PeriodicMigrationPolicy(configuration.topology, scheme, period_us=period_us)
-    experiment = ThermalExperiment(
-        configuration, policy, settings=settings or FIGURE1_SETTINGS
-    )
-    return experiment.run()
-
-
 def generate_figure1(
-    configurations: Optional[Sequence[ChipConfiguration]] = None,
+    configurations: Optional[Sequence[str]] = None,
     schemes: Sequence[str] = FIGURE1_SCHEMES,
     period_us: float = 109.0,
-    settings: Optional[ExperimentSettings] = None,
+    num_epochs: int = 41,
 ) -> Figure1Report:
-    """Reproduce Figure 1: peak-temperature reduction per configuration/scheme."""
-    if configurations is None:
-        configurations = all_configurations()
+    """Reproduce Figure 1: peak-temperature reduction per configuration/scheme.
+
+    ``configurations`` are chip names (default: A to E).
+    """
     cells: List[Figure1Cell] = []
-    for configuration in configurations:
+    for configuration in configurations or configuration_names():
         for scheme in schemes:
-            result = run_figure1_cell(configuration, scheme, period_us, settings)
+            result = run_scenario(
+                paper_spec(
+                    configuration, scheme, period_us=period_us, num_epochs=num_epochs
+                )
+            ).experiment
             cells.append(
                 Figure1Cell(
-                    configuration=configuration.name,
+                    configuration=result.configuration_name,
                     scheme=scheme,
                     baseline_peak_celsius=result.baseline_peak_celsius,
                     settled_peak_celsius=result.settled_peak_celsius,
@@ -235,25 +250,72 @@ class ScenarioComparison:
         return header + "\n" + format_rows(self.to_rows())
 
 
-def compare_scenarios(
-    specs: Optional[Sequence[ScenarioSpec]] = None,
-    feedback_stride: Optional[int] = None,
-    feedback_predictor: Optional[str] = None,
-) -> ScenarioComparison:
-    """Run a scenario suite (default: the whole registry) and collect rows.
+def compare_scenarios(specs: Sequence[ScenarioSpec]) -> ScenarioComparison:
+    """Run a scenario suite, in suite order."""
+    return ScenarioComparison(results=[run_scenario(spec) for spec in specs])
 
-    Results keep suite order.  ``feedback_stride`` / ``feedback_predictor``
-    override every spec's feedback refresh settings for the whole suite.
+
+@dataclass
+class DtmComparison:
+    """Throughput cost of reaching the same peak temperature three ways."""
+
+    configuration: str
+    target_peak_celsius: float
+    migration_scheme: str
+    migration_penalty: float
+    migration_peak_celsius: float
+    stop_go_penalty: float
+    dvfs_penalty: float
+
+    def to_rows(self) -> List[Dict[str, object]]:
+        return [
+            {
+                "technique": f"runtime reconfiguration ({self.migration_scheme})",
+                "peak_c": round(self.migration_peak_celsius, 2),
+                "throughput_penalty_pct": round(100 * self.migration_penalty, 2),
+            },
+            {
+                "technique": "stop-go clock gating",
+                "peak_c": round(self.target_peak_celsius, 2),
+                "throughput_penalty_pct": round(100 * self.stop_go_penalty, 2),
+            },
+            {
+                "technique": "global DVFS",
+                "peak_c": round(self.target_peak_celsius, 2),
+                "throughput_penalty_pct": round(100 * self.dvfs_penalty, 2),
+            },
+        ]
+
+
+def compare_with_migration(
+    configuration: str,
+    scheme: str = "xy-shift",
+    period_us: float = 109.0,
+    num_epochs: int = 41,
+) -> DtmComparison:
+    """Make the paper's implicit comparison with chip-wide DTM explicit.
+
+    Runs the migration experiment, takes the peak temperature it achieves,
+    and asks what global stop-go or DVFS throttling
+    (:mod:`repro.core.dtm`) would cost in throughput to reach the *same*
+    peak on the *same* chip.
     """
-    from .runner import ScenarioRunner
-
-    if specs is None:
-        specs = all_scenarios()
-    runner = ScenarioRunner(
-        feedback_stride=feedback_stride,
-        feedback_predictor=feedback_predictor,
+    migration = run_scenario(
+        paper_spec(configuration, scheme, period_us=period_us, num_epochs=num_epochs)
+    ).experiment
+    chip = get_configuration(configuration)
+    target_peak = migration.settled_peak_celsius
+    duty = StopGoThrottling(chip).duty_cycle_for_peak(target_peak)
+    frequency = DvfsThrottling(chip).frequency_for_peak(target_peak)
+    return DtmComparison(
+        configuration=chip.name,
+        target_peak_celsius=target_peak,
+        migration_scheme=scheme,
+        migration_penalty=migration.throughput_penalty,
+        migration_peak_celsius=migration.settled_peak_celsius,
+        stop_go_penalty=1.0 - duty,
+        dvfs_penalty=1.0 - frequency,
     )
-    return ScenarioComparison(results=runner.run(list(specs)))
 
 
 def table1_rows(mesh_size: int = 4) -> List[Dict[str, str]]:

@@ -13,10 +13,9 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..chips.configurations import ChipConfiguration
-from ..core.experiment import ExperimentSettings
 from ..core.metrics import ExperimentResult
-from .runner import run_single_experiment
+from ..scenarios.compile import run_scenario
+from .report import paper_spec
 
 #: The three migration periods evaluated in the paper (microseconds).
 PAPER_PERIODS_US = (109.0, 437.2, 874.4)
@@ -85,45 +84,37 @@ class PeriodSweepResult:
         return "\n".join(lines)
 
 
-def _sweep_point(
-    configuration: ChipConfiguration,
-    scheme: str,
-    period_us: float,
-    mode: str,
-    num_epochs: int,
-) -> PeriodSweepPoint:
-    """Run one migration period."""
-    result = run_single_experiment(
-        configuration, scheme, period_us, mode=mode, num_epochs=num_epochs
-    )
-    migrations = max(result.migrations_performed, 1)
-    return PeriodSweepPoint(
-        period_us=period_us,
-        throughput_penalty=result.throughput_penalty,
-        settled_peak_celsius=result.settled_peak_celsius,
-        peak_reduction_celsius=result.peak_reduction_celsius,
-        migration_cycles_per_period=result.performance.migration_cycles / migrations,
-    )
-
-
 def run_period_sweep(
-    configuration: ChipConfiguration,
+    configuration: str,
     scheme: str = "xy-shift",
     periods_us: Sequence[float] = PAPER_PERIODS_US,
     mode: str = "transient",
     num_epochs: int = 41,
 ) -> PeriodSweepResult:
-    """Sweep the migration period for one configuration and scheme.
+    """Sweep the migration period for one chip (by name) and scheme.
 
     Point order follows ``periods_us``.
     """
-    points = [
-        _sweep_point(configuration, scheme, period, mode, num_epochs)
-        for period in periods_us
-    ]
-    return PeriodSweepResult(
-        configuration=configuration.name, scheme=scheme, points=points
-    )
+    points = []
+    for period in periods_us:
+        result = run_scenario(
+            paper_spec(
+                configuration, scheme, period_us=period, mode=mode, num_epochs=num_epochs
+            )
+        ).experiment
+        migrations = max(result.migrations_performed, 1)
+        points.append(
+            PeriodSweepPoint(
+                period_us=period,
+                throughput_penalty=result.throughput_penalty,
+                settled_peak_celsius=result.settled_peak_celsius,
+                peak_reduction_celsius=result.peak_reduction_celsius,
+                migration_cycles_per_period=(
+                    result.performance.migration_cycles / migrations
+                ),
+            )
+        )
+    return PeriodSweepResult(configuration=configuration, scheme=scheme, points=points)
 
 
 @dataclass
@@ -151,39 +142,28 @@ class EnergyAblationResult:
         )
 
 
-def _ablation_case(
-    configuration: ChipConfiguration,
-    scheme: str,
-    period_us: float,
-    num_epochs: int,
-    include_energy: bool,
-) -> ExperimentResult:
-    """One arm of the migration-energy ablation."""
-    settings = ExperimentSettings(
-        num_epochs=num_epochs,
-        mode="steady",
-        settle_epochs=max(1, num_epochs - 1),
-        include_migration_energy=include_energy,
-    )
-    return run_single_experiment(
-        configuration, scheme, period_us, settings=settings
-    )
-
-
 def run_energy_ablation(
-    configuration: ChipConfiguration,
+    configuration: str,
     scheme: str = "rotation",
     period_us: float = 109.0,
     num_epochs: int = 41,
 ) -> EnergyAblationResult:
     """Compare an experiment with and without migration-energy accounting."""
+    with_energy, without_energy = (
+        run_scenario(
+            paper_spec(
+                configuration,
+                scheme,
+                period_us=period_us,
+                num_epochs=num_epochs,
+                include_migration_energy=include_energy,
+            )
+        ).experiment
+        for include_energy in (True, False)
+    )
     return EnergyAblationResult(
-        configuration=configuration.name,
+        configuration=configuration,
         scheme=scheme,
-        with_energy=_ablation_case(
-            configuration, scheme, period_us, num_epochs, include_energy=True
-        ),
-        without_energy=_ablation_case(
-            configuration, scheme, period_us, num_epochs, include_energy=False
-        ),
+        with_energy=with_energy,
+        without_energy=without_energy,
     )

@@ -2,14 +2,12 @@
 
 Keeps the examples and reports dependency-free: no matplotlib is available in
 the reproduction environment, so figures are emitted as aligned text grids
-and CSV files instead.
+instead.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -74,27 +72,3 @@ def render_heat_bar(
             row.append(levels[idx])
         lines.append("".join(row))
     return "\n".join(lines)
-
-
-def to_csv(
-    topology: MeshTopology,
-    values,
-    value_name: str = "value",
-) -> str:
-    """CSV text with columns x, y, <value_name>."""
-    values = _as_map(topology, values)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["x", "y", value_name])
-    for coord in topology.coordinates():
-        writer.writerow([coord[0], coord[1], values[coord]])
-    return buffer.getvalue()
-
-
-def difference_map(
-    a: Dict[Coordinate, float], b: Dict[Coordinate, float]
-) -> Dict[Coordinate, float]:
-    """Per-coordinate ``a - b`` (e.g. temperature reduction map)."""
-    if set(a) != set(b):
-        raise ValueError("maps cover different coordinates")
-    return {coord: a[coord] - b[coord] for coord in a}

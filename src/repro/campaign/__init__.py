@@ -9,19 +9,19 @@ system rather than a benchmark script:
   :class:`CampaignSpec`, its deterministic expansion into
   :class:`CampaignJob` cells, and the JSON-exact :class:`JobResult` record;
 * :mod:`repro.campaign.cache` — content-addressed results keyed by
-  (canonical job spec, fingerprint of the code the job touches), so warm
-  re-runs are pure lookups and an edit invalidates exactly what it changed;
+  (canonical job spec, fingerprint of the package's code), so warm re-runs
+  are pure lookups and a code edit never serves a stale result;
 * :mod:`repro.campaign.manifest` — the campaign directory: spec binding,
   append-only completion journal (resume-after-kill), report file;
 * :mod:`repro.campaign.executor` — :func:`run_campaign`: journal replay,
-  cache probing, key-deduplicated evaluation (inline, or sharded over
-  worker processes with ``n_jobs``), dry-run forecasting;
+  cache probing, evaluation (inline, or sharded over worker processes with
+  ``n_jobs``), dry-run forecasting;
 * :mod:`repro.campaign.report` — per-axis marginal aggregation.
 
 The CLI surface is ``python -m repro campaign run|list|status|report``.
 """
 
-from .cache import ResultCache, code_fingerprint, job_cache_key, modules_for_spec
+from .cache import ResultCache, code_fingerprint, job_cache_key
 from .executor import CampaignRun, campaign_status, run_campaign
 from .report import AxisMarginal, CampaignReport, build_report
 from .spec import CampaignJob, CampaignSpec, JobResult, evaluate_job
@@ -39,6 +39,5 @@ __all__ = [
     "code_fingerprint",
     "evaluate_job",
     "job_cache_key",
-    "modules_for_spec",
     "run_campaign",
 ]

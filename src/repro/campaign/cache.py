@@ -7,13 +7,11 @@ A job's cache key binds **what runs** to **the code that runs it**:
 The spec side is :meth:`repro.scenarios.spec.ScenarioSpec.canonical_json` —
 sorted keys, no whitespace, repr-exact floats — so the same derived spec
 hashes identically in every process on every platform.  The code side is a
-fingerprint of the ``.py`` sources of the module groups the job actually
-touches: every job depends on the thermal/migration/scenario core, jobs with
-an SNR channel additionally depend on the LDPC stack, and jobs with a ``noc``
-channel on the analytic NoC model.  Editing a scenario therefore invalidates
-only that scenario's jobs; editing ``repro.ldpc`` invalidates only the jobs
-that decode; editing the core invalidates everything — and *nothing else*
-ever does.
+fingerprint of every ``.py`` source of the ``repro`` package plus the numpy
+version.  A job's evaluation reaches well beyond its own channels (a plain
+scenario imports the NoC and LDPC stacks, and the campaign package itself
+distils the result), so any edit to the package invalidates every cached
+result: sound beats minimal.
 
 The cache itself is a content-addressed directory store: one JSON file per
 key, fanned out over 256 two-hex-digit shards, written atomically
@@ -29,37 +27,9 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional
 
 from ..scenarios.spec import ScenarioSpec
-
-#: Module groups -> the ``repro`` subpackages whose sources they fingerprint.
-#: "core" is everything a plain thermal scenario touches; "ldpc" and "noc"
-#: are the optional channels.
-MODULE_GROUPS: Dict[str, Tuple[str, ...]] = {
-    "core": (
-        "chips",
-        "core",
-        "migration",
-        "placement",
-        "power",
-        "scenarios",
-        "thermal",
-    ),
-    "ldpc": ("ldpc",),
-    "noc": ("noc",),
-    "stream": ("stream",),
-}
-
-
-def modules_for_spec(spec: ScenarioSpec) -> Tuple[str, ...]:
-    """The module groups one scenario's evaluation can possibly touch."""
-    groups = ["core"]
-    if spec.snr_db is not None:
-        groups.append("ldpc")
-    if spec.noc is not None:
-        groups.append("noc")
-    return tuple(groups)
 
 
 def _package_root() -> Path:
@@ -68,49 +38,39 @@ def _package_root() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-#: (root, groups) -> fingerprint hex digest; sources don't change under a
-#: running process, so each combination is hashed once.
-_FINGERPRINT_CACHE: Dict[Tuple[str, Tuple[str, ...]], str] = {}
+#: root -> fingerprint hex digest; sources don't change under a running
+#: process, so the package is hashed once.
+_FINGERPRINT_CACHE: Dict[str, str] = {}
 _FINGERPRINT_LOCK = threading.Lock()
 
 
-def code_fingerprint(
-    groups: Iterable[str], root: Optional[Path] = None
-) -> str:
-    """SHA-256 over the ``.py`` sources of the given module groups.
+def code_fingerprint(root: Optional[Path] = None) -> str:
+    """SHA-256 over every ``.py`` source of the package, plus numpy's version.
 
     Files are hashed in sorted relative-path order with their paths mixed in,
     so renames, additions and deletions all change the fingerprint, and the
     digest is independent of filesystem iteration order.
     """
-    groups = tuple(sorted(set(groups)))
-    unknown = set(groups) - set(MODULE_GROUPS)
-    if unknown:
-        raise ValueError(f"unknown module groups: {sorted(unknown)}")
+    import numpy
+
     # Only the installed package root is memoized: its sources cannot change
     # under a running process.  Explicit roots (tests fingerprinting mutable
     # source trees) are re-hashed every call.
     memoize = root is None
     base = _package_root() if root is None else Path(root)
-    key = (str(base), groups)
+    key = str(base)
     if memoize:
         with _FINGERPRINT_LOCK:
             cached = _FINGERPRINT_CACHE.get(key)
         if cached is not None:
             return cached
-    digest = hashlib.sha256()
-    for group in groups:
-        digest.update(f"[{group}]".encode("utf-8"))
-        for subpackage in MODULE_GROUPS[group]:
-            package_dir = base / subpackage
-            if not package_dir.is_dir():
-                continue
-            for source in sorted(package_dir.rglob("*.py")):
-                rel = source.relative_to(base).as_posix()
-                digest.update(rel.encode("utf-8"))
-                digest.update(b"\x00")
-                digest.update(source.read_bytes())
-                digest.update(b"\x00")
+    digest = hashlib.sha256(f"numpy {numpy.__version__}".encode("utf-8"))
+    for source in sorted(base.rglob("*.py")):
+        rel = source.relative_to(base).as_posix()
+        digest.update(b"\x00")
+        digest.update(rel.encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(source.read_bytes())
     fingerprint = digest.hexdigest()
     if memoize:
         with _FINGERPRINT_LOCK:

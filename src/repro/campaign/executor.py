@@ -11,10 +11,11 @@
 3. **Probe the cache** for the remainder: warm re-runs of unchanged
    campaigns are pure cache lookups, performing *zero* scenario
    evaluations.
-4. **Evaluate** the misses — deduplicated by key, inline or sharded over
-   worker processes, each result journaled and published to the cache the
-   moment it completes (so a kill at any point loses at most the in-flight
-   jobs).
+4. **Evaluate** the misses, inline or sharded over worker processes, each
+   result journaled and published to the cache the moment it completes (so a
+   kill at any point loses at most the in-flight jobs).  Job ids are unique
+   (:meth:`CampaignSpec.expand` rejects duplicates), so every miss has its
+   own key.
 5. **Report**: per-axis marginals, written to ``report.json``.
 
 ``n_jobs`` is 1 (the default: jobs run inline, in grid order), a worker
@@ -43,7 +44,7 @@ from ..obs import span as _obs_span
 from ..obs import start_tracing as _obs_start_tracing
 from ..obs import timer as _obs_timer
 from . import manifest
-from .cache import ResultCache, code_fingerprint, job_cache_key, modules_for_spec
+from .cache import ResultCache, code_fingerprint, job_cache_key
 from .report import CampaignReport, build_report
 from .spec import CampaignJob, CampaignSpec, JobResult, evaluate_job
 
@@ -72,8 +73,7 @@ class CampaignRun:
     cache_hits: int
     #: Jobs replayed from the directory's journal (a resumed campaign).
     resumed: int
-    #: Pending evaluations a ``--dry-run`` would have executed (after
-    #: dedup by cache key).
+    #: Pending evaluations a ``--dry-run`` would have executed.
     forecast_evaluations: int
     dry_run: bool
     wall_s: float
@@ -148,7 +148,11 @@ def _evaluate_payload(
 
 
 def _retarget(payload: Dict[str, object], job: CampaignJob) -> Dict[str, object]:
-    """A shared key's payload re-labelled for one specific job of the group."""
+    """A cached payload re-labelled for ``job``.
+
+    Another campaign may have published the same key under another id (e.g.
+    one that swept the migration style this campaign leaves unswept).
+    """
     if payload.get("job_id") == job.job_id and payload.get("axes") == job.axes:
         return payload
     relabelled = dict(payload)
@@ -158,28 +162,20 @@ def _retarget(payload: Dict[str, object], job: CampaignJob) -> Dict[str, object]
 
 
 def compute_job_keys(jobs: List[CampaignJob]) -> Dict[str, str]:
-    """``job_id -> content-addressed cache key`` for an expanded grid.
-
-    The code fingerprint is computed once per distinct module-group
-    combination, not per job.
-    """
-    fingerprints: Dict[Tuple[str, ...], str] = {}
-    keys: Dict[str, str] = {}
-    for job in jobs:
-        groups = modules_for_spec(job.spec)
-        if job.stream_window is not None:
-            # Streamed jobs additionally execute the streaming engine, so
-            # their keys must track its sources too.
-            groups = groups + ("stream",)
-        fingerprint = fingerprints.get(groups)
-        if fingerprint is None:
-            fingerprint = code_fingerprint(groups)
-            fingerprints[groups] = fingerprint
-        variant = (
-            f"stream:w{job.stream_window}" if job.stream_window is not None else None
+    """``job_id -> content-addressed cache key`` for an expanded grid."""
+    fingerprint = code_fingerprint()
+    return {
+        job.job_id: job_cache_key(
+            job.spec,
+            fingerprint,
+            variant=(
+                f"stream:w{job.stream_window}"
+                if job.stream_window is not None
+                else None
+            ),
         )
-        keys[job.job_id] = job_cache_key(job.spec, fingerprint, variant=variant)
-    return keys
+        for job in jobs
+    }
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -278,9 +274,8 @@ def _run_campaign(
 
     cache_hits = 0
     pending: List[CampaignJob] = []
-    seen_pending = set()
     for job in jobs:
-        if job.job_id in results or job.job_id in seen_pending:
+        if job.job_id in results:
             continue
         payload = cache.get(keys[job.job_id])
         if payload is not None:
@@ -301,25 +296,17 @@ def _run_campaign(
                 )
         else:
             pending.append(job)
-            seen_pending.add(job.job_id)
-
-    # Dedup by cache key: byte-identical derived specs (e.g. the same
-    # scenario listed twice) evaluate once and fan the payload out.
-    by_key: Dict[str, List[CampaignJob]] = {}
-    for job in pending:
-        by_key.setdefault(keys[job.job_id], []).append(job)
-    unique = [group[0] for group in by_key.values()]
 
     evaluated = 0
-    if dry_run or not unique:
+    if dry_run or not pending:
         workers = 1
     else:
-        workers = min(workers, len(unique))
+        workers = min(workers, len(pending))
         collect = _obs_enabled()
         _LOG.info(
             "campaign %s: evaluating %d job(s) on %d worker(s)",
             spec.name,
-            len(unique),
+            len(pending),
             workers,
         )
         tasks = [
@@ -333,7 +320,7 @@ def _run_campaign(
                 parent_pid=os.getpid(),
                 stream_window=job.stream_window,
             )
-            for job in unique
+            for job in pending
         ]
         for index, (payload, wall_s, meta) in _completed(tasks, workers):
             evaluated += 1
@@ -345,21 +332,20 @@ def _run_campaign(
                 events = meta.get("events")
                 if events and meta.get("pid") != os.getpid():
                     _obs_tracer().add_serialized(events)  # type: ignore[arg-type]
-            key = keys[unique[index].job_id]
+            job = pending[index]
+            key = keys[job.job_id]
             cache.put(key, payload)
-            for job in by_key[key]:
-                job_payload = _retarget(payload, job)
-                results[job.job_id] = JobResult.from_dict(job_payload)
-                entry = {
-                    "job_id": job.job_id,
-                    "key": key,
-                    "from_cache": False,
-                    "wall_s": wall_s,
-                    "result": job_payload,
-                }
-                if job_telemetry:
-                    entry["telemetry"] = job_telemetry
-                manifest.append_journal_entry(directory, entry)
+            results[job.job_id] = JobResult.from_dict(payload)
+            entry = {
+                "job_id": job.job_id,
+                "key": key,
+                "from_cache": False,
+                "wall_s": wall_s,
+                "result": payload,
+            }
+            if job_telemetry:
+                entry["telemetry"] = job_telemetry
+            manifest.append_journal_entry(directory, entry)
 
     ordered: List[Optional[JobResult]] = [results.get(job.job_id) for job in jobs]
     telemetry: Optional[Dict[str, object]] = None
@@ -384,7 +370,7 @@ def _run_campaign(
         evaluated=evaluated,
         cache_hits=cache_hits,
         resumed=resumed,
-        forecast_evaluations=len(unique),
+        forecast_evaluations=len(pending),
         dry_run=dry_run,
         wall_s=time.perf_counter() - started,
         report=report,

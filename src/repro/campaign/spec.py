@@ -26,7 +26,7 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.policy import policy_family
 from ..scenarios.compile import run_scenario
@@ -168,7 +168,11 @@ class CampaignSpec:
         ]
 
     def expand(self) -> List["CampaignJob"]:
-        """The deterministic job grid: scenarios x every pinned axis."""
+        """The deterministic job grid: scenarios x every pinned axis.
+
+        Raises ``ValueError`` if two jobs would get the same id (two
+        scenarios with one name, or a registry name listed twice).
+        """
         axis_grids: Tuple[Sequence[object], ...] = (
             self.configurations or (None,),
             self.schemes or (None,),
@@ -178,6 +182,7 @@ class CampaignSpec:
         )
         windows: Tuple[Optional[int], ...] = self.stream_windows or (None,)
         jobs: List[CampaignJob] = []
+        seen: Set[str] = set()
         for base in self._base_scenarios():
             for values in itertools.product(*axis_grids):
                 overrides = {
@@ -221,6 +226,15 @@ class CampaignSpec:
                         # and cache keys byte-stable.
                         axes["stream_window"] = int(window)
                         job_id += f"/w{int(window)}"
+                    if job_id in seen:
+                        # Two jobs with one id would share one journal line
+                        # and one result.
+                        raise ValueError(
+                            f"campaign {self.name!r} expands to job id "
+                            f"{job_id!r} twice; give each scenario a "
+                            "distinct name"
+                        )
+                    seen.add(job_id)
                     jobs.append(
                         CampaignJob(
                             index=len(jobs),

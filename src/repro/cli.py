@@ -40,18 +40,17 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .analysis.report import (
-    FIGURE1_SETTINGS,
     compare_scenarios,
+    compare_with_migration,
     format_rows,
     generate_figure1,
-    run_figure1_cell,
+    paper_spec,
 )
 from .analysis.sweep import PAPER_PERIODS_US, run_energy_ablation, run_period_sweep
 from .campaign import CampaignSpec, campaign_status, run_campaign
 from .campaign import manifest as campaign_manifest
 from .campaign.report import CampaignReport
 from .chips import all_configurations, get_configuration
-from .core.dtm import compare_with_migration
 from .core.experiment import ExperimentSettings, ThermalExperiment
 from .core.policy import make_policy
 from .migration.transforms import FIGURE1_SCHEMES
@@ -105,14 +104,7 @@ def cmd_chips(args: argparse.Namespace) -> int:
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
-    configurations = None
-    if args.configurations:
-        configurations = [get_configuration(name) for name in args.configurations]
-    report = generate_figure1(
-        configurations=configurations,
-        period_us=args.period,
-        settings=FIGURE1_SETTINGS,
-    )
+    report = generate_figure1(configurations=args.configurations, period_us=args.period)
     if args.csv:
         _print_rows(report.to_rows(), True)
     else:
@@ -124,12 +116,23 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    chip = get_configuration(args.configuration)
-    policy = make_policy(args.scheme, chip.topology, period_us=args.period)
-    settings = ExperimentSettings(
-        num_epochs=args.epochs,
+    thermal_model = None
+    if args.grid is not None:
+        # The batched pipeline runs unchanged at grid resolution.  Reuse the
+        # chip's floorplan so both resolutions model the same die.
+        chip = get_configuration(args.configuration)
+        thermal_model = HotSpotModel(
+            chip.topology,
+            resolution=args.grid,
+            package=chip.thermal_model.package,
+            floorplan=chip.thermal_model.floorplan,
+        )
+    spec = paper_spec(
+        args.configuration,
+        args.scheme,
+        period_us=args.period,
         mode=args.mode,
-        settle_epochs=max(1, args.epochs - 1),
+        num_epochs=args.epochs,
         include_migration_energy=not args.no_migration_energy,
         thermal_method=args.thermal_method,
         feedback_stride=args.feedback_stride,
@@ -137,19 +140,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         migration_style=args.migration_style,
         units_per_epoch=args.migration_units_per_epoch,
     )
-    thermal_model = None
-    if args.grid is not None:
-        # The batched pipeline runs unchanged at grid resolution.  Reuse the
-        # chip's floorplan so both resolutions model the same die.
-        thermal_model = HotSpotModel(
-            chip.topology,
-            resolution=args.grid,
-            package=chip.thermal_model.package,
-            floorplan=chip.thermal_model.floorplan,
-        )
-    result = ThermalExperiment(
-        chip, policy, settings=settings, thermal_model=thermal_model
-    ).run()
+    result = run_scenario(spec, thermal_model=thermal_model).experiment
     rows = [
         {"metric": "baseline peak (C)", "value": round(result.baseline_peak_celsius, 2)},
         {"metric": "settled peak (C)", "value": round(result.settled_peak_celsius, 2)},
@@ -163,10 +154,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    chip = get_configuration(args.configuration)
     periods = args.periods or list(PAPER_PERIODS_US)
     sweep = run_period_sweep(
-        chip,
+        args.configuration,
         scheme=args.scheme,
         periods_us=periods,
         mode=args.mode,
@@ -186,9 +176,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ablation(args: argparse.Namespace) -> int:
-    chip = get_configuration(args.configuration)
     ablation = run_energy_ablation(
-        chip,
+        args.configuration,
         scheme=args.scheme,
         period_us=args.period,
         num_epochs=args.epochs,
@@ -216,9 +205,8 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def cmd_dtm(args: argparse.Namespace) -> int:
-    chip = get_configuration(args.configuration)
     comparison = compare_with_migration(
-        chip,
+        args.configuration,
         scheme=args.scheme,
         period_us=args.period,
         num_epochs=args.epochs,
@@ -251,6 +239,11 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioSpec:
         raise SystemExit("scenario run needs a NAME or --spec FILE")
     else:
         spec = get_scenario(args.name)
+    return _apply_overrides(spec, args)
+
+
+def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
+    """The spec with the command's feedback/migration override flags applied."""
     if args.feedback_stride is not None:
         spec = dataclasses.replace(spec, feedback_stride=args.feedback_stride)
     if args.feedback_predictor is not None:
@@ -331,14 +324,8 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario_compare(args: argparse.Namespace) -> int:
-    specs = None
-    if args.names:
-        specs = [get_scenario(name) for name in args.names]
-    comparison = compare_scenarios(
-        specs,
-        feedback_stride=args.feedback_stride,
-        feedback_predictor=args.feedback_predictor,
-    )
+    specs = [get_scenario(name) for name in args.names] if args.names else all_scenarios()
+    comparison = compare_scenarios([_apply_overrides(spec, args) for spec in specs])
     if args.csv:
         _print_rows(comparison.to_rows(), True)
     else:

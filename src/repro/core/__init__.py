@@ -1,13 +1,7 @@
 """Core contribution: runtime reconfiguration policies, controller and experiments."""
 
 from .controller import MigrationEvent, RuntimeReconfigurationController
-from .dtm import (
-    DtmComparison,
-    DtmOperatingPoint,
-    DvfsThrottling,
-    StopGoThrottling,
-    compare_with_migration,
-)
+from .dtm import DtmOperatingPoint, DvfsThrottling, StopGoThrottling
 from .experiment import ExperimentSettings, FeedbackPlan, ThermalExperiment
 from .metrics import (
     EpochRecord,
@@ -28,11 +22,9 @@ from .policy import (
 __all__ = [
     "MigrationEvent",
     "RuntimeReconfigurationController",
-    "DtmComparison",
     "DtmOperatingPoint",
     "DvfsThrottling",
     "StopGoThrottling",
-    "compare_with_migration",
     "ExperimentSettings",
     "FeedbackPlan",
     "ThermalExperiment",

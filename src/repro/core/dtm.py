@@ -18,13 +18,13 @@ comparison can be made quantitatively:
 
 Both expose the same question the migration experiments answer: *what does it
 cost, in throughput, to bring the peak temperature down by X degrees?*
-:func:`compare_with_migration` puts the three techniques side by side on a
-chip configuration.
+:func:`repro.analysis.report.compare_with_migration` puts the three
+techniques side by side on a chip configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -32,8 +32,6 @@ import numpy as np
 from ..chips.configurations import ChipConfiguration
 from ..noc.topology import Coordinate
 from ..power.trace import map_to_vector
-from .experiment import ExperimentSettings, ThermalExperiment
-from .policy import PeriodicMigrationPolicy
 
 
 @dataclass
@@ -215,67 +213,3 @@ class DvfsThrottling:
         raise ValueError(
             f"even the slowest operating point cannot reach {target_peak_celsius:.2f} C"
         )
-
-
-@dataclass
-class DtmComparison:
-    """Throughput cost of reaching the same peak temperature three ways."""
-
-    configuration: str
-    target_peak_celsius: float
-    migration_scheme: str
-    migration_penalty: float
-    migration_peak_celsius: float
-    stop_go_penalty: float
-    dvfs_penalty: float
-
-    def to_rows(self) -> List[Dict[str, object]]:
-        return [
-            {
-                "technique": f"runtime reconfiguration ({self.migration_scheme})",
-                "peak_c": round(self.migration_peak_celsius, 2),
-                "throughput_penalty_pct": round(100 * self.migration_penalty, 2),
-            },
-            {
-                "technique": "stop-go clock gating",
-                "peak_c": round(self.target_peak_celsius, 2),
-                "throughput_penalty_pct": round(100 * self.stop_go_penalty, 2),
-            },
-            {
-                "technique": "global DVFS",
-                "peak_c": round(self.target_peak_celsius, 2),
-                "throughput_penalty_pct": round(100 * self.dvfs_penalty, 2),
-            },
-        ]
-
-
-def compare_with_migration(
-    configuration: ChipConfiguration,
-    scheme: str = "xy-shift",
-    period_us: float = 109.0,
-    num_epochs: int = 41,
-) -> DtmComparison:
-    """Make the paper's implicit comparison explicit.
-
-    Runs the migration experiment, takes the peak temperature it achieves,
-    and asks what global stop-go or DVFS throttling would cost in throughput
-    to reach the *same* peak on the *same* chip.
-    """
-    policy = PeriodicMigrationPolicy(configuration.topology, scheme, period_us=period_us)
-    settings = ExperimentSettings(
-        num_epochs=num_epochs, mode="steady", settle_epochs=max(1, num_epochs - 1)
-    )
-    migration = ThermalExperiment(configuration, policy, settings=settings).run()
-    target_peak = migration.settled_peak_celsius
-    duty = StopGoThrottling(configuration).duty_cycle_for_peak(target_peak)
-    frequency = DvfsThrottling(configuration).frequency_for_peak(target_peak)
-
-    return DtmComparison(
-        configuration=configuration.name,
-        target_peak_celsius=target_peak,
-        migration_scheme=scheme,
-        migration_penalty=migration.throughput_penalty,
-        migration_peak_celsius=migration.settled_peak_celsius,
-        stop_go_penalty=1.0 - duty,
-        dvfs_penalty=1.0 - frequency,
-    )

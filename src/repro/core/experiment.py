@@ -64,6 +64,10 @@ if TYPE_CHECKING:
 #: Policy decisions dropped because a staged migration was still unfolding.
 _OBS_STALLED = _obs_counter("migration.stalled_epochs")
 
+#: Fraction of final epochs that form the settled regime when
+#: ``ExperimentSettings.settle_epochs`` is unset.
+SETTLE_FRACTION = 0.5
+
 
 @dataclass
 class ExperimentSettings:
@@ -76,14 +80,13 @@ class ExperimentSettings:
     mode: str = "steady"
     #: Include migration energy in the power maps (the paper does).
     include_migration_energy: bool = True
-    #: Fraction of final epochs considered the settled regime.
-    settle_fraction: float = 0.5
-    #: Explicit number of settled epochs; overrides ``settle_fraction`` when
-    #: set.  Choosing a multiple of the transform's orbit length (e.g. 20 or
-    #: 40, which divides by 2, 4 and 5) makes the time average exact.  A
-    #: streamed run with an unknown horizon *requires* an explicit settled
-    #: window (here or via ``prepare(settled_capacity=...)``) because the
-    #: fraction has nothing to take a fraction of.
+    #: Explicit number of settled epochs; ``None`` settles over the final
+    #: :data:`SETTLE_FRACTION` of the run.  Choosing a multiple of the
+    #: transform's orbit length (e.g. 20 or 40, which divides by 2, 4 and 5)
+    #: makes the time average exact.  A streamed run with an unknown horizon
+    #: *requires* an explicit settled window (here or via
+    #: ``prepare(settled_capacity=...)``) because the fraction has nothing
+    #: to take a fraction of.
     settle_epochs: Optional[int] = None
     #: Implicit-Euler steps per epoch in transient mode.
     transient_steps_per_epoch: int = 8
@@ -121,8 +124,6 @@ class ExperimentSettings:
             raise ValueError("at least one epoch is required")
         if self.mode not in ("steady", "transient"):
             raise ValueError("mode must be 'steady' or 'transient'")
-        if not 0.0 < self.settle_fraction <= 1.0:
-            raise ValueError("settle_fraction must be in (0, 1]")
         if self.settle_epochs is not None and not 1 <= self.settle_epochs <= self.num_epochs:
             raise ValueError("settle_epochs must be between 1 and num_epochs")
         if self.transient_steps_per_epoch < 1:
@@ -145,7 +146,7 @@ class ExperimentSettings:
         """Number of final epochs that form the settled regime."""
         if self.settle_epochs is not None:
             return min(self.settle_epochs, available_epochs)
-        return max(1, int(available_epochs * self.settle_fraction))
+        return max(1, int(available_epochs * SETTLE_FRACTION))
 
 
 class FeedbackPlan:
@@ -522,8 +523,8 @@ class ThermalExperiment:
             raise ValueError(
                 "streaming with an unknown horizon needs an explicit settled "
                 "window: set settings.settle_epochs or pass "
-                "prepare(settled_capacity=...) — settle_fraction has nothing "
-                "to take a fraction of"
+                "prepare(settled_capacity=...) — a fraction of an unknown "
+                "horizon is undefined"
             )
         self._settled_capacity = capacity
         self._thermal_feedback = thermal_feedback

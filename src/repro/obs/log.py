@@ -45,7 +45,7 @@ def get_logger(name: Optional[str] = None) -> logging.Logger:
     """The package logger, or a child of it.
 
     ``name`` may be a child suffix (``"campaign"``), an absolute dotted name
-    already under the hierarchy (``"repro.analysis.runner"``, the usual
+    already under the hierarchy (``"repro.analysis.report"``, the usual
     ``get_logger(__name__)`` spelling), or None for the root.
     """
     if name is None:

@@ -1,29 +1,26 @@
-"""Tests for the Figure 1 report generator."""
+"""Tests for the paper reports: Figure 1, `paper_spec` and the DTM comparison."""
 
 import pytest
 
 from repro.analysis.report import (
-    Figure1Report,
+    compare_with_migration,
     generate_figure1,
-    run_figure1_cell,
+    paper_spec,
     table1_rows,
 )
-from repro.chips import get_configuration
-from repro.core.experiment import ExperimentSettings
-
-
-FAST = ExperimentSettings(num_epochs=21, mode="steady", settle_epochs=20)
+from repro.chips import configuration_names, get_configuration
+from repro.core.dtm import DvfsThrottling, StopGoThrottling
+from repro.scenarios import run_scenario
 
 
 @pytest.fixture(scope="module")
 def small_report():
     """Figure 1 restricted to configurations A and E and two schemes."""
-    configurations = [get_configuration("A"), get_configuration("E")]
     return generate_figure1(
-        configurations=configurations,
+        configurations=["A", "E"],
         schemes=("rotation", "xy-shift"),
         period_us=109.0,
-        settings=FAST,
+        num_epochs=21,
     )
 
 
@@ -65,12 +62,63 @@ class TestFigure1Report:
         assert small_report._baseline("E") == pytest.approx(75.98, abs=0.01)
 
 
-class TestSingleCell:
-    def test_run_figure1_cell(self, chip_a):
-        result = run_figure1_cell(chip_a, "xy-shift", period_us=109.0, settings=FAST)
+class TestPaperSpec:
+    def test_settles_every_epoch_after_the_first(self):
+        spec = paper_spec("A", "xy-shift")
+        assert (spec.num_epochs, spec.settle_epochs) == (41, 40)
+        assert paper_spec("A", "xy-shift", num_epochs=1).settle_epochs == 1
+
+    def test_one_figure1_cell(self):
+        result = run_scenario(paper_spec("A", "xy-shift", num_epochs=21)).experiment
         assert result.configuration_name == "A"
         assert result.scheme_name == "periodic-xy-shift"
         assert result.peak_reduction_celsius > 0
+
+
+class TestComparisonWithMigration:
+    @pytest.fixture(scope="class")
+    def comparison(self):
+        return compare_with_migration("A", scheme="xy-shift", num_epochs=21)
+
+    def test_rows_structure(self, comparison):
+        rows = comparison.to_rows()
+        assert len(rows) == 3
+        assert {"technique", "peak_c", "throughput_penalty_pct"} <= set(rows[0])
+
+    def test_migration_much_cheaper_than_global_throttling(self, comparison):
+        """The paper's motivating claim: reaching the migrated peak
+        temperature by slowing the whole chip costs far more throughput than
+        migration does."""
+        assert comparison.migration_penalty < 0.05
+        assert comparison.stop_go_penalty > 3 * comparison.migration_penalty
+        assert comparison.dvfs_penalty > comparison.migration_penalty
+
+    def test_throttling_penalties_reach_the_migrated_peak(self, comparison):
+        chip = get_configuration("A")
+        assert comparison.target_peak_celsius == comparison.migration_peak_celsius
+        stop_go = StopGoThrottling(chip).operating_point(
+            1.0 - comparison.stop_go_penalty
+        )
+        assert stop_go.peak_celsius == pytest.approx(
+            comparison.target_peak_celsius, abs=0.2
+        )
+        dvfs = DvfsThrottling(chip).operating_point(1.0 - comparison.dvfs_penalty)
+        assert dvfs.peak_celsius <= comparison.target_peak_celsius + 1e-6
+
+    def test_migration_cheapest_on_every_configuration(self):
+        for name in configuration_names():
+            comparison = compare_with_migration(name, scheme="xy-shift", num_epochs=41)
+            assert comparison.migration_penalty < 0.05, name
+            assert comparison.stop_go_penalty > comparison.migration_penalty
+            assert comparison.dvfs_penalty > comparison.migration_penalty
+
+    def test_penalties_in_unit_interval(self, comparison):
+        for value in (
+            comparison.migration_penalty,
+            comparison.stop_go_penalty,
+            comparison.dvfs_penalty,
+        ):
+            assert 0.0 <= value < 1.0
 
 
 class TestTable1:

@@ -12,10 +12,8 @@ from repro.analysis.sweep import (
 class TestPeriodSweep:
     @pytest.fixture(scope="class")
     def sweep_a(self):
-        from repro.chips import get_configuration
-
         return run_period_sweep(
-            get_configuration("A"),
+            "A",
             scheme="xy-shift",
             periods_us=PAPER_PERIODS_US,
             mode="steady",
@@ -51,10 +49,8 @@ class TestPeriodSweep:
         """Transient mode resolves the ripple: the RC model's ~1.7 ms block
         time constant makes it larger than the paper's <0.1 C, but still
         under a degree at 437.2 us and two at 874.4 us."""
-        from repro.chips import get_configuration
-
         sweep = run_period_sweep(
-            get_configuration("A"),
+            "A",
             scheme="xy-shift",
             periods_us=PAPER_PERIODS_US,
             mode="transient",
@@ -77,17 +73,13 @@ class TestPeriodSweep:
         solver = chip.thermal_model.solver
         solves_before = solver.steady_solve_count
         factorizations_before = solver.step_factorization_count
-        run_period_sweep(chip, periods_us=PAPER_PERIODS_US, mode="steady", num_epochs=9)
+        run_period_sweep("A", periods_us=PAPER_PERIODS_US, mode="steady", num_epochs=9)
         assert solver.steady_solve_count - solves_before == len(PAPER_PERIODS_US)
         assert solver.step_factorization_count == factorizations_before
 
     def test_points_follow_the_requested_order(self):
-        from repro.chips import get_configuration
-
         periods = (874.4, 109.0, 437.2)
-        sweep = run_period_sweep(
-            get_configuration("A"), periods_us=periods, mode="steady", num_epochs=5
-        )
+        sweep = run_period_sweep("A", periods_us=periods, mode="steady", num_epochs=5)
         assert [point.period_us for point in sweep.points] == list(periods)
         assert list(sweep.as_arrays()["period_us"]) == sorted(periods)
 
@@ -95,10 +87,8 @@ class TestPeriodSweep:
 class TestEnergyAblation:
     @pytest.fixture(scope="class")
     def ablation_e(self):
-        from repro.chips import get_configuration
-
         return run_energy_ablation(
-            get_configuration("E"), scheme="rotation", period_us=109.0, num_epochs=21
+            "E", scheme="rotation", period_us=109.0, num_epochs=21
         )
 
     def test_energy_raises_mean_temperature(self, ablation_e):
@@ -119,11 +109,8 @@ class TestEnergyAblation:
     def test_rotation_penalty_exceeds_shift_penalty(self):
         """Rotation moves state the furthest, so its energy penalty exceeds
         the cheap single-hop right shift's."""
-        from repro.chips import get_configuration
-
-        chip = get_configuration("E")
-        rotation = run_energy_ablation(chip, scheme="rotation", num_epochs=11)
-        shift = run_energy_ablation(chip, scheme="right-shift", num_epochs=11)
+        rotation = run_energy_ablation("E", scheme="rotation", num_epochs=11)
+        shift = run_energy_ablation("E", scheme="right-shift", num_epochs=11)
         assert (
             rotation.mean_temperature_penalty_celsius
             > shift.mean_temperature_penalty_celsius

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.thermal_map import difference_map, render_grid, render_heat_bar, to_csv
+from repro.analysis.thermal_map import render_grid, render_heat_bar
 
 
 @pytest.fixture
@@ -45,22 +45,3 @@ class TestHeatBar:
         flat = {coord: 1.0 for coord in mesh4.coordinates()}
         art = render_heat_bar(mesh4, flat)
         assert len(art.splitlines()) == 4
-
-
-class TestCsvAndDifference:
-    def test_csv_row_count(self, mesh4, values4):
-        csv_text = to_csv(mesh4, values4, value_name="temp")
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "x,y,temp"
-        assert len(lines) == 1 + 16
-
-    def test_difference_map(self, mesh4, values4):
-        doubled = {coord: 2 * value for coord, value in values4.items()}
-        diff = difference_map(doubled, values4)
-        assert diff == values4
-
-    def test_difference_map_mismatched_keys(self, values4):
-        other = dict(values4)
-        other.pop((0, 0))
-        with pytest.raises(ValueError):
-            difference_map(values4, other)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 import threading
@@ -10,88 +11,65 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import (
+    CampaignSpec,
     ResultCache,
     code_fingerprint,
     job_cache_key,
-    modules_for_spec,
 )
+from repro.campaign import cache as cache_module
+from repro.campaign.executor import compute_job_keys
 from repro.scenarios import NocChannel, ScenarioSpec
 from repro.scenarios.patterns import RampPattern
 
 from test_campaign_spec import cheap_scenario
 
 
-class TestModulesForSpec:
-    def test_core_only_for_plain_scenarios(self):
-        assert modules_for_spec(cheap_scenario()) == ("core",)
-
-    def test_snr_channel_adds_ldpc(self):
-        spec = cheap_scenario(snr_db=RampPattern(start=3.0, end=2.0))
-        assert modules_for_spec(spec) == ("core", "ldpc")
-
-    def test_noc_channel_adds_noc(self):
-        spec = cheap_scenario(noc=NocChannel())
-        assert modules_for_spec(spec) == ("core", "noc")
-
-
 class TestCodeFingerprint:
     def _tree(self, root: Path) -> Path:
-        for group in ("core", "ldpc", "noc"):
-            (root / group).mkdir(parents=True)
-            (root / group / "mod.py").write_text(f"VALUE = {group!r}\n")
+        for package in ("core", "ldpc", "noc"):
+            (root / package).mkdir(parents=True)
+            (root / package / "mod.py").write_text(f"VALUE = {package!r}\n")
         return root
 
     def test_stable_for_unchanged_sources(self, tmp_path):
         root = self._tree(tmp_path)
-        assert code_fingerprint(("core",), root) == code_fingerprint(("core",), root)
+        assert code_fingerprint(root) == code_fingerprint(root)
 
-    def test_edit_changes_fingerprint(self, tmp_path):
+    @pytest.mark.parametrize("package", ["core", "ldpc", "noc"])
+    def test_edit_anywhere_changes_fingerprint(self, tmp_path, package):
         root = self._tree(tmp_path)
-        before = code_fingerprint(("core",), root)
-        (root / "core" / "mod.py").write_text("VALUE = 'edited'\n")
-        assert code_fingerprint(("core",), root) != before
+        before = code_fingerprint(root)
+        (root / package / "mod.py").write_text("VALUE = 'edited'\n")
+        assert code_fingerprint(root) != before
 
     def test_rename_changes_fingerprint(self, tmp_path):
         root = self._tree(tmp_path)
-        before = code_fingerprint(("core",), root)
+        before = code_fingerprint(root)
         (root / "core" / "mod.py").rename(root / "core" / "renamed.py")
-        assert code_fingerprint(("core",), root) != before
+        assert code_fingerprint(root) != before
 
-    def test_groups_are_independent(self, tmp_path):
+    def test_numpy_version_changes_fingerprint(self, tmp_path, monkeypatch):
+        import numpy
+
         root = self._tree(tmp_path)
-        core_before = code_fingerprint(("core",), root)
-        both_before = code_fingerprint(("core", "ldpc"), root)
-        (root / "ldpc" / "mod.py").write_text("VALUE = 'edited'\n")
-        assert code_fingerprint(("core",), root) == core_before
-        assert code_fingerprint(("core", "ldpc"), root) != both_before
-
-    def test_group_order_is_irrelevant(self, tmp_path):
-        root = self._tree(tmp_path)
-        assert code_fingerprint(("ldpc", "core"), root) == code_fingerprint(
-            ("core", "ldpc"), root
-        )
-
-    def test_unknown_group_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown module groups"):
-            code_fingerprint(("warp-drive",), tmp_path)
+        before = code_fingerprint(root)
+        monkeypatch.setattr(numpy, "__version__", "0.0.0")
+        assert code_fingerprint(root) != before
 
     def test_default_root_covers_real_package(self):
-        fingerprint = code_fingerprint(("core", "ldpc", "noc"))
+        fingerprint = code_fingerprint()
         assert len(fingerprint) == 64
         # Memoized: the second call must agree.
-        assert code_fingerprint(("core", "ldpc", "noc")) == fingerprint
-
+        assert code_fingerprint() == fingerprint
 
     def test_concurrent_callers_share_one_memoized_digest(self, monkeypatch):
-        from repro.campaign import cache as cache_module
-
         monkeypatch.setattr(cache_module, "_FINGERPRINT_CACHE", {})
         barrier = threading.Barrier(8)
         digests = []
 
         def worker():
             barrier.wait()
-            digests.append(code_fingerprint(("core", "noc")))
+            digests.append(code_fingerprint())
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
@@ -101,8 +79,38 @@ class TestCodeFingerprint:
         assert len(digests) == 8 and len(set(digests)) == 1
         assert list(cache_module._FINGERPRINT_CACHE.values()) == digests[:1]
         # The memoized digest is the one a fresh, unmemoized hash computes.
-        root = cache_module._package_root()
-        assert code_fingerprint(("core", "noc"), root) == digests[0]
+        assert code_fingerprint(cache_module._package_root()) == digests[0]
+
+
+class TestKeyCoversEvaluatedCode:
+    """A plain scenario's key binds code beyond its own channels."""
+
+    @pytest.fixture
+    def package_copy(self, tmp_path, monkeypatch):
+        root = tmp_path / "repro"
+        shutil.copytree(
+            cache_module._package_root(),
+            root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        monkeypatch.setattr(cache_module, "_package_root", lambda: root)
+        return root
+
+    def _steady_baseline_key(self, monkeypatch) -> str:
+        monkeypatch.setattr(cache_module, "_FINGERPRINT_CACHE", {})
+        jobs = CampaignSpec(name="key", scenarios=("steady-baseline",)).expand()
+        return compute_job_keys(jobs)[jobs[0].job_id]
+
+    @pytest.mark.parametrize(
+        "module", ["noc/routing.py", "ldpc/partition.py", "campaign/spec.py"]
+    )
+    def test_edit_changes_steady_baseline_key(
+        self, package_copy, monkeypatch, module
+    ):
+        before = self._steady_baseline_key(monkeypatch)
+        with open(package_copy / module, "a", encoding="utf-8") as handle:
+            handle.write("# edited\n")
+        assert self._steady_baseline_key(monkeypatch) != before
 
 
 class TestJobCacheKey:

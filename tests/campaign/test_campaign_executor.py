@@ -81,13 +81,16 @@ class TestColdRun:
         assert manifest.load_report(tmp_path / "camp") == run.report.to_dict()
         assert len(manifest.load_journal(tmp_path / "camp")) == 8
 
-    def test_duplicate_grid_cells_evaluate_once(self, tmp_path):
-        twin = cheap_scenario("twin")
-        spec = CampaignSpec(name="twins", scenarios=(twin, twin))
-        run = run_campaign(spec, tmp_path / "camp")
-        assert len(run.jobs) == 2
-        assert run.evaluated == 1
-        assert run.results[0] == run.results[1]
+    def test_duplicate_job_ids_refused_before_touching_disk(self, tmp_path):
+        # Two scenarios named alike would share one journal line and one
+        # result, even with different periods.
+        spec = CampaignSpec(
+            name="twins",
+            scenarios=(cheap_scenario("twin"), cheap_scenario("twin", period_us=874.4)),
+        )
+        with pytest.raises(ValueError, match="twin@A/xy-shift/fs1/euler"):
+            run_campaign(spec, tmp_path / "camp")
+        assert not (tmp_path / "camp").exists()
 
 
 class TestWarmRun:
@@ -152,7 +155,7 @@ class TestInvalidation:
         spec = grid_spec()
         run_campaign(spec, tmp_path / "camp")
         monkeypatch.setattr(
-            executor_module, "code_fingerprint", lambda groups, root=None: "0" * 64
+            executor_module, "code_fingerprint", lambda root=None: "0" * 64
         )
         rerun = run_campaign(spec, tmp_path / "camp")
         assert rerun.evaluated == len(rerun.jobs)
@@ -317,20 +320,6 @@ class TestSharding:
         assert resumed.workers == 2
         assert result_payloads(resumed) == result_payloads(complete)
         assert journal_results(interrupted) == journal_results(tmp_path / "full")
-
-    def test_sharded_duplicate_cells_evaluate_once(self, tmp_path):
-        twin = cheap_scenario("twin")
-        spec = CampaignSpec(
-            name="twins", scenarios=(twin, twin), configurations=("A", "B")
-        )
-        run = run_campaign(spec, tmp_path / "camp", n_jobs=2)
-        assert len(run.jobs) == 4
-        assert run.evaluated == 2
-        assert run.workers == 2
-        assert run.results[0] == run.results[2]
-        assert run.results[1] == run.results[3]
-        serial = run_campaign(spec, tmp_path / "serial")
-        assert result_payloads(run) == result_payloads(serial)
 
     def test_sharded_run_without_telemetry_journals_none(self, tmp_path):
         obs.disable()

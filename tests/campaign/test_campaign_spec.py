@@ -121,6 +121,22 @@ class TestCampaignSpec:
         for job in jobs:
             assert evaluate_job(job).job_id == job.job_id
 
+    @pytest.mark.parametrize(
+        ("scenarios", "job_id"),
+        [
+            # Two inline scenarios that share a name but not a period.
+            (
+                (cheap_scenario(), cheap_scenario(period_us=874.4)),
+                "cheap@A/xy-shift/fs1/euler",
+            ),
+            (("steady-baseline", "steady-baseline"), "steady-baseline@A/"),
+        ],
+    )
+    def test_duplicate_job_ids_rejected(self, scenarios, job_id):
+        spec = CampaignSpec(name="dup", scenarios=scenarios)
+        with pytest.raises(ValueError, match=job_id):
+            spec.expand()
+
 
 class TestJobResult:
     def test_round_trips_exactly(self):

@@ -10,7 +10,7 @@ matches its batch twin to streaming-parity tolerance.
 import pytest
 
 from repro.campaign import CampaignSpec, evaluate_job, run_campaign
-from repro.campaign.cache import code_fingerprint, job_cache_key, modules_for_spec
+from repro.campaign.cache import code_fingerprint, job_cache_key
 from repro.campaign.executor import compute_job_keys
 from repro.scenarios import ScenarioSpec
 
@@ -79,7 +79,7 @@ class TestStreamAxis:
 class TestStreamCacheKeys:
     def test_variant_separates_streamed_entries(self):
         scenario = cheap_scenario()
-        fingerprint = code_fingerprint(modules_for_spec(scenario))
+        fingerprint = code_fingerprint()
         batch = job_cache_key(scenario, fingerprint)
         w3 = job_cache_key(scenario, fingerprint, variant="stream:w3")
         w6 = job_cache_key(scenario, fingerprint, variant="stream:w6")
@@ -97,14 +97,12 @@ class TestStreamCacheKeys:
         streamed_key = compute_job_keys(streamed)[streamed[0].job_id]
         batch_key = compute_job_keys(batch)[batch[0].job_id]
         assert streamed_key != batch_key
-        # The streamed key binds the stream package's sources.
-        core_fp = code_fingerprint(modules_for_spec(streamed[0].spec))
-        stream_fp = code_fingerprint(
-            modules_for_spec(streamed[0].spec) + ("stream",)
-        )
-        assert batch_key == job_cache_key(batch[0].spec, core_fp)
+        # Both keys bind the whole package's sources, the stream package's
+        # included; the variant tells them apart.
+        fingerprint = code_fingerprint()
+        assert batch_key == job_cache_key(batch[0].spec, fingerprint)
         assert streamed_key == job_cache_key(
-            streamed[0].spec, stream_fp, variant="stream:w3"
+            streamed[0].spec, fingerprint, variant="stream:w3"
         )
 
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.dtm import (
-    DtmComparison,
-    DvfsThrottling,
-    StopGoThrottling,
-    compare_with_migration,
-)
+from repro.core.dtm import DvfsThrottling, StopGoThrottling
 
 
 class TestStopGoThrottling:
@@ -107,59 +102,3 @@ class TestDvfsThrottling:
             dvfs.power_map(0.0)
         with pytest.raises(ValueError):
             dvfs.frequency_for_peak(70.0, resolution=2.0)
-
-
-class TestComparisonWithMigration:
-    @pytest.fixture(scope="class")
-    def comparison(self):
-        from repro.chips import get_configuration
-
-        return compare_with_migration(
-            get_configuration("A"), scheme="xy-shift", num_epochs=21
-        )
-
-    def test_rows_structure(self, comparison):
-        rows = comparison.to_rows()
-        assert len(rows) == 3
-        assert {"technique", "peak_c", "throughput_penalty_pct"} <= set(rows[0])
-
-    def test_migration_much_cheaper_than_global_throttling(self, comparison):
-        """The paper's motivating claim: reaching the migrated peak
-        temperature by slowing the whole chip costs far more throughput than
-        migration does."""
-        assert comparison.migration_penalty < 0.05
-        assert comparison.stop_go_penalty > 3 * comparison.migration_penalty
-        assert comparison.dvfs_penalty > comparison.migration_penalty
-
-    def test_throttling_penalties_reach_the_migrated_peak(self, comparison):
-        from repro.chips import get_configuration
-
-        chip = get_configuration("A")
-        assert comparison.target_peak_celsius == comparison.migration_peak_celsius
-        stop_go = StopGoThrottling(chip).operating_point(
-            1.0 - comparison.stop_go_penalty
-        )
-        assert stop_go.peak_celsius == pytest.approx(
-            comparison.target_peak_celsius, abs=0.2
-        )
-        dvfs = DvfsThrottling(chip).operating_point(1.0 - comparison.dvfs_penalty)
-        assert dvfs.peak_celsius <= comparison.target_peak_celsius + 1e-6
-
-    def test_migration_cheapest_on_every_configuration(self):
-        from repro.chips import all_configurations
-
-        for chip in all_configurations():
-            comparison = compare_with_migration(
-                chip, scheme="xy-shift", num_epochs=41
-            )
-            assert comparison.migration_penalty < 0.05, chip.name
-            assert comparison.stop_go_penalty > comparison.migration_penalty
-            assert comparison.dvfs_penalty > comparison.migration_penalty
-
-    def test_penalties_in_unit_interval(self, comparison):
-        for value in (
-            comparison.migration_penalty,
-            comparison.stop_go_penalty,
-            comparison.dvfs_penalty,
-        ):
-            assert 0.0 <= value < 1.0

@@ -29,8 +29,6 @@ class TestSettingsValidation:
     def test_rejects_bad_settle(self):
         with pytest.raises(ValueError):
             ExperimentSettings(num_epochs=10, settle_epochs=11)
-        with pytest.raises(ValueError):
-            ExperimentSettings(settle_fraction=0.0)
 
     def test_settled_count_override(self):
         settings = ExperimentSettings(num_epochs=10, settle_epochs=4)

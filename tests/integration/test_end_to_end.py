@@ -26,7 +26,7 @@ FAST = ExperimentSettings(num_epochs=21, mode="steady", settle_epochs=20)
 @pytest.fixture(scope="module")
 def figure1():
     """Figure 1 at reduced epoch count (orbit lengths still divide 20)."""
-    return generate_figure1(settings=FAST)
+    return generate_figure1(num_epochs=21)
 
 
 class TestFigure1Shapes:

@@ -36,7 +36,7 @@ class TestHierarchy:
         assert get_logger("campaign").name == "repro.campaign"
 
     def test_absolute_dotted_name_passes_through(self):
-        assert get_logger("repro.analysis.runner").name == "repro.analysis.runner"
+        assert get_logger("repro.analysis.report").name == "repro.analysis.report"
 
     def test_children_inherit_root_level(self):
         configure_logging(verbosity=1, stream=io.StringIO())

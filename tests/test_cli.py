@@ -154,6 +154,46 @@ def test_single_epoch_run(command, capsys):
     assert capsys.readouterr().out
 
 
+#: Recorded stdout of the paper's commands, one file per command line.  The
+#: files are byte-exact (CSV output keeps its ``\r\n`` line ends).
+GOLDEN_DIR = Path(__file__).resolve().parent / "cli_golden"
+GOLDEN_COMMANDS = {
+    "figure1": "figure1",
+    "figure1-csv": "--csv figure1",
+    "figure1-AE-437": "figure1 -C A E --period 437.2",
+    "sweep": "sweep",
+    "sweep-E-transient": "sweep -c E --mode transient",
+    "ablation": "ablation",
+    "ablation-E-rotation-11": "ablation -c E -s rotation --epochs 11",
+    "dtm": "dtm",
+    "dtm-C-11": "dtm -c C --epochs 11",
+    "experiment-C-grid2-transient":
+        "experiment -c C --grid 2 --epochs 6 --mode transient",
+    "experiment-E-grid2-spectral":
+        "experiment -c E --grid 2 --epochs 6 --mode transient "
+        "--thermal-method spectral",
+    "experiment-1-epoch": "experiment --epochs 1",
+    "experiment-fluid": "experiment --migration-style fluid --epochs 12",
+    "experiment-E-batched-no-energy":
+        "experiment -c E --migration-style batched --no-migration-energy "
+        "--mode transient --epochs 8",
+    "experiment-B-adaptive-stride3":
+        "experiment -c B -s adaptive --feedback-stride 3 "
+        "--feedback-predictor previous --epochs 20",
+    "scenario-compare-feedback":
+        "scenario compare steady-baseline threshold-under-burst "
+        "adaptive-diurnal --feedback-stride 2 --feedback-predictor previous",
+    "scenario-compare-csv": "--csv scenario compare",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_paper_command_stdout_matches_golden(name, capsys):
+    assert main(GOLDEN_COMMANDS[name].split()) == 0
+    expected = (GOLDEN_DIR / f"{name}.txt").read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == expected
+
+
 class TestFigure1Command:
     def test_subset_of_configurations(self, capsys):
         assert main(["figure1", "-C", "A"]) == 0
@@ -221,6 +261,32 @@ class TestScenarioCommand:
         )
         assert code == 0
         assert '"feedback_stride": 8' in capsys.readouterr().out
+
+    def test_compare_applies_feedback_overrides_to_every_spec(
+        self, capsys, monkeypatch
+    ):
+        import repro.cli as cli_module
+
+        compared = []
+        compare = cli_module.compare_scenarios
+
+        def spy(specs):
+            compared.extend(specs)
+            return compare(specs)
+
+        monkeypatch.setattr(cli_module, "compare_scenarios", spy)
+        code = main(
+            ["scenario", "compare", "steady-baseline", "threshold-under-burst",
+             "--feedback-stride", "5", "--feedback-predictor", "previous"]
+        )
+        assert code == 0
+        assert [
+            (spec.name, spec.feedback_stride, spec.feedback_predictor)
+            for spec in compared
+        ] == [
+            ("steady-baseline", 5, "previous"),
+            ("threshold-under-burst", 5, "previous"),
+        ]
 
     def test_unknown_scenario_is_clean_error(self, capsys):
         assert main(["scenario", "run", "frobnicate"]) == 1
