@@ -11,10 +11,12 @@ Each :class:`ChipConfiguration` bundles:
 
 * the mesh topology and its floorplan/thermal model,
 * an LDPC workload partitioned over the PEs (communication + state sizes),
-* the *thermally-optimised static mapping* the paper starts from, and
+* the *thermally-optimised static mapping* the paper starts from,
 * the per-unit power profile under that mapping, calibrated so the baseline
   peak temperature matches the value printed on Figure 1's x-axis
-  (85.44 / 84.05 / 75.17 / 72.8 / 75.98 °C).
+  (85.44 / 84.05 / 75.17 / 72.8 / 75.98 °C), and
+* its migration unit, built once per configuration object, whose memo of
+  lowered plans every controller of the chip shares.
 
 The profiles are constructed, not measured (see DESIGN.md's substitution
 table): every configuration carries the warm band (hot row) the paper
@@ -25,7 +27,7 @@ the die.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,6 +36,7 @@ from ..ldpc.matrix import array_code_parity_matrix
 from ..ldpc.partition import Partition, clustered_partition, make_partition, striped_partition
 from ..ldpc.tanner import TannerGraph
 from ..ldpc.workload import LdpcNocWorkload, WorkloadParameters
+from ..migration.unit import MigrationUnit
 from ..noc.engine import SimulationClock
 from ..noc.topology import Coordinate, MeshTopology
 from ..placement.mapping import Mapping
@@ -81,6 +84,15 @@ class ChipConfiguration:
     @property
     def total_power_w(self) -> float:
         return sum(self.unit_power_w.values())
+
+    @cached_property
+    def migration_unit(self) -> MigrationUnit:
+        """The chip's migration unit, built on first read.
+
+        Not a field, so equality ignores it and ``dataclasses.replace``
+        gives the copy a unit (and plan memo) of its own.
+        """
+        return MigrationUnit(self.topology, library=self.library)
 
     def per_task_power(self) -> Dict[int, float]:
         """Power of each logical task, inferred from the static mapping.

@@ -19,15 +19,20 @@ built only when something reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..chips.configurations import ChipConfiguration
 from ..migration.io_interface import IoAddressTranslator
-from ..migration.plan import MigrationPlan, lower_transform, priced_stage_cycles
+from ..migration.plan import (
+    MigrationPlan,
+    StageStep,
+    lower_transform,
+    priced_stage_cycles,
+    stage_steps,
+)
 from ..migration.transforms import MigrationTransform
-from ..migration.unit import MigrationUnit
 from ..noc.topology import Coordinate
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
@@ -63,19 +68,6 @@ class MigrationEvent:
     )
 
 
-class _StageStep(NamedTuple):
-    """A plan stage as the controller executes it."""
-
-    #: ``step[node]`` = node after the stage (identity outside its moves).
-    step: np.ndarray
-    #: Per-node energy of the stage (J), row-major.
-    energy: np.ndarray
-    #: PEs that change node in the stage.
-    moved: int
-    #: The I/O translator's history name of the stage.
-    label: str
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -86,17 +78,17 @@ class RuntimeReconfigurationController:
 
     A lowered plan is a pure function of which transform is applied to which
     mapping (and of the style and budget), and periodic policies cycle one
-    transform around a short orbit, so the controller memoizes the plans: a
-    long experiment lowers only ``orbit length`` distinct plans.
+    transform around a short orbit, so plans are memoized on the chip's
+    migration unit (``configuration.migration_unit.plans``): every
+    controller, run and thread on one configuration object shares them, and
+    a process lowers each distinct plan once.
 
     Parameters
     ----------
     configuration:
-        The chip being managed (provides topology, workload, power profile
-        and the thermally-aware static mapping that is the starting point).
-    migration_unit:
-        Cost model for migrations; a default one is built from the chip's
-        technology library.
+        The chip being managed (provides topology, workload, power profile,
+        the thermally-aware static mapping that is the starting point, and
+        the migration unit that prices and memoizes plans).
     include_migration_energy:
         When False the controller reports zero migration energy — the
         ablation the paper implicitly performs when it notes that rotation's
@@ -106,20 +98,15 @@ class RuntimeReconfigurationController:
     def __init__(
         self,
         configuration: ChipConfiguration,
-        migration_unit: Optional[MigrationUnit] = None,
         include_migration_energy: bool = True,
     ):
         self.configuration = configuration
         self.topology = configuration.topology
-        self.migration_unit = migration_unit or MigrationUnit(
-            self.topology, library=configuration.library
-        )
+        self.migration_unit = configuration.migration_unit
         self.include_migration_energy = include_migration_energy
 
         num_units = self.topology.num_nodes
         self._coords: List[Coordinate] = list(self.topology.coordinates())
-        self._node_of = {coord: node for node, coord in enumerate(self._coords)}
-        self._identity = _read_only(np.arange(num_units, dtype=np.intp))
         #: task -> node of the static (design-time) mapping.
         self._static_nodes = _read_only(
             np.array(configuration.static_mapping.to_permutation(), dtype=np.intp)
@@ -128,6 +115,9 @@ class RuntimeReconfigurationController:
         self._task_watts = np.array([per_task_power[task] for task in range(num_units)])
         task_sizes = configuration.tanner_nodes_per_task()
         self._task_tanner_nodes = [task_sizes[task] for task in range(num_units)]
+        # A plan reads the mapping only through the Tanner nodes per PE, so
+        # the memo key carries the per-task sizes beside the mapping.
+        self._tanner_key = np.array(self._task_tanner_nodes, dtype=np.int64).tobytes()
 
         #: task -> node of the current mapping (never mutated in place).
         self._nodes = self._static_nodes
@@ -145,18 +135,11 @@ class RuntimeReconfigurationController:
         # stages as arrays, and the index of the next stage to execute (the
         # last two mean nothing while idle).
         self._active_plan: Optional[MigrationPlan] = None
-        self._active_steps: Tuple[_StageStep, ...] = ()
+        self._active_steps: Tuple[StageStep, ...] = ()
         self._plan_next_stage = 0
-        #: (transform permutation bytes, mapping bytes, style, units per
-        #: epoch) -> (plan, its stages as arrays).  Plans and arrays are
-        #: immutable, so cached results are safe to share.  The cache
-        #: survives :meth:`reset` — plans are independent of history.
-        self._plan_cache: Dict[
-            Tuple[bytes, bytes, str, int], Tuple[MigrationPlan, Tuple[_StageStep, ...]]
-        ] = {}
-        #: Number of plan lowerings (cache misses).
+        #: Number of plans this controller lowered (misses in the chip's memo).
         self.migration_cost_computations = 0
-        #: Number of migrations whose plan came from the cache.
+        #: Number of this controller's migrations whose plan was memoized.
         self.migration_cache_hits = 0
 
     # ------------------------------------------------------------------
@@ -268,7 +251,7 @@ class RuntimeReconfigurationController:
         self.events.clear()
         self._active_plan = plan
         if plan is not None:
-            self._active_steps = self._stage_steps(plan)
+            self._active_steps = stage_steps(plan, self.topology)
             self._plan_next_stage = next_stage
 
     # ------------------------------------------------------------------
@@ -285,46 +268,9 @@ class RuntimeReconfigurationController:
         """True while a fluid or batched plan still has stages to execute."""
         return self._active_plan is not None
 
-    def _stage_steps(
-        self, plan: MigrationPlan, permutation: Optional[np.ndarray] = None
-    ) -> Tuple[_StageStep, ...]:
-        """Each stage of ``plan`` as a step array and an energy vector.
-
-        ``permutation`` is the node permutation of the transform ``plan`` was
-        just lowered from; a one-stage plan's step is that array itself.
-        """
-        node_of = self._node_of
-        identity = self._identity
-        name = plan.transform_name
-        num_stages = plan.num_stages
-        steps = []
-        for index, stage in enumerate(plan.stages):
-            if num_stages == 1 and permutation is not None:
-                step = permutation
-            else:
-                # Local moves scatter a node onto itself, so all moves go in.
-                step = identity.copy()
-                step[[node_of[move.source] for move in stage.moves]] = [
-                    node_of[move.destination] for move in stage.moves
-                ]
-            # Lowered and restored stages both key their energy by every
-            # coordinate in row-major order.
-            energy = np.fromiter(
-                stage.energy_per_unit_j.values(), dtype=float, count=identity.size
-            )
-            steps.append(
-                _StageStep(
-                    _read_only(step),
-                    _read_only(energy),
-                    int(np.count_nonzero(step != identity)),
-                    name if num_stages == 1 else f"{name}[{index + 1}/{num_stages}]",
-                )
-            )
-        return tuple(steps)
-
     def _lower(
         self, transform: MigrationTransform, style: str, units_per_epoch: int
-    ) -> Tuple[MigrationPlan, Tuple[_StageStep, ...]]:
+    ) -> Tuple[MigrationPlan, Tuple[StageStep, ...]]:
         """Lower ``transform`` from the current mapping (a memo miss)."""
         self.migration_cost_computations += 1
         with _obs_span(
@@ -340,7 +286,7 @@ class RuntimeReconfigurationController:
                 style=style,
                 units_per_epoch=units_per_epoch,
             )
-        return plan, self._stage_steps(plan, transform.node_permutation())
+        return plan, stage_steps(plan, self.topology, transform.node_permutation())
 
     def apply_migration(
         self,
@@ -366,16 +312,17 @@ class RuntimeReconfigurationController:
                 "advance it to completion before beginning another"
             )
         key = (
+            transform.name,
             transform.node_permutation().tobytes(),
             self._nodes.tobytes(),
+            self._tanner_key,
             style,
             units_per_epoch,
         )
-        lowered = self._plan_cache.get(key)
+        plans = self.migration_unit.plans
+        lowered = plans.get(key)
         if lowered is None:
-            lowered = self._plan_cache[key] = self._lower(
-                transform, style, units_per_epoch
-            )
+            lowered = plans.put(key, self._lower(transform, style, units_per_epoch))
         else:
             self.migration_cache_hits += 1
         self._active_plan, self._active_steps = lowered

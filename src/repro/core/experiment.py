@@ -49,7 +49,6 @@ import numpy as np
 
 from ..chips.configurations import ChipConfiguration
 from ..migration.plan import MIGRATION_STYLES, congestion_factor
-from ..migration.unit import MigrationUnit
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 from ..power.trace import PowerTrace
@@ -403,7 +402,6 @@ class ThermalExperiment:
         configuration: ChipConfiguration,
         policy: ReconfigurationPolicy,
         settings: Optional[ExperimentSettings] = None,
-        migration_unit: Optional[MigrationUnit] = None,
         thermal_model: Optional[HotSpotModel] = None,
         schedule: Optional[EpochWindow] = None,
         noc_model=None,
@@ -414,7 +412,6 @@ class ThermalExperiment:
         self.thermal_model: HotSpotModel = thermal_model or configuration.thermal_model
         self.controller = RuntimeReconfigurationController(
             configuration,
-            migration_unit=migration_unit,
             include_migration_energy=self.settings.include_migration_energy,
         )
         if schedule is None:

@@ -31,6 +31,10 @@ bijective.  Styles differ only in how cycles are grouped into stages:
   each stage is one whole-stage "phase group" that transfers without
   blocking.
 
+The controller executes a stage as a node step array
+(:func:`stage_steps`); a lowered plan and its step arrays are what the
+chip's :class:`repro.migration.unit.PlanMemo` stores.
+
 Congestion pricing: plans carry congestion-free cycle counts; when the
 epoch's NoC load is known, :func:`congestion_factor` scales a stage's
 transfer time by the analytic wormhole model's loaded/zero-load latency
@@ -43,7 +47,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..noc.topology import Coordinate, MeshTopology
 from .scheduler import PeMove, _links_of_route
@@ -54,8 +60,10 @@ __all__ = [
     "MIGRATION_STYLES",
     "MigrationPlan",
     "MigrationStage",
+    "StageStep",
     "congestion_factor",
     "lower_transform",
+    "stage_steps",
 ]
 
 #: The supported ``migration_style`` values, in documentation order.
@@ -350,6 +358,62 @@ def lower_transform(
         units_per_epoch=None if style == "sudden" else units_per_epoch,
         stages=tuple(stages),
     )
+
+
+# ----------------------------------------------------------------------
+# Execution arrays
+# ----------------------------------------------------------------------
+class StageStep(NamedTuple):
+    """A plan stage as the controller executes it (arrays are read-only)."""
+
+    #: ``step[node]`` = node after the stage (identity outside its moves).
+    step: np.ndarray
+    #: Per-node energy of the stage (J), row-major.
+    energy: np.ndarray
+    #: PEs that change node in the stage.
+    moved: int
+    #: The I/O translator's history name of the stage.
+    label: str
+
+
+def stage_steps(
+    plan: MigrationPlan,
+    topology: MeshTopology,
+    permutation: Optional[np.ndarray] = None,
+) -> Tuple[StageStep, ...]:
+    """Each stage of ``plan`` as a step array and an energy vector.
+
+    ``permutation`` is the node permutation of the transform ``plan`` was
+    just lowered from; a one-stage plan's step is that array itself.
+    """
+    identity = np.arange(topology.num_nodes, dtype=np.intp)
+    name = plan.transform_name
+    num_stages = plan.num_stages
+    steps = []
+    for index, stage in enumerate(plan.stages):
+        if num_stages == 1 and permutation is not None:
+            step = permutation
+        else:
+            # Local moves scatter a node onto itself, so all moves go in.
+            step = identity.copy()
+            step[[topology.node_id(move.source) for move in stage.moves]] = [
+                topology.node_id(move.destination) for move in stage.moves
+            ]
+        # Lowered and restored stages both key their energy by every
+        # coordinate in row-major order.
+        energy = np.fromiter(
+            stage.energy_per_unit_j.values(), dtype=float, count=identity.size
+        )
+        step.flags.writeable = energy.flags.writeable = False
+        steps.append(
+            StageStep(
+                step,
+                energy,
+                int(np.count_nonzero(step != identity)),
+                name if num_stages == 1 else f"{name}[{index + 1}/{num_stages}]",
+            )
+        )
+    return tuple(steps)
 
 
 # ----------------------------------------------------------------------

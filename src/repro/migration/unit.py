@@ -17,6 +17,11 @@ This module models what a migration *costs*:
 
 :func:`repro.migration.plan.lower_transform` folds these per-move accounts
 into the stages of a migration plan; a sudden migration is a one-stage plan.
+A lowered plan is a pure function of the unit, the transform, the mapping
+and the style, so each unit keeps a :class:`PlanMemo` of them; a chip builds
+one unit per configuration object
+(:attr:`repro.chips.configurations.ChipConfiguration.migration_unit`), and
+every controller of the chip shares its plans.
 
 Because energy grows with the distance each payload travels, rotation (whose
 corner payloads cross most of the chip) is the most expensive scheme and the
@@ -26,8 +31,10 @@ rotational migration raises average chip temperature by ~0.3 °C.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..noc.flit import Packet, PacketClass
 from ..noc.routing import RoutingAlgorithm, XYRouting
@@ -36,6 +43,67 @@ from ..power.library import DEFAULT_LIBRARY, TechnologyLibrary
 from .scheduler import MigrationScheduler, PeMove
 from .state_transfer import StateTransferModel
 from .transforms import MigrationTransform
+
+#: Cap on memoized lowered plans per unit: a periodic policy cycles a short
+#: orbit of mappings, but a long adaptive run must not grow the memo
+#: unboundedly.
+MAX_CACHED_PLANS = 256
+
+
+class PlanMemo:
+    """Bounded, thread-safe memo of lowered plans (least recently used out).
+
+    The controller keys an entry by ``(transform name, permutation bytes,
+    mapping bytes, per-task Tanner sizes as bytes, style, units_per_epoch)``
+    and stores the :class:`repro.migration.plan.MigrationPlan` with its
+    :func:`repro.migration.plan.stage_steps`.  Entries are immutable, so
+    every thread and run may share them.  Lookups and inserts take a lock;
+    lowering happens outside it, so two threads that miss on one key may
+    both lower it, and the first insert wins.
+    """
+
+    def __init__(self):
+        self._entries: "OrderedDict[Hashable, tuple]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __getstate__(self):
+        # Locks cannot be pickled (configurations, which carry a unit, can
+        # be); recreate it on unpickling.
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def keys(self) -> List[Hashable]:
+        """The memoized keys, least recently used first."""
+        with self._lock:
+            return list(self._entries)
+
+    def get(self, key: Hashable) -> Optional[tuple]:
+        """The entry under ``key`` (None on a miss), marked most recently used."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: Hashable, entry: tuple) -> tuple:
+        """Insert ``entry`` unless ``key`` is present; return the kept entry.
+
+        Past :data:`MAX_CACHED_PLANS` entries the least recently used goes.
+        """
+        with self._lock:
+            kept = self._entries.setdefault(key, entry)
+            self._entries.move_to_end(key)
+            if len(self._entries) > MAX_CACHED_PLANS:
+                self._entries.popitem(last=False)
+            return kept
 
 
 @dataclass(frozen=True)
@@ -86,7 +154,7 @@ class MoveEnergy:
 
 
 class MigrationUnit:
-    """Accounts the cost of migration moves.
+    """Accounts the cost of migration moves; holds the plans lowered against it.
 
     Parameters
     ----------
@@ -129,6 +197,8 @@ class MigrationUnit:
         )
         self.conversion_energy_per_flit_j = conversion_energy_per_flit_j
         self.fixed_energy_per_pe_j = fixed_energy_per_pe_j
+        #: Plans lowered against this unit, shared by its controllers.
+        self.plans = PlanMemo()
 
     # ------------------------------------------------------------------
     def move_energy(self, move: PeMove) -> MoveEnergy:

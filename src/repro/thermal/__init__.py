@@ -3,7 +3,7 @@
 This package substitutes the HotSpot thermal library the paper uses: the
 same lumped-RC abstraction (die, interface material, spreader, sink,
 convection to a 40 °C ambient) at block or grid resolution, with
-steady-state and transient solvers built on numpy/scipy.
+steady-state and transient solvers built on numpy alone.
 """
 
 from .floorplan import Block, Floorplan, block_name_for, mesh_floorplan, refine_floorplan

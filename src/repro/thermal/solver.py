@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigh
 
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
@@ -172,7 +171,7 @@ class ThermalSolver:
             if self._spectral_basis is None:
                 c_sqrt = np.sqrt(self.network.capacitance)
                 symmetric = self._A / np.outer(c_sqrt, c_sqrt)
-                eigenvalues, eigenvectors = eigh(symmetric)
+                eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
                 self._spectral_basis = (c_sqrt, eigenvalues, eigenvectors)
             return self._spectral_basis
 

@@ -1,17 +1,38 @@
 """Tests for the runtime reconfiguration controller."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.chips.configurations import _make_configuration
+from repro.chips.profiles import hot_row_profile
 from repro.core.controller import RuntimeReconfigurationController
 from repro.migration.plan import lower_transform
 from repro.migration.transforms import RotationTransform, XYShiftTransform, make_transform
 from repro.migration.unit import MigrationUnit
+from repro.noc.topology import MeshTopology
 
 
 @pytest.fixture
 def controller_a(chip_a):
     return RuntimeReconfigurationController(chip_a)
+
+
+@pytest.fixture
+def fresh_chip_a(chip_a):
+    """Chip A with a migration unit, and so a plan memo, of its own.
+
+    Every controller of one configuration object shares its plans, and the
+    named chip's memo is warm from earlier tests; lowering counts need a
+    cold one.
+    """
+    return dataclasses.replace(chip_a)
+
+
+@pytest.fixture
+def fresh_controller_a(fresh_chip_a):
+    return RuntimeReconfigurationController(fresh_chip_a)
 
 
 class TestMigrationApplication:
@@ -58,18 +79,19 @@ class TestMigrationApplication:
 
 
 class TestMigrationCostCache:
-    def test_orbit_computes_each_mapping_once(self, controller_a, chip_a):
+    def test_orbit_computes_each_mapping_once(self, fresh_controller_a, chip_a):
         """A periodic transform revisits its orbit: one lowering per step.
 
         xy-shift on the 4x4 mesh has order 4, so 12 applications see only 4
         distinct (transform, mapping) pairs — the rest are cache hits.
         """
+        controller = fresh_controller_a
         transform = XYShiftTransform(chip_a.topology)
         for _ in range(12):
-            controller_a.apply_migration(transform)
-        assert controller_a.migration_cost_computations == 4
-        assert controller_a.migration_cache_hits == 8
-        assert controller_a.migrations_performed == 12
+            controller.apply_migration(transform)
+        assert controller.migration_cost_computations == 4
+        assert controller.migration_cache_hits == 8
+        assert controller.migrations_performed == 12
 
     def test_cache_survives_reset(self, controller_a, chip_a):
         """Plans are pure functions of (transform, mapping): reuse across runs."""
@@ -82,17 +104,37 @@ class TestMigrationCostCache:
             controller_a.apply_migration(transform)
         assert controller_a.migration_cost_computations == computed
 
-    def test_cached_results_match_uncached(self, chip_a):
+    def test_second_controller_on_the_same_chip_lowers_nothing(self, fresh_chip_a):
+        """The memo belongs to the chip, so a later run finds every plan."""
+        transform = XYShiftTransform(fresh_chip_a.topology)
+        first = RuntimeReconfigurationController(fresh_chip_a)
+        second = RuntimeReconfigurationController(fresh_chip_a)
+        assert second.migration_unit is first.migration_unit
+        events = [first.apply_migration(transform) for _ in range(8)]
+        assert [second.apply_migration(transform) for _ in range(8)] == events
+        assert first.migration_cost_computations == 4
+        assert second.migration_cost_computations == 0
+        assert second.migration_cache_hits == 8
+        assert len(fresh_chip_a.migration_unit.plans) == 4
+
+    def test_copied_chip_gets_its_own_memo(self, chip_a):
+        copy = dataclasses.replace(chip_a)
+        assert copy == chip_a
+        assert copy.migration_unit is not chip_a.migration_unit
+        assert len(copy.migration_unit.plans) == 0
+
+    def test_cached_results_match_uncached(self, fresh_chip_a):
         """Cached events equal a fresh lowering: ``lower_transform`` and
         ``Mapping.apply_transform`` called directly, step after step."""
-        cached = RuntimeReconfigurationController(chip_a)
-        unit = MigrationUnit(chip_a.topology, library=chip_a.library)
-        transform = XYShiftTransform(chip_a.topology)
-        mapping = chip_a.static_mapping
-        coords = list(chip_a.topology.coordinates())
+        chip = fresh_chip_a
+        cached = RuntimeReconfigurationController(chip)
+        unit = MigrationUnit(chip.topology, library=chip.library)
+        transform = XYShiftTransform(chip.topology)
+        mapping = chip.static_mapping
+        coords = list(chip.topology.coordinates())
         for _ in range(8):
             (stage,) = lower_transform(
-                transform, unit, chip_a.tanner_nodes_per_pe(mapping)
+                transform, unit, chip.tanner_nodes_per_pe(mapping)
             ).stages
             mapping = mapping.apply_transform(transform)
             event = cached.apply_migration(transform)
@@ -108,28 +150,68 @@ class TestMigrationCostCache:
         assert cached.migration_cost_computations == 4
         assert cached.migration_cache_hits == 4
 
-    def test_distinct_transforms_not_conflated(self, controller_a, chip_a):
+    def test_distinct_transforms_not_conflated(self, fresh_controller_a, chip_a):
         """Two transforms from the same mapping must cache separately."""
+        controller = fresh_controller_a
         shift = XYShiftTransform(chip_a.topology)
         rotation = RotationTransform(chip_a.topology)
-        event_shift = controller_a.apply_migration(shift)
-        controller_a.reset()
-        event_rotation = controller_a.apply_migration(rotation)
-        assert controller_a.migration_cost_computations == 2
+        event_shift = controller.apply_migration(shift)
+        controller.reset()
+        event_rotation = controller.apply_migration(rotation)
+        assert controller.migration_cost_computations == 2
         assert event_shift.cycles != event_rotation.cycles or (
             event_shift.energy_j != event_rotation.energy_j
         )
 
-    def test_styles_cache_separately(self, controller_a, chip_a):
+    def test_styles_cache_separately(self, fresh_controller_a, chip_a):
         """The memo keys the style and budget: every style lowers once."""
+        controller = fresh_controller_a
         rotation = RotationTransform(chip_a.topology)
         for style in ("sudden", "fluid", "batched"):
-            controller_a.reset()
-            controller_a.apply_migration(rotation, style=style)
-            while controller_a.migration_in_progress:
-                controller_a.advance_plan()
-        assert controller_a.migration_cost_computations == 3
-        assert controller_a.migration_cache_hits == 0
+            controller.reset()
+            controller.apply_migration(rotation, style=style)
+            while controller.migration_in_progress:
+                controller.advance_plan()
+        assert controller.migration_cost_computations == 3
+        assert controller.migration_cache_hits == 0
+
+
+@pytest.fixture(scope="module")
+def chip_4x1():
+    """A 4x1 chip: its x-mirror is its xy-mirror, its right-shift its xy-shift."""
+    topology = MeshTopology(4, 1)
+    profile = hot_row_profile(
+        topology, hot_row=0, base_power_w=1.0, hot_multiplier=2.0, gradient=0.1, seed=3
+    )
+    return _make_configuration(
+        name="A",
+        topology=topology,
+        profile=profile,
+        partition_strategy="striped",
+        code_p=13,
+        seed=3,
+        description="4x1 mesh",
+    )
+
+
+class TestMemoKeyNamesTheTransform:
+    @pytest.mark.parametrize(
+        "first, second", [("x-mirror", "xy-mirror"), ("right-shift", "xy-shift")]
+    )
+    def test_same_permutation_keeps_its_own_name(self, chip_4x1, first, second):
+        """Two transforms with one node permutation report their own names,
+        in the event and in the I/O history, on one controller or two."""
+        topology = chip_4x1.topology
+        lowered, later = make_transform(first, topology), make_transform(second, topology)
+        assert np.array_equal(lowered.node_permutation(), later.node_permutation())
+        controller = RuntimeReconfigurationController(chip_4x1)
+        assert controller.apply_migration(lowered).transform_name == first
+        controller.reset()
+        assert controller.apply_migration(later).transform_name == second
+        assert controller.io_translator.history == [second]
+        other = RuntimeReconfigurationController(chip_4x1)
+        assert other.apply_migration(lowered).transform_name == first
+        assert other.io_translator.history == [first]
 
 
 class TestCheckpointValidation:

@@ -7,9 +7,12 @@ migration priced whole by :func:`migration_cost`, independently of the plan
 lowering), and power rows built per task from the configuration.
 Hypothesis drives both through the same random sequences of sudden
 migrations, fluid and batched plan stages, resets and checkpoint round trips
-on chips A-E; everything observable must be ``==``.
+on chips A-E; everything observable must be ``==``.  Two controllers
+interleaved on one chip share its plan memo, and each must still match an
+oracle of its own.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -176,24 +179,83 @@ def assert_event(event, expected, topology):
 
 
 advance = st.tuples(st.just("advance"), st.floats(0.5, 3.0))
-actions = st.lists(
-    st.one_of(
-        st.tuples(st.just("sudden"), st.sampled_from(FIGURE1_SCHEMES)),
-        st.tuples(
-            st.just("plan"),
-            st.sampled_from(FIGURE1_SCHEMES),
-            st.sampled_from(["fluid", "batched"]),
-            st.integers(1, 6),
-            st.floats(0.5, 3.0),
-        ),
-        advance,
-        advance,  # plans span several stages: advance twice as often
-        st.tuples(st.just("reset")),
-        st.tuples(st.just("roundtrip")),
+action = st.one_of(
+    st.tuples(st.just("sudden"), st.sampled_from(FIGURE1_SCHEMES)),
+    st.tuples(
+        st.just("plan"),
+        st.sampled_from(FIGURE1_SCHEMES),
+        st.sampled_from(["fluid", "batched"]),
+        st.integers(1, 6),
+        st.floats(0.5, 3.0),
     ),
-    min_size=1,
-    max_size=16,
+    advance,
+    advance,  # plans span several stages: advance twice as often
+    st.tuples(st.just("reset")),
+    st.tuples(st.just("roundtrip")),
 )
+actions = st.lists(action, min_size=1, max_size=16)
+
+
+class ControlledRun:
+    """A controller and its oracle on one chip, driven by the same actions."""
+
+    def __init__(self, chip):
+        self.chip = chip
+        self.controller = RuntimeReconfigurationController(chip)
+        self.oracle = SeedController(chip)
+        self.transforms = {
+            scheme: make_transform(scheme, chip.topology) for scheme in FIGURE1_SCHEMES
+        }
+        # The most recent stage's event and per-unit energy (what the epoch
+        # loop charges to that epoch's power row).
+        self.event = self.energy_per_unit = None
+        #: Plans lowered by the controllers a round trip replaced.
+        self.lowered_before = 0
+
+    @property
+    def lowered(self):
+        return self.lowered_before + self.controller.migration_cost_computations
+
+    def step(self, step):
+        controller, oracle, topology = self.controller, self.oracle, self.chip.topology
+        kind = step[0]
+        if kind in ("sudden", "plan") and controller.migration_in_progress:
+            return  # the epoch loop only migrates once a plan drains
+        if kind == "sudden":
+            self.event = controller.apply_migration(self.transforms[step[1]])
+            expected = oracle.apply_migration(self.transforms[step[1]])
+            assert_event(self.event, expected, topology)
+            self.energy_per_unit = expected[2]
+        elif kind == "plan":
+            self.event = controller.apply_migration(
+                self.transforms[step[1]],
+                style=step[2],
+                units_per_epoch=step[3],
+                congestion=step[4],
+            )
+            expected = oracle.apply_plan(self.transforms[step[1]], *step[2:])
+            assert_event(self.event, expected, topology)
+            self.energy_per_unit = expected[2]
+        elif kind == "advance":
+            stage = controller.advance_plan(congestion=step[1])
+            expected = oracle.advance_plan(step[1])
+            if expected is None:
+                assert stage is None
+                return
+            assert_event(stage, expected, topology)
+            self.event, self.energy_per_unit = stage, expected[2]
+        elif kind == "reset":
+            controller.reset()
+            oracle.reset()
+            self.event = self.energy_per_unit = None
+        else:
+            state = json.loads(json.dumps(controller.state_dict()))
+            self.lowered_before += controller.migration_cost_computations
+            self.controller = controller = RuntimeReconfigurationController(self.chip)
+            controller.restore_state(state)
+        controller.advance_epoch()
+        oracle.epoch_index += 1
+        assert_agree(controller, self.event, oracle, self.energy_per_unit)
 
 
 class TestArrayControllerMatchesSeedSemantics:
@@ -221,53 +283,40 @@ class TestArrayControllerMatchesSeedSemantics:
     )
     @settings(max_examples=80, deadline=None)
     def test_random_sequences(self, chip_name, steps):
-        chip = get_configuration(chip_name)
-        controller = RuntimeReconfigurationController(chip)
-        oracle = SeedController(chip)
-        transforms = {
-            scheme: make_transform(scheme, chip.topology) for scheme in FIGURE1_SCHEMES
-        }
-        # The most recent stage's event and per-unit energy (what the epoch
-        # loop charges to that epoch's power row).
-        event = energy_per_unit = None
+        run = ControlledRun(get_configuration(chip_name))
         for step in steps:
-            kind = step[0]
-            if kind in ("sudden", "plan") and controller.migration_in_progress:
-                continue  # the epoch loop only migrates once a plan drains
-            if kind == "sudden":
-                event = controller.apply_migration(transforms[step[1]])
-                expected = oracle.apply_migration(transforms[step[1]])
-                assert_event(event, expected, chip.topology)
-                energy_per_unit = expected[2]
-            elif kind == "plan":
-                event = controller.apply_migration(
-                    transforms[step[1]],
-                    style=step[2],
-                    units_per_epoch=step[3],
-                    congestion=step[4],
-                )
-                expected = oracle.apply_plan(transforms[step[1]], *step[2:])
-                assert_event(event, expected, chip.topology)
-                energy_per_unit = expected[2]
-            elif kind == "advance":
-                stage = controller.advance_plan(congestion=step[1])
-                expected = oracle.advance_plan(step[1])
-                if expected is None:
-                    assert stage is None
-                    continue
-                assert_event(stage, expected, chip.topology)
-                event, energy_per_unit = stage, expected[2]
-            elif kind == "reset":
-                controller.reset()
-                oracle.reset()
-                event = energy_per_unit = None
-            else:
-                state = json.loads(json.dumps(controller.state_dict()))
-                controller = RuntimeReconfigurationController(chip)
-                controller.restore_state(state)
-            controller.advance_epoch()
-            oracle.epoch_index += 1
-            assert_agree(controller, event, oracle, energy_per_unit)
+            run.step(step)
+
+    @given(
+        chip_name=st.sampled_from("ABCDE"),
+        steps=st.lists(
+            st.tuples(st.integers(0, 1), action),
+            min_size=1,
+            max_size=24,
+        ),
+    )
+    # The second controller reaches a mapping the first lowered from, so
+    # its plan comes from the shared memo.
+    @example(
+        chip_name="A",
+        steps=[
+            (0, ("sudden", "xy-shift")),
+            (0, ("plan", "rotation", "batched", 2, 1.0)),
+            (1, ("sudden", "xy-shift")),
+            (1, ("plan", "rotation", "batched", 2, 1.5)),
+            (0, ("advance", 1.0)),
+            (1, ("advance", 1.0)),
+        ],
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_controllers_share_one_memo(self, chip_name, steps):
+        """Two controllers on one cold chip, each against its own oracle;
+        between them they lower each distinct plan once."""
+        chip = dataclasses.replace(get_configuration(chip_name))
+        runs = (ControlledRun(chip), ControlledRun(chip))
+        for who, step in steps:
+            runs[who].step(step)
+        assert runs[0].lowered + runs[1].lowered == len(chip.migration_unit.plans)
 
 
 @pytest.mark.parametrize("chip_name", ["A", "E"])

@@ -52,10 +52,12 @@ class TestParser:
         """The process pool is imported only by a sharded campaign run."""
         assert [m for m in cli_modules if m.startswith("multiprocessing")] == []
 
-    def test_import_does_not_load_scipy_sparse(self, cli_modules):
-        """The decoders' segment sums need no sparse-matrix operators."""
+    def test_import_does_not_load_scipy(self, cli_modules):
+        """The runtime is numpy-only: the decoders' segment sums need no
+        sparse-matrix operators and the thermal eigenbasis is numpy's."""
         assert "repro.ldpc" in cli_modules
-        assert [m for m in cli_modules if m.startswith("scipy.sparse")] == []
+        assert "repro.thermal.solver" in cli_modules
+        assert [m for m in cli_modules if m.split(".")[0] == "scipy"] == []
 
 
 class TestChipsCommand:
