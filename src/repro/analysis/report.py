@@ -56,24 +56,30 @@ def paper_spec(
     )
 
 
+def unsigned_zero(value: object) -> object:
+    """``value``, with a float zero's sign dropped (a rounded residue is ``-0.0``)."""
+    return 0.0 if isinstance(value, float) and value == 0.0 else value
+
+
 def format_rows(rows: List[Dict[str, object]]) -> str:
     """Fixed-width text table of flat dict rows.
 
     The one renderer behind every tabular report (the CLI's table output and
     the scenario comparison): header, separator, one ljust-joined line per
-    row.
+    row.  A float zero prints as ``0.0`` (see :func:`unsigned_zero`).
     """
     if not rows:
         return "(no rows)"
     keys = list(rows[0].keys())
+    cells = [{key: str(unsigned_zero(row[key])) for key in keys} for row in rows]
     widths = {
-        key: max(len(str(key)), max(len(str(row[key])) for row in rows))
+        key: max(len(str(key)), max(len(row[key]) for row in cells))
         for key in keys
     }
     header = "  ".join(str(key).ljust(widths[key]) for key in keys)
     lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append("  ".join(str(row[key]).ljust(widths[key]) for key in keys))
+    for row in cells:
+        lines.append("  ".join(row[key].ljust(widths[key]) for key in keys))
     return "\n".join(lines)
 
 

@@ -45,6 +45,7 @@ from .analysis.report import (
     format_rows,
     generate_figure1,
     paper_spec,
+    unsigned_zero,
 )
 from .analysis.sweep import PAPER_PERIODS_US, run_energy_ablation, run_period_sweep
 from .campaign import CampaignSpec, campaign_status, run_campaign
@@ -73,7 +74,9 @@ def _rows_to_csv(rows: List[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
     writer.writeheader()
-    writer.writerows(rows)
+    writer.writerows(
+        {key: unsigned_zero(value) for key, value in row.items()} for row in rows
+    )
     return buffer.getvalue()
 
 
@@ -494,6 +497,7 @@ def _serve_emit(update) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .scenarios.compile import compile_scenario
     from .stream import (
+        CheckpointMismatchError,
         CheckpointStore,
         StreamingExperiment,
         jsonl_windows,
@@ -574,8 +578,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             for update in engine.process(windows, max_epochs=horizon):
                 _serve_emit(update)
         except ValueError as error:
-            # Misaligned window, malformed JSONL line, or an identity
-            # mismatch against the checkpoint journal: one-line error.
+            # Misaligned window or malformed JSONL line: one-line error.
             print(error, file=sys.stderr)
             return 1
         result = engine.finalize()
@@ -594,6 +597,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         return 0
+    except CheckpointMismatchError as error:
+        # The journal belongs to another stream: one-line error.
+        print(error, file=sys.stderr)
+        return 1
     finally:
         if handle is not None and handle is not sys.stdin:
             handle.close()

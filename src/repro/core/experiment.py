@@ -19,11 +19,12 @@ coordinate index), steady mode evaluates the baseline, every epoch and the
 settled-regime average with **one** product against the solver's
 precomputed inverse, and transient mode routes the whole piecewise-constant
 trace through **one** ``transient_sequence`` call with thermal state carried
-across epochs.  Dict views survive only at the edges (lazily-built
-policy-context views and the per-epoch records).  Policies that declare
-``requires_thermal_feedback`` (threshold/adaptive) get their temperature
-estimates from a :class:`FeedbackPlan`: one multi-RHS steady batch per
-``feedback_stride`` epochs instead of a dict-round-tripped solve per epoch.
+across epochs.  Dict views and :class:`~repro.core.metrics.ThermalMetrics`
+survive only at the report edge (the per-epoch records, the baseline and the
+settled regime).  Policies that declare ``requires_thermal_feedback``
+(threshold/adaptive) decide on a per-unit Celsius row from a
+:class:`FeedbackPlan`: one multi-RHS steady batch per ``feedback_stride``
+epochs instead of a dict-round-tripped solve per epoch.
 The :class:`repro.thermal.hotspot.HotSpotModel` drives the experiment at
 any resolution: block (one cell per unit) or grid (``N x N`` cells).
 
@@ -151,20 +152,15 @@ class ExperimentSettings:
 class FeedbackPlan:
     """Chunked thermal feedback for threshold/adaptive policies.
 
-    Feedback policies read the predicted steady temperature of the previous
-    epoch's power map.  The seed path solved one dict-round-tripped steady
-    state per epoch *plus* a standalone probe of the static pre-experiment
-    power — the last per-epoch thermal work left in the pipeline.  The plan
-    replaces it with a chunked, vector-native evaluation:
+    Feedback policies decide on the predicted steady temperature of the
+    previous epoch's power, a read-only per-unit Celsius row
+    (:meth:`thermal_for`; the same rows are the plan's checkpoint state):
 
     * power rows are queued as the controller emits them
-      (:meth:`observe`);
+      (:meth:`observe`), after the static power's epoch-0 probe row;
     * at every ``stride``-th epoch boundary the queue is flushed through
-      **one** multi-RHS :meth:`HotSpotModel.steady_temperatures` batch
-      against the solver's precomputed inverse (:meth:`thermal_for`), the
-      per-epoch ambient offsets added to the solved rows — the epoch-0
-      probe of the static power is just the first batch's row, not a
-      standalone dict-path solve;
+      **one** multi-RHS :meth:`HotSpotModel.steady_temperatures` batch, the
+      per-epoch ambient offsets added to the solved rows;
     * between refreshes the policy sees a **zero-solve** stand-in: the
       "hold" predictor repeats the newest solved row, the "previous"
       predictor reuses the previous batch's temperatures row-for-row (the
@@ -191,7 +187,6 @@ class FeedbackPlan:
     def __init__(
         self,
         thermal_model: HotSpotModel,
-        topology,
         stride: int,
         predictor: str = "hold",
     ):
@@ -200,7 +195,6 @@ class FeedbackPlan:
         if predictor not in ("hold", "previous"):
             raise ValueError("feedback predictor must be 'hold' or 'previous'")
         self.thermal_model = thermal_model
-        self.topology = topology
         self.stride = stride
         self.predictor = predictor
         #: Number of multi-RHS feedback batches solved so far.
@@ -211,11 +205,10 @@ class FeedbackPlan:
         self.predictions_served = 0
         self._pending_rows: List[np.ndarray] = []
         self._pending_epochs: List[int] = []
-        #: epoch tag -> solved per-unit Celsius row (offsets applied), for
-        #: the most recent batch; metrics are built lazily per consumed row.
-        self._solved: dict = {}
+        #: epoch tag -> solved read-only per-unit Celsius row (offsets
+        #: applied), for the most recent batch.
+        self._solved: Dict[int, np.ndarray] = {}
         self._last_epoch: Optional[int] = None
-        self._metrics: dict = {}
         #: absolute epoch index -> ambient offset, filled window by window
         #: via :meth:`add_offsets` and pruned past the refresh lookback.
         self._offset_map: Dict[int, float] = {}
@@ -258,27 +251,24 @@ class FeedbackPlan:
         """Evaluate every queued row with one multi-RHS steady batch."""
         if not self._pending_rows:
             return
-        batch = np.vstack(self._pending_rows)
-        temperatures = self.thermal_model.steady_temperatures(batch)
+        temperatures = self.thermal_model.steady_temperatures(self._pending_rows)
         self.batch_solves += 1
         self.rows_solved += len(self._pending_rows)
-        self._solved = {}
-        for row, epoch_tag in enumerate(self._pending_epochs):
-            self._solved[epoch_tag] = temperatures[row] + self._offset_for(epoch_tag)
+        for tag, row in zip(self._pending_epochs, temperatures):
+            row += self._offset_for(tag)
+        self._store_solved(dict(zip(self._pending_epochs, temperatures)))
         self._last_epoch = self._pending_epochs[-1]
-        self._metrics = {}
         self._pending_rows = []
         self._pending_epochs = []
 
-    def _metrics_for(self, epoch_tag: int) -> ThermalMetrics:
-        metrics = self._metrics.get(epoch_tag)
-        if metrics is None:
-            metrics = ThermalMetrics.from_vector(self.topology, self._solved[epoch_tag])
-            self._metrics[epoch_tag] = metrics
-        return metrics
+    def _store_solved(self, solved: Dict[int, np.ndarray]) -> None:
+        # Policies receive these rows and checkpoints carry them: freeze them.
+        for row in solved.values():
+            row.flags.writeable = False
+        self._solved = solved
 
-    def thermal_for(self, epoch_index: int) -> ThermalMetrics:
-        """Feedback temperatures for the decision at ``epoch_index``.
+    def thermal_for(self, epoch_index: int) -> np.ndarray:
+        """Per-unit Celsius feedback for the decision at ``epoch_index``.
 
         Refreshes (one batched solve over all rows queued since the last
         refresh) on every ``stride``-th epoch; between refreshes the
@@ -292,15 +282,15 @@ class FeedbackPlan:
                 # The decision at epoch i wants T(P[i-1]); the newest batch
                 # holds the solved row of epoch i-1-stride — the same orbit
                 # phase, one chunk earlier.
-                proxy = epoch_index - 1 - self.stride
-                if proxy in self._solved:
-                    return self._metrics_for(proxy)
+                proxy = self._solved.get(epoch_index - 1 - self.stride)
+                if proxy is not None:
+                    return proxy
         if self._last_epoch is None:
             raise RuntimeError(
                 "FeedbackPlan.thermal_for called before any row was queued; "
                 "prime() the plan with the static power first"
             )
-        return self._metrics_for(self._last_epoch)
+        return self._solved[self._last_epoch]
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -308,8 +298,7 @@ class FeedbackPlan:
 
         Pending rows, the newest solved batch and the counters — everything
         a resumed stream needs to keep the refresh cadence and predictor
-        answers bit-identical.  (The lazily-built metrics cache is derived
-        state and is rebuilt on demand.)
+        answers bit-identical.
         """
         return {
             "pending_rows": [row.tolist() for row in self._pending_rows],
@@ -328,10 +317,10 @@ class FeedbackPlan:
             np.asarray(row, dtype=float) for row in state["pending_rows"]  # type: ignore[union-attr]
         ]
         self._pending_epochs = [int(tag) for tag in state["pending_epochs"]]  # type: ignore[union-attr]
-        self._solved = {
+        self._store_solved({
             int(tag): np.asarray(row, dtype=float)
             for tag, row in state["solved"].items()  # type: ignore[union-attr]
-        }
+        })
         last = state["last_epoch"]
         self._last_epoch = int(last) if last is not None else None  # type: ignore[arg-type]
         self.batch_solves = int(state["batch_solves"])  # type: ignore[arg-type]
@@ -340,15 +329,16 @@ class FeedbackPlan:
         self._offset_map = {
             int(key): float(value) for key, value in state["offsets"].items()  # type: ignore[union-attr]
         }
-        self._metrics = {}
 
 
 @dataclass
 class WindowOutcome:
     """Everything one stepped window produced (window-local views).
 
-    ``epoch_metrics``/``peak_by_epoch``/``mean_by_epoch`` are indexed by the
-    window-local epoch (global index ``start_epoch + i``); ``baseline`` is
+    ``epoch_metrics`` is the window's ``(num_epochs, num_units)`` per-unit
+    Celsius rows; it and ``peak_by_epoch``/``mean_by_epoch`` (each row's
+    maximum and mean) are indexed by the window-local epoch (global index
+    ``start_epoch + i``); ``baseline`` is
     populated only by the first window of a run, ``settled`` only by a
     window stepped with ``is_last=True`` in steady mode (transient settled
     statistics live on the experiment and surface in
@@ -359,7 +349,7 @@ class WindowOutcome:
     num_epochs: int
     trace: PowerTrace
     costs: List[Optional[MigrationEvent]]
-    epoch_metrics: List[ThermalMetrics]
+    epoch_metrics: np.ndarray
     peak_by_epoch: np.ndarray
     mean_by_epoch: np.ndarray
     baseline: Optional[ThermalMetrics] = None
@@ -497,7 +487,7 @@ class ThermalExperiment:
             settled_capacity=settled_capacity,
             collect_records=collect_records,
             warm_power=warm_power,
-            thermal_feedback=self._needs_thermal_feedback(),
+            thermal_feedback=self.policy.requires_thermal_feedback,
         )
 
     def _init_stream_state(
@@ -524,7 +514,6 @@ class ThermalExperiment:
                 "horizon is undefined"
             )
         self._settled_capacity = capacity
-        self._thermal_feedback = thermal_feedback
         self._collect_records = collect_records
         self._records_acc: List[EpochRecord] = []
         self._next_epoch = 0
@@ -561,7 +550,6 @@ class ThermalExperiment:
         if thermal_feedback:
             plan = FeedbackPlan(
                 self.thermal_model,
-                self.configuration.topology,
                 stride=self.settings.feedback_stride,
                 predictor=self.settings.feedback_predictor,
             )
@@ -675,9 +663,8 @@ class ThermalExperiment:
         Epoch indices are **global** (``self._next_epoch + local``), so
         policies, the feedback plan's refresh cadence and the migration
         records behave identically regardless of how the horizon is
-        windowed.  The loop itself is dict-free: policies receive the
-        previous power row as a vector (the dict view is built lazily only
-        if a policy reads it).
+        windowed.  The loop itself is dict-free: feedback policies receive
+        the previous epoch's per-unit Celsius row, others nothing.
 
         A policy decision is lowered into a
         :class:`~repro.migration.plan.MigrationPlan` under
@@ -698,7 +685,6 @@ class ThermalExperiment:
         power_modulation = window.modulation_matrix(topology.num_nodes)
         period_scale = window.period_scale
         noc_rates = window.noc_rates
-        thermal_feedback = self._thermal_feedback
         plan = self.feedback_plan
         if plan is not None:
             plan.add_offsets(self._next_epoch, window.ambient_offsets)
@@ -720,13 +706,9 @@ class ThermalExperiment:
                 self._cycles_run += self._period_cycles
             in_progress = controller.migration_in_progress
             context = PolicyContext(
-                epoch_index=epoch_index,
-                current_thermal=(
-                    plan.thermal_for(epoch_index) if plan is not None else None
-                ),
-                topology=topology,
-                current_power_vector=previous_power if thermal_feedback else None,
-                migration_in_progress=in_progress,
+                epoch_index,
+                plan.thermal_for(epoch_index) if plan is not None else None,
+                in_progress,
             )
             transform = self.policy.decide(context)
             wants = transform is not None and transform.name != "identity"
@@ -792,15 +774,6 @@ class ThermalExperiment:
         )
         return self._loop_window(self.schedule)
 
-    def _needs_thermal_feedback(self) -> bool:
-        """Whether the policy declared it reads feedback temperatures.
-
-        Policies opt in via :attr:`ReconfigurationPolicy.
-        requires_thermal_feedback`; custom policies no longer inherit the
-        feedback path silently from an isinstance check.
-        """
-        return bool(getattr(self.policy, "requires_thermal_feedback", False))
-
     # ------------------------------------------------------------------
     def _performance(self, epochs_run: int) -> PerformanceMetrics:
         # Cycles are accumulated per epoch so a scenario ``period`` schedule
@@ -817,7 +790,7 @@ class ThermalExperiment:
         self,
         trace: PowerTrace,
         costs: List[Optional[MigrationEvent]],
-        epoch_metrics: List[ThermalMetrics],
+        epoch_rows: np.ndarray,
         start_epoch: int = 0,
     ) -> List[EpochRecord]:
         """Per-epoch records (dict views of the trace built on first read)."""
@@ -831,7 +804,7 @@ class ThermalExperiment:
                 transform_applied=event.transform_name if event else None,
                 migration_cycles=event.cycles if event else 0,
                 migration_energy_j=event.energy_j if event else 0.0,
-                thermal=epoch_metrics[idx],
+                thermal=ThermalMetrics.from_vector(topology, epoch_rows[idx]),
             )
             for idx, event in enumerate(costs)
         ]
@@ -894,19 +867,8 @@ class ThermalExperiment:
             settled = ThermalMetrics.from_vector(topology, temperatures[-1])
             self._settled_peak = settled.peak_celsius
             self._settled_mean = settled.mean_celsius
-        epoch_metrics = [
-            ThermalMetrics.from_vector(topology, row) for row in temperatures[base:stop]
-        ]
-        return WindowOutcome(
-            start_epoch=start_epoch,
-            num_epochs=len(trace),
-            trace=trace,
-            costs=costs,
-            epoch_metrics=epoch_metrics,
-            peak_by_epoch=np.array([m.peak_celsius for m in epoch_metrics]),
-            mean_by_epoch=np.array([m.mean_celsius for m in epoch_metrics]),
-            baseline=baseline,
-            settled=settled,
+        return self._outcome(
+            start_epoch, trace, costs, temperatures[base:stop], None, baseline, settled
         )
 
     def _step_transient(
@@ -973,16 +935,12 @@ class ThermalExperiment:
         series = thermal_model.unit_series(result)
         starts = np.array([start for start, _stop in result.interval_ranges])
         ends = np.array([stop for _start, stop in result.interval_ranges])
-        peak_by_epoch = np.maximum.reduceat(series.max(axis=0), starts)
-        final_temps = series[:, ends - 1]
-        epoch_metrics = [
-            ThermalMetrics.from_vector(topology, final_temps[:, idx])
-            for idx in range(len(trace))
-        ]
-        mean_by_epoch = np.array([metric.mean_celsius for metric in epoch_metrics])
-        for peak, mean in zip(peak_by_epoch, mean_by_epoch):
-            self._peak_ring.append(float(peak))
-            self._mean_ring.append(float(mean))
+        peaks = np.maximum.reduceat(series.max(axis=0), starts)
+        outcome = self._outcome(
+            start_epoch, trace, costs, series[:, ends - 1].T, peaks, baseline
+        )
+        self._peak_ring.extend(outcome.peak_by_epoch.tolist())
+        self._mean_ring.extend(outcome.mean_by_epoch.tolist())
         if is_last:
             count = min(self._settled_capacity, self._next_epoch)
             self._settled_peak = float(
@@ -991,16 +949,34 @@ class ThermalExperiment:
             self._settled_mean = float(
                 np.mean(np.array(list(self._mean_ring)[-count:], dtype=float))
             )
+        return outcome
+
+    @staticmethod
+    def _outcome(
+        start_epoch: int,
+        trace: PowerTrace,
+        costs: List[Optional[MigrationEvent]],
+        epoch_rows: np.ndarray,
+        peak_by_epoch: Optional[np.ndarray] = None,
+        baseline: Optional[ThermalMetrics] = None,
+        settled: Optional[ThermalMetrics] = None,
+    ) -> WindowOutcome:
+        """A window's outcome over its ``(E, U)`` Celsius rows.
+
+        Peaks default to each row's maximum.  Contiguous rows make each mean
+        sum in :meth:`ThermalMetrics.from_vector`'s order, to the bit.
+        """
+        rows = np.ascontiguousarray(epoch_rows)
         return WindowOutcome(
             start_epoch=start_epoch,
             num_epochs=len(trace),
             trace=trace,
             costs=costs,
-            epoch_metrics=epoch_metrics,
-            peak_by_epoch=np.asarray(peak_by_epoch, dtype=float),
-            mean_by_epoch=mean_by_epoch,
+            epoch_metrics=rows,
+            peak_by_epoch=rows.max(axis=1) if peak_by_epoch is None else peak_by_epoch,
+            mean_by_epoch=rows.mean(axis=1),
             baseline=baseline,
-            settled=None,
+            settled=settled,
         )
 
     # ------------------------------------------------------------------

@@ -91,11 +91,6 @@ class ThermalMetrics(_Record):
             return 0.0
         return float(np.std(list(self.per_unit_celsius.values())))
 
-    def hottest_unit(self) -> Optional[Coordinate]:
-        if not self.per_unit_celsius:
-            return None
-        return max(self.per_unit_celsius, key=self.per_unit_celsius.get)
-
     @classmethod
     def from_map(cls, per_unit_celsius: Dict[Coordinate, float]) -> "ThermalMetrics":
         values = list(per_unit_celsius.values())

@@ -10,7 +10,7 @@ which are exercised by the tests, the scenario registry and the examples.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -19,73 +19,27 @@ from ..migration.transforms import (
     MigrationTransform,
     make_transform,
 )
-from ..noc.topology import Coordinate, MeshTopology
-from ..power.trace import vector_to_map
-from .metrics import ThermalMetrics
+from ..noc.topology import MeshTopology
 
 
-class PolicyContext:
+class PolicyContext(NamedTuple):
     """Information a policy may use when deciding whether to migrate.
 
-    The context is vector-native: the experiment driver hands policies the
-    previous epoch's power as a row-major ``current_power_vector`` and never
-    builds a dict per epoch.  :attr:`current_power_map` remains available as
-    a **lazily built** dict view — the conversion runs only if a policy
-    actually reads it, so policies that work on the vector (or ignore power
-    entirely) keep ``vector_to_map`` out of the epoch loop.  Constructing a
-    context with an explicit ``current_power_map`` dict still works for
-    hand-written tests and external callers.
+    ``unit_celsius`` is the feedback temperature of the previous epoch's
+    power: one read-only Celsius value per unit in the topology's row-major
+    coordinate order, or None when the policy did not ask for feedback (see
+    :attr:`ReconfigurationPolicy.requires_thermal_feedback`).  The row is
+    carried checkpoint state, so policies must not write to it.
+
+    ``migration_in_progress`` is True while a staged migration plan is still
+    unfolding: the controller will not start a new migration this epoch, so
+    policies may skip their decision work (any transform returned is dropped
+    and counted as a stalled epoch).
     """
 
-    def __init__(
-        self,
-        epoch_index: int,
-        current_thermal: Optional[ThermalMetrics],
-        current_power_map: Optional[Dict[Coordinate, float]] = None,
-        topology: Optional[MeshTopology] = None,
-        current_power_vector: Optional[np.ndarray] = None,
-        migration_in_progress: bool = False,
-    ):
-        if topology is None:
-            raise TypeError("PolicyContext requires a topology")
-        self.epoch_index = epoch_index
-        self.current_thermal = current_thermal
-        self.topology = topology
-        self.current_power_vector = current_power_vector
-        #: True while a staged migration plan is still unfolding — the
-        #: controller will not start a new migration this epoch, so policies
-        #: may skip their decision work (any transform returned is dropped
-        #: and counted as a stalled epoch).
-        self.migration_in_progress = migration_in_progress
-        self._power_map: Optional[Dict[Coordinate, float]] = (
-            dict(current_power_map) if current_power_map is not None else None
-        )
-
-    @property
-    def current_power_map(self) -> Dict[Coordinate, float]:
-        """Dict view of the previous epoch's power (built on first access)."""
-        if self._power_map is None:
-            if self.current_power_vector is None:
-                self._power_map = {}
-            else:
-                self._power_map = vector_to_map(
-                    self.topology, self.current_power_vector
-                )
-        return self._power_map
-
-    @property
-    def has_power(self) -> bool:
-        """Whether any power information is attached (vector or dict)."""
-        if self.current_power_vector is not None:
-            return self.current_power_vector.size > 0
-        return bool(self._power_map)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PolicyContext(epoch_index={self.epoch_index}, "
-            f"current_thermal={self.current_thermal is not None}, "
-            f"has_power={self.has_power})"
-        )
+    epoch_index: int
+    unit_celsius: Optional[np.ndarray] = None
+    migration_in_progress: bool = False
 
 
 class ReconfigurationPolicy(ABC):
@@ -94,12 +48,9 @@ class ReconfigurationPolicy(ABC):
     #: Name used in reports.
     name: str = "abstract"
 
-    #: Whether the policy reads ``context.current_thermal`` and therefore
-    #: needs the experiment driver to evaluate feedback temperatures.  The
-    #: driver used to infer this with isinstance checks, which silently put
-    #: every custom policy on the expensive per-epoch feedback path; now a
-    #: policy opts in explicitly (threshold/adaptive do), and everything else
-    #: runs feedback-free at zero thermal cost inside the epoch loop.
+    #: Whether the policy reads ``context.unit_celsius``, so the experiment
+    #: driver evaluates feedback temperatures (threshold/adaptive opt in;
+    #: everything else runs feedback-free at zero thermal cost).
     requires_thermal_feedback: bool = False
 
     def __init__(self, period_us: float):
@@ -192,10 +143,10 @@ class ThresholdMigrationPolicy(ReconfigurationPolicy):
         self.migrations_triggered = 0
 
     def decide(self, context: PolicyContext) -> Optional[MigrationTransform]:
-        thermal = context.current_thermal
-        if thermal is None:
+        row = context.unit_celsius
+        if row is None:
             return None
-        if thermal.peak_celsius >= self.trigger_celsius:
+        if row.max() >= self.trigger_celsius:
             self.migrations_triggered += 1
             return self.transform
         return None
@@ -213,12 +164,14 @@ class ThresholdMigrationPolicy(ReconfigurationPolicy):
 class AdaptiveMigrationPolicy(ReconfigurationPolicy):
     """Pick, each period, the candidate transform that best cools the hotspot.
 
-    At every boundary the policy scores each candidate transform by how far
-    the predicted post-migration hotspot ends up from the currently hottest
-    unit (a cheap spatial heuristic that needs no thermal solve), preferring
-    transforms that move the hot workload furthest from its heat.  This is
-    the "dynamic alteration of the migration function at runtime" the paper's
-    Section 2.3 explicitly allows for.
+    The policy scores each candidate transform by how far it moves the
+    currently hottest unit (a cheap spatial heuristic that needs no thermal
+    solve), preferring transforms that move the hot workload furthest from
+    its heat.  This is the "dynamic alteration of the migration function at
+    runtime" the paper's Section 2.3 explicitly allows for.
+
+    The score depends only on the hottest unit, so ``__init__`` scores every
+    unit once and a decision is one ``argmax`` and one table lookup.
     """
 
     requires_thermal_feedback = True
@@ -230,7 +183,6 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
         period_us: float = 109.0,
     ):
         super().__init__(period_us)
-        self.topology = topology
         schemes = list(candidate_schemes) if candidate_schemes else list(FIGURE1_SCHEMES)
         self.candidates: List[MigrationTransform] = []
         for scheme in schemes:
@@ -241,12 +193,15 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
                 continue
         if not self.candidates:
             raise ValueError("no valid candidate transforms for this topology")
-        # Secondary criterion: prefer transforms with fewer fixed points
-        # (they leave nothing pinned on a hotspot).  A transform is a fixed
-        # bijection, so each candidate's penalty is computed once.
-        self._scored = [
-            (transform, len(transform.fixed_points()) * 0.25)
-            for transform in self.candidates
+        # A candidate scores its displacement of the hottest unit, less 0.25
+        # per fixed point (a fixed point leaves something pinned on a
+        # hotspot); max() keeps the earlier candidate on a tie.
+        scored = [(t, len(t.fixed_points()) * 0.25) for t in self.candidates]
+        #: Row-major unit index -> the transform chosen when that unit is
+        #: the hottest.
+        self.choice_by_unit: List[MigrationTransform] = [
+            max(scored, key=lambda c: topology.manhattan_distance(u, c[0](u)) - c[1])[0]
+            for u in topology.coordinates()
         ]
         self.name = "adaptive"
         self.choices: List[str] = []
@@ -254,26 +209,15 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
         self.choice_counts: Dict[str, int] = {}
 
     def decide(self, context: PolicyContext) -> Optional[MigrationTransform]:
-        thermal = context.current_thermal
-        if thermal is None or not context.has_power:
+        row = context.unit_celsius
+        if row is None:
             choice = self.candidates[0]
-            self._record_choice(choice.name)
-            return choice
-        hottest = thermal.hottest_unit()
-        if hottest is None:
-            hottest = self.topology.center
-
-        best = None
-        best_score = None
-        for transform, fixed_penalty in self._scored:
-            displaced = transform(hottest)
-            distance = self.topology.manhattan_distance(hottest, displaced)
-            score = distance - fixed_penalty
-            if best_score is None or score > best_score:
-                best_score = score
-                best = transform
-        self._record_choice(best.name)
-        return best
+        else:
+            # argmax takes the first maximum: ties go to the earlier unit in
+            # row-major order.
+            choice = self.choice_by_unit[int(row.argmax())]
+        self._record_choice(choice.name)
+        return choice
 
     def _record_choice(self, name: str) -> None:
         self.choices.append(name)

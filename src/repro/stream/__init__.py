@@ -10,12 +10,13 @@ JSONL wire format (:mod:`~repro.stream.window`), window producers
 """
 
 from .checkpoint import CheckpointStore, TornCheckpointError
-from .engine import StreamingExperiment, StreamUpdate
+from .engine import CheckpointMismatchError, StreamingExperiment, StreamUpdate
 from .source import jsonl_windows, scenario_windows
 from .summary import RollingSummary
 from .window import EpochWindow
 
 __all__ = [
+    "CheckpointMismatchError",
     "CheckpointStore",
     "EpochWindow",
     "RollingSummary",

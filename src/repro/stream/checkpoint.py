@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 #: Journal file name inside the checkpoint directory.
 CHECKPOINT_JOURNAL = "checkpoints.jsonl"
@@ -39,7 +40,14 @@ class CheckpointStore:
     keep:
         Checkpoints retained by a compaction.
     max_entries:
-        Journal length that triggers a compaction on the next save.
+        Journal length past which a save compacts.
+
+    The store assumes it is the journal's **single writer**.  It reads and
+    repairs the journal once, on first use, then keeps the entry count, the
+    newest ``keep`` encoded lines and the journal's size in memory: a save
+    is one append and a compaction rewrites those lines.  A journal whose
+    size is not the one the store left (a torn tail from a writer that
+    died) is re-read and repaired before the next append.
     """
 
     def __init__(self, directory, keep: int = 4, max_entries: int = 64):
@@ -50,65 +58,89 @@ class CheckpointStore:
         self.directory = Path(directory)
         self.keep = keep
         self.max_entries = max_entries
-        self._entries: Optional[int] = None
+        self._tail: Deque[bytes] = deque(maxlen=keep)
+        self._entries = 0
+        #: Journal bytes as this store left them; None until it is opened.
+        self._size: Optional[int] = None
 
     @property
     def path(self) -> Path:
         return self.directory / CHECKPOINT_JOURNAL
 
     # ------------------------------------------------------------------
-    def _count_entries(self) -> int:
-        if self._entries is None:
-            if self.path.exists():
-                with self.path.open("rb") as handle:
-                    self._entries = sum(1 for _ in handle)
-            else:
-                self._entries = 0
-        return self._entries
+    def _read(self) -> Tuple[List[bytes], int]:
+        """The journal's intact lines and their byte length.
+
+        Bytes after the last newline are a torn final line (a crash
+        mid-append) and are left out; a malformed line raises.
+        """
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return [], 0
+        *complete, torn = data.split(b"\n")
+        lines = []
+        for index, line in enumerate(complete):
+            if not line.strip():
+                continue
+            try:
+                json.loads(line)
+            except ValueError:
+                raise TornCheckpointError(
+                    f"corrupt checkpoint journal {self.path}: line {index + 1} "
+                    "is malformed but is not the final (torn-tail) line"
+                ) from None
+            lines.append(line + b"\n")
+        return lines, len(data) - len(torn)
 
     def repair(self) -> bool:
-        """Truncate a torn (unterminated) final line; True if one was cut.
+        """(Re-)open the journal, truncating a torn final line; True if one was cut.
 
         Safe to call any time: a journal whose last byte is a newline is
         left untouched.
         """
-        if not self.path.exists():
-            return False
-        with self.path.open("rb+") as handle:
-            data = handle.read()
-            if not data or data.endswith(b"\n"):
-                return False
-            keep = data.rfind(b"\n") + 1
-            handle.seek(keep)
-            handle.truncate(keep)
-        self._entries = None
-        return True
+        lines, intact = self._read()
+        cut = self._disk_size() > intact
+        if cut:
+            with self.path.open("rb+") as handle:
+                handle.truncate(intact)
+        self._tail = deque(lines, maxlen=self.keep)
+        self._entries = len(lines)
+        self._size = intact
+        return cut
 
     # ------------------------------------------------------------------
     def save(self, payload: Dict[str, object]) -> None:
         """Append one checkpoint, durably; compacts past ``max_entries``."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.repair()
-        line = json.dumps(payload, separators=(",", ":")) + "\n"
-        with self.path.open("a", encoding="utf-8") as handle:
+        line = (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+        if self._size != self._disk_size():
+            self.repair()
+        if self._size == 0:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        with self.path.open("ab") as handle:
             handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
-        self._entries = self._count_entries() + 1
+        self._size += len(line)
+        self._entries += 1
+        self._tail.append(line)
         if self._entries > self.max_entries:
             self._compact()
 
+    def _disk_size(self) -> int:
+        try:
+            return os.stat(self.path).st_size
+        except FileNotFoundError:
+            return 0
+
     def _compact(self) -> None:
-        """Atomically rewrite the journal keeping the newest ``keep`` entries."""
-        entries = self.load_all()
-        tail = entries[-self.keep :]
+        """Atomically rewrite the journal as its newest ``keep`` entries."""
         descriptor, temp_path = tempfile.mkstemp(
             dir=self.directory, prefix=".checkpoints-", suffix=".tmp"
         )
         try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                for entry in tail:
-                    handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.writelines(self._tail)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp_path, self.path)
@@ -118,36 +150,24 @@ class CheckpointStore:
             except OSError:
                 pass
             raise
-        self._entries = len(tail)
+        self._entries = len(self._tail)
+        self._size = sum(len(line) for line in self._tail)
 
     # ------------------------------------------------------------------
     def load_all(self) -> List[Dict[str, object]]:
         """Every intact checkpoint, oldest first; torn-tail tolerant.
 
-        A final line that fails to parse (torn by a crash mid-append) is
-        skipped; a malformed line anywhere else raises
-        :class:`TornCheckpointError`.
+        A torn final line (no newline yet) is skipped; a malformed line
+        anywhere else raises :class:`TornCheckpointError`.
         """
-        if not self.path.exists():
-            return []
-        text = self.path.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        entries: List[Dict[str, object]] = []
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    continue
-                raise TornCheckpointError(
-                    f"corrupt checkpoint journal {self.path}: line {index + 1} "
-                    "is malformed but is not the final (torn-tail) line"
-                )
-        return entries
+        lines, _intact = self._read()
+        return [json.loads(line) for line in lines]
 
     def load_latest(self) -> Optional[Dict[str, object]]:
-        """The newest intact checkpoint, or None for a fresh run."""
-        entries = self.load_all()
-        return entries[-1] if entries else None
+        """The newest intact checkpoint, or None for a fresh run.
+
+        Opens (and repairs) the journal if this store has not yet.
+        """
+        if self._size is None:
+            self.repair()
+        return json.loads(self._tail[-1]) if self._tail else None

@@ -48,6 +48,10 @@ _OBS_EPOCHS = _obs_counter("stream.epochs")
 _OBS_LAG = _obs_gauge("stream.lag_s")
 
 
+class CheckpointMismatchError(ValueError):
+    """The checkpoint journal was written by another stream (another identity)."""
+
+
 @dataclass
 class StreamUpdate:
     """What one processed window reports back to the consumer."""
@@ -176,6 +180,10 @@ class StreamingExperiment:
                 f"mig:{experiment.settings.migration_style}"
                 f"x{experiment.settings.units_per_epoch}"
             )
+        # A resumed stream must not mix two migration periods; the paper's
+        # 109 us default adds nothing so existing journals keep their identity.
+        if experiment.policy.period_us != 109.0:
+            parts.append(f"period{experiment.policy.period_us!r}us")
         parts.append(source_tag)
         return "/".join(parts)
 
@@ -197,7 +205,7 @@ class StreamingExperiment:
             payload = self.checkpoint.load_latest()
             if payload is not None:
                 if payload.get("identity") != self.identity:
-                    raise ValueError(
+                    raise CheckpointMismatchError(
                         "checkpoint identity mismatch: journal was written by "
                         f"{payload.get('identity')!r}, this stream is "
                         f"{self.identity!r}"

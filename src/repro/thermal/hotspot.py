@@ -82,16 +82,26 @@ class HotSpotModel:
             [nodes_of_unit[block_name_for(coord)] for coord in topology.coordinates()],
             dtype=np.int64,
         )
+        # The steady solve in unit space: ``rows @ R + T0`` is the kelvin of
+        # every unit's cells.
+        self._unit_operator, self._unit_offset = self.solver.reduced_steady_operator(
+            self.node_power_matrix(np.eye(topology.num_nodes)),
+            self.unit_nodes.ravel(),
+        )
 
     # ------------------------------------------------------------------
-    def node_power_matrix(self, power_rows: np.ndarray) -> np.ndarray:
-        """Scatter ``(num_rows, num_units)`` power rows evenly over each unit's cells."""
+    def _unit_rows(self, power_rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(power_rows, dtype=float))
-        if rows.shape[1] != self.topology.num_nodes:
+        if rows.ndim != 2 or rows.shape[1] != self.topology.num_nodes:
             raise ValueError(
                 f"expected {self.topology.num_nodes} units per row, "
                 f"got shape {rows.shape}"
             )
+        return rows
+
+    def node_power_matrix(self, power_rows: np.ndarray) -> np.ndarray:
+        """Scatter ``(num_rows, num_units)`` power rows evenly over each unit's cells."""
+        rows = self._unit_rows(power_rows)
         cells_per_unit = self.unit_nodes.shape[1]
         matrix = np.zeros((rows.shape[0], self.network.num_nodes))
         matrix[:, self.unit_nodes.ravel()] = np.repeat(
@@ -102,11 +112,18 @@ class HotSpotModel:
     def steady_temperatures(self, power_rows: np.ndarray) -> np.ndarray:
         """Per-unit steady temperatures (Celsius) for many power rows at once.
 
-        One product with the solver's precomputed ``A^-T`` evaluates every
-        row; each unit reads as its hottest cell.
+        One product with the unit-space operator built from the solver's
+        ``A^-T`` evaluates every row; each unit reads as its hottest cell.
         """
-        kelvin = self.solver.steady_state_batch(self.node_power_matrix(power_rows))
-        return kelvin[:, self.unit_nodes].max(axis=-1) - KELVIN_OFFSET
+        rows = self._unit_rows(power_rows)
+        kelvin = self.solver.steady_state_reduced(
+            rows, self._unit_operator, self._unit_offset
+        )
+        cells_per_unit = self.unit_nodes.shape[1]
+        if cells_per_unit > 1:
+            kelvin = kelvin.reshape(rows.shape[0], -1, cells_per_unit).max(axis=-1)
+        # Celsius last, as the node-space solve converts.
+        return kelvin - KELVIN_OFFSET
 
     def steady_state_by_coord(
         self, power_by_coord: Dict[Coordinate, float]

@@ -11,7 +11,8 @@ Mapping functional units onto nodes is the model's job
   overhead of a LAPACK solve wrapper, which outweighs the arithmetic.
 * :meth:`ThermalSolver.steady_state_batch` solves ``A T = P + G_amb T_amb``
   for many power rows with one product, ``rhs @ A^-T``; ``A^-1`` is built
-  when the solver is constructed.
+  when the solver is constructed; :meth:`ThermalSolver.steady_state_reduced`
+  solves through ``A^-T`` restricted to the inputs and nodes a caller uses.
 * :meth:`ThermalSolver.transient_sequence` integrates
   ``C dT/dt = P - A T + G_amb T_amb`` over a piecewise-constant power trace
   with an unconditionally stable implicit-Euler scheme.  The step matrix
@@ -243,6 +244,27 @@ class ThermalSolver:
         _OBS_STEADY_SOLVES.add()
         with _obs_span("thermal.steady_batch", rows=int(power.shape[0])):
             return rhs @ self._steady_operator
+
+    def reduced_steady_operator(
+        self, injection: np.ndarray, readout: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(operator, offset)``: ``rows @ operator + offset`` equals
+        ``steady_state_batch(rows @ injection)[:, readout]`` up to roundoff,
+        for a ``(k, num_nodes)`` ``injection`` of ``k`` inputs."""
+        columns = self._steady_operator[:, readout]
+        return injection @ columns, self._boundary @ columns
+
+    def steady_state_reduced(
+        self, rows: np.ndarray, operator: np.ndarray, offset: np.ndarray
+    ) -> np.ndarray:
+        """A steady solve through a :meth:`reduced_steady_operator`, checked
+        and counted like :meth:`steady_state_batch` (the caller checks the
+        width of ``rows``)."""
+        _check_power(rows)
+        self.steady_solve_count += 1
+        _OBS_STEADY_SOLVES.add()
+        with _obs_span("thermal.steady_batch", rows=int(rows.shape[0])):
+            return rows @ operator + offset
 
     def warm_state(self, node_power, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
         """Node state (kelvin) corresponding to steady state under one power vector.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.report import (
     compare_with_migration,
+    format_rows,
     generate_figure1,
     paper_spec,
     table1_rows,
@@ -131,3 +132,16 @@ class TestTable1:
         assert by_operation["X Mirroring"]["new_y"] == "Y"
         assert by_operation["X Translation"]["new_x"] == "X + Offset"
         assert by_operation["X Translation"]["new_y"] == "Y"
+
+
+class TestFormatRows:
+    def test_negative_zero_prints_unsigned(self):
+        table = format_rows([{"metric": "a", "value": -0.0}, {"metric": "b", "value": -0.28}])
+        lines = table.splitlines()
+        assert lines[2] == "a       0.0  "
+        assert lines[3] == "b       -0.28"
+        assert "-0.0" not in table
+
+    def test_other_values_print_as_str(self):
+        table = format_rows([{"n": 0, "x": 1.5, "name": None}])
+        assert table.splitlines()[2] == "0  1.5  None"

@@ -40,15 +40,8 @@ def _reference_epochs(chip, policy, settings):
     )
     period_s = policy.period_us * 1e-6
     epochs = []
-    previous_power = controller.static_power_map()
     for epoch_index in range(settings.num_epochs):
-        context = PolicyContext(
-            epoch_index=epoch_index,
-            current_thermal=None,
-            current_power_map=previous_power,
-            topology=chip.topology,
-        )
-        transform = policy.decide(context)
+        transform = policy.decide(PolicyContext(epoch_index=epoch_index))
         cost = None
         name = None
         if transform is not None and transform.name != "identity":
@@ -56,7 +49,6 @@ def _reference_epochs(chip, policy, settings):
             name = transform.name
         power = controller.epoch_power_map(period_s, cost)
         epochs.append((power, cost, name))
-        previous_power = power
         controller.advance_epoch()
     return epochs
 

@@ -73,20 +73,16 @@ def _reference_feedback_epochs(chip, policy, settings, model, ambient=None):
         if ambient is not None:
             offset = float(ambient[epoch_index])
             temps = {coord: value + offset for coord, value in temps.items()}
-        return ThermalMetrics.from_map(temps)
+        # The policy reads the dict as a row-major Celsius row.
+        return np.array([temps[coord] for coord in topology.coordinates()])
 
     previous_power = controller.static_power_vector()
-    previous_thermal = None
+    previous_row = None
     epochs = []
     for epoch_index in range(settings.num_epochs):
-        if previous_thermal is None:
-            previous_thermal = feedback(previous_power, epoch_index)
-        context = PolicyContext(
-            epoch_index=epoch_index,
-            current_thermal=previous_thermal,
-            current_power_map=vector_to_map(topology, previous_power),
-            topology=topology,
-        )
+        if previous_row is None:
+            previous_row = feedback(previous_power, epoch_index)
+        context = PolicyContext(epoch_index=epoch_index, unit_celsius=previous_row)
         transform = policy.decide(context)
         cost = None
         name = None
@@ -95,7 +91,7 @@ def _reference_feedback_epochs(chip, policy, settings, model, ambient=None):
             name = transform.name
         power = controller.epoch_power_vector(period_s, cost)
         epochs.append((power, cost, name))
-        previous_thermal = feedback(power, epoch_index)
+        previous_row = feedback(power, epoch_index)
         previous_power = power
         controller.advance_epoch()
     return epochs
@@ -365,7 +361,7 @@ class TestRequiresThermalFeedbackAttribute:
         def decide(self, context):
             # A custom policy that never reads temperatures; before the
             # attribute it silently paid one solve per epoch.
-            assert context.current_thermal is None
+            assert context.unit_celsius is None
             return None
 
     class _CustomFeedback(ReconfigurationPolicy):
@@ -377,7 +373,10 @@ class TestRequiresThermalFeedbackAttribute:
             self.peaks = []
 
         def decide(self, context):
-            self.peaks.append(context.current_thermal.peak_celsius)
+            row = context.unit_celsius
+            # The row is the plan's carried state: policies cannot write it.
+            assert not row.flags.writeable
+            self.peaks.append(float(row.max()))
             return None
 
     def test_custom_policy_defaults_to_no_feedback(self):
@@ -408,60 +407,55 @@ class TestRequiresThermalFeedbackAttribute:
         ).requires_thermal_feedback
 
 
-# ----------------------------------------------------------------------
-class TestVectorNativeContext:
-    def test_dict_view_is_lazy_and_cached(self):
-        chip = get_configuration("A")
-        vector = np.linspace(0.0, 3.0, chip.topology.num_nodes)
-        context = PolicyContext(
-            epoch_index=0,
-            current_thermal=None,
-            topology=chip.topology,
-            current_power_vector=vector,
-        )
-        assert context._power_map is None  # nothing built yet
-        view = context.current_power_map
-        assert view == vector_to_map(chip.topology, vector)
-        assert context.current_power_map is view  # cached, not rebuilt
+class TestMetricsAtTheReportEdge:
+    """Decisions run on Celsius rows; ThermalMetrics is built for reports only."""
 
-    def test_explicit_dict_still_accepted(self):
+    def test_records_off_builds_only_the_baseline_metrics(self, monkeypatch):
         chip = get_configuration("A")
-        powers = {coord: 1.0 for coord in chip.topology.coordinates()}
-        context = PolicyContext(
-            epoch_index=0,
-            current_thermal=None,
-            current_power_map=powers,
-            topology=chip.topology,
-        )
-        assert context.current_power_map == powers
-        assert context.has_power
+        built = []
+        from_vector = ThermalMetrics.from_vector.__func__
 
-    def test_no_power_info(self):
-        chip = get_configuration("A")
-        context = PolicyContext(
-            epoch_index=0, current_thermal=None, topology=chip.topology
-        )
-        assert not context.has_power
-        assert context.current_power_map == {}
+        def counting(cls, topology, row):
+            built.append(np.array(row))
+            return from_vector(cls, topology, row)
 
-    def test_topology_required(self):
-        with pytest.raises(TypeError, match="topology"):
-            PolicyContext(epoch_index=0, current_thermal=None)
+        monkeypatch.setattr(ThermalMetrics, "from_vector", classmethod(counting))
+        settings = ExperimentSettings(num_epochs=40, mode="transient", settle_epochs=20)
+        experiment = ThermalExperiment(chip, _adaptive(chip), settings=settings)
+        experiment.prepare(total_epochs=40, collect_records=False)
+        experiment.step_window(experiment.schedule, is_last=True)
+        result = experiment.finalize()
+        assert len(built) == 1
+        assert result.baseline_peak_celsius == built[0].max()
+        assert experiment.feedback_plan.batch_solves == 40
+
+    @pytest.mark.parametrize("mode", ["steady", "transient"])
+    @pytest.mark.parametrize("chip_name", ["A", "C", "E"])
+    def test_window_figures_equal_the_record_metrics(self, mode, chip_name):
+        chip = get_configuration(chip_name)
+        settings = ExperimentSettings(num_epochs=12, mode=mode, settle_epochs=6)
+        experiment = ThermalExperiment(chip, _adaptive(chip), settings=settings)
+        experiment.prepare(total_epochs=12, collect_records=True)
+        outcome = experiment.step_window(experiment.schedule, is_last=True)
+        metrics = [record.thermal for record in experiment.finalize().epochs]
+        assert outcome.epoch_metrics.shape == (12, chip.topology.num_nodes)
+        assert outcome.mean_by_epoch.tolist() == [m.mean_celsius for m in metrics]
+        if mode == "steady":
+            # Transient peaks span each epoch's samples, not its final instant.
+            assert outcome.peak_by_epoch.tolist() == [m.peak_celsius for m in metrics]
 
 
 class TestFeedbackPlanUnit:
     def test_validation(self):
         chip = get_configuration("A")
         with pytest.raises(ValueError, match="stride"):
-            FeedbackPlan(chip.thermal_model, chip.topology, stride=0)
+            FeedbackPlan(chip.thermal_model, stride=0)
         with pytest.raises(ValueError, match="predictor"):
-            FeedbackPlan(
-                chip.thermal_model, chip.topology, stride=1, predictor="oracle"
-            )
+            FeedbackPlan(chip.thermal_model, stride=1, predictor="oracle")
 
     def test_unprimed_plan_fails_loudly(self):
         chip = get_configuration("A")
-        plan = FeedbackPlan(chip.thermal_model, chip.topology, stride=1)
+        plan = FeedbackPlan(chip.thermal_model, stride=1)
         with pytest.raises(RuntimeError, match="prime"):
             plan.thermal_for(0)
 
@@ -469,8 +463,7 @@ class TestFeedbackPlanUnit:
         """Mid-chunk, epoch i is answered by the solved row of i-1-stride."""
         chip = get_configuration("A")
         stride = 3
-        plan = FeedbackPlan(chip.thermal_model, chip.topology, stride=stride,
-                            predictor="previous")
+        plan = FeedbackPlan(chip.thermal_model, stride=stride, predictor="previous")
         rng = np.random.default_rng(3)
         rows = 1.0 + rng.random((2 * stride, chip.topology.num_nodes))
         plan.prime(chip.power_vector())
@@ -482,7 +475,7 @@ class TestFeedbackPlanUnit:
         expected_last = chip.thermal_model.steady_temperatures(
             rows[stride - 1][np.newaxis, :]
         )[0]
-        assert fresh.peak_celsius == pytest.approx(expected_last.max(), abs=1e-9)
+        assert fresh == pytest.approx(expected_last, abs=1e-9)
         for epoch in range(stride, 2 * stride):
             plan.observe(epoch, rows[epoch])
         # Mid-chunk: epoch stride+1 wants T(rows[stride]); the predictor
@@ -491,7 +484,5 @@ class TestFeedbackPlanUnit:
         expected_proxy = chip.thermal_model.steady_temperatures(
             rows[0][np.newaxis, :]
         )[0]
-        assert predicted.peak_celsius == pytest.approx(
-            expected_proxy.max(), abs=1e-9
-        )
+        assert predicted == pytest.approx(expected_proxy, abs=1e-9)
         assert plan.predictions_served == 1

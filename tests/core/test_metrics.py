@@ -18,7 +18,6 @@ class TestThermalMetrics:
         assert metrics.min_celsius == 50.0
         assert metrics.mean_celsius == pytest.approx(60.0)
         assert metrics.spread_celsius == pytest.approx(20.0)
-        assert metrics.hottest_unit() == (1, 0)
 
     def test_spatial_std(self):
         metrics = ThermalMetrics.from_map({(0, 0): 50.0, (1, 0): 50.0})
@@ -26,7 +25,6 @@ class TestThermalMetrics:
 
     def test_empty_per_unit(self):
         metrics = ThermalMetrics(peak_celsius=10, mean_celsius=5, min_celsius=1)
-        assert metrics.hottest_unit() is None
         assert metrics.spatial_std_celsius == 0.0
 
 

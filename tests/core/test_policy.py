@@ -1,10 +1,10 @@
 """Tests for the reconfiguration policies."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chips import get_configuration
-from repro.core.metrics import ThermalMetrics
 from repro.core.policy import (
     AdaptiveMigrationPolicy,
     NoMigrationPolicy,
@@ -13,18 +13,14 @@ from repro.core.policy import (
     ThresholdMigrationPolicy,
     make_policy,
 )
-from repro.migration.transforms import MigrationTransform
+from repro.migration.transforms import FIGURE1_SCHEMES, MigrationTransform, make_transform
+from repro.noc.topology import MeshTopology
 
 
 def _context(mesh, epoch=1, peak=90.0, hottest=(2, 2)):
-    per_unit = {coord: 60.0 for coord in mesh.coordinates()}
-    per_unit[hottest] = peak
-    return PolicyContext(
-        epoch_index=epoch,
-        current_thermal=ThermalMetrics.from_map(per_unit),
-        current_power_map={coord: 1.0 for coord in mesh.coordinates()},
-        topology=mesh,
-    )
+    row = np.full(mesh.num_nodes, 60.0)
+    row[mesh.node_id(hottest)] = peak
+    return PolicyContext(epoch_index=epoch, unit_celsius=row)
 
 
 class TestNoMigration:
@@ -70,10 +66,7 @@ class TestThreshold:
 
     def test_no_thermal_info_no_migration(self, mesh4):
         policy = ThresholdMigrationPolicy(mesh4, "xy-shift", trigger_celsius=80.0)
-        context = PolicyContext(
-            epoch_index=0, current_thermal=None, current_power_map={}, topology=mesh4
-        )
-        assert policy.decide(context) is None
+        assert policy.decide(PolicyContext(epoch_index=0)) is None
 
     def test_reset_clears_counter(self, mesh4):
         policy = ThresholdMigrationPolicy(mesh4, "xy-shift", trigger_celsius=80.0)
@@ -154,6 +147,89 @@ def _reference_choice(candidates, hottest):
         if best_score is None or score > best_score:
             best, best_score = transform, score
     return best.name
+
+
+def _seed_decide(topology, candidate_schemes, row):
+    """The seed adaptive decision, verbatim on a dict view of ``row``.
+
+    Candidates are built as the seed did (transforms the mesh rejects are
+    skipped), the hottest unit is ``max`` over the dict and every candidate
+    is scored per decision; the first best score wins.
+    """
+    candidates = []
+    for scheme in candidate_schemes:
+        try:
+            candidates.append(make_transform(scheme, topology))
+        except ValueError:
+            continue
+    per_unit = dict(zip(topology.coordinates(), row.tolist()))
+    hottest = max(per_unit, key=per_unit.get)
+    best, best_score = None, None
+    for transform in candidates:
+        displaced = transform(hottest)
+        score = topology.manhattan_distance(hottest, displaced) - len(
+            transform.fixed_points()
+        ) * 0.25
+        if best_score is None or score > best_score:
+            best, best_score = transform, score
+    return best.name
+
+
+_MESH_SHAPES = [(w, h) for w in range(2, 6) for h in range(2, 6)] + [(4, 1)]
+
+
+class TestAdaptiveTable:
+    """The hottest-unit table against the seed scoring loop (the oracle)."""
+
+    @pytest.mark.parametrize("shape", _MESH_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_table_matches_seed_loop_for_every_unit(self, shape):
+        mesh = MeshTopology(*shape)
+        policy = AdaptiveMigrationPolicy(mesh)
+        for unit in mesh.coordinates():
+            row = np.full(mesh.num_nodes, 50.0)
+            row[mesh.node_id(unit)] = 80.0
+            expected = _seed_decide(mesh, FIGURE1_SCHEMES, row)
+            assert policy.choice_by_unit[mesh.node_id(unit)].name == expected
+            assert policy.decide(PolicyContext(0, row)).name == expected
+
+    @given(
+        shape=st.sampled_from(_MESH_SHAPES),
+        schemes=st.lists(st.sampled_from(FIGURE1_SCHEMES), min_size=1, max_size=5, unique=True),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_candidate_subsets_match_seed_loop(self, shape, schemes):
+        mesh = MeshTopology(*shape)
+        square = shape[0] == shape[1]
+        if schemes == ["rotation"] and not square:
+            with pytest.raises(ValueError, match="no valid candidate"):
+                AdaptiveMigrationPolicy(mesh, candidate_schemes=schemes)
+            return
+        policy = AdaptiveMigrationPolicy(mesh, candidate_schemes=schemes)
+        if "rotation" in schemes and not square:
+            assert "rotation" not in {t.name for t in policy.candidates}
+        for index in range(mesh.num_nodes):
+            row = np.zeros(mesh.num_nodes)
+            row[index] = 1.0
+            assert policy.choice_by_unit[index].name == _seed_decide(mesh, schemes, row)
+
+    @given(shape=st.sampled_from(_MESH_SHAPES), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_tied_maxima_pick_first_in_row_major_order(self, shape, data):
+        mesh = MeshTopology(*shape)
+        tied = data.draw(
+            st.lists(st.integers(0, mesh.num_nodes - 1), min_size=2, max_size=4, unique=True)
+        )
+        row = np.full(mesh.num_nodes, 45.0)
+        row[tied] = 70.0
+        policy = AdaptiveMigrationPolicy(mesh)
+        choice = policy.decide(PolicyContext(0, row))
+        assert choice is policy.choice_by_unit[min(tied)]
+        assert choice.name == _seed_decide(mesh, FIGURE1_SCHEMES, row)
+
+    def test_no_feedback_row_picks_first_candidate(self, mesh4):
+        policy = AdaptiveMigrationPolicy(mesh4, candidate_schemes=["xy-shift", "rotation"])
+        assert policy.decide(PolicyContext(epoch_index=0)).name == "xy-shift"
+        assert policy.choices == ["xy-shift"]
 
 
 class TestFactory:

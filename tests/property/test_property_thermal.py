@@ -164,6 +164,18 @@ class TestModelOracle:
             atol=0.0,
         )
 
+    @given(key=chip_resolutions, count=st.integers(1, 4), data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_unit_operator_matches_node_solve(self, key, count, data):
+        """``rows @ R + T0`` is the node-space solve read at each unit's hottest cell."""
+        model = _chip_model(*key)
+        rows = _power_rows(data, model, count)
+        kelvin = model.solver.steady_state_batch(model.node_power_matrix(rows))
+        expected = kelvin[:, model.unit_nodes].max(axis=-1) - KELVIN_OFFSET
+        np.testing.assert_allclose(
+            model.steady_temperatures(rows), expected, rtol=1e-12, atol=0.0
+        )
+
     @given(
         key=chip_resolutions,
         durations=st.lists(st.sampled_from(_PERIODS_S), min_size=1, max_size=4),

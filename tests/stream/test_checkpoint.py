@@ -1,10 +1,18 @@
 """CheckpointStore: durable appends, torn-tail repair and atomic compaction."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.stream import CheckpointStore, TornCheckpointError
+
+
+def _lines(store):
+    with store.path.open("rb") as handle:
+        return sum(1 for _ in handle)
 
 
 class TestSaveLoad:
@@ -92,3 +100,92 @@ class TestCompaction:
         store.save({"identity": "old"})
         store.save(payload)
         assert store.load_latest() == json.loads(json.dumps(payload))
+
+
+class TestCompactionCadence:
+    """A journal compacts on the save that takes it past ``max_entries``."""
+
+    def test_fresh_journal_compacts_past_max_entries(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=2, max_entries=4)
+        for epoch in range(4):
+            store.save({"next_epoch": epoch})
+        assert _lines(store) == 4
+        store.save({"next_epoch": 4})
+        assert _lines(store) == 2
+        assert store.load_all() == [{"next_epoch": 3}, {"next_epoch": 4}]
+
+    def test_repaired_journal_compacts_past_max_entries(self, tmp_path):
+        writer = CheckpointStore(tmp_path, keep=2, max_entries=4)
+        writer.save({"next_epoch": 0})
+        writer.save({"next_epoch": 1})
+        with writer.path.open("a", encoding="utf-8") as handle:
+            handle.write('{"next_epoch": 2')  # the writer died mid-append
+        store = CheckpointStore(tmp_path, keep=2, max_entries=4)
+        store.save({"next_epoch": 2})
+        store.save({"next_epoch": 3})
+        assert _lines(store) == 4
+        store.save({"next_epoch": 4})
+        assert store.load_all() == [{"next_epoch": 3}, {"next_epoch": 4}]
+
+
+class TestSingleRead:
+    def test_saves_and_compactions_do_not_reread_the_journal(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path, keep=2, max_entries=3)
+        store.save({"next_epoch": 0})
+
+        def reread(self):
+            raise AssertionError("the journal was re-read after it was opened")
+
+        monkeypatch.setattr(CheckpointStore, "_read", reread)
+        for epoch in range(1, 9):
+            store.save({"next_epoch": epoch})
+        assert store.load_latest() == {"next_epoch": 8}
+        monkeypatch.undo()
+        assert store.load_all()[-1] == {"next_epoch": 8}
+        assert _lines(store) <= store.max_entries
+
+    def test_interior_corruption_raises_when_a_store_opens(self, tmp_path):
+        CheckpointStore(tmp_path).save({"next_epoch": 4})
+        path = CheckpointStore(tmp_path).path
+        path.write_text('{"broken\n{"next_epoch": 8}\n')
+        with pytest.raises(TornCheckpointError, match="line 1"):
+            CheckpointStore(tmp_path).save({"next_epoch": 12})
+        with pytest.raises(TornCheckpointError, match="line 1"):
+            CheckpointStore(tmp_path).load_latest()
+
+
+_records = st.lists(
+    st.fixed_dictionaries({
+        "next_epoch": st.integers(0, 10**6),
+        "temps": st.lists(st.floats(-50.0, 150.0), max_size=4),
+    }),
+    min_size=2,
+    max_size=6,
+)
+
+
+class TestTornTailProperty:
+    @given(records=_records, data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_any_cut_inside_the_last_record_resumes_from_the_one_before(
+        self, records, data
+    ):
+        last = len(json.dumps(records[-1], separators=(",", ":"))) + 1
+        with tempfile.TemporaryDirectory() as directory:
+            writer = CheckpointStore(directory)
+            for record in records:
+                writer.save(record)
+            encoded = Path(writer.path).read_bytes()
+            start, end = len(encoded) - last, len(encoded) - 1
+            # Both ends of the last record (all of it gone, only its
+            # newline gone) and a cut between them.
+            for cut in (start, end, data.draw(st.integers(start, end))):
+                Path(writer.path).write_bytes(encoded[:cut])
+                store = CheckpointStore(directory)
+                assert store.load_latest() == records[-2]
+                store.save({"next_epoch": -1})
+                lines = Path(store.path).read_bytes().split(b"\n")
+                assert lines[-1] == b""
+                assert [json.loads(line) for line in lines[:-1]] == [
+                    *records[:-1], {"next_epoch": -1}
+                ]

@@ -6,11 +6,19 @@ experiment, restores the newest intact checkpoint and replays the producer —
 and the final numbers are *bit-identical* to the uninterrupted run.
 """
 
+import itertools
+import json
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.chips import get_configuration
+from repro.cli import main
+from repro.core.experiment import ExperimentSettings, ThermalExperiment
+from repro.core.policy import make_policy
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.patterns import DiurnalPattern
 from repro.scenarios.spec import ScenarioSpec
@@ -19,6 +27,7 @@ from repro.stream import (
     CheckpointStore,
     EpochWindow,
     StreamingExperiment,
+    jsonl_windows,
     scenario_windows,
 )
 
@@ -150,6 +159,105 @@ class TestCrashResume:
         # Block journals keep their key; a grid stream cannot resume them.
         assert "/grid2/" in grid_identity
         assert grid_identity.replace("/grid2", "") == block_identity
+
+    def test_identity_distinguishes_migration_period(self, tmp_path, capsys):
+        # Default-period journals keep their key ...
+        assert _input_stream(109.0).identity == (
+            "A/adaptive/transient/stride1/HotSpotModel/windows"
+        )
+        assert _input_stream(874.4).identity == (
+            "A/adaptive/transient/stride1/HotSpotModel/period874.4us/windows"
+        )
+        # ... and a served --input journal refuses another period.
+        path = tmp_path / "windows.jsonl"
+        path.write_text("\n".join(_input_lines(seed=5, windows=4)) + "\n")
+        argv = ["serve", "--input", str(path), "-c", "A", "-s", "adaptive",
+                "--checkpoint", str(tmp_path / "ckpt")]
+        assert main(argv + ["--period", "109"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--period", "874.4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("checkpoint identity mismatch:")
+
+
+#: The served --input stream's shape: a per-PE load walk and an ambient walk.
+_INPUT_WINDOW_EPOCHS = 8
+
+
+def _input_lines(seed, windows):
+    """Seeded JSONL epoch windows of a served ``--input`` stream."""
+    rng = np.random.default_rng(seed)
+    load = np.ones(get_configuration("A").topology.num_nodes)
+    ambient = 0.0
+    lines = []
+    for window in range(windows):
+        rows, offsets = [], []
+        for _ in range(_INPUT_WINDOW_EPOCHS):
+            load = np.clip(load + rng.normal(0.0, 0.03, load.size), 0.6, 1.4)
+            ambient = float(np.clip(ambient + rng.normal(0.0, 0.15), -5.0, 5.0))
+            rows.append([round(float(value), 6) for value in load])
+            offsets.append(round(ambient, 6))
+        lines.append(json.dumps({
+            "num_epochs": _INPUT_WINDOW_EPOCHS,
+            "start_epoch": window * _INPUT_WINDOW_EPOCHS,
+            "load_modulation": rows,
+            "ambient_offsets": offsets,
+        }))
+    return lines
+
+
+def _input_stream(period_us=109.0, store=None):
+    """The engine ``repro serve --input FILE -c A -s adaptive --mode transient`` runs."""
+    chip = get_configuration("A")
+    policy = make_policy("adaptive", chip.topology, period_us=period_us)
+    experiment = ThermalExperiment(
+        chip, policy, settings=ExperimentSettings(num_epochs=16, mode="transient")
+    )
+    return StreamingExperiment(experiment, settled_capacity=16, checkpoint=store)
+
+
+def _served(engine, lines, windows=None):
+    """Per-window records of a stream (host timing left out).
+
+    With ``windows`` set the stream is abandoned after that many windows, a
+    kill at a window boundary: no finalize, and the window read ahead is
+    never processed.
+    """
+    updates = itertools.islice(engine.process(jsonl_windows(lines)), windows)
+    return [
+        (
+            update.start_epoch,
+            update.checkpointed,
+            update.summary,
+            update.outcome.epoch_metrics.tolist(),
+            update.outcome.peak_by_epoch.tolist(),
+            update.outcome.mean_by_epoch.tolist(),
+        )
+        for update in updates
+    ]
+
+
+class TestKilledInputStream:
+    """A served stream killed at any window boundary resumes to the same numbers."""
+
+    @given(seed=st.integers(0, 2**16), killed_after=st.integers(1, 11))
+    @settings(max_examples=5, deadline=None)
+    def test_resumed_stream_equals_uninterrupted(self, seed, killed_after):
+        lines = _input_lines(seed, windows=12)
+        with tempfile.TemporaryDirectory() as directory:
+            uninterrupted = _input_stream(store=CheckpointStore(f"{directory}/whole"))
+            expected = _served(uninterrupted, lines)
+            expected_final = uninterrupted.finalize()
+
+            # The first process is killed after `killed_after` windows ...
+            killed = _input_stream(store=CheckpointStore(f"{directory}/killed"))
+            assert _served(killed, lines, killed_after) == expected[:killed_after]
+            # ... and a new one replays the whole input from the journal.
+            resumed = _input_stream(store=CheckpointStore(f"{directory}/killed"))
+            assert _served(resumed, lines) == expected[killed_after:]
+            assert resumed.finalize() == expected_final
 
 
 class TestStreamSemantics:

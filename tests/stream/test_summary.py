@@ -18,7 +18,9 @@ def _outcome(start, peaks, means):
         num_epochs=peaks.size,
         trace=None,
         costs=[None] * peaks.size,
-        epoch_metrics=[],
+        # (E, U) Celsius rows: two units whose maximum and mean are the
+        # epoch's peak and mean (every fixture peak is at least its mean).
+        epoch_metrics=np.column_stack([peaks, 2 * means - peaks]),
         peak_by_epoch=peaks,
         mean_by_epoch=means,
     )

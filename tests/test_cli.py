@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _rows_to_csv, build_parser, main
 
 
 class TestParser:
@@ -73,6 +73,15 @@ class TestChipsCommand:
         out = capsys.readouterr().out
         assert out.startswith("configuration,")
         assert len(out.strip().splitlines()) == 6
+
+
+class TestRowsToCsv:
+    def test_negative_zero_prints_unsigned(self):
+        text = _rows_to_csv([{"metric": "a", "value": -0.0}, {"metric": "b", "value": -0.5}])
+        assert text.splitlines() == ["metric,value", "a,0.0", "b,-0.5"]
+
+    def test_integers_and_none_are_unchanged(self):
+        assert _rows_to_csv([{"n": 0, "x": None}]).splitlines() == ["n,x", "0,"]
 
 
 class TestExperimentCommand:

@@ -104,6 +104,25 @@ class TestSteadyBatch:
         with pytest.raises(ValueError):
             block_model.steady_temperatures(rows)
 
+    @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
+    @pytest.mark.parametrize(
+        "value, match", [(np.nan, "NaN"), (np.inf, "NaN"), (-0.5, "negative")]
+    )
+    def test_batch_rejects_bad_power_uncounted(self, model_fixture, value, match, mesh, request):
+        model = request.getfixturevalue(model_fixture)
+        rows = _power_rows(mesh)
+        rows[1, 3] = value
+        before = model.solver.steady_solve_count
+        with pytest.raises(ValueError, match=match):
+            model.steady_temperatures(rows)
+        assert model.solver.steady_solve_count == before
+
+    @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
+    def test_batch_rejects_wrong_row_width(self, model_fixture, mesh, request):
+        model = request.getfixturevalue(model_fixture)
+        with pytest.raises(ValueError, match="units per row"):
+            model.steady_temperatures(np.ones((2, mesh.num_nodes + 1)))
+
 
 class TestSequencedTransient:
     def test_grid_propagator_cache_single_factorisation(self, mesh):
