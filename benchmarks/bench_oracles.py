@@ -33,14 +33,15 @@ os.environ.update(
 import numpy as np  # noqa: E402
 
 # The oracles are test modules: ``object_engine`` (NoC), ``dense_decoder``
-# (LDPC), the per-flow latency loop in ``test_analytic`` and ``lu_oracle``
-# (thermal).
+# (LDPC), the per-flow latency loop in ``test_analytic``, ``lu_oracle``
+# (thermal) and ``epoch_loop_oracle`` (the per-epoch control loop).
 sys.path[:0] = [
     str(Path(__file__).resolve().parent.parent / "tests" / package)
-    for package in ("noc", "ldpc", "thermal")
+    for package in ("noc", "ldpc", "thermal", "core")
 ]
 
 import dense_decoder  # noqa: E402
+import epoch_loop_oracle  # noqa: E402
 import lu_oracle  # noqa: E402
 import object_engine  # noqa: E402
 from test_analytic import per_flow_latency  # noqa: E402
@@ -60,6 +61,8 @@ from repro.noc import (  # noqa: E402
     run_schedules,
 )
 from repro.noc.analytic import _AnalyticModel  # noqa: E402
+from repro.scenarios import all_scenarios  # noqa: E402
+from repro.scenarios.compile import compile_scenario  # noqa: E402
 from repro.thermal.package import KELVIN_OFFSET  # noqa: E402
 
 
@@ -198,6 +201,41 @@ def dense_thermal():
     return runtime, oracle, agree
 
 
+def chunk_loop():
+    """The 15 registry scenarios' runs, chunked against per-epoch emission.
+
+    Neither side builds records while timed; the parity check builds the
+    oracle's from each window's arrays and reads every runtime record.
+    """
+    scenarios = [compile_scenario(spec) for spec in all_scenarios()]
+
+    def runtime():
+        return [scenario.experiment().run() for scenario in scenarios]
+
+    def oracle():
+        runs = []
+        for scenario in scenarios:
+            experiment = epoch_loop_oracle.PerEpochExperiment(
+                scenario.configuration,
+                scenario.policy,
+                settings=scenario.settings,
+                schedule=scenario.window,
+                noc_model=scenario.noc_model,
+            )
+            runs.append((experiment.run(), experiment))
+        return runs
+
+    def agree(fast, slow):
+        return all(
+            list(result.epochs) == experiment.records()
+            and result.summary() == reference.summary()
+            and result.settled_mean_celsius == reference.settled_mean_celsius
+            for result, (reference, experiment) in zip(fast, slow)
+        )
+
+    return runtime, oracle, agree
+
+
 def speedups(runtime, oracle, pairs):
     """oracle / runtime wall-clock ratio of ``pairs`` alternating runs."""
     ratios = []
@@ -217,6 +255,7 @@ def main() -> int:
         "closed-form vs per-flow NoC": closed_form_noc,
         "spectral vs Euler transient": spectral_transient,
         "dense vs LU thermal": dense_thermal,
+        "chunked vs per-epoch loop": chunk_loop,
     }
     failed = False
     print(f"{'pair':<30} {'parity':>6} {'median':>8} {'IQR':>6} {'min':>6}")

@@ -36,6 +36,7 @@ import dataclasses
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -575,25 +576,32 @@ def cmd_serve(args: argparse.Namespace) -> int:
             horizon = args.max_epochs or None
             windows = jsonl_windows(handle)
         try:
-            for update in engine.process(windows, max_epochs=horizon):
-                _serve_emit(update)
+            with warnings.catch_warnings():
+                # An integration that overflows surfaces as the ValueError
+                # below, naming the epoch; numpy's floating-point warnings
+                # from the thermal solver would only repeat it.
+                warnings.filterwarnings(
+                    "ignore", category=RuntimeWarning, module=r"repro\.thermal\."
+                )
+                for update in engine.process(windows, max_epochs=horizon):
+                    _serve_emit(update)
         except ValueError as error:
-            # Misaligned window or malformed JSONL line: one-line error.
+            # Misaligned window, malformed JSONL line or an epoch whose
+            # temperature is not finite: one-line error.
             print(error, file=sys.stderr)
             return 1
         result = engine.finalize()
+        final = {
+            "final": True,
+            "baseline_peak_c": round(result.baseline_peak_celsius, 4),
+            "settled_peak_c": round(result.settled_peak_celsius, 4),
+            "peak_reduction_c": round(result.peak_reduction_celsius, 4),
+            "settled_mean_c": round(result.settled_mean_celsius, 4),
+            "migrations": result.migrations_performed,
+            "throughput_penalty": round(result.throughput_penalty, 6),
+        }
         print(
-            json.dumps(
-                {
-                    "final": True,
-                    "baseline_peak_c": round(result.baseline_peak_celsius, 4),
-                    "settled_peak_c": round(result.settled_peak_celsius, 4),
-                    "peak_reduction_c": round(result.peak_reduction_celsius, 4),
-                    "settled_mean_c": round(result.settled_mean_celsius, 4),
-                    "migrations": result.migrations_performed,
-                    "throughput_penalty": round(result.throughput_penalty, 6),
-                }
-            ),
+            json.dumps({key: unsigned_zero(value) for key, value in final.items()}),
             flush=True,
         )
         return 0

@@ -4,6 +4,7 @@ from .controller import MigrationEvent, RuntimeReconfigurationController
 from .dtm import DtmOperatingPoint, DvfsThrottling, StopGoThrottling
 from .experiment import ExperimentSettings, FeedbackPlan, ThermalExperiment
 from .metrics import (
+    EpochColumns,
     EpochRecord,
     ExperimentResult,
     PerformanceMetrics,
@@ -28,6 +29,7 @@ __all__ = [
     "ExperimentSettings",
     "FeedbackPlan",
     "ThermalExperiment",
+    "EpochColumns",
     "EpochRecord",
     "ExperimentResult",
     "PerformanceMetrics",

@@ -10,8 +10,10 @@ The controller's native state is a node-id array, ``task -> node``.  Every
 migration runs as a :class:`~repro.migration.plan.MigrationPlan`: a sudden
 migration is a one-stage plan, a fluid or batched one unfolds over several
 epochs.  Each stage is precomputed as a node step array, so executing it is
-the gather ``step[mapping]``, and an epoch's power row is a scatter of the
-per-task watts plus the stage's stored energy vector.  The
+the gather ``step[mapping]``.  Power is emitted a chunk of epochs at a time
+(:meth:`RuntimeReconfigurationController.power_rows`): one scatter of the
+per-task watts over every epoch's mapping, plus each executed stage's stored
+energy vector over its epoch's duration.  The
 :class:`~repro.placement.mapping.Mapping` view (:attr:`current_mapping`) is
 built only when something reads it.
 """
@@ -19,7 +21,7 @@ built only when something reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +115,7 @@ class RuntimeReconfigurationController:
         )
         per_task_power = configuration.per_task_power()
         self._task_watts = np.array([per_task_power[task] for task in range(num_units)])
+        self._no_energy = _read_only(np.zeros(num_units))
         task_sizes = configuration.tanner_nodes_per_task()
         self._task_tanner_nodes = [task_sizes[task] for task in range(num_units)]
         # A plan reads the mapping only through the Tanner nodes per PE, so
@@ -165,6 +168,11 @@ class RuntimeReconfigurationController:
                 {task: coords[node] for task, node in enumerate(self._nodes.tolist())},
             )
         return self._mapping_view
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The current ``task -> node`` array (never mutated in place)."""
+        return self._nodes
 
     def _set_nodes(self, nodes: np.ndarray) -> None:
         self._nodes = nodes
@@ -380,15 +388,42 @@ class RuntimeReconfigurationController:
             self._active_plan = None
         return event
 
-    def advance_epoch(self) -> int:
-        """Mark the end of an epoch; returns the new epoch index."""
-        self._epoch_index += 1
+    def advance_epoch(self, epochs: int = 1) -> int:
+        """Mark the end of ``epochs`` epochs; returns the new epoch index."""
+        self._epoch_index += epochs
         return self._epoch_index
 
     # ------------------------------------------------------------------
     def _power_of(self, nodes: np.ndarray) -> np.ndarray:
         power = np.empty(len(nodes))
         power[nodes] = self._task_watts
+        return power
+
+    def power_rows(
+        self,
+        nodes: Sequence[np.ndarray],
+        events: Sequence[Optional[MigrationEvent]],
+        periods_s: np.ndarray,
+    ) -> np.ndarray:
+        """Row-major per-PE power of consecutive epochs, one row each.
+
+        ``nodes[i]`` is epoch ``i``'s ``task -> node`` array (:attr:`nodes`
+        once its stage ran), ``events[i]`` the stage it executed (or None)
+        and ``periods_s[i]`` its duration.  Workload power follows the tasks:
+        one scatter of the per-task watts fills every row.  Each stage's
+        energy vector is amortised over its epoch and charged to the units
+        it touched.
+        """
+        count = len(nodes)
+        power = np.empty((count, self.topology.num_nodes))
+        power[np.arange(count)[:, np.newaxis], nodes] = self._task_watts
+        if self.include_migration_energy and any(events):
+            # Epochs without a stage add 0.0, which leaves their watts as is.
+            no_energy = self._no_energy
+            energy = np.array(
+                [event.energy_vector if event else no_energy for event in events]
+            )
+            power += energy / periods_s[:, np.newaxis]
         return power
 
     def epoch_power_vector(
@@ -398,19 +433,13 @@ class RuntimeReconfigurationController:
     ) -> np.ndarray:
         """Row-major per-PE power over one epoch under the current mapping.
 
-        Workload power follows the tasks to their current locations (one
-        scatter of the per-task watts); if a migration stage ran at the start
-        of the epoch (``event``), its energy vector is amortised over the
-        epoch and charged to the units it touched.  This is the native
-        representation: one such vector per epoch forms a row of the
-        experiment's :class:`repro.power.trace.PowerTrace`.
+        The one-epoch case of :meth:`power_rows`: if a migration stage ran at
+        the start of the epoch (``event``), its energy is amortised over the
+        epoch.
         """
         if period_s <= 0:
             raise ValueError("epoch period must be positive")
-        power = self._power_of(self._nodes)
-        if event is not None and self.include_migration_energy:
-            power += event.energy_vector / period_s
-        return power
+        return self.power_rows([self._nodes], [event], np.array([period_s]))[0]
 
     def epoch_power_map(
         self,

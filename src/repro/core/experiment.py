@@ -13,18 +13,23 @@ numbers the paper reports:
   integrates the RC network over the actual sequence of epochs starting from
   the settled regime.
 
-The pipeline is array-native end to end: the policy/controller loop emits a
-:class:`repro.power.trace.PowerTrace` (one row per epoch, row-major
-coordinate index), steady mode evaluates the baseline, every epoch and the
-settled-regime average with **one** product against the solver's
-precomputed inverse, and transient mode routes the whole piecewise-constant
-trace through **one** ``transient_sequence`` call with thermal state carried
-across epochs.  Dict views and :class:`~repro.core.metrics.ThermalMetrics`
-survive only at the report edge (the per-epoch records, the baseline and the
-settled regime).  Policies that declare ``requires_thermal_feedback``
-(threshold/adaptive) decide on a per-unit Celsius row from a
-:class:`FeedbackPlan`: one multi-RHS steady batch per ``feedback_stride``
-epochs instead of a dict-round-tripped solve per epoch.
+The pipeline is array-native end to end.  The policy/controller loop runs
+in chunks: the policy decides and the controller executes once per epoch,
+each chunk's power rows are emitted at once (one scatter), and each window
+is one validated append to a :class:`repro.power.trace.PowerTrace`.  Steady
+mode evaluates the baseline, every epoch and the settled-regime average with
+**one** product against the solver's precomputed inverse, and transient mode
+routes the whole piecewise-constant trace through **one**
+``transient_sequence`` call with thermal state carried across epochs.  The
+result keeps per-epoch
+columns (:class:`~repro.core.metrics.EpochColumns`); dict views,
+:class:`~repro.core.metrics.EpochRecord` and
+:class:`~repro.core.metrics.ThermalMetrics` are built only at the report
+edge (a record when it is read, plus the baseline and the settled regime).
+Policies that declare ``requires_thermal_feedback`` (threshold/adaptive)
+decide on a per-unit Celsius row from a :class:`FeedbackPlan`: one
+multi-RHS steady batch per ``feedback_stride`` epochs instead of a
+dict-round-tripped solve per epoch.
 The :class:`repro.thermal.hotspot.HotSpotModel` drives the experiment at
 any resolution: block (one cell per unit) or grid (``N x N`` cells).
 
@@ -55,7 +60,7 @@ from ..obs import span as _obs_span
 from ..power.trace import PowerTrace
 from ..thermal.hotspot import HotSpotModel
 from .controller import MigrationEvent, RuntimeReconfigurationController
-from .metrics import EpochRecord, ExperimentResult, PerformanceMetrics, ThermalMetrics
+from .metrics import EpochColumns, ExperimentResult, PerformanceMetrics, ThermalMetrics
 from .policy import PolicyContext, ReconfigurationPolicy
 
 if TYPE_CHECKING:
@@ -156,8 +161,8 @@ class FeedbackPlan:
     previous epoch's power, a read-only per-unit Celsius row
     (:meth:`thermal_for`; the same rows are the plan's checkpoint state):
 
-    * power rows are queued as the controller emits them
-      (:meth:`observe`), after the static power's epoch-0 probe row;
+    * power rows are queued as the experiment emits them, a chunk at a
+      time (:meth:`observe`), after the static power's epoch-0 probe row;
     * at every ``stride``-th epoch boundary the queue is flushed through
       **one** multi-RHS :meth:`HotSpotModel.steady_temperatures` batch, the
       per-epoch ambient offsets added to the solved rows;
@@ -219,10 +224,16 @@ class FeedbackPlan:
         self._pending_rows.append(np.asarray(static_power, dtype=float))
         self._pending_epochs.append(self.PROBE)
 
-    def observe(self, epoch_index: int, power_row: np.ndarray) -> None:
-        """Queue one emitted epoch power row for the next refresh."""
-        self._pending_rows.append(power_row)
-        self._pending_epochs.append(epoch_index)
+    def observe(self, start_epoch: int, power_rows: np.ndarray) -> None:
+        """Queue the emitted power rows of epochs ``start_epoch + i``.
+
+        A chunk never spans a refresh boundary, so every row a refresh reads
+        was queued before it.
+        """
+        self._pending_rows.extend(power_rows)
+        self._pending_epochs.extend(
+            range(start_epoch, start_epoch + len(power_rows))
+        )
 
     def add_offsets(self, start_epoch: int, offsets: Optional[np.ndarray]) -> None:
         """Register the ambient offsets of epochs ``start_epoch + i``.
@@ -367,8 +378,8 @@ class ThermalExperiment:
     ``schedule`` is the scenario hook (see :mod:`repro.scenarios`): an
     :class:`repro.stream.window.EpochWindow` of ``settings.num_epochs``
     epochs whose channels :meth:`run` steps through.  Its load modulation
-    scales each epoch's power row as the controller emits it (so feedback
-    policies see the modulated chip), and its ambient offsets shift each
+    scales each epoch's power row as it is emitted (so feedback policies see
+    the modulated chip), and its ambient offsets shift each
     epoch's ambient boundary.  Both modes are exact.  In steady mode the RC
     network's conduction block conserves energy, so a uniform ambient change
     moves every steady temperature by exactly that amount — the per-epoch
@@ -473,8 +484,8 @@ class ThermalExperiment:
         ``total_epochs`` sizes the settled-regime window from the settings
         when the horizon is known (the batch path); an unbounded stream
         instead gives ``settled_capacity`` explicitly (or sets
-        ``settings.settle_epochs``).  ``collect_records`` keeps the
-        per-epoch :class:`EpochRecord` list growing across windows — batch
+        ``settings.settle_epochs``).  ``collect_records`` keeps every
+        window's per-epoch columns for the result's ``epochs`` — batch
         semantics; streaming leaves it off so memory stays constant.
         ``warm_power`` overrides the transient warm-start power (by default
         the first window's time-weighted average, which for a single
@@ -482,22 +493,6 @@ class ThermalExperiment:
         """
         self.policy.reset()
         self.controller.reset()
-        self._init_stream_state(
-            total_epochs=total_epochs,
-            settled_capacity=settled_capacity,
-            collect_records=collect_records,
-            warm_power=warm_power,
-            thermal_feedback=self.policy.requires_thermal_feedback,
-        )
-
-    def _init_stream_state(
-        self,
-        total_epochs: Optional[int],
-        settled_capacity: Optional[int],
-        collect_records: bool,
-        warm_power: Optional[np.ndarray],
-        thermal_feedback: bool,
-    ) -> None:
         if total_epochs is not None:
             capacity = self.settings.settled_count(total_epochs)
         elif settled_capacity is not None:
@@ -515,7 +510,8 @@ class ThermalExperiment:
             )
         self._settled_capacity = capacity
         self._collect_records = collect_records
-        self._records_acc: List[EpochRecord] = []
+        #: Per collected window: its power rows, Celsius rows and events.
+        self._column_windows: List[Tuple[np.ndarray, np.ndarray, list]] = []
         self._next_epoch = 0
         self._previous_power = self.controller.static_power_vector()
         self._baseline_peak: Optional[float] = None
@@ -547,7 +543,7 @@ class ThermalExperiment:
         # ``period_cycles * epochs_run`` product to the integer.
         self._cycles_run = 0
         plan: Optional[FeedbackPlan] = None
-        if thermal_feedback:
+        if self.policy.requires_thermal_feedback:
             plan = FeedbackPlan(
                 self.thermal_model,
                 stride=self.settings.feedback_stride,
@@ -583,21 +579,22 @@ class ThermalExperiment:
         if offsets is not None:
             self._had_offsets = True
         if self.settings.mode == "steady":
-            powers = trace.powers
-            for index in range(len(trace)):
-                self._power_ring.append(np.array(powers[index]))
-                self._offset_ring.append(
-                    float(offsets[index]) if offsets is not None else 0.0
-                )
+            # The rings hold the last `capacity` epochs: older rows of this
+            # window would only be pushed out again.
+            tail = np.array(trace.powers[-self._settled_capacity :])
+            self._power_ring.extend(tail)
+            self._offset_ring.extend(
+                offsets[-len(tail) :].tolist()
+                if offsets is not None
+                else [0.0] * len(tail)
+            )
             outcome = self._step_steady(trace, costs, offsets, start_epoch, is_last)
         else:
             outcome = self._step_transient(
                 trace, costs, offsets, start_epoch, is_last
             )
         if self._collect_records:
-            self._records_acc.extend(
-                self._records(trace, costs, outcome.epoch_metrics, start_epoch)
-            )
+            self._column_windows.append((trace.powers, outcome.epoch_metrics, costs))
         return outcome
 
     def finalize(self) -> ExperimentResult:
@@ -620,8 +617,16 @@ class ThermalExperiment:
             period_us=self.policy.period_us,
             baseline_peak_celsius=self._baseline_peak,
             baseline_mean_celsius=self._baseline_mean,
-            epochs=self._records_acc,
-            performance=self._performance(self._next_epoch),
+            epochs=self._epoch_columns(),
+            # Cycles are accumulated per epoch, so a scenario ``period``
+            # schedule is accounted exactly.
+            performance=PerformanceMetrics(
+                total_cycles=self._cycles_run,
+                migration_cycles=min(
+                    self.controller.total_migration_cycles, self._cycles_run
+                ),
+                migrations_performed=self.controller.migrations_performed,
+            ),
             total_migration_energy_j=self.controller.total_migration_energy_j,
             settled_peak_celsius=self._settled_peak,
             settled_mean_celsius=self._settled_mean,
@@ -629,185 +634,195 @@ class ThermalExperiment:
         self._active = False
         return result
 
+    def _epoch_columns(self) -> EpochColumns:
+        """The collected windows' record columns, concatenated."""
+        topology = self.configuration.topology
+        empty = np.empty((0, topology.num_nodes))
+        powers, celsius, costs = zip(*self._column_windows or [(empty, empty, [])])
+        events = [event for window in costs for event in window]
+        return EpochColumns(
+            topology,
+            power=np.concatenate(powers),
+            celsius=np.concatenate(celsius),
+            transforms=[event.transform_name if event else None for event in events],
+            cycles=np.array(
+                [event.cycles if event else 0 for event in events], dtype=np.int64
+            ),
+            energy=np.array([event.energy_j if event else 0.0 for event in events]),
+            first_epoch=self._next_epoch - len(events),
+        )
+
     def _compute_settled_late(self) -> None:
         """Settled statistics for a run that never stepped an ``is_last`` window."""
-        count = min(self._settled_capacity, self._next_epoch)
         if self.settings.mode == "steady":
-            settled_power = np.vstack(list(self._power_ring)[-count:]).mean(axis=0)
-            values = self.thermal_model.steady_temperatures(
-                settled_power[np.newaxis, :]
-            )[0]
-            if self._had_offsets:
-                values = values + float(
-                    np.mean(np.array(list(self._offset_ring)[-count:], dtype=float))
-                )
-            settled = ThermalMetrics.from_vector(self.configuration.topology, values)
-            self._settled_peak = settled.peak_celsius
-            self._settled_mean = settled.mean_celsius
+            power, offset = self._settled_power()
+            values = self.thermal_model.steady_temperatures(power[np.newaxis, :])[0]
+            self._set_settled(values + offset)
         else:
-            self._settled_peak = float(
-                np.max(np.array(list(self._peak_ring)[-count:], dtype=float))
-            )
-            self._settled_mean = float(
-                np.mean(np.array(list(self._mean_ring)[-count:], dtype=float))
-            )
+            self._set_settled_from_rings()
+
+    def _settled_power(self) -> Tuple[np.ndarray, float]:
+        """Steady mode's settled-regime power row (the mean of the final
+        epochs, one or more full orbits of the transform) and the mean
+        ambient offset its temperatures take."""
+        power = np.vstack(list(self._power_ring)).mean(axis=0)
+        if not self._had_offsets:
+            return power, 0.0
+        return power, float(np.mean(np.array(self._offset_ring)))
+
+    def _set_baseline(self, celsius: np.ndarray) -> ThermalMetrics:
+        baseline = ThermalMetrics.from_vector(self.configuration.topology, celsius)
+        self._baseline_peak = baseline.peak_celsius
+        self._baseline_mean = baseline.mean_celsius
+        return baseline
+
+    def _set_settled(self, celsius: np.ndarray) -> ThermalMetrics:
+        settled = ThermalMetrics.from_vector(self.configuration.topology, celsius)
+        self._settled_peak = settled.peak_celsius
+        self._settled_mean = settled.mean_celsius
+        return settled
+
+    def _set_settled_from_rings(self) -> None:
+        """Transient settled statistics from the per-epoch peak/mean rings."""
+        self._settled_peak = float(np.max(np.array(self._peak_ring)))
+        self._settled_mean = float(np.mean(np.array(self._mean_ring)))
 
     # ------------------------------------------------------------------
-    # Shared epoch loop
+    # Shared chunk loop
     # ------------------------------------------------------------------
     def _loop_window(
         self, window: EpochWindow
     ) -> Tuple[PowerTrace, List[Optional[MigrationEvent]]]:
-        """Run the policy/controller loop for one window of epochs.
+        """Run the policy/controller loop for one window, chunk by chunk.
 
         Epoch indices are **global** (``self._next_epoch + local``), so
         policies, the feedback plan's refresh cadence and the migration
-        records behave identically regardless of how the horizon is
-        windowed.  The loop itself is dict-free: feedback policies receive
-        the previous epoch's per-unit Celsius row, others nothing.
+        records behave identically however the horizon is windowed.  A chunk
+        is the whole window for feedback-free policies; for feedback
+        policies it ends at the next refresh epoch (a global multiple of
+        ``feedback_stride``), so every row a refresh solves was emitted
+        before it.
 
-        A policy decision is lowered into a
+        Within a chunk the policy decides once per epoch (feedback policies
+        on the plan's per-unit Celsius row) and a decision is lowered into a
         :class:`~repro.migration.plan.MigrationPlan` under
-        ``settings.migration_style`` and one stage executes per epoch; a
-        sudden plan has one stage, so it completes in its own epoch.  While a
-        fluid or batched plan unfolds the policy is told via
-        ``migration_in_progress`` and any transform it still returns is
-        dropped and counted as a stalled epoch.  The cost list holds each
-        epoch's executed stage as a
-        :class:`~repro.core.controller.MigrationEvent` (None when no stage
-        ran).
+        ``settings.migration_style``; one stage executes per epoch, so a
+        sudden plan completes in its own epoch.  While a fluid or batched
+        plan unfolds the policy is told via ``migration_in_progress``, and a
+        transform it still returns is dropped and counted as a stalled
+        epoch.  The chunk's ``(E, U)`` power rows are one
+        :meth:`~repro.core.controller.RuntimeReconfigurationController.power_rows`
+        call over each epoch's ``task -> node`` array and executed stage,
+        scaled by the load modulation and queued for feedback; the window's
+        rows are validated and appended to its trace once.  The cost list
+        holds each epoch's executed stage (None when no stage ran).  A
+        window whose period rounds to 0.0 or inf seconds raises
+        ``ValueError`` naming the epoch before any state moves.
         """
         configuration = self.configuration
         controller = self.controller
-        base_period_us = self.policy.period_us
-        period_s = base_period_us * 1e-6
-        topology = configuration.topology
-        power_modulation = window.modulation_matrix(topology.num_nodes)
-        period_scale = window.period_scale
-        noc_rates = window.noc_rates
+        decide = self.policy.decide
         plan = self.feedback_plan
+        start = self._next_epoch
+        count = window.num_epochs
+        base_period_us = self.policy.period_us
+        if window.period_scale is None:
+            periods_s = np.full(count, base_period_us * 1e-6)
+            self._cycles_run += self._period_cycles * count
+        else:
+            periods_us = [
+                base_period_us * scale for scale in window.period_scale.tolist()
+            ]
+            periods_s = np.array(periods_us) * 1e-6
+            bad = np.flatnonzero(~(np.isfinite(periods_s) & (periods_s > 0)))
+            if len(bad):
+                raise ValueError(
+                    f"epoch {start + bad[0]}: period of {float(periods_s[bad[0]])!r} s "
+                    "is not positive and finite"
+                )
+            self._cycles_run += sum(
+                configuration.block_period_cycles(period) for period in periods_us
+            )
         if plan is not None:
-            plan.add_offsets(self._next_epoch, window.ambient_offsets)
+            plan.add_offsets(start, window.ambient_offsets)
+        modulation = window.modulation_matrix(configuration.topology.num_nodes)
+        noc_rates = window.noc_rates
         style = self.settings.migration_style
         units_per_epoch = self.settings.units_per_epoch
         staged = style != "sudden"
 
-        trace = PowerTrace(topology)
+        chunks: List[np.ndarray] = []
         costs: List[Optional[MigrationEvent]] = []
-        previous_power = self._previous_power
-
-        for local_index in range(window.num_epochs):
-            epoch_index = self._next_epoch + local_index
-            if period_scale is not None:
-                period_us = base_period_us * float(period_scale[local_index])
-                period_s = period_us * 1e-6
-                self._cycles_run += configuration.block_period_cycles(period_us)
+        chunk_start = 0
+        while chunk_start < count:
+            if plan is None:
+                chunk_stop = count
             else:
-                self._cycles_run += self._period_cycles
-            in_progress = controller.migration_in_progress
-            context = PolicyContext(
-                epoch_index,
-                plan.thermal_for(epoch_index) if plan is not None else None,
-                in_progress,
-            )
-            transform = self.policy.decide(context)
-            wants = transform is not None and transform.name != "identity"
-            cost: Optional[MigrationEvent] = None
-            if in_progress or wants:
-                # A sudden plan halts the whole array, so no application
-                # traffic shares the NoC with it: the paper's phased schedule
-                # is congestion-free with deterministic migration times.
-                # Fluid and batched stages run while the chip keeps working,
-                # so only they are priced under the epoch's NoC load.
-                congestion = 1.0
-                if staged:
-                    rate = (
-                        float(noc_rates[local_index])
-                        if noc_rates is not None
-                        else None
-                    )
-                    congestion = congestion_factor(self.noc_model, rate)
-                if in_progress:
-                    if wants:
-                        _OBS_STALLED.add()
-                    cost = controller.advance_plan(epoch_index, congestion)
-                else:
-                    cost = controller.apply_migration(
-                        transform,
+                next_refresh = ((start + chunk_start) // plan.stride + 1) * plan.stride
+                chunk_stop = min(count, next_refresh - start)
+            nodes = []
+            events: List[Optional[MigrationEvent]] = []
+            for epoch_index in range(start + chunk_start, start + chunk_stop):
+                in_progress = controller.migration_in_progress
+                transform = decide(
+                    PolicyContext(
                         epoch_index,
-                        style=style,
-                        units_per_epoch=units_per_epoch,
-                        congestion=congestion,
+                        plan.thermal_for(epoch_index) if plan is not None else None,
+                        in_progress,
                     )
-            power = controller.epoch_power_vector(period_s, cost)
-            if power_modulation is not None:
-                # Scenario hook: scale this epoch's row as it is emitted, so
-                # the trace, the feedback path and the records all see the
-                # modulated chip.
-                power = power * power_modulation[local_index]
-            trace.add_interval(period_s, power)
-            costs.append(cost)
-
-            if plan is not None:
-                plan.observe(epoch_index, power)
-            previous_power = power
-            controller.advance_epoch()
-        self._previous_power = previous_power
-        self._next_epoch += window.num_epochs
-        return trace, costs
-
-    def _epoch_sequence(
-        self, thermal_feedback: bool
-    ) -> Tuple[PowerTrace, List[Optional[MigrationEvent]]]:
-        """Run the whole-horizon policy/controller loop (test/diagnostic hook).
-
-        Initialises the windowed state without resetting the policy or
-        controller (the historical contract) and runs one horizon-sized
-        window, returning the trace plus the per-epoch migration events.
-        """
-        self._init_stream_state(
-            total_epochs=self.settings.num_epochs,
-            settled_capacity=None,
-            collect_records=False,
-            warm_power=None,
-            thermal_feedback=thermal_feedback,
-        )
-        return self._loop_window(self.schedule)
-
-    # ------------------------------------------------------------------
-    def _performance(self, epochs_run: int) -> PerformanceMetrics:
-        # Cycles are accumulated per epoch so a scenario ``period`` schedule
-        # is accounted exactly; with the fixed default period the accumulator
-        # equals the legacy ``period_cycles * epochs_run`` product.
-        total_cycles = self._cycles_run
-        return PerformanceMetrics(
-            total_cycles=total_cycles,
-            migration_cycles=min(self.controller.total_migration_cycles, total_cycles),
-            migrations_performed=self.controller.migrations_performed,
-        )
-
-    def _records(
-        self,
-        trace: PowerTrace,
-        costs: List[Optional[MigrationEvent]],
-        epoch_rows: np.ndarray,
-        start_epoch: int = 0,
-    ) -> List[EpochRecord]:
-        """Per-epoch records (dict views of the trace built on first read)."""
-        topology = self.configuration.topology
-        powers = trace.powers
-        return [
-            EpochRecord.from_power_row(
-                topology,
-                powers[idx],
-                epoch_index=start_epoch + idx,
-                transform_applied=event.transform_name if event else None,
-                migration_cycles=event.cycles if event else 0,
-                migration_energy_j=event.energy_j if event else 0.0,
-                thermal=ThermalMetrics.from_vector(topology, epoch_rows[idx]),
+                )
+                wants = transform is not None and transform.name != "identity"
+                cost: Optional[MigrationEvent] = None
+                if in_progress or wants:
+                    # A sudden plan halts the whole array, so no application
+                    # traffic shares the NoC with it: the paper's phased
+                    # schedule is congestion-free with deterministic
+                    # migration times.  Fluid and batched stages run while
+                    # the chip keeps working, so only they are priced under
+                    # the epoch's NoC load.
+                    congestion = 1.0
+                    if staged:
+                        rate = (
+                            float(noc_rates[epoch_index - start])
+                            if noc_rates is not None
+                            else None
+                        )
+                        congestion = congestion_factor(self.noc_model, rate)
+                    if in_progress:
+                        if wants:
+                            _OBS_STALLED.add()
+                        cost = controller.advance_plan(epoch_index, congestion)
+                    else:
+                        cost = controller.apply_migration(
+                            transform,
+                            epoch_index,
+                            style=style,
+                            units_per_epoch=units_per_epoch,
+                            congestion=congestion,
+                        )
+                events.append(cost)
+                nodes.append(controller.nodes)
+            rows = controller.power_rows(
+                nodes, events, periods_s[chunk_start:chunk_stop]
             )
-            for idx, event in enumerate(costs)
-        ]
+            if modulation is not None:
+                # Scenario hook: scale the rows as they are emitted, so the
+                # trace, the feedback path and the records all see the
+                # modulated chip.
+                rows *= modulation[chunk_start:chunk_stop]
+            if plan is not None:
+                plan.observe(start + chunk_start, rows)
+            chunks.append(rows)
+            costs.extend(events)
+            chunk_start = chunk_stop
+        controller.advance_epoch(count)
+        # One validated append per window; a refresh validates the rows it
+        # solves itself (HotSpotModel.steady_temperatures).
+        trace = PowerTrace(configuration.topology)
+        trace.extend(periods_s, np.concatenate(chunks))
+        self._previous_power = chunks[-1][-1]
+        self._next_epoch += count
+        return trace, costs
 
     # ------------------------------------------------------------------
     def _step_steady(
@@ -822,30 +837,18 @@ class ThermalExperiment:
 
         One batch carries everything the window needs: the static baseline
         (first window only), every epoch's power row, and the settled-regime
-        average (last window only — the time-mean over the final epochs, one
-        or more full orbits of the transform).  With a single horizon-sized
-        window this is exactly the classic batch layout.
+        average (last window only, see :meth:`_settled_power`).  With a
+        single horizon-sized window this is exactly the classic batch layout.
         """
-        topology = self.configuration.topology
         is_first = start_epoch == 0
         parts: List[np.ndarray] = []
         if is_first:
             parts.append(self.controller.static_power_vector()[np.newaxis, :])
         parts.append(trace.powers)
-        settled_offset: Optional[float] = None
         if is_last:
-            count = min(self._settled_capacity, self._next_epoch)
-            if count <= len(trace):
-                settled_power = trace.mean_tail_vector(count)
-            else:
-                settled_power = np.vstack(list(self._power_ring)[-count:]).mean(axis=0)
+            settled_power, settled_offset = self._settled_power()
             parts.append(settled_power[np.newaxis, :])
-            if self._had_offsets:
-                settled_offset = float(
-                    np.mean(np.array(list(self._offset_ring)[-count:], dtype=float))
-                )
-        batch = np.vstack(parts)
-        temperatures = self.thermal_model.steady_temperatures(batch)
+        temperatures = self.thermal_model.steady_temperatures(np.vstack(parts))
         base = 1 if is_first else 0
         stop = base + len(trace)
         if offsets is not None:
@@ -855,18 +858,10 @@ class ThermalExperiment:
             # The settled row solved the mean tail power, so it gets the mean
             # tail offset; the baseline stays at nominal ambient.
             temperatures[base:stop] += offsets[:, np.newaxis]
-        if settled_offset is not None:
-            temperatures[-1] += settled_offset
-        baseline: Optional[ThermalMetrics] = None
-        if is_first:
-            baseline = ThermalMetrics.from_vector(topology, temperatures[0])
-            self._baseline_peak = baseline.peak_celsius
-            self._baseline_mean = baseline.mean_celsius
-        settled: Optional[ThermalMetrics] = None
+        baseline = self._set_baseline(temperatures[0]) if is_first else None
+        settled = None
         if is_last:
-            settled = ThermalMetrics.from_vector(topology, temperatures[-1])
-            self._settled_peak = settled.peak_celsius
-            self._settled_mean = settled.mean_celsius
+            settled = self._set_settled(temperatures[-1] + settled_offset)
         return self._outcome(
             start_epoch, trace, costs, temperatures[base:stop], None, baseline, settled
         )
@@ -890,18 +885,14 @@ class ThermalExperiment:
         would have carried, so windowing does not change the trajectory.
         """
         thermal_model = self.thermal_model
-        topology = self.configuration.topology
         baseline: Optional[ThermalMetrics] = None
         if not self._warm_started:
             # The baseline is still a steady solve of the static power.
-            baseline = ThermalMetrics.from_vector(
-                topology,
+            baseline = self._set_baseline(
                 thermal_model.steady_temperatures(
                     self.controller.static_power_vector()[np.newaxis, :]
-                )[0],
+                )[0]
             )
-            self._baseline_peak = baseline.peak_celsius
-            self._baseline_mean = baseline.mean_celsius
             # Start from the settled regime: steady state of the time-weighted
             # average power (the first window's, or an explicit warm_power
             # override — identical to the batch warm start when the first
@@ -926,7 +917,6 @@ class ThermalExperiment:
             method=self.settings.thermal_method,
             ambient_offsets_kelvin=offsets,
         )
-        self._thermal_state = np.asarray(result.final_state_kelvin, dtype=float)
 
         # Per-epoch metrics come from segment reductions over the
         # concatenated series: each epoch's peak is the maximum over its
@@ -939,16 +929,11 @@ class ThermalExperiment:
         outcome = self._outcome(
             start_epoch, trace, costs, series[:, ends - 1].T, peaks, baseline
         )
+        self._thermal_state = np.asarray(result.final_state_kelvin, dtype=float)
         self._peak_ring.extend(outcome.peak_by_epoch.tolist())
         self._mean_ring.extend(outcome.mean_by_epoch.tolist())
         if is_last:
-            count = min(self._settled_capacity, self._next_epoch)
-            self._settled_peak = float(
-                np.max(np.array(list(self._peak_ring)[-count:], dtype=float))
-            )
-            self._settled_mean = float(
-                np.mean(np.array(list(self._mean_ring)[-count:], dtype=float))
-            )
+            self._set_settled_from_rings()
         return outcome
 
     @staticmethod
@@ -965,16 +950,29 @@ class ThermalExperiment:
 
         Peaks default to each row's maximum.  Contiguous rows make each mean
         sum in :meth:`ThermalMetrics.from_vector`'s order, to the bit.
+        Raises ``ValueError`` naming the first epoch whose peak or mean is
+        not finite (an epoch's power or duration beyond what the thermal
+        model can integrate), so no such window is reported or checkpointed.
         """
         rows = np.ascontiguousarray(epoch_rows)
+        peaks = rows.max(axis=1) if peak_by_epoch is None else peak_by_epoch
+        means = rows.mean(axis=1)
+        finite = np.isfinite(peaks) & np.isfinite(means)
+        if not finite.all():
+            local = int(np.argmin(finite))
+            raise ValueError(
+                f"epoch {start_epoch + local}: temperature is not finite "
+                f"(peak {peaks[local]}, mean {means[local]}); its power or "
+                "duration is beyond what the thermal model can integrate"
+            )
         return WindowOutcome(
             start_epoch=start_epoch,
             num_epochs=len(trace),
             trace=trace,
             costs=costs,
             epoch_metrics=rows,
-            peak_by_epoch=rows.max(axis=1) if peak_by_epoch is None else peak_by_epoch,
-            mean_by_epoch=rows.mean(axis=1),
+            peak_by_epoch=peaks,
+            mean_by_epoch=means,
             baseline=baseline,
             settled=settled,
         )
@@ -991,8 +989,8 @@ class ThermalExperiment:
         translator) and the policy/feedback-plan state.  Restoring this onto
         a freshly ``prepare()``-ed experiment of the identical configuration
         resumes the stream bit-identically (floats round-trip JSON exactly).
-        Per-epoch records are deliberately not captured — checkpointable
-        runs stream with ``collect_records=False``.
+        Per-epoch record columns are deliberately not captured —
+        checkpointable runs stream with ``collect_records=False``.
         """
         if not self._active:
             raise RuntimeError("state_dict() needs an active prepared run")

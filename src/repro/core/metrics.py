@@ -8,76 +8,23 @@ three plus the per-epoch detail needed to plot time series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..noc.topology import Coordinate
 
 
-def _row_view(topology, row: np.ndarray) -> Dict[Coordinate, float]:
-    """Per-coordinate dict of a row-major vector (the report-edge view)."""
-    return dict(zip(topology.coordinates(), row.tolist()))
+@dataclass
+class ThermalMetrics:
+    """Spatial temperature summary at one instant (or steady state)."""
 
-
-class _Record:
-    """Dataclass-style ``==`` and ``repr`` over the names in ``_FIELDS``.
-
-    The two record types below are plain classes rather than dataclasses so
-    one of their fields can be a dict view built on first read.
-    """
-
-    _FIELDS: Tuple[str, ...] = ()
-
-    def _values(self) -> Tuple[object, ...]:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()  # type: ignore[attr-defined]
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values())
-        )
-        return f"{type(self).__name__}({body})"
-
-
-class ThermalMetrics(_Record):
-    """Spatial temperature summary at one instant (or steady state).
-
-    Metrics built by :meth:`from_vector` (the batched pipeline) keep a
-    private copy of the temperature row and build the ``per_unit_celsius``
-    dict only when something reads it; the summary scalars never need it.
-    """
-
-    _FIELDS = ("peak_celsius", "mean_celsius", "min_celsius", "per_unit_celsius")
-
-    def __init__(
-        self,
-        peak_celsius: float,
-        mean_celsius: float,
-        min_celsius: float,
-        per_unit_celsius: Optional[Dict[Coordinate, float]] = None,
-    ):
-        self.peak_celsius = peak_celsius
-        self.mean_celsius = mean_celsius
-        self.min_celsius = min_celsius
-        self._per_unit: Optional[Dict[Coordinate, float]] = (
-            {} if per_unit_celsius is None else per_unit_celsius
-        )
-        self._topology = None
-        self._row: Optional[np.ndarray] = None
-
-    @property
-    def per_unit_celsius(self) -> Dict[Coordinate, float]:
-        if self._per_unit is None:
-            self._per_unit = _row_view(self._topology, self._row)
-        return self._per_unit
+    peak_celsius: float
+    mean_celsius: float
+    min_celsius: float
+    per_unit_celsius: Dict[Coordinate, float] = field(default_factory=dict)
 
     @property
     def spread_celsius(self) -> float:
@@ -105,25 +52,21 @@ class ThermalMetrics(_Record):
     def from_vector(cls, topology, per_unit_celsius: np.ndarray) -> "ThermalMetrics":
         """Metrics from one row of a batched temperature array.
 
-        The vector follows the topology's row-major coordinate index.  The
-        metrics keep a private copy of it; ``per_unit_celsius`` is built from
-        that copy on first read, with the same keys and values
-        :meth:`from_map` would hold.
+        The vector follows the topology's row-major coordinate index;
+        ``per_unit_celsius`` gets the same keys and values :meth:`from_map`
+        would hold.
         """
         values = np.array(per_unit_celsius, dtype=float)
         if values.shape != (topology.num_nodes,):
             raise ValueError(
                 f"expected {topology.num_nodes} unit temperatures, got shape {values.shape}"
             )
-        metrics = cls(
+        return cls(
             peak_celsius=float(values.max()),
             mean_celsius=float(values.mean()),
             min_celsius=float(values.min()),
+            per_unit_celsius=dict(zip(topology.coordinates(), values.tolist())),
         )
-        metrics._per_unit = None
-        metrics._topology = topology
-        metrics._row = values
-        return metrics
 
 
 @dataclass
@@ -157,63 +100,82 @@ class PerformanceMetrics:
         return 1.0 - self.throughput_penalty
 
 
-class EpochRecord(_Record):
-    """One migration period of an experiment.
+@dataclass
+class EpochRecord:
+    """One migration period of an experiment."""
 
-    Like :class:`ThermalMetrics`, a record built from a power row
-    (:meth:`from_power_row`, the experiment driver's path) keeps a private
-    copy of the row and builds the ``power_map`` dict on first read.
-    """
-
-    _FIELDS = (
-        "epoch_index",
-        "transform_applied",
-        "migration_cycles",
-        "migration_energy_j",
-        "thermal",
-        "power_map",
-    )
-
-    def __init__(
-        self,
-        epoch_index: int,
-        transform_applied: Optional[str],
-        migration_cycles: int,
-        migration_energy_j: float,
-        thermal: ThermalMetrics,
-        power_map: Optional[Dict[Coordinate, float]] = None,
-    ):
-        self.epoch_index = epoch_index
-        self.transform_applied = transform_applied
-        self.migration_cycles = migration_cycles
-        self.migration_energy_j = migration_energy_j
-        self.thermal = thermal
-        self._power_map: Optional[Dict[Coordinate, float]] = (
-            {} if power_map is None else power_map
-        )
-        self._topology = None
-        self._power_row: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_power_row(
-        cls, topology, power_row: np.ndarray, **fields: object
-    ) -> "EpochRecord":
-        """A record whose ``power_map`` is a lazy view of ``power_row``."""
-        record = cls(**fields)  # type: ignore[arg-type]
-        record._power_map = None
-        record._topology = topology
-        record._power_row = np.array(power_row, dtype=float)
-        return record
-
-    @property
-    def power_map(self) -> Dict[Coordinate, float]:
-        if self._power_map is None:
-            self._power_map = _row_view(self._topology, self._power_row)
-        return self._power_map
+    epoch_index: int
+    transform_applied: Optional[str]
+    migration_cycles: int
+    migration_energy_j: float
+    thermal: ThermalMetrics
+    power_map: Dict[Coordinate, float] = field(default_factory=dict)
 
     @property
     def migrated(self) -> bool:
         return self.transform_applied is not None
+
+
+class EpochColumns(Sequence):
+    """A run's per-epoch columns, read as a sequence of :class:`EpochRecord`.
+
+    ``power`` and ``celsius`` are ``(num_epochs, num_units)`` rows in the
+    topology's row-major coordinate order (the emitted power and each
+    epoch's per-unit Celsius: the steady solution, or the transient's final
+    instant); ``transforms``, ``cycles`` and ``energy`` hold each epoch's
+    executed migration stage (None, 0 and 0.0 when none ran).  ``len``
+    costs nothing; a record is built on the first read of its index, through
+    :meth:`ThermalMetrics.from_vector`, and kept.
+    """
+
+    def __init__(
+        self,
+        topology,
+        power: np.ndarray,
+        celsius: np.ndarray,
+        transforms: List[Optional[str]],
+        cycles: np.ndarray,
+        energy: np.ndarray,
+        first_epoch: int = 0,
+    ):
+        self.topology = topology
+        self.power = power
+        self.celsius = celsius
+        self.transforms = transforms
+        self.cycles = cycles
+        self.energy = energy
+        self.first_epoch = first_epoch
+        self._records: List[Optional[EpochRecord]] = [None] * len(transforms)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[position] for position in range(len(self))[index]]
+        position = range(len(self))[index]
+        record = self._records[position]
+        if record is None:
+            record = self._records[position] = EpochRecord(
+                epoch_index=self.first_epoch + position,
+                transform_applied=self.transforms[position],
+                migration_cycles=int(self.cycles[position]),
+                migration_energy_j=float(self.energy[position]),
+                thermal=ThermalMetrics.from_vector(
+                    self.topology, self.celsius[position]
+                ),
+                power_map=dict(
+                    zip(self.topology.coordinates(), self.power[position].tolist())
+                ),
+            )
+        return record
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass
@@ -225,7 +187,7 @@ class ExperimentResult:
     period_us: float
     baseline_peak_celsius: float
     baseline_mean_celsius: float
-    epochs: List[EpochRecord]
+    epochs: EpochColumns
     performance: PerformanceMetrics
     total_migration_energy_j: float
     settled_peak_celsius: float
@@ -256,8 +218,9 @@ class ExperimentResult:
         return self.performance.migrations_performed
 
     def peak_series(self) -> np.ndarray:
-        """Per-epoch peak temperatures (for convergence plots)."""
-        return np.array([epoch.thermal.peak_celsius for epoch in self.epochs])
+        """Per-epoch peak temperatures (for convergence plots): each record's
+        ``thermal.peak_celsius``, read from the Celsius column."""
+        return self.epochs.celsius.max(axis=1)
 
     def summary(self) -> Dict[str, float]:
         """Flat dictionary for CSV/report output."""

@@ -12,13 +12,14 @@ so far.  External agents always address PEs by their *original* (design-time)
 coordinates; the translator rewrites those to the current physical location
 on ingress and back to the original view on egress.
 
-The cumulative map is a node-id permutation array (and its inverse), so
-composing a migration is one gather and a lookup is two index operations.
+The cumulative map is a node-id permutation array, so composing a migration
+is one gather and a lookup is two index operations.  Its inverse (for
+egress) is built only when a lookup reads it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -34,9 +35,10 @@ class IoAddressTranslator:
         self.topology = topology
         self._identity = np.arange(topology.num_nodes, dtype=np.intp)
         self._coords = list(topology.coordinates())
-        #: original node id -> current node id, and its inverse
+        #: original node id -> current node id, and its inverse (None until
+        #: a lookup needs it)
         self._current = self._identity
-        self._original = self._identity
+        self._original: Optional[np.ndarray] = self._identity
         self._history: List[str] = []
         self._applied = 0
 
@@ -67,10 +69,8 @@ class IoAddressTranslator:
         self._applied += 1
 
     def _set_current(self, current: np.ndarray) -> None:
-        original = np.empty_like(current)
-        original[current] = self._identity
         self._current = current
-        self._original = original
+        self._original = None
 
     def compact_history(self) -> None:
         """Drop the per-migration name log, keeping the cumulative map.
@@ -110,6 +110,9 @@ class IoAddressTranslator:
 
     def original_location(self, current: Coordinate) -> Coordinate:
         """The design-time coordinate of the workload now at ``current``."""
+        if self._original is None:
+            self._original = np.empty_like(self._current)
+            self._original[self._current] = self._identity
         return self._coords[self._original[self.topology.node_id(current)]]
 
     # ------------------------------------------------------------------

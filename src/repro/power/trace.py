@@ -268,12 +268,6 @@ class PowerTrace:
         durations = self.durations
         return durations @ self.powers / durations.sum()
 
-    def mean_tail_vector(self, count: int) -> np.ndarray:
-        """Plain mean of the final ``count`` rows (the settled-regime power)."""
-        if not 1 <= count <= self._length:
-            raise ValueError(f"tail count must be in 1..{self._length}, got {count}")
-        return self.powers[-count:].mean(axis=0)
-
     def scaled(self, factors: np.ndarray) -> "PowerTrace":
         """New trace with every row multiplied by per-sample factors.
 

@@ -468,16 +468,14 @@ class TestFeedbackPlanUnit:
         rows = 1.0 + rng.random((2 * stride, chip.topology.num_nodes))
         plan.prime(chip.power_vector())
         plan.thermal_for(0)
-        for epoch in range(stride):
-            plan.observe(epoch, rows[epoch])
+        plan.observe(0, rows[:stride])
         # Refresh at the chunk boundary solves rows 0..stride-1.
         fresh = plan.thermal_for(stride)
         expected_last = chip.thermal_model.steady_temperatures(
             rows[stride - 1][np.newaxis, :]
         )[0]
         assert fresh == pytest.approx(expected_last, abs=1e-9)
-        for epoch in range(stride, 2 * stride):
-            plan.observe(epoch, rows[epoch])
+        plan.observe(stride, rows[stride:])
         # Mid-chunk: epoch stride+1 wants T(rows[stride]); the predictor
         # serves the solved row of epoch (stride+1)-1-stride = 0.
         predicted = plan.thermal_for(stride + 1)

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import (
+    EpochColumns,
     EpochRecord,
     ExperimentResult,
     PerformanceMetrics,
     ThermalMetrics,
 )
+from repro.noc.topology import MeshTopology
+from repro.scenarios import get_scenario
+from repro.scenarios.compile import run_scenario
 
 
 class TestThermalMetrics:
@@ -47,16 +51,14 @@ class TestPerformanceMetrics:
 
 
 def _result(baseline_peak=85.0, settled_peak=80.0, baseline_mean=70.0, settled_mean=70.5):
-    thermal = ThermalMetrics.from_map({(0, 0): settled_peak})
-    epochs = [
-        EpochRecord(
-            epoch_index=0,
-            transform_applied="xy-shift",
-            migration_cycles=100,
-            migration_energy_j=1e-6,
-            thermal=thermal,
-        )
-    ]
+    epochs = EpochColumns(
+        MeshTopology(1, 1),
+        power=np.array([[2.5]]),
+        celsius=np.array([[settled_peak]]),
+        transforms=["xy-shift"],
+        cycles=np.array([100]),
+        energy=np.array([1e-6]),
+    )
     return ExperimentResult(
         configuration_name="A",
         scheme_name="periodic-xy-shift",
@@ -100,3 +102,56 @@ class TestExperimentResult:
         assert summary["scheme"] == "periodic-xy-shift"
         assert "peak_reduction_c" in summary
         assert "throughput_penalty" in summary
+
+
+class TestRecordsAtTheReportEdge:
+    """A result keeps columns; records are built only when read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"records": 0, "metrics": 0}
+        for cls, key in ((EpochRecord, "records"), (ThermalMetrics, "metrics")):
+            def counting(self, *args, _init=cls.__init__, _key=key, **kwargs):
+                counts[_key] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    @pytest.mark.parametrize(
+        "name, metrics", [("steady-baseline", 2), ("pe-fault-transient", 1)]
+    )
+    def test_unread_records_are_never_built(self, built, name, metrics):
+        # Steady runs build the baseline and settled metrics; transient ones
+        # only the baseline (their settled figures come from the peak ring).
+        result = run_scenario(get_scenario(name)).experiment
+        assert len(result.epochs) == get_scenario(name).num_epochs
+        assert built == {"records": 0, "metrics": metrics}
+
+    def test_a_record_is_built_once_on_first_read(self, built):
+        result = run_scenario(get_scenario("steady-baseline")).experiment
+        record = result.epochs[-1]
+        assert built["records"] == 1
+        assert result.epochs[len(result.epochs) - 1] is record
+        assert record.epoch_index == len(result.epochs) - 1
+        assert built["records"] == 1
+        assert len(result.epochs[:3]) == 3
+        assert built["records"] == 4
+
+    def test_records_read_the_columns(self):
+        result = run_scenario(get_scenario("noc-congestion-burst")).experiment
+        columns = result.epochs
+        topology = columns.topology
+        for index, record in enumerate(columns):
+            assert record.power_map == dict(
+                zip(topology.coordinates(), columns.power[index].tolist())
+            )
+            assert record.thermal == ThermalMetrics.from_vector(
+                topology, columns.celsius[index]
+            )
+            assert record.transform_applied == columns.transforms[index]
+            assert record.migration_cycles == columns.cycles[index]
+            assert record.migration_energy_j == columns.energy[index]
+        assert result.peak_series().tolist() == [
+            record.thermal.peak_celsius for record in columns
+        ]

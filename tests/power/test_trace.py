@@ -157,16 +157,6 @@ class TestArrayNativeTrace:
         for index, row in enumerate(rows):
             assert np.array_equal(trace.powers[index], row)
 
-    def test_mean_tail_vector(self, mesh4):
-        powers = np.vstack([np.full(16, 1.0), np.full(16, 3.0), np.full(16, 5.0)])
-        trace = PowerTrace.from_arrays(mesh4, np.ones(3), powers)
-        assert np.allclose(trace.mean_tail_vector(2), np.full(16, 4.0))
-        assert np.allclose(trace.mean_tail_vector(3), np.full(16, 3.0))
-        with pytest.raises(ValueError):
-            trace.mean_tail_vector(0)
-        with pytest.raises(ValueError):
-            trace.mean_tail_vector(4)
-
     def test_intervals_edge_view(self, mesh4, uniform_power4):
         trace = PowerTrace(mesh4)
         trace.add_interval(1e-3, uniform_power4)

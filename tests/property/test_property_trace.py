@@ -168,21 +168,6 @@ class TestTraceAggregates:
             max(max(values) for _duration, values in rows)
         )
 
-    @given(rows=st.lists(power_rows, min_size=1, max_size=8), tail=st.integers(1, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_mean_tail_matches_dict_loop(self, rows, tail):
-        tail = min(tail, len(rows))
-        trace = PowerTrace.from_arrays(
-            _MESH, np.ones(len(rows)), np.array(rows)
-        )
-        expected = {coord: 0.0 for coord in _COORDS}
-        for values in rows[-tail:]:
-            for coord, watts in _to_map(values).items():
-                expected[coord] += watts / tail
-        settled = vector_to_map(_MESH, trace.mean_tail_vector(tail))
-        for coord in _COORDS:
-            assert settled[coord] == pytest_approx(expected[coord])
-
 
 def pytest_approx(value, rel=1e-9, abs_tol=1e-12):
     import pytest

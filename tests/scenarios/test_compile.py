@@ -161,19 +161,21 @@ class TestModulationSemantics:
             (8, chip.num_units)
         )
 
-        policy = PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0)
-        plain = ThermalExperiment(chip, policy, settings=settings)
-        plain_trace, _events = plain._epoch_sequence(thermal_feedback=False)
+        def emitted_trace(experiment):
+            experiment.prepare(total_epochs=8)
+            return experiment.step_window(experiment.schedule, is_last=True).trace
 
         policy = PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0)
-        modulated = ThermalExperiment(
-            chip,
-            policy,
-            settings=settings,
-            schedule=EpochWindow(num_epochs=8, load_modulation=modulation),
-        )
-        modulated_trace, _events = modulated._epoch_sequence(
-            thermal_feedback=False
+        plain_trace = emitted_trace(ThermalExperiment(chip, policy, settings=settings))
+
+        policy = PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0)
+        modulated_trace = emitted_trace(
+            ThermalExperiment(
+                chip,
+                policy,
+                settings=settings,
+                schedule=EpochWindow(num_epochs=8, load_modulation=modulation),
+            )
         )
 
         scaled = plain_trace.scaled(modulation)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -547,6 +548,51 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert "line 1" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_non_finite_temperature_is_one_line_error(self, tmp_path, capsys):
+        # A 1e-300 period scale amortises the migration energy over ~1e-304 s,
+        # which overflows the transient integration; JSON has no NaN.
+        path = tmp_path / "windows.jsonl"
+        path.write_text('{"num_epochs": 2, "period_scale": [1, 1e-300]}\n')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["serve", "--input", str(path), "-c", "A",
+                         "-s", "xy-shift", "--mode", "transient"]) == 1
+        # The overflow is reported once, not also as numpy warnings.
+        assert not caught
+        captured = capsys.readouterr()
+        assert "NaN" not in captured.out
+        assert captured.err.startswith("epoch 1: temperature is not finite")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("scale, period", [("1e-320", "0.0"), ("1e308", "inf")])
+    def test_degenerate_period_is_one_line_error(self, tmp_path, capsys, scale, period):
+        # Positive scales whose period rounds to 0.0 s or overflows to inf s.
+        path = tmp_path / "windows.jsonl"
+        path.write_text(f'{{"num_epochs": 2, "period_scale": [1, {scale}]}}\n')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["serve", "--input", str(path), "-c", "A",
+                         "-s", "xy-shift", "--mode", "transient"]) == 1
+        assert not caught
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"epoch 1: period of {period} s is not positive and finite\n"
+        )
+
+    def test_final_record_has_no_negative_zero(self, tmp_path, capsys):
+        # One static epoch settles at the baseline: the reduction rounds to
+        # a zero that must print unsigned.
+        path = tmp_path / "windows.jsonl"
+        path.write_text('{"num_epochs": 1}\n')
+        assert main(["serve", "--input", str(path), "-c", "A", "-s", "xy-shift",
+                     "--mode", "transient"]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        final = json.loads(out.strip().splitlines()[-1])
+        assert final["peak_reduction_c"] == 0.0
+        assert str(final["peak_reduction_c"]) == "0.0"
 
     def test_negative_max_epochs_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "windows.jsonl"
