@@ -15,21 +15,20 @@ result: sound beats minimal.
 
 The cache itself is a content-addressed directory store: one JSON file per
 key, fanned out over 256 two-hex-digit shards, written atomically
-(temp file + ``os.replace``) so concurrent shards and interrupted campaigns
-never publish torn entries.
+(:func:`repro.storage.publish_text`) so concurrent shards and interrupted
+campaigns never publish torn entries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Dict, Optional
 
 from ..scenarios.spec import ScenarioSpec
+from ..storage import publish_text
 
 
 def _package_root() -> Path:
@@ -127,19 +126,7 @@ class ResultCache:
         """Atomically publish ``payload`` under ``key``."""
         path = self._entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, allow_nan=False)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
+        publish_text(path, json.dumps(payload, allow_nan=False))
 
     def __len__(self) -> int:
         if not self.root.is_dir():

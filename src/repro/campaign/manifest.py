@@ -15,14 +15,19 @@ A campaign directory holds:
     mid-flight therefore resumes exactly: completed jobs replay from the
     journal, everything else re-runs.  Each entry records the job id, its
     content-addressed cache key, whether the result came from the cache, the
-    wall time, and the full result payload.  On load, a truncated trailing
-    line (the in-flight write the kill interrupted) is ignored, and an entry
-    only counts for a job whose *current* key matches the recorded one — so
-    editing a scenario or the code between runs silently invalidates exactly
-    the affected journal lines.
+    wall time, and the full result payload.  It is read by the rule the
+    checkpoint journal shares (:func:`repro.storage.read_journal`): the
+    bytes after the last newline are the in-flight write a kill interrupted
+    and are not an entry, even when they parse.  An entry only counts for a
+    job whose *current* key matches the recorded one — so editing a
+    scenario or the code between runs silently invalidates exactly the
+    affected journal lines.
 
 ``report.json``
     The aggregate report, rewritten after every completed (non-dry) run.
+
+``campaign.json`` and ``report.json`` are published whole
+(:func:`repro.storage.publish_text`), so a kill never leaves either torn.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..storage import publish_text, read_journal, truncate_torn_tail
 from .spec import CampaignSpec
 
 SPEC_FILENAME = "campaign.json"
@@ -71,7 +77,7 @@ def bind_directory(directory: Path, spec: CampaignSpec) -> None:
             )
         if stored.to_dict() == spec.to_dict():
             return
-    path.write_text(spec.to_json(), encoding="utf-8")
+    publish_text(path, spec.to_json())
 
 
 def load_spec(directory: Path) -> CampaignSpec:
@@ -93,55 +99,20 @@ def append_journal_entry(directory: Path, entry: Dict[str, object]) -> None:
 def repair_journal(directory: Path) -> None:
     """Truncate the torn trailing write an interrupted run left behind.
 
-    Loading tolerates the torn line, but *appending* after it would glue
-    the next entry onto the fragment and turn a benign kill artefact into
-    interior corruption — so a resuming run calls this before its first
-    append.  A journal ending in a clean newline is left untouched.
+    A resuming run calls this before its first append.  A journal ending in
+    a newline is left untouched.
     """
-    path = journal_path(directory)
-    if not path.exists():
-        return
-    data = path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        return
-    keep = data.rfind(b"\n") + 1  # 0 when no complete line survives
-    with open(path, "r+b") as handle:
-        handle.truncate(keep)
+    truncate_torn_tail(journal_path(directory))
 
 
 def load_journal(directory: Path) -> List[Dict[str, object]]:
     """Every intact journal entry, in completion order.
 
-    Tolerates exactly the corruption an interrupted campaign can produce: a
-    final line with no trailing newline or half-written JSON is dropped; a
-    torn line anywhere *else* means the file was damaged by something other
-    than a kill and is reported loudly.
+    Raises :class:`~repro.storage.CorruptJournalError` (a ``ValueError``)
+    for a malformed newline-terminated line: damage from something other
+    than a kill.
     """
-    path = journal_path(directory)
-    if not path.exists():
-        return []
-    raw = path.read_text(encoding="utf-8")
-    lines = raw.split("\n")
-    terminated = raw.endswith("\n")
-    if terminated:
-        lines = lines[:-1]
-    entries: List[Dict[str, object]] = []
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        last = position == len(lines) - 1
-        try:
-            entries.append(json.loads(line))
-        except json.JSONDecodeError:
-            if last:
-                # The in-flight write a kill interrupted; the job will
-                # simply re-run.
-                continue
-            raise ValueError(
-                f"corrupt journal line {position + 1} in {path}; the file "
-                "was damaged outside an interrupted run"
-            )
-    return entries
+    return read_journal(journal_path(directory)).entries
 
 
 def replay_journal(
@@ -166,8 +137,8 @@ def replay_journal(
 
 
 def write_report(directory: Path, payload: Dict[str, object]) -> None:
-    report_path(directory).write_text(
-        json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8"
+    publish_text(
+        report_path(directory), json.dumps(payload, indent=2, allow_nan=False) + "\n"
     )
 
 

@@ -421,7 +421,11 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign_report(args: argparse.Namespace) -> int:
-    payload = campaign_manifest.load_report(Path(args.directory))
+    try:
+        payload = campaign_manifest.load_report(Path(args.directory))
+    except ValueError as error:
+        print(f"cannot read the report in {args.directory}: {error}", file=sys.stderr)
+        return 1
     if payload is None:
         print(
             f"{args.directory} has no report.json yet; run the campaign first",

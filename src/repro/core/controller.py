@@ -13,9 +13,7 @@ epochs.  Each stage is precomputed as a node step array, so executing it is
 the gather ``step[mapping]``.  Power is emitted a chunk of epochs at a time
 (:meth:`RuntimeReconfigurationController.power_rows`): one scatter of the
 per-task watts over every epoch's mapping, plus each executed stage's stored
-energy vector over its epoch's duration.  The
-:class:`~repro.placement.mapping.Mapping` view (:attr:`current_mapping`) is
-built only when something reads it.
+energy vector over its epoch's duration.
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ from ..migration.transforms import MigrationTransform
 from ..noc.topology import Coordinate
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
-from ..placement.mapping import Mapping
-from ..power.trace import vector_to_map
 
 _OBS_PLANS = _obs_counter("migration.plans")
 _OBS_STAGES = _obs_counter("migration.stages")
@@ -124,7 +120,6 @@ class RuntimeReconfigurationController:
 
         #: task -> node of the current mapping (never mutated in place).
         self._nodes = self._static_nodes
-        self._mapping_view: Optional[Mapping] = None
         self.io_translator = IoAddressTranslator(self.topology)
         self.events: List[MigrationEvent] = []
         self._epoch_index = 0
@@ -159,24 +154,9 @@ class RuntimeReconfigurationController:
         return self._migration_energy_j
 
     @property
-    def current_mapping(self) -> Mapping:
-        """The current task -> coordinate :class:`Mapping` (built on read)."""
-        if self._mapping_view is None:
-            coords = self._coords
-            self._mapping_view = Mapping(
-                self.topology,
-                {task: coords[node] for task, node in enumerate(self._nodes.tolist())},
-            )
-        return self._mapping_view
-
-    @property
     def nodes(self) -> np.ndarray:
         """The current ``task -> node`` array (never mutated in place)."""
         return self._nodes
-
-    def _set_nodes(self, nodes: np.ndarray) -> None:
-        self._nodes = nodes
-        self._mapping_view = None
 
     def drain_events(self) -> List[MigrationEvent]:
         """Return and clear the per-migration event log.
@@ -193,7 +173,7 @@ class RuntimeReconfigurationController:
 
     def reset(self) -> None:
         """Return to the static mapping and forget all history."""
-        self._set_nodes(self._static_nodes)
+        self._nodes = self._static_nodes
         self.io_translator.reset()
         self.events.clear()
         self._epoch_index = 0
@@ -250,7 +230,7 @@ class RuntimeReconfigurationController:
                 raise ValueError(
                     f"next stage {next_stage} outside a {plan.num_stages}-stage plan"
                 )
-        self._set_nodes(_read_only(np.array(nodes, dtype=np.intp)))
+        self._nodes = _read_only(np.array(nodes, dtype=np.intp))
         self._epoch_index = int(state["epoch_index"])  # type: ignore[arg-type]
         self._migration_count = int(state["migrations"])  # type: ignore[arg-type]
         self._migration_cycles = int(state["migration_cycles"])  # type: ignore[arg-type]
@@ -366,7 +346,7 @@ class RuntimeReconfigurationController:
         step = steps[index]
         cycles = priced_stage_cycles(stage, congestion)
         if step.moved:
-            self._set_nodes(step.step[self._nodes])
+            self._nodes = step.step[self._nodes]
             self.io_translator.record_permutation(step.step, step.label)
         energy = stage.energy_j if self.include_migration_energy else 0.0
         event = MigrationEvent(
@@ -426,33 +406,6 @@ class RuntimeReconfigurationController:
             power += energy / periods_s[:, np.newaxis]
         return power
 
-    def epoch_power_vector(
-        self,
-        period_s: float,
-        event: Optional[MigrationEvent] = None,
-    ) -> np.ndarray:
-        """Row-major per-PE power over one epoch under the current mapping.
-
-        The one-epoch case of :meth:`power_rows`: if a migration stage ran at
-        the start of the epoch (``event``), its energy is amortised over the
-        epoch.
-        """
-        if period_s <= 0:
-            raise ValueError("epoch period must be positive")
-        return self.power_rows([self._nodes], [event], np.array([period_s]))[0]
-
-    def epoch_power_map(
-        self,
-        period_s: float,
-        event: Optional[MigrationEvent] = None,
-    ) -> Dict[Coordinate, float]:
-        """Dict view of :meth:`epoch_power_vector` (for policies/reports)."""
-        return vector_to_map(self.topology, self.epoch_power_vector(period_s, event))
-
     def static_power_vector(self) -> np.ndarray:
         """Power vector of the unmigrated (static) mapping — the baseline."""
         return self._power_of(self._static_nodes)
-
-    def static_power_map(self) -> Dict[Coordinate, float]:
-        """Power map of the unmigrated (static) mapping — the baseline."""
-        return self.configuration.power_map(self.configuration.static_mapping)

@@ -16,7 +16,7 @@ numbers the paper reports:
 The pipeline is array-native end to end.  The policy/controller loop runs
 in chunks: the policy decides and the controller executes once per epoch,
 each chunk's power rows are emitted at once (one scatter), and each window
-is one validated append to a :class:`repro.power.trace.PowerTrace`.  Steady
+is one validated :class:`repro.power.trace.PowerTrace`.  Steady
 mode evaluates the baseline, every epoch and the settled-regime average with
 **one** product against the solver's precomputed inverse, and transient mode
 routes the whole piecewise-constant trace through **one**
@@ -714,7 +714,7 @@ class ThermalExperiment:
         :meth:`~repro.core.controller.RuntimeReconfigurationController.power_rows`
         call over each epoch's ``task -> node`` array and executed stage,
         scaled by the load modulation and queued for feedback; the window's
-        rows are validated and appended to its trace once.  The cost list
+        rows are validated once, as its trace.  The cost list
         holds each epoch's executed stage (None when no stage ran).  A
         window whose period rounds to 0.0 or inf seconds raises
         ``ValueError`` naming the epoch before any state moves.
@@ -816,10 +816,9 @@ class ThermalExperiment:
             costs.extend(events)
             chunk_start = chunk_stop
         controller.advance_epoch(count)
-        # One validated append per window; a refresh validates the rows it
+        # One validated trace per window; a refresh validates the rows it
         # solves itself (HotSpotModel.steady_temperatures).
-        trace = PowerTrace(configuration.topology)
-        trace.extend(periods_s, np.concatenate(chunks))
+        trace = PowerTrace(configuration.topology, periods_s, np.concatenate(chunks))
         self._previous_power = chunks[-1][-1]
         self._next_epoch += count
         return trace, costs

@@ -14,7 +14,7 @@ from .activity import (
 )
 from .library import DEFAULT_LIBRARY, TechnologyLibrary
 from .models import PePowerModel, RouterPowerModel, UnitPowerModel
-from .trace import PowerSample, PowerTrace, map_to_vector, vector_to_map
+from .trace import PowerTrace, map_to_vector, vector_to_map
 
 __all__ = [
     "ActivityMap",
@@ -26,7 +26,6 @@ __all__ = [
     "PePowerModel",
     "RouterPowerModel",
     "UnitPowerModel",
-    "PowerSample",
     "PowerTrace",
     "map_to_vector",
     "vector_to_map",

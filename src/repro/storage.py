@@ -1,0 +1,100 @@
+"""On-disk JSON: append-only journals read by one rule, files published whole.
+
+The campaign manifest (:mod:`repro.campaign.manifest`) and the served-stream
+checkpoints (:mod:`repro.stream.checkpoint`) are JSON-lines journals with
+one reader, :func:`read_journal`.  A writer killed mid-append leaves bytes
+after the journal's last newline: that torn tail is not an entry, and a
+resuming writer cuts it off (:func:`truncate_torn_tail`) before it appends.
+A malformed line that does end in a newline was damaged by something other
+than a kill, and raises :class:`CorruptJournalError`.
+
+Campaign specs, reports and cache entries are written by
+:func:`publish_text`: a temporary file in the target's directory renamed
+over the target, so a reader or a kill sees the old file or the new one,
+never a torn one.  It does not fsync: that guards against a killed
+process, not a power loss.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from pathlib import Path
+from typing import Any, List, NamedTuple
+
+
+class CorruptJournalError(ValueError):
+    """A newline-terminated journal line does not parse."""
+
+
+class Journal(NamedTuple):
+    """The intact part of a journal file."""
+
+    #: Each intact line, newline included (blank lines left out).
+    lines: List[bytes]
+    #: The parsed lines, in order.
+    entries: List[Any]
+    #: Bytes up to and including the last newline.
+    intact: int
+    #: Bytes after the last newline (0 when the file ends in one).
+    torn: int
+
+
+def read_journal(path: Path) -> Journal:
+    """The journal at ``path``; a missing file is an empty journal.
+
+    Raises :class:`CorruptJournalError` naming the first malformed
+    newline-terminated line.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return Journal([], [], 0, 0)
+    *complete, tail = data.split(b"\n")
+    lines: List[bytes] = []
+    entries: List[Any] = []
+    for index, line in enumerate(complete):
+        if not line.strip():
+            continue
+        try:
+            entries.append(json.loads(line))
+        except ValueError:
+            raise CorruptJournalError(
+                f"corrupt journal line {index + 1} in {path}: malformed but not "
+                "the final (torn-tail) line"
+            ) from None
+        lines.append(line + b"\n")
+    return Journal(lines, entries, len(data) - len(tail), len(tail))
+
+
+def truncate_torn_tail(path: Path) -> Journal:
+    """:func:`read_journal`, then cut the torn tail off the file.
+
+    A writer calls this before its first append: an entry appended after a
+    torn tail would be glued onto the fragment, and the kill's artefact
+    would become a malformed interior line.
+    """
+    journal = read_journal(path)
+    if journal.torn:
+        with open(path, "r+b") as handle:
+            handle.truncate(journal.intact)
+    return journal
+
+
+def publish_text(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a renamed temporary file."""
+    path = Path(path)
+    descriptor, temp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except FileNotFoundError:
+            pass
+        raise

@@ -9,7 +9,7 @@ JSONL wire format (:mod:`~repro.stream.window`), window producers
 (:mod:`~repro.stream.engine`).
 """
 
-from .checkpoint import CheckpointStore, TornCheckpointError
+from .checkpoint import CheckpointStore
 from .engine import CheckpointMismatchError, StreamingExperiment, StreamUpdate
 from .source import jsonl_windows, scenario_windows
 from .summary import RollingSummary
@@ -22,7 +22,6 @@ __all__ = [
     "RollingSummary",
     "StreamUpdate",
     "StreamingExperiment",
-    "TornCheckpointError",
     "jsonl_windows",
     "scenario_windows",
 ]

@@ -4,13 +4,14 @@ A :class:`CheckpointStore` appends one JSON checkpoint per line to
 ``checkpoints.jsonl`` inside its directory, fsyncing each append so a
 published checkpoint survives the process dying right after it.  The failure
 mode of an append-only journal is a **torn tail** — the process died mid-line
-— and the store follows the campaign journal's contract
-(:mod:`repro.campaign.manifest`): a torn *last* line is detected, reported
-and truncated away on resume (the stream replays from the previous good
-checkpoint); a torn line anywhere *else* means external corruption and
-raises.  Compaction (keeping only the newest checkpoints once the journal
-grows past ``max_entries``) rewrites through a temp file published with
-``os.replace`` — readers never observe a partially-compacted journal.
+— and the store reads its journal by the rule the campaign manifest shares
+(:func:`repro.storage.read_journal`): the bytes after the last newline are
+truncated away on resume (the stream replays from the previous good
+checkpoint); a malformed line before them means external corruption and
+raises :class:`~repro.storage.CorruptJournalError`.  Compaction (keeping
+only the newest checkpoints once the journal grows past ``max_entries``)
+rewrites through a temp file published with ``os.replace`` — readers never
+observe a partially-compacted journal.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import os
 import tempfile
 from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
+
+from ..storage import read_journal, truncate_torn_tail
 
 #: Journal file name inside the checkpoint directory.
 CHECKPOINT_JOURNAL = "checkpoints.jsonl"
-
-
-class TornCheckpointError(ValueError):
-    """A checkpoint line other than the last failed to parse."""
 
 
 class CheckpointStore:
@@ -68,46 +67,17 @@ class CheckpointStore:
         return self.directory / CHECKPOINT_JOURNAL
 
     # ------------------------------------------------------------------
-    def _read(self) -> Tuple[List[bytes], int]:
-        """The journal's intact lines and their byte length.
-
-        Bytes after the last newline are a torn final line (a crash
-        mid-append) and are left out; a malformed line raises.
-        """
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return [], 0
-        *complete, torn = data.split(b"\n")
-        lines = []
-        for index, line in enumerate(complete):
-            if not line.strip():
-                continue
-            try:
-                json.loads(line)
-            except ValueError:
-                raise TornCheckpointError(
-                    f"corrupt checkpoint journal {self.path}: line {index + 1} "
-                    "is malformed but is not the final (torn-tail) line"
-                ) from None
-            lines.append(line + b"\n")
-        return lines, len(data) - len(torn)
-
     def repair(self) -> bool:
         """(Re-)open the journal, truncating a torn final line; True if one was cut.
 
         Safe to call any time: a journal whose last byte is a newline is
         left untouched.
         """
-        lines, intact = self._read()
-        cut = self._disk_size() > intact
-        if cut:
-            with self.path.open("rb+") as handle:
-                handle.truncate(intact)
-        self._tail = deque(lines, maxlen=self.keep)
-        self._entries = len(lines)
-        self._size = intact
-        return cut
+        journal = truncate_torn_tail(self.path)
+        self._tail = deque(journal.lines, maxlen=self.keep)
+        self._entries = len(journal.lines)
+        self._size = journal.intact
+        return journal.torn > 0
 
     # ------------------------------------------------------------------
     def save(self, payload: Dict[str, object]) -> None:
@@ -158,10 +128,9 @@ class CheckpointStore:
         """Every intact checkpoint, oldest first; torn-tail tolerant.
 
         A torn final line (no newline yet) is skipped; a malformed line
-        anywhere else raises :class:`TornCheckpointError`.
+        anywhere else raises :class:`~repro.storage.CorruptJournalError`.
         """
-        lines, _intact = self._read()
-        return [json.loads(line) for line in lines]
+        return read_journal(self.path).entries
 
     def load_latest(self) -> Optional[Dict[str, object]]:
         """The newest intact checkpoint, or None for a fresh run.

@@ -188,6 +188,25 @@ class TestResume:
         assert status["completed"] == len(resumed.jobs)
         assert status["pending"] == 0
 
+    def test_unterminated_final_line_counts_as_pending_everywhere(self, tmp_path):
+        # A kill that lands after an entry's JSON but before its newline:
+        # status and a dry run must count that job as pending, because the
+        # real run cuts the line off and evaluates the job again.
+        spec = grid_spec(configurations=("A", "B"), schemes=("xy-shift",),
+                         scenarios=(cheap_scenario("s1"),))
+        directory = tmp_path / "camp"
+        run_campaign(spec, directory)
+        journal = manifest.journal_path(directory)
+        journal.write_bytes(journal.read_bytes()[:-1])
+        status = campaign_status(directory)
+        forecast = run_campaign(
+            spec, directory, cache_root=tmp_path / "c1", dry_run=True
+        )
+        real = run_campaign(spec, directory, cache_root=tmp_path / "c2")
+        assert (real.evaluated, real.resumed) == (1, 1)
+        assert forecast.forecast_evaluations == real.evaluated
+        assert status["completed"] == real.resumed
+
     def test_status_of_partial_campaign(self, tmp_path):
         spec = grid_spec()
         run_campaign(spec, tmp_path / "full")

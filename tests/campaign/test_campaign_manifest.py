@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -73,6 +74,25 @@ class TestJournal:
             handle.write(json.dumps(self.entry("j2"))[:25])
         assert manifest.load_journal(tmp_path) == [self.entry("j1")]
 
+    def test_unterminated_final_line_is_torn_even_if_it_parses(self, tmp_path):
+        # Bytes after the last newline are the write a kill interrupted:
+        # the next append's repair cuts them, so no reader may count them.
+        manifest.append_journal_entry(tmp_path, self.entry("j1"))
+        manifest.append_journal_entry(tmp_path, self.entry("j2"))
+        path = manifest.journal_path(tmp_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        assert manifest.load_journal(tmp_path) == [self.entry("j1")]
+        manifest.repair_journal(tmp_path)
+        assert manifest.load_journal(tmp_path) == [self.entry("j1")]
+        assert path.read_text() == json.dumps(self.entry("j1")) + "\n"
+
+    def test_malformed_terminated_final_line_is_loud(self, tmp_path):
+        manifest.append_journal_entry(tmp_path, self.entry("j1"))
+        with open(manifest.journal_path(tmp_path), "a", encoding="utf-8") as handle:
+            handle.write('{"broken": \n')
+        with pytest.raises(ValueError, match="corrupt journal line 2"):
+            manifest.load_journal(tmp_path)
+
     def test_corrupt_interior_line_is_loud(self, tmp_path):
         path = manifest.journal_path(tmp_path)
         path.write_text('{"broken": \n' + json.dumps(self.entry("j2")) + "\n")
@@ -138,3 +158,26 @@ class TestReport:
 
     def test_missing_report_is_none(self, tmp_path):
         assert manifest.load_report(tmp_path) is None
+
+    def test_interrupted_publish_keeps_the_previous_files(self, tmp_path, monkeypatch):
+        # A campaign killed while it writes campaign.json or report.json
+        # leaves the previous file whole: each is renamed into place.
+        spec = demo_spec()
+        manifest.bind_directory(tmp_path, spec)
+        manifest.write_report(tmp_path, {"campaign": "demo", "jobs": 1})
+
+        def killed(source, destination):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            manifest.write_report(tmp_path, {"campaign": "demo", "jobs": 2})
+        edited = demo_spec(scenarios=(cheap_scenario(num_epochs=9),))
+        with pytest.raises(KeyboardInterrupt):
+            manifest.bind_directory(tmp_path, edited)
+        monkeypatch.undo()
+        assert manifest.load_report(tmp_path) == {"campaign": "demo", "jobs": 1}
+        assert manifest.load_spec(tmp_path) == spec
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            manifest.SPEC_FILENAME, manifest.REPORT_FILENAME
+        ]

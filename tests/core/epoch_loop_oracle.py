@@ -1,9 +1,9 @@
 """The per-epoch control loop the chunk loop replaced, kept as an oracle.
 
 :class:`PerEpochExperiment` is a :class:`ThermalExperiment` that emits power
-one epoch at a time: one scatter of the per-task watts per epoch, one
-validated ``PowerTrace.add_interval`` per epoch, the feedback plan fed
-row by row and the steady settled ring filled with every row.
+one epoch at a time: one scatter of the per-task watts per epoch, the
+feedback plan fed row by row, the window's rows collected into one
+``PowerTrace`` and the steady settled ring filled with every row.
 :meth:`PerEpochExperiment.records` builds one :class:`EpochRecord` per
 stepped epoch from the window's trace, events and Celsius rows, without the
 runtime's record columns.  Everything else (the thermal evaluation, the
@@ -102,7 +102,8 @@ class PerEpochExperiment(ThermalExperiment):
         units_per_epoch = self.settings.units_per_epoch
         staged = style != "sudden"
 
-        trace = PowerTrace(topology)
+        periods: List[float] = []
+        rows: List[np.ndarray] = []
         costs: List[Optional[MigrationEvent]] = []
         previous_power = self._previous_power
 
@@ -150,7 +151,8 @@ class PerEpochExperiment(ThermalExperiment):
                 power += cost.energy_vector / period_s
             if power_modulation is not None:
                 power = power * power_modulation[local_index]
-            trace.add_interval(period_s, power)
+            periods.append(period_s)
+            rows.append(power)
             costs.append(cost)
 
             if plan is not None:
@@ -159,4 +161,4 @@ class PerEpochExperiment(ThermalExperiment):
             controller.advance_epoch()
         self._previous_power = previous_power
         self._next_epoch += window.num_epochs
-        return trace, costs
+        return PowerTrace(topology, np.array(periods), np.array(rows)), costs

@@ -12,6 +12,7 @@ from repro.migration.plan import lower_transform
 from repro.migration.transforms import RotationTransform, XYShiftTransform, make_transform
 from repro.migration.unit import MigrationUnit
 from repro.noc.topology import MeshTopology
+from repro.power.trace import map_to_vector
 
 
 @pytest.fixture
@@ -37,13 +38,13 @@ def fresh_controller_a(fresh_chip_a):
 
 class TestMigrationApplication:
     def test_starts_at_static_mapping(self, controller_a, chip_a):
-        assert controller_a.current_mapping == chip_a.static_mapping
+        assert controller_a.nodes.tolist() == chip_a.static_mapping.to_permutation()
 
     def test_apply_migration_updates_mapping(self, controller_a, chip_a):
         transform = XYShiftTransform(chip_a.topology)
         controller_a.apply_migration(transform)
         expected = chip_a.static_mapping.apply_transform(transform)
-        assert controller_a.current_mapping == expected
+        assert controller_a.nodes.tolist() == expected.to_permutation()
         assert controller_a.migrations_performed == 1
 
     def test_migration_history_accumulates(self, controller_a, chip_a):
@@ -70,10 +71,29 @@ class TestMigrationApplication:
         controller.apply_migration(RotationTransform(chip_e.topology))
         assert controller.events[0].moved_tasks == chip_e.num_units - 1
 
+    @pytest.mark.parametrize("style", ["sudden", "fluid"])
+    def test_held_nodes_survive_later_stages(self, controller_a, chip_a, style):
+        """The chunk loop keeps each epoch's ``nodes`` until the chunk's
+        power rows are emitted, so no stage may mutate an array it handed out."""
+        held = [controller_a.nodes]
+        controller_a.apply_migration(
+            RotationTransform(chip_a.topology), style=style, units_per_epoch=1
+        )
+        held.append(controller_a.nodes)
+        while controller_a.migration_in_progress:
+            controller_a.advance_plan()
+            held.append(controller_a.nodes)
+        snapshots = [nodes.copy() for nodes in held]
+        controller_a.apply_migration(XYShiftTransform(chip_a.topology))
+        for nodes, snapshot in zip(held, snapshots):
+            assert np.array_equal(nodes, snapshot)
+        assert held[0].tolist() == chip_a.static_mapping.to_permutation()
+        assert not np.array_equal(controller_a.nodes, held[-1])
+
     def test_reset(self, controller_a, chip_a):
         controller_a.apply_migration(XYShiftTransform(chip_a.topology))
         controller_a.reset()
-        assert controller_a.current_mapping == chip_a.static_mapping
+        assert controller_a.nodes.tolist() == chip_a.static_mapping.to_permutation()
         assert controller_a.migrations_performed == 0
         assert controller_a.io_translator.migrations_applied == 0
 
@@ -146,7 +166,7 @@ class TestMigrationCostCache:
                 event.energy_vector,
                 [stage.energy_per_unit_j[coord] for coord in coords],
             )
-            assert cached.current_mapping == mapping
+            assert cached.nodes.tolist() == mapping.to_permutation()
         assert cached.migration_cost_computations == 4
         assert cached.migration_cache_hits == 4
 
@@ -237,29 +257,60 @@ class TestEnergyAccounting:
         controller.apply_migration(XYShiftTransform(chip_a.topology))
         assert controller.total_migration_energy_j == 0.0
 
-    def test_epoch_power_map_adds_migration_energy(self, controller_a, chip_a):
+    def test_power_rows_add_migration_energy(self, controller_a, chip_a):
         transform = XYShiftTransform(chip_a.topology)
         event = controller_a.apply_migration(transform)
         period_s = 109e-6
-        with_energy = controller_a.epoch_power_map(period_s, event)
-        without_energy = controller_a.epoch_power_map(period_s, None)
-        assert sum(with_energy.values()) > sum(without_energy.values())
-        extra = sum(with_energy.values()) - sum(without_energy.values())
+        nodes = [controller_a.nodes, controller_a.nodes]
+        with_energy, without_energy = controller_a.power_rows(
+            nodes, [event, None], np.array([period_s, period_s])
+        )
+        assert with_energy.sum() > without_energy.sum()
+        extra = with_energy.sum() - without_energy.sum()
         assert extra == pytest.approx(event.energy_vector.sum() / period_s, rel=1e-6)
         assert event.energy_vector.sum() == pytest.approx(event.energy_j, rel=1e-12)
 
-    def test_epoch_power_map_moves_with_tasks(self, controller_a, chip_a):
-        static_power = controller_a.epoch_power_map(109e-6)
+    def test_power_rows_move_with_tasks(self, controller_a, chip_a):
+        period = np.array([109e-6])
+        (static_power,) = controller_a.power_rows([controller_a.nodes], [None], period)
         transform = XYShiftTransform(chip_a.topology)
         controller_a.apply_migration(transform)
-        migrated_power = controller_a.epoch_power_map(109e-6)
+        (migrated_power,) = controller_a.power_rows([controller_a.nodes], [None], period)
         # The hottest unit's power moved to its transformed location.
-        hottest = max(static_power, key=static_power.get)
-        assert migrated_power[transform(hottest)] >= static_power[hottest] - 1e-9
+        topology = chip_a.topology
+        hottest = list(topology.coordinates())[int(static_power.argmax())]
+        moved = topology.node_id(transform(hottest))
+        assert migrated_power[moved] >= static_power.max() - 1e-9
 
-    def test_epoch_power_requires_positive_period(self, controller_a):
-        with pytest.raises(ValueError):
-            controller_a.epoch_power_map(0.0)
+    def test_power_rows_do_not_depend_on_the_chunking(self, controller_a, chip_a):
+        """One scatter over a run of epochs equals its epochs emitted one at
+        a time: the chunk loop may split a window anywhere."""
+        nodes, events = [controller_a.nodes], [None]
+        events.append(
+            controller_a.apply_migration(
+                RotationTransform(chip_a.topology), style="fluid", units_per_epoch=1
+            )
+        )
+        nodes.append(controller_a.nodes)
+        while controller_a.migration_in_progress:
+            events.append(controller_a.advance_plan())
+            nodes.append(controller_a.nodes)
+        nodes.append(controller_a.nodes)
+        events.append(None)
+        periods = np.linspace(100e-6, 200e-6, len(nodes))
+        assert len(nodes) >= 4
+        whole = controller_a.power_rows(nodes, events, periods)
+        one_at_a_time = np.concatenate(
+            [
+                controller_a.power_rows(nodes[i : i + 1], events[i : i + 1], periods[i : i + 1])
+                for i in range(len(nodes))
+            ]
+        )
+        assert np.array_equal(whole, one_at_a_time)
+        assert np.array_equal(whole[0], controller_a.static_power_vector())
 
-    def test_static_power_map_matches_configuration(self, controller_a, chip_a):
-        assert controller_a.static_power_map() == chip_a.power_map()
+    def test_static_power_vector_matches_configuration(self, controller_a, chip_a):
+        assert np.array_equal(
+            controller_a.static_power_vector(),
+            map_to_vector(chip_a.topology, chip_a.power_map()),
+        )

@@ -16,7 +16,7 @@ from repro.core.controller import RuntimeReconfigurationController
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
 from repro.core.metrics import ThermalMetrics
 from repro.core.policy import PeriodicMigrationPolicy, PolicyContext
-from repro.power.trace import PowerTrace, map_to_vector
+from repro.power.trace import PowerTrace, map_to_vector, vector_to_map
 from repro.thermal.hotspot import HotSpotModel
 
 #: Configurations the parity suite pins (both mesh sizes plus the
@@ -47,7 +47,8 @@ def _reference_epochs(chip, policy, settings):
         if transform is not None and transform.name != "identity":
             cost = controller.apply_migration(transform, epoch_index)
             name = transform.name
-        power = controller.epoch_power_map(period_s, cost)
+        (row,) = controller.power_rows([controller.nodes], [cost], np.array([period_s]))
+        power = vector_to_map(chip.topology, row)
         epochs.append((power, cost, name))
         controller.advance_epoch()
     return epochs
@@ -91,9 +92,7 @@ def reference_transient(chip, policy, settings, thermal_model=None):
     per_epoch = []
     for power, _cost, _name in epochs:
         result = model.transient_sequence(
-            PowerTrace.from_arrays(
-                topology, [period_s], [map_to_vector(topology, power)]
-            ),
+            PowerTrace(topology, [period_s], [map_to_vector(topology, power)]),
             initial_state=state,
             time_step_s=time_step,
             method=settings.thermal_method,

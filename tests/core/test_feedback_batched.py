@@ -89,7 +89,9 @@ def _reference_feedback_epochs(chip, policy, settings, model, ambient=None):
         if transform is not None and transform.name != "identity":
             cost = controller.apply_migration(transform, epoch_index)
             name = transform.name
-        power = controller.epoch_power_vector(period_s, cost)
+        (power,) = controller.power_rows(
+            [controller.nodes], [cost], np.array([period_s])
+        )
         epochs.append((power, cost, name))
         previous_row = feedback(power, epoch_index)
         previous_power = power
@@ -126,7 +128,7 @@ def reference_transient_feedback(chip, policy, settings, model):
     per_epoch = []
     for power, _cost, _name in epochs:
         result = model.transient_sequence(
-            PowerTrace.from_arrays(chip.topology, [period_s], [power]),
+            PowerTrace(chip.topology, [period_s], [power]),
             initial_state=state,
             time_step_s=time_step,
             method=settings.thermal_method,

@@ -163,7 +163,7 @@ class TestStagedExecution:
             # Drain the in-flight plan so every style completes its one plan.
             while experiment.controller.migration_in_progress:
                 experiment.controller.advance_plan()
-            return experiment.controller.current_mapping.to_permutation()
+            return experiment.controller.nodes.tolist()
 
         sudden = final_mapping("sudden", 2)
         assert final_mapping("fluid", 1) == sudden
@@ -351,6 +351,32 @@ class TestPeriodSchedule:
                 settings=ExperimentSettings(num_epochs=4, settle_epochs=2),
                 schedule=EpochWindow(num_epochs=3, period_scale=np.ones(3)),
             )
+
+    @pytest.mark.parametrize("scale, period", [(1e-320, "0.0"), (1e308, "inf")])
+    def test_degenerate_period_raises_before_state_moves(self, chip_a, scale, period):
+        """A positive scale whose period rounds to 0.0 s or overflows to
+        inf s is refused by name, and the run can go on from where it was."""
+        experiment = ThermalExperiment(
+            chip_a,
+            PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0),
+            settings=ExperimentSettings(num_epochs=6, settle_epochs=2),
+        )
+        experiment.prepare(total_epochs=6)
+        experiment.step_window(EpochWindow(num_epochs=2))
+        migrations = experiment.controller.migrations_performed
+        nodes = experiment.controller.nodes.copy()
+        cycles = experiment._cycles_run
+        with pytest.raises(
+            ValueError, match=f"^epoch 3: period of {period} s is not positive and finite$"
+        ):
+            experiment.step_window(
+                EpochWindow(num_epochs=2, period_scale=np.array([1.0, scale]))
+            )
+        assert experiment.controller.migrations_performed == migrations
+        assert np.array_equal(experiment.controller.nodes, nodes)
+        assert experiment._cycles_run == cycles
+        outcome = experiment.step_window(EpochWindow(num_epochs=2))
+        assert outcome.start_epoch == 2
 
     def test_unit_schedule_matches_unscheduled_run(self, chip_a):
         policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)

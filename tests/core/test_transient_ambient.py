@@ -88,7 +88,7 @@ def _reference_rebuilt_networks(chip, kind: str, epoch_power_maps, method: str):
     for power, offset in zip(epoch_power_maps, OFFSETS):
         model = _model_at_offset(chip, kind, float(offset))
         result = model.transient_sequence(
-            PowerTrace.from_arrays(
+            PowerTrace(
                 chip.topology, [period_s], [map_to_vector(chip.topology, power)]
             ),
             initial_state=state,

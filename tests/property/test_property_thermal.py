@@ -220,7 +220,7 @@ class TestModelOracle:
         model = _chip_model(*key)
         powers = _power_rows(data, model, len(durations))
         offsets = data.draw(arrays(float, len(durations), elements=st.floats(-10.0, 10.0)))
-        trace = PowerTrace.from_arrays(model.topology, durations, powers)
+        trace = PowerTrace(model.topology, durations, powers)
         warm = model.warm_state(powers.mean(axis=0), ambient_offset_kelvin=offsets[0])
         results = {}
         jumps = {}

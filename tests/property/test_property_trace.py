@@ -1,12 +1,16 @@
-"""Property-based tests: PowerTrace round-trips arbitrary power maps.
+"""Property-based tests: the one PowerTrace constructor over generated arrays.
 
-The array-native trace must be a lossless container: dict in, dict out
-(modulo zero-fill for missing coordinates), arrays in, arrays out, and the
-aggregates must match their dict-loop definitions.
+Accepted arrays come back equal and read-only while the caller's arrays stay
+writeable, and the time-weighted average is ``durations @ powers /
+durations.sum()``.  Any NaN, +-inf or negative power, any non-positive or
+non-finite duration and any shape mismatch raises ``ValueError``.  The
+dict <-> vector helpers round-trip losslessly.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.noc.topology import MeshTopology
 from repro.power.trace import PowerTrace, map_to_vector, vector_to_map
@@ -18,9 +22,86 @@ power_values = st.floats(
     min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False
 )
 power_rows = st.lists(power_values, min_size=16, max_size=16)
-durations = st.floats(
-    min_value=1e-6, max_value=10.0, allow_nan=False, allow_infinity=False
+
+#: Values every power entry must be rejected for.
+bad_powers = st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats(
+    max_value=0.0, exclude_max=True, allow_infinity=False
 )
+#: Values every duration must be rejected for (0.0 and -0.0 included).
+bad_durations = st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats(
+    max_value=0.0, allow_infinity=False
+)
+
+
+@st.composite
+def trace_arrays(draw):
+    """A mesh and a valid ``(durations, powers)`` pair over it."""
+    mesh = MeshTopology(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    count = draw(st.integers(1, 8))
+    durations = draw(arrays(float, count, elements=st.floats(1e-9, 1e3)))
+    powers = draw(
+        arrays(float, (count, mesh.num_nodes), elements=st.floats(0.0, 1e3))
+    )
+    return mesh, durations, powers
+
+
+def _mismatched_shapes(durations, powers):
+    """Every way the two arrays' shapes can disagree with one trace."""
+    count, units = powers.shape
+    yield durations[:, np.newaxis], powers
+    yield durations, np.zeros((count, units + 1))
+    yield durations, powers[:, :-1]
+    yield durations, np.zeros((count + 1, units))
+    yield durations, powers[:-1]
+    yield durations, powers.ravel()
+    yield np.append(durations, 1.0), powers
+
+
+class TestConstructor:
+    @given(case=trace_arrays())
+    @settings(max_examples=60, deadline=None)
+    def test_accepted_arrays_come_back_read_only(self, case):
+        mesh, durations, powers = case
+        trace = PowerTrace(mesh, durations, powers)
+        assert len(trace) == len(durations)
+        assert np.array_equal(trace.durations, durations)
+        assert np.array_equal(trace.powers, powers)
+        with pytest.raises(ValueError):
+            trace.durations[0] = 1.0
+        with pytest.raises(ValueError):
+            trace.powers[0, 0] = 1.0
+        assert durations.flags.writeable and powers.flags.writeable
+        assert np.array_equal(
+            trace.average_vector(), durations @ powers / durations.sum()
+        )
+
+    @given(case=trace_arrays(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bad_power_raises(self, case, data):
+        mesh, durations, powers = case
+        row = data.draw(st.integers(0, powers.shape[0] - 1))
+        column = data.draw(st.integers(0, powers.shape[1] - 1))
+        powers[row, column] = data.draw(bad_powers)
+        with pytest.raises(ValueError, match="non-finite or negative power"):
+            PowerTrace(mesh, durations, powers)
+
+    @given(case=trace_arrays(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bad_duration_raises(self, case, data):
+        mesh, durations, powers = case
+        durations[data.draw(st.integers(0, len(durations) - 1))] = data.draw(
+            bad_durations
+        )
+        with pytest.raises(ValueError, match="positive and finite"):
+            PowerTrace(mesh, durations, powers)
+
+    @given(case=trace_arrays())
+    @settings(max_examples=30, deadline=None)
+    def test_shape_mismatch_raises(self, case):
+        mesh, durations, powers = case
+        for bad_durations_s, bad_power_w in _mismatched_shapes(durations, powers):
+            with pytest.raises(ValueError, match="must be"):
+                PowerTrace(mesh, bad_durations_s, bad_power_w)
 
 
 def _to_map(values):
@@ -41,135 +122,3 @@ class TestVectorMapRoundTrip:
         assert np.array_equal(
             map_to_vector(_MESH, vector_to_map(_MESH, vector)), vector
         )
-
-
-class TestTraceRoundTrip:
-    @given(rows=st.lists(st.tuples(durations, power_rows), min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_dict_in_dict_out(self, rows):
-        trace = PowerTrace(_MESH)
-        for duration, values in rows:
-            trace.add_interval(duration, _to_map(values))
-        assert len(trace) == len(rows)
-        for index, (duration, values) in enumerate(rows):
-            assert trace.power_map(index) == _to_map(values)
-            assert float(trace.durations[index]) == duration
-            sample = trace.sample(index)
-            assert sample.duration_s == duration
-            assert sample.power_w == _to_map(values)
-
-    @given(rows=st.lists(st.tuples(durations, power_rows), min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_arrays_in_arrays_out(self, rows):
-        dur = np.array([duration for duration, _values in rows])
-        powers = np.array([values for _duration, values in rows])
-        trace = PowerTrace.from_arrays(_MESH, dur, powers)
-        out_durations, out_powers = trace.as_matrix()
-        assert np.array_equal(out_durations, dur)
-        assert np.array_equal(out_powers, powers)
-
-    @given(rows=st.lists(st.tuples(durations, power_rows), min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_incremental_equals_bulk(self, rows):
-        incremental = PowerTrace(_MESH)
-        for duration, values in rows:
-            incremental.add_interval(duration, np.array(values))
-        bulk = PowerTrace.from_arrays(
-            _MESH,
-            np.array([duration for duration, _values in rows]),
-            np.array([values for _duration, values in rows]),
-        )
-        assert np.array_equal(incremental.powers, bulk.powers)
-        assert np.array_equal(incremental.durations, bulk.durations)
-
-
-class TestExtendBuilder:
-    """The streaming builder: chunked extends == one at-once construction."""
-
-    @given(
-        rows=st.lists(st.tuples(durations, power_rows), min_size=1, max_size=24),
-        chunk=st.integers(min_value=1, max_value=7),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_chunked_extend_equals_at_once(self, rows, chunk):
-        dur = np.array([duration for duration, _values in rows])
-        powers = np.array([values for _duration, values in rows])
-        at_once = PowerTrace.from_arrays(_MESH, dur, powers)
-        incremental = PowerTrace(_MESH)
-        for start in range(0, len(rows), chunk):
-            incremental.extend(
-                dur[start : start + chunk], powers[start : start + chunk]
-            )
-        assert np.array_equal(incremental.durations, at_once.durations)
-        assert np.array_equal(incremental.powers, at_once.powers)
-        assert incremental.total_energy_j == at_once.total_energy_j
-        assert np.array_equal(
-            incremental.average_vector(), at_once.average_vector()
-        )
-
-    @given(rows=st.lists(st.tuples(durations, power_rows), min_size=1, max_size=16))
-    @settings(max_examples=30, deadline=None)
-    def test_extend_interleaves_with_append(self, rows):
-        mixed = PowerTrace(_MESH)
-        reference = PowerTrace(_MESH)
-        for index, (duration, values) in enumerate(rows):
-            reference.add_interval(duration, np.array(values))
-            if index % 2:
-                mixed.extend(np.array([duration]), np.array([values]))
-            else:
-                mixed.add_interval(duration, np.array(values))
-        assert np.array_equal(mixed.durations, reference.durations)
-        assert np.array_equal(mixed.powers, reference.powers)
-
-    def test_growth_is_amortised_logarithmic(self):
-        # Appending n rows one at a time must reallocate O(log n) times —
-        # the guard that keeps unbounded streams from quadratic recopying.
-        import math
-
-        trace = PowerTrace(_MESH)
-        n = 4096
-        for _ in range(n):
-            trace.add_interval(1.0, np.zeros(16))
-        assert len(trace) == n
-        assert trace.growth_count <= math.ceil(math.log2(n)) + 1
-
-    def test_empty_extend_is_a_no_op(self):
-        trace = PowerTrace(_MESH)
-        trace.extend(np.zeros(0), np.zeros((0, 16)))
-        assert len(trace) == 0
-        assert trace.growth_count == 0
-
-
-class TestTraceAggregates:
-    @given(rows=st.lists(st.tuples(durations, power_rows), min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_aggregates_match_dict_loop(self, rows):
-        trace = PowerTrace(_MESH)
-        for duration, values in rows:
-            trace.add_interval(duration, _to_map(values))
-
-        total_duration = sum(duration for duration, _values in rows)
-        total_energy = sum(
-            duration * sum(values) for duration, values in rows
-        )
-        assert trace.total_duration_s == pytest_approx(total_duration)
-        assert trace.total_energy_j == pytest_approx(total_energy)
-
-        expected_average = {coord: 0.0 for coord in _COORDS}
-        for duration, values in rows:
-            mapping = _to_map(values)
-            for coord, watts in mapping.items():
-                expected_average[coord] += watts * duration / total_duration
-        averages = trace.average_power_per_unit()
-        for coord in _COORDS:
-            assert averages[coord] == pytest_approx(expected_average[coord])
-
-        assert trace.peak_unit_power() == pytest_approx(
-            max(max(values) for _duration, values in rows)
-        )
-
-
-def pytest_approx(value, rel=1e-9, abs_tol=1e-12):
-    import pytest
-
-    return pytest.approx(value, rel=rel, abs=abs_tol)

@@ -15,7 +15,6 @@ import pytest
 from repro.chips import get_configuration
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
 from repro.core.policy import PeriodicMigrationPolicy, make_policy
-from repro.power.trace import PowerTrace
 from repro.scenarios.compile import compile_scenario, decoder_effort, run_scenario
 from repro.scenarios.patterns import (
     ConstantPattern,
@@ -148,10 +147,10 @@ class TestModulationSemantics:
         assert faulted == 0.0
 
     def test_modulated_trace_matches_scaled_trace(self):
-        """In-loop modulation == PowerTrace.scaled of the unmodulated trace.
+        """In-loop modulation == the unmodulated rows times the modulation.
 
         Periodic policies ignore the power feedback, so modulating each row
-        as it is emitted must agree exactly with scaling the finished trace —
+        as it is emitted must agree exactly with scaling the finished rows —
         the property that lets the scenario compiler reason about modulation
         as a pure array transform.
         """
@@ -178,9 +177,8 @@ class TestModulationSemantics:
             )
         )
 
-        scaled = plain_trace.scaled(modulation)
-        assert np.array_equal(modulated_trace.powers, scaled.powers)
-        assert np.array_equal(modulated_trace.durations, scaled.durations)
+        assert np.array_equal(modulated_trace.powers, plain_trace.powers * modulation)
+        assert np.array_equal(modulated_trace.durations, plain_trace.durations)
 
     def test_hotspot_raises_local_temperature(self):
         base = run_scenario(

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.stream import CheckpointStore, TornCheckpointError
+from repro.storage import CorruptJournalError
+from repro.stream import CheckpointStore, checkpoint
 
 
 def _lines(store):
@@ -69,7 +70,7 @@ class TestTornTail:
         lines = store.path.read_text().splitlines()
         lines[0] = '{"broken'
         store.path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TornCheckpointError, match="line 1"):
+        with pytest.raises(CorruptJournalError, match="line 1"):
             store.load_all()
 
 
@@ -133,10 +134,11 @@ class TestSingleRead:
         store = CheckpointStore(tmp_path, keep=2, max_entries=3)
         store.save({"next_epoch": 0})
 
-        def reread(self):
+        def reread(path):
             raise AssertionError("the journal was re-read after it was opened")
 
-        monkeypatch.setattr(CheckpointStore, "_read", reread)
+        monkeypatch.setattr(checkpoint, "read_journal", reread)
+        monkeypatch.setattr(checkpoint, "truncate_torn_tail", reread)
         for epoch in range(1, 9):
             store.save({"next_epoch": epoch})
         assert store.load_latest() == {"next_epoch": 8}
@@ -148,9 +150,9 @@ class TestSingleRead:
         CheckpointStore(tmp_path).save({"next_epoch": 4})
         path = CheckpointStore(tmp_path).path
         path.write_text('{"broken\n{"next_epoch": 8}\n')
-        with pytest.raises(TornCheckpointError, match="line 1"):
+        with pytest.raises(CorruptJournalError, match="line 1"):
             CheckpointStore(tmp_path).save({"next_epoch": 12})
-        with pytest.raises(TornCheckpointError, match="line 1"):
+        with pytest.raises(CorruptJournalError, match="line 1"):
             CheckpointStore(tmp_path).load_latest()
 
 

@@ -382,6 +382,20 @@ class TestCampaignCommand:
         assert main(["campaign", "report", "-d", str(tmp_path)]) == 1
         assert "no report.json" in capsys.readouterr().err
 
+    def test_torn_report_is_one_line_error(self, capsys, tmp_path):
+        directory = tmp_path / "camp"
+        assert main(["campaign", "run", "-S", self._spec_file(tmp_path),
+                     "-d", str(directory)]) == 0
+        report = directory / "report.json"
+        data = report.read_bytes()
+        report.write_bytes(data[: len(data) // 2])
+        capsys.readouterr()
+        assert main(["campaign", "report", "-d", str(directory)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "report" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("n_jobs", ["0", "-2"])
     def test_bad_worker_count_is_one_line_error(self, capsys, tmp_path, n_jobs):
         directory = tmp_path / "camp"

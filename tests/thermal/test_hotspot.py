@@ -11,7 +11,7 @@ from repro.thermal.package import ThermalPackage
 
 def _trace(mesh, *intervals):
     """A PowerTrace from (duration, per-coordinate power dict) pairs."""
-    return PowerTrace.from_arrays(
+    return PowerTrace(
         mesh,
         [duration for duration, _power in intervals],
         [map_to_vector(mesh, power) for _duration, power in intervals],

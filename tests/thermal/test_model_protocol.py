@@ -40,7 +40,7 @@ def _power_rows(mesh, count=5):
 
 def _trace(mesh, count=5, duration=1e-3):
     rows = _power_rows(mesh, count)
-    return PowerTrace.from_arrays(mesh, np.full(count, duration), rows)
+    return PowerTrace(mesh, np.full(count, duration), rows)
 
 
 class TestPowerVector:
