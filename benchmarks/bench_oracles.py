@@ -158,23 +158,35 @@ def _served_window():
 
 
 def spectral_transient():
-    """The served window's transient, spectral against Euler."""
+    """The closed-form transient against the LU-factored Euler loop.
+
+    Two windows: the served one (one shared step) and the same window with
+    its periods scaled by 1, 0.5, 2, 0.1, 4, 0.25, 1 and 3, which mixes
+    step counts and, where a period is shorter than the step, step sizes.
+    """
     model, rows, durations, window = _served_window()
     node_rows = model.node_power_matrix(rows)
+    scaled = durations * np.array([1.0, 0.5, 2.0, 0.1, 4.0, 0.25, 1.0, 3.0])
+    lu = lu_oracle.LuSolver(model.network)
 
-    def run(method):
-        return model.solver.transient_sequence(
-            durations, node_rows, method=method, **window
+    def run(solver):
+        return [
+            solver.transient_sequence(spans, node_rows, **window)
+            for spans in (durations, scaled)
+        ]
+
+    def agree(fast, slow):
+        return all(
+            np.abs(a.node_kelvin - b.node_kelvin).max() <= 1e-9
+            and np.array_equal(a.times_s, b.times_s)
+            for a, b in zip(fast, slow)
         )
 
-    def agree(a, b):
-        return np.abs(a.final_state_kelvin - b.final_state_kelvin).max() <= 1e-9
-
-    return lambda: run("spectral"), lambda: run("euler"), agree
+    return lambda: run(model.solver), lambda: run(lu), agree
 
 
 def dense_thermal():
-    """The served window: 8 one-row feedback solves, then the Euler transient."""
+    """The served window: 8 one-row feedback solves, then its transient."""
     model, rows, durations, window = _served_window()
     node_rows = model.node_power_matrix(rows)
     lu = lu_oracle.LuSolver(model.network)

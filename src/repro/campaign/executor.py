@@ -398,5 +398,5 @@ def campaign_status(directory: Union[str, Path]) -> Dict[str, object]:
         "stale_entries": len(journal_entries) - len(replayed)
         if len(journal_entries) >= len(replayed)
         else 0,
-        "has_report": manifest.load_report(directory) is not None,
+        "has_report": manifest.report_path(directory).exists(),
     }

@@ -55,6 +55,8 @@ class CampaignSpec:
     configurations: Optional[Tuple[str, ...]] = None
     schemes: Optional[Tuple[str, ...]] = None
     feedback_strides: Optional[Tuple[int, ...]] = None
+    #: ``ScenarioSpec.thermal_method`` labels to sweep: each value is its own
+    #: job id and cache key, but every transient is the one closed form.
     thermal_methods: Optional[Tuple[str, ...]] = None
     #: Migration styles ("sudden" / "fluid" / "batched") to sweep; ``None``
     #: keeps each scenario's own style.

@@ -138,7 +138,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         mode=args.mode,
         num_epochs=args.epochs,
         include_migration_energy=not args.no_migration_energy,
-        thermal_method=args.thermal_method,
         feedback_stride=args.feedback_stride,
         feedback_predictor=args.feedback_predictor,
         migration_style=args.migration_style,
@@ -655,9 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("experiment", help="run a single experiment")
     add_common(sub)
     sub.add_argument("--mode", choices=("steady", "transient"), default="steady")
-    sub.add_argument("--thermal-method", choices=("euler", "spectral"), default="euler",
-                     help="integrator for --mode transient (spectral skips the "
-                          "per-step loop); ignored in steady mode")
     sub.add_argument("--no-migration-energy", action="store_true",
                      help="ignore migration energy in the power maps")
     sub.add_argument("--migration-style", choices=("sudden", "fluid", "batched"),

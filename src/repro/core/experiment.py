@@ -95,10 +95,6 @@ class ExperimentSettings:
     settle_epochs: Optional[int] = None
     #: Implicit-Euler steps per epoch in transient mode.
     transient_steps_per_epoch: int = 8
-    #: Transient integration method: "euler" steps the cached step inverse
-    #: (one matrix-vector product per step), "spectral" jumps to the sampled
-    #: instants through the eigenbasis.
-    thermal_method: str = "euler"
     #: Feedback refresh stride *k*: policies that require thermal feedback
     #: see temperatures re-evaluated every ``k`` epochs with one multi-RHS
     #: batch per refresh (``ceil(num_epochs / k)`` steady solves in total,
@@ -133,8 +129,6 @@ class ExperimentSettings:
             raise ValueError("settle_epochs must be between 1 and num_epochs")
         if self.transient_steps_per_epoch < 1:
             raise ValueError("transient_steps_per_epoch must be at least 1")
-        if self.thermal_method not in ("euler", "spectral"):
-            raise ValueError("thermal_method must be 'euler' or 'spectral'")
         if self.feedback_stride < 1:
             raise ValueError("feedback_stride must be at least 1")
         if self.feedback_predictor not in ("hold", "previous"):
@@ -913,7 +907,6 @@ class ThermalExperiment:
             trace,
             initial_state=self._thermal_state,
             time_step_s=self._time_step,
-            method=self.settings.thermal_method,
             ambient_offsets_kelvin=offsets,
         )
 

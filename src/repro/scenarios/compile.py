@@ -265,7 +265,6 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         settle_epochs=spec.settle_epochs,
         include_migration_energy=spec.include_migration_energy,
         transient_steps_per_epoch=spec.transient_steps_per_epoch,
-        thermal_method=spec.thermal_method,
         feedback_stride=spec.feedback_stride,
         feedback_predictor=spec.feedback_predictor,
         migration_style=spec.migration_style,

@@ -150,6 +150,9 @@ class ScenarioSpec:
     mode: str = "steady"
     num_epochs: int = 41
     settle_epochs: Optional[int] = None
+    #: Identity label, "euler" or "spectral": part of the spec's digest and
+    #: of campaign job ids, it selects nothing (every transient takes the
+    #: one closed-form implicit-Euler evaluation).
     thermal_method: str = "euler"
     transient_steps_per_epoch: int = 8
     include_migration_energy: bool = True
@@ -190,6 +193,8 @@ class ScenarioSpec:
             raise ValueError("at least one epoch is required")
         if self.period_us <= 0:
             raise ValueError("migration period must be positive")
+        if self.thermal_method not in ("euler", "spectral"):
+            raise ValueError("thermal_method must be 'euler' or 'spectral'")
         if self.feedback_stride < 1:
             raise ValueError("feedback_stride must be at least 1")
         if self.feedback_predictor not in ("hold", "previous"):

@@ -143,7 +143,6 @@ class HotSpotModel:
         trace: PowerTrace,
         initial_state: Optional[np.ndarray] = None,
         time_step_s: Optional[float] = None,
-        method: str = "euler",
         ambient_offsets_kelvin: Optional[np.ndarray] = None,
     ) -> TransientResult:
         """Transient evolution under a piecewise-constant power trace.
@@ -159,7 +158,6 @@ class HotSpotModel:
             self.node_power_matrix(trace.powers),
             initial_state=initial_state,
             time_step_s=time_step_s,
-            method=method,
             ambient_offsets_kelvin=ambient_offsets_kelvin,
         )
 

@@ -5,8 +5,8 @@ or ``(rows, num_nodes)`` matrices and temperatures go out as kelvin arrays.
 Mapping functional units onto nodes is the model's job
 (:class:`repro.thermal.hotspot.HotSpotModel`).
 
-* Every solve is a matrix product with a precomputed dense inverse.  An
-  inverse holds the same ``n**2`` floats as an LU factor, and on these
+* Every steady solve is a matrix product with a precomputed dense inverse.
+  An inverse holds the same ``n**2`` floats as an LU factor, and on these
   small networks (34-802 nodes) a product skips the per-call validation
   overhead of a LAPACK solve wrapper, which outweighs the arithmetic.
 * :meth:`ThermalSolver.steady_state_batch` solves ``A T = P + G_amb T_amb``
@@ -15,21 +15,17 @@ Mapping functional units onto nodes is the model's job
   solves through ``A^-T`` restricted to the inputs and nodes a caller uses.
 * :meth:`ThermalSolver.transient_sequence` integrates
   ``C dT/dt = P - A T + G_amb T_amb`` over a piecewise-constant power trace
-  with an unconditionally stable implicit-Euler scheme.  The step matrix
-  ``C/dt + A`` is inverted once per *distinct* time step and cached on the
-  solver, so each step is one matrix-vector product and every interval
-  sharing a step, and every later trace, reuses a single inverse.
-* ``method="spectral"`` evaluates the *same* implicit-Euler recurrence in
-  closed form through the generalized eigendecomposition of ``(A, C)`` and
-  jumps directly to the sampled instants, replacing the per-step Python loop
-  with a few matrix multiplies per trace.
+  with the unconditionally stable implicit-Euler scheme, evaluated in closed
+  form: in the eigenbasis of the pencil ``(A, C)`` (computed once per
+  solver) every step multiplies each mode's distance to the interval's fixed
+  point by ``mu = 1 / (1 + dt * lambda)``, so every sampled instant of every
+  interval comes out of a few matrix products, whatever mix of step sizes
+  and step counts the intervals use.
 * Time-varying ambient is exact, not quasi-static: the ambient forcing
   ``G_amb * T_amb(t)`` is affine in the RHS, so a per-interval offset
   ``dT_i`` simply turns each interval's constant RHS into
-  ``P_i + G_amb * (T_amb + dT_i)``.  :meth:`ThermalSolver.transient_sequence`
-  accepts the offsets as a ``(num_intervals,)`` array; in the spectral-jump
-  path they only move the per-interval fixed points (already one product
-  with ``A^-T``) and the boundary-jump recurrence — zero extra solves.
+  ``P_i + G_amb * (T_amb + dT_i)``; the offsets only move the per-interval
+  fixed points (already one product with ``A^-T``).
 * Nothing writes to an operator once it is built, and a matrix product only
   reads it, so one solver can serve several threads at once.
 
@@ -55,16 +51,8 @@ from .rc_model import ThermalNetwork
 # the per-instance live views the tests pin against; the registry
 # aggregates across every solver in the process.
 _OBS_STEADY_SOLVES = _obs_counter("thermal.steady_solves")
-_OBS_FACTORIZATIONS = _obs_counter("thermal.step_factorizations")
 _OBS_SEQUENCES = _obs_counter("thermal.transient_sequences")
 _OBS_SPECTRAL_JUMPS = _obs_counter("thermal.spectral_jumps")
-
-#: Transient integration methods accepted by the solver.
-TRANSIENT_METHODS = ("euler", "spectral")
-
-#: Cap on cached step-matrix inverses: traces with many distinct
-#: (e.g. duration-derived) time steps must not grow the cache unboundedly.
-MAX_CACHED_PROPAGATORS = 32
 
 
 @dataclass
@@ -82,12 +70,20 @@ class TransientResult:
     interval_ranges: List[Tuple[int, int]]
 
 
-@dataclass
-class _StepPropagator:
-    """Implicit-Euler operator ``(C/dt + A)^-1`` for one time step."""
+@dataclass(frozen=True)
+class _Eigenbasis:
+    """The pencil ``(A, C)`` diagonalised, as row-vector operators.
 
-    c_over_dt: np.ndarray
-    inverse: np.ndarray
+    With ``C^{-1/2} A C^{-1/2} = U diag(eigenvalues) U^T``, the modal
+    coordinates of a node state ``T`` are ``T @ to_modal``
+    (``= U^T C^{1/2} T``), those of the fixed point ``A^-1 rhs`` are
+    ``rhs @ fixed_to_modal``, and ``modal @ from_modal`` maps back.
+    """
+
+    eigenvalues: np.ndarray
+    to_modal: np.ndarray
+    fixed_to_modal: np.ndarray
+    from_modal: np.ndarray
 
 
 def _check_power(power: np.ndarray) -> None:
@@ -101,9 +97,8 @@ def _check_power(power: np.ndarray) -> None:
 class ThermalSolver:
     """Solves the RC network produced by :func:`build_thermal_network`.
 
-    ``A^-1`` is computed once, at construction; the inverse of ``C/dt + A``
-    once per distinct time step, on first use (up to
-    :data:`MAX_CACHED_PROPAGATORS`, evicted first-in first-out).
+    ``A^-1`` is computed once, at construction; the eigenbasis of ``(A, C)``
+    once, on the first transient.
     """
 
     def __init__(self, network: ThermalNetwork):
@@ -112,23 +107,19 @@ class ThermalSolver:
         #: ``A^-T``: ``rhs_rows @ _steady_operator`` solves ``A T = rhs`` per row.
         self._steady_operator = np.linalg.inv(self._A).T
         self._boundary = network.ambient_conductance * network.ambient_kelvin
-        self._step_cache: Dict[float, _StepPropagator] = {}
-        #: Number of step-matrix inverses built (regression guard: one per
-        #: distinct time step while it stays cached).
-        self.step_factorization_count = 0
         #: Number of steady solves.  A multi-RHS batch counts once, so a
         #: fully batched steady experiment shows exactly one solve
         #: (regression guard for the epoch pipeline).
         self.steady_solve_count = 0
-        #: Number of ``transient_sequence()`` calls.
+        #: Number of ``transient_sequence()`` calls past their argument checks.
         self.transient_sequence_count = 0
-        #: Number of sequences served by the vectorised spectral jump (one
-        #: eigenbasis transform covering the whole trace; regression guard
-        #: for the fast path staying engaged on shared-dt traces).
+        #: Number of whole-trace eigenbasis evaluations, one per sequence:
+        #: equal to ``transient_sequence_count`` while every transient takes
+        #: the closed form (the regression guard that it does).
         self.spectral_jump_count = 0
-        self._spectral_basis: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._spectral_basis: Optional[_Eigenbasis] = None
         # A chip configuration, and so its solver, may be shared by callers
-        # on several threads; guard the lazily-built caches.
+        # on several threads; guard the lazily-built eigenbasis.
         self._cache_lock = threading.Lock()
 
     def __getstate__(self):
@@ -143,29 +134,12 @@ class ThermalSolver:
         self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def _step_propagator(self, time_step_s: float) -> _StepPropagator:
-        with self._cache_lock:
-            cached = self._step_cache.get(time_step_s)
-            if cached is not None:
-                return cached
-            c_over_dt = self.network.capacitance / time_step_s
-            propagator = _StepPropagator(
-                c_over_dt, np.linalg.inv(np.diag(c_over_dt) + self._A)
-            )
-            self.step_factorization_count += 1
-            _OBS_FACTORIZATIONS.add()
-            if len(self._step_cache) >= MAX_CACHED_PROPAGATORS:
-                # FIFO eviction (dict preserves insertion order).
-                self._step_cache.pop(next(iter(self._step_cache)))
-            self._step_cache[time_step_s] = propagator
-            return propagator
-
-    def _spectral(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _spectral(self) -> _Eigenbasis:
         """Orthonormal eigenbasis of ``C^{-1/2} A C^{-1/2}`` (computed once).
 
         ``A`` is symmetric positive definite and ``C`` diagonal positive, so
-        the symmetrized pencil has real non-negative eigenvalues; in this
-        basis one implicit-Euler step multiplies each mode by
+        the symmetrized pencil has real positive eigenvalues; in this basis
+        one implicit-Euler step multiplies each mode by
         ``1 / (1 + dt * lambda)``.
         """
         with self._cache_lock:
@@ -173,30 +147,14 @@ class ThermalSolver:
                 c_sqrt = np.sqrt(self.network.capacitance)
                 symmetric = self._A / np.outer(c_sqrt, c_sqrt)
                 eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
-                self._spectral_basis = (c_sqrt, eigenvalues, eigenvectors)
+                to_modal = c_sqrt[:, np.newaxis] * eigenvectors
+                self._spectral_basis = _Eigenbasis(
+                    eigenvalues=eigenvalues,
+                    to_modal=to_modal,
+                    fixed_to_modal=self._steady_operator @ to_modal,
+                    from_modal=eigenvectors.T / c_sqrt[np.newaxis, :],
+                )
             return self._spectral_basis
-
-    def _spectral_samples(
-        self,
-        state: np.ndarray,
-        rhs_const: np.ndarray,
-        time_step_s: float,
-        step_counts: np.ndarray,
-    ) -> np.ndarray:
-        """Implicit-Euler iterates ``T_k`` for the given step counts, directly.
-
-        The k-th iterate of ``(C/dt + A) T_{k+1} = C/dt T_k + P`` is
-        ``T_k = T* + C^{-1/2} U diag(mu^k) U^T C^{1/2} (T_0 - T*)`` with
-        ``mu = 1 / (1 + dt * lambda)`` and ``T*`` the steady state, so all
-        sampled instants come out of one pair of matrix multiplies.
-        """
-        c_sqrt, eigenvalues, eigenvectors = self._spectral()
-        fixed_point = rhs_const @ self._steady_operator
-        weights = eigenvectors.T @ (c_sqrt * (state - fixed_point))
-        decay = 1.0 / (1.0 + time_step_s * eigenvalues)
-        powers = decay[np.newaxis, :] ** step_counts[:, np.newaxis]
-        deviations = (powers * weights[np.newaxis, :]) @ eigenvectors.T
-        return fixed_point[np.newaxis, :] + deviations / c_sqrt[np.newaxis, :]
 
     def _ambient_offsets_of(
         self, ambient_offsets_kelvin, num_intervals: int
@@ -292,24 +250,24 @@ class ThermalSolver:
         node_powers,
         initial_state: Optional[np.ndarray] = None,
         time_step_s: Optional[float] = None,
-        method: str = "euler",
         ambient_offsets_kelvin=None,
     ) -> TransientResult:
         """Integrate a piecewise-constant power trace.
 
         Interval ``i`` lasts ``durations_s[i]`` seconds under the node-space
-        power ``node_powers[i]`` (a ``(num_intervals, num_nodes)`` matrix).
-        All intervals sharing a time step reuse one cached step inverse
-        (``"euler"``) or one eigendecomposition (``"spectral"``); thermal
-        state is carried across interval boundaries.  The result's
+        power ``node_powers[i]`` (a ``(num_intervals, num_nodes)`` matrix);
+        thermal state is carried across interval boundaries.  The result's
         :attr:`TransientResult.interval_ranges` records each interval's
         sample-row range so per-interval metrics can be reduced from the
         concatenated samples without re-integrating.
 
         ``initial_state`` is a node vector in kelvin (default: ambient
-        everywhere, a cold chip).  ``time_step_s`` is the implicit-Euler step;
-        by default each interval uses ``duration / 200`` bounded to at most
-        1 ms, which resolves the die-level time constants.
+        everywhere, a cold chip).  ``time_step_s`` is the implicit-Euler step
+        (clamped to each interval's duration); by default each interval uses
+        ``duration / 200`` bounded to at most 1 ms, which resolves the
+        die-level time constants.  An interval of ``n`` steps contributes its
+        start state and the ``n`` iterates of
+        ``(C/dt + A) T_{k+1} = C/dt T_k + P + G_amb T_amb``.
 
         ``ambient_offsets_kelvin`` (optional, one entry per interval) shifts
         the ambient boundary temperature per interval: interval ``i`` is
@@ -318,244 +276,133 @@ class ThermalSolver:
         — time-varying ambient is exact, not quasi-static.  When no initial
         state is given, the cold start equilibrates at the *first* interval's
         ambient (``A @ 1 = G_amb``, so that state is uniform).
-
-        With ``method="spectral"`` and every interval resolving to the same
-        time step (the migration-epoch case: equal durations, one dt), the
-        whole trace is evaluated through **one** eigenbasis transform: the
-        per-interval weight projections collapse into a propagation of the
-        modal coordinates across interval boundaries plus a single matrix
-        multiply over all sampled instants — identical trajectory to the
-        per-interval path up to floating-point roundoff.  Ambient offsets
-        ride that path for free: they only move the per-interval fixed points
-        (already one product with ``A^-T``) and the boundary-jump recurrence.
         """
         durations = np.asarray(durations_s, dtype=float)
         if durations.ndim != 1 or durations.size == 0:
             raise ValueError("at least one interval is required")
+        if not np.isfinite(durations).all():
+            raise ValueError("durations_s must be finite (no NaN or inf)")
         if durations.min() <= 0:
             raise ValueError("duration must be positive")
-        if method not in TRANSIENT_METHODS:
-            raise ValueError(f"method must be one of {TRANSIENT_METHODS}")
+        if time_step_s is not None and not time_step_s > 0:
+            raise ValueError(f"time_step_s must be positive, got {time_step_s}")
         powers = self._node_powers(
             node_powers, (durations.size, self.network.num_nodes)
         )
+        offsets = self._ambient_offsets_of(ambient_offsets_kelvin, durations.size)
+        state = self._initial_state(initial_state, offsets)
         self.transient_sequence_count += 1
         _OBS_SEQUENCES.add()
-        with _obs_span(
-            "thermal.transient_sequence", intervals=durations.size, method=method
-        ):
-            return self._transient_sequence(
-                durations.tolist(),
-                powers,
-                initial_state=initial_state,
-                time_step_s=time_step_s,
-                method=method,
-                ambient_offsets_kelvin=ambient_offsets_kelvin,
-            )
+        with _obs_span("thermal.transient_sequence", intervals=durations.size):
+            return self._closed_form(durations, powers, state, time_step_s, offsets)
 
-    def _transient_sequence(
-        self,
-        durations: List[float],
-        powers: np.ndarray,
-        initial_state: Optional[np.ndarray],
-        time_step_s: Optional[float],
-        method: str,
-        ambient_offsets_kelvin,
-    ) -> TransientResult:
+    def _initial_state(
+        self, initial_state: Optional[np.ndarray], offsets: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """The checked start state: ``initial_state``, or a cold chip at the
+        first interval's ambient."""
         network = self.network
-        offsets = self._ambient_offsets_of(ambient_offsets_kelvin, len(durations))
         if initial_state is None:
-            # A cold chip, at the first interval's ambient.
             ambient = network.ambient_kelvin
             if offsets is not None:
                 ambient = ambient + offsets[0]
-            state = np.full(network.num_nodes, ambient, dtype=float)
-        else:
-            state = np.asarray(initial_state, dtype=float).copy()
-            if state.shape != (network.num_nodes,):
-                raise ValueError("initial state has wrong number of nodes")
-            if not np.isfinite(state).all():
-                raise ValueError("initial state must be finite (no NaN or inf)")
-        if method == "spectral":
-            jumped = self._spectral_sequence_jump(
-                durations, powers, state, time_step_s, ambient_offsets=offsets
-            )
-            if jumped is not None:
-                return jumped
-        all_times: List[np.ndarray] = []
-        histories: List[np.ndarray] = []
-        offset = 0.0
-        row_offset = 0
-        ranges: List[Tuple[int, int]] = []
-        for index, duration in enumerate(durations):
-            rhs_const = powers[index] + self._boundary
-            if offsets is not None and offsets[index]:
-                rhs_const = rhs_const + float(offsets[index]) * network.ambient_conductance
-            times, history = self._integrate_interval(
-                state, rhs_const, duration, time_step_s, method
-            )
-            state = history[-1]
-            all_times.append(times + offset)
-            # Advance by the integrated span (steps * dt), not the nominal
-            # duration: when the duration is not an integer multiple of the
-            # step the two differ, and stamping the next interval's origin at
-            # the nominal duration would let sample times overlap it.
-            offset += times[-1]
-            ranges.append((row_offset, row_offset + times.size))
-            row_offset += times.size
-            histories.append(history)
-        return TransientResult(
-            times_s=np.concatenate(all_times),
-            node_kelvin=np.concatenate(histories),
-            final_state_kelvin=state.copy(),
-            interval_ranges=ranges,
-        )
+            return np.full(network.num_nodes, ambient, dtype=float)
+        state = np.asarray(initial_state, dtype=float)
+        if state.shape != (network.num_nodes,):
+            raise ValueError("initial state has wrong number of nodes")
+        if not np.isfinite(state).all():
+            raise ValueError("initial state must be finite (no NaN or inf)")
+        return state
 
-    def _integrate_interval(
+    def _closed_form(
         self,
-        state: np.ndarray,
-        rhs_const: np.ndarray,
-        duration_s: float,
-        time_step_s: Optional[float],
-        method: str,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample times and ``(steps + 1, num_nodes)`` history of one interval.
-
-        Row 0 is ``state``; row ``k`` is the state after ``k`` implicit-Euler
-        steps of ``(C/dt + A) T_{k+1} = C/dt T_k + rhs_const``.
-        """
-        if time_step_s is None:
-            time_step_s = min(duration_s / 200.0, 1e-3)
-        time_step_s = min(time_step_s, duration_s)
-        steps = max(1, int(round(duration_s / time_step_s)))
-        step_numbers = np.arange(1, steps + 1, dtype=np.int64)
-        times = np.concatenate(([0.0], step_numbers * time_step_s))
-        history = np.empty((steps + 1, self.network.num_nodes))
-        history[0] = state
-        if method == "spectral":
-            history[1:] = self._spectral_samples(
-                state, rhs_const, time_step_s, step_numbers
-            )
-            return times, history
-        propagator = self._step_propagator(time_step_s)
-        inverse, c_over_dt = propagator.inverse, propagator.c_over_dt
-        for k in range(steps):
-            state = inverse @ (c_over_dt * state + rhs_const)
-            history[k + 1] = state
-        return times, history
-
-    # ------------------------------------------------------------------
-    def _spectral_sequence_jump(
-        self,
-        durations: List[float],
+        durations: np.ndarray,
         powers: np.ndarray,
         state: np.ndarray,
         time_step_s: Optional[float],
-        ambient_offsets: Optional[np.ndarray] = None,
-    ) -> Optional[TransientResult]:
-        """Whole-trace spectral evaluation when every interval shares one dt.
+        offsets: Optional[np.ndarray],
+    ) -> TransientResult:
+        """The implicit-Euler trajectory of the whole trace, in closed form.
 
-        Returns None when the intervals resolve to different time steps (the
-        caller then falls back to the per-interval loop).  Otherwise the
-        implicit-Euler trajectory of the whole piecewise-constant trace is
-        produced from a single eigendecomposition: the modal coordinates
-        ``z_i`` of the deviation from each interval's fixed point obey
+        In modal coordinates ``m`` (see :class:`_Eigenbasis`), ``k`` steps of
+        size ``dt`` from ``T_0`` towards the fixed point ``T* = A^-1 rhs``
+        reach ``m(T_0) + (1 - mu^k) (m(T*) - m(T_0))`` with
+        ``mu = 1 / (1 + dt * lambda)``.  So one product gives every
+        interval's fixed point in modal coordinates, the recurrence over the
+        intervals carries the modal start state across boundaries, and one
+        product brings every sample's increment over its interval's start
+        state back to node space.
 
-        ``z_{i+1} = mu^{n_i} z_i + U^T C^{1/2} (T*_i - T*_{i+1})``
-
-        (``mu = 1/(1 + dt lambda)``, ``n_i`` steps in interval ``i``), so one
-        product with ``A^-T`` yields every fixed point, one short recurrence
-        propagates the modal state across interval boundaries, and one matrix
-        multiply evaluates every step of every interval.
-
-        Per-interval ambient offsets are affine in the RHS, so they fold into
-        the fixed points (``T*_i`` solves ``P_i + G_amb (T_amb + dT_i)``) and
-        flow through the same recurrence — no extra solves.
+        The increment form ``T_0 + (1 - mu^k)(T* - T_0)``, with
+        ``1 - mu^k = -expm1(-k log1p(dt lambda))``, keeps its precision when
+        ``dt * lambda`` is far below machine epsilon: ``mu`` then rounds to
+        1, and the equivalent ``T* + mu^k (T_0 - T*)`` would cancel two huge
+        numbers where the increment tends to the deposited energy over
+        ``C``.  The ``1 - mu^k`` tables are built once per distinct
+        ``(dt, steps)`` pair in the trace.
         """
-        network = self.network
-
-        steps_list = []
-        shared_dt: Optional[float] = None
-        for duration in durations:
-            dt = time_step_s if time_step_s is not None else min(duration / 200.0, 1e-3)
-            dt = min(dt, duration)
-            if shared_dt is None:
-                shared_dt = dt
-            elif dt != shared_dt:
-                return None
-            steps_list.append(max(1, int(round(duration / dt))))
-        assert shared_dt is not None
+        basis = self._spectral()
+        requested = np.minimum(durations / 200.0, 1e-3) if time_step_s is None else time_step_s
+        time_steps = np.minimum(requested, durations)
+        steps = np.maximum(1, np.rint(durations / time_steps)).astype(np.int64)
         self.spectral_jump_count += 1
         _OBS_SPECTRAL_JUMPS.add()
 
-        rhs = powers + self._boundary[np.newaxis, :]
-        if ambient_offsets is not None:
-            # The affine ambient boundary term: each interval's RHS becomes
-            # P_i + G_amb (T_amb + dT_i).  Same single product.
-            rhs = rhs + ambient_offsets[:, np.newaxis] * network.ambient_conductance[np.newaxis, :]
-        fixed_points = rhs @ self._steady_operator  # (num_intervals, n)
+        rhs = powers + self._boundary
+        if offsets is not None:
+            rhs += offsets[:, np.newaxis] * self.network.ambient_conductance
+        modal_fixed = rhs @ basis.fixed_to_modal
 
-        c_sqrt, eigenvalues, eigenvectors = self._spectral()
-        decay = 1.0 / (1.0 + shared_dt * eigenvalues)
-        num_intervals = len(durations)
-        steps_arr = np.asarray(steps_list, dtype=np.int64)
-        # Modal decay over each interval's full step count, and the modal
-        # jumps induced by the fixed point changing at each boundary.
-        interval_decay = decay[np.newaxis, :] ** steps_arr[:, np.newaxis]
-        if num_intervals > 1:
-            boundary_jumps = (
-                (fixed_points[:-1] - fixed_points[1:]) * c_sqrt[np.newaxis, :]
-            ) @ eigenvectors
-        z_starts = np.empty((num_intervals, network.num_nodes))
-        z = eigenvectors.T @ (c_sqrt * (state - fixed_points[0]))
-        for index in range(num_intervals):
-            z_starts[index] = z
-            if index + 1 < num_intervals:
-                z = z * interval_decay[index] + boundary_jumps[index]
+        # Row k of an interval's table is ``1 - mu^k`` for k = 0..steps, and
+        # its step times ``k * dt``; k = 0 is the interval's start state.
+        tables: Dict[Tuple[float, int], Tuple[np.ndarray, np.ndarray]] = {}
+        rises = []
+        step_times = []
+        for key in zip(time_steps.tolist(), steps.tolist()):
+            if key not in tables:
+                dt, count = key
+                k = np.arange(count + 1, dtype=float)
+                log_decay = np.log1p(dt * basis.eigenvalues)
+                tables[key] = (-np.expm1(np.multiply.outer(-k, log_decay)), k * dt)
+            rise, times = tables[key]
+            rises.append(rise)
+            step_times.append(times)
+        rise_rows = np.concatenate(rises)
+        rows_per_interval = steps + 1
+        stops = np.cumsum(rows_per_interval)
 
-        # Every step of every interval in one matrix multiply.  Equal-duration
-        # traces (the migration-epoch case) share one step count, so the
-        # modal decay powers are computed once and broadcast across intervals
-        # instead of materialised per sample row.
-        step_numbers = [np.arange(1, steps + 1, dtype=np.int64) for steps in steps_list]
-        if (steps_arr == steps_arr[0]).all():
-            base_pow = decay[np.newaxis, :] ** step_numbers[0][:, np.newaxis]
-            modal = base_pow[np.newaxis, :, :] * z_starts[:, np.newaxis, :]
-        else:
-            modal = (
-                decay[np.newaxis, :] ** np.concatenate(step_numbers)[:, np.newaxis]
-            ) * np.repeat(z_starts, steps_arr, axis=0)
-        stepped_temps = np.repeat(fixed_points, steps_arr, axis=0) + (
-            modal.reshape(-1, network.num_nodes) @ eigenvectors.T
-        ) / c_sqrt[np.newaxis, :]
+        # Modal start states: s_{i+1} = mu_i s_i + (1 - mu_i) m(T*_i), with
+        # mu_i the decay over interval i's whole step count.  A doubling
+        # scan composes these affine maps, so after it map i takes s_0 to
+        # s_{i+1} in one multiply-add.
+        rise_ends = rise_rows[stops[:-1] - 1]
+        factors = 1.0 - rise_ends
+        pulls = rise_ends * modal_fixed[:-1]
+        shift = 1
+        while shift < len(factors):
+            pulls[shift:] += factors[shift:] * pulls[:-shift]
+            factors[shift:] *= factors[:-shift]
+            shift *= 2
+        modal_start = state @ basis.to_modal
+        gaps = modal_fixed.copy()
+        gaps[0] -= modal_start
+        gaps[1:] -= factors * modal_start + pulls
 
-        # Assemble per-interval blocks: the interval's t=0 row is the carried
-        # state (exactly the previous interval's final sample), then its
-        # stepped rows — the same layout the per-interval loop produces.
-        history = np.empty((int(steps_arr.sum()) + num_intervals, network.num_nodes))
-        all_times: List[np.ndarray] = []
-        ranges: List[Tuple[int, int]] = []
-        offset = 0.0
-        row = 0
-        sample_row = 0
-        for index, steps in enumerate(steps_list):
-            block = stepped_temps[sample_row : sample_row + steps]
-            history[row] = state
-            history[row + 1 : row + 1 + steps] = block
-            state = block[-1]
-            times = np.concatenate(([0.0], step_numbers[index] * shared_dt))
-            all_times.append(times + offset)
-            # Match the per-interval path: the next interval starts where the
-            # integrated samples end (steps * dt), not at the nominal
-            # duration, so sample times never overlap the next origin.
-            offset += steps * shared_dt
-            ranges.append((row, row + steps + 1))
-            row += steps + 1
-            sample_row += steps
+        increments = (rise_rows * np.repeat(gaps, rows_per_interval, axis=0)) @ basis.from_modal
+        # Each start is the previous start plus that interval's last
+        # increment, added in the same order as its last row below, so an
+        # interval's t=0 row equals the previous interval's last row exactly.
+        starts = np.cumsum(
+            np.concatenate((state[np.newaxis, :], increments[stops[:-1] - 1])), axis=0
+        )
+        node_kelvin = np.repeat(starts, rows_per_interval, axis=0) + increments
 
+        origins = np.concatenate(([0.0], np.cumsum(steps * time_steps)[:-1]))
+        times = np.concatenate(step_times) + np.repeat(origins, rows_per_interval)
+        first_rows = stops - rows_per_interval
         return TransientResult(
-            times_s=np.concatenate(all_times),
-            node_kelvin=history,
-            final_state_kelvin=state.copy(),
-            interval_ranges=ranges,
+            times_s=times,
+            node_kelvin=node_kelvin,
+            final_state_kelvin=node_kelvin[-1].copy(),
+            interval_ranges=list(zip(first_rows.tolist(), stops.tolist())),
         )

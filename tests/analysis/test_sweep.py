@@ -66,16 +66,16 @@ class TestPeriodSweep:
         assert "874.4" in text
 
     def test_steady_sweep_makes_one_solve_per_period(self):
-        """One batched steady solve per period, no step factorisations."""
+        """One batched steady solve per period, no transient."""
         from repro.chips import get_configuration
 
         chip = get_configuration("A")
         solver = chip.thermal_model.solver
         solves_before = solver.steady_solve_count
-        factorizations_before = solver.step_factorization_count
+        sequences_before = solver.transient_sequence_count
         run_period_sweep("A", periods_us=PAPER_PERIODS_US, mode="steady", num_epochs=9)
         assert solver.steady_solve_count - solves_before == len(PAPER_PERIODS_US)
-        assert solver.step_factorization_count == factorizations_before
+        assert solver.transient_sequence_count == sequences_before
 
     def test_points_follow_the_requested_order(self):
         periods = (874.4, 109.0, 437.2)

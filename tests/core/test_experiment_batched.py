@@ -5,8 +5,12 @@ per epoch into the thermal model (one solve per epoch in steady mode, one
 one-interval transient per epoch in transient mode).  The batched pipeline
 must reproduce those numbers to <1e-9 K on the paper's chip configurations;
 the reference implementations below replicate the seed loops on top of the
-public dict views and one-interval ``transient_sequence`` calls.
+public dict views and one-interval transients, through the runtime model or
+the LU-factored implicit-Euler loop of ``tests/thermal/lu_oracle.py``.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,11 @@ from repro.core.experiment import ExperimentSettings, ThermalExperiment
 from repro.core.metrics import ThermalMetrics
 from repro.core.policy import PeriodicMigrationPolicy, PolicyContext
 from repro.power.trace import PowerTrace, map_to_vector, vector_to_map
+from repro.stream import EpochWindow
 from repro.thermal.hotspot import HotSpotModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "thermal"))
+from lu_oracle import LuSolver  # noqa: E402
 
 #: Configurations the parity suite pins (both mesh sizes plus the
 #: centre-hotspot case where rotation's energy penalty matters).
@@ -74,9 +82,14 @@ def reference_steady(chip, policy, settings, thermal_model=None):
     return baseline, per_epoch, settled
 
 
-def reference_transient(chip, policy, settings, thermal_model=None):
-    """The seed transient mode: one one-interval transient per epoch."""
+def reference_transient(chip, policy, settings, thermal_model=None, engine="closed-form"):
+    """The seed transient mode: one one-interval transient per epoch.
+
+    ``engine`` integrates each epoch through the runtime model
+    (``"closed-form"``) or the LU-factored Euler loop (``"lu-euler"``).
+    """
     model = thermal_model or chip.thermal_model
+    oracle = LuSolver(model.network)
     topology = chip.topology
     period_s = policy.period_us * 1e-6
     time_step = period_s / settings.transient_steps_per_epoch
@@ -91,12 +104,20 @@ def reference_transient(chip, policy, settings, thermal_model=None):
     peak_by_epoch = []
     per_epoch = []
     for power, _cost, _name in epochs:
-        result = model.transient_sequence(
-            PowerTrace(topology, [period_s], [map_to_vector(topology, power)]),
-            initial_state=state,
-            time_step_s=time_step,
-            method=settings.thermal_method,
-        )
+        row = map_to_vector(topology, power)
+        if engine == "lu-euler":
+            result = oracle.transient_sequence(
+                [period_s],
+                model.node_power_matrix(row),
+                initial_state=state,
+                time_step_s=time_step,
+            )
+        else:
+            result = model.transient_sequence(
+                PowerTrace(topology, [period_s], [row]),
+                initial_state=state,
+                time_step_s=time_step,
+            )
         state = result.final_state_kelvin
         series = model.unit_series(result)
         final = {
@@ -160,34 +181,27 @@ class TestSteadyParity:
         policy = PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0)
         experiment = ThermalExperiment(chip, policy, settings=STEADY)
         solves_before = solver.steady_solve_count
-        factorizations_before = solver.step_factorization_count
+        sequences_before = solver.transient_sequence_count
         experiment.run()
         # One multi-RHS solve for baseline + all epochs + settled average,
-        # zero transient step-matrix factorisations.
+        # no transient.
         assert solver.steady_solve_count - solves_before == 1
-        assert solver.step_factorization_count == factorizations_before
+        assert solver.transient_sequence_count == sequences_before
 
 
 @pytest.mark.parametrize("config_name", PARITY_CONFIGURATIONS)
-@pytest.mark.parametrize("method", ["euler", "spectral"])
+@pytest.mark.parametrize("engine", ["closed-form", "lu-euler"])
 class TestTransientParity:
-    def test_sequenced_transient_matches_seed_path(self, config_name, method):
+    def test_sequenced_transient_matches_seed_path(self, config_name, engine):
         chip = get_configuration(config_name)
-        settings = ExperimentSettings(
-            num_epochs=TRANSIENT.num_epochs,
-            mode="transient",
-            settle_epochs=TRANSIENT.settle_epochs,
-            transient_steps_per_epoch=TRANSIENT.transient_steps_per_epoch,
-            thermal_method=method,
-        )
         policy = PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0)
-        result = ThermalExperiment(chip, policy, settings=settings).run()
+        result = ThermalExperiment(chip, policy, settings=TRANSIENT).run()
 
         reference_policy = PeriodicMigrationPolicy(
             chip.topology, "xy-shift", period_us=109.0
         )
         per_epoch, _peaks, settled_peak, settled_mean = reference_transient(
-            chip, reference_policy, settings
+            chip, reference_policy, TRANSIENT, engine=engine
         )
 
         assert result.settled_peak_celsius == pytest.approx(settled_peak, abs=1e-9)
@@ -199,6 +213,49 @@ class TestTransientParity:
             assert record.thermal.mean_celsius == pytest.approx(
                 expected.mean_celsius, abs=1e-9
             )
+
+
+#: Epoch periods for the mixed-step parity: with 4 steps of 27.25 us per
+#: nominal epoch, the scaled epochs take 2-12 steps, and the 0.1 and 0.2
+#: epochs are shorter than one step, so they take one step of their own size.
+PERIOD_SCALES = np.array([1.0, 0.5, 2.0, 0.1, 1.0, 3.0, 0.2, 1.0, 1.5])
+
+
+@pytest.mark.parametrize("config_name", PARITY_CONFIGURATIONS)
+def test_period_scaled_transient_matches_lu_euler(config_name):
+    """Mixed epoch durations go through the one closed form and equal the
+    LU-factored Euler loop run epoch by epoch, to <1e-9 C."""
+    chip = get_configuration(config_name)
+    policy = PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0)
+    window = EpochWindow(num_epochs=TRANSIENT.num_epochs, period_scale=PERIOD_SCALES)
+    result = ThermalExperiment(chip, policy, settings=TRANSIENT, schedule=window).run()
+
+    model = chip.thermal_model
+    oracle = LuSolver(model.network)
+    durations = np.array([109.0 * scale for scale in PERIOD_SCALES.tolist()]) * 1e-6
+    rows = np.array(
+        [map_to_vector(chip.topology, record.power_map) for record in result.epochs]
+    )
+    state = model.warm_state(durations @ rows / durations.sum())
+    time_step = 109e-6 / TRANSIENT.transient_steps_per_epoch
+    peak_by_epoch = []
+    for record, duration, row in zip(result.epochs, durations, rows):
+        reference = oracle.transient_sequence(
+            [duration],
+            model.node_power_matrix(row),
+            initial_state=state,
+            time_step_s=time_step,
+        )
+        state = reference.final_state_kelvin
+        series = model.unit_series(reference)
+        peak_by_epoch.append(float(series.max()))
+        for index, coord in enumerate(chip.topology.coordinates()):
+            assert record.thermal.per_unit_celsius[coord] == pytest.approx(
+                float(series[index, -1]), abs=1e-9
+            )
+    assert result.settled_peak_celsius == pytest.approx(
+        max(peak_by_epoch[-TRANSIENT.settle_epochs:]), abs=1e-9
+    )
 
 
 class TestTransientGuards:

@@ -131,7 +131,6 @@ def reference_transient_feedback(chip, policy, settings, model):
             PowerTrace(chip.topology, [period_s], [power]),
             initial_state=state,
             time_step_s=time_step,
-            method=settings.thermal_method,
         )
         state = result.final_state_kelvin
         series = model.unit_series(result)

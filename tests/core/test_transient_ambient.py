@@ -6,11 +6,15 @@ package (``ambient_celsius + offset``) and integrate the epoch with a
 one-interval ``transient_sequence`` call, carrying the state by hand.  The
 batched pipeline — one ``transient_sequence`` call with the per-interval
 affine boundary term ``G_amb * (T_amb + dT_i)`` — must reproduce those
-trajectories to <1e-9 on both integration methods and at block and grid
-resolution, while issuing zero extra solves.
+trajectories to <1e-9, whether the reference integrates each epoch through
+the runtime model or through the LU-factored implicit-Euler loop of
+``tests/thermal/lu_oracle.py``, at block and grid resolution, while issuing
+zero extra solves.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,9 @@ from repro.power.trace import PowerTrace, map_to_vector
 from repro.stream import EpochWindow
 from repro.thermal.hotspot import HotSpotModel
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "thermal"))
+from lu_oracle import LuSolver  # noqa: E402
+
 NUM_EPOCHS = 8
 SETTLE = 6
 STEPS_PER_EPOCH = 4
@@ -33,14 +40,12 @@ PERIOD_US = 109.0
 OFFSETS = np.array([0.0, 1.5, 3.0, 8.0, 8.0, -2.0, 4.0, 0.5])
 
 
-def _settings(method: str) -> ExperimentSettings:
-    return ExperimentSettings(
-        num_epochs=NUM_EPOCHS,
-        mode="transient",
-        settle_epochs=SETTLE,
-        transient_steps_per_epoch=STEPS_PER_EPOCH,
-        thermal_method=method,
-    )
+SETTINGS = ExperimentSettings(
+    num_epochs=NUM_EPOCHS,
+    mode="transient",
+    settle_epochs=SETTLE,
+    transient_steps_per_epoch=STEPS_PER_EPOCH,
+)
 
 
 def _policy(chip):
@@ -68,8 +73,13 @@ def _experiment_model(chip, kind: str):
     )
 
 
-def _reference_rebuilt_networks(chip, kind: str, epoch_power_maps, method: str):
-    """The seed-style loop with the network rebuilt per epoch's ambient."""
+def _reference_rebuilt_networks(chip, kind: str, epoch_power_maps, engine: str):
+    """The seed-style loop with the network rebuilt per epoch's ambient.
+
+    ``engine`` integrates each epoch through the rebuilt model
+    (``"closed-form"``) or the LU-factored Euler loop on its network
+    (``"lu-euler"``).
+    """
     period_s = PERIOD_US * 1e-6
     time_step = period_s / STEPS_PER_EPOCH
     coords = list(chip.topology.coordinates())
@@ -87,14 +97,20 @@ def _reference_rebuilt_networks(chip, kind: str, epoch_power_maps, method: str):
     per_epoch = []
     for power, offset in zip(epoch_power_maps, OFFSETS):
         model = _model_at_offset(chip, kind, float(offset))
-        result = model.transient_sequence(
-            PowerTrace(
-                chip.topology, [period_s], [map_to_vector(chip.topology, power)]
-            ),
-            initial_state=state,
-            time_step_s=time_step,
-            method=method,
-        )
+        row = map_to_vector(chip.topology, power)
+        if engine == "lu-euler":
+            result = LuSolver(model.network).transient_sequence(
+                [period_s],
+                model.node_power_matrix(row),
+                initial_state=state,
+                time_step_s=time_step,
+            )
+        else:
+            result = model.transient_sequence(
+                PowerTrace(chip.topology, [period_s], [row]),
+                initial_state=state,
+                time_step_s=time_step,
+            )
         state = result.final_state_kelvin
         series = model.unit_series(result)
         peak_by_epoch.append(float(series.max()))
@@ -113,20 +129,20 @@ def _reference_rebuilt_networks(chip, kind: str, epoch_power_maps, method: str):
 
 
 @pytest.mark.parametrize("kind", ["hotspot", "grid"])
-@pytest.mark.parametrize("method", ["euler", "spectral"])
 class TestExactAmbientTransient:
-    def test_matches_per_epoch_rebuilt_network_reference(self, kind, method):
+    @pytest.mark.parametrize("engine", ["closed-form", "lu-euler"])
+    def test_matches_per_epoch_rebuilt_network_reference(self, kind, engine):
         chip = get_configuration("A")
         result = ThermalExperiment(
             chip,
             _policy(chip),
-            settings=_settings(method),
+            settings=SETTINGS,
             thermal_model=_experiment_model(chip, kind),
             schedule=EpochWindow(num_epochs=NUM_EPOCHS, ambient_offsets=OFFSETS),
         ).run()
 
         per_epoch, settled_peak, settled_mean = _reference_rebuilt_networks(
-            chip, kind, [record.power_map for record in result.epochs], method
+            chip, kind, [record.power_map for record in result.epochs], engine
         )
 
         assert result.settled_peak_celsius == pytest.approx(settled_peak, abs=1e-9)
@@ -143,7 +159,7 @@ class TestExactAmbientTransient:
                     value, abs=1e-9
                 )
 
-    def test_still_one_transient_sequence(self, kind, method):
+    def test_still_one_transient_sequence(self, kind):
         chip = get_configuration("A")
         model = _experiment_model(chip, kind)
         solver = model.solver
@@ -153,17 +169,16 @@ class TestExactAmbientTransient:
         ThermalExperiment(
             chip,
             _policy(chip),
-            settings=_settings(method),
+            settings=SETTINGS,
             thermal_model=model,
             schedule=EpochWindow(num_epochs=NUM_EPOCHS, ambient_offsets=OFFSETS),
         ).run()
         # The boundary term is free: baseline + warm start (steady solves)
-        # and one sequence — identical counts to an ambient-free run, and
-        # the spectral jump stays engaged.
+        # and one sequence evaluated in one eigenbasis pass — identical
+        # counts to an ambient-free run.
         assert solver.transient_sequence_count - sequences_before == 1
         assert solver.steady_solve_count - steady_before == 2
-        expected_jumps = 1 if method == "spectral" else 0
-        assert solver.spectral_jump_count - jumps_before == expected_jumps
+        assert solver.spectral_jump_count - jumps_before == 1
 
 
 class TestQuasiStaticIsGone:
@@ -180,12 +195,12 @@ class TestQuasiStaticIsGone:
         step = np.concatenate([np.zeros(4), np.full(4, 10.0)])
 
         nominal = ThermalExperiment(
-            chip, _policy(chip), settings=_settings("euler")
+            chip, _policy(chip), settings=SETTINGS
         ).run()
         exact = ThermalExperiment(
             chip,
             _policy(chip),
-            settings=_settings("euler"),
+            settings=SETTINGS,
             schedule=EpochWindow(num_epochs=NUM_EPOCHS, ambient_offsets=step),
         ).run()
 
@@ -203,13 +218,13 @@ class TestQuasiStaticIsGone:
         reference = ThermalExperiment(
             chip,
             _policy(chip),
-            settings=_settings("spectral"),
+            settings=SETTINGS,
             thermal_model=shifted_model,
         ).run()
         exact = ThermalExperiment(
             chip,
             _policy(chip),
-            settings=_settings("spectral"),
+            settings=SETTINGS,
             schedule=EpochWindow(
                 num_epochs=NUM_EPOCHS, ambient_offsets=np.full(NUM_EPOCHS, offset)
             ),

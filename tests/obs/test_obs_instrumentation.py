@@ -61,9 +61,10 @@ class TestThermalSolver:
         snapshot = obs.get_registry().snapshot()
         assert snapshot.counters["thermal.steady_solves"] == 2
         assert snapshot.counters["thermal.transient_sequences"] == 1
-        assert snapshot.counters["thermal.step_factorizations"] >= 1
+        assert snapshot.counters["thermal.spectral_jumps"] == 1
         assert solver.steady_solve_count == 2
         assert solver.transient_sequence_count == 1
+        assert solver.spectral_jump_count == 1
 
     @pytest.mark.parametrize("name", ["steady-baseline", "pe-fault-transient"])
     def test_scenario_steady_solves_match_the_solver(self, enabled, name):

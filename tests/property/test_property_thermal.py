@@ -107,11 +107,12 @@ class TestPermutationInvariance:
 
 # ----------------------------------------------------------------------
 # Generated-input oracle: the model at every resolution against the LU
-# solves and against the implicit-Euler loop.
+# solves and the LU-factored implicit-Euler loop.
 # ----------------------------------------------------------------------
-#: The paper's migration periods: mixed interval durations drawn from a
-#: small set keep each cached model's step-inverse cache small.
+#: The paper's migration periods, and the served steps (a period over 4 or
+#: 8 steps), so draws often share a step size across intervals.
 _PERIODS_S = (109e-6, 437.2e-6, 874.4e-6)
+_STEPS_S = (109e-6 / 4, 109e-6 / 8)
 
 
 @lru_cache(maxsize=None)
@@ -178,31 +179,62 @@ class TestModelOracle:
 
     @given(
         key=chip_resolutions,
-        durations=st.lists(st.sampled_from(_PERIODS_S), min_size=1, max_size=4),
+        durations=st.lists(
+            st.sampled_from(_PERIODS_S) | st.floats(1e-6, 2e-3), min_size=1, max_size=12
+        ),
+        time_step_s=st.none() | st.sampled_from(_STEPS_S) | st.floats(2e-5, 1e-3),
         warm=st.booleans(),
         data=st.data(),
     )
-    @settings(max_examples=8, deadline=None)
-    def test_euler_matches_lu_oracle(self, key, durations, warm, data):
-        """Mixed default steps, ambient offsets, cold or warm start."""
+    @settings(max_examples=20, deadline=None)
+    def test_euler_matches_lu_oracle(self, key, durations, time_step_s, warm, data):
+        """The closed form against the LU-factored Euler loop.
+
+        Shared and mixed steps (default steps differ per duration; an
+        explicit step is clamped to short intervals), ambient offsets or
+        none, cold or warm start.
+        """
         model = _chip_model(*key)
-        node_powers = model.node_power_matrix(_power_rows(data, model, len(durations)))
-        offsets = data.draw(arrays(float, len(durations), elements=st.floats(-10.0, 10.0)))
+        powers = _power_rows(data, model, len(durations))
+        node_powers = model.node_power_matrix(powers)
+        offsets = data.draw(
+            st.none() | arrays(float, len(durations), elements=st.floats(-10.0, 10.0))
+        )
         initial = (
-            model.solver.warm_state(node_powers.mean(axis=0), ambient_offset_kelvin=offsets[0])
+            model.warm_state(
+                powers.mean(axis=0),
+                ambient_offset_kelvin=0.0 if offsets is None else offsets[0],
+            )
             if warm
             else None
         )
-        runs = [
-            solver.transient_sequence(
-                durations, node_powers, initial_state=initial, ambient_offsets_kelvin=offsets
-            )
-            for solver in (model.solver, _lu_oracle(*key))
-        ]
-        result, expected = runs
-        assert np.allclose(result.node_kelvin, expected.node_kelvin, rtol=1e-10, atol=0.0)
+        result = model.transient_sequence(
+            PowerTrace(model.topology, durations, powers),
+            initial_state=initial,
+            time_step_s=time_step_s,
+            ambient_offsets_kelvin=offsets,
+        )
+        expected = _lu_oracle(*key).transient_sequence(
+            durations,
+            node_powers,
+            initial_state=initial,
+            time_step_s=time_step_s,
+            ambient_offsets_kelvin=offsets,
+        )
+        assert np.allclose(result.node_kelvin, expected.node_kelvin, rtol=0.0, atol=1e-9)
+        assert np.allclose(
+            result.final_state_kelvin, expected.final_state_kelvin, rtol=0.0, atol=1e-9
+        )
         assert np.array_equal(result.times_s, expected.times_s)
         assert result.interval_ranges == expected.interval_ranges
+        if initial is not None:
+            assert np.array_equal(result.node_kelvin[0], initial)
+        # Each interval starts exactly where the previous one ended.
+        for (_start, stop), (next_start, _stop) in zip(
+            result.interval_ranges, result.interval_ranges[1:]
+        ):
+            assert np.array_equal(result.node_kelvin[next_start], result.node_kelvin[stop - 1])
+        assert np.array_equal(result.final_state_kelvin, result.node_kelvin[-1])
 
     @given(key=chip_resolutions, data=st.data())
     @settings(max_examples=10, deadline=None)
@@ -215,53 +247,3 @@ class TestModelOracle:
         by_coord = model.steady_state_by_coord(power)
         assert list(by_coord) == list(model.topology.coordinates())
         assert list(by_coord.values()) == temps.tolist()
-
-    def _euler_and_spectral(self, key, data, durations, time_step_s):
-        model = _chip_model(*key)
-        powers = _power_rows(data, model, len(durations))
-        offsets = data.draw(arrays(float, len(durations), elements=st.floats(-10.0, 10.0)))
-        trace = PowerTrace(model.topology, durations, powers)
-        warm = model.warm_state(powers.mean(axis=0), ambient_offset_kelvin=offsets[0])
-        results = {}
-        jumps = {}
-        for method in ("euler", "spectral"):
-            before = model.solver.spectral_jump_count
-            results[method] = model.transient_sequence(
-                trace,
-                initial_state=warm,
-                time_step_s=time_step_s,
-                method=method,
-                ambient_offsets_kelvin=offsets,
-            )
-            jumps[method] = model.solver.spectral_jump_count - before
-        euler, spectral = results["euler"], results["spectral"]
-        assert np.allclose(
-            spectral.final_state_kelvin, euler.final_state_kelvin, rtol=0.0, atol=1e-9
-        )
-        assert np.allclose(
-            model.unit_series(spectral), model.unit_series(euler), rtol=0.0, atol=1e-9
-        )
-        assert spectral.interval_ranges == euler.interval_ranges
-        return jumps
-
-    @given(
-        key=chip_resolutions,
-        durations=st.lists(st.sampled_from(_PERIODS_S), min_size=2, max_size=3, unique=True),
-        data=st.data(),
-    )
-    @settings(max_examples=5, deadline=None)
-    def test_spectral_fallback_matches_euler(self, key, durations, data):
-        """Default steps differ per duration: spectral takes the per-interval loop."""
-        jumps = self._euler_and_spectral(key, data, durations, time_step_s=None)
-        assert jumps == {"euler": 0, "spectral": 0}
-
-    @given(
-        key=chip_resolutions,
-        durations=st.lists(st.sampled_from(_PERIODS_S), min_size=1, max_size=4),
-        data=st.data(),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_spectral_jump_matches_euler(self, key, durations, data):
-        """One fixed step for every interval: spectral takes the whole-trace jump."""
-        jumps = self._euler_and_spectral(key, data, durations, time_step_s=_PERIODS_S[0] / 4)
-        assert jumps == {"euler": 0, "spectral": 1}

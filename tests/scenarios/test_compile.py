@@ -124,12 +124,12 @@ class TestCompilation:
     def test_policy_and_settings_follow_spec(self):
         spec = ScenarioSpec(
             name="x", configuration="C", scheme="static", mode="transient",
-            num_epochs=7, thermal_method="spectral",
+            num_epochs=7, transient_steps_per_epoch=3,
         )
         compiled = compile_scenario(spec)
         assert compiled.policy.name == "static"
         assert compiled.settings.mode == "transient"
-        assert compiled.settings.thermal_method == "spectral"
+        assert compiled.settings.transient_steps_per_epoch == 3
         assert compiled.configuration.name == "C"
 
 
@@ -367,8 +367,9 @@ class TestSingleSolveGuarantee:
     one ``transient_sequence`` plus the baseline/warm-start solves
     (transient mode).  Feedback scenarios add exactly
     ``ceil(num_epochs / feedback_stride)`` chunked feedback batches — never
-    a per-epoch solve.  Spectral transients stay on the whole-trace jump,
-    ambient-scheduled or not: one jump per scenario.
+    a per-epoch solve.  Every transient is one whole-trace eigenbasis
+    evaluation, ambient-scheduled or not, whatever its ``thermal_method``
+    label: one jump per transient scenario.
     """
 
     @pytest.mark.parametrize(
@@ -392,14 +393,13 @@ class TestSingleSolveGuarantee:
             solver.transient_sequence_count - sequences_before
             == expected_sequences
         )
-        spectral = spec.mode == "transient" and spec.thermal_method == "spectral"
-        assert solver.spectral_jump_count - jumps_before == int(spectral)
+        assert solver.spectral_jump_count - jumps_before == expected_sequences
 
     def test_ambient_swing_follows_the_schedule_in_one_jump(self):
         """The ~11 C ambient schedule moves the die by more than a degree,
         through one sequence and one spectral jump."""
         spec = get_scenario("ambient-swing-transient")
-        assert spec.mode == "transient" and spec.thermal_method == "spectral"
+        assert spec.mode == "transient"
         solver = get_configuration(spec.configuration).thermal_model.solver
         sequences_before = solver.transient_sequence_count
         jumps_before = solver.spectral_jump_count

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -182,8 +183,7 @@ GOLDEN_COMMANDS = {
     "experiment-C-grid2-transient":
         "experiment -c C --grid 2 --epochs 6 --mode transient",
     "experiment-E-grid2-spectral":
-        "experiment -c E --grid 2 --epochs 6 --mode transient "
-        "--thermal-method spectral",
+        "experiment -c E --grid 2 --epochs 6 --mode transient",
     "experiment-1-epoch": "experiment --epochs 1",
     "experiment-fluid": "experiment --migration-style fluid --epochs 12",
     "experiment-E-batched-no-energy":
@@ -395,6 +395,13 @@ class TestCampaignCommand:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert "report" in captured.err and "Traceback" not in captured.err
+        # Status and list only ask whether the report exists.
+        assert main(["--csv", "campaign", "status", "-d", str(directory)]) == 0
+        header, row = capsys.readouterr().out.splitlines()[-2:]
+        status = dict(zip(header.split(","), row.split(",")))
+        assert (status["jobs"], status["completed"], status["has_report"]) == ("2", "2", "True")
+        assert main(["campaign", "list", "--root", str(tmp_path)]) == 0
+        assert "error" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("n_jobs", ["0", "-2"])
     def test_bad_worker_count_is_one_line_error(self, capsys, tmp_path, n_jobs):
@@ -564,10 +571,10 @@ class TestServeCommand:
         assert len(err.strip().splitlines()) == 1
 
     def test_non_finite_temperature_is_one_line_error(self, tmp_path, capsys):
-        # A 1e-300 period scale amortises the migration energy over ~1e-304 s,
-        # which overflows the transient integration; JSON has no NaN.
+        # A 1e306 load modulation is finite power whose temperatures
+        # overflow the transient integration; JSON has no NaN.
         path = tmp_path / "windows.jsonl"
-        path.write_text('{"num_epochs": 2, "period_scale": [1, 1e-300]}\n')
+        path.write_text('{"num_epochs": 2, "load_modulation": [1, 1e306]}\n')
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["serve", "--input", str(path), "-c", "A",
@@ -576,8 +583,23 @@ class TestServeCommand:
         assert not caught
         captured = capsys.readouterr()
         assert "NaN" not in captured.out
-        assert captured.err.startswith("epoch 1: temperature is not finite")
+        assert captured.err.startswith("epoch 0: temperature is not finite")
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_sub_femtosecond_epoch_is_served(self, tmp_path, capsys):
+        # A 1e-300 period scale amortises the migration energy over
+        # ~1e-304 s: the epoch deposits that energy and nothing more.
+        path = tmp_path / "windows.jsonl"
+        path.write_text('{"num_epochs": 2, "period_scale": [1, 1e-300]}\n')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["serve", "--input", str(path), "-c", "A",
+                         "-s", "xy-shift", "--mode", "transient"]) == 0
+        assert not caught
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        window = json.loads(captured.out.splitlines()[0])
+        assert math.isfinite(window["peak_c"]) and window["peak_c"] < 100.0
 
     @pytest.mark.parametrize("scale, period", [("1e-320", "0.0"), ("1e308", "inf")])
     def test_degenerate_period_is_one_line_error(self, tmp_path, capsys, scale, period):

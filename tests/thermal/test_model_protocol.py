@@ -2,8 +2,8 @@
 
 ``HotSpotModel`` has one array-native interface at every resolution:
 multi-RHS steady batches against the precomputed inverse, and sequenced
-transients with the propagator cache and the spectral sampler.  The grid
-resolution must pass the same cache/spectral parity guards as the block
+transients through the closed-form eigenbasis evaluation.  The grid
+resolution must pass the same count and oracle-parity guards as the block
 resolution — the resolution ablation has no physical reason to be slower.
 """
 
@@ -14,6 +14,8 @@ from repro.noc.topology import MeshTopology
 from repro.power.trace import PowerTrace
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.package import KELVIN_OFFSET
+
+from lu_oracle import LuSolver
 
 
 @pytest.fixture(scope="module")
@@ -125,28 +127,36 @@ class TestSteadyBatch:
 
 
 class TestSequencedTransient:
-    def test_grid_propagator_cache_single_factorisation(self, mesh):
-        """The grid resolution inherits the propagator cache: one step
-        inverse for a whole multi-interval trace (the solver-level
-        regression guard the block resolution already has)."""
+    def test_grid_one_eigenbasis_for_every_trace(self, mesh, monkeypatch):
+        """The grid resolution takes the one closed form: each trace is one
+        eigenbasis evaluation, and the basis is decomposed once per solver."""
+        decompositions = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda matrix: decompositions.append(1) or eigh(matrix)
+        )
         model = HotSpotModel(mesh, resolution=3)
         trace = _trace(mesh, count=8)
         model.transient_sequence(trace, time_step_s=2e-4)
-        assert model.solver.step_factorization_count == 1
-        model.transient_sequence(trace, time_step_s=2e-4)
-        assert model.solver.step_factorization_count == 1
+        assert model.solver.spectral_jump_count == 1
+        model.transient_sequence(trace, time_step_s=1e-4)
+        assert model.solver.spectral_jump_count == 2
+        assert len(decompositions) == 1
 
     def test_grid_spectral_matches_euler(self, mesh):
-        """Spectral sampling on the refined network reproduces the stepped
-        implicit-Euler trajectory to <1e-9 (the block-solver parity bar)."""
+        """The closed form on the refined network reproduces the stepped
+        implicit-Euler trajectory of the LU oracle to <1e-9."""
         model = HotSpotModel(mesh, resolution=2)
         trace = _trace(mesh, count=6)
         state = model.warm_state(trace.powers.mean(axis=0))
-        euler = model.transient_sequence(
-            trace, initial_state=state, time_step_s=2e-4
+        euler = LuSolver(model.network).transient_sequence(
+            trace.durations,
+            model.node_power_matrix(trace.powers),
+            initial_state=state,
+            time_step_s=2e-4,
         )
         spectral = model.transient_sequence(
-            trace, initial_state=state, time_step_s=2e-4, method="spectral"
+            trace, initial_state=state, time_step_s=2e-4
         )
         assert np.allclose(
             model.unit_series(euler), model.unit_series(spectral), atol=1e-9

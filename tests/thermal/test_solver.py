@@ -6,7 +6,7 @@ import pytest
 from repro.thermal.floorplan import mesh_floorplan
 from repro.thermal.package import KELVIN_OFFSET
 from repro.thermal.rc_model import build_thermal_network
-from repro.thermal.solver import MAX_CACHED_PROPAGATORS, TRANSIENT_METHODS, ThermalSolver
+from repro.thermal.solver import ThermalSolver
 
 from lu_oracle import LuSolver
 
@@ -164,10 +164,7 @@ _NON_FINITE_CALLS = {
     "warm state ambient offset": lambda solver: solver.warm_state(
         np.ones(solver.network.num_nodes), ambient_offset_kelvin=np.nan
     ),
-    "euler": lambda solver: _transient(solver, _nan_power(solver.network), 1e-3),
-    "spectral": lambda solver: _transient(
-        solver, _nan_power(solver.network), 1e-3, method="spectral"
-    ),
+    "transient": lambda solver: _transient(solver, _nan_power(solver.network), 1e-3),
     "nan initial state": lambda solver: _transient(
         solver,
         np.ones(solver.network.num_nodes),
@@ -187,6 +184,24 @@ def test_rejects_non_finite_input(solver4, case):
         _NON_FINITE_CALLS[case](solver4)
 
 
+@pytest.mark.parametrize(
+    "durations, time_step_s, argument",
+    [
+        ([1e-3, np.nan], None, "durations_s"),
+        ([np.inf], None, "durations_s"),
+        ([1e-3, -np.inf], None, "durations_s"),
+        ([1e-3], 0.0, "time_step_s"),
+        ([1e-3], np.nan, "time_step_s"),
+        ([1e-3], -1e-4, "time_step_s"),
+    ],
+)
+def test_rejects_bad_interval_arguments(solver4, durations, time_step_s, argument):
+    """Non-finite durations and a step that is not positive name the argument."""
+    powers = np.ones((len(durations), solver4.network.num_nodes))
+    with pytest.raises(ValueError, match=argument):
+        solver4.transient_sequence(durations, powers, time_step_s=time_step_s)
+
+
 def _alternating_intervals(mesh, network, epochs=41, duration=1e-3):
     hot = _uniform_power(mesh, network, 3.0)
     cool = _uniform_power(mesh, network, 1.0)
@@ -194,71 +209,15 @@ def _alternating_intervals(mesh, network, epochs=41, duration=1e-3):
     return np.full(epochs, duration), powers
 
 
-class TestPropagatorCache:
-    def test_cached_matches_uncached_reference(self, mesh4):
-        """Caching must not change the integrated temperatures at all.
-
-        The reference integrates every interval on a fresh solver — one
-        step-matrix inverse per interval — with the state carried by hand,
-        so agreement within 1e-9 kelvin on every node state is the
-        regression bar for the cache.
-        """
-        network = build_thermal_network(mesh_floorplan(mesh4))
-        durations, powers = _alternating_intervals(mesh4, network)
-        state = None
-        chunks = []
-        for duration, power in zip(durations, powers):
-            step = _transient(ThermalSolver(network), power, duration, initial_state=state)
-            state = step.final_state_kelvin
-            chunks.append(step.node_kelvin)
-        actual = ThermalSolver(network).transient_sequence(durations, powers)
-        assert np.allclose(state, actual.final_state_kelvin, atol=1e-9)
-        assert np.allclose(np.concatenate(chunks), actual.node_kelvin, atol=1e-9)
-
-    def test_one_factorization_per_distinct_time_step(self, solver4, mesh4):
-        """Regression: a 41-interval sequence with one dt inverts its step matrix once."""
-        network = solver4.network
-        assert solver4.step_factorization_count == 0
-        solver4.transient_sequence(*_alternating_intervals(mesh4, network), time_step_s=5e-6)
-        assert solver4.step_factorization_count == 1
-        # Same dt again: still one step inverse.
-        power = _uniform_power(mesh4, network, 2.0)
-        _transient(solver4, power, 1e-3, time_step_s=5e-6)
-        assert solver4.step_factorization_count == 1
-        # A second distinct dt adds exactly one more.
-        _transient(solver4, power, 1e-3, time_step_s=1e-5)
-        assert solver4.step_factorization_count == 2
-
-    def test_step_cache_stays_bounded(self, solver4, mesh4):
-        """More distinct steps than the cache holds: FIFO eviction, exact results."""
-        network = solver4.network
-        oracle = LuSolver(network)
-        power = _uniform_power(mesh4, network, 2.0)[np.newaxis, :]
-        warm = solver4.warm_state(_uniform_power(mesh4, network, 1.0))
-        time_steps = [1e-3 / steps for steps in range(2, MAX_CACHED_PROPAGATORS + 10)]
-        for time_step in time_steps:
-            result = solver4.transient_sequence(
-                [1e-3], power, initial_state=warm, time_step_s=time_step
-            )
-            expected = oracle.transient_sequence(
-                [1e-3], power, initial_state=warm, time_step_s=time_step
-            )
-            assert np.allclose(result.node_kelvin, expected.node_kelvin, rtol=1e-10, atol=0)
-            assert len(solver4._step_cache) <= MAX_CACHED_PROPAGATORS
-        assert len(solver4._step_cache) == MAX_CACHED_PROPAGATORS
-        assert solver4.step_factorization_count == len(time_steps)
-        # The first step was evicted: reusing it builds its inverse again.
-        _transient(solver4, power[0], 1e-3, time_step_s=time_steps[0])
-        assert solver4.step_factorization_count == len(time_steps) + 1
-
-
 class TestSpectralMethod:
+    """The closed-form evaluation against the implicit-Euler loop."""
+
     def test_matches_euler_trajectory(self, solver4, mesh4):
-        """Spectral sampling reproduces the implicit-Euler iterates to 1e-9."""
+        """The closed form reproduces the LU oracle's Euler iterates to 1e-9."""
         intervals = _alternating_intervals(mesh4, solver4.network, epochs=11)
-        euler = solver4.transient_sequence(*intervals)
-        spectral = solver4.transient_sequence(*intervals, method="spectral")
-        assert np.allclose(euler.times_s, spectral.times_s)
+        euler = LuSolver(solver4.network).transient_sequence(*intervals)
+        spectral = solver4.transient_sequence(*intervals)
+        assert np.array_equal(euler.times_s, spectral.times_s)
         assert np.allclose(
             euler.final_state_kelvin, spectral.final_state_kelvin, atol=1e-9
         )
@@ -267,78 +226,87 @@ class TestSpectralMethod:
     def test_spectral_converges_to_steady_state(self, solver4, mesh4):
         """A horizon far past the package time constant lands on steady state.
 
-        The spectral sampler makes such horizons cheap: 200 coarse implicit
-        steps instead of millions of fine ones (the implicit-Euler fixed
-        point does not depend on the step size).
+        The closed form makes such horizons cheap: 200 coarse implicit steps
+        cost one table of ``1 - mu^k`` (the implicit-Euler fixed point does
+        not depend on the step size).
         """
         network = solver4.network
         power = _uniform_power(mesh4, network, 2.0)
         steady = _die_celsius(network, _steady(solver4, power))
-        result = _transient(solver4, power, 1e5, time_step_s=500.0, method="spectral")
+        result = _transient(solver4, power, 1e5, time_step_s=500.0)
         final = _die_celsius(network, result.final_state_kelvin)
         assert final.max() == pytest.approx(steady.max(), abs=0.05)
 
-    def test_unknown_method_rejected(self, solver4, mesh4):
-        with pytest.raises(ValueError, match="method"):
-            _transient(
-                solver4, _uniform_power(mesh4, solver4.network, 1.0), 1e-3, method="rk4"
-            )
+    def test_sub_femtosecond_interval_deposits_its_energy(self, solver4, mesh4):
+        """A 109 us period scaled by 1e-300 is the dt -> 0 limit: start + E / C.
+
+        Its power is ~1e298 W per unit, so its fixed point is astronomically
+        hot; the increment form keeps the small rise instead of cancelling
+        two huge numbers, and ``C / dt`` never has to be formed.
+        """
+        network = solver4.network
+        duration = 109e-6 * 1e-300
+        energy = _uniform_power(mesh4, network, 1e-6)
+        start = solver4.warm_state(_uniform_power(mesh4, network, 1.0))
+        result = _transient(solver4, energy / duration, duration, initial_state=start)
+        expected = start + energy / network.capacitance
+        assert np.all(np.isfinite(result.node_kelvin))
+        assert np.allclose(result.final_state_kelvin, expected, rtol=0.0, atol=1e-9)
+        assert np.abs(expected - start).max() > 1e-4
 
 
 class TestSpectralSequenceJump:
-    """The vectorised whole-trace spectral path (one eigenbasis transform)."""
+    """Every sequence is one whole-trace eigenbasis evaluation."""
 
     def test_shared_dt_takes_jump_path(self, solver4, mesh4):
-        solver4.transient_sequence(
-            *_alternating_intervals(mesh4, solver4.network, epochs=9), method="spectral"
-        )
+        solver4.transient_sequence(*_alternating_intervals(mesh4, solver4.network, epochs=9))
         assert solver4.spectral_jump_count == 1
         assert solver4.transient_sequence_count == 1
 
-    def test_mixed_dt_falls_back_to_loop(self, solver4, mesh4):
+    def test_mixed_dt_takes_one_jump(self, solver4, mesh4):
+        """Intervals with different default steps stay in the one closed form."""
         network = solver4.network
         durations, powers = _alternating_intervals(mesh4, network, epochs=4)
         durations = np.append(durations, 7e-3)
         powers = np.vstack([powers, _uniform_power(mesh4, network, 1.5)])
-        result = solver4.transient_sequence(durations, powers, method="spectral")
-        assert solver4.spectral_jump_count == 0
+        result = solver4.transient_sequence(durations, powers)
+        assert solver4.spectral_jump_count == 1
         assert len(result.interval_ranges) == 5
-
-    def test_euler_never_jumps(self, solver4, mesh4):
-        solver4.transient_sequence(*_alternating_intervals(mesh4, solver4.network, epochs=5))
-        assert solver4.spectral_jump_count == 0
+        euler = LuSolver(network).transient_sequence(durations, powers)
+        assert np.array_equal(result.times_s, euler.times_s)
+        assert result.interval_ranges == euler.interval_ranges
+        assert np.allclose(result.node_kelvin, euler.node_kelvin, atol=1e-9)
 
     def test_jump_matches_per_interval_spectral_loop(self, solver4, mesh4):
-        """<1e-9 parity with chaining one-interval spectral sequences by hand.
-
-        The hand-rolled chain restarts the modal projection at every
-        interval with the state carried across boundaries, so it checks the
-        jump's boundary recurrence.
-        """
+        """<1e-9 parity with chaining one-interval sequences by hand, and the
+        t=0 row of every interval is the previous interval's last row."""
         durations, powers = _alternating_intervals(mesh4, solver4.network, epochs=13)
-        jumped = solver4.transient_sequence(durations, powers, method="spectral")
+        jumped = solver4.transient_sequence(durations, powers)
         assert solver4.spectral_jump_count == 1
 
         state = None
         chunks = []
         for duration, power in zip(durations, powers):
-            step = _transient(solver4, power, duration, initial_state=state, method="spectral")
+            step = _transient(solver4, power, duration, initial_state=state)
             state = step.final_state_kelvin
             chunks.append(step.node_kelvin)
 
         assert np.allclose(jumped.node_kelvin, np.concatenate(chunks), atol=1e-9)
         assert np.allclose(jumped.final_state_kelvin, state, atol=1e-9)
+        for (_start, stop), (next_start, _stop) in zip(
+            jumped.interval_ranges, jumped.interval_ranges[1:]
+        ):
+            assert np.array_equal(jumped.node_kelvin[next_start], jumped.node_kelvin[stop - 1])
 
     def test_jump_with_warm_start(self, solver4, mesh4):
         network = solver4.network
         intervals = _alternating_intervals(mesh4, network, epochs=7)
         warm = solver4.warm_state(_uniform_power(mesh4, network, 1.2))
-        jumped = solver4.transient_sequence(
-            *intervals, initial_state=warm, method="spectral"
-        )
-        euler = solver4.transient_sequence(*intervals, initial_state=warm)
-        assert np.allclose(jumped.times_s, euler.times_s)
+        jumped = solver4.transient_sequence(*intervals, initial_state=warm)
+        euler = LuSolver(network).transient_sequence(*intervals, initial_state=warm)
+        assert np.array_equal(jumped.times_s, euler.times_s)
         assert jumped.interval_ranges == euler.interval_ranges
+        assert np.array_equal(jumped.node_kelvin[0], warm)
         assert np.allclose(jumped.node_kelvin, euler.node_kelvin, atol=1e-9)
 
     def test_jump_respects_explicit_time_step(self, solver4, mesh4):
@@ -347,12 +315,11 @@ class TestSpectralSequenceJump:
         powers = np.vstack(
             [_uniform_power(mesh4, network, 2.0), _uniform_power(mesh4, network, 0.5)]
         )
-        # Different durations but one explicit dt: still eligible to jump.
-        jumped = solver4.transient_sequence(
-            durations, powers, time_step_s=2.5e-4, method="spectral"
-        )
+        # Different durations but one explicit dt: different step counts.
+        jumped = solver4.transient_sequence(durations, powers, time_step_s=2.5e-4)
         assert solver4.spectral_jump_count == 1
-        euler = solver4.transient_sequence(durations, powers, time_step_s=2.5e-4)
+        assert jumped.interval_ranges == [(0, 5), (5, 14)]
+        euler = LuSolver(network).transient_sequence(durations, powers, time_step_s=2.5e-4)
         assert np.allclose(jumped.node_kelvin, euler.node_kelvin, atol=1e-9)
 
 
@@ -361,7 +328,7 @@ class TestSharedSolverThreads:
 
     A chip configuration, and so its solver, may be shared across threads.
     Every solve is a matrix product that only reads the solver's operators,
-    and the lazily built step inverses are cached under a lock.
+    and the lazily built eigenbasis is built under a lock.
     """
 
     def test_concurrent_batches_match_serial(self, solver4, mesh4):
@@ -378,7 +345,7 @@ class TestSharedSolverThreads:
             for out in outs:
                 assert np.array_equal(out, expected)
 
-    def test_concurrent_euler_sequences_match_serial(self, mesh4):
+    def test_concurrent_euler_sequences_match_serial(self, mesh4, monkeypatch):
         """More threads than cores, fast switching, one cold shared solver."""
         import concurrent.futures as cf
         import sys
@@ -392,6 +359,11 @@ class TestSharedSolverThreads:
         ]
         serial = ThermalSolver(network)
         expected = [serial.transient_sequence(*trace).node_kelvin for trace in traces]
+        decompositions = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda matrix: decompositions.append(1) or eigh(matrix)
+        )
         shared = ThermalSolver(network)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -405,8 +377,9 @@ class TestSharedSolverThreads:
             sys.setswitchinterval(interval)
         for out, want in zip(outs, expected):
             assert np.array_equal(out.node_kelvin, want)
-        # Two distinct steps, each inverted once despite the race.
-        assert shared.step_factorization_count == 2
+        # The eigenbasis is decomposed once despite the race.
+        assert len(decompositions) == 1
+        assert shared.spectral_jump_count == len(traces)
 
     def test_pickled_solver_gives_identical_results(self, solver4, mesh4):
         import pickle
@@ -418,8 +391,7 @@ class TestSharedSolverThreads:
             clone.steady_state_batch(batch), solver4.steady_state_batch(batch)
         )
         intervals = _alternating_intervals(mesh4, network, epochs=5)
-        for method in TRANSIENT_METHODS:
-            assert np.array_equal(
-                clone.transient_sequence(*intervals, method=method).node_kelvin,
-                solver4.transient_sequence(*intervals, method=method).node_kelvin,
-            )
+        assert np.array_equal(
+            clone.transient_sequence(*intervals).node_kelvin,
+            solver4.transient_sequence(*intervals).node_kelvin,
+        )
