@@ -63,10 +63,10 @@ def main() -> None:
               f"{100 * result.throughput_penalty:>10.2f} "
               f"{result.migrations_performed:>11}")
 
-    if adaptive.choices:
+    if adaptive.choice_counts:
         from collections import Counter
 
-        counts = Counter(adaptive.choices)
+        counts = Counter(adaptive.choice_counts)
         chosen = ", ".join(f"{scheme} x{count}" for scheme, count in counts.most_common())
         print(f"\nAdaptive policy's transform choices: {chosen}")
     print("\nReading: on configuration E the translations (and the adaptive policy, which "

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..ldpc.matrix import array_code_parity_matrix
-from ..ldpc.partition import Partition, clustered_partition, make_partition, striped_partition
+from ..ldpc.partition import make_partition
 from ..ldpc.tanner import TannerGraph
 from ..ldpc.workload import LdpcNocWorkload, WorkloadParameters
 from ..migration.unit import MigrationUnit
@@ -168,13 +168,7 @@ def _build_workload(
     """LDPC workload sized for the given mesh."""
     H = array_code_parity_matrix(p=code_p, j=3, k=6)
     graph = TannerGraph(H)
-    num_tasks = topology.num_nodes
-    if partition_strategy == "striped":
-        partition = striped_partition(graph, num_tasks)
-    elif partition_strategy == "clustered":
-        partition = clustered_partition(graph, num_tasks, seed=seed)
-    else:
-        partition = make_partition(partition_strategy, graph, num_tasks, seed=seed)
+    partition = make_partition(partition_strategy, graph, topology.num_nodes, seed=seed)
     return LdpcNocWorkload(partition, WorkloadParameters())
 
 

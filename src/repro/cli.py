@@ -593,6 +593,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             # temperature is not finite: one-line error.
             print(error, file=sys.stderr)
             return 1
+        if engine.experiment.next_epoch == 0:
+            # Nothing served and nothing restored: there is no result.
+            source = "stdin" if args.input == "-" else args.input or args.name
+            print(f"{source}: no window records to serve", file=sys.stderr)
+            return 1
         result = engine.finalize()
         final = {
             "final": True,

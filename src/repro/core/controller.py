@@ -47,8 +47,10 @@ class MigrationEvent:
 
     A sudden migration is a one-stage plan (``stage_index=0``,
     ``stage_count=1``); a fluid or batched plan emits one event per executed
-    stage.  Aggregators count a *migration* only at ``stage_index == 0``
-    while cycles/energy sum over every event.  ``cycles`` is the stage's
+    stage.  The controller returns each event and keeps none: a window's
+    ``WindowOutcome.costs`` is the one record of the stages it executed.
+    Aggregators count a *migration* only at ``stage_index == 0`` while
+    cycles/energy sum over every event.  ``cycles`` is the stage's
     NoC-priced transfer time; ``energy_j`` is 0.0 when the controller
     excludes migration energy.
     """
@@ -121,11 +123,10 @@ class RuntimeReconfigurationController:
         #: task -> node of the current mapping (never mutated in place).
         self._nodes = self._static_nodes
         self.io_translator = IoAddressTranslator(self.topology)
-        self.events: List[MigrationEvent] = []
         self._epoch_index = 0
-        # Running totals, maintained O(1) per migration so accounting stays
-        # correct after :meth:`drain_events` trims the event log (streaming
-        # runs drain every window to keep memory flat).
+        # Running totals, maintained O(1) per stage: the controller keeps no
+        # log of executed stages (each is returned to the caller), so its
+        # state stays constant-size over an unbounded stream.
         self._migration_count = 0
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
@@ -158,24 +159,10 @@ class RuntimeReconfigurationController:
         """The current ``task -> node`` array (never mutated in place)."""
         return self._nodes
 
-    def drain_events(self) -> List[MigrationEvent]:
-        """Return and clear the per-migration event log.
-
-        The running totals (:attr:`migrations_performed`,
-        :attr:`total_migration_cycles`, :attr:`total_migration_energy_j`)
-        are unaffected — they are separate counters precisely so a streaming
-        run can drain the log every window and still report exact aggregate
-        accounting over an unbounded stream.
-        """
-        drained = list(self.events)
-        self.events.clear()
-        return drained
-
     def reset(self) -> None:
         """Return to the static mapping and forget all history."""
         self._nodes = self._static_nodes
         self.io_translator.reset()
-        self.events.clear()
         self._epoch_index = 0
         self._migration_count = 0
         self._migration_cycles = 0
@@ -189,8 +176,7 @@ class RuntimeReconfigurationController:
         Captures the current mapping (as a node-id permutation), the epoch
         index, the running migration totals and the I/O translator's
         cumulative map — everything a resumed stream needs to continue
-        bit-identically.  The event log is deliberately excluded (it is
-        drained state, not carried state).
+        bit-identically.
         """
         state: Dict[str, object] = {
             "mapping": self._nodes.tolist(),
@@ -236,7 +222,6 @@ class RuntimeReconfigurationController:
         self._migration_cycles = int(state["migration_cycles"])  # type: ignore[arg-type]
         self._migration_energy_j = float(state["migration_energy_j"])  # type: ignore[arg-type]
         self.io_translator.restore_state(state["io"])  # type: ignore[arg-type]
-        self.events.clear()
         self._active_plan = plan
         if plan is not None:
             self._active_steps = stage_steps(plan, self.topology)
@@ -338,7 +323,7 @@ class RuntimeReconfigurationController:
         self, epoch_index: Optional[int], congestion: float
     ) -> MigrationEvent:
         """Apply the next stage to the mapping and the I/O translator, and
-        log and return its :class:`MigrationEvent`."""
+        return its :class:`MigrationEvent`."""
         plan = self._active_plan
         steps = self._active_steps
         index = self._plan_next_stage
@@ -347,7 +332,7 @@ class RuntimeReconfigurationController:
         cycles = priced_stage_cycles(stage, congestion)
         if step.moved:
             self._nodes = step.step[self._nodes]
-            self.io_translator.record_permutation(step.step, step.label)
+            self.io_translator.record_permutation(step.step)
         energy = stage.energy_j if self.include_migration_energy else 0.0
         event = MigrationEvent(
             self._epoch_index if epoch_index is None else epoch_index,
@@ -359,7 +344,6 @@ class RuntimeReconfigurationController:
             len(steps),
             step.energy,
         )
-        self.events.append(event)
         self._migration_cycles += cycles
         self._migration_energy_j += energy
         _OBS_STAGES.add()

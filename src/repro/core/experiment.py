@@ -340,7 +340,9 @@ class FeedbackPlan:
 class WindowOutcome:
     """Everything one stepped window produced (window-local views).
 
-    ``epoch_metrics`` is the window's ``(num_epochs, num_units)`` per-unit
+    ``costs`` holds the :class:`MigrationEvent` of the stage each epoch
+    executed, or None: the one record of the window's migrations (no
+    component keeps a log of them).  ``epoch_metrics`` is the window's ``(num_epochs, num_units)`` per-unit
     Celsius rows; it and ``peak_by_epoch``/``mean_by_epoch`` (each row's
     maximum and mean) are indexed by the window-local epoch (global index
     ``start_epoch + i``); ``baseline`` is
@@ -710,10 +712,13 @@ class ThermalExperiment:
         scaled by the load modulation and queued for feedback; the window's
         rows are validated once, as its trace.  The cost list
         holds each epoch's executed stage (None when no stage ran).  A
-        window whose period rounds to 0.0 or inf seconds raises
-        ``ValueError`` naming the epoch before any state moves.
+        window whose period rounds to 0.0 or inf seconds (naming the epoch),
+        or whose load modulation has the wrong unit count, raises
+        ``ValueError`` before any state moves.
         """
         configuration = self.configuration
+        # Validated first: a refused window moves no state.
+        modulation = window.modulation_matrix(configuration.topology.num_nodes)
         controller = self.controller
         decide = self.policy.decide
         plan = self.feedback_plan
@@ -739,7 +744,6 @@ class ThermalExperiment:
             )
         if plan is not None:
             plan.add_offsets(start, window.ambient_offsets)
-        modulation = window.modulation_matrix(configuration.topology.num_nodes)
         noc_rates = window.noc_rates
         style = self.settings.migration_style
         units_per_epoch = self.settings.units_per_epoch

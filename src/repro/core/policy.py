@@ -65,15 +65,6 @@ class ReconfigurationPolicy(ABC):
     def reset(self) -> None:
         """Clear any internal state before a fresh experiment run."""
 
-    def compact(self) -> None:
-        """Fold any per-epoch logs into aggregate counters.
-
-        Streaming runs call this once per window so policy state stays
-        constant-size over an unbounded stream.  Policies whose state is
-        already O(1) (all the built-ins except adaptive's choice log) need
-        not override it.
-        """
-
     def state_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot of the decision-relevant state."""
         return {}
@@ -204,8 +195,7 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
             for u in topology.coordinates()
         ]
         self.name = "adaptive"
-        self.choices: List[str] = []
-        #: transform name -> times chosen, including compacted-away entries.
+        #: transform name -> times chosen (the policy's checkpoint state).
         self.choice_counts: Dict[str, int] = {}
 
     def decide(self, context: PolicyContext) -> Optional[MigrationTransform]:
@@ -216,20 +206,11 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
             # argmax takes the first maximum: ties go to the earlier unit in
             # row-major order.
             choice = self.choice_by_unit[int(row.argmax())]
-        self._record_choice(choice.name)
+        self.choice_counts[choice.name] = self.choice_counts.get(choice.name, 0) + 1
         return choice
 
-    def _record_choice(self, name: str) -> None:
-        self.choices.append(name)
-        self.choice_counts[name] = self.choice_counts.get(name, 0) + 1
-
     def reset(self) -> None:
-        self.choices = []
         self.choice_counts = {}
-
-    def compact(self) -> None:
-        """Drop the per-epoch choice log; :attr:`choice_counts` keeps totals."""
-        self.choices = []
 
     def state_dict(self) -> Dict[str, object]:
         return {"choice_counts": dict(self.choice_counts)}
@@ -237,7 +218,6 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
     def restore_state(self, state: Dict[str, object]) -> None:
         counts = state["choice_counts"]
         self.choice_counts = {str(k): int(v) for k, v in counts.items()}  # type: ignore[union-attr]
-        self.choices = []
 
 
 def policy_family(name: str) -> str:

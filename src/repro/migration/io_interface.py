@@ -19,7 +19,7 @@ egress) is built only when a lookup reads it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class IoAddressTranslator:
         #: a lookup needs it)
         self._current = self._identity
         self._original: Optional[np.ndarray] = self._identity
-        self._history: List[str] = []
         self._applied = 0
 
     # ------------------------------------------------------------------
@@ -47,16 +46,11 @@ class IoAddressTranslator:
     def migrations_applied(self) -> int:
         return self._applied
 
-    @property
-    def history(self) -> List[str]:
-        """Names of the transforms applied since the last compaction."""
-        return list(self._history)
-
     def record_migration(self, transform: MigrationTransform) -> None:
         """Compose ``transform`` onto the cumulative map."""
-        self.record_permutation(transform.node_permutation(), transform.name)
+        self.record_permutation(transform.node_permutation())
 
-    def record_permutation(self, step: np.ndarray, label: str) -> None:
+    def record_permutation(self, step: np.ndarray) -> None:
         """Compose a node permutation (``step[i]`` = new node of node ``i``).
 
         The controller records every sudden migration (the transform's
@@ -65,28 +59,16 @@ class IoAddressTranslator:
         permutation of the node ids; it is not copied or modified.
         """
         self._set_current(step[self._current])
-        self._history.append(label)
         self._applied += 1
 
     def _set_current(self, current: np.ndarray) -> None:
         self._current = current
         self._original = None
 
-    def compact_history(self) -> None:
-        """Drop the per-migration name log, keeping the cumulative map.
-
-        The composed coordinate map and :attr:`migrations_applied` are all
-        the translator needs to keep routing packets; the name log exists for
-        reports and tests.  A streaming run compacts after every window so
-        translator state stays O(mesh) over an unbounded stream.
-        """
-        self._history.clear()
-
     def reset(self) -> None:
         """Forget all migrations (chip returns to the design-time layout)."""
         self._current = self._identity
         self._original = self._identity
-        self._history.clear()
         self._applied = 0
 
     # ------------------------------------------------------------------
@@ -95,12 +77,11 @@ class IoAddressTranslator:
         return {"permutation": self._current.tolist(), "applied": self._applied}
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`state_dict` (the name log is not restored)."""
+        """Inverse of :meth:`state_dict`."""
         permutation = [int(node) for node in state["permutation"]]  # type: ignore[union-attr]
         if sorted(permutation) != list(range(self.topology.num_nodes)):
             raise ValueError("translator permutation must cover every node id")
         self._set_current(np.array(permutation, dtype=np.intp))
-        self._history = []
         self._applied = int(state["applied"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------

@@ -372,8 +372,6 @@ class StageStep(NamedTuple):
     energy: np.ndarray
     #: PEs that change node in the stage.
     moved: int
-    #: The I/O translator's history name of the stage.
-    label: str
 
 
 def stage_steps(
@@ -387,10 +385,9 @@ def stage_steps(
     just lowered from; a one-stage plan's step is that array itself.
     """
     identity = np.arange(topology.num_nodes, dtype=np.intp)
-    name = plan.transform_name
     num_stages = plan.num_stages
     steps = []
-    for index, stage in enumerate(plan.stages):
+    for stage in plan.stages:
         if num_stages == 1 and permutation is not None:
             step = permutation
         else:
@@ -406,12 +403,7 @@ def stage_steps(
         )
         step.flags.writeable = energy.flags.writeable = False
         steps.append(
-            StageStep(
-                step,
-                energy,
-                int(np.count_nonzero(step != identity)),
-                name if num_stages == 1 else f"{name}[{index + 1}/{num_stages}]",
-            )
+            StageStep(step, energy, int(np.count_nonzero(step != identity)))
         )
     return tuple(steps)
 

@@ -5,8 +5,9 @@
 windows** instead of a fixed horizon: each window goes through the same
 batched machinery the whole-horizon path uses (one multi-RHS steady solve or
 one ``transient_sequence`` call per window, thermal state and feedback state
-carried across windows), per-window migration events are drained into the
-constant-memory :class:`repro.stream.summary.RollingSummary`, and an optional
+carried across windows), each window's outcome — the one record of the
+migration stages it executed — is folded into the constant-memory
+:class:`repro.stream.summary.RollingSummary`, and an optional
 :class:`repro.stream.checkpoint.CheckpointStore` publishes a resumable
 snapshot after every window.  A window sized to the horizon *is* the batch
 run — streaming is the general case, batch its special case.
@@ -89,9 +90,6 @@ class StreamingExperiment:
     noc_model:
         Optional NoC pricing model: windows carrying ``noc_rates`` are priced
         through it into the rolling summary.
-    price_decoder:
-        Whether windows carrying an SNR schedule run the decoder-effort
-        probe (cached process-wide per quantized SNR).
     source_tag:
         Provenance string mixed into the checkpoint identity so a journal
         written by one stream is never restored into a different one.
@@ -105,14 +103,12 @@ class StreamingExperiment:
         warm_power: Optional[np.ndarray] = None,
         checkpoint: Optional[CheckpointStore] = None,
         noc_model: Optional[NocCostModel] = None,
-        price_decoder: bool = True,
         source_tag: str = "windows",
     ):
         self.experiment = experiment
         self.summary = RollingSummary()
         self.checkpoint = checkpoint
         self.noc_model = noc_model
-        self.price_decoder = price_decoder
         self._settled_capacity = settled_capacity
         self._warm_power = warm_power
         self._prepared = False
@@ -127,7 +123,6 @@ class StreamingExperiment:
         warm_power: Optional[np.ndarray] = None,
         checkpoint: Optional[CheckpointStore] = None,
         thermal_model: Optional[HotSpotModel] = None,
-        price_decoder: bool = True,
     ) -> "StreamingExperiment":
         """Wire a streaming engine from a (compiled) scenario spec.
 
@@ -153,7 +148,6 @@ class StreamingExperiment:
             warm_power=warm_power,
             checkpoint=checkpoint,
             noc_model=compiled.noc_model,
-            price_decoder=price_decoder,
             source_tag=f"scenario:{compiled.spec.name}:{tag}",
         )
 
@@ -271,20 +265,14 @@ class StreamingExperiment:
             "stream.window", start_epoch=start_epoch, epochs=window.num_epochs
         ):
             outcome = experiment.step_window(window, is_last=is_last)
-            events = experiment.controller.drain_events()
-            # Constant-memory invariant: fold per-epoch logs into counters
-            # every window so no component's state grows with the stream.
-            experiment.policy.compact()
-            experiment.controller.io_translator.compact_history()
-            self.summary.observe_window(outcome, events)
-            if window.snr_schedule is not None and self.price_decoder:
+            self.summary.observe_window(outcome)
+            if window.snr_schedule is not None:
                 effort = decoder_effort(
                     experiment.configuration, window.snr_schedule
                 )
                 self.summary.observe_decoder(
                     window.num_epochs,
                     effort.mean_iterations,
-                    effort.success_rate,
                     effort.throughput_factor,
                 )
             if window.noc_rates is not None and self.noc_model is not None:

@@ -10,11 +10,10 @@ checkpointed streams resume with identical running statistics.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..core.controller import MigrationEvent
 from ..core.experiment import WindowOutcome
 
 
@@ -31,19 +30,14 @@ class RollingSummary:
         self.last_mean_celsius: Optional[float] = None
         self._mean_sum = 0.0
         self.migrations = 0
-        self.migration_cycles = 0
         self.migration_energy_j = 0.0
-        #: transform name -> migrations applied (bounded by distinct schemes).
-        self.transform_counts: Dict[str, int] = {}
         # Decoder effort (epoch-weighted over the windows that carried SNR).
         self._decoder_epochs = 0
         self._decoder_iterations_sum = 0.0
-        self._decoder_success_sum = 0.0
         self.last_throughput_factor: Optional[float] = None
         # NoC pricing (epoch-weighted over the windows that carried rates).
         self._noc_epochs = 0
         self._noc_latency_sum = 0.0
-        self.noc_peak_latency_cycles: Optional[float] = None
         self.noc_saturated_epochs = 0
 
     # ------------------------------------------------------------------
@@ -61,24 +55,14 @@ class RollingSummary:
         return self._decoder_iterations_sum / self._decoder_epochs
 
     @property
-    def decoder_success_rate(self) -> Optional[float]:
-        if self._decoder_epochs == 0:
-            return None
-        return self._decoder_success_sum / self._decoder_epochs
-
-    @property
     def noc_mean_latency_cycles(self) -> Optional[float]:
         if self._noc_epochs == 0:
             return None
         return self._noc_latency_sum / self._noc_epochs
 
     # ------------------------------------------------------------------
-    def observe_window(
-        self,
-        outcome: WindowOutcome,
-        events: Iterable[MigrationEvent] = (),
-    ) -> None:
-        """Fold one stepped window (and its drained migration events) in."""
+    def observe_window(self, outcome: WindowOutcome) -> None:
+        """Fold one stepped window in, with the stages it executed."""
         self.windows += 1
         self.epochs += outcome.num_epochs
         window_peak = float(outcome.peak_by_epoch.max())
@@ -87,26 +71,22 @@ class RollingSummary:
         self.last_peak_celsius = float(outcome.peak_by_epoch[-1])
         self.last_mean_celsius = float(outcome.mean_by_epoch[-1])
         self._mean_sum += float(outcome.mean_by_epoch.sum())
-        for event in events:
-            # A staged plan emits one event per stage; the plan counts as a
-            # single migration (its opening stage) while cycles and energy
-            # sum over every stage.
+        for event in outcome.costs:
+            # A staged plan executes one stage per epoch; the plan counts as
+            # a single migration (its opening stage) while energy sums over
+            # every stage.
+            if event is None:
+                continue
             if event.stage_index == 0:
                 self.migrations += 1
-                self.transform_counts[event.transform_name] = (
-                    self.transform_counts.get(event.transform_name, 0) + 1
-                )
-            self.migration_cycles += event.cycles
             self.migration_energy_j += event.energy_j
 
     def observe_decoder(
-        self, num_epochs: int, mean_iterations: float, success_rate: float,
-        throughput_factor: float,
+        self, num_epochs: int, mean_iterations: float, throughput_factor: float
     ) -> None:
         """Fold one window's decoder-effort estimate in (epoch-weighted)."""
         self._decoder_epochs += num_epochs
         self._decoder_iterations_sum += num_epochs * float(mean_iterations)
-        self._decoder_success_sum += num_epochs * float(success_rate)
         self.last_throughput_factor = float(throughput_factor)
 
     def observe_noc(self, latencies: np.ndarray, saturated: np.ndarray) -> None:
@@ -114,12 +94,6 @@ class RollingSummary:
         latencies = np.asarray(latencies, dtype=float)
         self._noc_epochs += latencies.size
         self._noc_latency_sum += float(latencies.sum())
-        window_peak = float(latencies.max())
-        if (
-            self.noc_peak_latency_cycles is None
-            or window_peak > self.noc_peak_latency_cycles
-        ):
-            self.noc_peak_latency_cycles = window_peak
         self.noc_saturated_epochs += int(np.asarray(saturated).sum())
 
     # ------------------------------------------------------------------
@@ -153,20 +127,17 @@ class RollingSummary:
             "last_mean": self.last_mean_celsius,
             "mean_sum": self._mean_sum,
             "migrations": self.migrations,
-            "migration_cycles": self.migration_cycles,
             "migration_energy_j": self.migration_energy_j,
-            "transform_counts": dict(self.transform_counts),
             "decoder_epochs": self._decoder_epochs,
             "decoder_iterations_sum": self._decoder_iterations_sum,
-            "decoder_success_sum": self._decoder_success_sum,
             "last_throughput_factor": self.last_throughput_factor,
             "noc_epochs": self._noc_epochs,
             "noc_latency_sum": self._noc_latency_sum,
-            "noc_peak_latency": self.noc_peak_latency_cycles,
             "noc_saturated_epochs": self.noc_saturated_epochs,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`state_dict`; keys it does not write are ignored."""
         self.windows = int(state["windows"])  # type: ignore[arg-type]
         self.epochs = int(state["epochs"])  # type: ignore[arg-type]
         self.peak_celsius = state["peak"]  # type: ignore[assignment]
@@ -174,17 +145,10 @@ class RollingSummary:
         self.last_mean_celsius = state["last_mean"]  # type: ignore[assignment]
         self._mean_sum = float(state["mean_sum"])  # type: ignore[arg-type]
         self.migrations = int(state["migrations"])  # type: ignore[arg-type]
-        self.migration_cycles = int(state["migration_cycles"])  # type: ignore[arg-type]
         self.migration_energy_j = float(state["migration_energy_j"])  # type: ignore[arg-type]
-        self.transform_counts = {
-            str(name): int(count)
-            for name, count in state["transform_counts"].items()  # type: ignore[union-attr]
-        }
         self._decoder_epochs = int(state["decoder_epochs"])  # type: ignore[arg-type]
         self._decoder_iterations_sum = float(state["decoder_iterations_sum"])  # type: ignore[arg-type]
-        self._decoder_success_sum = float(state["decoder_success_sum"])  # type: ignore[arg-type]
         self.last_throughput_factor = state["last_throughput_factor"]  # type: ignore[assignment]
         self._noc_epochs = int(state["noc_epochs"])  # type: ignore[arg-type]
         self._noc_latency_sum = float(state["noc_latency_sum"])  # type: ignore[arg-type]
-        self.noc_peak_latency_cycles = state["noc_peak_latency"]  # type: ignore[assignment]
         self.noc_saturated_epochs = int(state["noc_saturated_epochs"])  # type: ignore[arg-type]

@@ -62,14 +62,13 @@ class TestMigrationApplication:
         assert controller_a.io_translator.current_location((0, 0)) == transform((0, 0))
 
     def test_event_records_moved_tasks(self, controller_a, chip_a):
-        transform = XYShiftTransform(chip_a.topology)
-        controller_a.apply_migration(transform)
-        assert controller_a.events[0].moved_tasks == chip_a.num_units
+        event = controller_a.apply_migration(XYShiftTransform(chip_a.topology))
+        assert event.moved_tasks == chip_a.num_units
 
     def test_rotation_on_odd_mesh_leaves_one_task(self, chip_e):
         controller = RuntimeReconfigurationController(chip_e)
-        controller.apply_migration(RotationTransform(chip_e.topology))
-        assert controller.events[0].moved_tasks == chip_e.num_units - 1
+        event = controller.apply_migration(RotationTransform(chip_e.topology))
+        assert event.moved_tasks == chip_e.num_units - 1
 
     @pytest.mark.parametrize("style", ["sudden", "fluid"])
     def test_held_nodes_survive_later_stages(self, controller_a, chip_a, style):
@@ -219,19 +218,20 @@ class TestMemoKeyNamesTheTransform:
         "first, second", [("x-mirror", "xy-mirror"), ("right-shift", "xy-shift")]
     )
     def test_same_permutation_keeps_its_own_name(self, chip_4x1, first, second):
-        """Two transforms with one node permutation report their own names,
-        in the event and in the I/O history, on one controller or two."""
+        """Two transforms with one node permutation report their own names in
+        the returned event, on one controller or two."""
         topology = chip_4x1.topology
         lowered, later = make_transform(first, topology), make_transform(second, topology)
         assert np.array_equal(lowered.node_permutation(), later.node_permutation())
         controller = RuntimeReconfigurationController(chip_4x1)
         assert controller.apply_migration(lowered).transform_name == first
         controller.reset()
-        assert controller.apply_migration(later).transform_name == second
-        assert controller.io_translator.history == [second]
+        event = controller.apply_migration(later)
+        assert (event.transform_name, event.stage_index) == (second, 0)
+        assert controller.io_translator.migrations_applied == 1
         other = RuntimeReconfigurationController(chip_4x1)
         assert other.apply_migration(lowered).transform_name == first
-        assert other.io_translator.history == [first]
+        assert other.apply_migration(later).transform_name == second
 
 
 class TestCheckpointValidation:

@@ -323,16 +323,18 @@ class TestArrayControllerMatchesSeedSemantics:
 @pytest.mark.parametrize("chip_name", ["A", "E"])
 def test_apply_migration_during_a_plan_changes_nothing(chip_name):
     """A second migration while a plan is in flight raises and leaves the
-    mapping, the translator, the totals and the event log as they were."""
+    mapping, the translator, the totals and the plan as they were."""
     chip = get_configuration(chip_name)
     controller = RuntimeReconfigurationController(chip)
     transform = make_transform("rotation", chip.topology)
-    controller.apply_migration(transform, style="fluid", units_per_epoch=1)
+    first = controller.apply_migration(transform, style="fluid", units_per_epoch=1)
     assert controller.migration_in_progress
     state = json.dumps(controller.state_dict())
-    events = list(controller.events)
     with pytest.raises(RuntimeError, match="in progress"):
         controller.apply_migration(make_transform("xy-shift", chip.topology))
     assert json.dumps(controller.state_dict()) == state
-    assert controller.events == events
     assert controller.migrations_performed == 1
+    # The next stage is the in-flight plan's second one.
+    second = controller.advance_plan()
+    assert (second.transform_name, second.stage_index) == ("rotation", 1)
+    assert second.stage_count == first.stage_count

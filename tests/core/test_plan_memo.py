@@ -76,7 +76,7 @@ def _assert_same_entry(actual, expected):
     for step, want in zip(steps, expected[1]):
         assert np.array_equal(step.step, want.step)
         assert np.array_equal(step.energy, want.energy)
-        assert (step.moved, step.label) == (want.moved, want.label)
+        assert step.moved == want.moved
 
 
 class TestSharedMemoThreads:

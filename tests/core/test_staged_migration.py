@@ -49,6 +49,13 @@ def _run(chip, policy_kind, mode_kwargs, thermal_model=None, **setting_overrides
     return experiment, experiment.run()
 
 
+def _run_with_costs(experiment):
+    """``experiment.run()``, also returning its window's executed stages."""
+    experiment.prepare(total_epochs=experiment.settings.num_epochs, collect_records=True)
+    outcome = experiment.step_window(experiment.schedule, is_last=True)
+    return outcome.costs, experiment.finalize()
+
+
 def _assert_trajectories_match(result, reference, abs_tol=1e-9):
     assert result.migrations_performed == reference.migrations_performed
     assert result.throughput_penalty == pytest.approx(
@@ -135,8 +142,8 @@ class TestStagedExecution:
             units_per_epoch=1,
         )
         experiment = ThermalExperiment(chip_a, policy, settings=settings)
-        result = experiment.run()
-        events = experiment.controller.events
+        costs, result = _run_with_costs(experiment)
+        events = [event for event in costs if event is not None]
         stage_counts = {event.stage_count for event in events}
         assert max(stage_counts) > 1  # genuinely staged
         plans = sum(1 for event in events if event.stage_index == 0)
@@ -260,7 +267,7 @@ def _periodic_run(chip, style, include_migration_energy=True):
         PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0),
         settings=settings,
     )
-    return experiment, experiment.run()
+    return _run_with_costs(experiment)
 
 
 @pytest.mark.parametrize("style", ["sudden", "fluid", "batched"])
@@ -289,9 +296,10 @@ class TestMigrationAccounting:
         obs.enable()
         try:
             plans_before, stages_before = plans.value, stages.value
-            experiment, result = _periodic_run(chip_a, style)
+            costs, result = _periodic_run(chip_a, style)
             assert plans.value - plans_before == result.migrations_performed
-            assert stages.value - stages_before == len(experiment.controller.events)
+            executed = sum(event is not None for event in costs)
+            assert stages.value - stages_before == executed
         finally:
             obs.disable()
         assert result.migrations_performed > 0
@@ -376,6 +384,36 @@ class TestPeriodSchedule:
         assert np.array_equal(experiment.controller.nodes, nodes)
         assert experiment._cycles_run == cycles
         outcome = experiment.step_window(EpochWindow(num_epochs=2))
+        assert outcome.start_epoch == 2
+
+    def test_wrong_unit_modulation_raises_before_state_moves(self, chip_a):
+        """A load modulation of the wrong unit count is refused before the
+        cycle count, the feedback plan's offsets or any other state moves."""
+        experiment = ThermalExperiment(
+            chip_a,
+            ThresholdMigrationPolicy(
+                chip_a.topology, "xy-shift", trigger_celsius=70.0, period_us=109.0
+            ),
+            settings=ExperimentSettings(num_epochs=6, settle_epochs=2),
+        )
+        experiment.prepare(total_epochs=6)
+        experiment.step_window(
+            EpochWindow(num_epochs=2, ambient_offsets=np.array([0.5, 1.0]))
+        )
+        state = experiment.state_dict()
+        offsets = np.array([1.5, 2.0])
+        with pytest.raises(ValueError, match="load_modulation has 3 units, chip has 16"):
+            experiment.step_window(
+                EpochWindow(
+                    num_epochs=2,
+                    load_modulation=np.ones((2, 3)),
+                    ambient_offsets=offsets,
+                )
+            )
+        assert experiment.state_dict() == state
+        outcome = experiment.step_window(
+            EpochWindow(num_epochs=2, ambient_offsets=offsets)
+        )
         assert outcome.start_epoch == 2
 
     def test_unit_schedule_matches_unscheduled_run(self, chip_a):

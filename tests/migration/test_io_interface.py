@@ -30,9 +30,11 @@ class TestTracking:
         rotation = RotationTransform(mesh4)
         translator4.record_migration(shift)
         translator4.record_migration(rotation)
-        expected = rotation(shift((0, 0)))
-        assert translator4.current_location((0, 0)) == expected
-        assert translator4.history == ["xy-shift", "rotation"]
+        assert translator4.migrations_applied == 2
+        for coord in mesh4.coordinates():
+            expected = rotation(shift(coord))
+            assert translator4.current_location(coord) == expected
+            assert translator4.original_location(expected) == coord
 
     def test_full_orbit_returns_home(self, translator4, mesh4):
         transform = XYShiftTransform(mesh4)

@@ -13,12 +13,16 @@ batch warm vector passed in explicitly (``warm_power``) — that semantic
 difference is itself pinned by ``test_transient_default_warm_start_differs``.
 """
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
 from repro.chips import get_configuration
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.patterns import DiurnalPattern, RampPattern
+from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.spec import ScenarioSpec
 from repro.stream import StreamingExperiment, scenario_windows
 from repro.thermal.hotspot import HotSpotModel
@@ -223,3 +227,19 @@ class TestTransientParity:
         assert streamed.settled_peak_celsius != pytest.approx(
             batch.settled_peak_celsius, abs=1e-9
         )
+
+
+@pytest.mark.parametrize("style", ["sudden", "fluid", "batched"])
+@pytest.mark.parametrize("name", scenario_names())
+def test_streamed_migration_accounting_equals_batch(name, style):
+    """The summary folds each window's executed stages, so a registry
+    scenario streamed at a drawn window size counts the batch run's
+    migrations and energy exactly."""
+    compiled = compile_scenario(
+        dataclasses.replace(get_scenario(name), migration_style=style)
+    )
+    batch = compiled.experiment().run()
+    window = random.Random(f"{name}/{style}").randint(1, compiled.spec.num_epochs)
+    summary = _stream(compiled, window).summary
+    assert summary.migrations == batch.migrations_performed
+    assert summary.migration_energy_j == batch.total_migration_energy_j

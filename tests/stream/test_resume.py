@@ -288,25 +288,18 @@ class TestStreamSemantics:
         assert [u.outcome.num_epochs for u in updates] == [10, 10, 4]
         assert engine.summary.epochs == 24
 
-    def test_constant_memory_invariant(self):
-        # Per-epoch logs are folded into counters every window: nothing on
-        # the experiment grows with the number of processed windows.
-        compiled = compile_scenario(_spec())
-        engine = StreamingExperiment.from_scenario(compiled)
-        engine.prepare()
-        experiment = engine.experiment
-        for _update in engine.process(scenario_windows(compiled, 4), max_epochs=24):
-            assert experiment.controller.events == []
-            assert experiment.controller.io_translator.history == []
-
-    def test_allocation_watermark_flat_over_a_10x_stream(self):
-        # Every per-epoch structure is windowed, drained or folded into
-        # rolling aggregates, so a stream 10x longer must not raise the
-        # traced allocation peak while streaming; a per-epoch leak would
-        # grow it ~10x.
+    @pytest.mark.parametrize(
+        "scheme, style",
+        [("xy-shift", "sudden"), ("adaptive", "sudden"), ("xy-shift", "fluid")],
+    )
+    def test_allocation_watermark_flat_over_a_10x_stream(self, scheme, style):
+        # Every per-epoch structure is windowed or folded into rolling
+        # aggregates, and no component logs the stages it executed, so a
+        # stream 10x longer must not raise the traced allocation peak while
+        # streaming; a per-epoch leak would grow it ~10x.
         compiled = compile_scenario(
-            _spec(scheme="xy-shift", policy_params={}, num_epochs=48,
-                  settle_epochs=8)
+            _spec(scheme=scheme, policy_params={}, num_epochs=48,
+                  settle_epochs=8, migration_style=style)
         )
 
         def streaming_peak(total_epochs):

@@ -630,6 +630,26 @@ class TestServeCommand:
         assert final["peak_reduction_c"] == 0.0
         assert str(final["peak_reduction_c"]) == "0.0"
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_input_without_windows_is_one_line_error(self, tmp_path, capsys, text):
+        path = tmp_path / "windows.jsonl"
+        path.write_text(text)
+        assert main(["serve", "--input", str(path), "-c", "A", "-s", "xy-shift"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: no window records to serve\n"
+
+    def test_restored_stream_with_empty_input_prints_its_final(self, tmp_path, capsys):
+        path = tmp_path / "windows.jsonl"
+        path.write_text('{"num_epochs": 3}\n')
+        argv = ["serve", "--input", str(path), "-c", "A", "-s", "xy-shift",
+                "--checkpoint", str(tmp_path / "ck")]
+        assert main(argv) == 0
+        final = capsys.readouterr().out.splitlines()[-1]
+        path.write_text("")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [final]
+
     def test_negative_max_epochs_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "windows.jsonl"
         path.write_text('{"num_epochs": 2}\n')
