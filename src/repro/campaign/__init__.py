@@ -21,7 +21,8 @@ system rather than a benchmark script:
 The CLI surface is ``python -m repro campaign run|list|status|report``.
 """
 
-from .cache import ResultCache, code_fingerprint, job_cache_key
+from ..storage import code_fingerprint
+from .cache import ResultCache, job_cache_key
 from .executor import CampaignRun, campaign_status, run_campaign
 from .report import AxisMarginal, CampaignReport, build_report
 from .spec import CampaignJob, CampaignSpec, JobResult, evaluate_job

@@ -8,10 +8,11 @@ The spec side is :meth:`repro.scenarios.spec.ScenarioSpec.canonical_json` —
 sorted keys, no whitespace, repr-exact floats — so the same derived spec
 hashes identically in every process on every platform.  The code side is a
 fingerprint of every ``.py`` source of the ``repro`` package plus the numpy
-version.  A job's evaluation reaches well beyond its own channels (a plain
-scenario imports the NoC and LDPC stacks, and the campaign package itself
-distils the result), so any edit to the package invalidates every cached
-result: sound beats minimal.
+version (:func:`repro.storage.code_fingerprint`, which also names the code
+in a served stream's checkpoint identity).  A job's evaluation reaches well
+beyond its own channels (a plain scenario imports the NoC and LDPC stacks,
+and the campaign package itself distils the result), so any edit to the
+package invalidates every cached result: sound beats minimal.
 
 The cache itself is a content-addressed directory store: one JSON file per
 key, fanned out over 256 two-hex-digit shards, written atomically
@@ -23,58 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from pathlib import Path
 from typing import Dict, Optional
 
 from ..scenarios.spec import ScenarioSpec
 from ..storage import publish_text
-
-
-def _package_root() -> Path:
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-#: root -> fingerprint hex digest; sources don't change under a running
-#: process, so the package is hashed once.
-_FINGERPRINT_CACHE: Dict[str, str] = {}
-_FINGERPRINT_LOCK = threading.Lock()
-
-
-def code_fingerprint(root: Optional[Path] = None) -> str:
-    """SHA-256 over every ``.py`` source of the package, plus numpy's version.
-
-    Files are hashed in sorted relative-path order with their paths mixed in,
-    so renames, additions and deletions all change the fingerprint, and the
-    digest is independent of filesystem iteration order.
-    """
-    import numpy
-
-    # Only the installed package root is memoized: its sources cannot change
-    # under a running process.  Explicit roots (tests fingerprinting mutable
-    # source trees) are re-hashed every call.
-    memoize = root is None
-    base = _package_root() if root is None else Path(root)
-    key = str(base)
-    if memoize:
-        with _FINGERPRINT_LOCK:
-            cached = _FINGERPRINT_CACHE.get(key)
-        if cached is not None:
-            return cached
-    digest = hashlib.sha256(f"numpy {numpy.__version__}".encode("utf-8"))
-    for source in sorted(base.rglob("*.py")):
-        rel = source.relative_to(base).as_posix()
-        digest.update(b"\x00")
-        digest.update(rel.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(source.read_bytes())
-    fingerprint = digest.hexdigest()
-    if memoize:
-        with _FINGERPRINT_LOCK:
-            _FINGERPRINT_CACHE[key] = fingerprint
-    return fingerprint
 
 
 def job_cache_key(

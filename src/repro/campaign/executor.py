@@ -43,8 +43,9 @@ from ..obs import get_tracer as _obs_tracer
 from ..obs import span as _obs_span
 from ..obs import start_tracing as _obs_start_tracing
 from ..obs import timer as _obs_timer
+from ..storage import code_fingerprint
 from . import manifest
-from .cache import ResultCache, code_fingerprint, job_cache_key
+from .cache import ResultCache, job_cache_key
 from .report import CampaignReport, build_report
 from .spec import CampaignJob, CampaignSpec, JobResult, evaluate_job
 

@@ -500,8 +500,9 @@ def _serve_emit(update) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .scenarios.compile import compile_scenario
+    from .storage import CorruptJournalError
     from .stream import (
-        CheckpointMismatchError,
+        CheckpointRestoreError,
         CheckpointStore,
         StreamingExperiment,
         jsonl_windows,
@@ -613,8 +614,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         return 0
-    except CheckpointMismatchError as error:
-        # The journal belongs to another stream: one-line error.
+    except (CheckpointRestoreError, CorruptJournalError) as error:
+        # The journal cannot resume this stream: one-line error.
         print(error, file=sys.stderr)
         return 1
     finally:

@@ -2,15 +2,16 @@
 
 This is the piece of the paper's proposal that lives on the chip: it owns the
 current logical-to-physical mapping, applies a migration transform when the
-policy asks for one, charges the migration's cycles and energy, and keeps the
-I/O address translation up to date so the outside world never notices that
-the workload moved.
+policy asks for one, charges the migration's cycles and energy, and derives
+the I/O address translation from the mapping so the outside world never
+notices that the workload moved.
 
-The controller's native state is a node-id array, ``task -> node``.  Every
-migration runs as a :class:`~repro.migration.plan.MigrationPlan`: a sudden
-migration is a one-stage plan, a fluid or batched one unfolds over several
-epochs.  Each stage is precomputed as a node step array, so executing it is
-the gather ``step[mapping]``.  Power is emitted a chunk of epochs at a time
+The controller's native state is a node-id array, ``task -> node``; besides
+it the controller holds only the in-flight plan and three running totals.
+Every migration runs as a :class:`~repro.migration.plan.MigrationPlan`: a
+sudden migration is a one-stage plan, a fluid or batched one unfolds over
+several epochs.  Each stage is lowered to a node step array, so executing it
+is the gather ``step[mapping]``.  Power is emitted a chunk of epochs at a time
 (:meth:`RuntimeReconfigurationController.power_rows`): one scatter of the
 per-task watts over every epoch's mapping, plus each executed stage's stored
 energy vector over its epoch's duration.
@@ -19,19 +20,13 @@ energy vector over its epoch's duration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..chips.configurations import ChipConfiguration
 from ..migration.io_interface import IoAddressTranslator
-from ..migration.plan import (
-    MigrationPlan,
-    StageStep,
-    lower_transform,
-    priced_stage_cycles,
-    stage_steps,
-)
+from ..migration.plan import MigrationPlan, lower_transform, priced_stage_cycles
 from ..migration.transforms import MigrationTransform
 from ..noc.topology import Coordinate
 from ..obs import counter as _obs_counter
@@ -48,14 +43,13 @@ class MigrationEvent:
     A sudden migration is a one-stage plan (``stage_index=0``,
     ``stage_count=1``); a fluid or batched plan emits one event per executed
     stage.  The controller returns each event and keeps none: a window's
-    ``WindowOutcome.costs`` is the one record of the stages it executed.
-    Aggregators count a *migration* only at ``stage_index == 0`` while
-    cycles/energy sum over every event.  ``cycles`` is the stage's
-    NoC-priced transfer time; ``energy_j`` is 0.0 when the controller
-    excludes migration energy.
+    ``WindowOutcome.costs`` is the one record of the stages it executed, and
+    an event's epoch is its position there.  Aggregators count a *migration*
+    only at ``stage_index == 0`` while cycles/energy sum over every event.
+    ``cycles`` is the stage's NoC-priced transfer time; ``energy_j`` is 0.0
+    when the controller excludes migration energy.
     """
 
-    epoch_index: int
     transform_name: str
     cycles: int
     energy_j: float
@@ -122,19 +116,15 @@ class RuntimeReconfigurationController:
 
         #: task -> node of the current mapping (never mutated in place).
         self._nodes = self._static_nodes
-        self.io_translator = IoAddressTranslator(self.topology)
-        self._epoch_index = 0
         # Running totals, maintained O(1) per stage: the controller keeps no
         # log of executed stages (each is returned to the caller), so its
         # state stays constant-size over an unbounded stream.
         self._migration_count = 0
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
-        # Plan execution state: the in-flight plan (None when idle), its
-        # stages as arrays, and the index of the next stage to execute (the
-        # last two mean nothing while idle).
+        # Plan execution state: the in-flight plan (None when idle) and the
+        # index of its next stage (meaningless while idle).
         self._active_plan: Optional[MigrationPlan] = None
-        self._active_steps: Tuple[StageStep, ...] = ()
         self._plan_next_stage = 0
         #: Number of plans this controller lowered (misses in the chip's memo).
         self.migration_cost_computations = 0
@@ -159,11 +149,21 @@ class RuntimeReconfigurationController:
         """The current ``task -> node`` array (never mutated in place)."""
         return self._nodes
 
+    @property
+    def io_translator(self) -> IoAddressTranslator:
+        """The chip-boundary address map of the current mapping (a view).
+
+        The workload designed for node ``static_nodes[task]`` now runs at
+        ``nodes[task]``: the translator's original -> current node map is
+        the mapping itself, indexed by the static one.
+        """
+        current = np.empty_like(self._nodes)
+        current[self._static_nodes] = self._nodes
+        return IoAddressTranslator(self.topology, current)
+
     def reset(self) -> None:
         """Return to the static mapping and forget all history."""
         self._nodes = self._static_nodes
-        self.io_translator.reset()
-        self._epoch_index = 0
         self._migration_count = 0
         self._migration_cycles = 0
         self._migration_energy_j = 0.0
@@ -173,25 +173,22 @@ class RuntimeReconfigurationController:
     def state_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot of the migration-relevant state.
 
-        Captures the current mapping (as a node-id permutation), the epoch
-        index, the running migration totals and the I/O translator's
-        cumulative map — everything a resumed stream needs to continue
-        bit-identically.
+        Captures the current mapping (as a node-id permutation), the running
+        migration totals and the in-flight plan — everything a resumed
+        stream needs to continue bit-identically.
         """
         state: Dict[str, object] = {
             "mapping": self._nodes.tolist(),
-            "epoch_index": self._epoch_index,
             "migrations": self._migration_count,
             "migration_cycles": self._migration_cycles,
             "migration_energy_j": self._migration_energy_j,
-            "io": self.io_translator.state_dict(),
         }
         if self._active_plan is not None:
             # A plan straddling a window boundary carries across checkpoints:
-            # the remaining stages are self-contained (moves, cycles, energy),
+            # the remaining stages are self-contained (step, cycles, energy),
             # so a resumed stream re-executes them without re-lowering.
             state["plan"] = {
-                "plan": self._active_plan.to_dict(self.topology),
+                "plan": self._active_plan.to_dict(),
                 "next_stage": self._plan_next_stage,
             }
         return state
@@ -200,32 +197,30 @@ class RuntimeReconfigurationController:
         """Inverse of :meth:`state_dict`.
 
         Raises ``ValueError`` for a mapping that is not a permutation of the
-        node ids, an in-flight plan whose stages are not closed relocations,
-        or a next stage outside the plan.
+        node ids, an in-flight plan whose stage steps are not permutations
+        or whose energy vectors have the wrong length, or a next stage
+        outside the plan.
         """
+        num_nodes = self.topology.num_nodes
         nodes = [int(node) for node in state["mapping"]]  # type: ignore[union-attr]
-        if sorted(nodes) != list(range(self.topology.num_nodes)):
+        if sorted(nodes) != list(range(num_nodes)):
             raise ValueError("permutation must be a rearrangement of all node ids")
         plan_state = state.get("plan")
         plan: Optional[MigrationPlan] = None
         next_stage = 0
         if plan_state is not None:
-            plan = MigrationPlan.from_dict(plan_state["plan"], self.topology)  # type: ignore[index]
+            plan = MigrationPlan.from_dict(plan_state["plan"], num_nodes)  # type: ignore[index]
             next_stage = int(plan_state["next_stage"])  # type: ignore[index]
             if not 0 <= next_stage < plan.num_stages:
                 raise ValueError(
                     f"next stage {next_stage} outside a {plan.num_stages}-stage plan"
                 )
         self._nodes = _read_only(np.array(nodes, dtype=np.intp))
-        self._epoch_index = int(state["epoch_index"])  # type: ignore[arg-type]
         self._migration_count = int(state["migrations"])  # type: ignore[arg-type]
         self._migration_cycles = int(state["migration_cycles"])  # type: ignore[arg-type]
         self._migration_energy_j = float(state["migration_energy_j"])  # type: ignore[arg-type]
-        self.io_translator.restore_state(state["io"])  # type: ignore[arg-type]
         self._active_plan = plan
-        if plan is not None:
-            self._active_steps = stage_steps(plan, self.topology)
-            self._plan_next_stage = next_stage
+        self._plan_next_stage = next_stage
 
     # ------------------------------------------------------------------
     def _tanner_nodes_per_pe(self) -> Dict[Coordinate, int]:
@@ -243,7 +238,7 @@ class RuntimeReconfigurationController:
 
     def _lower(
         self, transform: MigrationTransform, style: str, units_per_epoch: int
-    ) -> Tuple[MigrationPlan, Tuple[StageStep, ...]]:
+    ) -> MigrationPlan:
         """Lower ``transform`` from the current mapping (a memo miss)."""
         self.migration_cost_computations += 1
         with _obs_span(
@@ -252,19 +247,17 @@ class RuntimeReconfigurationController:
             style=style,
             units=units_per_epoch,
         ):
-            plan = lower_transform(
+            return lower_transform(
                 transform,
                 self.migration_unit,
                 self._tanner_nodes_per_pe(),
                 style=style,
                 units_per_epoch=units_per_epoch,
             )
-        return plan, stage_steps(plan, self.topology, transform.node_permutation())
 
     def apply_migration(
         self,
         transform: MigrationTransform,
-        epoch_index: Optional[int] = None,
         *,
         style: str = "sudden",
         units_per_epoch: int = 2,
@@ -293,22 +286,18 @@ class RuntimeReconfigurationController:
             units_per_epoch,
         )
         plans = self.migration_unit.plans
-        lowered = plans.get(key)
-        if lowered is None:
-            lowered = plans.put(key, self._lower(transform, style, units_per_epoch))
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans.put(key, self._lower(transform, style, units_per_epoch))
         else:
             self.migration_cache_hits += 1
-        self._active_plan, self._active_steps = lowered
+        self._active_plan = plan
         self._plan_next_stage = 0
         self._migration_count += 1
         _OBS_PLANS.add()
-        return self._execute_stage(epoch_index, congestion)
+        return self._execute_stage(congestion)
 
-    def advance_plan(
-        self,
-        epoch_index: Optional[int] = None,
-        congestion: float = 1.0,
-    ) -> Optional[MigrationEvent]:
+    def advance_plan(self, congestion: float = 1.0) -> Optional[MigrationEvent]:
         """Execute the next stage of the in-flight plan (None when idle).
 
         ``congestion`` is the epoch's NoC load factor (see
@@ -317,52 +306,37 @@ class RuntimeReconfigurationController:
         """
         if self._active_plan is None:
             return None
-        return self._execute_stage(epoch_index, congestion)
+        return self._execute_stage(congestion)
 
-    def _execute_stage(
-        self, epoch_index: Optional[int], congestion: float
-    ) -> MigrationEvent:
-        """Apply the next stage to the mapping and the I/O translator, and
-        return its :class:`MigrationEvent`."""
+    def _execute_stage(self, congestion: float) -> MigrationEvent:
+        """Apply the next stage to the mapping and return its
+        :class:`MigrationEvent`."""
         plan = self._active_plan
-        steps = self._active_steps
+        stages = plan.stages
         index = self._plan_next_stage
-        stage = plan.stages[index]
-        step = steps[index]
+        stage = stages[index]
         cycles = priced_stage_cycles(stage, congestion)
-        if step.moved:
-            self._nodes = step.step[self._nodes]
-            self.io_translator.record_permutation(step.step)
+        if stage.moved:
+            self._nodes = stage.step[self._nodes]
         energy = stage.energy_j if self.include_migration_energy else 0.0
         event = MigrationEvent(
-            self._epoch_index if epoch_index is None else epoch_index,
             plan.transform_name,
             cycles,
             energy,
-            step.moved,
+            stage.moved,
             index,
-            len(steps),
-            step.energy,
+            len(stages),
+            stage.energy,
         )
         self._migration_cycles += cycles
         self._migration_energy_j += energy
         _OBS_STAGES.add()
         self._plan_next_stage = index + 1
-        if self._plan_next_stage == len(steps):
+        if self._plan_next_stage == len(stages):
             self._active_plan = None
         return event
 
-    def advance_epoch(self, epochs: int = 1) -> int:
-        """Mark the end of ``epochs`` epochs; returns the new epoch index."""
-        self._epoch_index += epochs
-        return self._epoch_index
-
     # ------------------------------------------------------------------
-    def _power_of(self, nodes: np.ndarray) -> np.ndarray:
-        power = np.empty(len(nodes))
-        power[nodes] = self._task_watts
-        return power
-
     def power_rows(
         self,
         nodes: Sequence[np.ndarray],
@@ -392,4 +366,6 @@ class RuntimeReconfigurationController:
 
     def static_power_vector(self) -> np.ndarray:
         """Power vector of the unmigrated (static) mapping — the baseline."""
-        return self._power_of(self._static_nodes)
+        power = np.empty(self.topology.num_nodes)
+        power[self._static_nodes] = self._task_watts
+        return power

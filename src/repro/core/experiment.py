@@ -205,9 +205,8 @@ class FeedbackPlan:
         self._pending_rows: List[np.ndarray] = []
         self._pending_epochs: List[int] = []
         #: epoch tag -> solved read-only per-unit Celsius row (offsets
-        #: applied), for the most recent batch.
+        #: applied), for the most recent batch, oldest tag first.
         self._solved: Dict[int, np.ndarray] = {}
-        self._last_epoch: Optional[int] = None
         #: absolute epoch index -> ambient offset, filled window by window
         #: via :meth:`add_offsets` and pruned past the refresh lookback.
         self._offset_map: Dict[int, float] = {}
@@ -262,7 +261,6 @@ class FeedbackPlan:
         for tag, row in zip(self._pending_epochs, temperatures):
             row += self._offset_for(tag)
         self._store_solved(dict(zip(self._pending_epochs, temperatures)))
-        self._last_epoch = self._pending_epochs[-1]
         self._pending_rows = []
         self._pending_epochs = []
 
@@ -290,12 +288,13 @@ class FeedbackPlan:
                 proxy = self._solved.get(epoch_index - 1 - self.stride)
                 if proxy is not None:
                     return proxy
-        if self._last_epoch is None:
+        if not self._solved:
             raise RuntimeError(
                 "FeedbackPlan.thermal_for called before any row was queued; "
                 "prime() the plan with the static power first"
             )
-        return self._solved[self._last_epoch]
+        # The newest solved row: the batch's last tag.
+        return self._solved[next(reversed(self._solved))]
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -309,7 +308,6 @@ class FeedbackPlan:
             "pending_rows": [row.tolist() for row in self._pending_rows],
             "pending_epochs": list(self._pending_epochs),
             "solved": {str(tag): row.tolist() for tag, row in self._solved.items()},
-            "last_epoch": self._last_epoch,
             "batch_solves": self.batch_solves,
             "rows_solved": self.rows_solved,
             "predictions_served": self.predictions_served,
@@ -326,8 +324,6 @@ class FeedbackPlan:
             int(tag): np.asarray(row, dtype=float)
             for tag, row in state["solved"].items()  # type: ignore[union-attr]
         })
-        last = state["last_epoch"]
-        self._last_epoch = int(last) if last is not None else None  # type: ignore[arg-type]
         self.batch_solves = int(state["batch_solves"])  # type: ignore[arg-type]
         self.rows_solved = int(state["rows_solved"])  # type: ignore[arg-type]
         self.predictions_served = int(state["predictions_served"])  # type: ignore[arg-type]
@@ -509,21 +505,19 @@ class ThermalExperiment:
         #: Per collected window: its power rows, Celsius rows and events.
         self._column_windows: List[Tuple[np.ndarray, np.ndarray, list]] = []
         self._next_epoch = 0
-        self._previous_power = self.controller.static_power_vector()
         self._baseline_peak: Optional[float] = None
         self._baseline_mean: Optional[float] = None
         self._settled_peak: Optional[float] = None
         self._settled_mean: Optional[float] = None
+        #: Transient mode's carried RC state (None until the warm start).
         self._thermal_state: Optional[np.ndarray] = None
-        self._warm_started = False
         self._warm_power = (
             np.asarray(warm_power, dtype=float) if warm_power is not None else None
         )
-        self._had_offsets = False
         # Constant-memory settled-regime state: steady mode remembers the
-        # last `capacity` power rows (+ their ambient offsets) so the settled
-        # mean can ride the final window's batch; transient mode only needs
-        # the per-epoch (peak, mean) scalars.
+        # last `capacity` power rows (+ their ambient offsets, 0.0 where an
+        # epoch had none) so the settled mean can ride the final window's
+        # batch; transient mode only needs the per-epoch (peak, mean) scalars.
         self._power_ring: Deque[np.ndarray] = deque(maxlen=capacity)
         self._offset_ring: Deque[float] = deque(maxlen=capacity)
         self._peak_ring: Deque[float] = deque(maxlen=capacity)
@@ -545,7 +539,7 @@ class ThermalExperiment:
                 stride=self.settings.feedback_stride,
                 predictor=self.settings.feedback_predictor,
             )
-            plan.prime(self._previous_power)
+            plan.prime(self.controller.static_power_vector())
         self.feedback_plan = plan
         self._active = True
 
@@ -566,29 +560,41 @@ class ThermalExperiment:
         the settled-regime evaluation into this window's batch; a stream that
         simply stops computes it in :meth:`finalize` instead (one extra
         solve in steady mode).
+
+        A period that rounds to 0.0 or inf seconds, or a load modulation of
+        the wrong unit count, raises ``ValueError`` before any state moves.
+        A refusal once the loop has run (a non-finite temperature) ends the
+        run, whose state has moved: later calls raise ``RuntimeError``.
         """
         if not self._active:
             raise RuntimeError("call prepare() before step_window()")
+        # Refused here, a window moves no state.
+        modulation = window.modulation_matrix(self.configuration.topology.num_nodes)
+        periods_s, cycles = self._window_periods(window)
         offsets = window.ambient_offsets
         start_epoch = self._next_epoch
-        trace, costs = self._loop_window(window)
-        if offsets is not None:
-            self._had_offsets = True
-        if self.settings.mode == "steady":
-            # The rings hold the last `capacity` epochs: older rows of this
-            # window would only be pushed out again.
-            tail = np.array(trace.powers[-self._settled_capacity :])
-            self._power_ring.extend(tail)
-            self._offset_ring.extend(
-                offsets[-len(tail) :].tolist()
-                if offsets is not None
-                else [0.0] * len(tail)
-            )
-            outcome = self._step_steady(trace, costs, offsets, start_epoch, is_last)
-        else:
-            outcome = self._step_transient(
-                trace, costs, offsets, start_epoch, is_last
-            )
+        try:
+            trace, costs = self._loop_window(window, modulation, periods_s)
+            self._cycles_run += cycles
+            if self.settings.mode == "steady":
+                # The rings hold the last `capacity` epochs: older rows of
+                # this window would only be pushed out again.
+                tail = np.array(trace.powers[-self._settled_capacity :])
+                self._power_ring.extend(tail)
+                self._offset_ring.extend(
+                    offsets[-len(tail) :].tolist()
+                    if offsets is not None
+                    else [0.0] * len(tail)
+                )
+                outcome = self._step_steady(trace, costs, offsets, start_epoch, is_last)
+            else:
+                outcome = self._step_transient(
+                    trace, costs, offsets, start_epoch, is_last
+                )
+        except BaseException:
+            # A half-advanced run must not be stepped, saved or reported.
+            self._active = False
+            raise
         if self._collect_records:
             self._column_windows.append((trace.powers, outcome.epoch_metrics, costs))
         return outcome
@@ -662,8 +668,6 @@ class ThermalExperiment:
         epochs, one or more full orbits of the transform) and the mean
         ambient offset its temperatures take."""
         power = np.vstack(list(self._power_ring)).mean(axis=0)
-        if not self._had_offsets:
-            return power, 0.0
         return power, float(np.mean(np.array(self._offset_ring)))
 
     def _set_baseline(self, celsius: np.ndarray) -> ThermalMetrics:
@@ -686,8 +690,30 @@ class ThermalExperiment:
     # ------------------------------------------------------------------
     # Shared chunk loop
     # ------------------------------------------------------------------
+    def _window_periods(self, window: EpochWindow) -> Tuple[np.ndarray, int]:
+        """Each epoch's duration (s) and the workload cycles they run, per
+        epoch; raises ``ValueError`` naming an epoch whose period rounds to
+        0.0 or inf seconds."""
+        count = window.num_epochs
+        base_period_us = self.policy.period_us
+        if window.period_scale is None:
+            return np.full(count, base_period_us * 1e-6), self._period_cycles * count
+        periods_us = [base_period_us * scale for scale in window.period_scale.tolist()]
+        periods_s = np.array(periods_us) * 1e-6
+        bad = np.flatnonzero(~(np.isfinite(periods_s) & (periods_s > 0)))
+        if len(bad):
+            raise ValueError(
+                f"epoch {self._next_epoch + bad[0]}: period of "
+                f"{float(periods_s[bad[0]])!r} s is not positive and finite"
+            )
+        block_period_cycles = self.configuration.block_period_cycles
+        return periods_s, sum(block_period_cycles(period) for period in periods_us)
+
     def _loop_window(
-        self, window: EpochWindow
+        self,
+        window: EpochWindow,
+        modulation: Optional[np.ndarray],
+        periods_s: np.ndarray,
     ) -> Tuple[PowerTrace, List[Optional[MigrationEvent]]]:
         """Run the policy/controller loop for one window, chunk by chunk.
 
@@ -708,40 +734,18 @@ class ThermalExperiment:
         transform it still returns is dropped and counted as a stalled
         epoch.  The chunk's ``(E, U)`` power rows are one
         :meth:`~repro.core.controller.RuntimeReconfigurationController.power_rows`
-        call over each epoch's ``task -> node`` array and executed stage,
-        scaled by the load modulation and queued for feedback; the window's
-        rows are validated once, as its trace.  The cost list
-        holds each epoch's executed stage (None when no stage ran).  A
-        window whose period rounds to 0.0 or inf seconds (naming the epoch),
-        or whose load modulation has the wrong unit count, raises
-        ``ValueError`` before any state moves.
+        call over each epoch's ``task -> node`` array and executed stage
+        (``periods_s`` long), scaled by the load ``modulation`` and queued
+        for feedback; the window's rows are validated once, as its trace.
+        The cost list holds each epoch's executed stage (None when no stage
+        ran).
         """
         configuration = self.configuration
-        # Validated first: a refused window moves no state.
-        modulation = window.modulation_matrix(configuration.topology.num_nodes)
         controller = self.controller
         decide = self.policy.decide
         plan = self.feedback_plan
         start = self._next_epoch
         count = window.num_epochs
-        base_period_us = self.policy.period_us
-        if window.period_scale is None:
-            periods_s = np.full(count, base_period_us * 1e-6)
-            self._cycles_run += self._period_cycles * count
-        else:
-            periods_us = [
-                base_period_us * scale for scale in window.period_scale.tolist()
-            ]
-            periods_s = np.array(periods_us) * 1e-6
-            bad = np.flatnonzero(~(np.isfinite(periods_s) & (periods_s > 0)))
-            if len(bad):
-                raise ValueError(
-                    f"epoch {start + bad[0]}: period of {float(periods_s[bad[0]])!r} s "
-                    "is not positive and finite"
-                )
-            self._cycles_run += sum(
-                configuration.block_period_cycles(period) for period in periods_us
-            )
         if plan is not None:
             plan.add_offsets(start, window.ambient_offsets)
         noc_rates = window.noc_rates
@@ -789,11 +793,10 @@ class ThermalExperiment:
                     if in_progress:
                         if wants:
                             _OBS_STALLED.add()
-                        cost = controller.advance_plan(epoch_index, congestion)
+                        cost = controller.advance_plan(congestion)
                     else:
                         cost = controller.apply_migration(
                             transform,
-                            epoch_index,
                             style=style,
                             units_per_epoch=units_per_epoch,
                             congestion=congestion,
@@ -813,11 +816,9 @@ class ThermalExperiment:
             chunks.append(rows)
             costs.extend(events)
             chunk_start = chunk_stop
-        controller.advance_epoch(count)
         # One validated trace per window; a refresh validates the rows it
         # solves itself (HotSpotModel.steady_temperatures).
         trace = PowerTrace(configuration.topology, periods_s, np.concatenate(chunks))
-        self._previous_power = chunks[-1][-1]
         self._next_epoch += count
         return trace, costs
 
@@ -883,7 +884,7 @@ class ThermalExperiment:
         """
         thermal_model = self.thermal_model
         baseline: Optional[ThermalMetrics] = None
-        if not self._warm_started:
+        if self._thermal_state is None:
             # The baseline is still a steady solve of the static power.
             baseline = self._set_baseline(
                 thermal_model.steady_temperatures(
@@ -906,7 +907,6 @@ class ThermalExperiment:
                     float(offsets[0]) if offsets is not None else 0.0
                 ),
             )
-            self._warm_started = True
         result = thermal_model.transient_sequence(
             trace,
             initial_state=self._thermal_state,
@@ -979,10 +979,10 @@ class ThermalExperiment:
     def state_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot of all state carried between windows.
 
-        Covers the experiment's own stream state (epoch cursor, previous
-        power, thermal state, settled rings, baseline/settled statistics),
-        the controller (mapping permutation, migration totals, I/O
-        translator) and the policy/feedback-plan state.  Restoring this onto
+        Covers the experiment's own stream state (epoch cursor, cycles run,
+        thermal state, settled rings, baseline/settled statistics), the
+        controller (mapping permutation, migration totals, in-flight plan)
+        and the policy/feedback-plan state.  Restoring this onto
         a freshly ``prepare()``-ed experiment of the identical configuration
         resumes the stream bit-identically (floats round-trip JSON exactly).
         Per-epoch record columns are deliberately not captured —
@@ -993,14 +993,11 @@ class ThermalExperiment:
         return {
             "next_epoch": self._next_epoch,
             "cycles_run": self._cycles_run,
-            "previous_power": self._previous_power.tolist(),
             "baseline_peak": self._baseline_peak,
             "baseline_mean": self._baseline_mean,
             "settled_peak": self._settled_peak,
             "settled_mean": self._settled_mean,
             "settled_capacity": self._settled_capacity,
-            "had_offsets": self._had_offsets,
-            "warm_started": self._warm_started,
             "thermal_state": (
                 self._thermal_state.tolist() if self._thermal_state is not None else None
             ),
@@ -1024,18 +1021,11 @@ class ThermalExperiment:
         capacity = int(state["settled_capacity"])  # type: ignore[arg-type]
         self._settled_capacity = capacity
         self._next_epoch = int(state["next_epoch"])  # type: ignore[arg-type]
-        # Old checkpoints (pre period-schedule) lack the accumulator; the
-        # legacy product is exact for them because their period was fixed.
-        self._cycles_run = int(
-            state.get("cycles_run", self._period_cycles * self._next_epoch)  # type: ignore[arg-type]
-        )
-        self._previous_power = np.asarray(state["previous_power"], dtype=float)
+        self._cycles_run = int(state["cycles_run"])  # type: ignore[arg-type]
         self._baseline_peak = state["baseline_peak"]  # type: ignore[assignment]
         self._baseline_mean = state["baseline_mean"]  # type: ignore[assignment]
         self._settled_peak = state["settled_peak"]  # type: ignore[assignment]
         self._settled_mean = state["settled_mean"]  # type: ignore[assignment]
-        self._had_offsets = bool(state["had_offsets"])
-        self._warm_started = bool(state["warm_started"])
         thermal_state = state["thermal_state"]
         self._thermal_state = (
             np.asarray(thermal_state, dtype=float) if thermal_state is not None else None

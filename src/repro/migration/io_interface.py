@@ -7,82 +7,37 @@ transforming the source address of all packets leaving the chip.  By
 including a migration unit at the I/O interface, the migration operation is
 totally transparent to the outside world."
 
-:class:`IoAddressTranslator` keeps the composition of every migration applied
-so far.  External agents always address PEs by their *original* (design-time)
+The migration unit at the I/O interface applies the same transforms as the
+PEs, so the chip-boundary address map *is* the task mapping.  An
+:class:`IoAddressTranslator` is a read-only view of one map, original node
+-> current node (the controller builds it from its mapping,
+:attr:`repro.core.controller.RuntimeReconfigurationController.io_translator`).
+External agents always address PEs by their *original* (design-time)
 coordinates; the translator rewrites those to the current physical location
 on ingress and back to the original view on egress.
-
-The cumulative map is a node-id permutation array, so composing a migration
-is one gather and a lookup is two index operations.  Its inverse (for
-egress) is built only when a lookup reads it.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 import numpy as np
 
 from ..noc.flit import Packet, PacketClass
 from ..noc.topology import Coordinate, MeshTopology
-from .transforms import MigrationTransform
 
 
 class IoAddressTranslator:
-    """Maintains the cumulative coordinate map across migrations."""
+    """Ingress and egress address rewriting under one migrated layout.
 
-    def __init__(self, topology: MeshTopology):
+    ``current[node]`` is where the workload designed for ``node`` runs now;
+    it must be a permutation of the node ids and is not copied.
+    """
+
+    def __init__(self, topology: MeshTopology, current: np.ndarray):
         self.topology = topology
-        self._identity = np.arange(topology.num_nodes, dtype=np.intp)
         self._coords = list(topology.coordinates())
-        #: original node id -> current node id, and its inverse (None until
-        #: a lookup needs it)
-        self._current = self._identity
-        self._original: Optional[np.ndarray] = self._identity
-        self._applied = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def migrations_applied(self) -> int:
-        return self._applied
-
-    def record_migration(self, transform: MigrationTransform) -> None:
-        """Compose ``transform`` onto the cumulative map."""
-        self.record_permutation(transform.node_permutation())
-
-    def record_permutation(self, step: np.ndarray) -> None:
-        """Compose a node permutation (``step[i]`` = new node of node ``i``).
-
-        The controller records every sudden migration (the transform's
-        permutation) and every executed plan stage (a partial relocation,
-        identity outside the stage's moves) through it.  ``step`` must be a
-        permutation of the node ids; it is not copied or modified.
-        """
-        self._set_current(step[self._current])
-        self._applied += 1
-
-    def _set_current(self, current: np.ndarray) -> None:
         self._current = current
-        self._original = None
-
-    def reset(self) -> None:
-        """Forget all migrations (chip returns to the design-time layout)."""
-        self._current = self._identity
-        self._original = self._identity
-        self._applied = 0
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot (cumulative map as a permutation)."""
-        return {"permutation": self._current.tolist(), "applied": self._applied}
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`state_dict`."""
-        permutation = [int(node) for node in state["permutation"]]  # type: ignore[union-attr]
-        if sorted(permutation) != list(range(self.topology.num_nodes)):
-            raise ValueError("translator permutation must cover every node id")
-        self._set_current(np.array(permutation, dtype=np.intp))
-        self._applied = int(state["applied"])  # type: ignore[arg-type]
+        self._original = np.empty_like(current)
+        self._original[current] = np.arange(topology.num_nodes)
 
     # ------------------------------------------------------------------
     def current_location(self, original: Coordinate) -> Coordinate:
@@ -91,9 +46,6 @@ class IoAddressTranslator:
 
     def original_location(self, current: Coordinate) -> Coordinate:
         """The design-time coordinate of the workload now at ``current``."""
-        if self._original is None:
-            self._original = np.empty_like(self._current)
-            self._original[self._current] = self._identity
         return self._coords[self._original[self.topology.node_id(current)]]
 
     # ------------------------------------------------------------------

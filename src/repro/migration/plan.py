@@ -9,12 +9,13 @@ a sudden migration is the one-stage plan.
 
 This module lowers a :class:`repro.migration.transforms.MigrationTransform`
 into a :class:`MigrationPlan` — an ordered tuple of :class:`MigrationStage`
-records, each carrying its :class:`PeMove` set, its congestion-free NoC
-transfer cycles (priced through the one shared per-move cycle function,
-:meth:`MigrationScheduler.move_cycles`), and its energy (folded from the
-shared per-move account, :meth:`MigrationUnit.move_energy`).  The controller
-executes one stage per epoch; between stages the mapping is *mixed* — partly
-migrated, partly not — so stages must keep the mapping a valid permutation.
+records, each carrying its node step array, its congestion-free NoC transfer
+cycles (priced through the one shared per-move cycle function,
+:meth:`MigrationScheduler.move_cycles`), and its per-node energy (folded from
+the shared per-move account, :meth:`MigrationUnit.move_energy`).  The
+controller executes one stage per epoch; between stages the mapping is
+*mixed* — partly migrated, partly not — so stages must keep the mapping a
+valid permutation.
 
 The unit of staging is therefore a **permutation cycle** of the transform:
 applying a whole cycle's moves simultaneously relocates a closed set of PEs
@@ -22,7 +23,8 @@ onto itself, which is exactly the condition for the mid-plan mapping to stay
 bijective.  Styles differ only in how cycles are grouped into stages:
 
 * ``sudden`` — one stage holding every move, in
-  :meth:`MigrationScheduler.moves_for_transform` order;
+  :meth:`MigrationScheduler.moves_for_transform` order (its step is the
+  transform's node permutation);
 * ``fluid`` — cycles are packed into stages under a ``units_per_epoch``
   budget (a cycle longer than the budget still occupies one stage — cycles
   are atomic);
@@ -31,9 +33,9 @@ bijective.  Styles differ only in how cycles are grouped into stages:
   each stage is one whole-stage "phase group" that transfers without
   blocking.
 
-The controller executes a stage as a node step array
-(:func:`stage_steps`); a lowered plan and its step arrays are what the
-chip's :class:`repro.migration.unit.PlanMemo` stores.
+A stage is its arrays: the :class:`PeMove` sets that shaped it are not
+kept, and a lowered plan is what the chip's
+:class:`repro.migration.unit.PlanMemo` stores.
 
 Congestion pricing: plans carry congestion-free cycle counts; when the
 epoch's NoC load is known, :func:`congestion_factor` scales a stage's
@@ -47,11 +49,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..noc.topology import Coordinate, MeshTopology
+from ..noc.topology import Coordinate
 from .scheduler import PeMove, _links_of_route
 from .transforms import MigrationTransform
 from .unit import MigrationUnit
@@ -60,114 +62,80 @@ __all__ = [
     "MIGRATION_STYLES",
     "MigrationPlan",
     "MigrationStage",
-    "StageStep",
     "congestion_factor",
     "lower_transform",
-    "stage_steps",
 ]
 
 #: The supported ``migration_style`` values, in documentation order.
 MIGRATION_STYLES: Tuple[str, ...] = ("sudden", "fluid", "batched")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MigrationStage:
-    """One epoch's worth of a staged migration.
+    """One epoch's worth of a staged migration, as the controller executes it.
 
-    ``moves`` is this stage's slice of the transform's move set (local moves
-    — fixed points that only pay the halt/reconfigure cost — ride the first
-    stage).  ``cycles`` is the congestion-free phased duration of the
-    stage's remote moves; ``energy_per_unit_j`` charges the stage's energy
-    to the coordinates where the heat lands
-    (:meth:`repro.migration.unit.MigrationUnit.moves_energy`).
+    ``step[node]`` is the node's place after the stage (identity outside the
+    stage's moves; local moves — fixed points that only pay the
+    halt/reconfigure cost — ride the first stage), so executing the stage is
+    the gather ``step[mapping]``.  ``energy`` is the stage's energy per node,
+    row-major, charged where the heat lands
+    (:meth:`repro.migration.unit.MigrationUnit.moves_energy`).  Both arrays
+    are read-only.  ``cycles`` is the congestion-free phased duration of the
+    stage's remote moves and ``moved`` counts the PEs that change node.
     """
 
-    moves: Tuple[PeMove, ...]
+    step: np.ndarray
+    energy: np.ndarray
     cycles: int
     energy_j: float
-    energy_per_unit_j: Mapping[Coordinate, float]
-
-    @property
-    def moved(self) -> int:
-        """PEs that actually change coordinate in this stage."""
-        return sum(1 for move in self.moves if not move.is_local)
-
-    def mapping_moves(self) -> Dict[Coordinate, Coordinate]:
-        """The partial permutation this stage applies (remote moves only).
-
-        The source set always equals the destination set (stages are unions
-        of whole permutation cycles), so applying these moves keeps any
-        bijective mapping bijective.
-        """
-        return {
-            move.source: move.destination
-            for move in self.moves
-            if not move.is_local
-        }
+    moved: int
 
     # -- checkpoint codec ------------------------------------------------
-    def to_dict(self, topology: MeshTopology) -> Dict[str, object]:
+    def to_dict(self) -> Dict[str, object]:
         return {
-            "moves": [
-                [
-                    topology.node_id(move.source),
-                    topology.node_id(move.destination),
-                    move.payload_flits,
-                ]
-                for move in self.moves
-            ],
+            "step": self.step.tolist(),
             "cycles": self.cycles,
             "energy_j": self.energy_j,
-            "energy_per_unit": {
-                str(topology.node_id(coord)): energy
-                for coord, energy in self.energy_per_unit_j.items()
-                if energy != 0.0
-            },
+            "energy": self.energy.tolist(),
         }
 
     @classmethod
-    def from_dict(
-        cls, state: Dict[str, object], topology: MeshTopology
-    ) -> "MigrationStage":
+    def from_dict(cls, state: Dict[str, object], num_nodes: int) -> "MigrationStage":
         """Inverse of :meth:`to_dict`.
 
-        Raises ``ValueError`` unless the stage's remote moves form a closed
-        relocation (distinct sources whose set equals the destination set),
-        so a tampered checkpoint fails at restore rather than mid-stream.
+        Raises ``ValueError`` unless ``step`` is a permutation of the node
+        ids (the stage's moves form a closed relocation) and ``energy`` has
+        one entry per node, so a tampered checkpoint fails at restore rather
+        than mid-stream.
         """
-        energy_per_unit = {coord: 0.0 for coord in topology.coordinates()}
-        for node_id, energy in state["energy_per_unit"].items():  # type: ignore[union-attr]
-            energy_per_unit[topology.coordinate(int(node_id))] = float(energy)
-        moves = tuple(
-            PeMove(
-                source=topology.coordinate(int(source)),
-                destination=topology.coordinate(int(destination)),
-                payload_flits=int(flits),
-            )
-            for source, destination, flits in state["moves"]  # type: ignore[union-attr]
-        )
-        sources = [move.source for move in moves if not move.is_local]
-        destinations = {move.destination for move in moves if not move.is_local}
-        if len(set(sources)) != len(sources) or set(sources) != destinations:
+        identity = np.arange(num_nodes, dtype=np.intp)
+        step = np.array(state["step"], dtype=np.intp)
+        if step.shape != identity.shape or not np.array_equal(np.sort(step), identity):
             raise ValueError(
-                "migration stage moves must be a closed relocation "
-                "(distinct sources, source set equal to destination set)"
+                "migration stage step must be a closed relocation "
+                "(a permutation of the node ids)"
             )
+        energy = np.array(state["energy"], dtype=float)
+        if energy.shape != identity.shape:
+            raise ValueError(f"migration stage energy must have {num_nodes} entries")
+        step.flags.writeable = energy.flags.writeable = False
         return cls(
-            moves=moves,
+            step=step,
+            energy=energy,
             cycles=int(state["cycles"]),  # type: ignore[arg-type]
             energy_j=float(state["energy_j"]),  # type: ignore[arg-type]
-            energy_per_unit_j=energy_per_unit,
+            moved=int(np.count_nonzero(step != identity)),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MigrationPlan:
-    """An ordered sequence of stages that composes to one whole transform."""
+    """An ordered sequence of stages that composes to one whole transform.
+
+    The style and budget it was lowered under are the run's settings.
+    """
 
     transform_name: str
-    style: str
-    units_per_epoch: Optional[int]
     stages: Tuple[MigrationStage, ...]
 
     @property
@@ -186,33 +154,19 @@ class MigrationPlan:
     def total_moved(self) -> int:
         return sum(stage.moved for stage in self.stages)
 
-    def mapping_moves(self) -> Dict[Coordinate, Coordinate]:
-        """The full permutation all stages compose to."""
-        moves: Dict[Coordinate, Coordinate] = {}
-        for stage in self.stages:
-            moves.update(stage.mapping_moves())
-        return moves
-
     # -- checkpoint codec ------------------------------------------------
-    def to_dict(self, topology: MeshTopology) -> Dict[str, object]:
+    def to_dict(self) -> Dict[str, object]:
         return {
             "transform": self.transform_name,
-            "style": self.style,
-            "units_per_epoch": self.units_per_epoch,
-            "stages": [stage.to_dict(topology) for stage in self.stages],
+            "stages": [stage.to_dict() for stage in self.stages],
         }
 
     @classmethod
-    def from_dict(
-        cls, state: Dict[str, object], topology: MeshTopology
-    ) -> "MigrationPlan":
-        units = state.get("units_per_epoch")
+    def from_dict(cls, state: Dict[str, object], num_nodes: int) -> "MigrationPlan":
         return cls(
             transform_name=str(state["transform"]),
-            style=str(state["style"]),
-            units_per_epoch=int(units) if units is not None else None,
             stages=tuple(
-                MigrationStage.from_dict(stage, topology)
+                MigrationStage.from_dict(stage, num_nodes)
                 for stage in state["stages"]  # type: ignore[union-attr]
             ),
         )
@@ -340,72 +294,27 @@ def lower_transform(
         # Fixed points only pay the halt/reconfigure cost; the whole array
         # halts when the plan starts, so they ride the first stage.
         groups[0] = groups[0] + local
+    node_id = unit.topology.node_id
+    identity = np.arange(unit.topology.num_nodes, dtype=np.intp)
     stages = []
     for group in groups:
-        schedule = scheduler.schedule(group)
-        energy_j, energy_per_unit = unit.moves_energy(group)
+        # Local moves scatter a node onto itself, so all moves go in.
+        step = identity.copy()
+        step[[node_id(move.source) for move in group]] = [
+            node_id(move.destination) for move in group
+        ]
+        step.flags.writeable = False
+        energy_j, energy = unit.moves_energy(group)
         stages.append(
             MigrationStage(
-                moves=tuple(group),
-                cycles=schedule.total_cycles,
+                step=step,
+                energy=energy,
+                cycles=scheduler.schedule(group).total_cycles,
                 energy_j=energy_j,
-                energy_per_unit_j=energy_per_unit,
+                moved=int(np.count_nonzero(step != identity)),
             )
         )
-    return MigrationPlan(
-        transform_name=transform.name,
-        style=style,
-        units_per_epoch=None if style == "sudden" else units_per_epoch,
-        stages=tuple(stages),
-    )
-
-
-# ----------------------------------------------------------------------
-# Execution arrays
-# ----------------------------------------------------------------------
-class StageStep(NamedTuple):
-    """A plan stage as the controller executes it (arrays are read-only)."""
-
-    #: ``step[node]`` = node after the stage (identity outside its moves).
-    step: np.ndarray
-    #: Per-node energy of the stage (J), row-major.
-    energy: np.ndarray
-    #: PEs that change node in the stage.
-    moved: int
-
-
-def stage_steps(
-    plan: MigrationPlan,
-    topology: MeshTopology,
-    permutation: Optional[np.ndarray] = None,
-) -> Tuple[StageStep, ...]:
-    """Each stage of ``plan`` as a step array and an energy vector.
-
-    ``permutation`` is the node permutation of the transform ``plan`` was
-    just lowered from; a one-stage plan's step is that array itself.
-    """
-    identity = np.arange(topology.num_nodes, dtype=np.intp)
-    num_stages = plan.num_stages
-    steps = []
-    for stage in plan.stages:
-        if num_stages == 1 and permutation is not None:
-            step = permutation
-        else:
-            # Local moves scatter a node onto itself, so all moves go in.
-            step = identity.copy()
-            step[[topology.node_id(move.source) for move in stage.moves]] = [
-                topology.node_id(move.destination) for move in stage.moves
-            ]
-        # Lowered and restored stages both key their energy by every
-        # coordinate in row-major order.
-        energy = np.fromiter(
-            stage.energy_per_unit_j.values(), dtype=float, count=identity.size
-        )
-        step.flags.writeable = energy.flags.writeable = False
-        steps.append(
-            StageStep(step, energy, int(np.count_nonzero(step != identity)))
-        )
-    return tuple(steps)
+    return MigrationPlan(transform_name=transform.name, stages=tuple(stages))
 
 
 # ----------------------------------------------------------------------

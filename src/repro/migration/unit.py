@@ -34,7 +34,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+
+import numpy as np
 
 from ..noc.flit import Packet, PacketClass
 from ..noc.routing import RoutingAlgorithm, XYRouting
@@ -43,6 +45,9 @@ from ..power.library import DEFAULT_LIBRARY, TechnologyLibrary
 from .scheduler import MigrationScheduler, PeMove
 from .state_transfer import StateTransferModel
 from .transforms import MigrationTransform
+
+if TYPE_CHECKING:
+    from .plan import MigrationPlan
 
 #: Cap on memoized lowered plans per unit: a periodic policy cycles a short
 #: orbit of mappings, but a long adaptive run must not grow the memo
@@ -55,15 +60,15 @@ class PlanMemo:
 
     The controller keys an entry by ``(transform name, permutation bytes,
     mapping bytes, per-task Tanner sizes as bytes, style, units_per_epoch)``
-    and stores the :class:`repro.migration.plan.MigrationPlan` with its
-    :func:`repro.migration.plan.stage_steps`.  Entries are immutable, so
+    and stores the :class:`repro.migration.plan.MigrationPlan`, whose stages
+    are read-only step and energy arrays.  Entries are immutable, so
     every thread and run may share them.  Lookups and inserts take a lock;
     lowering happens outside it, so two threads that miss on one key may
     both lower it, and the first insert wins.
     """
 
     def __init__(self):
-        self._entries: "OrderedDict[Hashable, tuple]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, MigrationPlan]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __getstate__(self):
@@ -85,7 +90,7 @@ class PlanMemo:
         with self._lock:
             return list(self._entries)
 
-    def get(self, key: Hashable) -> Optional[tuple]:
+    def get(self, key: Hashable) -> Optional[MigrationPlan]:
         """The entry under ``key`` (None on a miss), marked most recently used."""
         with self._lock:
             entry = self._entries.get(key)
@@ -93,7 +98,7 @@ class PlanMemo:
                 self._entries.move_to_end(key)
             return entry
 
-    def put(self, key: Hashable, entry: tuple) -> tuple:
+    def put(self, key: Hashable, entry: MigrationPlan) -> MigrationPlan:
         """Insert ``entry`` unless ``key`` is present; return the kept entry.
 
         Past :data:`MAX_CACHED_PLANS` entries the least recently used goes.
@@ -226,22 +231,21 @@ class MigrationUnit:
             link_energy_j=flits * hop_count * self.library.link_energy_per_flit_j,
         )
 
-    def moves_energy(
-        self, moves: List[PeMove]
-    ) -> Tuple[float, Dict[Coordinate, float]]:
-        """Total and per-unit energy of a set of moves, accumulated in move
-        order (the per-unit dict keys every coordinate, row-major)."""
-        energy_per_unit: Dict[Coordinate, float] = {
-            coord: 0.0 for coord in self.topology.coordinates()
-        }
+    def moves_energy(self, moves: List[PeMove]) -> Tuple[float, np.ndarray]:
+        """Total and per-node energy of a set of moves, accumulated in move
+        and charge order (the per-node vector is row-major and read-only)."""
+        node_id = self.topology.node_id
+        per_node = [0.0] * self.topology.num_nodes
         total = 0.0
         for move in moves:
             account = self.move_energy(move)
             for coord, energy in account.unit_charges():
-                energy_per_unit[coord] += energy
+                per_node[node_id(coord)] += energy
             for term in account.total_terms():
                 total += term
-        return total, energy_per_unit
+        energy_vector = np.array(per_node)
+        energy_vector.flags.writeable = False
+        return total, energy_vector
 
     # ------------------------------------------------------------------
     def migration_packets(

@@ -1,4 +1,4 @@
-"""On-disk JSON: append-only journals read by one rule, files published whole.
+"""On-disk JSON: journals read by one rule, files published whole, code named.
 
 The campaign manifest (:mod:`repro.campaign.manifest`) and the served-stream
 checkpoints (:mod:`repro.stream.checkpoint`) are JSON-lines journals with
@@ -13,15 +13,20 @@ Campaign specs, reports and cache entries are written by
 over the target, so a reader or a kill sees the old file or the new one,
 never a torn one.  It does not fsync: that guards against a killed
 process, not a power loss.
+
+Campaign cache keys and served-stream checkpoint identities name the code
+that wrote them (:func:`code_fingerprint`), so other code never reads them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
+import threading
 from pathlib import Path
-from typing import Any, List, NamedTuple
+from typing import Any, Dict, List, NamedTuple, Optional
 
 
 class CorruptJournalError(ValueError):
@@ -98,3 +103,49 @@ def publish_text(path: Path, text: str) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def _package_root() -> Path:
+    import repro
+
+    return Path(repro.__file__).resolve().parent
+
+
+#: root -> fingerprint hex digest; sources don't change under a running
+#: process, so the package is hashed once.
+_FINGERPRINT_CACHE: Dict[str, str] = {}
+_FINGERPRINT_LOCK = threading.Lock()
+
+
+def code_fingerprint(root: Optional[Path] = None) -> str:
+    """SHA-256 over every ``.py`` source of the package, plus numpy's version.
+
+    Files are hashed in sorted relative-path order with their paths mixed in,
+    so renames, additions and deletions all change the fingerprint, and the
+    digest is independent of filesystem iteration order.
+    """
+    import numpy
+
+    # Only the installed package root is memoized: its sources cannot change
+    # under a running process.  Explicit roots (tests fingerprinting mutable
+    # source trees) are re-hashed every call.
+    memoize = root is None
+    base = _package_root() if root is None else Path(root)
+    key = str(base)
+    if memoize:
+        with _FINGERPRINT_LOCK:
+            cached = _FINGERPRINT_CACHE.get(key)
+        if cached is not None:
+            return cached
+    digest = hashlib.sha256(f"numpy {numpy.__version__}".encode("utf-8"))
+    for source in sorted(base.rglob("*.py")):
+        rel = source.relative_to(base).as_posix()
+        digest.update(b"\x00")
+        digest.update(rel.encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(source.read_bytes())
+    fingerprint = digest.hexdigest()
+    if memoize:
+        with _FINGERPRINT_LOCK:
+            _FINGERPRINT_CACHE[key] = fingerprint
+    return fingerprint

@@ -10,13 +10,19 @@ JSONL wire format (:mod:`~repro.stream.window`), window producers
 """
 
 from .checkpoint import CheckpointStore
-from .engine import CheckpointMismatchError, StreamingExperiment, StreamUpdate
+from .engine import (
+    CheckpointMismatchError,
+    CheckpointRestoreError,
+    StreamingExperiment,
+    StreamUpdate,
+)
 from .source import jsonl_windows, scenario_windows
 from .summary import RollingSummary
 from .window import EpochWindow
 
 __all__ = [
     "CheckpointMismatchError",
+    "CheckpointRestoreError",
     "CheckpointStore",
     "EpochWindow",
     "RollingSummary",

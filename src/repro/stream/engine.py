@@ -5,9 +5,9 @@
 windows** instead of a fixed horizon: each window goes through the same
 batched machinery the whole-horizon path uses (one multi-RHS steady solve or
 one ``transient_sequence`` call per window, thermal state and feedback state
-carried across windows), each window's outcome — the one record of the
-migration stages it executed — is folded into the constant-memory
-:class:`repro.stream.summary.RollingSummary`, and an optional
+carried across windows), each window's temperatures are folded into the
+constant-memory :class:`repro.stream.summary.RollingSummary` (which reports
+the controller's migration totals beside them), and an optional
 :class:`repro.stream.checkpoint.CheckpointStore` publishes a resumable
 snapshot after every window.  A window sized to the horizon *is* the batch
 run — streaming is the general case, batch its special case.
@@ -39,6 +39,7 @@ from ..scenarios.compile import (
 )
 from ..scenarios.noc_cost import NocCostModel, rate_noc_latencies
 from ..scenarios.spec import ScenarioSpec
+from ..storage import code_fingerprint
 from ..thermal.hotspot import HotSpotModel
 from .checkpoint import CheckpointStore
 from .summary import RollingSummary
@@ -49,7 +50,11 @@ _OBS_EPOCHS = _obs_counter("stream.epochs")
 _OBS_LAG = _obs_gauge("stream.lag_s")
 
 
-class CheckpointMismatchError(ValueError):
+class CheckpointRestoreError(ValueError):
+    """The newest checkpoint of a journal cannot resume this stream."""
+
+
+class CheckpointMismatchError(CheckpointRestoreError):
     """The checkpoint journal was written by another stream (another identity)."""
 
 
@@ -153,59 +158,58 @@ class StreamingExperiment:
 
     # ------------------------------------------------------------------
     def _build_identity(self, source_tag: str) -> str:
-        """Checkpoint-compatibility key: what must match to restore state."""
+        """Checkpoint-compatibility key: what must match to restore state.
+
+        It starts with the code (:func:`repro.storage.code_fingerprint`): a
+        checkpoint resumes only under the code that wrote it.
+        """
         experiment = self.experiment
-        parts = [
+        settings = experiment.settings
+        return "/".join([
+            code_fingerprint(),
             experiment.configuration.name,
             experiment.policy.name,
-            experiment.settings.mode,
-            f"stride{experiment.settings.feedback_stride}",
-            type(experiment.thermal_model).__name__,
-        ]
-        # A grid resolution changes the carried thermal state; the block
-        # resolution adds nothing so existing journals keep their identity.
-        if experiment.thermal_model.resolution != 1:
-            parts.append(f"grid{experiment.thermal_model.resolution}")
-        # Staged styles change the carried controller state (a mid-plan
-        # checkpoint is meaningless under another style); the sudden default
-        # adds nothing so existing journals keep their identity.
-        if experiment.settings.migration_style != "sudden":
-            parts.append(
-                f"mig:{experiment.settings.migration_style}"
-                f"x{experiment.settings.units_per_epoch}"
-            )
-        # A resumed stream must not mix two migration periods; the paper's
-        # 109 us default adds nothing so existing journals keep their identity.
-        if experiment.policy.period_us != 109.0:
-            parts.append(f"period{experiment.policy.period_us!r}us")
-        parts.append(source_tag)
-        return "/".join(parts)
+            settings.mode,
+            f"stride{settings.feedback_stride}",
+            f"grid{experiment.thermal_model.resolution}",
+            f"mig:{settings.migration_style}x{settings.units_per_epoch}",
+            f"period{experiment.policy.period_us!r}us",
+            source_tag,
+        ])
 
     def prepare(self) -> int:
         """Arm the experiment, restoring the newest checkpoint if present.
 
         Returns the global epoch the stream resumes from (0 for a fresh
-        run).  A checkpoint journal written under a different identity —
-        another scenario, policy, mode or thermal model — raises instead of
-        silently corrupting the resumed stream.
+        run).  A journal written under another identity (scenario, policy,
+        mode, thermal model, code, ...) raises
+        :class:`CheckpointMismatchError` instead of silently corrupting the
+        resumed stream, and one whose newest checkpoint does not restore
+        :class:`CheckpointRestoreError`.
         """
         self.experiment.prepare(
             settled_capacity=self._settled_capacity,
             warm_power=self._warm_power,
             collect_records=False,
         )
-        self._prepared = True
         if self.checkpoint is not None:
             payload = self.checkpoint.load_latest()
             if payload is not None:
-                if payload.get("identity") != self.identity:
+                identity = payload.get("identity") if isinstance(payload, dict) else None
+                if identity != self.identity:
                     raise CheckpointMismatchError(
                         "checkpoint identity mismatch: journal was written by "
-                        f"{payload.get('identity')!r}, this stream is "
-                        f"{self.identity!r}"
+                        f"{identity!r}, this stream is {self.identity!r}"
                     )
-                self.experiment.restore_state(payload["experiment"])  # type: ignore[arg-type]
-                self.summary.restore_state(payload["summary"])  # type: ignore[arg-type]
+                try:
+                    self.experiment.restore_state(payload["experiment"])  # type: ignore[arg-type]
+                    self.summary.restore_state(payload["summary"])  # type: ignore[arg-type]
+                except (KeyError, TypeError, ValueError) as error:
+                    raise CheckpointRestoreError(
+                        f"{self.checkpoint.path}: newest checkpoint does not "
+                        f"restore: {error}"
+                    ) from error
+        self._prepared = True
         return self.experiment.next_epoch
 
     # ------------------------------------------------------------------
@@ -289,7 +293,6 @@ class StreamingExperiment:
             self.checkpoint.save(
                 {
                     "identity": self.identity,
-                    "next_epoch": experiment.next_epoch,
                     "experiment": experiment.state_dict(),
                     "summary": self.summary.state_dict(),
                 }
@@ -298,7 +301,7 @@ class StreamingExperiment:
         return StreamUpdate(
             start_epoch=start_epoch,
             outcome=outcome,
-            summary=self.summary.snapshot(),
+            summary=self.summary.snapshot(experiment.controller),
             lag_s=lag_s,
             checkpointed=checkpointed,
         )

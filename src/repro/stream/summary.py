@@ -1,11 +1,12 @@
 """Constant-memory rolling metrics over an unbounded epoch stream.
 
 :class:`RollingSummary` folds each :class:`repro.core.experiment.WindowOutcome`
-into O(1) aggregate state — running peak, epoch-weighted mean, migration
-accounting, decoder-effort and NoC-latency aggregates — so a stream of any
-length reports exact totals without retaining per-epoch history.  The state
-is JSON-round-trippable (:meth:`state_dict` / :meth:`restore_state`) so
-checkpointed streams resume with identical running statistics.
+into O(1) aggregate state — running peak, epoch-weighted mean, decoder-effort
+and NoC-latency aggregates — so a stream of any length reports exact totals
+without retaining per-epoch history.  Migration totals are the controller's
+(its snapshot reports them beside its own).  The state is JSON-round-trippable
+(:meth:`state_dict` / :meth:`restore_state`) so checkpointed streams resume
+with identical running statistics.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..core.controller import RuntimeReconfigurationController
 from ..core.experiment import WindowOutcome
 
 
@@ -29,8 +31,6 @@ class RollingSummary:
         self.last_peak_celsius: Optional[float] = None
         self.last_mean_celsius: Optional[float] = None
         self._mean_sum = 0.0
-        self.migrations = 0
-        self.migration_energy_j = 0.0
         # Decoder effort (epoch-weighted over the windows that carried SNR).
         self._decoder_epochs = 0
         self._decoder_iterations_sum = 0.0
@@ -62,7 +62,7 @@ class RollingSummary:
 
     # ------------------------------------------------------------------
     def observe_window(self, outcome: WindowOutcome) -> None:
-        """Fold one stepped window in, with the stages it executed."""
+        """Fold one stepped window's temperatures in."""
         self.windows += 1
         self.epochs += outcome.num_epochs
         window_peak = float(outcome.peak_by_epoch.max())
@@ -71,15 +71,6 @@ class RollingSummary:
         self.last_peak_celsius = float(outcome.peak_by_epoch[-1])
         self.last_mean_celsius = float(outcome.mean_by_epoch[-1])
         self._mean_sum += float(outcome.mean_by_epoch.sum())
-        for event in outcome.costs:
-            # A staged plan executes one stage per epoch; the plan counts as
-            # a single migration (its opening stage) while energy sums over
-            # every stage.
-            if event is None:
-                continue
-            if event.stage_index == 0:
-                self.migrations += 1
-            self.migration_energy_j += event.energy_j
 
     def observe_decoder(
         self, num_epochs: int, mean_iterations: float, throughput_factor: float
@@ -97,8 +88,12 @@ class RollingSummary:
         self.noc_saturated_epochs += int(np.asarray(saturated).sum())
 
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """Flat report row of the running aggregates (JSON-ready)."""
+    def snapshot(
+        self, controller: RuntimeReconfigurationController
+    ) -> Dict[str, object]:
+        """Flat report row of the running aggregates and ``controller``'s
+        migration totals (JSON-ready): a staged plan counts as one migration
+        while its energy sums over every stage."""
         row: Dict[str, object] = {
             "windows": self.windows,
             "epochs": self.epochs,
@@ -106,8 +101,8 @@ class RollingSummary:
             "mean_c": self.mean_celsius,
             "last_peak_c": self.last_peak_celsius,
             "last_mean_c": self.last_mean_celsius,
-            "migrations": self.migrations,
-            "migration_energy_j": self.migration_energy_j,
+            "migrations": controller.migrations_performed,
+            "migration_energy_j": controller.total_migration_energy_j,
         }
         if self._decoder_epochs:
             row["decoder_mean_iterations"] = self.decoder_mean_iterations
@@ -126,8 +121,6 @@ class RollingSummary:
             "last_peak": self.last_peak_celsius,
             "last_mean": self.last_mean_celsius,
             "mean_sum": self._mean_sum,
-            "migrations": self.migrations,
-            "migration_energy_j": self.migration_energy_j,
             "decoder_epochs": self._decoder_epochs,
             "decoder_iterations_sum": self._decoder_iterations_sum,
             "last_throughput_factor": self.last_throughput_factor,
@@ -137,15 +130,13 @@ class RollingSummary:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`state_dict`; keys it does not write are ignored."""
+        """Inverse of :meth:`state_dict`."""
         self.windows = int(state["windows"])  # type: ignore[arg-type]
         self.epochs = int(state["epochs"])  # type: ignore[arg-type]
         self.peak_celsius = state["peak"]  # type: ignore[assignment]
         self.last_peak_celsius = state["last_peak"]  # type: ignore[assignment]
         self.last_mean_celsius = state["last_mean"]  # type: ignore[assignment]
         self._mean_sum = float(state["mean_sum"])  # type: ignore[arg-type]
-        self.migrations = int(state["migrations"])  # type: ignore[arg-type]
-        self.migration_energy_j = float(state["migration_energy_j"])  # type: ignore[arg-type]
         self._decoder_epochs = int(state["decoder_epochs"])  # type: ignore[arg-type]
         self._decoder_iterations_sum = float(state["decoder_iterations_sum"])  # type: ignore[arg-type]
         self.last_throughput_factor = state["last_throughput_factor"]  # type: ignore[assignment]

@@ -16,7 +16,7 @@ from repro.campaign import (
     code_fingerprint,
     job_cache_key,
 )
-from repro.campaign import cache as cache_module
+from repro import storage as storage_module
 from repro.campaign.executor import compute_job_keys
 from repro.scenarios import NocChannel, ScenarioSpec
 from repro.scenarios.patterns import RampPattern
@@ -63,7 +63,7 @@ class TestCodeFingerprint:
         assert code_fingerprint() == fingerprint
 
     def test_concurrent_callers_share_one_memoized_digest(self, monkeypatch):
-        monkeypatch.setattr(cache_module, "_FINGERPRINT_CACHE", {})
+        monkeypatch.setattr(storage_module, "_FINGERPRINT_CACHE", {})
         barrier = threading.Barrier(8)
         digests = []
 
@@ -77,9 +77,9 @@ class TestCodeFingerprint:
         for thread in threads:
             thread.join()
         assert len(digests) == 8 and len(set(digests)) == 1
-        assert list(cache_module._FINGERPRINT_CACHE.values()) == digests[:1]
+        assert list(storage_module._FINGERPRINT_CACHE.values()) == digests[:1]
         # The memoized digest is the one a fresh, unmemoized hash computes.
-        assert code_fingerprint(cache_module._package_root()) == digests[0]
+        assert code_fingerprint(storage_module._package_root()) == digests[0]
 
 
 class TestKeyCoversEvaluatedCode:
@@ -89,15 +89,15 @@ class TestKeyCoversEvaluatedCode:
     def package_copy(self, tmp_path, monkeypatch):
         root = tmp_path / "repro"
         shutil.copytree(
-            cache_module._package_root(),
+            storage_module._package_root(),
             root,
             ignore=shutil.ignore_patterns("__pycache__"),
         )
-        monkeypatch.setattr(cache_module, "_package_root", lambda: root)
+        monkeypatch.setattr(storage_module, "_package_root", lambda: root)
         return root
 
     def _steady_baseline_key(self, monkeypatch) -> str:
-        monkeypatch.setattr(cache_module, "_FINGERPRINT_CACHE", {})
+        monkeypatch.setattr(storage_module, "_FINGERPRINT_CACHE", {})
         jobs = CampaignSpec(name="key", scenarios=("steady-baseline",)).expand()
         return compute_job_keys(jobs)[jobs[0].job_id]
 

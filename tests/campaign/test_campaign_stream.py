@@ -10,9 +10,10 @@ matches its batch twin to streaming-parity tolerance.
 import pytest
 
 from repro.campaign import CampaignSpec, evaluate_job, run_campaign
-from repro.campaign.cache import code_fingerprint, job_cache_key
+from repro.campaign.cache import job_cache_key
 from repro.campaign.executor import compute_job_keys
 from repro.scenarios import ScenarioSpec
+from repro.storage import code_fingerprint
 
 
 def cheap_scenario(name="cheap", **overrides):

@@ -69,8 +69,6 @@ class PerEpochExperiment(ThermalExperiment):
         offsets = window.ambient_offsets
         start_epoch = self._next_epoch
         trace, costs = self._loop_window(window)
-        if offsets is not None:
-            self._had_offsets = True
         if self.settings.mode == "steady":
             powers = trace.powers
             for index in range(len(trace)):
@@ -105,7 +103,6 @@ class PerEpochExperiment(ThermalExperiment):
         periods: List[float] = []
         rows: List[np.ndarray] = []
         costs: List[Optional[MigrationEvent]] = []
-        previous_power = self._previous_power
 
         for local_index in range(window.num_epochs):
             epoch_index = self._next_epoch + local_index
@@ -134,11 +131,10 @@ class PerEpochExperiment(ThermalExperiment):
                 if in_progress:
                     if wants:
                         _OBS_STALLED.add()
-                    cost = controller.advance_plan(epoch_index, congestion)
+                    cost = controller.advance_plan(congestion)
                 else:
                     cost = controller.apply_migration(
                         transform,
-                        epoch_index,
                         style=style,
                         units_per_epoch=units_per_epoch,
                         congestion=congestion,
@@ -157,8 +153,5 @@ class PerEpochExperiment(ThermalExperiment):
 
             if plan is not None:
                 plan.observe(epoch_index, power[np.newaxis, :])
-            previous_power = power
-            controller.advance_epoch()
-        self._previous_power = previous_power
         self._next_epoch += window.num_epochs
         return PowerTrace(topology, np.array(periods), np.array(rows)), costs

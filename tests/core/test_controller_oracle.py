@@ -2,7 +2,8 @@
 
 The oracle below implements the controller's semantics on the seed's data
 structures: a :class:`Mapping` moved by ``apply_transform`` or by a stage's
-coordinate moves, a dict-composed I/O translator, uncached costs (a sudden
+coordinate moves (each node to ``step[node]``), a dict-composed I/O
+translator, uncached costs (a sudden
 migration priced whole by :func:`migration_cost`, independently of the plan
 lowering), and power rows built per task from the configuration.
 Hypothesis drives both through the same random sequences of sudden
@@ -30,15 +31,15 @@ PERIOD_S = 109e-6
 
 
 def migration_cost(unit, transform, tanner_nodes_per_pe=None):
-    """Whole-transform ``(cycles, energy_j, energy_per_unit_j)`` of one migration.
+    """Whole-transform ``(cycles, energy_j, per-node energy)`` of one migration.
 
     Every move of the transform, one phased congestion-free schedule, and
     the per-move energy account folded in move order.
     """
     moves = unit.scheduler.moves_for_transform(transform, tanner_nodes_per_pe)
     schedule = unit.scheduler.schedule(moves)
-    energy_j, energy_per_unit = unit.moves_energy(moves)
-    return schedule.total_cycles, energy_j, energy_per_unit
+    energy_j, energy = unit.moves_energy(moves)
+    return schedule.total_cycles, energy_j, energy
 
 
 class SeedController:
@@ -53,8 +54,6 @@ class SeedController:
     def reset(self):
         self.mapping = self.chip.static_mapping.copy()
         self.current_of_original = {c: c for c in self.topology.coordinates()}
-        self.applied = 0
-        self.epoch_index = 0
         self.migrations = 0
         self.cycles = 0
         self.energy_j = 0.0
@@ -64,17 +63,16 @@ class SeedController:
     # -- migrations ------------------------------------------------------
     def apply_migration(self, transform):
         nodes = self.chip.tanner_nodes_per_pe(self.mapping)
-        cycles, energy_j, energy_per_unit = migration_cost(self.unit, transform, nodes)
+        cycles, energy_j, energy = migration_cost(self.unit, transform, nodes)
         self.mapping = self.mapping.apply_transform(transform)
         self.current_of_original = {
             original: transform(current)
             for original, current in self.current_of_original.items()
         }
-        self.applied += 1
         self.migrations += 1
         self.cycles += cycles
         self.energy_j += energy_j
-        return cycles, energy_j, energy_per_unit
+        return cycles, energy_j, energy
 
     def apply_plan(self, transform, style, units, congestion):
         self.plan = lower_transform(
@@ -93,7 +91,12 @@ class SeedController:
             return None
         stage = self.plan.stages[self.next_stage]
         cycles = priced_stage_cycles(stage, congestion)
-        moves = stage.mapping_moves()
+        coordinate = self.topology.coordinate
+        moves = {
+            coordinate(node): coordinate(target)
+            for node, target in enumerate(stage.step.tolist())
+            if node != target
+        }
         if moves:
             self.mapping = Mapping(
                 self.topology,
@@ -106,22 +109,21 @@ class SeedController:
                 original: moves.get(current, current)
                 for original, current in self.current_of_original.items()
             }
-            self.applied += 1
         self.cycles += cycles
         self.energy_j += stage.energy_j
         self.next_stage += 1
         if self.next_stage >= self.plan.num_stages:
             self.plan = None
             self.next_stage = 0
-        return cycles, stage.energy_j, dict(stage.energy_per_unit_j)
+        return cycles, stage.energy_j, stage.energy
 
     # -- views -----------------------------------------------------------
-    def epoch_power_vector(self, energy_per_unit):
+    def epoch_power_vector(self, energy):
         power = self.chip.power_vector(self.mapping)
-        for coord, energy in (energy_per_unit or {}).items():
-            if energy == 0.0:
+        for node, joules in enumerate([] if energy is None else energy.tolist()):
+            if joules == 0.0:
                 continue
-            power[self.topology.node_id(coord)] += energy / PERIOD_S
+            power[node] += joules / PERIOD_S
         return power
 
     def original_location(self, current):
@@ -133,27 +135,19 @@ class SeedController:
     def state_dict(self):
         state = {
             "mapping": self.mapping.to_permutation(),
-            "epoch_index": self.epoch_index,
             "migrations": self.migrations,
             "migration_cycles": self.cycles,
             "migration_energy_j": self.energy_j,
-            "io": {
-                "permutation": [
-                    self.topology.node_id(self.current_of_original[coord])
-                    for coord in self.topology.coordinates()
-                ],
-                "applied": self.applied,
-            },
         }
         if self.plan is not None:
             state["plan"] = {
-                "plan": self.plan.to_dict(self.topology),
+                "plan": self.plan.to_dict(),
                 "next_stage": self.next_stage,
             }
         return state
 
 
-def assert_agree(controller, event, oracle, energy_per_unit):
+def assert_agree(controller, event, oracle, energy):
     """Mapping, translator lookups, checkpoint JSON and power row all equal."""
     assert controller.nodes.tolist() == oracle.mapping.to_permutation()
     for coord in oracle.topology.coordinates():
@@ -164,19 +158,16 @@ def assert_agree(controller, event, oracle, energy_per_unit):
             oracle.original_location(coord)
         )
     assert json.dumps(controller.state_dict()) == json.dumps(oracle.state_dict())
-    expected = oracle.epoch_power_vector(energy_per_unit)
+    expected = oracle.epoch_power_vector(energy)
     (row,) = controller.power_rows([controller.nodes], [event], np.array([PERIOD_S]))
     assert np.array_equal(row, expected)
 
 
-def assert_event(event, expected, topology):
-    """An executed stage's event equals the oracle's (cycles, J, per-unit J)."""
-    cycles, energy_j, energy_per_unit = expected
+def assert_event(event, expected):
+    """An executed stage's event equals the oracle's (cycles, J, per-node J)."""
+    cycles, energy_j, energy = expected
     assert (event.cycles, event.energy_j) == (cycles, energy_j)
-    assert np.array_equal(
-        event.energy_vector,
-        [energy_per_unit[coord] for coord in topology.coordinates()],
-    )
+    assert np.array_equal(event.energy_vector, energy)
 
 
 advance = st.tuples(st.just("advance"), st.floats(0.5, 3.0))
@@ -207,9 +198,9 @@ class ControlledRun:
         self.transforms = {
             scheme: make_transform(scheme, chip.topology) for scheme in FIGURE1_SCHEMES
         }
-        # The most recent stage's event and per-unit energy (what the epoch
+        # The most recent stage's event and per-node energy (what the epoch
         # loop charges to that epoch's power row).
-        self.event = self.energy_per_unit = None
+        self.event = self.energy = None
         #: Plans lowered by the controllers a round trip replaced.
         self.lowered_before = 0
 
@@ -218,15 +209,15 @@ class ControlledRun:
         return self.lowered_before + self.controller.migration_cost_computations
 
     def step(self, step):
-        controller, oracle, topology = self.controller, self.oracle, self.chip.topology
+        controller, oracle = self.controller, self.oracle
         kind = step[0]
         if kind in ("sudden", "plan") and controller.migration_in_progress:
             return  # the epoch loop only migrates once a plan drains
         if kind == "sudden":
             self.event = controller.apply_migration(self.transforms[step[1]])
             expected = oracle.apply_migration(self.transforms[step[1]])
-            assert_event(self.event, expected, topology)
-            self.energy_per_unit = expected[2]
+            assert_event(self.event, expected)
+            self.energy = expected[2]
         elif kind == "plan":
             self.event = controller.apply_migration(
                 self.transforms[step[1]],
@@ -235,28 +226,26 @@ class ControlledRun:
                 congestion=step[4],
             )
             expected = oracle.apply_plan(self.transforms[step[1]], *step[2:])
-            assert_event(self.event, expected, topology)
-            self.energy_per_unit = expected[2]
+            assert_event(self.event, expected)
+            self.energy = expected[2]
         elif kind == "advance":
             stage = controller.advance_plan(congestion=step[1])
             expected = oracle.advance_plan(step[1])
             if expected is None:
                 assert stage is None
                 return
-            assert_event(stage, expected, topology)
-            self.event, self.energy_per_unit = stage, expected[2]
+            assert_event(stage, expected)
+            self.event, self.energy = stage, expected[2]
         elif kind == "reset":
             controller.reset()
             oracle.reset()
-            self.event = self.energy_per_unit = None
+            self.event = self.energy = None
         else:
             state = json.loads(json.dumps(controller.state_dict()))
             self.lowered_before += controller.migration_cost_computations
             self.controller = controller = RuntimeReconfigurationController(self.chip)
             controller.restore_state(state)
-        controller.advance_epoch()
-        oracle.epoch_index += 1
-        assert_agree(controller, self.event, oracle, self.energy_per_unit)
+        assert_agree(controller, self.event, oracle, self.energy)
 
 
 class TestArrayControllerMatchesSeedSemantics:

@@ -53,12 +53,11 @@ def _reference_epochs(chip, policy, settings):
         cost = None
         name = None
         if transform is not None and transform.name != "identity":
-            cost = controller.apply_migration(transform, epoch_index)
+            cost = controller.apply_migration(transform)
             name = transform.name
         (row,) = controller.power_rows([controller.nodes], [cost], np.array([period_s]))
         power = vector_to_map(chip.topology, row)
         epochs.append((power, cost, name))
-        controller.advance_epoch()
     return epochs
 
 

@@ -76,26 +76,23 @@ def _reference_feedback_epochs(chip, policy, settings, model, ambient=None):
         # The policy reads the dict as a row-major Celsius row.
         return np.array([temps[coord] for coord in topology.coordinates()])
 
-    previous_power = controller.static_power_vector()
     previous_row = None
     epochs = []
     for epoch_index in range(settings.num_epochs):
         if previous_row is None:
-            previous_row = feedback(previous_power, epoch_index)
+            previous_row = feedback(controller.static_power_vector(), epoch_index)
         context = PolicyContext(epoch_index=epoch_index, unit_celsius=previous_row)
         transform = policy.decide(context)
         cost = None
         name = None
         if transform is not None and transform.name != "identity":
-            cost = controller.apply_migration(transform, epoch_index)
+            cost = controller.apply_migration(transform)
             name = transform.name
         (power,) = controller.power_rows(
             [controller.nodes], [cost], np.array([period_s])
         )
         epochs.append((power, cost, name))
         previous_row = feedback(power, epoch_index)
-        previous_power = power
-        controller.advance_epoch()
     return epochs
 
 

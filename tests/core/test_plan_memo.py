@@ -69,14 +69,12 @@ def _run_on(chips, spec):
 
 
 def _assert_same_entry(actual, expected):
-    """Two memo entries hold equal plans and equal step arrays."""
-    plan, steps = actual
-    assert plan == expected[0]
-    assert len(steps) == len(expected[1])
-    for step, want in zip(steps, expected[1]):
-        assert np.array_equal(step.step, want.step)
-        assert np.array_equal(step.energy, want.energy)
-        assert step.moved == want.moved
+    """Two memo entries hold equal plans: equal step and energy arrays."""
+    assert actual.to_dict() == expected.to_dict()
+    for stage, want in zip(actual.stages, expected.stages):
+        assert np.array_equal(stage.step, want.step)
+        assert np.array_equal(stage.energy, want.energy)
+        assert stage.moved == want.moved
 
 
 class TestSharedMemoThreads:

@@ -325,25 +325,6 @@ class TestCyclesRunCheckpoint:
         resumed.restore_state(state)
         assert resumed._cycles_run == experiment._cycles_run
 
-    def test_old_checkpoints_without_cycles_run_reconstruct(self, chip_a):
-        policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)
-        settings = ExperimentSettings(num_epochs=12, settle_epochs=6)
-        experiment = ThermalExperiment(chip_a, policy, settings=settings)
-        experiment.prepare(collect_records=False)
-        experiment.step_window(EpochWindow(num_epochs=6))
-        state = experiment.state_dict()
-        del state["cycles_run"]
-
-        resumed = ThermalExperiment(
-            chip_a,
-            PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0),
-            settings=settings,
-        )
-        resumed.prepare(collect_records=False)
-        resumed.restore_state(state)
-        # No period schedule ran, so the legacy product reconstructs exactly.
-        assert resumed._cycles_run == experiment._cycles_run
-
 
 class TestPeriodSchedule:
     def test_period_scale_shapes_validated(self, chip_a):
@@ -415,6 +396,31 @@ class TestPeriodSchedule:
             EpochWindow(num_epochs=2, ambient_offsets=offsets)
         )
         assert outcome.start_epoch == 2
+
+    def test_refusal_after_the_loop_ends_the_run(self, chip_a):
+        """A window refused once its loop has run (here its temperature
+        overflows) has moved the mapping and the cursors: the run ends
+        rather than skip the refused epochs and go on."""
+        experiment = ThermalExperiment(
+            chip_a,
+            PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0),
+            settings=ExperimentSettings(num_epochs=6, settle_epochs=2, mode="transient"),
+        )
+        experiment.prepare(total_epochs=6)
+        experiment.step_window(EpochWindow(num_epochs=2))
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="^epoch 3: temperature is not finite"
+        ):
+            experiment.step_window(
+                EpochWindow(num_epochs=2, load_modulation=np.array([1.0, 1e306]))
+            )
+        assert not experiment.active
+        with pytest.raises(RuntimeError):
+            experiment.step_window(EpochWindow(num_epochs=2))
+        with pytest.raises(RuntimeError):
+            experiment.state_dict()
+        with pytest.raises(RuntimeError):
+            experiment.finalize()
 
     def test_unit_schedule_matches_unscheduled_run(self, chip_a):
         policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)

@@ -1,9 +1,11 @@
 """Tests for staged migration plans (lowering, invariants, pricing)."""
 
+import json
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +26,6 @@ from repro.migration.transforms import (
 )
 from repro.migration.unit import MigrationUnit
 from repro.noc.topology import MeshTopology
-from repro.placement.mapping import Mapping
 from repro.scenarios.noc_cost import NocCostModel
 
 # The whole-transform cost of the controller oracle, independent of lowering.
@@ -42,8 +43,30 @@ def unit5(mesh5):
     return MigrationUnit(mesh5)
 
 
-def _move_key(move):
-    return (move.source, move.destination, move.payload_flits)
+def _moved_nodes(stage):
+    """The nodes a stage relocates (where its step is not the identity)."""
+    return set(np.flatnonzero(stage.step != np.arange(stage.step.size)).tolist())
+
+
+def _non_fixed_nodes(transform, num_nodes):
+    return set(np.flatnonzero(transform.node_permutation() != np.arange(num_nodes)).tolist())
+
+
+def _assert_stages_compose(plan, transform, num_nodes):
+    """The stages move disjoint node sets, every mid-plan mapping is a
+    permutation, and the whole plan composes to the transform."""
+    moved = [_moved_nodes(stage) for stage in plan.stages]
+    assert sum(map(len, moved)) == len(set().union(*moved))
+    assert set().union(*moved) == _non_fixed_nodes(transform, num_nodes)
+    assert [stage.moved for stage in plan.stages] == [len(nodes) for nodes in moved]
+    identity = np.arange(num_nodes)
+    nodes = identity
+    for stage in plan.stages:
+        # Closed relocation: the step is itself a permutation.
+        assert np.array_equal(np.sort(stage.step), identity)
+        nodes = stage.step[nodes]
+        assert np.array_equal(np.sort(nodes), identity)
+    assert np.array_equal(nodes, transform.node_permutation())
 
 
 class PermutationTransform(MigrationTransform):
@@ -65,8 +88,6 @@ class TestSuddenLowering:
     def test_single_stage(self, unit4, mesh4):
         plan = lower_transform(XYShiftTransform(mesh4), unit4, style="sudden")
         assert plan.num_stages == 1
-        assert plan.style == "sudden"
-        assert plan.units_per_epoch is None
 
     @pytest.mark.parametrize("scheme", ["xy-shift", "rotation", "x-mirror"])
     def test_bit_identical_to_legacy_cost(self, unit4, mesh4, scheme):
@@ -74,12 +95,15 @@ class TestSuddenLowering:
         approx (the satellite regression for the shared move_cycles path)."""
         transform = make_transform(scheme, mesh4)
         nodes = {coord: 7 for coord in mesh4.coordinates()}
-        cycles, energy_j, energy_per_unit = migration_cost(unit4, transform, nodes)
+        cycles, energy_j, energy = migration_cost(unit4, transform, nodes)
         plan = lower_transform(transform, unit4, nodes, style="sudden")
         stage = plan.stages[0]
         assert stage.cycles == cycles
         assert stage.energy_j == energy_j
-        assert dict(stage.energy_per_unit_j) == energy_per_unit
+        assert stage.energy.tolist() == energy.tolist()
+        # The one stage's step is the transform's node permutation.
+        assert np.array_equal(stage.step, transform.node_permutation())
+        assert not stage.step.flags.writeable and not stage.energy.flags.writeable
 
     def test_identity_transform_is_cost_only(self, unit4, mesh4):
         plan = lower_transform(IdentityTransform(mesh4), unit4, style="sudden")
@@ -98,34 +122,25 @@ class TestSuddenLowering:
 
 
 class TestStagePartition:
-    """Every style's stages partition the transform's move set exactly."""
+    """Every style's stages partition the transform's moved nodes exactly."""
 
     @pytest.mark.parametrize("style", MIGRATION_STYLES)
     @pytest.mark.parametrize("scheme", ["xy-shift", "rotation", "right-shift"])
     def test_moves_partition(self, unit5, mesh5, style, scheme):
         transform = make_transform(scheme, mesh5)
-        reference = unit5.scheduler.moves_for_transform(transform)
         plan = lower_transform(
             transform, unit5, style=style, units_per_epoch=3
         )
-        staged = [move for stage in plan.stages for move in stage.moves]
-        assert sorted(map(_move_key, staged)) == sorted(
-            map(_move_key, reference)
-        )
-        # No move appears in two stages.
-        assert len(staged) == len({_move_key(move) for move in staged})
+        _assert_stages_compose(plan, transform, mesh5.num_nodes)
 
     @pytest.mark.parametrize("style", MIGRATION_STYLES)
     def test_composed_permutation_matches_transform(self, unit5, mesh5, style):
         transform = RotationTransform(mesh5)
         plan = lower_transform(transform, unit5, style=style, units_per_epoch=2)
-        composed = plan.mapping_moves()
-        expected = {
-            coord: image
-            for coord, image in transform.as_permutation().items()
-            if coord != image
-        }
-        assert composed == expected
+        composed = np.arange(mesh5.num_nodes)
+        for stage in plan.stages:
+            composed = stage.step[composed]
+        assert np.array_equal(composed, transform.node_permutation())
 
 
 class TestFluidLowering:
@@ -148,31 +163,28 @@ class TestFluidLowering:
         assert plan.num_stages == 1
 
     def test_mid_plan_mapping_stays_bijective(self, unit5, mesh5):
-        plan = lower_transform(
-            RotationTransform(mesh5), unit5, style="fluid", units_per_epoch=2
+        transform = RotationTransform(mesh5)
+        plan = lower_transform(transform, unit5, style="fluid", units_per_epoch=2)
+        assert plan.num_stages > 1
+        _assert_stages_compose(plan, transform, mesh5.num_nodes)
+
+
+def _remote_moves(topology, stage):
+    """The stage's remote moves, each node to ``step[node]``."""
+    return [
+        PeMove(
+            source=topology.coordinate(node),
+            destination=topology.coordinate(target),
+            payload_flits=0,
         )
-        mapping = Mapping.identity(mesh5)
-        for stage in plan.stages:
-            moves = stage.mapping_moves()
-            # Closed relocation: sources and destinations are the same set.
-            assert set(moves) == set(moves.values()) or not moves
-            mapping = Mapping(
-                mesh5,
-                {
-                    task: moves.get(coord, coord)
-                    for task, coord in mapping.physical_of_task.items()
-                },
-            )  # Mapping.__post_init__ validates bijectivity
-        final = RotationTransform(mesh5).as_permutation()
-        assert {
-            task: final[coord]
-            for task, coord in Mapping.identity(mesh5).physical_of_task.items()
-        } == mapping.physical_of_task
+        for node, target in enumerate(stage.step.tolist())
+        if node != target
+    ]
 
 
 def _stage_cycle_links(unit, stage):
     """Per permutation cycle of the stage, the union of its route links."""
-    remote = [move for move in stage.moves if not move.is_local]
+    remote = _remote_moves(unit.topology, stage)
     link_sets = []
     for cycle in _permutation_cycle_groups(remote):
         links = set()
@@ -211,8 +223,10 @@ class TestBatchedLowering:
         serialised baseline (the shared move_cycles account both ways)."""
         plan = lower_transform(RotationTransform(mesh5), unit5, style="batched")
         scheduler = unit5.scheduler
+        moves = scheduler.moves_for_transform(RotationTransform(mesh5))
         for stage in plan.stages:
-            remote = [move for move in stage.moves if not move.is_local]
+            moved = _moved_nodes(stage)
+            remote = [move for move in moves if mesh5.node_id(move.source) in moved]
             if remote:
                 slowest = max(scheduler.move_cycles(move) for move in remote)
                 assert slowest <= stage.cycles <= scheduler.naive_cycles(remote)
@@ -252,25 +266,38 @@ class TestPlanCodec:
         plan = lower_transform(
             RotationTransform(mesh5), unit5, nodes, style=style, units_per_epoch=3
         )
-        restored = MigrationPlan.from_dict(plan.to_dict(mesh5), mesh5)
-        assert restored == plan
+        state = json.loads(json.dumps(plan.to_dict()))
+        restored = MigrationPlan.from_dict(state, mesh5.num_nodes)
+        assert restored.to_dict() == plan.to_dict()
+        for stage, lowered in zip(restored.stages, plan.stages):
+            assert np.array_equal(stage.step, lowered.step)
+            assert np.array_equal(stage.energy, lowered.energy)
+            assert stage.moved == lowered.moved
+            assert not stage.step.flags.writeable and not stage.energy.flags.writeable
 
-    def test_rejects_open_or_repeated_moves(self, unit5, mesh5):
+    def test_rejects_open_relocations_and_short_energy(self, unit5, mesh5):
         plan = lower_transform(
             RotationTransform(mesh5), unit5, style="fluid", units_per_epoch=4
         )
-        state = plan.to_dict(mesh5)
+        state = plan.to_dict()
         stage = state["stages"][0]
-        # A repeated source (the source and destination sets still match).
-        stage["moves"].append(list(stage["moves"][0]))
+        step = stage["step"]
+        moved = [node for node, target in enumerate(step) if node != target]
+        fixed = [node for node, target in enumerate(step) if node == target]
+        # An open relocation: a moved node lands on one that stays put.
+        step[moved[0]] = fixed[0]
         with pytest.raises(ValueError, match="closed relocation"):
-            MigrationPlan.from_dict(state, mesh5)
-        # An open relocation: a destination outside the stage's sources.
-        stage["moves"].pop()
-        sources = {move[0] for move in stage["moves"] if move[0] != move[1]}
-        stage["moves"][0][1] = min(set(range(mesh5.num_nodes)) - sources)
+            MigrationPlan.from_dict(state, mesh5.num_nodes)
+        # A node id outside the mesh.
+        step[moved[0]] = mesh5.num_nodes
         with pytest.raises(ValueError, match="closed relocation"):
-            MigrationPlan.from_dict(state, mesh5)
+            MigrationPlan.from_dict(state, mesh5.num_nodes)
+        step[moved[0]] = plan.stages[0].step[moved[0]]
+        MigrationPlan.from_dict(state, mesh5.num_nodes)
+        # One energy entry short.
+        stage["energy"].pop()
+        with pytest.raises(ValueError, match="energy"):
+            MigrationPlan.from_dict(state, mesh5.num_nodes)
 
 
 class TestCongestionPricing:
@@ -333,25 +360,7 @@ class TestPlanProperties:
         plan = lower_transform(
             transform, unit, style="fluid", units_per_epoch=units
         )
-        reference = unit.scheduler.moves_for_transform(transform)
-        staged = [move for stage in plan.stages for move in stage.moves]
-        assert sorted(map(_move_key, staged)) == sorted(
-            map(_move_key, reference)
-        )
-        mapping = Mapping.identity(topology)
-        for stage in plan.stages:
-            moves = stage.mapping_moves()
-            mapping = Mapping(
-                topology,
-                {
-                    task: moves.get(coord, coord)
-                    for task, coord in mapping.physical_of_task.items()
-                },
-            )
-        assert {
-            task: permutation[coord]
-            for task, coord in Mapping.identity(topology).physical_of_task.items()
-        } == mapping.physical_of_task
+        _assert_stages_compose(plan, transform, topology.num_nodes)
 
     @given(data=permutations())
     @settings(max_examples=25, deadline=None)

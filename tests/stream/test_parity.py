@@ -232,14 +232,14 @@ class TestTransientParity:
 @pytest.mark.parametrize("style", ["sudden", "fluid", "batched"])
 @pytest.mark.parametrize("name", scenario_names())
 def test_streamed_migration_accounting_equals_batch(name, style):
-    """The summary folds each window's executed stages, so a registry
-    scenario streamed at a drawn window size counts the batch run's
-    migrations and energy exactly."""
+    """A registry scenario streamed at a drawn window size ends with the
+    batch run's migration count and energy exactly: the controller's
+    totals, which the rolling summary reports."""
     compiled = compile_scenario(
         dataclasses.replace(get_scenario(name), migration_style=style)
     )
     batch = compiled.experiment().run()
     window = random.Random(f"{name}/{style}").randint(1, compiled.spec.num_epochs)
-    summary = _stream(compiled, window).summary
-    assert summary.migrations == batch.migrations_performed
-    assert summary.migration_energy_j == batch.total_migration_energy_j
+    controller = _stream(compiled, window).experiment.controller
+    assert controller.migrations_performed == batch.migrations_performed
+    assert controller.total_migration_energy_j == batch.total_migration_energy_j

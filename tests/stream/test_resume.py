@@ -8,22 +8,28 @@ and the final numbers are *bit-identical* to the uninterrupted run.
 
 import itertools
 import json
+import shutil
 import tempfile
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import storage
 from repro.chips import get_configuration
+from repro.chips.configurations import ChipConfiguration
 from repro.cli import main
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
 from repro.core.policy import make_policy
+from repro.migration.unit import MigrationUnit
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.patterns import DiurnalPattern
 from repro.scenarios.spec import ScenarioSpec
 from repro.thermal.hotspot import HotSpotModel
 from repro.stream import (
+    CheckpointMismatchError,
     CheckpointStore,
     EpochWindow,
     StreamingExperiment,
@@ -156,19 +162,21 @@ class TestCrashResume:
         grid_identity = StreamingExperiment.from_scenario(
             compiled, thermal_model=grid
         ).identity
-        # Block journals keep their key; a grid stream cannot resume them.
-        assert "/grid2/" in grid_identity
-        assert grid_identity.replace("/grid2", "") == block_identity
+        # A grid stream cannot resume a block journal.
+        assert "/grid1/" in block_identity
+        assert grid_identity == block_identity.replace("/grid1/", "/grid2/")
 
     def test_identity_distinguishes_migration_period(self, tmp_path, capsys):
-        # Default-period journals keep their key ...
+        code = storage.code_fingerprint()
         assert _input_stream(109.0).identity == (
-            "A/adaptive/transient/stride1/HotSpotModel/windows"
+            f"{code}/A/adaptive/transient/stride1/grid1/mig:suddenx2/"
+            "period109.0us/windows"
         )
         assert _input_stream(874.4).identity == (
-            "A/adaptive/transient/stride1/HotSpotModel/period874.4us/windows"
+            f"{code}/A/adaptive/transient/stride1/grid1/mig:suddenx2/"
+            "period874.4us/windows"
         )
-        # ... and a served --input journal refuses another period.
+        # A served --input journal refuses another period.
         path = tmp_path / "windows.jsonl"
         path.write_text("\n".join(_input_lines(seed=5, windows=4)) + "\n")
         argv = ["serve", "--input", str(path), "-c", "A", "-s", "adaptive",
@@ -180,6 +188,31 @@ class TestCrashResume:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("checkpoint identity mismatch:")
+
+    def test_identity_names_the_code(self, tmp_path, monkeypatch):
+        """An edit to any package source changes the identity, so a journal
+        written by other code is refused rather than resumed."""
+        root = tmp_path / "repro"
+        shutil.copytree(
+            storage._package_root(), root, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        monkeypatch.setattr(storage, "_package_root", lambda: root)
+        monkeypatch.setattr(storage, "_FINGERPRINT_CACHE", {})
+        store = CheckpointStore(tmp_path / "ck")
+        written = _input_stream(store=store)
+        next(written.process(jsonl_windows(_input_lines(seed=3, windows=2))))
+        assert written.identity.startswith(storage.code_fingerprint(root) + "/")
+
+        engine = root / "stream" / "engine.py"
+        engine.write_text(engine.read_text() + "# edited\n")
+        monkeypatch.setattr(storage, "_FINGERPRINT_CACHE", {})
+        edited = _input_stream(store=CheckpointStore(tmp_path / "ck"))
+        code, rest = edited.identity.split("/", 1)
+        assert code == storage.code_fingerprint(root)
+        assert edited.identity != written.identity
+        assert rest == written.identity.split("/", 1)[1]
+        with pytest.raises(CheckpointMismatchError, match="identity mismatch"):
+            edited.prepare()
 
 
 #: The served --input stream's shape: a per-PE load walk and an ambient walk.
@@ -317,3 +350,70 @@ class TestStreamSemantics:
 
         streaming_peak(48)  # warm the chip's lazy caches outside the trace
         assert streaming_peak(480) < 2 * streaming_peak(48)
+
+
+#: Components fixed at construction (or bounded by their own LRU) that a
+#: stream only reads.
+_FIXED = (ChipConfiguration, HotSpotModel, MigrationUnit)
+
+
+def _reachable_elements(root):
+    """Container elements reachable from ``root``.
+
+    Walks instance ``vars()``, dicts, lists, tuples, sets and deques; arrays
+    and scalars are leaves.  A per-epoch log grows the count even when it
+    holds shared pointers, which an allocation watermark cannot see.
+    """
+    seen = set()
+    count = 0
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _FIXED) or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            count += len(obj)
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            count += len(obj)
+            stack.extend(obj)
+        elif not isinstance(obj, (np.ndarray, np.generic, str, bytes)) and hasattr(
+            obj, "__dict__"
+        ):
+            stack.append(vars(obj))
+    return count
+
+
+class TestStreamStateIsConstant:
+    """A stream 10x longer holds exactly as many container elements."""
+
+    def test_adaptive_transient_input_stream(self, tmp_path):
+        def elements(total_epochs):
+            engine = _input_stream(
+                store=CheckpointStore(tmp_path / f"ck-{total_epochs}")
+            )
+            windows = total_epochs // _INPUT_WINDOW_EPOCHS
+            for _update in engine.process(jsonl_windows(_input_lines(7, windows))):
+                pass
+            assert engine.experiment.next_epoch == total_epochs
+            return _reachable_elements(engine)
+
+        assert elements(480) == elements(48)
+
+    def test_fluid_plan_scenario_stream(self):
+        compiled = compile_scenario(
+            _spec(scheme="xy-shift", policy_params={}, num_epochs=48,
+                  settle_epochs=8, migration_style="fluid")
+        )
+
+        def elements(total_epochs):
+            engine = StreamingExperiment.from_scenario(compiled)
+            windows = scenario_windows(compiled, 8, max_epochs=total_epochs)
+            for _update in engine.process(windows, max_epochs=total_epochs):
+                pass
+            assert engine.experiment.controller.migrations_performed > 1
+            return _reachable_elements(engine)
+
+        assert elements(480) == elements(48)

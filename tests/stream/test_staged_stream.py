@@ -104,9 +104,9 @@ class TestMidPlanResume:
         )
 
     def test_tampered_stage_is_rejected_at_restore(self, tmp_path, capsys):
-        """A checkpointed stage whose moves are not a closed relocation must
+        """A checkpointed stage whose step is not a closed relocation must
         fail the resume when the checkpoint is restored, not at that stage's
-        epoch mid-stream."""
+        epoch mid-stream: one stderr line naming the journal, exit 1."""
         checkpoint = tmp_path / "ck"
         argv = ["serve", "fluid-under-burst", "--window", "4",
                 "--checkpoint", str(checkpoint)]
@@ -116,16 +116,20 @@ class TestMidPlanResume:
         lines = journal.read_text(encoding="utf-8").splitlines()
         payload = json.loads(lines[-1])
         plan_state = payload["experiment"]["controller"]["plan"]
-        stage = plan_state["plan"]["stages"][plan_state["next_stage"]]
-        remote = [move for move in stage["moves"] if move[0] != move[1]]
-        sources = {move[0] for move in remote}
-        remote[0][1] = min(set(range(16)) - sources)  # now lands outside the cycle
+        step = plan_state["plan"]["stages"][plan_state["next_stage"]]["step"]
+        moved = [node for node, target in enumerate(step) if node != target]
+        fixed = [node for node, target in enumerate(step) if node == target]
+        step[moved[0]] = fixed[0]  # now lands outside the cycle
         lines[-1] = json.dumps(payload, separators=(",", ":"))
         journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
 
-        with pytest.raises(ValueError, match="closed relocation"):
-            main(argv)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(journal) in captured.err
+        assert "closed relocation" in captured.err
 
     def test_staged_stream_matches_batch_run(self):
         """Window boundaries are invisible: the streamed staged run equals
@@ -154,8 +158,8 @@ class TestMidPlanResume:
         fluid = StreamingExperiment.from_scenario(
             compile_scenario(_staged_spec())
         )
-        assert "mig:" not in sudden.identity  # sudden journals keep their key
-        assert "mig:fluidx1" in fluid.identity
+        assert "/mig:suddenx1/" in sudden.identity
+        assert "/mig:fluidx1/" in fluid.identity
 
     def test_summary_counts_plans_not_stages(self):
         spec = _staged_spec()

@@ -5,19 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.controller import MigrationEvent
+from repro.core.controller import RuntimeReconfigurationController
 from repro.core.experiment import WindowOutcome
+from repro.migration.transforms import RotationTransform, XYShiftTransform
 from repro.stream import RollingSummary
 
 
-def _outcome(start, peaks, means, costs=None):
+def _outcome(start, peaks, means):
     peaks = np.asarray(peaks, dtype=float)
     means = np.asarray(means, dtype=float)
     return WindowOutcome(
         start_epoch=start,
         num_epochs=peaks.size,
         trace=None,
-        costs=[None] * peaks.size if costs is None else costs,
+        costs=[None] * peaks.size,
         # (E, U) Celsius rows: two units whose maximum and mean are the
         # epoch's peak and mean (every fixture peak is at least its mean).
         epoch_metrics=np.column_stack([peaks, 2 * means - peaks]),
@@ -26,25 +27,19 @@ def _outcome(start, peaks, means, costs=None):
     )
 
 
-def _event(transform="xy-shift", cycles=10, energy=1e-6, stage=0, stages=1):
-    return MigrationEvent(
-        epoch_index=0,
-        transform_name=transform,
-        cycles=cycles,
-        energy_j=energy,
-        moved_tasks=4,
-        stage_index=stage,
-        stage_count=stages,
-    )
+@pytest.fixture
+def controller(chip_a):
+    return RuntimeReconfigurationController(chip_a)
 
 
 class TestThermalAggregates:
-    def test_empty_summary(self):
+    def test_empty_summary(self, controller):
         summary = RollingSummary()
         assert summary.peak_celsius is None
         assert summary.mean_celsius is None
-        row = summary.snapshot()
+        row = summary.snapshot(controller)
         assert row["windows"] == 0 and row["epochs"] == 0
+        assert row["migrations"] == 0 and row["migration_energy_j"] == 0.0
 
     def test_running_peak_and_weighted_mean(self):
         summary = RollingSummary()
@@ -57,19 +52,24 @@ class TestThermalAggregates:
         assert summary.last_mean_celsius == 68.0
         assert summary.mean_celsius == pytest.approx((60 + 62 + 64 + 66 + 68) / 5)
 
-    def test_migration_accounting(self):
-        """A plan counts once, at its opening stage; energy sums over every
-        executed stage; epochs that executed none are skipped."""
-        summary = RollingSummary()
-        costs = [
-            _event("xy-shift"),
-            None,
-            _event("rotation", energy=2e-6, stages=2),
-            _event("rotation", energy=4e-6, stage=1, stages=2),
-        ]
-        summary.observe_window(_outcome(0, [70.0] * 4, [60.0] * 4, costs))
-        assert summary.migrations == 2
-        assert summary.migration_energy_j == pytest.approx(7e-6)
+    def test_migration_accounting(self, controller, chip_a):
+        """The snapshot reports the controller's totals: a plan counts once
+        however many stages it runs, and energy sums over every stage."""
+        events = [controller.apply_migration(XYShiftTransform(chip_a.topology))]
+        events.append(
+            controller.apply_migration(
+                RotationTransform(chip_a.topology), style="fluid", units_per_epoch=2
+            )
+        )
+        while controller.migration_in_progress:
+            events.append(controller.advance_plan())
+        assert len(events) > 2
+        energy = 0.0
+        for event in events:
+            energy += event.energy_j
+        row = RollingSummary().snapshot(controller)
+        assert row["migrations"] == 2
+        assert row["migration_energy_j"] == energy
 
 
 class TestChannelAggregates:
@@ -87,54 +87,31 @@ class TestChannelAggregates:
         assert summary.noc_mean_latency_cycles == pytest.approx(20.0)
         assert summary.noc_saturated_epochs == 1
 
-    def test_snapshot_gates_channel_keys(self):
+    def test_snapshot_gates_channel_keys(self, controller):
         summary = RollingSummary()
         summary.observe_window(_outcome(0, [70.0], [60.0]))
-        row = summary.snapshot()
+        row = summary.snapshot(controller)
         assert "decoder_mean_iterations" not in row
         assert "noc_mean_latency_cyc" not in row
         summary.observe_decoder(1, 5.0, 0.95)
         summary.observe_noc(np.array([12.0]), np.array([False]))
-        row = summary.snapshot()
+        row = summary.snapshot(controller)
         assert row["decoder_mean_iterations"] == 5.0
         assert row["noc_mean_latency_cyc"] == 12.0
 
 
 class TestStateRoundTrip:
-    def test_state_dict_is_json_safe_and_exact(self):
+    def test_state_dict_is_json_safe_and_exact(self, controller):
         summary = RollingSummary()
-        summary.observe_window(
-            _outcome(0, [70.0, 90.0], [60.0, 62.0], [_event(), None])
-        )
+        summary.observe_window(_outcome(0, [70.0, 90.0], [60.0, 62.0]))
         summary.observe_decoder(2, 4.5, 0.9)
         summary.observe_noc(np.array([15.0]), np.array([True]))
         state = json.loads(json.dumps(summary.state_dict()))
         restored = RollingSummary()
         restored.restore_state(state)
-        assert restored.snapshot() == summary.snapshot()
+        assert restored.snapshot(controller) == summary.snapshot(controller)
         assert restored.state_dict() == summary.state_dict()
         # Restored summaries keep accumulating correctly.
         restored.observe_window(_outcome(2, [95.0], [63.0]))
         assert restored.peak_celsius == 95.0
         assert restored.epochs == 3
-
-    def test_restores_a_state_with_the_dropped_keys(self):
-        """Journals written before the summary stopped keeping transform
-        counts, cycles, decoder success and peak NoC latency still resume."""
-        summary = RollingSummary()
-        summary.observe_window(
-            _outcome(0, [70.0, 90.0], [60.0, 62.0], [_event(), None])
-        )
-        summary.observe_decoder(2, 4.5, 0.9)
-        summary.observe_noc(np.array([15.0]), np.array([True]))
-        older = dict(
-            summary.state_dict(),
-            migration_cycles=10,
-            transform_counts={"xy-shift": 1},
-            decoder_success_sum=1.5,
-            noc_peak_latency=15.0,
-        )
-        restored = RollingSummary()
-        restored.restore_state(json.loads(json.dumps(older)))
-        assert restored.state_dict() == summary.state_dict()
-        assert restored.snapshot() == summary.snapshot()

@@ -617,6 +617,71 @@ class TestServeCommand:
             f"epoch 1: period of {period} s is not positive and finite\n"
         )
 
+    def _serve_into(self, tmp_path, *extra):
+        """Serve two 4-epoch windows into ``tmp_path / "ck"``; argv, journal."""
+        from repro.stream import EpochWindow
+        from repro.stream.checkpoint import CHECKPOINT_JOURNAL
+
+        path = tmp_path / "windows.jsonl"
+        path.write_text(
+            "".join(
+                EpochWindow(num_epochs=4, start_epoch=4 * index).to_json_line() + "\n"
+                for index in range(2)
+            )
+        )
+        checkpoint = tmp_path / "ck"
+        argv = ["serve", "--input", str(path), "-c", "A", "-s", "rotation",
+                "--checkpoint", str(checkpoint), *extra]
+        return argv, checkpoint / CHECKPOINT_JOURNAL
+
+    def _assert_one_line_refusal(self, argv, journal, capsys):
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(journal) in captured.err
+        assert "Traceback" not in captured.err
+        return captured.err
+
+    def test_malformed_journal_line_is_one_line_error(self, tmp_path, capsys):
+        argv, journal = self._serve_into(tmp_path)
+        assert main(argv + ["--max-epochs", "4"]) == 0
+        journal.write_text('{"broken\n' + journal.read_text())
+        error = self._assert_one_line_refusal(argv, journal, capsys)
+        assert "line 1" in error
+
+    def test_newest_checkpoint_that_is_not_an_object_is_one_line_error(
+        self, tmp_path, capsys
+    ):
+        argv, journal = self._serve_into(tmp_path)
+        assert main(argv + ["--max-epochs", "4"]) == 0
+        journal.write_text(journal.read_text() + "[1, 2]\n")
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("checkpoint identity mismatch:")
+
+    def test_checkpointed_step_that_is_not_a_permutation_is_one_line_error(
+        self, tmp_path, capsys
+    ):
+        # Rotation on the 4x4 mesh is eight 2-cycles: a one-unit fluid plan
+        # armed at epoch 0 is mid-flight when the first window checkpoints.
+        argv, journal = self._serve_into(
+            tmp_path, "--migration-style", "fluid", "--migration-units-per-epoch", "1"
+        )
+        assert main(argv + ["--max-epochs", "4"]) == 0
+        payload = json.loads(journal.read_text())
+        plan_state = payload["experiment"]["controller"]["plan"]
+        step = plan_state["plan"]["stages"][plan_state["next_stage"]]["step"]
+        moved = [node for node, target in enumerate(step) if node != target]
+        step[moved[0]] = step[moved[1]]  # two nodes land on one
+        journal.write_text(json.dumps(payload) + "\n")
+        error = self._assert_one_line_refusal(argv, journal, capsys)
+        assert "closed relocation" in error
+
     def test_final_record_has_no_negative_zero(self, tmp_path, capsys):
         # One static epoch settles at the baseline: the reduction rounds to
         # a zero that must print unsigned.
