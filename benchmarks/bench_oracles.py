@@ -60,7 +60,7 @@ from repro.noc import (  # noqa: E402
     make_traffic,
     run_schedules,
 )
-from repro.noc.analytic import _AnalyticModel  # noqa: E402
+from repro.noc.analytic import analytic_model  # noqa: E402
 from repro.scenarios import all_scenarios  # noqa: E402
 from repro.scenarios.compile import compile_scenario  # noqa: E402
 from repro.thermal.package import KELVIN_OFFSET  # noqa: E402
@@ -126,11 +126,11 @@ def edge_list_decoder():
 def closed_form_noc():
     """4x4 uniform, 4-flit packets, XY: 40 rates up to 0.95 x capacity."""
     topology = MeshTopology(4, 4)
-    model = _AnalyticModel(topology, "uniform", 4, "xy")
+    model = analytic_model(topology, "uniform")
     rates = np.linspace(0.0, 0.95, 40) * model.capacity_rate
 
     def runtime():
-        return [model.evaluate(rate).avg_latency for rate in rates]
+        return [model.latency(rate) for rate in rates]
 
     def oracle():
         return [

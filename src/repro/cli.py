@@ -65,7 +65,13 @@ from .obs import (
 from .obs import enable as obs_enable
 from .obs import get_registry as obs_registry
 from .obs import start_tracing as obs_start_tracing
-from .scenarios import ScenarioSpec, all_scenarios, get_scenario, run_scenario
+from .scenarios import (
+    ScenarioSpec,
+    all_scenarios,
+    compile_scenario,
+    get_scenario,
+    run_scenario,
+)
 from .thermal.hotspot import HotSpotModel
 
 
@@ -263,15 +269,16 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
 def cmd_scenario_run(args: argparse.Namespace) -> int:
     try:
         spec = _load_scenario(args)
+        compiled = None if args.show_spec else compile_scenario(spec)
     except (OSError, ValueError) as error:
-        # Unknown name, missing/unreadable spec file, malformed JSON or an
-        # invalid spec — a one-line error.
+        # Unknown name, missing/unreadable spec file, malformed JSON, an
+        # invalid spec or a NoC channel its model rejects — a one-line error.
         print(error, file=sys.stderr)
         return 1
     if args.show_spec:
         print(spec.to_json())
         return 0
-    result = run_scenario(spec)
+    result = run_scenario(compiled)
     experiment = result.experiment
     rows = [
         {"metric": "baseline peak (C)", "value": round(experiment.baseline_peak_celsius, 2)},
@@ -499,7 +506,6 @@ def _serve_emit(update) -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .scenarios.compile import compile_scenario
     from .storage import CorruptJournalError
     from .stream import (
         CheckpointRestoreError,

@@ -421,7 +421,7 @@ class ThermalExperiment:
         #: ``period_scale`` channel lasts ``period_us * period_scale[i]``.
         self.schedule: EpochWindow = schedule
         #: Optional NoC pricing model
-        #: (:class:`repro.scenarios.noc_cost.NocCostModel`): with a window's
+        #: (:class:`repro.noc.analytic.AnalyticModel`): with a window's
         #: ``noc_rates``, each executed plan stage's transfer cycles are
         #: inflated by the epoch's congestion factor.
         self.noc_model = noc_model

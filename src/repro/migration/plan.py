@@ -39,10 +39,10 @@ kept, and a lowered plan is what the chip's
 
 Congestion pricing: plans carry congestion-free cycle counts; when the
 epoch's NoC load is known, :func:`congestion_factor` scales a stage's
-transfer time by the analytic wormhole model's loaded/zero-load latency
-ratio (:mod:`repro.scenarios.noc_cost`).  The epoch loop prices only fluid
-and batched stages: a sudden plan halts the whole array, so no application
-traffic shares the NoC with it.
+transfer time by the loaded/zero-load latency ratio of the scenario's
+analytic wormhole model (:class:`repro.noc.analytic.AnalyticModel`).  The
+epoch loop prices only fluid and batched stages: a sudden plan halts the
+whole array, so no application traffic shares the NoC with it.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..noc.analytic import AnalyticModel
 from ..noc.topology import Coordinate
 from .scheduler import PeMove, _links_of_route
 from .transforms import MigrationTransform
@@ -141,18 +142,6 @@ class MigrationPlan:
     @property
     def num_stages(self) -> int:
         return len(self.stages)
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(stage.cycles for stage in self.stages)
-
-    @property
-    def total_energy_j(self) -> float:
-        return sum(stage.energy_j for stage in self.stages)
-
-    @property
-    def total_moved(self) -> int:
-        return sum(stage.moved for stage in self.stages)
 
     # -- checkpoint codec ------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -320,28 +309,25 @@ def lower_transform(
 # ----------------------------------------------------------------------
 # Congestion-aware stage pricing
 # ----------------------------------------------------------------------
-def congestion_factor(noc_model, injection_rate: Optional[float]) -> float:
+def congestion_factor(
+    noc_model: Optional[AnalyticModel], injection_rate: Optional[float]
+) -> float:
     """Latency inflation of migration traffic under the epoch's NoC load.
 
     The analytic wormhole model's average latency at the epoch's injection
-    rate, relative to its zero-load latency (a model constant).  Rates at or
-    past saturation price at the last validated point (the same capping as
-    :func:`repro.scenarios.noc_cost.rate_noc_latencies`).  Returns ``1.0``
-    when no pricing model or rate is available, so unpriced runs keep the
-    deterministic congestion-free cycle counts.
+    rate, relative to its zero-load latency.  Rates at or past saturation
+    price at the model's last validated rate (the cap of
+    :func:`repro.scenarios.noc_cost.rate_noc_latencies`), where the latency
+    is finite.  Returns ``1.0`` when no pricing model or rate is available,
+    so unpriced runs keep the deterministic congestion-free cycle counts.
     """
     if noc_model is None or injection_rate is None:
         return 1.0
     rate = float(injection_rate)
     if rate <= 0.0 or not math.isfinite(rate):
         return 1.0
-    saturation = float(noc_model.saturation_rate)
-    capped = min(rate, math.nextafter(saturation, 0.0))
-    loaded = float(noc_model.probe(capped).avg_latency)
-    base = float(noc_model.zero_load_latency)
-    if not (base > 0.0) or not math.isfinite(loaded):
-        return 1.0
-    return max(1.0, loaded / base)
+    loaded = noc_model.latency(min(rate, noc_model.last_validated_rate))
+    return max(1.0, loaded / noc_model.zero_load_latency)
 
 
 def priced_stage_cycles(stage: MigrationStage, factor: float) -> int:

@@ -17,13 +17,7 @@ The seed object-graph engine the cycle kernel reproduces exactly lives in
 the test suite as its oracle (``tests/noc/object_engine.py``).
 """
 
-from .analytic import (
-    AnalyticPoint,
-    analytic_curve,
-    analytic_latency,
-    destination_probabilities,
-    saturation_rate,
-)
+from .analytic import AnalyticModel, analytic_model, destination_probabilities
 from .batch import LatencyCurve, default_rate_grid, latency_curve
 from .engine import SimulationClock
 from .flit import Packet, PacketClass, reset_packet_ids
@@ -52,11 +46,9 @@ from .traffic import (
 from .vector import VectorNetwork
 
 __all__ = [
-    "AnalyticPoint",
-    "analytic_curve",
-    "analytic_latency",
+    "AnalyticModel",
+    "analytic_model",
     "destination_probabilities",
-    "saturation_rate",
     "LatencyCurve",
     "default_rate_grid",
     "latency_curve",

@@ -40,11 +40,21 @@ hotspot, neighbor) agreement with the event-driven engines is pinned to
 bit-complement) see smoother per-channel arrivals than the queueing model
 assumes, so there it is a conservative upper bound rather than a tight
 estimate — use the batched event engine for those.
+
+Walking the routes is the expensive part, and it depends only on (mesh,
+pattern, routing, packet size, pattern arguments), not on the rate.
+:func:`analytic_model` builds each such model once per process and returns
+the cached :class:`AnalyticModel`, whose every rate then costs a few array
+operations.  A global lock guards the cache, a short-lived per-key lock
+serializes threads building the *same* model, and distinct keys build in
+parallel (the discipline of the decoder-effort probes in
+:mod:`repro.scenarios.compile`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,11 +66,9 @@ from .vector import _LOCAL, _MeshTables
 __all__ = [
     "ARRIVAL_DISCRETISATION",
     "WORMHOLE_BLOCKING_FACTOR",
-    "AnalyticPoint",
-    "analytic_curve",
-    "analytic_latency",
+    "AnalyticModel",
+    "analytic_model",
     "destination_probabilities",
-    "saturation_rate",
 ]
 
 #: Wait-time scale between the Poisson (1.0) and Geo/D/1 (1 - 1/L) limits.
@@ -79,15 +87,23 @@ def destination_probabilities(
     topology: MeshTopology,
     *,
     hotspots: Optional[Sequence[Tuple[int, int]]] = None,
-    hotspot_fraction: float = 0.5,
-    **_ignored,
+    hotspot_fraction: Optional[float] = None,
+    **unknown,
 ) -> np.ndarray:
     """``P[s, d]`` = probability an injection slot at ``s`` targets ``d``.
 
     Rows mirror the generators in :mod:`repro.noc.traffic`: the diagonal is
     zero, and rows may sum to less than one for patterns that drop slots
-    (a transpose diagonal node never sends, so its row is all zero).
+    (a transpose diagonal node never sends, so its row is all zero).  The
+    arguments are checked as :class:`repro.noc.traffic.HotspotTraffic`
+    checks them: an unknown argument, a hotspot argument to another
+    pattern, a hotspot outside the mesh or a fraction outside [0, 1] raises
+    ``ValueError``.
     """
+    if unknown:
+        raise ValueError(f"unknown traffic arguments: {sorted(unknown)}")
+    if pattern != "hotspot" and (hotspots is not None or hotspot_fraction is not None):
+        raise ValueError(f"{pattern!r} traffic takes no hotspot arguments")
     n = topology.num_nodes
     probs = np.zeros((n, n), dtype=np.float64)
     if pattern == "uniform":
@@ -112,12 +128,19 @@ def destination_probabilities(
     elif pattern == "hotspot":
         if not hotspots:
             raise ValueError("hotspot pattern needs hotspots=[(x, y), ...]")
+        spots = [tuple(spot) for spot in hotspots]
+        for spot in spots:
+            if not topology.contains(spot):
+                raise ValueError(f"hotspot {spot} outside mesh")
+        fraction = 0.5 if hotspot_fraction is None else hotspot_fraction
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("hotspot fraction must be in [0, 1]")
         uniform = np.full((n, n), 1.0 / (n - 1))
         np.fill_diagonal(uniform, 0.0)
-        spot_ids = [topology.node_id(s) for s in hotspots]
+        spot_ids = [topology.node_id(s) for s in spots]
         for s in range(n):
             candidates = [d for d in spot_ids if d != s]
-            frac = hotspot_fraction if candidates else 0.0
+            frac = fraction if candidates else 0.0
             probs[s] = (1.0 - frac) * uniform[s]
             for d in candidates:
                 probs[s, d] += frac / len(candidates)
@@ -156,29 +179,8 @@ def _flow_channels(
     return flows
 
 
-@dataclass
-class AnalyticPoint:
-    """Closed-form latency estimate at one injection rate.
-
-    ``saturated`` flags rates beyond the blocking-corrected
-    ``saturation_rate`` where the model is not validated; ``avg_latency``
-    only becomes infinite past ``capacity_rate`` (utilisation >= 1).
-    """
-
-    injection_rate: float
-    avg_latency: float
-    saturation_rate: float
-    capacity_rate: float
-    saturated: bool
-    max_channel_utilisation: float
-
-    @property
-    def finite(self) -> bool:
-        return np.isfinite(self.avg_latency)
-
-
-class _AnalyticModel:
-    """Pattern/topology-specific pieces that do not depend on the rate.
+class AnalyticModel:
+    """The closed-form latency of one traffic pattern on one mesh.
 
     The flow-weighted mean latency ``sum_f p_f (H_f + L + 1 + sum_{c in f}
     W_c) / sum_f p_f`` needs no per-flow state at evaluation time: the
@@ -186,7 +188,8 @@ class _AnalyticModel:
     ``unit_loads[c]`` is exactly the probability mass of the flows crossing
     ``c``.  The model therefore keeps the channel loads plus two scalars,
     ``sum p`` and ``sum p * hops``, and every rate costs a few array
-    operations over the ``5 * num_nodes`` channels.
+    operations over the ``5 * num_nodes`` channels.  Build it through
+    :func:`analytic_model`, which caches it.
     """
 
     def __init__(
@@ -217,27 +220,25 @@ class _AnalyticModel:
         #: ``sum_f p_f`` and ``sum_f p_f * hops_f`` over the flows that send.
         self.total_probability = total_probability
         self.weighted_hops = weighted_hops
-        #: Flow-weighted mean latency at vanishing load (what ``evaluate(0)``
+        #: Flow-weighted mean latency at vanishing load (what ``latency(0)``
         #: returns); the denominator of every congestion factor.
         self.zero_load_latency = (
             weighted_hops + (packet_size_flits + 1) * total_probability
         ) / total_probability
+        #: Rate at which the most-loaded channel reaches unit utilisation;
+        #: the latency is infinite from here on.
         self.capacity_rate = 1.0 / (packet_size_flits * float(loads.max()))
+        #: Rate from which the model is not validated (head-of-line blocking).
         self.saturation_rate = WORMHOLE_BLOCKING_FACTOR * self.capacity_rate
+        #: The last validated rate, where saturated rates are priced.
+        self.last_validated_rate = math.nextafter(self.saturation_rate, 0.0)
 
-    def evaluate(self, injection_rate: float) -> AnalyticPoint:
+    def latency(self, injection_rate: float) -> float:
+        """Mean packet latency (cycles) at one per-node injection rate."""
         size = self.packet_size_flits
         util = injection_rate * size * self.unit_loads
-        max_util = float(util.max())
-        if max_util >= 1.0:
-            return AnalyticPoint(
-                injection_rate=injection_rate,
-                avg_latency=float("inf"),
-                saturation_rate=self.saturation_rate,
-                capacity_rate=self.capacity_rate,
-                saturated=True,
-                max_channel_utilisation=max_util,
-            )
+        if float(util.max()) >= 1.0:
+            return math.inf
         # M/D/1 waiting time per channel, deterministic service of L cycles,
         # scaled for the discrete (sub-Poisson) arrival process.
         wait = ARRIVAL_DISCRETISATION * util * size / (2.0 * (1.0 - util))
@@ -247,64 +248,49 @@ class _AnalyticModel:
             + (size + 1) * total_p
             + float(self.unit_loads @ wait)
         )
-        return AnalyticPoint(
-            injection_rate=injection_rate,
-            avg_latency=total_latency / total_p,
-            saturation_rate=self.saturation_rate,
-            capacity_rate=self.capacity_rate,
-            saturated=injection_rate >= self.saturation_rate,
-            max_channel_utilisation=max_util,
+        return total_latency / total_p
+
+
+#: (width, height, pattern, routing, packet size, pattern-argument items)
+#: -> built model.  See the module docstring for the locking.
+_MODEL_CACHE: Dict[Tuple, AnalyticModel] = {}
+_MODEL_KEY_LOCKS: Dict[Tuple, threading.Lock] = {}
+_MODEL_CACHE_LOCK = threading.Lock()
+
+
+def _freeze(value):
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(item) for item in value)
+    return value
+
+
+def analytic_model(
+    topology: MeshTopology,
+    pattern: str,
+    *,
+    packet_size_flits: int = 4,
+    routing: str = "xy",
+    **pattern_kwargs,
+) -> AnalyticModel:
+    """The process-wide cached model of ``pattern`` on ``topology``'s mesh."""
+    frozen = tuple(
+        (name, _freeze(value)) for name, value in sorted(pattern_kwargs.items())
+    )
+    key = (topology.width, topology.height, pattern, routing, packet_size_flits, frozen)
+    with _MODEL_CACHE_LOCK:
+        cached = _MODEL_CACHE.get(key)
+        if cached is not None:
+            return cached
+        key_lock = _MODEL_KEY_LOCKS.setdefault(key, threading.Lock())
+    with key_lock:
+        with _MODEL_CACHE_LOCK:
+            cached = _MODEL_CACHE.get(key)
+        if cached is not None:
+            return cached
+        model = AnalyticModel(
+            topology, pattern, packet_size_flits, routing, **pattern_kwargs
         )
-
-
-def analytic_latency(
-    topology: MeshTopology,
-    pattern: str,
-    injection_rate: float,
-    *,
-    packet_size_flits: int = 4,
-    routing: str = "xy",
-    **pattern_kwargs,
-) -> AnalyticPoint:
-    """Closed-form average latency at one injection rate."""
-    model = _AnalyticModel(
-        topology, pattern, packet_size_flits, routing, **pattern_kwargs
-    )
-    return model.evaluate(injection_rate)
-
-
-def analytic_curve(
-    topology: MeshTopology,
-    pattern: str,
-    injection_rates: Sequence[float],
-    *,
-    packet_size_flits: int = 4,
-    routing: str = "xy",
-    **pattern_kwargs,
-) -> List[AnalyticPoint]:
-    """Evaluate :func:`analytic_latency` over a grid of rates.
-
-    The pattern/topology part of the model (route walks, channel loads) is
-    built once and shared across the whole grid, so the marginal cost per
-    point is a handful of array operations — this is what makes the
-    analytic path thousands of times faster than event simulation.
-    """
-    model = _AnalyticModel(
-        topology, pattern, packet_size_flits, routing, **pattern_kwargs
-    )
-    return [model.evaluate(float(rate)) for rate in injection_rates]
-
-
-def saturation_rate(
-    topology: MeshTopology,
-    pattern: str,
-    *,
-    packet_size_flits: int = 4,
-    routing: str = "xy",
-    **pattern_kwargs,
-) -> float:
-    """Injection rate at which the most-loaded channel saturates."""
-    model = _AnalyticModel(
-        topology, pattern, packet_size_flits, routing, **pattern_kwargs
-    )
-    return model.saturation_rate
+        with _MODEL_CACHE_LOCK:
+            _MODEL_CACHE[key] = model
+            _MODEL_KEY_LOCKS.pop(key, None)
+        return model

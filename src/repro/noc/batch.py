@@ -14,10 +14,10 @@ lane-level primitive :func:`~repro.noc.simulator.run_schedules`, which
 callers already holding schedules use directly — e.g. sweeping *patterns*
 at a fixed rate, or replaying many migration windows at once.
 
-The default rate grid spans up to ~1.3x the analytic
-:func:`~repro.noc.analytic.saturation_rate`: dense enough to resolve the
-knee, capped so the post-measurement drain (which runs until the slowest
-lane empties) stays bounded.
+The default rate grid spans up to ~1.3x the cached analytic model's
+``saturation_rate`` (:func:`~repro.noc.analytic.analytic_model`): dense
+enough to resolve the knee, capped so the post-measurement drain (which
+runs until the slowest lane empties) stays bounded.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .analytic import saturation_rate
+from .analytic import analytic_model
 from .simulator import SimulationResult, run_schedules
 from .topology import MeshTopology
 from .traffic import make_traffic
@@ -78,13 +78,13 @@ def default_rate_grid(
     congested lane empties, so sweeping far past saturation buys hundreds
     of drain cycles for no extra information about the knee.
     """
-    sat = saturation_rate(
+    sat = analytic_model(
         topology,
         pattern,
         packet_size_flits=packet_size_flits,
         routing=routing,
         **pattern_kwargs,
-    )
+    ).saturation_rate
     return np.linspace(0.005, span * sat, num_points)
 
 

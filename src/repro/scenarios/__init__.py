@@ -28,12 +28,7 @@ from .compile import (
     compile_scenario,
     run_scenario,
 )
-from .noc_cost import (
-    NocCostModel,
-    epoch_noc_latencies,
-    noc_cost_probe,
-    rate_noc_latencies,
-)
+from .noc_cost import rate_noc_latencies
 from .patterns import (
     BurstPattern,
     ConstantPattern,
@@ -61,10 +56,7 @@ __all__ = [
     "FaultPattern",
     "HotspotPattern",
     "NocChannel",
-    "NocCostModel",
     "NocSummary",
-    "epoch_noc_latencies",
-    "noc_cost_probe",
     "rate_noc_latencies",
     "Pattern",
     "ProductPattern",

@@ -36,11 +36,12 @@ from ..core.experiment import ExperimentSettings, ThermalExperiment
 from ..core.metrics import ExperimentResult
 from ..core.policy import ReconfigurationPolicy, make_policy
 from ..ldpc import BpskAwgnChannel, LdpcEncoder, make_decoder
+from ..noc.analytic import AnalyticModel, analytic_model
 from ..obs import counter as _obs_counter
 from ..obs import get_registry as _obs_registry
 from ..obs import span as _obs_span
 from ..thermal.hotspot import HotSpotModel
-from .noc_cost import NocCostModel, rate_noc_latencies
+from .noc_cost import rate_noc_latencies
 from .spec import ScenarioSpec
 
 if TYPE_CHECKING:
@@ -69,8 +70,10 @@ class CompiledScenario:
     #: The whole horizon's per-epoch channels, load modulation broadcast to
     #: ``(num_epochs, num_units)``; a channel the spec leaves undriven is None.
     window: EpochWindow
-    #: Pricing model for the spec's ``noc`` channel, or None.
-    noc_model: Optional[NocCostModel] = None
+    #: The cached analytic model of the spec's ``noc`` channel, or None:
+    #: it prices the channel's latencies and congestion-prices staged
+    #: migration stages.
+    noc_model: Optional[AnalyticModel] = None
 
     def experiment(self, thermal_model: Optional[HotSpotModel] = None) -> ThermalExperiment:
         """The fully-wired experiment this scenario compiles to."""
@@ -251,7 +254,12 @@ def _channel_window(
 
 
 def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
-    """Resolve a spec against its chip and evaluate every pattern."""
+    """Resolve a spec against its chip and evaluate every pattern.
+
+    A ``noc`` channel resolves to its cached analytic model here, so a
+    channel the model rejects (unknown routing or traffic argument, a
+    hotspot off the mesh) raises ``ValueError`` before anything runs.
+    """
     configuration = get_configuration(spec.configuration)
     policy = make_policy(
         spec.scheme,
@@ -270,18 +278,15 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         migration_style=spec.migration_style,
         units_per_epoch=spec.units_per_epoch,
     )
-    noc_model: Optional[NocCostModel] = None
+    noc_model: Optional[AnalyticModel] = None
     if spec.noc is not None:
         channel = spec.noc
-        topology = configuration.topology
-        noc_model = NocCostModel(
-            width=topology.width,
-            height=topology.height,
-            pattern=channel.traffic,
-            base_injection_rate=channel.injection_rate,
+        noc_model = analytic_model(
+            configuration.topology,
+            channel.traffic,
             packet_size_flits=channel.packet_size_flits,
             routing=channel.routing,
-            pattern_kwargs=dict(channel.traffic_kwargs or {}),
+            **(channel.traffic_kwargs or {}),
         )
     return CompiledScenario(
         spec=spec,
@@ -447,7 +452,7 @@ def run_scenario(
                     mean_latency_cycles=float(latencies.mean()),
                     peak_latency_cycles=float(latencies.max()),
                     saturated_epochs=int(saturated.sum()),
-                    saturation_rate=float(compiled.noc_model.saturation_rate),
+                    saturation_rate=compiled.noc_model.saturation_rate,
                     peak_injection_rate=float(window.noc_rates.max()),
                 )
         finally:

@@ -37,7 +37,7 @@ from ..scenarios.compile import (
     compile_scenario,
     decoder_effort,
 )
-from ..scenarios.noc_cost import NocCostModel, rate_noc_latencies
+from ..scenarios.noc_cost import rate_noc_latencies
 from ..scenarios.spec import ScenarioSpec
 from ..storage import code_fingerprint
 from ..thermal.hotspot import HotSpotModel
@@ -80,7 +80,9 @@ class StreamingExperiment:
     Parameters
     ----------
     experiment:
-        The (unprepared) experiment to drive.
+        The (unprepared) experiment to drive.  Windows carrying
+        ``noc_rates`` are priced through its ``noc_model``, when it has one,
+        into the rolling summary.
     settled_capacity:
         Settled-regime window for :meth:`ThermalExperiment.prepare`; defaults
         to ``settings.settle_epochs`` (an unbounded stream needs one of the
@@ -92,9 +94,6 @@ class StreamingExperiment:
         Optional durable checkpoint store; when set, every processed window
         publishes a resumable snapshot and :meth:`prepare` restores the
         newest one.
-    noc_model:
-        Optional NoC pricing model: windows carrying ``noc_rates`` are priced
-        through it into the rolling summary.
     source_tag:
         Provenance string mixed into the checkpoint identity so a journal
         written by one stream is never restored into a different one.
@@ -107,13 +106,11 @@ class StreamingExperiment:
         settled_capacity: Optional[int] = None,
         warm_power: Optional[np.ndarray] = None,
         checkpoint: Optional[CheckpointStore] = None,
-        noc_model: Optional[NocCostModel] = None,
         source_tag: str = "windows",
     ):
         self.experiment = experiment
         self.summary = RollingSummary()
         self.checkpoint = checkpoint
-        self.noc_model = noc_model
         self._settled_capacity = settled_capacity
         self._warm_power = warm_power
         self._prepared = False
@@ -152,7 +149,6 @@ class StreamingExperiment:
             settled_capacity=settled_capacity,
             warm_power=warm_power,
             checkpoint=checkpoint,
-            noc_model=compiled.noc_model,
             source_tag=f"scenario:{compiled.spec.name}:{tag}",
         )
 
@@ -279,9 +275,9 @@ class StreamingExperiment:
                     effort.mean_iterations,
                     effort.throughput_factor,
                 )
-            if window.noc_rates is not None and self.noc_model is not None:
+            if window.noc_rates is not None and experiment.noc_model is not None:
                 latencies, saturated = rate_noc_latencies(
-                    self.noc_model, window.noc_rates
+                    experiment.noc_model, window.noc_rates
                 )
                 self.summary.observe_noc(latencies, saturated)
         lag_s = time.perf_counter() - began

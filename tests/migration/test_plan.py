@@ -25,8 +25,8 @@ from repro.migration.transforms import (
     make_transform,
 )
 from repro.migration.unit import MigrationUnit
+from repro.noc.analytic import analytic_model
 from repro.noc.topology import MeshTopology
-from repro.scenarios.noc_cost import NocCostModel
 
 # The whole-transform cost of the controller oracle, independent of lowering.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
@@ -108,9 +108,10 @@ class TestSuddenLowering:
     def test_identity_transform_is_cost_only(self, unit4, mesh4):
         plan = lower_transform(IdentityTransform(mesh4), unit4, style="sudden")
         assert plan.num_stages == 1
-        assert plan.total_cycles == 0
-        assert plan.total_moved == 0
-        assert plan.total_energy_j > 0  # fixed per-PE overhead still charged
+        stage = plan.stages[0]
+        assert stage.cycles == 0
+        assert stage.moved == 0
+        assert stage.energy_j > 0  # fixed per-PE overhead still charged
 
     def test_rejects_unknown_style(self, unit4, mesh4):
         with pytest.raises(ValueError):
@@ -303,20 +304,20 @@ class TestPlanCodec:
 class TestCongestionPricing:
     def test_unpriced_is_unity(self):
         assert congestion_factor(None, 0.5) == 1.0
-        model = NocCostModel(width=4, height=4)
+        model = analytic_model(MeshTopology(4, 4), "uniform")
         assert congestion_factor(model, None) == 1.0
         assert congestion_factor(model, 0.0) == 1.0
         assert congestion_factor(model, float("nan")) == 1.0
 
     def test_monotone_and_at_least_one(self):
-        model = NocCostModel(width=4, height=4)
+        model = analytic_model(MeshTopology(4, 4), "uniform")
         low = congestion_factor(model, 0.01)
         high = congestion_factor(model, model.saturation_rate * 0.9)
         assert 1.0 <= low <= high
         assert high > 1.0
 
     def test_saturated_rate_caps(self):
-        model = NocCostModel(width=4, height=4)
+        model = analytic_model(MeshTopology(4, 4), "uniform")
         at_cap = congestion_factor(model, model.saturation_rate)
         beyond = congestion_factor(model, model.saturation_rate * 10)
         assert math.isfinite(at_cap)

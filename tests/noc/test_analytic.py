@@ -9,17 +9,13 @@ from hypothesis import given, settings, strategies as st
 from repro.migration.plan import congestion_factor
 from repro.noc.analytic import (
     ARRIVAL_DISCRETISATION,
-    AnalyticPoint,
-    _AnalyticModel,
     _flow_channels,
-    analytic_curve,
-    analytic_latency,
+    analytic_model,
     destination_probabilities,
-    saturation_rate,
 )
 from repro.noc.batch import latency_curve
 from repro.noc.topology import MeshTopology
-from repro.scenarios.noc_cost import NocCostModel
+from repro.scenarios.noc_cost import rate_noc_latencies
 
 AGREEMENT_CONFIGS = [
     (4, "uniform", {}),
@@ -39,12 +35,12 @@ class TestAgreementWithEventEngine:
     )
     def test_below_saturation_agreement(self, size, pattern, kwargs):
         topology = MeshTopology(size, size)
-        sat = saturation_rate(topology, pattern, **kwargs)
-        rates = np.linspace(0.15, 0.8, 4) * sat
+        model = analytic_model(topology, pattern, **kwargs)
+        rates = np.linspace(0.15, 0.8, 4) * model.saturation_rate
         measured = latency_curve(
             topology, pattern, rates, cycles=2000, warmup_cycles=300, seed=0, **kwargs
         ).avg_latency
-        analytic = [p.avg_latency for p in analytic_curve(topology, pattern, rates, **kwargs)]
+        analytic = [model.latency(rate) for rate in rates]
         errors = np.abs(np.asarray(analytic) - measured) / measured
         assert errors.max() < 0.10, f"worst error {errors.max():.1%}"
 
@@ -53,14 +49,12 @@ class TestAgreementWithEventEngine:
         assumes, so the estimate must sit above the measurement (and within
         a loose factor), never below it."""
         topology = MeshTopology(4, 4)
-        sat = saturation_rate(topology, "transpose")
-        rates = np.linspace(0.2, 0.8, 3) * sat
+        model = analytic_model(topology, "transpose")
+        rates = np.linspace(0.2, 0.8, 3) * model.saturation_rate
         measured = latency_curve(
             topology, "transpose", rates, cycles=1500, warmup_cycles=200, seed=0
         ).avg_latency
-        analytic = np.array(
-            [p.avg_latency for p in analytic_curve(topology, "transpose", rates)]
-        )
+        analytic = np.array([model.latency(rate) for rate in rates])
         assert np.all(analytic >= measured)
         assert np.all(analytic < 1.6 * measured)
 
@@ -68,7 +62,7 @@ class TestAgreementWithEventEngine:
 class TestModelStructure:
     def test_zero_load_latency_is_hops_plus_serialization(self):
         topology = MeshTopology(4, 4)
-        point = analytic_latency(topology, "uniform", 1e-9)
+        latency = analytic_model(topology, "uniform").latency(1e-9)
         # Flow-weighted mean hops of uniform traffic + L + 1 ejection cycle.
         mean_hops = 0.0
         n = topology.num_nodes
@@ -79,38 +73,29 @@ class TestModelStructure:
                         topology.coordinate(s), topology.coordinate(d)
                     )
         mean_hops /= n * (n - 1)
-        assert point.avg_latency == pytest.approx(mean_hops + 4 + 1, abs=1e-3)
+        assert latency == pytest.approx(mean_hops + 4 + 1, abs=1e-3)
 
     def test_saturation_below_capacity(self):
-        topology = MeshTopology(4, 4)
-        point = analytic_latency(topology, "uniform", 0.05)
-        assert point.saturation_rate < point.capacity_rate
-        assert not point.saturated
+        model = analytic_model(MeshTopology(4, 4), "uniform")
+        assert 0.05 < model.saturation_rate < model.capacity_rate
 
-    def test_saturated_flag_and_divergence(self):
-        topology = MeshTopology(4, 4)
-        sat = saturation_rate(topology, "uniform")
-        assert analytic_latency(topology, "uniform", 1.01 * sat).saturated
-        beyond = analytic_latency(topology, "uniform", 10.0)
-        assert beyond.saturated
-        assert not beyond.finite
+    def test_saturated_flag(self):
+        model = analytic_model(MeshTopology(4, 4), "uniform")
+        rates = np.array([0.99, 1.01]) * model.saturation_rate
+        _, saturated = rate_noc_latencies(model, rates)
+        assert saturated.tolist() == [False, True]
 
     def test_hotspot_saturates_earlier_than_uniform(self):
         topology = MeshTopology(4, 4)
-        uniform = saturation_rate(topology, "uniform")
-        hotspot = saturation_rate(
+        uniform = analytic_model(topology, "uniform").saturation_rate
+        hotspot = analytic_model(
             topology, "hotspot", hotspots=[(1, 1)], hotspot_fraction=0.7
-        )
+        ).saturation_rate
         assert hotspot < uniform
 
-    def test_latency_increases_with_rate(self):
-        topology = MeshTopology(5, 5)
-        sat = saturation_rate(topology, "uniform")
-        latencies = [
-            p.avg_latency
-            for p in analytic_curve(topology, "uniform", np.linspace(0.1, 0.9, 8) * sat)
-        ]
-        assert np.all(np.diff(latencies) > 0)
+    def test_unknown_routing_rejected(self):
+        with pytest.raises(ValueError, match="unknown routing"):
+            analytic_model(MeshTopology(4, 4), "uniform", routing="zz")
 
 
 class TestDestinationProbabilities:
@@ -155,6 +140,31 @@ class TestDestinationProbabilities:
     def test_hotspot_requires_spots(self):
         with pytest.raises(ValueError, match="hotspot"):
             destination_probabilities("hotspot", MeshTopology(4, 4))
+
+    def test_unknown_argument_is_named(self):
+        with pytest.raises(ValueError, match="hotspot_frac"):
+            destination_probabilities(
+                "hotspot", MeshTopology(4, 4), hotspots=[(1, 1)], hotspot_frac=0.95
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"hotspots": [(1, 1)]}, {"hotspot_fraction": 0.5}]
+    )
+    def test_hotspot_arguments_need_the_hotspot_pattern(self, kwargs):
+        with pytest.raises(ValueError, match="no hotspot arguments"):
+            destination_probabilities("uniform", MeshTopology(4, 4), **kwargs)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            destination_probabilities(
+                "hotspot", MeshTopology(4, 4), hotspots=[(1, 1)],
+                hotspot_fraction=fraction,
+            )
+
+    def test_hotspot_outside_mesh(self):
+        with pytest.raises(ValueError, match="outside mesh"):
+            destination_probabilities("hotspot", MeshTopology(4, 4), hotspots=[[9, 9]])
 
 
 # ----------------------------------------------------------------------
@@ -207,36 +217,84 @@ def traffic(draw):
     return topology, pattern, routing, packet_size, kwargs
 
 
+def _model(case):
+    """The cached model of a drawn case, or None for a pattern that sends nothing."""
+    topology, pattern, routing, packet_size, kwargs = case
+    try:
+        return analytic_model(
+            topology, pattern, packet_size_flits=packet_size, routing=routing, **kwargs
+        )
+    except ValueError as error:
+        assert "generates no packets" in str(error)
+        return None
+
+
+#: Relative band around ``capacity_rate`` left unchecked: there the utilisation
+#: ``rate * L * max(load)`` rounds to either side of 1.
+POLE = 1e-9
+
+rate_fractions = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12)
+
+
+class TestPhysicalProperties:
+    """Properties of the model on any mesh, pattern, routing and packet size."""
+
+    @given(case=traffic(), fractions=rate_fractions)
+    @settings(max_examples=100, deadline=None)
+    def test_latency_is_bounded_below_monotone_and_diverges_at_capacity(
+        self, case, fractions
+    ):
+        model = _model(case)
+        if model is None:
+            return
+        capacity = model.capacity_rate
+        rates = sorted(fraction * capacity for fraction in fractions)
+        latencies = [model.latency(rate) for rate in rates]
+        assert all(latency >= model.zero_load_latency for latency in latencies)
+        assert all(low <= high for low, high in zip(latencies, latencies[1:]))
+        for rate, latency in zip(rates, latencies):
+            if rate < (1.0 - POLE) * capacity:
+                assert math.isfinite(latency)
+            elif rate > (1.0 + POLE) * capacity:
+                assert latency == math.inf
+
+    @given(case=traffic(), fractions=rate_fractions)
+    @settings(max_examples=100, deadline=None)
+    def test_pricing_is_finite_and_never_discounts(self, case, fractions):
+        model = _model(case)
+        if model is None:
+            return
+        rates = sorted(fraction * model.capacity_rate for fraction in fractions)
+        factors = [congestion_factor(model, rate) for rate in rates]
+        assert all(math.isfinite(factor) and factor >= 1.0 for factor in factors)
+        assert all(low <= high for low, high in zip(factors, factors[1:]))
+        for rate in [None, math.nan, math.inf, -math.inf] + [-rate for rate in rates]:
+            assert congestion_factor(model, rate) == 1.0
+        latencies, saturated = rate_noc_latencies(model, np.array(rates))
+        assert np.isfinite(latencies).all()
+        assert saturated.tolist() == [rate >= model.saturation_rate for rate in rates]
+
+
 class TestClosedFormMatchesPerFlowLoop:
     @given(case=traffic(), fraction=st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=80, deadline=None)
-    def test_evaluate_and_congestion_factor(self, case, fraction):
+    def test_latency_and_congestion_factor(self, case, fraction):
         topology, pattern, routing, packet_size, kwargs = case
-        try:
-            model = _AnalyticModel(topology, pattern, packet_size, routing, **kwargs)
-        except ValueError as error:
-            assert "generates no packets" in str(error)
+        model = _model(case)
+        if model is None:
             return
         rate = fraction * model.capacity_rate
         expected = per_flow_latency(topology, pattern, rate, packet_size, routing, **kwargs)
-        assert model.evaluate(rate).avg_latency == pytest.approx(expected, rel=1e-12)
+        assert model.latency(rate) == pytest.approx(expected, rel=1e-12)
         zero_load = per_flow_latency(topology, pattern, 0.0, packet_size, routing, **kwargs)
         assert model.zero_load_latency == pytest.approx(zero_load, rel=1e-12)
-        assert model.evaluate(0.0).avg_latency == model.zero_load_latency
+        assert model.latency(0.0) == model.zero_load_latency
 
-        noc_model = NocCostModel(
-            width=topology.width,
-            height=topology.height,
-            pattern=pattern,
-            packet_size_flits=packet_size,
-            routing=routing,
-            pattern_kwargs=kwargs,
-        )
         capped = min(rate, math.nextafter(model.saturation_rate, 0.0))
         ratio = per_flow_latency(
             topology, pattern, capped, packet_size, routing, **kwargs
         ) / zero_load
         expected_factor = max(1.0, ratio) if rate > 0.0 else 1.0
-        assert congestion_factor(noc_model, rate) == pytest.approx(
+        assert congestion_factor(model, rate) == pytest.approx(
             expected_factor, rel=1e-12
         )

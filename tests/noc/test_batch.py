@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.noc.analytic import saturation_rate
+from repro.noc.analytic import analytic_model
 from repro.noc.batch import default_rate_grid, latency_curve
 from repro.noc.simulator import NocSimulator, run_schedules
 from repro.noc.topology import MeshTopology
@@ -89,13 +89,13 @@ class TestLatencyCurve:
             topology, "uniform", cycles=500, warmup_cycles=100, seed=4
         )
         estimate = curve.saturation_estimate()
-        sat = saturation_rate(topology, "uniform")
+        sat = analytic_model(topology, "uniform").saturation_rate
         assert 0.5 * sat < estimate <= 1.3 * sat + 1e-9
 
     def test_default_grid_spans_to_capped_saturation(self):
         topology = MeshTopology(5, 5)
         grid = default_rate_grid(topology, num_points=16)
-        sat = saturation_rate(topology, "uniform")
+        sat = analytic_model(topology, "uniform").saturation_rate
         assert grid.size == 16
         assert grid[0] == pytest.approx(0.005)
         assert grid[-1] == pytest.approx(1.3 * sat)

@@ -7,6 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.noc.analytic import analytic_model
+from repro.noc.topology import MeshTopology
 from repro.scenarios import (
     NocChannel,
     ScenarioSpec,
@@ -98,7 +100,7 @@ class TestNocCompilation:
     def test_mesh_comes_from_the_configuration(self):
         spec = dataclasses.replace(noc_spec(), configuration="C")  # 5x5 chip
         compiled = compile_scenario(spec)
-        assert (compiled.noc_model.width, compiled.noc_model.height) == (5, 5)
+        assert compiled.noc_model is analytic_model(MeshTopology(5, 5), "uniform")
 
 
 class TestNocResult:

@@ -1,91 +1,75 @@
-"""Tests for the scenario engine's cached NoC cost probes."""
+"""Tests for the process-wide analytic model cache and per-epoch NoC pricing."""
 
 import threading
 
 import numpy as np
-import pytest
 
-from repro.noc.analytic import analytic_latency
-from repro.scenarios.noc_cost import (
-    _MODEL_CACHE,
-    NocCostModel,
-    epoch_noc_latencies,
-    noc_cost_probe,
-)
+from repro.noc.analytic import _MODEL_CACHE, AnalyticModel, analytic_model
+from repro.noc.topology import MeshTopology
+from repro.scenarios.noc_cost import rate_noc_latencies
 
 
-class TestProbeCache:
-    def test_probe_matches_direct_analytic_call(self):
-        from repro.noc.topology import MeshTopology
-
-        direct = analytic_latency(MeshTopology(4, 4), "uniform", 0.05)
-        probed = noc_cost_probe(4, 4, "uniform", 0.05)
-        assert probed.avg_latency == direct.avg_latency
-        assert probed.saturation_rate == direct.saturation_rate
+class TestModelCache:
+    def test_cached_model_matches_a_fresh_one(self):
+        cached = analytic_model(MeshTopology(4, 4), "uniform")
+        fresh = AnalyticModel(MeshTopology(4, 4), "uniform", 4, "xy")
+        assert cached.latency(0.05) == fresh.latency(0.05)
+        assert cached.saturation_rate == fresh.saturation_rate
 
     def test_model_is_built_once_per_configuration(self):
         _MODEL_CACHE.clear()
-        for rate in (0.01, 0.02, 0.03):
-            noc_cost_probe(5, 5, "uniform", rate)
+        first = analytic_model(MeshTopology(5, 5), "uniform")
+        assert analytic_model(MeshTopology(5, 5), "uniform") is first
         assert len(_MODEL_CACHE) == 1
-        noc_cost_probe(5, 5, "uniform", 0.01, routing="yx")
+        analytic_model(MeshTopology(5, 5), "uniform", routing="yx")
         assert len(_MODEL_CACHE) == 2
 
     def test_hotspot_kwargs_participate_in_the_key(self):
         _MODEL_CACHE.clear()
-        noc_cost_probe(4, 4, "hotspot", 0.01, hotspots=[(1, 1)])
-        noc_cost_probe(4, 4, "hotspot", 0.01, hotspots=[(2, 2)])
+        analytic_model(MeshTopology(4, 4), "hotspot", hotspots=[(1, 1)])
+        analytic_model(MeshTopology(4, 4), "hotspot", hotspots=[[1, 1]])
+        assert len(_MODEL_CACHE) == 1
+        analytic_model(MeshTopology(4, 4), "hotspot", hotspots=[(2, 2)])
         assert len(_MODEL_CACHE) == 2
 
     def test_concurrent_probes_are_consistent(self):
         _MODEL_CACHE.clear()
-        results = []
+        models = []
 
         def worker():
-            results.append(noc_cost_probe(4, 4, "uniform", 0.04).avg_latency)
+            models.append(analytic_model(MeshTopology(4, 4), "uniform"))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert len(set(results)) == 1
+        assert len({id(model) for model in models}) == 1
         assert len(_MODEL_CACHE) == 1
 
 
 class TestEpochCosts:
     def model(self):
-        return NocCostModel(width=4, height=4, base_injection_rate=0.04)
+        return analytic_model(MeshTopology(4, 4), "uniform")
 
     def test_flat_scenario_uses_base_rate(self):
         model = self.model()
-        latencies, saturated = epoch_noc_latencies(model, None, num_epochs=5)
-        expected = model.probe(0.04).avg_latency
+        latencies, saturated = rate_noc_latencies(model, np.full(5, 0.04))
         assert latencies.shape == (5,)
-        assert np.allclose(latencies, expected)
+        assert np.all(latencies == model.latency(0.04))
         assert not saturated.any()
 
     def test_modulated_epochs_price_congestion(self):
-        model = self.model()
-        modulation = np.array([[0.5, 0.5], [1.0, 1.0], [2.0, 2.0]])
-        latencies, saturated = epoch_noc_latencies(model, modulation)
+        latencies, saturated = rate_noc_latencies(
+            self.model(), np.array([0.02, 0.04, 0.08])
+        )
         assert latencies[0] < latencies[1] < latencies[2]
         assert not saturated.any()
 
     def test_saturated_epochs_are_flagged_and_finite(self):
         model = self.model()
         # 10x the base rate pushes far past the 4x4 saturation rate.
-        modulation = np.array([[1.0], [10.0]])
-        latencies, saturated = epoch_noc_latencies(model, modulation)
+        latencies, saturated = rate_noc_latencies(model, np.array([0.04, 0.4]))
         assert saturated.tolist() == [False, True]
         assert np.isfinite(latencies).all()
-        assert latencies[1] > latencies[0]
-
-    def test_requires_epoch_count_without_modulation(self):
-        with pytest.raises(ValueError, match="num_epochs"):
-            epoch_noc_latencies(self.model(), None)
-
-    def test_one_dimensional_modulation_accepted(self):
-        latencies, _ = epoch_noc_latencies(self.model(), np.array([0.5, 1.5]))
-        assert latencies.shape == (2,)
         assert latencies[1] > latencies[0]

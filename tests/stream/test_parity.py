@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.chips import get_configuration
-from repro.scenarios.compile import compile_scenario
+from repro.scenarios.compile import compile_scenario, run_scenario
 from repro.scenarios.patterns import DiurnalPattern, RampPattern
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.spec import ScenarioSpec
@@ -233,13 +233,29 @@ class TestTransientParity:
 @pytest.mark.parametrize("name", scenario_names())
 def test_streamed_migration_accounting_equals_batch(name, style):
     """A registry scenario streamed at a drawn window size ends with the
-    batch run's migration count and energy exactly: the controller's
-    totals, which the rolling summary reports."""
+    batch run's migration count and energy exactly (the controller's
+    totals, which the rolling summary reports), its congestion-priced
+    throughput penalty, and the batch run's NoC summary."""
     compiled = compile_scenario(
         dataclasses.replace(get_scenario(name), migration_style=style)
     )
-    batch = compiled.experiment().run()
+    batch_run = run_scenario(compiled)
+    batch = batch_run.experiment
     window = random.Random(f"{name}/{style}").randint(1, compiled.spec.num_epochs)
-    controller = _stream(compiled, window).experiment.controller
+    engine = StreamingExperiment.from_scenario(compiled)
+    updates = list(
+        engine.process(
+            scenario_windows(compiled, window, max_epochs=compiled.spec.num_epochs)
+        )
+    )
+    controller = engine.experiment.controller
     assert controller.migrations_performed == batch.migrations_performed
     assert controller.total_migration_energy_j == batch.total_migration_energy_j
+    assert engine.finalize().throughput_penalty == batch.throughput_penalty
+    summary = updates[-1].summary
+    assert ("noc_mean_latency_cyc" in summary) == (batch_run.noc is not None)
+    if batch_run.noc is not None:
+        assert summary["noc_mean_latency_cyc"] == pytest.approx(
+            batch_run.noc.mean_latency_cycles, rel=1e-12
+        )
+        assert summary["noc_saturated_epochs"] == batch_run.noc.saturated_epochs

@@ -308,6 +308,39 @@ class TestScenarioCommand:
         assert main(["scenario", "run", "--spec", str(tmp_path / "nope.json")]) == 1
         assert capsys.readouterr().err.strip() != ""
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"routing": "zz"}, "unknown routing"),
+            ({"traffic_kwargs": {"hotspots": [[9, 9]]}}, "outside mesh"),
+            (
+                {"traffic_kwargs": {"hotspots": [[1, 1]], "hotspot_frac": 0.95}},
+                "hotspot_frac",
+            ),
+            (
+                {"traffic_kwargs": {"hotspots": [[1, 1]], "hotspot_fraction": 1.5}},
+                "[0, 1]",
+            ),
+        ],
+        ids=["routing", "hotspot-off-mesh", "unknown-argument", "fraction"],
+    )
+    def test_malformed_noc_channel_is_one_line_error(
+        self, capsys, tmp_path, edit, message
+    ):
+        import json
+
+        from repro.scenarios import get_scenario
+
+        spec = json.loads(get_scenario("noc-congestion-burst").to_json())
+        spec["noc"].update(edit)
+        spec_file = tmp_path / "scenario.json"
+        spec_file.write_text(json.dumps(spec))
+        assert main(["scenario", "run", "--spec", str(spec_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+
 
 class TestCampaignCommand:
     SPEC = {
