@@ -139,12 +139,6 @@ class ChipConfiguration:
         sizes = self.workload.partition.task_sizes()
         return {task: sizes[task] for task in range(self.num_units)}
 
-    def tanner_nodes_per_pe(self, mapping: Optional[Mapping] = None) -> Dict[Coordinate, int]:
-        """Tanner nodes hosted at each PE under ``mapping``."""
-        mapping = mapping or self.static_mapping
-        per_task = self.tanner_nodes_per_task()
-        return {mapping.physical_of(task): count for task, count in per_task.items()}
-
     def block_period_cycles(self, period_us: float) -> int:
         """Cycles in one migration period at this chip's clock."""
         return self.clock.microseconds_to_cycles(period_us)

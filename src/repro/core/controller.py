@@ -20,7 +20,7 @@ energy vector over its epoch's duration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from ..chips.configurations import ChipConfiguration
 from ..migration.io_interface import IoAddressTranslator
 from ..migration.plan import MigrationPlan, lower_transform, priced_stage_cycles
 from ..migration.transforms import MigrationTransform
-from ..noc.topology import Coordinate
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 
@@ -100,7 +99,6 @@ class RuntimeReconfigurationController:
         self.include_migration_energy = include_migration_energy
 
         num_units = self.topology.num_nodes
-        self._coords: List[Coordinate] = list(self.topology.coordinates())
         #: task -> node of the static (design-time) mapping.
         self._static_nodes = _read_only(
             np.array(configuration.static_mapping.to_permutation(), dtype=np.intp)
@@ -109,10 +107,12 @@ class RuntimeReconfigurationController:
         self._task_watts = np.array([per_task_power[task] for task in range(num_units)])
         self._no_energy = _read_only(np.zeros(num_units))
         task_sizes = configuration.tanner_nodes_per_task()
-        self._task_tanner_nodes = [task_sizes[task] for task in range(num_units)]
+        self._task_tanner_nodes = _read_only(
+            np.array([task_sizes[task] for task in range(num_units)], dtype=np.int64)
+        )
         # A plan reads the mapping only through the Tanner nodes per PE, so
         # the memo key carries the per-task sizes beside the mapping.
-        self._tanner_key = np.array(self._task_tanner_nodes, dtype=np.int64).tobytes()
+        self._tanner_key = self._task_tanner_nodes.tobytes()
 
         #: task -> node of the current mapping (never mutated in place).
         self._nodes = self._static_nodes
@@ -223,14 +223,6 @@ class RuntimeReconfigurationController:
         self._plan_next_stage = next_stage
 
     # ------------------------------------------------------------------
-    def _tanner_nodes_per_pe(self) -> Dict[Coordinate, int]:
-        """Tanner nodes hosted at each PE under the current mapping."""
-        coords = self._coords
-        return {
-            coords[node]: count
-            for node, count in zip(self._nodes.tolist(), self._task_tanner_nodes)
-        }
-
     @property
     def migration_in_progress(self) -> bool:
         """True while a fluid or batched plan still has stages to execute."""
@@ -241,6 +233,9 @@ class RuntimeReconfigurationController:
     ) -> MigrationPlan:
         """Lower ``transform`` from the current mapping (a memo miss)."""
         self.migration_cost_computations += 1
+        # Tanner nodes hosted at each node: the per-task sizes follow the tasks.
+        tanner_nodes = np.empty_like(self._task_tanner_nodes)
+        tanner_nodes[self._nodes] = self._task_tanner_nodes
         with _obs_span(
             "migration.plan",
             transform=transform.name,
@@ -250,7 +245,7 @@ class RuntimeReconfigurationController:
             return lower_transform(
                 transform,
                 self.migration_unit,
-                self._tanner_nodes_per_pe(),
+                tanner_nodes,
                 style=style,
                 units_per_epoch=units_per_epoch,
             )

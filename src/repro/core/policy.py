@@ -9,6 +9,7 @@ which are exercised by the tests, the scenario registry and the examples.
 
 from __future__ import annotations
 
+import inspect
 from abc import ABC, abstractmethod
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
@@ -240,12 +241,19 @@ def make_policy(
     **kwargs,
 ) -> ReconfigurationPolicy:
     """Factory: ``"static"``, a Figure-1 scheme name, ``"adaptive"``, or
-    ``"threshold-<scheme>"``."""
+    ``"threshold-<scheme>"``; a keyword the policy does not take raises
+    ``ValueError`` naming it."""
     if name == "static":
-        return NoMigrationPolicy(period_us)
-    if name == "adaptive":
-        return AdaptiveMigrationPolicy(topology, period_us=period_us, **kwargs)
-    if name.startswith("threshold-"):
-        scheme = name[len("threshold-") :]
-        return ThresholdMigrationPolicy(topology, scheme, period_us=period_us, **kwargs)
-    return PeriodicMigrationPolicy(topology, name, period_us=period_us, **kwargs)
+        policy, args = NoMigrationPolicy, ()
+    elif name == "adaptive":
+        policy, args = AdaptiveMigrationPolicy, (topology,)
+    elif name.startswith("threshold-"):
+        policy, args = ThresholdMigrationPolicy, (topology, name[len("threshold-") :])
+    else:
+        policy, args = PeriodicMigrationPolicy, (topology, name)
+    if kwargs:
+        try:
+            inspect.signature(policy).bind(*args, period_us=period_us, **kwargs)
+        except TypeError as error:
+            raise ValueError(f"policy {name!r}: {error}") from None
+    return policy(*args, period_us=period_us, **kwargs)

@@ -16,7 +16,7 @@ from .plan import (
     congestion_factor,
     lower_transform,
 )
-from .scheduler import MigrationSchedule, MigrationScheduler, PeMove
+from .scheduler import MigrationScheduler
 from .state_transfer import StateTransferModel
 from .transforms import (
     FIGURE1_SCHEMES,
@@ -40,9 +40,7 @@ __all__ = [
     "MigrationStage",
     "congestion_factor",
     "lower_transform",
-    "MigrationSchedule",
     "MigrationScheduler",
-    "PeMove",
     "StateTransferModel",
     "FIGURE1_SCHEMES",
     "IdentityTransform",

@@ -10,9 +10,11 @@ a sudden migration is the one-stage plan.
 This module lowers a :class:`repro.migration.transforms.MigrationTransform`
 into a :class:`MigrationPlan` — an ordered tuple of :class:`MigrationStage`
 records, each carrying its node step array, its congestion-free NoC transfer
-cycles (priced through the one shared per-move cycle function,
-:meth:`MigrationScheduler.move_cycles`), and its per-node energy (folded from
-the shared per-move account, :meth:`MigrationUnit.move_energy`).  The
+cycles (:meth:`MigrationScheduler.phased_cycles`, priced through the one
+per-move cycle function :meth:`MigrationScheduler.move_cycles`), and its
+per-node energy (the one per-move energy fold,
+:meth:`MigrationUnit.moves_energy`).  Lowering works on node ids: the move
+of node ``s`` goes to ``perm[s]``, the transform's node permutation.  The
 controller executes one stage per epoch; between stages the mapping is
 *mixed* — partly migrated, partly not — so stages must keep the mapping a
 valid permutation.
@@ -22,20 +24,19 @@ applying a whole cycle's moves simultaneously relocates a closed set of PEs
 onto itself, which is exactly the condition for the mid-plan mapping to stay
 bijective.  Styles differ only in how cycles are grouped into stages:
 
-* ``sudden`` — one stage holding every move, in
-  :meth:`MigrationScheduler.moves_for_transform` order (its step is the
-  transform's node permutation);
+* ``sudden`` — one stage holding every move, in node order (its step is
+  the transform's node permutation);
 * ``fluid`` — cycles are packed into stages under a ``units_per_epoch``
   budget (a cycle longer than the budget still occupies one stage — cycles
   are atomic);
-* ``batched`` — cycles are greedily grouped into link-disjoint stages using
-  the same conflict relation as the scheduler's congestion-free phases, so
-  each stage is one whole-stage "phase group" that transfers without
-  blocking.
+* ``batched`` — cycles are grouped into link-disjoint stages by the same
+  greedy colouring that forms the scheduler's congestion-free phases
+  (:func:`repro.migration.scheduler.link_disjoint_groups`), so each stage is
+  one whole-stage "phase group" that transfers without blocking.
 
-A stage is its arrays: the :class:`PeMove` sets that shaped it are not
-kept, and a lowered plan is what the chip's
-:class:`repro.migration.unit.PlanMemo` stores.
+A stage is its arrays: the node groups that shaped it are not kept, and a
+lowered plan is what the chip's :class:`repro.migration.unit.PlanMemo`
+stores.
 
 Congestion pricing: plans carry congestion-free cycle counts; when the
 epoch's NoC load is known, :func:`congestion_factor` scales a stage's
@@ -54,8 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..noc.analytic import AnalyticModel
-from ..noc.topology import Coordinate
-from .scheduler import PeMove, _links_of_route
+from .scheduler import MigrationScheduler, link_disjoint_groups
 from .transforms import MigrationTransform
 from .unit import MigrationUnit
 
@@ -164,40 +164,34 @@ class MigrationPlan:
 # ----------------------------------------------------------------------
 # Lowering
 # ----------------------------------------------------------------------
-def _permutation_cycles(remote_moves: Sequence[PeMove]) -> List[List[PeMove]]:
-    """Decompose the remote moves into the transform's permutation cycles.
+def _permutation_cycles(perm: Sequence[int]) -> List[List[int]]:
+    """The non-fixed nodes of ``perm`` as its permutation cycles.
 
-    A non-fixed coordinate's destination is itself non-fixed (bijectivity),
-    so the remote moves close under following ``source -> destination`` and
-    every cycle is a simultaneously-applicable relocation.
+    Each cycle starts at its lowest node and follows ``s -> perm[s]``; a
+    non-fixed node's image is itself non-fixed (bijectivity), so every
+    cycle is a simultaneously-applicable relocation.
     """
-    by_source = {move.source: move for move in remote_moves}
-    cycles: List[List[PeMove]] = []
-    visited: set = set()
-    for move in remote_moves:
-        if move.source in visited:
-            continue
-        cycle: List[PeMove] = []
-        cursor = move
-        while cursor.source not in visited:
-            visited.add(cursor.source)
-            cycle.append(cursor)
-            cursor = by_source[cursor.destination]
-        cycles.append(cycle)
+    cycles: List[List[int]] = []
+    seen: set = set()
+    for start in range(len(perm)):
+        if perm[start] != start and start not in seen:
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
     return cycles
 
 
-def _fluid_groups(
-    cycles: List[List[PeMove]], units_per_epoch: int
-) -> List[List[PeMove]]:
+def _fluid_groups(cycles: List[List[int]], units_per_epoch: int) -> List[List[int]]:
     """Pack cycles into stages under a per-epoch unit budget.
 
     A stage closes before it would exceed the budget; a single cycle longer
     than the budget occupies a stage alone (cycles are atomic — splitting
     one would leave the mid-plan mapping non-bijective).
     """
-    groups: List[List[PeMove]] = []
-    current: List[PeMove] = []
+    groups: List[List[int]] = []
+    current: List[int] = []
     for cycle in cycles:
         if current and len(current) + len(cycle) > units_per_epoch:
             groups.append(current)
@@ -209,56 +203,45 @@ def _fluid_groups(
 
 
 def _batched_groups(
-    cycles: List[List[PeMove]], unit: MigrationUnit
-) -> List[List[PeMove]]:
+    cycles: List[List[int]], perm: Sequence[int], scheduler: MigrationScheduler
+) -> List[List[int]]:
     """Group cycles into link-disjoint stages (whole-stage phase groups).
 
-    The same greedy longest-route-first colouring as
-    :meth:`MigrationScheduler.schedule`, with a whole cycle as the colouring
-    unit so every stage stays a valid partial permutation.
+    The scheduler's colouring (:func:`link_disjoint_groups`) with a whole
+    cycle as the unit, longest route first and ties broken by the cycle's
+    least ``(x, y)``, so every stage stays a valid partial permutation.
     """
+    coordinate = scheduler.topology.coordinate
     ordered = sorted(
         cycles,
         key=lambda cycle: (
-            -max(move.hops for move in cycle),
-            min(move.source for move in cycle),
+            -max(scheduler.hops(s, perm[s]) for s in cycle),
+            min(coordinate(s) for s in cycle),
         ),
     )
-    groups: List[List[PeMove]] = []
-    group_links: List[set] = []
-    for cycle in ordered:
-        links: set = set()
-        for move in cycle:
-            links |= _links_of_route(
-                unit.scheduler.path(move.source, move.destination)
-            )
-        placed = False
-        for idx, used in enumerate(group_links):
-            if not (links & used):
-                groups[idx].extend(cycle)
-                used |= links
-                placed = True
-                break
-        if not placed:
-            groups.append(list(cycle))
-            group_links.append(links)
-    return groups
+    groups = link_disjoint_groups(
+        ordered,
+        lambda cycle: set().union(*(scheduler.links(s, perm[s]) for s in cycle)),
+    )
+    return [[s for cycle in group for s in cycle] for group in groups]
 
 
 def lower_transform(
     transform: MigrationTransform,
     unit: MigrationUnit,
-    tanner_nodes_per_pe: Optional[Dict[Coordinate, int]] = None,
+    tanner_nodes: Optional[Sequence[int]] = None,
     *,
     style: str = "sudden",
     units_per_epoch: int = 2,
 ) -> MigrationPlan:
     """Lower a transform into a staged :class:`MigrationPlan`.
 
-    ``tanner_nodes_per_pe`` sizes each PE's live state
-    (:meth:`MigrationScheduler.moves_for_transform`).  The stages' moves
-    partition the transform's move set and every stage is a union of whole
-    permutation cycles; a ``sudden`` plan's single stage holds every move.
+    The move of node ``s`` goes to ``perm[s]`` (the transform's node
+    permutation) carrying the payload of the ``tanner_nodes[s]`` Tanner
+    nodes it hosts (every PE carries only its configuration when omitted).
+    The stages' moves partition the transform's move set and every stage is
+    a union of whole permutation cycles; a ``sudden`` plan's single stage
+    holds every move, in node order.
     """
     if style not in MIGRATION_STYLES:
         raise ValueError(
@@ -267,38 +250,36 @@ def lower_transform(
     if units_per_epoch < 1:
         raise ValueError("units_per_epoch must be at least 1")
     scheduler = unit.scheduler
-    moves = scheduler.moves_for_transform(transform, tanner_nodes_per_pe)
+    num_nodes = unit.topology.num_nodes
+    perm = transform.node_permutation().tolist()
+    sizes = np.zeros(num_nodes, dtype=int) if tanner_nodes is None else tanner_nodes
+    flits = [unit.state_model.payload_flits(n) for n in np.asarray(sizes).tolist()]
     if style == "sudden":
-        groups = [list(moves)]
+        groups = [list(range(num_nodes))]
     else:
-        local = [move for move in moves if move.is_local]
-        remote = [move for move in moves if not move.is_local]
-        cycles = _permutation_cycles(remote)
+        cycles = _permutation_cycles(perm)
         if style == "fluid":
             groups = _fluid_groups(cycles, units_per_epoch)
         else:
-            groups = _batched_groups(cycles, unit)
+            groups = _batched_groups(cycles, perm, scheduler)
         if not groups:
             groups = [[]]
         # Fixed points only pay the halt/reconfigure cost; the whole array
         # halts when the plan starts, so they ride the first stage.
-        groups[0] = groups[0] + local
-    node_id = unit.topology.node_id
-    identity = np.arange(unit.topology.num_nodes, dtype=np.intp)
+        groups[0] += [s for s in range(num_nodes) if perm[s] == s]
+    identity = np.arange(num_nodes, dtype=np.intp)
     stages = []
     for group in groups:
-        # Local moves scatter a node onto itself, so all moves go in.
+        # Fixed points scatter a node onto itself, so all moves go in.
         step = identity.copy()
-        step[[node_id(move.source) for move in group]] = [
-            node_id(move.destination) for move in group
-        ]
+        step[group] = [perm[s] for s in group]
         step.flags.writeable = False
-        energy_j, energy = unit.moves_energy(group)
+        energy_j, energy = unit.moves_energy(perm, flits, group)
         stages.append(
             MigrationStage(
                 step=step,
                 energy=energy,
-                cycles=scheduler.schedule(group).total_cycles,
+                cycles=scheduler.phased_cycles(perm, flits, group),
                 energy_j=energy_j,
                 moved=int(np.count_nonzero(step != identity)),
             )

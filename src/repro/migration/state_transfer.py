@@ -5,7 +5,7 @@ decoder state is live at the migration instant.  Migrations are deliberately
 aligned with the completion of an LDPC message block precisely to minimise
 this state (no in-flight messages, no partial posteriors), but the routing
 tables, node assignments and block buffers still have to move.  This module
-sizes that payload and converts it into flits and serialization cycles.
+sizes that payload in flits and sets the conversion unit's serialization rate.
 """
 
 from __future__ import annotations
@@ -59,11 +59,3 @@ class StateTransferModel:
         if bits == 0:
             return 0
         return math.ceil(bits / self.flit_payload_bits)
-
-    def packet_flits(self, tanner_nodes_on_pe: int = 0) -> int:
-        """Total flits including the head flit."""
-        return self.payload_flits(tanner_nodes_on_pe) + 1
-
-    def serialization_cycles(self, tanner_nodes_on_pe: int = 0) -> int:
-        """Cycles to push one PE's payload through the conversion unit."""
-        return self.payload_flits(tanner_nodes_on_pe) * self.serialization_cycles_per_flit

@@ -33,18 +33,15 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..noc.flit import Packet, PacketClass
 from ..noc.routing import RoutingAlgorithm, XYRouting
-from ..noc.topology import Coordinate, MeshTopology
+from ..noc.topology import MeshTopology
 from ..power.library import DEFAULT_LIBRARY, TechnologyLibrary
-from .scheduler import MigrationScheduler, PeMove
+from .scheduler import MigrationScheduler
 from .state_transfer import StateTransferModel
-from .transforms import MigrationTransform
 
 if TYPE_CHECKING:
     from .plan import MigrationPlan
@@ -111,53 +108,6 @@ class PlanMemo:
             return kept
 
 
-@dataclass(frozen=True)
-class MoveEnergy:
-    """Energy terms of one :class:`PeMove` (the shared per-move account).
-
-    ``route`` is empty for local moves (fixed points pay only the conversion
-    and halt/restart cost).  The charge/term orders below are the canonical
-    accumulation order, so folding the same moves always gives bit-identical
-    sums.
-    """
-
-    move: PeMove
-    conversion_j: float
-    route: Tuple[Coordinate, ...] = ()
-    router_energy_j: float = 0.0
-    link_energy_j: float = 0.0
-
-    @property
-    def total_j(self) -> float:
-        total = 0.0
-        for term in self.total_terms():
-            total += term
-        return total
-
-    def unit_charges(self) -> List[Tuple[Coordinate, float]]:
-        """Per-coordinate charges, in the canonical accumulation order."""
-        charges: List[Tuple[Coordinate, float]] = [
-            (self.move.source, self.conversion_j)
-        ]
-        if not self.route:
-            return charges
-        for coord in self.route:
-            charges.append((coord, self.router_energy_j))
-        # Charge link energy to the source half / destination half evenly.
-        charges.append((self.move.source, self.link_energy_j / 2.0))
-        charges.append((self.move.destination, self.link_energy_j / 2.0))
-        return charges
-
-    def total_terms(self) -> List[float]:
-        """Whole-chip total terms (link energy as ONE term, as it always was)."""
-        terms = [self.conversion_j]
-        if not self.route:
-            return terms
-        terms.extend(self.router_energy_j for _ in self.route)
-        terms.append(self.link_energy_j)
-        return terms
-
-
 class MigrationUnit:
     """Accounts the cost of migration moves; holds the plans lowered against it.
 
@@ -206,72 +156,41 @@ class MigrationUnit:
         self.plans = PlanMemo()
 
     # ------------------------------------------------------------------
-    def move_energy(self, move: PeMove) -> MoveEnergy:
-        """The per-move energy account.
+    def moves_energy(
+        self, perm: Sequence[int], flits: Sequence[int], sources: Iterable[int]
+    ) -> Tuple[float, np.ndarray]:
+        """Total and per-node energy of the moves ``s -> perm[s]`` for ``s``
+        in ``sources``, each carrying ``flits[s]`` payload flits.
 
-        Conversion-unit serialization plus the fixed halt/reconfigure/restart
-        cost at the source, router energy at every router the payload passes
-        through, and link energy split evenly between the endpoints.  Every
-        :mod:`repro.migration.plan` stage cost folds these terms.
+        Each move pays conversion plus the fixed halt/reconfigure/restart
+        cost at its source; a remote move also pays router energy at every
+        node of its route and half its link energy at each end (one term of
+        the total).  Charges accumulate in move order, so folding the same
+        moves always gives bit-identical sums.  The per-node vector is
+        row-major and read-only.
         """
-        conversion = (
-            move.payload_flits * self.conversion_energy_per_flit_j
-            + self.fixed_energy_per_pe_j
-        )
-        if move.is_local:
-            return MoveEnergy(move=move, conversion_j=conversion)
-        flits = move.payload_flits + 1  # head flit included for transport
-        route = self.scheduler.path(move.source, move.destination)
-        hop_count = len(route) - 1
-        return MoveEnergy(
-            move=move,
-            conversion_j=conversion,
-            route=route,
-            router_energy_j=flits * self.library.router_energy_per_flit_j,
-            link_energy_j=flits * hop_count * self.library.link_energy_per_flit_j,
-        )
-
-    def moves_energy(self, moves: List[PeMove]) -> Tuple[float, np.ndarray]:
-        """Total and per-node energy of a set of moves, accumulated in move
-        and charge order (the per-node vector is row-major and read-only)."""
-        node_id = self.topology.node_id
         per_node = [0.0] * self.topology.num_nodes
         total = 0.0
-        for move in moves:
-            account = self.move_energy(move)
-            for coord, energy in account.unit_charges():
-                per_node[node_id(coord)] += energy
-            for term in account.total_terms():
-                total += term
-        energy_vector = np.array(per_node)
-        energy_vector.flags.writeable = False
-        return total, energy_vector
-
-    # ------------------------------------------------------------------
-    def migration_packets(
-        self,
-        transform: MigrationTransform,
-        tanner_nodes_per_pe: Optional[Dict[Coordinate, int]] = None,
-        cycle: int = 0,
-    ) -> List[Packet]:
-        """CONFIG packets that would carry the migration over the real NoC.
-
-        Used by the integration tests to replay a migration through the
-        cycle-accurate network and check that the analytic schedule's cycle
-        count is an upper bound on reality.
-        """
-        packets = []
-        for move in self.scheduler.moves_for_transform(transform, tanner_nodes_per_pe):
-            if move.is_local:
-                continue
-            packets.append(
-                Packet(
-                    source=move.source,
-                    destination=move.destination,
-                    size_flits=move.payload_flits + 1,
-                    packet_class=PacketClass.CONFIG,
-                    injection_cycle=cycle,
-                    payload={"migration": transform.name},
-                )
+        for source in sources:
+            destination = perm[source]
+            conversion = (
+                flits[source] * self.conversion_energy_per_flit_j
+                + self.fixed_energy_per_pe_j
             )
-        return packets
+            per_node[source] += conversion
+            total += conversion
+            if destination == source:
+                continue
+            packet_flits = flits[source] + 1  # head flit included for transport
+            route = self.scheduler.route(source, destination)
+            router_j = packet_flits * self.library.router_energy_per_flit_j
+            link_j = packet_flits * (len(route) - 1) * self.library.link_energy_per_flit_j
+            for node in route:
+                per_node[node] += router_j
+                total += router_j
+            per_node[source] += link_j / 2.0
+            per_node[destination] += link_j / 2.0
+            total += link_j
+        energy = np.array(per_node)
+        energy.flags.writeable = False
+        return total, energy

@@ -54,6 +54,7 @@ parallel (the discipline of the decoder-effort probes in
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,28 +83,51 @@ WORMHOLE_BLOCKING_FACTOR = 0.5
 # ----------------------------------------------------------------------
 # Destination probability matrices (one row per source node)
 # ----------------------------------------------------------------------
-def destination_probabilities(
+def _traffic_arguments(
     pattern: str,
     topology: MeshTopology,
     *,
     hotspots: Optional[Sequence[Tuple[int, int]]] = None,
     hotspot_fraction: Optional[float] = None,
     **unknown,
+) -> Tuple[List[Tuple[int, int]], float]:
+    """The ``(hotspots, fraction)`` of a pattern's arguments, checked as
+    :class:`repro.noc.traffic.HotspotTraffic` checks them and by type (a
+    scenario's JSON may carry any); a malformed one raises ``ValueError``."""
+    if unknown:
+        raise ValueError(f"unknown traffic arguments: {sorted(unknown)}")
+    if pattern != "hotspot":
+        if hotspots is not None or hotspot_fraction is not None:
+            raise ValueError(f"{pattern!r} traffic takes no hotspot arguments")
+        return [], 0.0
+    if not hotspots:
+        raise ValueError("hotspot pattern needs hotspots=[(x, y), ...]")
+    pairs = np.asarray(hotspots)
+    if pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"hotspots must be integer (x, y) pairs, got {hotspots!r}")
+    spots = [tuple(spot) for spot in hotspots]
+    for spot in spots:
+        if not topology.contains(spot):
+            raise ValueError(f"hotspot {spot} outside mesh")
+    fraction = 0.5 if hotspot_fraction is None else hotspot_fraction
+    if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real):
+        raise ValueError(f"hotspot_fraction must be a real number, got {fraction!r}")
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("hotspot fraction must be in [0, 1]")
+    return spots, fraction
+
+
+def destination_probabilities(
+    pattern: str, topology: MeshTopology, **pattern_kwargs
 ) -> np.ndarray:
     """``P[s, d]`` = probability an injection slot at ``s`` targets ``d``.
 
     Rows mirror the generators in :mod:`repro.noc.traffic`: the diagonal is
     zero, and rows may sum to less than one for patterns that drop slots
-    (a transpose diagonal node never sends, so its row is all zero).  The
-    arguments are checked as :class:`repro.noc.traffic.HotspotTraffic`
-    checks them: an unknown argument, a hotspot argument to another
-    pattern, a hotspot outside the mesh or a fraction outside [0, 1] raises
-    ``ValueError``.
+    (a transpose diagonal node never sends, so its row is all zero).
+    Malformed arguments raise ``ValueError`` (:func:`_traffic_arguments`).
     """
-    if unknown:
-        raise ValueError(f"unknown traffic arguments: {sorted(unknown)}")
-    if pattern != "hotspot" and (hotspots is not None or hotspot_fraction is not None):
-        raise ValueError(f"{pattern!r} traffic takes no hotspot arguments")
+    spots, fraction = _traffic_arguments(pattern, topology, **pattern_kwargs)
     n = topology.num_nodes
     probs = np.zeros((n, n), dtype=np.float64)
     if pattern == "uniform":
@@ -126,15 +150,6 @@ def destination_probabilities(
             for coord in neighbors:
                 probs[s, topology.node_id(coord)] = 1.0 / len(neighbors)
     elif pattern == "hotspot":
-        if not hotspots:
-            raise ValueError("hotspot pattern needs hotspots=[(x, y), ...]")
-        spots = [tuple(spot) for spot in hotspots]
-        for spot in spots:
-            if not topology.contains(spot):
-                raise ValueError(f"hotspot {spot} outside mesh")
-        fraction = 0.5 if hotspot_fraction is None else hotspot_fraction
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("hotspot fraction must be in [0, 1]")
         uniform = np.full((n, n), 1.0 / (n - 1))
         np.fill_diagonal(uniform, 0.0)
         spot_ids = [topology.node_id(s) for s in spots]
@@ -272,7 +287,9 @@ def analytic_model(
     routing: str = "xy",
     **pattern_kwargs,
 ) -> AnalyticModel:
-    """The process-wide cached model of ``pattern`` on ``topology``'s mesh."""
+    """The process-wide cached model of ``pattern`` on ``topology``'s mesh;
+    malformed arguments raise ``ValueError`` before they key the cache."""
+    _traffic_arguments(pattern, topology, **pattern_kwargs)
     frozen = tuple(
         (name, _freeze(value)) for name, value in sorted(pattern_kwargs.items())
     )
@@ -287,10 +304,13 @@ def analytic_model(
             cached = _MODEL_CACHE.get(key)
         if cached is not None:
             return cached
-        model = AnalyticModel(
-            topology, pattern, packet_size_flits, routing, **pattern_kwargs
-        )
-        with _MODEL_CACHE_LOCK:
-            _MODEL_CACHE[key] = model
-            _MODEL_KEY_LOCKS.pop(key, None)
+        try:
+            model = AnalyticModel(
+                topology, pattern, packet_size_flits, routing, **pattern_kwargs
+            )
+            with _MODEL_CACHE_LOCK:
+                _MODEL_CACHE[key] = model
+        finally:
+            with _MODEL_CACHE_LOCK:
+                _MODEL_KEY_LOCKS.pop(key, None)
         return model

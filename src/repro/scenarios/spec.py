@@ -48,8 +48,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Dict, Optional
+import numbers
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
 
 from ..migration.plan import MIGRATION_STYLES
 from .patterns import Pattern, pattern_from_dict
@@ -63,6 +65,37 @@ PATTERN_CHANNELS: Dict[str, bool] = {
     "snr_db": False,
     "period": False,
 }
+
+
+def _as_count(value, name: str) -> int:
+    """An integer field: JSON floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+@lru_cache(maxsize=None)
+def _typed_fields(cls) -> Tuple[Tuple[str, str], ...]:
+    """``(name, annotation)`` of a spec class's number and flag fields."""
+    kinds = ("int", "Optional[int]", "float", "bool")
+    return tuple((f.name, f.type) for f in fields(cls) if f.type in kinds)
+
+
+def _check_types(spec) -> None:
+    """Raise ``ValueError`` for a field of the wrong JSON type: an ``int``
+    field (or a set ``Optional[int]`` one) takes :func:`_as_count`, the
+    integer rule windows apply too; a ``float`` one rejects strings and
+    booleans, and a ``bool`` one takes only a boolean."""
+    for name, kind in _typed_fields(type(spec)):
+        value = getattr(spec, name)
+        if kind == "int" or (kind == "Optional[int]" and value is not None):
+            _as_count(value, name)
+        elif kind == "float" and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)
+        ):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        elif kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 #: Traffic patterns the analytic NoC model understands.
@@ -91,6 +124,7 @@ class NocChannel:
     traffic_kwargs: Optional[Dict[str, object]] = None
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.traffic not in NOC_TRAFFIC_PATTERNS:
             raise ValueError(
                 f"unknown NoC traffic pattern {self.traffic!r}; "
@@ -187,6 +221,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a scenario needs a name")
+        _check_types(self)
         if self.mode not in ("steady", "transient"):
             raise ValueError("mode must be 'steady' or 'transient'")
         if self.num_epochs < 1:

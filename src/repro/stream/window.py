@@ -15,11 +15,12 @@ so a producer can feed an unbounded co-simulation over a pipe.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
+
+from ..scenarios.spec import _as_count
 
 #: The per-epoch channel fields, in wire-format order.
 CHANNELS = (
@@ -29,13 +30,6 @@ CHANNELS = (
     "noc_rates",
     "period_scale",
 )
-
-
-def _as_count(value, name: str) -> int:
-    """An integer field: JSON floats and booleans are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _as_schedule(

@@ -94,9 +94,10 @@ class TestWorkloadLinkage:
         assert sum(migrated_power.values()) == pytest.approx(sum(static_power.values()))
         assert migrated_power != static_power
 
-    def test_tanner_nodes_per_pe_total(self, chip_a):
-        per_pe = chip_a.tanner_nodes_per_pe()
-        assert sum(per_pe.values()) == chip_a.workload.partition.graph.num_nodes
+    def test_tanner_nodes_per_task_total(self, chip_a):
+        per_task = chip_a.tanner_nodes_per_task()
+        assert sorted(per_task) == list(range(chip_a.num_units))
+        assert sum(per_task.values()) == chip_a.workload.partition.graph.num_nodes
 
     def test_block_period_cycles(self, chip_a):
         assert chip_a.block_period_cycles(109.0) == 54500

@@ -155,10 +155,12 @@ class TestMigrationCostCache:
         unit = MigrationUnit(chip.topology, library=chip.library)
         transform = XYShiftTransform(chip.topology)
         mapping = chip.static_mapping
+        sizes = chip.tanner_nodes_per_task()
         for _ in range(8):
-            (stage,) = lower_transform(
-                transform, unit, chip.tanner_nodes_per_pe(mapping)
-            ).stages
+            hosted = [0] * chip.num_units
+            for task, count in sizes.items():
+                hosted[chip.topology.node_id(mapping.physical_of(task))] = count
+            (stage,) = lower_transform(transform, unit, hosted).stages
             mapping = mapping.apply_transform(transform)
             event = cached.apply_migration(transform)
             assert (event.stage_index, event.stage_count) == (0, 1)

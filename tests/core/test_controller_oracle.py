@@ -3,9 +3,10 @@
 The oracle below implements the controller's semantics on the seed's data
 structures: a :class:`Mapping` moved by ``apply_transform`` or by a stage's
 coordinate moves (each node to ``step[node]``), a dict-composed I/O
-translator, uncached costs (a sudden
-migration priced whole by :func:`migration_cost`, independently of the plan
-lowering), and power rows built per task from the configuration.
+translator, uncached costs (a sudden migration priced whole by
+:func:`migration_cost`, the seed's coordinate cost account, which shares no
+code with the node-id lowering), and power rows built per task from the
+configuration.
 Hypothesis drives both through the same random sequences of sudden
 migrations, fluid and batched plan stages, resets and checkpoint round trips
 on chips A-E; everything observable must be ``==``.  Two controllers
@@ -30,16 +31,73 @@ from repro.placement.mapping import Mapping
 PERIOD_S = 109e-6
 
 
+def tanner_nodes_per_pe(chip, mapping):
+    """Tanner nodes hosted at each PE under ``mapping``, keyed by coordinate."""
+    return {
+        mapping.physical_of(task): count
+        for task, count in chip.tanner_nodes_per_task().items()
+    }
+
+
 def migration_cost(unit, transform, tanner_nodes_per_pe=None):
     """Whole-transform ``(cycles, energy_j, per-node energy)`` of one migration.
 
-    Every move of the transform, one phased congestion-free schedule, and
-    the per-move energy account folded in move order.
+    The seed's cost account, stated on coordinates from the unit's
+    parameters alone: one move per PE in row-major order, each carrying its
+    PE's configuration plus the state of the Tanner nodes it hosts; routes
+    from the unit's routing; remote moves greedily phased longest first
+    (ties by source coordinate) into link-disjoint phases, each lasting as
+    long as its slowest move; and every move's energy terms folded in move
+    order (conversion and fixed cost at the source; router energy at every
+    node of the route; link energy half to each end, one term of the total).
     """
-    moves = unit.scheduler.moves_for_transform(transform, tanner_nodes_per_pe)
-    schedule = unit.scheduler.schedule(moves)
-    energy_j, energy = unit.moves_energy(moves)
-    return schedule.total_cycles, energy_j, energy
+    state, library = unit.state_model, unit.library
+    moves = []
+    for source in unit.topology.coordinates():
+        destination = transform(source)
+        nodes = (tanner_nodes_per_pe or {}).get(source, 0)
+        route = unit.routing.path(source, destination)
+        moves.append((source, destination, state.payload_flits(nodes), route))
+
+    def hops(move):
+        (sx, sy), (dx, dy) = move[0], move[1]
+        return abs(sx - dx) + abs(sy - dy)
+
+    phases = []  # [links used, slowest move's cycles]
+    remote = [move for move in moves if move[0] != move[1]]
+    for move in sorted(remote, key=lambda move: (-hops(move), move[0])):
+        route = move[3]
+        links = {(route[i], route[i + 1]) for i in range(len(route) - 1)}
+        cycles = (
+            move[2] * state.serialization_cycles_per_flit
+            + hops(move) * unit.scheduler.router_pipeline_cycles
+        )
+        for phase in phases:
+            if not links & phase[0]:
+                phase[0] |= links
+                phase[1] = max(phase[1], cycles)
+                break
+        else:
+            phases.append([links, cycles])
+
+    per_pe = dict.fromkeys(unit.topology.coordinates(), 0.0)
+    energy_j = 0.0
+    for source, destination, flits, route in moves:
+        conversion = (
+            flits * unit.conversion_energy_per_flit_j + unit.fixed_energy_per_pe_j
+        )
+        charges, terms = [(source, conversion)], [conversion]
+        if source != destination:
+            router = (flits + 1) * library.router_energy_per_flit_j
+            link = (flits + 1) * (len(route) - 1) * library.link_energy_per_flit_j
+            charges += [(coord, router) for coord in route]
+            charges += [(source, link / 2.0), (destination, link / 2.0)]
+            terms += [router] * len(route) + [link]
+        for coord, joules in charges:
+            per_pe[coord] += joules
+        for term in terms:
+            energy_j += term
+    return sum(phase[1] for phase in phases), energy_j, np.array(list(per_pe.values()))
 
 
 class SeedController:
@@ -62,7 +120,7 @@ class SeedController:
 
     # -- migrations ------------------------------------------------------
     def apply_migration(self, transform):
-        nodes = self.chip.tanner_nodes_per_pe(self.mapping)
+        nodes = tanner_nodes_per_pe(self.chip, self.mapping)
         cycles, energy_j, energy = migration_cost(self.unit, transform, nodes)
         self.mapping = self.mapping.apply_transform(transform)
         self.current_of_original = {
@@ -75,10 +133,11 @@ class SeedController:
         return cycles, energy_j, energy
 
     def apply_plan(self, transform, style, units, congestion):
+        nodes = tanner_nodes_per_pe(self.chip, self.mapping)
         self.plan = lower_transform(
             transform,
             self.unit,
-            self.chip.tanner_nodes_per_pe(self.mapping),
+            [nodes[coord] for coord in self.topology.coordinates()],
             style=style,
             units_per_epoch=units,
         )

@@ -6,6 +6,7 @@ from repro.ldpc import striped_partition
 from repro.ldpc.workload import LdpcNocWorkload, WorkloadParameters
 from repro.migration import MigrationUnit, lower_transform, make_transform
 from repro.noc import MeshTopology, NocSimulator
+from repro.noc.flit import Packet, PacketClass
 from repro.placement import Mapping
 from repro.power.activity import activity_from_simulation, analytic_router_flits
 
@@ -15,6 +16,18 @@ def workload16(small_code):
     _H, graph = small_code
     partition = striped_partition(graph, 16)
     return LdpcNocWorkload(partition, WorkloadParameters(max_packet_flits=8))
+
+
+def config_packets(unit, stage):
+    """CONFIG packets that carry a stage over the real NoC: one per PE its
+    step moves, carrying a configuration payload plus the head flit."""
+    coordinate = unit.topology.coordinate
+    flits = unit.state_model.payload_flits(0) + 1
+    return [
+        Packet(coordinate(node), coordinate(target), flits, PacketClass.CONFIG)
+        for node, target in enumerate(stage.step.tolist())
+        if node != target
+    ]
 
 
 class TestLdpcIterationOnNetwork:
@@ -77,7 +90,7 @@ class TestMigrationTrafficOnNetwork:
         unit = MigrationUnit(mesh)
         transform = make_transform("xy-shift", mesh)
         (stage,) = lower_transform(transform, unit).stages
-        packets = unit.migration_packets(transform)
+        packets = config_packets(unit, stage)
         simulator = NocSimulator(mesh, buffer_depth=8)
         result = simulator.run_packets(packets, drain_limit=500_000)
         assert result.stats.packets_ejected == len(packets)
@@ -92,7 +105,8 @@ class TestMigrationTrafficOnNetwork:
         mapping = Mapping.identity(mesh)
         unit = MigrationUnit(mesh)
         packets = workload16.iteration_packets(mapping)
-        packets += unit.migration_packets(make_transform("rotation", mesh))
+        (stage,) = lower_transform(make_transform("rotation", mesh), unit).stages
+        packets += config_packets(unit, stage)
         simulator = NocSimulator(mesh, buffer_depth=8)
         result = simulator.run_packets(packets, drain_limit=800_000)
         assert result.stats.packets_ejected == len(packets)

@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from repro.migration.plan import (
     MIGRATION_STYLES,
     MigrationPlan,
+    _permutation_cycles,
     congestion_factor,
     lower_transform,
     priced_stage_cycles,
 )
-from repro.migration.scheduler import PeMove, _links_of_route
 from repro.migration.transforms import (
     IdentityTransform,
     MigrationTransform,
@@ -96,7 +96,7 @@ class TestSuddenLowering:
         transform = make_transform(scheme, mesh4)
         nodes = {coord: 7 for coord in mesh4.coordinates()}
         cycles, energy_j, energy = migration_cost(unit4, transform, nodes)
-        plan = lower_transform(transform, unit4, nodes, style="sudden")
+        plan = lower_transform(transform, unit4, [7] * 16, style="sudden")
         stage = plan.stages[0]
         assert stage.cycles == cycles
         assert stage.energy_j == energy_j
@@ -150,10 +150,8 @@ class TestFluidLowering:
             XYShiftTransform(mesh5), unit5, style="fluid", units_per_epoch=4
         )
         assert plan.num_stages > 1
-        longest_cycle = max(
-            len(cycle)
-            for cycle in _cycles_of(unit5, XYShiftTransform(mesh5))
-        )
+        perm = XYShiftTransform(mesh5).node_permutation().tolist()
+        longest_cycle = max(len(cycle) for cycle in _permutation_cycles(perm))
         for stage in plan.stages:
             assert stage.moved <= max(4, longest_cycle)
 
@@ -170,37 +168,19 @@ class TestFluidLowering:
         _assert_stages_compose(plan, transform, mesh5.num_nodes)
 
 
-def _remote_moves(topology, stage):
-    """The stage's remote moves, each node to ``step[node]``."""
-    return [
-        PeMove(
-            source=topology.coordinate(node),
-            destination=topology.coordinate(target),
-            payload_flits=0,
-        )
-        for node, target in enumerate(stage.step.tolist())
-        if node != target
-    ]
-
-
 def _stage_cycle_links(unit, stage):
     """Per permutation cycle of the stage, the union of its route links."""
-    remote = _remote_moves(unit.topology, stage)
+    coordinate = unit.topology.coordinate
     link_sets = []
-    for cycle in _permutation_cycle_groups(remote):
+    for cycle in _permutation_cycles(stage.step.tolist()):
         links = set()
-        for move in cycle:
-            links |= _links_of_route(
-                unit.routing.path(move.source, move.destination)
+        for node in cycle:
+            route = unit.routing.path(
+                coordinate(node), coordinate(int(stage.step[node]))
             )
+            links |= {(route[i], route[i + 1]) for i in range(len(route) - 1)}
         link_sets.append(links)
     return link_sets
-
-
-def _permutation_cycle_groups(remote_moves):
-    from repro.migration.plan import _permutation_cycles
-
-    return _permutation_cycles(list(remote_moves))
 
 
 def _assert_cycles_disjoint(unit, plan):
@@ -222,15 +202,18 @@ class TestBatchedLowering:
     def test_stage_cycles_bounded_by_move_account(self, unit5, mesh5):
         """Each stage's duration sits between its slowest move and the fully
         serialised baseline (the shared move_cycles account both ways)."""
-        plan = lower_transform(RotationTransform(mesh5), unit5, style="batched")
+        transform = RotationTransform(mesh5)
+        plan = lower_transform(transform, unit5, style="batched")
         scheduler = unit5.scheduler
-        moves = scheduler.moves_for_transform(RotationTransform(mesh5))
+        perm = transform.node_permutation().tolist()
+        flits = unit5.state_model.payload_flits(0)
         for stage in plan.stages:
-            moved = _moved_nodes(stage)
-            remote = [move for move in moves if mesh5.node_id(move.source) in moved]
+            remote = [
+                scheduler.move_cycles(flits, scheduler.hops(node, perm[node]))
+                for node in sorted(_moved_nodes(stage))
+            ]
             if remote:
-                slowest = max(scheduler.move_cycles(move) for move in remote)
-                assert slowest <= stage.cycles <= scheduler.naive_cycles(remote)
+                assert max(remote) <= stage.cycles <= sum(remote)
 
 
 class TestMoveCyclesAccount:
@@ -238,34 +221,29 @@ class TestMoveCyclesAccount:
 
     def test_phase_cycles_routes_through_move_cycles(self, unit4, mesh4):
         scheduler = unit4.scheduler
-        moves = scheduler.moves_for_transform(XYShiftTransform(mesh4))
-        remote = [move for move in moves if not move.is_local]
-        for move in remote:
-            assert scheduler._phase_cycles([move]) == scheduler.move_cycles(move)
+        perm = XYShiftTransform(mesh4).node_permutation().tolist()
+        flits = [3 * node for node in range(mesh4.num_nodes)]
+        for node in range(mesh4.num_nodes):
+            assert scheduler.phased_cycles(perm, flits, [node]) == (
+                scheduler.move_cycles(flits[node], scheduler.hops(node, perm[node]))
+            )
 
-    def test_naive_cycles_is_sum_of_move_cycles(self, unit4, mesh4):
+    def test_move_cycles_components(self, unit4, mesh4):
         scheduler = unit4.scheduler
-        moves = scheduler.moves_for_transform(RotationTransform(mesh4))
-        assert scheduler.naive_cycles(moves) == sum(
-            scheduler.move_cycles(move) for move in moves if not move.is_local
-        )
-
-    def test_move_cycles_components(self, unit4):
-        scheduler = unit4.scheduler
-        move = PeMove(source=(0, 0), destination=(3, 2), payload_flits=10)
+        source, destination = mesh4.node_id((0, 0)), mesh4.node_id((3, 2))
+        assert scheduler.hops(source, destination) == 5
         expected = (
             10 * scheduler.state_model.serialization_cycles_per_flit
             + 5 * scheduler.router_pipeline_cycles
         )
-        assert scheduler.move_cycles(move) == expected
+        assert scheduler.move_cycles(10, 5) == expected
 
 
 class TestPlanCodec:
     @pytest.mark.parametrize("style", MIGRATION_STYLES)
     def test_round_trip(self, unit5, mesh5, style):
-        nodes = {coord: 5 for coord in mesh5.coordinates()}
         plan = lower_transform(
-            RotationTransform(mesh5), unit5, nodes, style=style, units_per_epoch=3
+            RotationTransform(mesh5), unit5, [5] * 25, style=style, units_per_epoch=3
         )
         state = json.loads(json.dumps(plan.to_dict()))
         restored = MigrationPlan.from_dict(state, mesh5.num_nodes)
@@ -331,13 +309,6 @@ class TestCongestionPricing:
         assert priced_stage_cycles(stage, 1.5) == math.ceil(stage.cycles * 1.5)
 
 
-def _cycles_of(unit, transform):
-    from repro.migration.plan import _permutation_cycles
-
-    moves = unit.scheduler.moves_for_transform(transform)
-    return _permutation_cycles([move for move in moves if not move.is_local])
-
-
 # ----------------------------------------------------------------------
 # Property tests: arbitrary permutations, arbitrary budgets
 # ----------------------------------------------------------------------
@@ -349,6 +320,15 @@ def permutations(draw):
     coords = list(topology.coordinates())
     images = draw(st.permutations(coords))
     return topology, dict(zip(coords, images))
+
+
+@st.composite
+def sized_permutations(draw):
+    """A random permutation and a random Tanner-node count per node."""
+    topology, permutation = draw(permutations())
+    count = topology.num_nodes
+    sizes = draw(st.lists(st.integers(0, 400), min_size=count, max_size=count))
+    return topology, permutation, sizes
 
 
 class TestPlanProperties:
@@ -383,3 +363,38 @@ class TestPlanProperties:
         plan = lower_transform(transform, unit, style="sudden")
         assert plan.stages[0].cycles == cycles
         assert plan.stages[0].energy_j == energy_j
+
+    @given(data=sized_permutations(), units=st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_staged_plans_charge_the_sudden_moves(self, data, units):
+        """Fluid and batched stages partition the sudden plan's moves: their
+        energies sum to the sudden plan's, and each stage's cycles are the
+        oracle's cost of the stage's own step."""
+        topology, permutation, sizes = data
+        unit = MigrationUnit(topology)
+        transform = PermutationTransform(topology, permutation)
+        (sudden,) = lower_transform(transform, unit, sizes).stages
+        per_pe = dict(zip(topology.coordinates(), sizes))
+        coordinate = topology.coordinate
+        for style in ("fluid", "batched"):
+            plan = lower_transform(
+                transform, unit, sizes, style=style, units_per_epoch=units
+            )
+            _assert_stages_compose(plan, transform, topology.num_nodes)
+            energy_j = sum(stage.energy_j for stage in plan.stages)
+            assert math.isclose(energy_j, sudden.energy_j, rel_tol=1e-12)
+            np.testing.assert_allclose(
+                sum(stage.energy for stage in plan.stages),
+                sudden.energy,
+                rtol=1e-12,
+                atol=0,
+            )
+            for stage in plan.stages:
+                step = PermutationTransform(
+                    topology,
+                    {
+                        coordinate(node): coordinate(target)
+                        for node, target in enumerate(stage.step.tolist())
+                    },
+                )
+                assert stage.cycles == migration_cost(unit, step, per_pe)[0]

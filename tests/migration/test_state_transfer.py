@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.migration.scheduler import MigrationScheduler
 from repro.migration.state_transfer import StateTransferModel
 
 
@@ -19,19 +20,18 @@ class TestStateTransferModel:
         )
         assert model.payload_flits(0) == math.ceil(100 / 64)
 
-    def test_packet_flits_adds_head(self):
-        model = StateTransferModel()
-        assert model.packet_flits(3) == model.payload_flits(3) + 1
-
-    def test_serialization_cycles(self):
+    def test_serialization_cycles(self, mesh4):
+        """The scheduler serialises a payload at the model's rate."""
         model = StateTransferModel(serialization_cycles_per_flit=2)
-        assert model.serialization_cycles(4) == 2 * model.payload_flits(4)
+        scheduler = MigrationScheduler(mesh4, state_model=model)
+        assert scheduler.move_cycles(model.payload_flits(4), 0) == (
+            2 * model.payload_flits(4)
+        )
 
     def test_zero_state_zero_config(self):
         model = StateTransferModel(configuration_bits=0, state_bits_per_tanner_node=0)
         assert model.payload_bits(0) == 0
         assert model.payload_flits(0) == 0
-        assert model.serialization_cycles(0) == 0
 
     def test_negative_nodes_rejected(self):
         with pytest.raises(ValueError):

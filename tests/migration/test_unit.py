@@ -4,6 +4,7 @@ A migration's cost is its plan's: a sudden migration is the one-stage plan
 ``lower_transform(transform, unit, nodes).stages[0]``.
 """
 
+import numpy as np
 import pytest
 
 from repro.migration.plan import lower_transform
@@ -15,7 +16,7 @@ from repro.migration.transforms import (
     make_transform,
 )
 from repro.migration.unit import MigrationUnit
-from repro.noc.flit import PacketClass
+from repro.noc.flit import Packet, PacketClass
 from repro.noc.simulator import NocSimulator
 
 
@@ -35,6 +36,26 @@ def sudden_stage(unit, transform, nodes=None):
     return stage
 
 
+def hosted_tanner_nodes(chip):
+    """Tanner nodes hosted at each node under the chip's static mapping."""
+    nodes = [0] * chip.num_units
+    for task, count in chip.tanner_nodes_per_task().items():
+        nodes[chip.topology.node_id(chip.static_mapping.physical_of(task))] = count
+    return nodes
+
+
+def config_packets(unit, stage):
+    """CONFIG packets that carry a stage over the real NoC: one per PE its
+    step moves, carrying a configuration payload plus the head flit."""
+    coordinate = unit.topology.coordinate
+    flits = unit.state_model.payload_flits(0) + 1
+    return [
+        Packet(coordinate(node), coordinate(target), flits, PacketClass.CONFIG)
+        for node, target in enumerate(stage.step.tolist())
+        if node != target
+    ]
+
+
 def throughput_penalty(unit, transform, period_cycles, nodes=None):
     """Fraction of cycles lost when the array halts for one sudden migration
     per period: ``migration_cycles / (migration_cycles + period_cycles)``."""
@@ -47,8 +68,8 @@ class TestMigrationCost:
         stage = sudden_stage(unit4, XYShiftTransform(mesh4))
         assert stage.cycles > 0
         assert stage.energy_j > 0
-        moves = unit4.scheduler.moves_for_transform(XYShiftTransform(mesh4))
-        assert unit4.scheduler.schedule(moves).num_phases >= 1
+        perm = XYShiftTransform(mesh4).node_permutation()
+        assert len(unit4.scheduler.phases(perm.tolist(), range(16))) >= 1
 
     def test_energy_distributed_over_units(self, unit4, mesh4):
         stage = sudden_stage(unit4, XYShiftTransform(mesh4))
@@ -65,7 +86,7 @@ class TestMigrationCost:
 
     def test_rotation_costs_more_than_single_direction_schemes_on_e(self, chip_e):
         unit = MigrationUnit(chip_e.topology, library=chip_e.library)
-        nodes = chip_e.tanner_nodes_per_pe()
+        nodes = hosted_tanner_nodes(chip_e)
         energy = {
             scheme: sudden_stage(
                 unit, make_transform(scheme, chip_e.topology), nodes
@@ -87,10 +108,31 @@ class TestMigrationCost:
 
     def test_state_size_increases_cost(self, unit4, mesh4):
         small = sudden_stage(unit4, XYShiftTransform(mesh4))
-        nodes = {coord: 50 for coord in mesh4.coordinates()}
-        large = sudden_stage(unit4, XYShiftTransform(mesh4), nodes)
+        large = sudden_stage(unit4, XYShiftTransform(mesh4), [50] * 16)
         assert large.energy_j > small.energy_j
         assert large.cycles >= small.cycles
+
+    def test_one_move_charges(self, unit4, mesh4):
+        """One remote move: conversion and fixed cost at its source, router
+        energy at every node of its route, half the link energy at each
+        end; the total counts the link energy once."""
+        source, destination = mesh4.node_id((0, 0)), mesh4.node_id((2, 1))
+        perm = list(range(16))
+        perm[source], perm[destination] = destination, source
+        total, energy = unit4.moves_energy(perm, [7] * 16, [source])
+        conversion = (
+            7 * unit4.conversion_energy_per_flit_j + unit4.fixed_energy_per_pe_j
+        )
+        router = 8 * unit4.library.router_energy_per_flit_j
+        link = 8 * 3 * unit4.library.link_energy_per_flit_j
+        expected = np.zeros(16)
+        expected[source] += conversion + link / 2
+        expected[destination] += link / 2
+        for coord in [(0, 0), (1, 0), (2, 0), (2, 1)]:
+            expected[mesh4.node_id(coord)] += router
+        assert energy.tolist() == pytest.approx(expected.tolist(), rel=1e-12)
+        assert total == pytest.approx(conversion + 4 * router + link, rel=1e-12)
+        assert not energy.flags.writeable
 
     def test_negative_conversion_energy_rejected(self, mesh4):
         with pytest.raises(ValueError):
@@ -109,7 +151,7 @@ class TestThroughputPenalty:
         874.4 us -> <0.2 %.  Quadrupling the period must cut the penalty by
         roughly four."""
         transform = XYShiftTransform(mesh5)
-        nodes = chip_e.tanner_nodes_per_pe()
+        nodes = hosted_tanner_nodes(chip_e)
         p109, p437, p874 = (
             throughput_penalty(
                 unit5, transform, chip_e.block_period_cycles(period_us), nodes
@@ -122,7 +164,7 @@ class TestThroughputPenalty:
 
     def test_penalty_magnitude_near_paper(self, unit4, mesh4, chip_a):
         """At the 109 us period the penalty should be a few percent at most."""
-        nodes = chip_a.tanner_nodes_per_pe()
+        nodes = hosted_tanner_nodes(chip_a)
         penalty = throughput_penalty(
             unit4, XYShiftTransform(mesh4), chip_a.block_period_cycles(109.0), nodes
         )
@@ -131,7 +173,7 @@ class TestThroughputPenalty:
 
 class TestMigrationPackets:
     def test_one_packet_per_moving_pe(self, unit5, mesh5):
-        packets = unit5.migration_packets(RotationTransform(mesh5))
+        packets = config_packets(unit5, sudden_stage(unit5, RotationTransform(mesh5)))
         # 25 PEs, one fixed point on the 5x5 mesh.
         assert len(packets) == 24
         assert all(p.packet_class == PacketClass.CONFIG for p in packets)
@@ -139,7 +181,7 @@ class TestMigrationPackets:
     def test_packets_replay_on_real_network(self, unit4, mesh4):
         """The migration's CONFIG packets must actually be deliverable by the
         cycle-accurate network (integration of migration with the NoC)."""
-        packets = unit4.migration_packets(XYShiftTransform(mesh4))
+        packets = config_packets(unit4, sudden_stage(unit4, XYShiftTransform(mesh4)))
         result = NocSimulator(mesh4, buffer_depth=8).run_packets(
             packets, drain_limit=500_000
         )

@@ -3,8 +3,14 @@
 import threading
 
 import numpy as np
+import pytest
 
-from repro.noc.analytic import _MODEL_CACHE, AnalyticModel, analytic_model
+from repro.noc.analytic import (
+    _MODEL_CACHE,
+    _MODEL_KEY_LOCKS,
+    AnalyticModel,
+    analytic_model,
+)
 from repro.noc.topology import MeshTopology
 from repro.scenarios.noc_cost import rate_noc_latencies
 
@@ -46,6 +52,13 @@ class TestModelCache:
             thread.join()
         assert len({id(model) for model in models}) == 1
         assert len(_MODEL_CACHE) == 1
+
+    def test_rejected_channel_leaves_no_build_lock(self):
+        before = dict(_MODEL_KEY_LOCKS)
+        for routing in ("zz", "qq", "nope"):
+            with pytest.raises(ValueError, match="routing"):
+                analytic_model(MeshTopology(4, 4), "uniform", routing=routing)
+        assert _MODEL_KEY_LOCKS == before
 
 
 class TestEpochCosts:

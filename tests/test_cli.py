@@ -321,8 +321,31 @@ class TestScenarioCommand:
                 {"traffic_kwargs": {"hotspots": [[1, 1]], "hotspot_fraction": 1.5}},
                 "[0, 1]",
             ),
+            (
+                {"traffic_kwargs": {"hotspots": [[1, 1]], "hotspot_fraction": {"a": 1}}},
+                "hotspot_fraction must be a real number",
+            ),
+            (
+                {"traffic_kwargs": {"hotspots": [[1, 1]], "hotspot_fraction": "0.5"}},
+                "hotspot_fraction must be a real number",
+            ),
+            ({"traffic_kwargs": {"hotspots": 5}}, "hotspots must be integer"),
+            ({"traffic_kwargs": {"hotspots": [["a", 1]]}}, "hotspots must be integer"),
+            ({"injection_rate": "0.1"}, "injection_rate must be a real number"),
+            ({"packet_size_flits": "4"}, "packet_size_flits must be an integer"),
         ],
-        ids=["routing", "hotspot-off-mesh", "unknown-argument", "fraction"],
+        ids=[
+            "routing",
+            "hotspot-off-mesh",
+            "unknown-argument",
+            "fraction",
+            "fraction-object",
+            "fraction-string",
+            "hotspots-number",
+            "hotspot-string-coordinate",
+            "rate-string",
+            "packet-size-string",
+        ],
     )
     def test_malformed_noc_channel_is_one_line_error(
         self, capsys, tmp_path, edit, message
@@ -333,6 +356,52 @@ class TestScenarioCommand:
 
         spec = json.loads(get_scenario("noc-congestion-burst").to_json())
         spec["noc"].update(edit)
+        spec_file = tmp_path / "scenario.json"
+        spec_file.write_text(json.dumps(spec))
+        assert main(["scenario", "run", "--spec", str(spec_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"num_epochs": "40"}, "num_epochs must be an integer"),
+            ({"period_us": "109"}, "period_us must be a real number"),
+            ({"settle_epochs": "3"}, "settle_epochs must be an integer"),
+            ({"units_per_epoch": "2"}, "units_per_epoch must be an integer"),
+            (
+                {"transient_steps_per_epoch": "8"},
+                "transient_steps_per_epoch must be an integer",
+            ),
+            ({"feedback_stride": 1.5}, "feedback_stride must be an integer"),
+            ({"policy_params": {"bogus": 1}}, "'bogus'"),
+            (
+                {"include_migration_energy": "no"},
+                "include_migration_energy must be true or false",
+            ),
+        ],
+        ids=[
+            "epochs-string",
+            "period-string",
+            "settle-string",
+            "units-string",
+            "steps-string",
+            "stride-float",
+            "unknown-policy-keyword",
+            "energy-flag-string",
+        ],
+    )
+    def test_malformed_spec_field_is_one_line_error(
+        self, capsys, tmp_path, edit, message
+    ):
+        import json
+
+        from repro.scenarios import get_scenario
+
+        spec = json.loads(get_scenario("noc-congestion-burst").to_json())
+        spec.update(edit)
         spec_file = tmp_path / "scenario.json"
         spec_file.write_text(json.dumps(spec))
         assert main(["scenario", "run", "--spec", str(spec_file)]) == 1
