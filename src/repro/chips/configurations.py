@@ -18,10 +18,15 @@ Each :class:`ChipConfiguration` bundles:
 * its migration unit, built once per configuration object, whose memo of
   lowered plans every controller of the chip shares.
 
-The profiles are constructed, not measured (see DESIGN.md's substitution
-table): every configuration carries the warm band (hot row) the paper
-describes, and configuration E concentrates its hotspots near the centre of
-the die.
+The profiles are constructed, not measured, because the paper's per-PE
+powers came out of a synthesis flow this reproduction does not have (see
+:mod:`repro.power`): each profile is a relative power map
+(:func:`~repro.chips.profiles.hot_row_profile`, or
+:func:`~repro.chips.profiles.center_hotspot_profile` for E) scaled by
+:func:`~repro.chips.profiles.calibrate_profile` until its steady peak is
+Figure 1's printed baseline.  Every configuration carries the warm band (hot
+row) the paper describes, and configuration E concentrates its hotspots near
+the centre of the die.
 """
 
 from __future__ import annotations

@@ -171,11 +171,12 @@ class RuntimeReconfigurationController:
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot of the migration-relevant state.
+        """Snapshot of the migration-relevant state.
 
         Captures the current mapping (as a node-id permutation), the running
-        migration totals and the in-flight plan — everything a resumed
-        stream needs to continue bit-identically.
+        migration totals and the in-flight plan (its stage energies as
+        arrays) — everything a resumed stream needs to continue
+        bit-identically.
         """
         state: Dict[str, object] = {
             "mapping": self._nodes.tolist(),
@@ -274,7 +275,7 @@ class RuntimeReconfigurationController:
             )
         key = (
             transform.name,
-            transform.node_permutation().tobytes(),
+            transform.permutation_bytes,
             self._nodes.tobytes(),
             self._tanner_key,
             style,
@@ -356,7 +357,8 @@ class RuntimeReconfigurationController:
             energy = np.array(
                 [event.energy_vector if event else no_energy for event in events]
             )
-            power += energy / periods_s[:, np.newaxis]
+            energy /= periods_s[:, np.newaxis]
+            power += energy
         return power
 
     def static_power_vector(self) -> np.ndarray:

@@ -47,9 +47,8 @@ is_last=True); finalize()`` — so batch and streaming
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +58,7 @@ from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 from ..power.trace import PowerTrace
 from ..thermal.hotspot import HotSpotModel
-from .controller import MigrationEvent, RuntimeReconfigurationController
+from .controller import MigrationEvent, RuntimeReconfigurationController, _read_only
 from .metrics import EpochColumns, ExperimentResult, PerformanceMetrics, ThermalMetrics
 from .policy import PolicyContext, ReconfigurationPolicy
 
@@ -173,10 +172,12 @@ class FeedbackPlan:
     seed per-epoch path produced (to solver precision), because each
     refresh then solves precisely the one previous-epoch row.
 
-    Ambient offsets arrive per epoch window via :meth:`add_offsets` — the
-    experiment's epoch loop feeds each window's offsets as it arrives, so the
-    plan never needs the horizon up front and its offset map stays bounded
-    by the refresh lookback.
+    The queue and the newest batch are 2-D arrays of consecutive epochs,
+    each tagged by its first epoch; neither is ever written in place (a
+    chunk is queued by concatenation), so a :meth:`state_dict` holds them
+    without copying.  Ambient offsets arrive per epoch window via
+    :meth:`add_offsets`; a queued row takes its offset as it is queued, so
+    the plan keeps no offsets beyond those of its queued rows.
     """
 
     #: Queue tag for the pre-experiment static power (the epoch-0 probe);
@@ -202,134 +203,177 @@ class FeedbackPlan:
         self.rows_solved = 0
         #: Decisions served from a predictor instead of a fresh solve.
         self.predictions_served = 0
-        self._pending_rows: List[np.ndarray] = []
-        self._pending_epochs: List[int] = []
-        #: epoch tag -> solved read-only per-unit Celsius row (offsets
-        #: applied), for the most recent batch, oldest tag first.
-        self._solved: Dict[int, np.ndarray] = {}
-        #: absolute epoch index -> ambient offset, filled window by window
-        #: via :meth:`add_offsets` and pruned past the refresh lookback.
-        self._offset_map: Dict[int, float] = {}
+        num_units = thermal_model.topology.num_nodes
+        self._no_rows = _read_only(np.empty((0, num_units)))
+        self._no_offsets = _read_only(np.empty(0))
+        #: Queued power rows (epochs ``_pending_epoch + i``) and the ambient
+        #: offset each one's temperatures take.
+        self._pending = self._no_rows
+        self._pending_offsets = self._no_offsets
+        self._pending_epoch = self.PROBE
+        #: The newest batch's read-only Celsius rows (offsets applied), of
+        #: epochs ``_solved_epoch + i``; None before the first refresh.
+        self._solved: Optional[np.ndarray] = None
+        self._solved_epoch = self.PROBE
+        #: The current window's ambient offsets (None: all 0.0) and its
+        #: first epoch, registered by :meth:`add_offsets`.
+        self._offsets: Optional[np.ndarray] = None
+        self._offsets_start = 0
 
     # ------------------------------------------------------------------
     def prime(self, static_power: np.ndarray) -> None:
         """Queue the pre-experiment static power as the epoch-0 probe row."""
-        self._pending_rows.append(np.asarray(static_power, dtype=float))
-        self._pending_epochs.append(self.PROBE)
+        self._pending = np.array(static_power, dtype=float, ndmin=2)
+        self._pending_offsets = np.zeros(1)
+        self._pending_epoch = self.PROBE
 
     def observe(self, start_epoch: int, power_rows: np.ndarray) -> None:
         """Queue the emitted power rows of epochs ``start_epoch + i``.
 
         A chunk never spans a refresh boundary, so every row a refresh reads
-        was queued before it.
+        was queued before it.  Rows arrive in epoch order: a chunk that does
+        not start at the epoch after the queued rows raises ``ValueError``.
         """
-        self._pending_rows.extend(power_rows)
-        self._pending_epochs.extend(
-            range(start_epoch, start_epoch + len(power_rows))
-        )
+        expected = self._pending_epoch + len(self._pending)
+        if start_epoch != expected:
+            raise ValueError(
+                f"feedback rows of epoch {start_epoch} queued after epoch {expected - 1}"
+            )
+        count = len(power_rows)
+        offsets = self._offsets
+        if offsets is None:
+            chunk_offsets = np.zeros(count)
+        else:
+            first = start_epoch - self._offsets_start
+            chunk_offsets = offsets[first : first + count]
+        self._pending = np.concatenate((self._pending, power_rows))
+        self._pending_offsets = np.concatenate((self._pending_offsets, chunk_offsets))
 
     def add_offsets(self, start_epoch: int, offsets: Optional[np.ndarray]) -> None:
-        """Register the ambient offsets of epochs ``start_epoch + i``.
+        """Register the ambient offsets of the window of epochs ``start_epoch + i``.
 
-        Entries older than two refresh strides before ``start_epoch`` can no
-        longer be read by any future refresh (a refresh at epoch ``e`` only
-        flushes rows observed since the previous one, i.e. tags ``>= e -
-        stride``), so they are pruned — the map stays O(stride) over an
-        unbounded stream.
+        Rows that window emits take their offsets as they are queued; a
+        queued probe takes epoch 0's.
         """
-        if offsets is None:
-            return
-        values = np.asarray(offsets, dtype=float)
-        for index, value in enumerate(values):
-            self._offset_map[start_epoch + index] = float(value)
-        cutoff = start_epoch - 2 * self.stride
-        for key in [key for key in self._offset_map if key < cutoff]:
-            del self._offset_map[key]
+        self._offsets = offsets
+        self._offsets_start = start_epoch
+        if offsets is not None and start_epoch == 0 and self._pending_epoch == self.PROBE:
+            probe_offsets = self._pending_offsets.copy()
+            probe_offsets[0] = offsets[0]
+            self._pending_offsets = probe_offsets
 
     # ------------------------------------------------------------------
-    def _offset_for(self, epoch_tag: int) -> float:
-        index = 0 if epoch_tag == self.PROBE else epoch_tag
-        return self._offset_map.get(index, 0.0)
-
-    def _refresh(self) -> None:
-        """Evaluate every queued row with one multi-RHS steady batch."""
-        if not self._pending_rows:
-            return
-        temperatures = self.thermal_model.steady_temperatures(self._pending_rows)
-        self.batch_solves += 1
-        self.rows_solved += len(self._pending_rows)
-        for tag, row in zip(self._pending_epochs, temperatures):
-            row += self._offset_for(tag)
-        self._store_solved(dict(zip(self._pending_epochs, temperatures)))
-        self._pending_rows = []
-        self._pending_epochs = []
-
-    def _store_solved(self, solved: Dict[int, np.ndarray]) -> None:
-        # Policies receive these rows and checkpoints carry them: freeze them.
-        for row in solved.values():
-            row.flags.writeable = False
-        self._solved = solved
-
     def thermal_for(self, epoch_index: int) -> np.ndarray:
         """Per-unit Celsius feedback for the decision at ``epoch_index``.
 
-        Refreshes (one batched solve over all rows queued since the last
-        refresh) on every ``stride``-th epoch; between refreshes the
-        configured predictor answers at zero solves.
+        Refreshes on every ``stride``-th epoch: every row queued since the
+        last refresh is evaluated with one multi-RHS steady batch, which
+        also refuses a non-finite or negative row before a decision reads
+        it.  Between refreshes the configured predictor answers at zero
+        solves.
         """
         if epoch_index % self.stride == 0:
-            self._refresh()
+            rows = self._pending
+            count = len(rows)
+            if count:
+                solved = self.thermal_model.steady_temperatures(rows)
+                solved += self._pending_offsets[:, np.newaxis]
+                # Policies receive these rows and checkpoints carry them:
+                # freeze them.
+                solved.flags.writeable = False
+                self.batch_solves += 1
+                self.rows_solved += count
+                self._solved = solved
+                self._solved_epoch = self._pending_epoch
+                self._pending_epoch += count
+                self._pending = self._no_rows
+                self._pending_offsets = self._no_offsets
         else:
             self.predictions_served += 1
-            if self.predictor == "previous":
+            if self.predictor == "previous" and self._solved is not None:
                 # The decision at epoch i wants T(P[i-1]); the newest batch
                 # holds the solved row of epoch i-1-stride — the same orbit
                 # phase, one chunk earlier.
-                proxy = self._solved.get(epoch_index - 1 - self.stride)
-                if proxy is not None:
-                    return proxy
-        if not self._solved:
+                index = epoch_index - 1 - self.stride - self._solved_epoch
+                if 0 <= index < len(self._solved):
+                    return self._solved[index]
+        if self._solved is None:
             raise RuntimeError(
                 "FeedbackPlan.thermal_for called before any row was queued; "
                 "prime() the plan with the static power first"
             )
-        # The newest solved row: the batch's last tag.
-        return self._solved[next(reversed(self._solved))]
+        # The newest solved row: the batch's last epoch.
+        return self._solved[-1]
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot of the carried feedback state.
+        """Snapshot of the carried feedback state (float arrays as arrays).
 
-        Pending rows, the newest solved batch and the counters — everything
-        a resumed stream needs to keep the refresh cadence and predictor
-        answers bit-identical.
+        The queued rows and their offsets, the newest solved batch, each
+        tagged by its first epoch, and the counters — everything a resumed
+        stream needs to keep the refresh cadence and predictor answers
+        bit-identical.  The arrays are the plan's own (never written in
+        place), so the snapshot copies nothing.
         """
         return {
-            "pending_rows": [row.tolist() for row in self._pending_rows],
-            "pending_epochs": list(self._pending_epochs),
-            "solved": {str(tag): row.tolist() for tag, row in self._solved.items()},
+            "pending_epoch": self._pending_epoch,
+            "pending_rows": self._pending,
+            "pending_offsets": self._pending_offsets,
+            "solved_epoch": self._solved_epoch,
+            "solved_rows": self._solved,
             "batch_solves": self.batch_solves,
             "rows_solved": self.rows_solved,
             "predictions_served": self.predictions_served,
-            "offsets": {str(key): value for key, value in self._offset_map.items()},
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`state_dict`."""
-        self._pending_rows = [
-            np.asarray(row, dtype=float) for row in state["pending_rows"]  # type: ignore[union-attr]
-        ]
-        self._pending_epochs = [int(tag) for tag in state["pending_epochs"]]  # type: ignore[union-attr]
-        self._store_solved({
-            int(tag): np.asarray(row, dtype=float)
-            for tag, row in state["solved"].items()  # type: ignore[union-attr]
-        })
+        """Inverse of :meth:`state_dict`; raises ``ValueError`` for rows of
+        the wrong width or offsets that do not match the queued rows."""
+        num_units = self._no_rows.shape[1]
+        pending = _unit_rows(state["pending_rows"], num_units, "queued feedback rows")
+        offsets = np.asarray(state["pending_offsets"], dtype=float)
+        if offsets.shape != (len(pending),):
+            raise ValueError(
+                f"{len(pending)} queued feedback rows carry offsets of shape "
+                f"{offsets.shape}"
+            )
+        solved = state["solved_rows"]
+        if solved is not None:
+            solved = _unit_rows(solved, num_units, "solved feedback rows")
+            if not len(solved):
+                raise ValueError("a solved feedback batch has at least one row")
+            if solved.flags.writeable:
+                solved = _read_only(solved.copy())
+        self._pending = pending
+        self._pending_offsets = offsets
+        self._pending_epoch = int(state["pending_epoch"])  # type: ignore[arg-type]
+        self._solved = solved
+        self._solved_epoch = int(state["solved_epoch"])  # type: ignore[arg-type]
         self.batch_solves = int(state["batch_solves"])  # type: ignore[arg-type]
         self.rows_solved = int(state["rows_solved"])  # type: ignore[arg-type]
         self.predictions_served = int(state["predictions_served"])  # type: ignore[arg-type]
-        self._offset_map = {
-            int(key): float(value) for key, value in state["offsets"].items()  # type: ignore[union-attr]
-        }
+
+
+def _ring(ring: np.ndarray, values: np.ndarray, capacity: int) -> np.ndarray:
+    """The newest ``capacity`` entries of ``ring`` extended by ``values``.
+
+    A new array (its base holds at most ``2 * capacity`` entries); neither
+    input is written, so a ring held by a checkpoint snapshot never moves.
+    """
+    return np.concatenate((ring, values[-capacity:]))[-capacity:]
+
+
+def _unit_rows(rows, num_units: int, what: str) -> np.ndarray:
+    """``rows`` as a float ``(k, num_units)`` array (an empty list is no
+    rows); ``ValueError`` otherwise."""
+    array = np.asarray(rows, dtype=float)
+    if array.size == 0:
+        array = array.reshape(0, num_units)
+    if array.ndim != 2 or array.shape[1] != num_units:
+        raise ValueError(
+            f"{what} must have {num_units} units per row, got shape {array.shape}"
+        )
+    return array
 
 
 @dataclass
@@ -518,10 +562,12 @@ class ThermalExperiment:
         # last `capacity` power rows (+ their ambient offsets, 0.0 where an
         # epoch had none) so the settled mean can ride the final window's
         # batch; transient mode only needs the per-epoch (peak, mean) scalars.
-        self._power_ring: Deque[np.ndarray] = deque(maxlen=capacity)
-        self._offset_ring: Deque[float] = deque(maxlen=capacity)
-        self._peak_ring: Deque[float] = deque(maxlen=capacity)
-        self._mean_ring: Deque[float] = deque(maxlen=capacity)
+        # Each ring is an array replaced window by window (see _ring).
+        num_units = self.configuration.topology.num_nodes
+        self._power_ring = np.empty((0, num_units))
+        self._offset_ring = np.empty(0)
+        self._peak_ring = np.empty(0)
+        self._mean_ring = np.empty(0)
         period_s = self.policy.period_us * 1e-6
         self._period_cycles = self.configuration.block_period_cycles(
             self.policy.period_us
@@ -577,14 +623,12 @@ class ThermalExperiment:
             trace, costs = self._loop_window(window, modulation, periods_s)
             self._cycles_run += cycles
             if self.settings.mode == "steady":
-                # The rings hold the last `capacity` epochs: older rows of
-                # this window would only be pushed out again.
-                tail = np.array(trace.powers[-self._settled_capacity :])
-                self._power_ring.extend(tail)
-                self._offset_ring.extend(
-                    offsets[-len(tail) :].tolist()
-                    if offsets is not None
-                    else [0.0] * len(tail)
+                capacity = self._settled_capacity
+                self._power_ring = _ring(self._power_ring, trace.powers, capacity)
+                self._offset_ring = _ring(
+                    self._offset_ring,
+                    offsets if offsets is not None else np.zeros(len(trace)),
+                    capacity,
                 )
                 outcome = self._step_steady(trace, costs, offsets, start_epoch, is_last)
             else:
@@ -667,8 +711,7 @@ class ThermalExperiment:
         """Steady mode's settled-regime power row (the mean of the final
         epochs, one or more full orbits of the transform) and the mean
         ambient offset its temperatures take."""
-        power = np.vstack(list(self._power_ring)).mean(axis=0)
-        return power, float(np.mean(np.array(self._offset_ring)))
+        return self._power_ring.mean(axis=0), float(self._offset_ring.mean())
 
     def _set_baseline(self, celsius: np.ndarray) -> ThermalMetrics:
         baseline = ThermalMetrics.from_vector(self.configuration.topology, celsius)
@@ -684,8 +727,8 @@ class ThermalExperiment:
 
     def _set_settled_from_rings(self) -> None:
         """Transient settled statistics from the per-epoch peak/mean rings."""
-        self._settled_peak = float(np.max(np.array(self._peak_ring)))
-        self._settled_mean = float(np.mean(np.array(self._mean_ring)))
+        self._settled_peak = float(self._peak_ring.max())
+        self._settled_mean = float(self._mean_ring.mean())
 
     # ------------------------------------------------------------------
     # Shared chunk loop
@@ -919,15 +962,15 @@ class ThermalExperiment:
         # sample range (initial instant included, matching the per-epoch
         # reference), and its spatial metrics come from its final instant.
         series = thermal_model.unit_series(result)
-        starts = np.array([start for start, _stop in result.interval_ranges])
-        ends = np.array([stop for _start, stop in result.interval_ranges])
-        peaks = np.maximum.reduceat(series.max(axis=0), starts)
+        starts, ends = np.array(result.interval_ranges).T
+        peaks = np.maximum.reduceat(np.maximum.reduce(series, axis=0), starts)
         outcome = self._outcome(
-            start_epoch, trace, costs, series[:, ends - 1].T, peaks, baseline
+            start_epoch, trace, costs, series.T[ends - 1], peaks, baseline
         )
         self._thermal_state = np.asarray(result.final_state_kelvin, dtype=float)
-        self._peak_ring.extend(outcome.peak_by_epoch.tolist())
-        self._mean_ring.extend(outcome.mean_by_epoch.tolist())
+        capacity = self._settled_capacity
+        self._peak_ring = _ring(self._peak_ring, outcome.peak_by_epoch, capacity)
+        self._mean_ring = _ring(self._mean_ring, outcome.mean_by_epoch, capacity)
         if is_last:
             self._set_settled_from_rings()
         return outcome
@@ -977,16 +1020,18 @@ class ThermalExperiment:
     # Checkpoint state
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot of all state carried between windows.
+        """Snapshot of all state carried between windows.
 
         Covers the experiment's own stream state (epoch cursor, cycles run,
         thermal state, settled rings, baseline/settled statistics), the
         controller (mapping permutation, migration totals, in-flight plan)
         and the policy/feedback-plan state.  Restoring this onto
         a freshly ``prepare()``-ed experiment of the identical configuration
-        resumes the stream bit-identically (floats round-trip JSON exactly).
-        Per-epoch record columns are deliberately not captured —
-        checkpointable runs stream with ``collect_records=False``.
+        resumes the stream bit-identically.  Float arrays stay arrays (the
+        experiment's own, never written in place, so nothing is copied);
+        :func:`repro.stream.checkpoint.encode_checkpoint` writes them as
+        exact binary.  Per-epoch record columns are deliberately not
+        captured — checkpointable runs stream with ``collect_records=False``.
         """
         if not self._active:
             raise RuntimeError("state_dict() needs an active prepared run")
@@ -998,13 +1043,11 @@ class ThermalExperiment:
             "settled_peak": self._settled_peak,
             "settled_mean": self._settled_mean,
             "settled_capacity": self._settled_capacity,
-            "thermal_state": (
-                self._thermal_state.tolist() if self._thermal_state is not None else None
-            ),
-            "power_ring": [row.tolist() for row in self._power_ring],
-            "offset_ring": list(self._offset_ring),
-            "peak_ring": list(self._peak_ring),
-            "mean_ring": list(self._mean_ring),
+            "thermal_state": self._thermal_state,
+            "power_ring": self._power_ring,
+            "offset_ring": self._offset_ring,
+            "peak_ring": self._peak_ring,
+            "mean_ring": self._mean_ring,
             "controller": self.controller.state_dict(),
             "policy": self.policy.state_dict(),
             "feedback": (
@@ -1015,10 +1058,41 @@ class ThermalExperiment:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`state_dict`; call after :meth:`prepare`."""
+        """Inverse of :meth:`state_dict`; call after :meth:`prepare`.
+
+        Raises ``ValueError`` for a thermal state or settled ring of the
+        wrong shape, and whatever the controller, policy and feedback plan
+        refuse.
+        """
         if not self._active:
             raise RuntimeError("prepare() the experiment before restore_state()")
         capacity = int(state["settled_capacity"])  # type: ignore[arg-type]
+        if capacity < 1:
+            raise ValueError("settled_capacity must be at least 1")
+        num_units = self.configuration.topology.num_nodes
+        thermal_state = state["thermal_state"]
+        if thermal_state is not None:
+            thermal_state = np.asarray(thermal_state, dtype=float)
+            nodes = self.thermal_model.network.num_nodes
+            if thermal_state.shape != (nodes,):
+                raise ValueError(
+                    f"thermal state must have {nodes} nodes, got shape "
+                    f"{thermal_state.shape}"
+                )
+        power_ring = _unit_rows(state["power_ring"], num_units, "settled power ring")
+        offset_ring, peak_ring, mean_ring = (
+            np.asarray(state[name], dtype=float)
+            for name in ("offset_ring", "peak_ring", "mean_ring")
+        )
+        if (
+            offset_ring.shape != (len(power_ring),)
+            or peak_ring.ndim != 1
+            or mean_ring.shape != peak_ring.shape
+            or max(len(power_ring), len(peak_ring)) > capacity
+        ):
+            raise ValueError(
+                f"settled rings do not fit a settled window of {capacity} epochs"
+            )
         self._settled_capacity = capacity
         self._next_epoch = int(state["next_epoch"])  # type: ignore[arg-type]
         self._cycles_run = int(state["cycles_run"])  # type: ignore[arg-type]
@@ -1026,23 +1100,11 @@ class ThermalExperiment:
         self._baseline_mean = state["baseline_mean"]  # type: ignore[assignment]
         self._settled_peak = state["settled_peak"]  # type: ignore[assignment]
         self._settled_mean = state["settled_mean"]  # type: ignore[assignment]
-        thermal_state = state["thermal_state"]
-        self._thermal_state = (
-            np.asarray(thermal_state, dtype=float) if thermal_state is not None else None
-        )
-        self._power_ring = deque(
-            (np.asarray(row, dtype=float) for row in state["power_ring"]),  # type: ignore[union-attr]
-            maxlen=capacity,
-        )
-        self._offset_ring = deque(
-            (float(value) for value in state["offset_ring"]), maxlen=capacity  # type: ignore[union-attr]
-        )
-        self._peak_ring = deque(
-            (float(value) for value in state["peak_ring"]), maxlen=capacity  # type: ignore[union-attr]
-        )
-        self._mean_ring = deque(
-            (float(value) for value in state["mean_ring"]), maxlen=capacity  # type: ignore[union-attr]
-        )
+        self._thermal_state = thermal_state
+        self._power_ring = power_ring
+        self._offset_ring = offset_ring
+        self._peak_ring = peak_ring
+        self._mean_ring = mean_ring
         self.controller.restore_state(state["controller"])  # type: ignore[arg-type]
         self.policy.restore_state(state["policy"])  # type: ignore[arg-type]
         feedback_state = state["feedback"]

@@ -237,12 +237,14 @@ def policy_family(name: str) -> str:
 def make_policy(
     name: str,
     topology: MeshTopology,
+    /,
     period_us: float = 109.0,
     **kwargs,
 ) -> ReconfigurationPolicy:
     """Factory: ``"static"``, a Figure-1 scheme name, ``"adaptive"``, or
-    ``"threshold-<scheme>"``; a keyword the policy does not take raises
-    ``ValueError`` naming it."""
+    ``"threshold-<scheme>"``; keyword arguments the policy's constructor
+    does not bind (one it does not take, or a required one missing) raise
+    ``ValueError`` naming them."""
     if name == "static":
         policy, args = NoMigrationPolicy, ()
     elif name == "adaptive":
@@ -251,9 +253,13 @@ def make_policy(
         policy, args = ThresholdMigrationPolicy, (topology, name[len("threshold-") :])
     else:
         policy, args = PeriodicMigrationPolicy, (topology, name)
-    if kwargs:
+    try:
+        return policy(*args, period_us=period_us, **kwargs)
+    except TypeError:
+        # The signature is bound only on this failure path: a TypeError
+        # from arguments that do not bind is the caller's error.
         try:
             inspect.signature(policy).bind(*args, period_us=period_us, **kwargs)
         except TypeError as error:
             raise ValueError(f"policy {name!r}: {error}") from None
-    return policy(*args, period_us=period_us, **kwargs)
+        raise

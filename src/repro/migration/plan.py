@@ -97,7 +97,7 @@ class MigrationStage:
             "step": self.step.tolist(),
             "cycles": self.cycles,
             "energy_j": self.energy_j,
-            "energy": self.energy.tolist(),
+            "energy": self.energy,
         }
 
     @classmethod

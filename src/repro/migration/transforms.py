@@ -42,6 +42,7 @@ class MigrationTransform(ABC):
     def __init__(self, topology: MeshTopology):
         self.topology = topology
         self._node_permutation: Optional[np.ndarray] = None
+        self._permutation_bytes: Optional[bytes] = None
 
     @abstractmethod
     def apply(self, coord: Coordinate) -> Coordinate:
@@ -80,6 +81,14 @@ class MigrationTransform(ABC):
             perm.flags.writeable = False
             self._node_permutation = perm
         return self._node_permutation
+
+    @property
+    def permutation_bytes(self) -> bytes:
+        """:meth:`node_permutation` as bytes (built once per instance): the
+        transform's part of a plan-memo key."""
+        if self._permutation_bytes is None:
+            self._permutation_bytes = self.node_permutation().tobytes()
+        return self._permutation_bytes
 
     def fixed_points(self) -> List[Coordinate]:
         """Coordinates whose workload does not move under this transform.

@@ -1,9 +1,11 @@
 """Power modelling: technology constants, PE/router power and power traces.
 
 This package substitutes the paper's Synopsys Power Compiler flow with an
-activity-proportional analytic model (see DESIGN.md for the substitution
-rationale): switching activity from the NoC simulator or the analytic XY
-route estimator goes in, per-functional-unit watts come out.
+activity-proportional analytic model, because that flow needs the synthesised
+netlists and cell libraries the paper used, which are not available: switching
+activity from the NoC simulator or the analytic XY route estimator goes in,
+per-functional-unit watts (energy per operation or flit from the technology
+constants, plus leakage by area) come out.
 """
 
 from .activity import (

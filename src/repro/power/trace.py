@@ -69,10 +69,17 @@ class PowerTrace:
                 f"power matrix must be ({durations.size}, {topology.num_nodes}), "
                 f"got shape {powers.shape}"
             )
-        # +inf passes both `min()` gates, so each checks finiteness too.
-        if not (np.isfinite(durations).all() and durations.min() > 0):
+        # A minimum and a maximum decide each gate: NaN fails every
+        # comparison, and +inf fails the maximum's.
+        if not (
+            np.minimum.reduce(durations, axis=None) > 0.0
+            and np.maximum.reduce(durations, axis=None) < np.inf
+        ):
             raise ValueError("sample durations must be positive and finite")
-        if not (np.isfinite(powers).all() and powers.min() >= 0):
+        if not (
+            np.minimum.reduce(powers, axis=None) >= 0.0
+            and np.maximum.reduce(powers, axis=None) < np.inf
+        ):
             raise ValueError("non-finite or negative power in trace")
         self.topology = topology
         self._durations = _read_only_view(durations)

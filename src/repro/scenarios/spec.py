@@ -145,7 +145,7 @@ class NocChannel:
                     "are only valid for 'load'"
                 )
         if self.traffic_kwargs is not None and not isinstance(self.traffic_kwargs, dict):
-            raise TypeError("traffic_kwargs must be a dict of keyword arguments")
+            raise ValueError("traffic_kwargs must be a dict of keyword arguments")
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -234,8 +234,14 @@ class ScenarioSpec:
             raise ValueError("feedback_stride must be at least 1")
         if self.feedback_predictor not in ("hold", "previous"):
             raise ValueError("feedback_predictor must be 'hold' or 'previous'")
-        if self.policy_params is not None and not isinstance(self.policy_params, dict):
-            raise TypeError("policy_params must be a dict of keyword arguments")
+        if self.policy_params is not None:
+            if not isinstance(self.policy_params, dict):
+                raise ValueError("policy_params must be a dict of keyword arguments")
+            if "period_us" in self.policy_params:
+                raise ValueError(
+                    "policy_params cannot set period_us: the spec's period_us "
+                    "field is the policy's period"
+                )
         if self.migration_style not in MIGRATION_STYLES:
             raise ValueError(
                 f"unknown migration_style {self.migration_style!r}; "

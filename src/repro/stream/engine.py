@@ -39,7 +39,7 @@ from ..scenarios.compile import (
 )
 from ..scenarios.noc_cost import rate_noc_latencies
 from ..scenarios.spec import ScenarioSpec
-from ..storage import code_fingerprint
+from ..storage import CorruptJournalError, code_fingerprint
 from ..thermal.hotspot import HotSpotModel
 from .checkpoint import CheckpointStore
 from .summary import RollingSummary
@@ -189,24 +189,31 @@ class StreamingExperiment:
             collect_records=False,
         )
         if self.checkpoint is not None:
-            payload = self.checkpoint.load_latest()
-            if payload is not None:
-                identity = payload.get("identity") if isinstance(payload, dict) else None
-                if identity != self.identity:
-                    raise CheckpointMismatchError(
-                        "checkpoint identity mismatch: journal was written by "
-                        f"{identity!r}, this stream is {self.identity!r}"
-                    )
-                try:
-                    self.experiment.restore_state(payload["experiment"])  # type: ignore[arg-type]
-                    self.summary.restore_state(payload["summary"])  # type: ignore[arg-type]
-                except (KeyError, TypeError, ValueError) as error:
-                    raise CheckpointRestoreError(
-                        f"{self.checkpoint.path}: newest checkpoint does not "
-                        f"restore: {error}"
-                    ) from error
+            try:
+                payload = self.checkpoint.load_latest()
+                if payload is not None:
+                    self._restore(payload)
+            except (CheckpointRestoreError, CorruptJournalError):
+                raise
+            except (KeyError, TypeError, ValueError) as error:
+                # A float array that does not decode, or state that does not
+                # restore.
+                raise CheckpointRestoreError(
+                    f"{self.checkpoint.path}: newest checkpoint does not "
+                    f"restore: {error}"
+                ) from error
         self._prepared = True
         return self.experiment.next_epoch
+
+    def _restore(self, payload: object) -> None:
+        identity = payload.get("identity") if isinstance(payload, dict) else None
+        if identity != self.identity:
+            raise CheckpointMismatchError(
+                "checkpoint identity mismatch: journal was written by "
+                f"{identity!r}, this stream is {self.identity!r}"
+            )
+        self.experiment.restore_state(payload["experiment"])  # type: ignore[index]
+        self.summary.restore_state(payload["summary"])  # type: ignore[index]
 
     # ------------------------------------------------------------------
     def process(

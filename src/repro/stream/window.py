@@ -46,7 +46,7 @@ def _as_schedule(
         raise ValueError(
             f"{name} must have {num_epochs} epochs, got shape {array.shape}"
         )
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite")
     return array
 
@@ -80,7 +80,7 @@ class EpochWindow:
         self.load_modulation = _as_schedule(
             self.load_modulation, "load_modulation", self.num_epochs, ndims=(1, 2)
         )
-        if self.load_modulation is not None and np.any(self.load_modulation < 0):
+        if self.load_modulation is not None and (self.load_modulation < 0).any():
             raise ValueError("load_modulation must be non-negative")
         self.ambient_offsets = _as_schedule(
             self.ambient_offsets, "ambient_offsets", self.num_epochs
@@ -89,12 +89,12 @@ class EpochWindow:
             self.snr_schedule, "snr_schedule", self.num_epochs
         )
         self.noc_rates = _as_schedule(self.noc_rates, "noc_rates", self.num_epochs)
-        if self.noc_rates is not None and np.any(self.noc_rates < 0):
+        if self.noc_rates is not None and (self.noc_rates < 0).any():
             raise ValueError("noc_rates must be non-negative")
         self.period_scale = _as_schedule(
             self.period_scale, "period_scale", self.num_epochs
         )
-        if self.period_scale is not None and np.any(self.period_scale <= 0):
+        if self.period_scale is not None and (self.period_scale <= 0).any():
             raise ValueError("period_scale must be positive")
 
     # ------------------------------------------------------------------

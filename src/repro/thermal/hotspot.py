@@ -91,7 +91,9 @@ class HotSpotModel:
 
     # ------------------------------------------------------------------
     def _unit_rows(self, power_rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(power_rows, dtype=float))
+        rows = np.asarray(power_rows, dtype=float)
+        if rows.ndim == 1:
+            rows = rows[np.newaxis, :]
         if rows.ndim != 2 or rows.shape[1] != self.topology.num_nodes:
             raise ValueError(
                 f"expected {self.topology.num_nodes} units per row, "
@@ -104,8 +106,8 @@ class HotSpotModel:
         rows = self._unit_rows(power_rows)
         cells_per_unit = self.unit_nodes.shape[1]
         matrix = np.zeros((rows.shape[0], self.network.num_nodes))
-        matrix[:, self.unit_nodes.ravel()] = np.repeat(
-            rows / cells_per_unit, cells_per_unit, axis=1
+        matrix[:, self.unit_nodes.ravel()] = (rows / cells_per_unit).repeat(
+            cells_per_unit, axis=1
         )
         return matrix
 
@@ -122,8 +124,10 @@ class HotSpotModel:
         cells_per_unit = self.unit_nodes.shape[1]
         if cells_per_unit > 1:
             kelvin = kelvin.reshape(rows.shape[0], -1, cells_per_unit).max(axis=-1)
-        # Celsius last, as the node-space solve converts.
-        return kelvin - KELVIN_OFFSET
+        # Celsius last, as the node-space solve converts (in place: the
+        # solve returned a fresh array).
+        kelvin -= KELVIN_OFFSET
+        return kelvin
 
     def steady_state_by_coord(
         self, power_by_coord: Dict[Coordinate, float]
@@ -164,7 +168,9 @@ class HotSpotModel:
     def unit_series(self, result: TransientResult) -> np.ndarray:
         """``(num_units, num_samples)`` per-unit Celsius series of a transient."""
         cells = result.node_kelvin.T[self.unit_nodes]
-        return cells.max(axis=1) - KELVIN_OFFSET
+        series = np.maximum.reduce(cells, axis=1)
+        series -= KELVIN_OFFSET
+        return series
 
     def warm_state(self, power_row: np.ndarray, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
         """Steady-state node vector used to start transients already warm.

@@ -2,9 +2,9 @@
 
 These follow the published HotSpot default configuration — the paper states
 "the HotSpot tool was left with all settings at the default values and an
-ambient temperature of 40 C" — with one deliberate deviation documented in
-DESIGN.md: the convection resistance defaults to a value representative of
-the modest cooling of an embedded NoC part rather than a server heatsink, so
+ambient temperature of 40 C" — with one deliberate deviation: the convection
+resistance defaults to 0.75 K/W instead of HotSpot's 0.1 K/W server heatsink,
+a value representative of the modest cooling of an embedded NoC part, so
 that the baseline peak temperatures land in the 70–90 °C range the paper
 reports for chips dissipating a few tens of watts.
 """

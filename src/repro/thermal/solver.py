@@ -87,10 +87,17 @@ class _Eigenbasis:
 
 
 def _check_power(power: np.ndarray) -> None:
-    """Reject NaN, infinite or negative node power."""
-    if not np.isfinite(power).all():
-        raise ValueError("node power must be finite (no NaN or inf)")
-    if power.size and power.min() < 0:
+    """Reject NaN, infinite or negative node power.
+
+    Two reductions decide (a NaN fails both comparisons); the message is
+    worked out only for a refused array.
+    """
+    if not (
+        np.minimum.reduce(power, axis=None, initial=0.0) >= 0.0
+        and np.maximum.reduce(power, axis=None, initial=0.0) < np.inf
+    ):
+        if not np.isfinite(power).all():
+            raise ValueError("node power must be finite (no NaN or inf)")
         raise ValueError("negative node power")
 
 
@@ -168,7 +175,7 @@ class ThermalSolver:
                 f"ambient_offsets_kelvin must have {num_intervals} entries, "
                 f"got shape {offsets.shape}"
             )
-        if not np.all(np.isfinite(offsets)):
+        if not np.isfinite(offsets).all():
             raise ValueError("ambient offsets must be finite")
         return offsets
 
@@ -221,8 +228,10 @@ class ThermalSolver:
         _check_power(rows)
         self.steady_solve_count += 1
         _OBS_STEADY_SOLVES.add()
-        with _obs_span("thermal.steady_batch", rows=int(rows.shape[0])):
-            return rows @ operator + offset
+        with _obs_span("thermal.steady_batch", rows=rows.shape[0]):
+            kelvin = rows @ operator
+            kelvin += offset
+            return kelvin
 
     def warm_state(self, node_power, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
         """Node state (kelvin) corresponding to steady state under one power vector.
@@ -280,9 +289,11 @@ class ThermalSolver:
         durations = np.asarray(durations_s, dtype=float)
         if durations.ndim != 1 or durations.size == 0:
             raise ValueError("at least one interval is required")
-        if not np.isfinite(durations).all():
-            raise ValueError("durations_s must be finite (no NaN or inf)")
-        if durations.min() <= 0:
+        if not (
+            np.minimum.reduce(durations) > 0.0 and np.maximum.reduce(durations) < np.inf
+        ):
+            if not np.isfinite(durations).all():
+                raise ValueError("durations_s must be finite (no NaN or inf)")
             raise ValueError("duration must be positive")
         if time_step_s is not None and not time_step_s > 0:
             raise ValueError(f"time_step_s must be positive, got {time_step_s}")
@@ -369,36 +380,40 @@ class ThermalSolver:
             step_times.append(times)
         rise_rows = np.concatenate(rises)
         rows_per_interval = steps + 1
-        stops = np.cumsum(rows_per_interval)
+        stops = rows_per_interval.cumsum()
+        # The last sample row of every interval but the final one.
+        inner_ends = stops[:-1] - 1
 
         # Modal start states: s_{i+1} = mu_i s_i + (1 - mu_i) m(T*_i), with
         # mu_i the decay over interval i's whole step count.  A doubling
         # scan composes these affine maps, so after it map i takes s_0 to
-        # s_{i+1} in one multiply-add.
-        rise_ends = rise_rows[stops[:-1] - 1]
+        # s_{i+1} in one multiply-add.  (Each update works in place on a
+        # view of its array; a ufunc reads an overlapping input as it was.)
+        rise_ends = rise_rows[inner_ends]
         factors = 1.0 - rise_ends
         pulls = rise_ends * modal_fixed[:-1]
         shift = 1
         while shift < len(factors):
-            pulls[shift:] += factors[shift:] * pulls[:-shift]
-            factors[shift:] *= factors[:-shift]
+            later_pulls = pulls[shift:]
+            later_pulls += factors[shift:] * pulls[:-shift]
+            later_factors = factors[shift:]
+            later_factors *= factors[:-shift]
             shift *= 2
         modal_start = state @ basis.to_modal
         gaps = modal_fixed.copy()
         gaps[0] -= modal_start
-        gaps[1:] -= factors * modal_start + pulls
+        later_gaps = gaps[1:]
+        later_gaps -= factors * modal_start + pulls
 
-        increments = (rise_rows * np.repeat(gaps, rows_per_interval, axis=0)) @ basis.from_modal
+        increments = (rise_rows * gaps.repeat(rows_per_interval, axis=0)) @ basis.from_modal
         # Each start is the previous start plus that interval's last
         # increment, added in the same order as its last row below, so an
         # interval's t=0 row equals the previous interval's last row exactly.
-        starts = np.cumsum(
-            np.concatenate((state[np.newaxis, :], increments[stops[:-1] - 1])), axis=0
-        )
-        node_kelvin = np.repeat(starts, rows_per_interval, axis=0) + increments
+        starts = np.concatenate((state[np.newaxis, :], increments[inner_ends])).cumsum(axis=0)
+        node_kelvin = starts.repeat(rows_per_interval, axis=0) + increments
 
-        origins = np.concatenate(([0.0], np.cumsum(steps * time_steps)[:-1]))
-        times = np.concatenate(step_times) + np.repeat(origins, rows_per_interval)
+        origins = np.concatenate(([0.0], (steps * time_steps).cumsum()[:-1]))
+        times = np.concatenate(step_times) + origins.repeat(rows_per_interval)
         first_rows = stops - rows_per_interval
         return TransientResult(
             times_s=times,

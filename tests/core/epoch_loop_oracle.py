@@ -8,8 +8,8 @@ feedback plan fed row by row, the window's rows collected into one
 stepped epoch from the window's trace, events and Celsius rows, without the
 runtime's record columns.  Everything else (the thermal evaluation, the
 checkpoint state) is the runtime's, so the chunk loop must match it to the
-bit: trace rows, events, Celsius rows, records and the ``state_dict()`` JSON
-after every window.
+bit: trace rows, events, Celsius rows, records and the encoded
+``state_dict()`` after every window.
 
 :func:`peak_series` is the per-record loop ``ExperimentResult.peak_series``
 ran before it read the Celsius column.
@@ -70,12 +70,18 @@ class PerEpochExperiment(ThermalExperiment):
         start_epoch = self._next_epoch
         trace, costs = self._loop_window(window)
         if self.settings.mode == "steady":
+            # The settled rings take every row, one at a time, and keep the
+            # newest `capacity`.
             powers = trace.powers
+            capacity = self._settled_capacity
             for index in range(len(trace)):
-                self._power_ring.append(np.array(powers[index]))
-                self._offset_ring.append(
-                    float(offsets[index]) if offsets is not None else 0.0
-                )
+                offset = float(offsets[index]) if offsets is not None else 0.0
+                self._power_ring = np.concatenate(
+                    (self._power_ring, powers[index : index + 1])
+                )[-capacity:]
+                self._offset_ring = np.concatenate(
+                    (self._offset_ring, [offset])
+                )[-capacity:]
             outcome = self._step_steady(trace, costs, offsets, start_epoch, is_last)
         else:
             outcome = self._step_transient(trace, costs, offsets, start_epoch, is_last)

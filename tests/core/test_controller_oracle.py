@@ -15,7 +15,6 @@ oracle of its own.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from repro.migration.plan import lower_transform, priced_stage_cycles
 from repro.migration.transforms import FIGURE1_SCHEMES, make_transform
 from repro.migration.unit import MigrationUnit
 from repro.placement.mapping import Mapping
+from repro.stream.checkpoint import decode_checkpoint, encode_checkpoint
 
 PERIOD_S = 109e-6
 
@@ -207,7 +207,7 @@ class SeedController:
 
 
 def assert_agree(controller, event, oracle, energy):
-    """Mapping, translator lookups, checkpoint JSON and power row all equal."""
+    """Mapping, translator lookups, encoded checkpoint and power row all equal."""
     assert controller.nodes.tolist() == oracle.mapping.to_permutation()
     for coord in oracle.topology.coordinates():
         assert controller.io_translator.current_location(coord) == (
@@ -216,7 +216,9 @@ def assert_agree(controller, event, oracle, energy):
         assert controller.io_translator.original_location(coord) == (
             oracle.original_location(coord)
         )
-    assert json.dumps(controller.state_dict()) == json.dumps(oracle.state_dict())
+    assert encode_checkpoint(controller.state_dict()) == encode_checkpoint(
+        oracle.state_dict()
+    )
     expected = oracle.epoch_power_vector(energy)
     (row,) = controller.power_rows([controller.nodes], [event], np.array([PERIOD_S]))
     assert np.array_equal(row, expected)
@@ -300,7 +302,7 @@ class ControlledRun:
             oracle.reset()
             self.event = self.energy = None
         else:
-            state = json.loads(json.dumps(controller.state_dict()))
+            state = decode_checkpoint(encode_checkpoint(controller.state_dict()))
             self.lowered_before += controller.migration_cost_computations
             self.controller = controller = RuntimeReconfigurationController(self.chip)
             controller.restore_state(state)
@@ -377,10 +379,10 @@ def test_apply_migration_during_a_plan_changes_nothing(chip_name):
     transform = make_transform("rotation", chip.topology)
     first = controller.apply_migration(transform, style="fluid", units_per_epoch=1)
     assert controller.migration_in_progress
-    state = json.dumps(controller.state_dict())
+    state = encode_checkpoint(controller.state_dict())
     with pytest.raises(RuntimeError, match="in progress"):
         controller.apply_migration(make_transform("xy-shift", chip.topology))
-    assert json.dumps(controller.state_dict()) == state
+    assert encode_checkpoint(controller.state_dict()) == state
     assert controller.migrations_performed == 1
     # The next stage is the in-flight plan's second one.
     second = controller.advance_plan()

@@ -19,6 +19,7 @@ from repro.core.controller import RuntimeReconfigurationController
 from repro.migration.transforms import make_transform
 from repro.migration.unit import MAX_CACHED_PLANS
 from repro.scenarios import compile_scenario, get_scenario, run_scenario
+from repro.stream.checkpoint import encode_checkpoint
 
 
 def _short(registered, **fields):
@@ -70,7 +71,7 @@ def _run_on(chips, spec):
 
 def _assert_same_entry(actual, expected):
     """Two memo entries hold equal plans: equal step and energy arrays."""
-    assert actual.to_dict() == expected.to_dict()
+    assert encode_checkpoint(actual.to_dict()) == encode_checkpoint(expected.to_dict())
     for stage, want in zip(actual.stages, expected.stages):
         assert np.array_equal(stage.step, want.step)
         assert np.array_equal(stage.energy, want.energy)

@@ -1,6 +1,5 @@
 """Tests for staged migration plans (lowering, invariants, pricing)."""
 
-import json
 import math
 import sys
 from pathlib import Path
@@ -27,6 +26,7 @@ from repro.migration.transforms import (
 from repro.migration.unit import MigrationUnit
 from repro.noc.analytic import analytic_model
 from repro.noc.topology import MeshTopology
+from repro.stream.checkpoint import decode_checkpoint, encode_checkpoint
 
 # The whole-transform cost of the controller oracle, independent of lowering.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
@@ -245,9 +245,9 @@ class TestPlanCodec:
         plan = lower_transform(
             RotationTransform(mesh5), unit5, [5] * 25, style=style, units_per_epoch=3
         )
-        state = json.loads(json.dumps(plan.to_dict()))
+        state = decode_checkpoint(encode_checkpoint(plan.to_dict()))
         restored = MigrationPlan.from_dict(state, mesh5.num_nodes)
-        assert restored.to_dict() == plan.to_dict()
+        assert encode_checkpoint(restored.to_dict()) == encode_checkpoint(plan.to_dict())
         for stage, lowered in zip(restored.stages, plan.stages):
             assert np.array_equal(stage.step, lowered.step)
             assert np.array_equal(stage.energy, lowered.energy)
@@ -274,7 +274,7 @@ class TestPlanCodec:
         step[moved[0]] = plan.stages[0].step[moved[0]]
         MigrationPlan.from_dict(state, mesh5.num_nodes)
         # One energy entry short.
-        stage["energy"].pop()
+        stage["energy"] = stage["energy"][:-1]
         with pytest.raises(ValueError, match="energy"):
             MigrationPlan.from_dict(state, mesh5.num_nodes)
 

@@ -127,8 +127,12 @@ class TestFeedbackFields:
             ScenarioSpec(name="x", configuration="A", feedback_predictor="oracle")
 
     def test_rejects_non_dict_policy_params(self):
-        with pytest.raises(TypeError, match="policy_params"):
+        with pytest.raises(ValueError, match="policy_params"):
             ScenarioSpec(name="x", configuration="A", policy_params=[("a", 1)])
+
+    def test_rejects_policy_params_that_set_the_period(self):
+        with pytest.raises(ValueError, match="period_us"):
+            ScenarioSpec(name="x", configuration="A", policy_params={"period_us": 5})
 
 
 class TestRegistry:
