@@ -11,11 +11,12 @@
 3. **Probe the cache** for the remainder: warm re-runs of unchanged
    campaigns are pure cache lookups, performing *zero* scenario
    evaluations.
-4. **Evaluate** the misses, inline or sharded over worker processes, each
-   result journaled and published to the cache the moment it completes (so a
-   kill at any point loses at most the in-flight jobs).  Job ids are unique
-   (:meth:`CampaignSpec.expand` rejects duplicates), so every miss has its
-   own key.
+4. **Evaluate** the misses, inline or sharded over worker processes.  Each
+   result is serialized once and that text appended, the moment the job
+   completes, to the run's cache pack and to the journal (held open for the
+   run), each line flushed as it lands, so a kill at any point loses at
+   most the in-flight jobs.  Job ids are unique (:meth:`CampaignSpec.expand`
+   rejects duplicates), so every miss has its own key.
 5. **Report**: per-axis marginals, written to ``report.json``.
 
 ``n_jobs`` is 1 (the default: jobs run inline, in grid order), a worker
@@ -27,6 +28,7 @@ one workload whose independent jobs have been measured to gain from it.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
@@ -255,12 +257,13 @@ def _run_campaign(
     directory = Path(directory)
     jobs = spec.expand()
     keys = compute_job_keys(jobs)
-    cache = ResultCache(Path(cache_root) if cache_root is not None else directory / "cache")
 
-    if not dry_run:
+    if dry_run:
+        entries = manifest.load_journal(directory)
+    else:
         manifest.bind_directory(directory, spec)
-        manifest.repair_journal(directory)
-    replayed = manifest.replay_journal(directory, keys)
+        entries = manifest.repair_journal(directory)
+    replayed = manifest.replay_journal(entries, keys)
 
     results: Dict[str, JobResult] = {}
     resumed = 0
@@ -273,80 +276,86 @@ def _run_campaign(
         _OBS_REPLAYS.add(resumed)
         _LOG.info("campaign %s: replayed %d job(s) from journal", spec.name, resumed)
 
+    cache = ResultCache(Path(cache_root) if cache_root is not None else directory / "cache")
+    journal = None if dry_run else manifest.open_journal(directory)
     cache_hits = 0
+    evaluated = 0
     pending: List[CampaignJob] = []
-    for job in jobs:
-        if job.job_id in results:
-            continue
-        payload = cache.get(keys[job.job_id])
-        if payload is not None:
+    try:
+        for job in jobs:
+            if job.job_id in results:
+                continue
+            payload = cache.get(keys[job.job_id])
+            if payload is None:
+                pending.append(job)
+                continue
             payload = _retarget(payload, job)
             results[job.job_id] = JobResult.from_dict(payload)
             cache_hits += 1
             _OBS_CACHE_HITS.add()
-            if not dry_run:
+            if journal is not None:
                 manifest.append_journal_entry(
-                    directory,
+                    journal,
                     {
                         "job_id": job.job_id,
                         "key": keys[job.job_id],
                         "from_cache": True,
                         "wall_s": 0.0,
-                        "result": payload,
                     },
+                    json.dumps(payload, allow_nan=False),
                 )
-        else:
-            pending.append(job)
 
-    evaluated = 0
-    if dry_run or not pending:
-        workers = 1
-    else:
-        workers = min(workers, len(pending))
-        collect = _obs_enabled()
-        _LOG.info(
-            "campaign %s: evaluating %d job(s) on %d worker(s)",
-            spec.name,
-            len(pending),
-            workers,
-        )
-        tasks = [
-            partial(
-                _evaluate_payload,
-                job.spec.to_dict(),
-                job.job_id,
-                job.axes,
-                job.index,
-                collect_telemetry=collect,
-                parent_pid=os.getpid(),
-                stream_window=job.stream_window,
+        if dry_run or not pending:
+            workers = 1
+        else:
+            workers = min(workers, len(pending))
+            collect = _obs_enabled()
+            _LOG.info(
+                "campaign %s: evaluating %d job(s) on %d worker(s)",
+                spec.name,
+                len(pending),
+                workers,
             )
-            for job in pending
-        ]
-        for index, (payload, wall_s, meta) in _completed(tasks, workers):
-            evaluated += 1
-            _OBS_EVALUATIONS.add()
-            _OBS_JOB_TIME.record(wall_s)
-            job_telemetry: Optional[Dict[str, object]] = None
-            if meta is not None:
-                job_telemetry = meta.get("telemetry")  # type: ignore[assignment]
-                events = meta.get("events")
-                if events and meta.get("pid") != os.getpid():
-                    _obs_tracer().add_serialized(events)  # type: ignore[arg-type]
-            job = pending[index]
-            key = keys[job.job_id]
-            cache.put(key, payload)
-            results[job.job_id] = JobResult.from_dict(payload)
-            entry = {
-                "job_id": job.job_id,
-                "key": key,
-                "from_cache": False,
-                "wall_s": wall_s,
-                "result": payload,
-            }
-            if job_telemetry:
-                entry["telemetry"] = job_telemetry
-            manifest.append_journal_entry(directory, entry)
+            tasks = [
+                partial(
+                    _evaluate_payload,
+                    job.spec.to_dict(),
+                    job.job_id,
+                    job.axes,
+                    job.index,
+                    collect_telemetry=collect,
+                    parent_pid=os.getpid(),
+                    stream_window=job.stream_window,
+                )
+                for job in pending
+            ]
+            for index, (payload, wall_s, meta) in _completed(tasks, workers):
+                evaluated += 1
+                _OBS_EVALUATIONS.add()
+                _OBS_JOB_TIME.record(wall_s)
+                job_telemetry: Optional[Dict[str, object]] = None
+                if meta is not None:
+                    job_telemetry = meta.get("telemetry")  # type: ignore[assignment]
+                    events = meta.get("events")
+                    if events and meta.get("pid") != os.getpid():
+                        _obs_tracer().add_serialized(events)  # type: ignore[arg-type]
+                job = pending[index]
+                key = keys[job.job_id]
+                text = cache.put(key, payload)
+                results[job.job_id] = JobResult.from_dict(payload)
+                entry = {
+                    "job_id": job.job_id,
+                    "key": key,
+                    "from_cache": False,
+                    "wall_s": wall_s,
+                }
+                if job_telemetry:
+                    entry["telemetry"] = job_telemetry
+                manifest.append_journal_entry(journal, entry, text)
+    finally:
+        cache.close()
+        if journal is not None:
+            journal.close()
 
     ordered: List[Optional[JobResult]] = [results.get(job.job_id) for job in jobs]
     telemetry: Optional[Dict[str, object]] = None
@@ -386,8 +395,8 @@ def campaign_status(directory: Union[str, Path]) -> Dict[str, object]:
     spec = manifest.load_spec(directory)
     jobs = spec.expand()
     keys = compute_job_keys(jobs)
-    replayed = manifest.replay_journal(directory, keys)
     journal_entries = manifest.load_journal(directory)
+    replayed = manifest.replay_journal(journal_entries, keys)
     done = sum(1 for job in jobs if job.job_id in replayed)
     return {
         "campaign": spec.name,

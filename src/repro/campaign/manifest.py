@@ -10,8 +10,9 @@ A campaign directory holds:
     touched.  Pointing a directory at a *different* campaign is an error.
 
 ``manifest.jsonl``
-    An append-only journal with one line per **completed** job, written the
-    moment each result lands (not at campaign end).  A campaign killed
+    An append-only journal with one line per **completed** job, written and
+    flushed the moment each result lands (not at campaign end) on the
+    handle a run opens once (:func:`open_journal`).  A campaign killed
     mid-flight therefore resumes exactly: completed jobs replay from the
     journal, everything else re-runs.  Each entry records the job id, its
     content-addressed cache key, whether the result came from the cache, the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TextIO
 
 from ..storage import publish_text, read_journal, truncate_torn_tail
 from .spec import CampaignSpec
@@ -88,21 +89,34 @@ def load_spec(directory: Path) -> CampaignSpec:
     return CampaignSpec.from_json(path.read_text(encoding="utf-8"))
 
 
-def append_journal_entry(directory: Path, entry: Dict[str, object]) -> None:
-    """Durably append one completed-job line to the journal."""
-    line = json.dumps(entry, allow_nan=False)
-    with open(journal_path(directory), "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
-        handle.flush()
-
-
-def repair_journal(directory: Path) -> None:
+def repair_journal(directory: Path) -> List[Dict[str, object]]:
     """Truncate the torn trailing write an interrupted run left behind.
 
-    A resuming run calls this before its first append.  A journal ending in
-    a newline is left untouched.
+    A resuming run calls this before it opens the journal, and replays the
+    intact entries it returns.  A journal ending in a newline is left
+    untouched.
     """
-    truncate_torn_tail(journal_path(directory))
+    return truncate_torn_tail(journal_path(directory)).entries
+
+
+def open_journal(directory: Path) -> TextIO:
+    """The journal, opened once per run for appending (after the repair)."""
+    return open(journal_path(directory), "a", encoding="utf-8")
+
+
+def append_journal_entry(
+    journal: TextIO, entry: Dict[str, object], result_text: str
+) -> None:
+    """Append one completed-job line to the open journal and flush it.
+
+    ``entry`` holds every field but the result; ``result_text`` is the
+    result payload's JSON text, written as the line's last field,
+    ``"result"``, so a payload the cache stored is not encoded again.
+    """
+    journal.write(
+        json.dumps(entry, allow_nan=False)[:-1] + ', "result": ' + result_text + "}\n"
+    )
+    journal.flush()
 
 
 def load_journal(directory: Path) -> List[Dict[str, object]]:
@@ -116,17 +130,19 @@ def load_journal(directory: Path) -> List[Dict[str, object]]:
 
 
 def replay_journal(
-    directory: Path, current_keys: Dict[str, str]
+    entries: List[Dict[str, object]], current_keys: Dict[str, str]
 ) -> Dict[str, Dict[str, object]]:
     """Journal entries still valid under the current job -> key mapping.
 
-    Returns ``job_id -> entry`` keeping the *latest* valid entry per job.
-    An entry is valid only if the job still exists in the expansion and its
-    recorded cache key equals the current one — stale lines from before a
-    spec or code edit are ignored, which re-runs exactly the affected jobs.
+    ``entries`` are a journal's, as :func:`repair_journal` or
+    :func:`load_journal` read them.  Returns ``job_id -> entry`` keeping the
+    *latest* valid entry per job.  An entry is valid only if the job still
+    exists in the expansion and its recorded cache key equals the current
+    one — stale lines from before a spec or code edit are ignored, which
+    re-runs exactly the affected jobs.
     """
     valid: Dict[str, Dict[str, object]] = {}
-    for entry in load_journal(directory):
+    for entry in entries:
         job_id = entry.get("job_id")
         key = entry.get("key")
         if not isinstance(job_id, str) or not isinstance(key, str):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -42,6 +43,17 @@ CAMPAIGN_AXES: Tuple[Tuple[str, str], ...] = (
     ("thermal_method", "thermal_method"),
     ("migration_style", "migration_style"),
 )
+
+
+#: Each sweep axis field with the type of its values and that type's name.
+_AXIS_TYPES: Dict[str, Tuple[type, str]] = {
+    "configurations": (str, "a string"),
+    "schemes": (str, "a string"),
+    "feedback_strides": (numbers.Integral, "an integer"),
+    "thermal_methods": (str, "a string"),
+    "migration_styles": (str, "a string"),
+    "stream_windows": (numbers.Integral, "an integer"),
+}
 
 
 @dataclass(frozen=True)
@@ -69,22 +81,24 @@ class CampaignSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
+        if not isinstance(self.name, str) or not self.name:
             raise ValueError("a campaign needs a name")
+        if not isinstance(self.scenarios, (list, tuple)):
+            raise ValueError(f"scenarios must be a list, got {self.scenarios!r}")
         if not self.scenarios:
             raise ValueError("a campaign needs at least one scenario")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        for axis in (
-            "configurations",
-            "schemes",
-            "feedback_strides",
-            "thermal_methods",
-            "migration_styles",
-            "stream_windows",
-        ):
+        for axis, (kind, kind_name) in _AXIS_TYPES.items():
             values = getattr(self, axis)
             if values is None:
                 continue
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{axis} must be a list or null, got {values!r}")
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(
+                        f"{axis} holds {value!r}; each value must be {kind_name}"
+                    )
             values = tuple(values)
             if not values:
                 raise ValueError(f"{axis} must be None or non-empty")
@@ -92,7 +106,7 @@ class CampaignSpec:
                 raise ValueError(f"{axis} contains duplicates: {values}")
             object.__setattr__(self, axis, values)
         if self.stream_windows is not None and any(
-            int(window) < 1 for window in self.stream_windows
+            window < 1 for window in self.stream_windows
         ):
             raise ValueError("stream_windows must be positive epoch counts")
         for entry in self.scenarios:
@@ -135,22 +149,19 @@ class CampaignSpec:
         unknown = set(params) - {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
         if unknown:
             raise ValueError(f"unknown campaign fields: {sorted(unknown)}")
-        scenarios = params.get("scenarios") or ()
+        scenarios = params.get("scenarios") or []
+        if not isinstance(scenarios, list):
+            raise ValueError(f"scenarios must be a list, got {scenarios!r}")
+        for entry in scenarios:
+            if not isinstance(entry, (str, dict)):
+                raise ValueError(
+                    f"scenarios holds {entry!r}; each must be a registry name "
+                    "or a scenario object"
+                )
         params["scenarios"] = tuple(
             entry if isinstance(entry, str) else ScenarioSpec.from_dict(entry)
-            for entry in scenarios  # type: ignore[union-attr]
+            for entry in scenarios
         )
-        for axis in (
-            "configurations",
-            "schemes",
-            "feedback_strides",
-            "thermal_methods",
-            "migration_styles",
-            "stream_windows",
-        ):
-            values = params.get(axis)
-            if values is not None:
-                params[axis] = tuple(values)  # type: ignore[arg-type]
         return cls(**params)  # type: ignore[arg-type]
 
     def to_json(self, indent: Optional[int] = 2) -> str:

@@ -10,17 +10,27 @@ which are exercised by the tests, the scenario registry and the examples.
 from __future__ import annotations
 
 import inspect
+import numbers
 from abc import ABC, abstractmethod
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..migration.transforms import (
     FIGURE1_SCHEMES,
     MigrationTransform,
+    available_transforms,
     make_transform,
 )
 from ..noc.topology import MeshTopology
+
+#: Every scheme name :func:`make_policy` builds a policy for.
+POLICY_SCHEMES: Tuple[str, ...] = (
+    "static",
+    "adaptive",
+    *available_transforms(),
+    *(f"threshold-{name}" for name in available_transforms()),
+)
 
 
 class PolicyContext(NamedTuple):
@@ -97,6 +107,11 @@ class PeriodicMigrationPolicy(ReconfigurationPolicy):
         skip_first: bool = True,
     ):
         super().__init__(period_us)
+        if not isinstance(skip_first, bool):
+            raise ValueError(
+                f"policy {scheme!r}: skip_first must be true or false, "
+                f"got {skip_first!r}"
+            )
         self.scheme = scheme
         self.transform = make_transform(scheme, topology)
         self.name = f"periodic-{scheme}"
@@ -128,6 +143,13 @@ class ThresholdMigrationPolicy(ReconfigurationPolicy):
         period_us: float = 109.0,
     ):
         super().__init__(period_us)
+        if isinstance(trigger_celsius, bool) or not isinstance(
+            trigger_celsius, numbers.Real
+        ):
+            raise ValueError(
+                f"policy 'threshold-{scheme}': trigger_celsius must be a real "
+                f"number, got {trigger_celsius!r}"
+            )
         self.scheme = scheme
         self.trigger_celsius = trigger_celsius
         self.transform = make_transform(scheme, topology)
@@ -175,6 +197,14 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
         period_us: float = 109.0,
     ):
         super().__init__(period_us)
+        if candidate_schemes is not None and (
+            not isinstance(candidate_schemes, (list, tuple))
+            or not all(isinstance(scheme, str) for scheme in candidate_schemes)
+        ):
+            raise ValueError(
+                "policy 'adaptive': candidate_schemes must be a list of scheme "
+                f"names, got {candidate_schemes!r}"
+            )
         schemes = list(candidate_schemes) if candidate_schemes else list(FIGURE1_SCHEMES)
         self.candidates: List[MigrationTransform] = []
         for scheme in schemes:

@@ -53,6 +53,8 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
+from ..chips.configurations import configuration_names
+from ..core.policy import POLICY_SCHEMES
 from ..migration.plan import MIGRATION_STYLES
 from .patterns import Pattern, pattern_from_dict
 
@@ -222,6 +224,18 @@ class ScenarioSpec:
         if not self.name:
             raise ValueError("a scenario needs a name")
         _check_types(self)
+        if (
+            not isinstance(self.configuration, str)
+            or self.configuration.upper() not in configuration_names()
+        ):
+            raise ValueError(
+                f"unknown configuration {self.configuration!r}; choose from "
+                f"{', '.join(configuration_names())}"
+            )
+        if not isinstance(self.scheme, str) or self.scheme not in POLICY_SCHEMES:
+            raise ValueError(
+                f"unknown scheme {self.scheme!r}; choose from {', '.join(POLICY_SCHEMES)}"
+            )
         if self.mode not in ("steady", "transient"):
             raise ValueError("mode must be 'steady' or 'transient'")
         if self.num_epochs < 1:

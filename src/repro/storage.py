@@ -1,18 +1,20 @@
 """On-disk JSON: journals read by one rule, files published whole, code named.
 
-The campaign manifest (:mod:`repro.campaign.manifest`) and the served-stream
-checkpoints (:mod:`repro.stream.checkpoint`) are JSON-lines journals with
-one reader, :func:`read_journal`.  A writer killed mid-append leaves bytes
-after the journal's last newline: that torn tail is not an entry, and a
-resuming writer cuts it off (:func:`truncate_torn_tail`) before it appends.
-A malformed line that does end in a newline was damaged by something other
-than a kill, and raises :class:`CorruptJournalError`.
+The campaign manifest (:mod:`repro.campaign.manifest`), the served-stream
+checkpoints (:mod:`repro.stream.checkpoint`) and the campaign cache's packs
+(:mod:`repro.campaign.cache`) are JSON-lines journals with one reader,
+:func:`read_journal`.  A writer killed mid-append leaves bytes after the
+journal's last newline: that torn tail is not an entry, and a resuming
+writer cuts it off (:func:`truncate_torn_tail`) before it appends.  A
+malformed line that does end in a newline was damaged by something other
+than a kill, and raises :class:`CorruptJournalError`.  A cache pack is read
+with ``skip_malformed``: a campaign directory's journal is the record, so
+a malformed pack line is only a miss.
 
-Campaign specs, reports and cache entries are written by
-:func:`publish_text`: a temporary file in the target's directory renamed
-over the target, so a reader or a kill sees the old file or the new one,
-never a torn one.  It does not fsync: that guards against a killed
-process, not a power loss.
+Campaign specs and reports are written by :func:`publish_text`: a
+temporary file in the target's directory renamed over the target, so a
+reader or a kill sees the old file or the new one, never a torn one.  It
+does not fsync: that guards against a killed process, not a power loss.
 
 Campaign cache keys and served-stream checkpoint identities name the code
 that wrote them (:func:`code_fingerprint`), so other code never reads them.
@@ -46,11 +48,12 @@ class Journal(NamedTuple):
     torn: int
 
 
-def read_journal(path: Path) -> Journal:
+def read_journal(path: Path, *, skip_malformed: bool = False) -> Journal:
     """The journal at ``path``; a missing file is an empty journal.
 
     Raises :class:`CorruptJournalError` naming the first malformed
-    newline-terminated line.
+    newline-terminated line, or, with ``skip_malformed``, leaves each such
+    line out.
     """
     try:
         data = Path(path).read_bytes()
@@ -65,6 +68,8 @@ def read_journal(path: Path) -> Journal:
         try:
             entries.append(json.loads(line))
         except ValueError:
+            if skip_malformed:
+                continue
             raise CorruptJournalError(
                 f"corrupt journal line {index + 1} in {path}: malformed but not "
                 "the final (torn-tail) line"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import shutil
 import subprocess
 import sys
@@ -157,6 +158,11 @@ class TestJobCacheKey:
         assert completed.stdout.strip() == here
 
 
+def packs(root: Path):
+    """Every pack file under a cache root, in name order."""
+    return sorted(root.rglob("*.jsonl"))
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -165,24 +171,118 @@ class TestResultCache:
         cache.put(key, {"value": 1.25})
         assert cache.get(key) == {"value": 1.25}
         assert len(cache) == 1
+        cache.close()
 
-    def test_entries_shard_by_prefix(self, tmp_path):
+    def test_entries_append_to_one_pack_under_the_code_fingerprint(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = "cd" + "1" * 62
-        cache.put(key, {})
-        assert (tmp_path / "cd" / f"{key}.json").exists()
+        first, second = "cd" + "1" * 62, "ef" + "1" * 62
+        assert cache.put(first, {"value": 0.1}) == json.dumps({"value": 0.1})
+        cache.put(second, {})
+        cache.close()
+        (pack,) = packs(tmp_path)
+        assert pack.parent == tmp_path / code_fingerprint()
+        assert pack.read_text().splitlines() == [
+            json.dumps({"key": first, "result": {"value": 0.1}}),
+            json.dumps({"key": second, "result": {}}),
+        ]
 
     def test_torn_entry_reads_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        # A pack whose writer was killed mid-line: the cut entry misses,
+        # and a later run's put stores it in a pack of its own.
         key = "ef" + "2" * 62
-        (tmp_path / "ef").mkdir(parents=True)
-        (tmp_path / "ef" / f"{key}.json").write_text('{"value": 1')
+        writer = ResultCache(tmp_path)
+        writer.put(key, {"value": 1})
+        writer.close()
+        (pack,) = packs(tmp_path)
+        pack.write_bytes(pack.read_bytes()[:-5])
+        cache = ResultCache(tmp_path)
         assert cache.get(key) is None
         cache.put(key, {"value": 2})
-        assert cache.get(key) == {"value": 2}
+        cache.close()
+        assert ResultCache(tmp_path).get(key) == {"value": 2}
+        assert len(packs(tmp_path)) == 2
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("aa" + "3" * 62, {"x": 1})
-        leftovers = [p for p in tmp_path.rglob("*") if p.name.startswith(".tmp-")]
-        assert leftovers == []
+        cache.close()
+        files = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert files == packs(tmp_path) and len(files) == 1
+        assert not any(path.name.startswith(".tmp-") for path in tmp_path.rglob("*"))
+
+    def test_interleaved_writers_on_one_root_each_keep_their_own_pack(
+        self, tmp_path
+    ):
+        left, right = ResultCache(tmp_path), ResultCache(tmp_path)
+        keys = [f"{index:02x}" + "4" * 62 for index in range(6)]
+        for index, key in enumerate(keys):
+            (left if index % 2 else right).put(key, {"index": index})
+        left.close()
+        right.close()
+        assert len(packs(tmp_path)) == 2
+        reader = ResultCache(tmp_path)
+        assert [reader.get(key) for key in keys] == [
+            {"index": index} for index in range(6)
+        ]
+        assert len(reader) == 6
+
+    def test_pack_cut_mid_line_misses_only_that_entry(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        keys = [f"{index:02x}" + "5" * 62 for index in range(3)]
+        for index, key in enumerate(keys):
+            writer.put(key, {"index": index})
+        writer.close()
+        (pack,) = packs(tmp_path)
+        data = pack.read_bytes()
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        for cut in (last + 10, len(data) - 1):
+            # Mid-line, then only the final newline lost: bytes after the
+            # last newline are not an entry, even when they parse.
+            pack.write_bytes(data[:cut])
+            reader = ResultCache(tmp_path)
+            assert [reader.get(key) for key in keys] == [
+                {"index": 0}, {"index": 1}, None
+            ]
+
+    def test_malformed_interior_line_is_a_miss_not_an_error(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        keys = [f"{index:02x}" + "6" * 62 for index in range(3)]
+        for index, key in enumerate(keys):
+            writer.put(key, {"index": index})
+        writer.close()
+        (pack,) = packs(tmp_path)
+        lines = pack.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][:30] + "\n"
+        pack.write_text("".join(lines + ['{"key": 5, "result": []}\n', "[]\n"]))
+        reader = ResultCache(tmp_path)
+        assert [reader.get(key) for key in keys] == [{"index": 0}, None, {"index": 2}]
+
+    def test_packs_of_other_code_are_never_read(self, tmp_path):
+        key = "ab" + "7" * 62
+        line = json.dumps({"key": key, "result": {"value": 1}}) + "\n"
+        for name in ("0" * 64, "ab"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "pack-other.jsonl").write_text(line)
+        (tmp_path / "pack-root.jsonl").write_text(line)
+        assert ResultCache(tmp_path).get(key) is None
+
+    def test_packs_are_read_once_on_the_first_get(self, tmp_path, monkeypatch):
+        from repro.campaign import cache as cache_module
+
+        writer = ResultCache(tmp_path)
+        writer.put("ab" + "8" * 62, {"value": 1})
+        writer.close()
+        reads = []
+        real = cache_module.read_journal
+
+        def counted(path, **kwargs):
+            reads.append(path)
+            return real(path, **kwargs)
+
+        monkeypatch.setattr(cache_module, "read_journal", counted)
+        reader = ResultCache(tmp_path)
+        assert reads == []
+        for _ in range(3):
+            assert reader.get("ab" + "8" * 62) == {"value": 1}
+            assert reader.get("cd" + "8" * 62) is None
+        assert reads == packs(tmp_path)

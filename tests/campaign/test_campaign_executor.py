@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.campaign import CampaignSpec, campaign_status, run_campaign
+from repro.campaign import CampaignSpec, ResultCache, campaign_status, run_campaign
 from repro.campaign import executor as executor_module
 from repro.campaign import manifest
 from repro.chips import get_configuration
@@ -133,6 +133,62 @@ class TestWarmRun:
         assert run.evaluated == 2
 
 
+class TestAppends:
+    def test_journal_and_pack_lines_share_each_result_text(self, tmp_path):
+        run_campaign(grid_spec(), tmp_path / "camp")
+        journal = manifest.journal_path(tmp_path / "camp").read_text().splitlines()
+        pack = pack_path(tmp_path / "camp" / "cache").read_text().splitlines()
+        assert len(journal) == len(pack) == 8
+        for journal_line, pack_line in zip(journal, pack):
+            result = json.dumps(json.loads(pack_line)["result"])
+            assert pack_line.endswith(', "result": ' + result + "}")
+            assert journal_line.endswith(', "result": ' + result + "}")
+
+    def test_journal_opened_once_per_run_and_closed(self, tmp_path, monkeypatch):
+        handles = []
+        real_open = manifest.open_journal
+
+        def recorded(directory):
+            handles.append(real_open(directory))
+            return handles[-1]
+
+        monkeypatch.setattr(manifest, "open_journal", recorded)
+        shared = tmp_path / "shared"
+        run_campaign(grid_spec(), tmp_path / "one", cache_root=shared)
+        warm = run_campaign(grid_spec(), tmp_path / "two", cache_root=shared)
+        assert warm.cache_hits == len(warm.jobs)
+        run_campaign(grid_spec(), tmp_path / "two", dry_run=True)
+        assert len(handles) == 2
+        assert all(handle.closed for handle in handles)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("evaluation failed")
+
+        monkeypatch.setattr(executor_module, "_evaluate_payload", broken)
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            run_campaign(grid_spec(), tmp_path / "three")
+        assert len(handles) == 3 and handles[-1].closed
+
+
+    def test_journal_parsed_once_per_run(self, tmp_path, monkeypatch):
+        from repro import storage
+
+        parsed = []
+        real = storage.read_journal
+
+        def counted(path, **kwargs):
+            if Path(path).name == manifest.JOURNAL_FILENAME:
+                parsed.append(path)
+            return real(path, **kwargs)
+
+        monkeypatch.setattr(storage, "read_journal", counted)
+        monkeypatch.setattr(manifest, "read_journal", counted)
+        run_campaign(grid_spec(), tmp_path / "camp")
+        rerun = run_campaign(grid_spec(), tmp_path / "camp")
+        assert rerun.resumed == len(rerun.jobs)
+        assert len(parsed) == 2
+
+
 class TestInvalidation:
     def test_scenario_edit_invalidates_only_its_jobs(self, tmp_path):
         spec = grid_spec()
@@ -167,21 +223,34 @@ class TestInvalidation:
             run_campaign(grid_spec(name="imposter"), tmp_path / "camp")
 
 
+def pack_path(cache_root):
+    """The one pack a single run wrote under ``cache_root``."""
+    (pack,) = ResultCache(cache_root).directory.glob("*.jsonl")
+    return pack
+
+
 class TestResume:
     def test_killed_campaign_resumes_exactly(self, tmp_path):
         spec = grid_spec()
         complete = run_campaign(spec, tmp_path / "full")
         # Replay the first 3 journal lines plus a torn 4th into a fresh
-        # directory — the on-disk state an interrupted run leaves behind.
+        # directory, and the first 3 pack lines plus the 4th without its
+        # newline into its cache: each file cut as a kill cuts it.
         journal = manifest.journal_path(tmp_path / "full").read_text()
         lines = journal.splitlines(keepends=True)
+        pack = pack_path(tmp_path / "full" / "cache").read_text()
+        pack_lines = pack.splitlines(keepends=True)
         interrupted = tmp_path / "killed"
         manifest.bind_directory(interrupted, spec)
         manifest.journal_path(interrupted).write_text(
             "".join(lines[:3]) + lines[3][:20]
         )
+        torn_pack = ResultCache(interrupted / "cache").directory / "pack-torn.jsonl"
+        torn_pack.parent.mkdir(parents=True)
+        torn_pack.write_text("".join(pack_lines[:3]) + pack_lines[3][:-1])
         resumed = run_campaign(spec, interrupted)
         assert resumed.resumed == 3
+        assert resumed.cache_hits == 0
         assert resumed.evaluated == len(resumed.jobs) - 3
         assert result_payloads(resumed) == result_payloads(complete)
         status = campaign_status(interrupted)
@@ -440,9 +509,11 @@ class TestDryRun:
             scenarios=(cheap_scenario("s1"), cheap_scenario("s2", num_epochs=9))
         )
         journal_before = manifest.journal_path(directory).read_text()
+        tree_before = sorted(directory.rglob("*"))
         forecast = run_campaign(edited, directory, dry_run=True)
         assert forecast.resumed == 4
         assert forecast.forecast_evaluations == 4
-        # Read-only: journal and spec file untouched.
+        # Read-only: journal and spec file untouched, no pack created.
         assert manifest.journal_path(directory).read_text() == journal_before
         assert manifest.load_spec(directory) == spec
+        assert sorted(directory.rglob("*")) == tree_before

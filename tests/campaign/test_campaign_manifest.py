@@ -13,6 +13,15 @@ from repro.campaign import manifest
 from test_campaign_spec import cheap_scenario
 
 
+def append(directory, entry):
+    """Append ``entry`` the way a run does: on the opened journal, with its
+    result as JSON text."""
+    fields = dict(entry)
+    result_text = json.dumps(fields.pop("result"))
+    with manifest.open_journal(directory) as journal:
+        manifest.append_journal_entry(journal, fields, result_text)
+
+
 def demo_spec(**overrides):
     params = dict(name="demo", scenarios=(cheap_scenario(),))
     params.update(overrides)
@@ -59,15 +68,15 @@ class TestJournal:
 
     def test_append_then_load_round_trips(self, tmp_path):
         first, second = self.entry("j1"), self.entry("j2", "k2")
-        manifest.append_journal_entry(tmp_path, first)
-        manifest.append_journal_entry(tmp_path, second)
+        append(tmp_path, first)
+        append(tmp_path, second)
         assert manifest.load_journal(tmp_path) == [first, second]
 
     def test_missing_journal_is_empty(self, tmp_path):
         assert manifest.load_journal(tmp_path) == []
 
     def test_truncated_final_line_is_dropped(self, tmp_path):
-        manifest.append_journal_entry(tmp_path, self.entry("j1"))
+        append(tmp_path, self.entry("j1"))
         path = manifest.journal_path(tmp_path)
         with open(path, "a", encoding="utf-8") as handle:
             # The write a kill interrupted: valid JSON prefix, no newline.
@@ -77,8 +86,8 @@ class TestJournal:
     def test_unterminated_final_line_is_torn_even_if_it_parses(self, tmp_path):
         # Bytes after the last newline are the write a kill interrupted:
         # the next append's repair cuts them, so no reader may count them.
-        manifest.append_journal_entry(tmp_path, self.entry("j1"))
-        manifest.append_journal_entry(tmp_path, self.entry("j2"))
+        append(tmp_path, self.entry("j1"))
+        append(tmp_path, self.entry("j2"))
         path = manifest.journal_path(tmp_path)
         path.write_bytes(path.read_bytes()[:-1])
         assert manifest.load_journal(tmp_path) == [self.entry("j1")]
@@ -87,7 +96,7 @@ class TestJournal:
         assert path.read_text() == json.dumps(self.entry("j1")) + "\n"
 
     def test_malformed_terminated_final_line_is_loud(self, tmp_path):
-        manifest.append_journal_entry(tmp_path, self.entry("j1"))
+        append(tmp_path, self.entry("j1"))
         with open(manifest.journal_path(tmp_path), "a", encoding="utf-8") as handle:
             handle.write('{"broken": \n')
         with pytest.raises(ValueError, match="corrupt journal line 2"):
@@ -100,20 +109,20 @@ class TestJournal:
             manifest.load_journal(tmp_path)
 
     def test_repair_truncates_torn_tail(self, tmp_path):
-        manifest.append_journal_entry(tmp_path, self.entry("j1"))
+        append(tmp_path, self.entry("j1"))
         path = manifest.journal_path(tmp_path)
         intact = path.read_text()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"torn": ')
-        manifest.repair_journal(tmp_path)
+        assert manifest.repair_journal(tmp_path) == [self.entry("j1")]
         assert path.read_text() == intact
         # Appending after repair stays parseable end to end.
-        manifest.append_journal_entry(tmp_path, self.entry("j2"))
+        append(tmp_path, self.entry("j2"))
         assert manifest.load_journal(tmp_path) == [self.entry("j1"), self.entry("j2")]
 
     def test_repair_is_a_noop_on_clean_or_missing_journals(self, tmp_path):
         manifest.repair_journal(tmp_path)  # no journal at all
-        manifest.append_journal_entry(tmp_path, self.entry("j1"))
+        append(tmp_path, self.entry("j1"))
         before = manifest.journal_path(tmp_path).read_text()
         manifest.repair_journal(tmp_path)
         assert manifest.journal_path(tmp_path).read_text() == before
@@ -126,27 +135,23 @@ class TestJournal:
 
 class TestReplay:
     def test_replay_keeps_only_current_keys(self, tmp_path):
-        manifest.append_journal_entry(
-            tmp_path, TestJournal().entry("j1", key="current")
-        )
-        manifest.append_journal_entry(tmp_path, TestJournal().entry("j2", key="stale"))
+        append(tmp_path, TestJournal().entry("j1", key="current"))
+        append(tmp_path, TestJournal().entry("j2", key="stale"))
         valid = manifest.replay_journal(
-            tmp_path, {"j1": "current", "j2": "now-different"}
+            manifest.load_journal(tmp_path), {"j1": "current", "j2": "now-different"}
         )
         assert set(valid) == {"j1"}
 
     def test_replay_drops_jobs_no_longer_expanded(self, tmp_path):
-        manifest.append_journal_entry(tmp_path, TestJournal().entry("gone", key="k"))
-        assert manifest.replay_journal(tmp_path, {"j1": "k"}) == {}
+        append(tmp_path, TestJournal().entry("gone", key="k"))
+        entries = manifest.load_journal(tmp_path)
+        assert manifest.replay_journal(entries, {"j1": "k"}) == {}
 
     def test_latest_entry_per_job_wins(self, tmp_path):
-        manifest.append_journal_entry(
-            tmp_path, TestJournal().entry("j1", key="k", value=1.0)
-        )
-        manifest.append_journal_entry(
-            tmp_path, TestJournal().entry("j1", key="k", value=2.0)
-        )
-        valid = manifest.replay_journal(tmp_path, {"j1": "k"})
+        append(tmp_path, TestJournal().entry("j1", key="k", value=1.0))
+        append(tmp_path, TestJournal().entry("j1", key="k", value=2.0))
+        entries = manifest.load_journal(tmp_path)
+        valid = manifest.replay_journal(entries, {"j1": "k"})
         assert valid["j1"]["result"] == {"value": 2.0}
 
 

@@ -53,6 +53,36 @@ class TestCampaignSpec:
         with pytest.raises(TypeError):
             CampaignSpec(name="x", scenarios=(42,))
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"configurations": [5]}, "configurations holds 5"),
+            ({"schemes": [["x"]]}, "schemes holds \\['x'\\]"),
+            ({"schemes": "xy-shift"}, "schemes must be a list"),
+            ({"feedback_strides": ["2"]}, "feedback_strides holds '2'"),
+            ({"stream_windows": [True]}, "stream_windows holds True"),
+            ({"thermal_methods": [1.5]}, "thermal_methods holds 1.5"),
+            ({"scenarios": "steady-baseline"}, "scenarios must be a list"),
+            ({"scenarios": [5]}, "scenarios holds 5"),
+            (
+                {"scenarios": [{"name": "x", "configuration": 5}]},
+                "unknown configuration 5",
+            ),
+        ],
+    )
+    def test_wrong_typed_fields_refused_before_expansion(self, edit, message):
+        payload = {"name": "x", "scenarios": ["steady-baseline"]}
+        payload.update(edit)
+        with pytest.raises(ValueError, match=message):
+            CampaignSpec.from_dict(payload)
+
+    def test_unknown_axis_values_refused_at_expansion(self):
+        spec = CampaignSpec(
+            name="x", scenarios=("steady-baseline",), configurations=("Z",)
+        )
+        with pytest.raises(ValueError, match="unknown configuration 'Z'"):
+            spec.expand()
+
     def test_unknown_fields_rejected(self):
         payload = CampaignSpec(name="x", scenarios=("steady-baseline",)).to_dict()
         payload["surprise"] = True

@@ -11,6 +11,7 @@ from repro.core.policy import (
     AdaptiveMigrationPolicy,
     NoMigrationPolicy,
     PeriodicMigrationPolicy,
+    POLICY_SCHEMES,
     PolicyContext,
     ThresholdMigrationPolicy,
     make_policy,
@@ -250,3 +251,26 @@ class TestFactory:
         policy = make_policy("threshold-xy-shift", mesh4, trigger_celsius=85.0)
         assert isinstance(policy, ThresholdMigrationPolicy)
         assert policy.trigger_celsius == 85.0
+
+    @pytest.mark.parametrize(
+        "scheme,keyword,value",
+        [
+            ("adaptive", "candidate_schemes", 5),
+            ("adaptive", "candidate_schemes", "rotation"),
+            ("adaptive", "candidate_schemes", [1]),
+            ("threshold-xy-shift", "trigger_celsius", "hot"),
+            ("threshold-xy-shift", "trigger_celsius", True),
+            ("rotation", "skip_first", 1),
+        ],
+    )
+    def test_wrong_typed_keyword_names_policy_and_keyword(
+        self, mesh4, scheme, keyword, value
+    ):
+        with pytest.raises(ValueError, match=f"policy '{scheme}': {keyword}"):
+            make_policy(scheme, mesh4, **{keyword: value})
+
+    def test_every_listed_scheme_builds(self, mesh4):
+        for scheme in POLICY_SCHEMES:
+            threshold = scheme.startswith("threshold-")
+            keywords = {"trigger_celsius": 80.0} if threshold else {}
+            assert make_policy(scheme, mesh4, **keywords) is not None

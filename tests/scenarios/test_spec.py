@@ -52,6 +52,19 @@ class TestValidation:
         with pytest.raises(TypeError):
             ScenarioSpec(name="x", configuration="A", load=1.5)
 
+    @pytest.mark.parametrize("configuration", [5, "Z", ["A"], None])
+    def test_rejects_unknown_or_wrong_typed_configuration(self, configuration):
+        with pytest.raises(ValueError, match="unknown configuration"):
+            ScenarioSpec(name="x", configuration=configuration)
+
+    @pytest.mark.parametrize("scheme", [["a"], 5, "checkerboard", "threshold-static"])
+    def test_rejects_unknown_or_wrong_typed_scheme(self, scheme):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            ScenarioSpec(name="x", configuration="A", scheme=scheme)
+
+    def test_chip_names_are_case_insensitive(self):
+        assert ScenarioSpec(name="x", configuration="e").configuration == "e"
+
 
 class TestJsonRoundTrip:
     def test_full_spec_round_trips(self):

@@ -381,6 +381,19 @@ class TestScenarioCommand:
                 {"include_migration_energy": "no"},
                 "include_migration_energy must be true or false",
             ),
+            ({"configuration": 5}, "unknown configuration 5"),
+            ({"scheme": ["a"]}, "unknown scheme ['a']"),
+            (
+                {"scheme": "adaptive", "policy_params": {"candidate_schemes": 5}},
+                "'adaptive': candidate_schemes",
+            ),
+            (
+                {
+                    "scheme": "threshold-xy-shift",
+                    "policy_params": {"trigger_celsius": "hot"},
+                },
+                "'threshold-xy-shift': trigger_celsius",
+            ),
         ],
         ids=[
             "epochs-string",
@@ -391,6 +404,10 @@ class TestScenarioCommand:
             "stride-float",
             "unknown-policy-keyword",
             "energy-flag-string",
+            "configuration-number",
+            "scheme-list",
+            "candidates-number",
+            "trigger-string",
         ],
     )
     def test_malformed_spec_field_is_one_line_error(
@@ -504,6 +521,39 @@ class TestCampaignCommand:
         assert (status["jobs"], status["completed"], status["has_report"]) == ("2", "2", "True")
         assert main(["campaign", "list", "--root", str(tmp_path)]) == 0
         assert "error" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"configurations": [5]},
+            {"scenarios": [{"name": "x", "configuration": 5}]},
+            {"schemes": [["x"]]},
+            {"scenarios": "steady-baseline"},
+            {"configurations": ["Z"]},
+        ],
+        ids=[
+            "configuration-number",
+            "inline-configuration-number",
+            "scheme-list",
+            "scenarios-string",
+            "unknown-configuration",
+        ],
+    )
+    def test_wrong_typed_spec_is_one_line_error_and_no_directory(
+        self, capsys, tmp_path, edit
+    ):
+        import json
+
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps(dict(self.SPEC, **edit)))
+        directory = tmp_path / "camp"
+        code = main(["campaign", "run", "-S", str(spec), "-d", str(directory)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert not directory.exists()
 
     @pytest.mark.parametrize("n_jobs", ["0", "-2"])
     def test_bad_worker_count_is_one_line_error(self, capsys, tmp_path, n_jobs):
