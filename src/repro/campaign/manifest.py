@@ -37,7 +37,13 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO
 
-from ..storage import publish_text, read_journal, truncate_torn_tail
+from ..storage import (
+    CorruptJournalError,
+    Journal,
+    publish_text,
+    read_journal,
+    truncate_torn_tail,
+)
 from .spec import CampaignSpec
 
 SPEC_FILENAME = "campaign.json"
@@ -94,9 +100,10 @@ def repair_journal(directory: Path) -> List[Dict[str, object]]:
 
     A resuming run calls this before it opens the journal, and replays the
     intact entries it returns.  A journal ending in a newline is left
-    untouched.
+    untouched.  Raises what :func:`load_journal` raises.
     """
-    return truncate_torn_tail(journal_path(directory)).entries
+    path = journal_path(directory)
+    return _job_entries(path, truncate_torn_tail(path))
 
 
 def open_journal(directory: Path) -> TextIO:
@@ -123,10 +130,22 @@ def load_journal(directory: Path) -> List[Dict[str, object]]:
     """Every intact journal entry, in completion order.
 
     Raises :class:`~repro.storage.CorruptJournalError` (a ``ValueError``)
-    for a malformed newline-terminated line: damage from something other
-    than a kill.
+    for a malformed newline-terminated line, or one that parses to anything
+    but a JSON object: damage from something other than a kill.
     """
-    return read_journal(journal_path(directory)).entries
+    path = journal_path(directory)
+    return _job_entries(path, read_journal(path))
+
+
+def _job_entries(path: Path, journal: Journal) -> List[Dict[str, object]]:
+    """The journal's entries, each checked to be a JSON object."""
+    for index, entry in enumerate(journal.entries):
+        if not isinstance(entry, dict):
+            raise CorruptJournalError(
+                f"corrupt journal entry {index + 1} in {path}: {entry!r} is not "
+                "a JSON object"
+            )
+    return journal.entries
 
 
 def replay_journal(

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..core.policy import policy_family
 from ..scenarios.compile import run_scenario
 from ..scenarios.registry import get_scenario
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios.spec import ScenarioSpec, json_params
 
 #: Sweep axes a campaign may pin, in expansion (outer -> inner) order, with
 #: the :class:`ScenarioSpec` field each one substitutes.
@@ -145,10 +145,7 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CampaignSpec":
-        params = dict(payload)
-        unknown = set(params) - {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        if unknown:
-            raise ValueError(f"unknown campaign fields: {sorted(unknown)}")
+        params = json_params(cls, payload, "campaign")
         scenarios = params.get("scenarios") or []
         if not isinstance(scenarios, list):
             raise ValueError(f"scenarios must be a list, got {scenarios!r}")

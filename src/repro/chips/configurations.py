@@ -15,8 +15,9 @@ Each :class:`ChipConfiguration` bundles:
 * the per-unit power profile under that mapping, calibrated so the baseline
   peak temperature matches the value printed on Figure 1's x-axis
   (85.44 / 84.05 / 75.17 / 72.8 / 75.98 °C), and
-* its migration unit, built once per configuration object, whose memo of
-  lowered plans every controller of the chip shares.
+* its migration unit and its per-task arrays, each built once per
+  configuration object: every controller of the chip shares the unit's
+  memo of lowered plans and reads the read-only arrays.
 
 The profiles are constructed, not measured, because the paper's per-PE
 powers came out of a synthesis flow this reproduction does not have (see
@@ -31,9 +32,9 @@ the centre of the die.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +65,26 @@ PAPER_AVERAGE_REDUCTIONS: Dict[str, float] = {
     "xy-shift": 4.62,
     "rotation": 4.15,
 }
+
+
+class TaskArrays(NamedTuple):
+    """A chip's per-task constants as read-only arrays, indexed by task."""
+
+    #: task -> node of the static (design-time) mapping.
+    static_nodes: np.ndarray
+    #: Each task's power (W).
+    watts: np.ndarray
+    #: Tanner nodes each task owns (its migrated state).
+    tanner_nodes: np.ndarray
+    #: ``tanner_nodes`` as bytes: the sizes' part of a plan-memo key.
+    tanner_key: bytes
+    #: A zero per-node energy row (an epoch that executed no stage).
+    no_energy: np.ndarray
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass
@@ -98,6 +119,27 @@ class ChipConfiguration:
         gives the copy a unit (and plan memo) of its own.
         """
         return MigrationUnit(self.topology, library=self.library)
+
+    @cached_property
+    def task_arrays(self) -> TaskArrays:
+        """The per-task arrays every controller of the chip reads, built on
+        first read (like :attr:`migration_unit`, a ``dataclasses.replace``
+        copy builds its own)."""
+        tasks = range(self.num_units)
+        watts = self.per_task_power()
+        sizes = self.tanner_nodes_per_task()
+        tanner_nodes = _read_only(
+            np.array([sizes[task] for task in tasks], dtype=np.int64)
+        )
+        return TaskArrays(
+            static_nodes=_read_only(
+                np.array(self.static_mapping.to_permutation(), dtype=np.intp)
+            ),
+            watts=_read_only(np.array([watts[task] for task in tasks])),
+            tanner_nodes=tanner_nodes,
+            tanner_key=tanner_nodes.tobytes(),
+            no_energy=_read_only(np.zeros(self.num_units)),
+        )
 
     def per_task_power(self) -> Dict[int, float]:
         """Power of each logical task, inferred from the static mapping.

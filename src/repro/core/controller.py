@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..chips.configurations import ChipConfiguration
+from ..chips.configurations import ChipConfiguration, _read_only
 from ..migration.io_interface import IoAddressTranslator
 from ..migration.plan import MigrationPlan, lower_transform, priced_stage_cycles
 from ..migration.transforms import MigrationTransform
@@ -61,11 +61,6 @@ class MigrationEvent:
     )
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 class RuntimeReconfigurationController:
     """Tracks mapping state and executes migrations for one chip.
 
@@ -98,21 +93,16 @@ class RuntimeReconfigurationController:
         self.migration_unit = configuration.migration_unit
         self.include_migration_energy = include_migration_energy
 
-        num_units = self.topology.num_nodes
+        # The chip's read-only per-task arrays, shared by its controllers.
+        arrays = configuration.task_arrays
         #: task -> node of the static (design-time) mapping.
-        self._static_nodes = _read_only(
-            np.array(configuration.static_mapping.to_permutation(), dtype=np.intp)
-        )
-        per_task_power = configuration.per_task_power()
-        self._task_watts = np.array([per_task_power[task] for task in range(num_units)])
-        self._no_energy = _read_only(np.zeros(num_units))
-        task_sizes = configuration.tanner_nodes_per_task()
-        self._task_tanner_nodes = _read_only(
-            np.array([task_sizes[task] for task in range(num_units)], dtype=np.int64)
-        )
+        self._static_nodes = arrays.static_nodes
+        self._task_watts = arrays.watts
+        self._no_energy = arrays.no_energy
+        self._task_tanner_nodes = arrays.tanner_nodes
         # A plan reads the mapping only through the Tanner nodes per PE, so
         # the memo key carries the per-task sizes beside the mapping.
-        self._tanner_key = self._task_tanner_nodes.tobytes()
+        self._tanner_key = arrays.tanner_key
 
         #: task -> node of the current mapping (never mutated in place).
         self._nodes = self._static_nodes

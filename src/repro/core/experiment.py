@@ -25,7 +25,8 @@ result keeps per-epoch
 columns (:class:`~repro.core.metrics.EpochColumns`); dict views,
 :class:`~repro.core.metrics.EpochRecord` and
 :class:`~repro.core.metrics.ThermalMetrics` are built only at the report
-edge (a record when it is read, plus the baseline and the settled regime).
+edge, a record when it is read (the baseline and settled-regime figures are
+a row's maximum and mean).
 Policies that declare ``requires_thermal_feedback`` (threshold/adaptive)
 decide on a per-unit Celsius row from a :class:`FeedbackPlan`: one
 multi-RHS steady batch per ``feedback_stride`` epochs instead of a
@@ -59,7 +60,7 @@ from ..obs import span as _obs_span
 from ..power.trace import PowerTrace
 from ..thermal.hotspot import HotSpotModel
 from .controller import MigrationEvent, RuntimeReconfigurationController, _read_only
-from .metrics import EpochColumns, ExperimentResult, PerformanceMetrics, ThermalMetrics
+from .metrics import EpochColumns, ExperimentResult, PerformanceMetrics
 from .policy import PolicyContext, ReconfigurationPolicy
 
 if TYPE_CHECKING:
@@ -385,11 +386,8 @@ class WindowOutcome:
     component keeps a log of them).  ``epoch_metrics`` is the window's ``(num_epochs, num_units)`` per-unit
     Celsius rows; it and ``peak_by_epoch``/``mean_by_epoch`` (each row's
     maximum and mean) are indexed by the window-local epoch (global index
-    ``start_epoch + i``); ``baseline`` is
-    populated only by the first window of a run, ``settled`` only by a
-    window stepped with ``is_last=True`` in steady mode (transient settled
-    statistics live on the experiment and surface in
-    :meth:`ThermalExperiment.finalize`).
+    ``start_epoch + i``).  The baseline and settled-regime figures live on
+    the experiment and surface in :meth:`ThermalExperiment.finalize`.
     """
 
     start_epoch: int
@@ -399,8 +397,6 @@ class WindowOutcome:
     epoch_metrics: np.ndarray
     peak_by_epoch: np.ndarray
     mean_by_epoch: np.ndarray
-    baseline: Optional[ThermalMetrics] = None
-    settled: Optional[ThermalMetrics] = None
 
 
 class ThermalExperiment:
@@ -713,17 +709,15 @@ class ThermalExperiment:
         ambient offset its temperatures take."""
         return self._power_ring.mean(axis=0), float(self._offset_ring.mean())
 
-    def _set_baseline(self, celsius: np.ndarray) -> ThermalMetrics:
-        baseline = ThermalMetrics.from_vector(self.configuration.topology, celsius)
-        self._baseline_peak = baseline.peak_celsius
-        self._baseline_mean = baseline.mean_celsius
-        return baseline
+    # A contiguous row's max() and mean() are the figures
+    # ThermalMetrics.from_vector would report, to the bit.
+    def _set_baseline(self, celsius: np.ndarray) -> None:
+        self._baseline_peak = float(celsius.max())
+        self._baseline_mean = float(celsius.mean())
 
-    def _set_settled(self, celsius: np.ndarray) -> ThermalMetrics:
-        settled = ThermalMetrics.from_vector(self.configuration.topology, celsius)
-        self._settled_peak = settled.peak_celsius
-        self._settled_mean = settled.mean_celsius
-        return settled
+    def _set_settled(self, celsius: np.ndarray) -> None:
+        self._settled_peak = float(celsius.max())
+        self._settled_mean = float(celsius.mean())
 
     def _set_settled_from_rings(self) -> None:
         """Transient settled statistics from the per-epoch peak/mean rings."""
@@ -795,6 +789,8 @@ class ThermalExperiment:
         style = self.settings.migration_style
         units_per_epoch = self.settings.units_per_epoch
         staged = style != "sudden"
+        # A window's NoC rates repeat, so each distinct rate is priced once.
+        factors: Dict[Optional[float], float] = {}
 
         chunks: List[np.ndarray] = []
         costs: List[Optional[MigrationEvent]] = []
@@ -832,7 +828,11 @@ class ThermalExperiment:
                             if noc_rates is not None
                             else None
                         )
-                        congestion = congestion_factor(self.noc_model, rate)
+                        congestion = factors.get(rate)
+                        if congestion is None:
+                            congestion = factors[rate] = congestion_factor(
+                                self.noc_model, rate
+                            )
                     if in_progress:
                         if wants:
                             _OBS_STALLED.add()
@@ -899,13 +899,11 @@ class ThermalExperiment:
             # The settled row solved the mean tail power, so it gets the mean
             # tail offset; the baseline stays at nominal ambient.
             temperatures[base:stop] += offsets[:, np.newaxis]
-        baseline = self._set_baseline(temperatures[0]) if is_first else None
-        settled = None
+        if is_first:
+            self._set_baseline(temperatures[0])
         if is_last:
-            settled = self._set_settled(temperatures[-1] + settled_offset)
-        return self._outcome(
-            start_epoch, trace, costs, temperatures[base:stop], None, baseline, settled
-        )
+            self._set_settled(temperatures[-1] + settled_offset)
+        return self._outcome(start_epoch, trace, costs, temperatures[base:stop])
 
     def _step_transient(
         self,
@@ -926,10 +924,9 @@ class ThermalExperiment:
         would have carried, so windowing does not change the trajectory.
         """
         thermal_model = self.thermal_model
-        baseline: Optional[ThermalMetrics] = None
         if self._thermal_state is None:
             # The baseline is still a steady solve of the static power.
-            baseline = self._set_baseline(
+            self._set_baseline(
                 thermal_model.steady_temperatures(
                     self.controller.static_power_vector()[np.newaxis, :]
                 )[0]
@@ -964,9 +961,7 @@ class ThermalExperiment:
         series = thermal_model.unit_series(result)
         starts, ends = np.array(result.interval_ranges).T
         peaks = np.maximum.reduceat(np.maximum.reduce(series, axis=0), starts)
-        outcome = self._outcome(
-            start_epoch, trace, costs, series.T[ends - 1], peaks, baseline
-        )
+        outcome = self._outcome(start_epoch, trace, costs, series.T[ends - 1], peaks)
         self._thermal_state = np.asarray(result.final_state_kelvin, dtype=float)
         capacity = self._settled_capacity
         self._peak_ring = _ring(self._peak_ring, outcome.peak_by_epoch, capacity)
@@ -982,8 +977,6 @@ class ThermalExperiment:
         costs: List[Optional[MigrationEvent]],
         epoch_rows: np.ndarray,
         peak_by_epoch: Optional[np.ndarray] = None,
-        baseline: Optional[ThermalMetrics] = None,
-        settled: Optional[ThermalMetrics] = None,
     ) -> WindowOutcome:
         """A window's outcome over its ``(E, U)`` Celsius rows.
 
@@ -1012,8 +1005,6 @@ class ThermalExperiment:
             epoch_metrics=rows,
             peak_by_epoch=peaks,
             mean_by_epoch=means,
-            baseline=baseline,
-            settled=settled,
         )
 
     # ------------------------------------------------------------------

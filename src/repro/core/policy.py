@@ -206,24 +206,34 @@ class AdaptiveMigrationPolicy(ReconfigurationPolicy):
                 f"names, got {candidate_schemes!r}"
             )
         schemes = list(candidate_schemes) if candidate_schemes else list(FIGURE1_SCHEMES)
+        unknown = [scheme for scheme in schemes if scheme not in available_transforms()]
+        if unknown:
+            raise ValueError(
+                f"policy 'adaptive': unknown candidate scheme(s) {unknown}; "
+                f"choose from {list(available_transforms())}"
+            )
         self.candidates: List[MigrationTransform] = []
         for scheme in schemes:
             try:
                 self.candidates.append(make_transform(scheme, topology))
             except ValueError:
-                # e.g. rotation on a non-square mesh: simply not a candidate.
+                # A known scheme this mesh cannot run (e.g. rotation on a
+                # non-square mesh): simply not a candidate.
                 continue
         if not self.candidates:
             raise ValueError("no valid candidate transforms for this topology")
         # A candidate scores its displacement of the hottest unit, less 0.25
         # per fixed point (a fixed point leaves something pinned on a
-        # hotspot); max() keeps the earlier candidate on a tie.
-        scored = [(t, len(t.fixed_points()) * 0.25) for t in self.candidates]
+        # hotspot); argmax keeps the earlier candidate on a tie.
+        perms = np.array([t.node_permutation() for t in self.candidates])
+        nodes = np.arange(topology.num_nodes)
+        x, y = nodes % topology.width, nodes // topology.width
+        fixed = (perms == nodes).sum(axis=1, keepdims=True)
+        scores = abs(x[perms] - x) + abs(y[perms] - y) - fixed * 0.25
         #: Row-major unit index -> the transform chosen when that unit is
         #: the hottest.
         self.choice_by_unit: List[MigrationTransform] = [
-            max(scored, key=lambda c: topology.manhattan_distance(u, c[0](u)) - c[1])[0]
-            for u in topology.coordinates()
+            self.candidates[index] for index in scores.argmax(axis=0).tolist()
         ]
         self.name = "adaptive"
         #: transform name -> times chosen (the policy's checkpoint state).

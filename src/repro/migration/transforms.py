@@ -25,7 +25,7 @@ property the tests verify exhaustively and by hypothesis.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -245,34 +245,44 @@ FIGURE1_SCHEMES: Tuple[str, ...] = (
 )
 
 
+_TRANSFORMS = {
+    "rotation": RotationTransform,
+    "x-mirror": XMirrorTransform,
+    "y-mirror": YMirrorTransform,
+    "xy-mirror": XYMirrorTransform,
+    "right-shift": RightShiftTransform,
+    "xy-shift": XYShiftTransform,
+    "identity": IdentityTransform,
+}
+
+
 def make_transform(name: str, topology: MeshTopology, **kwargs) -> MigrationTransform:
-    """Factory for migration transforms by scheme name."""
-    transforms = {
-        "rotation": RotationTransform,
-        "x-mirror": XMirrorTransform,
-        "y-mirror": YMirrorTransform,
-        "xy-mirror": XYMirrorTransform,
-        "right-shift": RightShiftTransform,
-        "xy-shift": XYShiftTransform,
-        "identity": IdentityTransform,
-    }
-    try:
-        cls = transforms[name]
-    except KeyError:
+    """The shared transform of scheme ``name`` on ``topology`` (with the
+    scheme's offset keywords, if any).
+
+    A transform is a fixed function of its mesh, so every call with the
+    same scheme, mesh and offsets returns one instance, built on the first
+    call with its node permutation and permutation bytes already derived;
+    nothing writes to it afterwards, so runs and threads may share it.
+    Construct a transform class directly for an instance of your own.
+    """
+    if name not in _TRANSFORMS:
         raise ValueError(
-            f"unknown migration transform {name!r}; choose from {sorted(transforms)}"
-        ) from None
-    return cls(topology, **kwargs)
+            f"unknown migration transform {name!r}; choose from {sorted(_TRANSFORMS)}"
+        )
+    return _shared_transform(name, topology, tuple(sorted(kwargs.items())))
+
+
+@lru_cache(maxsize=1024)
+def _shared_transform(
+    name: str, topology: MeshTopology, offsets: Tuple[Tuple[str, int], ...]
+) -> MigrationTransform:
+    transform = _TRANSFORMS[name](topology, **dict(offsets))
+    # Derived before the instance is shared, so no caller ever writes it.
+    transform.permutation_bytes
+    return transform
 
 
 def available_transforms() -> Tuple[str, ...]:
     """All transform names accepted by :func:`make_transform`."""
-    return (
-        "rotation",
-        "x-mirror",
-        "y-mirror",
-        "xy-mirror",
-        "right-shift",
-        "xy-shift",
-        "identity",
-    )
+    return tuple(_TRANSFORMS)

@@ -49,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -98,6 +98,29 @@ def _check_types(spec) -> None:
             raise ValueError(f"{name} must be a real number, got {value!r}")
         elif kind == "bool" and not isinstance(value, bool):
             raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def json_params(cls, payload, what: str) -> Dict[str, object]:
+    """``payload`` as keyword arguments of the dataclass ``cls``.
+
+    Raises ``ValueError`` for a payload that is not a JSON object, a field
+    ``cls`` does not have, or a required field it lacks; ``what`` names the
+    object in the message.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {payload!r}")
+    known = fields(cls)
+    unknown = set(payload) - {f.name for f in known}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [
+        f.name
+        for f in known
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in payload
+    ]
+    if missing:
+        raise ValueError(f"missing {what} fields: {missing}")
+    return dict(payload)
 
 
 #: Traffic patterns the analytic NoC model understands.
@@ -165,10 +188,7 @@ class NocChannel:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "NocChannel":
-        params = dict(payload)
-        unknown = set(params) - {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        if unknown:
-            raise ValueError(f"unknown NoC channel fields: {sorted(unknown)}")
+        params = json_params(cls, payload, "NoC channel")
         pattern = params.get("rate_pattern")
         if pattern is not None:
             params["rate_pattern"] = pattern_from_dict(pattern)  # type: ignore[arg-type]
@@ -309,7 +329,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ScenarioSpec":
-        params = dict(payload)
+        params = json_params(cls, payload, "scenario")
         for channel in PATTERN_CHANNELS:
             value = params.get(channel)
             if value is not None:
@@ -317,9 +337,6 @@ class ScenarioSpec:
         noc = params.get("noc")
         if noc is not None and not isinstance(noc, NocChannel):
             params["noc"] = NocChannel.from_dict(noc)  # type: ignore[arg-type]
-        unknown = set(params) - {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**params)  # type: ignore[arg-type]
 
     def to_json(self, indent: Optional[int] = 2) -> str:

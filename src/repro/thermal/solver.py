@@ -54,6 +54,10 @@ _OBS_STEADY_SOLVES = _obs_counter("thermal.steady_solves")
 _OBS_SEQUENCES = _obs_counter("thermal.transient_sequences")
 _OBS_SPECTRAL_JUMPS = _obs_counter("thermal.spectral_jumps")
 
+#: Most ``(dt, steps)`` step tables one solver keeps (a ``period`` channel
+#: can bring a step size per epoch); past it the oldest goes.
+MAX_STEP_TABLES = 256
+
 
 @dataclass
 class TransientResult:
@@ -105,7 +109,8 @@ class ThermalSolver:
     """Solves the RC network produced by :func:`build_thermal_network`.
 
     ``A^-1`` is computed once, at construction; the eigenbasis of ``(A, C)``
-    once, on the first transient.
+    once, on the first transient; a transient's step table once per
+    distinct ``(dt, steps)`` pair (at most :data:`MAX_STEP_TABLES` kept).
     """
 
     def __init__(self, network: ThermalNetwork):
@@ -125,15 +130,21 @@ class ThermalSolver:
         #: the closed form (the regression guard that it does).
         self.spectral_jump_count = 0
         self._spectral_basis: Optional[_Eigenbasis] = None
+        #: ``(dt, steps)`` -> that interval's read-only step table (see
+        #: :meth:`_step_table`), oldest first.
+        self._step_tables: Dict[Tuple[float, int], Tuple[np.ndarray, np.ndarray]] = {}
         # A chip configuration, and so its solver, may be shared by callers
-        # on several threads; guard the lazily-built eigenbasis.
+        # on several threads; guard the lazily-built eigenbasis and the
+        # step-table store.
         self._cache_lock = threading.Lock()
 
     def __getstate__(self):
         # Locks cannot be pickled (configurations, which carry a solver,
-        # can be); recreate it on unpickling.
+        # can be); recreate it on unpickling.  Step tables are rebuilt on
+        # demand rather than shipped.
         state = self.__dict__.copy()
         del state["_cache_lock"]
+        state["_step_tables"] = {}
         return state
 
     def __setstate__(self, state):
@@ -162,6 +173,26 @@ class ThermalSolver:
                     from_modal=eigenvectors.T / c_sqrt[np.newaxis, :],
                 )
             return self._spectral_basis
+
+    def _step_table(
+        self, basis: _Eigenbasis, dt: float, count: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The read-only ``1 - mu^k`` rows (``k = 0..count``, one column per
+        mode) and step times ``k * dt`` of ``count`` steps of ``dt``; built
+        once per pair and kept, at most :data:`MAX_STEP_TABLES` of them."""
+        key = (dt, count)
+        table = self._step_tables.get(key)
+        if table is None:
+            k = np.arange(count + 1, dtype=float)
+            rise = -np.expm1(np.multiply.outer(-k, np.log1p(dt * basis.eigenvalues)))
+            times = k * dt
+            rise.flags.writeable = False
+            times.flags.writeable = False
+            with self._cache_lock:
+                table = self._step_tables.setdefault(key, (rise, times))
+                if len(self._step_tables) > MAX_STEP_TABLES:
+                    del self._step_tables[next(iter(self._step_tables))]
+        return table
 
     def _ambient_offsets_of(
         self, ambient_offsets_kelvin, num_intervals: int
@@ -350,7 +381,8 @@ class ThermalSolver:
         1, and the equivalent ``T* + mu^k (T_0 - T*)`` would cancel two huge
         numbers where the increment tends to the deposited energy over
         ``C``.  The ``1 - mu^k`` tables are built once per distinct
-        ``(dt, steps)`` pair in the trace.
+        ``(dt, steps)`` pair the solver meets and kept on it
+        (:meth:`_step_table`), so a trace reuses its earlier traces' tables.
         """
         basis = self._spectral()
         requested = np.minimum(durations / 200.0, 1e-3) if time_step_s is None else time_step_s
@@ -366,19 +398,9 @@ class ThermalSolver:
 
         # Row k of an interval's table is ``1 - mu^k`` for k = 0..steps, and
         # its step times ``k * dt``; k = 0 is the interval's start state.
-        tables: Dict[Tuple[float, int], Tuple[np.ndarray, np.ndarray]] = {}
-        rises = []
-        step_times = []
-        for key in zip(time_steps.tolist(), steps.tolist()):
-            if key not in tables:
-                dt, count = key
-                k = np.arange(count + 1, dtype=float)
-                log_decay = np.log1p(dt * basis.eigenvalues)
-                tables[key] = (-np.expm1(np.multiply.outer(-k, log_decay)), k * dt)
-            rise, times = tables[key]
-            rises.append(rise)
-            step_times.append(times)
-        rise_rows = np.concatenate(rises)
+        keys = list(zip(time_steps.tolist(), steps.tolist()))
+        tables = {key: self._step_table(basis, *key) for key in dict.fromkeys(keys)}
+        rise_rows = np.concatenate([tables[key][0] for key in keys])
         rows_per_interval = steps + 1
         stops = rows_per_interval.cumsum()
         # The last sample row of every interval but the final one.
@@ -413,7 +435,8 @@ class ThermalSolver:
         node_kelvin = starts.repeat(rows_per_interval, axis=0) + increments
 
         origins = np.concatenate(([0.0], (steps * time_steps).cumsum()[:-1]))
-        times = np.concatenate(step_times) + origins.repeat(rows_per_interval)
+        times = np.concatenate([tables[key][1] for key in keys])
+        times += origins.repeat(rows_per_interval)
         first_rows = stops - rows_per_interval
         return TransientResult(
             times_s=times,

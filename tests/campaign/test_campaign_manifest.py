@@ -9,6 +9,7 @@ import pytest
 
 from repro.campaign import CampaignSpec
 from repro.campaign import manifest
+from repro.storage import CorruptJournalError
 
 from test_campaign_spec import cheap_scenario
 
@@ -101,6 +102,17 @@ class TestJournal:
             handle.write('{"broken": \n')
         with pytest.raises(ValueError, match="corrupt journal line 2"):
             manifest.load_journal(tmp_path)
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"done"', "null"])
+    def test_a_line_that_is_not_an_object_is_loud(self, tmp_path, line):
+        append(tmp_path, self.entry("j1"))
+        path = manifest.journal_path(tmp_path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        for read in (manifest.load_journal, manifest.repair_journal):
+            with pytest.raises(CorruptJournalError, match="not a JSON object") as caught:
+                read(tmp_path)
+            assert str(path) in str(caught.value)
 
     def test_corrupt_interior_line_is_loud(self, tmp_path):
         path = manifest.journal_path(tmp_path)

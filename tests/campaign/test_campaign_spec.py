@@ -89,6 +89,23 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="unknown campaign fields"):
             CampaignSpec.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "a campaign must be a JSON object, got \\[\\]"),
+            ({"scenarios": ["steady-baseline"]}, "missing campaign fields: \\['name'\\]"),
+            ({"name": "x"}, "missing campaign fields: \\['scenarios'\\]"),
+            (
+                {"name": "x", "scenarios": [{"name": "y"}]},
+                "missing scenario fields: \\['configuration'\\]",
+            ),
+        ],
+        ids=["list", "no-name", "no-scenarios", "inline-no-configuration"],
+    )
+    def test_non_object_or_missing_field_is_a_value_error(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            CampaignSpec.from_dict(payload)
+
     def test_expansion_is_the_full_cross_product(self):
         spec = CampaignSpec(
             name="grid",

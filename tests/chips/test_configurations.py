@@ -1,5 +1,7 @@
 """Tests for the five chip configurations A-E."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,48 @@ class TestWorkloadLinkage:
     def test_description_present(self):
         for config in all_configurations():
             assert config.description
+
+
+class TestTaskArrays:
+    """The per-task arrays every controller of a chip reads, built once per chip."""
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
+    def test_read_only_and_equal_to_the_dict_views(self, name):
+        chip = get_configuration(name)
+        arrays = chip.task_arrays
+        assert chip.task_arrays is arrays
+        tasks = range(chip.num_units)
+        watts, sizes = chip.per_task_power(), chip.tanner_nodes_per_task()
+        node_id = chip.topology.node_id
+        assert arrays.static_nodes.tolist() == [
+            node_id(chip.static_mapping.physical_of(task)) for task in tasks
+        ]
+        assert arrays.watts.tolist() == [watts[task] for task in tasks]
+        assert arrays.tanner_nodes.tolist() == [sizes[task] for task in tasks]
+        assert arrays.tanner_key == arrays.tanner_nodes.tobytes()
+        assert arrays.no_energy.tolist() == [0.0] * chip.num_units
+        for field in ("static_nodes", "watts", "tanner_nodes", "no_energy"):
+            array = getattr(arrays, field)
+            assert not array.flags.writeable, field
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_a_replaced_copy_builds_arrays_of_its_own(self):
+        chip = get_configuration("C")
+        copy = dataclasses.replace(chip)
+        assert copy == chip
+        assert copy.task_arrays is not chip.task_arrays
+        for mine, theirs in zip(copy.task_arrays, chip.task_arrays):
+            if isinstance(mine, np.ndarray):
+                assert not np.shares_memory(mine, theirs)
+                assert np.array_equal(mine, theirs)
+            else:
+                assert mine == theirs
+
+    def test_controllers_share_the_chip_arrays(self):
+        from repro.core.controller import RuntimeReconfigurationController
+
+        chip = get_configuration("A")
+        first = RuntimeReconfigurationController(chip)
+        second = RuntimeReconfigurationController(chip, include_migration_energy=False)
+        assert first.nodes is second.nodes is chip.task_arrays.static_nodes

@@ -8,10 +8,9 @@ scheme, threshold and adaptive policies; sudden, fluid and batched styles;
 steady and transient modes; feedback strides 1-4 with both predictors; the
 load, ambient, period and NoC channels each on or off; 1-40 epochs -- both
 serve the spec over the same random window partition, and every window's
-trace rows, events, Celsius rows, baseline and settled values, and the
-``state_dict()`` after it as the checkpoint store encodes it, must be
-``==``.  So must the finalized
-result and every record.  Random partitions make chunks meet window
+trace rows, events, Celsius rows, and the ``state_dict()`` after it as
+the checkpoint store encodes it, must be ``==``.  So must the finalized
+result (its baseline and settled figures included) and every record.  Random partitions make chunks meet window
 boundaries anywhere, so chunks must align to global refresh epochs.
 """
 
@@ -54,8 +53,6 @@ def _serve_both(spec, windows):
         assert np.array_equal(got.epoch_metrics, expected.epoch_metrics)
         assert np.array_equal(got.peak_by_epoch, expected.peak_by_epoch)
         assert np.array_equal(got.mean_by_epoch, expected.mean_by_epoch)
-        assert got.baseline == expected.baseline
-        assert got.settled == expected.settled
         assert encode_checkpoint(runtime.state_dict()) == encode_checkpoint(
             oracle.state_dict()
         )

@@ -408,7 +408,7 @@ class TestRequiresThermalFeedbackAttribute:
 class TestMetricsAtTheReportEdge:
     """Decisions run on Celsius rows; ThermalMetrics is built for reports only."""
 
-    def test_records_off_builds_only_the_baseline_metrics(self, monkeypatch):
+    def test_records_off_builds_no_metrics(self, monkeypatch):
         chip = get_configuration("A")
         built = []
         from_vector = ThermalMetrics.from_vector.__func__
@@ -423,8 +423,15 @@ class TestMetricsAtTheReportEdge:
         experiment.prepare(total_epochs=40, collect_records=False)
         experiment.step_window(experiment.schedule, is_last=True)
         result = experiment.finalize()
-        assert len(built) == 1
-        assert result.baseline_peak_celsius == built[0].max()
+        assert built == []
+        # The baseline is the static power's steady row, as from_vector
+        # would report it.
+        static = np.array([chip.power_vector()])
+        baseline = ThermalMetrics.from_vector(
+            chip.topology, chip.thermal_model.steady_temperatures(static)[0]
+        )
+        assert result.baseline_peak_celsius == baseline.peak_celsius
+        assert result.baseline_mean_celsius == baseline.mean_celsius
         assert experiment.feedback_plan.batch_solves == 40
 
     @pytest.mark.parametrize("mode", ["steady", "transient"])

@@ -116,6 +116,17 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             AdaptiveMigrationPolicy(mesh3x2, candidate_schemes=["rotation"])
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 2)], ids=["square", "non-square"])
+    def test_unknown_candidate_is_refused_by_name(self, shape):
+        # A misspelled scheme is refused, not dropped like rotation on a
+        # non-square mesh.
+        mesh = MeshTopology(*shape)
+        with pytest.raises(ValueError, match="policy 'adaptive': .*'xy-shfit'"):
+            make_policy("adaptive", mesh, candidate_schemes=["xy-shift", "xy-shfit"])
+        policy = make_policy("adaptive", mesh, candidate_schemes=["rotation", "xy-shift"])
+        expected = ["rotation", "xy-shift"] if mesh.is_square else ["xy-shift"]
+        assert [t.name for t in policy.candidates] == expected
+
     @given(chip=st.sampled_from("ABCDE"), data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_choices_match_per_decision_fixed_points(self, chip, data):

@@ -458,3 +458,46 @@ class TestPeriodSchedule:
             return experiment.run().throughput_penalty
 
         assert penalty(4.0) < penalty(1.0)
+
+
+class TestCongestionPricedPerRate:
+    """A window prices each distinct NoC rate once, through the same scalar
+    ``congestion_factor``, and charges exactly what per-epoch pricing does."""
+
+    def test_each_rate_priced_once_and_cycles_equal_per_epoch_pricing(
+        self, monkeypatch
+    ):
+        import repro.core.experiment as experiment_module
+        from epoch_loop_oracle import PerEpochExperiment
+
+        from repro.migration.plan import congestion_factor
+        from repro.scenarios import get_scenario
+        from repro.scenarios.compile import compile_scenario, run_scenario
+
+        priced = []
+
+        def counting(model, rate):
+            priced.append(rate)
+            return congestion_factor(model, rate)
+
+        monkeypatch.setattr(experiment_module, "congestion_factor", counting)
+        spec = get_scenario("fluid-under-burst")
+        compiled = compile_scenario(spec)
+        cycles = run_scenario(compiled).experiment.epochs.cycles
+        rates = compiled.window.noc_rates
+        # 47 epochs execute a stage; their rates take two values.
+        assert np.count_nonzero(cycles) == 47
+        assert sorted(priced) == np.unique(rates).tolist()
+
+        oracle = PerEpochExperiment(
+            compiled.configuration,
+            compiled.policy,
+            settings=compiled.settings,
+            schedule=compiled.window,
+            noc_model=compiled.noc_model,
+        )
+        oracle.prepare(total_epochs=spec.num_epochs, collect_records=True)
+        oracle.step_window(compiled.window, is_last=True)
+        expected = [record.migration_cycles for record in oracle.records()]
+        assert cycles.tolist() == expected
+        assert len(set(expected) - {0}) > 2

@@ -152,3 +152,80 @@ class TestPermutationExport:
         transform = XYMirrorTransform(mesh3x2)
         assert transform((0, 0)) == (2, 1)
         assert transform.is_bijection()
+
+
+#: Table 1's per-coordinate maps, stated here rather than read from the
+#: classes: ``(x, y, width, height) -> (x', y')``.
+_TABLE1 = {
+    "rotation": lambda x, y, w, h: (w - 1 - y, x),
+    "x-mirror": lambda x, y, w, h: (w - 1 - x, y),
+    "y-mirror": lambda x, y, w, h: (x, h - 1 - y),
+    "xy-mirror": lambda x, y, w, h: (w - 1 - x, h - 1 - y),
+    "right-shift": lambda x, y, w, h: ((x + 1) % w, y),
+    "xy-shift": lambda x, y, w, h: ((x + 1) % w, (y + 1) % h),
+    "identity": lambda x, y, w, h: (x, y),
+}
+
+_MESHES = [(w, h) for w in range(1, 7) for h in range(1, 7)]
+
+
+def _shared_or_none(name, topology):
+    """``make_transform(name, topology)``, or None where the scheme does not
+    exist on the mesh (rotation off the square, a shift that does nothing)."""
+    try:
+        return make_transform(name, topology)
+    except ValueError:
+        return None
+
+
+class TestSharedInstances:
+    """make_transform returns one read-only instance per scheme, mesh and offsets."""
+
+    def test_table1_covers_every_scheme(self):
+        assert set(_TABLE1) == set(available_transforms())
+
+    @pytest.mark.parametrize("name", available_transforms())
+    def test_one_instance_per_mesh_with_the_stated_permutation(self, name):
+        built = {}
+        for width, height in _MESHES:
+            transform = _shared_or_none(name, MeshTopology(width, height))
+            if transform is None:
+                continue
+            # An equal mesh built anew reaches the same instance.
+            assert make_transform(name, MeshTopology(width, height)) is transform
+            perm = transform.node_permutation()
+            assert not perm.flags.writeable
+            with pytest.raises(ValueError):
+                perm[0] = perm[-1]
+            expected = [
+                ny * width + nx
+                for y in range(height)
+                for x in range(width)
+                for nx, ny in [_TABLE1[name](x, y, width, height)]
+            ]
+            assert perm.tolist() == expected
+            assert transform.permutation_bytes == perm.tobytes()
+            built[(width, height)] = transform
+        assert built, f"{name} exists on no mesh"
+        # A different mesh gives a different instance.
+        assert len({id(transform) for transform in built.values()}) == len(built)
+
+    def test_a_different_offset_is_a_different_instance(self, mesh5):
+        two = make_transform("right-shift", mesh5, offset=2)
+        assert two is make_transform("right-shift", mesh5, offset=2)
+        assert two is not make_transform("right-shift", mesh5)
+        assert two((4, 1)) == (1, 1)
+        diagonal = make_transform("xy-shift", mesh5, offset_x=1, offset_y=2)
+        assert diagonal is make_transform("xy-shift", mesh5, offset_y=2, offset_x=1)
+        assert diagonal is not make_transform("xy-shift", mesh5, offset_x=2, offset_y=1)
+        assert diagonal((0, 0)) == (1, 2)
+
+    def test_a_shared_instance_arrives_derived(self):
+        # Derived before it is shared, so no caller writes to it later.
+        transform = make_transform("xy-mirror", MeshTopology(7, 3))
+        assert transform._node_permutation is not None
+        assert transform._permutation_bytes is not None
+
+    def test_a_class_built_directly_is_its_own(self, mesh4):
+        assert XYShiftTransform(mesh4) is not make_transform("xy-shift", mesh4)
+        assert XYShiftTransform(mesh4) is not XYShiftTransform(mesh4)

@@ -8,9 +8,12 @@ experiments, not a parallel implementation.
 
 import dataclasses
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import scenario_specs
 
 from repro.chips import get_configuration
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
@@ -24,6 +27,7 @@ from repro.scenarios.patterns import (
     StepPattern,
 )
 from repro.scenarios.registry import all_scenarios, get_scenario
+from repro.migration import transforms
 from repro.scenarios.spec import ScenarioSpec
 from repro.stream.window import CHANNELS, EpochWindow
 from repro.thermal.hotspot import HotSpotModel
@@ -421,3 +425,44 @@ class TestSingleSolveGuarantee:
         for c in feedback:
             assert c.spec.feedback_stride > 1
             assert c.expected_steady_solves() < c.spec.num_epochs
+
+
+#: Every transform class by scheme name, to build instances of a run's own.
+_TRANSFORM_CLASSES = {
+    cls.name: cls
+    for cls in (
+        transforms.RotationTransform,
+        transforms.XMirrorTransform,
+        transforms.YMirrorTransform,
+        transforms.XYMirrorTransform,
+        transforms.RightShiftTransform,
+        transforms.XYShiftTransform,
+        transforms.IdentityTransform,
+    )
+}
+
+
+class TestSharedChipState:
+    """A run pays for its epochs, not its chip: the shared transforms, per-chip
+    arrays and plan memo give the same result as state built for the run."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=scenario_specs())
+    def test_a_run_on_shared_state_equals_one_on_fresh_state(self, spec):
+        shared = run_scenario(spec)
+        built = []
+
+        def fresh_transform(name, topology, **kwargs):
+            built.append(name)
+            return _TRANSFORM_CLASSES[name](topology, **kwargs)
+
+        # Fresh state: the policy's transforms constructed for this run, and
+        # a replaced chip with its own arrays and plan memo.
+        with mock.patch("repro.core.policy.make_transform", fresh_transform):
+            compiled = compile_scenario(spec)
+        assert bool(built) == (spec.scheme != "static")
+        chip = dataclasses.replace(compiled.configuration)
+        fresh = run_scenario(dataclasses.replace(compiled, configuration=chip))
+        assert fresh == shared
+        # A second run on the shared state finds every plan memoized.
+        assert run_scenario(spec) == shared

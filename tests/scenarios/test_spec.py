@@ -107,6 +107,24 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="unknown scenario fields"):
             ScenarioSpec.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"name": "y"}, "missing scenario fields: \\['configuration'\\]"),
+            ({}, "missing scenario fields: \\['name', 'configuration'\\]"),
+            ([], "a scenario must be a JSON object, got \\[\\]"),
+            (5, "a scenario must be a JSON object, got 5"),
+            (
+                {"name": "y", "configuration": "A", "noc": [1]},
+                "a NoC channel must be a JSON object",
+            ),
+        ],
+        ids=["no-configuration", "empty", "list", "number", "noc-list"],
+    )
+    def test_non_object_or_missing_field_is_a_value_error(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_dict(payload)
+
     def test_policy_params_round_trip(self):
         spec = ScenarioSpec(
             name="x", configuration="B", scheme="threshold-xy-shift",

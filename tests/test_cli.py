@@ -394,6 +394,13 @@ class TestScenarioCommand:
                 },
                 "'threshold-xy-shift': trigger_celsius",
             ),
+            (
+                {
+                    "scheme": "adaptive",
+                    "policy_params": {"candidate_schemes": ["xy-shift", "xy-shfit"]},
+                },
+                "policy 'adaptive': unknown candidate scheme(s) ['xy-shfit']",
+            ),
         ],
         ids=[
             "epochs-string",
@@ -408,6 +415,7 @@ class TestScenarioCommand:
             "scheme-list",
             "candidates-number",
             "trigger-string",
+            "candidates-misspelled",
         ],
     )
     def test_malformed_spec_field_is_one_line_error(
@@ -426,6 +434,24 @@ class TestScenarioCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"name": "y"}', "missing scenario fields: ['configuration']"),
+            ("[]", "a scenario must be a JSON object, got []"),
+        ],
+        ids=["no-configuration", "list"],
+    )
+    def test_spec_file_not_a_whole_scenario_is_one_line_error(
+        self, capsys, tmp_path, text, message
+    ):
+        spec_file = tmp_path / "scenario.json"
+        spec_file.write_text(text)
+        assert main(["scenario", "run", "--spec", str(spec_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
 
 
 class TestCampaignCommand:
@@ -554,6 +580,52 @@ class TestCampaignCommand:
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
         assert not directory.exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "a campaign must be a JSON object, got []"),
+            ({"scenarios": ["steady-baseline"]}, "missing campaign fields: ['name']"),
+            (
+                {"name": "x", "scenarios": [{"name": "y"}]},
+                "missing scenario fields: ['configuration']",
+            ),
+        ],
+        ids=["list", "no-name", "inline-no-configuration"],
+    )
+    def test_spec_not_an_object_or_missing_a_field_is_one_line_error(
+        self, capsys, tmp_path, payload, message
+    ):
+        import json
+
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps(payload))
+        directory = tmp_path / "camp"
+        code = main(["campaign", "run", "-S", str(spec), "-d", str(directory)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot load campaign spec: {message}\n"
+        assert not directory.exists()
+
+    def test_journal_line_not_an_object_is_one_line_error(self, capsys, tmp_path):
+        spec = self._spec_file(tmp_path)
+        directory = tmp_path / "camp"
+        assert main(["campaign", "run", "-S", spec, "-d", str(directory)]) == 0
+        journal = directory / "manifest.jsonl"
+        with open(journal, "a", encoding="utf-8") as handle:
+            handle.write("5\n")
+        capsys.readouterr()
+        for argv in (
+            ["campaign", "run", "-S", spec, "-d", str(directory)],
+            ["campaign", "status", "-d", str(directory)],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert str(journal) in captured.err
+            assert "not a JSON object" in captured.err
 
     @pytest.mark.parametrize("n_jobs", ["0", "-2"])
     def test_bad_worker_count_is_one_line_error(self, capsys, tmp_path, n_jobs):

@@ -395,3 +395,82 @@ class TestSharedSolverThreads:
             clone.transient_sequence(*intervals).node_kelvin,
             solver4.transient_sequence(*intervals).node_kelvin,
         )
+
+
+class TestStepTables:
+    """A transient's ``1 - mu^k`` tables are kept on the solver, read-only
+    and bounded, and a kept table gives the trajectory a fresh one does."""
+
+    def _trace(self, mesh, network, durations):
+        power = _uniform_power(mesh, network, 2.0)
+        return np.asarray(durations), np.tile(power, (len(durations), 1))
+
+    def test_a_table_is_built_once_and_read_only(self, mesh4):
+        network = build_thermal_network(mesh_floorplan(mesh4))
+        solver = ThermalSolver(network)
+        durations, powers = self._trace(mesh4, network, [1e-4] * 5)
+        first = solver.transient_sequence(durations, powers, time_step_s=2e-5)
+        (table,) = solver._step_tables.values()
+        assert all(not array.flags.writeable for array in table)
+        second = solver.transient_sequence(durations, powers, time_step_s=2e-5)
+        assert solver._step_tables[(2e-5, 5)] is table
+        assert np.array_equal(first.node_kelvin, second.node_kelvin)
+        assert np.array_equal(first.times_s, second.times_s)
+
+    def test_the_store_is_bounded_and_kept_tables_change_nothing(
+        self, mesh4, monkeypatch
+    ):
+        import repro.thermal.solver as solver_module
+
+        monkeypatch.setattr(solver_module, "MAX_STEP_TABLES", 3)
+        network = build_thermal_network(mesh_floorplan(mesh4))
+        solver = ThermalSolver(network)
+        # Seven step sizes (a period schedule's), twice over.
+        durations, powers = self._trace(
+            mesh4, network, [1e-4 * (1 + i) for i in range(7)] * 2
+        )
+        kept = solver.transient_sequence(durations, powers, time_step_s=3e-5)
+        assert len(solver._step_tables) == 3
+        again = solver.transient_sequence(durations, powers, time_step_s=3e-5)
+        fresh = ThermalSolver(network).transient_sequence(
+            durations, powers, time_step_s=3e-5
+        )
+        for result in (again, fresh):
+            assert np.array_equal(result.node_kelvin, kept.node_kelvin)
+            assert np.array_equal(result.times_s, kept.times_s)
+
+    def test_threads_share_the_store(self, mesh4, monkeypatch):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        import repro.thermal.solver as solver_module
+
+        monkeypatch.setattr(solver_module, "MAX_STEP_TABLES", 2)
+        network = build_thermal_network(mesh_floorplan(mesh4))
+        traces = [
+            self._trace(mesh4, network, [1e-4 * (1 + index % 5)] * 3)
+            for index in range(40)
+        ]
+        serial = ThermalSolver(network)
+        expected = [
+            serial.transient_sequence(*trace, time_step_s=3e-5).node_kelvin
+            for trace in traces
+        ]
+        shared = ThermalSolver(network)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(
+                    pool.map(
+                        lambda trace: shared.transient_sequence(
+                            *trace, time_step_s=3e-5
+                        ).node_kelvin,
+                        traces,
+                        timeout=120,
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert len(shared._step_tables) <= 2
