@@ -762,35 +762,63 @@ class ThermalExperiment:
         ``feedback_stride``), so every row a refresh solves was emitted
         before it.
 
-        Within a chunk the policy decides once per epoch (feedback policies
-        on the plan's per-unit Celsius row) and a decision is lowered into a
-        :class:`~repro.migration.plan.MigrationPlan` under
-        ``settings.migration_style``; one stage executes per epoch, so a
-        sudden plan completes in its own epoch.  While a fluid or batched
-        plan unfolds the policy is told via ``migration_in_progress``, and a
-        transform it still returns is dropped and counted as a stalled
-        epoch.  The chunk's ``(E, U)`` power rows are one
-        :meth:`~repro.core.controller.RuntimeReconfigurationController.power_rows`
-        call over each epoch's ``task -> node`` array and executed stage
-        (``periods_s`` long), scaled by the load ``modulation`` and queued
+        Each chunk is one
+        :meth:`~repro.core.controller.RuntimeReconfigurationController.walk`:
+        per epoch the policy decides (feedback policies on the plan's
+        per-unit Celsius row, every policy told whether a fluid or batched
+        plan is still unfolding) and the controller's cursor moves along its
+        memoized plans under ``settings.migration_style``; one stage
+        executes per epoch, so a sudden plan completes in its own epoch, and
+        a transform asked for while a plan unfolds is a stalled epoch.  The
+        chunk's ``(E, U)`` power rows then come out of the walked tracks in
+        a few gathers (each epoch's workload power plus its stage's energy
+        over ``periods_s``), are scaled by the load ``modulation`` and queued
         for feedback; the window's rows are validated once, as its trace.
         The cost list holds each epoch's executed stage (None when no stage
         ran).
         """
-        configuration = self.configuration
         controller = self.controller
-        decide = self.policy.decide
+        policy_decide = self.policy.decide
         plan = self.feedback_plan
         start = self._next_epoch
         count = window.num_epochs
-        if plan is not None:
+        if plan is None:
+
+            def decide(epoch_index: int, in_flight: bool):
+                return policy_decide(PolicyContext(epoch_index, None, in_flight))
+
+        else:
             plan.add_offsets(start, window.ambient_offsets)
-        noc_rates = window.noc_rates
+            thermal_for = plan.thermal_for
+
+            def decide(epoch_index: int, in_flight: bool):
+                return policy_decide(
+                    PolicyContext(epoch_index, thermal_for(epoch_index), in_flight)
+                )
+
         style = self.settings.migration_style
-        units_per_epoch = self.settings.units_per_epoch
-        staged = style != "sudden"
-        # A window's NoC rates repeat, so each distinct rate is priced once.
-        factors: Dict[Optional[float], float] = {}
+        congestion = None
+        if style != "sudden":
+            # A sudden plan halts the whole array, so no application traffic
+            # shares the NoC with it: the paper's phased schedule is
+            # congestion-free with deterministic migration times.  Fluid and
+            # batched stages run while the chip keeps working, so only they
+            # are priced under the epoch's NoC load; a window's NoC rates
+            # repeat, so each distinct rate is priced once.
+            noc_model = self.noc_model
+            noc_rates = window.noc_rates
+            factors: Dict[Optional[float], float] = {}
+
+            def congestion(epoch_index: int) -> float:
+                rate = (
+                    float(noc_rates[epoch_index - start])
+                    if noc_rates is not None
+                    else None
+                )
+                factor = factors.get(rate)
+                if factor is None:
+                    factor = factors[rate] = congestion_factor(noc_model, rate)
+                return factor
 
         chunks: List[np.ndarray] = []
         costs: List[Optional[MigrationEvent]] = []
@@ -801,53 +829,13 @@ class ThermalExperiment:
             else:
                 next_refresh = ((start + chunk_start) // plan.stride + 1) * plan.stride
                 chunk_stop = min(count, next_refresh - start)
-            nodes = []
-            events: List[Optional[MigrationEvent]] = []
-            for epoch_index in range(start + chunk_start, start + chunk_stop):
-                in_progress = controller.migration_in_progress
-                transform = decide(
-                    PolicyContext(
-                        epoch_index,
-                        plan.thermal_for(epoch_index) if plan is not None else None,
-                        in_progress,
-                    )
-                )
-                wants = transform is not None and transform.name != "identity"
-                cost: Optional[MigrationEvent] = None
-                if in_progress or wants:
-                    # A sudden plan halts the whole array, so no application
-                    # traffic shares the NoC with it: the paper's phased
-                    # schedule is congestion-free with deterministic
-                    # migration times.  Fluid and batched stages run while
-                    # the chip keeps working, so only they are priced under
-                    # the epoch's NoC load.
-                    congestion = 1.0
-                    if staged:
-                        rate = (
-                            float(noc_rates[epoch_index - start])
-                            if noc_rates is not None
-                            else None
-                        )
-                        congestion = factors.get(rate)
-                        if congestion is None:
-                            congestion = factors[rate] = congestion_factor(
-                                self.noc_model, rate
-                            )
-                    if in_progress:
-                        if wants:
-                            _OBS_STALLED.add()
-                        cost = controller.advance_plan(congestion)
-                    else:
-                        cost = controller.apply_migration(
-                            transform,
-                            style=style,
-                            units_per_epoch=units_per_epoch,
-                            congestion=congestion,
-                        )
-                events.append(cost)
-                nodes.append(controller.nodes)
-            rows = controller.power_rows(
-                nodes, events, periods_s[chunk_start:chunk_stop]
+            rows, events, stalled = controller.walk(
+                start + chunk_start,
+                decide,
+                periods_s[chunk_start:chunk_stop],
+                style=style,
+                units_per_epoch=self.settings.units_per_epoch,
+                congestion=congestion,
             )
             if modulation is not None:
                 # Scenario hook: scale the rows as they are emitted, so the
@@ -856,12 +844,18 @@ class ThermalExperiment:
                 rows *= modulation[chunk_start:chunk_stop]
             if plan is not None:
                 plan.observe(start + chunk_start, rows)
+            if stalled:
+                _OBS_STALLED.add(stalled)
             chunks.append(rows)
-            costs.extend(events)
+            costs += events
             chunk_start = chunk_stop
         # One validated trace per window; a refresh validates the rows it
         # solves itself (HotSpotModel.steady_temperatures).
-        trace = PowerTrace(configuration.topology, periods_s, np.concatenate(chunks))
+        trace = PowerTrace(
+            self.configuration.topology,
+            periods_s,
+            chunks[0] if len(chunks) == 1 else np.concatenate(chunks),
+        )
         self._next_epoch += count
         return trace, costs
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .scheduler import MigrationScheduler
 from .state_transfer import StateTransferModel
 
 if TYPE_CHECKING:
+    from ..core.controller import StageTrack
     from .plan import MigrationPlan
 
 #: Cap on memoized lowered plans per unit: a periodic policy cycles a short
@@ -58,14 +59,20 @@ class PlanMemo:
     The controller keys an entry by ``(transform name, permutation bytes,
     mapping bytes, per-task Tanner sizes as bytes, style, units_per_epoch)``
     and stores the :class:`repro.migration.plan.MigrationPlan`, whose stages
-    are read-only step and energy arrays.  Entries are immutable, so
-    every thread and run may share them.  Lookups and inserts take a lock;
-    lowering happens outside it, so two threads that miss on one key may
-    both lower it, and the first insert wins.
+    are read-only step and energy arrays.  Beside a plan, a key holds the
+    cursor its plan starts at: ``(track, phase)`` on a
+    :class:`repro.core.controller.StageTrack` -- the plan's own track until
+    every plan on its transform's orbit is memoized, then the closed orbit's.
+    Entries are immutable, so every thread and run may share them.  Lookups
+    and inserts take a lock; plans and tracks are built outside it, so two
+    threads that miss on one key may both build its entry, and the first
+    insert wins.  A key leaves with its plan, so the memo never holds more
+    than :data:`MAX_CACHED_PLANS` keys.
     """
 
     def __init__(self):
         self._entries: "OrderedDict[Hashable, MigrationPlan]" = OrderedDict()
+        self._tracks: Dict[Hashable, Tuple[StageTrack, int]] = {}
         self._lock = threading.Lock()
 
     def __getstate__(self):
@@ -98,14 +105,51 @@ class PlanMemo:
     def put(self, key: Hashable, entry: MigrationPlan) -> MigrationPlan:
         """Insert ``entry`` unless ``key`` is present; return the kept entry.
 
-        Past :data:`MAX_CACHED_PLANS` entries the least recently used goes.
+        Past :data:`MAX_CACHED_PLANS` entries the least recently used goes,
+        with its cursor.
         """
         with self._lock:
             kept = self._entries.setdefault(key, entry)
             self._entries.move_to_end(key)
             if len(self._entries) > MAX_CACHED_PLANS:
-                self._entries.popitem(last=False)
+                evicted, _ = self._entries.popitem(last=False)
+                self._tracks.pop(evicted, None)
             return kept
+
+    def track(self, key: Hashable, touch: bool = True) -> Optional[Tuple[StageTrack, int]]:
+        """The cursor ``key``'s plan starts at (None on a miss); ``touch``
+        marks the key most recently used."""
+        with self._lock:
+            cursor = self._tracks.get(key)
+            if cursor is not None and touch:
+                self._entries.move_to_end(key)
+            return cursor
+
+    def put_track(
+        self, key: Hashable, cursor: Tuple[StageTrack, int]
+    ) -> Tuple[StageTrack, int]:
+        """Keep ``cursor`` for ``key`` unless it has one; return the kept
+        cursor (``cursor`` itself, unkept, once the key's plan is gone)."""
+        with self._lock:
+            if key not in self._entries:
+                return cursor
+            return self._tracks.setdefault(key, cursor)
+
+    def put_orbit(
+        self, orbit: StageTrack, phases: List[Tuple[Hashable, int]]
+    ) -> Tuple[StageTrack, int]:
+        """Point each ``(key, phase)`` at its phase on the closed ``orbit``;
+        return the first key's cursor.  An orbit already kept for the first
+        key wins, so a key never mixes two copies of one orbit."""
+        first_key, first_phase = phases[0]
+        with self._lock:
+            kept = self._tracks.get(first_key)
+            if kept is not None and kept[0].closed:
+                return kept
+            for key, phase in phases:
+                if key in self._entries:
+                    self._tracks[key] = (orbit, phase)
+            return orbit, first_phase
 
 
 class MigrationUnit:

@@ -30,9 +30,11 @@ pattern is a frozen dataclass that round-trips through
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
-from typing import ClassVar, Dict, Optional, Tuple, Type
+from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
+from typing import ClassVar, Dict, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
@@ -154,8 +156,49 @@ class Pattern(ABC):
         return cls(**params)  # type: ignore[call-arg]
 
 
+def _as_count(value, name: str) -> int:
+    """An integer field: JSON floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+@lru_cache(maxsize=None)
+def _typed_fields(cls) -> Tuple[Tuple[str, str], ...]:
+    """``(name, annotation)`` of a dataclass's number and flag fields."""
+    kinds = ("int", "Optional[int]", "float", "Optional[float]", "bool")
+    return tuple((f.name, f.type) for f in fields(cls) if f.type in kinds)
+
+
+def check_field_types(cls, values: Mapping[str, object]) -> None:
+    """Raise ``ValueError`` for a value of the wrong JSON type for its field
+    of the dataclass ``cls`` (fields ``values`` lacks are skipped): an
+    ``int`` field (or a set ``Optional[int]`` one) takes :func:`_as_count`,
+    the integer rule windows apply too; a ``float`` one (or a set
+    ``Optional[float]``) rejects strings and booleans, and a ``bool`` one
+    takes only a boolean."""
+    for name, kind in _typed_fields(cls):
+        if name not in values:
+            continue
+        value = values[name]
+        if value is None and kind.startswith("Optional["):
+            continue
+        if kind.endswith("int]") or kind == "int":
+            _as_count(value, name)
+        elif kind.endswith("float]") or kind == "float":
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        elif not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
 def pattern_from_dict(payload: Dict[str, object]) -> Pattern:
-    """Inverse of :meth:`Pattern.to_dict`."""
+    """Inverse of :meth:`Pattern.to_dict`.
+
+    The number fields are type-checked before the pattern is built, so a
+    string, boolean or list where a number goes (or a float where an integer
+    goes) is a ``ValueError`` naming the field.
+    """
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ValueError(f"pattern payload must be a dict with a 'kind': {payload!r}")
     params = dict(payload)
@@ -165,6 +208,7 @@ def pattern_from_dict(payload: Dict[str, object]) -> Pattern:
         raise ValueError(
             f"unknown pattern kind {kind!r}; known kinds: {sorted(_PATTERN_KINDS)}"
         )
+    check_field_types(cls, params)
     return cls._from_params(params)
 
 

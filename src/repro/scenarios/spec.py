@@ -48,15 +48,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import MISSING, dataclass, fields
-from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..chips.configurations import configuration_names
 from ..core.policy import POLICY_SCHEMES
 from ..migration.plan import MIGRATION_STYLES
-from .patterns import Pattern, pattern_from_dict
+from .patterns import Pattern, _as_count, check_field_types, pattern_from_dict
 
 #: Channels a spec may bind a pattern to, with whether spatial patterns are
 #: permitted there (ambient, SNR and the period schedule are chip-global
@@ -69,35 +67,10 @@ PATTERN_CHANNELS: Dict[str, bool] = {
 }
 
 
-def _as_count(value, name: str) -> int:
-    """An integer field: JSON floats and booleans are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-@lru_cache(maxsize=None)
-def _typed_fields(cls) -> Tuple[Tuple[str, str], ...]:
-    """``(name, annotation)`` of a spec class's number and flag fields."""
-    kinds = ("int", "Optional[int]", "float", "bool")
-    return tuple((f.name, f.type) for f in fields(cls) if f.type in kinds)
-
-
 def _check_types(spec) -> None:
-    """Raise ``ValueError`` for a field of the wrong JSON type: an ``int``
-    field (or a set ``Optional[int]`` one) takes :func:`_as_count`, the
-    integer rule windows apply too; a ``float`` one rejects strings and
-    booleans, and a ``bool`` one takes only a boolean."""
-    for name, kind in _typed_fields(type(spec)):
-        value = getattr(spec, name)
-        if kind == "int" or (kind == "Optional[int]" and value is not None):
-            _as_count(value, name)
-        elif kind == "float" and (
-            isinstance(value, bool) or not isinstance(value, numbers.Real)
-        ):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        elif kind == "bool" and not isinstance(value, bool):
-            raise ValueError(f"{name} must be true or false, got {value!r}")
+    """Raise ``ValueError`` for a field of the wrong JSON type (see
+    :func:`repro.scenarios.patterns.check_field_types`)."""
+    check_field_types(type(spec), vars(spec))
 
 
 def json_params(cls, payload, what: str) -> Dict[str, object]:

@@ -13,6 +13,7 @@ from repro.migration.transforms import RotationTransform, XYShiftTransform, make
 from repro.migration.unit import MigrationUnit
 from repro.noc.topology import MeshTopology
 from repro.power.trace import map_to_vector
+from repro.stream.checkpoint import encode_checkpoint
 
 
 @pytest.fixture
@@ -262,12 +263,12 @@ class TestEnergyAccounting:
 
     def test_power_rows_add_migration_energy(self, controller_a, chip_a):
         transform = XYShiftTransform(chip_a.topology)
-        event = controller_a.apply_migration(transform)
         period_s = 109e-6
-        nodes = [controller_a.nodes, controller_a.nodes]
-        with_energy, without_energy = controller_a.power_rows(
-            nodes, [event, None], np.array([period_s, period_s])
+        decisions = [transform, None]
+        (with_energy, without_energy), (event, idle), stalled = controller_a.walk(
+            0, lambda epoch, in_flight: decisions[epoch], np.array([period_s, period_s])
         )
+        assert idle is None and stalled == 0
         assert with_energy.sum() > without_energy.sum()
         extra = with_energy.sum() - without_energy.sum()
         assert extra == pytest.approx(event.energy_vector.sum() / period_s, rel=1e-6)
@@ -275,42 +276,51 @@ class TestEnergyAccounting:
 
     def test_power_rows_move_with_tasks(self, controller_a, chip_a):
         period = np.array([109e-6])
-        (static_power,) = controller_a.power_rows([controller_a.nodes], [None], period)
+        (static_power,), _, _ = controller_a.walk(0, lambda epoch, in_flight: None, period)
         transform = XYShiftTransform(chip_a.topology)
         controller_a.apply_migration(transform)
-        (migrated_power,) = controller_a.power_rows([controller_a.nodes], [None], period)
+        (migrated_power,), _, _ = controller_a.walk(
+            1, lambda epoch, in_flight: None, period
+        )
         # The hottest unit's power moved to its transformed location.
         topology = chip_a.topology
         hottest = list(topology.coordinates())[int(static_power.argmax())]
         moved = topology.node_id(transform(hottest))
         assert migrated_power[moved] >= static_power.max() - 1e-9
 
-    def test_power_rows_do_not_depend_on_the_chunking(self, controller_a, chip_a):
-        """One scatter over a run of epochs equals its epochs emitted one at
-        a time: the chunk loop may split a window anywhere."""
-        nodes, events = [controller_a.nodes], [None]
-        events.append(
-            controller_a.apply_migration(
-                RotationTransform(chip_a.topology), style="fluid", units_per_epoch=1
+    def test_power_rows_do_not_depend_on_the_chunking(self, chip_a):
+        """One walk over a run of epochs equals its epochs walked one at a
+        time: the chunk loop may split a window anywhere."""
+        rotation = RotationTransform(chip_a.topology)
+        shift = XYShiftTransform(chip_a.topology)
+        # Idle, a fluid rotation (stalling on repeats), an identity epoch,
+        # then xy-shift around its orbit and back to a rotation.
+        decisions = [None, rotation, rotation, None, rotation, None]
+        decisions += [make_transform("identity", chip_a.topology)] + [shift] * 6
+        decisions += [rotation] * 5
+        periods = np.linspace(100e-6, 200e-6, len(decisions))
+
+        def decide(epoch, in_flight):
+            return decisions[epoch]
+
+        whole = RuntimeReconfigurationController(chip_a)
+        rows, events, stalled = whole.walk(
+            0, decide, periods, style="fluid", units_per_epoch=1
+        )
+        single = RuntimeReconfigurationController(chip_a)
+        one_at_a_time = [
+            single.walk(
+                epoch, decide, periods[epoch : epoch + 1], style="fluid", units_per_epoch=1
             )
+            for epoch in range(len(decisions))
+        ]
+        assert np.array_equal(rows, np.concatenate([row for row, _, _ in one_at_a_time]))
+        assert events == [event for _, (event,), _ in one_at_a_time]
+        assert stalled == sum(count for _, _, count in one_at_a_time) > 0
+        assert np.array_equal(rows[0], whole.static_power_vector())
+        assert encode_checkpoint(whole.state_dict()) == encode_checkpoint(
+            single.state_dict()
         )
-        nodes.append(controller_a.nodes)
-        while controller_a.migration_in_progress:
-            events.append(controller_a.advance_plan())
-            nodes.append(controller_a.nodes)
-        nodes.append(controller_a.nodes)
-        events.append(None)
-        periods = np.linspace(100e-6, 200e-6, len(nodes))
-        assert len(nodes) >= 4
-        whole = controller_a.power_rows(nodes, events, periods)
-        one_at_a_time = np.concatenate(
-            [
-                controller_a.power_rows(nodes[i : i + 1], events[i : i + 1], periods[i : i + 1])
-                for i in range(len(nodes))
-            ]
-        )
-        assert np.array_equal(whole, one_at_a_time)
-        assert np.array_equal(whole[0], controller_a.static_power_vector())
 
     def test_static_power_vector_matches_configuration(self, controller_a, chip_a):
         assert np.array_equal(

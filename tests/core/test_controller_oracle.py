@@ -206,7 +206,7 @@ class SeedController:
         return state
 
 
-def assert_agree(controller, event, oracle, energy):
+def assert_agree(controller, row, oracle, energy):
     """Mapping, translator lookups, encoded checkpoint and power row all equal."""
     assert controller.nodes.tolist() == oracle.mapping.to_permutation()
     for coord in oracle.topology.coordinates():
@@ -219,9 +219,7 @@ def assert_agree(controller, event, oracle, energy):
     assert encode_checkpoint(controller.state_dict()) == encode_checkpoint(
         oracle.state_dict()
     )
-    expected = oracle.epoch_power_vector(energy)
-    (row,) = controller.power_rows([controller.nodes], [event], np.array([PERIOD_S]))
-    assert np.array_equal(row, expected)
+    assert np.array_equal(row, oracle.epoch_power_vector(energy))
 
 
 def assert_event(event, expected):
@@ -233,7 +231,7 @@ def assert_event(event, expected):
 
 advance = st.tuples(st.just("advance"), st.floats(0.5, 3.0))
 action = st.one_of(
-    st.tuples(st.just("sudden"), st.sampled_from(FIGURE1_SCHEMES)),
+    st.tuples(st.just("sudden"), st.sampled_from(FIGURE1_SCHEMES), st.booleans()),
     st.tuples(
         st.just("plan"),
         st.sampled_from(FIGURE1_SCHEMES),
@@ -250,7 +248,13 @@ actions = st.lists(action, min_size=1, max_size=16)
 
 
 class ControlledRun:
-    """A controller and its oracle on one chip, driven by the same actions."""
+    """A controller and its oracle on one chip, driven by the same actions.
+
+    Sudden migrations go through ``apply_migration``, plans and their later
+    stages through one-epoch walks, whose power row must equal the oracle's
+    epoch power; after any other action an idle one-epoch walk reads the
+    mapping's row (it moves nothing).
+    """
 
     def __init__(self, chip):
         self.chip = chip
@@ -259,9 +263,6 @@ class ControlledRun:
         self.transforms = {
             scheme: make_transform(scheme, chip.topology) for scheme in FIGURE1_SCHEMES
         }
-        # The most recent stage's event and per-node energy (what the epoch
-        # loop charges to that epoch's power row).
-        self.event = self.energy = None
         #: Plans lowered by the controllers a round trip replaced.
         self.lowered_before = 0
 
@@ -269,44 +270,67 @@ class ControlledRun:
     def lowered(self):
         return self.lowered_before + self.controller.migration_cost_computations
 
+    def _walk(self, transform, **options):
+        """One epoch of the walk: its power row and executed stage."""
+        (row,), (event,), stalled = self.controller.walk(
+            0, lambda epoch, in_flight: transform, np.array([PERIOD_S]), **options
+        )
+        assert stalled == 0
+        return row, event
+
     def step(self, step):
         controller, oracle = self.controller, self.oracle
         kind = step[0]
         if kind in ("sudden", "plan") and controller.migration_in_progress:
             return  # the epoch loop only migrates once a plan drains
+        energy = None
         if kind == "sudden":
-            self.event = controller.apply_migration(self.transforms[step[1]])
-            expected = oracle.apply_migration(self.transforms[step[1]])
-            assert_event(self.event, expected)
-            self.energy = expected[2]
+            transform = self.transforms[step[1]]
+            via_walk = len(step) > 2 and step[2]
+            if via_walk:
+                row, event = self._walk(transform)
+            else:
+                event = controller.apply_migration(transform)
+            expected = oracle.apply_migration(transform)
+            assert_event(event, expected)
+            if via_walk:
+                energy = expected[2]
         elif kind == "plan":
-            self.event = controller.apply_migration(
+            row, event = self._walk(
                 self.transforms[step[1]],
                 style=step[2],
                 units_per_epoch=step[3],
-                congestion=step[4],
+                congestion=lambda epoch: step[4],
             )
             expected = oracle.apply_plan(self.transforms[step[1]], *step[2:])
-            assert_event(self.event, expected)
-            self.energy = expected[2]
+            assert_event(event, expected)
+            energy = expected[2]
         elif kind == "advance":
-            stage = controller.advance_plan(congestion=step[1])
+            in_flight = controller.migration_in_progress
+            row, event = self._walk(None, congestion=lambda epoch: step[1])
             expected = oracle.advance_plan(step[1])
+            assert in_flight == (expected is not None)
             if expected is None:
-                assert stage is None
-                return
-            assert_event(stage, expected)
-            self.event, self.energy = stage, expected[2]
+                assert event is None
+            else:
+                assert_event(event, expected)
+                energy = expected[2]
         elif kind == "reset":
             controller.reset()
             oracle.reset()
-            self.event = self.energy = None
         else:
             state = decode_checkpoint(encode_checkpoint(controller.state_dict()))
             self.lowered_before += controller.migration_cost_computations
             self.controller = controller = RuntimeReconfigurationController(self.chip)
             controller.restore_state(state)
-        assert_agree(controller, self.event, oracle, self.energy)
+        if kind in ("reset", "roundtrip") or (kind == "sudden" and energy is None):
+            if controller.migration_in_progress:
+                # An idle epoch would run the next stage: no row to read.
+                row = oracle.epoch_power_vector(None)
+            else:
+                row, event = self._walk(None)
+                assert event is None
+        assert_agree(controller, row, oracle, energy)
 
 
 class TestArrayControllerMatchesSeedSemantics:

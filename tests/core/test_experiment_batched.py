@@ -50,12 +50,10 @@ def _reference_epochs(chip, policy, settings):
     epochs = []
     for epoch_index in range(settings.num_epochs):
         transform = policy.decide(PolicyContext(epoch_index=epoch_index))
-        cost = None
-        name = None
-        if transform is not None and transform.name != "identity":
-            cost = controller.apply_migration(transform)
-            name = transform.name
-        (row,) = controller.power_rows([controller.nodes], [cost], np.array([period_s]))
+        (row,), (cost,), _ = controller.walk(
+            epoch_index, lambda epoch, in_flight: transform, np.array([period_s])
+        )
+        name = cost.transform_name if cost is not None else None
         power = vector_to_map(chip.topology, row)
         epochs.append((power, cost, name))
     return epochs

@@ -83,14 +83,10 @@ def _reference_feedback_epochs(chip, policy, settings, model, ambient=None):
             previous_row = feedback(controller.static_power_vector(), epoch_index)
         context = PolicyContext(epoch_index=epoch_index, unit_celsius=previous_row)
         transform = policy.decide(context)
-        cost = None
-        name = None
-        if transform is not None and transform.name != "identity":
-            cost = controller.apply_migration(transform)
-            name = transform.name
-        (power,) = controller.power_rows(
-            [controller.nodes], [cost], np.array([period_s])
+        (power,), (cost,), _ = controller.walk(
+            epoch_index, lambda epoch, in_flight: transform, np.array([period_s])
         )
+        name = cost.transform_name if cost is not None else None
         epochs.append((power, cost, name))
         previous_row = feedback(power, epoch_index)
     return epochs

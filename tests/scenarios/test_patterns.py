@@ -1,9 +1,12 @@
 """Tests for the scenario pattern catalog: shapes, values, composition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.noc import MeshTopology
+from repro.scenarios import patterns
 from repro.scenarios.patterns import (
     BurstPattern,
     ConstantPattern,
@@ -15,6 +18,7 @@ from repro.scenarios.patterns import (
     RampPattern,
     StepPattern,
     SumPattern,
+    WallClockPattern,
     pattern_from_dict,
 )
 
@@ -188,3 +192,57 @@ class TestSerialization:
     def test_payload_must_carry_kind(self):
         with pytest.raises(ValueError, match="kind"):
             pattern_from_dict({"value": 1.0})
+
+
+#: One pattern of every kind, for the per-field type checks below.
+ONE_PER_KIND = [
+    *TestSerialization.CATALOG[:8],
+    SumPattern(terms=(ConstantPattern(1.0),)),
+    ProductPattern(factors=(ConstantPattern(1.0),)),
+    WallClockPattern(inner=ConstantPattern(1.0), inner_step_s=0.5, epoch_duration_s=1e-4),
+]
+
+NUMBER_KINDS = {"int": "integer", "Optional[int]": "integer"}
+NUMBER_KINDS.update({"float": "real", "Optional[float]": "real"})
+
+
+def _number_fields():
+    """``(pattern, field, its kind)`` for every int and float field of
+    every pattern kind."""
+    return [
+        (pattern, field.name, NUMBER_KINDS[field.type])
+        for pattern in ONE_PER_KIND
+        for field in dataclasses.fields(pattern)
+        if field.type in NUMBER_KINDS
+    ]
+
+
+def test_one_pattern_per_kind():
+    assert sorted(pattern.kind for pattern in ONE_PER_KIND) == sorted(
+        patterns._PATTERN_KINDS
+    )
+
+
+@pytest.mark.parametrize("bad", [True, "1", [1]], ids=["true", "string", "list"])
+@pytest.mark.parametrize(
+    "pattern, name, kind",
+    _number_fields(),
+    ids=[f"{pattern.kind}.{name}" for pattern, name, _ in _number_fields()],
+)
+def test_number_field_of_the_wrong_json_type_is_refused(pattern, name, kind, bad):
+    """A pattern built from JSON refuses a boolean, a string or a list where
+    a number goes (before the pattern's own checks could trip over it)."""
+    payload = {**pattern.to_dict(), name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be an? {kind}"):
+        pattern_from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "pattern, name",
+    [(pattern, name) for pattern, name, kind in _number_fields() if kind == "integer"],
+    ids=[f"{p.kind}.{n}" for p, n, k in _number_fields() if k == "integer"],
+)
+def test_integer_field_refuses_a_float(pattern, name):
+    payload = {**pattern.to_dict(), name: 4.5}
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got 4.5"):
+        pattern_from_dict(payload)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from strategies import scenario_specs
 
 from repro.scenarios.patterns import (
     ConstantPattern,
@@ -177,6 +179,17 @@ class TestRegistry:
     def test_every_scenario_round_trips(self):
         for spec in all_scenarios():
             assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=scenario_specs())
+    def test_generated_specs_round_trip_through_canonical_json(self, spec):
+        """Every drawn spec, patterns and policy parameters included, comes
+        back equal from its canonical JSON, through the typed pattern
+        constructors, and writes the same canonical JSON again."""
+        text = spec.canonical_json()
+        rebuilt = ScenarioSpec.from_dict(json.loads(text))
+        assert rebuilt == spec
+        assert rebuilt.canonical_json() == text
 
     def test_get_scenario_unknown(self):
         with pytest.raises(ValueError, match="unknown scenario"):

@@ -1,7 +1,9 @@
 """Hypothesis strategies shared by the generated parity and stream tests.
 
 :func:`scenario_specs` draws a :class:`ScenarioSpec` over chips A-E; static,
-every Figure-1 scheme, threshold and adaptive policies; sudden, fluid and
+periodic policies of every Figure-1 scheme, y-mirror and identity (from
+epoch 0 or after an idle first epoch), threshold policies, and adaptive
+ones over every Figure-1 scheme or a candidate subset; sudden, fluid and
 batched styles; steady and transient modes; feedback strides 1-4 with both
 predictors; the load, ambient, period and NoC channels each on or off; 1-40
 epochs.  :func:`partitioned_specs` adds the window boundaries the spec is
@@ -26,14 +28,30 @@ from repro.stream.window import CHANNELS
 _FLOATS = dict(allow_nan=False, allow_infinity=False)
 
 
+#: Periodic schemes: the Figure-1 transforms, y-mirror (order 2 like the
+#: other mirrors) and identity (every decision an idle epoch).
+PERIODIC_SCHEMES = (*FIGURE1_SCHEMES, "y-mirror", "identity")
+
+
 @st.composite
 def scenario_specs(draw):
     num_epochs = draw(st.integers(1, 40))
-    scheme = draw(st.sampled_from(("static", *FIGURE1_SCHEMES, "threshold", "adaptive")))
+    scheme = draw(st.sampled_from(("static", *PERIODIC_SCHEMES, "threshold", "adaptive")))
     params = None
     if scheme == "threshold":
         scheme = "threshold-" + draw(st.sampled_from(FIGURE1_SCHEMES))
         params = {"trigger_celsius": draw(st.floats(60.0, 95.0, **_FLOATS))}
+    elif scheme in PERIODIC_SCHEMES and draw(st.booleans()):
+        # Migrate from the first epoch on: no idle epoch at the static mapping.
+        params = {"skip_first": False}
+    elif scheme == "adaptive" and draw(st.booleans()):
+        # A candidate subset: the policy leaves one orbit for another mid-way
+        # (or decides identity, an idle epoch).
+        params = {
+            "candidate_schemes": draw(
+                st.lists(st.sampled_from(PERIODIC_SCHEMES), min_size=1, max_size=3, unique=True)
+            )
+        }
     channels = {}
     if draw(st.booleans()):
         channels["load"] = draw(
