@@ -58,6 +58,8 @@ Congestion = Callable[[int], float]
 #: One run of a walk: ``(track, first phase, first epoch, epochs, executes)``;
 #: an executing run runs consecutive phases, an idle one stays at its phase.
 Run = Tuple["StageTrack", int, int, int, bool]
+#: What a walk matches before any transform has matched its track.
+_UNMATCHED = object()
 
 
 @dataclass(frozen=True)
@@ -501,7 +503,9 @@ class RuntimeReconfigurationController:
         flight, identity = track.flight, track.identity
         end = -1 if track.closed else track.length
         wrap = track.length if track.closed else -1
-        matched = None
+        # The last transform found to start the track's next plan (never
+        # None or identity, so an idle decision never matches it).
+        matched: object = _UNMATCHED
         runs: List[Run] = []
         run_epoch, run_phase, run_executes = first_epoch, phase, False
         stalls = 0
@@ -509,14 +513,16 @@ class RuntimeReconfigurationController:
             in_flight = flight[phase]
             transform = decide(epoch, in_flight)
             if in_flight:
-                if transform is not None and transform.name != "identity":
+                if transform is matched or (
+                    transform is not None and transform.name != "identity"
+                ):
                     stalls += 1
-            elif transform is None or transform.name == "identity":
-                if run_executes:
-                    runs.append((track, run_phase, run_epoch, epoch - run_epoch, True))
-                    run_epoch, run_phase, run_executes = epoch, phase, False
-                continue
             elif transform is not matched or phase == end:
+                if transform is None or transform.name == "identity":
+                    if run_executes:
+                        runs.append((track, run_phase, run_epoch, epoch - run_epoch, True))
+                        run_epoch, run_phase, run_executes = epoch, phase, False
+                    continue
                 if phase == end or identity != (
                     transform.name,
                     transform.permutation_bytes,

@@ -779,13 +779,16 @@ class ThermalExperiment:
         """
         controller = self.controller
         policy_decide = self.policy.decide
+        # Built positionally (three fields): the namedtuple's keyword-aware
+        # constructor costs more than the decision itself.
+        context = PolicyContext._make
         plan = self.feedback_plan
         start = self._next_epoch
         count = window.num_epochs
         if plan is None:
 
             def decide(epoch_index: int, in_flight: bool):
-                return policy_decide(PolicyContext(epoch_index, None, in_flight))
+                return policy_decide(context((epoch_index, None, in_flight)))
 
         else:
             plan.add_offsets(start, window.ambient_offsets)
@@ -793,7 +796,7 @@ class ThermalExperiment:
 
             def decide(epoch_index: int, in_flight: bool):
                 return policy_decide(
-                    PolicyContext(epoch_index, thermal_for(epoch_index), in_flight)
+                    context((epoch_index, thermal_for(epoch_index), in_flight))
                 )
 
         style = self.settings.migration_style
