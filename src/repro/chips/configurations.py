@@ -78,8 +78,6 @@ class TaskArrays(NamedTuple):
     tanner_nodes: np.ndarray
     #: ``tanner_nodes`` as bytes: the sizes' part of a plan-memo key.
     tanner_key: bytes
-    #: A zero per-node energy row (an epoch that executed no stage).
-    no_energy: np.ndarray
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -138,7 +136,6 @@ class ChipConfiguration:
             watts=_read_only(np.array([watts[task] for task in tasks])),
             tanner_nodes=tanner_nodes,
             tanner_key=tanner_nodes.tobytes(),
-            no_energy=_read_only(np.zeros(self.num_units)),
         )
 
     def per_task_power(self) -> Dict[int, float]:

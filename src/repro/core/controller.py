@@ -89,14 +89,6 @@ class MigrationEvent:
     )
 
 
-def _cyclic(values: tuple, phase: int, count: int) -> tuple:
-    """``values[(phase + i) % len(values)]`` for ``i < count`` (a tuple)."""
-    stop = phase + count
-    if stop <= len(values):
-        return values[phase:stop]
-    return (values * -(-stop // len(values)))[phase:stop]
-
-
 @dataclass(eq=False, repr=False)
 class StageTrack:
     """A run of migration stages the walk executes one per epoch.
@@ -424,15 +416,18 @@ class RuntimeReconfigurationController:
         style: str = "sudden",
         units_per_epoch: int = 2,
         congestion: float = 1.0,
-    ) -> MigrationEvent:
-        """Lower ``transform`` into a plan, arm it and execute its first stage.
+    ) -> Optional[MigrationEvent]:
+        """Start ``transform``'s plan from the current mapping and execute
+        its first stage (lowering the plan on a memo miss).
 
         The walk's one-epoch case.  The plan counts as ONE migration however
         many stages it unfolds over.  A sudden plan has one stage, so it
         completes here; call :meth:`advance_plan` once per later epoch to
         execute the rest of a fluid or batched plan.  ``congestion`` prices
-        the first stage as :meth:`advance_plan` prices the others.  Raises
-        ``RuntimeError`` while a plan is still in flight.
+        the first stage as :meth:`advance_plan` prices the others.  The
+        identity transform is an idle epoch, as in the walk: nothing runs
+        and None is returned.  Raises ``RuntimeError`` while a plan is still
+        in flight.
         """
         if self.migration_in_progress:
             raise RuntimeError(
@@ -652,9 +647,13 @@ class RuntimeReconfigurationController:
             if not executes:
                 events += [None] * count
                 continue
-            run = _cyclic(track.quiet_events if quiet else track.events, phase, count)
+            # The run's phases are ``(phase + i) % length``: a slice of the
+            # per-phase tuples repeated over the laps it spans.
+            stop = phase + count
+            laps = -(-stop // track.length)
+            run = ((track.quiet_events if quiet else track.events) * laps)[phase:stop]
             if congestion is None:
-                cycles += sum(_cyclic(track.cycles, phase, count))
+                cycles += sum((track.cycles * laps)[phase:stop])
             else:
                 run = list(run)
                 for offset, event in enumerate(run):
@@ -675,8 +674,8 @@ class RuntimeReconfigurationController:
                         run[offset] = event = copy
                     cycles += event.cycles
             if not quiet:
-                energy = reduce(operator.add, _cyclic(track.energy_j, phase, count), energy)
-            plans += sum(_cyclic(track.starts, phase, count))
+                energy = reduce(operator.add, (track.energy_j * laps)[phase:stop], energy)
+            plans += sum((track.starts * laps)[phase:stop])
             stages += count
             events += run
         if stages:
@@ -695,51 +694,42 @@ class RuntimeReconfigurationController:
 
         An epoch that executed phase ``p`` reads row ``p`` of its track's
         tables and an idle epoch at phase ``q`` the power row ``q - 1``
-        (modulo the track's length: a standstill's one row at ``-1``).
-        Consecutive rows ``a, a + 1, ...`` of one track are one range.
+        (modulo the track's length: a standstill's one row at ``-1``), so
+        consecutive runs of one track often read one range of rows.
         """
-        # Per track: [track, [[first row, count, step], ...]].
-        groups: list = []
+        # [track, first row, rows, consecutive] per gather.
+        gathers: list = []
         idle: List[Tuple[int, int]] = []
-        executed = False
         first_epoch = runs[0][2]
         for track, phase, epoch, count, executes in runs:
             if executes:
-                row, step = phase, 1
-                executed = True
+                row, consecutive = phase, True
             else:
-                row, step = phase - 1, int(count == 1)
+                row, consecutive = phase - 1, count == 1
                 idle.append((epoch - first_epoch, epoch - first_epoch + count))
-            if not groups or groups[-1][0] is not track:
-                groups.append([track, [[row, count, step]]])
-                continue
-            last = groups[-1][1][-1]
-            if step and last[2] and last[0] + last[1] == row:
-                last[1] += count
-            else:
-                groups[-1][1].append([row, count, step])
-        indices = []
-        for track, segments in groups:
-            parts = [
-                np.arange(row, row + count) if step else np.full(count, row)
-                for row, count, step in segments
-            ]
-            indices.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
-        parts = []
-        for (track, _), rows in zip(groups, indices):
+            if gathers:
+                last = gathers[-1]
+                if last[0] is track and last[3] and consecutive and last[1] + last[2] == row:
+                    last[2] += count
+                    continue
+            gathers.append([track, row, count, consecutive])
+        with_energy = self.include_migration_energy and len(idle) < len(runs)
+        powers, energies = [], []
+        for track, row, count, consecutive in gathers:
+            index = np.arange(row, row + count) if consecutive else np.full(count, row)
             table = track.power
             if table is None:
                 table = _scatter(track.nodes, self._task_watts)
-            parts.append(table.take(rows, axis=0, mode="wrap"))
-        power = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if self.include_migration_energy and executed:
-            parts = [
-                track.energy.take(rows, axis=0, mode="wrap")
-                if track.energy is not None
-                else np.zeros((len(rows), power.shape[1]))
-                for (track, _), rows in zip(groups, indices)
-            ]
-            energy = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            powers.append(table.take(index, axis=0, mode="wrap"))
+            if with_energy:
+                energies.append(
+                    track.energy.take(index, axis=0, mode="wrap")
+                    if track.energy is not None
+                    else np.zeros((count, table.shape[1]))
+                )
+        power = powers[0] if len(powers) == 1 else np.concatenate(powers)
+        if with_energy:
+            energy = energies[0] if len(energies) == 1 else np.concatenate(energies)
             for start, stop in idle:
                 energy[start:stop] = 0.0
             energy /= periods_s[:, np.newaxis]

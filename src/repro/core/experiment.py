@@ -49,6 +49,7 @@ is_last=True); finalize()`` — so batch and streaming
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -681,17 +682,21 @@ class ThermalExperiment:
         topology = self.configuration.topology
         empty = np.empty((0, topology.num_nodes))
         powers, celsius, costs = zip(*self._column_windows or [(empty, empty, [])])
-        events = [event for window in costs for event in window]
+        idle = (None, 0, 0.0)
+        columns = [
+            (event.transform_name, event.cycles, event.energy_j) if event else idle
+            for window in costs
+            for event in window
+        ]
+        transforms, cycles, energy = zip(*columns) if columns else ((), (), ())
         return EpochColumns(
             topology,
             power=np.concatenate(powers),
             celsius=np.concatenate(celsius),
-            transforms=[event.transform_name if event else None for event in events],
-            cycles=np.array(
-                [event.cycles if event else 0 for event in events], dtype=np.int64
-            ),
-            energy=np.array([event.energy_j if event else 0.0 for event in events]),
-            first_epoch=self._next_epoch - len(events),
+            transforms=list(transforms),
+            cycles=np.array(cycles, dtype=np.int64),
+            energy=np.array(energy, dtype=float),
+            first_epoch=self._next_epoch - len(columns),
         )
 
     def _compute_settled_late(self) -> None:
@@ -779,9 +784,9 @@ class ThermalExperiment:
         """
         controller = self.controller
         policy_decide = self.policy.decide
-        # Built positionally (three fields): the namedtuple's keyword-aware
-        # constructor costs more than the decision itself.
-        context = PolicyContext._make
+        # Built positionally, in C: the namedtuple's keyword-aware
+        # constructor costs more than most decisions.
+        context = partial(tuple.__new__, PolicyContext)
         plan = self.feedback_plan
         start = self._next_epoch
         count = window.num_epochs

@@ -91,12 +91,6 @@ class MigrationStage:
     energy_j: float
     moved: int
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # An unpickled array is writeable (pickle keeps no flags): a copied
-        # chip's memoized stages are read-only again.
-        self.__dict__.update(state)
-        self.step.flags.writeable = self.energy.flags.writeable = False
-
     # -- checkpoint codec ------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -126,8 +126,7 @@ class TestTaskArrays:
         assert arrays.watts.tolist() == [watts[task] for task in tasks]
         assert arrays.tanner_nodes.tolist() == [sizes[task] for task in tasks]
         assert arrays.tanner_key == arrays.tanner_nodes.tobytes()
-        assert arrays.no_energy.tolist() == [0.0] * chip.num_units
-        for field in ("static_nodes", "watts", "tanner_nodes", "no_energy"):
+        for field in ("static_nodes", "watts", "tanner_nodes"):
             array = getattr(arrays, field)
             assert not array.flags.writeable, field
             with pytest.raises(ValueError):

@@ -9,9 +9,11 @@ code with the node-id lowering), and power rows built per task from the
 configuration.
 Hypothesis drives both through the same random sequences of sudden
 migrations, fluid and batched plan stages, resets and checkpoint round trips
-on chips A-E; everything observable must be ``==``.  Two controllers
-interleaved on one chip share its plan memo, and each must still match an
-oracle of its own.
+on chips A-E; everything observable must be ``==``.  The controller takes
+each step as the walk's one-epoch case (``apply_migration`` or a one-epoch
+``walk``, whose power row the oracle's must equal), so every step of the walk
+meets the independent cost account.  Two controllers interleaved on one chip
+share its plan memo, and each must still match an oracle of its own.
 """
 
 import dataclasses
