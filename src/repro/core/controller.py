@@ -35,12 +35,7 @@ import numpy as np
 
 from ..chips.configurations import ChipConfiguration, _read_only
 from ..migration.io_interface import IoAddressTranslator
-from ..migration.plan import (
-    MigrationPlan,
-    MigrationStage,
-    lower_transform,
-    priced_stage_cycles,
-)
+from ..migration.plan import MigrationPlan, lower_transform, priced_stage_cycles
 from ..migration.transforms import MigrationTransform
 from ..migration.unit import MAX_CACHED_PLANS
 from ..obs import counter as _obs_counter
@@ -93,17 +88,18 @@ class MigrationEvent:
 class StageTrack:
     """A run of migration stages the walk executes one per epoch.
 
-    Phase ``p`` executes ``stages[p]``: ``nodes[p]`` is the ``task -> node``
-    mapping before it and ``nodes[p + 1]`` the one after, ``power[p]`` the
-    workload power after it (the per-task watts scattered once) and
-    ``energy[p]`` its per-node energy.  An idle epoch at phase ``q`` reads
-    ``power[q - 1]``, the row of the mapping it rests at.  ``events`` holds
-    one shared :class:`MigrationEvent` per phase (``quiet_events`` the same
-    with ``energy_j`` 0.0), ``starts`` marks the phases that begin a plan (a
-    migration) and ``flight[p]`` that a plan is still unfolding at phase
-    ``p``; ``plans[p]`` and ``stage_index[p]`` name the phase's stage for a
-    checkpoint.  The arrays are read-only and the sequences tuples: a track
-    is never written once built, so every run and thread may walk it.
+    Phase ``p`` executes stage ``stage_index[p]`` of ``plans[p]``:
+    ``nodes[p]`` is the ``task -> node`` mapping before it and ``nodes[p +
+    1]`` the one after, ``power[p]`` the workload power after it (the
+    per-task watts scattered once) and ``energy[p]`` its per-node energy.
+    An idle epoch at phase ``q`` reads ``power[q - 1]``, the row of the
+    mapping it rests at.  ``events`` holds one shared
+    :class:`MigrationEvent` per phase (``quiet_events`` the same with
+    ``energy_j`` 0.0, ``cycles`` and ``energy_j`` their fields as tuples),
+    ``starts`` marks the phases that begin a plan (a migration) and
+    ``flight[p]`` that a plan is still unfolding at phase ``p``.  The arrays
+    are read-only and the sequences tuples: a track is never written once
+    built, so every run and thread may walk it.
 
     A track is *open* -- one plan from one mapping, a checkpoint's
     in-flight plan, or the stageless *standstill* of a mapping no walk has
@@ -119,21 +115,21 @@ class StageTrack:
 
     identity: Optional[Tuple[str, bytes, str, int]]
     closed: bool
-    length: int
     nodes: np.ndarray
-    power: Optional[np.ndarray]
-    energy: Optional[np.ndarray]
-    stages: Tuple[MigrationStage, ...] = ()
+    power: Optional[np.ndarray] = None
+    energy: Optional[np.ndarray] = None
     plans: Tuple[MigrationPlan, ...] = ()
     stage_index: Tuple[int, ...] = ()
     starts: Tuple[bool, ...] = ()
-    flight: Tuple[bool, ...] = (False,)
     events: Tuple[MigrationEvent, ...] = ()
-    quiet_events: Tuple[MigrationEvent, ...] = ()
-    #: Each phase's uncongested cycles and stage energy (J).
-    cycles: Tuple[int, ...] = ()
-    energy_j: Tuple[float, ...] = ()
     successor: Optional[Hashable] = None
+
+    def __post_init__(self) -> None:
+        self.length = len(self.events)
+        self.flight = tuple(not start for start in self.starts) + (False,)
+        self.quiet_events = tuple(replace(event, energy_j=0.0) for event in self.events)
+        self.cycles = tuple(event.cycles for event in self.events)
+        self.energy_j = tuple(event.energy_j for event in self.events)
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         # An unpickled array is writeable (pickle keeps no flags): a copied
@@ -146,7 +142,7 @@ class StageTrack:
     @classmethod
     def standstill(cls, nodes: np.ndarray) -> "StageTrack":
         """The stageless track resting at mapping ``nodes`` (read-only)."""
-        return cls(None, False, 0, nodes[np.newaxis, :], None, None)
+        return cls(None, False, nodes[np.newaxis, :])
 
     @classmethod
     def from_plan(
@@ -171,36 +167,28 @@ class StageTrack:
         for stage in stages:
             rows.append(stage.step[rows[-1]] if stage.moved else rows[-1])
         node_rows = np.array(rows)
-        indices = tuple(range(first_stage, first_stage + len(stages)))
-        events = tuple(
-            MigrationEvent(
-                plan.transform_name,
-                stage.cycles,
-                stage.energy_j,
-                stage.moved,
-                index,
-                plan.num_stages,
-                stage.energy,
-            )
-            for index, stage in zip(indices, stages)
-        )
-        starts = tuple(identity is not None and index == 0 for index in indices)
+        indices = tuple(range(first_stage, plan.num_stages))
         return cls(
             identity=identity,
             closed=False,
-            length=len(stages),
             nodes=_read_only(node_rows),
             power=_read_only(_scatter(node_rows[1:], watts)),
             energy=_read_only(np.array([stage.energy for stage in stages])),
-            stages=stages,
             plans=(plan,) * len(stages),
             stage_index=indices,
-            starts=starts,
-            flight=tuple(not start for start in starts) + (False,),
-            events=events,
-            quiet_events=tuple(replace(event, energy_j=0.0) for event in events),
-            cycles=tuple(stage.cycles for stage in stages),
-            energy_j=tuple(stage.energy_j for stage in stages),
+            starts=tuple(identity is not None and index == 0 for index in indices),
+            events=tuple(
+                MigrationEvent(
+                    plan.transform_name,
+                    stage.cycles,
+                    stage.energy_j,
+                    stage.moved,
+                    index,
+                    plan.num_stages,
+                    stage.energy,
+                )
+                for index, stage in zip(indices, stages)
+            ),
             successor=successor(node_rows[-1]) if successor is not None else None,
         )
 
@@ -212,25 +200,18 @@ class StageTrack:
         def joined(name):
             return sum((getattr(link, name) for link in links), ())
 
-        starts = joined("starts")
         return cls(
             identity=links[0].identity,
             closed=True,
-            length=len(starts),
             nodes=_read_only(
                 np.concatenate([link.nodes[:-1] for link in links] + [links[0].nodes[:1]])
             ),
             power=_read_only(np.concatenate([link.power for link in links])),
             energy=_read_only(np.concatenate([link.energy for link in links])),
-            stages=joined("stages"),
             plans=joined("plans"),
             stage_index=joined("stage_index"),
-            starts=starts,
-            flight=tuple(not start for start in starts) + (False,),
+            starts=joined("starts"),
             events=joined("events"),
-            quiet_events=joined("quiet_events"),
-            cycles=joined("cycles"),
-            energy_j=joined("energy_j"),
         )
 
 
@@ -661,7 +642,8 @@ class RuntimeReconfigurationController:
                     if factor > 1.0:
                         copy = priced.get((id(event), factor))
                         if copy is None:
-                            stage = track.stages[(phase + offset) % track.length]
+                            at = (phase + offset) % track.length
+                            stage = track.plans[at].stages[track.stage_index[at]]
                             copy = priced[id(event), factor] = MigrationEvent(
                                 event.transform_name,
                                 priced_stage_cycles(stage, factor),

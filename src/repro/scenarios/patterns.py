@@ -183,9 +183,9 @@ def check_field_types(cls, values: Mapping[str, object]) -> None:
         value = values[name]
         if value is None and kind.startswith("Optional["):
             continue
-        if kind.endswith("int]") or kind == "int":
+        if kind in ("int", "Optional[int]"):
             _as_count(value, name)
-        elif kind.endswith("float]") or kind == "float":
+        elif kind in ("float", "Optional[float]"):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         elif not isinstance(value, bool):

@@ -54,7 +54,7 @@ from typing import Dict, Optional
 from ..chips.configurations import configuration_names
 from ..core.policy import POLICY_SCHEMES
 from ..migration.plan import MIGRATION_STYLES
-from .patterns import Pattern, _as_count, check_field_types, pattern_from_dict
+from .patterns import Pattern, check_field_types, pattern_from_dict
 
 #: Channels a spec may bind a pattern to, with whether spatial patterns are
 #: permitted there (ambient, SNR and the period schedule are chip-global

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..scenarios.spec import _as_count
+from ..scenarios.patterns import _as_count
 
 #: The per-epoch channel fields, in wire-format order.
 CHANNELS = (
