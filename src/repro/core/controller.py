@@ -270,7 +270,8 @@ class RuntimeReconfigurationController:
         #: until read after the cursor moved) and the cursor it sits at:
         #: ``track.nodes[phase]`` holds the same ids.
         self._nodes: Optional[np.ndarray] = self._static_nodes
-        self._track = StageTrack.standstill(self._static_nodes)
+        self._static_track = StageTrack.standstill(self._static_nodes)
+        self._track = self._static_track
         self._phase = 0
         # Running totals: the controller keeps no log of executed stages
         # (each is returned to the caller), so its state stays constant-size
@@ -319,7 +320,7 @@ class RuntimeReconfigurationController:
     def reset(self) -> None:
         """Return to the static mapping and forget all history."""
         self._nodes = self._static_nodes
-        self._track = StageTrack.standstill(self._static_nodes)
+        self._track = self._static_track
         self._phase = 0
         self._migration_count = 0
         self._migration_cycles = 0

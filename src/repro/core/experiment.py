@@ -14,9 +14,10 @@ numbers the paper reports:
   the settled regime.
 
 The pipeline is array-native end to end.  The policy/controller loop runs
-in chunks: the policy decides and the controller executes once per epoch,
-each chunk's power rows are emitted at once (one scatter), and each window
-is one validated :class:`repro.power.trace.PowerTrace`.  Steady
+in chunks: the policy decides once per epoch and the controller's cursor
+walks its memoized migration orbit, each chunk's power rows are gathered
+at once from the walked tracks, and each window is one validated
+:class:`repro.power.trace.PowerTrace`.  Steady
 mode evaluates the baseline, every epoch and the settled-regime average with
 **one** product against the solver's precomputed inverse, and transient mode
 routes the whole piecewise-constant trace through **one**
