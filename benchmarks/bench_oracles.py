@@ -33,8 +33,9 @@ os.environ.update(
 import numpy as np  # noqa: E402
 
 # The oracles are test modules: ``object_engine`` (NoC), ``dense_decoder``
-# (LDPC), the per-flow latency loop in ``test_analytic``, ``lu_oracle``
-# (thermal) and ``epoch_loop_oracle`` (the per-epoch control loop).
+# (LDPC), the per-flow latency loop in ``test_analytic``, ``lu_oracle`` and
+# its per-unit readout ``unit_readout`` (thermal) and ``epoch_loop_oracle``
+# (the per-epoch control loop).
 sys.path[:0] = [
     str(Path(__file__).resolve().parent.parent / "tests" / package)
     for package in ("noc", "ldpc", "thermal", "core")
@@ -44,6 +45,7 @@ import dense_decoder  # noqa: E402
 import epoch_loop_oracle  # noqa: E402
 import lu_oracle  # noqa: E402
 import object_engine  # noqa: E402
+import unit_readout  # noqa: E402
 from test_analytic import per_flow_latency  # noqa: E402
 
 from repro.chips import get_configuration  # noqa: E402
@@ -61,9 +63,9 @@ from repro.noc import (  # noqa: E402
     run_schedules,
 )
 from repro.noc.analytic import analytic_model  # noqa: E402
+from repro.power.trace import PowerTrace  # noqa: E402
 from repro.scenarios import all_scenarios  # noqa: E402
 from repro.scenarios.compile import compile_scenario  # noqa: E402
-from repro.thermal.package import KELVIN_OFFSET  # noqa: E402
 
 
 def vector_noc():
@@ -157,57 +159,73 @@ def _served_window():
     return model, rows, np.full(len(rows), 109e-6), window
 
 
-def spectral_transient():
-    """The closed-form transient against the LU-factored Euler loop.
+def _window_agrees(fast, slow) -> bool:
+    """A model window and an oracle window: the per-unit readout and the
+    carried node state within 1e-9 K, and the same interval bounds."""
+    return (
+        np.abs(fast.samples - slow.samples).max() <= 1e-9
+        and np.abs(fast.final_state_kelvin - slow.final_state_kelvin).max() <= 1e-9
+        and np.array_equal(fast.stops, slow.stops)
+    )
 
-    Two windows: the served one (one shared step) and the same window with
-    its periods scaled by 1, 0.5, 2, 0.1, 4, 0.25, 1 and 3, which mixes
-    step counts and, where a period is shorter than the step, step sizes.
+
+def _oracle_window(lu, model, durations, node_rows, window):
+    """The LU-factored Euler loop read out per unit, as the model reports."""
+    result = lu.transient_sequence(durations, node_rows, **window)
+    return result._replace(samples=unit_readout.unit_celsius(model, result.samples))
+
+
+def spectral_transient():
+    """The model's transient window against the LU-factored Euler loop.
+
+    The runtime side is the call a transient-mode run makes per window:
+    unit rows in, the per-unit readout and the carried node state out.  Two
+    windows: the served one (one shared step) and the same window with its
+    periods scaled by 1, 0.5, 2, 0.1, 4, 0.25, 1 and 3, which mixes step
+    counts and, where a period is shorter than the step, step sizes.
     """
     model, rows, durations, window = _served_window()
     node_rows = model.node_power_matrix(rows)
     scaled = durations * np.array([1.0, 0.5, 2.0, 0.1, 4.0, 0.25, 1.0, 3.0])
+    traces = [PowerTrace(model.topology, spans, rows) for spans in (durations, scaled)]
     lu = lu_oracle.LuSolver(model.network)
 
-    def run(solver):
+    def runtime():
+        return [model.transient_sequence(trace, **window) for trace in traces]
+
+    def oracle():
         return [
-            solver.transient_sequence(spans, node_rows, **window)
+            _oracle_window(lu, model, spans, node_rows, window)
             for spans in (durations, scaled)
         ]
 
     def agree(fast, slow):
-        return all(
-            np.abs(a.node_kelvin - b.node_kelvin).max() <= 1e-9
-            and np.array_equal(a.times_s, b.times_s)
-            for a, b in zip(fast, slow)
-        )
+        return all(_window_agrees(a, b) for a, b in zip(fast, slow))
 
-    return lambda: run(model.solver), lambda: run(lu), agree
+    return runtime, oracle, agree
 
 
 def dense_thermal():
     """The served window: 8 one-row feedback solves, then its transient."""
     model, rows, durations, window = _served_window()
     node_rows = model.node_power_matrix(rows)
+    trace = PowerTrace(model.topology, durations, rows)
     lu = lu_oracle.LuSolver(model.network)
 
     def runtime():
         feedback = [model.steady_temperatures(row) for row in rows]
-        result = model.solver.transient_sequence(durations, node_rows, **window)
-        return np.vstack(feedback), result.node_kelvin
+        return np.vstack(feedback), model.transient_sequence(trace, **window)
 
     def oracle():
         feedback = [
-            lu.steady_state_batch(model.node_power_matrix(row))[:, model.unit_nodes].max(axis=-1)
-            - KELVIN_OFFSET
+            unit_readout.unit_celsius(model, lu.steady_state_batch(model.node_power_matrix(row)))
             for row in rows
         ]
-        result = lu.transient_sequence(durations, node_rows, **window)
-        return np.vstack(feedback), result.node_kelvin
+        return np.vstack(feedback), _oracle_window(lu, model, durations, node_rows, window)
 
     def agree(fast, slow):
-        return all(
-            np.allclose(a, b, rtol=1e-10, atol=0.0) for a, b in zip(fast, slow)
+        return np.allclose(fast[0], slow[0], rtol=1e-10, atol=0.0) and _window_agrees(
+            fast[1], slow[1]
         )
 
     return runtime, oracle, agree

@@ -100,6 +100,15 @@ class ChipConfiguration:
     base_peak_target_celsius: float
     description: str = ""
 
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Pickle keeps no read-only flags: an unpickled chip's task arrays
+        # are read-only again (its plans and operators re-freeze themselves).
+        self.__dict__.update(state)
+        arrays = state.get("task_arrays")
+        if arrays is not None:
+            for array in (arrays.static_nodes, arrays.watts, arrays.tanner_nodes):
+                _read_only(array)
+
     # ------------------------------------------------------------------
     @property
     def num_units(self) -> int:

@@ -922,7 +922,10 @@ class ThermalExperiment:
         baseline steady solve and the settled-regime warm start (steady
         state of the warm power at the first epoch's ambient) — then the
         window's piecewise-constant trace goes through one
-        ``transient_sequence`` call.  Subsequent windows chain
+        ``transient_sequence`` call, evaluated only at the units it reports.
+        Each epoch's peak is the maximum over its samples (its t=0 instant
+        included, matching the per-epoch reference) and its spatial metrics
+        come from its last sample.  Subsequent windows chain
         ``final_state_kelvin``, which is exactly the state the batch path
         would have carried, so windowing does not change the trajectory.
         """
@@ -956,16 +959,14 @@ class ThermalExperiment:
             time_step_s=self._time_step,
             ambient_offsets_kelvin=offsets,
         )
-
-        # Per-epoch metrics come from segment reductions over the
-        # concatenated series: each epoch's peak is the maximum over its
-        # sample range (initial instant included, matching the per-epoch
-        # reference), and its spatial metrics come from its final instant.
-        series = thermal_model.unit_series(result)
-        starts, ends = np.array(result.interval_ranges).T
-        peaks = np.maximum.reduceat(np.maximum.reduce(series, axis=0), starts)
-        outcome = self._outcome(start_epoch, trace, costs, series.T[ends - 1], peaks)
-        self._thermal_state = np.asarray(result.final_state_kelvin, dtype=float)
+        # An epoch's samples are contiguous rows, so its peak is one segment
+        # of the flattened readout.
+        celsius = result.samples
+        peaks = np.maximum.reduceat(celsius.ravel(), result.starts * celsius.shape[1])
+        outcome = self._outcome(
+            start_epoch, trace, costs, celsius[result.stops - 1], peaks
+        )
+        self._thermal_state = result.final_state_kelvin
         capacity = self._settled_capacity
         self._peak_ring = _ring(self._peak_ring, outcome.peak_by_epoch, capacity)
         self._mean_ring = _ring(self._mean_ring, outcome.mean_by_epoch, capacity)

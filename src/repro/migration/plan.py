@@ -91,6 +91,12 @@ class MigrationStage:
     energy_j: float
     moved: int
 
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Pickle keeps no read-only flags: an unpickled stage (a copied
+        # chip's plan memo) is read-only again.
+        self.__dict__.update(state)
+        self.step.flags.writeable = self.energy.flags.writeable = False
+
     # -- checkpoint codec ------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -156,17 +156,52 @@ class Pattern(ABC):
         return cls(**params)  # type: ignore[call-arg]
 
 
+def _is_count(value) -> bool:
+    """An integer under the JSON rule: booleans and floats are not counts."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
 def _as_count(value, name: str) -> int:
     """An integer field: JSON floats and booleans are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_count(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
+def _is_coordinate(value) -> bool:
+    """A mesh coordinate: a list (or tuple) of two integers."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(_is_count(part) for part in value)
+    )
+
+
+def _is_pattern(value) -> bool:
+    """A pattern object: its JSON dict, or a built pattern."""
+    return isinstance(value, (dict, Pattern))
+
+
+#: The structural field annotations: what each takes, and the check.
+_STRUCTURES = {
+    "Pattern": ("a pattern object", _is_pattern),
+    "Tuple[Pattern, ...]": (
+        "a list of pattern objects",
+        lambda value: isinstance(value, (list, tuple)) and all(map(_is_pattern, value)),
+    ),
+    "Coordinate": ("a list of two integers", _is_coordinate),
+    "Tuple[Coordinate, ...]": (
+        "a list of [x, y] integer pairs",
+        lambda value: isinstance(value, (list, tuple)) and all(map(_is_coordinate, value)),
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def _typed_fields(cls) -> Tuple[Tuple[str, str], ...]:
-    """``(name, annotation)`` of a dataclass's number and flag fields."""
-    kinds = ("int", "Optional[int]", "float", "Optional[float]", "bool")
+    """``(name, annotation)`` of a dataclass's number, flag and structural
+    fields."""
+    kinds = ("int", "Optional[int]", "float", "Optional[float]", "bool", *_STRUCTURES)
     return tuple((f.name, f.type) for f in fields(cls) if f.type in kinds)
 
 
@@ -176,7 +211,10 @@ def check_field_types(cls, values: Mapping[str, object]) -> None:
     ``int`` field (or a set ``Optional[int]`` one) takes :func:`_as_count`,
     the integer rule windows apply too; a ``float`` one (or a set
     ``Optional[float]``) rejects strings and booleans, and a ``bool`` one
-    takes only a boolean."""
+    takes only a boolean.  A nested pattern field takes a pattern object,
+    a ``Tuple[Pattern, ...]`` one a list of them; a coordinate takes a list
+    of two integers (each under the integer rule), a ``Tuple[Coordinate,
+    ...]`` a list of them."""
     for name, kind in _typed_fields(cls):
         if name not in values:
             continue
@@ -188,16 +226,23 @@ def check_field_types(cls, values: Mapping[str, object]) -> None:
         elif kind in ("float", "Optional[float]"):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        elif not isinstance(value, bool):
-            raise ValueError(f"{name} must be true or false, got {value!r}")
+        elif kind == "bool":
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+        else:
+            what, accepts = _STRUCTURES[kind]
+            if not accepts(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def pattern_from_dict(payload: Dict[str, object]) -> Pattern:
     """Inverse of :meth:`Pattern.to_dict`.
 
-    The number fields are type-checked before the pattern is built, so a
-    string, boolean or list where a number goes (or a float where an integer
-    goes) is a ``ValueError`` naming the field.
+    The fields are type-checked before the pattern is built, so a string,
+    boolean or list where a number goes (or a float where an integer goes),
+    a nested pattern that is not a pattern object or a coordinate that is
+    not two integers is a ``ValueError`` naming the pattern kind and the
+    field.
     """
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ValueError(f"pattern payload must be a dict with a 'kind': {payload!r}")
@@ -208,7 +253,10 @@ def pattern_from_dict(payload: Dict[str, object]) -> Pattern:
         raise ValueError(
             f"unknown pattern kind {kind!r}; known kinds: {sorted(_PATTERN_KINDS)}"
         )
-    check_field_types(cls, params)
+    try:
+        check_field_types(cls, params)
+    except ValueError as error:
+        raise ValueError(f"{kind} pattern: {error}") from None
     return cls._from_params(params)
 
 

@@ -30,7 +30,7 @@ from .floorplan import (
 )
 from .package import KELVIN_OFFSET, DEFAULT_PACKAGE, ThermalPackage
 from .rc_model import ThermalNetwork, build_thermal_network
-from .solver import ThermalSolver, TransientResult
+from .solver import ThermalSolver, TransientOperator, TransientResult, freeze
 
 
 class HotSpotModel:
@@ -82,12 +82,22 @@ class HotSpotModel:
             [nodes_of_unit[block_name_for(coord)] for coord in topology.coordinates()],
             dtype=np.int64,
         )
+        #: ``(num_units, num_nodes)``: ``rows @ _injection`` spreads unit
+        #: power rows evenly over each unit's cells.
+        self._injection = self.node_power_matrix(np.eye(topology.num_nodes))
+        freeze(self._injection, self.unit_nodes)
         # The steady solve in unit space: ``rows @ R + T0`` is the kelvin of
-        # every unit's cells.
+        # every unit's cells.  The transient operator is built on the first
+        # transient, with the solver's eigenbasis.
         self._unit_operator, self._unit_offset = self.solver.reduced_steady_operator(
-            self.node_power_matrix(np.eye(topology.num_nodes)),
-            self.unit_nodes.ravel(),
+            self._injection, self.unit_nodes.ravel()
         )
+        self._transient_operator: Optional[TransientOperator] = None
+
+    def __setstate__(self, state):
+        # Pickle keeps no read-only flags: freeze the operators again.
+        self.__dict__.update(state)
+        freeze(self._injection, self.unit_nodes, self._unit_operator, self._unit_offset)
 
     # ------------------------------------------------------------------
     def _unit_rows(self, power_rows: np.ndarray) -> np.ndarray:
@@ -151,35 +161,44 @@ class HotSpotModel:
     ) -> TransientResult:
         """Transient evolution under a piecewise-constant power trace.
 
-        One scatter builds every interval's node power; ``initial_state`` is
-        a node vector in kelvin (see :meth:`warm_state`), and
-        ``ambient_offsets_kelvin`` shifts the ambient boundary per interval
-        (exact time-varying ambient; see
-        :meth:`repro.thermal.solver.ThermalSolver.transient_sequence`).
+        The trace's unit rows go straight into the unit-space transient
+        operator (built once, on the first call), so the closed form
+        evaluates every sample only at the units' cells: the result's
+        ``samples`` are per-unit Celsius, each unit its hottest cell, and its
+        ``final_state_kelvin`` the node state to carry into the next trace.
+        ``initial_state`` is a node vector in kelvin (see :meth:`warm_state`),
+        and ``ambient_offsets_kelvin`` shifts the ambient boundary per
+        interval (exact time-varying ambient; see
+        :meth:`repro.thermal.solver.ThermalSolver.transient_reduced`).
         """
-        return self.solver.transient_sequence(
+        operator = self._transient_operator
+        if operator is None:
+            operator = self._transient_operator = self.solver.reduced_transient_operator(
+                self._injection, self.unit_nodes.ravel()
+            )
+        kelvin, starts, stops, final = self.solver.transient_reduced(
+            operator,
             trace.durations,
-            self.node_power_matrix(trace.powers),
-            initial_state=initial_state,
-            time_step_s=time_step_s,
-            ambient_offsets_kelvin=ambient_offsets_kelvin,
+            trace.powers,
+            initial_state,
+            time_step_s,
+            ambient_offsets_kelvin,
         )
-
-    def unit_series(self, result: TransientResult) -> np.ndarray:
-        """``(num_units, num_samples)`` per-unit Celsius series of a transient."""
-        cells = result.node_kelvin.T[self.unit_nodes]
-        series = np.maximum.reduce(cells, axis=1)
-        series -= KELVIN_OFFSET
-        return series
+        cells_per_unit = self.unit_nodes.shape[1]
+        if cells_per_unit > 1:
+            kelvin = kelvin.reshape(len(kelvin), -1, cells_per_unit).max(axis=-1)
+        kelvin -= KELVIN_OFFSET
+        return TransientResult(kelvin, starts, stops, final)
 
     def warm_state(self, power_row: np.ndarray, ambient_offset_kelvin: float = 0.0) -> np.ndarray:
         """Steady-state node vector used to start transients already warm.
 
-        ``power_row`` is a row-major per-unit power vector;
+        ``power_row`` is a row-major per-unit power vector, injected onto
+        the nodes by one product (one steady solve);
         ``ambient_offset_kelvin`` shifts the ambient boundary of the solve.
         """
         return self.solver.warm_state(
-            self.node_power_matrix(power_row)[0],
+            (self._unit_rows(power_row) @ self._injection)[0],
             ambient_offset_kelvin=ambient_offset_kelvin,
         )
 

@@ -1,9 +1,11 @@
 """Steady-state and transient solvers for the RC thermal network.
 
-The solver works in node space only: power comes in as node-space vectors
-or ``(rows, num_nodes)`` matrices and temperatures go out as kelvin arrays.
-Mapping functional units onto nodes is the model's job
-(:class:`repro.thermal.hotspot.HotSpotModel`).
+The solver works on node-space operators: power comes in as node-space
+vectors or ``(rows, num_nodes)`` matrices, or as the rows of a caller's
+*reduced* operator that maps its inputs onto the nodes, and temperatures go
+out as kelvin arrays.  Mapping functional units onto nodes is the model's job
+(:class:`repro.thermal.hotspot.HotSpotModel`), which builds one reduced
+operator per kind of solve.
 
 * Every steady solve is a matrix product with a precomputed dense inverse.
   An inverse holds the same ``n**2`` floats as an LU factor, and on these
@@ -13,21 +15,26 @@ Mapping functional units onto nodes is the model's job
   for many power rows with one product, ``rhs @ A^-T``; ``A^-1`` is built
   when the solver is constructed; :meth:`ThermalSolver.steady_state_reduced`
   solves through ``A^-T`` restricted to the inputs and nodes a caller uses.
-* :meth:`ThermalSolver.transient_sequence` integrates
+* :meth:`ThermalSolver.transient_reduced` integrates
   ``C dT/dt = P - A T + G_amb T_amb`` over a piecewise-constant power trace
   with the unconditionally stable implicit-Euler scheme, evaluated in closed
   form: in the eigenbasis of the pencil ``(A, C)`` (computed once per
   solver) every step multiplies each mode's distance to the interval's fixed
-  point by ``mu = 1 / (1 + dt * lambda)``, so every sampled instant of every
-  interval comes out of a few matrix products, whatever mix of step sizes
-  and step counts the intervals use.
+  point by ``mu = 1 / (1 + dt * lambda)``.  A :class:`TransientOperator`
+  maps a caller's input rows to modal fixed points and modal increments to
+  the readout it reports, so every sampled instant of every interval is
+  evaluated only at that readout, whatever mix of step sizes and step
+  counts the intervals use.  :meth:`ThermalSolver.transient_sequence` is
+  the same closed form read out at every node through the identity
+  injection.
 * Time-varying ambient is exact, not quasi-static: the ambient forcing
   ``G_amb * T_amb(t)`` is affine in the RHS, so a per-interval offset
   ``dT_i`` simply turns each interval's constant RHS into
   ``P_i + G_amb * (T_amb + dT_i)``; the offsets only move the per-interval
-  fixed points (already one product with ``A^-T``).
-* Nothing writes to an operator once it is built, and a matrix product only
-  reads it, so one solver can serve several threads at once.
+  fixed points.
+* Nothing writes to an operator once it is built (every one is a read-only
+  array, also after unpickling), and a matrix product only reads it, so one
+  solver can serve several threads at once.
 
 Temperatures are kelvin throughout; the model converts its per-unit
 readings to degrees Celsius, matching the paper's figures.
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -59,35 +66,74 @@ _OBS_SPECTRAL_JUMPS = _obs_counter("thermal.spectral_jumps")
 MAX_STEP_TABLES = 256
 
 
-@dataclass
-class TransientResult:
-    """Temperature evolution over a piecewise-constant power trace."""
+def freeze(*arrays: np.ndarray) -> None:
+    """Make each array read-only (pickle keeps no flags, so unpickled
+    operators are frozen again)."""
+    for array in arrays:
+        array.flags.writeable = False
 
-    times_s: np.ndarray
-    #: ``(num_samples, num_nodes)`` node temperatures in kelvin: each
-    #: interval's start state followed by every implicit-Euler step in it.
-    node_kelvin: np.ndarray
+
+class _ReadOnlyArrays:
+    """A record whose array fields are read-only, also after unpickling."""
+
+    def __post_init__(self) -> None:
+        freeze(*(value for value in vars(self).values() if isinstance(value, np.ndarray)))
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
+
+class TransientResult(NamedTuple):
+    """A piecewise-constant power trace's trajectory, evaluated at a readout.
+
+    ``samples`` has one row per sampled instant -- each interval's start
+    state, then each of its implicit-Euler steps -- and one column per
+    readout entry: node kelvin from :meth:`ThermalSolver.transient_sequence`,
+    per-unit Celsius (each unit its hottest cell) from
+    :meth:`repro.thermal.hotspot.HotSpotModel.transient_sequence`.  Interval
+    ``i`` owns rows ``starts[i]:stops[i]``, and its first row equals the
+    previous interval's last.  ``final_state_kelvin`` is the node state after
+    the last interval, the start of a following trace.
+    """
+
+    samples: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
     final_state_kelvin: np.ndarray
-    #: Sample-row ranges ``[start, stop)`` of each power interval, so
-    #: callers can reduce per-interval metrics straight from the
-    #: concatenated samples.
-    interval_ranges: List[Tuple[int, int]]
 
 
 @dataclass(frozen=True)
-class _Eigenbasis:
+class TransientOperator(_ReadOnlyArrays):
+    """A transient's inputs and readout, reduced onto the ``(A, C)`` eigenbasis.
+
+    ``rows @ fixed + boundary`` are the modal coordinates of each input
+    row's fixed point ``A^-1 (rows @ injection + G_amb T_amb)``, and
+    ``ambient`` those of a 1 K ambient shift; ``modal @ readout`` is a modal
+    increment's kelvin at the readout cells ``cells`` (node indices).
+    """
+
+    fixed: np.ndarray
+    boundary: np.ndarray
+    ambient: np.ndarray
+    readout: np.ndarray
+    cells: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Eigenbasis(_ReadOnlyArrays):
     """The pencil ``(A, C)`` diagonalised, as row-vector operators.
 
     With ``C^{-1/2} A C^{-1/2} = U diag(eigenvalues) U^T``, the modal
     coordinates of a node state ``T`` are ``T @ to_modal``
-    (``= U^T C^{1/2} T``), those of the fixed point ``A^-1 rhs`` are
-    ``rhs @ fixed_to_modal``, and ``modal @ from_modal`` maps back.
+    (``= U^T C^{1/2} T``) and ``modal @ from_modal`` maps back; ``nodes``
+    is the transient operator of node-space input read out at every node.
     """
 
     eigenvalues: np.ndarray
     to_modal: np.ndarray
-    fixed_to_modal: np.ndarray
     from_modal: np.ndarray
+    nodes: TransientOperator
 
 
 def _check_power(power: np.ndarray) -> None:
@@ -119,11 +165,12 @@ class ThermalSolver:
         #: ``A^-T``: ``rhs_rows @ _steady_operator`` solves ``A T = rhs`` per row.
         self._steady_operator = np.linalg.inv(self._A).T
         self._boundary = network.ambient_conductance * network.ambient_kelvin
+        freeze(self._steady_operator, self._boundary)
         #: Number of steady solves.  A multi-RHS batch counts once, so a
         #: fully batched steady experiment shows exactly one solve
         #: (regression guard for the epoch pipeline).
         self.steady_solve_count = 0
-        #: Number of ``transient_sequence()`` calls past their argument checks.
+        #: Number of transients past their argument checks.
         self.transient_sequence_count = 0
         #: Number of whole-trace eigenbasis evaluations, one per sequence:
         #: equal to ``transient_sequence_count`` while every transient takes
@@ -132,10 +179,10 @@ class ThermalSolver:
         self._spectral_basis: Optional[_Eigenbasis] = None
         #: ``(dt, steps)`` -> that interval's read-only step table (see
         #: :meth:`_step_table`), oldest first.
-        self._step_tables: Dict[Tuple[float, int], Tuple[np.ndarray, np.ndarray]] = {}
+        self._step_tables: Dict[Tuple[float, int], np.ndarray] = {}
         # A chip configuration, and so its solver, may be shared by callers
-        # on several threads; guard the lazily-built eigenbasis and the
-        # step-table store.
+        # on several threads; guard the lazily-built eigenbasis and
+        # operators and the step-table store.
         self._cache_lock = threading.Lock()
 
     def __getstate__(self):
@@ -149,66 +196,81 @@ class ThermalSolver:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        freeze(self._steady_operator, self._boundary)
         self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _spectral(self) -> _Eigenbasis:
-        """Orthonormal eigenbasis of ``C^{-1/2} A C^{-1/2}`` (computed once).
+        """The eigenbasis, built on first use (see :meth:`_build_spectral`)."""
+        basis = self._spectral_basis
+        if basis is None:
+            with self._cache_lock:
+                basis = self._build_spectral()
+        return basis
+
+    def _build_spectral(self) -> _Eigenbasis:
+        """Orthonormal eigenbasis of ``C^{-1/2} A C^{-1/2}`` (computed once;
+        the caller holds ``_cache_lock``).
 
         ``A`` is symmetric positive definite and ``C`` diagonal positive, so
         the symmetrized pencil has real positive eigenvalues; in this basis
         one implicit-Euler step multiplies each mode by
         ``1 / (1 + dt * lambda)``.
         """
-        with self._cache_lock:
-            if self._spectral_basis is None:
-                c_sqrt = np.sqrt(self.network.capacitance)
-                symmetric = self._A / np.outer(c_sqrt, c_sqrt)
-                eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
-                to_modal = c_sqrt[:, np.newaxis] * eigenvectors
-                self._spectral_basis = _Eigenbasis(
-                    eigenvalues=eigenvalues,
-                    to_modal=to_modal,
-                    fixed_to_modal=self._steady_operator @ to_modal,
-                    from_modal=eigenvectors.T / c_sqrt[np.newaxis, :],
-                )
-            return self._spectral_basis
+        if self._spectral_basis is None:
+            c_sqrt = np.sqrt(self.network.capacitance)
+            symmetric = self._A / np.outer(c_sqrt, c_sqrt)
+            eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
+            to_modal = c_sqrt[:, np.newaxis] * eigenvectors
+            from_modal = eigenvectors.T / c_sqrt[np.newaxis, :]
+            fixed = self._steady_operator @ to_modal
+            self._spectral_basis = _Eigenbasis(
+                eigenvalues=eigenvalues,
+                to_modal=to_modal,
+                from_modal=from_modal,
+                nodes=TransientOperator(
+                    fixed=fixed,
+                    boundary=self._boundary @ fixed,
+                    ambient=self.network.ambient_conductance @ fixed,
+                    readout=from_modal,
+                    cells=np.arange(self.network.num_nodes),
+                ),
+            )
+        return self._spectral_basis
 
-    def _step_table(
-        self, basis: _Eigenbasis, dt: float, count: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def reduced_transient_operator(
+        self, injection: np.ndarray, readout: np.ndarray
+    ) -> TransientOperator:
+        """The :class:`TransientOperator` of ``k`` inputs, each a node-space
+        row of the ``(k, num_nodes)`` ``injection``, read out at the node
+        indices ``readout``; built with the eigenbasis, under the solver's
+        cache lock, as read-only arrays."""
+        cells = np.asarray(readout, dtype=np.intp)
+        with self._cache_lock:
+            nodes = self._build_spectral().nodes
+            return TransientOperator(
+                fixed=injection @ nodes.fixed,
+                boundary=nodes.boundary,
+                ambient=nodes.ambient,
+                readout=nodes.readout[:, cells],
+                cells=cells,
+            )
+
+    def _step_table(self, basis: _Eigenbasis, dt: float, count: int) -> np.ndarray:
         """The read-only ``1 - mu^k`` rows (``k = 0..count``, one column per
-        mode) and step times ``k * dt`` of ``count`` steps of ``dt``; built
-        once per pair and kept, at most :data:`MAX_STEP_TABLES` of them."""
+        mode) of ``count`` steps of ``dt``; built once per pair and kept, at
+        most :data:`MAX_STEP_TABLES` of them."""
         key = (dt, count)
         table = self._step_tables.get(key)
         if table is None:
             k = np.arange(count + 1, dtype=float)
             rise = -np.expm1(np.multiply.outer(-k, np.log1p(dt * basis.eigenvalues)))
-            times = k * dt
-            rise.flags.writeable = False
-            times.flags.writeable = False
+            freeze(rise)
             with self._cache_lock:
-                table = self._step_tables.setdefault(key, (rise, times))
+                table = self._step_tables.setdefault(key, rise)
                 if len(self._step_tables) > MAX_STEP_TABLES:
                     del self._step_tables[next(iter(self._step_tables))]
         return table
-
-    def _ambient_offsets_of(
-        self, ambient_offsets_kelvin, num_intervals: int
-    ) -> Optional[np.ndarray]:
-        """Validated ``(num_intervals,)`` ambient-offset array (or None)."""
-        if ambient_offsets_kelvin is None:
-            return None
-        offsets = np.asarray(ambient_offsets_kelvin, dtype=float)
-        if offsets.shape != (num_intervals,):
-            raise ValueError(
-                f"ambient_offsets_kelvin must have {num_intervals} entries, "
-                f"got shape {offsets.shape}"
-            )
-        if not np.isfinite(offsets).all():
-            raise ValueError("ambient offsets must be finite")
-        return offsets
 
     def _node_powers(self, node_powers, shape: Tuple[int, ...]) -> np.ndarray:
         """``node_powers`` as a float array of ``shape``, checked finite and non-negative."""
@@ -242,13 +304,16 @@ class ThermalSolver:
             return rhs @ self._steady_operator
 
     def reduced_steady_operator(
-        self, injection: np.ndarray, readout: np.ndarray
+        self, injection: np.ndarray, readout
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(operator, offset)``: ``rows @ operator + offset`` equals
         ``steady_state_batch(rows @ injection)[:, readout]`` up to roundoff,
-        for a ``(k, num_nodes)`` ``injection`` of ``k`` inputs."""
+        for a ``(k, num_nodes)`` ``injection`` of ``k`` inputs; both are
+        read-only."""
         columns = self._steady_operator[:, readout]
-        return injection @ columns, self._boundary @ columns
+        operator, offset = injection @ columns, self._boundary @ columns
+        freeze(operator, offset)
+        return operator, offset
 
     def steady_state_reduced(
         self, rows: np.ndarray, operator: np.ndarray, offset: np.ndarray
@@ -292,14 +357,52 @@ class ThermalSolver:
         time_step_s: Optional[float] = None,
         ambient_offsets_kelvin=None,
     ) -> TransientResult:
-        """Integrate a piecewise-constant power trace.
+        """Integrate a piecewise-constant node-space power trace.
 
         Interval ``i`` lasts ``durations_s[i]`` seconds under the node-space
         power ``node_powers[i]`` (a ``(num_intervals, num_nodes)`` matrix);
-        thermal state is carried across interval boundaries.  The result's
-        :attr:`TransientResult.interval_ranges` records each interval's
-        sample-row range so per-interval metrics can be reduced from the
-        concatenated samples without re-integrating.
+        the result's samples are node kelvin.  This is
+        :meth:`transient_reduced` through the identity injection, read out
+        at every node; the arguments are checked first (positive finite
+        durations, finite non-negative power of the right shape).
+        """
+        durations = np.asarray(durations_s, dtype=float)
+        if durations.ndim != 1 or durations.size == 0:
+            raise ValueError("at least one interval is required")
+        if not (
+            np.minimum.reduce(durations) > 0.0 and np.maximum.reduce(durations) < np.inf
+        ):
+            if not np.isfinite(durations).all():
+                raise ValueError("durations_s must be finite (no NaN or inf)")
+            raise ValueError("duration must be positive")
+        powers = self._node_powers(
+            node_powers, (durations.size, self.network.num_nodes)
+        )
+        return self.transient_reduced(
+            self._spectral().nodes,
+            durations,
+            powers,
+            initial_state,
+            time_step_s,
+            ambient_offsets_kelvin,
+        )
+
+    def transient_reduced(
+        self,
+        operator: TransientOperator,
+        durations: np.ndarray,
+        rows: np.ndarray,
+        initial_state: Optional[np.ndarray] = None,
+        time_step_s: Optional[float] = None,
+        ambient_offsets_kelvin=None,
+    ) -> TransientResult:
+        """The implicit-Euler trajectory of a validated trace at a readout.
+
+        Interval ``i`` lasts ``durations[i]`` seconds (positive and finite)
+        under input row ``rows[i]`` (finite, non-negative, as many entries
+        as ``operator`` has inputs): the caller checked both, as a
+        :class:`repro.power.trace.PowerTrace` does.  The result's
+        ``samples`` are kelvin at ``operator``'s readout.
 
         ``initial_state`` is a node vector in kelvin (default: ambient
         everywhere, a cold chip).  ``time_step_s`` is the implicit-Euler step
@@ -317,49 +420,40 @@ class ThermalSolver:
         state is given, the cold start equilibrates at the *first* interval's
         ambient (``A @ 1 = G_amb``, so that state is uniform).
         """
-        durations = np.asarray(durations_s, dtype=float)
-        if durations.ndim != 1 or durations.size == 0:
-            raise ValueError("at least one interval is required")
-        if not (
-            np.minimum.reduce(durations) > 0.0 and np.maximum.reduce(durations) < np.inf
-        ):
-            if not np.isfinite(durations).all():
-                raise ValueError("durations_s must be finite (no NaN or inf)")
-            raise ValueError("duration must be positive")
         if time_step_s is not None and not time_step_s > 0:
             raise ValueError(f"time_step_s must be positive, got {time_step_s}")
-        powers = self._node_powers(
-            node_powers, (durations.size, self.network.num_nodes)
-        )
-        offsets = self._ambient_offsets_of(ambient_offsets_kelvin, durations.size)
-        state = self._initial_state(initial_state, offsets)
-        self.transient_sequence_count += 1
-        _OBS_SEQUENCES.add()
-        with _obs_span("thermal.transient_sequence", intervals=durations.size):
-            return self._closed_form(durations, powers, state, time_step_s, offsets)
-
-    def _initial_state(
-        self, initial_state: Optional[np.ndarray], offsets: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """The checked start state: ``initial_state``, or a cold chip at the
-        first interval's ambient."""
+        offsets = None
+        if ambient_offsets_kelvin is not None:
+            offsets = np.asarray(ambient_offsets_kelvin, dtype=float)
+            if offsets.shape != durations.shape:
+                raise ValueError(
+                    f"ambient_offsets_kelvin must have {durations.size} entries, "
+                    f"got shape {offsets.shape}"
+                )
+            if not np.isfinite(offsets).all():
+                raise ValueError("ambient offsets must be finite")
         network = self.network
         if initial_state is None:
             ambient = network.ambient_kelvin
             if offsets is not None:
                 ambient = ambient + offsets[0]
-            return np.full(network.num_nodes, ambient, dtype=float)
-        state = np.asarray(initial_state, dtype=float)
-        if state.shape != (network.num_nodes,):
-            raise ValueError("initial state has wrong number of nodes")
-        if not np.isfinite(state).all():
-            raise ValueError("initial state must be finite (no NaN or inf)")
-        return state
+            state = np.full(network.num_nodes, ambient, dtype=float)
+        else:
+            state = np.asarray(initial_state, dtype=float)
+            if state.shape != (network.num_nodes,):
+                raise ValueError("initial state has wrong number of nodes")
+            if not np.isfinite(state).all():
+                raise ValueError("initial state must be finite (no NaN or inf)")
+        self.transient_sequence_count += 1
+        _OBS_SEQUENCES.add()
+        with _obs_span("thermal.transient_sequence", intervals=durations.size):
+            return self._closed_form(operator, durations, rows, state, time_step_s, offsets)
 
     def _closed_form(
         self,
+        operator: TransientOperator,
         durations: np.ndarray,
-        powers: np.ndarray,
+        rows: np.ndarray,
         state: np.ndarray,
         time_step_s: Optional[float],
         offsets: Optional[np.ndarray],
@@ -373,7 +467,10 @@ class ThermalSolver:
         interval's fixed point in modal coordinates, the recurrence over the
         intervals carries the modal start state across boundaries, and one
         product brings every sample's increment over its interval's start
-        state back to node space.
+        state to the readout.  Each interval's start is the running sum of
+        the earlier intervals' last increments, and the carried node state
+        is the initial state plus the node-space sum of those increments
+        (one ``(E, M) @ (M, N)`` product).
 
         The increment form ``T_0 + (1 - mu^k)(T* - T_0)``, with
         ``1 - mu^k = -expm1(-k log1p(dt lambda))``, keeps its precision when
@@ -382,38 +479,56 @@ class ThermalSolver:
         numbers where the increment tends to the deposited energy over
         ``C``.  The ``1 - mu^k`` tables are built once per distinct
         ``(dt, steps)`` pair the solver meets and kept on it
-        (:meth:`_step_table`), so a trace reuses its earlier traces' tables.
+        (:meth:`_step_table`), so a trace reuses its earlier traces' tables;
+        a trace whose intervals share one pair reads its one table by
+        broadcasting.
         """
         basis = self._spectral()
-        requested = np.minimum(durations / 200.0, 1e-3) if time_step_s is None else time_step_s
-        time_steps = np.minimum(requested, durations)
-        steps = np.maximum(1, np.rint(durations / time_steps)).astype(np.int64)
+        count = durations.size
         self.spectral_jump_count += 1
         _OBS_SPECTRAL_JUMPS.add()
 
-        rhs = powers + self._boundary
-        if offsets is not None:
-            rhs += offsets[:, np.newaxis] * self.network.ambient_conductance
-        modal_fixed = rhs @ basis.fixed_to_modal
+        # Row k of an interval's table is ``1 - mu^k`` for k = 0..steps;
+        # k = 0 is the interval's start state.  ``head`` holds the last row
+        # of every interval but the final one, ``tail`` that of every one.
+        shortest = np.minimum.reduce(durations)
+        shared = shortest == np.maximum.reduce(durations)
+        if shared:
+            # One (dt, steps) pair covers the trace: its one table is read by
+            # broadcasting, interval by interval.
+            duration = float(shortest)
+            dt = min(duration / 200.0, 1e-3) if time_step_s is None else time_step_s
+            dt = float(min(dt, duration))
+            per = max(1, round(duration / dt)) + 1
+            rise = self._step_table(basis, dt, per - 1)
+            stops = np.arange(per, per * count + 1, per)
+            head = tail = rise[-1]
+        else:
+            requested = (
+                np.minimum(durations / 200.0, 1e-3) if time_step_s is None else time_step_s
+            )
+            time_steps = np.minimum(requested, durations)
+            steps = np.maximum(1, np.rint(durations / time_steps)).astype(np.int64)
+            keys = list(zip(time_steps.tolist(), steps.tolist()))
+            tables = {key: self._step_table(basis, *key) for key in dict.fromkeys(keys)}
+            rise = np.concatenate([tables[key] for key in keys])
+            per = steps + 1
+            stops = per.cumsum()
+            tail = rise[stops - 1]
+            head = tail[:-1]
 
-        # Row k of an interval's table is ``1 - mu^k`` for k = 0..steps, and
-        # its step times ``k * dt``; k = 0 is the interval's start state.
-        keys = list(zip(time_steps.tolist(), steps.tolist()))
-        tables = {key: self._step_table(basis, *key) for key in dict.fromkeys(keys)}
-        rise_rows = np.concatenate([tables[key][0] for key in keys])
-        rows_per_interval = steps + 1
-        stops = rows_per_interval.cumsum()
-        # The last sample row of every interval but the final one.
-        inner_ends = stops[:-1] - 1
+        modal_fixed = rows @ operator.fixed
+        modal_fixed += operator.boundary
+        if offsets is not None:
+            modal_fixed += offsets[:, np.newaxis] * operator.ambient
 
         # Modal start states: s_{i+1} = mu_i s_i + (1 - mu_i) m(T*_i), with
         # mu_i the decay over interval i's whole step count.  A doubling
         # scan composes these affine maps, so after it map i takes s_0 to
         # s_{i+1} in one multiply-add.  (Each update works in place on a
         # view of its array; a ufunc reads an overlapping input as it was.)
-        rise_ends = rise_rows[inner_ends]
-        factors = 1.0 - rise_ends
-        pulls = rise_ends * modal_fixed[:-1]
+        pulls = head * modal_fixed[:-1]
+        factors = np.subtract(1.0, head, out=np.empty_like(pulls))
         shift = 1
         while shift < len(factors):
             later_pulls = pulls[shift:]
@@ -422,25 +537,31 @@ class ThermalSolver:
             later_factors *= factors[:-shift]
             shift *= 2
         modal_start = state @ basis.to_modal
-        gaps = modal_fixed.copy()
+        gaps = modal_fixed
         gaps[0] -= modal_start
         later_gaps = gaps[1:]
         later_gaps -= factors * modal_start + pulls
 
-        increments = (rise_rows * gaps.repeat(rows_per_interval, axis=0)) @ basis.from_modal
+        # Every sample's increment over its interval's start, at the readout.
+        if shared:
+            increments = (rise * gaps[:, np.newaxis, :]).reshape(-1, rise.shape[1])
+        else:
+            increments = rise * gaps.repeat(per, axis=0)
+        samples = increments @ operator.readout
         # Each start is the previous start plus that interval's last
         # increment, added in the same order as its last row below, so an
         # interval's t=0 row equals the previous interval's last row exactly.
-        starts = np.concatenate((state[np.newaxis, :], increments[inner_ends])).cumsum(axis=0)
-        node_kelvin = starts.repeat(rows_per_interval, axis=0) + increments
-
-        origins = np.concatenate(([0.0], (steps * time_steps).cumsum()[:-1]))
-        times = np.concatenate([tables[key][1] for key in keys])
-        times += origins.repeat(rows_per_interval)
-        first_rows = stops - rows_per_interval
-        return TransientResult(
-            times_s=times,
-            node_kelvin=node_kelvin,
-            final_state_kelvin=node_kelvin[-1].copy(),
-            interval_ranges=list(zip(first_rows.tolist(), stops.tolist())),
-        )
+        starts = np.empty((count, samples.shape[1]))
+        starts[0] = state[operator.cells]
+        starts[1:] = samples[stops[:-1] - 1]
+        np.cumsum(starts, axis=0, out=starts)
+        if shared:
+            by_interval = samples.reshape(count, per, -1)
+            by_interval += starts[:, np.newaxis, :]
+        else:
+            samples += starts.repeat(per, axis=0)
+        # The carried node state: the start plus every interval's last
+        # increment, summed in the same order in node space.
+        carried = (tail * gaps) @ basis.from_modal
+        carried[0] += state
+        return TransientResult(samples, stops - per, stops, np.add.reduce(carried))

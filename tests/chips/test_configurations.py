@@ -1,6 +1,7 @@
 """Tests for the five chip configurations A-E."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from repro.chips.configurations import (
     get_configuration,
 )
 from repro.chips.profiles import row_powers
+from repro.core.experiment import ExperimentSettings, ThermalExperiment
+from repro.core.policy import PeriodicMigrationPolicy
 
 
 class TestRoster:
@@ -151,3 +154,53 @@ class TestTaskArrays:
         first = RuntimeReconfigurationController(chip)
         second = RuntimeReconfigurationController(chip, include_migration_energy=False)
         assert first.nodes is second.nodes is chip.task_arrays.static_nodes
+
+
+class TestSharedArraysStayReadOnly:
+    """Every array a chip shares with all of its runs and threads is
+    read-only, on the chip and on a pickled copy (pickle keeps no flags)."""
+
+    @staticmethod
+    def _shared_arrays(chip):
+        plans = chip.migration_unit.plans
+        stages = [stage for key in plans.keys() for stage in plans.get(key).stages]
+        model = chip.thermal_model
+        solver = model.solver
+        basis = solver._spectral_basis
+        arrays = {
+            "task_arrays.static_nodes": chip.task_arrays.static_nodes,
+            "task_arrays.watts": chip.task_arrays.watts,
+            "task_arrays.tanner_nodes": chip.task_arrays.tanner_nodes,
+            "solver._steady_operator": solver._steady_operator,
+            "solver._boundary": solver._boundary,
+            "model.unit_nodes": model.unit_nodes,
+            "model._injection": model._injection,
+            "model._unit_operator": model._unit_operator,
+            "model._unit_offset": model._unit_offset,
+        }
+        for name in ("eigenvalues", "to_modal", "from_modal"):
+            arrays[f"eigenbasis.{name}"] = getattr(basis, name)
+        for label, operator in (
+            ("eigenbasis.nodes", basis.nodes),
+            ("model._transient_operator", model._transient_operator),
+        ):
+            for name in ("fixed", "boundary", "ambient", "readout", "cells"):
+                arrays[f"{label}.{name}"] = getattr(operator, name)
+        for index, stage in enumerate(stages):
+            arrays[f"stage {index}.step"] = stage.step
+            arrays[f"stage {index}.energy"] = stage.energy
+        return arrays
+
+    def test_after_a_transient_run_and_a_fluid_plan(self):
+        chip = dataclasses.replace(get_configuration("A"))
+        policy = PeriodicMigrationPolicy(chip.topology, "xy-shift", period_us=109.0)
+        settings = ExperimentSettings(
+            num_epochs=8, mode="transient", migration_style="fluid"
+        )
+        ThermalExperiment(chip, policy, settings=settings).run()
+        assert len(chip.migration_unit.plans) > 0
+        clone = pickle.loads(pickle.dumps(chip))
+        for copy in (chip, clone):
+            arrays = self._shared_arrays(copy)
+            assert any(name.startswith("stage ") for name in arrays)
+            assert [name for name, array in arrays.items() if array.flags.writeable] == []

@@ -26,6 +26,7 @@ from repro.thermal.hotspot import HotSpotModel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "thermal"))
 from lu_oracle import LuSolver  # noqa: E402
+from unit_readout import unit_celsius  # noqa: E402
 
 #: Configurations the parity suite pins (both mesh sizes plus the
 #: centre-hotspot case where rotation's energy penalty matters).
@@ -109,16 +110,17 @@ def reference_transient(chip, policy, settings, thermal_model=None, engine="clos
                 initial_state=state,
                 time_step_s=time_step,
             )
+            series = unit_celsius(model, result.samples)
         else:
             result = model.transient_sequence(
                 PowerTrace(topology, [period_s], [row]),
                 initial_state=state,
                 time_step_s=time_step,
             )
+            series = result.samples
         state = result.final_state_kelvin
-        series = model.unit_series(result)
         final = {
-            coord: float(series[idx, -1])
+            coord: float(series[-1, idx])
             for idx, coord in enumerate(chip.topology.coordinates())
         }
         peak_by_epoch.append(float(series.max()))
@@ -244,11 +246,11 @@ def test_period_scaled_transient_matches_lu_euler(config_name):
             time_step_s=time_step,
         )
         state = reference.final_state_kelvin
-        series = model.unit_series(reference)
+        series = unit_celsius(model, reference.samples)
         peak_by_epoch.append(float(series.max()))
         for index, coord in enumerate(chip.topology.coordinates()):
             assert record.thermal.per_unit_celsius[coord] == pytest.approx(
-                float(series[index, -1]), abs=1e-9
+                float(series[-1, index]), abs=1e-9
             )
     assert result.settled_peak_celsius == pytest.approx(
         max(peak_by_epoch[-TRANSIENT.settle_epochs:]), abs=1e-9

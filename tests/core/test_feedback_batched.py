@@ -126,9 +126,9 @@ def reference_transient_feedback(chip, policy, settings, model):
             time_step_s=time_step,
         )
         state = result.final_state_kelvin
-        series = model.unit_series(result)
+        series = result.samples
         final = {
-            coord: float(series[idx, -1])
+            coord: float(series[-1, idx])
             for idx, coord in enumerate(chip.topology.coordinates())
         }
         peak_by_epoch.append(float(series.max()))

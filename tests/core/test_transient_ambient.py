@@ -29,6 +29,7 @@ from repro.thermal.hotspot import HotSpotModel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "thermal"))
 from lu_oracle import LuSolver  # noqa: E402
+from unit_readout import unit_celsius  # noqa: E402
 
 NUM_EPOCHS = 8
 SETTLE = 6
@@ -105,18 +106,19 @@ def _reference_rebuilt_networks(chip, kind: str, epoch_power_maps, engine: str):
                 initial_state=state,
                 time_step_s=time_step,
             )
+            series = unit_celsius(model, result.samples)
         else:
             result = model.transient_sequence(
                 PowerTrace(chip.topology, [period_s], [row]),
                 initial_state=state,
                 time_step_s=time_step,
             )
+            series = result.samples
         state = result.final_state_kelvin
-        series = model.unit_series(result)
         peak_by_epoch.append(float(series.max()))
         per_epoch.append(
             ThermalMetrics.from_map(
-                {coord: float(series[idx, -1]) for idx, coord in enumerate(coords)}
+                {coord: float(series[-1, idx]) for idx, coord in enumerate(coords)}
             )
         )
 

@@ -17,6 +17,7 @@ from repro.thermal.package import KELVIN_OFFSET
 # The LU-factorisation solves the dense operators replaced.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "thermal"))
 from lu_oracle import LuSolver  # noqa: E402
+from unit_readout import unit_celsius  # noqa: E402
 
 # Shared 4x4 model: building the RC network is the expensive part, the solves
 # are cheap, so hypothesis examples reuse one instance.
@@ -133,6 +134,9 @@ def _lu_oracle(chip_name, resolution):
 
 
 chip_resolutions = st.tuples(st.sampled_from("ABCDE"), st.integers(1, 4))
+#: Transient windows stay at resolutions 1-3, where the LU oracle's
+#: step-by-step loop is quick.
+window_chips = st.tuples(st.sampled_from("ABCDE"), st.integers(1, 3))
 
 
 def _power_rows(data, model, count):
@@ -178,22 +182,31 @@ class TestModelOracle:
         )
 
     @given(
-        key=chip_resolutions,
+        key=window_chips,
         durations=st.lists(
             st.sampled_from(_PERIODS_S) | st.floats(1e-6, 2e-3), min_size=1, max_size=12
         ),
+        shared=st.booleans(),
         time_step_s=st.none() | st.sampled_from(_STEPS_S) | st.floats(2e-5, 1e-3),
         warm=st.booleans(),
         data=st.data(),
     )
-    @settings(max_examples=20, deadline=None)
-    def test_euler_matches_lu_oracle(self, key, durations, time_step_s, warm, data):
-        """The closed form against the LU-factored Euler loop.
+    @settings(max_examples=25, deadline=None)
+    def test_window_matches_lu_oracle(self, key, durations, shared, time_step_s, warm, data):
+        """The model's transient window against the LU-factored Euler loop.
 
-        Shared and mixed steps (default steps differ per duration; an
+        Shared steps (every interval one duration, so one ``(dt, steps)``
+        table) and mixed ones (default steps differ per duration; an
         explicit step is clamped to short intervals), ambient offsets or
-        none, cold or warm start.
+        none, cold or warm start.  The readout an epoch loop reduces -- each
+        epoch's peak over its samples (t=0 included), its last row -- and
+        the carried node state are within 1e-9 K of the oracle's, and an
+        interval's t=0 row is the previous interval's last row exactly.  The
+        node-space ``transient_sequence``, the same closed form read out at
+        every node, matches the oracle's trajectory too.
         """
+        if shared:
+            durations = durations[:1] * len(durations)
         model = _chip_model(*key)
         powers = _power_rows(data, model, len(durations))
         node_powers = model.node_power_matrix(powers)
@@ -208,33 +221,44 @@ class TestModelOracle:
             if warm
             else None
         )
+        window = dict(
+            initial_state=initial, time_step_s=time_step_s, ambient_offsets_kelvin=offsets
+        )
         result = model.transient_sequence(
-            PowerTrace(model.topology, durations, powers),
-            initial_state=initial,
-            time_step_s=time_step_s,
-            ambient_offsets_kelvin=offsets,
+            PowerTrace(model.topology, durations, powers), **window
         )
-        expected = _lu_oracle(*key).transient_sequence(
-            durations,
-            node_powers,
-            initial_state=initial,
-            time_step_s=time_step_s,
-            ambient_offsets_kelvin=offsets,
+        expected = _lu_oracle(*key).transient_sequence(durations, node_powers, **window)
+        assert np.array_equal(result.starts, expected.starts)
+        assert np.array_equal(result.stops, expected.stops)
+        units = unit_celsius(model, expected.samples)
+        bounds = list(zip(expected.starts, expected.stops))
+        assert np.allclose(
+            [result.samples[a:b].max() for a, b in bounds],
+            [units[a:b].max() for a, b in bounds],
+            rtol=0.0,
+            atol=1e-9,
         )
-        assert np.allclose(result.node_kelvin, expected.node_kelvin, rtol=0.0, atol=1e-9)
+        last = expected.stops - 1
+        assert np.allclose(result.samples[last], units[last], rtol=0.0, atol=1e-9)
+        assert np.allclose(result.samples, units, rtol=0.0, atol=1e-9)
         assert np.allclose(
             result.final_state_kelvin, expected.final_state_kelvin, rtol=0.0, atol=1e-9
         )
-        assert np.array_equal(result.times_s, expected.times_s)
-        assert result.interval_ranges == expected.interval_ranges
         if initial is not None:
-            assert np.array_equal(result.node_kelvin[0], initial)
+            assert np.array_equal(result.samples[0], unit_celsius(model, initial))
         # Each interval starts exactly where the previous one ended.
-        for (_start, stop), (next_start, _stop) in zip(
-            result.interval_ranges, result.interval_ranges[1:]
-        ):
-            assert np.array_equal(result.node_kelvin[next_start], result.node_kelvin[stop - 1])
-        assert np.array_equal(result.final_state_kelvin, result.node_kelvin[-1])
+        assert np.array_equal(
+            result.samples[result.starts[1:]], result.samples[result.stops[:-1] - 1]
+        )
+        nodes = model.solver.transient_sequence(durations, node_powers, **window)
+        assert np.array_equal(nodes.stops, expected.stops)
+        assert np.allclose(nodes.samples, expected.samples, rtol=0.0, atol=1e-9)
+        assert np.allclose(
+            nodes.final_state_kelvin, expected.final_state_kelvin, rtol=0.0, atol=1e-9
+        )
+        assert np.array_equal(
+            nodes.samples[nodes.starts[1:]], nodes.samples[nodes.stops[:-1] - 1]
+        )
 
     @given(key=chip_resolutions, data=st.data())
     @settings(max_examples=10, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.noc import MeshTopology
-from repro.scenarios import patterns
+from repro.scenarios import get_scenario, patterns
 from repro.scenarios.patterns import (
     BurstPattern,
     ConstantPattern,
@@ -21,6 +21,7 @@ from repro.scenarios.patterns import (
     WallClockPattern,
     pattern_from_dict,
 )
+from repro.scenarios.spec import ScenarioSpec
 
 MESH = MeshTopology(4, 4)
 
@@ -246,3 +247,39 @@ def test_integer_field_refuses_a_float(pattern, name):
     payload = {**pattern.to_dict(), name: 4.5}
     with pytest.raises(ValueError, match=f"{name} must be an integer, got 4.5"):
         pattern_from_dict(payload)
+
+
+#: (scenario, path to the pattern, field, JSON value, kind of the pattern):
+#: nested pattern and coordinate fields of registry specs, edited one at a
+#: time to a value of the wrong JSON shape.
+NESTED_EDITS = [
+    ("hotspot-attack", ("load",), "factors", 5, "product"),
+    ("hotspot-attack", ("load", "factors", 0), "center", 5, "hotspot"),
+    ("hotspot-attack", ("load", "factors", 0), "center", ["a", 1], "hotspot"),
+    ("hotspot-attack", ("load", "factors", 0), "center", [2.5, 2], "hotspot"),
+    ("hotspot-attack", ("load", "factors", 0), "center", [True, 2], "hotspot"),
+    ("pe-fault-transient", ("load",), "units", 5, "fault"),
+    ("pe-fault-transient", ("load",), "units", [["a", 1]], "fault"),
+    ("pe-fault-transient", ("load",), "units", [[1, 2.0]], "fault"),
+    ("pe-fault-transient", ("load",), "units", [[1, True], [2, 2]], "fault"),
+    ("pe-fault-transient", ("load",), "units", [[1]], "fault"),
+    ("ambient-swing-transient", ("ambient_celsius",), "terms", 5, "sum"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, path, name, bad, kind",
+    NESTED_EDITS,
+    ids=[f"{s}.{'.'.join(map(str, p))}.{n}={b!r}" for s, p, n, b, _ in NESTED_EDITS],
+)
+def test_nested_and_coordinate_fields_take_their_json_shape(scenario, path, name, bad, kind):
+    """A list of pattern objects, or of two integers per coordinate: any
+    other shape is one ``ValueError`` naming the pattern kind and the field,
+    before the pattern could trip over it."""
+    payload = get_scenario(scenario).to_dict()
+    target = payload
+    for key in path:
+        target = target[key]
+    target[name] = bad
+    with pytest.raises(ValueError, match=rf"^{kind} pattern: {name} must be a list of "):
+        ScenarioSpec.from_dict(payload)

@@ -5,9 +5,12 @@ inverses: ``A^-1`` for steady states and ``(C/dt + A)^-1`` for each
 implicit-Euler step.  :class:`LuSolver` is the path it replaced: one scipy
 ``lu_factor`` of ``A`` solved against with ``lu_solve``, and the Euler loop
 stepping an ``lu_factor`` of ``C/dt + A`` per distinct time step.  The
-interval layout (step choice, sample times, interval ranges, cold start at
-the first interval's ambient) is the runtime's, so results compare field for
-field.
+interval layout (step choice, interval bounds, cold start at the first
+interval's ambient) is the runtime's, and a transient returns the runtime's
+:class:`repro.thermal.solver.TransientResult` read out at every node, so
+results compare field for field with ``ThermalSolver.transient_sequence``;
+:func:`unit_readout.unit_celsius` reads one out per unit, as
+``HotSpotModel.transient_sequence`` reports.
 
 Test files import it by module name: ``tests/thermal`` is on ``sys.path``
 for the tests in this directory, and other directories add it themselves.
@@ -53,7 +56,8 @@ class LuSolver:
         time_step_s: Optional[float] = None,
         ambient_offsets_kelvin=None,
     ) -> TransientResult:
-        """Implicit-Euler integration of a piecewise-constant power trace."""
+        """Implicit-Euler integration of a piecewise-constant power trace,
+        every step's state sampled at every node (kelvin)."""
         network = self.network
         durations = [float(duration) for duration in durations_s]
         offsets = (
@@ -65,11 +69,8 @@ class LuSolver:
             state = np.full(network.num_nodes, network.ambient_kelvin + offsets[0])
         else:
             state = np.asarray(initial_state, dtype=float).copy()
-        all_times: List[np.ndarray] = []
         histories: List[np.ndarray] = []
-        ranges: List[Tuple[int, int]] = []
-        origin = 0.0
-        row = 0
+        stops: List[int] = []
         for index, duration in enumerate(durations):
             rhs_const = (
                 node_powers[index]
@@ -86,15 +87,12 @@ class LuSolver:
             for k in range(steps):
                 state = lu_solve(factor, c_over_dt * state + rhs_const)
                 history[k + 1] = state
-            times = np.concatenate(([0.0], np.arange(1, steps + 1) * dt))
-            all_times.append(times + origin)
-            origin += times[-1]
             histories.append(history)
-            ranges.append((row, row + steps + 1))
-            row += steps + 1
+            stops.append((stops[-1] if stops else 0) + steps + 1)
+        ends = np.array(stops)
         return TransientResult(
-            times_s=np.concatenate(all_times),
-            node_kelvin=np.concatenate(histories),
+            samples=np.concatenate(histories),
+            starts=np.concatenate(([0], ends[:-1])),
+            stops=ends,
             final_state_kelvin=state.copy(),
-            interval_ranges=ranges,
         )

@@ -56,8 +56,9 @@ class TestSteadyStateFacade:
 class TestTransientFacade:
     def test_transient_by_coordinate_power(self, thermal4, uniform_power4, mesh4):
         result = thermal4.transient_sequence(_trace(mesh4, (1e-3, uniform_power4)))
-        assert result.times_s[-1] == pytest.approx(1e-3, rel=1e-6)
-        assert thermal4.unit_series(result).max() >= 40.0
+        # The default step is duration / 200: the start state and 200 steps.
+        assert result.samples.shape == (201, mesh4.num_nodes)
+        assert result.samples.max() >= 40.0
 
     def test_warm_state_round_trip(self, thermal4, uniform_power4, mesh4):
         power = map_to_vector(mesh4, uniform_power4)
@@ -66,7 +67,7 @@ class TestTransientFacade:
         result = thermal4.transient_sequence(
             _trace(mesh4, (1e-3, uniform_power4)), initial_state=warm
         )
-        final = thermal4.unit_series(result)[:, -1]
+        final = result.samples[-1]
         assert final.max() == pytest.approx(steady.max(), abs=0.01)
 
     def test_transient_sequence_facade(self, thermal4, uniform_power4, mesh4):
@@ -74,7 +75,9 @@ class TestTransientFacade:
         result = thermal4.transient_sequence(
             _trace(mesh4, (5e-4, uniform_power4), (5e-4, hot))
         )
-        assert result.times_s[-1] == pytest.approx(1e-3, rel=1e-6)
+        assert result.starts.tolist() == [0, 201]
+        assert result.stops.tolist() == [201, 402]
+        assert result.samples.shape == (402, mesh4.num_nodes)
 
 
 class TestMeshSizes:

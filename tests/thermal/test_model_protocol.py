@@ -16,6 +16,7 @@ from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.package import KELVIN_OFFSET
 
 from lu_oracle import LuSolver
+from unit_readout import unit_celsius
 
 
 @pytest.fixture(scope="module")
@@ -158,30 +159,34 @@ class TestSequencedTransient:
         spectral = model.transient_sequence(
             trace, initial_state=state, time_step_s=2e-4
         )
-        assert np.allclose(
-            model.unit_series(euler), model.unit_series(spectral), atol=1e-9
-        )
+        assert np.allclose(unit_celsius(model, euler.samples), spectral.samples, atol=1e-9)
+        assert np.allclose(euler.final_state_kelvin, spectral.final_state_kelvin, atol=1e-9)
 
     @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
     def test_interval_ranges_partition_samples(self, model_fixture, mesh, request):
         model = request.getfixturevalue(model_fixture)
         trace = _trace(mesh, count=4)
         result = model.transient_sequence(trace, time_step_s=2e-4)
-        ranges = result.interval_ranges
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == result.times_s.size
-        for (_start_a, stop_a), (start_b, _stop_b) in zip(ranges, ranges[1:]):
-            assert stop_a == start_b
+        assert result.starts[0] == 0
+        assert result.stops[-1] == len(result.samples)
+        assert np.array_equal(result.starts[1:], result.stops[:-1])
 
     @pytest.mark.parametrize("model_fixture", ["block_model", "grid_model"])
-    def test_unit_series_shape_and_final_state(self, model_fixture, mesh, request):
+    def test_unit_readout_shape_and_final_state(self, model_fixture, mesh, request):
+        """One Celsius column per unit; the carried node state reads out as
+        the last sample."""
         model = request.getfixturevalue(model_fixture)
         trace = _trace(mesh, count=3)
         result = model.transient_sequence(trace, time_step_s=2e-4)
-        series = model.unit_series(result)
-        assert series.shape == (mesh.num_nodes, result.times_s.size)
-        assert np.isfinite(series).all()
-        assert np.array_equal(result.node_kelvin[-1], result.final_state_kelvin)
+        assert result.samples.shape == (result.stops[-1], mesh.num_nodes)
+        assert np.isfinite(result.samples).all()
+        assert result.final_state_kelvin.shape == (model.network.num_nodes,)
+        assert np.allclose(
+            unit_celsius(model, result.final_state_kelvin),
+            result.samples[-1],
+            rtol=0.0,
+            atol=1e-9,
+        )
 
     def test_grid_warm_state_is_the_steady_state(self, grid_model, mesh):
         """The warm start's hottest cell per unit is the steady unit reading."""

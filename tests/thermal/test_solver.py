@@ -45,7 +45,7 @@ def _transient(solver, power, duration_s, **kwargs):
 
 def _peak_series(network, result):
     """Per-sample maximum over the die nodes, in Celsius."""
-    return _die_celsius(network, result.node_kelvin).max(axis=1)
+    return _die_celsius(network, result.samples).max(axis=1)
 
 
 class TestSteadyState:
@@ -138,7 +138,9 @@ class TestTransient:
         hot = _uniform_power(mesh4, network, 3.0)
         cool = _uniform_power(mesh4, network, 1.0)
         result = solver4.transient_sequence([0.002, 0.002], np.vstack([hot, cool]))
-        assert result.times_s[-1] == pytest.approx(0.004, rel=1e-6)
+        # Default steps of 0.002 / 200 s: each interval's start and 200 steps.
+        assert result.starts.tolist() == [0, 201]
+        assert result.stops.tolist() == [201, 402]
         # Temperatures never jump discontinuously by more than a sane bound
         # between adjacent samples.
         assert np.max(np.abs(np.diff(_peak_series(network, result)))) < 5.0
@@ -217,11 +219,12 @@ class TestSpectralMethod:
         intervals = _alternating_intervals(mesh4, solver4.network, epochs=11)
         euler = LuSolver(solver4.network).transient_sequence(*intervals)
         spectral = solver4.transient_sequence(*intervals)
-        assert np.array_equal(euler.times_s, spectral.times_s)
+        assert np.array_equal(euler.starts, spectral.starts)
+        assert np.array_equal(euler.stops, spectral.stops)
         assert np.allclose(
             euler.final_state_kelvin, spectral.final_state_kelvin, atol=1e-9
         )
-        assert np.allclose(euler.node_kelvin, spectral.node_kelvin, atol=1e-9)
+        assert np.allclose(euler.samples, spectral.samples, atol=1e-9)
 
     def test_spectral_converges_to_steady_state(self, solver4, mesh4):
         """A horizon far past the package time constant lands on steady state.
@@ -250,7 +253,7 @@ class TestSpectralMethod:
         start = solver4.warm_state(_uniform_power(mesh4, network, 1.0))
         result = _transient(solver4, energy / duration, duration, initial_state=start)
         expected = start + energy / network.capacitance
-        assert np.all(np.isfinite(result.node_kelvin))
+        assert np.all(np.isfinite(result.samples))
         assert np.allclose(result.final_state_kelvin, expected, rtol=0.0, atol=1e-9)
         assert np.abs(expected - start).max() > 1e-4
 
@@ -271,11 +274,11 @@ class TestSpectralSequenceJump:
         powers = np.vstack([powers, _uniform_power(mesh4, network, 1.5)])
         result = solver4.transient_sequence(durations, powers)
         assert solver4.spectral_jump_count == 1
-        assert len(result.interval_ranges) == 5
+        assert len(result.starts) == 5
         euler = LuSolver(network).transient_sequence(durations, powers)
-        assert np.array_equal(result.times_s, euler.times_s)
-        assert result.interval_ranges == euler.interval_ranges
-        assert np.allclose(result.node_kelvin, euler.node_kelvin, atol=1e-9)
+        assert np.array_equal(result.starts, euler.starts)
+        assert np.array_equal(result.stops, euler.stops)
+        assert np.allclose(result.samples, euler.samples, atol=1e-9)
 
     def test_jump_matches_per_interval_spectral_loop(self, solver4, mesh4):
         """<1e-9 parity with chaining one-interval sequences by hand, and the
@@ -289,14 +292,13 @@ class TestSpectralSequenceJump:
         for duration, power in zip(durations, powers):
             step = _transient(solver4, power, duration, initial_state=state)
             state = step.final_state_kelvin
-            chunks.append(step.node_kelvin)
+            chunks.append(step.samples)
 
-        assert np.allclose(jumped.node_kelvin, np.concatenate(chunks), atol=1e-9)
+        assert np.allclose(jumped.samples, np.concatenate(chunks), atol=1e-9)
         assert np.allclose(jumped.final_state_kelvin, state, atol=1e-9)
-        for (_start, stop), (next_start, _stop) in zip(
-            jumped.interval_ranges, jumped.interval_ranges[1:]
-        ):
-            assert np.array_equal(jumped.node_kelvin[next_start], jumped.node_kelvin[stop - 1])
+        assert np.array_equal(
+            jumped.samples[jumped.starts[1:]], jumped.samples[jumped.stops[:-1] - 1]
+        )
 
     def test_jump_with_warm_start(self, solver4, mesh4):
         network = solver4.network
@@ -304,10 +306,10 @@ class TestSpectralSequenceJump:
         warm = solver4.warm_state(_uniform_power(mesh4, network, 1.2))
         jumped = solver4.transient_sequence(*intervals, initial_state=warm)
         euler = LuSolver(network).transient_sequence(*intervals, initial_state=warm)
-        assert np.array_equal(jumped.times_s, euler.times_s)
-        assert jumped.interval_ranges == euler.interval_ranges
-        assert np.array_equal(jumped.node_kelvin[0], warm)
-        assert np.allclose(jumped.node_kelvin, euler.node_kelvin, atol=1e-9)
+        assert np.array_equal(jumped.starts, euler.starts)
+        assert np.array_equal(jumped.stops, euler.stops)
+        assert np.array_equal(jumped.samples[0], warm)
+        assert np.allclose(jumped.samples, euler.samples, atol=1e-9)
 
     def test_jump_respects_explicit_time_step(self, solver4, mesh4):
         network = solver4.network
@@ -318,9 +320,10 @@ class TestSpectralSequenceJump:
         # Different durations but one explicit dt: different step counts.
         jumped = solver4.transient_sequence(durations, powers, time_step_s=2.5e-4)
         assert solver4.spectral_jump_count == 1
-        assert jumped.interval_ranges == [(0, 5), (5, 14)]
+        assert jumped.starts.tolist() == [0, 5]
+        assert jumped.stops.tolist() == [5, 14]
         euler = LuSolver(network).transient_sequence(durations, powers, time_step_s=2.5e-4)
-        assert np.allclose(jumped.node_kelvin, euler.node_kelvin, atol=1e-9)
+        assert np.allclose(jumped.samples, euler.samples, atol=1e-9)
 
 
 class TestSharedSolverThreads:
@@ -358,7 +361,7 @@ class TestSharedSolverThreads:
             for scale in (0.5, 1.0, 1.5, 2.0)
         ]
         serial = ThermalSolver(network)
-        expected = [serial.transient_sequence(*trace).node_kelvin for trace in traces]
+        expected = [serial.transient_sequence(*trace).samples for trace in traces]
         decompositions = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(
@@ -376,7 +379,7 @@ class TestSharedSolverThreads:
         finally:
             sys.setswitchinterval(interval)
         for out, want in zip(outs, expected):
-            assert np.array_equal(out.node_kelvin, want)
+            assert np.array_equal(out.samples, want)
         # The eigenbasis is decomposed once despite the race.
         assert len(decompositions) == 1
         assert shared.spectral_jump_count == len(traces)
@@ -392,8 +395,8 @@ class TestSharedSolverThreads:
         )
         intervals = _alternating_intervals(mesh4, network, epochs=5)
         assert np.array_equal(
-            clone.transient_sequence(*intervals).node_kelvin,
-            solver4.transient_sequence(*intervals).node_kelvin,
+            clone.transient_sequence(*intervals).samples,
+            solver4.transient_sequence(*intervals).samples,
         )
 
 
@@ -411,11 +414,11 @@ class TestStepTables:
         durations, powers = self._trace(mesh4, network, [1e-4] * 5)
         first = solver.transient_sequence(durations, powers, time_step_s=2e-5)
         (table,) = solver._step_tables.values()
-        assert all(not array.flags.writeable for array in table)
+        assert not table.flags.writeable
         second = solver.transient_sequence(durations, powers, time_step_s=2e-5)
         assert solver._step_tables[(2e-5, 5)] is table
-        assert np.array_equal(first.node_kelvin, second.node_kelvin)
-        assert np.array_equal(first.times_s, second.times_s)
+        assert np.array_equal(first.samples, second.samples)
+        assert np.array_equal(first.stops, second.stops)
 
     def test_the_store_is_bounded_and_kept_tables_change_nothing(
         self, mesh4, monkeypatch
@@ -436,8 +439,8 @@ class TestStepTables:
             durations, powers, time_step_s=3e-5
         )
         for result in (again, fresh):
-            assert np.array_equal(result.node_kelvin, kept.node_kelvin)
-            assert np.array_equal(result.times_s, kept.times_s)
+            assert np.array_equal(result.samples, kept.samples)
+            assert np.array_equal(result.stops, kept.stops)
 
     def test_threads_share_the_store(self, mesh4, monkeypatch):
         import sys
@@ -453,7 +456,7 @@ class TestStepTables:
         ]
         serial = ThermalSolver(network)
         expected = [
-            serial.transient_sequence(*trace, time_step_s=3e-5).node_kelvin
+            serial.transient_sequence(*trace, time_step_s=3e-5).samples
             for trace in traces
         ]
         shared = ThermalSolver(network)
@@ -465,7 +468,7 @@ class TestStepTables:
                     pool.map(
                         lambda trace: shared.transient_sequence(
                             *trace, time_step_s=3e-5
-                        ).node_kelvin,
+                        ).samples,
                         traces,
                         timeout=120,
                     )
