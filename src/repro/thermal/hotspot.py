@@ -11,6 +11,13 @@ meshed, and so does this model: at ``resolution=N`` every unit is split into
 unit reads as its hottest cell.  Resolution 1 is the block model (one cell
 per unit); finer resolutions expose the intra-unit gradient, since the true
 peak sits at the centre of a hot unit, slightly above its average.
+
+Both solves run on operators reduced to the units: the steady ``rows @ R +
+T0`` (built at construction) and the transient's
+:class:`~repro.thermal.solver.TransientOperator` (built on the first
+transient), so a run scatters no power into node space and forms no
+node-space trajectory.  Every operator is read-only, also after unpickling,
+so one model serves every run and thread of a process.
 """
 
 from __future__ import annotations

@@ -155,7 +155,8 @@ class ThermalSolver:
     """Solves the RC network produced by :func:`build_thermal_network`.
 
     ``A^-1`` is computed once, at construction; the eigenbasis of ``(A, C)``
-    once, on the first transient; a transient's step table once per
+    once, on the first transient or the first
+    :meth:`reduced_transient_operator`; a transient's step table once per
     distinct ``(dt, steps)`` pair (at most :data:`MAX_STEP_TABLES` kept).
     """
 
@@ -554,7 +555,7 @@ class ThermalSolver:
         starts = np.empty((count, samples.shape[1]))
         starts[0] = state[operator.cells]
         starts[1:] = samples[stops[:-1] - 1]
-        np.cumsum(starts, axis=0, out=starts)
+        np.add.accumulate(starts, axis=0, out=starts)
         if shared:
             by_interval = samples.reshape(count, per, -1)
             by_interval += starts[:, np.newaxis, :]
