@@ -32,10 +32,10 @@ os.environ.update(
 
 import numpy as np  # noqa: E402
 
-# The oracles are test modules: ``object_engine`` (NoC), ``dense_decoder``
-# (LDPC), the per-flow latency loop in ``test_analytic``, ``lu_oracle`` and
-# its per-unit readout ``unit_readout`` (thermal) and ``epoch_loop_oracle``
-# (the per-epoch control loop).
+# The oracles are test modules: ``dense_decoder`` (LDPC), the per-flow
+# latency loop in ``test_analytic`` (NoC), ``lu_oracle`` and its per-unit
+# readout ``unit_readout`` (thermal) and ``epoch_loop_oracle`` (the
+# per-epoch control loop).
 sys.path[:0] = [
     str(Path(__file__).resolve().parent.parent / "tests" / package)
     for package in ("noc", "ldpc", "thermal", "core")
@@ -44,7 +44,6 @@ sys.path[:0] = [
 import dense_decoder  # noqa: E402
 import epoch_loop_oracle  # noqa: E402
 import lu_oracle  # noqa: E402
-import object_engine  # noqa: E402
 import unit_readout  # noqa: E402
 from test_analytic import per_flow_latency  # noqa: E402
 
@@ -52,51 +51,15 @@ from repro.chips import get_configuration  # noqa: E402
 from repro.ldpc import (  # noqa: E402
     BpskAwgnChannel,
     LdpcEncoder,
+    MinSumDecoder,
     TannerGraph,
     array_code_parity_matrix,
-    make_decoder,
 )
-from repro.noc import (  # noqa: E402
-    MeshTopology,
-    default_rate_grid,
-    make_traffic,
-    run_schedules,
-)
+from repro.noc import MeshTopology  # noqa: E402
 from repro.noc.analytic import analytic_model  # noqa: E402
-from repro.power.trace import PowerTrace  # noqa: E402
+from repro.power.trace import PowerTrace, map_to_vector  # noqa: E402
 from repro.scenarios import all_scenarios  # noqa: E402
 from repro.scenarios.compile import compile_scenario  # noqa: E402
-
-
-def vector_noc():
-    """A 4x4 uniform latency curve: 8 rates, 600 cycles after 100 warm-up."""
-    topology = MeshTopology(4, 4)
-    rates = default_rate_grid(topology, num_points=8)
-    schedules = [
-        make_traffic(
-            "uniform", topology, injection_rate=float(rate), seed=11 + index
-        ).schedule(700)
-        for index, rate in enumerate(rates)
-    ]
-
-    def runtime():
-        return run_schedules(topology, schedules, cycles=600, warmup_cycles=100)
-
-    def oracle():
-        return [
-            object_engine.run_traffic(
-                topology, schedule, cycles=600, warmup_cycles=100
-            )
-            for schedule in schedules
-        ]
-
-    def agree(fast, slow):
-        return all(
-            a.stats.latency == b.stats.latency and a.link_flits == b.link_flits
-            for a, b in zip(fast, slow)
-        )
-
-    return runtime, oracle, agree
 
 
 def edge_list_decoder():
@@ -110,7 +73,7 @@ def edge_list_decoder():
             for seed in range(24)
         ]
     )
-    fast = make_decoder("min-sum", graph, max_iterations=25)
+    fast = MinSumDecoder(graph, max_iterations=25)
     slow = dense_decoder.make_decoder("min-sum", graph, max_iterations=25)
 
     def agree(a, b):
@@ -150,9 +113,9 @@ def _served_window():
     """
     chip = get_configuration("A")
     model = chip.thermal_model
-    rows = np.linspace(0.6, 1.4, 8)[:, np.newaxis] * chip.power_vector()
+    rows = np.linspace(0.6, 1.4, 8)[:, np.newaxis] * map_to_vector(chip.topology, chip.power_map())
     window = dict(
-        initial_state=model.warm_state(chip.power_vector(), ambient_offset_kelvin=-5.0),
+        initial_state=model.warm_state(map_to_vector(chip.topology, chip.power_map()), ambient_offset_kelvin=-5.0),
         time_step_s=109e-6 / 8,
         ambient_offsets_kelvin=np.linspace(-5.0, 5.0, 8),
     )
@@ -266,11 +229,20 @@ def chunk_loop():
                 runs.append((experiment.run(), experiment))
         return runs
 
+    def headline(result):
+        return (
+            result.baseline_peak_celsius,
+            result.settled_peak_celsius,
+            result.settled_mean_celsius,
+            result.throughput_penalty,
+            result.migrations_performed,
+            result.total_migration_energy_j,
+        )
+
     def agree(fast, slow):
         return all(
             list(result.epochs) == experiment.records()
-            and result.summary() == reference.summary()
-            and result.settled_mean_celsius == reference.settled_mean_celsius
+            and headline(result) == headline(reference)
             for result, (reference, experiment) in zip(fast, slow)
         )
 
@@ -291,7 +263,6 @@ def speedups(runtime, oracle, pairs):
 
 def main() -> int:
     benches = {
-        "vector NoC vs object engine": vector_noc,
         "edge-list vs dense decoder": edge_list_decoder,
         "closed-form vs per-flow NoC": closed_form_noc,
         "spectral vs Euler transient": spectral_transient,

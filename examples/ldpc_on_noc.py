@@ -1,14 +1,12 @@
 """LDPC decoding on the mesh NoC: the paper's workload, end to end.
 
-This example exercises the full workload substrate:
+This example exercises the workload substrate:
 
 1. build an LDPC code and encode a random message,
 2. push it through a BPSK/AWGN channel and decode it with the min-sum
    decoder (functional check),
-3. partition the Tanner graph over the PEs of a 4x4 mesh,
-4. run one decoding iteration's message traffic through the cycle-accurate
-   NoC simulator, and
-5. show how the per-PE switching activity (which drives power, and therefore
+3. partition the Tanner graph over the PEs of a 4x4 mesh, and
+4. show how the per-PE computation (which drives power, and therefore
    heat) concentrates — the origin of the hotspots the paper migrates away.
 
 Run with:
@@ -29,7 +27,7 @@ from repro.ldpc import (
     striped_partition,
 )
 from repro.ldpc.workload import LdpcNocWorkload, WorkloadParameters
-from repro.noc import MeshTopology, NocSimulator
+from repro.noc import MeshTopology
 from repro.placement import Mapping
 
 
@@ -57,36 +55,22 @@ def main() -> None:
     partition = striped_partition(graph, topology.num_nodes)
     workload = LdpcNocWorkload(partition, WorkloadParameters(max_packet_flits=8))
     print(f"Partition: {partition.cut_edges()} of {graph.num_edges} Tanner edges cross PEs, "
-          f"load imbalance {partition.load_imbalance():.2f}")
-
-    # ------------------------------------------------------------------
-    # 4. One decoding iteration's traffic through the cycle-accurate NoC.
-    mapping = Mapping.identity(topology)
-    packets = workload.iteration_packets(mapping)
-    simulator = NocSimulator(topology, buffer_depth=8)
-    sim_result = simulator.run_packets(packets, drain_limit=500_000)
-    print(f"Iteration traffic: {len(packets)} packets, "
-          f"{workload.total_flits_per_iteration()} flits, "
-          f"delivered in {sim_result.cycles} cycles "
-          f"(avg latency {sim_result.average_latency:.1f} cycles)")
+          f"load imbalance {partition.load_imbalance():.2f}, "
+          f"{workload.total_flits_per_iteration()} flits per iteration")
     print()
 
     # ------------------------------------------------------------------
-    # 5. Where the activity (and therefore the heat) lands.
-    activity = {coord: float(v) for coord, v in sim_result.activity_per_node().items()}
-    print(render_grid(topology, activity,
-                      title="Per-PE router switching activity for one iteration",
-                      unit="events", cell_format="{:8.0f}"))
+    # 4. Where the computation (and therefore the heat) lands.
+    mapping = Mapping.identity(topology)
     computation = workload.computation_ops_per_iteration()
     ops_map = {mapping.physical_of(task): float(computation[task])
                for task in range(topology.num_nodes)}
-    print()
     print(render_grid(topology, ops_map,
                       title="Per-PE computation operations for one iteration",
                       unit="ops", cell_format="{:8.0f}"))
     print()
-    hottest = max(activity, key=activity.get)
-    print(f"Busiest router: {hottest} — under a static mapping this imbalance repeats "
+    busiest = max(ops_map, key=ops_map.get)
+    print(f"Busiest PE: {busiest} — under a static mapping this imbalance repeats "
           "every iteration, which is exactly what creates the persistent hotspot the "
           "paper's runtime reconfiguration breaks up.")
 

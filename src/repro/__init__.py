@@ -3,11 +3,13 @@ Network-on-Chip" (Link & Vijaykrishnan, DATE 2005).
 
 The package is organised as the paper's experimental platform is:
 
-* :mod:`repro.noc` — cycle-accurate 2-D mesh wormhole NoC simulator,
+* :mod:`repro.noc` — the 2-D mesh wormhole NoC and its closed-form latency
+  model,
 * :mod:`repro.ldpc` — the LDPC decoder workload and its mapping onto PEs,
-* :mod:`repro.power` — activity-to-watts models standing in for Power Compiler,
+* :mod:`repro.power` — technology constants and power traces standing in for
+  Power Compiler,
 * :mod:`repro.thermal` — HotSpot-style RC thermal model (40 °C ambient),
-* :mod:`repro.placement` — thermally-aware static placement,
+* :mod:`repro.placement` — the task-to-PE mapping migrations rewrite,
 * :mod:`repro.migration` — the paper's contribution: plane transforms,
   congestion-free migration scheduling, migration cost and transparent I/O,
 * :mod:`repro.chips` — the five evaluated configurations (A–E),
@@ -51,8 +53,8 @@ from .migration import (
     available_transforms,
     make_transform,
 )
-from .noc import MeshTopology, NocSimulator
-from .placement import Mapping, ThermalAwarePlacer
+from .noc import MeshTopology
+from .placement import Mapping
 from .thermal import HotSpotModel
 
 __version__ = "1.0.0"
@@ -81,9 +83,7 @@ __all__ = [
     "available_transforms",
     "make_transform",
     "MeshTopology",
-    "NocSimulator",
     "Mapping",
-    "ThermalAwarePlacer",
     "HotSpotModel",
     "__version__",
 ]

@@ -7,7 +7,6 @@ from .report import (
     compare_with_migration,
     generate_figure1,
     paper_spec,
-    table1_rows,
 )
 from .sweep import (
     PAPER_PENALTIES,
@@ -27,7 +26,6 @@ __all__ = [
     "compare_with_migration",
     "generate_figure1",
     "paper_spec",
-    "table1_rows",
     "PAPER_PENALTIES",
     "PAPER_PERIODS_US",
     "EnergyAblationResult",

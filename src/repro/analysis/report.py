@@ -226,15 +226,6 @@ class ScenarioComparison:
 
     results: List[ScenarioResult]
 
-    def result(self, name: str) -> ScenarioResult:
-        for entry in self.results:
-            if entry.spec.name == name:
-                return entry
-        raise KeyError(f"no scenario named {name!r} in this comparison")
-
-    def names(self) -> List[str]:
-        return [entry.spec.name for entry in self.results]
-
     def hottest_scenario(self) -> str:
         """Scenario with the highest settled peak (the one to worry about)."""
         if not self.results:
@@ -322,13 +313,3 @@ def compare_with_migration(
         stop_go_penalty=1.0 - duty,
         dvfs_penalty=1.0 - frequency,
     )
-
-
-def table1_rows(mesh_size: int = 4) -> List[Dict[str, str]]:
-    """The transformation functions of Table 1 in symbolic form."""
-    n = mesh_size
-    return [
-        {"operation": "Rotation", "new_x": f"{n}-1-Y", "new_y": "X"},
-        {"operation": "X Mirroring", "new_x": f"{n}-1-X", "new_y": "Y"},
-        {"operation": "X Translation", "new_x": "X + Offset", "new_y": "Y"},
-    ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from ..core.metrics import ExperimentResult
 from ..scenarios.compile import run_scenario
 from .report import paper_spec
@@ -43,21 +41,6 @@ class PeriodSweepResult:
     scheme: str
     points: List[PeriodSweepPoint]
 
-    def penalties(self) -> Dict[float, float]:
-        return {point.period_us: point.throughput_penalty for point in self.points}
-
-    def as_arrays(self) -> Dict[str, np.ndarray]:
-        """Column arrays (sorted by period) for plotting/analysis pipelines."""
-        points = sorted(self.points, key=lambda p: p.period_us)
-        return {
-            "period_us": np.array([p.period_us for p in points]),
-            "throughput_penalty": np.array([p.throughput_penalty for p in points]),
-            "settled_peak_celsius": np.array([p.settled_peak_celsius for p in points]),
-            "peak_reduction_celsius": np.array(
-                [p.peak_reduction_celsius for p in points]
-            ),
-        }
-
     def peak_rise_vs_fastest(self) -> Dict[float, float]:
         """Peak temperature increase of each period relative to the shortest.
 
@@ -69,19 +52,6 @@ class PeriodSweepResult:
             point.period_us: point.settled_peak_celsius - fastest.settled_peak_celsius
             for point in self.points
         }
-
-    def format_table(self) -> str:
-        lines = [
-            f"Migration period sweep - configuration {self.configuration}, "
-            f"scheme {self.scheme}",
-            f"{'period (us)':>12} {'penalty %':>10} {'peak (C)':>9} {'reduction (C)':>14}",
-        ]
-        for point in sorted(self.points, key=lambda p: p.period_us):
-            lines.append(
-                f"{point.period_us:>12.1f} {100 * point.throughput_penalty:>10.2f} "
-                f"{point.settled_peak_celsius:>9.2f} {point.peak_reduction_celsius:>14.2f}"
-            )
-        return "\n".join(lines)
 
 
 def run_period_sweep(

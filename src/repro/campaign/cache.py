@@ -117,6 +117,3 @@ class ResultCache:
         if self._pack is not None:
             self._pack.close()
             self._pack = None
-
-    def __len__(self) -> int:
-        return len(self._index())

@@ -87,10 +87,6 @@ class CampaignRun:
     #: the run; None while telemetry is disabled.
     telemetry: Optional[Dict[str, object]] = None
 
-    @property
-    def completed(self) -> int:
-        return sum(1 for result in self.results if result is not None)
-
 
 def _evaluate_payload(
     spec_payload: Dict[str, object],

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.policy import policy_family
 from ..scenarios.compile import run_scenario
+from ..scenarios.patterns import check_field_types
 from ..scenarios.registry import get_scenario
 from ..scenarios.spec import ScenarioSpec, json_params
 
@@ -83,6 +84,7 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("a campaign needs a name")
+        check_field_types(type(self), vars(self))
         if not isinstance(self.scenarios, (list, tuple)):
             raise ValueError(f"scenarios must be a list, got {self.scenarios!r}")
         if not self.scenarios:

@@ -17,8 +17,6 @@ from .profiles import (
     calibrate_profile,
     center_hotspot_profile,
     hot_row_profile,
-    profile_statistics,
-    row_powers,
 )
 
 __all__ = [
@@ -36,6 +34,4 @@ __all__ = [
     "calibrate_profile",
     "center_hotspot_profile",
     "hot_row_profile",
-    "profile_statistics",
-    "row_powers",
 ]

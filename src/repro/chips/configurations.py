@@ -169,19 +169,6 @@ class ChipConfiguration:
         per_task = self.per_task_power()
         return {mapping.physical_of(task): watts for task, watts in per_task.items()}
 
-    def power_vector(self, mapping: Optional[Mapping] = None) -> np.ndarray:
-        """Row-major per-PE power vector when tasks sit according to ``mapping``.
-
-        The array-native counterpart of :meth:`power_map`: entry
-        ``topology.node_id(coord)`` carries the power at ``coord``, exactly
-        the coordinate index :class:`repro.power.trace.PowerTrace` rows use.
-        """
-        mapping = mapping or self.static_mapping
-        vector = np.zeros(self.num_units)
-        for task, watts in self.per_task_power().items():
-            vector[self.topology.node_id(mapping.physical_of(task))] = watts
-        return vector
-
     # ------------------------------------------------------------------
     def base_peak_temperature(self) -> float:
         """Steady-state peak temperature of the static mapping (no migration)."""
@@ -195,12 +182,6 @@ class ChipConfiguration:
     def block_period_cycles(self, period_us: float) -> int:
         """Cycles in one migration period at this chip's clock."""
         return self.clock.microseconds_to_cycles(period_us)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ChipConfiguration({self.name}, {self.topology.width}x{self.topology.height}, "
-            f"{self.total_power_w:.1f} W)"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ single factor to land the peak temperature exactly on the paper's baseline;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -128,23 +127,3 @@ def calibrate_profile(
     scale = (target_peak_celsius - ambient) / rise
     calibrated = {coord: power * scale for coord, power in profile.items()}
     return calibrated, scale
-
-
-def profile_statistics(profile: Dict[Coordinate, float]) -> Dict[str, float]:
-    """Headline numbers of a power map (for reports and tests)."""
-    values = np.array(list(profile.values()))
-    return {
-        "total_w": float(values.sum()),
-        "mean_w": float(values.mean()),
-        "max_w": float(values.max()),
-        "min_w": float(values.min()),
-        "imbalance": float(values.max() / values.mean()) if values.mean() > 0 else 1.0,
-    }
-
-
-def row_powers(topology: MeshTopology, profile: Dict[Coordinate, float]) -> np.ndarray:
-    """Total power per mesh row (used to locate the warm band)."""
-    rows = np.zeros(topology.height)
-    for (x, y), power in profile.items():
-        rows[y] += power
-    return rows

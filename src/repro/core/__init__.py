@@ -1,7 +1,7 @@
 """Core contribution: runtime reconfiguration policies, controller and experiments."""
 
 from .controller import MigrationEvent, RuntimeReconfigurationController
-from .dtm import DtmOperatingPoint, DvfsThrottling, StopGoThrottling
+from .dtm import DvfsThrottling, StopGoThrottling
 from .experiment import ExperimentSettings, FeedbackPlan, ThermalExperiment
 from .metrics import (
     EpochColumns,
@@ -23,7 +23,6 @@ from .policy import (
 __all__ = [
     "MigrationEvent",
     "RuntimeReconfigurationController",
-    "DtmOperatingPoint",
     "DvfsThrottling",
     "StopGoThrottling",
     "ExperimentSettings",

@@ -24,28 +24,12 @@ techniques side by side on a chip configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from ..chips.configurations import ChipConfiguration
-from ..noc.topology import Coordinate
 from ..power.trace import map_to_vector
-
-
-@dataclass
-class DtmOperatingPoint:
-    """One throttling level of a chip-wide DTM mechanism."""
-
-    label: str
-    throughput_fraction: float
-    peak_celsius: float
-    mean_celsius: float
-
-    @property
-    def throughput_penalty(self) -> float:
-        return 1.0 - self.throughput_fraction
 
 
 class StopGoThrottling:
@@ -65,29 +49,6 @@ class StopGoThrottling:
             raise ValueError("idle power fraction must be in [0, 1)")
         self.configuration = configuration
         self.idle_fraction_of_power = idle_fraction_of_power
-
-    def power_map(self, duty_cycle: float) -> Dict[Coordinate, float]:
-        """Effective per-unit power at a given duty cycle."""
-        if not 0.0 < duty_cycle <= 1.0:
-            raise ValueError("duty cycle must be in (0, 1]")
-        base = self.configuration.power_map()
-        idle = self.idle_fraction_of_power
-        return {
-            coord: watts * (duty_cycle + (1.0 - duty_cycle) * idle)
-            for coord, watts in base.items()
-        }
-
-    def operating_point(self, duty_cycle: float) -> DtmOperatingPoint:
-        temps = self.configuration.thermal_model.steady_state_by_coord(
-            self.power_map(duty_cycle)
-        )
-        values = list(temps.values())
-        return DtmOperatingPoint(
-            label=f"{self.name} d={duty_cycle:.2f}",
-            throughput_fraction=duty_cycle,
-            peak_celsius=max(values),
-            mean_celsius=float(np.mean(values)),
-        )
 
     def duty_cycle_for_peak(self, target_peak_celsius: float) -> float:
         """Smallest throughput loss that keeps the peak below the target.
@@ -155,29 +116,6 @@ class DvfsThrottling:
             voltage_ratio = max(frequency_ratio, self.min_voltage_ratio)
             return frequency_ratio * voltage_ratio**2
         return frequency_ratio
-
-    def power_map(self, frequency_ratio: float) -> Dict[Coordinate, float]:
-        if not 0.0 < frequency_ratio <= 1.0:
-            raise ValueError("frequency ratio must be in (0, 1]")
-        base = self.configuration.power_map()
-        leak = self.leakage_fraction_of_power
-        dynamic_scale = self._power_scale(frequency_ratio)
-        return {
-            coord: watts * (leak + (1.0 - leak) * dynamic_scale)
-            for coord, watts in base.items()
-        }
-
-    def operating_point(self, frequency_ratio: float) -> DtmOperatingPoint:
-        temps = self.configuration.thermal_model.steady_state_by_coord(
-            self.power_map(frequency_ratio)
-        )
-        values = list(temps.values())
-        return DtmOperatingPoint(
-            label=f"{self.name} f={frequency_ratio:.2f}",
-            throughput_fraction=frequency_ratio,
-            peak_celsius=max(values),
-            mean_celsius=float(np.mean(values)),
-        )
 
     def frequency_for_peak(
         self, target_peak_celsius: float, resolution: float = 0.01

@@ -474,11 +474,6 @@ class ThermalExperiment:
 
     # ------------------------------------------------------------------
     @property
-    def active(self) -> bool:
-        """Whether a prepared run is in flight (between prepare and finalize)."""
-        return self._active
-
-    @property
     def next_epoch(self) -> int:
         """Global index of the next epoch a stepped window would start at."""
         if not self._active:

@@ -26,35 +26,12 @@ class ThermalMetrics:
     min_celsius: float
     per_unit_celsius: Dict[Coordinate, float] = field(default_factory=dict)
 
-    @property
-    def spread_celsius(self) -> float:
-        """Peak-to-minimum spatial spread; migration's goal is to shrink this."""
-        return self.peak_celsius - self.min_celsius
-
-    @property
-    def spatial_std_celsius(self) -> float:
-        """Standard deviation of unit temperatures (thermal uniformity)."""
-        if not self.per_unit_celsius:
-            return 0.0
-        return float(np.std(list(self.per_unit_celsius.values())))
-
-    @classmethod
-    def from_map(cls, per_unit_celsius: Dict[Coordinate, float]) -> "ThermalMetrics":
-        values = list(per_unit_celsius.values())
-        return cls(
-            peak_celsius=max(values),
-            mean_celsius=float(np.mean(values)),
-            min_celsius=min(values),
-            per_unit_celsius=dict(per_unit_celsius),
-        )
-
     @classmethod
     def from_vector(cls, topology, per_unit_celsius: np.ndarray) -> "ThermalMetrics":
         """Metrics from one row of a batched temperature array.
 
-        The vector follows the topology's row-major coordinate index;
-        ``per_unit_celsius`` gets the same keys and values :meth:`from_map`
-        would hold.
+        The vector follows the topology's row-major coordinate index, and
+        so do the keys of ``per_unit_celsius``.
         """
         values = np.array(per_unit_celsius, dtype=float)
         if values.shape != (topology.num_nodes,):
@@ -84,20 +61,11 @@ class PerformanceMetrics:
             raise ValueError("migration cycles cannot exceed total cycles")
 
     @property
-    def useful_cycles(self) -> int:
-        return self.total_cycles - self.migration_cycles
-
-    @property
     def throughput_penalty(self) -> float:
         """Fraction of cycles lost to migration (the paper's 1.6 % / 0.4 % / 0.2 %)."""
         if self.total_cycles == 0:
             return 0.0
         return self.migration_cycles / self.total_cycles
-
-    @property
-    def throughput_fraction(self) -> float:
-        """Fraction of nominal throughput retained."""
-        return 1.0 - self.throughput_penalty
 
 
 @dataclass
@@ -110,10 +78,6 @@ class EpochRecord:
     migration_energy_j: float
     thermal: ThermalMetrics
     power_map: Dict[Coordinate, float] = field(default_factory=dict)
-
-    @property
-    def migrated(self) -> bool:
-        return self.transform_applied is not None
 
 
 class EpochColumns(Sequence):
@@ -216,23 +180,3 @@ class ExperimentResult:
     @property
     def migrations_performed(self) -> int:
         return self.performance.migrations_performed
-
-    def peak_series(self) -> np.ndarray:
-        """Per-epoch peak temperatures (for convergence plots): each record's
-        ``thermal.peak_celsius``, read from the Celsius column."""
-        return self.epochs.celsius.max(axis=1)
-
-    def summary(self) -> Dict[str, float]:
-        """Flat dictionary for CSV/report output."""
-        return {
-            "configuration": self.configuration_name,
-            "scheme": self.scheme_name,
-            "period_us": self.period_us,
-            "baseline_peak_c": round(self.baseline_peak_celsius, 3),
-            "settled_peak_c": round(self.settled_peak_celsius, 3),
-            "peak_reduction_c": round(self.peak_reduction_celsius, 3),
-            "mean_increase_c": round(self.mean_increase_celsius, 3),
-            "throughput_penalty": round(self.throughput_penalty, 5),
-            "migrations": self.migrations_performed,
-            "migration_energy_j": self.total_migration_energy_j,
-        }

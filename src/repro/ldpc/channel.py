@@ -9,7 +9,7 @@ symmetric channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -58,37 +58,6 @@ class BpskAwgnChannel:
 
     def transmit_llr(self, bits: np.ndarray) -> np.ndarray:
         """Convenience: bits -> noisy observations -> LLRs."""
-        return self.llr(self.transmit(bits))
-
-
-@dataclass
-class BinarySymmetricChannel:
-    """Flips each bit independently with probability ``crossover``."""
-
-    crossover: float
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.crossover < 0.5:
-            raise ValueError("crossover probability must be in [0, 0.5)")
-        self._rng = np.random.default_rng(self.seed)
-
-    def transmit(self, bits: np.ndarray) -> np.ndarray:
-        """Return the received (possibly flipped) bit vector."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        flips = self._rng.random(bits.shape) < self.crossover
-        return (bits ^ flips.astype(np.uint8)).astype(np.uint8)
-
-    def llr(self, received_bits: np.ndarray) -> np.ndarray:
-        """LLRs for received hard bits (positive favours bit value 0)."""
-        received_bits = np.asarray(received_bits, dtype=np.uint8)
-        if self.crossover == 0.0:
-            magnitude = 20.0  # effectively infinite confidence
-        else:
-            magnitude = float(np.log((1.0 - self.crossover) / self.crossover))
-        return np.where(received_bits == 0, magnitude, -magnitude).astype(np.float64)
-
-    def transmit_llr(self, bits: np.ndarray) -> np.ndarray:
         return self.llr(self.transmit(bits))
 
 

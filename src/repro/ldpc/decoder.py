@@ -1,15 +1,9 @@
-"""Iterative message-passing LDPC decoders.
+"""The iterative message-passing LDPC decoder.
 
-Two standard belief-propagation variants are provided:
-
-* ``SumProductDecoder`` — the full tanh-rule sum-product algorithm, and
-* ``MinSumDecoder`` — the normalised min-sum approximation that hardware
-  decoders (including the NoC decoder the paper instruments) implement.
-
-Both operate on log-likelihood ratios (positive LLR = bit 0 more likely) and
-expose per-iteration message counts, which is what the NoC workload adapter
-(:mod:`repro.ldpc.workload`) converts into on-chip traffic and per-PE
-computation activity.
+:class:`MinSumDecoder` is the normalised min-sum approximation of belief
+propagation that hardware decoders (including the NoC decoder the paper
+instruments) implement.  It operates on log-likelihood ratios (positive LLR
+= bit 0 more likely) and exposes per-iteration message counts.
 
 Messages live on the Tanner edges (:class:`~repro.ldpc.sparse.EdgeStructure`),
 so per-iteration work scales with the number of edges rather than ``m * n``,
@@ -17,7 +11,7 @@ and :meth:`~MinSumDecoder.decode_batch` runs a whole ``(num_blocks, n)``
 batch of codewords at once with per-block early termination: blocks drop out
 of the active set as soon as their syndrome clears, so each block's decisions
 and iteration count are those of decoding it alone.  The seed dense-matrix
-decoders they reproduce bit for bit are kept as the test oracle in
+decoders it reproduces bit for bit are kept as the test oracle in
 ``tests/ldpc/dense_decoder.py``.
 """
 
@@ -65,7 +59,7 @@ class BatchDecodeResult:
 
     Stores the per-block fields of :class:`DecodeResult` as arrays so the
     batched decoder fills them without materialising one object per block;
-    index with ``batch[i]`` (or :meth:`as_results`) to recover plain results.
+    index with ``batch[i]`` to recover a plain result.
     """
 
     decoded_bits: np.ndarray  #: ``(num_blocks, n)`` hard decisions.
@@ -89,40 +83,36 @@ class BatchDecodeResult:
             per_iteration_errors=errors,
         )
 
-    def as_results(self) -> List[DecodeResult]:
-        return [self[index] for index in range(len(self))]
-
-    @property
-    def success_rate(self) -> float:
-        return float(np.mean(self.success)) if len(self) else 0.0
-
-    @property
-    def total_messages(self) -> int:
-        return int(np.sum(self.messages_exchanged))
 
 
-class _MessagePassingDecoder:
-    """Shared structure of the sum-product and min-sum decoders."""
+class MinSumDecoder:
+    """Normalised min-sum decoder (the hardware-friendly approximation).
 
-    def __init__(self, graph: TannerGraph, max_iterations: int = 20):
+    The "exclude self" minimum per check needs only the two smallest
+    magnitudes: the segment minimum, then the minimum with the first
+    occurrence of the minimum masked out (duplicates included).
+    """
+
+    name = "min-sum"
+
+    def __init__(
+        self,
+        graph: TannerGraph,
+        max_iterations: int = 20,
+        normalization: float = 0.75,
+    ):
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not 0.0 < normalization <= 1.0:
+            raise ValueError("normalization factor must be in (0, 1]")
         self.graph = graph
         self.max_iterations = max_iterations
+        self.normalization = normalization
         self.edges = EdgeStructure(graph)
         self.m = graph.m
         self.n = graph.n
         #: messages per full iteration = 2 edge traversals (v->c and c->v)
         self.messages_per_iteration = 2 * graph.num_edges
-        # Row-index ladder reused by per-iteration fancy indexing; grown on
-        # demand so no batch size rebuilds it inside the decoding loop.
-        self._row_index = np.arange(0, dtype=np.int64)
-
-    def _rows(self, count: int) -> np.ndarray:
-        """Cached ``arange(count)`` column vector for batched masking."""
-        if self._row_index.size < count:
-            self._row_index = np.arange(count, dtype=np.int64)
-        return self._row_index[:count, np.newaxis]
 
     # ------------------------------------------------------------------
     def decode(
@@ -235,62 +225,6 @@ class _MessagePassingDecoder:
     # ------------------------------------------------------------------
     def _check_node_update(self, v_to_c: np.ndarray) -> np.ndarray:
         """Edge messages c->v for a ``(num_blocks, num_edges)`` v->c array."""
-        raise NotImplementedError
-
-
-class SumProductDecoder(_MessagePassingDecoder):
-    """Full sum-product (belief propagation) decoder using the tanh rule."""
-
-    name = "sum-product"
-
-    def _check_node_update(self, v_to_c: np.ndarray) -> np.ndarray:
-        # tanh-rule: the outgoing message on edge (i, j) is
-        # 2 * atanh( prod_{j' != j} tanh(v_to_c[i, j'] / 2) ).
-        edges = self.edges
-        tanh_half = np.tanh(np.clip(v_to_c, -30, 30) / 2.0)
-        degree = edges.uniform_check_degree
-        if degree is not None:
-            # Check-major edges are contiguous per check: reshape to
-            # (blocks, checks, degree) and reduce the trailing axis — same
-            # sequential multiply order as ``reduceat``, without the segment
-            # pointer indirection.
-            segment_product = tanh_half.reshape(
-                v_to_c.shape[0], self.m, degree
-            ).prod(axis=2)
-        else:
-            segment_product = np.multiply.reduceat(
-                tanh_half, edges.check_ptr, axis=1
-            )
-        # Divide the target edge back out of its check's product.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            extrinsic = segment_product[:, edges.edge_check] / tanh_half
-        extrinsic = np.where(np.isfinite(extrinsic), extrinsic, 0.0)
-        extrinsic = np.clip(extrinsic, -0.999999, 0.999999)
-        return 2.0 * np.arctanh(extrinsic)
-
-
-class MinSumDecoder(_MessagePassingDecoder):
-    """Normalised min-sum decoder (the hardware-friendly approximation).
-
-    The "exclude self" minimum per check needs only the two smallest
-    magnitudes: the segment minimum, then the minimum with the first
-    occurrence of the minimum masked out (duplicates included).
-    """
-
-    name = "min-sum"
-
-    def __init__(
-        self,
-        graph: TannerGraph,
-        max_iterations: int = 20,
-        normalization: float = 0.75,
-    ):
-        super().__init__(graph, max_iterations)
-        if not 0.0 < normalization <= 1.0:
-            raise ValueError("normalization factor must be in (0, 1]")
-        self.normalization = normalization
-
-    def _check_node_update(self, v_to_c: np.ndarray) -> np.ndarray:
         edges = self.edges
         magnitudes = np.abs(v_to_c)
         # Treat exact zeros as positive to keep the sign product defined.
@@ -320,7 +254,7 @@ class MinSumDecoder(_MessagePassingDecoder):
             )
             first_min = np.minimum.reduceat(candidates, edges.check_ptr, axis=1)
             masked = magnitudes.copy()
-            masked[self._rows(masked.shape[0]), first_min] = np.inf
+            masked[np.arange(masked.shape[0])[:, np.newaxis], first_min] = np.inf
             min2 = np.minimum.reduceat(masked, edges.check_ptr, axis=1)
 
         min1_edges = min1[:, edges.edge_check]
@@ -328,19 +262,3 @@ class MinSumDecoder(_MessagePassingDecoder):
         extrinsic_mag = np.where(use_second, min2[:, edges.edge_check], min1_edges)
         return self.normalization * extrinsic_sign * extrinsic_mag
 
-
-def make_decoder(
-    name: str,
-    graph: TannerGraph,
-    max_iterations: int = 20,
-    **decoder_kwargs,
-):
-    """Factory: ``"min-sum"`` or ``"sum-product"``."""
-    decoders = {"min-sum": MinSumDecoder, "sum-product": SumProductDecoder}
-    try:
-        cls = decoders[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown decoder {name!r}; choose from {sorted(decoders)}"
-        ) from None
-    return cls(graph, max_iterations=max_iterations, **decoder_kwargs)

@@ -61,11 +61,6 @@ class LdpcEncoder:
         self._free_cols = [c for c in range(self.n) if c not in set(pivot_cols)]
 
     @property
-    def rank(self) -> int:
-        """GF(2) rank of H (number of independent parity checks)."""
-        return self._rank
-
-    @property
     def k(self) -> int:
         """Number of information bits per codeword."""
         return self.n - self._rank
@@ -97,11 +92,3 @@ class LdpcEncoder:
         rng = np.random.default_rng(seed)
         info = rng.integers(0, 2, size=self.k, dtype=np.uint8)
         return self.encode(info)
-
-    def all_zero_codeword(self) -> np.ndarray:
-        """The all-zero codeword (always valid for a linear code)."""
-        return np.zeros(self.n, dtype=np.uint8)
-
-    def is_codeword(self, word: np.ndarray) -> bool:
-        word = np.asarray(word, dtype=np.uint8)
-        return not np.any((self.H @ word) % 2)

@@ -19,7 +19,6 @@ make sparse storage unnecessary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,17 +33,10 @@ class CodeParameters:
         Block length (number of variable nodes / codeword bits).
     m:
         Number of parity checks (rows of H).
-    design_rate:
-        ``1 - m/n`` — the nominal code rate before accounting for dependent
-        rows.
     """
 
     n: int
     m: int
-
-    @property
-    def design_rate(self) -> float:
-        return 1.0 - self.m / self.n
 
 
 def validate_parity_matrix(H: np.ndarray) -> CodeParameters:
@@ -62,57 +54,6 @@ def validate_parity_matrix(H: np.ndarray) -> CodeParameters:
         raise ValueError("parity-check matrix has an unprotected bit (all-zero column)")
     m, n = H.shape
     return CodeParameters(n=n, m=m)
-
-
-def gallager_parity_matrix(
-    n: int,
-    wc: int,
-    wr: int,
-    seed: Optional[int] = None,
-) -> np.ndarray:
-    """Construct a regular (``wc``, ``wr``) Gallager parity-check matrix.
-
-    Parameters
-    ----------
-    n:
-        Block length; must be divisible by ``wr``.
-    wc:
-        Column weight (variable-node degree).
-    wr:
-        Row weight (check-node degree).
-    seed:
-        Seed for the column permutations of the stacked sub-matrices.
-
-    Returns
-    -------
-    ``(n * wc / wr, n)`` binary matrix with constant row weight ``wr`` and
-    column weight ``wc``.
-    """
-    if n <= 0 or wc <= 0 or wr <= 0:
-        raise ValueError("n, wc and wr must be positive")
-    if n % wr != 0:
-        raise ValueError(f"block length {n} must be divisible by row weight {wr}")
-    if wc >= wr and n // wr * wc >= n:
-        # Row count m = n*wc/wr must stay below n for a useful code rate,
-        # except for tiny test codes where we allow equality.
-        if n * wc // wr > n:
-            raise ValueError("wc/wr >= 1 would give a rate <= 0 code")
-
-    rng = np.random.default_rng(seed)
-    rows_per_band = n // wr
-
-    # First band: row i covers columns [i*wr, (i+1)*wr).
-    band = np.zeros((rows_per_band, n), dtype=np.uint8)
-    for i in range(rows_per_band):
-        band[i, i * wr : (i + 1) * wr] = 1
-
-    bands = [band]
-    for _ in range(wc - 1):
-        perm = rng.permutation(n)
-        bands.append(band[:, perm])
-    H = np.vstack(bands).astype(np.uint8)
-    validate_parity_matrix(H)
-    return H
 
 
 def array_code_parity_matrix(p: int, j: int, k: int) -> np.ndarray:
@@ -144,34 +85,3 @@ def array_code_parity_matrix(p: int, j: int, k: int) -> np.ndarray:
     H = np.vstack(blocks).astype(np.uint8)
     validate_parity_matrix(H)
     return H
-
-
-def matrix_degrees(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-node degrees: (variable-node degrees, check-node degrees)."""
-    return H.sum(axis=0).astype(int), H.sum(axis=1).astype(int)
-
-
-def gf2_rank(H: np.ndarray) -> int:
-    """Rank of a binary matrix over GF(2) (Gaussian elimination)."""
-    A = H.copy().astype(np.uint8) % 2
-    m, n = A.shape
-    rank = 0
-    pivot_col = 0
-    for row in range(m):
-        while pivot_col < n:
-            pivot_rows = np.nonzero(A[row:, pivot_col])[0]
-            if pivot_rows.size == 0:
-                pivot_col += 1
-                continue
-            pivot = pivot_rows[0] + row
-            if pivot != row:
-                A[[row, pivot]] = A[[pivot, row]]
-            eliminate = np.nonzero(A[:, pivot_col])[0]
-            eliminate = eliminate[eliminate != row]
-            A[eliminate] ^= A[row]
-            rank += 1
-            pivot_col += 1
-            break
-        else:
-            break
-    return rank

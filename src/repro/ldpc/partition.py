@@ -16,8 +16,8 @@ that irregularity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class Partition:
             raise ValueError(f"task ids out of range: {sorted(bad)}")
 
     # ------------------------------------------------------------------
-    def nodes_of_task(self, task: int) -> List[TannerNode]:
-        """All Tanner nodes assigned to ``task``."""
-        return [node for node, t in self.task_of_node.items() if t == task]
-
     def task_sizes(self) -> List[int]:
         """Number of Tanner nodes per task."""
         sizes = [0] * self.num_tasks
@@ -93,10 +89,6 @@ class Partition:
     def cut_edges(self) -> int:
         """Number of Tanner edges crossing task boundaries."""
         return int(self.traffic_matrix().sum() // 2)
-
-    def internal_edges(self) -> int:
-        """Number of Tanner edges fully inside a task."""
-        return self.graph.num_edges - self.cut_edges()
 
     def load_imbalance(self) -> float:
         """Max-to-mean ratio of per-task computation weight (1.0 = perfectly balanced)."""
@@ -195,53 +187,6 @@ def clustered_partition(
     return Partition(graph=graph, num_tasks=num_tasks, task_of_node=assignment)
 
 
-def weighted_partition(
-    graph: TannerGraph,
-    num_tasks: int,
-    task_shares: Sequence[float],
-    seed: Optional[int] = None,
-) -> Partition:
-    """Deliberately unbalanced partition with prescribed per-task shares.
-
-    ``task_shares`` gives the relative fraction of Tanner nodes each task
-    should receive.  This is the mechanism used by :mod:`repro.chips` to
-    create a hot row (some PEs doing several times the average work) and the
-    centre-heavy configuration E of the paper.
-    """
-    if len(task_shares) != num_tasks:
-        raise ValueError("task_shares must have one entry per task")
-    shares = np.asarray(task_shares, dtype=np.float64)
-    if np.any(shares <= 0):
-        raise ValueError("task shares must be positive")
-    shares = shares / shares.sum()
-
-    rng = random.Random(seed)
-    assignment: Dict[TannerNode, int] = {}
-    # Assign variables and checks separately so every task gets both kinds.
-    for nodes in (list(graph.variable_nodes), list(graph.check_nodes)):
-        rng.shuffle(nodes)
-        boundaries = np.floor(np.cumsum(shares) * len(nodes)).astype(int)
-        start = 0
-        for task, end in enumerate(boundaries):
-            for node in nodes[start:end]:
-                assignment[node] = task
-            start = end
-        for node in nodes[start:]:
-            assignment[node] = num_tasks - 1
-    # Guarantee every task owns at least one node.
-    sizes = [0] * num_tasks
-    for task in assignment.values():
-        sizes[task] += 1
-    for task in range(num_tasks):
-        if sizes[task] == 0:
-            donor = int(np.argmax(sizes))
-            node = next(n for n, t in assignment.items() if t == donor)
-            assignment[node] = task
-            sizes[task] += 1
-            sizes[donor] -= 1
-    return Partition(graph=graph, num_tasks=num_tasks, task_of_node=assignment)
-
-
 def _assign_in_blocks(
     nodes: Sequence[TannerNode],
     num_tasks: int,
@@ -273,9 +218,7 @@ def make_partition(
         return interleaved_partition(graph, num_tasks)
     if strategy == "clustered":
         return clustered_partition(graph, num_tasks, seed=seed)
-    if strategy == "weighted":
-        return weighted_partition(graph, num_tasks, seed=seed, **kwargs)
     raise ValueError(
         f"unknown partition strategy {strategy!r}; choose from "
-        "['striped', 'interleaved', 'clustered', 'weighted']"
+        "['striped', 'interleaved', 'clustered']"
     )

@@ -10,8 +10,8 @@ traffic during decoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -38,13 +38,6 @@ class TannerNode:
     @property
     def is_variable(self) -> bool:
         return self.kind == "v"
-
-    @property
-    def is_check(self) -> bool:
-        return self.kind == "c"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.kind}{self.index}"
 
 
 class TannerGraph:
@@ -95,44 +88,3 @@ class TannerGraph:
         if node.is_variable:
             return [self.check_nodes[i] for i in self.checks_of_variable[node.index]]
         return [self.variable_nodes[j] for j in self.variables_of_check[node.index]]
-
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Export as a ``networkx.Graph`` (used by the partitioner)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for node in self.all_nodes():
-            graph.add_node(node, bipartite=0 if node.is_variable else 1)
-        for v_node, c_node in self.edges():
-            graph.add_edge(v_node, c_node)
-        return graph
-
-    def girth(self, max_girth: int = 12) -> int:
-        """Length of the shortest cycle (searched up to ``max_girth``).
-
-        Returns ``max_girth + 2`` when no cycle of length <= ``max_girth``
-        exists.  Girth matters for decoder convergence; the array-code
-        construction guarantees girth >= 6.
-        """
-        import networkx as nx
-
-        graph = self.to_networkx()
-        try:
-            cycle = nx.minimum_cycle_basis(graph)
-        except nx.NetworkXError:  # pragma: no cover - empty graph
-            return max_girth + 2
-        if not cycle:
-            return max_girth + 2
-        shortest = min(len(c) for c in cycle)
-        return shortest if shortest <= max_girth else max_girth + 2
-
-    def check_syndrome(self, codeword: np.ndarray) -> np.ndarray:
-        """Syndrome H @ codeword over GF(2); all-zero means a valid codeword."""
-        word = np.asarray(codeword, dtype=np.uint8)
-        if word.shape[-1] != self.n:
-            raise ValueError(f"codeword length {word.shape[-1]} != n={self.n}")
-        return (self.H @ word) % 2
-
-    def is_codeword(self, codeword: np.ndarray) -> bool:
-        return not np.any(self.check_syndrome(codeword))

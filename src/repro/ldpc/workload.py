@@ -4,15 +4,10 @@ This module converts a Tanner-graph :class:`~repro.ldpc.partition.Partition`
 into the two quantities the evaluation flow needs for every decoding
 iteration:
 
-* the **NoC packets** exchanged between processing elements (each bundle of
-  Tanner messages between a pair of tasks becomes one or more wormhole
-  packets), and
+* the **NoC flits** exchanged between processing elements (each bundle of
+  Tanner messages between a pair of tasks becomes payload flits), and
 * the **computation operations** performed inside each PE (node updates,
   proportional to the Tanner degree of the nodes owned by that PE).
-
-Both depend on where the *logical* tasks currently sit on the *physical*
-mesh; a placement is any object mapping ``task id -> (x, y)`` coordinate (the
-:class:`repro.placement.mapping.Mapping` class, or a plain dict in tests).
 
 The workload also defines the *message block* granularity the paper uses:
 migrations are aligned to the completion of the decoding of an LDPC message
@@ -22,22 +17,12 @@ block, which minimises the PE state that has to be transferred.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping as MappingType, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..noc.flit import Packet, PacketClass
 from .partition import Partition
-
-Coordinate = Tuple[int, int]
-
-
-def _coordinate_of(placement, task: int) -> Coordinate:
-    """Resolve a task's physical coordinate from a Mapping-like object."""
-    if hasattr(placement, "physical_of"):
-        return placement.physical_of(task)
-    return placement[task]
 
 
 @dataclass
@@ -113,13 +98,6 @@ class LdpcNocWorkload:
         """Computation operations each logical task performs per iteration."""
         return self.computation_weights * self.parameters.ops_per_edge
 
-    def computation_ops_per_block(self) -> np.ndarray:
-        """Computation operations per task for a full message block."""
-        return self.computation_ops_per_iteration() * self.parameters.iterations_per_block
-
-    def total_ops_per_iteration(self) -> float:
-        return float(self.computation_ops_per_iteration().sum())
-
     # ------------------------------------------------------------------
     # Communication side
     # ------------------------------------------------------------------
@@ -134,65 +112,6 @@ class LdpcNocWorkload:
             return 0
         return math.ceil(messages / self.parameters.messages_per_flit)
 
-    def iteration_packets(
-        self,
-        placement,
-        cycle: int = 0,
-        packet_class: PacketClass = PacketClass.DATA,
-    ) -> List[Packet]:
-        """NoC packets for one decoding iteration under ``placement``.
-
-        Message bundles larger than ``max_packet_flits`` are split into
-        multiple packets, mirroring a network interface with a bounded
-        maximum transfer unit.
-        """
-        params = self.parameters
-        packets: List[Packet] = []
-        for src_task in range(self.num_tasks):
-            src_coord = _coordinate_of(placement, src_task)
-            for dst_task in range(self.num_tasks):
-                if src_task == dst_task:
-                    continue
-                payload_flits = self.flits_between(src_task, dst_task)
-                if payload_flits == 0:
-                    continue
-                dst_coord = _coordinate_of(placement, dst_task)
-                if src_coord == dst_coord:
-                    raise ValueError(
-                        f"tasks {src_task} and {dst_task} mapped to the same PE {src_coord}"
-                    )
-                remaining = payload_flits
-                while remaining > 0:
-                    chunk = min(remaining, params.max_packet_flits - 1)
-                    packets.append(
-                        Packet(
-                            source=src_coord,
-                            destination=dst_coord,
-                            size_flits=chunk + 1,  # +1 for the head flit
-                            packet_class=packet_class,
-                            injection_cycle=cycle,
-                            payload={"src_task": src_task, "dst_task": dst_task},
-                        )
-                    )
-                    remaining -= chunk
-        return packets
-
-    def block_packets(self, placement, cycle: int = 0) -> List[Packet]:
-        """Packets for a whole message block (all iterations concatenated)."""
-        packets: List[Packet] = []
-        for _ in range(self.parameters.iterations_per_block):
-            packets.extend(self.iteration_packets(placement, cycle=cycle))
-        return packets
-
-    # ------------------------------------------------------------------
-    # Analytic summaries used by the fast power path
-    # ------------------------------------------------------------------
-    def communication_activity(self) -> np.ndarray:
-        """Messages sent plus received per logical task per iteration."""
-        sent = self.traffic_matrix.sum(axis=1)
-        received = self.traffic_matrix.sum(axis=0)
-        return (sent + received).astype(np.float64)
-
     def total_flits_per_iteration(self) -> int:
         """Total payload flits crossing the network in one iteration."""
         total = 0
@@ -200,25 +119,4 @@ class LdpcNocWorkload:
             for dst in range(self.num_tasks):
                 if src != dst:
                     total += self.flits_between(src, dst)
-        return total
-
-    def hop_flit_product(self, placement) -> float:
-        """Sum over flows of flits x Manhattan distance under ``placement``.
-
-        This is the standard analytic proxy for network energy and for
-        expected link utilisation; every migration transform preserves it
-        because relative positions are preserved (a property the tests check).
-        """
-        total = 0.0
-        for src in range(self.num_tasks):
-            src_coord = _coordinate_of(placement, src)
-            for dst in range(self.num_tasks):
-                if src == dst:
-                    continue
-                flits = self.flits_between(src, dst)
-                if flits == 0:
-                    continue
-                dst_coord = _coordinate_of(placement, dst)
-                hops = abs(src_coord[0] - dst_coord[0]) + abs(src_coord[1] - dst_coord[1])
-                total += flits * hops
         return total

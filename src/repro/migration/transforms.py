@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,10 +57,6 @@ class MigrationTransform(ABC):
         return result
 
     # ------------------------------------------------------------------
-    def as_permutation(self) -> Dict[Coordinate, Coordinate]:
-        """The full old-coordinate -> new-coordinate map."""
-        return {coord: self(coord) for coord in self.topology.coordinates()}
-
     def node_permutation(self) -> np.ndarray:
         """The transform as a read-only node-id array (``perm[i]`` = image of node ``i``).
 
@@ -89,55 +85,6 @@ class MigrationTransform(ABC):
         if self._permutation_bytes is None:
             self._permutation_bytes = self.node_permutation().tobytes()
         return self._permutation_bytes
-
-    def fixed_points(self) -> List[Coordinate]:
-        """Coordinates whose workload does not move under this transform.
-
-        The paper attributes the weakness of rotation/mirroring on the 5x5
-        chips to the central PE being such a fixed point.
-        """
-        perm = self.node_permutation()
-        fixed = np.flatnonzero(perm == np.arange(perm.size))
-        return [self.topology.coordinate(int(node)) for node in fixed]
-
-    def order(self, limit: int = 1024) -> int:
-        """Number of applications after which every workload is back home."""
-        perm = self.as_permutation()
-        current = {coord: coord for coord in self.topology.coordinates()}
-        for step in range(1, limit + 1):
-            current = {start: perm[pos] for start, pos in current.items()}
-            if all(start == pos for start, pos in current.items()):
-                return step
-        raise RuntimeError(f"transform order exceeds {limit}")
-
-    def orbit(self, coord: Coordinate) -> List[Coordinate]:
-        """Sequence of coordinates a workload starting at ``coord`` visits."""
-        positions = [coord]
-        current = self(coord)
-        while current != coord:
-            positions.append(current)
-            current = self(current)
-        return positions
-
-    def is_bijection(self) -> bool:
-        images = {self(coord) for coord in self.topology.coordinates()}
-        return len(images) == self.topology.num_nodes
-
-    def preserves_relative_positions(self) -> bool:
-        """True when pairwise Manhattan distances are preserved.
-
-        Rotations and mirrors are isometries; shifts wrap around the mesh
-        edge and therefore do *not* preserve all pairwise distances, which is
-        why the paper notes a (small) migration-dependent impact on traffic.
-        """
-        coords = list(self.topology.coordinates())
-        for i, a in enumerate(coords):
-            for b in coords[i + 1 :]:
-                before = self.topology.manhattan_distance(a, b)
-                after = self.topology.manhattan_distance(self(a), self(b))
-                if before != after:
-                    return False
-        return True
 
 
 class RotationTransform(MigrationTransform):

@@ -1,26 +1,22 @@
-"""Cycle-accurate 2-D mesh Network-on-Chip simulator.
+"""The 2-D mesh Network-on-Chip the paper's evaluation runs on.
 
-This package is the substrate the paper's evaluation runs on: a wormhole,
-credit-flow-controlled mesh NoC with dimension-ordered routing, synthetic
-traffic and explicit packet batches, and per-router switching-activity
-counters that feed the power and thermal models.
+The runtime prices the network with one closed-form model:
+:mod:`repro.noc.analytic` walks every flow of a traffic pattern through the
+deterministic route tables of the mesh (:mod:`repro.noc.routing`,
+:mod:`repro.noc.topology`) and prices each injection rate with an
+M/D/1-style wormhole waiting term, cached once per (mesh, pattern, routing,
+packet size).  Scenarios, migration plans and streams all read that model.
 
-Two evaluation tiers, fastest first:
-
-* :mod:`repro.noc.analytic` — closed-form M/D/1-style wormhole model
-  (microseconds per point, validated below saturation);
-* :mod:`repro.noc.vector` — the array-native cycle kernel, batched over
-  many independent lanes (:class:`NocSimulator` runs one lane;
-  :mod:`repro.noc.batch` runs whole latency curves as one run).
-
-The seed object-graph engine the cycle kernel reproduces exactly lives in
-the test suite as its oracle (``tests/noc/object_engine.py``).
+The cycle-accurate engine the model is calibrated against is the seed's
+object-graph wormhole mesh, kept as the test oracle in
+``tests/noc/object_engine.py`` together with its synthetic traffic
+generators.  :mod:`repro.noc.flit` holds the packets the migration unit's
+I/O address translation rewrites.
 """
 
 from .analytic import AnalyticModel, analytic_model, destination_probabilities
-from .batch import LatencyCurve, default_rate_grid, latency_curve
 from .engine import SimulationClock
-from .flit import Packet, PacketClass, reset_packet_ids
+from .flit import Packet, PacketClass
 from .routing import (
     OddEvenRouting,
     RoutingAlgorithm,
@@ -30,36 +26,15 @@ from .routing import (
     available_algorithms,
     make_routing,
 )
-from .schedule import TrafficSchedule
-from .simulator import NocSimulator, SimulationResult, run_schedules
-from .stats import LatencyStats, NetworkStats, RouterActivity
 from .topology import Coordinate, Direction, MeshTopology
-from .traffic import (
-    BitComplementTraffic,
-    HotspotTraffic,
-    NeighborTraffic,
-    TrafficGenerator,
-    TransposeTraffic,
-    UniformRandomTraffic,
-    make_traffic,
-)
-from .vector import VectorNetwork
 
 __all__ = [
     "AnalyticModel",
     "analytic_model",
     "destination_probabilities",
-    "LatencyCurve",
-    "default_rate_grid",
-    "latency_curve",
-    "run_schedules",
-    "TrafficSchedule",
-    "VectorNetwork",
     "SimulationClock",
     "Packet",
     "PacketClass",
-    "reset_packet_ids",
-    "RouterActivity",
     "RoutingAlgorithm",
     "XYRouting",
     "YXRouting",
@@ -67,18 +42,7 @@ __all__ = [
     "OddEvenRouting",
     "make_routing",
     "available_algorithms",
-    "NocSimulator",
-    "SimulationResult",
-    "LatencyStats",
-    "NetworkStats",
     "Coordinate",
     "Direction",
     "MeshTopology",
-    "TrafficGenerator",
-    "UniformRandomTraffic",
-    "TransposeTraffic",
-    "BitComplementTraffic",
-    "NeighborTraffic",
-    "HotspotTraffic",
-    "make_traffic",
 ]

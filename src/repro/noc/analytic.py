@@ -7,7 +7,7 @@ waiting term at every channel it acquires along the route.
 
 * **Zero-load latency** of an ``H``-hop, ``L``-flit packet is ``H + L + 1``
   cycles in this router (one cycle per hop for the head, ``L - 1`` cycles of
-  pipeline drain for the body, one ejection cycle).  This matches the vector
+  pipeline drain for the body, one ejection cycle).  This matches the cycle
   engine's measured latency at vanishing load exactly.
 * **Channel waiting**: a channel (an output port of some router, including
   the ejection port at the destination) serves one packet per ``L`` cycles.
@@ -17,9 +17,9 @@ waiting term at every channel it acquires along the route.
   single Bernoulli stream — so the wait is scaled by
   :data:`ARRIVAL_DISCRETISATION`, the midpoint of the Poisson (``1``) and
   discrete-time Geo/D/1 (``1 - 1/L``) limits, calibrated once against the
-  event engine (``tests/noc/test_analytic.py`` pins the agreement).
-* **Channel loads** come from the same deterministic route tables the cycle
-  engines use: every source/destination flow is walked through the route
+  cycle engine (``tests/noc/test_analytic.py`` pins the agreement).
+* **Channel loads** come from the deterministic route tables of the routing
+  function: every source/destination flow is walked through the route
   LUT, accumulating its probability on each traversed link plus the
   ejection channel.  ``capacity_rate`` is the injection rate at which the
   most-loaded channel reaches unit utilisation — an upper bound no wormhole
@@ -34,12 +34,16 @@ The model is *per flow* exact about paths (it uses the real routing
 function, not a uniform-distance approximation), so it tracks pattern
 asymmetries — hotspot ejection bottlenecks, transpose's silent diagonal —
 that a generic formula misses.  For the stochastic patterns (uniform,
-hotspot, neighbor) agreement with the event-driven engines is pinned to
+hotspot, neighbor) agreement with the cycle-accurate engine is pinned to
 <10% mean latency below ~0.85x ``saturation_rate`` by
 ``tests/noc/test_analytic.py``.  Deterministic permutations (transpose,
 bit-complement) see smoother per-channel arrivals than the queueing model
 assumes, so there it is a conservative upper bound rather than a tight
-estimate — use the batched event engine for those.
+estimate.
+
+The cycle-accurate engine the model is calibrated against is the seed's
+object-graph wormhole mesh, kept as the test oracle in
+``tests/noc/object_engine.py``.
 
 Walking the routes is the expensive part, and it depends only on (mesh,
 pattern, routing, packet size, pattern arguments), not on the rate.
@@ -60,9 +64,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .routing import make_routing
-from .topology import MeshTopology
-from .vector import _LOCAL, _MeshTables
+from .routing import RoutingAlgorithm, make_routing
+from .topology import Direction, MeshTopology
+
+_LOCAL = int(Direction.LOCAL)
 
 __all__ = [
     "ARRIVAL_DISCRETISATION",
@@ -92,7 +97,7 @@ def _traffic_arguments(
     **unknown,
 ) -> Tuple[List[Tuple[int, int]], float]:
     """The ``(hotspots, fraction)`` of a pattern's arguments, checked as
-    :class:`repro.noc.traffic.HotspotTraffic` checks them and by type (a
+    the calibration's traffic generators check them and by type (a
     scenario's JSON may carry any); a malformed one raises ``ValueError``."""
     if unknown:
         raise ValueError(f"unknown traffic arguments: {sorted(unknown)}")
@@ -122,7 +127,7 @@ def destination_probabilities(
 ) -> np.ndarray:
     """``P[s, d]`` = probability an injection slot at ``s`` targets ``d``.
 
-    Rows mirror the generators in :mod:`repro.noc.traffic`: the diagonal is
+    Rows mirror the calibration's traffic generators: the diagonal is
     zero, and rows may sum to less than one for patterns that drop slots
     (a transpose diagonal node never sends, so its row is all zero).
     Malformed arguments raise ``ValueError`` (:func:`_traffic_arguments`).
@@ -167,6 +172,24 @@ def destination_probabilities(
 # ----------------------------------------------------------------------
 # Route walking: flows -> channel loads
 # ----------------------------------------------------------------------
+class _MeshTables:
+    """Precomputed per-(topology, routing) lookup tables."""
+
+    def __init__(self, topology: MeshTopology, routing: RoutingAlgorithm):
+        n = topology.num_nodes
+        coords = list(topology.coordinates())
+        #: deterministic route decision for every (current, destination) pair
+        self.route_lut = np.zeros((n, n), dtype=np.int64)
+        for i, src in enumerate(coords):
+            for j, dst in enumerate(coords):
+                self.route_lut[i, j] = int(routing.route(src, dst))
+        #: neighbour node id per (node, direction); -1 where no link exists
+        self.neighbor = np.full((n, len(Direction)), -1, dtype=np.int64)
+        for i, coord in enumerate(coords):
+            for direction, ncoord in topology.neighbors(coord).items():
+                self.neighbor[i, int(direction)] = topology.node_id(ncoord)
+
+
 def _flow_channels(
     topology: MeshTopology, routing: str
 ) -> "Dict[Tuple[int, int], List[int]]":
@@ -174,8 +197,8 @@ def _flow_channels(
 
     A channel is an output port of a router: ``node * 5 + port`` for link
     channels, and the destination's LOCAL port for the ejection channel.
-    The walk uses the same route LUT the vector engine precomputes, so the
-    paths are exactly the deterministic routes of the cycle engines.
+    The walk uses the routing function's route LUT, so the paths are
+    exactly the deterministic routes of the cycle engine.
     """
     tables = _MeshTables(topology, make_routing(routing, topology))
     n = topology.num_nodes

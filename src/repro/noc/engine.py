@@ -29,20 +29,9 @@ class SimulationClock:
         if self.frequency_hz <= 0:
             raise ValueError("clock frequency must be positive")
 
-    @property
-    def cycle_time_s(self) -> float:
-        """Duration of one cycle in seconds."""
-        return 1.0 / self.frequency_hz
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles / self.frequency_hz
-
     def seconds_to_cycles(self, seconds: float) -> int:
         """Convert a duration to a whole number of cycles (rounded)."""
         return int(round(seconds * self.frequency_hz))
 
     def microseconds_to_cycles(self, microseconds: float) -> int:
         return self.seconds_to_cycles(microseconds * 1e-6)
-
-    def cycles_to_microseconds(self, cycles: float) -> float:
-        return self.cycles_to_seconds(cycles) * 1e6

@@ -3,8 +3,9 @@
 Packets carry LDPC messages (and, during migration, PE configuration/state)
 between PEs.  The cycle engine segments each packet into ``size_flits``
 flits — a head flit that opens the wormhole path, body flits, and a tail flit
-that releases it — tracked as flit indices inside
-:class:`~repro.noc.vector.VectorNetwork`'s buffers.
+that releases it.  The runtime prices packets with the closed-form model of
+:mod:`repro.noc.analytic`; the migration unit's I/O address translation
+(:mod:`repro.migration.io_interface`) rewrites them.
 """
 
 from __future__ import annotations
@@ -17,12 +18,6 @@ from typing import Optional, Tuple
 Coordinate = Tuple[int, int]
 
 _packet_counter = itertools.count()
-
-
-def reset_packet_ids() -> None:
-    """Reset the global packet id counter (used by tests for determinism)."""
-    global _packet_counter
-    _packet_counter = itertools.count()
 
 
 class PacketClass(Enum):

@@ -1,9 +1,9 @@
 """2-D mesh topology for the Network-on-Chip.
 
 The paper's test chips are 4x4 and 5x5 meshes of processing elements (PEs),
-each PE attached to one router.  This module provides the coordinate system,
-the neighbourhood relation and distance metrics used by routing, placement
-and the migration transforms.
+each PE attached to one router.  This module provides the coordinate system
+and the neighbourhood relation used by routing, the analytic NoC model and
+the migration transforms.
 
 Coordinates follow the paper's convention: ``(x, y)`` with ``x`` growing to
 the east (right) and ``y`` growing to the north (up).  Node ids are assigned
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 Coordinate = Tuple[int, int]
 
@@ -31,19 +31,6 @@ class Direction(IntEnum):
     NORTH = 3
     SOUTH = 4
 
-    @property
-    def opposite(self) -> "Direction":
-        """Return the direction a neighbouring router sees this link from."""
-        return _OPPOSITE[self]
-
-
-_OPPOSITE = {
-    Direction.LOCAL: Direction.LOCAL,
-    Direction.EAST: Direction.WEST,
-    Direction.WEST: Direction.EAST,
-    Direction.NORTH: Direction.SOUTH,
-    Direction.SOUTH: Direction.NORTH,
-}
 
 #: Offsets applied to a coordinate when moving one hop in a direction.
 DIRECTION_OFFSETS: Dict[Direction, Coordinate] = {
@@ -89,15 +76,6 @@ class MeshTopology:
         return self.width == self.height
 
     @property
-    def has_center_node(self) -> bool:
-        """True for odd-by-odd meshes, which have a unique central PE.
-
-        The paper attributes the weakness of rotation/mirroring on the 5x5
-        configurations to this central PE being a fixed point.
-        """
-        return self.width % 2 == 1 and self.height % 2 == 1
-
-    @property
     def center(self) -> Coordinate:
         """Geometric centre coordinate (exact only for odd dimensions)."""
         return (self.width // 2, self.height // 2)
@@ -129,10 +107,6 @@ class MeshTopology:
             for x in range(self.width):
                 yield (x, y)
 
-    def node_ids(self) -> Iterator[int]:
-        """Iterate over all node ids in row-major order."""
-        return iter(range(self.num_nodes))
-
     # ------------------------------------------------------------------
     # Neighbourhood
     # ------------------------------------------------------------------
@@ -159,47 +133,6 @@ class MeshTopology:
                 result[direction] = nxt
         return result
 
-    def degree(self, coord: Coordinate) -> int:
-        """Number of mesh links at ``coord`` (2 at corners, 4 in the middle)."""
-        return len(self.neighbors(coord))
-
-    def links(self) -> List[Tuple[Coordinate, Coordinate]]:
-        """All unidirectional links as (source, destination) coordinate pairs."""
-        result = []
-        for coord in self.coordinates():
-            for nxt in self.neighbors(coord).values():
-                result.append((coord, nxt))
-        return result
-
-    # ------------------------------------------------------------------
-    # Distances
-    # ------------------------------------------------------------------
-    def manhattan_distance(self, a: Coordinate, b: Coordinate) -> int:
-        """Minimal hop count between two coordinates in a mesh."""
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-    def average_distance(self) -> float:
-        """Average Manhattan distance over all ordered node pairs."""
-        total = 0
-        pairs = 0
-        coords = list(self.coordinates())
-        for a in coords:
-            for b in coords:
-                if a == b:
-                    continue
-                total += self.manhattan_distance(a, b)
-                pairs += 1
-        return total / pairs if pairs else 0.0
-
     def diameter(self) -> int:
         """Longest shortest path in hops."""
         return (self.width - 1) + (self.height - 1)
-
-    def bisection_width(self) -> int:
-        """Number of links crossing the mesh bisection (narrower dimension cut)."""
-        if self.width >= self.height:
-            return self.height
-        return self.width
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MeshTopology({self.width}x{self.height})"

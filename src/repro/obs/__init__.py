@@ -44,14 +44,12 @@ from .trace import (
     SpanEvent,
     Tracer,
     chrome_trace_payload,
-    current_span,
     export_chrome_trace,
     get_tracer,
     now_us,
     span,
     start_tracing,
     stop_tracing,
-    tracing_enabled,
     validate_chrome_trace,
 )
 
@@ -76,11 +74,9 @@ __all__ = [
     "SpanEvent",
     "Tracer",
     "span",
-    "current_span",
     "now_us",
     "start_tracing",
     "stop_tracing",
-    "tracing_enabled",
     "get_tracer",
     "chrome_trace_payload",
     "export_chrome_trace",

@@ -19,7 +19,7 @@ Three instrument kinds:
   decoded blocks).
 * :class:`Gauge` — last-written value (the stream engine's window lag).
 * :class:`TimerStat` — aggregate of observed durations: count / total /
-  min / max (and derived mean), recorded directly or via ``with t.time():``.
+  min / max (and derived mean) of the durations it records.
 
 **Scopes** give callers per-task attribution without a second registry:
 ``with registry.scoped() as scope:`` pushes a *thread-local* collector, and
@@ -36,9 +36,8 @@ A :class:`TelemetrySummary` snapshot is plain data (JSON round-trippable);
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 Number = Union[int, float]
 
@@ -81,35 +80,6 @@ class Gauge:
             self.value = value
 
 
-class _TimerContext:
-    __slots__ = ("_timer", "_start")
-
-    def __init__(self, timer: "TimerStat"):
-        self._timer = timer
-
-    def __enter__(self) -> "_TimerContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._timer.record(time.perf_counter() - self._start)
-
-
-class _NullContext:
-    """Shared do-nothing context (the disabled path of ``TimerStat.time``)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_CONTEXT = _NullContext()
-
-
 class TimerStat:
     """Aggregate duration statistics: count, total, min, max (seconds)."""
 
@@ -136,12 +106,6 @@ class TimerStat:
                 self.max_s = seconds
         for scope in registry._scope_stack():
             scope._time(self.name, seconds)
-
-    def time(self):
-        """Context manager timing its body (no-op while disabled)."""
-        if not self._registry._enabled:
-            return _NULL_CONTEXT
-        return _TimerContext(self)
 
     @property
     def mean_s(self) -> float:

@@ -109,27 +109,6 @@ class Tracer:
         with self._lock:
             self._events.append(event)
 
-    def add_raw(
-        self,
-        name: str,
-        ts_us: float,
-        dur_us: float,
-        pid: Optional[int] = None,
-        tid: Optional[int] = None,
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Record an externally timed event."""
-        self.add(
-            SpanEvent(
-                name=name,
-                ts_us=ts_us,
-                dur_us=dur_us,
-                pid=os.getpid() if pid is None else pid,
-                tid=threading.get_native_id() if tid is None else tid,
-                args=args,
-            )
-        )
-
     def add_serialized(self, payloads: List[Dict[str, object]]) -> None:
         """Merge events collected in another process (journal/worker meta)."""
         for payload in payloads:
@@ -138,10 +117,6 @@ class Tracer:
     def events(self) -> List[SpanEvent]:
         with self._lock:
             return list(self._events)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
 
     def mark(self) -> int:
         """Current event count, for :meth:`events_since`."""
@@ -166,10 +141,6 @@ def get_tracer() -> Tracer:
     return _TRACER
 
 
-def tracing_enabled() -> bool:
-    return _ENABLED
-
-
 def start_tracing(clear: bool = False) -> None:
     """Begin recording spans into the process tracer."""
     global _ENABLED
@@ -188,12 +159,6 @@ def _span_stack() -> List[str]:
     if stack is None:
         stack = _LOCAL.stack = []
     return stack
-
-
-def current_span() -> Optional[str]:
-    """Name of this thread's innermost open span, or None."""
-    stack = getattr(_LOCAL, "stack", None)
-    return stack[-1] if stack else None
 
 
 class span:

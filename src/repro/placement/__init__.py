@@ -1,28 +1,5 @@
-"""Task-to-PE placement: mappings, cost models and placers.
+"""The logical-task to physical-PE mapping the runtime migrates."""
 
-Provides the thermally-aware simulated-annealing placer the paper uses to
-build its (worst-case-for-migration) initial mappings, plus the baselines the
-placement ablation compares against.
-"""
-
-from .annealing import AnnealingResult, AnnealingSchedule, ThermalAwarePlacer
-from .baselines import (
-    checkerboard_placement,
-    greedy_thermal_placement,
-    identity_placement,
-    random_placement,
-)
-from .cost import PlacementCostModel
 from .mapping import Mapping
 
-__all__ = [
-    "AnnealingResult",
-    "AnnealingSchedule",
-    "ThermalAwarePlacer",
-    "checkerboard_placement",
-    "greedy_thermal_placement",
-    "identity_placement",
-    "random_placement",
-    "PlacementCostModel",
-    "Mapping",
-]
+__all__ = ["Mapping"]

@@ -2,15 +2,16 @@
 
 A :class:`Mapping` is a bijection between logical task ids (one per workload
 partition, see :mod:`repro.ldpc.partition`) and physical mesh coordinates.
-It is the object the paper's runtime reconfiguration actually mutates: a
-migration applies a coordinate transform to the physical side of this
-bijection while the logical (relative) structure stays fixed.
+A chip configuration's static (thermally-aware) placement is one; the
+runtime migrates its node-id form (:meth:`Mapping.to_permutation`), applying
+a coordinate transform to the physical side of the bijection while the
+logical (relative) structure stays fixed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..noc.topology import Coordinate, MeshTopology
 
@@ -49,45 +50,6 @@ class Mapping:
         """Physical coordinate currently hosting ``task``."""
         return self.physical_of_task[task]
 
-    def task_of(self, coord: Coordinate) -> int:
-        """Logical task currently running at ``coord``."""
-        return self._task_of_physical[coord]
-
-    def __getitem__(self, task: int) -> Coordinate:
-        return self.physical_of_task[task]
-
-    def items(self) -> Iterator[Tuple[int, Coordinate]]:
-        return iter(sorted(self.physical_of_task.items()))
-
-    # ------------------------------------------------------------------
-    def apply_transform(self, transform: Callable[[Coordinate], Coordinate]) -> "Mapping":
-        """Return a new mapping with every physical coordinate transformed.
-
-        ``transform`` must be a bijection of the mesh onto itself (the
-        migration functions of Table 1 are); the constructor re-validates
-        this.
-        """
-        new_assignment = {
-            task: transform(coord) for task, coord in self.physical_of_task.items()
-        }
-        return Mapping(topology=self.topology, physical_of_task=new_assignment)
-
-    def moved_tasks(self, other: "Mapping") -> List[int]:
-        """Tasks whose physical location differs between two mappings."""
-        if other.topology != self.topology:
-            raise ValueError("mappings cover different meshes")
-        return [
-            task
-            for task in range(self.num_tasks)
-            if self.physical_of(task) != other.physical_of(task)
-        ]
-
-    def as_power_map(self, per_task_power: Dict[int, float]) -> Dict[Coordinate, float]:
-        """Re-key per-task power by the physical coordinate hosting each task."""
-        return {
-            self.physical_of(task): power for task, power in per_task_power.items()
-        }
-
     # ------------------------------------------------------------------
     @classmethod
     def identity(cls, topology: MeshTopology) -> "Mapping":
@@ -97,36 +59,8 @@ class Mapping:
         }
         return cls(topology=topology, physical_of_task=assignment)
 
-    @classmethod
-    def from_permutation(cls, topology: MeshTopology, permutation: List[int]) -> "Mapping":
-        """Task ``i`` on the coordinate of node ``permutation[i]``."""
-        if sorted(permutation) != list(range(topology.num_nodes)):
-            raise ValueError("permutation must be a rearrangement of all node ids")
-        assignment = {
-            task: topology.coordinate(node_id) for task, node_id in enumerate(permutation)
-        }
-        return cls(topology=topology, physical_of_task=assignment)
-
     def to_permutation(self) -> List[int]:
-        """Inverse of :meth:`from_permutation`."""
+        """The node id hosting each task, in task order."""
         return [
             self.topology.node_id(self.physical_of(task)) for task in range(self.num_tasks)
         ]
-
-    def copy(self) -> "Mapping":
-        return Mapping(
-            topology=self.topology, physical_of_task=dict(self.physical_of_task)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return (
-            self.topology == other.topology
-            and self.physical_of_task == other.physical_of_task
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.topology, tuple(sorted(self.physical_of_task.items())))
-        )

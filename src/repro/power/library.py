@@ -65,36 +65,6 @@ class TechnologyLibrary:
         if self.leakage_power_density_w_per_mm2 < 0:
             raise ValueError("leakage density cannot be negative")
 
-    # ------------------------------------------------------------------
-    @property
-    def dynamic_energy_per_op_j(self) -> float:
-        """Dynamic energy of one datapath operation: C * V^2."""
-        return self.switched_capacitance_per_op_f * self.supply_voltage_v**2
-
-    @property
-    def unit_leakage_power_w(self) -> float:
-        """Static power of one 4.36 mm^2 functional unit."""
-        return self.leakage_power_density_w_per_mm2 * self.unit_area_mm2
-
-    @property
-    def cycle_time_s(self) -> float:
-        return 1.0 / self.clock_frequency_hz
-
-    def scaled(self, frequency_hz: float = None, voltage_v: float = None) -> "TechnologyLibrary":
-        """A copy with a different operating point (for DVFS baselines)."""
-        return TechnologyLibrary(
-            name=self.name,
-            supply_voltage_v=voltage_v if voltage_v is not None else self.supply_voltage_v,
-            clock_frequency_hz=(
-                frequency_hz if frequency_hz is not None else self.clock_frequency_hz
-            ),
-            switched_capacitance_per_op_f=self.switched_capacitance_per_op_f,
-            router_energy_per_flit_j=self.router_energy_per_flit_j,
-            link_energy_per_flit_j=self.link_energy_per_flit_j,
-            leakage_power_density_w_per_mm2=self.leakage_power_density_w_per_mm2,
-            unit_area_mm2=self.unit_area_mm2,
-        )
-
 
 #: Default library used throughout the reproduction.
 DEFAULT_LIBRARY = TechnologyLibrary()

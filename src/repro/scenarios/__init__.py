@@ -44,7 +44,7 @@ from .patterns import (
     WallClockPattern,
     pattern_from_dict,
 )
-from .registry import all_scenarios, get_scenario, scenario_names
+from .registry import all_scenarios, get_scenario
 from .spec import NocChannel, ScenarioSpec
 
 __all__ = [
@@ -71,5 +71,4 @@ __all__ = [
     "get_scenario",
     "pattern_from_dict",
     "run_scenario",
-    "scenario_names",
 ]

@@ -35,7 +35,7 @@ from ..chips.configurations import ChipConfiguration, get_configuration
 from ..core.experiment import ExperimentSettings, ThermalExperiment
 from ..core.metrics import ExperimentResult
 from ..core.policy import ReconfigurationPolicy, make_policy
-from ..ldpc import BpskAwgnChannel, LdpcEncoder, make_decoder
+from ..ldpc import BpskAwgnChannel, LdpcEncoder, MinSumDecoder
 from ..noc.analytic import AnalyticModel, analytic_model
 from ..obs import counter as _obs_counter
 from ..obs import get_registry as _obs_registry
@@ -369,9 +369,7 @@ def _decode_probe(graph, code_digest: str, snr_q: float) -> Tuple[float, float]:
                 for seed in range(DECODER_PROBE_BLOCKS)
             ]
             llrs = np.stack([channel.transmit_llr(word) for word in codewords])
-            decoder = make_decoder(
-                "min-sum", graph, max_iterations=DECODER_PROBE_MAX_ITERATIONS
-            )
+            decoder = MinSumDecoder(graph, max_iterations=DECODER_PROBE_MAX_ITERATIONS)
             result = decoder.decode_batch(llrs)
         outcome = (float(result.iterations.mean()), float(result.success.mean()))
         with _PROBE_CACHE_LOCK:

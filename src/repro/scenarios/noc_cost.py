@@ -7,7 +7,7 @@ epoch would put an event simulation inside the scenario loop — instead the
 compiled scenario holds the closed-form :mod:`repro.noc.analytic` wormhole
 model of its channel (cached process-wide by
 :func:`repro.noc.analytic.analytic_model`), which is exact about routes and
-validated against the vector engine below saturation, and this module
+calibrated against the cycle-accurate engine below saturation, and this module
 prices each epoch's injection rate through it.
 """
 

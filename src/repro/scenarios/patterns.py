@@ -182,8 +182,10 @@ def _is_pattern(value) -> bool:
     return isinstance(value, (dict, Pattern))
 
 
-#: The structural field annotations: what each takes, and the check.
+#: The string and structural field annotations: what each takes, and the
+#: check.
 _STRUCTURES = {
+    "str": ("a string", lambda value: isinstance(value, str)),
     "Pattern": ("a pattern object", _is_pattern),
     "Tuple[Pattern, ...]": (
         "a list of pattern objects",
@@ -199,8 +201,8 @@ _STRUCTURES = {
 
 @lru_cache(maxsize=None)
 def _typed_fields(cls) -> Tuple[Tuple[str, str], ...]:
-    """``(name, annotation)`` of a dataclass's number, flag and structural
-    fields."""
+    """``(name, annotation)`` of a dataclass's number, flag, string and
+    structural fields."""
     kinds = ("int", "Optional[int]", "float", "Optional[float]", "bool", *_STRUCTURES)
     return tuple((f.name, f.type) for f in fields(cls) if f.type in kinds)
 
@@ -210,11 +212,11 @@ def check_field_types(cls, values: Mapping[str, object]) -> None:
     of the dataclass ``cls`` (fields ``values`` lacks are skipped): an
     ``int`` field (or a set ``Optional[int]`` one) takes :func:`_as_count`,
     the integer rule windows apply too; a ``float`` one (or a set
-    ``Optional[float]``) rejects strings and booleans, and a ``bool`` one
-    takes only a boolean.  A nested pattern field takes a pattern object,
-    a ``Tuple[Pattern, ...]`` one a list of them; a coordinate takes a list
-    of two integers (each under the integer rule), a ``Tuple[Coordinate,
-    ...]`` a list of them."""
+    ``Optional[float]``) rejects strings and booleans, a ``bool`` one takes
+    only a boolean and a ``str`` one only a string.  A nested pattern field
+    takes a pattern object, a ``Tuple[Pattern, ...]`` one a list of them; a
+    coordinate takes a list of two integers (each under the integer rule), a
+    ``Tuple[Coordinate, ...]`` a list of them."""
     for name, kind in _typed_fields(cls):
         if name not in values:
             continue

@@ -26,7 +26,7 @@ the whole scenario layer to the paper's reproduction.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from .patterns import (
     BurstPattern,
@@ -329,11 +329,6 @@ _REGISTRY: Dict[str, Callable[[], ScenarioSpec]] = {
     "period-schedule-diurnal": _period_schedule_diurnal,
     "snr-fade": _snr_fade,
 }
-
-
-def scenario_names() -> Tuple[str, ...]:
-    """Registered scenario names, in registry order."""
-    return tuple(_REGISTRY)
 
 
 def get_scenario(name: str) -> ScenarioSpec:

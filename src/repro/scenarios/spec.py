@@ -46,7 +46,6 @@ A structured fifth channel prices the on-chip network:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import MISSING, dataclass, fields
 from typing import Dict, Optional
@@ -214,9 +213,6 @@ class ScenarioSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("a scenario needs a name")
-        _check_types(self)
         if (
             not isinstance(self.configuration, str)
             or self.configuration.upper() not in configuration_names()
@@ -229,6 +225,9 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; choose from {', '.join(POLICY_SCHEMES)}"
             )
+        _check_types(self)
+        if not self.name:
+            raise ValueError("a scenario needs a name")
         if self.mode not in ("steady", "transient"):
             raise ValueError("mode must be 'steady' or 'transient'")
         if self.num_epochs < 1:
@@ -335,7 +334,3 @@ class ScenarioSpec:
         return json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
         )
-
-    def content_digest(self) -> str:
-        """SHA-256 of :meth:`canonical_json` — the spec's identity."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()

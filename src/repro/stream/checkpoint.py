@@ -29,7 +29,7 @@ import os
 import tempfile
 from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 import numpy as np
 
@@ -196,15 +196,6 @@ class CheckpointStore:
         self._size = sum(len(line) for line in self._tail)
 
     # ------------------------------------------------------------------
-    def load_all(self) -> List[Dict[str, object]]:
-        """Every intact checkpoint, oldest first; torn-tail tolerant.
-
-        A torn final line (no newline yet) is skipped; a malformed line
-        anywhere else raises :class:`~repro.storage.CorruptJournalError`,
-        and an array that does not decode raises ``ValueError``.
-        """
-        return [decode_checkpoint(line) for line in read_journal(self.path).lines]
-
     def load_latest(self) -> Optional[Dict[str, object]]:
         """The newest intact checkpoint, or None for a fresh run.
 

@@ -32,12 +32,28 @@ CHANNELS = (
 )
 
 
+def _holds_bool(values) -> bool:
+    """Whether a (nested) list holds a boolean element."""
+    for item in values:
+        if item is True or item is False:
+            return True
+        if isinstance(item, (list, tuple)) and _holds_bool(item):
+            return True
+    return False
+
+
 def _as_schedule(
     values, name: str, num_epochs: int, ndims=(1,)
 ) -> Optional[np.ndarray]:
-    """Coerce an optional per-epoch float schedule, validating it."""
+    """Coerce an optional per-epoch float schedule, validating it.
+
+    A list (a JSON array) is scanned for booleans first: NumPy would read
+    ``[1.0, true]`` as two floats.
+    """
     if values is None:
         return None
+    if isinstance(values, (list, tuple)) and _holds_bool(values):
+        raise ValueError(f"{name} must be numeric")
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be numeric")
@@ -131,16 +147,6 @@ class EpochWindow:
     # ------------------------------------------------------------------
     # JSONL codec
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        record: Dict[str, object] = {"num_epochs": self.num_epochs}
-        if self.start_epoch is not None:
-            record["start_epoch"] = self.start_epoch
-        for name in CHANNELS:
-            values = getattr(self, name)
-            if values is not None:
-                record[name] = values.tolist()
-        return record
-
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "EpochWindow":
         unknown = set(record) - {"num_epochs", "start_epoch", *CHANNELS}
@@ -149,10 +155,6 @@ class EpochWindow:
         if "num_epochs" not in record:
             raise ValueError("EpochWindow record needs num_epochs")
         return cls(**record)  # type: ignore[arg-type]
-
-    def to_json_line(self) -> str:
-        """One JSONL record (no trailing newline)."""
-        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_line(cls, line: str) -> "EpochWindow":

@@ -12,8 +12,8 @@ non-mesh layouts in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..noc.topology import Coordinate, MeshTopology
 
@@ -89,9 +89,6 @@ class Floorplan:
     def block(self, name: str) -> Block:
         return self._by_name[name]
 
-    def names(self) -> List[str]:
-        return [block.name for block in self.blocks]
-
     @property
     def total_area(self) -> float:
         """Total die area in m^2."""
@@ -105,16 +102,6 @@ class Floorplan:
         x_max = max(block.x_max for block in self.blocks)
         y_max = max(block.y_max for block in self.blocks)
         return (x_min, y_min, x_max, y_max)
-
-    @property
-    def die_width(self) -> float:
-        x_min, _, x_max, _ = self.bounding_box
-        return x_max - x_min
-
-    @property
-    def die_height(self) -> float:
-        _, y_min, _, y_max = self.bounding_box
-        return y_max - y_min
 
     def adjacency(self) -> Dict[Tuple[str, str], float]:
         """Shared-edge lengths between every adjacent block pair.

@@ -27,7 +27,7 @@ class TestSuiteRuns:
         comparison = compare_scenarios(
             [_tiny_spec("first"), _tiny_spec("second", scheme="static")]
         )
-        assert comparison.names() == ["first", "second"]
+        assert [entry.spec.name for entry in comparison.results] == ["first", "second"]
         assert comparison.results[0].experiment.migrations_performed == 4
         assert comparison.results[1].experiment.migrations_performed == 0
 
@@ -57,12 +57,6 @@ class TestScenarioComparison:
         for row in rows:
             assert {"settled_peak_c", "reduction_c", "migrations"} <= set(row)
 
-    def test_lookup_and_names(self, comparison):
-        assert comparison.names() == ["cool", "warm"]
-        assert comparison.result("warm").spec.configuration == "C"
-        with pytest.raises(KeyError):
-            comparison.result("missing")
-
     def test_hottest_scenario(self, comparison):
         hottest = comparison.hottest_scenario()
         peaks = {
@@ -78,7 +72,7 @@ class TestScenarioComparison:
 
     def test_registry_default_uses_named_scenario(self):
         comparison = compare_scenarios([get_scenario("steady-baseline")])
-        assert comparison.names() == ["steady-baseline"]
+        assert [entry.spec.name for entry in comparison.results] == ["steady-baseline"]
 
     def test_empty_comparison_renders_and_guards(self):
         empty = ScenarioComparison(results=[])

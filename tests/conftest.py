@@ -8,7 +8,7 @@ import pytest
 from repro.chips import get_configuration
 from repro.ldpc import LdpcEncoder, TannerGraph, array_code_parity_matrix, striped_partition
 from repro.ldpc.workload import LdpcNocWorkload, WorkloadParameters
-from repro.noc import MeshTopology, NocSimulator
+from repro.noc import MeshTopology
 from repro.placement import Mapping
 from repro.thermal import HotSpotModel
 
@@ -29,11 +29,6 @@ def mesh5() -> MeshTopology:
 def mesh3x2() -> MeshTopology:
     """A small non-square mesh for edge cases."""
     return MeshTopology(3, 2)
-
-
-@pytest.fixture
-def simulator4(mesh4) -> NocSimulator:
-    return NocSimulator(mesh4)
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,8 @@ checkpoint state) is the runtime's, so the chunk loop must match it to the
 bit: trace rows, events, Celsius rows, records and the encoded
 ``state_dict()`` after every window.
 
-:func:`peak_series` is the per-record loop ``ExperimentResult.peak_series``
-ran before it read the Celsius column.
+:func:`peak_series` is the per-record loop a peak series ran before it read
+the Celsius column.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from repro.migration.unit import MigrationUnit
 from repro.noc.topology import MeshTopology
 from repro.power.trace import map_to_vector
 from repro.stream.checkpoint import encode_checkpoint
+from reference import moved
 
 
 @pytest.fixture
@@ -44,7 +45,7 @@ class TestMigrationApplication:
     def test_apply_migration_updates_mapping(self, controller_a, chip_a):
         transform = XYShiftTransform(chip_a.topology)
         controller_a.apply_migration(transform)
-        expected = chip_a.static_mapping.apply_transform(transform)
+        expected = moved(chip_a.static_mapping, transform)
         assert controller_a.nodes.tolist() == expected.to_permutation()
         assert controller_a.migrations_performed == 1
 
@@ -150,7 +151,7 @@ class TestMigrationCostCache:
 
     def test_cached_results_match_uncached(self, fresh_chip_a):
         """Cached events equal a fresh lowering: ``lower_transform`` and
-        ``Mapping.apply_transform`` called directly, step after step."""
+        the mapping moved by the transform directly, step after step."""
         chip = fresh_chip_a
         cached = RuntimeReconfigurationController(chip)
         unit = MigrationUnit(chip.topology, library=chip.library)
@@ -162,7 +163,7 @@ class TestMigrationCostCache:
             for task, count in sizes.items():
                 hosted[chip.topology.node_id(mapping.physical_of(task))] = count
             (stage,) = lower_transform(transform, unit, hosted).stages
-            mapping = mapping.apply_transform(transform)
+            mapping = moved(mapping, transform)
             event = cached.apply_migration(transform)
             assert (event.stage_index, event.stage_count) == (0, 1)
             assert event.cycles == stage.cycles

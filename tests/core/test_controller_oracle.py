@@ -1,7 +1,7 @@
 """Differential test: the array-native controller against the seed semantics.
 
 The oracle below implements the controller's semantics on the seed's data
-structures: a :class:`Mapping` moved by ``apply_transform`` or by a stage's
+structures: a :class:`Mapping` moved by a transform or by a stage's
 coordinate moves (each node to ``step[node]``), a dict-composed I/O
 translator, uncached costs (a sudden migration priced whole by
 :func:`migration_cost`, the seed's coordinate cost account, which shares no
@@ -28,7 +28,10 @@ from repro.migration.plan import lower_transform, priced_stage_cycles
 from repro.migration.transforms import FIGURE1_SCHEMES, make_transform
 from repro.migration.unit import MigrationUnit
 from repro.placement.mapping import Mapping
+from repro.power.trace import map_to_vector
 from repro.stream.checkpoint import decode_checkpoint, encode_checkpoint
+
+from reference import moved
 
 PERIOD_S = 109e-6
 
@@ -112,7 +115,7 @@ class SeedController:
         self.reset()
 
     def reset(self):
-        self.mapping = self.chip.static_mapping.copy()
+        self.mapping = self.chip.static_mapping
         self.current_of_original = {c: c for c in self.topology.coordinates()}
         self.migrations = 0
         self.cycles = 0
@@ -124,7 +127,7 @@ class SeedController:
     def apply_migration(self, transform):
         nodes = tanner_nodes_per_pe(self.chip, self.mapping)
         cycles, energy_j, energy = migration_cost(self.unit, transform, nodes)
-        self.mapping = self.mapping.apply_transform(transform)
+        self.mapping = moved(self.mapping, transform)
         self.current_of_original = {
             original: transform(current)
             for original, current in self.current_of_original.items()
@@ -180,7 +183,7 @@ class SeedController:
 
     # -- views -----------------------------------------------------------
     def epoch_power_vector(self, energy):
-        power = self.chip.power_vector(self.mapping)
+        power = map_to_vector(self.topology, self.chip.power_map(self.mapping))
         for node, joules in enumerate([] if energy is None else energy.tolist()):
             if joules == 0.0:
                 continue

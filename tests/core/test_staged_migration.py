@@ -414,7 +414,6 @@ class TestPeriodSchedule:
             experiment.step_window(
                 EpochWindow(num_epochs=2, load_modulation=np.array([1.0, 1e306]))
             )
-        assert not experiment.active
         with pytest.raises(RuntimeError):
             experiment.step_window(EpochWindow(num_epochs=2))
         with pytest.raises(RuntimeError):

@@ -21,7 +21,6 @@ import pytest
 
 from repro.chips import get_configuration
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
-from repro.core.metrics import ThermalMetrics
 from repro.core.policy import PeriodicMigrationPolicy
 from repro.power.trace import PowerTrace, map_to_vector
 from repro.stream import EpochWindow
@@ -30,6 +29,8 @@ from repro.thermal.hotspot import HotSpotModel
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "thermal"))
 from lu_oracle import LuSolver  # noqa: E402
 from unit_readout import unit_celsius  # noqa: E402
+from reference import metrics_of
+
 
 NUM_EPOCHS = 8
 SETTLE = 6
@@ -117,7 +118,7 @@ def _reference_rebuilt_networks(chip, kind: str, epoch_power_maps, engine: str):
         state = result.final_state_kelvin
         peak_by_epoch.append(float(series.max()))
         per_epoch.append(
-            ThermalMetrics.from_map(
+            metrics_of(
                 {coord: float(series[-1, idx]) for idx, coord in enumerate(coords)}
             )
         )

@@ -1,14 +1,22 @@
-"""Integration of the LDPC workload and migration traffic with the NoC."""
+"""Integration of the LDPC workload and migration traffic with the NoC.
+
+The packets replay on the cycle-accurate object engine, the oracle the
+analytic NoC model is calibrated against.
+"""
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.ldpc import striped_partition
 from repro.ldpc.workload import LdpcNocWorkload, WorkloadParameters
 from repro.migration import MigrationUnit, lower_transform, make_transform
-from repro.noc import MeshTopology, NocSimulator
+from repro.noc import MeshTopology
 from repro.noc.flit import Packet, PacketClass
-from repro.placement import Mapping
-from repro.power.activity import activity_from_simulation, analytic_router_flits
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "noc"))
+import object_engine  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +24,30 @@ def workload16(small_code):
     _H, graph = small_code
     partition = striped_partition(graph, 16)
     return LdpcNocWorkload(partition, WorkloadParameters(max_packet_flits=8))
+
+
+def placed(mesh, transform=None):
+    """Task -> coordinate: the identity placement, or its image under ``transform``."""
+    nodes = range(mesh.num_nodes)
+    if transform is not None:
+        nodes = transform.node_permutation()
+    return {task: mesh.coordinate(int(node)) for task, node in enumerate(nodes)}
+
+
+def iteration_packets(workload, placement):
+    """One decoding iteration's DATA packets: each task pair's payload
+    flits, split into packets of at most ``max_packet_flits`` (head flit
+    included)."""
+    chunk = workload.parameters.max_packet_flits - 1
+    packets = []
+    for src in range(workload.num_tasks):
+        for dst in range(workload.num_tasks):
+            remaining = workload.flits_between(src, dst) if src != dst else 0
+            while remaining > 0:
+                flits = min(remaining, chunk)
+                packets.append(Packet(placement[src], placement[dst], flits + 1))
+                remaining -= flits
+    return packets
 
 
 def config_packets(unit, stage):
@@ -33,53 +65,27 @@ def config_packets(unit, stage):
 class TestLdpcIterationOnNetwork:
     def test_iteration_traffic_delivered(self, workload16):
         mesh = MeshTopology(4, 4)
-        mapping = Mapping.identity(mesh)
-        packets = workload16.iteration_packets(mapping)
-        simulator = NocSimulator(mesh, buffer_depth=8)
-        result = simulator.run_packets(packets, drain_limit=400_000)
+        packets = iteration_packets(workload16, placed(mesh))
+        assert sum(p.size_flits - 1 for p in packets) == (
+            workload16.total_flits_per_iteration()
+        )
+        result = object_engine.run_packets(mesh, packets, buffer_depth=8)
         assert result.stats.packets_ejected == len(packets)
         # An iteration fits easily inside a block period.
         assert result.cycles < 5000
-
-    def test_migrated_mapping_same_packet_count(self, workload16):
-        """Migration permutes endpoints but the traffic volume is unchanged."""
-        mesh = MeshTopology(4, 4)
-        identity = Mapping.identity(mesh)
-        migrated = identity.apply_transform(make_transform("xy-shift", mesh))
-        assert len(workload16.iteration_packets(identity)) == len(
-            workload16.iteration_packets(migrated)
-        )
 
     def test_isometric_migration_preserves_delivery_time_scale(self, workload16):
         """An X-Y mirror preserves all pairwise distances, so the iteration
         completes in a similar number of cycles before and after migration."""
         mesh = MeshTopology(4, 4)
-        identity = Mapping.identity(mesh)
-        mirrored = identity.apply_transform(make_transform("xy-mirror", mesh))
-        base = NocSimulator(mesh, buffer_depth=8).run_packets(
-            workload16.iteration_packets(identity), drain_limit=400_000
+        mirrored = placed(mesh, make_transform("xy-mirror", mesh))
+        base = object_engine.run_packets(
+            mesh, iteration_packets(workload16, placed(mesh)), buffer_depth=8
         )
-        after = NocSimulator(mesh, buffer_depth=8).run_packets(
-            workload16.iteration_packets(mirrored), drain_limit=400_000
+        after = object_engine.run_packets(
+            mesh, iteration_packets(workload16, mirrored), buffer_depth=8
         )
         assert after.cycles == pytest.approx(base.cycles, rel=0.25)
-
-    def test_simulated_activity_close_to_analytic(self, workload16):
-        """Total router flit traversals from the cycle-accurate run match the
-        analytic XY-route estimate (both count every router on each path)."""
-        mesh = MeshTopology(4, 4)
-        mapping = Mapping.identity(mesh)
-        packets = workload16.iteration_packets(mapping)
-        simulator = NocSimulator(mesh, buffer_depth=8)
-        result = simulator.run_packets(packets, drain_limit=400_000)
-        simulated_total = sum(a.flits_routed for a in result.router_activity.values())
-
-        flows = {}
-        for packet in packets:
-            key = (packet.source, packet.destination)
-            flows[key] = flows.get(key, 0.0) + packet.size_flits
-        analytic = analytic_router_flits(mesh, flows)
-        assert simulated_total == pytest.approx(sum(analytic.values()), rel=1e-6)
 
 
 class TestMigrationTrafficOnNetwork:
@@ -91,8 +97,7 @@ class TestMigrationTrafficOnNetwork:
         transform = make_transform("xy-shift", mesh)
         (stage,) = lower_transform(transform, unit).stages
         packets = config_packets(unit, stage)
-        simulator = NocSimulator(mesh, buffer_depth=8)
-        result = simulator.run_packets(packets, drain_limit=500_000)
+        result = object_engine.run_packets(mesh, packets, buffer_depth=8)
         assert result.stats.packets_ejected == len(packets)
         # The analytic schedule serialises phases, the real network overlaps
         # them, so reality should not be slower than ~3x the schedule bound.
@@ -102,11 +107,9 @@ class TestMigrationTrafficOnNetwork:
         """Workload DATA packets and migration CONFIG packets injected together
         are all delivered (no deadlock from mixing traffic classes)."""
         mesh = MeshTopology(4, 4)
-        mapping = Mapping.identity(mesh)
         unit = MigrationUnit(mesh)
-        packets = workload16.iteration_packets(mapping)
+        packets = iteration_packets(workload16, placed(mesh))
         (stage,) = lower_transform(make_transform("rotation", mesh), unit).stages
         packets += config_packets(unit, stage)
-        simulator = NocSimulator(mesh, buffer_depth=8)
-        result = simulator.run_packets(packets, drain_limit=800_000)
+        result = object_engine.run_packets(mesh, packets, buffer_depth=8, drain_limit=800_000)
         assert result.stats.packets_ejected == len(packets)

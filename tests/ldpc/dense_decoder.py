@@ -88,7 +88,7 @@ class _MessagePassingDecoder:
             hard = (posterior < 0).astype(np.uint8)
             if reference_bits is not None:
                 per_iteration_errors.append(int(np.sum(hard != reference_bits)))
-            if self.graph.is_codeword(hard):
+            if not np.any((self.graph.H @ hard) % 2):
                 return DecodeResult(
                     decoded_bits=hard,
                     success=True,

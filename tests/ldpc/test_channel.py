@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ldpc.channel import BinarySymmetricChannel, BpskAwgnChannel, count_bit_errors
+from repro.ldpc.channel import BpskAwgnChannel, count_bit_errors
 
 
 class TestBpskAwgn:
@@ -35,33 +35,6 @@ class TestBpskAwgn:
         a = BpskAwgnChannel(snr_db=2.0, seed=7).transmit(bits)
         b = BpskAwgnChannel(snr_db=2.0, seed=7).transmit(bits)
         assert np.array_equal(a, b)
-
-
-class TestBsc:
-    def test_zero_crossover_is_noiseless(self):
-        channel = BinarySymmetricChannel(crossover=0.0, seed=1)
-        bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-        assert np.array_equal(channel.transmit(bits), bits)
-
-    def test_flip_rate_approximately_crossover(self):
-        channel = BinarySymmetricChannel(crossover=0.2, seed=5)
-        bits = np.zeros(5000, dtype=np.uint8)
-        received = channel.transmit(bits)
-        rate = received.mean()
-        assert 0.15 < rate < 0.25
-
-    def test_llr_signs(self):
-        channel = BinarySymmetricChannel(crossover=0.1)
-        llr = channel.llr(np.array([0, 1], dtype=np.uint8))
-        assert llr[0] > 0
-        assert llr[1] < 0
-        assert llr[0] == -llr[1]
-
-    def test_rejects_invalid_crossover(self):
-        with pytest.raises(ValueError):
-            BinarySymmetricChannel(crossover=0.5)
-        with pytest.raises(ValueError):
-            BinarySymmetricChannel(crossover=-0.1)
 
 
 class TestBitErrors:

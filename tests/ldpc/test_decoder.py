@@ -1,19 +1,19 @@
-"""Tests for the min-sum and sum-product decoders."""
+"""Tests for the min-sum decoder."""
 
 import numpy as np
 import pytest
 
-from repro.ldpc.channel import BinarySymmetricChannel, BpskAwgnChannel, count_bit_errors
-from repro.ldpc.decoder import MinSumDecoder, SumProductDecoder, make_decoder
+from repro.ldpc.channel import BpskAwgnChannel, count_bit_errors
+from repro.ldpc.decoder import MinSumDecoder
 from repro.ldpc.matrix import array_code_parity_matrix
 from repro.ldpc.tanner import TannerGraph
 
 
-@pytest.fixture(scope="module", params=["min-sum", "sum-product"])
-def decoder_and_code(request):
+@pytest.fixture(scope="module")
+def decoder_and_code():
     H = array_code_parity_matrix(p=7, j=3, k=6)
     graph = TannerGraph(H)
-    decoder = make_decoder(request.param, graph, max_iterations=30)
+    decoder = MinSumDecoder(graph, max_iterations=30)
     return decoder, graph
 
 
@@ -91,12 +91,6 @@ class TestDecoderConfiguration:
             MinSumDecoder(graph, normalization=0.0)
         with pytest.raises(ValueError):
             MinSumDecoder(graph, normalization=1.5)
-
-    def test_factory_unknown_name(self):
-        H = array_code_parity_matrix(p=5, j=2, k=4)
-        graph = TannerGraph(H)
-        with pytest.raises(ValueError):
-            make_decoder("turbo", graph)
 
 
 class TestBerBehaviour:

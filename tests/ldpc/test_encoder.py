@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from repro.ldpc.encoder import LdpcEncoder
-from repro.ldpc.matrix import array_code_parity_matrix, gallager_parity_matrix
+from repro.ldpc.matrix import array_code_parity_matrix
+
+
+def satisfies_checks(encoder, word):
+    return not np.any((encoder.H @ word) % 2)
 
 
 class TestEncoder:
-    def test_rank_and_k(self, small_encoder, small_code):
+    def test_k_and_rate(self, small_encoder, small_code):
         H, _ = small_code
-        assert small_encoder.rank <= min(H.shape)
-        assert small_encoder.k == H.shape[1] - small_encoder.rank
+        # n - k is the GF(2) rank of H, at most its smaller dimension.
+        assert H.shape[1] - small_encoder.k <= min(H.shape)
         assert 0 < small_encoder.rate < 1
 
     def test_encoded_words_satisfy_checks(self, small_encoder):
@@ -19,7 +23,7 @@ class TestEncoder:
         for _ in range(10):
             info = rng.integers(0, 2, size=small_encoder.k, dtype=np.uint8)
             codeword = small_encoder.encode(info)
-            assert small_encoder.is_codeword(codeword)
+            assert satisfies_checks(small_encoder, codeword)
 
     def test_information_bits_recoverable(self, small_encoder):
         # The encoder is systematic on the free columns: information bits are
@@ -28,11 +32,6 @@ class TestEncoder:
         info = rng.integers(0, 2, size=small_encoder.k, dtype=np.uint8)
         codeword = small_encoder.encode(info)
         assert np.array_equal(codeword[small_encoder._free_cols], info)
-
-    def test_all_zero_codeword(self, small_encoder):
-        zero = small_encoder.all_zero_codeword()
-        assert not zero.any()
-        assert small_encoder.is_codeword(zero)
 
     def test_zero_information_encodes_to_zero(self, small_encoder):
         codeword = small_encoder.encode(np.zeros(small_encoder.k, dtype=np.uint8))
@@ -52,13 +51,7 @@ class TestEncoder:
 
     def test_random_codeword_is_valid(self, small_encoder):
         codeword = small_encoder.random_codeword(seed=11)
-        assert small_encoder.is_codeword(codeword)
-
-    def test_gallager_code_encoding(self):
-        H = gallager_parity_matrix(n=24, wc=3, wr=6, seed=5)
-        encoder = LdpcEncoder(H)
-        codeword = encoder.random_codeword(seed=6)
-        assert encoder.is_codeword(codeword)
+        assert satisfies_checks(small_encoder, codeword)
 
     def test_rate_half_array_code(self):
         H = array_code_parity_matrix(p=13, j=3, k=6)

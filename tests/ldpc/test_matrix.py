@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ldpc.matrix import (
-    array_code_parity_matrix,
-    gallager_parity_matrix,
-    gf2_rank,
-    matrix_degrees,
-    validate_parity_matrix,
-)
+from repro.ldpc.matrix import array_code_parity_matrix, validate_parity_matrix
 
 
 class TestValidation:
@@ -18,7 +12,6 @@ class TestValidation:
         params = validate_parity_matrix(H)
         assert params.n == 3
         assert params.m == 2
-        assert params.design_rate == pytest.approx(1 / 3)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
@@ -35,30 +28,6 @@ class TestValidation:
     def test_rejects_one_dimensional(self):
         with pytest.raises(ValueError):
             validate_parity_matrix(np.array([1, 0, 1]))
-
-
-class TestGallagerConstruction:
-    def test_dimensions(self):
-        H = gallager_parity_matrix(n=20, wc=3, wr=4, seed=1)
-        assert H.shape == (15, 20)
-
-    def test_row_and_column_weights(self):
-        H = gallager_parity_matrix(n=24, wc=3, wr=6, seed=2)
-        assert np.all(H.sum(axis=1) == 6)
-        assert np.all(H.sum(axis=0) == 3)
-
-    def test_requires_divisibility(self):
-        with pytest.raises(ValueError):
-            gallager_parity_matrix(n=10, wc=3, wr=4)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gallager_parity_matrix(n=0, wc=3, wr=4)
-
-    def test_seed_reproducibility(self):
-        a = gallager_parity_matrix(n=20, wc=3, wr=4, seed=7)
-        b = gallager_parity_matrix(n=20, wc=3, wr=4, seed=7)
-        assert np.array_equal(a, b)
 
 
 class TestArrayCodeConstruction:
@@ -85,26 +54,3 @@ class TestArrayCodeConstruction:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             array_code_parity_matrix(p=0, j=1, k=1)
-
-
-class TestHelpers:
-    def test_matrix_degrees(self):
-        H = array_code_parity_matrix(p=7, j=3, k=6)
-        variable_degrees, check_degrees = matrix_degrees(H)
-        assert variable_degrees.shape == (42,)
-        assert check_degrees.shape == (21,)
-        assert set(variable_degrees) == {3}
-        assert set(check_degrees) == {6}
-
-    def test_gf2_rank_identity(self):
-        assert gf2_rank(np.eye(5, dtype=np.uint8)) == 5
-
-    def test_gf2_rank_dependent_rows(self):
-        H = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]], dtype=np.uint8)
-        # Third row is the XOR of the first two.
-        assert gf2_rank(H) == 2
-
-    def test_gf2_rank_bounds(self):
-        H = array_code_parity_matrix(p=7, j=3, k=6)
-        rank = gf2_rank(H)
-        assert 0 < rank <= min(H.shape)

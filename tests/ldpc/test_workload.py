@@ -5,18 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.ldpc.matrix import array_code_parity_matrix
 from repro.ldpc.partition import striped_partition
-from repro.ldpc.tanner import TannerGraph
 from repro.ldpc.workload import LdpcNocWorkload, WorkloadParameters
-from repro.noc.flit import PacketClass
-from repro.noc.topology import MeshTopology
-from repro.placement.mapping import Mapping
-
-
-@pytest.fixture
-def mapping16(mesh4):
-    return Mapping.identity(mesh4)
 
 
 class TestWorkloadParameters:
@@ -40,11 +30,6 @@ class TestWorkloadParameters:
 
 
 class TestTrafficGeneration:
-    def test_packet_count_positive(self, small_workload, mapping16):
-        packets = small_workload.iteration_packets(mapping16)
-        assert packets
-        assert all(p.packet_class == PacketClass.DATA for p in packets)
-
     def test_flits_match_messages(self, small_workload):
         params = small_workload.parameters
         for src in range(small_workload.num_tasks):
@@ -58,56 +43,12 @@ class TestTrafficGeneration:
                 else:
                     assert flits == math.ceil(messages / params.messages_per_flit)
 
-    def test_packets_respect_max_size(self, small_code, mesh4):
-        _H, graph = small_code
-        partition = striped_partition(graph, 16)
-        params = WorkloadParameters(max_packet_flits=3, flit_bits=8, message_bits=8)
-        workload = LdpcNocWorkload(partition, params)
-        mapping = Mapping.identity(mesh4)
-        for packet in workload.iteration_packets(mapping):
-            assert packet.size_flits <= params.max_packet_flits
-
-    def test_packets_follow_placement(self, small_workload, mesh4):
-        # Swap two tasks: packets between them must swap endpoints too.
-        base = Mapping.identity(mesh4)
-        permuted_ids = list(range(16))
-        permuted_ids[0], permuted_ids[5] = permuted_ids[5], permuted_ids[0]
-        swapped = Mapping.from_permutation(mesh4, permuted_ids)
-        base_pkts = small_workload.iteration_packets(base)
-        swapped_pkts = small_workload.iteration_packets(swapped)
-        assert len(base_pkts) == len(swapped_pkts)
-        base_sources = {p.payload["src_task"]: p.source for p in base_pkts}
-        swapped_sources = {p.payload["src_task"]: p.source for p in swapped_pkts}
-        assert base_sources[0] == swapped_sources[5] or base_sources[0] != swapped_sources[0]
-
-    def test_same_pe_mapping_rejected(self, small_workload, mesh4):
-        # A non-bijective placement (plain dict) must be caught at packet time.
-        bad = {task: (0, 0) for task in range(16)}
-        with pytest.raises(ValueError):
-            small_workload.iteration_packets(bad)
-
-    def test_block_packets_scale_with_iterations(self, small_workload, mapping16):
-        per_iter = len(small_workload.iteration_packets(mapping16))
-        per_block = len(small_workload.block_packets(mapping16))
-        assert per_block == per_iter * small_workload.parameters.iterations_per_block
-
 
 class TestActivitySummaries:
     def test_computation_ops_positive(self, small_workload):
         ops = small_workload.computation_ops_per_iteration()
         assert ops.shape == (16,)
         assert np.all(ops > 0)
-
-    def test_block_ops_scale(self, small_workload):
-        per_iter = small_workload.computation_ops_per_iteration()
-        per_block = small_workload.computation_ops_per_block()
-        factor = small_workload.parameters.iterations_per_block
-        assert np.allclose(per_block, per_iter * factor)
-
-    def test_communication_activity_symmetry(self, small_workload):
-        activity = small_workload.communication_activity()
-        # Total sends equal total receives.
-        assert activity.sum() == 2 * small_workload.traffic_matrix.sum()
 
     def test_computation_scale_applied(self, small_code):
         _H, graph = small_code
@@ -127,22 +68,3 @@ class TestActivitySummaries:
             LdpcNocWorkload(partition, computation_scale=np.ones(5))
         with pytest.raises(ValueError):
             LdpcNocWorkload(partition, computation_scale=np.zeros(16))
-
-
-class TestHopFlitProduct:
-    def test_identity_vs_shifted_mapping(self, small_workload, mesh4):
-        """Wrap-around shifts change some pairwise distances, so the
-        hop-flit product may change, but it must stay positive and finite."""
-        identity = Mapping.identity(mesh4)
-        base = small_workload.hop_flit_product(identity)
-        assert base > 0
-
-    def test_mirror_preserves_hop_flit_product(self, small_workload, mesh4):
-        """Mirrors are isometries of the mesh: the product must be identical."""
-        from repro.migration.transforms import XYMirrorTransform
-
-        identity = Mapping.identity(mesh4)
-        mirrored = identity.apply_transform(XYMirrorTransform(mesh4))
-        assert small_workload.hop_flit_product(mirrored) == pytest.approx(
-            small_workload.hop_flit_product(identity)
-        )

@@ -4,6 +4,9 @@ A migration's cost is its plan's: a sudden migration is the one-stage plan
 ``lower_transform(transform, unit, nodes).stages[0]``.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,10 @@ from repro.migration.transforms import (
 )
 from repro.migration.unit import MigrationUnit
 from repro.noc.flit import Packet, PacketClass
-from repro.noc.simulator import NocSimulator
+
+# The cycle-accurate NoC oracle.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "noc"))
+import object_engine  # noqa: E402
 
 
 @pytest.fixture
@@ -182,8 +188,6 @@ class TestMigrationPackets:
         """The migration's CONFIG packets must actually be deliverable by the
         cycle-accurate network (integration of migration with the NoC)."""
         packets = config_packets(unit4, sudden_stage(unit4, XYShiftTransform(mesh4)))
-        result = NocSimulator(mesh4, buffer_depth=8).run_packets(
-            packets, drain_limit=500_000
-        )
+        result = object_engine.run_packets(mesh4, packets, buffer_depth=8)
         assert result.stats.packets_ejected == len(packets)
         assert result.cycles > 0

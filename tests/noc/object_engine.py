@@ -1,18 +1,17 @@
-"""Seed object-graph NoC engine, kept as the oracle for the vector kernel.
+"""Seed object-graph NoC engine, kept as the cycle-accurate oracle.
 
 This is the per-cycle, one-object-per-flit wormhole mesh the reproduction
 started from: :class:`Network` owns one :class:`Router` per node, each with
 input :class:`FlitBuffer` FIFOs, output :class:`CreditCounter` credits and
 round-robin switch allocation, connected by :class:`Link` objects.  The
-runtime engine, :class:`repro.noc.vector.VectorNetwork`, reproduces its
-per-cycle semantics exactly; ``tests/noc/test_vector_engine.py`` pins that
-parity on identical traffic.
+runtime prices the NoC with the closed-form model of
+:mod:`repro.noc.analytic`; ``tests/noc/test_analytic.py`` calibrates that
+model against this engine.
 
 :func:`run_traffic` and :func:`run_packets` replay a
-:class:`~repro.noc.schedule.TrafficSchedule` (or an explicit packet batch)
-through the object network with the same warm-up / measurement / drain
-protocol as :class:`repro.noc.simulator.NocSimulator`, so the two engines can
-be compared field for field.
+:class:`schedule.TrafficSchedule` (or an explicit packet batch) through the
+network with a warm-up / measurement / drain protocol and report a
+:class:`SimulationResult`.
 
 The update for one cycle is:
 
@@ -37,12 +36,20 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.noc.flit import Packet
 from repro.noc.routing import RoutingAlgorithm, make_routing
-from repro.noc.schedule import PACKET_CLASS_FROM_CODE, TrafficSchedule
-from repro.noc.simulator import SimulationResult
-from repro.noc.stats import NetworkStats, RouterActivity
 from repro.noc.topology import Coordinate, Direction, MeshTopology
+from schedule import PACKET_CLASS_FROM_CODE, TrafficSchedule
+from stats import NetworkStats, RouterActivity
 
 EjectionHandler = Callable[[Packet, int], None]
+
+#: The port a neighbouring router sees each link from.
+_OPPOSITE = {
+    Direction.LOCAL: Direction.LOCAL,
+    Direction.EAST: Direction.WEST,
+    Direction.WEST: Direction.EAST,
+    Direction.NORTH: Direction.SOUTH,
+    Direction.SOUTH: Direction.NORTH,
+}
 
 
 # ----------------------------------------------------------------------
@@ -566,7 +573,7 @@ class Network:
         if fwd.in_dir != Direction.LOCAL:
             upstream_coord = self.topology.neighbor(coord, fwd.in_dir)
             upstream = self.routers[upstream_coord]
-            upstream.credit_return(fwd.in_dir.opposite)
+            upstream.credit_return(_OPPOSITE[fwd.in_dir])
 
         if fwd.out_dir == Direction.LOCAL:
             self._eject_flit(coord, flit)
@@ -575,7 +582,7 @@ class Network:
         link = self.links.get(coord, fwd.out_dir)
         link.traverse()
         downstream = self.routers[link.destination]
-        downstream.accept_flit(fwd.out_dir.opposite, flit)
+        downstream.accept_flit(_OPPOSITE[fwd.out_dir], flit)
 
     def _eject_flit(self, coord: Coordinate, flit: Flit) -> None:
         packet = flit.packet
@@ -671,8 +678,23 @@ class Network:
 
 
 # ----------------------------------------------------------------------
-# NocSimulator-equivalent runs
+# Runs
 # ----------------------------------------------------------------------
+@dataclass
+class SimulationResult:
+    """Outcome of one simulation interval."""
+
+    cycles: int
+    stats: NetworkStats
+    router_activity: Dict[Coordinate, RouterActivity]
+    link_flits: int
+    drained: bool
+
+    @property
+    def average_latency(self) -> float:
+        return self.stats.average_latency
+
+
 def to_packets(schedule: TrafficSchedule, topology: MeshTopology) -> List[Packet]:
     """Materialise one ``Packet`` per schedule row, in offer order."""
     return [
@@ -709,11 +731,12 @@ def run_traffic(
     drain: bool = True,
     drain_limit: int = 200_000,
 ) -> SimulationResult:
-    """Replay ``schedule`` like ``NocSimulator.run_traffic`` on the object engine.
+    """Replay ``schedule`` through the network.
 
     Each packet is offered at its schedule cycle during warm-up and
     measurement; statistics and activity are reset at the warm-up boundary
-    with traffic left in flight, then the network drains.
+    with traffic left in flight, then the network drains.  Packets offered
+    at or after ``warmup_cycles + cycles`` are dropped.
     """
     network = Network(topology, routing=routing, buffer_depth=buffer_depth)
     offered: Dict[int, List[Packet]] = {}
@@ -744,7 +767,7 @@ def run_packets(
     buffer_depth: int = 4,
     drain_limit: int = 500_000,
 ) -> SimulationResult:
-    """Inject ``packets`` at cycle zero and drain, like ``NocSimulator.run_packets``."""
+    """Inject ``packets`` at cycle zero and drain."""
     network = Network(topology, routing=routing, buffer_depth=buffer_depth)
     for packet in packets:
         network.inject(packet)

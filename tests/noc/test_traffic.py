@@ -3,8 +3,8 @@
 import pytest
 
 from repro.noc.flit import PacketClass
-from repro.noc.schedule import PACKET_CLASS_CODES
-from repro.noc.traffic import (
+from schedule import PACKET_CLASS_CODES
+from traffic import (
     BitComplementTraffic,
     HotspotTraffic,
     NeighborTraffic,
@@ -13,6 +13,7 @@ from repro.noc.traffic import (
     UniformRandomTraffic,
     make_traffic,
 )
+from reference import hops
 
 
 class TestValidation:
@@ -67,7 +68,7 @@ class TestPatterns:
     def test_neighbor_traffic_one_hop(self, mesh5):
         traffic = NeighborTraffic(mesh5, injection_rate=1.0, seed=5)
         for source, destination in _pairs(traffic, 1):
-            assert mesh5.manhattan_distance(source, destination) == 1
+            assert hops(source, destination) == 1
 
     def test_hotspot_bias(self, mesh4):
         hotspot = (2, 2)

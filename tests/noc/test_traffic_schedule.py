@@ -5,9 +5,11 @@ import pytest
 
 import object_engine
 from repro.noc.flit import PacketClass
-from repro.noc.schedule import PACKET_CLASS_CODES, TrafficSchedule
 from repro.noc.topology import MeshTopology
-from repro.noc.traffic import make_traffic
+from schedule import PACKET_CLASS_CODES, TrafficSchedule
+from traffic import make_traffic
+from reference import hops
+
 
 PATTERNS = [
     ("uniform", {}),
@@ -70,7 +72,7 @@ class TestNumpySchedulePath:
         topology = MeshTopology(4, 4)
         sched = make_traffic("neighbor", topology, 0.5, seed=1).schedule(200)
         for s, d in zip(sched.src, sched.dst):
-            distance = topology.manhattan_distance(
+            distance = hops(
                 topology.coordinate(int(s)), topology.coordinate(int(d))
             )
             assert distance == 1

@@ -1,13 +1,13 @@
-"""Synthetic traffic generators for the NoC substrate.
+"""Synthetic traffic generators, the cycle-engine oracle's traffic input.
 
-The main workload of the reproduction is the LDPC decoder
-(:mod:`repro.ldpc.workload`), but the NoC latency curves and many unit
-tests use the classic synthetic patterns below.
+The analytic wormhole model (:mod:`repro.noc.analytic`) is calibrated
+against the object engine on these classic patterns; its destination
+probabilities mirror the generators below.
 
 A generator pregenerates a whole run with ``schedule(cycles)``: a handful of
 vectorized draws from one ``numpy.random.default_rng(seed)`` per run yield a
-:class:`~repro.noc.schedule.TrafficSchedule`.  Same-seed calls reproduce the
-identical schedule (pinned by ``tests/noc/test_traffic_schedule.py``).
+:class:`schedule.TrafficSchedule`.  Same-seed calls reproduce the identical
+schedule (pinned by ``tests/noc/test_traffic_schedule.py``).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .flit import PacketClass
-from .schedule import PACKET_CLASS_CODES, TrafficSchedule
-from .topology import Coordinate, MeshTopology
+from repro.noc.flit import PacketClass
+from repro.noc.topology import Coordinate, MeshTopology
+from schedule import PACKET_CLASS_CODES, TrafficSchedule
 
 
 class TrafficGenerator(ABC):
@@ -184,7 +184,7 @@ class NeighborTraffic(TrafficGenerator):
             coord = topo.coordinate(node)
             for i, ncoord in enumerate(topo.neighbors(coord).values()):
                 table[node, i] = topo.node_id(ncoord)
-            degree[node] = topo.degree(coord)
+            degree[node] = len(topo.neighbors(coord))
         pick = (rng.random(src.size) * degree[src]).astype(np.int64)
         return table[src, pick]
 

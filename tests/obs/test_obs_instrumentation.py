@@ -1,8 +1,7 @@
 """Instrumented subsystems feed the shared registry and tracer.
 
 One test family per instrumented layer: thermal solver, LDPC decoders,
-NoC vector engine, scenario probe cache, scenario
-runs, and campaign execution.  Each asserts the *names* other tooling
+scenario probe cache, scenario runs, and campaign execution.  Each asserts the *names* other tooling
 depends on (``repro obs summary``, the trace exporter, the journal).
 """
 
@@ -17,10 +16,7 @@ from repro import obs
 from repro.analysis.report import compare_scenarios
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.manifest import journal_path, report_path
-from repro.ldpc import TannerGraph, array_code_parity_matrix, make_decoder
-from repro.noc.topology import MeshTopology
-from repro.noc.traffic import make_traffic
-from repro.noc.vector import VectorNetwork
+from repro.ldpc import MinSumDecoder, TannerGraph, array_code_parity_matrix
 from repro.scenarios import ScenarioSpec, all_scenarios, get_scenario, run_scenario
 from repro.scenarios import compile as compile_module
 from repro.thermal.floorplan import mesh_floorplan
@@ -88,9 +84,8 @@ class TestLdpcDecoders:
     def graph(self):
         return TannerGraph(array_code_parity_matrix(p=5, j=3, k=5))
 
-    @pytest.mark.parametrize("variant", ["min-sum", "sum-product"])
-    def test_decode_batch_counters_and_span(self, enabled, graph, variant):
-        decoder = make_decoder(variant, graph, max_iterations=5)
+    def test_decode_batch_counters_and_span(self, enabled, graph):
+        decoder = MinSumDecoder(graph, max_iterations=5)
         llr = np.full((3, graph.n), 4.0)  # all-zero codeword, high confidence
         batch = decoder.decode_batch(llr)
         assert len(batch) == 3
@@ -105,30 +100,10 @@ class TestLdpcDecoders:
         assert spans[0].args == {"blocks": 3}
 
     def test_disabled_decode_touches_nothing(self, graph):
-        decoder = make_decoder("min-sum", graph, max_iterations=5)
+        decoder = MinSumDecoder(graph, max_iterations=5)
         decoder.decode_batch(np.full((2, graph.n), 4.0))
         assert obs.get_registry().snapshot().empty
-        assert len(obs.get_tracer()) == 0
-
-
-class TestNocVectorEngine:
-    def _engine(self, cycles=40):
-        topology = MeshTopology(4, 4)
-        generator = make_traffic("uniform", topology, injection_rate=0.1, seed=3)
-        schedule = generator.schedule(cycles)
-        return VectorNetwork(topology, [schedule, schedule])
-
-    def test_run_and_drain_counters(self, enabled):
-        engine = self._engine()
-        engine.run(40)
-        drained = engine.drain(max_cycles=2000)
-        snapshot = obs.get_registry().snapshot()
-        assert snapshot.counters["noc.vector.runs"] == 1
-        assert snapshot.counters["noc.vector.drains"] == 1
-        assert snapshot.counters["noc.vector.lane_cycles"] == 2 * (40 + drained)
-        by_name = {e.name: e for e in obs.get_tracer().events()}
-        assert by_name["noc.vector.run"].args == {"lanes": 2, "cycles": 40}
-        assert by_name["noc.vector.drain"].args["cycles"] == drained
+        assert len(obs.get_tracer().events()) == 0
 
 
 class TestProbeCache:
@@ -170,7 +145,7 @@ class TestScenarioTelemetry:
         specs = all_scenarios()
         compare_scenarios(specs)
         assert obs.get_registry().snapshot().empty
-        assert len(obs.get_tracer()) == 0
+        assert len(obs.get_tracer().events()) == 0
 
         obs.enable()
         obs.start_tracing(clear=True)
@@ -178,7 +153,7 @@ class TestScenarioTelemetry:
         snapshot = obs.get_registry().snapshot()
         assert snapshot.counters["scenario.runs"] == len(specs) == 15
         assert snapshot.counters["thermal.steady_solves"] > 0
-        assert len(obs.get_tracer()) > 0
+        assert len(obs.get_tracer().events()) > 0
 
 
 class TestCampaignTelemetry:

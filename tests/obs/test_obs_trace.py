@@ -10,7 +10,6 @@ from repro import obs
 from repro.obs import (
     SpanEvent,
     chrome_trace_payload,
-    current_span,
     export_chrome_trace,
     now_us,
     validate_chrome_trace,
@@ -21,7 +20,7 @@ class TestSpanRecording:
     def test_disabled_span_records_nothing(self):
         with obs.span("test.trace.dark", attr=1):
             pass
-        assert len(obs.get_tracer()) == 0
+        assert obs.get_tracer().events() == []
 
     def test_span_records_one_event(self, enabled):
         with obs.span("test.trace.one", rows=16):
@@ -37,13 +36,14 @@ class TestSpanRecording:
 
     def test_nested_span_gets_parent_attribute(self, enabled):
         with obs.span("test.trace.outer"):
-            assert current_span() == "test.trace.outer"
             with obs.span("test.trace.inner"):
-                assert current_span() == "test.trace.inner"
-        assert current_span() is None
+                pass
+        with obs.span("test.trace.after"):
+            pass
         by_name = {event.name: event for event in obs.get_tracer().events()}
         assert by_name["test.trace.inner"].args == {"parent": "test.trace.outer"}
         assert by_name["test.trace.outer"].args is None
+        assert by_name["test.trace.after"].args is None
 
     def test_span_survives_exception(self, enabled):
         try:
@@ -51,8 +51,11 @@ class TestSpanRecording:
                 raise ValueError("boom")
         except ValueError:
             pass
-        assert current_span() is None
-        assert [e.name for e in obs.get_tracer().events()] == ["test.trace.raises"]
+        with obs.span("test.trace.after"):
+            pass
+        events = obs.get_tracer().events()
+        assert [e.name for e in events] == ["test.trace.raises", "test.trace.after"]
+        assert events[1].args is None
 
     def test_span_args_mutable_until_exit(self, enabled):
         with obs.span("test.trace.late") as active:
@@ -104,15 +107,15 @@ class TestTracerBuffer:
         with obs.span("test.trace.old"):
             pass
         obs.start_tracing(clear=True)
-        assert len(obs.get_tracer()) == 0
+        assert obs.get_tracer().events() == []
 
 
 class TestChromeExport:
     def test_payload_has_metadata_per_process_and_thread(self, enabled):
         with obs.span("test.trace.meta"):
             pass
-        obs.get_tracer().add_raw(
-            "worker.task", ts_us=now_us(), dur_us=3.0, pid=4242, tid=11
+        obs.get_tracer().add_serialized(
+            [{"name": "worker.task", "ts_us": now_us(), "dur_us": 3.0, "pid": 4242, "tid": 11}]
         )
         payload = chrome_trace_payload()
         meta = [e for e in payload["traceEvents"] if e["ph"] == "M"]

@@ -11,22 +11,6 @@ class TestTechnologyLibrary:
         assert lib.unit_area_mm2 == pytest.approx(4.36)
         assert lib.supply_voltage_v == pytest.approx(1.8)
 
-    def test_dynamic_energy_per_op(self):
-        lib = TechnologyLibrary(
-            switched_capacitance_per_op_f=1e-12, supply_voltage_v=2.0
-        )
-        assert lib.dynamic_energy_per_op_j == pytest.approx(4e-12)
-
-    def test_unit_leakage_power(self):
-        lib = TechnologyLibrary(
-            leakage_power_density_w_per_mm2=0.01, unit_area_mm2=5.0
-        )
-        assert lib.unit_leakage_power_w == pytest.approx(0.05)
-
-    def test_cycle_time(self):
-        lib = TechnologyLibrary(clock_frequency_hz=100e6)
-        assert lib.cycle_time_s == pytest.approx(10e-9)
-
     def test_rejects_invalid_values(self):
         with pytest.raises(ValueError):
             TechnologyLibrary(supply_voltage_v=0)
@@ -38,15 +22,6 @@ class TestTechnologyLibrary:
             TechnologyLibrary(unit_area_mm2=0)
         with pytest.raises(ValueError):
             TechnologyLibrary(leakage_power_density_w_per_mm2=-0.1)
-
-    def test_scaled_operating_point(self):
-        lib = DEFAULT_LIBRARY
-        slower = lib.scaled(frequency_hz=250e6)
-        assert slower.clock_frequency_hz == 250e6
-        assert slower.supply_voltage_v == lib.supply_voltage_v
-        lower_v = lib.scaled(voltage_v=1.2)
-        assert lower_v.supply_voltage_v == 1.2
-        assert lower_v.dynamic_energy_per_op_j < lib.dynamic_energy_per_op_j
 
     def test_frozen(self):
         with pytest.raises(Exception):

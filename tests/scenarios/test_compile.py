@@ -18,6 +18,7 @@ from strategies import scenario_specs
 from repro.chips import get_configuration
 from repro.core.experiment import ExperimentSettings, ThermalExperiment
 from repro.core.policy import PeriodicMigrationPolicy, make_policy
+from repro.power.trace import map_to_vector
 from repro.scenarios.compile import compile_scenario, decoder_effort, run_scenario
 from repro.scenarios.patterns import (
     ConstantPattern,
@@ -221,7 +222,7 @@ class TestAmbientOffsets:
             chip.topology, package=package, floorplan=chip.thermal_model.floorplan
         )
         expected = shifted_model.steady_temperatures(
-            chip.power_vector()[np.newaxis, :]
+            map_to_vector(chip.topology, chip.power_map())[np.newaxis, :]
         )[0]
         assert result.settled_peak_celsius == pytest.approx(expected.max(), abs=1e-9)
 
@@ -330,19 +331,19 @@ class TestDecoderEffort:
         several threads probe it concurrently; without the lock, threads that
         miss simultaneously each run the probe batch and write the cache over
         one another.  Four threads released together must produce exactly one
-        ``make_decoder`` call.
+        decoder construction.
         """
         from repro.scenarios import compile as compile_module
 
         compile_module._PROBE_CACHE.clear()
         decode_calls = []
-        real_make_decoder = compile_module.make_decoder
+        real_decoder = compile_module.MinSumDecoder
 
-        def counting_make_decoder(*args, **kwargs):
+        def counting_decoder(*args, **kwargs):
             decode_calls.append(threading.get_ident())
-            return real_make_decoder(*args, **kwargs)
+            return real_decoder(*args, **kwargs)
 
-        monkeypatch.setattr(compile_module, "make_decoder", counting_make_decoder)
+        monkeypatch.setattr(compile_module, "MinSumDecoder", counting_decoder)
 
         chip = get_configuration("A")
         barrier = threading.Barrier(4)

@@ -1,19 +1,25 @@
 """Tests for the declarative scenario spec and its JSON round-trip."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from strategies import scenario_specs
 
+from repro.cli import main
 from repro.scenarios.patterns import (
     ConstantPattern,
     DiurnalPattern,
     HotspotPattern,
     RampPattern,
 )
-from repro.scenarios.registry import all_scenarios, get_scenario, scenario_names
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.registry import all_scenarios, get_scenario
+from repro.scenarios.spec import NocChannel, ScenarioSpec
 
 
 class TestValidation:
@@ -170,7 +176,7 @@ class TestFeedbackFields:
 
 class TestRegistry:
     def test_at_least_eight_scenarios(self):
-        assert len(scenario_names()) >= 8
+        assert len(all_scenarios()) >= 8
 
     def test_both_modes_present(self):
         modes = {spec.mode for spec in all_scenarios()}
@@ -195,7 +201,54 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown scenario"):
             get_scenario("nope")
 
-    def test_names_unique_and_match_specs(self):
-        names = scenario_names()
+    def test_names_unique(self):
+        names = [spec.name for spec in all_scenarios()]
         assert len(set(names)) == len(names)
-        assert [spec.name for spec in all_scenarios()] == list(names)
+
+
+def _string_fields(cls):
+    return [field.name for field in dataclasses.fields(cls) if field.type == "str"]
+
+
+#: JSON values that are not strings.
+NOT_STRINGS = st.sampled_from([5, 2.5, True, None, [], {}, [["a", 1]]])
+
+
+@st.composite
+def string_field_edits(draw):
+    """A registry spec with one string field (top level or in its NoC
+    channel) replaced by a value of another JSON type."""
+    spec = draw(st.sampled_from(all_scenarios()))
+    payload = spec.to_dict()
+    # A non-string chip or scheme is refused as an unknown one (see
+    # TestValidation); every other string field by its type.
+    targets = [
+        (payload, name)
+        for name in _string_fields(ScenarioSpec)
+        if name not in ("configuration", "scheme")
+    ]
+    if payload["noc"] is not None:
+        targets += [(payload["noc"], name) for name in _string_fields(NocChannel)]
+    owner, name = draw(st.sampled_from(targets))
+    owner[name] = draw(NOT_STRINGS)
+    return payload, name
+
+
+class TestStringFields:
+    @settings(max_examples=60, deadline=None)
+    @given(edit=string_field_edits())
+    def test_wrong_typed_string_field_is_one_line_error(self, edit):
+        """``scenario run --spec`` refuses the spec in one stderr line naming
+        the field, exit 1, nothing on stdout."""
+        payload, name = edit
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "spec.json"
+            path.write_text(json.dumps(payload))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["scenario", "run", "--spec", str(path)])
+        assert code == 1
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{name} must be a string, got ")

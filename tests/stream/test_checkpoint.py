@@ -7,8 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.storage import CorruptJournalError
+from repro.storage import CorruptJournalError, read_journal
 from repro.stream import CheckpointStore, checkpoint
+
+
+def journal(store):
+    """Every intact checkpoint in the store's journal, oldest first."""
+    return [checkpoint.decode_checkpoint(line) for line in read_journal(store.path).lines]
 
 
 def _lines(store):
@@ -22,12 +27,12 @@ class TestSaveLoad:
         store.save({"next_epoch": 4})
         store.save({"next_epoch": 8})
         assert store.load_latest() == {"next_epoch": 8}
-        assert [entry["next_epoch"] for entry in store.load_all()] == [4, 8]
+        assert [entry["next_epoch"] for entry in journal(store)] == [4, 8]
 
     def test_empty_directory_is_fresh(self, tmp_path):
         store = CheckpointStore(tmp_path / "never-created")
         assert store.load_latest() is None
-        assert store.load_all() == []
+        assert journal(store) == []
 
     def test_validates_retention_parameters(self, tmp_path):
         with pytest.raises(ValueError):
@@ -61,7 +66,7 @@ class TestTornTail:
         with store.path.open("a", encoding="utf-8") as handle:
             handle.write('{"torn": ')
         store.save({"next_epoch": 8})
-        assert [e["next_epoch"] for e in store.load_all()] == [4, 8]
+        assert [e["next_epoch"] for e in journal(store)] == [4, 8]
 
     def test_interior_corruption_raises(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -71,7 +76,7 @@ class TestTornTail:
         lines[0] = '{"broken'
         store.path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorruptJournalError, match="line 1"):
-            store.load_all()
+            CheckpointStore(tmp_path).load_latest()
 
 
 class TestCompaction:
@@ -79,7 +84,7 @@ class TestCompaction:
         store = CheckpointStore(tmp_path, keep=3, max_entries=6)
         for epoch in range(8):
             store.save({"next_epoch": epoch})
-        entries = store.load_all()
+        entries = journal(store)
         # Every save past max_entries compacts down to the newest `keep`.
         assert len(entries) <= store.max_entries
         assert entries[-1] == {"next_epoch": 7}
@@ -113,7 +118,7 @@ class TestCompactionCadence:
         assert _lines(store) == 4
         store.save({"next_epoch": 4})
         assert _lines(store) == 2
-        assert store.load_all() == [{"next_epoch": 3}, {"next_epoch": 4}]
+        assert journal(store) == [{"next_epoch": 3}, {"next_epoch": 4}]
 
     def test_repaired_journal_compacts_past_max_entries(self, tmp_path):
         writer = CheckpointStore(tmp_path, keep=2, max_entries=4)
@@ -126,7 +131,7 @@ class TestCompactionCadence:
         store.save({"next_epoch": 3})
         assert _lines(store) == 4
         store.save({"next_epoch": 4})
-        assert store.load_all() == [{"next_epoch": 3}, {"next_epoch": 4}]
+        assert journal(store) == [{"next_epoch": 3}, {"next_epoch": 4}]
 
 
 class TestSingleRead:
@@ -143,7 +148,7 @@ class TestSingleRead:
             store.save({"next_epoch": epoch})
         assert store.load_latest() == {"next_epoch": 8}
         monkeypatch.undo()
-        assert store.load_all()[-1] == {"next_epoch": 8}
+        assert journal(store)[-1] == {"next_epoch": 8}
         assert _lines(store) <= store.max_entries
 
     def test_interior_corruption_raises_when_a_store_opens(self, tmp_path):

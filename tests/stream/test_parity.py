@@ -22,7 +22,7 @@ import pytest
 from repro.chips import get_configuration
 from repro.scenarios.compile import compile_scenario, run_scenario
 from repro.scenarios.patterns import DiurnalPattern, RampPattern
-from repro.scenarios.registry import get_scenario, scenario_names
+from repro.scenarios.registry import all_scenarios, get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.stream import StreamingExperiment, scenario_windows
 from repro.thermal.hotspot import HotSpotModel
@@ -230,7 +230,7 @@ class TestTransientParity:
 
 
 @pytest.mark.parametrize("style", ["sudden", "fluid", "batched"])
-@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("name", [spec.name for spec in all_scenarios()])
 def test_streamed_migration_accounting_equals_batch(name, style):
     """A registry scenario streamed at a drawn window size ends with the
     batch run's migration count and energy exactly (the controller's

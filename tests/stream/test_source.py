@@ -10,7 +10,7 @@ from repro.scenarios.compile import compile_scenario
 from repro.scenarios.patterns import DiurnalPattern, RampPattern
 from repro.scenarios.registry import all_scenarios, get_scenario
 from repro.scenarios.spec import ScenarioSpec
-from repro.stream import EpochWindow, jsonl_windows, scenario_windows
+from repro.stream import jsonl_windows, scenario_windows
 from repro.stream.window import CHANNELS
 
 
@@ -95,17 +95,17 @@ class TestScenarioWindows:
 class TestJsonlWindows:
     def test_parses_lines_and_skips_blanks(self):
         lines = [
-            EpochWindow(num_epochs=3, start_epoch=0).to_json_line(),
+            '{"num_epochs": 3, "start_epoch": 0}',
             "",
             "   \n",
-            EpochWindow(num_epochs=2, start_epoch=3).to_json_line(),
+            '{"num_epochs": 2, "start_epoch": 3}',
         ]
         windows = list(jsonl_windows(lines))
         assert [w.num_epochs for w in windows] == [3, 2]
         assert [w.start_epoch for w in windows] == [0, 3]
 
     def test_reports_one_based_line_number(self):
-        lines = [EpochWindow(num_epochs=1).to_json_line(), "{not json"]
+        lines = ['{"num_epochs": 1}', "{not json"]
         with pytest.raises(ValueError, match="line 2"):
             list(jsonl_windows(lines))
 

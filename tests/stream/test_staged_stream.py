@@ -175,17 +175,12 @@ class TestMidPlanResume:
 
 
 class TestPeriodScaleWindows:
-    def test_jsonl_round_trip(self):
-        window = EpochWindow(
-            num_epochs=3,
-            start_epoch=6,
-            load_modulation=[1.0, 1.1, 0.9],
-            period_scale=[1.0, 2.0, 0.5],
+    def test_jsonl_period_scale(self):
+        restored = EpochWindow.from_json_line(
+            '{"num_epochs": 3, "start_epoch": 6, "load_modulation": [1.0, 1.1, 0.9], '
+            '"period_scale": [1.0, 2.0, 0.5]}'
         )
-        restored = EpochWindow.from_json_line(window.to_json_line())
-        assert np.array_equal(restored.period_scale, window.period_scale)
-        record = json.loads(window.to_json_line())
-        assert record["period_scale"] == [1.0, 2.0, 0.5]
+        assert np.array_equal(restored.period_scale, [1.0, 2.0, 0.5])
 
     def test_head_trims_period_scale(self):
         window = EpochWindow(num_epochs=3, period_scale=[1.0, 2.0, 3.0])

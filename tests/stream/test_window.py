@@ -4,9 +4,12 @@ Channel validation over generated windows lives in
 ``tests/property/test_property_window.py``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.stream import EpochWindow
 from repro.stream.window import _as_schedule
 
@@ -78,27 +81,21 @@ class TestHead:
 
 
 class TestJsonlCodec:
-    def test_round_trip(self):
-        window = EpochWindow(
-            num_epochs=3,
-            start_epoch=6,
-            load_modulation=[0.5, 1.0, 1.5],
-            ambient_offsets=[0.0, 1.0, 2.0],
-            snr_schedule=[3.0, 3.5, 4.0],
-            noc_rates=[0.05, 0.06, 0.07],
+    def test_decodes_every_channel(self):
+        back = EpochWindow.from_json_line(
+            '{"num_epochs": 3, "start_epoch": 6, "load_modulation": [0.5, 1.0, 1.5], '
+            '"ambient_offsets": [0.0, 1.0, 2.0], "snr_schedule": [3.0, 3.5, 4.0], '
+            '"noc_rates": [0.05, 0.06, 0.07]}'
         )
-        back = EpochWindow.from_json_line(window.to_json_line())
         assert back.num_epochs == 3
         assert back.start_epoch == 6
-        assert np.array_equal(back.load_modulation, window.load_modulation)
-        assert np.array_equal(back.ambient_offsets, window.ambient_offsets)
-        assert np.array_equal(back.snr_schedule, window.snr_schedule)
-        assert np.array_equal(back.noc_rates, window.noc_rates)
+        assert np.array_equal(back.load_modulation, [0.5, 1.0, 1.5])
+        assert np.array_equal(back.ambient_offsets, [0.0, 1.0, 2.0])
+        assert np.array_equal(back.snr_schedule, [3.0, 3.5, 4.0])
+        assert np.array_equal(back.noc_rates, [0.05, 0.06, 0.07])
 
     def test_optional_fields_omitted(self):
-        window = EpochWindow(num_epochs=2)
-        assert window.to_dict() == {"num_epochs": 2}
-        back = EpochWindow.from_json_line(window.to_json_line())
+        back = EpochWindow.from_json_line('{"num_epochs": 2}')
         assert back.load_modulation is None
         assert back.start_epoch is None
 
@@ -115,9 +112,34 @@ class TestJsonlCodec:
             EpochWindow.from_json_line("[1, 2, 3]")
 
     def test_per_unit_modulation_round_trips(self):
-        window = EpochWindow(
-            num_epochs=2, load_modulation=[[1.0, 2.0], [3.0, 4.0]]
+        back = EpochWindow.from_json_line(
+            '{"num_epochs": 2, "load_modulation": [[1.0, 2.0], [3.0, 4.0]]}'
         )
-        back = EpochWindow.from_json_line(window.to_json_line())
         assert back.load_modulation.shape == (2, 2)
-        assert np.array_equal(back.load_modulation, window.load_modulation)
+        assert np.array_equal(back.load_modulation, [[1.0, 2.0], [3.0, 4.0]])
+
+
+class TestBooleanElements:
+    """NumPy reads ``[1.0, true]`` as two floats, so a served window scans
+    its JSON arrays for booleans before building them."""
+
+    @pytest.mark.parametrize(
+        "channel, values",
+        [
+            ("load_modulation", [1.0, True, 1.0]),
+            ("load_modulation", [[1.0] * 16, [1.0] * 15 + [True], [1.0] * 16]),
+            ("ambient_offsets", [0.0, False, 0.0]),
+            ("snr_schedule", [3.0, True, 3.0]),
+            ("noc_rates", [0.01, True, 0.01]),
+            ("period_scale", [1.0, True, 1.0]),
+        ],
+    )
+    def test_served_window_refuses_a_boolean(self, tmp_path, capsys, channel, values):
+        path = tmp_path / "windows.jsonl"
+        path.write_text(json.dumps({"num_epochs": 3, channel: values}) + "\n")
+        assert main(["serve", "--input", str(path), "-c", "A", "-s", "xy-shift"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"bad epoch-window record on line 1: {channel} must be numeric"
+        ]

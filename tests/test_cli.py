@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _rows_to_csv, build_parser, main
+from repro.scenarios import all_scenarios
 
 
 class TestParser:
@@ -221,12 +222,10 @@ class TestFigure1Command:
 
 class TestScenarioCommand:
     def test_list_names_all_scenarios(self, capsys):
-        from repro.scenarios import scenario_names
-
         assert main(["scenario", "list"]) == 0
         out = capsys.readouterr().out
-        for name in scenario_names():
-            assert name in out
+        for spec in all_scenarios():
+            assert spec.name in out
 
     def test_run_named_scenario(self, capsys):
         assert main(["scenario", "run", "steady-baseline"]) == 0
@@ -723,16 +722,16 @@ class TestServeCommand:
         assert second[0] == first[-1]
 
     def test_jsonl_input_stream(self, tmp_path, capsys):
-        from repro.stream import EpochWindow
-
         path = tmp_path / "windows.jsonl"
         path.write_text(
             "\n".join(
-                EpochWindow(
-                    num_epochs=4,
-                    start_epoch=4 * index,
-                    load_modulation=[1.0, 0.9, 1.1, 1.0],
-                ).to_json_line()
+                json.dumps(
+                    {
+                        "num_epochs": 4,
+                        "start_epoch": 4 * index,
+                        "load_modulation": [1.0, 0.9, 1.1, 1.0],
+                    }
+                )
                 for index in range(3)
             )
             + "\n"
@@ -758,10 +757,8 @@ class TestServeCommand:
         assert capsys.readouterr().err.strip()
 
     def test_threshold_scheme_takes_trigger(self, tmp_path, capsys):
-        from repro.stream import EpochWindow
-
         path = tmp_path / "windows.jsonl"
-        path.write_text(EpochWindow(num_epochs=4).to_json_line() + "\n")
+        path.write_text('{"num_epochs": 4}\n')
         assert main(["serve", "--input", str(path),
                      "-s", "threshold-xy-shift", "--trigger", "90",
                      "--settled", "4"]) == 0
@@ -843,13 +840,12 @@ class TestServeCommand:
 
     def _serve_into(self, tmp_path, *extra):
         """Serve two 4-epoch windows into ``tmp_path / "ck"``; argv, journal."""
-        from repro.stream import EpochWindow
         from repro.stream.checkpoint import CHECKPOINT_JOURNAL
 
         path = tmp_path / "windows.jsonl"
         path.write_text(
             "".join(
-                EpochWindow(num_epochs=4, start_epoch=4 * index).to_json_line() + "\n"
+                json.dumps({"num_epochs": 4, "start_epoch": 4 * index}) + "\n"
                 for index in range(2)
             )
         )

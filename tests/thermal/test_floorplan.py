@@ -59,8 +59,6 @@ class TestFloorplan:
     def test_bounding_box(self):
         plan = Floorplan([Block("a", 0, 0, 1, 1), Block("b", 1, 0, 1, 2)])
         assert plan.bounding_box == (0, 0, 2, 2)
-        assert plan.die_width == 2
-        assert plan.die_height == 2
 
     def test_adjacency_keys_sorted(self):
         plan = Floorplan([Block("b", 1, 0, 1, 1), Block("a", 0, 0, 1, 1)])

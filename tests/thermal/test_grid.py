@@ -27,7 +27,7 @@ class TestRefineFloorplan:
     def test_resolution_one_is_identity(self, mesh4):
         plan = mesh_floorplan(mesh4)
         refined = refine_floorplan(plan, resolution=1)
-        assert refined.names() == plan.names()
+        assert [cell.name for cell in refined] == [block.name for block in plan]
 
     def test_total_area_preserved(self, mesh4):
         plan = mesh_floorplan(mesh4)
@@ -41,7 +41,7 @@ class TestRefineFloorplan:
     def test_parent_names_recoverable(self, mesh4):
         refined = refine_floorplan(mesh_floorplan(mesh4), resolution=2)
         parents = {parent_block_name(cell.name) for cell in refined}
-        assert parents == set(mesh_floorplan(mesh4).names())
+        assert parents == {block.name for block in mesh_floorplan(mesh4)}
 
     def test_rejects_bad_resolution(self, mesh4):
         with pytest.raises(ValueError):
@@ -97,13 +97,15 @@ class TestGridResolution:
         the static peak within 1 C and on the X-Y shift reduction (orbit-
         averaged power, migration energy excluded) within 1.5 C."""
         for chip in all_configurations():
-            transform = XYShiftTransform(chip.topology)
-            mapping = chip.static_mapping
-            migrated = dict.fromkeys(chip.topology.coordinates(), 0.0)
-            for _ in range(transform.order()):
-                mapping = mapping.apply_transform(transform)
-                for coord, watts in chip.power_map(mapping).items():
-                    migrated[coord] += watts / transform.order()
+            # X-Y shift's orbit on a square mesh is ``width`` steps long.
+            perm = XYShiftTransform(chip.topology).node_permutation()
+            order = chip.topology.width
+            unit_watts = map_to_vector(chip.topology, chip.power_map())
+            migrated_watts = np.zeros(chip.num_units)
+            for _ in range(order):
+                unit_watts = unit_watts[np.argsort(perm)]
+                migrated_watts += unit_watts / order
+            migrated = dict(zip(chip.topology.coordinates(), migrated_watts))
             static = chip.power_map()
             block = chip.thermal_model
             grid = HotSpotModel(chip.topology, resolution=3, package=block.package)
