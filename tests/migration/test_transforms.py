@@ -97,7 +97,7 @@ class TestTable1Algebra:
 
 
 class TestGroupProperties:
-    @pytest.mark.parametrize("scheme", FIGURE1_SCHEMES)
+    @pytest.mark.parametrize("scheme", available_transforms())
     @pytest.mark.parametrize("size", [4, 5])
     def test_bijection(self, scheme, size):
         topology = MeshTopology(size, size)
@@ -121,6 +121,18 @@ class TestGroupProperties:
 
     def test_identity_order_one(self, mesh4):
         assert order(IdentityTransform(mesh4)) == 1
+
+    @pytest.mark.parametrize("scheme", available_transforms())
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_every_orbit_length_divides_the_order(self, scheme, size):
+        """A workload returns home after every ``order`` applications, so
+        each orbit's length divides the order, and some orbit attains it."""
+        topology = MeshTopology(size, size)
+        transform = make_transform(scheme, topology)
+        period = order(transform)
+        lengths = {len(orbit(transform, coord)) for coord in topology.coordinates()}
+        assert all(period % length == 0 for length in lengths)
+        assert max(lengths) == period
 
     def test_orbit_returns_home(self, mesh5):
         transform = XYShiftTransform(mesh5)
@@ -151,6 +163,28 @@ class TestFixedPoints:
 
     def test_identity_everything_fixed(self, mesh4):
         assert len(fixed_points(IdentityTransform(mesh4))) == 16
+
+    #: Workloads each scheme leaves in place on a 4x4 and a 5x5 chip: on the
+    #: odd mesh rotation and the diagonal mirror keep the centre unit, a
+    #: mirror its middle column or row.
+    FIXED_COUNTS = {
+        "rotation": (0, 1),
+        "x-mirror": (0, 5),
+        "y-mirror": (0, 5),
+        "xy-mirror": (0, 1),
+        "right-shift": (0, 0),
+        "xy-shift": (0, 0),
+        "identity": (16, 25),
+    }
+
+    def test_fixed_counts_cover_every_scheme(self):
+        assert set(self.FIXED_COUNTS) == set(available_transforms())
+
+    @pytest.mark.parametrize("scheme", available_transforms())
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_fixed_point_count(self, scheme, size):
+        transform = make_transform(scheme, MeshTopology(size, size))
+        assert len(fixed_points(transform)) == self.FIXED_COUNTS[scheme][size - 4]
 
 
 class TestIsometry:

@@ -122,3 +122,99 @@ class TestDeterminismAndMinimality:
                     if src == dst:
                         continue
                     assert algorithm.path(src, dst)[-1] == dst
+
+
+MESHES = [(4, 4), (5, 5), (3, 2), (6, 3)]
+by_mesh = pytest.mark.parametrize("width,height", MESHES, ids=[f"{w}x{h}" for w, h in MESHES])
+
+
+def channel_dependencies(topology, outputs):
+    """Channel dependency graph: each link ``(u, v)`` -> the links a packet
+    holding it may request next, over every destination, where
+    ``outputs(current, destination)`` lists the directions a packet may take."""
+    graph = {}
+    for destination in topology.coordinates():
+        for current in topology.coordinates():
+            if current == destination:
+                continue
+            for first in outputs(current, destination):
+                nxt = topology.neighbor(current, first)
+                graph.setdefault((current, nxt), set())
+                if nxt == destination:
+                    continue
+                for second in outputs(nxt, destination):
+                    graph[(current, nxt)].add((nxt, topology.neighbor(nxt, second)))
+    return graph
+
+
+def has_cycle(graph):
+    """True when the directed ``graph`` (node -> successors) has a cycle."""
+    state = {}
+    for root in graph:
+        if root in state:
+            continue
+        state[root] = "open"
+        stack = [(root, iter(graph[root]))]
+        while stack:
+            node, successors = stack[-1]
+            for successor in successors:
+                if state.get(successor) == "open":
+                    return True
+                if successor not in state:
+                    state[successor] = "open"
+                    stack.append((successor, iter(graph.get(successor, ()))))
+                    break
+            else:
+                state[node] = "done"
+                stack.pop()
+    return False
+
+
+class TestDeadlockFreedom:
+    """A wormhole network cannot deadlock when the channel dependency graph
+    of its routing function is acyclic (Dally and Seitz)."""
+
+    def test_cycle_check_finds_a_cycle(self):
+        ring = {"a": {"b"}, "b": {"c"}, "c": {"a"}}
+        assert has_cycle(ring)
+        assert not has_cycle({"a": {"b"}, "b": {"c"}, "c": set()})
+
+    @pytest.mark.parametrize("name", available_algorithms())
+    @by_mesh
+    def test_taken_routes_are_deadlock_free(self, name, width, height):
+        """The route each engine and the analytic model follow (the first
+        candidate output)."""
+        topology = MeshTopology(width, height)
+        routing = make_routing(name, topology)
+        graph = channel_dependencies(
+            topology, lambda current, dst: [routing.route(current, dst)]
+        )
+        assert not has_cycle(graph)
+
+    @pytest.mark.parametrize("name", ["xy", "yx", "west-first"])
+    @by_mesh
+    def test_every_candidate_route_is_deadlock_free(self, name, width, height):
+        topology = MeshTopology(width, height)
+        routing = make_routing(name, topology)
+        assert not has_cycle(channel_dependencies(topology, routing.candidate_outputs))
+
+
+class TestCandidateOutputs:
+    @pytest.mark.parametrize("name", available_algorithms())
+    @by_mesh
+    def test_every_candidate_is_productive(self, name, width, height):
+        """Adaptive or not, every output an algorithm offers stays in the mesh
+        and takes one hop closer, and ``route`` takes the first of them."""
+        topology = MeshTopology(width, height)
+        routing = make_routing(name, topology)
+        for current in topology.coordinates():
+            for destination in topology.coordinates():
+                candidates = routing.candidate_outputs(current, destination)
+                assert routing.route(current, destination) == candidates[0]
+                if current == destination:
+                    assert candidates == [Direction.LOCAL]
+                    continue
+                assert len(set(candidates)) == len(candidates)
+                for direction in candidates:
+                    nxt = topology.neighbor(current, direction)
+                    assert hops(nxt, destination) == hops(current, destination) - 1

@@ -53,11 +53,27 @@ class TestCoordinateConversion:
 
 
 class TestNeighbors:
-    def test_neighbor_counts(self, mesh4):
+    def test_interior_degree(self, mesh4):
         assert len(mesh4.neighbors((1, 1))) == 4
+
+    def test_corner_degree(self, mesh4):
         assert len(mesh4.neighbors((0, 0))) == 2
         assert len(mesh4.neighbors((3, 3))) == 2
+
+    def test_edge_degree(self, mesh4):
         assert len(mesh4.neighbors((1, 0))) == 3
+
+    def test_links_count(self, mesh4, mesh3x2):
+        # 2 * (W-1) * H horizontal + 2 * W * (H-1) vertical unidirectional links.
+        for mesh in (mesh4, mesh3x2):
+            w, h = mesh.width, mesh.height
+            links = sum(len(mesh.neighbors(coord)) for coord in mesh.coordinates())
+            assert links == 2 * (w - 1) * h + 2 * w * (h - 1)
+
+    def test_neighbors_are_symmetric(self, mesh3x2):
+        for coord in mesh3x2.coordinates():
+            for neighbor in mesh3x2.neighbors(coord).values():
+                assert coord in mesh3x2.neighbors(neighbor).values()
 
     def test_neighbor_directions(self, mesh4):
         neighbors = mesh4.neighbors((1, 1))

@@ -234,6 +234,35 @@ def string_field_edits(draw):
     return payload, name
 
 
+def run_spec(payload):
+    """``scenario run --spec`` on ``payload``: (exit code, stdout, stderr lines)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "spec.json"
+        path.write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["scenario", "run", "--spec", str(path)])
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+#: Wrong-typed string fields that ran with exit 0, or crashed with an
+#: ``unhashable type`` traceback from the NoC model's cache key, before
+#: ``str`` fields were type-checked: (scenario, field path, value).
+STRING_FIELD_CASES = [
+    ("steady-baseline", ("name",), 5),
+    ("steady-baseline", ("name",), True),
+    ("steady-baseline", ("name",), [["a", 1]]),
+    ("steady-baseline", ("description",), 5),
+    ("steady-baseline", ("description",), True),
+    ("steady-baseline", ("description",), []),
+    ("steady-baseline", ("description",), {}),
+    ("steady-baseline", ("description",), None),
+    ("noc-congestion-burst", ("noc", "routing"), []),
+    ("noc-congestion-burst", ("noc", "routing"), {}),
+    ("noc-congestion-burst", ("noc", "routing"), [["a", 1]]),
+]
+
+
 class TestStringFields:
     @settings(max_examples=60, deadline=None)
     @given(edit=string_field_edits())
@@ -241,14 +270,23 @@ class TestStringFields:
         """``scenario run --spec`` refuses the spec in one stderr line naming
         the field, exit 1, nothing on stdout."""
         payload, name = edit
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "spec.json"
-            path.write_text(json.dumps(payload))
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["scenario", "run", "--spec", str(path)])
+        code, out, lines = run_spec(payload)
         assert code == 1
-        assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
+        assert out == ""
         assert len(lines) == 1
         assert lines[0].startswith(f"{name} must be a string, got ")
+
+    @pytest.mark.parametrize(
+        "scenario,path,value",
+        STRING_FIELD_CASES,
+        ids=[f"{c[0]}-{'.'.join(c[1])}-{json.dumps(c[2])}" for c in STRING_FIELD_CASES],
+    )
+    def test_former_escapes_are_refused(self, scenario, path, value):
+        payload = get_scenario(scenario).to_dict()
+        owner = payload
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        code, out, lines = run_spec(payload)
+        assert (code, out) == (1, "")
+        assert lines == [f"{path[-1]} must be a string, got {value!r}"]
